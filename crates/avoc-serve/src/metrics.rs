@@ -5,9 +5,8 @@
 //! JSON shape predates the registry and is kept byte-compatible), the
 //! Prometheus/JSON exposition behind the admin endpoint, and the per-tenant
 //! fuse-latency histograms (`avoc_session_fuse_latency_ns{session="..."}`)
-//! the scrape path serves. Recording stays lock-free — handles are relaxed
-//! atomics — and only the legacy latency reservoir takes a lock, for a push
-//! into a fixed ring.
+//! the scrape path serves. Recording is lock-free — handles are relaxed
+//! atomics.
 
 use avoc_net::{CorkMetrics, ReactorMetrics};
 use avoc_obs::{Counter, Gauge, Health, HealthLevel, Histogram, Registry, TraceRing};
@@ -15,16 +14,10 @@ use parking_lot::Mutex;
 use serde::Serialize;
 use std::collections::{HashMap, HashSet};
 
-/// How many fuse-latency samples the reservoir keeps. Old samples are
-/// overwritten ring-style, so the p99 reflects recent behaviour rather than
-/// the whole process lifetime.
-const LATENCY_RESERVOIR: usize = 4096;
-
 /// Live counters shared by every shard and connection of one daemon.
 ///
 /// All hot-path fields are registry handles (relaxed atomics); only the
-/// latency reservoir and the session directory take locks, and never on the
-/// per-reading path.
+/// session directory takes a lock, and never on the per-reading path.
 #[derive(Debug)]
 pub struct ServiceCounters {
     registry: Registry,
@@ -70,7 +63,7 @@ pub struct ServiceCounters {
     shard_queue_high_water: Vec<Gauge>,
     /// Service-wide fuse latency on the log-linear nanosecond scale.
     fuse_latency_ns: Histogram,
-    /// Checkpoint (WAL + meta write) latency.
+    /// Checkpoint (one WAL record) latency.
     checkpoint_latency_ns: Histogram,
     /// WAL replay latency per recovered session.
     wal_replay_latency_ns: Histogram,
@@ -79,7 +72,6 @@ pub struct ServiceCounters {
     segment_load_latency_ns: Histogram,
     /// One compaction pass (fold + merge) end to end.
     compaction_latency_ns: Histogram,
-    latency: Mutex<LatencyReservoir>,
     /// Live sessions, for the admin `/sessions` view. Touched only at
     /// session open/resume/close — never per reading.
     directory: Mutex<HashMap<u64, SessionEntry>>,
@@ -90,7 +82,7 @@ pub struct ServiceCounters {
     /// Sessions currently in degraded (memory-only) persistence; the
     /// `persistence` health domain is degraded while this is non-empty.
     degraded_ids: Mutex<HashSet<u64>>,
-    /// Checkpoint attempts that failed (WAL or meta write error).
+    /// Checkpoint attempts that failed (WAL append or sidecar creation error).
     checkpoint_failures: Counter,
     /// Times any session entered degraded (memory-only) persistence.
     degraded_entered: Counter,
@@ -118,20 +110,6 @@ struct SessionEntry {
     /// The session's registered fuse histogram; its `count()` is the
     /// session's fused-round total.
     fuse: Histogram,
-}
-
-#[derive(Debug, Default)]
-struct LatencyReservoir {
-    /// Ring of recent per-fuse latencies in nanoseconds.
-    samples: Vec<u64>,
-    /// Next ring slot.
-    head: usize,
-    /// Total samples ever recorded.
-    count: u64,
-    /// Sum over all samples ever recorded (for the lifetime mean).
-    sum_ns: u128,
-    /// Lifetime minimum.
-    min_ns: u64,
 }
 
 impl ServiceCounters {
@@ -264,7 +242,7 @@ impl ServiceCounters {
             ),
             checkpoint_latency_ns: registry.latency_histogram_with(
                 "avoc_checkpoint_latency_ns",
-                "Session checkpoint (WAL + meta) latency, nanoseconds.",
+                "Session checkpoint (one WAL record) latency, nanoseconds.",
                 &[],
             ),
             wal_replay_latency_ns: registry.latency_histogram_with(
@@ -282,13 +260,12 @@ impl ServiceCounters {
                 "Compaction pass (fold + merge) latency, nanoseconds.",
                 &[],
             ),
-            latency: Mutex::new(LatencyReservoir::default()),
             directory: Mutex::new(HashMap::new()),
             health: Health::new(),
             degraded_ids: Mutex::new(HashSet::new()),
             checkpoint_failures: c(
                 "avoc_checkpoint_failures_total",
-                "Checkpoint attempts that failed (WAL or meta write error).",
+                "Checkpoint attempts that failed (WAL append or sidecar creation error).",
             ),
             degraded_entered: c(
                 "avoc_degraded_entered_total",
@@ -584,21 +561,6 @@ impl ServiceCounters {
     pub(crate) fn round_fused(&self, latency_ns: u64) {
         self.rounds_fused.inc();
         self.fuse_latency_ns.record(latency_ns);
-        let mut res = self.latency.lock();
-        if res.samples.len() < LATENCY_RESERVOIR {
-            res.samples.push(latency_ns);
-        } else {
-            let head = res.head;
-            res.samples[head] = latency_ns;
-        }
-        res.head = (res.head + 1) % LATENCY_RESERVOIR;
-        res.count += 1;
-        res.sum_ns += u128::from(latency_ns);
-        res.min_ns = if res.count == 1 {
-            latency_ns
-        } else {
-            res.min_ns.min(latency_ns)
-        };
     }
 
     /// Counts one session exported (checkpoint-shipped) to another node.
@@ -633,23 +595,13 @@ impl ServiceCounters {
         if injected > cur {
             self.fault_injected.add(injected - cur);
         }
-        let latency = {
-            let res = self.latency.lock();
-            if res.count == 0 {
-                None
-            } else {
-                let mut recent: Vec<u64> = res.samples.clone();
-                recent.sort_unstable();
-                // Nearest-rank percentile: ceil(0.99 * n) as a 1-based rank.
-                let p99_idx = (recent.len() * 99).div_ceil(100).saturating_sub(1);
-                Some(LatencySummary {
-                    samples: res.count,
-                    min_us: res.min_ns as f64 / 1e3,
-                    mean_us: (res.sum_ns as f64 / res.count as f64) / 1e3,
-                    p99_us: recent[p99_idx] as f64 / 1e3,
-                })
-            }
-        };
+        let fuse = self.fuse_latency_ns.snapshot();
+        let latency = (!fuse.is_empty()).then(|| LatencySummary {
+            samples: fuse.count,
+            min_us: fuse.min as f64 / 1e3,
+            mean_us: fuse.mean() / 1e3,
+            p99_us: fuse.quantile(0.99) as f64 / 1e3,
+        });
         CountersSnapshot {
             sessions_opened: self.sessions_opened.get(),
             sessions_evicted: self.sessions_evicted.get(),
@@ -702,16 +654,18 @@ impl ServiceCounters {
     }
 }
 
-/// Fuse-latency statistics over the recent reservoir.
+/// Fuse-latency statistics over the daemon's lifetime, read off the
+/// `avoc_fuse_latency_ns` histogram.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LatencySummary {
-    /// Total fuses recorded over the daemon's lifetime.
+    /// Total fuses recorded.
     pub samples: u64,
-    /// Lifetime minimum, microseconds.
+    /// Minimum, microseconds.
     pub min_us: f64,
-    /// Lifetime mean, microseconds.
+    /// Mean, microseconds.
     pub mean_us: f64,
-    /// 99th percentile of the recent reservoir, microseconds.
+    /// 99th percentile, microseconds (interpolated inside its histogram
+    /// bucket).
     pub p99_us: f64,
 }
 
@@ -773,7 +727,7 @@ pub struct CountersSnapshot {
     pub resumed_sessions: u64,
     /// Client resume requests received (each is one retry of a session).
     pub retries: u64,
-    /// Bytes written by session checkpoints (WAL appends + meta rewrites).
+    /// Bytes written by session checkpoints (WAL appends).
     pub checkpoint_bytes: u64,
     /// Total time spent replaying session WALs, milliseconds.
     pub wal_replay_ms: f64,
@@ -789,7 +743,7 @@ pub struct CountersSnapshot {
     pub segment_rounds_folded: u64,
     /// Bytes of segment files written by compaction.
     pub segment_bytes_written: u64,
-    /// Checkpoint attempts that failed (WAL or meta write error).
+    /// Checkpoint attempts that failed (WAL append or sidecar creation error).
     pub checkpoint_failures: u64,
     /// Times any session entered degraded (memory-only) persistence.
     pub degraded_entered: u64,
@@ -926,17 +880,6 @@ mod tests {
         assert!(text.contains("avoc_segments_live 1"));
         assert!(text.contains("avoc_compaction_latency_ns_count 2"));
         assert!(text.contains("avoc_segment_load_latency_ns_count 1"));
-    }
-
-    #[test]
-    fn reservoir_wraps_without_losing_lifetime_stats() {
-        let c = ServiceCounters::new(1);
-        for i in 0..(LATENCY_RESERVOIR as u64 + 100) {
-            c.round_fused(1_000 + i);
-        }
-        let lat = c.snapshot().fuse_latency.unwrap();
-        assert_eq!(lat.samples, LATENCY_RESERVOIR as u64 + 100);
-        assert!((lat.min_us - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,33 +1,37 @@
-//! Durable session state: per-session WAL + metadata checkpoints.
+//! Durable session state: a per-session log plus a write-once sidecar.
 //!
 //! With persistence enabled, every session owns two files in the state
 //! directory:
 //!
 //! * `session-<id:016x>.wal` — an [`avoc_store::FileHistory`] append-only
-//!   log of the engine's history records, written write-behind through
-//!   [`avoc_store::CachedHistory`];
-//! * `session-<id:016x>.meta` — a small atomically-replaced (tmp + rename)
-//!   metadata file carrying the resume token, module count, governing spec,
-//!   high-water round and the unacked-results ring.
+//!   log. A checkpoint is **one record** in it: the trust rows that changed,
+//!   the verdict rows not yet logged, and the round they are as of, in one
+//!   write + flush (+ fsync). That record is the only commit point.
+//! * `session-<id:016x>.meta` — a small sidecar carrying what the log does
+//!   not: resume token, module count, governing spec and owning node. It is
+//!   written when the session is created and again only when ownership
+//!   changes (export stamps the target, import adopts) — never per round.
 //!
-//! A checkpoint writes the WAL first, then the meta: a crash between the two
-//! leaves a meta that understates `high_round` against a WAL that is at
-//! least as new — recovery then re-fuses at most the rounds the client
-//! replays past the stale floor, never loses history. The meta format is
-//! hand-rolled `key=value` lines (not JSON) so `u64` resume tokens survive
-//! byte-exact — the vendored JSON shim may route integers through `f64`.
+//! Recovery derives the rest from the rows themselves: `high_round` is the
+//! highest stamped round in the log or the segment tier, and the result
+//! ring is the verdict rows of the last [`RESULT_RING`] rounds across both.
+//! So the rewrite that heals a sick log or slims one for shipping carries
+//! the ring's verdict rows with it. The sidecar is hand-rolled `key=value`
+//! lines (not JSON) so `u64` resume tokens survive byte-exact — the
+//! vendored JSON shim may route integers through `f64`.
 //!
-//! Corruption anywhere — unreadable meta, mid-file WAL damage — makes
-//! [`SessionStore::load`] return `None`, and the caller falls back to a
-//! fresh session whose AVOC engine re-bootstraps from live data, exactly as
-//! if persistence were off. A torn WAL *tail* (the expected artefact of a
-//! crash mid-append) is tolerated and truncated by `FileHistory` itself.
+//! Corruption anywhere — unreadable sidecar, mid-file log damage, a log in
+//! another format — makes [`SessionStore::load`] return `None`, and the
+//! caller falls back to a fresh session whose AVOC engine re-bootstraps
+//! from live data, exactly as if persistence were off. A torn log *tail*
+//! (the expected artefact of a crash mid-append) is tolerated and truncated
+//! by `FileHistory` itself.
 
 use avoc_core::history::HistoryStore;
 use avoc_core::ModuleId;
 use avoc_net::SpecSource;
 use avoc_store::{
-    session_wal_path, CachedHistory, Durability, FileHistory, TieredPin, TieredStore, VerdictRecord,
+    session_wal_path, Durability, FileHistory, TieredPin, TieredStore, VerdictRecord,
 };
 use std::collections::VecDeque;
 use std::io;
@@ -50,7 +54,7 @@ pub struct Persistence {
     pub fsync: bool,
     /// Checkpoint cadence in fused rounds. `1` (the default) checkpoints
     /// after every round, making a hard kill bit-identically recoverable;
-    /// larger values amortise the meta rewrite and accept losing up to
+    /// larger values amortise the log append and accept losing up to
     /// `checkpoint_every - 1` rounds of history on a crash.
     pub checkpoint_every: u64,
     /// Background compaction interval in milliseconds. `0` (the default)
@@ -62,8 +66,7 @@ pub struct Persistence {
     /// writes. After a migration the source's leftover sidecar names the
     /// *target* node, so boot recovery skips it instead of double-owning
     /// the session. `0` (the default) is a valid id for single-node
-    /// deployments; sidecars written before this field existed carry no
-    /// `node=` line and are owned by whoever finds them.
+    /// deployments.
     pub node_id: u64,
     /// Shared inter-node secret gating the cluster verbs (`ExportSession` /
     /// `SessionState` import). Exports ship the session's resume token, so
@@ -104,58 +107,101 @@ impl Persistence {
 /// One re-emittable session result: `(round, value, voted)`.
 pub(crate) type StoredResult = (u64, Option<f64>, bool);
 
-/// The decoded contents of a session's meta file.
-#[derive(Debug, Clone)]
+/// How many recent rounds' results a session retains for re-emission on
+/// resume. A client more than this many rounds behind its own acks loses
+/// the overwritten tail (counted via `results_dropped` at emission time, as
+/// any slow tenant's overflow is).
+pub(crate) const RESULT_RING: usize = 256;
+
+fn verdict_rows(results: &VecDeque<StoredResult>) -> impl Iterator<Item = VerdictRecord> + '_ {
+    results.iter().map(|&(round, value, voted)| VerdictRecord {
+        round,
+        value,
+        voted,
+    })
+}
+
+/// The decoded contents of a session's sidecar.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct MetaState {
     pub(crate) token: u64,
     pub(crate) modules: u32,
     pub(crate) resumable: bool,
     pub(crate) spec: SpecSource,
-    pub(crate) high_round: Option<u64>,
-    /// Owning cluster node, when the sidecar was written by a node-aware
-    /// daemon. `None` for pre-cluster sidecars, which any node may own.
-    pub(crate) node: Option<u64>,
-    pub(crate) results: Vec<StoredResult>,
+    /// The cluster node that owns the session.
+    pub(crate) node: u64,
 }
 
 impl MetaState {
-    /// Whether a daemon with id `node_id` owns this sidecar. Legacy
-    /// sidecars (no `node=` line) are owned by whoever finds them.
-    pub(crate) fn owned_by(&self, node_id: u64) -> bool {
-        self.node.is_none_or(|n| n == node_id)
+    /// Decodes a sidecar; `None` when it is not UTF-8 or fails to parse.
+    pub(crate) fn parse(bytes: &[u8]) -> Option<MetaState> {
+        let mut lines = std::str::from_utf8(bytes).ok()?.lines();
+        if lines.next()? != "avoc-session-meta v2" {
+            return None;
+        }
+        let token = lines.next()?.strip_prefix("token=")?.parse().ok()?;
+        let modules = lines.next()?.strip_prefix("modules=")?.parse().ok()?;
+        let resumable = match lines.next()?.strip_prefix("resumable=")? {
+            "0" => false,
+            "1" => true,
+            _ => return None,
+        };
+        let node = lines.next()?.strip_prefix("node=")?.parse().ok()?;
+        let spec = match lines.next()? {
+            "spec=named" => SpecSource::Named(lines.collect::<Vec<_>>().join("\n")),
+            "spec=inline" => SpecSource::Inline(lines.collect::<Vec<_>>().join("\n")),
+            _ => return None,
+        };
+        Some(MetaState {
+            token,
+            modules,
+            resumable,
+            spec,
+            node,
+        })
+    }
+
+    fn render(&self) -> String {
+        let (kind, text) = match &self.spec {
+            SpecSource::Named(n) => ("named", n.as_str()),
+            SpecSource::Inline(v) => ("inline", v.as_str()),
+        };
+        format!(
+            "avoc-session-meta v2\ntoken={}\nmodules={}\nresumable={}\nnode={}\nspec={kind}\n{text}",
+            self.token,
+            self.modules,
+            u8::from(self.resumable),
+            self.node,
+        )
     }
 }
 
-/// What a [`SessionStore::load`] had to do — the resume-cost attribution
-/// the metrics layer splits `wal_replay_ms` / `segment_load_ms` on.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct LoadInfo {
+/// A session rebuilt from disk: its store plus what recovery derived from
+/// the rows in it.
+pub(crate) struct Loaded {
+    pub(crate) store: SessionStore,
+    /// Highest stamped round in the log or the segment tier.
+    pub(crate) high_round: Option<u64>,
+    /// Verdict rows of the last [`RESULT_RING`] rounds, ascending.
+    pub(crate) results: Vec<StoredResult>,
     /// The seed state came from the segment tier alone (the WAL had been
-    /// retired by a fold) — the fast path this PR exists to prove.
+    /// retired by a fold) — which side of the `wal_replay_ms` /
+    /// `segment_load_ms` split the resume cost lands on.
     pub(crate) from_segments: bool,
-    /// `FileHistory` truncated a torn final line during replay.
+    /// `FileHistory` truncated a torn final frame during replay.
     pub(crate) torn_tail: bool,
 }
 
-/// A session's durable state: its history WAL (write-behind cached) plus
-/// the meta checkpoint writer, pinned into the segment tier while alive.
+/// A session's durable state: its history log and the contents of its
+/// sidecar, pinned into the segment tier while alive.
 pub(crate) struct SessionStore {
-    history: CachedHistory<FileHistory>,
+    wal: FileHistory,
     session: u64,
-    wal_path: PathBuf,
     meta_path: PathBuf,
-    token: u64,
-    modules: u32,
-    resumable: bool,
-    spec: SpecSource,
-    /// The node id stamped into every meta rewrite — the owning daemon's,
-    /// until an export flips it to the migration target's.
-    node: u64,
-    /// `bytes_logged()` at the previous checkpoint, for the delta counter.
-    logged_floor: u64,
-    /// Highest verdict round already durable (WAL or segment) — verdicts at
-    /// or below it are not re-logged.
-    verdict_floor: Option<u64>,
+    meta: MetaState,
+    /// Highest verdict round an earlier fold moved to the segment tier;
+    /// with the log's own, the floor below which verdicts are not re-logged.
+    folded_verdict_round: Option<u64>,
     /// The segment tier, for forget-on-remove. `None` when tiering is off.
     tiered: Option<Arc<TieredStore>>,
     /// Holds the compactor off this session while it is live.
@@ -165,23 +211,17 @@ pub(crate) struct SessionStore {
 impl std::fmt::Debug for SessionStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SessionStore")
-            .field("wal", &self.wal_path)
+            .field("wal", &self.wal.path())
             .field("meta", &self.meta_path)
             .finish_non_exhaustive()
     }
-}
-
-fn wal_path(dir: &Path, session: u64) -> PathBuf {
-    // The name is shared with the segment compactor, which scans for these
-    // files — one definition, owned by avoc-store.
-    session_wal_path(dir, session)
 }
 
 fn meta_path(dir: &Path, session: u64) -> PathBuf {
     dir.join(format!("session-{session:016x}.meta"))
 }
 
-/// Session ids that have a meta file in `dir` (the recovery scan).
+/// Session ids that have a sidecar in `dir` (the recovery scan).
 pub(crate) fn list_sessions(dir: &Path) -> Vec<u64> {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return Vec::new();
@@ -199,10 +239,9 @@ pub(crate) fn list_sessions(dir: &Path) -> Vec<u64> {
     ids
 }
 
-/// Reads and decodes a session's meta file; `None` if missing or corrupt.
+/// Reads and decodes a session's sidecar; `None` if missing or corrupt.
 pub(crate) fn read_meta(dir: &Path, session: u64) -> Option<MetaState> {
-    let text = std::fs::read_to_string(meta_path(dir, session)).ok()?;
-    parse_meta(&text)
+    MetaState::parse(&std::fs::read(meta_path(dir, session)).ok()?)
 }
 
 /// Re-reads a migrated-away session's shipped state from disk — the
@@ -216,157 +255,42 @@ pub(crate) fn read_exported_blobs(
     target_node: u64,
 ) -> Option<(Vec<u8>, Vec<u8>)> {
     let meta = read_meta(dir, session)?;
-    if meta.node != Some(target_node) {
+    if meta.node != target_node {
         return None;
     }
-    let meta_bytes = std::fs::read(meta_path(dir, session)).ok()?;
-    let wal_bytes = std::fs::read(wal_path(dir, session)).ok()?;
-    Some((meta_bytes, wal_bytes))
+    let wal_bytes = std::fs::read(session_wal_path(dir, session)).ok()?;
+    Some((meta.render().into_bytes(), wal_bytes))
 }
 
-/// Decodes a shipped meta blob and re-stamps it with the importing node's
-/// id, returning the parsed state plus the exact bytes to land on disk.
-/// Everything but the `node=` line re-renders byte-identically (floats use
-/// the shortest round-trip form on both sides), so the imported sidecar is
-/// the exported one with ownership adopted. `None` when the blob is not
-/// UTF-8 or fails to parse.
-pub(crate) fn adopt_meta(meta: &[u8], node_id: u64) -> Option<(MetaState, Vec<u8>)> {
-    let text = std::str::from_utf8(meta).ok()?;
-    let mut state = parse_meta(text)?;
-    state.node = Some(node_id);
-    let ring: VecDeque<StoredResult> = state.results.iter().copied().collect();
-    let rendered = render_meta(
-        state.token,
-        state.modules,
-        state.resumable,
-        &state.spec,
-        state.high_round,
-        node_id,
-        &ring,
-    );
-    Some((state, rendered.into_bytes()))
+/// Lands `bytes` at `path` through a temporary file + rename, every leg on
+/// the fault-injectable `sysio` facade (EINTR retried, short writes
+/// resumed).
+fn write_file(site: Site, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    {
+        fio::check_op(site)?;
+        let mut f = std::fs::File::create(&tmp)?;
+        fio::write_all(site, &mut f, bytes)?;
+        fio::flush(site, &mut f)?;
+    }
+    fio::check_op(site)?;
+    std::fs::rename(&tmp, path)
 }
-
-fn parse_meta(text: &str) -> Option<MetaState> {
-    let mut lines = text.lines().peekable();
-    if lines.next()? != "avoc-session-meta v1" {
-        return None;
-    }
-    let token = lines.next()?.strip_prefix("token=")?.parse().ok()?;
-    let modules = lines.next()?.strip_prefix("modules=")?.parse().ok()?;
-    let resumable = match lines.next()?.strip_prefix("resumable=")? {
-        "0" => false,
-        "1" => true,
-        _ => return None,
-    };
-    let high_round = match lines.next()?.strip_prefix("high_round=")? {
-        "none" => None,
-        n => Some(n.parse().ok()?),
-    };
-    // Still "v1": the optional `node=` line slots in before `results=`, so
-    // sidecars written before the cluster tier (no such line) keep parsing.
-    let node = match lines.peek()?.strip_prefix("node=") {
-        Some(n) => {
-            let id = n.parse().ok()?;
-            lines.next();
-            Some(id)
-        }
-        None => None,
-    };
-    let count: usize = lines.next()?.strip_prefix("results=")?.parse().ok()?;
-    let mut results = Vec::with_capacity(count.min(RESULT_RING));
-    for _ in 0..count {
-        let line = lines.next()?;
-        let mut parts = line.strip_prefix("r ")?.split(' ');
-        let round = parts.next()?.parse().ok()?;
-        let value = match parts.next()? {
-            "none" => None,
-            v => Some(v.parse().ok()?),
-        };
-        let voted = match parts.next()? {
-            "0" => false,
-            "1" => true,
-            _ => return None,
-        };
-        if parts.next().is_some() {
-            return None;
-        }
-        results.push((round, value, voted));
-    }
-    let spec = match lines.next()? {
-        "spec=named" => SpecSource::Named(lines.collect::<Vec<_>>().join("\n")),
-        "spec=inline" => SpecSource::Inline(lines.collect::<Vec<_>>().join("\n")),
-        _ => return None,
-    };
-    Some(MetaState {
-        token,
-        modules,
-        resumable,
-        spec,
-        high_round,
-        node,
-        results,
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn render_meta(
-    token: u64,
-    modules: u32,
-    resumable: bool,
-    spec: &SpecSource,
-    high_round: Option<u64>,
-    node: u64,
-    results: &VecDeque<StoredResult>,
-) -> String {
-    let mut out = String::from("avoc-session-meta v1\n");
-    out.push_str(&format!("token={token}\n"));
-    out.push_str(&format!("modules={modules}\n"));
-    out.push_str(&format!("resumable={}\n", u8::from(resumable)));
-    match high_round {
-        Some(r) => out.push_str(&format!("high_round={r}\n")),
-        None => out.push_str("high_round=none\n"),
-    }
-    out.push_str(&format!("node={node}\n"));
-    out.push_str(&format!("results={}\n", results.len()));
-    for &(round, value, voted) in results {
-        match value {
-            // `{:?}` is Rust's shortest round-trip float form; `parse`
-            // restores the exact bits, which bit-identical resume needs.
-            Some(v) => out.push_str(&format!("r {round} {v:?} {}\n", u8::from(voted))),
-            None => out.push_str(&format!("r {round} none {}\n", u8::from(voted))),
-        }
-    }
-    let (kind, text) = match spec {
-        SpecSource::Named(n) => ("named", n.as_str()),
-        SpecSource::Inline(v) => ("inline", v.as_str()),
-    };
-    out.push_str(&format!("spec={kind}\n"));
-    out.push_str(text);
-    out
-}
-
-/// How many recent results a session retains for re-emission on resume.
-/// A client more than this many rounds behind its own acks loses the
-/// overwritten tail (counted via `results_dropped` at emission time, as any
-/// slow tenant's overflow is).
-pub(crate) const RESULT_RING: usize = 256;
 
 impl SessionStore {
     /// Creates fresh durable state for a new session, removing any stale
     /// files a previous occupant of this id left behind and *forgetting*
     /// its folded segment rows so the old life cannot bleed into the new.
-    #[allow(clippy::too_many_arguments)]
+    /// The sidecar lands first: if it cannot be written nothing else is
+    /// created, and a sidecar without a log is simply a session that has
+    /// not fused yet.
     pub(crate) fn create(
         dir: &Path,
         session: u64,
-        token: u64,
-        modules: u32,
-        resumable: bool,
-        spec: SpecSource,
+        meta: MetaState,
         durability: Durability,
         tiered: Option<&Arc<TieredStore>>,
-        node_id: u64,
     ) -> io::Result<SessionStore> {
         std::fs::create_dir_all(dir)?;
         // Pin first: a fold in flight for this id finishes before we touch
@@ -375,28 +299,20 @@ impl SessionStore {
         if let Some(t) = tiered {
             t.forget_session(session)?;
         }
-        let wal = wal_path(dir, session);
-        let meta = meta_path(dir, session);
+        let wal = session_wal_path(dir, session);
+        let meta_path = meta_path(dir, session);
         let _ = std::fs::remove_file(&wal);
-        let _ = std::fs::remove_file(&meta);
-        let history = CachedHistory::new(FileHistory::open_with(&wal, durability)?);
-        let store = SessionStore {
-            history,
+        let _ = std::fs::remove_file(&meta_path);
+        write_file(Site::MetaWrite, &meta_path, meta.render().as_bytes())?;
+        Ok(SessionStore {
+            wal: FileHistory::open_with(&wal, durability)?,
             session,
-            wal_path: wal,
-            meta_path: meta,
-            token,
-            modules,
-            resumable,
-            spec,
-            node: node_id,
-            logged_floor: 0,
-            verdict_floor: None,
+            meta_path,
+            meta,
+            folded_verdict_round: None,
             tiered: tiered.map(Arc::clone),
             _pin: pin,
-        };
-        store.write_meta(None, &VecDeque::new())?;
-        Ok(store)
+        })
     }
 
     /// Loads a session's durable state. `None` when the checkpoint is
@@ -404,207 +320,141 @@ impl SessionStore {
     /// re-bootstraps). A torn WAL tail is repaired by `FileHistory` and does
     /// not fail the load.
     ///
-    /// Resume precedence for the history seed: the WAL overlays the segment
-    /// tier (a WAL record is always at least as new as a folded one), and a
-    /// fresh session is the fallback when neither tier knows the id. When
-    /// the WAL has been retired by a complete fold, the seed comes from the
-    /// segment tier alone — the cheap path [`LoadInfo::from_segments`]
-    /// reports and `bench_store` measures.
+    /// The history seed is the segment tier's latest state with the WAL's
+    /// rows replayed on top (a WAL row is always at least as new as a
+    /// folded one). When the WAL has been retired by a complete fold, the
+    /// seed comes from the segment tier alone — the cheap path
+    /// [`Loaded::from_segments`] reports and `bench_store` measures.
     pub(crate) fn load(
         dir: &Path,
         session: u64,
         durability: Durability,
         tiered: Option<&Arc<TieredStore>>,
-        node_id: u64,
-    ) -> Option<(SessionStore, MetaState, LoadInfo)> {
+    ) -> Option<Loaded> {
         // Pin before reading anything: an in-flight fold of this session
         // completes (or is skipped) before we open its files.
         let pin = tiered.map(|t| t.pin(session));
         let meta = read_meta(dir, session)?;
-        let wal = wal_path(dir, session);
-        let wal_existed = wal.exists();
-        let file = FileHistory::open_with(&wal, durability).ok()?;
-        let mut info = LoadInfo {
-            from_segments: false,
-            torn_tail: file.recovered_torn_tail(),
-        };
-        let summary = match tiered {
-            Some(t) => t.session_summary(session).ok().flatten(),
-            None => None,
-        };
-        let logged_floor = file.bytes_logged();
-        let verdict_floor = file
-            .max_verdict_round()
-            .max(summary.as_ref().and_then(|s| s.max_verdict_round));
-        // Merge tiers: segment latest state underneath, WAL records on top.
-        // A WAL `clear` wipes everything before it — including segments.
-        let history = match &summary {
-            Some(s) if !file.saw_clear() => {
-                info.from_segments = !wal_existed;
-                let mut merged: std::collections::BTreeMap<ModuleId, f64> =
-                    s.latest.iter().copied().collect();
-                for (m, v) in file.snapshot() {
-                    merged.insert(m, v);
-                }
-                CachedHistory::with_seed(file, merged)
+        let folded = tiered
+            .and_then(|t| t.session_summary(session).ok().flatten())
+            .unwrap_or_default();
+        let wal_path = session_wal_path(dir, session);
+        let from_segments = folded.blocks > 0 && !wal_path.exists();
+        let mut wal = FileHistory::open_over(&wal_path, durability, folded.latest).ok()?;
+        let high_round = wal
+            .committed_round()
+            .max(folded.folded_through)
+            .max(folded.max_verdict_round);
+        let window = high_round.map(|hi| hi.saturating_sub(RESULT_RING as u64 - 1)..=hi);
+        let replayed = wal.take_replayed_verdicts();
+        // Only a session with folded rounds needs the merged two-tier read.
+        let verdicts = match (tiered, &window) {
+            (Some(t), Some(w)) if folded.blocks > 0 => {
+                t.verdicts_in(session, w.clone()).unwrap_or(replayed)
             }
-            _ => CachedHistory::new(file),
+            _ => replayed,
         };
-        let store = SessionStore {
-            history,
-            session,
-            wal_path: wal,
-            meta_path: meta_path(dir, session),
-            token: meta.token,
-            modules: meta.modules,
-            resumable: meta.resumable,
-            spec: meta.spec.clone(),
-            // Loading adopts the session: subsequent meta rewrites stamp
-            // the loader's id (legacy sidecars gain one at first rewrite).
-            node: node_id,
-            logged_floor,
-            verdict_floor,
-            tiered: tiered.map(Arc::clone),
-            _pin: pin,
-        };
-        Some((store, meta, info))
+        let results = verdicts
+            .into_iter()
+            .filter(|v| window.as_ref().is_some_and(|w| w.contains(&v.round)))
+            .map(|v| (v.round, v.value, v.voted))
+            .collect();
+        Some(Loaded {
+            torn_tail: wal.recovered_torn_tail(),
+            store: SessionStore {
+                wal,
+                session,
+                meta_path: meta_path(dir, session),
+                meta,
+                folded_verdict_round: folded.max_verdict_round,
+                tiered: tiered.map(Arc::clone),
+                _pin: pin,
+            },
+            high_round,
+            results,
+            from_segments,
+        })
+    }
+
+    /// What the sidecar says about the session.
+    pub(crate) fn meta(&self) -> &MetaState {
+        &self.meta
     }
 
     /// The history records to seed a restored engine with.
     pub(crate) fn seed_records(&self) -> Vec<(ModuleId, f64)> {
-        self.history.snapshot()
+        self.wal.snapshot()
     }
 
-    /// Stages the engine's current history into the write-behind cache,
-    /// writing only records that actually changed since the last note.
-    pub(crate) fn note_history(&mut self, records: &[(ModuleId, f64)]) {
-        for &(m, v) in records {
-            if self.history.get(m) != Some(v) {
-                self.history.set(m, v);
-            }
-        }
-    }
-
-    /// Checkpoints: WAL first (one batched append + flush for the dirty
-    /// records, then verdict rows and a `commit` round stamp in a second
-    /// single write), then the meta file via tmp + rename. Returns the
-    /// bytes written by this checkpoint.
-    ///
-    /// The `commit` stamp is what makes the WAL foldable: the compactor
-    /// folds only round-stamped entries, so a crash between the record
-    /// flush and the stamp leaves an in-flight tail the fold simply skips.
+    /// Checkpoints: appends **one** log record holding the trust records
+    /// that changed since the last one, the ring's verdict rows not yet
+    /// logged, and the round stamp — nothing else is written. Returns the
+    /// bytes appended (0 when nothing changed).
     ///
     /// # Errors
     ///
-    /// Propagates meta-file I/O errors, and reports a sick WAL (any append
-    /// since the last healthy checkpoint failed — e.g. `ENOSPC`) as
-    /// [`io::ErrorKind::Other`] so the caller's degradation state machine
-    /// can react; the staged history stays cached in memory either way.
+    /// Reports a sick WAL (any append since the last healthy rewrite failed
+    /// — e.g. `ENOSPC`) as [`io::ErrorKind::Other`] so the caller's
+    /// degradation state machine can react; the in-memory mirror of the
+    /// records stays current either way.
     pub(crate) fn checkpoint(
         &mut self,
+        records: &[(ModuleId, f64)],
         high_round: Option<u64>,
         results: &VecDeque<StoredResult>,
     ) -> io::Result<u64> {
-        self.history.flush();
-        let backing = self.history.backing_mut();
-        let fresh: Vec<VerdictRecord> = results
+        let changed: Vec<(ModuleId, f64)> = records
             .iter()
-            .filter(|(round, ..)| self.verdict_floor.is_none_or(|f| *round > f))
-            .map(|&(round, value, voted)| VerdictRecord {
-                round,
-                value,
-                voted,
-            })
+            .copied()
+            .filter(|&(m, v)| self.wal.get(m) != Some(v))
             .collect();
-        let commit = match high_round {
-            Some(r) if backing.committed_round() != Some(r) => Some(r),
-            _ => None,
-        };
-        if !fresh.is_empty() || commit.is_some() {
-            backing.append_markers(&fresh, commit);
+        let floor = self.wal.max_verdict_round().max(self.folded_verdict_round);
+        let fresh: Vec<VerdictRecord> = verdict_rows(results)
+            .filter(|v| floor.is_none_or(|f| v.round > f))
+            .collect();
+        let before = self.wal.bytes_logged();
+        if !changed.is_empty() || !fresh.is_empty() || self.wal.committed_round() != high_round {
+            let _ = self.wal.checkpoint(&changed, &fresh, high_round);
         }
-        if backing.write_failed() {
-            // The meta must not advance past a WAL that lost entries; the
-            // verdict floor stays put so the next healthy checkpoint
-            // re-logs what this one could not.
+        if self.wal.write_failed() {
             return Err(io::Error::other(
                 "session WAL is sick: an append failed since the last healthy checkpoint",
             ));
         }
-        if let Some(v) = fresh.last() {
-            self.verdict_floor = self.verdict_floor.max(Some(v.round));
-        }
-        let logged = self.history.backing().bytes_logged();
-        let wal_delta = logged.saturating_sub(self.logged_floor);
-        self.logged_floor = logged;
-        let meta_bytes = self.write_meta(high_round, results)?;
-        Ok(wal_delta + meta_bytes)
+        Ok(self.wal.bytes_logged() - before)
     }
 
-    fn write_meta(
-        &self,
-        high_round: Option<u64>,
-        results: &VecDeque<StoredResult>,
-    ) -> io::Result<u64> {
-        let text = render_meta(
-            self.token,
-            self.modules,
-            self.resumable,
-            &self.spec,
-            high_round,
-            self.node,
-            results,
-        );
-        let tmp = self.meta_path.with_extension("meta.tmp");
-        {
-            fio::check_op(Site::MetaWrite)?;
-            let mut f = std::fs::File::create(&tmp)?;
-            fio::write_all(Site::MetaWrite, &mut f, text.as_bytes())?;
-            fio::flush(Site::MetaWrite, &mut f)?;
-        }
-        fio::check_op(Site::MetaWrite)?;
-        std::fs::rename(&tmp, &self.meta_path)?;
-        Ok(text.len() as u64)
-    }
-
-    /// Rebuilds the WAL wholesale from the in-memory record cache — the
-    /// re-probe a degraded session runs against a possibly-healed disk.
-    /// Success clears the WAL's sick flag; the caller then takes a fresh
-    /// checkpoint to restore full durability.
+    /// Rewrites the log wholesale as one record — the session's full
+    /// current state, its round stamp and the ring's verdict rows. This is
+    /// the re-probe a degraded session runs against a possibly-healed disk
+    /// (success clears the WAL's sick flag) and the slimming an export does
+    /// before it ships the log.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors — the disk is still sick and the session
     /// stays degraded (the original log file remains as it was).
-    pub(crate) fn heal(&mut self) -> io::Result<()> {
-        self.history.flush();
-        let backing = self.history.backing_mut();
-        backing.compact()?;
-        self.logged_floor = backing.bytes_logged();
-        // The rewrite drops verdict rows; lower the floor to what the
-        // segment tier already folded so the next checkpoint re-logs
-        // whatever the results ring still holds above it.
-        self.verdict_floor = match &self.tiered {
-            Some(t) => t
-                .session_summary(self.session)
-                .ok()
-                .flatten()
-                .and_then(|s| s.max_verdict_round),
-            None => None,
-        };
-        Ok(())
+    pub(crate) fn rewrite(
+        &mut self,
+        records: &[(ModuleId, f64)],
+        high_round: Option<u64>,
+        results: &VecDeque<StoredResult>,
+    ) -> io::Result<()> {
+        // Memory first: whether this append reaches the old log does not
+        // matter, the rewrite below replaces it from the mirror.
+        let _ = self.checkpoint(records, high_round, results);
+        self.wal.compact(&verdict_rows(results).collect::<Vec<_>>())
     }
 
     /// Quiesces this session's durable state for shipping to `target_node`:
-    /// takes a final checkpoint with ownership flipped to the target,
-    /// compacts the WAL so the shipped blob carries only live state, and
-    /// returns `(meta_bytes, wal_bytes)` read back from disk.
+    /// rewrites the log to one record, flips the sidecar's ownership to the
+    /// target, and returns `(meta_bytes, wal_bytes)`.
     ///
-    /// Ordering is the migration protocol's crash story: the meta names the
-    /// target *before* any bytes leave this node, so if the transfer dies
-    /// mid-flight this node's boot recovery skips the session (it is the
-    /// gateway's job to retry or re-place) rather than resurrecting a copy
-    /// that may also be running elsewhere.
+    /// Ordering is the migration protocol's crash story: the sidecar names
+    /// the target *before* any bytes leave this node, so if the transfer
+    /// dies mid-flight this node's boot recovery skips the session (it is
+    /// the gateway's job to retry or re-place) rather than resurrecting a
+    /// copy that may also be running elsewhere.
     ///
     /// # Errors
     ///
@@ -615,21 +465,15 @@ impl SessionStore {
     pub(crate) fn export_blobs(
         &mut self,
         target_node: u64,
+        records: &[(ModuleId, f64)],
         high_round: Option<u64>,
         results: &VecDeque<StoredResult>,
     ) -> io::Result<(Vec<u8>, Vec<u8>)> {
-        self.history.flush();
-        let backing = self.history.backing_mut();
-        // Compact first: the rewrite folds the full record cache plus every
-        // retained verdict into a minimal log, so the shipped WAL does not
-        // carry the session's whole append history.
-        backing.compact()?;
-        self.logged_floor = backing.bytes_logged();
-        self.verdict_floor = None;
-        self.node = target_node;
-        self.checkpoint(high_round, results)?;
-        let meta = std::fs::read(&self.meta_path)?;
-        let wal = std::fs::read(&self.wal_path)?;
+        self.rewrite(records, high_round, results)?;
+        self.meta.node = target_node;
+        let meta = self.meta.render().into_bytes();
+        write_file(Site::MetaWrite, &self.meta_path, &meta)?;
+        let wal = std::fs::read(self.wal.path())?;
         // Frame budget: session + epoch + auth + two length prefixes + header.
         const TRANSFER_OVERHEAD: usize = 1 + 8 + 8 + 8 + 4 + 4;
         if meta.len() + wal.len() + TRANSFER_OVERHEAD > avoc_net::message::MAX_FRAME_LEN {
@@ -641,49 +485,35 @@ impl SessionStore {
         Ok((meta, wal))
     }
 
-    /// Lands a shipped session's blobs in `dir` — WAL first, then the meta
-    /// via tmp + rename, mirroring the checkpoint ordering so a crash
-    /// between the two leaves no meta pointing at a missing WAL. Any prior
-    /// occupant of the id (files and folded segment rows) is cleared first.
+    /// Lands a shipped session in `dir` — log first, then the sidecar, so a
+    /// crash between the two leaves no sidecar pointing at a missing log.
+    /// The shipped log is scanned before anything local is touched: a blob
+    /// that does not read clean end to end is refused (`InvalidData`). Any
+    /// prior occupant of the id (files and folded segment rows) is cleared
+    /// only after that.
     pub(crate) fn write_imported(
         dir: &Path,
         session: u64,
-        meta: &[u8],
+        meta: &MetaState,
         wal: &[u8],
         tiered: Option<&Arc<TieredStore>>,
     ) -> io::Result<()> {
+        avoc_store::validate_wal(wal)?;
         std::fs::create_dir_all(dir)?;
         let _pin = tiered.map(|t| t.pin(session));
         if let Some(t) = tiered {
             t.forget_session(session)?;
         }
-        let wal_dst = wal_path(dir, session);
         let meta_dst = meta_path(dir, session);
         let _ = std::fs::remove_file(&meta_dst);
-        std::fs::write(&wal_dst, wal)?;
-        let tmp = meta_dst.with_extension("meta.tmp");
-        {
-            fio::check_op(Site::MetaWrite)?;
-            let mut f = std::fs::File::create(&tmp)?;
-            fio::write_all(Site::MetaWrite, &mut f, meta)?;
-            fio::flush(Site::MetaWrite, &mut f)?;
-        }
-        fio::check_op(Site::MetaWrite)?;
-        std::fs::rename(&tmp, &meta_dst)?;
-        Ok(())
-    }
-
-    /// Abandons staged-but-unflushed history — the hard-kill path. The
-    /// files keep whatever the last completed checkpoint wrote.
-    pub(crate) fn discard(&mut self) {
-        self.history.discard_pending();
+        write_file(Site::WalAppend, &session_wal_path(dir, session), wal)?;
+        write_file(Site::MetaWrite, &meta_dst, meta.render().as_bytes())
     }
 
     /// Deletes the session's durable state (explicit close: the tenant is
     /// done, nothing to resume), including its folded segment rows.
-    pub(crate) fn remove(mut self) {
-        self.history.discard_pending();
-        let _ = std::fs::remove_file(&self.wal_path);
+    pub(crate) fn remove(self) {
+        let _ = std::fs::remove_file(self.wal.path());
         let _ = std::fs::remove_file(&self.meta_path);
         if let Some(t) = &self.tiered {
             let _ = t.forget_session(self.session);
@@ -702,46 +532,77 @@ mod tests {
         dir
     }
 
+    fn meta(token: u64, modules: u32, resumable: bool, spec: SpecSource, node: u64) -> MetaState {
+        MetaState {
+            token,
+            modules,
+            resumable,
+            spec,
+            node,
+        }
+    }
+
     #[test]
-    fn checkpoint_round_trips_meta_and_history() {
+    fn checkpoint_round_trips_meta_history_round_and_ring() {
         let dir = tmpdir("roundtrip");
         let spec = SpecSource::Inline("{\"algorithm_name\": \"AVOC\"}".into());
-        let mut store = SessionStore::create(
-            &dir,
-            0x2a,
-            u64::MAX,
-            3,
-            true,
-            spec.clone(),
-            Durability::Flush,
-            None,
-            0,
-        )
-        .unwrap();
-        store.note_history(&[(ModuleId::new(0), 0.75), (ModuleId::new(1), 1.0)]);
+        let written = meta(u64::MAX, 3, true, spec, 0);
+        let mut store =
+            SessionStore::create(&dir, 0x2a, written.clone(), Durability::Flush, None).unwrap();
+        let records = [(ModuleId::new(0), 0.75), (ModuleId::new(1), 1.0)];
         let mut ring = VecDeque::new();
         ring.push_back((4u64, Some(19.700000000000003f64), true));
         ring.push_back((5u64, None, false));
-        let bytes = store.checkpoint(Some(5), &ring).unwrap();
-        assert!(bytes > 0);
+        assert!(store.checkpoint(&records, Some(5), &ring).unwrap() > 0);
+        // Nothing changed, so nothing is written.
+        assert_eq!(store.checkpoint(&records, Some(5), &ring).unwrap(), 0);
         drop(store);
 
-        let (loaded, meta, _) = SessionStore::load(&dir, 0x2a, Durability::Flush, None, 0).unwrap();
-        assert_eq!(meta.token, u64::MAX, "token must survive byte-exact");
-        assert_eq!(meta.modules, 3);
-        assert!(meta.resumable);
-        assert_eq!(meta.spec, spec);
-        assert_eq!(meta.high_round, Some(5));
+        let loaded = SessionStore::load(&dir, 0x2a, Durability::Flush, None).unwrap();
+        assert_eq!(loaded.store.meta(), &written, "token survives byte-exact");
+        assert_eq!(loaded.high_round, Some(5), "the round comes from the log");
         // The awkward float round-trips exactly (bit-identity requirement).
         assert_eq!(
-            meta.results,
+            loaded.results,
             vec![(4, Some(19.700000000000003), true), (5, None, false)]
         );
-        assert_eq!(
-            loaded.seed_records(),
-            vec![(ModuleId::new(0), 0.75), (ModuleId::new(1), 1.0)]
-        );
+        assert_eq!(loaded.store.seed_records(), records);
         assert_eq!(list_sessions(&dir), vec![0x2a]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn the_sidecar_is_written_once() {
+        use std::os::unix::fs::MetadataExt;
+
+        let dir = tmpdir("write-once");
+        let spec = SpecSource::Named("avoc".into());
+        let mut store =
+            SessionStore::create(&dir, 5, meta(1, 2, true, spec, 0), Durability::Flush, None)
+                .unwrap();
+        let sidecar = meta_path(&dir, 5);
+        let before = std::fs::metadata(&sidecar).unwrap();
+        let mut ring = VecDeque::new();
+        for round in 0..100u64 {
+            let trust = 1.0 - round as f64 / 200.0;
+            ring.push_back((round, Some(round as f64), true));
+            store
+                .checkpoint(&[(ModuleId::new(0), trust)], Some(round), &ring)
+                .unwrap();
+        }
+        let after = std::fs::metadata(&sidecar).unwrap();
+        // A steady-state checkpoint creates no file and renames none.
+        assert_eq!(after.ino(), before.ino());
+        assert_eq!(
+            (after.mtime(), after.mtime_nsec()),
+            (before.mtime(), before.mtime_nsec())
+        );
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(names.len(), 2, "the log and the sidecar only: {names:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -750,71 +611,45 @@ mod tests {
         let dir = tmpdir("corrupt");
         let spec = SpecSource::Named("avoc".into());
         let mut store =
-            SessionStore::create(&dir, 7, 1, 2, true, spec, Durability::Flush, None, 0).unwrap();
-        store.note_history(&[(ModuleId::new(0), 0.5)]);
-        store.checkpoint(Some(0), &VecDeque::new()).unwrap();
+            SessionStore::create(&dir, 7, meta(1, 2, true, spec, 0), Durability::Flush, None)
+                .unwrap();
+        store
+            .checkpoint(&[(ModuleId::new(0), 0.5)], Some(0), &VecDeque::new())
+            .unwrap();
         drop(store);
+        assert!(SessionStore::load(&dir, 7, Durability::Flush, None).is_some());
 
+        // A log in the old text format fails the magic check.
+        let wal = session_wal_path(&dir, 7);
+        let good = std::fs::read(&wal).unwrap();
+        std::fs::write(&wal, "{\"op\":\"set\",\"module\":0,\"value\":0.5}\n").unwrap();
+        assert!(SessionStore::load(&dir, 7, Durability::Flush, None).is_none());
+        std::fs::write(&wal, good).unwrap();
         // Scribble over the meta: the load must degrade to None, not error.
-        std::fs::write(dir.join("session-0000000000000007.meta"), "garbage").unwrap();
-        assert!(SessionStore::load(&dir, 7, Durability::Flush, None, 0).is_none());
+        std::fs::write(meta_path(&dir, 7), "garbage").unwrap();
+        assert!(SessionStore::load(&dir, 7, Durability::Flush, None).is_none());
         // Missing entirely behaves the same.
-        assert!(SessionStore::load(&dir, 99, Durability::Flush, None, 0).is_none());
+        assert!(SessionStore::load(&dir, 99, Durability::Flush, None).is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn discard_drops_staged_history_and_remove_deletes_files() {
-        let dir = tmpdir("discard");
+    fn remove_deletes_files() {
+        let dir = tmpdir("remove");
         let spec = SpecSource::Named("avoc".into());
         let mut store =
-            SessionStore::create(&dir, 3, 9, 1, false, spec, Durability::Fsync, None, 0).unwrap();
-        store.note_history(&[(ModuleId::new(0), 0.4)]);
-        store.checkpoint(Some(0), &VecDeque::new()).unwrap();
-        store.note_history(&[(ModuleId::new(0), 0.9)]);
-        store.discard(); // hard kill: the 0.9 write never lands
+            SessionStore::create(&dir, 3, meta(9, 1, false, spec, 0), Durability::Fsync, None)
+                .unwrap();
+        store
+            .checkpoint(&[(ModuleId::new(0), 0.4)], Some(0), &VecDeque::new())
+            .unwrap();
         drop(store);
-        let (loaded, meta, _) = SessionStore::load(&dir, 3, Durability::Flush, None, 0).unwrap();
-        assert!(!meta.resumable);
-        assert_eq!(loaded.seed_records(), vec![(ModuleId::new(0), 0.4)]);
-        loaded.remove();
+        let loaded = SessionStore::load(&dir, 3, Durability::Flush, None).unwrap();
+        assert!(!loaded.store.meta().resumable);
+        assert_eq!(loaded.store.seed_records(), vec![(ModuleId::new(0), 0.4)]);
+        loaded.store.remove();
         assert!(list_sessions(&dir).is_empty());
-        assert!(SessionStore::load(&dir, 3, Durability::Flush, None, 0).is_none());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn node_line_round_trips_and_legacy_metas_stay_parseable() {
-        let dir = tmpdir("node");
-        let spec = SpecSource::Named("avoc".into());
-        let store = SessionStore::create(
-            &dir,
-            11,
-            5,
-            2,
-            true,
-            spec.clone(),
-            Durability::Flush,
-            None,
-            7,
-        )
-        .unwrap();
-        drop(store);
-        let meta = read_meta(&dir, 11).unwrap();
-        assert_eq!(meta.node, Some(7));
-        assert!(meta.owned_by(7));
-        assert!(!meta.owned_by(3));
-
-        // A sidecar written before the cluster tier carries no node= line
-        // and must parse with node: None — owned by whoever finds it.
-        let legacy = "avoc-session-meta v1\ntoken=5\nmodules=2\nresumable=1\n\
-                      high_round=4\nresults=1\nr 4 19.5 1\nspec=named\navoc";
-        let meta = parse_meta(legacy).unwrap();
-        assert_eq!(meta.node, None);
-        assert!(meta.owned_by(0));
-        assert!(meta.owned_by(42));
-        assert_eq!(meta.high_round, Some(4));
-        assert_eq!(meta.results, vec![(4, Some(19.5), true)]);
+        assert!(SessionStore::load(&dir, 3, Durability::Flush, None).is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -826,41 +661,44 @@ mod tests {
         let mut store = SessionStore::create(
             &src,
             0x5e,
-            77,
-            3,
-            true,
-            spec.clone(),
+            meta(77, 3, true, spec.clone(), 1),
             Durability::Flush,
             None,
-            1,
         )
         .unwrap();
-        store.note_history(&[(ModuleId::new(0), 0.75), (ModuleId::new(2), 0.25)]);
+        let records = [(ModuleId::new(0), 0.75), (ModuleId::new(2), 0.25)];
         let mut ring = VecDeque::new();
         ring.push_back((9u64, Some(18.150000000000002f64), true));
-        store.checkpoint(Some(9), &ring).unwrap();
+        store.checkpoint(&records, Some(9), &ring).unwrap();
 
-        let (meta_bytes, wal_bytes) = store.export_blobs(2, Some(9), &ring).unwrap();
+        let (meta_bytes, wal_bytes) = store.export_blobs(2, &records, Some(9), &ring).unwrap();
         drop(store);
 
         // The source's leftover sidecar now names the target: node 1 no
-        // longer owns it, node 2 does.
-        let leftover = read_meta(&src, 0x5e).unwrap();
-        assert_eq!(leftover.node, Some(2));
-        assert!(!leftover.owned_by(1));
-
-        // Landing the blobs on the target restores byte-exact state.
-        SessionStore::write_imported(&dst, 0x5e, &meta_bytes, &wal_bytes, None).unwrap();
-        let (loaded, meta, _) = SessionStore::load(&dst, 0x5e, Durability::Flush, None, 2).unwrap();
-        assert_eq!(meta.token, 77);
-        assert_eq!(meta.node, Some(2));
-        assert_eq!(meta.high_round, Some(9));
-        assert_eq!(meta.spec, spec);
-        assert_eq!(meta.results, vec![(9, Some(18.150000000000002), true)]);
+        // longer owns it, node 2 does — and asking again re-ships the same.
+        assert_eq!(read_meta(&src, 0x5e).unwrap().node, 2);
         assert_eq!(
-            loaded.seed_records(),
-            vec![(ModuleId::new(0), 0.75), (ModuleId::new(2), 0.25)]
+            read_exported_blobs(&src, 0x5e, 2),
+            Some((meta_bytes.clone(), wal_bytes.clone()))
         );
+        assert_eq!(read_exported_blobs(&src, 0x5e, 3), None);
+
+        // A shipped log that does not scan clean is refused before the
+        // target's disk is touched.
+        let shipped = MetaState::parse(&meta_bytes).unwrap();
+        let torn = &wal_bytes[..wal_bytes.len() - 1];
+        let err = SessionStore::write_imported(&dst, 0x5e, &shipped, torn, None).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(std::fs::read_dir(&dst).unwrap().count(), 0);
+
+        // Landing the blobs on the target restores byte-exact state: the
+        // round and the ring travel in the one-record log.
+        SessionStore::write_imported(&dst, 0x5e, &shipped, &wal_bytes, None).unwrap();
+        let loaded = SessionStore::load(&dst, 0x5e, Durability::Flush, None).unwrap();
+        assert_eq!(loaded.store.meta(), &meta(77, 3, true, spec, 2));
+        assert_eq!(loaded.high_round, Some(9));
+        assert_eq!(loaded.results, vec![(9, Some(18.150000000000002), true)]);
+        assert_eq!(loaded.store.seed_records(), records);
         std::fs::remove_dir_all(&src).unwrap();
         std::fs::remove_dir_all(&dst).unwrap();
     }

@@ -476,7 +476,7 @@ impl VoterService {
             let Some(meta) = persist::read_meta(&dir, id) else {
                 continue;
             };
-            if !meta.owned_by(self.persistence.node_id) {
+            if meta.node != self.persistence.node_id {
                 self.counters.session_skipped_foreign();
                 foreign += 1;
                 continue;
@@ -498,7 +498,7 @@ impl VoterService {
                 },
                 // Nothing to re-emit to the daemon's own sink; the client's
                 // eventual resume replays against its real ack floor.
-                last_acked: meta.high_round,
+                last_acked: Some(u64::MAX),
                 eager: true,
             };
             if self.links[shard].ctrl.send(cmd).is_ok() {
@@ -559,11 +559,13 @@ impl VoterService {
     /// owning shard lands the files (re-stamped with this node's id) and
     /// eagerly resumes the session warm so the client's next reconnect
     /// re-attaches to live state; it answers on `sink` with a
-    /// [`avoc_net::Message::Resumed`] frame (`warm: true`). When the
-    /// session is *already live* on this node with the same token — an
-    /// idempotent re-drive of a completed migration — the shard answers
-    /// `Resumed { warm: true }` without touching the durable files, which
-    /// the live session holds open.
+    /// [`avoc_net::Message::Resumed`] frame (`warm: true`). A shipped WAL
+    /// that does not scan clean end to end is refused there with an
+    /// [`avoc_net::Message::Error`] frame before any local state is
+    /// touched. When the session is *already live* on this node with the
+    /// same token — an idempotent re-drive of a completed migration — the
+    /// shard answers `Resumed { warm: true }` without touching the durable
+    /// files, which the live session holds open.
     ///
     /// # Errors
     ///
@@ -582,10 +584,9 @@ impl VoterService {
                 "import refused: this node has no state directory".into(),
             ));
         }
-        let (parsed, rendered) =
-            persist::adopt_meta(meta, self.persistence.node_id).ok_or_else(|| {
-                ServeError::UnknownSpec("import refused: shipped meta is corrupt".into())
-            })?;
+        let parsed = persist::MetaState::parse(meta).ok_or_else(|| {
+            ServeError::UnknownSpec("import refused: shipped meta is corrupt".into())
+        })?;
         let resolved = self.registry.resolve(&parsed.spec)?;
         let shard = self.shard_for(session);
         // The file writes happen *inside the shard thread* so they are
@@ -603,10 +604,6 @@ impl VoterService {
                 sink: sink.into(),
                 evict_if_full: self.admission == AdmissionPolicy::EvictIdle,
             },
-            // The importing daemon has nothing to re-emit; the client's own
-            // resume replays against its real ack floor.
-            high_round: parsed.high_round,
-            rendered,
             wal: wal.to_vec(),
         };
         self.links[shard]
@@ -645,7 +642,7 @@ impl VoterService {
         let ids: Vec<String> = persist::list_sessions(dir)
             .into_iter()
             .filter(|&id| {
-                persist::read_meta(dir, id).is_some_and(|m| m.owned_by(self.persistence.node_id))
+                persist::read_meta(dir, id).is_some_and(|m| m.node == self.persistence.node_id)
             })
             .map(|id| id.to_string())
             .collect();

@@ -8,7 +8,7 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 use crate::metrics::ServiceCounters;
-use crate::persist::{MetaState, SessionStore, StoredResult, RESULT_RING};
+use crate::persist::{Loaded, SessionStore, StoredResult, RESULT_RING};
 use crate::service::ServeError;
 use crate::sink::ResultSink;
 
@@ -120,25 +120,24 @@ impl Session {
         self.fuse_hist = Some(hist);
     }
 
-    /// Rebuilds a session from its durable checkpoint: the engine is seeded
-    /// with the WAL's history records (so AVOC's clustering bootstrap stays
+    /// Rebuilds a session from its durable state: the engine is seeded with
+    /// the recovered history records (so AVOC's clustering bootstrap stays
     /// dormant — the store is warm, not flat) and the hub's completed-round
-    /// floor is pre-set to `high_round`, so readings a resuming client
-    /// replays for already-fused rounds are dropped as stragglers instead of
-    /// fusing twice.
+    /// floor is pre-set to the recovered `high_round`, so readings a
+    /// resuming client replays for already-fused rounds are dropped as
+    /// stragglers instead of fusing twice.
     pub(crate) fn restore(
         cfg: &SessionConfig,
         spec: &VdxSpec,
         sink: impl Into<ResultSink>,
-        store: SessionStore,
-        meta: &MetaState,
+        loaded: Loaded,
     ) -> Result<Self, ServeError> {
         let mut s = Session::open(cfg, spec, sink, None)?;
-        s.engine.seed_histories(&store.seed_records());
-        s.hub = s.hub.with_completed_through(meta.high_round);
-        s.high_round = meta.high_round;
-        s.results = meta.results.iter().copied().collect();
-        s.persist = Some(store);
+        s.engine.seed_histories(&loaded.store.seed_records());
+        s.hub = s.hub.with_completed_through(loaded.high_round);
+        s.high_round = loaded.high_round;
+        s.results = loaded.results.into();
+        s.persist = Some(loaded.store);
         Ok(s)
     }
 
@@ -260,8 +259,9 @@ impl Session {
         }
     }
 
-    /// Writes a checkpoint now: WAL first, then the meta file. Errors leave
-    /// the previous checkpoint in place — recovery degrades, never corrupts.
+    /// Writes a checkpoint now: one record appended to the session's log.
+    /// Errors leave the previous checkpoint in place — recovery degrades,
+    /// never corrupts.
     ///
     /// Failures drive a per-session degradation state machine: after
     /// [`DEGRADE_AFTER`] consecutive failures the session stops paying a
@@ -269,7 +269,7 @@ impl Session {
     /// continues from the in-memory engine and result ring, the health
     /// plane reports `persistence: degraded`). While degraded, it probes
     /// the disk with capped exponential backoff; the first healed probe
-    /// rewrites a fresh compacted WAL and the session silently returns to
+    /// rewrites a fresh one-record WAL and the session silently returns to
     /// durable operation.
     pub(crate) fn checkpoint(&mut self, counters: &ServiceCounters) {
         if self.persist.is_none() {
@@ -304,25 +304,24 @@ impl Session {
         }
     }
 
-    /// One checkpoint attempt against the store (history staging + WAL +
-    /// meta), recording size/latency on success.
+    /// One checkpoint attempt against the store, recording size/latency on
+    /// success.
     fn try_checkpoint(&mut self, counters: &ServiceCounters) -> std::io::Result<()> {
         let store = self.persist.as_mut().expect("caller checked persist");
         let started = Instant::now();
-        store.note_history(&self.engine.histories());
-        let bytes = store.checkpoint(self.high_round, &self.results)?;
+        let bytes = store.checkpoint(&self.engine.histories(), self.high_round, &self.results)?;
         counters.checkpoint_bytes_add(bytes);
         counters.checkpoint_latency_record(started.elapsed().as_nanos() as u64);
         Ok(())
     }
 
     /// A degraded session's heal probe: rewrite the WAL from live state
-    /// (`SessionStore::heal`), then take a full checkpoint. Success exits
+    /// (`SessionStore::rewrite`), then take a full checkpoint. Success exits
     /// degraded mode; failure doubles the backoff (capped).
     fn probe_heal(&mut self, counters: &ServiceCounters) {
         let healed = {
             let store = self.persist.as_mut().expect("caller checked persist");
-            store.heal()
+            store.rewrite(&self.engine.histories(), self.high_round, &self.results)
         };
         let outcome = healed.and_then(|()| self.try_checkpoint(counters));
         match outcome {
@@ -372,8 +371,8 @@ impl Session {
                 "session has no durable state to export",
             ));
         };
-        store.note_history(&self.engine.histories());
-        store.export_blobs(target_node, self.high_round, &self.results)
+        let records = self.engine.histories();
+        store.export_blobs(target_node, &records, self.high_round, &self.results)
     }
 
     /// Tells the tenant its session now lives at `addr` (sent in-band on
@@ -387,15 +386,6 @@ impl Session {
         };
         if self.sink.try_send(msg).is_err() {
             counters.result_dropped();
-        }
-    }
-
-    /// The hard-kill path: abandon staged-but-unflushed durable writes and
-    /// drop the session without flushing, so on-disk state is exactly what
-    /// the last completed checkpoint wrote — as a crash would leave it.
-    pub(crate) fn abort(mut self) {
-        if let Some(store) = self.persist.as_mut() {
-            store.discard();
         }
     }
 

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use avoc_store::TieredStore;
 
 use crate::metrics::ServiceCounters;
-use crate::persist::{Persistence, SessionStore};
+use crate::persist::{MetaState, Persistence, SessionStore};
 use crate::session::{Session, SessionConfig};
 use crate::sink::ResultSink;
 
@@ -153,14 +153,10 @@ pub(crate) enum ShardCommand {
     /// target acked, operator retry) must answer `Resumed { warm: true }`
     /// without truncating the WAL the live session holds open.
     Import {
-        /// The session to install (spec already resolved; `req.sink` gets
-        /// the `Resumed`/`Error` answer).
+        /// The session to install, as the shipped sidecar describes it
+        /// (spec already resolved; `req.sink` gets the `Resumed`/`Error`
+        /// answer).
         req: OpenReq,
-        /// The shipped meta's high round — the replay floor for the eager
-        /// resume (the importing daemon has nothing to re-emit).
-        high_round: Option<u64>,
-        /// The meta sidecar, already re-stamped with this node's id.
-        rendered: Vec<u8>,
         /// The shipped WAL bytes.
         wal: Vec<u8>,
     },
@@ -355,12 +351,7 @@ impl ShardWorker {
                 self.drain_data_backlog(st);
                 self.export(st, session, target_node, epoch, &target_addr, &sink);
             }
-            ShardCommand::Import {
-                req,
-                high_round,
-                rendered,
-                wal,
-            } => self.import(st, req, high_round, &rendered, &wal),
+            ShardCommand::Import { req, wal } => self.import(st, req, &wal),
             ShardCommand::Drain => {
                 self.drain_data_backlog(st);
                 st.stop = true;
@@ -369,8 +360,7 @@ impl ShardWorker {
                 // Crash semantics: no backlog drain, no flush, no final
                 // checkpoint — sessions die mid-thought and durable state
                 // stays at the last completed checkpoint.
-                for (id, s) in st.sessions.drain() {
-                    s.abort();
+                for (id, _) in st.sessions.drain() {
                     self.counters.deregister_session(id);
                 }
                 st.stop = true;
@@ -472,12 +462,15 @@ impl ShardWorker {
                 session,
                 self.persistence.durability(),
                 self.tiered.as_ref(),
-                self.persistence.node_id,
             );
-            if let Some((mut store, meta, _info)) = loaded {
-                if meta.owned_by(self.persistence.node_id) {
-                    let ring: VecDeque<_> = meta.results.iter().copied().collect();
-                    match store.export_blobs(target_node, meta.high_round, &ring) {
+            if let Some(mut loaded) = loaded {
+                if loaded.store.meta().node == self.persistence.node_id {
+                    let records = loaded.store.seed_records();
+                    let ring: VecDeque<_> = loaded.results.into();
+                    match loaded
+                        .store
+                        .export_blobs(target_node, &records, loaded.high_round, &ring)
+                    {
                         Ok((meta, wal)) => {
                             let reply = Message::SessionState {
                                 session,
@@ -520,14 +513,7 @@ impl ShardWorker {
     /// touching the durable files the live session holds open. Only when
     /// the session is not resident are the blobs written and the session
     /// eagerly resumed from them.
-    fn import(
-        &self,
-        st: &mut ShardState,
-        req: OpenReq,
-        high_round: Option<u64>,
-        rendered: &[u8],
-        wal: &[u8],
-    ) {
+    fn import(&self, st: &mut ShardState, req: OpenReq, wal: &[u8]) {
         if let Some(s) = st.sessions.get(&req.session) {
             if s.resumable() && s.token() == req.token {
                 // Re-drive of a migration that already landed: confirm on
@@ -558,8 +544,10 @@ impl ShardWorker {
             );
             return;
         };
+        // The landed sidecar is the shipped one with ownership adopted.
+        let meta = self.meta_for(&req);
         if let Err(e) =
-            SessionStore::write_imported(&dir, req.session, rendered, wal, self.tiered.as_ref())
+            SessionStore::write_imported(&dir, req.session, &meta, wal, self.tiered.as_ref())
         {
             self.refuse(
                 &req.sink,
@@ -569,7 +557,9 @@ impl ShardWorker {
             return;
         }
         self.counters.session_imported();
-        self.resume(st, req, high_round, true);
+        // The importing daemon has nothing to re-emit; the client's own
+        // resume replays against its real ack floor.
+        self.resume(st, req, Some(u64::MAX), true);
     }
 
     /// Processes the readings already queued when a `Close`/`Drain`
@@ -779,10 +769,10 @@ impl ShardWorker {
                 req.session,
                 self.persistence.durability(),
                 self.tiered.as_ref(),
-                self.persistence.node_id,
             );
-            if let Some((store, meta, info)) = loaded {
-                if !meta.owned_by(self.persistence.node_id) {
+            if let Some(loaded) = loaded {
+                let meta = loaded.store.meta().clone();
+                if meta.node != self.persistence.node_id {
                     // The sidecar names another node: this session migrated
                     // away. Refuse rather than resurrect a second copy —
                     // the client falls back to the gateway, which knows the
@@ -794,12 +784,12 @@ impl ShardWorker {
                 // WAL replay and a pure segment load are the two sides of
                 // the bench this store exists to win.
                 let elapsed = started.elapsed().as_nanos() as u64;
-                if info.from_segments {
+                if loaded.from_segments {
                     self.counters.segment_load_ns_add(elapsed);
                 } else {
                     self.counters.wal_replay_ns_add(elapsed);
                 }
-                if info.torn_tail {
+                if loaded.torn_tail {
                     self.counters.torn_tail_recovered();
                 }
                 if meta.token != req.token {
@@ -824,7 +814,7 @@ impl ShardWorker {
                         resumable: meta.resumable,
                         checkpoint_every: self.persistence.checkpoint_every,
                     };
-                    match Session::restore(&cfg, &req.spec, req.sink.clone(), store, &meta) {
+                    match Session::restore(&cfg, &req.spec, req.sink.clone(), loaded) {
                         Ok(mut s) => {
                             s.set_fuse_histogram(self.counters.register_session(
                                 req.session,
@@ -869,15 +859,23 @@ impl ShardWorker {
         SessionStore::create(
             dir,
             req.session,
-            req.token,
-            req.modules,
-            req.resumable,
-            req.spec_source.clone(),
+            self.meta_for(req),
             self.persistence.durability(),
             self.tiered.as_ref(),
-            self.persistence.node_id,
         )
+        .inspect_err(|_| self.counters.checkpoint_failure())
         .ok()
+    }
+
+    /// The sidecar contents for a session this node opens or adopts.
+    fn meta_for(&self, req: &OpenReq) -> MetaState {
+        MetaState {
+            token: req.token,
+            modules: req.modules,
+            resumable: req.resumable,
+            spec: req.spec_source.clone(),
+            node: self.persistence.node_id,
+        }
     }
 
     /// Claims a global session slot, evicting this shard's idlest session

@@ -49,22 +49,6 @@ impl<S: HistoryStore> CachedHistory<S> {
         }
     }
 
-    /// Wraps a backing store but seeds the cache from `seed` instead of the
-    /// backing snapshot, marking nothing dirty.
-    ///
-    /// This is the tiered-resume constructor: `seed` is the merged
-    /// segment + WAL state, while the (possibly fresh) backing WAL holds
-    /// only the overlay. Records already durable in a segment are *not*
-    /// re-logged — only future divergence is.
-    pub fn with_seed(backing: S, seed: impl IntoIterator<Item = (ModuleId, f64)>) -> Self {
-        CachedHistory {
-            backing: Some(backing),
-            cache: seed.into_iter().collect(),
-            dirty: BTreeMap::new(),
-            cleared: false,
-        }
-    }
-
     /// Number of writes not yet flushed to the backing store.
     pub fn pending_writes(&self) -> usize {
         self.dirty.len() + usize::from(self.cleared)
@@ -91,28 +75,10 @@ impl<S: HistoryStore> CachedHistory<S> {
         }
     }
 
-    /// Abandons pending writes (and a pending clear) without touching the
-    /// backing store: the cache and backing intentionally diverge. This is
-    /// the crash-simulation path — a service hard-killing its sessions must
-    /// *not* let the flushing `Drop` checkpoint state the "crash" should
-    /// have lost.
-    pub fn discard_pending(&mut self) {
-        self.dirty.clear();
-        self.cleared = false;
-    }
-
     /// Borrows the backing store (read-only).
     pub fn backing(&self) -> &S {
         self.backing
             .as_ref()
-            .expect("backing present until into_inner")
-    }
-
-    /// Borrows the backing store mutably — for out-of-band writes such as
-    /// WAL round markers that bypass the record cache.
-    pub fn backing_mut(&mut self) -> &mut S {
-        self.backing
-            .as_mut()
             .expect("backing present until into_inner")
     }
 
@@ -226,26 +192,6 @@ mod tests {
         assert_eq!(shared.get(m(9)), Some(0.8));
     }
 
-    #[test]
-    fn discard_pending_keeps_backing_untouched() {
-        let mut backing = MemoryHistory::new();
-        backing.set(m(0), 0.5);
-        let mut cached = CachedHistory::new(backing);
-        cached.set(m(0), 0.9);
-        cached.set(m(1), 0.1);
-        cached.discard_pending();
-        assert_eq!(cached.pending_writes(), 0);
-        drop(cached); // Drop's flush must now be a no-op.
-                      // (Backing moved into cached; re-check via a fresh wrap pattern.)
-        let mut backing = MemoryHistory::new();
-        backing.set(m(0), 0.5);
-        let mut cached = CachedHistory::new(backing);
-        cached.clear();
-        cached.discard_pending();
-        cached.flush();
-        assert_eq!(cached.backing().get(m(0)), Some(0.5));
-    }
-
     /// A backing store that counts physical write calls, to pin the batch
     /// discipline: a flush of N dirty records must be one `set_batch`, not
     /// N `set`s.
@@ -289,20 +235,6 @@ mod tests {
         // An empty flush issues no write at all.
         cached.flush();
         assert_eq!(cached.backing().batch_calls, 1);
-    }
-
-    #[test]
-    fn with_seed_overrides_backing_snapshot_and_marks_nothing_dirty() {
-        let mut backing = MemoryHistory::new();
-        backing.set(m(0), 0.5);
-        let cached = CachedHistory::with_seed(backing, vec![(m(0), 0.25), (m(7), 0.75)]);
-        assert_eq!(cached.get(m(0)), Some(0.25));
-        assert_eq!(cached.get(m(7)), Some(0.75));
-        assert_eq!(cached.pending_writes(), 0);
-        // Drop flushes nothing: the backing keeps its own record.
-        let backing = cached.into_inner();
-        assert_eq!(backing.get(m(0)), Some(0.5));
-        assert_eq!(backing.get(m(7)), None);
     }
 
     #[test]

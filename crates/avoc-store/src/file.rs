@@ -1,14 +1,43 @@
-//! Durable history records backed by a JSON-lines write-ahead log.
+//! Durable history records backed by a binary write-ahead log whose
+//! records are segment blocks.
+//!
+//! ```text
+//! file   := "AVOCWAL" │ version u8 │ record*
+//! record := len u32 │ crc32 u32 │ kind u8 │ block
+//! ```
+//!
+//! `len` counts `kind │ block` and `crc32` covers the same bytes; `block` is
+//! the column encoding of [`crate::segment`] minus its own CRC (the frame
+//! already carries one), so replay, the segment fold and time-travel reads
+//! all decode durable rows with one decoder. A record is one write: a
+//! [`RecordKind::Commit`] is one checkpoint — changed trust rows, fresh
+//! verdict rows and the round they are as of (the block's `last_round`) —
+//! and is the log's only commit point.
+//!
+//! A crash mid-append leaves a *torn tail*: a short or CRC-failing frame
+//! with nothing valid after it. Opening truncates it away and keeps every
+//! earlier record. A bad frame with a valid frame *after* it cannot be a
+//! torn append — that is corruption, and opening fails.
 
-use avoc_core::history::{HistoryStore, INITIAL_HISTORY};
+use crate::codec::{crc32, DecodeError};
+use crate::segment::{
+    decode_block_body, encode_block_body, round_range, DecodedBlock, Direction, HistoryRow,
+};
+use avoc_core::history::HistoryStore;
 use avoc_core::ModuleId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter};
 use std::path::{Path, PathBuf};
 use sysio::fault::Site;
 use sysio::fio;
+
+/// The file header: seven magic bytes, then the one format version this
+/// build reads and writes.
+const WAL_HEADER: &[u8; 8] = b"AVOCWAL\x01";
+const HEADER_LEN: usize = WAL_HEADER.len();
+/// Record frame prefix length: `len` + `crc32`.
+const FRAME_LEN: usize = 8;
 
 /// How hard [`FileHistory`] pushes each append toward the platter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -24,40 +53,7 @@ pub enum Durability {
     Fsync,
 }
 
-/// One logged operation (WAL format v2 — v1 logs contain only `set`/`clear`
-/// and replay unchanged).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "op", rename_all = "snake_case")]
-pub(crate) enum WalEntry {
-    /// Record write.
-    Set {
-        /// Module index.
-        module: u32,
-        /// Record value.
-        value: f64,
-    },
-    /// Store cleared.
-    Clear,
-    /// Round stamp: every `set`/`clear` logged since the previous `commit`
-    /// describes state as of `round`. The segment compactor folds only
-    /// stamped entries — an unstamped tail is an in-flight checkpoint.
-    Commit {
-        /// The fused round the preceding entries belong to.
-        round: u64,
-    },
-    /// A fused verdict at `round` — the output stream row, logged so
-    /// time-travel reads can replay verdicts as well as trust state.
-    Verdict {
-        /// Fused round index.
-        round: u64,
-        /// Fused value (`None` when the round produced no quorum).
-        value: Option<f64>,
-        /// Whether a quorum voted.
-        voted: bool,
-    },
-}
-
-/// A fused verdict row as stamped into the WAL and folded into segments.
+/// A fused verdict row as logged in the WAL and folded into segments.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VerdictRecord {
     /// Fused round index.
@@ -68,86 +64,283 @@ pub struct VerdictRecord {
     pub voted: bool,
 }
 
-/// Result of a checked WAL scan: every well-formed entry in file order plus
-/// what the tail looked like. This is the one decoder shared by replay,
-/// torn-tail repair and the segment compactor — the same bytes can never
-/// parse two ways.
-#[derive(Debug)]
-pub(crate) struct WalScan {
-    /// Entries decoded from fully intact lines, in file order.
-    pub(crate) entries: Vec<WalEntry>,
-    /// Bytes of fully replayed lines — the truncation point when the line
-    /// after them is torn.
-    pub(crate) good_bytes: u64,
-    /// A torn (unparseable, nothing after it) final line was found.
-    pub(crate) torn_tail: bool,
-    /// The final line parsed but lacks its trailing newline.
-    pub(crate) missing_final_newline: bool,
+/// What a record's rows mean for round attribution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub(crate) enum RecordKind {
+    /// Rows written outside a checkpoint ([`HistoryStore::set`] and
+    /// friends): replayed into state, but invisible to the segment fold and
+    /// to time travel until a [`RecordKind::Commit`] follows and stamps
+    /// them.
+    Rows = 1,
+    /// One checkpoint. Its rows, and every unstamped row before it,
+    /// describe state as of the block's `last_round`.
+    Commit = 2,
 }
 
-/// Scans a WAL file without modifying it. Missing file ⇒ `Ok(None)`.
-///
-/// A torn final line is tolerated and reported; a malformed line with valid
-/// entries after it is genuine corruption and fails with
-/// [`io::ErrorKind::InvalidData`].
+impl TryFrom<u8> for RecordKind {
+    type Error = WalError;
+
+    fn try_from(value: u8) -> Result<Self, WalError> {
+        match value {
+            1 => Ok(RecordKind::Rows),
+            2 => Ok(RecordKind::Commit),
+            other => Err(WalError::UnknownKind(other)),
+        }
+    }
+}
+
+/// Why a log (or one frame of it) does not read. Converts to
+/// [`io::ErrorKind::InvalidData`] at the API boundary.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum WalError {
+    /// The file does not start with the `AVOCWAL` magic: not a log of this
+    /// format (a JSON-lines log of an older build ends up here).
+    BadMagic,
+    /// The magic matched but the version byte is not the one this build
+    /// reads and writes.
+    UnknownVersion(u8),
+    /// A frame's CRC held but its kind byte names no record kind.
+    UnknownKind(u8),
+    /// The frame at `offset` fails its CRC.
+    CrcMismatch {
+        /// Byte offset of the frame in the file.
+        offset: usize,
+    },
+    /// The frame at `offset` (or the file header, at 0) runs past the end
+    /// of the file.
+    Truncated {
+        /// Byte offset of the frame in the file.
+        offset: usize,
+    },
+    /// The frame at `offset` is intact but its block does not decode.
+    Block {
+        /// Byte offset of the frame in the file.
+        offset: usize,
+        /// What the block decoder rejected.
+        error: DecodeError,
+    },
+}
+
+impl std::fmt::Display for WalError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WalError::BadMagic => write!(f, "not a history log: bad magic"),
+            WalError::UnknownVersion(v) => write!(f, "unknown history log version {v}"),
+            WalError::UnknownKind(k) => write!(f, "unknown history log record kind {k}"),
+            WalError::CrcMismatch { offset } => {
+                write!(f, "history log record at byte {offset} fails its CRC")
+            }
+            WalError::Truncated { offset } => {
+                write!(
+                    f,
+                    "history log truncated inside the record at byte {offset}"
+                )
+            }
+            WalError::Block { offset, error } => {
+                write!(f, "history log record at byte {offset}: {error}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for WalError {}
+
+impl From<WalError> for io::Error {
+    fn from(e: WalError) -> io::Error {
+        io::Error::new(io::ErrorKind::InvalidData, e.to_string())
+    }
+}
+
+/// Frames the staged `rows` and `verdicts` (ascending by round) as one
+/// record appended to `out` — a commit when `round` is given, plain rows
+/// otherwise — and returns the record's stamp. A record is as of its
+/// block's `last_round`, so a commit never stamps below a verdict it
+/// carries. Drains `rows`.
+fn encode_record(
+    out: &mut Vec<u8>,
+    rows: &mut Vec<HistoryRow>,
+    verdicts: &[VerdictRecord],
+    round: Option<u64>,
+) -> Option<u64> {
+    let stamp = round.map(|r| verdicts.last().map_or(r, |v| v.round.max(r)));
+    for row in rows.iter_mut() {
+        row.round = stamp.unwrap_or(0);
+    }
+    let (first, last) = round_range(rows, verdicts);
+    let range = (first, stamp.unwrap_or(last));
+    let kind = match stamp {
+        Some(_) => RecordKind::Commit,
+        None => RecordKind::Rows,
+    };
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_LEN]);
+    out.push(kind as u8);
+    // The log's file name carries the session id; the block's stays 0.
+    encode_block_body(out, 0, range, rows, verdicts);
+    rows.clear();
+    let payload = &out[start + FRAME_LEN..];
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + FRAME_LEN].copy_from_slice(&crc.to_le_bytes());
+    stamp
+}
+
+/// Decodes the record framed at `offset` into `block`; returns its kind,
+/// its block's `last_round` and the offset of the next frame.
+fn read_record(
+    bytes: &[u8],
+    offset: usize,
+    block: &mut DecodedBlock,
+) -> Result<(RecordKind, u64, usize), WalError> {
+    let truncated = WalError::Truncated { offset };
+    let frame = bytes
+        .get(offset..offset + FRAME_LEN)
+        .ok_or(truncated.clone())?;
+    let len = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]) as usize;
+    let crc = u32::from_le_bytes([frame[4], frame[5], frame[6], frame[7]]);
+    let start = offset + FRAME_LEN;
+    let payload = start
+        .checked_add(len)
+        .and_then(|end| bytes.get(start..end))
+        .ok_or(truncated.clone())?;
+    // A frame holds at least its kind byte (zero-filled tails end here).
+    let (&kind, body) = payload.split_first().ok_or(truncated)?;
+    if crc32(payload) != crc {
+        return Err(WalError::CrcMismatch { offset });
+    }
+    let kind = RecordKind::try_from(kind)?;
+    let (_, last_round) =
+        decode_block_body(body, block).map_err(|error| WalError::Block { offset, error })?;
+    Ok((kind, last_round, start + len))
+}
+
+/// A checked scan of a whole log: the one reader behind replay, the segment
+/// fold, time-travel reads and import validation.
+#[derive(Debug, Default)]
+pub(crate) struct WalScan {
+    /// Every history row in log order. Rows up to `stamped.0` carry the
+    /// round of the commit that covers them; later ones are an unstamped
+    /// tail.
+    pub(crate) history: Vec<HistoryRow>,
+    /// Every verdict row in log order; stamped up to `stamped.1`.
+    pub(crate) verdicts: Vec<VerdictRecord>,
+    /// How many `history` / `verdicts` rows a commit covers.
+    pub(crate) stamped: (usize, usize),
+    /// Highest commit round.
+    pub(crate) round: Option<u64>,
+    /// Bytes of header and intact records — the truncation point when the
+    /// frame after them is torn.
+    pub(crate) good_bytes: usize,
+    /// Why the final frame did not read, when a torn tail was found.
+    pub(crate) torn: Option<WalError>,
+}
+
+impl WalScan {
+    /// Whether the log ends exactly at a commit: no unstamped rows, no torn
+    /// tail.
+    pub(crate) fn fully_committed(&self) -> bool {
+        self.torn.is_none() && self.stamped == (self.history.len(), self.verdicts.len())
+    }
+
+    /// The history rows a commit covers, each stamped with its round.
+    pub(crate) fn stamped_history(&self) -> &[HistoryRow] {
+        &self.history[..self.stamped.0]
+    }
+
+    /// The verdict rows a commit covers.
+    pub(crate) fn stamped_verdicts(&self) -> &[VerdictRecord] {
+        &self.verdicts[..self.stamped.1]
+    }
+}
+
+/// Scans a log image up to its first bad frame, which is reported in
+/// [`WalScan::torn`] (whether it really is a torn tail is for the caller to
+/// decide). A foreign magic or version fails the scan.
+pub(crate) fn scan_bytes(bytes: &[u8]) -> Result<WalScan, WalError> {
+    let mut scan = WalScan::default();
+    if bytes.len() < HEADER_LEN {
+        // A crash can tear the header write too.
+        if !WAL_HEADER.starts_with(bytes) {
+            return Err(WalError::BadMagic);
+        }
+        scan.torn = (!bytes.is_empty()).then_some(WalError::Truncated { offset: 0 });
+        return Ok(scan);
+    }
+    if bytes[..7] != WAL_HEADER[..7] {
+        return Err(WalError::BadMagic);
+    }
+    if bytes[7] != WAL_HEADER[7] {
+        return Err(WalError::UnknownVersion(bytes[7]));
+    }
+    let mut block = DecodedBlock::default();
+    let mut offset = HEADER_LEN;
+    while offset < bytes.len() {
+        match read_record(bytes, offset, &mut block) {
+            Ok((kind, last_round, next)) => {
+                scan.history.extend_from_slice(&block.history);
+                scan.verdicts.extend_from_slice(&block.verdicts);
+                if kind == RecordKind::Commit {
+                    for row in &mut scan.history[scan.stamped.0..] {
+                        row.round = last_round;
+                    }
+                    scan.stamped = (scan.history.len(), scan.verdicts.len());
+                    scan.round = scan.round.max(Some(last_round));
+                }
+                offset = next;
+            }
+            Err(e) => {
+                scan.torn = Some(e);
+                break;
+            }
+        }
+    }
+    scan.good_bytes = offset;
+    Ok(scan)
+}
+
+/// Scans a log file without modifying it. Missing file ⇒ `Ok(None)`. A bad
+/// final frame is a torn tail, left in [`WalScan::torn`]; a bad frame with
+/// a readable frame anywhere after it is corruption — a crash mid-append
+/// cannot be followed by more data — and ⇒ [`io::ErrorKind::InvalidData`].
 pub(crate) fn scan_wal(path: &Path) -> io::Result<Option<WalScan>> {
-    let f = match File::open(path) {
-        Ok(f) => f,
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
-    let mut reader = BufReader::new(f);
-    let mut line = String::new();
-    let mut scan = WalScan {
-        entries: Vec::new(),
-        good_bytes: 0,
-        torn_tail: false,
-        missing_final_newline: false,
-    };
-    loop {
-        line.clear();
-        let n = reader.read_line(&mut line)?;
-        if n == 0 {
-            break;
-        }
-        if line.trim().is_empty() {
-            scan.good_bytes += n as u64;
-            continue;
-        }
-        match serde_json::from_str::<WalEntry>(line.trim()) {
-            Ok(entry) => {
-                scan.good_bytes += n as u64;
-                scan.missing_final_newline = !line.ends_with('\n');
-                scan.entries.push(entry);
-            }
-            Err(e) => {
-                // Torn tail or mid-file corruption? A crash mid-append
-                // cannot be followed by more data, so any payload after the
-                // bad line means the log was damaged, not torn.
-                let mut rest = Vec::new();
-                reader.read_to_end(&mut rest)?;
-                if rest.iter().any(|b| !b.is_ascii_whitespace()) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("corrupt history log line: {e}"),
-                    ));
-                }
-                scan.torn_tail = true;
-                break;
-            }
+    let scan = scan_bytes(&bytes)?;
+    if let Some(e) = &scan.torn {
+        let mut probe = DecodedBlock::default();
+        let mut later = scan.good_bytes + 1..bytes.len();
+        if later.any(|o| read_record(&bytes, o, &mut probe).is_ok()) {
+            return Err(e.clone().into());
         }
     }
     Ok(Some(scan))
 }
 
-/// A durable [`HistoryStore`] backed by a JSON-lines write-ahead log.
+/// Checks that `bytes` is a complete, undamaged log image — what a node
+/// demands of a shipped log before it lets the bytes near its disk.
 ///
-/// Every [`HistoryStore::set`] appends a log line and flushes; reopening the
+/// # Errors
+///
+/// The first defect found, a torn tail included.
+pub fn validate_wal(bytes: &[u8]) -> Result<(), WalError> {
+    match scan_bytes(bytes)?.torn {
+        Some(e) => Err(e),
+        None => Ok(()),
+    }
+}
+
+/// A durable [`HistoryStore`] backed by a binary write-ahead log (see the
+/// module docs for the format).
+///
+/// Every [`HistoryStore::set`] appends a record and flushes; reopening the
 /// file replays the log. [`FileHistory::compact`] rewrites the log to one
-/// line per live record. This deliberately mirrors the paper's
-/// "datastore reads and writes being the bottleneck" observation: the
-/// per-write flush is what a benchmark run measures against the in-memory
-/// store.
+/// record. This deliberately mirrors the paper's "datastore reads and
+/// writes being the bottleneck" observation: the per-write flush is what a
+/// benchmark run measures against the in-memory store.
 ///
 /// # Example
 ///
@@ -156,10 +349,10 @@ pub(crate) fn scan_wal(path: &Path) -> io::Result<Option<WalScan>> {
 /// use avoc_core::ModuleId;
 /// use avoc_store::FileHistory;
 ///
-/// let mut store = FileHistory::open("/tmp/avoc-history.jsonl")?;
+/// let mut store = FileHistory::open("/tmp/avoc-history.wal")?;
 /// store.set(ModuleId::new(0), 0.8);
 /// drop(store);
-/// let reopened = FileHistory::open("/tmp/avoc-history.jsonl")?;
+/// let reopened = FileHistory::open("/tmp/avoc-history.wal")?;
 /// assert_eq!(reopened.get(ModuleId::new(0)), Some(0.8));
 /// # Ok::<(), std::io::Error>(())
 /// ```
@@ -168,43 +361,44 @@ pub struct FileHistory {
     path: PathBuf,
     writer: BufWriter<File>,
     records: BTreeMap<ModuleId, f64>,
-    /// Log lines since the last compaction.
-    dirty_entries: usize,
     durability: Durability,
-    /// Whether `open` found (and truncated away) a torn final line.
+    /// Whether `open` found (and truncated away) a torn final frame.
     recovered_torn_tail: bool,
     /// Bytes appended to the log by this handle (compactions excluded) —
     /// a checkpoint-cost signal for the service layer.
     bytes_logged: u64,
-    /// Whether any `clear` entry was replayed — when true the records map
-    /// already reflects the wipe and earlier tiers (segments) must not be
-    /// merged underneath it.
-    saw_clear: bool,
-    /// Highest `commit` round stamp seen or appended.
+    /// Highest commit round seen or appended.
     max_commit_round: Option<u64>,
-    /// Highest `verdict` round seen or appended.
+    /// Highest verdict round seen or appended.
     max_verdict_round: Option<u64>,
     /// An append/flush/fsync since open (or the last successful
     /// [`FileHistory::compact`]) failed: the on-disk log may be missing
-    /// entries, so checkpoints built on it must not be trusted until a
+    /// records, so checkpoints built on it must not be trusted until a
     /// rewrite succeeds. In-memory records stay correct throughout.
     write_failed: bool,
+    /// The stamped verdict rows replay found, until
+    /// [`FileHistory::take_replayed_verdicts`] claims them.
+    replayed_verdicts: Vec<VerdictRecord>,
+    /// Rows staged for the record being written (reused across appends).
+    rows: Vec<HistoryRow>,
+    /// The record being written (reused across appends).
+    buf: Vec<u8>,
 }
 
 impl FileHistory {
     /// Opens (or creates) a log file and replays it, with
     /// [`Durability::Flush`] semantics.
     ///
-    /// A *torn final line* — exactly what a crash mid-append leaves behind —
-    /// is tolerated: the tail is truncated away and replay keeps everything
-    /// before it (the state minus at most the last entry). A malformed line
-    /// with valid entries *after* it is genuine corruption, not a torn
-    /// append, and still fails hard.
+    /// A *torn final frame* — exactly what a crash mid-append leaves behind
+    /// — is tolerated: the tail is truncated away and replay keeps every
+    /// record before it. A bad frame with a valid frame *after* it is
+    /// genuine corruption, not a torn append, and fails hard.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors; a malformed log line anywhere but the tail
-    /// yields [`io::ErrorKind::InvalidData`].
+    /// Propagates I/O errors; a file of another format, or a damaged frame
+    /// anywhere but the tail, yields [`io::ErrorKind::InvalidData`] (see
+    /// [`WalError`]).
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
         Self::open_with(path, Durability::Flush)
     }
@@ -215,68 +409,51 @@ impl FileHistory {
     ///
     /// As [`FileHistory::open`].
     pub fn open_with(path: impl AsRef<Path>, durability: Durability) -> io::Result<Self> {
+        Self::open_over(path, durability, [])
+    }
+
+    /// Opens a log that overlays an older tier: replay starts from `base`
+    /// (the session's folded segment state) instead of from nothing, so the
+    /// log's rows — removals included — land on top of it in order.
+    ///
+    /// # Errors
+    ///
+    /// As [`FileHistory::open`].
+    pub fn open_over(
+        path: impl AsRef<Path>,
+        durability: Durability,
+        base: impl IntoIterator<Item = (ModuleId, f64)>,
+    ) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
-        let mut records = BTreeMap::new();
-        let mut dirty_entries = 0;
-        let mut recovered_torn_tail = false;
-        // A crash can also land between an entry's bytes and its trailing
-        // newline: the last line then parses fine but lacks `\n`. The entry
-        // is good, but appending behind it would glue the next entry onto
-        // the same line — silent corruption discovered only at the open
-        // after next. Repair it by appending the missing newline below.
-        let mut missing_final_newline = false;
-        let mut saw_clear = false;
-        let mut max_commit_round = None;
-        let mut max_verdict_round = None;
-        if let Some(scan) = scan_wal(&path)? {
-            if scan.torn_tail {
-                OpenOptions::new()
-                    .write(true)
-                    .open(&path)?
-                    .set_len(scan.good_bytes)?;
-                recovered_torn_tail = true;
-            }
-            missing_final_newline = scan.missing_final_newline;
-            dirty_entries = scan.entries.len();
-            for entry in scan.entries {
-                match entry {
-                    WalEntry::Set { module, value } => {
-                        records.insert(ModuleId::new(module), value);
-                    }
-                    WalEntry::Clear => {
-                        records.clear();
-                        saw_clear = true;
-                    }
-                    WalEntry::Commit { round } => {
-                        max_commit_round = max_commit_round.max(Some(round));
-                    }
-                    WalEntry::Verdict { round, .. } => {
-                        max_verdict_round = max_verdict_round.max(Some(round));
-                    }
-                }
-            }
+        let mut scan = scan_wal(&path)?.unwrap_or_default();
+        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        if scan.torn.is_some() {
+            file.set_len(scan.good_bytes as u64)?;
         }
-        let mut writer = BufWriter::new(OpenOptions::new().create(true).append(true).open(&path)?);
-        if missing_final_newline {
-            // Terminate the crash-severed final line so future appends start
-            // on their own line. Repair, not logging: excluded from
-            // `bytes_logged` and from the torn-tail flag (nothing was lost).
-            writer.write_all(b"\n")?;
-            writer.flush()?;
+        let mut records: BTreeMap<ModuleId, f64> = base.into_iter().collect();
+        for row in &scan.history {
+            row.apply_to(&mut records);
         }
-        Ok(FileHistory {
+        scan.verdicts.truncate(scan.stamped.1);
+        let mut store = FileHistory {
             path,
-            writer,
+            writer: BufWriter::new(file),
             records,
-            dirty_entries,
             durability,
-            recovered_torn_tail,
+            recovered_torn_tail: scan.torn.is_some(),
             bytes_logged: 0,
-            saw_clear,
-            max_commit_round,
-            max_verdict_round,
+            max_commit_round: scan.round,
+            max_verdict_round: scan.verdicts.iter().map(|v| v.round).max(),
             write_failed: false,
-        })
+            replayed_verdicts: scan.verdicts,
+            rows: Vec::new(),
+            buf: Vec::new(),
+        };
+        if scan.good_bytes == 0 {
+            store.buf.extend_from_slice(WAL_HEADER);
+            store.log_write()?;
+        }
+        Ok(store)
     }
 
     /// Whether any append since open (or the last successful
@@ -288,13 +465,13 @@ impl FileHistory {
         self.write_failed
     }
 
-    /// One WAL transaction — buffered write, flush, and (under
-    /// [`Durability::Fsync`]) fsync — each leg through the injectable
+    /// One WAL transaction over `self.buf` — buffered write, flush, and
+    /// (under [`Durability::Fsync`]) fsync — each leg through the injectable
     /// `sysio` facade, which retries real and injected `EINTR` and resumes
     /// short writes. Terminal failures mark the handle sick.
-    fn log_write(&mut self, batch: &[u8]) -> io::Result<()> {
+    fn log_write(&mut self) -> io::Result<()> {
         let result = (|| {
-            fio::write_all(Site::WalAppend, &mut self.writer, batch)?;
+            fio::write_all(Site::WalAppend, &mut self.writer, &self.buf)?;
             fio::flush(Site::WalFlush, &mut self.writer)?;
             if self.durability == Durability::Fsync {
                 fio::check_op(Site::WalSync)?;
@@ -302,70 +479,97 @@ impl FileHistory {
             }
             Ok(())
         })();
-        if result.is_err() {
-            self.write_failed = true;
+        match result {
+            Ok(()) => self.bytes_logged += self.buf.len() as u64,
+            Err(_) => self.write_failed = true,
         }
         result
     }
 
-    /// Whether `open` truncated a torn final line left by a crash
+    /// Whether `open` truncated a torn final frame left by a crash
     /// mid-append.
     pub fn recovered_torn_tail(&self) -> bool {
         self.recovered_torn_tail
     }
 
-    /// Whether replay encountered a `clear`: the records already reflect the
-    /// wipe, so older tiers (segments) must not be merged underneath them.
-    pub fn saw_clear(&self) -> bool {
-        self.saw_clear
-    }
-
-    /// Highest round stamped by a `commit` entry (replayed or appended) —
+    /// Highest round stamped by a commit (replayed or appended) —
     /// everything logged before it is fold-eligible.
     pub fn committed_round(&self) -> Option<u64> {
         self.max_commit_round
     }
 
-    /// Highest round carrying a logged `verdict` (replayed or appended).
+    /// Highest round carrying a logged verdict (replayed or appended).
     pub fn max_verdict_round(&self) -> Option<u64> {
         self.max_verdict_round
     }
 
-    /// Appends verdict rows and an optional `commit` round stamp as one
-    /// buffered write (then one flush / fsync) — the round-marker analogue
-    /// of [`HistoryStore::set_batch`]. Best-effort like every append: write
-    /// errors surface at the next explicit I/O call site.
-    pub fn append_markers(&mut self, verdicts: &[VerdictRecord], commit: Option<u64>) {
-        let mut batch = String::new();
-        let mut entries = 0usize;
-        for v in verdicts {
-            let entry = WalEntry::Verdict {
-                round: v.round,
-                value: v.value,
-                voted: v.voted,
+    /// Hands over the stamped verdict rows replay found, in log order —
+    /// what a resuming session rebuilds its result ring from.
+    pub fn take_replayed_verdicts(&mut self) -> Vec<VerdictRecord> {
+        std::mem::take(&mut self.replayed_verdicts)
+    }
+
+    /// Appends the staged rows and `verdicts` as one record — a commit
+    /// stamped `round`, or plain rows when `round` is `None` — in one
+    /// write, one flush and (under [`Durability::Fsync`]) one fsync.
+    fn append(&mut self, verdicts: &[VerdictRecord], round: Option<u64>) -> io::Result<()> {
+        if self.rows.is_empty() && verdicts.is_empty() && round.is_none() {
+            return Ok(());
+        }
+        let mut sorted = Vec::new();
+        let verdicts = if verdicts.is_sorted_by_key(|v| v.round) {
+            verdicts
+        } else {
+            sorted.extend_from_slice(verdicts);
+            sorted.sort_by_key(|v| v.round);
+            &sorted
+        };
+        self.buf.clear();
+        let stamp = encode_record(&mut self.buf, &mut self.rows, verdicts, round);
+        self.max_commit_round = self.max_commit_round.max(stamp);
+        self.max_verdict_round = self.max_verdict_round.max(verdicts.last().map(|v| v.round));
+        self.log_write()
+    }
+
+    /// One checkpoint as one record: `records` (with the direction each
+    /// moved in), `verdicts`, and the `round` they are as of. With `round`
+    /// `None` the rows stay unstamped until a later commit covers them.
+    ///
+    /// # Errors
+    ///
+    /// The append's I/O error; the handle is then sick (see
+    /// [`FileHistory::write_failed`]) while in-memory records stay correct.
+    pub fn checkpoint(
+        &mut self,
+        records: &[(ModuleId, f64)],
+        verdicts: &[VerdictRecord],
+        round: Option<u64>,
+    ) -> io::Result<()> {
+        for &(module, value) in records {
+            // Memory first (a failed append must not corrupt in-memory
+            // state), with the trust direction taken from the value being
+            // replaced — the writer is the one place that knows it.
+            let value = value.clamp(0.0, 1.0);
+            let dir = match self.records.insert(module, value) {
+                None => Direction::New,
+                Some(prior) if value < prior => Direction::Down,
+                Some(_) => Direction::Up,
             };
-            if let Ok(line) = serde_json::to_string(&entry) {
-                batch.push_str(&line);
-                batch.push('\n');
-                entries += 1;
-                self.max_verdict_round = self.max_verdict_round.max(Some(v.round));
-            }
+            self.rows.push(HistoryRow {
+                round: 0,
+                module: module.index(),
+                trust: value,
+                dir,
+            });
         }
-        if let Some(round) = commit {
-            if let Ok(line) = serde_json::to_string(&WalEntry::Commit { round }) {
-                batch.push_str(&line);
-                batch.push('\n');
-                entries += 1;
-                self.max_commit_round = self.max_commit_round.max(Some(round));
-            }
-        }
-        if batch.is_empty() {
-            return;
-        }
-        if self.log_write(batch.as_bytes()).is_ok() {
-            self.dirty_entries += entries;
-            self.bytes_logged += batch.len() as u64;
-        }
+        self.append(verdicts, round)
+    }
+
+    /// Appends verdict rows and an optional commit round as one record.
+    /// Best-effort like every [`HistoryStore`] write: errors surface through
+    /// [`FileHistory::write_failed`].
+    pub fn append_markers(&mut self, verdicts: &[VerdictRecord], commit: Option<u64>) {
+        let _ = self.append(verdicts, commit);
     }
 
     /// Bytes appended through this handle (a checkpoint-cost signal).
@@ -378,75 +582,51 @@ impl FileHistory {
         &self.path
     }
 
-    /// Number of log entries accumulated since the last compaction —
-    /// a compaction-scheduling signal.
-    pub fn log_len(&self) -> usize {
-        self.dirty_entries
-    }
-
-    /// Rewrites the log to exactly one `set` line per live record, plus a
-    /// final `commit` stamp preserving the round watermark. Verdict rows are
-    /// dropped — round-preserving compaction is the segment fold's job
-    /// (see the `tiered` module); this rewrite is for standalone stores.
+    /// Rewrites the log to one record: a row per live record (as
+    /// [`Direction::New`] — a rewrite has no prior value to compare with),
+    /// the commit round watermark, and those of `verdicts` at or below it
+    /// (later ones belong to rounds the rewritten state does not reflect).
+    /// The segment fold is what preserves per-round history; this rewrite
+    /// is for standalone stores and for rebuilding or shipping a session's
+    /// log.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors; on error the original log remains valid (the
     /// rewrite goes through a temporary file + rename).
-    pub fn compact(&mut self) -> io::Result<()> {
+    pub fn compact(&mut self, verdicts: &[VerdictRecord]) -> io::Result<()> {
+        let stamp = self.max_commit_round;
+        self.rows
+            .extend(self.records.iter().map(|(&m, &trust)| HistoryRow {
+                round: 0,
+                module: m.index(),
+                trust,
+                dir: Direction::New,
+            }));
+        let mut kept: Vec<VerdictRecord> = verdicts
+            .iter()
+            .copied()
+            .filter(|v| stamp.is_some_and(|s| v.round <= s))
+            .collect();
+        kept.sort_by_key(|v| v.round);
+        let mut image = WAL_HEADER.to_vec();
+        if !self.rows.is_empty() || stamp.is_some() {
+            encode_record(&mut image, &mut self.rows, &kept, stamp);
+        }
         let tmp = self.path.with_extension("compact-tmp");
-        let mut lines = self.records.len();
         {
             fio::check_op(Site::WalAppend)?;
-            let mut w = BufWriter::new(File::create(&tmp)?);
-            for (&m, &v) in &self.records {
-                let entry = WalEntry::Set {
-                    module: m.index(),
-                    value: v,
-                };
-                let line = serde_json::to_string(&entry)?;
-                fio::write_all(Site::WalAppend, &mut w, line.as_bytes())?;
-                fio::write_all(Site::WalAppend, &mut w, b"\n")?;
-            }
-            if let Some(round) = self.max_commit_round {
-                let line = serde_json::to_string(&WalEntry::Commit { round })?;
-                fio::write_all(Site::WalAppend, &mut w, line.as_bytes())?;
-                fio::write_all(Site::WalAppend, &mut w, b"\n")?;
-                lines += 1;
-            }
+            let mut w = File::create(&tmp)?;
+            fio::write_all(Site::WalAppend, &mut w, &image)?;
             fio::flush(Site::WalFlush, &mut w)?;
         }
         std::fs::rename(&tmp, &self.path)?;
-        self.writer = BufWriter::new(
-            OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&self.path)?,
-        );
-        self.dirty_entries = lines;
-        // The rewrite holds only live records: any replayed `clear` is now
-        // physically gone from the log.
-        self.saw_clear = false;
-        self.max_verdict_round = None;
+        self.writer = BufWriter::new(OpenOptions::new().append(true).open(&self.path)?);
+        self.max_verdict_round = kept.last().map(|v| v.round);
         // The log is whole again — a full rewrite from in-memory state is
         // exactly the repair a sick WAL needs.
         self.write_failed = false;
         Ok(())
-    }
-
-    fn append(&mut self, entry: &WalEntry) {
-        // A failed append must not corrupt in-memory state; the paper's
-        // scenario tolerates best-effort persistence, so log write errors
-        // raise `write_failed` for the next explicit call site to act on.
-        let mut line = match serde_json::to_string(entry) {
-            Ok(line) => line,
-            Err(_) => return,
-        };
-        line.push('\n');
-        if self.log_write(line.as_bytes()).is_ok() {
-            self.dirty_entries += 1;
-            self.bytes_logged += line.len() as u64;
-        }
     }
 }
 
@@ -456,41 +636,15 @@ impl HistoryStore for FileHistory {
     }
 
     fn set(&mut self, module: ModuleId, value: f64) {
-        let value = value.clamp(0.0, 1.0);
-        self.records.insert(module, value);
-        self.append(&WalEntry::Set {
-            module: module.index(),
-            value,
-        });
+        self.set_batch(&[(module, value)]);
     }
 
     fn set_batch(&mut self, records: &[(ModuleId, f64)]) {
-        // One buffered write + one flush (+ one fsync) for the whole batch —
-        // the CorkedWriter discipline applied to the WAL. With per-write
-        // `Fsync` durability this is the difference between N platter waits
-        // and one.
-        let mut batch = String::new();
-        let mut entries = 0usize;
-        for &(module, value) in records {
-            let value = value.clamp(0.0, 1.0);
-            self.records.insert(module, value);
-            let entry = WalEntry::Set {
-                module: module.index(),
-                value,
-            };
-            if let Ok(line) = serde_json::to_string(&entry) {
-                batch.push_str(&line);
-                batch.push('\n');
-                entries += 1;
-            }
-        }
-        if batch.is_empty() {
-            return;
-        }
-        if self.log_write(batch.as_bytes()).is_ok() {
-            self.dirty_entries += entries;
-            self.bytes_logged += batch.len() as u64;
-        }
+        // One buffered write + one flush (+ one fsync) for the whole batch.
+        // With per-write `Fsync` durability this is the difference between
+        // N platter waits and one. Best-effort: log write errors raise
+        // `write_failed` for the next explicit call site to act on.
+        let _ = self.checkpoint(records, &[], None);
     }
 
     fn snapshot(&self) -> Vec<(ModuleId, f64)> {
@@ -498,29 +652,28 @@ impl HistoryStore for FileHistory {
     }
 
     fn clear(&mut self) {
-        self.records.clear();
-        self.saw_clear = true;
-        self.append(&WalEntry::Clear);
-    }
-
-    fn get_or_init(&mut self, module: ModuleId) -> f64 {
-        match self.get(module) {
-            Some(v) => v,
-            None => {
-                self.set(module, INITIAL_HISTORY);
-                INITIAL_HISTORY
-            }
-        }
+        // A wipe is a removal row per live record — the representation the
+        // segment tier folds.
+        let live = std::mem::take(&mut self.records);
+        self.rows.extend(live.keys().map(|m| HistoryRow {
+            round: 0,
+            module: m.index(),
+            trust: 0.0,
+            dir: Direction::Removed,
+        }));
+        let _ = self.append(&[], None);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
 
     fn tmp_path(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("avoc-store-test-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_file(&p);
         p
     }
 
@@ -528,10 +681,17 @@ mod tests {
         ModuleId::new(i)
     }
 
+    fn verdict(round: u64, value: f64) -> VerdictRecord {
+        VerdictRecord {
+            round,
+            value: Some(value),
+            voted: true,
+        }
+    }
+
     #[test]
     fn set_get_round_trip() {
         let path = tmp_path("roundtrip");
-        let _ = std::fs::remove_file(&path);
         let mut s = FileHistory::open(&path).unwrap();
         s.set(m(0), 0.5);
         s.set(m(1), 0.75);
@@ -543,7 +703,6 @@ mod tests {
     #[test]
     fn survives_reopen() {
         let path = tmp_path("reopen");
-        let _ = std::fs::remove_file(&path);
         {
             let mut s = FileHistory::open(&path).unwrap();
             s.set(m(0), 0.3);
@@ -559,7 +718,6 @@ mod tests {
     #[test]
     fn clear_persists() {
         let path = tmp_path("clear");
-        let _ = std::fs::remove_file(&path);
         {
             let mut s = FileHistory::open(&path).unwrap();
             s.set(m(0), 0.3);
@@ -573,16 +731,35 @@ mod tests {
     }
 
     #[test]
+    fn replay_lands_on_top_of_the_base_tier_in_order() {
+        let path = tmp_path("base");
+        {
+            // The writer knew modules 0 and 1 from the older tier.
+            let base = [(m(0), 0.5), (m(1), 0.5)];
+            let mut s = FileHistory::open_over(&path, Durability::Flush, base).unwrap();
+            s.clear();
+            s.set(m(1), 0.25);
+        }
+        let base = [(m(0), 0.5), (m(1), 0.5)];
+        let s = FileHistory::open_over(&path, Durability::Flush, base).unwrap();
+        assert_eq!(
+            s.snapshot(),
+            vec![(m(1), 0.25)],
+            "the wipe reaches the base"
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn compact_shrinks_log() {
         let path = tmp_path("compact");
-        let _ = std::fs::remove_file(&path);
         let mut s = FileHistory::open(&path).unwrap();
         for i in 0..100 {
             s.set(m(0), (i as f64) / 100.0);
         }
-        assert_eq!(s.log_len(), 100);
-        s.compact().unwrap();
-        assert_eq!(s.log_len(), 1);
+        let before = std::fs::metadata(&path).unwrap().len();
+        s.compact(&[]).unwrap();
+        assert!(std::fs::metadata(&path).unwrap().len() * 20 < before);
         // Data still correct after compaction and reopen.
         s.set(m(1), 0.5);
         drop(s);
@@ -595,7 +772,6 @@ mod tests {
     #[test]
     fn values_clamped_to_unit_interval() {
         let path = tmp_path("clamp");
-        let _ = std::fs::remove_file(&path);
         let mut s = FileHistory::open(&path).unwrap();
         s.set(m(0), 2.0);
         s.set(m(1), -1.0);
@@ -605,31 +781,123 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_mid_file_is_invalid_data() {
-        let path = tmp_path("corrupt");
-        // A bad line *followed by valid data* is damage, not a torn append.
-        std::fs::write(
-            &path,
-            "{not json\n{\"op\":\"set\",\"module\":0,\"value\":0.5}\n",
-        )
-        .unwrap();
-        let err = FileHistory::open(&path).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    fn the_writer_records_which_way_trust_moved() {
+        let path = tmp_path("directions");
+        {
+            let mut s = FileHistory::open(&path).unwrap();
+            s.checkpoint(&[(m(0), 0.5)], &[], Some(0)).unwrap();
+            s.checkpoint(&[(m(0), 0.25)], &[], Some(1)).unwrap();
+            s.checkpoint(&[(m(0), 0.25)], &[], Some(2)).unwrap();
+            s.clear();
+        }
+        let scan = scan_wal(&path).unwrap().unwrap();
+        let dirs: Vec<(u64, Direction)> = scan.history.iter().map(|r| (r.round, r.dir)).collect();
+        assert_eq!(
+            dirs,
+            vec![
+                (0, Direction::New),
+                (1, Direction::Down),
+                (2, Direction::Up),
+                (0, Direction::Removed), // unstamped: no commit follows it
+            ]
+        );
+        assert_eq!(scan.stamped_history().len(), 3);
+        assert!(!scan.fully_committed());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Flips one byte of the first record of a two-record log.
+    fn damaged_first_record(name: &str, at: usize) -> PathBuf {
+        let path = tmp_path(name);
+        {
+            let mut s = FileHistory::open(&path).unwrap();
+            s.set(m(0), 0.5);
+            s.set(m(1), 0.75);
+        }
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[HEADER_LEN + at] ^= 0x40;
+        std::fs::write(&path, bytes).unwrap();
+        path
+    }
+
+    #[test]
+    fn corrupt_mid_file_is_invalid_data() {
+        // A bad frame *followed by a valid one* is damage, not a torn
+        // append — whether the flip lands in the payload or in `len`.
+        for at in [FRAME_LEN + 3, 0, 3] {
+            let path = damaged_first_record("corrupt", at);
+            let err = FileHistory::open(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "flip at {at}");
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    #[test]
+    fn every_failure_is_its_own_outcome() {
+        let mut log = WAL_HEADER.to_vec();
+        encode_record(&mut log, &mut Vec::new(), &[verdict(3, 1.5)], Some(3));
+        assert_eq!(validate_wal(&log), Ok(()));
+
+        let text = b"{\"op\":\"set\",\"module\":0,\"value\":0.5}\n";
+        assert_eq!(validate_wal(text), Err(WalError::BadMagic));
+        let mut future = log.clone();
+        future[7] = 9;
+        assert_eq!(validate_wal(&future), Err(WalError::UnknownVersion(9)));
+        assert_eq!(
+            validate_wal(&log[..log.len() - 1]),
+            Err(WalError::Truncated { offset: HEADER_LEN })
+        );
+        assert_eq!(
+            validate_wal(&log[..3]),
+            Err(WalError::Truncated { offset: 0 })
+        );
+        let mut flipped = log.clone();
+        *flipped.last_mut().unwrap() ^= 1;
+        assert_eq!(
+            validate_wal(&flipped),
+            Err(WalError::CrcMismatch { offset: HEADER_LEN })
+        );
+
+        // A frame whose CRC holds over a payload the block decoder (or the
+        // kind table) rejects.
+        let reframe = |payload: &[u8]| {
+            let mut log = WAL_HEADER.to_vec();
+            log.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            log.extend_from_slice(&crc32(payload).to_le_bytes());
+            log.extend_from_slice(payload);
+            log
+        };
+        assert_eq!(
+            validate_wal(&reframe(&[7, 0, 0, 0, 0, 0])),
+            Err(WalError::UnknownKind(7))
+        );
+        assert!(matches!(
+            validate_wal(&reframe(&[2, 0, 5, 1, 0, 0])),
+            Err(WalError::Block {
+                offset: HEADER_LEN,
+                ..
+            })
+        ));
+        assert_eq!(RecordKind::try_from(1), Ok(RecordKind::Rows));
+        assert_eq!(RecordKind::try_from(2), Ok(RecordKind::Commit));
+        assert_eq!(RecordKind::try_from(0), Err(WalError::UnknownKind(0)));
+        assert!(WalError::CrcMismatch { offset: 8 }
+            .to_string()
+            .contains("byte 8"));
     }
 
     #[test]
     fn torn_tail_is_truncated_and_tolerated() {
         let path = tmp_path("torn");
-        let _ = std::fs::remove_file(&path);
         {
             let mut s = FileHistory::open(&path).unwrap();
             s.set(m(0), 0.25);
             s.set(m(1), 0.75);
         }
-        // Crash mid-append: a partial log line with no data after it.
+        // Crash mid-append: a partial frame with no data after it.
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(b"{\"op\":\"set\",\"mod").unwrap();
+        f.write_all(&[40, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 1, 0])
+            .unwrap();
         drop(f);
         let torn_len = std::fs::metadata(&path).unwrap().len();
 
@@ -650,13 +918,13 @@ mod tests {
     #[test]
     fn torn_tail_append_after_recovery_round_trips() {
         let path = tmp_path("torn-append");
-        let _ = std::fs::remove_file(&path);
         {
             let mut s = FileHistory::open(&path).unwrap();
             s.set(m(3), 0.5);
         }
+        // A zero-filled tail: the file grew but the data never landed.
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(b"{\"op\":\"cl").unwrap();
+        f.write_all(&[0; 21]).unwrap();
         drop(f);
         {
             let mut s = FileHistory::open(&path).unwrap();
@@ -670,43 +938,12 @@ mod tests {
     }
 
     #[test]
-    fn severed_final_newline_is_repaired_so_appends_stay_parseable() {
-        let path = tmp_path("severed-newline");
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut s = FileHistory::open(&path).unwrap();
-            s.set(m(0), 0.25);
-            s.set(m(1), 0.75);
-        }
-        // Crash between the entry bytes and the trailing newline: the final
-        // line is complete JSON but unterminated.
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
-        {
-            let mut s = FileHistory::open(&path).unwrap();
-            // Nothing was lost, so this is not a torn tail.
-            assert!(!s.recovered_torn_tail());
-            assert_eq!(s.get(m(1)), Some(0.75));
-            // Without the newline repair this append would glue onto the
-            // unterminated line and poison the log for the next open.
-            s.set(m(2), 0.5);
-        }
-        let s = FileHistory::open(&path).unwrap();
-        assert_eq!(s.get(m(0)), Some(0.25));
-        assert_eq!(s.get(m(1)), Some(0.75));
-        assert_eq!(s.get(m(2)), Some(0.5));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn fsync_mode_round_trips_and_counts_bytes() {
         let path = tmp_path("fsync");
-        let _ = std::fs::remove_file(&path);
         {
             let mut s = FileHistory::open_with(&path, Durability::Fsync).unwrap();
             s.set(m(0), 0.5);
             s.set(m(1), 0.25);
-            assert!(s.bytes_logged() > 0);
             assert_eq!(s.bytes_logged(), std::fs::metadata(&path).unwrap().len());
         }
         let s = FileHistory::open_with(&path, Durability::Fsync).unwrap();
@@ -718,8 +955,9 @@ mod tests {
 
     #[test]
     fn get_or_init_persists_the_initial_record() {
+        use avoc_core::history::INITIAL_HISTORY;
+
         let path = tmp_path("init");
-        let _ = std::fs::remove_file(&path);
         {
             let mut s = FileHistory::open(&path).unwrap();
             assert_eq!(s.get_or_init(m(4)), INITIAL_HISTORY);
@@ -730,81 +968,90 @@ mod tests {
     }
 
     #[test]
-    fn round_markers_survive_reopen_and_one_write() {
+    fn a_checkpoint_is_one_record_and_survives_reopen() {
         let path = tmp_path("markers");
-        let _ = std::fs::remove_file(&path);
+        let abstained = VerdictRecord {
+            round: 4,
+            value: None,
+            voted: false,
+        };
         {
             let mut s = FileHistory::open(&path).unwrap();
-            s.set_batch(&[(m(0), 0.5), (m(1), 0.75)]);
-            let before = s.bytes_logged();
-            s.append_markers(
-                &[
-                    VerdictRecord {
-                        round: 3,
-                        value: Some(19.25),
-                        voted: true,
-                    },
-                    VerdictRecord {
-                        round: 4,
-                        value: None,
-                        voted: false,
-                    },
-                ],
+            let before = std::fs::metadata(&path).unwrap().len();
+            s.checkpoint(
+                &[(m(0), 0.5), (m(1), 0.75)],
+                // Out of order on purpose: the writer sorts what it frames.
+                &[abstained, verdict(3, 19.25)],
                 Some(4),
-            );
-            assert!(s.bytes_logged() > before);
+            )
+            .unwrap();
             assert_eq!(s.committed_round(), Some(4));
             assert_eq!(s.max_verdict_round(), Some(4));
+            let bytes = std::fs::read(&path).unwrap();
+            let mut block = DecodedBlock::default();
+            let (kind, round, next) = read_record(&bytes, before as usize, &mut block).unwrap();
+            assert_eq!((kind, round, next), (RecordKind::Commit, 4, bytes.len()));
         }
-        let s = FileHistory::open(&path).unwrap();
+        let mut s = FileHistory::open(&path).unwrap();
         assert_eq!(s.committed_round(), Some(4));
         assert_eq!(s.max_verdict_round(), Some(4));
-        assert_eq!(s.get(m(0)), Some(0.5));
-        assert_eq!(s.get(m(1)), Some(0.75));
+        assert_eq!(s.snapshot(), vec![(m(0), 0.5), (m(1), 0.75)]);
+        assert_eq!(
+            s.take_replayed_verdicts(),
+            vec![verdict(3, 19.25), abstained]
+        );
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn v1_logs_without_markers_still_replay() {
-        let path = tmp_path("v1-compat");
+    fn a_text_log_fails_the_magic_check() {
+        let path = tmp_path("legacy-text");
         std::fs::write(
             &path,
-            "{\"op\":\"set\",\"module\":0,\"value\":0.5}\n{\"op\":\"clear\"}\n{\"op\":\"set\",\"module\":1,\"value\":0.25}\n",
+            "{\"op\":\"set\",\"module\":0,\"value\":0.5}\n{\"op\":\"commit\",\"round\":3}\n",
         )
         .unwrap();
-        let s = FileHistory::open(&path).unwrap();
-        assert_eq!(s.get(m(0)), None);
-        assert_eq!(s.get(m(1)), Some(0.25));
-        assert!(s.saw_clear());
-        assert_eq!(s.committed_round(), None);
+        let err = FileHistory::open(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("bad magic"), "got: {err}");
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn compact_preserves_commit_watermark() {
+    fn compact_preserves_the_watermark_and_the_verdicts_under_it() {
         let path = tmp_path("compact-commit");
-        let _ = std::fs::remove_file(&path);
         {
             let mut s = FileHistory::open(&path).unwrap();
             s.set(m(0), 0.5);
-            s.append_markers(&[], Some(9));
-            s.compact().unwrap();
+            s.append_markers(&[verdict(8, 1.0), verdict(9, 2.0)], Some(9));
+            s.compact(&[verdict(9, 2.0), verdict(8, 1.0), verdict(10, 3.0)])
+                .unwrap();
             assert_eq!(s.committed_round(), Some(9));
+            assert_eq!(s.max_verdict_round(), Some(9));
         }
-        let s = FileHistory::open(&path).unwrap();
+        let mut s = FileHistory::open(&path).unwrap();
         assert_eq!(s.committed_round(), Some(9));
         assert_eq!(s.get(m(0)), Some(0.5));
+        assert_eq!(
+            s.take_replayed_verdicts(),
+            vec![verdict(8, 1.0), verdict(9, 2.0)],
+            "round 10 is beyond the state the rewrite holds"
+        );
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn set_batch_is_one_physical_write() {
         let path = tmp_path("set-batch");
-        let _ = std::fs::remove_file(&path);
         let mut s = FileHistory::open(&path).unwrap();
+        let header = s.bytes_logged();
         s.set_batch(&[(m(0), 0.1), (m(1), 0.2), (m(2), 0.3)]);
-        assert_eq!(s.log_len(), 3);
-        assert_eq!(s.bytes_logged(), std::fs::metadata(&path).unwrap().len());
+        let len = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(s.bytes_logged(), len);
+        let bytes = std::fs::read(&path).unwrap();
+        let (kind, _, next) =
+            read_record(&bytes, header as usize, &mut DecodedBlock::default()).unwrap();
+        assert_eq!((kind, next as u64), (RecordKind::Rows, len), "one record");
         drop(s);
         let s = FileHistory::open(&path).unwrap();
         assert_eq!(s.snapshot().len(), 3);
@@ -817,7 +1064,6 @@ mod tests {
 
         let _g = crate::fault_gate();
         let path = tmp_path("sick-heal");
-        let _ = std::fs::remove_file(&path);
         let mut s = FileHistory::open(&path).unwrap();
         s.set(m(0), 0.5);
         assert!(!s.write_failed());
@@ -835,10 +1081,10 @@ mod tests {
 
         // Heal: a compact rewrites the whole log from memory and clears
         // the flag...
-        s.compact().unwrap();
+        s.compact(&[]).unwrap();
         assert!(!s.write_failed());
         drop(s);
-        // ...so a reopen sees the entry the failed append dropped.
+        // ...so a reopen sees the record the failed append dropped.
         let s = FileHistory::open(&path).unwrap();
         assert_eq!(s.get(m(0)), Some(0.5));
         assert_eq!(s.get(m(1)), Some(0.75));
@@ -851,7 +1097,6 @@ mod tests {
 
         let _g = crate::fault_gate();
         let path = tmp_path("sick-probe");
-        let _ = std::fs::remove_file(&path);
         let mut s = FileHistory::open(&path).unwrap();
         s.set(m(0), 0.5);
         // A re-probe against a still-full disk must fail (and leave the
@@ -861,10 +1106,10 @@ mod tests {
                 .rule(Site::WalAppend, Kind::Enospc, 1, 1)
                 .thread_only(),
         );
-        assert!(s.compact().is_err());
+        assert!(s.compact(&[]).is_err());
         fault::clear();
         // ...and a later probe against a healed disk succeeds.
-        s.compact().unwrap();
+        s.compact(&[]).unwrap();
         drop(s);
         let s = FileHistory::open(&path).unwrap();
         assert_eq!(s.get(m(0)), Some(0.5));
@@ -877,7 +1122,6 @@ mod tests {
 
         let _g = crate::fault_gate();
         let path = tmp_path("wal-eintr");
-        let _ = std::fs::remove_file(&path);
         let mut s = FileHistory::open(&path).unwrap();
         fault::install(
             Plan::new(25)
@@ -904,7 +1148,6 @@ mod tests {
         use avoc_core::{Round, VoterConfig};
 
         let path = tmp_path("voter");
-        let _ = std::fs::remove_file(&path);
         {
             let store = FileHistory::open(&path).unwrap();
             let mut voter = StandardVoter::new(VoterConfig::default(), store);

@@ -5,18 +5,21 @@
 //! being the bottleneck". This crate provides the datastore layer behind
 //! [`avoc_core::HistoryStore`]:
 //!
-//! * [`FileHistory`] — a durable store backed by a JSON-lines write-ahead
-//!   log with explicit compaction, mirroring the paper's persistent record
-//!   keeping;
+//! * [`FileHistory`] — a durable store backed by a write-ahead log of
+//!   CRC-framed binary records with explicit compaction, mirroring the
+//!   paper's persistent record keeping. A record's payload is a segment
+//!   block, so the crate has one durable row format and one decoder;
 //! * [`SharedHistory`] — a thread-safe in-memory store for the middleware
 //!   layer, where an edge voter service and a monitoring endpoint share the
 //!   records;
 //! * [`CachedHistory`] — a write-behind cache wrapping any store, showing
 //!   how the datastore bottleneck is engineered away;
 //! * [`TieredStore`] — the cold tier: immutable columnar segments
-//!   ([`SegmentFile`]) that a background compactor folds session WALs into,
-//!   with time-travel reads ([`TieredStore::history_at`]) and fleet-level
-//!   scans ([`TieredStore::outvoted_in`]) over both tiers.
+//!   ([`SegmentFile`]) that a background compactor folds session WALs into
+//!   (rows move across as they are — the fold decodes blocks and re-chunks
+//!   them, it does not translate formats), with time-travel reads
+//!   ([`TieredStore::history_at`]) and fleet-level scans
+//!   ([`TieredStore::outvoted_in`]) over both tiers.
 //!
 //! The `store` bench in `avoc-bench` reproduces the bottleneck comparison;
 //! `bench_store` pits segment cold-resume against WAL replay.
@@ -32,7 +35,7 @@ mod shared;
 mod tiered;
 
 pub use cached::CachedHistory;
-pub use file::{Durability, FileHistory, VerdictRecord};
+pub use file::{validate_wal, Durability, FileHistory, VerdictRecord, WalError};
 pub use segment::{SegmentFile, SessionRows};
 pub use shared::SharedHistory;
 pub use tiered::{

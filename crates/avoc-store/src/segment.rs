@@ -32,6 +32,8 @@
 
 use crate::codec::{crc32, put_u32_le, put_varint, DecodeError, Reader};
 use crate::file::VerdictRecord;
+use avoc_core::ModuleId;
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -118,7 +120,7 @@ pub struct BlockEntry {
 }
 
 /// A decoded block: one session's rows for one round range.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DecodedBlock {
     /// Session id.
     pub session: u64,
@@ -141,10 +143,21 @@ pub struct SegmentMeta {
     pub verdict_rows: u64,
 }
 
-fn pack_2bit(values: impl ExactSizeIterator<Item = u8>, out: &mut Vec<u8>) {
+impl HistoryRow {
+    /// Applies the mutation to a latest-state map: the one definition of
+    /// what a durable row does to state, shared by WAL replay, segment
+    /// summaries and time-travel reads.
+    pub fn apply_to(&self, state: &mut BTreeMap<ModuleId, f64>) {
+        match self.dir {
+            Direction::Removed => state.remove(&ModuleId::new(self.module)),
+            _ => state.insert(ModuleId::new(self.module), self.trust),
+        };
+    }
+}
+
+fn pack_2bit(values: impl Iterator<Item = u8>, out: &mut Vec<u8>) {
     let mut byte = 0u8;
     let mut filled = 0u8;
-    let n = values.len();
     for v in values {
         byte |= (v & 0b11) << (filled * 2);
         filled += 1;
@@ -154,102 +167,126 @@ fn pack_2bit(values: impl ExactSizeIterator<Item = u8>, out: &mut Vec<u8>) {
             filled = 0;
         }
     }
-    if filled > 0 && n > 0 {
+    if filled > 0 {
         out.push(byte);
     }
 }
 
-fn unpack_2bit(bytes: &[u8], n: usize) -> Vec<u8> {
-    (0..n)
-        .map(|i| (bytes[i / 4] >> ((i % 4) * 2)) & 0b11)
-        .collect()
+fn unpack_2bit(bytes: &[u8], i: usize) -> u8 {
+    (bytes[i / 4] >> ((i % 4) * 2)) & 0b11
 }
 
-fn encode_block(session: u64, history: &[HistoryRow], verdicts: &[VerdictRecord]) -> Vec<u8> {
-    let first_round = history
-        .iter()
-        .map(|r| r.round)
-        .chain(verdicts.iter().map(|v| v.round))
-        .min()
-        .unwrap_or(0);
-    let last_round = history
-        .iter()
-        .map(|r| r.round)
-        .chain(verdicts.iter().map(|v| v.round))
-        .max()
-        .unwrap_or(0);
-    let mut body = Vec::with_capacity(16 * (history.len() + verdicts.len()) + 64);
-    put_varint(&mut body, session);
-    put_varint(&mut body, first_round);
-    put_varint(&mut body, last_round);
-    put_varint(&mut body, history.len() as u64);
-    put_varint(&mut body, verdicts.len() as u64);
+/// Lowest and highest round among `history` and `verdicts` (`(0, 0)` when
+/// both are empty).
+pub(crate) fn round_range(history: &[HistoryRow], verdicts: &[VerdictRecord]) -> (u64, u64) {
+    let rounds = || {
+        let hist = history.iter().map(|r| r.round);
+        hist.chain(verdicts.iter().map(|v| v.round))
+    };
+    (rounds().min().unwrap_or(0), rounds().max().unwrap_or(0))
+}
+
+/// Appends one block *body* — everything after the CRC in the layout above
+/// — to `out`. This is the one durable row encoding: a segment block is
+/// `crc32 │ body`, a WAL record frames the same body (see
+/// [`crate::FileHistory`]).
+/// Rows must ascend by round and lie inside `rounds`; the range may be
+/// wider than the rows (a WAL record stamps its commit round that way).
+pub(crate) fn encode_block_body(
+    out: &mut Vec<u8>,
+    session: u64,
+    (first_round, last_round): (u64, u64),
+    history: &[HistoryRow],
+    verdicts: &[VerdictRecord],
+) {
+    put_varint(out, session);
+    put_varint(out, first_round);
+    put_varint(out, last_round);
+    put_varint(out, history.len() as u64);
+    put_varint(out, verdicts.len() as u64);
     // History columns.
     let mut prev = first_round;
     for r in history {
-        put_varint(&mut body, r.round - prev);
+        put_varint(out, r.round - prev);
         prev = r.round;
     }
     for r in history {
-        put_varint(&mut body, r.module as u64);
+        put_varint(out, r.module as u64);
     }
-    pack_2bit(history.iter().map(|r| r.dir as u8), &mut body);
+    pack_2bit(history.iter().map(|r| r.dir as u8), out);
     let mut prev_bits = 0u64;
     for r in history {
         let bits = r.trust.to_bits();
-        put_varint(&mut body, bits ^ prev_bits);
+        put_varint(out, bits ^ prev_bits);
         prev_bits = bits;
     }
     // Verdict columns.
     let mut prev = first_round;
     for v in verdicts {
-        put_varint(&mut body, v.round - prev);
+        put_varint(out, v.round - prev);
         prev = v.round;
     }
     pack_2bit(
         verdicts
             .iter()
             .map(|v| u8::from(v.voted) | (u8::from(v.value.is_some()) << 1)),
-        &mut body,
+        out,
     );
     let mut prev_bits = 0u64;
     for v in verdicts {
         if let Some(value) = v.value {
             let bits = value.to_bits();
-            put_varint(&mut body, bits ^ prev_bits);
+            put_varint(out, bits ^ prev_bits);
             prev_bits = bits;
         }
     }
-    let mut block = Vec::with_capacity(body.len() + 4);
-    put_u32_le(&mut block, crc32(&body));
-    block.extend_from_slice(&body);
+}
+
+fn encode_block(
+    session: u64,
+    rounds: (u64, u64),
+    history: &[HistoryRow],
+    verdicts: &[VerdictRecord],
+) -> Vec<u8> {
+    let mut block = Vec::with_capacity(16 * (history.len() + verdicts.len()) + 64);
+    block.extend_from_slice(&[0; 4]);
+    encode_block_body(&mut block, session, rounds, history, verdicts);
+    let crc = crc32(&block[4..]);
+    block[..4].copy_from_slice(&crc.to_le_bytes());
     block
 }
 
-/// Decodes one block from its exact byte extent, cross-checking every field
-/// against the footer `entry`. Fails clean on any mismatch.
-pub fn decode_block(bytes: &[u8], entry: &BlockEntry) -> Result<DecodedBlock, DecodeError> {
-    let mut r = Reader::new(bytes);
-    let stored_crc = r.u32_le()?;
-    let body = &bytes[4..];
-    if crc32(body) != stored_crc {
-        return Err(DecodeError {
-            at: 0,
-            reason: "block CRC mismatch",
-        });
+/// Reads the next delta-coded round of a column, keeping it inside the
+/// block's range.
+fn next_round(r: &mut Reader<'_>, prev: u64, last_round: u64) -> Result<u64, DecodeError> {
+    let delta = r.varint()?;
+    match prev.checked_add(delta) {
+        Some(round) if round <= last_round => Ok(round),
+        Some(_) => Err(DecodeError {
+            at: r.pos(),
+            reason: "row round beyond block range",
+        }),
+        None => Err(DecodeError {
+            at: r.pos(),
+            reason: "round overflow",
+        }),
     }
-    let session = r.varint()?;
+}
+
+/// Decodes one block body into `out` (cleared first, so a scan can reuse
+/// one scratch block for a whole log) and returns its `(first_round,
+/// last_round)` range. The one durable row decoder — segment reads and WAL
+/// replay both end up here. Fails clean on any malformed input.
+pub(crate) fn decode_block_body(
+    body: &[u8],
+    out: &mut DecodedBlock,
+) -> Result<(u64, u64), DecodeError> {
+    out.history.clear();
+    out.verdicts.clear();
+    let mut r = Reader::new(body);
+    out.session = r.varint()?;
     let first_round = r.varint()?;
     let last_round = r.varint()?;
-    if session != entry.session
-        || first_round != entry.first_round
-        || last_round != entry.last_round
-    {
-        return Err(DecodeError {
-            at: r.pos(),
-            reason: "block header disagrees with footer entry",
-        });
-    }
     if first_round > last_round {
         return Err(DecodeError {
             at: r.pos(),
@@ -261,80 +298,54 @@ pub fn decode_block(bytes: &[u8], entry: &BlockEntry) -> Result<DecodedBlock, De
     // fails here instead of driving a huge allocation.
     let n_hist = r.count(r.remaining())?;
     let n_verd = r.count(r.remaining())?;
-    if n_hist as u64 != entry.n_hist || n_verd as u64 != entry.n_verd {
-        return Err(DecodeError {
-            at: r.pos(),
-            reason: "row counts disagree with footer entry",
-        });
-    }
-    // History columns.
-    let mut hist_rounds = Vec::with_capacity(n_hist);
+    // History columns, filled in place one column at a time.
+    out.history.reserve(n_hist);
+    out.verdicts.reserve(n_verd);
     let mut round = first_round;
     for _ in 0..n_hist {
-        let delta = r.varint()?;
-        round = round.checked_add(delta).ok_or(DecodeError {
-            at: r.pos(),
-            reason: "round overflow",
-        })?;
-        if round > last_round {
-            return Err(DecodeError {
-                at: r.pos(),
-                reason: "history round beyond block range",
-            });
-        }
-        hist_rounds.push(round);
+        round = next_round(&mut r, round, last_round)?;
+        out.history.push(HistoryRow {
+            round,
+            module: 0,
+            trust: 0.0,
+            dir: Direction::New,
+        });
     }
-    let mut modules = Vec::with_capacity(n_hist);
-    for _ in 0..n_hist {
+    for row in &mut out.history {
         let m = r.varint()?;
-        let m = u32::try_from(m).map_err(|_| DecodeError {
+        row.module = u32::try_from(m).map_err(|_| DecodeError {
             at: r.pos(),
             reason: "module index overflows u32",
         })?;
-        modules.push(m);
     }
-    let dir_bytes = r.bytes(n_hist.div_ceil(4))?;
-    let dirs = unpack_2bit(dir_bytes, n_hist);
-    let mut trusts = Vec::with_capacity(n_hist);
+    let dirs = r.bytes(n_hist.div_ceil(4))?;
+    for (i, row) in out.history.iter_mut().enumerate() {
+        row.dir = Direction::from_bits(unpack_2bit(dirs, i));
+    }
     let mut prev_bits = 0u64;
-    for _ in 0..n_hist {
+    for row in &mut out.history {
         prev_bits ^= r.varint()?;
-        trusts.push(f64::from_bits(prev_bits));
+        row.trust = f64::from_bits(prev_bits);
     }
     // Verdict columns.
-    let mut verd_rounds = Vec::with_capacity(n_verd);
     let mut round = first_round;
     for _ in 0..n_verd {
-        let delta = r.varint()?;
-        round = round.checked_add(delta).ok_or(DecodeError {
-            at: r.pos(),
-            reason: "round overflow",
-        })?;
-        if round > last_round {
-            return Err(DecodeError {
-                at: r.pos(),
-                reason: "verdict round beyond block range",
-            });
-        }
-        verd_rounds.push(round);
-    }
-    let flag_bytes = r.bytes(n_verd.div_ceil(4))?;
-    let flags = unpack_2bit(flag_bytes, n_verd);
-    let mut verdicts = Vec::with_capacity(n_verd);
-    let mut prev_bits = 0u64;
-    for i in 0..n_verd {
-        let voted = flags[i] & 0b01 != 0;
-        let value = if flags[i] & 0b10 != 0 {
-            prev_bits ^= r.varint()?;
-            Some(f64::from_bits(prev_bits))
-        } else {
-            None
-        };
-        verdicts.push(VerdictRecord {
-            round: verd_rounds[i],
-            value,
-            voted,
+        round = next_round(&mut r, round, last_round)?;
+        out.verdicts.push(VerdictRecord {
+            round,
+            value: None,
+            voted: false,
         });
+    }
+    let flags = r.bytes(n_verd.div_ceil(4))?;
+    let mut prev_bits = 0u64;
+    for (i, v) in out.verdicts.iter_mut().enumerate() {
+        let flag = unpack_2bit(flags, i);
+        v.voted = flag & 0b01 != 0;
+        if flag & 0b10 != 0 {
+            prev_bits ^= r.varint()?;
+            v.value = Some(f64::from_bits(prev_bits));
+        }
     }
     if r.remaining() != 0 {
         return Err(DecodeError {
@@ -342,23 +353,33 @@ pub fn decode_block(bytes: &[u8], entry: &BlockEntry) -> Result<DecodedBlock, De
             reason: "trailing bytes after block payload",
         });
     }
-    let history = hist_rounds
-        .into_iter()
-        .zip(modules)
-        .zip(dirs)
-        .zip(trusts)
-        .map(|(((round, module), dir), trust)| HistoryRow {
-            round,
-            module,
-            trust,
-            dir: Direction::from_bits(dir),
-        })
-        .collect();
-    Ok(DecodedBlock {
-        session,
-        history,
-        verdicts,
-    })
+    Ok((first_round, last_round))
+}
+
+/// Decodes one block from its exact byte extent, cross-checking every field
+/// against the footer `entry`. Fails clean on any mismatch.
+pub fn decode_block(bytes: &[u8], entry: &BlockEntry) -> Result<DecodedBlock, DecodeError> {
+    let stored_crc = Reader::new(bytes).u32_le()?;
+    let body = &bytes[4..];
+    if crc32(body) != stored_crc {
+        return Err(DecodeError {
+            at: 0,
+            reason: "block CRC mismatch",
+        });
+    }
+    let mut block = DecodedBlock::default();
+    let rounds = decode_block_body(body, &mut block)?;
+    if block.session != entry.session
+        || rounds != (entry.first_round, entry.last_round)
+        || block.history.len() as u64 != entry.n_hist
+        || block.verdicts.len() as u64 != entry.n_verd
+    {
+        return Err(DecodeError {
+            at: bytes.len(),
+            reason: "block disagrees with footer entry",
+        });
+    }
+    Ok(block)
 }
 
 /// Splits one session's rows into block-sized chunks at round boundaries —
@@ -413,19 +434,8 @@ pub fn encode_segment(sessions: &[SessionRows]) -> (Vec<u8>, SegmentMeta, Vec<Bl
     let mut meta = SegmentMeta::default();
     for s in ordered {
         for (hist, verd) in chunk_session(s) {
-            let first_round = hist
-                .iter()
-                .map(|r| r.round)
-                .chain(verd.iter().map(|v| v.round))
-                .min()
-                .unwrap_or(0);
-            let last_round = hist
-                .iter()
-                .map(|r| r.round)
-                .chain(verd.iter().map(|v| v.round))
-                .max()
-                .unwrap_or(0);
-            let block = encode_block(s.session, &hist, &verd);
+            let (first_round, last_round) = round_range(&hist, &verd);
+            let block = encode_block(s.session, (first_round, last_round), &hist, &verd);
             entries.push(BlockEntry {
                 session: s.session,
                 first_round,

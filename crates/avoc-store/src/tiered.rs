@@ -11,10 +11,15 @@
 //!    (the WAL still holds every round);
 //! 2. the `MANIFEST` is atomically replaced to list the new segment — the
 //!    publish point;
-//! 3. only a WAL whose every entry is now round-stamped *and* folded is
+//! 3. only a WAL whose every record is now round-stamped *and* folded is
 //!    deleted — a crash between 2 and 3 leaves WAL and segment overlapping,
-//!    which is harmless: WAL records are absolute values and verdicts
+//!    which is harmless: rows carry absolute values and verdicts
 //!    deduplicate by round, so replaying both tiers is idempotent.
+//!
+//! WAL records are segment blocks (see [`crate::FileHistory`]), so a fold
+//! moves rows across as they are — trust directions included, which the
+//! WAL writer computed once — and every read below sees both tiers through
+//! the one block decoder.
 //!
 //! No step loses a round; no step double-counts one. The kill-mid-compaction
 //! chaos test drives a hard stop at both crash points and asserts the
@@ -28,7 +33,7 @@
 //! id is *forgotten* first: segments older than the forget floor become
 //! invisible for that session and are physically dropped at the next merge.
 
-use crate::file::{scan_wal, VerdictRecord, WalEntry};
+use crate::file::{scan_wal, VerdictRecord};
 use crate::segment::{
     write_segment, BlockEntry, DecodedBlock, Direction, HistoryRow, SegmentFile, SessionRows,
 };
@@ -395,100 +400,76 @@ impl TieredStore {
         }
     }
 
+    /// Visits every durable row of `session` in apply order — each visible
+    /// segment block overlapping `rounds`, oldest first, then (with `wal`)
+    /// the stamped rows of its WAL — and returns how many blocks it read.
+    /// The one walk behind every read below.
+    fn visit_rows(
+        &self,
+        session: u64,
+        rounds: &std::ops::RangeInclusive<u64>,
+        wal: bool,
+        mut visit: impl FnMut(&[HistoryRow], &[VerdictRecord]),
+    ) -> io::Result<usize> {
+        let mut blocks = 0;
+        for (seq, file) in &self.visible_segments(session) {
+            let entries = file
+                .blocks_for(session)
+                .filter(|e| e.first_round <= *rounds.end() && e.last_round >= *rounds.start());
+            for e in entries {
+                let Some(block) = self.read_block_checked(*seq, file, e)? else {
+                    break;
+                };
+                blocks += 1;
+                visit(&block.history, &block.verdicts);
+            }
+        }
+        if wal {
+            if let Some(scan) = scan_wal(&session_wal_path(&self.dir, session))? {
+                visit(scan.stamped_history(), scan.stamped_verdicts());
+            }
+        }
+        Ok(blocks)
+    }
+
     /// What the segment tier holds for `session`; `Ok(None)` when nothing.
     ///
     /// # Errors
     ///
     /// Propagates block read/decode errors.
     pub fn session_summary(&self, session: u64) -> io::Result<Option<SessionSummary>> {
-        let segments = self.visible_segments(session);
         let mut summary = SessionSummary::default();
-        let mut latest: BTreeMap<ModuleId, f64> = BTreeMap::new();
-        for (seq, file) in &segments {
-            let entries: Vec<BlockEntry> = file.blocks_for(session).copied().collect();
-            for e in &entries {
-                let Some(block) = self.read_block_checked(*seq, file, e)? else {
-                    break;
-                };
-                summary.blocks += 1;
-                for row in &block.history {
+        let mut latest = BTreeMap::new();
+        summary.blocks =
+            self.visit_rows(session, &(0..=u64::MAX), false, |history, verdicts| {
+                for row in history {
                     summary.folded_through = summary.folded_through.max(Some(row.round));
-                    match row.dir {
-                        Direction::Removed => {
-                            latest.remove(&ModuleId::new(row.module));
-                        }
-                        _ => {
-                            latest.insert(ModuleId::new(row.module), row.trust);
-                        }
-                    }
+                    row.apply_to(&mut latest);
                 }
-                for v in &block.verdicts {
-                    summary.max_verdict_round = summary.max_verdict_round.max(Some(v.round));
-                }
-            }
-        }
-        if summary.blocks == 0 {
-            return Ok(None);
-        }
+                let last = verdicts.iter().map(|v| v.round).max();
+                summary.max_verdict_round = summary.max_verdict_round.max(last);
+            })?;
         summary.latest = latest.into_iter().collect();
-        Ok(Some(summary))
+        Ok((summary.blocks > 0).then_some(summary))
     }
 
     /// Reconstructs the exact [`DenseHistory`] of `session` as of `round` —
-    /// segment rows first, then WAL batches whose `commit` stamp is within
-    /// range. `Ok(None)` when neither tier knows the session.
+    /// segment rows first, then WAL rows whose commit stamp is within
+    /// range. `Ok(None)` when neither tier has a row that old.
     ///
     /// # Errors
     ///
     /// Propagates I/O and decode errors.
     pub fn history_at(&self, session: u64, round: u64) -> io::Result<Option<DenseHistory>> {
-        let segments = self.visible_segments(session);
-        let mut latest: BTreeMap<ModuleId, f64> = BTreeMap::new();
+        let mut latest = BTreeMap::new();
         let mut any = false;
-        for (seq, file) in &segments {
-            let entries: Vec<BlockEntry> = file
-                .blocks_for(session)
-                .filter(|e| e.first_round <= round)
-                .copied()
-                .collect();
-            for e in &entries {
-                let Some(block) = self.read_block_checked(*seq, file, e)? else {
-                    break;
-                };
+        self.visit_rows(session, &(0..=round), true, |history, _| {
+            for row in history.iter().filter(|r| r.round <= round) {
                 any = true;
-                for row in block.history.iter().filter(|r| r.round <= round) {
-                    match row.dir {
-                        Direction::Removed => {
-                            latest.remove(&ModuleId::new(row.module));
-                        }
-                        _ => {
-                            latest.insert(ModuleId::new(row.module), row.trust);
-                        }
-                    }
-                }
+                row.apply_to(&mut latest);
             }
-        }
-        // WAL overlay: committed batches stamped at or before `round`.
-        if let Some(scan) = scan_wal(&session_wal_path(&self.dir, session))? {
-            for batch in committed_batches(&scan.entries) {
-                if batch.round > round {
-                    break;
-                }
-                any = true;
-                for op in &batch.ops {
-                    match *op {
-                        Op::Set { module, value } => {
-                            latest.insert(ModuleId::new(module), value);
-                        }
-                        Op::Clear => latest.clear(),
-                    }
-                }
-            }
-        }
-        if !any {
-            return Ok(None);
-        }
-        Ok(Some(DenseHistory::with_records(latest)))
+        })?;
+        Ok(any.then(|| DenseHistory::with_records(latest)))
     }
 
     /// Verdict rows of `session` within `rounds`, merged across both tiers
@@ -502,40 +483,18 @@ impl TieredStore {
         session: u64,
         rounds: std::ops::RangeInclusive<u64>,
     ) -> io::Result<Vec<VerdictRecord>> {
-        let (lo, hi) = (*rounds.start(), *rounds.end());
-        let mut out: BTreeMap<u64, VerdictRecord> = BTreeMap::new();
-        for (seq, file) in &self.visible_segments(session) {
-            let entries: Vec<BlockEntry> = file
-                .blocks_for(session)
-                .filter(|e| e.first_round <= hi && e.last_round >= lo)
-                .copied()
-                .collect();
-            for e in &entries {
-                let Some(block) = self.read_block_checked(*seq, file, e)? else {
-                    break;
-                };
-                for v in block.verdicts {
-                    if v.round >= lo && v.round <= hi {
-                        out.insert(v.round, v);
-                    }
-                }
-            }
-        }
-        if let Some(scan) = scan_wal(&session_wal_path(&self.dir, session))? {
-            for batch in committed_batches(&scan.entries) {
-                for v in batch.verdicts {
-                    if v.round >= lo && v.round <= hi {
-                        out.insert(v.round, v);
-                    }
-                }
-            }
-        }
-        Ok(out.into_values().collect())
+        let mut by_round = BTreeMap::new();
+        self.visit_rows(session, &rounds, true, |_, verdicts| {
+            let hits = verdicts.iter().filter(|v| rounds.contains(&v.round));
+            by_round.extend(hits.map(|v| (v.round, *v)));
+        })?;
+        Ok(by_round.into_values().collect())
     }
 
     /// Fleet-level scan: every `(session, round, module)` whose trust moved
-    /// *down* in `rounds` — the modules that were outvoted. Reads only
-    /// blocks overlapping the range, plus committed WAL tails.
+    /// *down* in `rounds` — the modules that were outvoted. A filter on the
+    /// direction column of the blocks overlapping the range and of the
+    /// committed WAL tails; nothing is replayed.
     ///
     /// # Errors
     ///
@@ -544,65 +503,19 @@ impl TieredStore {
         &self,
         rounds: std::ops::RangeInclusive<u64>,
     ) -> io::Result<Vec<OutvotedRow>> {
-        let (lo, hi) = (*rounds.start(), *rounds.end());
-        let mut hits: BTreeMap<(u64, u64, u32), f64> = BTreeMap::new();
-        let (segments, forget) = {
-            let st = self.lock_state();
-            (
-                st.segments
-                    .iter()
-                    .map(|s| (s.seq, Arc::clone(&s.file)))
-                    .collect::<Vec<_>>(),
-                st.forget.clone(),
-            )
-        };
-        for (seq, file) in &segments {
-            let entries: Vec<BlockEntry> = file
-                .entries()
-                .iter()
-                .filter(|e| e.first_round <= hi && e.last_round >= lo)
-                .filter(|e| forget.get(&e.session).copied().unwrap_or(0) <= *seq)
-                .copied()
-                .collect();
-            for e in &entries {
-                let Some(block) = self.read_block_checked(*seq, file, e)? else {
-                    break;
-                };
-                for row in &block.history {
-                    if row.dir == Direction::Down && row.round >= lo && row.round <= hi {
-                        hits.insert((block.session, row.round, row.module), row.trust);
-                    }
-                }
-            }
+        let mut sessions: BTreeSet<u64> = list_session_wals(&self.dir)?.into_iter().collect();
+        for s in &self.lock_state().segments {
+            sessions.extend(s.file.entries().iter().map(|e| e.session));
         }
-        // Committed WAL tails: replay each session's batches from its
-        // segment base so trust direction is computable.
-        for session in list_session_wals(&self.dir)? {
-            let base = self
-                .session_summary(session)?
-                .map(|s| (s.latest, s.folded_through))
-                .unwrap_or_default();
-            let (latest, folded_through) = base;
-            let mut state: BTreeMap<u32, f64> =
-                latest.into_iter().map(|(m, v)| (m.index(), v)).collect();
-            let Some(scan) = scan_wal(&session_wal_path(&self.dir, session))? else {
-                continue;
-            };
-            for batch in committed_batches(&scan.entries) {
-                let fresh = folded_through.is_none_or(|f| batch.round > f);
-                for op in &batch.ops {
-                    match *op {
-                        Op::Set { module, value } => {
-                            let prior = state.insert(module, value);
-                            let down = prior.is_some_and(|p| value < p);
-                            if fresh && down && batch.round >= lo && batch.round <= hi {
-                                hits.insert((session, batch.round, module), value);
-                            }
-                        }
-                        Op::Clear => state.clear(),
-                    }
-                }
-            }
+        // Keyed, because the tiers may overlap after an interrupted fold.
+        let mut hits = BTreeMap::new();
+        for session in sessions {
+            self.visit_rows(session, &rounds, true, |history, _| {
+                let down = history
+                    .iter()
+                    .filter(|r| r.dir == Direction::Down && rounds.contains(&r.round));
+                hits.extend(down.map(|r| ((session, r.round, r.module), r.trust)));
+            })?;
         }
         Ok(hits
             .into_iter()
@@ -657,25 +570,18 @@ impl TieredStore {
         session: u64,
         crash: CrashPoint,
     ) -> io::Result<Option<CompactionReport>> {
-        let (seq, base_segments) = {
+        let seq = {
             let mut st = self.lock_state();
             if st.pinned.contains_key(&session) || st.busy.contains(&session) {
                 return Ok(None);
             }
             st.busy.insert(session);
-            let floor = st.forget.get(&session).copied().unwrap_or(0);
-            let segs: Vec<(u64, Arc<SegmentFile>)> = st
-                .segments
-                .iter()
-                .filter(|s| s.seq >= floor)
-                .map(|s| (s.seq, Arc::clone(&s.file)))
-                .collect();
             // Reserve the sequence number now so concurrent folds can never
             // collide on a file name; a fold that ends up writing nothing
             // simply burns it.
             let seq = st.next_seq;
             st.next_seq += 1;
-            (seq, segs)
+            seq
         };
         let _busy = BusyGuard {
             store: self,
@@ -686,90 +592,32 @@ impl TieredStore {
         let Some(scan) = scan_wal(&wal_path)? else {
             return Ok(None);
         };
-        // Base state + floors from the visible segments.
-        let mut state: BTreeMap<u32, f64> = BTreeMap::new();
-        let mut hist_floor: Option<u64> = None;
-        let mut verd_floor: Option<u64> = None;
-        for (seq, file) in &base_segments {
-            let entries: Vec<BlockEntry> = file.blocks_for(session).copied().collect();
-            for e in &entries {
-                // A rotten base segment is quarantined and skipped: the WAL
-                // replay below still carries absolute values, so the fold
-                // keeps serving — only trust directions for already-folded
-                // rounds are lost with the bad segment.
-                let Some(block) = self.read_block_checked(*seq, file, e)? else {
-                    break;
-                };
-                for row in &block.history {
-                    hist_floor = hist_floor.max(Some(row.round));
-                    match row.dir {
-                        Direction::Removed => {
-                            state.remove(&row.module);
-                        }
-                        _ => {
-                            state.insert(row.module, row.trust);
-                        }
-                    }
-                }
-                for v in &block.verdicts {
-                    verd_floor = verd_floor.max(Some(v.round));
-                }
-            }
-        }
-
-        let batches = committed_batches(&scan.entries);
-        let fully_committed = !scan.torn_tail && batches_cover_all_entries(&scan.entries);
-        let mut rows = SessionRows {
+        // What earlier folds already hold. A rotten segment is quarantined
+        // and skipped; its rounds then fold again from the WAL.
+        let folded = self.session_summary(session)?.unwrap_or_default();
+        let fresh = |round: u64, floor: Option<u64>| floor.is_none_or(|f| round > f);
+        let rows = SessionRows {
             session,
-            ..Default::default()
+            history: scan
+                .stamped_history()
+                .iter()
+                .filter(|r| fresh(r.round, folded.folded_through))
+                .copied()
+                .collect(),
+            verdicts: scan
+                .stamped_verdicts()
+                .iter()
+                .filter(|v| fresh(v.round, folded.max_verdict_round))
+                .copied()
+                .collect(),
         };
-        for batch in &batches {
-            let fresh = hist_floor.is_none_or(|f| batch.round > f);
-            for op in &batch.ops {
-                match *op {
-                    Op::Set { module, value } => {
-                        let prior = state.insert(module, value);
-                        if fresh {
-                            let dir = match prior {
-                                None => Direction::New,
-                                Some(p) if value < p => Direction::Down,
-                                Some(_) => Direction::Up,
-                            };
-                            rows.history.push(HistoryRow {
-                                round: batch.round,
-                                module,
-                                trust: value,
-                                dir,
-                            });
-                        }
-                    }
-                    Op::Clear => {
-                        if fresh {
-                            for (&module, _) in state.iter() {
-                                rows.history.push(HistoryRow {
-                                    round: batch.round,
-                                    module,
-                                    trust: 0.0,
-                                    dir: Direction::Removed,
-                                });
-                            }
-                        }
-                        state.clear();
-                    }
-                }
-            }
-            for v in &batch.verdicts {
-                if verd_floor.is_none_or(|f| v.round > f) {
-                    rows.verdicts.push(*v);
-                }
-            }
-        }
+        let fully_committed = scan.fully_committed();
 
         let mut report = CompactionReport::default();
         if rows.history.is_empty() && rows.verdicts.is_empty() {
             // Everything already folded. Retire the WAL if it holds nothing
             // beyond its last commit.
-            if fully_committed && !batches.is_empty() {
+            if fully_committed && scan.round.is_some() {
                 std::fs::remove_file(&wal_path)?;
                 report.wals_retired = 1;
                 let mut st = self.lock_state();
@@ -817,7 +665,7 @@ impl TieredStore {
             ));
         }
 
-        // Step 3: retire the WAL — only when every entry is stamped and
+        // Step 3: retire the WAL — only when every record is stamped and
         // folded; an uncommitted tail keeps the WAL (the overlap with the
         // new segment is idempotent).
         if fully_committed {
@@ -967,56 +815,6 @@ impl TieredStore {
         ));
         out
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Op {
-    Set { module: u32, value: f64 },
-    Clear,
-}
-
-#[derive(Debug, Clone, Default, PartialEq)]
-struct Batch {
-    /// The `commit` round stamping this batch.
-    round: u64,
-    ops: Vec<Op>,
-    verdicts: Vec<VerdictRecord>,
-}
-
-/// Groups WAL entries into round-stamped batches: everything between two
-/// `commit` markers belongs to the later one. Entries after the final
-/// `commit` are an in-flight checkpoint and are not returned.
-fn committed_batches(entries: &[WalEntry]) -> Vec<Batch> {
-    let mut batches = Vec::new();
-    let mut cur = Batch::default();
-    for e in entries {
-        match e {
-            WalEntry::Set { module, value } => cur.ops.push(Op::Set {
-                module: *module,
-                value: *value,
-            }),
-            WalEntry::Clear => cur.ops.push(Op::Clear),
-            WalEntry::Verdict {
-                round,
-                value,
-                voted,
-            } => cur.verdicts.push(VerdictRecord {
-                round: *round,
-                value: *value,
-                voted: *voted,
-            }),
-            WalEntry::Commit { round } => {
-                cur.round = *round;
-                batches.push(std::mem::take(&mut cur));
-            }
-        }
-    }
-    batches
-}
-
-/// Whether the WAL ends exactly at a `commit` (no in-flight tail).
-fn batches_cover_all_entries(entries: &[WalEntry]) -> bool {
-    matches!(entries.last(), Some(WalEntry::Commit { .. }))
 }
 
 fn list_session_wals(dir: &Path) -> io::Result<Vec<u64>> {

@@ -92,7 +92,7 @@ pub mod fault {
     /// plan written against the matrix survives refactors.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum Site {
-        /// WAL line append (`write` into the session's JSON-lines log).
+        /// WAL record append (`write` into the session's log).
         WalAppend,
         /// WAL `BufWriter` flush.
         WalFlush,

@@ -8,8 +8,8 @@
 use avoc::net::{Message, SpecSource};
 use avoc::prelude::*;
 use avoc::serve::{
-    ClientConfig, Persistence, ResilientClient, RetryPolicy, ServeConfig, SpecRegistry, TcpServer,
-    VoterService,
+    ClientConfig, Persistence, ResilientClient, RetryPolicy, ServeClient, ServeConfig,
+    SpecRegistry, TcpServer, VoterService,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -430,6 +430,83 @@ fn disk_full_heals_and_resumes_warm() {
     assert_eq!(server_b.service().counters().recoveries, 1);
 
     client.close_session(SESSION).expect("close");
+    server_b.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The rewrite that heals a sick log carries the result ring with it — no
+/// sidecar holds a copy. Kill the daemon right after the heal, before any
+/// later checkpoint could re-log anything, and a client far behind on its
+/// acks is still re-sent every round it missed, the ones fused while the
+/// disk was full included, bit-identical to an uninterrupted run.
+#[test]
+fn heal_then_kill_before_the_next_checkpoint_still_replays_the_ring() {
+    let _g = gate();
+    use sysio::fault::{self, Kind, Plan, Site};
+
+    let baseline_server = start_daemon(None);
+    let mut baseline = client_for(&baseline_server);
+    baseline
+        .open_session(SESSION, MODULES, SpecSource::Named("avoc".into()), TOKEN)
+        .expect("open");
+    let expected = run_rounds(&mut baseline, 0..24);
+    baseline.close_session(SESSION).expect("close");
+    baseline_server.shutdown();
+
+    let dir = state_dir("healkill");
+    let server_a = start_daemon(Some(&dir));
+    let service = server_a.service();
+    let mut client = client_for(&server_a);
+    client
+        .open_session(SESSION, MODULES, SpecSource::Named("avoc".into()), TOKEN)
+        .expect("open");
+    run_rounds(&mut client, 0..4);
+    fault::install(Plan::new(0xD15C).rule(Site::WalAppend, Kind::Enospc, 1, u64::MAX));
+    run_rounds(&mut client, 4..8);
+    assert_eq!(service.counters().degraded_sessions, 1);
+    fault::clear();
+    // A round's result leaves after its checkpoint, so the gauge is settled
+    // by the time the client holds the result: stop at the healing round.
+    let mut fused = 8;
+    while service.counters().degraded_sessions > 0 {
+        run_rounds(&mut client, fused..fused + 1);
+        fused += 1;
+        assert!(fused < 24, "the session never healed");
+    }
+    server_a.abort();
+
+    let server_b = start_daemon(Some(&dir));
+    let mut behind = ServeClient::connect(server_b.local_addr()).expect("dial");
+    behind
+        .resume_session(
+            SESSION,
+            MODULES,
+            SpecSource::Named("avoc".into()),
+            TOKEN,
+            Some(1),
+        )
+        .expect("resume");
+    let mut replayed = Vec::new();
+    while replayed.len() < fused as usize - 2 {
+        match behind.recv().expect("recv replay") {
+            Message::Resumed {
+                high_round, warm, ..
+            } => assert_eq!((high_round, warm), (Some(fused - 1), true)),
+            Message::SessionResult {
+                round,
+                value,
+                voted,
+                ..
+            } => replayed.push((round, value.map(f64::to_bits), voted)),
+            Message::ResultBatch { results, .. } => replayed.extend(
+                results
+                    .iter()
+                    .map(|r| (r.round, r.value.map(f64::to_bits), r.voted)),
+            ),
+            other => panic!("expected the resume ack or a result, got {other:?}"),
+        }
+    }
+    assert_eq!(replayed, expected[2..fused as usize]);
     server_b.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

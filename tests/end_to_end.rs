@@ -70,7 +70,7 @@ fn durable_history_survives_engine_restart() {
     use avoc::core::history::HistoryStore;
     use avoc::store::FileHistory;
 
-    let path = std::env::temp_dir().join(format!("avoc-e2e-{}.jsonl", std::process::id()));
+    let path = std::env::temp_dir().join(format!("avoc-e2e-{}.wal", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let trace = LightScenario::new(5, 50, 3).generate();
     let faulty = FaultInjector::new(2, FaultKind::Offset(6.0)).apply(&trace, 3);

@@ -8,11 +8,11 @@
 //! the health plane reports — and never panics, wedges, or diverges. The
 //! scenarios here are the contract the CI `fault-smoke` job enforces.
 
-use avoc::net::SpecSource;
+use avoc::net::{Message, SpecSource};
 use avoc::prelude::*;
 use avoc::serve::{
-    ClientConfig, CountersSnapshot, Persistence, ResilientClient, RetryPolicy, ServeConfig,
-    SpecRegistry, TcpServer, VoterService,
+    ClientConfig, CountersSnapshot, Persistence, ResilientClient, RetryPolicy, ServeClient,
+    ServeConfig, SpecRegistry, TcpServer, VoterService,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -117,8 +117,9 @@ fn baseline() -> Vec<(u64, u64, bool)> {
 
 /// One matrix entry: a daemon run with `plan` armed. `before_open` arms the
 /// plan before the client's first connect (network-site faults need to hit
-/// the accept path); otherwise it arms after the session store exists
-/// (storage-site faults target steady-state checkpoints, not creation).
+/// the accept path, and the sidecar is only ever written at creation);
+/// otherwise it arms after the session store exists (storage-site faults
+/// target steady-state checkpoints, not creation).
 struct Scenario {
     tag: &'static str,
     plan: Plan,
@@ -206,7 +207,6 @@ fn persistent_disk_faults_degrade_but_never_diverge() {
         ("wal-enospc", Site::WalAppend, Kind::Enospc, false),
         ("flush-enospc", Site::WalFlush, Kind::Enospc, false),
         ("sync-enospc", Site::WalSync, Kind::Enospc, true),
-        ("meta-enospc", Site::MetaWrite, Kind::Enospc, false),
     ];
     for (tag, site, kind, fsync) in cases {
         let (got, snap) = run_scenario(Scenario {
@@ -228,6 +228,143 @@ fn persistent_disk_faults_degrade_but_never_diverge() {
         );
         assert!(snap.fault_injected > 0, "{tag}: injector fired");
     }
+    // The sidecar is written once, when the session is created — no
+    // steady-state checkpoint touches it. If that one write fails the
+    // session never becomes durable: it serves memory-only from its first
+    // round, and the stream must not notice that either.
+    let (got, snap) = run_scenario(Scenario {
+        tag: "meta-enospc",
+        plan: Plan::new(0xD15C).rule(Site::MetaWrite, Kind::Enospc, 1, u64::MAX),
+        before_open: true,
+        persistent: true,
+        fsync: false,
+    });
+    assert_eq!(got, expected, "meta-enospc: stream must stay bit-identical");
+    assert!(snap.checkpoint_failures >= 1, "the failed creation counted");
+    assert_eq!(snap.checkpoint_bytes, 0, "nothing durable was ever written");
+    assert!(snap.fault_injected > 0, "meta-enospc: injector fired");
+}
+
+/// A migration import writes the shipped log through the same injectable
+/// facade as every other durable write: a blob that does not scan clean and
+/// a disk that refuses the write are both answered with an error frame and
+/// leave nothing behind, EINTR and short writes on the landing are
+/// invisible, and the stream continues bit-identical on the target.
+#[test]
+fn import_write_faults_are_refused_cleanly_or_absorbed() {
+    const SECRET: u64 = 0x5EC2E7;
+    let _g = gate();
+    let expected = baseline();
+    let start_node = |node_id: u64, dir: &Path| {
+        let config = ServeConfig {
+            persistence: Persistence {
+                state_dir: Some(dir.to_path_buf()),
+                node_id,
+                cluster_secret: Some(SECRET),
+                ..Persistence::default()
+            },
+            ..ServeConfig::default()
+        };
+        let service = Arc::new(VoterService::start(config, registry()));
+        TcpServer::start("127.0.0.1:0", service).expect("bind daemon")
+    };
+    let (dir1, dir2) = (state_dir("import-src"), state_dir("import-dst"));
+    let (node1, node2) = (start_node(1, &dir1), start_node(2, &dir2));
+    let mut client = client_for(&node1);
+    client
+        .open_session(SESSION, MODULES, SpecSource::Named("avoc".into()), TOKEN)
+        .expect("open");
+    let mut got = run_rounds(&mut client, 0..6);
+
+    let config = ClientConfig::default();
+    let mut src = ServeClient::connect_with(node1.local_addr(), &config).expect("dial source");
+    src.send(&Message::ExportSession {
+        session: SESSION,
+        target_node: 2,
+        epoch: 1,
+        auth: SECRET,
+        target_addr: node2.local_addr().to_string(),
+    })
+    .expect("ask export");
+    let (meta, wal) = loop {
+        match src.recv().expect("recv shipped state") {
+            Message::SessionState { meta, wal, .. } => break (meta, wal),
+            Message::Error { message, .. } => panic!("export refused: {message}"),
+            _ => {}
+        }
+    };
+
+    // One import attempt: the target's answer, `Err` carrying the refusal.
+    let import = |wal: &[u8]| -> Result<Option<u64>, String> {
+        let mut tgt = ServeClient::connect_with(node2.local_addr(), &config).expect("dial target");
+        tgt.send(&Message::SessionState {
+            session: SESSION,
+            epoch: 1,
+            auth: SECRET,
+            meta: meta.clone(),
+            wal: wal.to_vec(),
+        })
+        .expect("send import");
+        loop {
+            match tgt.recv().expect("recv import answer") {
+                Message::Resumed {
+                    high_round, warm, ..
+                } => {
+                    assert!(warm, "an import lands warm");
+                    return Ok(high_round);
+                }
+                Message::Error { message, .. } => return Err(message),
+                _ => {}
+            }
+        }
+    };
+    let session_files = || {
+        std::fs::read_dir(&dir2)
+            .expect("target state dir")
+            .flatten()
+            .filter(|e| e.file_name().to_string_lossy().starts_with("session-"))
+            .count()
+    };
+
+    let refusal = import(&wal[..wal.len() - 1]).expect_err("a torn blob is refused");
+    assert!(refusal.contains("truncated"), "got: {refusal}");
+    assert_eq!(session_files(), 0, "a refused blob touches nothing");
+
+    fault::install(Plan::new(0x1A9).rule(Site::WalAppend, Kind::Enospc, 1, u64::MAX));
+    let refusal = import(&wal).expect_err("a full disk refuses the import");
+    fault::clear();
+    assert!(
+        refusal.contains("import failed writing state"),
+        "got: {refusal}"
+    );
+    assert_eq!(session_files(), 0, "a failed landing leaves nothing behind");
+
+    // Calls 1-3 interrupt the create, 5-8 truncate the write that follows.
+    fault::install(
+        Plan::new(0x1AA)
+            .rule(Site::WalAppend, Kind::Eintr, 1, 3)
+            .rule(Site::WalAppend, Kind::ShortWrite, 5, 4)
+            .rule(Site::MetaWrite, Kind::Eintr, 1, 2),
+    );
+    let injected_before = fault::injected_total();
+    let landed = import(&wal);
+    fault::clear();
+    assert_eq!(landed, Ok(Some(5)), "retryable faults never fail a landing");
+    assert_eq!(
+        fault::injected_total() - injected_before,
+        9,
+        "all of them fired"
+    );
+    assert_eq!(node2.service().counters().sessions_imported, 1);
+
+    client.redirect(node2.local_addr());
+    got.extend(run_rounds(&mut client, 6..ROUNDS));
+    assert_eq!(got, expected, "stream bit-identical across the import");
+    client.close_session(SESSION).expect("close");
+    node1.shutdown();
+    node2.shutdown();
+    let _ = std::fs::remove_dir_all(&dir1);
+    let _ = std::fs::remove_dir_all(&dir2);
 }
 
 /// Short writes on the WAL are not failures at all: `fio::write_all`

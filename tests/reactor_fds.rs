@@ -233,11 +233,15 @@ fn thread_census_is_independent_of_open_connections() {
     let addr = server.local_addr();
     // A thread's name is set from inside the thread itself, so the census
     // only stabilises once every just-spawned worker has run.
+    let expected = 2 + server.reactor_count();
     let (ok, idle_threads) = settle(Duration::from_secs(5), || {
         let n = avoc_threads();
-        (n >= 3, n)
+        (n >= expected, n)
     });
-    assert!(ok, "expected at least shards + reactor, saw {idle_threads}");
+    assert!(
+        ok,
+        "expected shards + reactors = {expected}, saw {idle_threads}"
+    );
 
     let mut clients = Vec::new();
     for session in 0..50u64 {

@@ -9,8 +9,8 @@ use avoc::core::history::HistoryStore;
 use avoc::net::{Message, SpecSource};
 use avoc::prelude::*;
 use avoc::serve::{
-    ClientConfig, Persistence, ResilientClient, RetryPolicy, ServeConfig, SpecRegistry, TcpServer,
-    VoterService,
+    ClientConfig, Persistence, ResilientClient, RetryPolicy, ServeClient, ServeConfig,
+    SpecRegistry, TcpServer, VoterService,
 };
 use avoc::store::TieredStore;
 use std::path::{Path, PathBuf};
@@ -206,6 +206,76 @@ fn segment_cold_resume_is_bit_identical_and_metered() {
     assert!(segments.contains("\"segments\""), "got: {segments}");
 
     client.close_session(SESSION).expect("close");
+    server_b.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// No sidecar repeats the result ring or the round stamp: recovery derives
+/// both from the durable rows. After a fold retires the WAL, a daemon that
+/// holds nothing but segments still re-emits, to a client ten rounds behind
+/// on its acks, exactly the ten results an uninterrupted run produced.
+#[test]
+fn ring_and_round_are_recovered_from_segments_alone() {
+    const ROUNDS: u64 = 16;
+    const BEHIND: u64 = 10;
+    let baseline_server = start_daemon(None);
+    let mut baseline = client_for(&baseline_server);
+    baseline
+        .open_session(SESSION, MODULES, SpecSource::Named("avoc".into()), TOKEN)
+        .expect("open");
+    let expected = run_rounds(&mut baseline, 0..ROUNDS);
+    baseline.close_session(SESSION).expect("close");
+    baseline_server.shutdown();
+
+    let dir = state_dir("ringresume");
+    let server_a = start_daemon(Some(&dir));
+    let mut client = client_for(&server_a);
+    client
+        .open_session(SESSION, MODULES, SpecSource::Named("avoc".into()), TOKEN)
+        .expect("open");
+    run_rounds(&mut client, 0..ROUNDS);
+    server_a.abort();
+
+    let server_b = start_daemon(Some(&dir));
+    let report = server_b.service().compact_now().expect("tier is on");
+    assert_eq!(report.wals_retired, 1, "the cold WAL must fold completely");
+    assert!(!avoc::store::session_wal_path(&dir, SESSION).exists());
+
+    let mut behind = ServeClient::connect(server_b.local_addr()).expect("dial");
+    let last_acked = ROUNDS - 1 - BEHIND;
+    behind
+        .resume_session(
+            SESSION,
+            MODULES,
+            SpecSource::Named("avoc".into()),
+            TOKEN,
+            Some(last_acked),
+        )
+        .expect("resume");
+    let mut replayed = Vec::new();
+    while replayed.len() < BEHIND as usize {
+        match behind.recv().expect("recv replay") {
+            Message::Resumed {
+                high_round, warm, ..
+            } => assert_eq!((high_round, warm), (Some(ROUNDS - 1), true)),
+            Message::SessionResult {
+                round,
+                value,
+                voted,
+                ..
+            } => replayed.push((round, value.map(f64::to_bits), voted)),
+            Message::ResultBatch { results, .. } => replayed.extend(
+                results
+                    .iter()
+                    .map(|r| (r.round, r.value.map(f64::to_bits), r.voted)),
+            ),
+            other => panic!("expected the resume ack or a result, got {other:?}"),
+        }
+    }
+    assert_eq!(replayed, expected[last_acked as usize + 1..]);
+    let counters = server_b.service().counters();
+    assert!(counters.segment_load_ms > 0.0 && counters.wal_replay_ms == 0.0);
+
     server_b.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
