@@ -160,7 +160,7 @@ impl SensorHub {
                 module,
                 round,
                 value,
-            } => self.record(module, round, Some(value)),
+            } => self.accept_reading(module, round, value),
             Message::Missing { module, round } => self.record(module, round, None),
             Message::Heartbeat { module } => {
                 if self.expected.contains(&module) {
@@ -173,6 +173,13 @@ impl SensorHub {
             // a single-tenant hub has no session table and ignores them.
             _ => Vec::new(),
         }
+    }
+
+    /// Feeds one reading without wrapping it in a [`Message`] first — what
+    /// [`SensorHub::accept`] does with a `Reading` frame, for callers that
+    /// already hold the fields; returns any rounds that became ready.
+    pub fn accept_reading(&mut self, module: ModuleId, round: u64, value: f64) -> Vec<Round> {
+        self.record(module, round, Some(value))
     }
 
     /// Flushes every pending round regardless of completeness.

@@ -116,6 +116,16 @@ pub trait Handler: Send + 'static {
     /// One decoded inbound frame.
     fn on_frame(&mut self, conn: &mut Self::Conn, msg: Message) -> FrameVerdict;
 
+    /// One socket read has been decoded: every frame it completed has been
+    /// through [`Handler::on_frame`]. Called once per `read(2)` that
+    /// returned bytes — after that read's last `on_frame` (also when that
+    /// frame asked for `Close`, or the decoder died on a hostile prefix)
+    /// and before [`Handler::on_close`] — so a handler may defer per-frame
+    /// work to here and do it once per read. The default does nothing.
+    fn on_read_end(&mut self, _conn: &mut Self::Conn) -> FrameVerdict {
+        FrameVerdict::Continue
+    }
+
     /// The connection is going away (EOF, error, hostile frame, wedged
     /// write deadline, or reactor shutdown). Called exactly once per
     /// connection, before its socket closes; outbound frames already
@@ -862,7 +872,7 @@ impl<H: Handler> Core<H> {
                 return false;
             };
             let mut chunk = [0u8; READ_CHUNK];
-            'read: for _ in 0..MAX_READS_PER_EVENT {
+            for _ in 0..MAX_READS_PER_EVENT {
                 match sysio::fault::check(sysio::fault::Site::SockRead) {
                     None => {}
                     Some(sysio::fault::Kind::Eintr) => continue,
@@ -891,22 +901,25 @@ impl<H: Handler> Core<H> {
                 conn.decoder.extend(&chunk[..n]);
                 loop {
                     match conn.decoder.next_frame() {
-                        DecodeStep::Frame(msg) => match handler.on_frame(&mut conn.state, msg) {
-                            FrameVerdict::Continue => {}
-                            FrameVerdict::Close => {
+                        DecodeStep::Frame(msg) => {
+                            if handler.on_frame(&mut conn.state, msg) == FrameVerdict::Close {
                                 close = true;
-                                break 'read;
+                                break;
                             }
-                        },
+                        }
                         DecodeStep::Skipped(_) => {}
                         DecodeStep::Incomplete => break,
                         // Hostile length prefix: the decoder has already
                         // shed its buffer; drop the connection.
                         DecodeStep::Dead(_) => {
                             close = true;
-                            break 'read;
+                            break;
                         }
                     }
+                }
+                close |= handler.on_read_end(&mut conn.state) == FrameVerdict::Close;
+                if close {
+                    break;
                 }
                 if n < chunk.len() {
                     break; // short read: the socket is drained
@@ -1653,6 +1666,97 @@ mod tests {
         assert_eq!(pool.reactor_count(), 1);
         assert_eq!(pool.accept_mode(), "single");
         run_pool_echo(pool, 3, &closes);
+    }
+
+    /// Logs every callback; answers each read from `on_read_end` with a
+    /// heartbeat, so the client can tell one read has been fully handled.
+    struct Journal {
+        log: Arc<Mutex<Vec<&'static str>>>,
+    }
+
+    impl Handler for Journal {
+        type Conn = EchoConn;
+
+        fn on_open(&mut self, waker: ConnWaker) -> (EchoConn, Receiver<Message>) {
+            let (tx, rx) = bounded(16);
+            (EchoConn { tx, waker }, rx)
+        }
+
+        fn on_frame(&mut self, _conn: &mut EchoConn, msg: Message) -> FrameVerdict {
+            self.log.lock().push("frame");
+            match msg {
+                Message::Shutdown => FrameVerdict::Close,
+                _ => FrameVerdict::Continue,
+            }
+        }
+
+        fn on_read_end(&mut self, conn: &mut EchoConn) -> FrameVerdict {
+            self.log.lock().push("read_end");
+            let _ = conn.tx.try_send(Message::Heartbeat {
+                module: ModuleId::new(0),
+            });
+            conn.waker.wake();
+            FrameVerdict::Continue
+        }
+
+        fn on_close(&mut self, _conn: EchoConn) {
+            self.log.lock().push("close");
+        }
+    }
+
+    #[test]
+    fn on_read_end_runs_once_per_read_after_its_frames_and_before_on_close() {
+        let _gate = serial();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let handle = spawn(
+            listener,
+            Journal {
+                log: Arc::clone(&log),
+            },
+            ReactorConfig::default(),
+        )
+        .unwrap();
+        let mut client = TcpStream::connect(handle.local_addr()).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let reading = |round| {
+            Message::SessionReading {
+                session: 1,
+                module: ModuleId::new(0),
+                round,
+                value: 1.0,
+            }
+            .encode()
+        };
+        // First read: three frames in one write. The heartbeat that comes
+        // back was sent by its `on_read_end`, so the read is over.
+        let mut wire = Vec::new();
+        for round in 0..3 {
+            wire.extend_from_slice(&reading(round));
+        }
+        client.write_all(&wire).unwrap();
+        let mut chunk = [0u8; 64];
+        assert!(client.read(&mut chunk).expect("the first read is answered") > 0);
+        // Second read: two frames and the `Shutdown` that closes the
+        // connection from inside the decode loop.
+        wire.clear();
+        for round in 3..5 {
+            wire.extend_from_slice(&reading(round));
+        }
+        wire.extend_from_slice(&Message::Shutdown.encode());
+        client.write_all(&wire).unwrap();
+        while client.read(&mut chunk).is_ok_and(|n| n > 0) {}
+        handle.shutdown();
+        assert_eq!(
+            *log.lock(),
+            [
+                "frame", "frame", "frame", "read_end", // the first read
+                "frame", "frame", "frame", "read_end", // the second, hook after its Close
+                "close",
+            ]
+        );
     }
 
     #[test]

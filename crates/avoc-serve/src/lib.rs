@@ -16,8 +16,8 @@
 //!                 │ each owns its accepted sockets for life;    │
 //!                 │ streaming decode of frames (tags 5–11, 14)  │
 //!                 └──────────────┬──────────────────────────────┘
-//!                                │ route by hash(session id); a FeedBatch
-//!                                │ travels as ONE ReadingBurst command
+//!                                │ route by hash(session id): ONE command
+//!                                │ per socket read (or FeedBatch) per shard
 //!                 ┌──────────────▼──────────────┐
 //!                 │ shard 0 .. shard N-1        │  bounded mailboxes: a
 //!                 │  each: HashMap<id, Session> │  control lane (never shed)

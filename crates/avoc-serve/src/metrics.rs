@@ -41,10 +41,10 @@ pub struct ServiceCounters {
     /// scrape and in the drain-time snapshot (which sums across reactors);
     /// each reactor thread records into clones of its own handles.
     reactors: Vec<ReactorMetrics>,
-    /// Channel sends into shard data mailboxes. A `ReadingBurst` counts
-    /// once however many readings it carries, so
-    /// `shard_handoff_sends / readings` is the handoff amortisation factor
-    /// the burst path exists to improve.
+    /// Channel sends into shard data mailboxes. A data command counts once
+    /// however many readings it carries — a socket read's `SessionReading`
+    /// frames, or a whole `FeedBatch` — so `shard_handoff_sends / readings`
+    /// is the handoff amortisation factor.
     shard_handoff_sends: Counter,
     recoveries: Counter,
     resumed_sessions: Counter,
@@ -182,7 +182,7 @@ impl ServiceCounters {
                 .collect(),
             shard_handoff_sends: c(
                 "avoc_shard_handoff_sends_total",
-                "Channel sends into shard data mailboxes (a burst counts once).",
+                "Channel sends into shard data mailboxes (a command counts once, however many readings it carries).",
             ),
             recoveries: c(
                 "avoc_recoveries_total",
@@ -448,7 +448,7 @@ impl ServiceCounters {
         self.readings_dropped.inc();
     }
 
-    /// Counts every reading a refused or shed burst carried, so
+    /// Counts every reading a refused or shed data command carried, so
     /// `readings_dropped` keeps counting readings, not commands.
     pub(crate) fn readings_dropped_add(&self, n: u64) {
         self.readings_dropped.add(n);
@@ -716,9 +716,10 @@ pub struct CountersSnapshot {
     pub wedged_closed: u64,
     /// Times the reactor paused accepting on fd exhaustion.
     pub accept_pauses: u64,
-    /// Channel sends into shard data mailboxes; with the burst handoff a
-    /// `FeedBatch` frame costs one send, so `shard_handoff_sends` per 1k
-    /// readings is the number `bench_serve` gates on.
+    /// Channel sends into shard data mailboxes: a `FeedBatch` frame costs
+    /// one send, and so do all the `SessionReading` frames of one socket
+    /// read bound for one shard. `shard_handoff_sends` per 1k readings is
+    /// the number `bench_serve` gates on.
     pub shard_handoff_sends: u64,
     /// Sessions rebuilt from a WAL checkpoint (eager recovery at daemon
     /// start, or lazily when a resume found no live session).

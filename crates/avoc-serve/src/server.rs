@@ -7,9 +7,11 @@
 //! otherwise — and each connection is pinned to one reactor for life, so
 //! the daemon's data-plane thread count is `shards + R` regardless of how
 //! many connections are open. Inbound bytes stream through the re-entrant
-//! [`avoc_net::StreamDecoder`]; outbound results ride each connection's
-//! bounded channel, which the owning reactor drains into a corked writer
-//! when the shard-side [`ResultSink`] wakes it.
+//! [`avoc_net::StreamDecoder`]; the `SessionReading` frames one socket read
+//! completes are staged per shard and cross to the shards as one mailbox
+//! command each when that read has been decoded. Outbound results ride each
+//! connection's bounded channel, which the owning reactor drains into a
+//! corked writer when the shard-side [`ResultSink`] wakes it.
 
 use avoc_net::reactor::{self, ConnWaker, FrameVerdict, Handler, ReactorConfig, ReactorPool};
 use avoc_net::Message;
@@ -20,7 +22,7 @@ use std::sync::Arc;
 
 use crate::admin::AdminServer;
 use crate::metrics::{CountersSnapshot, ServiceCounters};
-use crate::service::{ServeError, VoterService};
+use crate::service::{ServeError, Staging, VoterService};
 use crate::sink::ResultSink;
 
 /// Capacity of each connection's outbound result channel. Bounded so a
@@ -70,10 +72,12 @@ impl TcpServer {
             addr,
             service.reactors(),
             |_| ServeHandler {
-                // Handler state is all shared Arcs, so each reactor's
-                // handler is a cheap clone of the same service view.
+                // Apart from its own staging area, handler state is all
+                // shared Arcs: each reactor's handler is a cheap clone of
+                // the same service view.
                 service: Arc::clone(&service),
                 counters: Arc::clone(&counters),
+                staged: service.staging(),
             },
             |i| ReactorConfig {
                 write_deadline: Some(service.write_deadline_config()),
@@ -159,6 +163,14 @@ impl TcpServer {
 struct ServeHandler {
     service: Arc<VoterService>,
     counters: Arc<ServiceCounters>,
+    /// `SessionReading` frames of the socket read being decoded, waiting
+    /// to cross to their shards in one command each. It belongs to the
+    /// handler, not to a connection: a reactor finishes one connection's
+    /// read — and [`Handler::on_read_end`] empties this — before it
+    /// touches the next. It is also emptied before any other frame is
+    /// acted on, so a session's readings still reach its shard ahead of
+    /// its `Close`, `Detach` or `Export`, in arrival order.
+    staged: Staging,
 }
 
 /// What the handler tracks per connection.
@@ -187,6 +199,19 @@ impl ServeHandler {
             self.counters.result_dropped();
         }
     }
+
+    /// Hands the staged readings to their shards. Only a drained service
+    /// fails this; the tenant is told and the connection closed, as for
+    /// any frame that arrives after shutdown.
+    fn flush_staged(&mut self, conn: &ConnState) -> FrameVerdict {
+        match self.service.flush_staged(&mut self.staged) {
+            Ok(()) => FrameVerdict::Continue,
+            Err((session, e)) => {
+                self.send_error(&conn.sink, session, &e);
+                FrameVerdict::Close
+            }
+        }
+    }
 }
 
 impl Handler for ServeHandler {
@@ -203,6 +228,11 @@ impl Handler for ServeHandler {
     }
 
     fn on_frame(&mut self, conn: &mut ConnState, msg: Message) -> FrameVerdict {
+        if !matches!(msg, Message::SessionReading { .. })
+            && self.flush_staged(conn) == FrameVerdict::Close
+        {
+            return FrameVerdict::Close;
+        }
         match msg {
             Message::OpenSession {
                 session,
@@ -247,23 +277,15 @@ impl Handler for ServeHandler {
                 module,
                 round,
                 value,
-            } => match self.service.feed(session, module, round, value) {
-                Ok(()) | Err(ServeError::MailboxFull) => {
-                    // `Reject` drops are counted by the service; the
-                    // tenant learns about systematic loss from the
-                    // counters, not per-reading error frames.
-                }
-                Err(e) => {
-                    self.send_error(&conn.sink, session, &e);
-                    return FrameVerdict::Close;
-                }
-            },
+            } => self
+                .service
+                .stage(&mut self.staged, session, module, round, value),
             Message::FeedBatch { session, readings } => {
                 match self.service.feed_batch(session, &readings) {
                     Ok(()) | Err(ServeError::MailboxFull) => {
-                        // As with single readings: `Reject` drops are
-                        // counted per reading by the service, not
-                        // reported per frame.
+                        // `Reject` drops are counted per reading by the
+                        // service; the tenant learns about systematic
+                        // loss from the counters, not per-frame errors.
                     }
                     Err(e) => {
                         self.send_error(&conn.sink, session, &e);
@@ -362,7 +384,15 @@ impl Handler for ServeHandler {
         FrameVerdict::Continue
     }
 
+    fn on_read_end(&mut self, conn: &mut ConnState) -> FrameVerdict {
+        self.flush_staged(conn)
+    }
+
     fn on_close(&mut self, conn: ConnState) {
+        debug_assert!(
+            self.staged.is_empty(),
+            "every read ends in on_read_end before its connection can close"
+        );
         // Close sessions the tenant left open so their in-flight rounds
         // flush and the shards drop their sink clones.
         for session in conn.opened {
@@ -377,5 +407,128 @@ impl Handler for ServeHandler {
         }
         // `conn.sink` drops here; when the shards release their clones the
         // channel disconnects and the reactor frees the connection slot.
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ServeConfig, SpecRegistry};
+    use avoc_core::ModuleId;
+    use avoc_net::{BatchReading, SpecSource};
+
+    /// A handler over a one-shard service whose worker has stopped: what
+    /// the handler hands off stays in the mailbox to be counted.
+    fn handler() -> (ServeHandler, ConnState, Receiver<Message>) {
+        let mut reg = SpecRegistry::new();
+        reg.insert("avoc", avoc_vdx::VdxSpec::avoc());
+        let service = Arc::new(VoterService::start(
+            ServeConfig {
+                shards: 1,
+                ..ServeConfig::default()
+            },
+            Arc::new(reg),
+        ));
+        service.stop_workers();
+        let (out_tx, out_rx) = channel::unbounded::<Message>();
+        let conn = ConnState {
+            sink: out_tx.into(),
+            opened: Vec::new(),
+            resumed: Vec::new(),
+        };
+        let handler = ServeHandler {
+            counters: service.counters_arc(),
+            staged: service.staging(),
+            service,
+        };
+        (handler, conn, out_rx)
+    }
+
+    fn reading(round: u64) -> Message {
+        Message::SessionReading {
+            session: 1,
+            module: ModuleId::new(0),
+            round,
+            value: 1.0,
+        }
+    }
+
+    #[test]
+    fn readings_cross_at_the_end_of_their_read_or_ahead_of_any_other_frame() {
+        let (mut h, mut conn, _out) = handler();
+        // A read of readings only: nothing crosses until the read ends,
+        // then everything does, in one command.
+        for round in 0..5 {
+            assert_eq!(
+                h.on_frame(&mut conn, reading(round)),
+                FrameVerdict::Continue
+            );
+        }
+        assert_eq!(h.service.queued_commands(0), 0);
+        assert_eq!(h.on_read_end(&mut conn), FrameVerdict::Continue);
+        assert_eq!(h.service.queued_commands(0), 1);
+        // A read that decoded no reading sends nothing.
+        assert_eq!(h.on_read_end(&mut conn), FrameVerdict::Continue);
+        assert_eq!(h.service.queued_commands(0), 1);
+
+        // Every other kind of frame first pushes out what is staged, so a
+        // session's readings stay ahead of whatever the frame does to it.
+        let spec = SpecSource::Named("avoc".into());
+        let others = [
+            Message::OpenSession {
+                session: 2,
+                modules: 1,
+                spec: spec.clone(),
+            },
+            Message::ResumeSession {
+                session: 3,
+                modules: 1,
+                spec,
+                token: 9,
+                last_acked: None,
+            },
+            Message::FeedBatch {
+                session: 1,
+                readings: vec![BatchReading {
+                    module: ModuleId::new(0),
+                    round: 9,
+                    value: 1.0,
+                }],
+            },
+            Message::CloseSession { session: 1 },
+            Message::StatsRequest,
+            Message::ExportSession {
+                session: 1,
+                target_node: 2,
+                epoch: 1,
+                auth: 0,
+                target_addr: "127.0.0.1:1".into(),
+            },
+            Message::Shutdown,
+        ];
+        for frame in others {
+            let before = h.service.queued_commands(0);
+            // A `FeedBatch` then crosses as a command of its own.
+            let own = usize::from(matches!(frame, Message::FeedBatch { .. }));
+            h.on_frame(&mut conn, reading(10));
+            assert_eq!(h.service.queued_commands(0), before);
+            let label = format!("{frame:?}");
+            h.on_frame(&mut conn, frame);
+            assert_eq!(h.service.queued_commands(0), before + 1 + own, "{label}");
+            assert!(h.staged.is_empty(), "{label}");
+        }
+    }
+
+    #[test]
+    fn a_deferred_send_into_a_drained_service_closes_with_an_error_frame() {
+        let (mut h, mut conn, out) = handler();
+        h.service.drain();
+        assert_eq!(h.on_frame(&mut conn, reading(0)), FrameVerdict::Continue);
+        assert_eq!(h.on_read_end(&mut conn), FrameVerdict::Close);
+        assert!(h.staged.is_empty());
+        assert!(matches!(
+            out.try_recv(),
+            Ok(Message::Error { session: 1, .. })
+        ));
     }
 }

@@ -15,7 +15,10 @@ use std::time::{Duration, Instant};
 use crate::metrics::{CountersSnapshot, ServiceCounters};
 use crate::persist::{self, Persistence};
 use crate::registry::SpecRegistry;
-use crate::shard::{Backpressure, OpenReq, ShardCommand, ShardWorker};
+use crate::shard::{
+    Backpressure, BufferPool, OpenReq, Readings, ShardCommand, ShardWorker, TaggedReading,
+    TraceMark,
+};
 use crate::sink::ResultSink;
 
 /// What the service does when a session open arrives at capacity.
@@ -42,9 +45,10 @@ pub struct ServeConfig {
     /// lower than the shard count. Ignored by in-process callers that
     /// never start a [`crate::TcpServer`].
     pub reactors: usize,
-    /// Bounded capacity of each shard's mailboxes (the data mailbox
-    /// carrying readings, and the control mailbox carrying session
-    /// lifecycle commands).
+    /// Bounded capacity of each shard's mailboxes, in commands: the data
+    /// mailbox (a command carries the readings of one `feed`/`feed_batch`
+    /// call or of one socket read), and the control mailbox carrying
+    /// session lifecycle commands.
     pub mailbox_capacity: usize,
     /// What readings do when a data mailbox is full.
     pub backpressure: Backpressure,
@@ -140,18 +144,39 @@ impl std::error::Error for ServeError {
     }
 }
 
-/// How many drained burst buffers the free-list retains. In-flight bursts
-/// are bounded by the shard mailboxes, so a modest pool covers the steady
-/// state; a miss just allocates a fresh buffer that joins the pool when it
-/// drains.
-const BURST_POOL_CAPACITY: usize = 1024;
-
 /// One shard's producer endpoints. Lifecycle commands and readings travel
 /// on separate bounded channels so a full data mailbox can never displace,
 /// reorder, or shed an `Open`/`Close`/`Drain`.
 struct ShardLink {
     ctrl: Sender<ShardCommand>,
-    data: Sender<ShardCommand>,
+    data: Sender<Readings>,
+}
+
+/// Readings a producer has accepted but not yet handed to their shards:
+/// one pooled buffer per shard, filled by [`VoterService::stage`] and
+/// shipped — one command per non-empty buffer — by
+/// [`VoterService::flush_staged`]. The TCP front-end keeps one per reactor
+/// and flushes it at the end of every socket read, so a read's
+/// `SessionReading` frames cost one mailbox send per shard instead of one
+/// per frame.
+pub(crate) struct Staging {
+    shards: Vec<Staged>,
+}
+
+/// One shard's share of a [`Staging`] area.
+#[derive(Default)]
+struct Staged {
+    readings: Vec<TaggedReading>,
+    /// The ingest span of each trace-sampled reading staged here, open
+    /// (`dur_ns` still 0) until the send that ships it returns.
+    ingest: Vec<avoc_obs::Span>,
+}
+
+impl Staging {
+    /// Whether nothing is waiting for a flush.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.shards.iter().all(|s| s.readings.is_empty())
+    }
 }
 
 /// The sharded, multi-tenant voter service (the daemon core; [`crate::TcpServer`]
@@ -159,11 +184,11 @@ struct ShardLink {
 pub struct VoterService {
     links: Vec<ShardLink>,
     /// Shed-side clones of each shard's data receiver: `DropOldest` pops
-    /// the oldest queued reading here when a mailbox is full (readings
+    /// the oldest queued command here when a mailbox is full (readings
     /// only — control has its own channel). Cleared on drain, which also
     /// disconnects the data channels so late `feed`s fail fast instead of
     /// queueing into (or blocking on) a mailbox nobody reads.
-    sheds: Mutex<Vec<Receiver<ShardCommand>>>,
+    sheds: Mutex<Vec<Receiver<Readings>>>,
     // (manual Debug below: mailboxes and queued commands aren't printable)
     joins: Mutex<Vec<JoinHandle<()>>>,
     counters: Arc<ServiceCounters>,
@@ -172,13 +197,9 @@ pub struct VoterService {
     /// Resolved reactor-thread count for the TCP front-end (the
     /// `ServeConfig::reactors` knob with `0` already expanded).
     reactors: usize,
-    /// Free-list of recycled burst buffers: `feed_batch` pops one (or
-    /// allocates on a miss), the shard clears and returns it via the
-    /// command's `recycle` sender. Bounded, so the pool can never grow
-    /// past its cap and sends into it never allocate.
-    burst_pool: Receiver<Vec<avoc_net::BatchReading>>,
-    /// The producer side shards return drained buffers through.
-    burst_return: Sender<Vec<avoc_net::BatchReading>>,
+    /// Free-list of recycled reading buffers, shared with the shards that
+    /// drain them.
+    buffers: Arc<BufferPool>,
     backpressure: Backpressure,
     admission: AdmissionPolicy,
     persistence: Persistence,
@@ -233,6 +254,7 @@ impl VoterService {
             std::fs::create_dir_all(dir).ok()?;
             TieredStore::open(dir).ok().map(Arc::new)
         });
+        let buffers = Arc::new(BufferPool::default());
         let mut links = Vec::with_capacity(shards);
         let mut sheds = Vec::with_capacity(shards);
         let mut joins = Vec::with_capacity(shards);
@@ -243,6 +265,7 @@ impl VoterService {
                 index,
                 ctrl_rx,
                 data_rx: data_rx.clone(),
+                buffers: Arc::clone(&buffers),
                 counters: Arc::clone(&counters),
                 active: Arc::clone(&active),
                 max_sessions: config.max_sessions,
@@ -294,7 +317,6 @@ impl VoterService {
             }
             _ => None,
         };
-        let (burst_return, burst_pool) = channel::bounded(BURST_POOL_CAPACITY);
         VoterService {
             links,
             sheds: Mutex::new(sheds),
@@ -303,8 +325,7 @@ impl VoterService {
             active,
             registry,
             reactors,
-            burst_pool,
-            burst_return,
+            buffers,
             backpressure: config.backpressure,
             admission: config.admission,
             persistence: config.persistence,
@@ -650,7 +671,7 @@ impl VoterService {
     }
 
     /// Routes one reading to its session's shard under the configured
-    /// backpressure policy.
+    /// backpressure policy — a [`VoterService::feed_batch`] of one.
     ///
     /// # Errors
     ///
@@ -663,77 +684,150 @@ impl VoterService {
         round: u64,
         value: f64,
     ) -> Result<(), ServeError> {
-        let shard = self.shard_for(session);
-        let queued_ns = self.trace_stamp();
-        let outcome = self.route_reading(
-            shard,
-            ShardCommand::Reading {
-                session,
+        self.feed_batch(
+            session,
+            &[avoc_net::BatchReading {
                 module,
                 round,
                 value,
-                queued_ns,
-            },
-        );
-        if queued_ns != 0 {
-            self.record_ingest(session, round, queued_ns);
-        }
-        self.note_depth(shard);
-        outcome
+            }],
+        )
     }
 
     /// Routes a whole batch of readings to one session's shard as a single
-    /// [`ShardCommand::ReadingBurst`]: one mailbox slot and one channel
-    /// send however many readings the frame carried, with the buffer drawn
-    /// from (and returned to) a bounded free-list so the steady state
-    /// allocates nothing. The worker feeds the burst in submission order,
-    /// so the fused stream is bit-identical to per-reading feeding.
+    /// data command: one mailbox slot and one channel send however many
+    /// readings the frame carried, with the buffer drawn from (and returned
+    /// to) a bounded free-list so the steady state allocates nothing. The
+    /// worker feeds the batch in submission order, so the fused stream is
+    /// bit-identical to per-reading feeding.
     ///
-    /// The backpressure budget is spent in bursts: under `Reject` a full
-    /// mailbox refuses the whole burst (every reading counted dropped);
+    /// The backpressure budget is spent per command: under `Reject` a full
+    /// mailbox refuses the whole batch (every reading counted dropped);
     /// under `DropOldest` each shed mailbox entry counts the readings it
     /// carried; under `Block` the producer waits for one slot.
     ///
     /// # Errors
     ///
-    /// [`ServeError::MailboxFull`] under `Reject` when the burst was
+    /// [`ServeError::MailboxFull`] under `Reject` when the batch was
     /// refused; [`ServeError::ShuttingDown`] after [`VoterService::drain`].
     pub fn feed_batch(
         &self,
         session: u64,
         readings: &[avoc_net::BatchReading],
     ) -> Result<(), ServeError> {
-        if readings.is_empty() {
+        let Some(first) = readings.first() else {
             return Ok(());
-        }
-        let shard = self.shard_for(session);
-        let queued_ns = self.trace_stamp();
-        let mut buf = self.burst_pool.try_recv().unwrap_or_default();
-        buf.clear();
-        buf.extend_from_slice(readings);
-        let cmd = ShardCommand::ReadingBurst {
-            session,
-            readings: buf,
-            queued_ns,
-            recycle: self.burst_return.clone(),
         };
-        let routed = self.route_reading(shard, cmd);
-        if queued_ns != 0 {
-            self.record_ingest(session, readings[0].round, queued_ns);
+        // One sampling decision for the frame; its first reading carries
+        // the queue span.
+        let ingest = self
+            .counters
+            .trace()
+            .sample()
+            .then(|| open_ingest_span(session, first.round));
+        let mark = if ingest.is_some() {
+            TraceMark::Sampled
+        } else {
+            TraceMark::None
+        };
+        let mut buf = self.buffers.take();
+        buf.extend(readings.iter().map(|r| TaggedReading {
+            session,
+            round: r.round,
+            value: r.value,
+            module: r.module,
+            mark,
+        }));
+        if ingest.is_some() {
+            buf[0].mark = TraceMark::FrameHead;
         }
-        self.note_depth(shard);
-        routed
+        self.send_readings(self.shard_for(session), buf, ingest.as_slice())
     }
 
-    /// One command (reading or burst) → one shard mailbox slot under the
-    /// backpressure policy. Successful sends are counted
-    /// (`shard_handoff_sends`), so the handoff amortisation the burst path
-    /// buys is observable.
-    fn route_reading(&self, shard: usize, cmd: ShardCommand) -> Result<(), ServeError> {
+    /// A fresh [`Staging`] area sized for this service's shards.
+    pub(crate) fn staging(&self) -> Staging {
+        Staging {
+            shards: self.links.iter().map(|_| Staged::default()).collect(),
+        }
+    }
+
+    /// Puts one reading frame aside for its shard; nothing crosses a
+    /// mailbox until [`VoterService::flush_staged`].
+    pub(crate) fn stage(
+        &self,
+        staging: &mut Staging,
+        session: u64,
+        module: ModuleId,
+        round: u64,
+        value: f64,
+    ) {
+        let staged = &mut staging.shards[self.shard_for(session)];
+        if staged.readings.capacity() == 0 {
+            staged.readings = self.buffers.take();
+        }
+        let mark = if self.counters.trace().sample() {
+            staged.ingest.push(open_ingest_span(session, round));
+            TraceMark::FrameHead
+        } else {
+            TraceMark::None
+        };
+        staged.readings.push(TaggedReading {
+            session,
+            round,
+            value,
+            module,
+            mark,
+        });
+    }
+
+    /// Ships everything staged: one data command per shard that has
+    /// readings waiting, under the configured backpressure policy (a
+    /// `Reject` refusal is counted per reading and is not an error here —
+    /// the tenant learns about systematic loss from the counters).
+    ///
+    /// # Errors
+    ///
+    /// After [`VoterService::drain`]: [`ServeError::ShuttingDown`], with
+    /// the session of a reading that could no longer be delivered.
+    /// Whatever the outcome, nothing stays staged.
+    pub(crate) fn flush_staged(&self, staging: &mut Staging) -> Result<(), (u64, ServeError)> {
+        let mut outcome = Ok(());
+        for (shard, staged) in staging.shards.iter_mut().enumerate() {
+            let Some(first) = staged.readings.first() else {
+                continue;
+            };
+            let session = first.session;
+            let readings = std::mem::take(&mut staged.readings);
+            match self.send_readings(shard, readings, &staged.ingest) {
+                Ok(()) | Err(ServeError::MailboxFull) => {}
+                Err(e) => outcome = Err((session, e)),
+            }
+            staged.ingest.clear();
+        }
+        outcome
+    }
+
+    /// One data command → one shard mailbox slot under the backpressure
+    /// policy. Successful sends are counted (`shard_handoff_sends`) and the
+    /// queue depth is sampled once per command, so the amortisation that
+    /// grouping readings buys is observable. `ingest` holds the open ingest
+    /// spans of the command's sampled frames; they close when the send
+    /// returns (so they include any backpressure wait).
+    fn send_readings(
+        &self,
+        shard: usize,
+        readings: Vec<TaggedReading>,
+        ingest: &[avoc_obs::Span],
+    ) -> Result<(), ServeError> {
+        let traced = !ingest.is_empty();
+        let cmd = Readings {
+            readings,
+            queued_ns: if traced { avoc_obs::now_ns() } else { 0 },
+        };
         let tx = &self.links[shard].data;
         let routed = match self.backpressure {
             Backpressure::Block => tx.send(cmd).map_err(|_| ServeError::ShuttingDown),
-            Backpressure::DropOldest => self.feed_drop_oldest(shard, cmd),
+            Backpressure::DropOldest => self.send_drop_oldest(shard, cmd),
             Backpressure::Reject => match tx.try_send(cmd) {
                 Ok(()) => Ok(()),
                 Err(TrySendError::Full(cmd)) => {
@@ -746,32 +840,33 @@ impl VoterService {
         if routed.is_ok() {
             self.counters.handoff_send();
         }
+        if traced {
+            let sent_ns = avoc_obs::now_ns();
+            for span in ingest {
+                self.counters.trace().record(avoc_obs::Span {
+                    dur_ns: sent_ns.saturating_sub(span.start_ns),
+                    ..*span
+                });
+            }
+        }
+        self.note_depth(shard);
         routed
     }
 
     /// Counts a refused or shed data command against `readings_dropped` —
-    /// per *reading*, so a burst counts its whole payload — and recycles a
-    /// burst's buffer back into the pool.
-    fn count_shed(&self, cmd: ShardCommand) {
-        match cmd {
-            ShardCommand::ReadingBurst {
-                mut readings,
-                recycle,
-                ..
-            } => {
-                self.counters.readings_dropped_add(readings.len() as u64);
-                readings.clear();
-                let _ = recycle.try_send(readings);
-            }
-            _ => self.counters.reading_dropped(),
-        }
+    /// per *reading*, its whole payload — and recycles its buffer back into
+    /// the pool.
+    fn count_shed(&self, cmd: Readings) {
+        self.counters
+            .readings_dropped_add(cmd.readings.len() as u64);
+        self.buffers.give(cmd.readings);
     }
 
     /// `DropOldest` with stock channel primitives: on `Full`, pop the
-    /// oldest queued entry from the shed-side receiver clone and retry.
-    /// The data mailbox carries only readings and bursts, so shedding can
-    /// never displace a control command.
-    fn feed_drop_oldest(&self, shard: usize, mut cmd: ShardCommand) -> Result<(), ServeError> {
+    /// oldest queued command from the shed-side receiver clone and retry.
+    /// The data mailbox carries only readings, so shedding can never
+    /// displace a control command.
+    fn send_drop_oldest(&self, shard: usize, mut cmd: Readings) -> Result<(), ServeError> {
         loop {
             match self.links[shard].data.try_send(cmd) {
                 Ok(()) => return Ok(()),
@@ -807,30 +902,6 @@ impl VoterService {
             .ctrl
             .send(ShardCommand::Close { session })
             .map_err(|_| ServeError::ShuttingDown)
-    }
-
-    /// The trace sampling decision for one reading: a [`avoc_obs::now_ns`]
-    /// stamp when the round is sampled, `0` otherwise (a disabled ring
-    /// costs one branch). The stamp rides the [`ShardCommand::Reading`] to
-    /// the shard, which turns it into a queue span.
-    fn trace_stamp(&self) -> u64 {
-        if self.counters.trace().sample() {
-            avoc_obs::now_ns()
-        } else {
-            0
-        }
-    }
-
-    /// Records the ingest span for a sampled reading: the time spent
-    /// routing it into its shard mailbox (including any backpressure wait).
-    fn record_ingest(&self, session: u64, round: u64, start_ns: u64) {
-        self.counters.trace().record(avoc_obs::Span {
-            session,
-            round,
-            stage: avoc_obs::Stage::Ingest,
-            start_ns,
-            dur_ns: avoc_obs::now_ns().saturating_sub(start_ns),
-        });
     }
 
     /// A live counters snapshot.
@@ -960,9 +1031,41 @@ impl VoterService {
         }
     }
 
+    /// Stops every worker but leaves the data mailboxes connected (the
+    /// shed-side receiver clones keep them so): nothing drains them any
+    /// more, so what a test sends stays put and a mailbox fills
+    /// deterministically.
+    #[cfg(test)]
+    pub(crate) fn stop_workers(&self) {
+        for link in &self.links {
+            assert!(link.ctrl.send(ShardCommand::Drain).is_ok());
+        }
+        for j in std::mem::take(&mut *self.joins.lock()) {
+            j.join().expect("worker exits cleanly");
+        }
+    }
+
+    /// Commands waiting in a shard's data mailbox.
+    #[cfg(test)]
+    pub(crate) fn queued_commands(&self, shard: usize) -> usize {
+        self.links[shard].data.len()
+    }
+
     fn note_depth(&self, shard: usize) {
         self.counters
             .note_queue_depth(shard, self.links[shard].data.len());
+    }
+}
+
+/// The ingest span of a trace-sampled frame, opened now; the send that
+/// ships the frame closes it.
+fn open_ingest_span(session: u64, round: u64) -> avoc_obs::Span {
+    avoc_obs::Span {
+        session,
+        round,
+        stage: avoc_obs::Stage::Ingest,
+        start_ns: avoc_obs::now_ns(),
+        dur_ns: 0,
     }
 }
 
@@ -1184,6 +1287,79 @@ mod tests {
             service.feed(9, ModuleId::new(2), 0, 5.2),
             Err(ServeError::ShuttingDown)
         ));
+    }
+
+    #[test]
+    fn a_flush_ships_one_command_per_shard_in_arrival_order() {
+        let service = VoterService::start(config(2), registry());
+        service.stop_workers();
+        let mut staging = service.staging();
+        // Three sessions, interleaved reading by reading, as one socket
+        // read of a multi-tenant connection would decode them.
+        let arrivals: Vec<(u64, u32)> = (0..4u32)
+            .flat_map(|m| (0..3u64).map(move |s| (s, m)))
+            .collect();
+        for &(session, module) in &arrivals {
+            service.stage(&mut staging, session, ModuleId::new(module), 0, 1.0);
+        }
+        service.flush_staged(&mut staging).unwrap();
+        assert!(staging.is_empty());
+        let shards_hit: std::collections::BTreeSet<usize> =
+            (0..3u64).map(|s| service.shard_for(s)).collect();
+        assert_eq!(
+            service.counters().shard_handoff_sends,
+            shards_hit.len() as u64
+        );
+        for (shard, rx) in service.sheds.lock().iter().enumerate() {
+            let want: Vec<(u64, u32)> = arrivals
+                .iter()
+                .copied()
+                .filter(|&(s, _)| service.shard_for(s) == shard)
+                .collect();
+            let got: Vec<(u64, u32)> = rx
+                .try_iter()
+                .flat_map(|cmd| cmd.readings)
+                .map(|r| (r.session, r.module.index()))
+                .collect();
+            assert_eq!(got, want, "shard {shard}");
+        }
+        // A second flush with nothing staged sends nothing.
+        service.flush_staged(&mut staging).unwrap();
+        assert_eq!(
+            service.counters().shard_handoff_sends,
+            shards_hit.len() as u64
+        );
+    }
+
+    #[test]
+    fn a_refused_staged_command_counts_its_readings_and_returns_its_buffer() {
+        let service = VoterService::start(
+            ServeConfig {
+                shards: 1,
+                mailbox_capacity: 1,
+                backpressure: Backpressure::Reject,
+                ..ServeConfig::default()
+            },
+            registry(),
+        );
+        service.stop_workers();
+        let mut staging = service.staging();
+        for m in 0..3u32 {
+            service.stage(&mut staging, 1, ModuleId::new(m), 0, 1.0);
+        }
+        service.flush_staged(&mut staging).unwrap();
+        assert_eq!(service.buffers.len(), 0, "the buffer sits in the mailbox");
+        // The one slot is taken: the next command is refused whole — which
+        // `flush_staged` counts rather than reports.
+        for m in 0..5u32 {
+            service.stage(&mut staging, 1, ModuleId::new(m), 1, 1.0);
+        }
+        service.flush_staged(&mut staging).unwrap();
+        assert!(staging.is_empty());
+        let snap = service.counters();
+        assert_eq!(snap.readings_dropped, 5);
+        assert_eq!(snap.shard_handoff_sends, 1);
+        assert_eq!(service.buffers.len(), 1, "the refused buffer is pooled");
     }
 
     #[test]

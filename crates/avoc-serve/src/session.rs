@@ -167,12 +167,7 @@ impl Session {
         counters: &ServiceCounters,
     ) {
         self.last_active_tick = tick;
-        let ready = self.hub.accept(Message::Reading {
-            module,
-            round,
-            value,
-        });
-        for r in ready {
+        for r in self.hub.accept_reading(module, round, value) {
             self.fuse(&r, sampled, counters);
         }
     }
@@ -190,8 +185,8 @@ impl Session {
 
     /// Ships everything fused since the last flush. The shard worker calls
     /// this after every `DATA_BURST` readings it feeds — between queued
-    /// commands and at the same cadence *inside* a `ReadingBurst` — so a
-    /// burst's verdicts leave as bounded [`Message::ResultBatch`] frames
+    /// commands and at the same cadence *inside* one — so a burst's
+    /// verdicts leave as bounded [`Message::ResultBatch`] frames
     /// regardless of how the readings were framed on the wire; a lone
     /// result goes as a plain [`Message::SessionResult`] (interactive
     /// traffic keeps its shape and latency).

@@ -4,6 +4,7 @@ use avoc_core::ModuleId;
 use avoc_net::{Message, SpecSource};
 use avoc_vdx::VdxSpec;
 use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
+use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -16,18 +17,20 @@ use crate::persist::{MetaState, Persistence, SessionStore};
 use crate::session::{Session, SessionConfig};
 use crate::sink::ResultSink;
 
-/// What a shard does when its bounded data mailbox is full.
+/// What a shard does when its bounded data mailbox is full. The mailbox
+/// holds *commands* — one per `feed`/`feed_batch` call, one per socket read
+/// on the TCP path — and each policy spends its budget a command at a time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backpressure {
     /// The producer blocks until the shard catches up. Nothing is lost;
     /// latency propagates upstream (through TCP flow control, to sensors).
     #[default]
     Block,
-    /// The oldest queued reading is dropped to admit the new one: freshest
-    /// data wins, bounded staleness. Drops are counted.
+    /// The oldest queued command is dropped to admit the new one: freshest
+    /// data wins, bounded staleness. Every reading it carried is counted.
     DropOldest,
-    /// The new reading is refused and the producer told; queued work is
-    /// never discarded. Drops are counted.
+    /// The new command is refused and the producer told; queued work is
+    /// never discarded. Every reading it carried is counted.
     Reject,
 }
 
@@ -53,14 +56,98 @@ pub(crate) struct OpenReq {
     pub(crate) evict_if_full: bool,
 }
 
-/// Work routed to a shard. Sessions are pinned: every command for a session
-/// id lands on the same shard, so session state needs no synchronisation.
+/// What a reading owes the trace ring. Sampling is decided per reading
+/// *frame* (a `SessionReading`, or a whole `FeedBatch`), one in
+/// `trace_sample`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TraceMark {
+    /// Unsampled — the overwhelmingly common case.
+    None,
+    /// Part of a sampled frame: rounds it completes leave fuse and flush
+    /// spans.
+    Sampled,
+    /// First reading of a sampled frame: as [`TraceMark::Sampled`], and
+    /// the frame's queue span is recorded against it.
+    FrameHead,
+}
+
+/// One measurement for one session's round, as it crosses to a shard.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TaggedReading {
+    /// Target session.
+    pub(crate) session: u64,
+    /// Round number.
+    pub(crate) round: u64,
+    /// Measured value.
+    pub(crate) value: f64,
+    /// Submitting module.
+    pub(crate) module: ModuleId,
+    /// Trace sampling outcome for the frame this reading arrived in.
+    pub(crate) mark: TraceMark,
+}
+
+/// The data-plane command — the only thing a shard's data mailbox carries:
+/// readings for any of the shard's sessions, in arrival order, in one
+/// mailbox slot and one channel send however many there are. A socket
+/// read's `SessionReading` frames, a whole `FeedBatch` frame and an
+/// in-process [`crate::VoterService::feed`] (a batch of one) all travel as
+/// this. The worker feeds the readings in order, then returns the buffer to
+/// the service's [`BufferPool`], so the steady state allocates nothing.
+pub(crate) struct Readings {
+    /// The readings, in submission order (never empty).
+    pub(crate) readings: Vec<TaggedReading>,
+    /// [`avoc_obs::now_ns`] just before the send when any reading is
+    /// trace-sampled, `0` (the overwhelmingly common case) when none is.
+    /// The worker turns a non-zero stamp into one queue span per
+    /// [`TraceMark::FrameHead`].
+    pub(crate) queued_ns: u64,
+}
+
+/// How many drained reading buffers the free-list retains. In-flight
+/// commands are bounded by the shard mailboxes, so a modest pool covers the
+/// steady state; a miss just allocates a fresh buffer that joins the pool
+/// when it drains.
+const BUFFER_POOL_CAPACITY: usize = 1024;
+
+/// The bounded free-list reading buffers cycle through: a producer takes
+/// one (or allocates on a miss), the shard that drained it gives it back.
+/// Last in, first out: the buffer that just drained is the next one
+/// filled, so the few buffers the steady state needs grow to its command
+/// size and stay warm — a queue would walk every pooled buffer up to the
+/// largest command it ever carried.
+#[derive(Default)]
+pub(crate) struct BufferPool(Mutex<Vec<Vec<TaggedReading>>>);
+
+impl BufferPool {
+    /// An empty buffer: recycled if one is pooled, fresh otherwise.
+    pub(crate) fn take(&self) -> Vec<TaggedReading> {
+        self.0.lock().pop().unwrap_or_default()
+    }
+
+    /// Clears `buf` and pools it; a full pool just drops it.
+    pub(crate) fn give(&self, mut buf: Vec<TaggedReading>) {
+        buf.clear();
+        let mut pooled = self.0.lock();
+        if pooled.len() < BUFFER_POOL_CAPACITY {
+            pooled.push(buf);
+        }
+    }
+
+    /// Buffers currently pooled.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.0.lock().len()
+    }
+}
+
+/// Lifecycle work routed to a shard. Sessions are pinned: every command for
+/// a session id lands on the same shard, so session state needs no
+/// synchronisation.
 ///
-/// Commands travel on two channels per shard: lifecycle commands (`Open`,
-/// `Resume`, `Close`, `Drain`, `Abort`) on a control mailbox the worker
-/// always drains first, and `Reading`s / `ReadingBurst`s on the
-/// backpressured data mailbox — so a flood of data can never displace,
-/// reorder, or shed a control command.
+/// A shard has two mailboxes: these commands travel on a control mailbox
+/// the worker always drains first, [`Readings`] on the backpressured data
+/// mailbox — so a flood of data can never displace, reorder, or shed a
+/// control command.
 pub(crate) enum ShardCommand {
     /// Install a session (spec already resolved and validated).
     Open(OpenReq),
@@ -75,41 +162,6 @@ pub(crate) enum ShardCommand {
         /// Daemon-internal recovery scan (not a client retry): counted as a
         /// recovery only, and never as a resume or retry.
         eager: bool,
-    },
-    /// One measurement for a session's round.
-    Reading {
-        /// Target session.
-        session: u64,
-        /// Submitting module.
-        module: ModuleId,
-        /// Round number.
-        round: u64,
-        /// Measured value.
-        value: f64,
-        /// Trace stamp: [`avoc_obs::now_ns`] at enqueue when this reading
-        /// was sampled for tracing, `0` (the overwhelmingly common case)
-        /// when not. The worker turns a non-zero stamp into a queue span.
-        queued_ns: u64,
-    },
-    /// A whole `FeedBatch` frame's readings for one session in a single
-    /// command: one mailbox slot and one channel send however many
-    /// readings it carries, so a 52k-reading frame costs O(1) handoffs
-    /// instead of O(readings). The worker feeds the readings in order —
-    /// exactly as the per-reading path would — then clears the buffer and
-    /// returns it through `recycle` so the steady state allocates nothing.
-    ReadingBurst {
-        /// Target session (a `FeedBatch` frame is single-session, so a
-        /// burst never needs re-splitting by shard).
-        session: u64,
-        /// The readings, in submission order (never empty).
-        readings: Vec<avoc_net::BatchReading>,
-        /// Trace stamp for the burst as a whole (`0` when unsampled);
-        /// one queue span covers every reading it carried.
-        queued_ns: u64,
-        /// Where the drained buffer goes back to. The pool channel is
-        /// bounded; a full (or disconnected, at shutdown) pool just drops
-        /// the buffer.
-        recycle: crossbeam::channel::Sender<Vec<avoc_net::BatchReading>>,
     },
     /// Flush and remove a session (its durable state is deleted: an
     /// explicit close means the tenant is done for good).
@@ -174,8 +226,10 @@ pub(crate) struct ShardWorker {
     pub(crate) index: usize,
     /// Control mailbox: lifecycle commands, drained before data.
     pub(crate) ctrl_rx: Receiver<ShardCommand>,
-    /// Data mailbox: `Reading`s under the configured backpressure policy.
-    pub(crate) data_rx: Receiver<ShardCommand>,
+    /// Data mailbox: readings under the configured backpressure policy.
+    pub(crate) data_rx: Receiver<Readings>,
+    /// Where drained reading buffers go back to.
+    pub(crate) buffers: Arc<BufferPool>,
     pub(crate) counters: Arc<ServiceCounters>,
     /// Global live-session count (shared across shards for admission).
     pub(crate) active: Arc<AtomicUsize>,
@@ -201,17 +255,18 @@ const SWEEP_INTERVAL: u64 = 64;
 /// bounds control latency on an otherwise idle shard.
 const CONTROL_POLL: Duration = Duration::from_millis(5);
 
-/// How many queued readings one wakeup may process before control is
-/// re-checked. Draining a burst amortises the blocking receive (and its
-/// timeout bookkeeping) across many readings when the mailbox runs deep —
-/// batched producers fill it faster than one-command wakeups can empty it —
-/// while keeping worst-case control latency to one burst of fuses.
+/// How many queued commands one wakeup may process before control is
+/// re-checked, and how many readings the worker feeds — across commands or
+/// inside one — before it ships the verdicts they fused. Draining a burst
+/// amortises the blocking receive (and its timeout bookkeeping) when the
+/// mailbox runs deep, while verdicts leave in bounded frames at a steady
+/// cadence however the readings were grouped on the way in.
 const DATA_BURST: usize = 64;
 
 /// The mutable state one worker owns: its sessions, its logical clock,
 /// control commands put aside while hunting for a pending `Open` (see
-/// [`ShardWorker::reading`]), and whether a `Drain`/`Abort` has told it to
-/// stop.
+/// [`ShardWorker::hunt_for_open`]), and whether a `Drain`/`Abort` has told
+/// it to stop.
 struct ShardState {
     sessions: HashMap<u64, Session>,
     tick: u64,
@@ -240,7 +295,7 @@ impl ShardWorker {
         };
         let mut ctrl_alive = true;
         while !st.stop {
-            // Control first: commands deferred by `reading`'s Open hunt,
+            // Control first: commands deferred by the Open hunt,
             // then the control mailbox — a deep data backlog must never
             // delay or reorder Open/Close/Drain.
             while !st.stop {
@@ -259,9 +314,9 @@ impl ShardWorker {
             if st.stop {
                 break;
             }
-            // Then up to a burst of readings, keeping control responsive
-            // under sustained data load without paying a timed wait per
-            // reading.
+            // Then up to a burst of data commands, keeping control
+            // responsive under sustained data load without paying a timed
+            // wait per command.
             match self.data_rx.recv_timeout(CONTROL_POLL) {
                 Ok(cmd) => {
                     // Consumer-side depth sample: catches backlog the
@@ -269,10 +324,10 @@ impl ShardWorker {
                     // while the queue is deep.
                     self.counters
                         .note_queue_depth(self.index, self.data_rx.len());
-                    self.reading(cmd, &mut st);
+                    self.readings(cmd, &mut st);
                     for _ in 1..DATA_BURST {
                         match self.data_rx.try_recv() {
-                            Ok(cmd) => self.reading(cmd, &mut st),
+                            Ok(cmd) => self.readings(cmd, &mut st),
                             Err(_) => break,
                         }
                     }
@@ -364,11 +419,6 @@ impl ShardWorker {
                     self.counters.deregister_session(id);
                 }
                 st.stop = true;
-            }
-            // Readings (and bursts) are routed to the data mailbox;
-            // tolerate a stray one here rather than crash the worker.
-            cmd @ (ShardCommand::Reading { .. } | ShardCommand::ReadingBurst { .. }) => {
-                self.reading(cmd, st);
             }
         }
     }
@@ -568,132 +618,118 @@ impl ShardWorker {
     fn drain_data_backlog(&self, st: &mut ShardState) {
         for _ in 0..self.data_rx.len() {
             match self.data_rx.try_recv() {
-                Ok(cmd) => self.reading(cmd, st),
+                Ok(cmd) => self.readings(cmd, st),
                 Err(_) => break,
             }
         }
     }
 
-    /// Dispatches one data-mailbox command: a single reading, or a burst
-    /// fed reading-by-reading in submission order (so the fused stream is
-    /// bit-identical to the per-reading path).
-    fn reading(&self, cmd: ShardCommand, st: &mut ShardState) {
-        match cmd {
-            ShardCommand::Reading {
-                session,
-                module,
-                round,
-                value,
-                queued_ns,
-            } => {
-                if queued_ns != 0 {
-                    // Sampled reading: its mailbox wait becomes a queue span.
-                    self.queue_span(session, round, queued_ns);
-                }
-                self.feed_one(st, session, module, round, value, queued_ns != 0);
-            }
-            ShardCommand::ReadingBurst {
-                session,
-                mut readings,
-                queued_ns,
-                recycle,
-            } => {
-                if queued_ns != 0 {
-                    // One queue span covers the whole burst (it waited as
-                    // one mailbox entry).
-                    let round = readings.first().map_or(0, |r| r.round);
-                    self.queue_span(session, round, queued_ns);
-                }
-                for (i, r) in readings.iter().enumerate() {
-                    self.feed_one(st, session, r.module, r.round, r.value, queued_ns != 0);
-                    // Keep the egress cadence of the per-reading path: a
-                    // wakeup used to fuse at most DATA_BURST readings
-                    // before shipping results, so a giant burst must not
-                    // coalesce its whole verdict stream into a handful of
-                    // maximum-size frames (the trailing partial chunk
-                    // flushes at end of wakeup, exactly as before).
-                    if (i + 1) % DATA_BURST == 0 {
-                        self.flush_touched(st);
-                    }
-                }
-                readings.clear();
-                let _ = recycle.try_send(readings);
-            }
-            // Control commands never reach the data mailbox.
-            _ => {}
-        }
-    }
-
-    /// Records the mailbox wait of a sampled reading (or burst).
-    fn queue_span(&self, session: u64, round: u64, queued_ns: u64) {
-        self.counters.trace().record(avoc_obs::Span {
-            session,
-            round,
-            stage: avoc_obs::Stage::Queue,
-            start_ns: queued_ns,
-            dur_ns: avoc_obs::now_ns().saturating_sub(queued_ns),
-        });
-    }
-
-    /// Feeds one reading into its session: the shard tick, the Open hunt,
-    /// the engine feed and the idle sweep all happen per reading, whether
-    /// it arrived alone or inside a burst.
-    fn feed_one(
-        &self,
-        st: &mut ShardState,
-        session: u64,
-        module: ModuleId,
-        round: u64,
-        value: f64,
-        traced: bool,
-    ) {
-        st.tick += 1;
-        if !st.sessions.contains_key(&session) {
-            // The session's Open/Resume is always enqueued before its
-            // readings, but on the control channel — it may not have been
-            // processed yet. Hunt for it: install Opens on the way, but
-            // *defer* anything else until after this reading — executing a
-            // Close here would drain the data backlog past the reading in
-            // hand, reordering that tenant's rounds. An Open whose id has a
-            // deferred Close ahead of it (close-then-reopen) is deferred
-            // too, preserving their relative order.
-            while !st.sessions.contains_key(&session) {
-                match self.ctrl_rx.try_recv() {
-                    Ok(cmd) => {
-                        let open_id = match &cmd {
-                            ShardCommand::Open(req) | ShardCommand::Resume { req, .. } => {
-                                Some(req.session)
-                            }
-                            _ => None,
-                        };
-                        let install_now = open_id.is_some_and(|id| {
-                            !st.deferred.iter().any(
-                                |d| matches!(d, ShardCommand::Close { session: s } if *s == id),
-                            )
-                        });
-                        if install_now {
-                            self.control(cmd, st);
-                        } else {
-                            st.deferred.push_back(cmd);
-                        }
-                    }
-                    Err(_) => break,
-                }
-            }
-        }
-        if let Some(s) = st.sessions.get_mut(&session) {
-            s.feed(module, round, value, st.tick, traced, &self.counters);
-            if !st.touched.contains(&session) {
-                st.touched.push(session);
-            }
+    /// Feeds one data-mailbox command, reading by reading in submission
+    /// order — the shard tick, the engine feed, the idle sweep and the
+    /// egress cadence all advance per reading, however many share the
+    /// command — so the fused stream is bit-identical to one command per
+    /// reading.
+    fn readings(&self, cmd: Readings, st: &mut ShardState) {
+        let Readings {
+            readings,
+            queued_ns,
+        } = cmd;
+        let picked_ns = if queued_ns != 0 {
+            avoc_obs::now_ns()
         } else {
-            // Genuinely unknown session: late (evicted, or sent after
-            // Close) or misrouted. Counted as a drop, but no error frame —
-            // per-reading errors would amplify a flood.
-            self.counters.reading_dropped();
+            0
+        };
+        let mut i = 0;
+        while i < readings.len() {
+            let session = readings[i].session;
+            // One lookup serves the run of consecutive readings for this
+            // session (a tick's frames arrive back to back), up to the next
+            // point where the worker needs the whole map again.
+            let mut live = st.sessions.get_mut(&session);
+            if live.is_none() {
+                self.hunt_for_open(st, session);
+                live = st.sessions.get_mut(&session);
+            }
+            if let Some(s) = live {
+                while let Some(r) = readings.get(i).filter(|r| r.session == session) {
+                    st.tick += 1;
+                    if r.mark == TraceMark::FrameHead {
+                        // A sampled frame's mailbox wait: from the send to
+                        // the worker picking its command up.
+                        self.counters.trace().record(avoc_obs::Span {
+                            session,
+                            round: r.round,
+                            stage: avoc_obs::Stage::Queue,
+                            start_ns: queued_ns,
+                            dur_ns: picked_ns.saturating_sub(queued_ns),
+                        });
+                    }
+                    s.feed(
+                        r.module,
+                        r.round,
+                        r.value,
+                        st.tick,
+                        r.mark != TraceMark::None,
+                        &self.counters,
+                    );
+                    i += 1;
+                    if i.is_multiple_of(DATA_BURST) || st.tick.is_multiple_of(SWEEP_INTERVAL) {
+                        break;
+                    }
+                }
+                if !st.touched.contains(&session) {
+                    st.touched.push(session);
+                }
+            } else {
+                // Genuinely unknown session: late (evicted, or sent after
+                // Close) or misrouted. Counted as a drop, but no error
+                // frame — per-reading errors would amplify a flood.
+                st.tick += 1;
+                self.counters.reading_dropped();
+                i += 1;
+            }
+            if st.tick.is_multiple_of(SWEEP_INTERVAL) {
+                self.sweep(st);
+            }
+            // Keep the egress cadence of one command per reading: a wakeup
+            // fuses at most DATA_BURST of those before shipping results, so
+            // a large command must not coalesce its whole verdict stream
+            // into a handful of maximum-size frames (the trailing partial
+            // chunk flushes at end of wakeup).
+            if i.is_multiple_of(DATA_BURST) {
+                self.flush_touched(st);
+            }
         }
-        if st.tick.is_multiple_of(SWEEP_INTERVAL) {
-            self.sweep(st);
+        self.buffers.give(readings);
+    }
+
+    /// A reading arrived for a session the map does not hold. Its
+    /// Open/Resume is always enqueued before its readings, but on the
+    /// control channel — it may not have been processed yet. Hunt for it:
+    /// install Opens on the way, but *defer* anything else until after the
+    /// reading in hand — executing a Close here would drain the data
+    /// backlog past it, reordering that tenant's rounds. An Open whose id
+    /// has a deferred Close ahead of it (close-then-reopen) is deferred
+    /// too, preserving their relative order.
+    fn hunt_for_open(&self, st: &mut ShardState, session: u64) {
+        while !st.sessions.contains_key(&session) {
+            let Ok(cmd) = self.ctrl_rx.try_recv() else {
+                break;
+            };
+            let open_id = match &cmd {
+                ShardCommand::Open(req) | ShardCommand::Resume { req, .. } => Some(req.session),
+                _ => None,
+            };
+            let install_now = open_id.is_some_and(|id| {
+                !st.deferred
+                    .iter()
+                    .any(|d| matches!(d, ShardCommand::Close { session: s } if *s == id))
+            });
+            if install_now {
+                self.control(cmd, st);
+            } else {
+                st.deferred.push_back(cmd);
+            }
         }
     }
 

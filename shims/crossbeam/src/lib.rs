@@ -6,6 +6,27 @@
 //! cloning, and iterator draining — implemented over `Mutex` + `Condvar`.
 //! The surface is a strict subset of the real crate's, so swapping the
 //! vendored shim back for `crossbeam-channel` stays a drop-in change.
+//!
+//! # When it enters the kernel
+//!
+//! std's `Condvar::notify_one` is an unconditional `futex(FUTEX_WAKE)` on
+//! Linux, parked peer or not. The channel therefore counts its parked
+//! peers under the mutex every operation already takes, and notifies only
+//! when the count says somebody is waiting — which is what the real
+//! `crossbeam-channel` does:
+//!
+//! * `send`/`try_send` notify `not_empty` only while a receiver is parked
+//!   in `recv`, `recv_timeout` or a blocking iterator;
+//! * `recv`/`try_recv`/`recv_timeout` notify `not_full` only while a
+//!   sender is parked in `send`;
+//! * the last sender or receiver going away still `notify_all`s, parked
+//!   peer or not (disconnects are rare and must never be missed).
+//!
+//! A waiter bumps its count before it parks and the notifier reads it after
+//! it queued or popped, both under the same mutex, so no wake-up can be
+//! lost: either the waiter sees the queue change before it parks, or the
+//! notifier sees the waiter. An uncontended `try_send`/`try_recv` pair is
+//! two uncontended mutex round trips and no syscall.
 
 #![forbid(unsafe_code)]
 
@@ -14,13 +35,18 @@ pub mod channel {
 
     use std::collections::VecDeque;
     use std::fmt;
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
     use std::time::{Duration, Instant};
 
     struct State<T> {
         queue: VecDeque<T>,
         senders: usize,
         receivers: usize,
+        /// Receivers parked on `not_empty` (or woken and not yet holding
+        /// the mutex again).
+        parked_receivers: usize,
+        /// Senders parked on `not_full`, likewise.
+        parked_senders: usize,
     }
 
     struct Inner<T> {
@@ -28,6 +54,56 @@ pub mod channel {
         not_empty: Condvar,
         not_full: Condvar,
         cap: Option<usize>,
+    }
+
+    #[cfg(test)]
+    thread_local! {
+        /// Condvar notifies issued by this thread's queue operations
+        /// (disconnects excluded).
+        pub(crate) static NOTIFIES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Wakes one waiter on `cv` if the count read under the mutex said one
+    /// is parked. Called after the unlock, so the woken peer does not run
+    /// straight into a held mutex.
+    fn notify_if(parked: bool, cv: &Condvar) {
+        if parked {
+            #[cfg(test)]
+            NOTIFIES.with(|n| n.set(n.get() + 1));
+            cv.notify_one();
+        }
+    }
+
+    impl<T> Inner<T> {
+        /// A message was queued: wake one receiver, if one is parked.
+        fn queued(&self, st: MutexGuard<'_, State<T>>) {
+            let parked = st.parked_receivers > 0;
+            drop(st);
+            notify_if(parked, &self.not_empty);
+        }
+
+        /// A message was popped: wake one sender, if one is parked.
+        fn popped(&self, st: MutexGuard<'_, State<T>>) {
+            let parked = st.parked_senders > 0;
+            drop(st);
+            notify_if(parked, &self.not_full);
+        }
+    }
+
+    #[cfg(test)]
+    impl<T> Sender<T> {
+        /// Spins until exactly `senders` senders and `receivers` receivers
+        /// are parked, so a test acts on a peer that is known to be waiting.
+        pub(crate) fn await_parked(&self, senders: usize, receivers: usize) {
+            loop {
+                let st = self.inner.state.lock().unwrap();
+                if (st.parked_senders, st.parked_receivers) == (senders, receivers) {
+                    return;
+                }
+                drop(st);
+                std::thread::yield_now();
+            }
+        }
     }
 
     /// Creates an unbounded channel.
@@ -49,6 +125,8 @@ pub mod channel {
                 queue: VecDeque::new(),
                 senders: 1,
                 receivers: 1,
+                parked_receivers: 0,
+                parked_senders: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -134,14 +212,15 @@ pub mod channel {
                 }
                 match self.inner.cap {
                     Some(cap) if st.queue.len() >= cap => {
+                        st.parked_senders += 1;
                         st = self.inner.not_full.wait(st).unwrap();
+                        st.parked_senders -= 1;
                     }
                     _ => break,
                 }
             }
             st.queue.push_back(msg);
-            drop(st);
-            self.inner.not_empty.notify_one();
+            self.inner.queued(st);
             Ok(())
         }
 
@@ -162,8 +241,7 @@ pub mod channel {
                 }
             }
             st.queue.push_back(msg);
-            drop(st);
-            self.inner.not_empty.notify_one();
+            self.inner.queued(st);
             Ok(())
         }
 
@@ -221,14 +299,15 @@ pub mod channel {
             let mut st = self.inner.state.lock().unwrap();
             loop {
                 if let Some(msg) = st.queue.pop_front() {
-                    drop(st);
-                    self.inner.not_full.notify_one();
+                    self.inner.popped(st);
                     return Ok(msg);
                 }
                 if st.senders == 0 {
                     return Err(RecvError);
                 }
+                st.parked_receivers += 1;
                 st = self.inner.not_empty.wait(st).unwrap();
+                st.parked_receivers -= 1;
             }
         }
 
@@ -242,8 +321,7 @@ pub mod channel {
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut st = self.inner.state.lock().unwrap();
             if let Some(msg) = st.queue.pop_front() {
-                drop(st);
-                self.inner.not_full.notify_one();
+                self.inner.popped(st);
                 return Ok(msg);
             }
             if st.senders == 0 {
@@ -264,8 +342,7 @@ pub mod channel {
             let mut st = self.inner.state.lock().unwrap();
             loop {
                 if let Some(msg) = st.queue.pop_front() {
-                    drop(st);
-                    self.inner.not_full.notify_one();
+                    self.inner.popped(st);
                     return Ok(msg);
                 }
                 if st.senders == 0 {
@@ -275,12 +352,14 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
+                st.parked_receivers += 1;
                 let (guard, _) = self
                     .inner
                     .not_empty
                     .wait_timeout(st, deadline - now)
                     .unwrap();
                 st = guard;
+                st.parked_receivers -= 1;
             }
         }
 
@@ -459,6 +538,79 @@ mod tests {
         drop(tx);
         let err = rx.recv_timeout(Duration::from_millis(10)).unwrap_err();
         assert_eq!(err, channel::RecvTimeoutError::Disconnected);
+    }
+
+    #[test]
+    fn try_recv_releases_a_sender_blocked_on_a_full_channel() {
+        let (tx, rx) = channel::bounded(1);
+        tx.send(1).unwrap();
+        let probe = tx.clone();
+        let t = std::thread::spawn(move || tx.send(2).unwrap());
+        probe.await_parked(1, 0);
+        let before = channel::NOTIFIES.with(std::cell::Cell::get);
+        assert_eq!(rx.try_recv().unwrap(), 1);
+        assert_eq!(channel::NOTIFIES.with(std::cell::Cell::get), before + 1);
+        t.join().unwrap();
+        assert_eq!(rx.try_recv().unwrap(), 2);
+    }
+
+    #[test]
+    fn try_send_releases_a_receiver_parked_in_recv_timeout() {
+        let (tx, rx) = channel::bounded(1);
+        let t = std::thread::spawn(move || rx.recv_timeout(Duration::from_secs(30)));
+        tx.await_parked(0, 1);
+        let before = channel::NOTIFIES.with(std::cell::Cell::get);
+        tx.try_send(7).unwrap();
+        assert_eq!(channel::NOTIFIES.with(std::cell::Cell::get), before + 1);
+        // A lost wake-up would sit out the 30 s timeout.
+        let t0 = std::time::Instant::now();
+        assert_eq!(t.join().unwrap(), Ok(7));
+        assert!(t0.elapsed() < Duration::from_secs(10));
+    }
+
+    #[test]
+    fn contended_capacity_two_channel_loses_nothing() {
+        const PRODUCERS: u64 = 4;
+        const PER_PRODUCER: u64 = 25_000;
+        let (tx, rx) = channel::bounded::<u64>(2);
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let tx = tx.clone();
+                std::thread::spawn(move || {
+                    for i in 0..PER_PRODUCER {
+                        tx.send(p * PER_PRODUCER + i).unwrap();
+                    }
+                })
+            })
+            .collect();
+        drop(tx);
+        let consumers: Vec<_> = (0..2)
+            .map(|_| {
+                let rx = rx.clone();
+                std::thread::spawn(move || rx.iter().collect::<Vec<u64>>())
+            })
+            .collect();
+        drop(rx);
+        for p in producers {
+            p.join().unwrap();
+        }
+        let mut got: Vec<u64> = consumers
+            .into_iter()
+            .flat_map(|c| c.join().unwrap())
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, (0..PRODUCERS * PER_PRODUCER).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn uncontended_try_operations_never_notify() {
+        let (tx, rx) = channel::bounded(4);
+        let before = channel::NOTIFIES.with(std::cell::Cell::get);
+        for i in 0..10_000 {
+            tx.try_send(i).unwrap();
+            assert_eq!(rx.try_recv().unwrap(), i);
+        }
+        assert_eq!(channel::NOTIFIES.with(std::cell::Cell::get), before);
     }
 
     #[test]

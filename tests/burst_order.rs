@@ -1,15 +1,18 @@
-//! Property tests for the batched shard handoff: a `FeedBatch` travelling
-//! as one `ReadingBurst` command must be observationally identical to the
-//! same readings fed one command at a time. "Identical" means identical —
-//! per-session result streams are compared bit-for-bit (`f64::to_bits`),
-//! because the burst path feeds the very same fusion engines and any
-//! reordering or dropped reading would move a fused value or a verdict.
+//! Property tests for the batched shard handoff: readings that share a
+//! data command — a `FeedBatch`, or the `SessionReading` frames of several
+//! sessions decoded by one socket read — must be observationally identical
+//! to the same readings fed one command at a time. "Identical" means
+//! identical — per-session result streams are compared bit-for-bit
+//! (`f64::to_bits`), because every path feeds the very same fusion engines
+//! and any reordering or dropped reading would move a fused value or a
+//! verdict.
 
 use avoc::core::ModuleId;
 use avoc::net::{BatchReading, Message, SpecSource};
-use avoc::serve::{Backpressure, ServeConfig, SpecRegistry, VoterService};
+use avoc::serve::{Backpressure, ServeConfig, SpecRegistry, TcpServer, VoterService};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::io::{Read as _, Write as _};
 use std::sync::Arc;
 
 /// One fused verdict, reduced to comparable bits.
@@ -22,23 +25,24 @@ fn registry() -> Arc<SpecRegistry> {
 }
 
 /// Runs `rosters` (one ordered reading list per session) through a fresh
-/// in-process service and returns each session's result stream in emission
-/// order. `deliver` decides how a session's roster becomes service calls —
-/// per-reading `feed` or chunked `feed_batch` — and sessions are
-/// interleaved reading-by-reading either way, so shards see concurrent
-/// tenants, not one tenant at a time.
+/// service and returns each session's result stream in emission order.
+/// `deliver` decides how the rosters reach the service — per-reading
+/// `feed`, chunked `feed_batch`, or frames over a socket, in which case it
+/// hands back the front-end it started so the harness can shut it down.
+/// The sessions emit to an in-process sink whichever way their readings
+/// arrive.
 fn fuse_rosters(
     rosters: &[Vec<BatchReading>],
-    mut deliver: impl FnMut(&VoterService, u64, &[BatchReading]),
+    deliver: impl FnOnce(&Arc<VoterService>) -> Option<TcpServer>,
 ) -> BTreeMap<u64, Vec<Verdict>> {
-    let service = VoterService::start(
+    let service = Arc::new(VoterService::start(
         ServeConfig {
             shards: 2,
             backpressure: Backpressure::Block,
             ..ServeConfig::default()
         },
         registry(),
-    );
+    ));
     let (sink, results) = crossbeam::channel::unbounded();
     let modules = rosters
         .iter()
@@ -55,27 +59,14 @@ fn fuse_rosters(
             )
             .expect("open session");
     }
-    // Round-robin across sessions so their commands interleave in the
-    // shard mailboxes; within a session the roster order is preserved,
-    // which is the order the property is about.
-    let mut cursors = vec![0usize; rosters.len()];
-    loop {
-        let mut any = false;
-        for (i, roster) in rosters.iter().enumerate() {
-            if cursors[i] < roster.len() {
-                deliver(&service, i as u64, &roster[cursors[i]..]);
-                cursors[i] = roster.len();
-                any = true;
-            }
-        }
-        if !any {
-            break;
-        }
-    }
+    let front_end = deliver(&service);
     for (i, _) in rosters.iter().enumerate() {
         service.close_session(i as u64).expect("close session");
     }
-    service.drain();
+    match front_end {
+        Some(server) => drop(server.shutdown()),
+        None => drop(service.drain()),
+    }
     drop(sink);
 
     let mut streams: BTreeMap<u64, Vec<Verdict>> = BTreeMap::new();
@@ -100,6 +91,45 @@ fn fuse_rosters(
         }
     }
     streams
+}
+
+/// Delivers every roster over one TCP connection, the sessions' readings
+/// interleaved one by one and written in a single `write`, so the
+/// daemon's reactor decodes them in (as good as always) one read and
+/// stages them into one command per shard, tenants mixed. The trailing
+/// `StatsRequest` is answered only after everything ahead of it has been
+/// handed to the shards, so its reply is the cue that delivery is done.
+fn deliver_over_one_socket(
+    service: &Arc<VoterService>,
+    rosters: &[Vec<BatchReading>],
+) -> Option<TcpServer> {
+    let server = TcpServer::start("127.0.0.1:0", Arc::clone(service)).expect("bind");
+    let mut wire = Vec::new();
+    let longest = rosters.iter().map(Vec::len).max().unwrap_or(0);
+    for k in 0..longest {
+        for (session, roster) in rosters.iter().enumerate() {
+            if let Some(b) = roster.get(k) {
+                wire.extend_from_slice(
+                    &Message::SessionReading {
+                        session: session as u64,
+                        module: b.module,
+                        round: b.round,
+                        value: b.value,
+                    }
+                    .encode(),
+                );
+            }
+        }
+    }
+    wire.extend_from_slice(&Message::StatsRequest.encode());
+    let mut tenant = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    tenant
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("timeout");
+    tenant.write_all(&wire).expect("one write");
+    let mut byte = [0u8; 1];
+    tenant.read_exact(&mut byte).expect("the stats reply");
+    Some(server)
 }
 
 proptest! {
@@ -139,24 +169,38 @@ proptest! {
             .collect();
 
         // Reference: one `feed` call (one shard command) per reading.
-        let per_reading = fuse_rosters(&rosters, |service, session, tail| {
-            for b in tail {
-                service.feed(session, b.module, b.round, b.value).expect("feed");
+        let per_reading = fuse_rosters(&rosters, |service| {
+            for (session, roster) in rosters.iter().enumerate() {
+                for b in roster {
+                    service
+                        .feed(session as u64, b.module, b.round, b.value)
+                        .expect("feed");
+                }
             }
+            None
         });
 
         // Burst path: the same roster sliced into arbitrary chunks, each
-        // travelling as one `feed_batch` → one `ReadingBurst` command.
-        let mut cycle = 0usize;
-        let bursts = fuse_rosters(&rosters, |service, session, tail| {
-            let mut rest = tail;
-            while !rest.is_empty() {
-                let take = chunk_sizes[cycle % chunk_sizes.len()].min(rest.len());
-                cycle += 1;
-                let (chunk, remaining) = rest.split_at(take);
-                service.feed_batch(session, chunk).expect("feed_batch");
-                rest = remaining;
+        // travelling as one `feed_batch` → one data command.
+        let bursts = fuse_rosters(&rosters, |service| {
+            let mut cycle = 0usize;
+            for (session, roster) in rosters.iter().enumerate() {
+                let mut rest = &roster[..];
+                while !rest.is_empty() {
+                    let take = chunk_sizes[cycle % chunk_sizes.len()].min(rest.len());
+                    cycle += 1;
+                    let (chunk, remaining) = rest.split_at(take);
+                    service.feed_batch(session as u64, chunk).expect("feed_batch");
+                    rest = remaining;
+                }
             }
+            None
+        });
+
+        // Staged path: every session's frames interleaved in one socket
+        // write → one data command per shard, tenants mixed.
+        let staged = fuse_rosters(&rosters, |service| {
+            deliver_over_one_socket(service, &rosters)
         });
 
         for (session, stream) in &per_reading {
@@ -169,6 +213,7 @@ proptest! {
                 "session {session} rounds must be strictly increasing: {stream:?}"
             );
         }
+        prop_assert_eq!(&per_reading, &staged);
         prop_assert_eq!(per_reading, bursts);
     }
 }

@@ -368,3 +368,120 @@ fn drop_oldest_backpressure_sheds_stale_readings() {
     let got: Vec<Message> = results.try_iter().collect();
     assert_eq!(delivered_results(&got) as u64, snap.rounds_fused);
 }
+
+/// What ends the one socket write that carried a session's readings.
+#[derive(Debug, Clone, Copy)]
+enum Ending {
+    /// A `CloseSession` frame behind the readings, in the same write.
+    CloseFrame,
+    /// A `Shutdown` frame behind the readings: the daemon drops the
+    /// connection from inside that read's decode loop.
+    ShutdownFrame,
+    /// The tenant closes its socket right after the write.
+    SocketClose,
+}
+
+/// The reactor stages a read's `SessionReading` frames and hands them to
+/// the shard in one command; whatever follows them in that read — a close,
+/// a shutdown, the end of the connection — must still find them delivered
+/// first. One `write` carries two complete rounds and a partial third; the
+/// session emits to an in-process sink, so its stream stays observable
+/// after the connection is gone.
+#[test]
+fn staged_readings_precede_whatever_ends_their_read() {
+    use std::io::{Read as _, Write as _};
+    for ending in [
+        Ending::CloseFrame,
+        Ending::ShutdownFrame,
+        Ending::SocketClose,
+    ] {
+        let mut reg = SpecRegistry::new();
+        reg.insert("avoc", avoc::vdx::VdxSpec::avoc());
+        let service = Arc::new(VoterService::start(
+            ServeConfig {
+                shards: 1,
+                ..ServeConfig::default()
+            },
+            Arc::new(reg),
+        ));
+        let server = TcpServer::start("127.0.0.1:0", Arc::clone(&service)).expect("bind");
+        let (sink, results) = channel::unbounded::<Message>();
+        service
+            .open_session(1, 5, &SpecSource::Named("avoc".into()), sink)
+            .expect("open");
+
+        let mut wire = Vec::new();
+        for (round, modules) in [(0u64, 5u32), (1, 5), (2, 3)] {
+            for m in 0..modules {
+                wire.extend_from_slice(
+                    &Message::SessionReading {
+                        session: 1,
+                        module: ModuleId::new(m),
+                        round,
+                        value: 20.0 + f64::from(m) * 0.1,
+                    }
+                    .encode(),
+                );
+            }
+        }
+        match ending {
+            Ending::CloseFrame => {
+                wire.extend_from_slice(&Message::CloseSession { session: 1 }.encode());
+            }
+            Ending::ShutdownFrame => wire.extend_from_slice(&Message::Shutdown.encode()),
+            Ending::SocketClose => {}
+        }
+        let mut tenant = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+        tenant.write_all(&wire).expect("one write");
+        match ending {
+            // The frame closes the session itself, behind its readings.
+            Ending::CloseFrame => {}
+            // Once the daemon has dropped the connection the readings must
+            // already sit in the shard's mailbox: a close issued now drains
+            // them first.
+            Ending::ShutdownFrame => {
+                tenant
+                    .set_read_timeout(Some(Duration::from_secs(10)))
+                    .expect("timeout");
+                let mut byte = [0u8; 1];
+                assert!(
+                    !tenant.read(&mut byte).is_ok_and(|n| n > 0),
+                    "{ending:?}: the daemon sends this connection nothing"
+                );
+                service.close_session(1).expect("close");
+            }
+            Ending::SocketClose => {
+                drop(tenant);
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while service.counters().rounds_fused < 2 {
+                    assert!(
+                        Instant::now() < deadline,
+                        "{ending:?}: the complete rounds never fused"
+                    );
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                service.close_session(1).expect("close");
+            }
+        }
+
+        // Both verdicts, then the partial round the close flushed — in
+        // order, nothing dropped on the way.
+        let mut rounds = Vec::new();
+        while rounds.len() < 3 {
+            match results
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|e| panic!("{ending:?}: verdicts after {rounds:?}: {e:?}"))
+            {
+                Message::SessionResult { round, .. } => rounds.push(round),
+                Message::ResultBatch { results, .. } => {
+                    rounds.extend(results.iter().map(|r| r.round));
+                }
+                other => panic!("{ending:?}: unexpected sink frame {other:?}"),
+            }
+        }
+        assert_eq!(rounds, [0, 1, 2], "{ending:?}");
+        let snap = server.shutdown();
+        assert_eq!(snap.rounds_fused, 3, "{ending:?}");
+        assert_eq!(snap.readings_dropped, 0, "{ending:?}");
+    }
+}
