@@ -14,8 +14,8 @@
 //! * **data-plane threads and peak FDs** — sampled from `/proc/self`
 //!   mid-replay. The daemon's thread census must be identical across every
 //!   row (the reactor owns all sockets from one thread; connections only
-//!   cost FDs), and 256 sessions must not fuse slower than 16 — the binary
-//!   exits non-zero if either scaling property regresses.
+//!   cost FDs) or the binary exits non-zero; a 256-session row that fuses
+//!   more than 25% below the 16-session row is printed as a notice.
 //!
 //! The daemon runs with its full observability surface on: the admin HTTP
 //! endpoint is bound and pipeline tracing samples one round in 64, so the
@@ -28,9 +28,11 @@
 //! The main sweep runs with the default reactor pool (`min(cores, 4)`
 //! event-loop threads); two variant row sets at 256/1024 sessions pin the
 //! pool to R=1 and R=4 so the multi-reactor speedup is recorded in the
-//! same file, and the binary fails if the R=4 row at 256 sessions falls
-//! more than 10% below R=1 (skipped with a notice on 1-core hosts, where
-//! extra reactors have no core to run on). Channel sends into the shard
+//! same file; an R=4 row at 256 sessions more than 10% below R=1 is
+//! printed as a notice. Neither throughput ratio fails the run: each
+//! compares two single-shot rows, which host noise alone moves past the
+//! margin (timing is gated by `benchmark/`, over repeated runs). Channel
+//! sends into the shard
 //! mailboxes are metered per row: with the burst handoff a whole
 //! `FeedBatch` frame costs one send, so sends per 1k readings must stay
 //! at or below `2 x shards` or the binary exits non-zero.
@@ -545,11 +547,12 @@ fn main() {
         ));
     }
 
-    // Scaling gates, machine-independent by construction. Under the old
-    // thread-per-connection front-end 256 tenants meant 512 daemon threads
-    // thrashing the scheduler; the reactor must hold 256-session throughput
-    // at or above the 16-session row, and its thread census must not move
-    // between any two rows at the same reactor count.
+    // Scaling checks. Under the old thread-per-connection front-end 256
+    // tenants meant 512 daemon threads thrashing the scheduler; the
+    // reactor's thread census must not move between any two rows at the
+    // same reactor count (exact, so gated), and it should hold 256-session
+    // throughput near the 16-session row (two single-shot timings, so
+    // reported, not gated).
     let sweep_rps_at = |n: u64| {
         stats
             .iter()
@@ -557,19 +560,13 @@ fn main() {
             .map(|r| r.rps)
             .expect("row was measured")
     };
-    // Both rows sit at the same saturation point, so a strict comparison
-    // would flap on measurement noise — run-to-run spread between rows on
-    // an oversubscribed CI core is ±15%. A thread-per-connection collapse
-    // (512 threads thrashing one scheduler) loses integer factors, which
-    // a 25% margin still catches while staying quiet on noise.
     if sweep_rps_at(256) < sweep_rps_at(16) * 0.75 {
         eprintln!(
-            "REGRESSION: 256 sessions fused {:.0} readings/s, more than 25% below the \
-             16-session {:.0} — throughput must not degrade with fan-in",
+            "notice: 256 sessions fused {:.0} readings/s, more than 25% below the \
+             16-session {:.0} (single-shot rows; not gated)",
             sweep_rps_at(256),
             sweep_rps_at(16)
         );
-        regressed = true;
     }
     // Census: shards + R exactly, so rows differing only in session count
     // must agree thread-for-thread, and an extra reactor must cost exactly
@@ -603,12 +600,10 @@ fn main() {
             }
         }
     }
-    // Multi-reactor speedup gate: with both R=1 and R=4 rows measured, the
-    // pool must not make fan-in *worse*. On a multicore host R=4 should win
-    // outright (the BENCH file records by how much); the hard gate only
-    // demands it stays within 10% of R=1, so scheduler noise on a busy
-    // 2-core runner doesn't flap the build. One core can't host parallel
-    // reactors at all — skip with a notice rather than fail.
+    // Multi-reactor speedup: with both R=1 and R=4 rows measured, the pool
+    // should not make fan-in *worse* (the BENCH file records both rows).
+    // Reported, not gated: on an idle 2-core host the single-shot ratio
+    // dipped under 0.9 in a third of runs of unchanged code.
     let variant_rps = |sessions: u64, r: usize| {
         stats
             .iter()
@@ -616,17 +611,12 @@ fn main() {
             .map(|row| row.rps)
     };
     if let (Some(r1), Some(r4)) = (variant_rps(256, 1), variant_rps(256, 4)) {
-        if cores == 1 {
+        if r4 < r1 * 0.9 {
             eprintln!(
-                "notice: single-core host — skipping the R=4 >= 0.9x R=1 throughput gate \
-                 (measured R=1 {r1:.0} vs R=4 {r4:.0} readings/s at 256 sessions)"
+                "notice: 4 reactors fused {r4:.0} readings/s at 256 sessions, more than \
+                 10% below the single-reactor {r1:.0} on a {cores}-core host \
+                 (single-shot rows; not gated)"
             );
-        } else if r4 < r1 * 0.9 {
-            eprintln!(
-                "REGRESSION: 4 reactors fused {r4:.0} readings/s at 256 sessions, more than \
-                 10% below the single-reactor {r1:.0} on a {cores}-core host"
-            );
-            regressed = true;
         }
     }
 

@@ -32,8 +32,8 @@
 //! field does not match their configured inter-node secret.
 
 use std::collections::{HashMap, HashSet};
-use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -41,7 +41,7 @@ use std::time::Duration;
 
 use avoc_net::reactor::{self, ConnWaker, FrameVerdict, Handler, ReactorConfig, ReactorPool};
 use avoc_net::Message;
-use avoc_obs::http::{self, parse_request, write_response, ParseError, MAX_REQUEST_BYTES};
+use avoc_obs::http;
 use avoc_obs::{rollup, Counter, Gauge, Registry};
 use avoc_serve::{ClientConfig, ServeClient};
 use crossbeam::channel::{self, Receiver, Sender};
@@ -52,9 +52,6 @@ use crate::ring::HashRing;
 /// Outbound frame budget per gateway connection. Redirect answers are
 /// tiny and one-per-request; this never fills in practice.
 const OUT_CHANNEL_CAPACITY: usize = 64;
-
-/// How long an admin connection may dribble its request head.
-const ADMIN_READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Migration RPC deadlines: a source that cannot quiesce and ship within
 /// this is treated as failed (the drive is idempotent — retry later).
@@ -415,13 +412,11 @@ impl Handler for GatewayHandler {
 #[derive(Debug)]
 pub struct Gateway {
     local_addr: SocketAddr,
-    admin_addr: Option<SocketAddr>,
     pool: ReactorPool,
     state: Arc<ClusterState>,
     stop: Arc<AtomicBool>,
     prober: Option<JoinHandle<()>>,
-    admin_running: Option<Arc<AtomicBool>>,
-    admin_join: Option<JoinHandle<()>>,
+    admin: Option<http::Server>,
 }
 
 impl Gateway {
@@ -488,32 +483,25 @@ impl Gateway {
             None
         };
 
-        let mut gateway = Gateway {
+        let admin = match &config.admin_addr {
+            Some(admin_addr) => {
+                let state = Arc::clone(&state);
+                Some(http::Server::start(
+                    admin_addr,
+                    "avoc-gateway-admin",
+                    move |req| route(req.path(), req.query_param("scope"), &state),
+                )?)
+            }
+            None => None,
+        };
+        Ok(Gateway {
             local_addr: pool.local_addr(),
-            admin_addr: None,
             pool,
             state,
             stop,
             prober,
-            admin_running: None,
-            admin_join: None,
-        };
-        if let Some(admin_addr) = &config.admin_addr {
-            let listener = TcpListener::bind(admin_addr)?;
-            gateway.admin_addr = Some(listener.local_addr()?);
-            let running = Arc::new(AtomicBool::new(true));
-            let state = Arc::clone(&gateway.state);
-            let join = {
-                let running = Arc::clone(&running);
-                std::thread::Builder::new()
-                    .name("avoc-gateway-admin".into())
-                    .spawn(move || admin_accept_loop(listener, &state, &running))
-                    .expect("spawn gateway admin loop")
-            };
-            gateway.admin_running = Some(running);
-            gateway.admin_join = Some(join);
-        }
-        Ok(gateway)
+            admin,
+        })
     }
 
     /// The address clients dial for their redirect.
@@ -523,7 +511,7 @@ impl Gateway {
 
     /// The cluster admin endpoint, when configured.
     pub fn admin_addr(&self) -> Option<SocketAddr> {
-        self.admin_addr
+        self.admin.as_ref().map(http::Server::local_addr)
     }
 
     /// The current ownership epoch.
@@ -704,18 +692,14 @@ impl Gateway {
     }
 
     /// Stops the prober, the reactor pool, and the admin plane.
-    pub fn shutdown(mut self) {
+    pub fn shutdown(self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(prober) = self.prober.take() {
+        if let Some(prober) = self.prober {
             let _ = prober.join();
         }
         self.pool.shutdown();
-        if let (Some(running), Some(join)) = (self.admin_running.take(), self.admin_join.take()) {
-            running.store(false, Ordering::SeqCst);
-            if let Some(addr) = self.admin_addr {
-                let _ = TcpStream::connect(addr); // unblock accept()
-            }
-            let _ = join.join();
+        if let Some(admin) = self.admin {
+            admin.stop();
         }
     }
 }
@@ -862,57 +846,6 @@ fn probe_loop(state: &ClusterState, interval: Duration, stop: &AtomicBool) {
             let chunk = (interval - slept).min(Duration::from_millis(25));
             std::thread::sleep(chunk);
             slept += chunk;
-        }
-    }
-}
-
-fn admin_accept_loop(listener: TcpListener, state: &Arc<ClusterState>, running: &AtomicBool) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while running.load(Ordering::SeqCst) {
-        let Ok((stream, _)) = listener.accept() else {
-            break;
-        };
-        if !running.load(Ordering::SeqCst) {
-            break; // the shutdown wake-up connection
-        }
-        let state = Arc::clone(state);
-        conns.push(std::thread::spawn(move || {
-            let _ = serve_admin_connection(stream, &state);
-        }));
-        conns.retain(|c| !c.is_finished());
-    }
-    for c in conns {
-        let _ = c.join();
-    }
-}
-
-fn serve_admin_connection(mut stream: TcpStream, state: &ClusterState) -> io::Result<()> {
-    let _ = stream.set_read_timeout(Some(ADMIN_READ_TIMEOUT));
-    let mut buf = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 1024];
-    loop {
-        match parse_request(&buf) {
-            Ok(req) => {
-                let (status, content_type, body) =
-                    route(req.path(), req.query_param("scope"), state);
-                return write_response(&mut stream, status, content_type, &body);
-            }
-            Err(ParseError::Incomplete) if buf.len() <= MAX_REQUEST_BYTES => {
-                let n = stream.read(&mut chunk)?;
-                if n == 0 {
-                    return Ok(()); // peer gave up mid-head
-                }
-                buf.extend_from_slice(&chunk[..n]);
-            }
-            Err(e) => {
-                let status = e.status();
-                return write_response(
-                    &mut stream,
-                    status,
-                    "text/plain; charset=utf-8",
-                    &format!("{}\n", http::reason(status)),
-                );
-            }
         }
     }
 }

@@ -19,7 +19,7 @@ use avoc_obs::{Counter, Registry};
 use bytes::{Buf, BytesMut};
 use std::io::{self, Write};
 
-/// Default cork threshold: flush once this many bytes are pending even if
+/// The cork threshold: flush once this many bytes are pending even if
 /// the outbound queue still has frames. 64 KiB comfortably exceeds a
 /// loopback send buffer slice while bounding sender-side memory per
 /// connection.
@@ -106,24 +106,17 @@ impl CorkMetrics {
 pub struct CorkedWriter<W: Write> {
     inner: W,
     buf: BytesMut,
-    cork_limit: usize,
     stats: WriterStats,
     metrics: Option<CorkMetrics>,
 }
 
 impl<W: Write> CorkedWriter<W> {
-    /// Wraps `inner` with the [`DEFAULT_CORK_LIMIT`].
+    /// Wraps `inner`; the cork is full at [`DEFAULT_CORK_LIMIT`] pending
+    /// bytes.
     pub fn new(inner: W) -> Self {
-        CorkedWriter::with_cork_limit(inner, DEFAULT_CORK_LIMIT)
-    }
-
-    /// Wraps `inner`, flushing whenever more than `cork_limit` bytes are
-    /// pending.
-    pub fn with_cork_limit(inner: W, cork_limit: usize) -> Self {
         CorkedWriter {
             inner,
-            buf: BytesMut::with_capacity(cork_limit.min(DEFAULT_CORK_LIMIT)),
-            cork_limit,
+            buf: BytesMut::with_capacity(DEFAULT_CORK_LIMIT),
             stats: WriterStats::default(),
             metrics: None,
         }
@@ -147,7 +140,7 @@ impl<W: Write> CorkedWriter<W> {
     /// Whether the pending bytes have reached the cork threshold — the
     /// sender should flush before pushing more.
     pub fn is_corked_full(&self) -> bool {
-        self.buf.len() >= self.cork_limit
+        self.buf.len() >= DEFAULT_CORK_LIMIT
     }
 
     /// Whether any encoded bytes await a flush.

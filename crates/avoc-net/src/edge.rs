@@ -9,7 +9,6 @@
 use crate::hub::SensorHub;
 use crate::message::Message;
 use crate::sink::{SinkNode, SinkOutput};
-use crate::tcp::{SensorClient, TcpHub};
 use avoc_core::ModuleId;
 use avoc_sim::RecordedTrace;
 use avoc_vdx::{build_engine, VdxError, VdxSpec};
@@ -68,47 +67,6 @@ impl EdgeVoter {
     /// The service's VDX definition.
     pub fn spec(&self) -> &VdxSpec {
         &self.spec
-    }
-
-    /// Like [`EdgeVoter::run_trace`], but over real TCP sockets on
-    /// loopback: one [`SensorClient`] connection per sensor streams to a
-    /// [`TcpHub`], whose assembled rounds feed the sink — the deployment
-    /// shape of Fig. 1 with the WiFi link made concrete.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors (bind/connect/write).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panics.
-    pub fn run_trace_tcp(&self, trace: &RecordedTrace) -> std::io::Result<Vec<SinkOutput>> {
-        let engine = build_engine(&self.spec).expect("spec validated in constructor");
-        let modules: Vec<ModuleId> = (0..trace.modules().len())
-            .map(|i| ModuleId::new(i as u32))
-            .collect();
-        let (hub, round_rx) = TcpHub::bind("127.0.0.1:0", modules.clone(), modules.len())?;
-        let addr = hub.local_addr();
-
-        let mut feeders = Vec::new();
-        for (idx, &module) in modules.iter().enumerate() {
-            let series = trace.series(idx);
-            feeders.push(std::thread::spawn(move || -> std::io::Result<()> {
-                let mut client = SensorClient::connect(addr)?;
-                client.send_series(module, &series)
-            }));
-        }
-
-        let (out_tx, out_rx) = crossbeam::channel::bounded(ROUND_CHANNEL_CAPACITY);
-        let sink = SinkNode::spawn(engine, round_rx, out_tx);
-        let mut outputs: Vec<SinkOutput> = out_rx.iter().collect();
-        for f in feeders {
-            f.join().expect("feeder thread panicked")?;
-        }
-        hub.join();
-        sink.join();
-        outputs.sort_by_key(|o| o.round);
-        Ok(outputs)
     }
 
     /// Replays a recorded trace through the full pipeline: one feeder
@@ -257,21 +215,6 @@ mod tests {
         let outputs = EdgeVoter::new(spec).unwrap().run_trace(&sparse);
         assert_eq!(outputs.len(), 30);
         assert!(outputs.iter().all(|o| o.result.is_ok()));
-    }
-
-    #[test]
-    fn tcp_run_matches_channel_run() {
-        let trace = LightScenario::new(4, 25, 31).generate();
-        let voter = EdgeVoter::new(VdxSpec::avoc()).unwrap();
-        let via_channels = voter.run_trace(&trace);
-        let via_tcp = voter.run_trace_tcp(&trace).expect("loopback sockets");
-        assert_eq!(via_channels.len(), via_tcp.len());
-        for (a, b) in via_channels.iter().zip(&via_tcp) {
-            assert_eq!(a.round, b.round);
-            let va = a.result.as_ref().unwrap().number();
-            let vb = b.result.as_ref().unwrap().number();
-            assert_eq!(va, vb, "round {}", a.round);
-        }
     }
 
     #[test]

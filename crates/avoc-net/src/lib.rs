@@ -18,8 +18,10 @@
 //! * [`edge`] — the [`edge::EdgeVoter`]: the full VDX-configured service —
 //!   spawn sensor feeders from a recorded trace, run hub + sink, collect
 //!   fused outputs;
-//! * [`tcp`] — the same hub over real `std::net` sockets, for deployments
-//!   that split sensors and voter across machines.
+//! * [`reactor`] — the readiness-based socket core ([`reactor::spawn_pool`])
+//!   the `avoc-serve` daemon and the `avoc-gateway` both serve from: the
+//!   only socket server in the workspace;
+//! * [`chaos`] — a seeded fault-injecting TCP proxy for tests.
 //!
 //! # Example
 //!
@@ -44,7 +46,6 @@ pub mod hub;
 pub mod message;
 pub mod reactor;
 pub mod sink;
-pub mod tcp;
 
 pub use cork::{CorkMetrics, CorkedWriter, FlushOutcome, WriterStats};
 pub use edge::EdgeVoter;
@@ -53,8 +54,7 @@ pub use message::{
     BatchReading, BatchResult, Message, SpecSource, MAX_BATCH_READINGS, MAX_BATCH_RESULTS,
 };
 pub use reactor::{
-    spawn_pool, ConnWaker, DecodeStep, FrameVerdict, Handler, ReactorConfig, ReactorHandle,
-    ReactorMetrics, ReactorPool, StreamDecoder,
+    spawn_pool, ConnWaker, DecodeStep, FrameVerdict, Handler, ReactorConfig, ReactorMetrics,
+    ReactorPool, StreamDecoder,
 };
 pub use sink::SinkNode;
-pub use tcp::{SensorClient, TcpHub};

@@ -463,43 +463,165 @@ const TAG_REDIRECT: u8 = 16;
 const TAG_EXPORT_SESSION: u8 = 17;
 const TAG_SESSION_STATE: u8 = 18;
 
-/// Spec-source discriminants inside an `OpenSession` payload.
+/// Spec-source discriminants inside an `OpenSession`/`ResumeSession` payload.
 const SPEC_NAMED: u8 = 0;
 const SPEC_INLINE: u8 = 1;
 
-fn put_string(payload: &mut BytesMut, s: &str) {
-    payload.put_u32(s.len() as u32);
-    payload.extend_from_slice(s.as_bytes());
+fn put_flag(frame: &mut BytesMut, flag: bool) {
+    frame.put_u8(u8::from(flag));
 }
 
-fn get_string(payload: &mut BytesMut, tag: u8, len: usize) -> Result<String, DecodeError> {
-    if payload.len() < 4 {
-        return Err(DecodeError::BadLength { tag, len });
+/// An optional eight-byte field: a presence flag, then the value only when
+/// present.
+fn put_opt_u64(frame: &mut BytesMut, value: Option<u64>) {
+    put_flag(frame, value.is_some());
+    if let Some(v) = value {
+        frame.put_u64(v);
     }
-    let n = payload.get_u32() as usize;
-    if payload.len() < n {
-        return Err(DecodeError::BadLength { tag, len });
-    }
-    let raw = payload.split_to(n);
-    String::from_utf8(raw.to_vec()).map_err(|_| DecodeError::BadLength { tag, len })
 }
 
-fn put_bytes(payload: &mut BytesMut, b: &[u8]) {
-    payload.put_u32(b.len() as u32);
-    payload.extend_from_slice(b);
+fn put_bytes(frame: &mut BytesMut, b: &[u8]) {
+    frame.put_u32(b.len() as u32);
+    frame.extend_from_slice(b);
 }
 
-/// `get_string` without the UTF-8 requirement — the SessionState blobs are
-/// raw file bytes. Lying lengths reject the frame the same way.
-fn get_bytes(payload: &mut BytesMut, tag: u8, len: usize) -> Result<Vec<u8>, DecodeError> {
-    if payload.len() < 4 {
-        return Err(DecodeError::BadLength { tag, len });
+fn put_string(frame: &mut BytesMut, s: &str) {
+    put_bytes(frame, s.as_bytes());
+}
+
+fn put_spec(frame: &mut BytesMut, spec: &SpecSource) {
+    let (kind, text) = match spec {
+        SpecSource::Named(name) => (SPEC_NAMED, name),
+        SpecSource::Inline(vdx) => (SPEC_INLINE, vdx),
+    };
+    frame.put_u8(kind);
+    put_string(frame, text);
+}
+
+/// The read half of the field codec: a bounds-checked cursor over one
+/// frame's payload, borrowed in place from the caller's buffer.
+///
+/// Every layout fault — a field running past the payload, a flag byte
+/// other than 0/1, non-UTF-8 text, an unknown spec discriminant, a batch
+/// count that disagrees with the bytes behind it, bytes left over — is the
+/// same [`DecodeError::BadLength`] naming the frame's tag and payload
+/// length, built in [`Reader::bad`] only. [`Reader::take`] is the only
+/// bounds check; no getter indexes the payload itself, and nothing sizes
+/// an allocation from a length it has not checked against the bytes
+/// present. The getters accept exactly what the `put_*` writers above
+/// produce, so every frame that decodes re-encodes to the same bytes.
+struct Reader<'a> {
+    rest: &'a [u8],
+    tag: u8,
+    len: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn bad(&self) -> DecodeError {
+        DecodeError::BadLength {
+            tag: self.tag,
+            len: self.len,
+        }
     }
-    let n = payload.get_u32() as usize;
-    if payload.len() < n {
-        return Err(DecodeError::BadLength { tag, len });
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        if self.rest.len() < n {
+            return Err(self.bad());
+        }
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(head)
     }
-    Ok(payload.split_to(n).to_vec())
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
+    fn u8(&mut self) -> Result<u8, DecodeError> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    fn u32(&mut self) -> Result<u32, DecodeError> {
+        Ok(u32::from_be_bytes(self.array()?))
+    }
+
+    fn u64(&mut self) -> Result<u64, DecodeError> {
+        Ok(u64::from_be_bytes(self.array()?))
+    }
+
+    fn f64(&mut self) -> Result<f64, DecodeError> {
+        Ok(f64::from_bits(self.u64()?))
+    }
+
+    fn module(&mut self) -> Result<ModuleId, DecodeError> {
+        Ok(ModuleId::new(self.u32()?))
+    }
+
+    /// A boolean: strictly 0 or 1 — anything else is a malformed frame,
+    /// not a creative `true`.
+    fn flag(&mut self) -> Result<bool, DecodeError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(self.bad()),
+        }
+    }
+
+    fn opt_u64(&mut self) -> Result<Option<u64>, DecodeError> {
+        Ok(if self.flag()? {
+            Some(self.u64()?)
+        } else {
+            None
+        })
+    }
+
+    /// A `u32` length and exactly that many bytes; a length pointing past
+    /// the payload fails before anything is copied.
+    fn bytes(&mut self) -> Result<&'a [u8], DecodeError> {
+        let n = self.u32()? as usize;
+        self.take(n)
+    }
+
+    fn string(&mut self) -> Result<String, DecodeError> {
+        let raw = self.bytes()?;
+        match std::str::from_utf8(raw) {
+            Ok(text) => Ok(text.to_owned()),
+            Err(_) => Err(self.bad()),
+        }
+    }
+
+    fn spec(&mut self) -> Result<SpecSource, DecodeError> {
+        let kind = self.u8()?;
+        let text = self.string()?;
+        match kind {
+            SPEC_NAMED => Ok(SpecSource::Named(text)),
+            SPEC_INLINE => Ok(SpecSource::Inline(text)),
+            _ => Err(self.bad()),
+        }
+    }
+
+    /// A batch's `u32` entry count. It must be non-zero (an empty batch is
+    /// no-op spam) and account for every byte left at `entry_len` bytes an
+    /// entry: one comparison rejects truncated batches and hostile counts
+    /// before the count sizes a `Vec`.
+    fn count(&mut self, entry_len: usize) -> Result<usize, DecodeError> {
+        let count = self.u32()? as usize;
+        if count == 0 || count.checked_mul(entry_len) != Some(self.rest.len()) {
+            return Err(self.bad());
+        }
+        Ok(count)
+    }
+
+    /// Bytes left over after a tag's last field reject the frame.
+    fn finish(&self) -> Result<(), DecodeError> {
+        if self.rest.is_empty() {
+            Ok(())
+        } else {
+            Err(self.bad())
+        }
+    }
 }
 
 impl Message {
@@ -552,16 +674,7 @@ impl Message {
                 frame.put_u8(TAG_OPEN_SESSION);
                 frame.put_u64(*session);
                 frame.put_u32(*modules);
-                match spec {
-                    SpecSource::Named(name) => {
-                        frame.put_u8(SPEC_NAMED);
-                        put_string(frame, name);
-                    }
-                    SpecSource::Inline(vdx) => {
-                        frame.put_u8(SPEC_INLINE);
-                        put_string(frame, vdx);
-                    }
-                }
+                put_spec(frame, spec);
             }
             Message::CloseSession { session } => {
                 frame.put_u8(TAG_CLOSE_SESSION);
@@ -588,14 +701,8 @@ impl Message {
                 frame.put_u8(TAG_SESSION_RESULT);
                 frame.put_u64(*session);
                 frame.put_u64(*round);
-                match value {
-                    Some(v) => {
-                        frame.put_u8(1);
-                        frame.put_f64(*v);
-                    }
-                    None => frame.put_u8(0),
-                }
-                frame.put_u8(u8::from(*voted));
+                put_opt_u64(frame, value.map(f64::to_bits));
+                put_flag(frame, *voted);
             }
             Message::Error { session, message } => {
                 frame.put_u8(TAG_ERROR);
@@ -616,23 +723,8 @@ impl Message {
                 frame.put_u64(*session);
                 frame.put_u32(*modules);
                 frame.put_u64(*token);
-                match last_acked {
-                    Some(r) => {
-                        frame.put_u8(1);
-                        frame.put_u64(*r);
-                    }
-                    None => frame.put_u8(0),
-                }
-                match spec {
-                    SpecSource::Named(name) => {
-                        frame.put_u8(SPEC_NAMED);
-                        put_string(frame, name);
-                    }
-                    SpecSource::Inline(vdx) => {
-                        frame.put_u8(SPEC_INLINE);
-                        put_string(frame, vdx);
-                    }
-                }
+                put_opt_u64(frame, *last_acked);
+                put_spec(frame, spec);
             }
             Message::Resumed {
                 session,
@@ -641,14 +733,8 @@ impl Message {
             } => {
                 frame.put_u8(TAG_RESUMED);
                 frame.put_u64(*session);
-                match high_round {
-                    Some(r) => {
-                        frame.put_u8(1);
-                        frame.put_u64(*r);
-                    }
-                    None => frame.put_u8(0),
-                }
-                frame.put_u8(u8::from(*warm));
+                put_opt_u64(frame, *high_round);
+                put_flag(frame, *warm);
             }
             Message::ResultBatch { session, results } => {
                 debug_assert!(
@@ -760,7 +846,9 @@ impl Message {
         frame[pos..pos + 4].copy_from_slice(&(payload_len as u32).to_be_bytes());
     }
 
-    /// Decodes one frame from the front of `buf`, consuming it.
+    /// Decodes one frame from the front of `buf`, consuming it. The payload
+    /// is parsed in place — nothing is copied out of `buf` except the
+    /// strings, blobs and batch entries the message owns.
     ///
     /// # Errors
     ///
@@ -781,329 +869,127 @@ impl Message {
         if buf.len() < 4 + len {
             return Err(DecodeError::Incomplete);
         }
-        buf.advance(4);
-        let mut payload = buf.split_to(len);
-        if payload.is_empty() {
+        let decoded = Message::decode_payload(&buf[4..4 + len]);
+        buf.advance(4 + len);
+        decoded
+    }
+
+    /// Decodes one complete payload (tag byte + fields). Each arm reads its
+    /// fields in wire order through the [`Reader`]; the arms hold no length
+    /// arithmetic of their own.
+    fn decode_payload(payload: &[u8]) -> Result<Message, DecodeError> {
+        let len = payload.len();
+        let Some((&tag, rest)) = payload.split_first() else {
             return Err(DecodeError::BadLength { tag: 0, len });
-        }
-        let tag = payload.get_u8();
-        let expect = |want: usize| -> Result<(), DecodeError> {
-            if len != want {
-                Err(DecodeError::BadLength { tag, len })
-            } else {
-                Ok(())
-            }
         };
-        match tag {
-            TAG_READING => {
-                expect(1 + 4 + 8 + 8)?;
-                Ok(Message::Reading {
-                    module: ModuleId::new(payload.get_u32()),
-                    round: payload.get_u64(),
-                    value: payload.get_f64(),
-                })
-            }
-            TAG_MISSING => {
-                expect(1 + 4 + 8)?;
-                Ok(Message::Missing {
-                    module: ModuleId::new(payload.get_u32()),
-                    round: payload.get_u64(),
-                })
-            }
-            TAG_HEARTBEAT => {
-                expect(1 + 4)?;
-                Ok(Message::Heartbeat {
-                    module: ModuleId::new(payload.get_u32()),
-                })
-            }
-            TAG_SHUTDOWN => {
-                expect(1)?;
-                Ok(Message::Shutdown)
-            }
-            TAG_OPEN_SESSION => {
-                // Variable length: session + modules + discriminant + string.
-                if len < 1 + 8 + 4 + 1 + 4 {
-                    return Err(DecodeError::BadLength { tag, len });
-                }
-                let session = payload.get_u64();
-                let modules = payload.get_u32();
-                let kind = payload.get_u8();
-                let text = get_string(&mut payload, tag, len)?;
-                let spec = match kind {
-                    SPEC_NAMED => SpecSource::Named(text),
-                    SPEC_INLINE => SpecSource::Inline(text),
-                    _ => return Err(DecodeError::BadLength { tag, len }),
-                };
-                if !payload.is_empty() {
-                    return Err(DecodeError::BadLength { tag, len });
-                }
-                Ok(Message::OpenSession {
-                    session,
-                    modules,
-                    spec,
-                })
-            }
-            TAG_CLOSE_SESSION => {
-                expect(1 + 8)?;
-                Ok(Message::CloseSession {
-                    session: payload.get_u64(),
-                })
-            }
-            TAG_SESSION_READING => {
-                expect(1 + 8 + 4 + 8 + 8)?;
-                Ok(Message::SessionReading {
-                    session: payload.get_u64(),
-                    module: ModuleId::new(payload.get_u32()),
-                    round: payload.get_u64(),
-                    value: payload.get_f64(),
-                })
-            }
-            TAG_SESSION_RESULT => {
-                expect(1 + 8 + 8 + 1 + 8 + 1).or_else(|_| expect(1 + 8 + 8 + 1 + 1))?;
-                let session = payload.get_u64();
-                let round = payload.get_u64();
-                let value = match payload.get_u8() {
-                    0 => None,
-                    1 => {
-                        if payload.len() < 8 {
-                            return Err(DecodeError::BadLength { tag, len });
-                        }
-                        Some(payload.get_f64())
-                    }
-                    _ => return Err(DecodeError::BadLength { tag, len }),
-                };
-                if payload.len() != 1 {
-                    return Err(DecodeError::BadLength { tag, len });
-                }
-                Ok(Message::SessionResult {
-                    session,
-                    round,
-                    value,
-                    voted: payload.get_u8() != 0,
-                })
-            }
-            TAG_ERROR => {
-                if len < 1 + 8 + 4 {
-                    return Err(DecodeError::BadLength { tag, len });
-                }
-                let session = payload.get_u64();
-                let message = get_string(&mut payload, tag, len)?;
-                if !payload.is_empty() {
-                    return Err(DecodeError::BadLength { tag, len });
-                }
-                Ok(Message::Error { session, message })
-            }
+        let mut r = Reader { rest, tag, len };
+        let msg = match tag {
+            TAG_READING => Message::Reading {
+                module: r.module()?,
+                round: r.u64()?,
+                value: r.f64()?,
+            },
+            TAG_MISSING => Message::Missing {
+                module: r.module()?,
+                round: r.u64()?,
+            },
+            TAG_HEARTBEAT => Message::Heartbeat {
+                module: r.module()?,
+            },
+            TAG_SHUTDOWN => Message::Shutdown,
+            TAG_OPEN_SESSION => Message::OpenSession {
+                session: r.u64()?,
+                modules: r.u32()?,
+                spec: r.spec()?,
+            },
+            TAG_CLOSE_SESSION => Message::CloseSession { session: r.u64()? },
+            TAG_SESSION_READING => Message::SessionReading {
+                session: r.u64()?,
+                module: r.module()?,
+                round: r.u64()?,
+                value: r.f64()?,
+            },
+            TAG_SESSION_RESULT => Message::SessionResult {
+                session: r.u64()?,
+                round: r.u64()?,
+                value: r.opt_u64()?.map(f64::from_bits),
+                voted: r.flag()?,
+            },
+            TAG_ERROR => Message::Error {
+                session: r.u64()?,
+                message: r.string()?,
+            },
             TAG_FEED_BATCH => {
-                if len < BATCH_HEADER_LEN {
-                    return Err(DecodeError::BadLength { tag, len });
-                }
-                let session = payload.get_u64();
-                let count = payload.get_u32() as usize;
-                // The count must agree byte-for-byte with the frame length:
-                // this rejects truncated batches and hostile counts (which
-                // would otherwise size a huge Vec) in one comparison. Empty
-                // batches are no-op spam and rejected too.
-                if count == 0 || len != BATCH_HEADER_LEN + count * BATCH_READING_LEN {
-                    return Err(DecodeError::BadLength { tag, len });
-                }
+                let session = r.u64()?;
+                let count = r.count(BATCH_READING_LEN)?;
                 let mut readings = Vec::with_capacity(count);
                 for _ in 0..count {
                     readings.push(BatchReading {
-                        module: ModuleId::new(payload.get_u32()),
-                        round: payload.get_u64(),
-                        value: payload.get_f64(),
+                        module: r.module()?,
+                        round: r.u64()?,
+                        value: r.f64()?,
                     });
                 }
-                Ok(Message::FeedBatch { session, readings })
+                Message::FeedBatch { session, readings }
             }
-            TAG_RESUME_SESSION => {
-                // Variable length: session + modules + token + acked flag
-                // (+ acked round) + spec discriminant + string.
-                if len < 1 + 8 + 4 + 8 + 1 + 1 + 4 {
-                    return Err(DecodeError::BadLength { tag, len });
-                }
-                let session = payload.get_u64();
-                let modules = payload.get_u32();
-                let token = payload.get_u64();
-                let last_acked = match payload.get_u8() {
-                    0 => None,
-                    1 => {
-                        if payload.len() < 8 {
-                            return Err(DecodeError::BadLength { tag, len });
-                        }
-                        Some(payload.get_u64())
-                    }
-                    _ => return Err(DecodeError::BadLength { tag, len }),
-                };
-                if payload.is_empty() {
-                    return Err(DecodeError::BadLength { tag, len });
-                }
-                let kind = payload.get_u8();
-                let text = get_string(&mut payload, tag, len)?;
-                let spec = match kind {
-                    SPEC_NAMED => SpecSource::Named(text),
-                    SPEC_INLINE => SpecSource::Inline(text),
-                    _ => return Err(DecodeError::BadLength { tag, len }),
-                };
-                if !payload.is_empty() {
-                    return Err(DecodeError::BadLength { tag, len });
-                }
-                Ok(Message::ResumeSession {
-                    session,
-                    modules,
-                    spec,
-                    token,
-                    last_acked,
-                })
-            }
-            TAG_RESUMED => {
-                expect(1 + 8 + 1 + 8 + 1).or_else(|_| expect(1 + 8 + 1 + 1))?;
-                let session = payload.get_u64();
-                let high_round = match payload.get_u8() {
-                    0 => None,
-                    1 => {
-                        if payload.len() < 8 {
-                            return Err(DecodeError::BadLength { tag, len });
-                        }
-                        Some(payload.get_u64())
-                    }
-                    _ => return Err(DecodeError::BadLength { tag, len }),
-                };
-                if payload.len() != 1 {
-                    return Err(DecodeError::BadLength { tag, len });
-                }
-                let warm = match payload.get_u8() {
-                    0 => false,
-                    1 => true,
-                    // Like the optional-field flags: anything else is a
-                    // malformed frame, not a creative boolean.
-                    _ => return Err(DecodeError::BadLength { tag, len }),
-                };
-                Ok(Message::Resumed {
-                    session,
-                    high_round,
-                    warm,
-                })
-            }
+            TAG_RESUME_SESSION => Message::ResumeSession {
+                session: r.u64()?,
+                modules: r.u32()?,
+                token: r.u64()?,
+                last_acked: r.opt_u64()?,
+                spec: r.spec()?,
+            },
+            TAG_RESUMED => Message::Resumed {
+                session: r.u64()?,
+                high_round: r.opt_u64()?,
+                warm: r.flag()?,
+            },
             TAG_RESULT_BATCH => {
-                if len < RESULT_HEADER_LEN {
-                    return Err(DecodeError::BadLength { tag, len });
-                }
-                let session = payload.get_u64();
-                let count = payload.get_u32() as usize;
-                // Count-vs-length hardening as for FeedBatch: a lying count
-                // (truncated entries, or an oversized count fishing for a
-                // huge Vec) and empty batches reject the frame.
-                if count == 0 || len != RESULT_HEADER_LEN + count * RESULT_ENTRY_LEN {
-                    return Err(DecodeError::BadLength { tag, len });
-                }
+                let session = r.u64()?;
+                let count = r.count(RESULT_ENTRY_LEN)?;
                 let mut results = Vec::with_capacity(count);
                 for _ in 0..count {
-                    let round = payload.get_u64();
-                    let flags = payload.get_u8();
-                    if flags > 3 {
-                        return Err(DecodeError::BadLength { tag, len });
+                    let (round, flags, bits) = (r.u64()?, r.u8()?, r.u64()?);
+                    // Only bits 0 and 1 exist, and a skipped round must
+                    // carry all-zero value bits: accepting arbitrary filler
+                    // would break the canonical re-encode invariant resume
+                    // replay comparisons rely on.
+                    if flags > 3 || (flags & 1 == 0 && bits != 0) {
+                        return Err(r.bad());
                     }
-                    let bits = payload.get_u64();
-                    let value = if flags & 1 != 0 {
-                        Some(f64::from_bits(bits))
-                    } else if bits != 0 {
-                        // A skipped round must carry all-zero value bits:
-                        // accepting arbitrary filler would break the
-                        // canonical re-encode invariant resume replay
-                        // comparisons rely on.
-                        return Err(DecodeError::BadLength { tag, len });
-                    } else {
-                        None
-                    };
                     results.push(BatchResult {
                         round,
-                        value,
+                        value: (flags & 1 != 0).then(|| f64::from_bits(bits)),
                         voted: flags & 2 != 0,
                     });
                 }
-                Ok(Message::ResultBatch { session, results })
+                Message::ResultBatch { session, results }
             }
-            TAG_STATS_REQUEST => {
-                expect(1)?;
-                Ok(Message::StatsRequest)
-            }
-            TAG_STATS_REPLY => {
-                if len < 1 + 4 {
-                    return Err(DecodeError::BadLength { tag, len });
-                }
-                let json = get_string(&mut payload, tag, len)?;
-                if !payload.is_empty() {
-                    return Err(DecodeError::BadLength { tag, len });
-                }
-                Ok(Message::StatsReply { json })
-            }
-            TAG_REDIRECT => {
-                // Variable length: session + epoch + addr string.
-                if len < 1 + 8 + 8 + 4 {
-                    return Err(DecodeError::BadLength { tag, len });
-                }
-                let session = payload.get_u64();
-                let epoch = payload.get_u64();
-                let addr = get_string(&mut payload, tag, len)?;
-                if !payload.is_empty() {
-                    return Err(DecodeError::BadLength { tag, len });
-                }
-                Ok(Message::Redirect {
-                    session,
-                    epoch,
-                    addr,
-                })
-            }
-            TAG_EXPORT_SESSION => {
-                // Variable length: session + target_node + epoch + auth +
-                // addr.
-                if len < 1 + 8 + 8 + 8 + 8 + 4 {
-                    return Err(DecodeError::BadLength { tag, len });
-                }
-                let session = payload.get_u64();
-                let target_node = payload.get_u64();
-                let epoch = payload.get_u64();
-                let auth = payload.get_u64();
-                let target_addr = get_string(&mut payload, tag, len)?;
-                if !payload.is_empty() {
-                    return Err(DecodeError::BadLength { tag, len });
-                }
-                Ok(Message::ExportSession {
-                    session,
-                    target_node,
-                    epoch,
-                    auth,
-                    target_addr,
-                })
-            }
-            TAG_SESSION_STATE => {
-                // Variable length: session + epoch + auth + two
-                // length-prefixed blobs, which must together consume the
-                // payload exactly — a lying blob length (truncation, or a
-                // count fishing past the frame) or trailing bytes reject
-                // the frame.
-                if len < 1 + 8 + 8 + 8 + 4 + 4 {
-                    return Err(DecodeError::BadLength { tag, len });
-                }
-                let session = payload.get_u64();
-                let epoch = payload.get_u64();
-                let auth = payload.get_u64();
-                let meta = get_bytes(&mut payload, tag, len)?;
-                let wal = get_bytes(&mut payload, tag, len)?;
-                if !payload.is_empty() {
-                    return Err(DecodeError::BadLength { tag, len });
-                }
-                Ok(Message::SessionState {
-                    session,
-                    epoch,
-                    auth,
-                    meta,
-                    wal,
-                })
-            }
-            other => Err(DecodeError::UnknownTag(other)),
-        }
+            TAG_STATS_REQUEST => Message::StatsRequest,
+            TAG_STATS_REPLY => Message::StatsReply { json: r.string()? },
+            TAG_REDIRECT => Message::Redirect {
+                session: r.u64()?,
+                epoch: r.u64()?,
+                addr: r.string()?,
+            },
+            TAG_EXPORT_SESSION => Message::ExportSession {
+                session: r.u64()?,
+                target_node: r.u64()?,
+                epoch: r.u64()?,
+                auth: r.u64()?,
+                target_addr: r.string()?,
+            },
+            TAG_SESSION_STATE => Message::SessionState {
+                session: r.u64()?,
+                epoch: r.u64()?,
+                auth: r.u64()?,
+                meta: r.bytes()?.to_vec(),
+                wal: r.bytes()?.to_vec(),
+            },
+            other => return Err(DecodeError::UnknownTag(other)),
+        };
+        r.finish()?;
+        Ok(msg)
     }
 }
 

@@ -10,10 +10,10 @@
 //! makes *zero* syscalls (each loop parks in `epoll_wait` with no timeout
 //! unless a deadline is armed).
 //!
-//! [`spawn`] runs the classic single reactor. [`spawn_pool`] runs R of
-//! them ([`ReactorPool`]), each with its own epoll instance, slab, timer
-//! wheel, and wake pipe; nothing readiness-related is shared between
-//! them. Listener distribution prefers `SO_REUSEPORT` (one listener per
+//! [`spawn_pool`] runs R reactors ([`ReactorPool`]; R = 1 is the classic
+//! single reactor), each with its own epoll instance, slab, timer wheel,
+//! and wake pipe; nothing readiness-related is shared between them.
+//! Listener distribution prefers `SO_REUSEPORT` (one listener per
 //! reactor, the kernel load-balances handshakes); where that is
 //! unavailable — non-Linux, `AVOC_FORCE_POLL` poll mode, or a failed
 //! reuseport bind — reactor 0 owns the single listener and hands accepted
@@ -52,7 +52,7 @@ mod timer;
 pub use decoder::{DecodeStep, StreamDecoder};
 pub use metrics::ReactorMetrics;
 
-use crate::cork::{CorkMetrics, CorkedWriter, FlushOutcome, DEFAULT_CORK_LIMIT};
+use crate::cork::{CorkMetrics, CorkedWriter, FlushOutcome};
 use crate::message::Message;
 use avoc_obs::Counter;
 use crossbeam::channel::Receiver;
@@ -90,8 +90,10 @@ const MAX_READS_PER_EVENT: usize = 16;
 pub const DEFAULT_WRITE_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Accept-queue depth the reactor re-arms on its listener (clamped by the
-/// kernel to `net.core.somaxconn`).
-pub const DEFAULT_ACCEPT_BACKLOG: i32 = 1024;
+/// kernel to `net.core.somaxconn`). `std`'s bind hardwires 128, which a
+/// many-hundred-connection storm overflows — the kernel then resets
+/// handshakes the clients believe completed.
+const ACCEPT_BACKLOG: i32 = 1024;
 
 /// What [`Handler::on_frame`] wants done with the connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,19 +200,11 @@ impl ConnWaker {
     }
 }
 
-/// Tuning and instrumentation for [`spawn`].
+/// Tuning and instrumentation for one reactor of a [`spawn_pool`].
 #[derive(Debug, Default)]
 pub struct ReactorConfig {
     /// Wedged-peer deadline ([`DEFAULT_WRITE_DEADLINE`] when `None`).
     pub write_deadline: Option<Duration>,
-    /// Cork threshold per connection ([`DEFAULT_CORK_LIMIT`] when `None`).
-    pub cork_limit: Option<usize>,
-    /// Accept-queue depth re-armed on the listener at spawn
-    /// ([`DEFAULT_ACCEPT_BACKLOG`] when `None`; the kernel clamps to
-    /// `net.core.somaxconn`). `std`'s bind hardwires 128, which a
-    /// many-hundred-connection storm overflows — the kernel then resets
-    /// handshakes the clients believe completed.
-    pub accept_backlog: Option<i32>,
     /// Pin the `poll(2)` backend even where epoll exists (the
     /// `AVOC_FORCE_POLL` environment variable does the same).
     pub force_poll: bool,
@@ -226,65 +220,21 @@ pub struct ReactorConfig {
     pub health: Option<avoc_obs::Health>,
 }
 
-/// A running reactor. Dropping the handle without calling
-/// [`ReactorHandle::shutdown`] leaves the thread running (detached).
+/// One running reactor thread of a [`ReactorPool`].
 #[derive(Debug)]
-pub struct ReactorHandle {
+struct ReactorHandle {
     stop: Arc<AtomicBool>,
     shared: Arc<WakeShared>,
     join: JoinHandle<()>,
     backend: &'static str,
-    local_addr: SocketAddr,
 }
 
 impl ReactorHandle {
-    /// The listener's bound address.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Which readiness backend the reactor selected (`"epoll"` or
-    /// `"poll"`).
-    pub fn backend(&self) -> &'static str {
-        self.backend
-    }
-
-    /// Stops the loop and joins the thread. Every live connection gets
-    /// [`Handler::on_close`] and a best-effort bounded flush of its
-    /// queued results (sockets are flipped back to blocking with the
-    /// write deadline as timeout).
-    pub fn shutdown(self) {
+    fn shutdown(self) {
         self.stop.store(true, Ordering::SeqCst);
         let _ = self.shared.pipe.notify();
         let _ = self.join.join();
     }
-}
-
-/// Binds nothing itself: takes an already-bound listener, moves it onto a
-/// new `avoc-net-reactor` thread, and serves until
-/// [`ReactorHandle::shutdown`].
-///
-/// # Errors
-///
-/// Propagates wake-pipe creation, non-blocking mode, and registration
-/// failures.
-pub fn spawn<H: Handler>(
-    listener: TcpListener,
-    handler: H,
-    config: ReactorConfig,
-) -> io::Result<ReactorHandle> {
-    let local_addr = listener.local_addr()?;
-    spawn_core(
-        handler,
-        config,
-        CoreSetup {
-            listener: Some(listener),
-            shared: WakeShared::new()?,
-            peers: Vec::new(),
-            paused_listeners: Arc::new(AtomicUsize::new(0)),
-            local_addr,
-        },
-    )
 }
 
 /// Everything one reactor thread needs beyond handler + config: its
@@ -295,7 +245,6 @@ struct CoreSetup {
     shared: Arc<WakeShared>,
     peers: Vec<Arc<WakeShared>>,
     paused_listeners: Arc<AtomicUsize>,
-    local_addr: SocketAddr,
 }
 
 fn spawn_core<H: Handler>(
@@ -308,18 +257,14 @@ fn spawn_core<H: Handler>(
         shared,
         peers,
         paused_listeners,
-        local_addr,
     } = setup;
     let mut poller = Poller::new(config.force_poll);
     let backend = poller.backend();
     if let Some(listener) = &listener {
         listener.set_nonblocking(true)?;
-        // Best-effort: a listener the caller already tuned (or a platform
-        // where re-listen fails) keeps its existing backlog.
-        let _ = sysio::widen_backlog(
-            listener.as_raw_fd(),
-            config.accept_backlog.unwrap_or(DEFAULT_ACCEPT_BACKLOG),
-        );
+        // Best-effort: where re-listen fails the listener keeps the
+        // backlog it was bound with.
+        let _ = sysio::widen_backlog(listener.as_raw_fd(), ACCEPT_BACKLOG);
         poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
     }
     poller.add(shared.pipe.read_fd(), TOKEN_WAKE, Interest::READ)?;
@@ -337,7 +282,6 @@ fn spawn_core<H: Handler>(
         timers: TimerWheel::new(Instant::now()),
         expired: Vec::new(),
         write_deadline: config.write_deadline.unwrap_or(DEFAULT_WRITE_DEADLINE),
-        cork_limit: config.cork_limit.unwrap_or(DEFAULT_CORK_LIMIT),
         metrics: config.metrics,
         cork_metrics: config.cork_metrics,
         bytes_received: config.bytes_received,
@@ -356,7 +300,6 @@ fn spawn_core<H: Handler>(
         shared,
         join,
         backend,
-        local_addr,
     })
 }
 
@@ -394,8 +337,11 @@ impl ReactorPool {
         self.reactors.len()
     }
 
-    /// Stops every reactor and joins its thread; per-reactor shutdown
-    /// semantics are exactly [`ReactorHandle::shutdown`].
+    /// Stops every reactor and joins its thread. Every live connection
+    /// gets [`Handler::on_close`] and a best-effort bounded flush of its
+    /// queued results (sockets are flipped back to blocking with the write
+    /// deadline as timeout). Dropping the pool without calling this leaves
+    /// the threads running (detached).
     pub fn shutdown(self) {
         for handle in self.reactors {
             handle.shutdown();
@@ -438,7 +384,6 @@ where
     use std::net::ToSocketAddrs;
     let r = reactors.max(1);
     let configs: Vec<ReactorConfig> = (0..r).map(&mut config_for).collect();
-    let backlog = configs[0].accept_backlog.unwrap_or(DEFAULT_ACCEPT_BACKLOG);
     let bind_addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
         io::Error::new(io::ErrorKind::InvalidInput, "address resolves to nothing")
     })?;
@@ -450,13 +395,13 @@ where
     let mut accept_mode = "single";
     let mut listeners: Vec<Option<TcpListener>> = Vec::with_capacity(r);
     if r > 1 && !poll_forced(configs[0].force_poll) {
-        if let Ok(first) = sysio::reuseport_listener(bind_addr, backlog) {
+        if let Ok(first) = sysio::reuseport_listener(bind_addr, ACCEPT_BACKLOG) {
             // Port 0 resolved to a concrete port on the first bind; the
             // siblings must join that exact port's reuseport group.
             let concrete = first.local_addr()?;
             let mut group = vec![Some(first)];
             while group.len() < r {
-                match sysio::reuseport_listener(concrete, backlog) {
+                match sysio::reuseport_listener(concrete, ACCEPT_BACKLOG) {
                     Ok(l) => group.push(Some(l)),
                     Err(_) => break,
                 }
@@ -499,7 +444,6 @@ where
             shared: Arc::clone(&shareds[i]),
             peers,
             paused_listeners: Arc::clone(&paused_listeners),
-            local_addr,
         };
         match spawn_core(handler_for(i), config, setup) {
             Ok(h) => handles.push(h),
@@ -511,7 +455,7 @@ where
             }
         }
     }
-    let backend = handles[0].backend();
+    let backend = handles[0].backend;
     Ok(ReactorPool {
         reactors: handles,
         local_addr,
@@ -582,7 +526,6 @@ struct Core<H: Handler> {
     timers: TimerWheel,
     expired: Vec<TimerEntry>,
     write_deadline: Duration,
-    cork_limit: usize,
     metrics: Option<ReactorMetrics>,
     cork_metrics: Option<CorkMetrics>,
     bytes_received: Option<Counter>,
@@ -731,7 +674,7 @@ impl<H: Handler> Core<H> {
             shared: Arc::clone(&self.shared),
         };
         let (state, out_rx) = self.handler.on_open(waker.clone());
-        let mut writer = CorkedWriter::with_cork_limit(stream, self.cork_limit);
+        let mut writer = CorkedWriter::new(stream);
         if let Some(cm) = &self.cork_metrics {
             writer.set_metrics(cm.clone());
         }
@@ -1262,12 +1205,22 @@ mod tests {
         }
     }
 
+    /// The classic single reactor: a pool of one on an ephemeral port.
+    fn spawn_one<H: Handler>(handler: H, config: ReactorConfig) -> ReactorPool {
+        let (mut handler, mut config) = (Some(handler), Some(config));
+        spawn_pool(
+            "127.0.0.1:0",
+            1,
+            move |_| handler.take().expect("one reactor"),
+            move |_| config.take().expect("one reactor"),
+        )
+        .unwrap()
+    }
+
     fn run_echo_roundtrip(force_poll: bool) {
         let _gate = serial();
         let closes = Arc::new(AtomicU64::new(0));
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let handle = spawn(
-            listener,
+        let handle = spawn_one(
             Echo {
                 closes: Arc::clone(&closes),
             },
@@ -1275,8 +1228,7 @@ mod tests {
                 force_poll,
                 ..ReactorConfig::default()
             },
-        )
-        .unwrap();
+        );
         assert_eq!(
             handle.backend(),
             if force_poll { "poll" } else { "epoll" },
@@ -1363,9 +1315,7 @@ mod tests {
         let metrics = ReactorMetrics::register(&registry, &[]);
         let health = avoc_obs::Health::new();
         let closes = Arc::new(AtomicU64::new(0));
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let handle = spawn(
-            listener,
+        let handle = spawn_one(
             Echo {
                 closes: Arc::clone(&closes),
             },
@@ -1374,8 +1324,7 @@ mod tests {
                 health: Some(health.clone()),
                 ..ReactorConfig::default()
             },
-        )
-        .unwrap();
+        );
 
         // The first accept readiness hits an injected EMFILE: the reactor
         // must pause (listener deregistered, health degraded) instead of
@@ -1462,15 +1411,12 @@ mod tests {
         );
         let injected_before = sysio::fault::injected_total();
         let closes = Arc::new(AtomicU64::new(0));
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let handle = spawn(
-            listener,
+        let handle = spawn_one(
             Echo {
                 closes: Arc::clone(&closes),
             },
             ReactorConfig::default(),
-        )
-        .unwrap();
+        );
         let mut client = TcpStream::connect(handle.local_addr()).unwrap();
         for round in 0..10u64 {
             client
@@ -1708,15 +1654,12 @@ mod tests {
     fn on_read_end_runs_once_per_read_after_its_frames_and_before_on_close() {
         let _gate = serial();
         let log = Arc::new(Mutex::new(Vec::new()));
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let handle = spawn(
-            listener,
+        let handle = spawn_one(
             Journal {
                 log: Arc::clone(&log),
             },
             ReactorConfig::default(),
-        )
-        .unwrap();
+        );
         let mut client = TcpStream::connect(handle.local_addr()).unwrap();
         client
             .set_read_timeout(Some(Duration::from_secs(5)))
@@ -1761,15 +1704,12 @@ mod tests {
 
     #[test]
     fn shutdown_is_immediate_without_spurious_ticks() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let handle = spawn(
-            listener,
+        let handle = spawn_one(
             Echo {
                 closes: Arc::new(AtomicU64::new(0)),
             },
             ReactorConfig::default(),
-        )
-        .unwrap();
+        );
         // No connections, no timers: the loop is parked in epoll_wait with
         // an infinite timeout; shutdown must return promptly via the wake
         // pipe (the old accept loop needed a throwaway TCP connection).

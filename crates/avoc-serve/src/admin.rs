@@ -1,10 +1,11 @@
-//! The admin endpoint: a hand-rolled HTTP/1.1 observability surface.
+//! The admin endpoint: the daemon's HTTP/1.1 observability routes.
 //!
-//! One std `TcpListener`, one thread per (short-lived) connection, GET-only,
-//! `Connection: close` — the substrate lives in [`avoc_obs::http`] so the
-//! daemon grows a scrape surface without an HTTP dependency. Off by default;
-//! enabled via [`crate::ServeConfig::admin_addr`] or spawned directly with
-//! [`AdminServer::start`].
+//! GET-only, `Connection: close`, one request per connection. The listener
+//! — accept loop, head parsing under a size cap and a deadline, the answers
+//! to hostile heads — is [`avoc_obs::http::Server`], shared with the
+//! gateway; this module is the daemon's routing table. Off by default;
+//! [`crate::TcpServer`] starts it when [`crate::ServeConfig::admin_addr`] is
+//! set.
 //!
 //! Routes:
 //!
@@ -24,134 +25,13 @@
 //! Hostile input never panics the daemon: oversized requests get `431`,
 //! non-GET methods `405`, malformed heads `400`, unknown paths `404`.
 
-use avoc_obs::http::{parse_request, write_response, ParseError, MAX_REQUEST_BYTES};
-use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
-
 use crate::service::VoterService;
 
-/// How long an admin connection may dribble its request before being
-/// dropped (scrapers send the whole head at once; anything slower is a
-/// stuck or hostile peer).
-const ADMIN_READ_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// The daemon's admin/observability HTTP endpoint.
-///
-/// Runs beside the wire-protocol [`crate::TcpServer`] (which starts one
-/// automatically when [`crate::ServeConfig::admin_addr`] is set), or
-/// standalone next to an in-process [`VoterService`] — benchmarks and tests
-/// scrape a live service this way.
-#[derive(Debug)]
-pub struct AdminServer {
-    local_addr: SocketAddr,
-    running: Arc<AtomicBool>,
-    join: JoinHandle<()>,
-}
-
-impl AdminServer {
-    /// Binds `addr` (e.g. `"127.0.0.1:0"`) and starts serving the admin
-    /// routes against `service`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind errors.
-    pub fn start(addr: &str, service: Arc<VoterService>) -> io::Result<AdminServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let running = Arc::new(AtomicBool::new(true));
-        let join = {
-            let running = Arc::clone(&running);
-            std::thread::Builder::new()
-                .name("avoc-serve-admin".into())
-                .spawn(move || accept_loop(listener, service, running))
-                .expect("spawn admin accept loop")
-        };
-        Ok(AdminServer {
-            local_addr,
-            running,
-            join,
-        })
-    }
-
-    /// The address scrapers should hit.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Stops accepting and joins the accept thread. In-flight responses
-    /// finish; new connections are refused.
-    pub fn stop(self) {
-        self.running.store(false, Ordering::SeqCst);
-        // Unblock the accept() call with a throwaway connection.
-        let _ = TcpStream::connect(self.local_addr);
-        let _ = self.join.join();
-    }
-}
-
-fn accept_loop(listener: TcpListener, service: Arc<VoterService>, running: Arc<AtomicBool>) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while running.load(Ordering::SeqCst) {
-        let Ok((stream, _)) = listener.accept() else {
-            break;
-        };
-        if !running.load(Ordering::SeqCst) {
-            break; // the stop() wake-up connection
-        }
-        let service = Arc::clone(&service);
-        conns.push(std::thread::spawn(move || {
-            let _ = serve_admin_connection(stream, &service);
-        }));
-        // Reap finished handlers so a long-lived daemon under periodic
-        // scraping does not accumulate join handles.
-        conns.retain(|c| !c.is_finished());
-    }
-    for c in conns {
-        let _ = c.join();
-    }
-}
-
-/// Reads one request (bounded by [`MAX_REQUEST_BYTES`]), answers it, closes.
-fn serve_admin_connection(mut stream: TcpStream, service: &VoterService) -> io::Result<()> {
-    let _ = stream.set_read_timeout(Some(ADMIN_READ_TIMEOUT));
-    let mut buf = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 1024];
-    loop {
-        match parse_request(&buf) {
-            Ok(req) => {
-                let (status, content_type, body) = route(&req, service);
-                return write_response(&mut stream, status, content_type, &body);
-            }
-            Err(ParseError::Incomplete) => {
-                if buf.len() > MAX_REQUEST_BYTES {
-                    return respond_error(&mut stream, ParseError::TooLarge);
-                }
-            }
-            Err(e) => return respond_error(&mut stream, e),
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Ok(()); // peer went away mid-request
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
-}
-
-fn respond_error(stream: &mut TcpStream, e: ParseError) -> io::Result<()> {
-    let status = e.status();
-    write_response(
-        stream,
-        status,
-        "text/plain; charset=utf-8",
-        &format!("{}\n", avoc_obs::http::reason(status)),
-    )
-}
-
 /// Maps a parsed request to `(status, content type, body)`.
-fn route(req: &avoc_obs::http::Request<'_>, service: &VoterService) -> (u16, &'static str, String) {
+pub(crate) fn route(
+    req: &avoc_obs::http::Request<'_>,
+    service: &VoterService,
+) -> (u16, &'static str, String) {
     const TEXT: &str = "text/plain; charset=utf-8";
     const PROM: &str = "text/plain; version=0.0.4; charset=utf-8";
     const JSON: &str = "application/json";

@@ -46,10 +46,12 @@
 //!   tenant loses its own overflow (counted) instead of stalling the fleet.
 //! * [`TcpServer`] / [`ServeClient`] — the socket front-end and a small
 //!   blocking client for it.
-//! * [`AdminServer`] — an optional plain-HTTP observability endpoint
-//!   (`/metrics`, `/healthz`, `/stats`, `/sessions`, `/trace`) built on
-//!   [`avoc_obs`]'s registry and span ring; enabled via
-//!   [`ServeConfig::admin_addr`], off by default.
+//! * the admin endpoint — optional plain-HTTP observability routes
+//!   (`/metrics`, `/healthz`, `/stats`, `/sessions`, `/segments`, `/trace`)
+//!   over [`avoc_obs`]'s registry and span ring, served by the shared
+//!   [`avoc_obs::http::Server`] listener; enabled via
+//!   [`ServeConfig::admin_addr`] (see [`TcpServer::admin_addr`]), off by
+//!   default.
 //!
 //! # Example (in-process)
 //!
@@ -90,7 +92,6 @@ mod session;
 mod shard;
 mod sink;
 
-pub use admin::AdminServer;
 pub use client::{
     ClientConfig, ClientIoStats, ClientStats, ResilientClient, RetryPolicy, ServeClient,
     MAX_REDIRECT_HOPS,

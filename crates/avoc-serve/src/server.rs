@@ -15,12 +15,13 @@
 
 use avoc_net::reactor::{self, ConnWaker, FrameVerdict, Handler, ReactorConfig, ReactorPool};
 use avoc_net::Message;
+use avoc_obs::http;
 use crossbeam::channel::{self, Receiver};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::Arc;
 
-use crate::admin::AdminServer;
+use crate::admin;
 use crate::metrics::{CountersSnapshot, ServiceCounters};
 use crate::service::{ServeError, Staging, VoterService};
 use crate::sink::ResultSink;
@@ -48,7 +49,7 @@ pub struct TcpServer {
     pool: ReactorPool,
     /// The observability endpoint, when the service was configured with an
     /// admin address.
-    admin: Option<AdminServer>,
+    admin: Option<http::Server>,
 }
 
 impl TcpServer {
@@ -64,7 +65,14 @@ impl TcpServer {
         // failure there fails the whole start rather than silently serving
         // without metrics.
         let admin = match service.admin_addr_config() {
-            Some(admin_addr) => Some(AdminServer::start(admin_addr, Arc::clone(&service))?),
+            Some(admin_addr) => {
+                let service = Arc::clone(&service);
+                Some(http::Server::start(
+                    admin_addr,
+                    "avoc-serve-admin",
+                    move |req| admin::route(req, &service),
+                )?)
+            }
             None => None,
         };
         let counters = service.counters_arc();
@@ -106,7 +114,7 @@ impl TcpServer {
     /// The admin endpoint's bound address, when one was configured via
     /// [`crate::ServeConfig::admin_addr`].
     pub fn admin_addr(&self) -> Option<SocketAddr> {
-        self.admin.as_ref().map(AdminServer::local_addr)
+        self.admin.as_ref().map(http::Server::local_addr)
     }
 
     /// Which readiness backend the reactors selected (`"epoll"` on Linux,

@@ -1,10 +1,11 @@
 //! Offline shim for the `bytes` crate.
 //!
 //! Implements the subset the wire codec relies on: [`BytesMut`] as a growable
-//! front-consumable byte buffer, [`Bytes`] as an immutable view, and the
-//! big-endian accessors of [`Buf`]/[`BufMut`]. The representation is a plain
-//! `Vec<u8>` with a start cursor — `advance`/`split_to` are O(1) until the
-//! buffer is next compacted on write.
+//! front-consumable byte buffer, [`Bytes`] as an immutable view, [`Buf`]'s
+//! front cursor and the big-endian writers of [`BufMut`] (the codec reads
+//! fields through its own bounds-checked cursor over the dereferenced
+//! slice). The representation is a plain `Vec<u8>` with a start cursor —
+//! `advance` is O(1) until the buffer is next compacted on write.
 
 #![forbid(unsafe_code)]
 
@@ -19,57 +20,37 @@ pub trait Buf {
     fn chunk(&self) -> &[u8];
     /// Skips `n` bytes.
     fn advance(&mut self, n: usize);
-
-    /// Reads a `u8`.
-    fn get_u8(&mut self) -> u8 {
-        let v = self.chunk()[0];
-        self.advance(1);
-        v
-    }
-
-    /// Reads a big-endian `u32`.
-    fn get_u32(&mut self) -> u32 {
-        let mut b = [0u8; 4];
-        b.copy_from_slice(&self.chunk()[..4]);
-        self.advance(4);
-        u32::from_be_bytes(b)
-    }
-
-    /// Reads a big-endian `u64`.
-    fn get_u64(&mut self) -> u64 {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&self.chunk()[..8]);
-        self.advance(8);
-        u64::from_be_bytes(b)
-    }
-
-    /// Reads a big-endian `f64`.
-    fn get_f64(&mut self) -> f64 {
-        f64::from_bits(self.get_u64())
-    }
 }
 
 /// Write-side operations over a byte buffer.
+///
+/// The writers are `#[inline]`, as in the published crate: the codec calls
+/// one per frame field from another crate, and left out of line each costs
+/// a call whose price moves with this crate's codegen-unit layout.
 pub trait BufMut {
     /// Appends raw bytes.
     fn put_slice(&mut self, src: &[u8]);
 
     /// Appends a `u8`.
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.put_slice(&[v]);
     }
 
     /// Appends a big-endian `u32`.
+    #[inline]
     fn put_u32(&mut self, v: u32) {
         self.put_slice(&v.to_be_bytes());
     }
 
     /// Appends a big-endian `u64`.
+    #[inline]
     fn put_u64(&mut self, v: u64) {
         self.put_slice(&v.to_be_bytes());
     }
 
     /// Appends a big-endian `f64`.
+    #[inline]
     fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
     }
@@ -114,6 +95,7 @@ impl BytesMut {
     }
 
     /// Appends bytes to the back.
+    #[inline]
     pub fn extend_from_slice(&mut self, src: &[u8]) {
         // Compact lazily on write so the cursor never grows unboundedly.
         if self.start > 4096 && self.start > self.len() {
@@ -128,21 +110,6 @@ impl BytesMut {
     pub fn clear(&mut self) {
         self.data.clear();
         self.start = 0;
-    }
-
-    /// Splits off and returns the first `n` readable bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > self.len()`.
-    pub fn split_to(&mut self, n: usize) -> BytesMut {
-        assert!(n <= self.len(), "split_to out of bounds");
-        let head = self.data[self.start..self.start + n].to_vec();
-        self.start += n;
-        BytesMut {
-            data: head,
-            start: 0,
-        }
     }
 
     /// Freezes into an immutable [`Bytes`].
@@ -173,6 +140,7 @@ impl Buf for BytesMut {
 }
 
 impl BufMut for BytesMut {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
     }
@@ -283,20 +251,16 @@ mod tests {
         b.put_u32(0xdead_beef);
         b.put_u64(42);
         b.put_f64(-1.5);
-        assert_eq!(b.len(), 21);
-        assert_eq!(b.get_u8(), 7);
-        assert_eq!(b.get_u32(), 0xdead_beef);
-        assert_eq!(b.get_u64(), 42);
-        assert_eq!(b.get_f64(), -1.5);
-        assert!(b.is_empty());
+        let mut want = vec![7, 0xde, 0xad, 0xbe, 0xef];
+        want.extend_from_slice(&42u64.to_be_bytes());
+        want.extend_from_slice(&(-1.5f64).to_bits().to_be_bytes());
+        assert_eq!(&b[..], &want[..]);
     }
 
     #[test]
     fn split_and_advance() {
         let mut b = BytesMut::from(&[1u8, 2, 3, 4, 5][..]);
-        b.advance(1);
-        let head = b.split_to(2);
-        assert_eq!(&head[..], &[2, 3]);
+        b.advance(3);
         assert_eq!(&b[..], &[4, 5]);
         assert_eq!(b.freeze().to_vec(), vec![4, 5]);
     }

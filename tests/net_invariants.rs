@@ -10,6 +10,120 @@ use avoc::prelude::*;
 use bytes::{BufMut, BytesMut};
 use proptest::prelude::*;
 
+/// One message of every frame tag (1–18), in tag order, built from one set
+/// of generated field values — the strategy the every-tag properties share.
+#[allow(clippy::too_many_arguments)]
+fn every_tag(
+    session: u64,
+    modules: u32,
+    round: u64,
+    value: f64,
+    text: &str,
+    acked: Option<u64>,
+    high: Option<u64>,
+    flag: bool,
+    blob: &[u8],
+) -> Vec<Message> {
+    let module = ModuleId::new(modules);
+    vec![
+        Message::Reading {
+            module,
+            round,
+            value,
+        },
+        Message::Missing { module, round },
+        Message::Heartbeat { module },
+        Message::Shutdown,
+        Message::OpenSession {
+            session,
+            modules,
+            spec: SpecSource::Named(text.to_string()),
+        },
+        Message::CloseSession { session },
+        Message::SessionReading {
+            session,
+            module,
+            round,
+            value,
+        },
+        Message::SessionResult {
+            session,
+            round,
+            value: flag.then_some(value),
+            voted: flag,
+        },
+        Message::Error {
+            session,
+            message: text.to_string(),
+        },
+        Message::FeedBatch {
+            session,
+            readings: vec![
+                BatchReading {
+                    module,
+                    round,
+                    value
+                };
+                3
+            ],
+        },
+        Message::ResumeSession {
+            session,
+            modules,
+            spec: SpecSource::Inline(text.to_string()),
+            token: round,
+            last_acked: acked,
+        },
+        Message::Resumed {
+            session,
+            high_round: high,
+            warm: flag,
+        },
+        Message::ResultBatch {
+            session,
+            results: vec![
+                BatchResult {
+                    round,
+                    value: flag.then_some(value),
+                    voted: flag
+                };
+                2
+            ],
+        },
+        Message::StatsRequest,
+        Message::StatsReply {
+            json: format!("{{\"rounds_fused\": {round}}}"),
+        },
+        Message::Redirect {
+            session,
+            epoch: round,
+            addr: "127.0.0.1:4100".into(),
+        },
+        Message::ExportSession {
+            session,
+            target_node: round,
+            epoch: round,
+            auth: round,
+            target_addr: "127.0.0.1:4200".into(),
+        },
+        Message::SessionState {
+            session,
+            epoch: round,
+            auth: round,
+            meta: blob.to_vec(),
+            wal: blob.to_vec(),
+        },
+    ]
+}
+
+/// Frames `payload` under a truthful length prefix.
+fn framed(payload: &[u8]) -> BytesMut {
+    let mut buf = BytesMut::new();
+    buf.put_u32(payload.len() as u32);
+    buf.extend_from_slice(payload);
+    buf
+}
+
 proptest! {
     /// Feeding arbitrary garbage to the decoder never panics, and always
     /// either consumes something, reports an incomplete frame, or declares
@@ -369,67 +483,7 @@ proptest! {
         flag in any::<bool>(),
         prefix in prop::collection::vec(any::<u8>(), 0..32),
     ) {
-        let module = ModuleId::new(modules);
-        let msgs = vec![
-            Message::Reading { module, round, value },
-            Message::Missing { module, round },
-            Message::Heartbeat { module },
-            Message::Shutdown,
-            Message::OpenSession {
-                session,
-                modules,
-                spec: SpecSource::Named(text.clone()),
-            },
-            Message::CloseSession { session },
-            Message::SessionReading { session, module, round, value },
-            Message::SessionResult {
-                session,
-                round,
-                value: flag.then_some(value),
-                voted: flag,
-            },
-            Message::Error { session, message: text.clone() },
-            Message::FeedBatch {
-                session,
-                readings: vec![BatchReading { module, round, value }; 3],
-            },
-            Message::ResumeSession {
-                session,
-                modules,
-                spec: SpecSource::Inline(text),
-                token: round,
-                last_acked: acked,
-            },
-            Message::Resumed { session, high_round: high, warm: flag },
-            Message::ResultBatch {
-                session,
-                results: vec![
-                    BatchResult { round, value: flag.then_some(value), voted: flag };
-                    2
-                ],
-            },
-            Message::StatsRequest,
-            Message::StatsReply { json: format!("{{\"rounds_fused\": {round}}}") },
-            Message::Redirect {
-                session,
-                epoch: round,
-                addr: "127.0.0.1:4100".into(),
-            },
-            Message::ExportSession {
-                session,
-                target_node: round,
-                epoch: round,
-                auth: round,
-                target_addr: "127.0.0.1:4200".into(),
-            },
-            Message::SessionState {
-                session,
-                epoch: round,
-                auth: round,
-                meta: prefix.clone(),
-                wal: prefix.clone(),
-            },
-        ];
+        let msgs = every_tag(session, modules, round, value, &text, acked, high, flag, &prefix);
         let mut frame = BytesMut::new();
         frame.extend_from_slice(&prefix);
         let mut expected: Vec<u8> = prefix.clone();
@@ -448,6 +502,84 @@ proptest! {
             }
         }
         prop_assert_eq!(decoded, msgs);
+    }
+
+    /// For EVERY frame tag: each strict prefix of a valid payload, and the
+    /// payload plus one trailing byte, re-framed under a truthful length
+    /// prefix, is a layout fault — `BadLength`, never a panic and never a
+    /// reinterpretation — that consumes exactly its own frame, so a valid
+    /// frame behind it still decodes.
+    #[test]
+    fn every_tag_rejects_truncation_and_trailing_bytes(
+        session in any::<u64>(),
+        modules in any::<u32>(),
+        round in any::<u64>(),
+        value in -1.0e9f64..1.0e9,
+        text in "[a-zA-Z0-9 _/.-]{0,24}",
+        acked in prop::option::of(any::<u64>()),
+        high in prop::option::of(any::<u64>()),
+        flag in any::<bool>(),
+        blob in prop::collection::vec(any::<u8>(), 0..32),
+        trailing in any::<u8>(),
+    ) {
+        let follower = Message::Heartbeat { module: ModuleId::new(modules) };
+        for msg in every_tag(session, modules, round, value, &text, acked, high, flag, &blob) {
+            let frame = msg.encode();
+            let payload = &frame[4..];
+            let mut hostile: Vec<Vec<u8>> = (0..payload.len()).map(|cut| payload[..cut].to_vec()).collect();
+            hostile.push([payload, &[trailing]].concat());
+            for bad in hostile {
+                let mut buf = framed(&bad);
+                buf.extend_from_slice(&follower.encode());
+                let got = Message::decode(&mut buf);
+                prop_assert!(
+                    matches!(got, Err(avoc::net::message::DecodeError::BadLength { .. })),
+                    "tag {} payload of {} bytes cut/extended to {}: {:?}",
+                    payload[0], payload.len(), bad.len(), got
+                );
+                prop_assert_eq!(Message::decode(&mut buf), Ok(follower.clone()));
+                prop_assert!(buf.is_empty());
+            }
+        }
+    }
+
+    /// For EVERY frame tag: replacing any one payload byte of a valid frame
+    /// either rejects the frame or yields a message that re-encodes to
+    /// exactly the mutated bytes (canonical acceptance) — no byte of any
+    /// layout is read loosely. The frame is consumed either way.
+    #[test]
+    fn every_tag_mutated_byte_is_rejected_or_canonical(
+        session in any::<u64>(),
+        modules in any::<u32>(),
+        round in any::<u64>(),
+        value in -1.0e9f64..1.0e9,
+        text in "[a-zA-Z0-9 _/.-]{0,24}",
+        acked in prop::option::of(any::<u64>()),
+        high in prop::option::of(any::<u64>()),
+        flag in any::<bool>(),
+        blob in prop::collection::vec(any::<u8>(), 0..32),
+        at in 0usize..4096,
+        byte in any::<u8>(),
+    ) {
+        for msg in every_tag(session, modules, round, value, &text, acked, high, flag, &blob) {
+            let mut mutated = BytesMut::from(&msg.encode()[..]);
+            let at = 4 + at % (mutated.len() - 4);
+            mutated[at] = byte;
+            let before = mutated.clone();
+            match Message::decode(&mut mutated) {
+                Ok(m) => prop_assert_eq!(
+                    &m.encode()[..],
+                    &before[..],
+                    "accepted frames must be canonical (byte {} of {:?})", at, msg
+                ),
+                Err(avoc::net::message::DecodeError::Incomplete
+                    | avoc::net::message::DecodeError::FrameTooLarge { .. }) => {
+                    prop_assert!(false, "an untouched prefix cannot be incomplete or oversized")
+                }
+                Err(_) => {}
+            }
+            prop_assert!(mutated.is_empty(), "the frame is consumed either way");
+        }
     }
 
     /// Arbitrary non-empty result batches round-trip byte-exactly through
@@ -706,6 +838,30 @@ proptest! {
 
 /// A zero-reading batch is protocol spam: rejected (consuming the frame),
 /// never decoded into an empty message.
+/// The fixed case of the mutated-byte property that the tag-8 decoder used
+/// to get wrong: `voted` was the one boolean read as `!= 0`, so a frame
+/// carrying 2 decoded and re-encoded to different bytes.
+#[test]
+fn session_result_voted_byte_is_strictly_zero_or_one() {
+    for value in [Some(18.5), None] {
+        let frame = Message::SessionResult {
+            session: 7,
+            round: 3,
+            value,
+            voted: true,
+        }
+        .encode();
+        let mut buf = BytesMut::from(&frame[..]);
+        let last = buf.len() - 1;
+        buf[last] = 2;
+        assert!(matches!(
+            Message::decode(&mut buf),
+            Err(avoc::net::message::DecodeError::BadLength { tag: 8, .. })
+        ));
+        assert!(buf.is_empty(), "bad frame must be consumed for resync");
+    }
+}
+
 #[test]
 fn zero_reading_batch_is_rejected() {
     let mut buf = BytesMut::new();

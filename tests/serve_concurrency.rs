@@ -485,3 +485,108 @@ fn staged_readings_precede_whatever_ends_their_read() {
         assert_eq!(snap.readings_dropped, 0, "{ending:?}");
     }
 }
+
+/// The deployment shape of the paper's Fig. 1 — every sensor on its own
+/// link to the voter — on the daemon, the workspace's only socket server:
+/// five connections, one per module and spread over two reactors, feed one
+/// session, and the stream it fuses is bit-identical to the in-process
+/// channel pipeline's on the same trace. The lag tolerance covers the whole
+/// trace, so however the sensor threads interleave no round is force-flushed
+/// short of its five readings.
+#[test]
+fn one_socket_per_sensor_fuses_the_same_stream_as_the_channel_pipeline() {
+    use avoc::sim::{FaultInjector, FaultKind, LightScenario};
+    const SENSORS: usize = 5;
+    const TRACE_ROUNDS: usize = 60;
+    const SESSION: u64 = 77;
+
+    let clean = LightScenario::new(SENSORS, TRACE_ROUNDS, 31).generate();
+    let trace = FaultInjector::new(3, FaultKind::Offset(6.0)).apply(&clean, 20);
+    let spec = avoc::vdx::VdxSpec::avoc();
+    let expected = avoc::net::EdgeVoter::new(spec.clone())
+        .expect("valid spec")
+        .run_trace(&trace);
+    assert_eq!(expected.len(), TRACE_ROUNDS);
+
+    let mut reg = SpecRegistry::new();
+    reg.insert("avoc", spec);
+    let service = Arc::new(VoterService::start(
+        ServeConfig {
+            shards: 2,
+            reactors: 2,
+            lag_tolerance: TRACE_ROUNDS as u64,
+            ..ServeConfig::default()
+        },
+        Arc::new(reg),
+    ));
+    let server = TcpServer::start("127.0.0.1:0", service).expect("bind");
+    let addr = server.local_addr();
+
+    // The collector opens the session with the acknowledged handshake, so
+    // the sensors start only once it exists; verdicts come back here.
+    let mut collector = ServeClient::connect(addr).expect("connect");
+    collector
+        .resume_session(
+            SESSION,
+            SENSORS as u32,
+            SpecSource::Named("avoc".into()),
+            1,
+            None,
+        )
+        .expect("open");
+    assert_eq!(
+        collector.recv().expect("ack"),
+        Message::Resumed {
+            session: SESSION,
+            high_round: None,
+            warm: false
+        }
+    );
+
+    let sensors: Vec<_> = (0..SENSORS)
+        .map(|idx| {
+            let series = trace.series(idx);
+            std::thread::spawn(move || {
+                let mut sensor = ServeClient::connect(addr).expect("connect");
+                for (round, value) in series.into_iter().enumerate() {
+                    let value = value.expect("offset faults drop nothing");
+                    sensor
+                        .send_reading(SESSION, ModuleId::new(idx as u32), round as u64, value)
+                        .expect("send");
+                }
+            })
+        })
+        .collect();
+
+    let fused = collector.recv_n(TRACE_ROUNDS).expect("one verdict a round");
+    for sensor in sensors {
+        sensor.join().expect("sensor thread");
+    }
+    for (want, got) in expected.iter().zip(fused) {
+        let result = want.result.as_ref().expect("round fused");
+        let Message::SessionResult {
+            session,
+            round,
+            value,
+            voted,
+        } = got
+        else {
+            panic!("unexpected frame {got:?}");
+        };
+        assert_eq!(
+            (session, round, value.map(f64::to_bits), voted),
+            (
+                SESSION,
+                want.round,
+                result.number().map(f64::to_bits),
+                result.is_voted()
+            )
+        );
+    }
+
+    collector.close_session(SESSION).expect("close");
+    let snap = server.shutdown();
+    assert_eq!(snap.rounds_fused, TRACE_ROUNDS as u64);
+    assert_eq!(snap.readings_dropped, 0);
+    assert_eq!(snap.results_dropped, 0);
+}
