@@ -21,8 +21,9 @@
 //! endpoint is bound and pipeline tracing samples one round in 64, so the
 //! zero-allocation claim covers the instrumented daemon, not a stripped
 //! one. Every run is scraped live — `/healthz` and `/metrics` mid-replay,
-//! then `/metrics?format=json` once the clients drain — and the per-tenant
-//! `avoc_session_fuse_latency_ns` histogram counts must sum to the rounds
+//! then `/metrics?format=json` once the clients drain — and the
+//! `avoc_session_fuse_latency_ns` series (one per session still live, plus
+//! the tombstone the closed ones were folded into) must sum to the rounds
 //! the drain snapshot says were fused, or the binary exits non-zero.
 //!
 //! The main sweep runs with the default reactor pool (`min(cores, 4)`
@@ -215,9 +216,13 @@ struct RunNumbers {
     /// over the baseline. The column that *does* scale with sessions.
     peak_fds: u64,
     snapshot: CountersSnapshot,
-    /// Tenants seen on the end-of-run scrape (one
-    /// `avoc_session_fuse_latency_ns` series each).
-    scrape_sessions: u64,
+    /// `avoc_session_fuse_latency_ns` series on the end-of-run scrape: at
+    /// most one per session still live then, plus the tombstone (the
+    /// output's `scrape_sessions`).
+    scrape_series: u64,
+    /// Sessions live just before that scrape (the clients are closing
+    /// theirs, so the scrape can only see fewer).
+    live_at_scrape: u64,
     /// Sum of those series' counts — must equal `snapshot.rounds_fused`.
     scrape_fuse_count: u64,
     /// The global `avoc_fuse_latency_ns` histogram exactly as the live
@@ -268,18 +273,18 @@ fn scrape_fuse_histograms(admin: std::net::SocketAddr) -> (u64, u64, String) {
     let hists = doc["histograms"]
         .as_object()
         .expect("scrape has a histograms object");
-    let mut tenants = 0u64;
+    let mut series = 0u64;
     let mut count_sum = 0u64;
     let mut global = String::from("{}");
     for (key, value) in hists {
         if key.starts_with("avoc_session_fuse_latency_ns{") {
-            tenants += 1;
+            series += 1;
             count_sum += value["count"].as_u64().unwrap_or(0);
         } else if key == "avoc_fuse_latency_ns" {
             global = value.to_string();
         }
     }
-    (tenants, count_sum, global)
+    (series, count_sum, global)
 }
 
 /// Drives `sessions` client threads for `chunks` measured chunks each,
@@ -343,9 +348,11 @@ fn run_sessions(sessions: u64, chunks: u64, reactors: usize) -> RunNumbers {
             .collect();
         (clients, t.elapsed(), data_plane_threads, peak_fds)
     });
-    // All verdicts are in, so every tenant's histogram holds its final
-    // count; scrape before shutdown while the endpoint is still live.
-    let (scrape_sessions, scrape_fuse_count, fuse_latency_json) = scrape_fuse_histograms(admin);
+    // All verdicts are in, so the per-session series hold their final
+    // counts — in a session's own series or, once its close has landed,
+    // in the tombstone; scrape before shutdown while the endpoint is live.
+    let live_at_scrape = service.active_sessions() as u64;
+    let (scrape_series, scrape_fuse_count, fuse_latency_json) = scrape_fuse_histograms(admin);
     let run_reactors = server.reactor_count() as u64;
     let run_shards = service.shards() as u64;
     let backend = server.reactor_backend();
@@ -362,7 +369,8 @@ fn run_sessions(sessions: u64, chunks: u64, reactors: usize) -> RunNumbers {
         data_plane_threads,
         peak_fds,
         snapshot,
-        scrape_sessions,
+        scrape_series,
+        live_at_scrape,
         scrape_fuse_count,
         fuse_latency_json,
         reactors: run_reactors,
@@ -502,11 +510,16 @@ fn main() {
             );
             regressed = true;
         }
-        if run.scrape_sessions != sessions || run.scrape_fuse_count != run.snapshot.rounds_fused {
+        if run.scrape_series > run.live_at_scrape + 1
+            || run.scrape_fuse_count != run.snapshot.rounds_fused
+        {
             eprintln!(
-                "REGRESSION: live scrape saw {} tenant histogram(s) summing to {} rounds, \
-                 daemon fused {} across {sessions} session(s)",
-                run.scrape_sessions, run.scrape_fuse_count, run.snapshot.rounds_fused
+                "REGRESSION: live scrape saw {} session series summing to {} rounds with {} \
+                 session(s) live, daemon fused {} across {sessions} session(s)",
+                run.scrape_series,
+                run.scrape_fuse_count,
+                run.live_at_scrape,
+                run.snapshot.rounds_fused
             );
             regressed = true;
         }
@@ -541,7 +554,7 @@ fn main() {
             hspk = hs_per_1k,
             dpt = run.data_plane_threads,
             pfd = run.peak_fds,
-            ss = run.scrape_sessions,
+            ss = run.scrape_series,
             sfc = run.scrape_fuse_count,
             flj = run.fuse_latency_json,
         ));

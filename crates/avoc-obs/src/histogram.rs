@@ -9,7 +9,7 @@
 //! under ~11% across six orders of magnitude with 90 buckets.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A shareable histogram handle. Clones are cheap (`Arc` inside) and all
 /// clones record into the same cells.
@@ -39,10 +39,16 @@ impl Histogram {
         let mut sorted: Vec<u64> = bounds.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        let buckets = (0..=sorted.len()).map(|_| AtomicU64::new(0)).collect();
+        Histogram::on_scale(sorted.into())
+    }
+
+    /// Fresh cells over an already sorted, deduplicated scale, which the
+    /// histogram shares instead of copying.
+    pub(crate) fn on_scale(bounds: Arc<[u64]>) -> Self {
+        let buckets = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
         Histogram {
             core: Arc::new(Core {
-                bounds: sorted.into(),
+                bounds,
                 buckets,
                 sum: AtomicU64::new(0),
                 min: AtomicU64::new(u64::MAX),
@@ -54,15 +60,35 @@ impl Histogram {
     /// The default latency scale: log-linear bounds `{1..9} × 10^k` for
     /// `k = 0..=9`, i.e. 1 ns to 9 s in 90 buckets plus `+Inf`.
     pub fn latency_ns() -> Self {
-        let mut bounds = Vec::with_capacity(90);
-        let mut decade: u64 = 1;
-        for _ in 0..=9 {
-            for step in 1..=9u64 {
-                bounds.push(step * decade);
-            }
-            decade *= 10;
+        Histogram::on_scale(latency_scale())
+    }
+
+    /// The bucket bounds, shared by every histogram built on them.
+    pub(crate) fn scale(&self) -> Arc<[u64]> {
+        Arc::clone(&self.core.bounds)
+    }
+
+    /// Adds every observation `other` holds to this histogram — counts,
+    /// sum and extrema — as if each had been recorded here.
+    ///
+    /// # Panics
+    ///
+    /// If the two histograms have different bucket layouts.
+    pub(crate) fn absorb(&self, other: &Histogram) {
+        assert_eq!(
+            self.core.bounds, other.core.bounds,
+            "absorbed histogram must share the bucket layout"
+        );
+        let (mine, theirs) = (&self.core, &other.core);
+        for (a, b) in mine.buckets.iter().zip(theirs.buckets.iter()) {
+            a.fetch_add(b.load(Ordering::Relaxed), Ordering::Relaxed);
         }
-        Histogram::with_bounds(&bounds)
+        mine.sum
+            .fetch_add(theirs.sum.load(Ordering::Relaxed), Ordering::Relaxed);
+        mine.min
+            .fetch_min(theirs.min.load(Ordering::Relaxed), Ordering::Relaxed);
+        mine.max
+            .fetch_max(theirs.max.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// Whether two handles record into the same cells.
@@ -107,6 +133,21 @@ impl Histogram {
             max: self.core.max.load(Ordering::Relaxed),
         }
     }
+}
+
+/// The [`Histogram::latency_ns`] bounds, computed once per process: every
+/// latency histogram shares this one allocation.
+pub(crate) fn latency_scale() -> Arc<[u64]> {
+    static SCALE: OnceLock<Arc<[u64]>> = OnceLock::new();
+    Arc::clone(SCALE.get_or_init(|| {
+        let mut decade: u64 = 1;
+        let mut bounds = Vec::with_capacity(90);
+        for _ in 0..=9 {
+            bounds.extend((1..=9u64).map(|step| step * decade));
+            decade *= 10;
+        }
+        bounds.into()
+    }))
 }
 
 /// A point-in-time copy of a [`Histogram`]: per-bucket counts (not

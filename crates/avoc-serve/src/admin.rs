@@ -14,8 +14,8 @@
 //!   (memory-only persistence, paused accept, …).
 //! * `/metrics` — the full registry in Prometheus text exposition;
 //!   `?format=json` renders the same cells as one JSON object.
-//! * `/stats` — the legacy [`crate::CountersSnapshot`] JSON dump (same
-//!   bytes a drain returns and a wire `StatsRequest` frame fetches).
+//! * `/stats` — the [`crate::CountersSnapshot`] JSON of those same cells
+//!   (same bytes a drain returns and a wire `StatsRequest` frame fetches).
 //! * `/sessions` — live sessions: id, shard pin, resumability, rounds fused.
 //! * `/segments` — the segment tier: live segment files (seq, generation,
 //!   bytes, rows) and lifetime compaction statistics.

@@ -1,105 +1,117 @@
-//! Service counters: cheap to record, snapshotable while the daemon runs.
+//! Service counters: every fact the daemon reports about itself, as one
+//! cell on an [`avoc_obs::Registry`].
 //!
-//! The counters live on an [`avoc_obs::Registry`], so the same cells feed
-//! three surfaces at once: the drain-time [`CountersSnapshot`] dump (whose
-//! JSON shape predates the registry and is kept byte-compatible), the
-//! Prometheus/JSON exposition behind the admin endpoint, and the per-tenant
-//! fuse-latency histograms (`avoc_session_fuse_latency_ns{session="..."}`)
-//! the scrape path serves. Recording is lock-free — handles are relaxed
-//! atomics.
+//! One cell, one writer, one refresh. Shards, sessions and the front-end
+//! record on the handles below directly — relaxed atomics, no lock on the
+//! per-reading path. The two cells a sink emission moves have a single
+//! writer, [`ServiceCounters::emit`]. The few facts kept elsewhere (the
+//! `sysio` injector's tally, the segment tier's quarantine and segment
+//! counts) are copied in by a refresh that runs before every read: the
+//! registry is private and handed out only by [`ServiceCounters::registry`],
+//! and [`ServiceCounters::snapshot`] starts the same way — so a scrape in
+//! either format, `/stats`, a wire `StatsReply` and the drain dump all read
+//! the same, current cells.
 
-use avoc_net::{CorkMetrics, ReactorMetrics};
+use avoc_net::{CorkMetrics, Message, ReactorMetrics};
 use avoc_obs::{Counter, Gauge, Health, HealthLevel, Histogram, Registry, TraceRing};
+use avoc_store::TieredStore;
 use parking_lot::Mutex;
 use serde::Serialize;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
+
+use crate::sink::ResultSink;
+
+/// The per-session fuse-latency family: one series per live session, plus
+/// the `{session="closed"}` tombstone the ended ones were folded into.
+const SESSION_FUSE: &str = "avoc_session_fuse_latency_ns";
 
 /// Live counters shared by every shard and connection of one daemon.
 ///
-/// All hot-path fields are registry handles (relaxed atomics); only the
-/// session directory takes a lock, and never on the per-reading path.
+/// The `pub(crate)` fields are registry handles the recording code hits
+/// directly. The private ones have exactly one writer in this module:
+/// [`ServiceCounters::emit`] or the refresh.
 #[derive(Debug)]
 pub struct ServiceCounters {
+    /// Read through [`ServiceCounters::registry`], which refreshes first.
     registry: Registry,
-    trace: TraceRing,
-    sessions_opened: Counter,
-    sessions_evicted: Counter,
-    sessions_rejected: Counter,
+    /// The segment tier the refresh mirrors (`None`: persistence is off).
+    tier: Option<Arc<TieredStore>>,
+    /// One refresh at a time: two racing ones would each add the same
+    /// difference to a mirrored counter.
+    refreshing: Mutex<()>,
+    pub(crate) trace: TraceRing,
+    /// The daemon's health plane: per-domain degradation state the admin
+    /// `/healthz` route renders. Subsystems (session persistence, the
+    /// reactor's accept path) set and clear their domains on transitions.
+    pub(crate) health: Health,
+    pub(crate) sessions_opened: Counter,
+    pub(crate) sessions_evicted: Counter,
+    pub(crate) sessions_rejected: Counter,
     rounds_fused: Counter,
-    fallbacks: Counter,
-    readings_dropped: Counter,
+    pub(crate) fallbacks: Counter,
+    /// Counts readings, not commands: a refused or shed data command adds
+    /// every reading it carried.
+    pub(crate) readings_dropped: Counter,
+    /// Counts rounds, not frames. Like `result_batches`, written by `emit`
+    /// only.
     results_dropped: Counter,
     result_batches: Counter,
     bytes_sent: Counter,
-    bytes_received: Counter,
+    /// Recorded by the reactor per read.
+    pub(crate) bytes_received: Counter,
     frames_sent: Counter,
     writer_flushes: Counter,
     writer_writes: Counter,
     /// Each reactor's health cells (connections open, wakeups, events,
     /// dispatch latency), one entry per event-loop thread, labelled
-    /// `{reactor="i"}`. Registered here so they surface on the same
-    /// scrape and in the drain-time snapshot (which sums across reactors);
-    /// each reactor thread records into clones of its own handles.
-    reactors: Vec<ReactorMetrics>,
+    /// `{reactor="i"}`. Each reactor thread records into clones of its own
+    /// handles; the snapshot sums across reactors.
+    pub(crate) reactors: Vec<ReactorMetrics>,
     /// Channel sends into shard data mailboxes. A data command counts once
     /// however many readings it carries — a socket read's `SessionReading`
     /// frames, or a whole `FeedBatch` — so `shard_handoff_sends / readings`
     /// is the handoff amortisation factor.
-    shard_handoff_sends: Counter,
-    recoveries: Counter,
-    resumed_sessions: Counter,
-    retries: Counter,
-    checkpoint_bytes: Counter,
+    pub(crate) shard_handoff_sends: Counter,
+    pub(crate) recoveries: Counter,
+    pub(crate) resumed_sessions: Counter,
+    pub(crate) retries: Counter,
+    pub(crate) checkpoint_bytes: Counter,
     wal_replay_ns: Counter,
     segment_load_ns: Counter,
-    torn_tail_recoveries: Counter,
+    pub(crate) torn_tail_recoveries: Counter,
     compactions: Counter,
     segment_rounds_folded: Counter,
     segment_bytes_written: Counter,
-    /// Live segment files in the tier (set from each compaction report).
+    /// The tier's segment count, mirrored by the refresh.
     segments_live: Gauge,
     /// Per-shard mailbox-depth high-water marks
     /// (`avoc_shard_queue_high_water{shard="i"}`).
     shard_queue_high_water: Vec<Gauge>,
-    /// Service-wide fuse latency on the log-linear nanosecond scale.
     fuse_latency_ns: Histogram,
-    /// Checkpoint (one WAL record) latency.
-    checkpoint_latency_ns: Histogram,
-    /// WAL replay latency per recovered session.
+    pub(crate) checkpoint_latency_ns: Histogram,
     wal_replay_latency_ns: Histogram,
-    /// Segment-tier cold-resume latency per recovered session (the fast
-    /// path that competes with `wal_replay_latency_ns`).
+    /// The fast path that competes with `wal_replay_latency_ns`.
     segment_load_latency_ns: Histogram,
-    /// One compaction pass (fold + merge) end to end.
     compaction_latency_ns: Histogram,
-    /// Live sessions, for the admin `/sessions` view. Touched only at
-    /// session open/resume/close — never per reading.
-    directory: Mutex<HashMap<u64, SessionEntry>>,
-    /// The daemon's health plane: per-domain degradation state the admin
-    /// `/healthz` route renders. Subsystems (session persistence, the
-    /// reactor's accept path) set and clear their domains on transitions.
-    health: Health,
+    /// Live sessions by id, for the admin `/sessions` view. Touched only
+    /// at session open/resume/close — never per reading.
+    directory: Mutex<BTreeMap<u64, SessionEntry>>,
     /// Sessions currently in degraded (memory-only) persistence; the
     /// `persistence` health domain is degraded while this is non-empty.
     degraded_ids: Mutex<HashSet<u64>>,
-    /// Checkpoint attempts that failed (WAL append or sidecar creation error).
-    checkpoint_failures: Counter,
-    /// Times any session entered degraded (memory-only) persistence.
+    pub(crate) checkpoint_failures: Counter,
     degraded_entered: Counter,
-    /// Sessions currently running memory-only.
     degraded_sessions: Gauge,
-    /// Segments the tier quarantined on CRC/decode failure.
+    /// The tier's lifetime total, mirrored by the refresh.
     segments_quarantined: Counter,
-    /// Faults the `sysio` injector delivered (0 in production; the fault
-    /// matrix asserts it moved).
+    /// The `sysio` injector's lifetime total (0 in production), mirrored by
+    /// the refresh.
     fault_injected: Counter,
-    /// Sessions exported (checkpoint-shipped) to another node.
-    sessions_exported: Counter,
-    /// Sessions imported from another node's checkpoint shipment.
-    sessions_imported: Counter,
-    /// Checkpoints skipped at recovery because their meta named another
-    /// node (the session migrated away; its files are the target's now).
-    sessions_skipped_foreign: Counter,
+    pub(crate) sessions_exported: Counter,
+    pub(crate) sessions_imported: Counter,
+    /// The session migrated away; its files are the target's now.
+    pub(crate) sessions_skipped_foreign: Counter,
 }
 
 /// What the directory remembers about one live session.
@@ -112,24 +124,31 @@ struct SessionEntry {
     fuse: Histogram,
 }
 
+/// Raises a counter that mirrors a lifetime total kept elsewhere (a stale
+/// total never lowers it).
+fn raise(cell: &Counter, total: u64) {
+    cell.add(total.saturating_sub(cell.get()));
+}
+
 impl ServiceCounters {
-    /// Counters for a daemon with `shards` workers and one reactor
-    /// (tracing disabled).
+    /// Counters for `shards` workers, one reactor, no tier and no tracing.
     pub fn new(shards: usize) -> Self {
-        ServiceCounters::with_observability(shards, 1, 0, 0)
+        ServiceCounters::with_observability(shards, 1, 0, 0, None)
     }
 
     /// Counters for `shards` workers and `reactors` event-loop threads,
     /// plus a trace ring holding `trace_capacity` spans, sampling one
-    /// round in `trace_every` (`0` disables tracing).
+    /// round in `trace_every` (`0` disables tracing), mirroring `tier`.
     pub fn with_observability(
         shards: usize,
         reactors: usize,
         trace_capacity: usize,
         trace_every: u64,
+        tier: Option<Arc<TieredStore>>,
     ) -> Self {
         let registry = Registry::new();
         let c = |name: &str, help: &str| registry.counter(name, help);
+        let h = |name: &str, help: &str| registry.latency_histogram_with(name, help, &[]);
         ServiceCounters {
             sessions_opened: c(
                 "avoc_sessions_opened_total",
@@ -207,7 +226,7 @@ impl ServiceCounters {
             ),
             torn_tail_recoveries: c(
                 "avoc_torn_tail_recoveries_total",
-                "WAL opens that truncated a torn final line.",
+                "WAL opens that truncated a torn final record.",
             ),
             compactions: c(
                 "avoc_compactions_total",
@@ -221,10 +240,9 @@ impl ServiceCounters {
                 "avoc_segment_bytes_written_total",
                 "Bytes of segment files written by compaction.",
             ),
-            segments_live: registry.gauge_with(
+            segments_live: registry.gauge(
                 "avoc_segments_live",
                 "Segment files currently live in the tier.",
-                &[],
             ),
             shard_queue_high_water: (0..shards)
                 .map(|i| {
@@ -235,34 +253,26 @@ impl ServiceCounters {
                     )
                 })
                 .collect(),
-            fuse_latency_ns: registry.latency_histogram_with(
+            fuse_latency_ns: h(
                 "avoc_fuse_latency_ns",
                 "Per-round fusion latency, nanoseconds.",
-                &[],
             ),
-            checkpoint_latency_ns: registry.latency_histogram_with(
+            checkpoint_latency_ns: h(
                 "avoc_checkpoint_latency_ns",
                 "Session checkpoint (one WAL record) latency, nanoseconds.",
-                &[],
             ),
-            wal_replay_latency_ns: registry.latency_histogram_with(
+            wal_replay_latency_ns: h(
                 "avoc_wal_replay_latency_ns",
                 "Per-session WAL replay latency on recovery, nanoseconds.",
-                &[],
             ),
-            segment_load_latency_ns: registry.latency_histogram_with(
+            segment_load_latency_ns: h(
                 "avoc_segment_load_latency_ns",
                 "Per-session segment cold-resume latency, nanoseconds.",
-                &[],
             ),
-            compaction_latency_ns: registry.latency_histogram_with(
+            compaction_latency_ns: h(
                 "avoc_compaction_latency_ns",
                 "Compaction pass (fold + merge) latency, nanoseconds.",
-                &[],
             ),
-            directory: Mutex::new(HashMap::new()),
-            health: Health::new(),
-            degraded_ids: Mutex::new(HashSet::new()),
             checkpoint_failures: c(
                 "avoc_checkpoint_failures_total",
                 "Checkpoint attempts that failed (WAL append or sidecar creation error).",
@@ -271,10 +281,9 @@ impl ServiceCounters {
                 "avoc_degraded_entered_total",
                 "Times a session entered degraded (memory-only) persistence.",
             ),
-            degraded_sessions: registry.gauge_with(
+            degraded_sessions: registry.gauge(
                 "avoc_degraded_sessions",
                 "Sessions currently running memory-only persistence.",
-                &[],
             ),
             segments_quarantined: c(
                 "avoc_segments_quarantined_total",
@@ -296,20 +305,70 @@ impl ServiceCounters {
                 "avoc_sessions_skipped_foreign_total",
                 "Recovery checkpoints skipped because their meta named another node.",
             ),
+            directory: Mutex::new(BTreeMap::new()),
+            health: Health::new(),
+            degraded_ids: Mutex::new(HashSet::new()),
             trace: TraceRing::new(trace_capacity, trace_every),
+            refreshing: Mutex::new(()),
+            tier,
             registry,
         }
     }
 
-    /// The daemon's health plane handle (cheap clone; shared with the
-    /// reactor and rendered by `/healthz`).
-    pub fn health(&self) -> Health {
-        self.health.clone()
+    /// Sends `msg` to a tenant's sink without ever blocking on it: a full
+    /// or disconnected sink sheds the frame, and the tenant learns about
+    /// the loss from `avoc_results_dropped_total`. This is the single writer
+    /// of that counter and of `avoc_result_batches_total`; a `ResultBatch`
+    /// counts every round it carries when shed, and once as a batch when
+    /// shipped.
+    pub(crate) fn emit(&self, sink: &ResultSink, msg: Message) {
+        let batched = match &msg {
+            Message::ResultBatch { results, .. } => Some(results.len() as u64),
+            _ => None,
+        };
+        if sink.try_send(msg).is_err() {
+            self.results_dropped.add(batched.unwrap_or(1));
+        } else if batched.is_some() {
+            self.result_batches.inc();
+        }
     }
 
-    /// Counts one failed checkpoint attempt.
-    pub(crate) fn checkpoint_failure(&self) {
-        self.checkpoint_failures.inc();
+    /// Brings the cells that mirror a tally kept elsewhere up to date.
+    fn refresh(&self) {
+        let _one_at_a_time = self.refreshing.lock();
+        raise(&self.fault_injected, sysio::fault::injected_total());
+        if let Some(tier) = &self.tier {
+            // Quarantines on the read path (a resume tripping on a corrupt
+            // segment) and segments found at boot never pass through
+            // `compaction_recorded`; the tier's own totals cover both.
+            raise(&self.segments_quarantined, tier.stats().quarantined);
+            self.segments_live.set(tier.segment_count() as i64);
+        }
+    }
+
+    /// The registry behind these counters, refreshed — the scrape surface,
+    /// and the hook for other subsystems (chaos proxies in a test rig) to
+    /// register their own metrics alongside the service's.
+    pub fn registry(&self) -> &Registry {
+        self.refresh();
+        &self.registry
+    }
+
+    /// Sets the `persistence` health domain from the number of sessions
+    /// running memory-only.
+    fn persistence_health(&self, degraded: usize) {
+        self.degraded_sessions.set(degraded as i64);
+        if degraded == 0 {
+            self.health.set("persistence", HealthLevel::Ok, "");
+        } else {
+            self.health.set(
+                "persistence",
+                HealthLevel::Degraded,
+                &format!(
+                    "{degraded} session(s) running memory-only after repeated checkpoint failures"
+                ),
+            );
+        }
     }
 
     /// A session entered degraded (memory-only) persistence: count the
@@ -318,15 +377,7 @@ impl ServiceCounters {
         let mut ids = self.degraded_ids.lock();
         if ids.insert(id) {
             self.degraded_entered.inc();
-            self.degraded_sessions.set(ids.len() as i64);
-            self.health.set(
-                "persistence",
-                HealthLevel::Degraded,
-                &format!(
-                    "{} session(s) running memory-only after repeated checkpoint failures",
-                    ids.len()
-                ),
-            );
+            self.persistence_health(ids.len());
         }
     }
 
@@ -335,53 +386,17 @@ impl ServiceCounters {
     pub(crate) fn session_persistence_recovered(&self, id: u64) {
         let mut ids = self.degraded_ids.lock();
         if ids.remove(&id) {
-            self.degraded_sessions.set(ids.len() as i64);
-            if ids.is_empty() {
-                self.health.set("persistence", HealthLevel::Ok, "");
-            } else {
-                self.health.set(
-                    "persistence",
-                    HealthLevel::Degraded,
-                    &format!(
-                        "{} session(s) running memory-only after repeated checkpoint failures",
-                        ids.len()
-                    ),
-                );
-            }
+            self.persistence_health(ids.len());
         }
-    }
-
-    /// Syncs the quarantine counter to the tier's lifetime total (the
-    /// tier counts internally; the service mirrors it monotonically).
-    pub(crate) fn quarantined_sync(&self, total: u64) {
-        let cur = self.segments_quarantined.get();
-        if total > cur {
-            self.segments_quarantined.add(total - cur);
-        }
-    }
-
-    /// The registry behind these counters — the admin endpoint's scrape
-    /// surface, and the hook for other subsystems (writer corking, chaos
-    /// proxies) to register their own metrics alongside the service's.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// The daemon's trace ring (disabled unless configured).
-    pub fn trace(&self) -> &TraceRing {
-        &self.trace
     }
 
     /// Registers a session in the admin directory and returns its
     /// per-tenant fuse-latency histogram
-    /// (`avoc_session_fuse_latency_ns{session="<id>"}`). Idempotent: a
-    /// resume lands on the same cells, so the series survives reconnects.
-    /// Registered series are kept for the process lifetime even after the
-    /// session closes — a scrape's per-tenant counts always sum to the
-    /// rounds the daemon fused.
+    /// (`avoc_session_fuse_latency_ns{session="<id>"}`), which lives until
+    /// [`ServiceCounters::deregister_session`].
     pub(crate) fn register_session(&self, id: u64, shard: usize, resumable: bool) -> Histogram {
         let fuse = self.registry.latency_histogram_with(
-            "avoc_session_fuse_latency_ns",
+            SESSION_FUSE,
             "Per-tenant fusion latency, nanoseconds.",
             &[("session", &id.to_string())],
         );
@@ -396,24 +411,28 @@ impl ServiceCounters {
         fuse
     }
 
-    /// Removes a session from the admin directory (its registered series
-    /// stay — see [`ServiceCounters::register_session`]). Every
-    /// session-drop path funnels through here, so a session that dies
-    /// while degraded also stops pinning the `persistence` health domain.
+    /// Ends a session's presence here: its directory entry goes, it stops
+    /// pinning the `persistence` health domain if it died degraded (every
+    /// session-drop path funnels through here), and its series is folded
+    /// into the `{session="closed"}` tombstone and dropped — so the family
+    /// is bounded by live sessions + 1 while its counts still sum to the
+    /// rounds the daemon fused. A session restored later (evicted, then
+    /// resumed from its checkpoint) starts a fresh series from 0.
     pub(crate) fn deregister_session(&self, id: u64) {
         self.directory.lock().remove(&id);
         self.session_persistence_recovered(id);
+        // A session id is a number, so the tombstone's label cannot collide.
+        let id = id.to_string();
+        self.registry
+            .fold_histogram(SESSION_FUSE, &[("session", &id)], &[("session", "closed")]);
     }
 
     /// The admin `/sessions` view: one JSON object per live session, sorted
     /// by id, with its shard pin, resumability and fused-round count.
     pub fn sessions_json(&self) -> String {
-        let dir = self.directory.lock();
-        let mut entries: Vec<(u64, SessionEntry)> =
-            dir.iter().map(|(&id, e)| (id, e.clone())).collect();
-        drop(dir);
-        entries.sort_unstable_by_key(|(id, _)| *id);
-        let rows: Vec<String> = entries
+        // Count outside the lock the shards take at every open and close.
+        let live = self.directory.lock().clone();
+        let rows: Vec<String> = live
             .iter()
             .map(|(id, e)| {
                 format!(
@@ -428,67 +447,8 @@ impl ServiceCounters {
         format!("[{}]\n", rows.join(", "))
     }
 
-    pub(crate) fn session_opened(&self) {
-        self.sessions_opened.inc();
-    }
-
-    pub(crate) fn session_evicted(&self) {
-        self.sessions_evicted.inc();
-    }
-
-    pub(crate) fn session_rejected(&self) {
-        self.sessions_rejected.inc();
-    }
-
-    pub(crate) fn fallback(&self) {
-        self.fallbacks.inc();
-    }
-
-    pub(crate) fn reading_dropped(&self) {
-        self.readings_dropped.inc();
-    }
-
-    /// Counts every reading a refused or shed data command carried, so
-    /// `readings_dropped` keeps counting readings, not commands.
-    pub(crate) fn readings_dropped_add(&self, n: u64) {
-        self.readings_dropped.add(n);
-    }
-
-    pub(crate) fn result_dropped(&self) {
-        self.results_dropped.inc();
-    }
-
-    /// Counts every result a shed batch frame carried, so
-    /// `results_dropped` keeps counting rounds, not frames.
-    pub(crate) fn results_dropped_add(&self, n: u64) {
-        self.results_dropped.add(n);
-    }
-
-    pub(crate) fn result_batch(&self) {
-        self.result_batches.inc();
-    }
-
-    /// Reactor `index`'s health cells — handed to
-    /// [`avoc_net::reactor::spawn_pool`]'s per-reactor config so each
-    /// event loop records into its own `{reactor="i"}` series on the same
-    /// registry this snapshot reads. Out-of-range indices clamp to the
-    /// last registered set rather than panic (a config race is not worth
-    /// crashing the daemon over).
-    pub(crate) fn reactor_metrics(&self, index: usize) -> ReactorMetrics {
-        let i = index.min(self.reactors.len() - 1);
-        self.reactors[i].clone()
-    }
-
-    /// Counts one channel send into a shard's data mailbox.
-    pub(crate) fn handoff_send(&self) {
-        self.shard_handoff_sends.inc();
-    }
-
     /// The wire-egress cells as a [`CorkMetrics`] handle set: every
-    /// reactor-owned connection's corked writer feeds the service's own
-    /// `avoc_frames_sent_total` / `avoc_writer_flushes_total` /
-    /// `avoc_writer_writes_total` / `avoc_bytes_sent_total` directly,
-    /// with no per-flush delta bookkeeping.
+    /// reactor-owned connection's corked writer records on them directly.
     pub(crate) fn cork_metrics(&self) -> CorkMetrics {
         CorkMetrics::from_parts(
             self.frames_sent.clone(),
@@ -498,32 +458,7 @@ impl ServiceCounters {
         )
     }
 
-    /// The ingress byte counter cell, recorded by the reactor per read.
-    pub(crate) fn bytes_received_counter(&self) -> Counter {
-        self.bytes_received.clone()
-    }
-
-    pub(crate) fn recovery(&self) {
-        self.recoveries.inc();
-    }
-
-    pub(crate) fn session_resumed(&self) {
-        self.resumed_sessions.inc();
-    }
-
-    pub(crate) fn retry(&self) {
-        self.retries.inc();
-    }
-
-    pub(crate) fn checkpoint_bytes_add(&self, bytes: u64) {
-        self.checkpoint_bytes.add(bytes);
-    }
-
-    /// Records one checkpoint's write latency.
-    pub(crate) fn checkpoint_latency_record(&self, ns: u64) {
-        self.checkpoint_latency_ns.record(ns);
-    }
-
+    /// Records one session recovery that replayed a WAL.
     pub(crate) fn wal_replay_ns_add(&self, ns: u64) {
         self.wal_replay_ns.add(ns);
         self.wal_replay_latency_ns.record(ns);
@@ -536,46 +471,19 @@ impl ServiceCounters {
         self.segment_load_latency_ns.record(ns);
     }
 
-    /// Counts a WAL open that had to truncate a torn final line.
-    pub(crate) fn torn_tail_recovered(&self) {
-        self.torn_tail_recoveries.inc();
-    }
-
-    /// Records one compaction pass: how much it folded, what it wrote, how
-    /// long it took, and how many segments the tier holds afterwards.
-    pub(crate) fn compaction_recorded(
-        &self,
-        rows_folded: u64,
-        bytes_written: u64,
-        latency_ns: u64,
-        segments_live: u64,
-    ) {
+    /// Records one compaction pass: how much it folded, what it wrote and
+    /// how long it took.
+    pub(crate) fn compaction_recorded(&self, rows_folded: u64, bytes_written: u64, ns: u64) {
         self.compactions.inc();
         self.segment_rounds_folded.add(rows_folded);
         self.segment_bytes_written.add(bytes_written);
-        self.compaction_latency_ns.record(latency_ns);
-        self.segments_live.set(segments_live as i64);
+        self.compaction_latency_ns.record(ns);
     }
 
     /// Records one fused round and its latency.
     pub(crate) fn round_fused(&self, latency_ns: u64) {
         self.rounds_fused.inc();
         self.fuse_latency_ns.record(latency_ns);
-    }
-
-    /// Counts one session exported (checkpoint-shipped) to another node.
-    pub(crate) fn session_exported(&self) {
-        self.sessions_exported.inc();
-    }
-
-    /// Counts one session imported from another node's shipment.
-    pub(crate) fn session_imported(&self) {
-        self.sessions_imported.inc();
-    }
-
-    /// Counts one recovery checkpoint skipped for naming another node.
-    pub(crate) fn session_skipped_foreign(&self) {
-        self.sessions_skipped_foreign.inc();
     }
 
     /// Raises a shard's queue-depth high-water mark to `depth` if higher.
@@ -585,16 +493,11 @@ impl ServiceCounters {
         }
     }
 
-    /// A consistent-enough copy of every counter (individual loads are
-    /// relaxed; the snapshot is for operators, not invariants).
+    /// A consistent-enough copy of every counter, refreshed first
+    /// (individual loads are relaxed; the snapshot is for operators, not
+    /// invariants).
     pub fn snapshot(&self) -> CountersSnapshot {
-        // The injector counts process-globally; mirror its lifetime total
-        // into the registry cell so scrapes and dumps agree.
-        let injected = sysio::fault::injected_total();
-        let cur = self.fault_injected.get();
-        if injected > cur {
-            self.fault_injected.add(injected - cur);
-        }
+        self.refresh();
         let fuse = self.fuse_latency_ns.snapshot();
         let latency = (!fuse.is_empty()).then(|| LatencySummary {
             samples: fuse.count,
@@ -691,9 +594,9 @@ pub struct CountersSnapshot {
     /// Batched result frames shipped (each carried two or more verdicts;
     /// lone verdicts still travel as plain `SessionResult` frames).
     pub result_batches: u64,
-    /// Bytes written to tenant sockets by connection writer threads.
+    /// Bytes written to tenant sockets by the reactors' corked writers.
     pub bytes_sent: u64,
-    /// Bytes read from tenant sockets by connection reader loops.
+    /// Bytes read from tenant sockets by the reactors.
     pub bytes_received: u64,
     /// Frames encoded into outbound writer buffers.
     pub frames_sent: u64,
@@ -735,7 +638,7 @@ pub struct CountersSnapshot {
     /// Total time spent cold-resuming sessions from the segment tier,
     /// milliseconds — the number `wal_replay_ms` is benchmarked against.
     pub segment_load_ms: f64,
-    /// WAL opens that truncated a torn final line (crash artefacts
+    /// WAL opens that truncated a torn final record (crash artefacts
     /// recovered, not errors).
     pub torn_tail_recoveries: u64,
     /// Segment-tier compaction passes completed.
@@ -776,6 +679,7 @@ impl CountersSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use avoc_net::BatchResult;
 
     #[test]
     fn latency_summary_tracks_min_mean_p99() {
@@ -802,32 +706,58 @@ mod tests {
         assert_eq!(c.snapshot().shard_queue_high_water, vec![5, 7]);
     }
 
+    /// The drain dump, `/stats` and a wire `StatsReply` are this document:
+    /// its keys, in order, against the checked-in list — readers pick
+    /// fields by name, so a key that moves must move that file too.
     #[test]
     fn snapshot_serializes_to_json() {
         let c = ServiceCounters::new(1);
-        c.session_opened();
+        c.sessions_opened.inc();
         c.round_fused(5_000);
         let json = c.snapshot().to_json();
         assert!(json.contains("\"sessions_opened\": 1"));
         assert!(json.contains("\"fuse_latency\""));
         assert!(json.contains("\"recoveries\""));
         assert!(json.contains("\"checkpoint_bytes\""));
+        let keys: Vec<&str> = json
+            .lines()
+            .filter_map(|line| line.trim_start().strip_prefix('"')?.split_once("\":"))
+            .map(|(key, _)| key)
+            .collect();
+        let listed: Vec<&str> = include_str!("stats_keys.txt").lines().collect();
+        assert_eq!(keys, listed);
     }
 
     #[test]
     fn wire_counters_accumulate() {
         let c = ServiceCounters::new(1);
-        c.result_batch();
-        c.result_batch();
-        c.results_dropped_add(7);
-        c.result_dropped();
-        c.bytes_received_counter().add(1024);
+        let batch = |n: u64| Message::ResultBatch {
+            session: 1,
+            results: (0..n)
+                .map(|round| BatchResult {
+                    round,
+                    value: None,
+                    voted: false,
+                })
+                .collect(),
+        };
+        let (tx, rx) = crossbeam::channel::bounded(3);
+        let sink: ResultSink = tx.into();
+        c.emit(&sink, batch(3));
+        c.emit(&sink, batch(2));
+        c.emit(&sink, Message::Shutdown); // shipped, but not a batch
+                                          // The sink is full now: a batch sheds every round it carries, any
+                                          // other frame counts once.
+        c.emit(&sink, batch(7));
+        c.emit(&sink, Message::Shutdown);
+        assert_eq!(rx.len(), 3);
+        c.bytes_received.add(1024);
         // The egress cells are fed directly by corked writers holding the
         // service's handle set — the reactor wires every connection this
         // way via `cork_metrics()`.
         let mut w = avoc_net::CorkedWriter::new(Vec::new());
         w.set_metrics(c.cork_metrics());
-        w.push(&avoc_net::Message::Shutdown);
+        w.push(&Message::Shutdown);
         w.flush().unwrap();
         let snap = c.snapshot();
         assert_eq!(snap.result_batches, 2);
@@ -845,40 +775,20 @@ mod tests {
     }
 
     #[test]
-    fn recovery_counters_accumulate() {
+    fn recovery_and_compaction_costs_land_on_counter_and_histogram() {
         let c = ServiceCounters::new(1);
-        c.recovery();
-        c.session_resumed();
-        c.session_resumed();
-        c.retry();
-        c.retry();
-        c.retry();
-        c.checkpoint_bytes_add(100);
-        c.checkpoint_bytes_add(28);
         c.wal_replay_ns_add(2_500_000);
-        let snap = c.snapshot();
-        assert_eq!(snap.recoveries, 1);
-        assert_eq!(snap.resumed_sessions, 2);
-        assert_eq!(snap.retries, 3);
-        assert_eq!(snap.checkpoint_bytes, 128);
-        assert!((snap.wal_replay_ms - 2.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn segment_tier_counters_accumulate() {
-        let c = ServiceCounters::new(1);
         c.segment_load_ns_add(1_500_000);
-        c.torn_tail_recovered();
-        c.compaction_recorded(120, 4096, 3_000_000, 2);
-        c.compaction_recorded(30, 1024, 1_000_000, 1);
+        c.compaction_recorded(120, 4096, 3_000_000);
+        c.compaction_recorded(30, 1024, 1_000_000);
         let snap = c.snapshot();
+        assert!((snap.wal_replay_ms - 2.5).abs() < 1e-9);
         assert!((snap.segment_load_ms - 1.5).abs() < 1e-9);
-        assert_eq!(snap.torn_tail_recoveries, 1);
         assert_eq!(snap.compactions, 2);
         assert_eq!(snap.segment_rounds_folded, 150);
         assert_eq!(snap.segment_bytes_written, 5120);
         let text = c.registry().render_prometheus();
-        assert!(text.contains("avoc_segments_live 1"));
+        assert!(text.contains("avoc_wal_replay_latency_ns_count 1"));
         assert!(text.contains("avoc_compaction_latency_ns_count 2"));
         assert!(text.contains("avoc_segment_load_latency_ns_count 1"));
     }
@@ -886,7 +796,7 @@ mod tests {
     #[test]
     fn counters_surface_on_the_registry_scrape() {
         let c = ServiceCounters::new(1);
-        c.session_opened();
+        c.sessions_opened.inc();
         c.round_fused(2_000);
         c.note_queue_depth(0, 9);
         let text = c.registry().render_prometheus();
@@ -897,27 +807,36 @@ mod tests {
     }
 
     #[test]
+    fn a_mirrored_total_never_goes_backwards() {
+        let c = ServiceCounters::new(1);
+        raise(&c.segments_quarantined, 3);
+        raise(&c.segments_quarantined, 2); // stale report
+        raise(&c.segments_quarantined, 5);
+        assert_eq!(c.snapshot().segments_quarantined, 5);
+    }
+
+    #[test]
     fn degraded_sessions_drive_the_persistence_health_domain() {
         let c = ServiceCounters::new(1);
-        assert!(c.health().is_ok());
+        assert!(c.health.is_ok());
         c.session_degraded(7);
         c.session_degraded(7); // idempotent: one transition counted
         c.session_degraded(9);
         let snap = c.snapshot();
         assert_eq!(snap.degraded_entered, 2);
         assert_eq!(snap.degraded_sessions, 2);
-        assert_eq!(c.health().status_code(), 503);
-        assert!(c.health().render_json().contains("\"persistence\""));
+        assert_eq!(c.health.status_code(), 503);
+        assert!(c.health.render_json().contains("\"persistence\""));
         c.session_persistence_recovered(7);
         assert_eq!(
-            c.health().status_code(),
+            c.health.status_code(),
             503,
             "one degraded session still pins the domain"
         );
         // A session dying while degraded funnels through deregister and
         // releases the domain too.
         c.deregister_session(9);
-        assert!(c.health().is_ok());
+        assert!(c.health.is_ok());
         assert_eq!(c.snapshot().degraded_sessions, 0);
         assert_eq!(c.snapshot().degraded_entered, 2, "transitions stay counted");
         let json = c.snapshot().to_json();
@@ -929,21 +848,12 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_counter_mirrors_the_tier_total_monotonically() {
-        let c = ServiceCounters::new(1);
-        c.quarantined_sync(3);
-        c.quarantined_sync(2); // stale report: never goes backwards
-        c.quarantined_sync(5);
-        assert_eq!(c.snapshot().segments_quarantined, 5);
-    }
-
-    #[test]
-    fn session_directory_tracks_live_sessions_and_their_rounds() {
+    fn a_session_series_lives_as_long_as_its_session() {
         let c = ServiceCounters::new(1);
         let h = c.register_session(7, 0, true);
         h.record(1_000);
         h.record(2_000);
-        c.register_session(3, 0, false);
+        c.register_session(3, 0, false).record(500);
         let json = c.sessions_json();
         // Sorted by id; rounds come from the histogram count.
         let i3 = json.find("\"session\": 3").expect("session 3 listed");
@@ -954,8 +864,42 @@ mod tests {
         );
         c.deregister_session(7);
         assert!(!c.sessions_json().contains("\"session\": 7"));
-        // The registered series outlives the directory entry.
+        // The closed session's rounds moved to the tombstone; a session
+        // restored under the same id starts a fresh series.
         let text = c.registry().render_prometheus();
-        assert!(text.contains("avoc_session_fuse_latency_ns_count{session=\"7\"} 2"));
+        assert!(!text.contains("session=\"7\""));
+        assert!(text.contains("avoc_session_fuse_latency_ns_count{session=\"closed\"} 2"));
+        assert!(text.contains("avoc_session_fuse_latency_ns_count{session=\"3\"} 1"));
+        assert_eq!(c.register_session(7, 0, true).count(), 0);
+    }
+
+    /// Every family the daemon exposes — name, kind, label keys — against
+    /// the checked-in list: `benchmark/` and the gateway roll-up scrape by
+    /// name, so a family that moves must move this file too.
+    #[test]
+    fn exposed_families_match_the_checked_in_list() {
+        let c = ServiceCounters::with_observability(2, 2, 0, 0, None);
+        c.register_session(1, 0, true);
+        let text = c.registry().render_prometheus();
+        let mut families = Vec::new();
+        let mut lines = text.lines().peekable();
+        while let Some(line) = lines.next() {
+            let Some(name_and_kind) = line.strip_prefix("# TYPE ") else {
+                continue;
+            };
+            // The family's first sample follows; `le` is the bucket bound,
+            // not a label of the series.
+            let sample = lines.peek().expect("a family has a sample");
+            let keys: Vec<&str> = sample.split_once('{').map_or(Vec::new(), |(_, rest)| {
+                rest[..rest.find('}').expect("closing brace")]
+                    .split(',')
+                    .map(|pair| pair.split_once('=').expect("key=value").0)
+                    .filter(|&key| key != "le")
+                    .collect()
+            });
+            families.push(format!("{name_and_kind} {{{}}}", keys.join(",")));
+        }
+        let listed: Vec<&str> = include_str!("metric_families.txt").lines().collect();
+        assert_eq!(families, listed);
     }
 }

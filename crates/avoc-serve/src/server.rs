@@ -91,10 +91,10 @@ impl TcpServer {
                 write_deadline: Some(service.write_deadline_config()),
                 // Per-reactor metric cells ({reactor="i"}); the snapshot
                 // sums them back into data-plane totals.
-                metrics: Some(counters.reactor_metrics(i)),
+                metrics: Some(counters.reactors[i].clone()),
                 cork_metrics: Some(counters.cork_metrics()),
-                bytes_received: Some(counters.bytes_received_counter()),
-                health: Some(counters.health()),
+                bytes_received: Some(counters.bytes_received.clone()),
+                health: Some(counters.health.clone()),
                 ..ReactorConfig::default()
             },
         )?;
@@ -199,13 +199,9 @@ impl ServeHandler {
     /// reactor on the tenant's own result channel: a full channel sheds
     /// the notice (counted), exactly like shard-side emissions.
     fn send_error(&self, sink: &ResultSink, session: u64, e: &ServeError) {
-        let notice = Message::Error {
-            session,
-            message: e.to_string(),
-        };
-        if sink.try_send(notice).is_err() {
-            self.counters.result_dropped();
-        }
+        let message = e.to_string();
+        self.counters
+            .emit(sink, Message::Error { session, message });
     }
 
     /// Hands the staged readings to their shards. Only a drained service
@@ -313,12 +309,8 @@ impl Handler for ServeHandler {
                 // the admin `/stats` route serves, answered on this
                 // connection's result stream (shed, like any result, if
                 // the tenant's channel is full).
-                let reply = Message::StatsReply {
-                    json: self.service.counters().to_json(),
-                };
-                if conn.sink.try_send(reply).is_err() {
-                    self.counters.result_dropped();
-                }
+                let json = self.service.counters().to_json();
+                self.counters.emit(&conn.sink, Message::StatsReply { json });
             }
             Message::Shutdown => return FrameVerdict::Close,
             // Inter-node verbs, spoken by the gateway (or an operator tool)

@@ -116,6 +116,10 @@ pub enum ServeError {
     Unauthorized,
     /// The service has drained; no further work is accepted.
     ShuttingDown,
+    /// A request this node cannot serve as asked, with the reason the
+    /// tenant is told verbatim (an import with no state directory to land
+    /// in, or whose shipped meta does not parse).
+    Refused(&'static str),
 }
 
 impl fmt::Display for ServeError {
@@ -131,6 +135,7 @@ impl fmt::Display for ServeError {
                 )
             }
             ServeError::ShuttingDown => write!(f, "service is shutting down"),
+            ServeError::Refused(reason) => f.write_str(reason),
         }
     }
 }
@@ -240,13 +245,6 @@ impl VoterService {
         } else {
             config.reactors
         };
-        let counters = Arc::new(ServiceCounters::with_observability(
-            shards,
-            reactors,
-            config.trace_capacity,
-            config.trace_sample,
-        ));
-        let active = Arc::new(AtomicUsize::new(0));
         // Open the segment tier before the shards: workers pin sessions
         // into it at open/resume. A tier that fails to open degrades the
         // daemon to WAL-only persistence instead of refusing to start.
@@ -254,6 +252,14 @@ impl VoterService {
             std::fs::create_dir_all(dir).ok()?;
             TieredStore::open(dir).ok().map(Arc::new)
         });
+        let counters = Arc::new(ServiceCounters::with_observability(
+            shards,
+            reactors,
+            config.trace_capacity,
+            config.trace_sample,
+            tiered.clone(),
+        ));
+        let active = Arc::new(AtomicUsize::new(0));
         let buffers = Arc::new(BufferPool::default());
         let mut links = Vec::with_capacity(shards);
         let mut sheds = Vec::with_capacity(shards);
@@ -385,27 +391,45 @@ impl VoterService {
         spec: &SpecSource,
         sink: impl Into<ResultSink>,
     ) -> Result<(), ServeError> {
-        let resolved = self.registry.resolve(spec)?;
-        let shard = self.shard_for(session);
-        let cmd = ShardCommand::Open(OpenReq {
-            session,
-            modules,
-            spec: Box::new(resolved),
-            spec_source: spec.clone(),
-            token: 0,
-            resumable: false,
-            sink: sink.into(),
-            evict_if_full: self.admission == AdmissionPolicy::EvictIdle,
-        });
+        let req = self.open_req(session, modules, spec, 0, false, sink.into())?;
         // Control frames always block: admission must not be load-shed, and
         // the worker drains control with priority (and never blocks on a
         // tenant sink), so the send cannot wedge behind a data flood.
-        self.links[shard]
+        self.control(session, ShardCommand::Open(req))?;
+        self.note_depth(self.shard_for(session));
+        Ok(())
+    }
+
+    /// Everything a shard needs to install `session`: the one place the
+    /// spec is resolved and the admission policy is turned into the
+    /// request's eviction flag.
+    fn open_req(
+        &self,
+        session: u64,
+        modules: u32,
+        spec: &SpecSource,
+        token: u64,
+        resumable: bool,
+        sink: ResultSink,
+    ) -> Result<OpenReq, ServeError> {
+        Ok(OpenReq {
+            session,
+            modules,
+            spec: Box::new(self.registry.resolve(spec)?),
+            spec_source: spec.clone(),
+            token,
+            resumable,
+            sink,
+            evict_if_full: self.admission == AdmissionPolicy::EvictIdle,
+        })
+    }
+
+    /// Sends a lifecycle command to the shard `session` is pinned to.
+    fn control(&self, session: u64, cmd: ShardCommand) -> Result<(), ServeError> {
+        self.links[self.shard_for(session)]
             .ctrl
             .send(cmd)
-            .map_err(|_| ServeError::ShuttingDown)?;
-        self.note_depth(shard);
-        Ok(())
+            .map_err(|_| ServeError::ShuttingDown)
     }
 
     /// Idempotent session open/re-attach — the crash-recovery entry point.
@@ -431,27 +455,13 @@ impl VoterService {
         last_acked: Option<u64>,
         sink: impl Into<ResultSink>,
     ) -> Result<(), ServeError> {
-        let resolved = self.registry.resolve(spec)?;
-        let shard = self.shard_for(session);
         let cmd = ShardCommand::Resume {
-            req: OpenReq {
-                session,
-                modules,
-                spec: Box::new(resolved),
-                spec_source: spec.clone(),
-                token,
-                resumable: true,
-                sink: sink.into(),
-                evict_if_full: self.admission == AdmissionPolicy::EvictIdle,
-            },
+            req: self.open_req(session, modules, spec, token, true, sink.into())?,
             last_acked,
             eager: false,
         };
-        self.links[shard]
-            .ctrl
-            .send(cmd)
-            .map_err(|_| ServeError::ShuttingDown)?;
-        self.note_depth(shard);
+        self.control(session, cmd)?;
+        self.note_depth(self.shard_for(session));
         Ok(())
     }
 
@@ -464,14 +474,8 @@ impl VoterService {
     ///
     /// [`ServeError::ShuttingDown`] after [`VoterService::drain`].
     pub fn detach_session(&self, session: u64, sink: &ResultSink) -> Result<(), ServeError> {
-        let shard = self.shard_for(session);
-        self.links[shard]
-            .ctrl
-            .send(ShardCommand::Detach {
-                session,
-                sink: sink.clone(),
-            })
-            .map_err(|_| ServeError::ShuttingDown)
+        let sink = sink.clone();
+        self.control(session, ShardCommand::Detach { session, sink })
     }
 
     /// Eagerly rebuilds every session checkpointed in the state directory —
@@ -498,31 +502,28 @@ impl VoterService {
                 continue;
             };
             if meta.node != self.persistence.node_id {
-                self.counters.session_skipped_foreign();
+                self.counters.sessions_skipped_foreign.inc();
                 foreign += 1;
                 continue;
             }
-            let Ok(resolved) = self.registry.resolve(&meta.spec) else {
+            let Ok(req) = self.open_req(
+                id,
+                meta.modules,
+                &meta.spec,
+                meta.token,
+                meta.resumable,
+                sink.clone(),
+            ) else {
                 continue;
             };
-            let shard = self.shard_for(id);
             let cmd = ShardCommand::Resume {
-                req: OpenReq {
-                    session: id,
-                    modules: meta.modules,
-                    spec: Box::new(resolved),
-                    spec_source: meta.spec.clone(),
-                    token: meta.token,
-                    resumable: meta.resumable,
-                    sink: sink.clone(),
-                    evict_if_full: self.admission == AdmissionPolicy::EvictIdle,
-                },
+                req,
                 // Nothing to re-emit to the daemon's own sink; the client's
                 // eventual resume replays against its real ack floor.
                 last_acked: Some(u64::MAX),
                 eager: true,
             };
-            if self.links[shard].ctrl.send(cmd).is_ok() {
+            if self.control(id, cmd).is_ok() {
                 dispatched += 1;
             }
         }
@@ -563,17 +564,14 @@ impl VoterService {
         target_addr: &str,
         sink: impl Into<ResultSink>,
     ) -> Result<(), ServeError> {
-        let shard = self.shard_for(session);
-        self.links[shard]
-            .ctrl
-            .send(ShardCommand::Export {
-                session,
-                target_node,
-                epoch,
-                target_addr: target_addr.to_string(),
-                sink: sink.into(),
-            })
-            .map_err(|_| ServeError::ShuttingDown)
+        let cmd = ShardCommand::Export {
+            session,
+            target_node,
+            epoch,
+            target_addr: target_addr.to_string(),
+            sink: sink.into(),
+        };
+        self.control(session, cmd)
     }
 
     /// Imports a migrated session from its shipped meta + WAL blobs. The
@@ -590,8 +588,9 @@ impl VoterService {
     ///
     /// # Errors
     ///
-    /// [`ServeError::UnknownSpec`]/[`ServeError::Vdx`] when the shipped
-    /// meta's spec does not resolve here or the meta is corrupt;
+    /// [`ServeError::Refused`] when this node has no state directory or the
+    /// shipped meta is corrupt; [`ServeError::UnknownSpec`]/[`ServeError::Vdx`]
+    /// when the meta's spec does not resolve here;
     /// [`ServeError::ShuttingDown`] after [`VoterService::drain`].
     pub fn import_session(
         &self,
@@ -601,36 +600,29 @@ impl VoterService {
         sink: impl Into<ResultSink>,
     ) -> Result<(), ServeError> {
         if self.persistence.state_dir.is_none() {
-            return Err(ServeError::UnknownSpec(
-                "import refused: this node has no state directory".into(),
+            return Err(ServeError::Refused(
+                "import refused: this node has no state directory",
             ));
         }
-        let parsed = persist::MetaState::parse(meta).ok_or_else(|| {
-            ServeError::UnknownSpec("import refused: shipped meta is corrupt".into())
-        })?;
-        let resolved = self.registry.resolve(&parsed.spec)?;
-        let shard = self.shard_for(session);
+        let parsed = persist::MetaState::parse(meta).ok_or(ServeError::Refused(
+            "import refused: shipped meta is corrupt",
+        ))?;
         // The file writes happen *inside the shard thread* so they are
         // serialized with any live instance of the same session: an
         // idempotent re-drive must not truncate the WAL the live
         // SessionStore holds open.
         let cmd = ShardCommand::Import {
-            req: OpenReq {
+            req: self.open_req(
                 session,
-                modules: parsed.modules,
-                spec: Box::new(resolved),
-                spec_source: parsed.spec.clone(),
-                token: parsed.token,
-                resumable: parsed.resumable,
-                sink: sink.into(),
-                evict_if_full: self.admission == AdmissionPolicy::EvictIdle,
-            },
+                parsed.modules,
+                &parsed.spec,
+                parsed.token,
+                parsed.resumable,
+                sink.into(),
+            )?,
             wal: wal.to_vec(),
         };
-        self.links[shard]
-            .ctrl
-            .send(cmd)
-            .map_err(|_| ServeError::ShuttingDown)
+        self.control(session, cmd)
     }
 
     /// Checks a cluster verb's credential against this daemon's configured
@@ -722,7 +714,7 @@ impl VoterService {
         // the queue span.
         let ingest = self
             .counters
-            .trace()
+            .trace
             .sample()
             .then(|| open_ingest_span(session, first.round));
         let mark = if ingest.is_some() {
@@ -765,7 +757,7 @@ impl VoterService {
         if staged.readings.capacity() == 0 {
             staged.readings = self.buffers.take();
         }
-        let mark = if self.counters.trace().sample() {
+        let mark = if self.counters.trace.sample() {
             staged.ingest.push(open_ingest_span(session, round));
             TraceMark::FrameHead
         } else {
@@ -838,12 +830,12 @@ impl VoterService {
             },
         };
         if routed.is_ok() {
-            self.counters.handoff_send();
+            self.counters.shard_handoff_sends.inc();
         }
         if traced {
             let sent_ns = avoc_obs::now_ns();
             for span in ingest {
-                self.counters.trace().record(avoc_obs::Span {
+                self.counters.trace.record(avoc_obs::Span {
                     dur_ns: sent_ns.saturating_sub(span.start_ns),
                     ..*span
                 });
@@ -858,7 +850,8 @@ impl VoterService {
     /// the pool.
     fn count_shed(&self, cmd: Readings) {
         self.counters
-            .readings_dropped_add(cmd.readings.len() as u64);
+            .readings_dropped
+            .add(cmd.readings.len() as u64);
         self.buffers.give(cmd.readings);
     }
 
@@ -897,33 +890,25 @@ impl VoterService {
     ///
     /// [`ServeError::ShuttingDown`] after [`VoterService::drain`].
     pub fn close_session(&self, session: u64) -> Result<(), ServeError> {
-        let shard = self.shard_for(session);
-        self.links[shard]
-            .ctrl
-            .send(ShardCommand::Close { session })
-            .map_err(|_| ServeError::ShuttingDown)
+        self.control(session, ShardCommand::Close { session })
     }
 
-    /// A live counters snapshot.
+    /// A live counters snapshot — the same cells a scrape renders, brought
+    /// up to date first.
     pub fn counters(&self) -> CountersSnapshot {
-        // Read-path quarantines (a resume tripping on a corrupt segment)
-        // bypass the compaction bookkeeping; fold them in here so every
-        // snapshot reflects the tier's lifetime total.
-        if let Some(t) = &self.tiered {
-            self.counters.quarantined_sync(t.stats().quarantined);
-        }
         self.counters.snapshot()
     }
 
     /// The daemon's health plane: per-domain degradation state, rendered
     /// by the admin `/healthz` route and shared with the reactor.
     pub fn health(&self) -> avoc_obs::Health {
-        self.counters.health()
+        self.counters.health.clone()
     }
 
-    /// The metric registry behind this service's counters — the admin
-    /// endpoint's scrape surface. Other subsystems (e.g. chaos proxies in a
-    /// test rig) may register their own metrics on it to share one scrape.
+    /// The metric registry behind this service's counters, brought up to
+    /// date — the admin endpoint's scrape surface. Other subsystems (e.g.
+    /// chaos proxies in a test rig) may register their own metrics on it to
+    /// share one scrape.
     pub fn obs_registry(&self) -> &avoc_obs::Registry {
         self.counters.registry()
     }
@@ -931,7 +916,7 @@ impl VoterService {
     /// The service's span trace ring (disabled unless
     /// [`ServeConfig::trace_sample`] is non-zero).
     pub fn trace(&self) -> &avoc_obs::TraceRing {
-        self.counters.trace()
+        &self.counters.trace
     }
 
     /// The admin `/sessions` view: live sessions with their shard pin,
@@ -988,20 +973,7 @@ impl VoterService {
     /// Subsequent `open`/`feed`/`close` calls fail with
     /// [`ServeError::ShuttingDown`].
     pub fn drain(&self) -> CountersSnapshot {
-        self.stop_compactor();
-        for link in &self.links {
-            let _ = link.ctrl.send(ShardCommand::Drain);
-        }
-        let joins: Vec<JoinHandle<()>> = std::mem::take(&mut *self.joins.lock());
-        for j in joins {
-            let _ = j.join();
-        }
-        // The workers' data receivers are gone; dropping the shed clones
-        // disconnects the data channels so a `feed` racing this drain (or
-        // arriving after it) errors instead of queueing — or, under
-        // `Block`, sleeping — forever on a mailbox nobody reads.
-        self.sheds.lock().clear();
-        self.counters.snapshot()
+        self.stop(|| ShardCommand::Drain)
     }
 
     /// Hard kill — the crash-simulation counterpart of
@@ -1010,14 +982,23 @@ impl VoterService {
     /// state is left exactly as the last completed checkpoint wrote it.
     /// Integration tests restart daemons through this to prove recovery.
     pub fn kill(&self) -> CountersSnapshot {
+        self.stop(|| ShardCommand::Abort)
+    }
+
+    /// Ends every worker with `last` and returns the final counters.
+    fn stop(&self, last: impl Fn() -> ShardCommand) -> CountersSnapshot {
         self.stop_compactor();
         for link in &self.links {
-            let _ = link.ctrl.send(ShardCommand::Abort);
+            let _ = link.ctrl.send(last());
         }
         let joins: Vec<JoinHandle<()>> = std::mem::take(&mut *self.joins.lock());
         for j in joins {
             let _ = j.join();
         }
+        // The workers' data receivers are gone; dropping the shed clones
+        // disconnects the data channels so a `feed` racing this stop (or
+        // arriving after it) errors instead of queueing — or, under
+        // `Block`, sleeping — forever on a mailbox nobody reads.
         self.sheds.lock().clear();
         self.counters.snapshot()
     }
@@ -1071,25 +1052,22 @@ fn open_ingest_span(session: u64, round: u64) -> avoc_obs::Span {
 
 /// One compaction pass with its metrics: fold + merge, timed, counted.
 /// A failed pass never loses data (unfolded WALs are retried next time),
-/// but it is no longer silent: the error is logged and any segments the
-/// pass quarantined still reach the service counters.
+/// but it is not silent: the error is logged, and any segments the pass
+/// quarantined are in the tier's own total, which every read of the
+/// counters mirrors.
 fn compaction_pass(tier: &TieredStore, counters: &ServiceCounters) -> Option<CompactionReport> {
     let started = Instant::now();
-    let report = match tier.compact() {
-        Ok(report) => report,
-        Err(e) => {
+    let report = tier
+        .compact()
+        .inspect_err(|e| {
             eprintln!("avoc-serve: compaction pass failed (data stays in WALs, will retry): {e}");
-            counters.quarantined_sync(tier.stats().quarantined);
-            return None;
-        }
-    };
+        })
+        .ok()?;
     counters.compaction_recorded(
         report.history_rows + report.verdict_rows,
         report.bytes_written,
         started.elapsed().as_nanos() as u64,
-        tier.segment_count() as u64,
     );
-    counters.quarantined_sync(tier.stats().quarantined);
     Some(report)
 }
 

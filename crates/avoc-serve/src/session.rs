@@ -204,7 +204,7 @@ impl Session {
             // One flush span covers the whole burst; its round is the last
             // one flushed.
             let round = self.pending.last().map_or(0, |&(r, _, _)| r);
-            counters.trace().record(avoc_obs::Span {
+            counters.trace.record(avoc_obs::Span {
                 session: self.id,
                 round,
                 stage: avoc_obs::Stage::Flush,
@@ -217,9 +217,7 @@ impl Session {
     }
 
     /// Ships `items` to the sink in fuse order, batching everything beyond
-    /// a single result into [`Message::ResultBatch`] chunks. Shed frames
-    /// count once per result they carried, so `results_dropped` keeps
-    /// counting rounds, not frames.
+    /// a single result into [`Message::ResultBatch`] chunks.
     fn emit_results(&self, items: &[StoredResult], counters: &ServiceCounters) {
         if let &[(round, value, voted)] = items {
             let msg = Message::SessionResult {
@@ -228,9 +226,7 @@ impl Session {
                 value,
                 voted,
             };
-            if self.sink.try_send(msg).is_err() {
-                counters.result_dropped();
-            }
+            counters.emit(&self.sink, msg);
             return;
         }
         for chunk in items.chunks(MAX_BATCH_RESULTS) {
@@ -246,11 +242,7 @@ impl Session {
                 session: self.id,
                 results,
             };
-            if self.sink.try_send(msg).is_err() {
-                counters.results_dropped_add(chunk.len() as u64);
-            } else {
-                counters.result_batch();
-            }
+            counters.emit(&self.sink, msg);
         }
     }
 
@@ -282,7 +274,7 @@ impl Session {
         match self.try_checkpoint(counters) {
             Ok(()) => self.ckpt_failures = 0,
             Err(e) => {
-                counters.checkpoint_failure();
+                counters.checkpoint_failures.inc();
                 self.ckpt_failures += 1;
                 if self.ckpt_failures >= DEGRADE_AFTER {
                     self.degraded = true;
@@ -305,8 +297,10 @@ impl Session {
         let store = self.persist.as_mut().expect("caller checked persist");
         let started = Instant::now();
         let bytes = store.checkpoint(&self.engine.histories(), self.high_round, &self.results)?;
-        counters.checkpoint_bytes_add(bytes);
-        counters.checkpoint_latency_record(started.elapsed().as_nanos() as u64);
+        counters.checkpoint_bytes.add(bytes);
+        counters
+            .checkpoint_latency_ns
+            .record(started.elapsed().as_nanos() as u64);
         Ok(())
     }
 
@@ -333,7 +327,7 @@ impl Session {
                 );
             }
             Err(_) => {
-                counters.checkpoint_failure();
+                counters.checkpoint_failures.inc();
                 self.probe_backoff = (self.probe_backoff * 2).min(PROBE_BACKOFF_CAP);
                 self.probe_in = self.probe_backoff;
             }
@@ -379,9 +373,7 @@ impl Session {
             epoch,
             addr: addr.to_string(),
         };
-        if self.sink.try_send(msg).is_err() {
-            counters.result_dropped();
-        }
+        counters.emit(&self.sink, msg);
     }
 
     /// Deletes the session's durable state (explicit close: done for good).
@@ -435,9 +427,7 @@ impl Session {
             high_round: self.high_round,
             warm,
         };
-        if self.sink.try_send(msg).is_err() {
-            counters.result_dropped();
-        }
+        counters.emit(&self.sink, msg);
     }
 
     /// Re-emits ring results the client has not acknowledged (rounds in
@@ -467,7 +457,7 @@ impl Session {
                     h.record(latency);
                 }
                 if sampled {
-                    counters.trace().record(avoc_obs::Span {
+                    counters.trace.record(avoc_obs::Span {
                         session: self.id,
                         round: round.round,
                         stage: avoc_obs::Stage::Fuse,
@@ -477,7 +467,7 @@ impl Session {
                     self.pending_sampled = true;
                 }
                 if matches!(result, RoundResult::Fallback { .. }) {
-                    counters.fallback();
+                    counters.fallbacks.inc();
                 }
                 // Numeric sessions carry the fused value on the wire;
                 // vector/text verdicts are reported as voted-but-opaque
@@ -511,9 +501,7 @@ impl Session {
                     session: self.id,
                     message: format!("round {}: {e}", round.round),
                 };
-                if self.sink.try_send(reply).is_err() {
-                    counters.result_dropped();
-                }
+                counters.emit(&self.sink, reply);
             }
         }
     }
@@ -524,9 +512,7 @@ impl Session {
             session: self.id,
             message: format!("session evicted: {reason}"),
         };
-        if self.sink.try_send(notice).is_err() {
-            counters.result_dropped();
-        }
+        counters.emit(&self.sink, notice);
     }
 }
 

@@ -6,6 +6,7 @@ use avoc_vdx::VdxSpec;
 use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
+use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -435,9 +436,10 @@ impl ShardWorker {
     }
 
     /// Ships a session to a migration target (see [`ShardCommand::Export`]).
-    /// Live sessions quiesce and leave; a session that already migrated to
-    /// this exact target re-ships its on-disk state (idempotent retry); an
-    /// unknown session answers with an error frame.
+    /// Live sessions quiesce and leave; anything else is looked for on disk
+    /// ([`ShardWorker::export_stored`]). Whichever way the state was found,
+    /// the requester gets the one `SessionState` reply — or the one
+    /// `export failed: …` notice.
     fn export(
         &self,
         st: &mut ShardState,
@@ -447,114 +449,75 @@ impl ShardWorker {
         target_addr: &str,
         sink: &ResultSink,
     ) {
-        if let Some(s) = st.sessions.get_mut(&session) {
-            match s.export(target_node, &self.counters) {
-                Ok((meta, wal)) => {
-                    let reply = Message::SessionState {
-                        session,
-                        epoch,
-                        auth: self.persistence.cluster_secret.unwrap_or(0),
-                        meta,
-                        wal,
-                    };
-                    if sink.try_send(reply).is_err() {
-                        self.counters.result_dropped();
-                    }
-                    // The tenant re-homes without waiting for a failure.
-                    s.announce_redirect(epoch, target_addr, &self.counters);
-                    // Release the session: it no longer runs here. Its
-                    // files stay behind (stamped with the target's id) so a
-                    // lost transfer can be re-asked for; the target's
-                    // import — not this node — now owns the live state.
-                    st.sessions.remove(&session);
-                    self.counters.deregister_session(session);
-                    self.active.fetch_sub(1, Ordering::Relaxed);
-                    self.counters.session_exported();
-                }
-                Err(e) => {
-                    let notice = Message::Error {
-                        session,
-                        message: format!("export failed: {e}"),
-                    };
-                    if sink.try_send(notice).is_err() {
-                        self.counters.result_dropped();
-                    }
-                }
-            }
-            return;
-        }
-        // Not live here. If a prior export to this same target completed,
-        // its state is still on disk under the target's name — re-ship it.
-        if let Some(dir) = self.persistence.state_dir.as_deref() {
-            if let Some((meta, wal)) =
-                crate::persist::read_exported_blobs(dir, session, target_node)
-            {
-                let reply = Message::SessionState {
-                    session,
-                    epoch,
-                    auth: self.persistence.cluster_secret.unwrap_or(0),
-                    meta,
-                    wal,
-                };
-                if sink.try_send(reply).is_err() {
-                    self.counters.result_dropped();
-                }
-                self.counters.session_exported();
+        let live = st.sessions.get_mut(&session);
+        let was_live = live.is_some();
+        let shipped = match live {
+            Some(s) => s.export(target_node, &self.counters),
+            None => self.export_stored(session, target_node),
+        };
+        let (meta, wal) = match shipped {
+            Ok(blobs) => blobs,
+            Err(e) => {
+                let message = format!("export failed: {e}");
+                self.counters
+                    .emit(sink, Message::Error { session, message });
                 return;
             }
-            // Cold export: the session has durable state this node owns but
-            // is not resident (recovered at a boot this gateway never saw,
-            // or idled out of memory). A drain must still be able to ship
-            // it — migrating only live sessions strands fused history on
-            // the drained node.
-            let loaded = SessionStore::load(
-                dir,
-                session,
-                self.persistence.durability(),
-                self.tiered.as_ref(),
-            );
-            if let Some(mut loaded) = loaded {
-                if loaded.store.meta().node == self.persistence.node_id {
-                    let records = loaded.store.seed_records();
-                    let ring: VecDeque<_> = loaded.results.into();
-                    match loaded
-                        .store
-                        .export_blobs(target_node, &records, loaded.high_round, &ring)
-                    {
-                        Ok((meta, wal)) => {
-                            let reply = Message::SessionState {
-                                session,
-                                epoch,
-                                auth: self.persistence.cluster_secret.unwrap_or(0),
-                                meta,
-                                wal,
-                            };
-                            if sink.try_send(reply).is_err() {
-                                self.counters.result_dropped();
-                            }
-                            self.counters.session_exported();
-                        }
-                        Err(e) => {
-                            let notice = Message::Error {
-                                session,
-                                message: format!("export failed: {e}"),
-                            };
-                            if sink.try_send(notice).is_err() {
-                                self.counters.result_dropped();
-                            }
-                        }
-                    }
-                    return;
-                }
-            }
-        }
-        let notice = Message::Error {
-            session,
-            message: "export failed: session not found on this node".into(),
         };
-        if sink.try_send(notice).is_err() {
-            self.counters.result_dropped();
+        let reply = Message::SessionState {
+            session,
+            epoch,
+            auth: self.persistence.cluster_secret.unwrap_or(0),
+            meta,
+            wal,
+        };
+        self.counters.emit(sink, reply);
+        self.counters.sessions_exported.inc();
+        if !was_live {
+            return;
         }
+        // Release the session: it no longer runs here, and the tenant
+        // re-homes without waiting for a failure. Its files stay behind
+        // (stamped with the target's id) so a lost transfer can be re-asked
+        // for; the target's import — not this node — now owns the live
+        // state.
+        if let Some(s) = st.sessions.remove(&session) {
+            s.announce_redirect(epoch, target_addr, &self.counters);
+        }
+        self.counters.deregister_session(session);
+        self.active.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// The shippable state of a session that is not live here, from disk.
+    /// If a prior export to this same target completed, its state is still
+    /// there under the target's name and is shipped again (idempotent
+    /// retry). Otherwise a session with durable state this node owns is
+    /// loaded cold — recovered at a boot this gateway never saw, or idled
+    /// out of memory: a drain must still be able to ship it, or fused
+    /// history is stranded on the drained node.
+    fn export_stored(&self, session: u64, target_node: u64) -> io::Result<(Vec<u8>, Vec<u8>)> {
+        let not_found = || io::Error::other("session not found on this node");
+        let dir = self
+            .persistence
+            .state_dir
+            .as_deref()
+            .ok_or_else(not_found)?;
+        if let Some(blobs) = crate::persist::read_exported_blobs(dir, session, target_node) {
+            return Ok(blobs);
+        }
+        let mut loaded = SessionStore::load(
+            dir,
+            session,
+            self.persistence.durability(),
+            self.tiered.as_ref(),
+        )
+        .filter(|loaded| loaded.store.meta().node == self.persistence.node_id)
+        .ok_or_else(not_found)?;
+        let records = loaded.store.seed_records();
+        let ring: VecDeque<_> = loaded.results.into();
+        loaded
+            .store
+            .export_blobs(target_node, &records, loaded.high_round, &ring)
     }
 
     /// Lands a shipped session (see [`ShardCommand::Import`]). A session
@@ -574,9 +537,7 @@ impl ShardWorker {
                     high_round: s.high_round(),
                     warm: true,
                 };
-                if req.sink.try_send(ack).is_err() {
-                    self.counters.result_dropped();
-                }
+                self.counters.emit(&req.sink, ack);
             } else {
                 self.refuse(
                     &req.sink,
@@ -586,18 +547,12 @@ impl ShardWorker {
             }
             return;
         }
-        let Some(dir) = self.persistence.state_dir.clone() else {
-            self.refuse(
-                &req.sink,
-                req.session,
-                "import refused: this node has no state directory",
-            );
-            return;
-        };
+        let dir = self.persistence.state_dir.as_deref();
+        let dir = dir.expect("the service refuses imports without a state directory");
         // The landed sidecar is the shipped one with ownership adopted.
         let meta = self.meta_for(&req);
         if let Err(e) =
-            SessionStore::write_imported(&dir, req.session, &meta, wal, self.tiered.as_ref())
+            SessionStore::write_imported(dir, req.session, &meta, wal, self.tiered.as_ref())
         {
             self.refuse(
                 &req.sink,
@@ -606,7 +561,7 @@ impl ShardWorker {
             );
             return;
         }
-        self.counters.session_imported();
+        self.counters.sessions_imported.inc();
         // The importing daemon has nothing to re-emit; the client's own
         // resume replays against its real ack floor.
         self.resume(st, req, Some(u64::MAX), true);
@@ -656,7 +611,7 @@ impl ShardWorker {
                     if r.mark == TraceMark::FrameHead {
                         // A sampled frame's mailbox wait: from the send to
                         // the worker picking its command up.
-                        self.counters.trace().record(avoc_obs::Span {
+                        self.counters.trace.record(avoc_obs::Span {
                             session,
                             round: r.round,
                             stage: avoc_obs::Stage::Queue,
@@ -685,7 +640,7 @@ impl ShardWorker {
                 // Close) or misrouted. Counted as a drop, but no error
                 // frame — per-reading errors would amplify a flood.
                 st.tick += 1;
-                self.counters.reading_dropped();
+                self.counters.readings_dropped.inc();
                 i += 1;
             }
             if st.tick.is_multiple_of(SWEEP_INTERVAL) {
@@ -769,7 +724,7 @@ impl ShardWorker {
                     s.announce_resumed(false, &self.counters);
                 }
                 st.sessions.insert(req.session, s);
-                self.counters.session_opened();
+                self.counters.sessions_opened.inc();
                 true
             }
             Err(e) => {
@@ -785,13 +740,13 @@ impl ShardWorker {
     /// fallback — in that order.
     fn resume(&self, st: &mut ShardState, req: OpenReq, last_acked: Option<u64>, eager: bool) {
         if !eager {
-            self.counters.retry();
+            self.counters.retries.inc();
         }
         // 1. Live session: re-attach if the token proves ownership.
         if let Some(s) = st.sessions.get_mut(&req.session) {
             if s.resumable() && s.token() == req.token {
                 s.reattach(req.sink, last_acked, st.tick, &self.counters);
-                self.counters.session_resumed();
+                self.counters.resumed_sessions.inc();
             } else {
                 self.refuse(&req.sink, req.session, "resume token mismatch");
             }
@@ -826,7 +781,7 @@ impl ShardWorker {
                     self.counters.wal_replay_ns_add(elapsed);
                 }
                 if loaded.torn_tail {
-                    self.counters.torn_tail_recovered();
+                    self.counters.torn_tail_recoveries.inc();
                 }
                 if meta.token != req.token {
                     // Someone else's durable state: refuse rather than
@@ -860,9 +815,9 @@ impl ShardWorker {
                             s.announce_resumed(true, &self.counters);
                             s.replay_results(last_acked, &self.counters);
                             st.sessions.insert(req.session, s);
-                            self.counters.recovery();
+                            self.counters.recoveries.inc();
                             if !eager {
-                                self.counters.session_resumed();
+                                self.counters.resumed_sessions.inc();
                             }
                         }
                         Err(e) => {
@@ -899,7 +854,7 @@ impl ShardWorker {
             self.persistence.durability(),
             self.tiered.as_ref(),
         )
-        .inspect_err(|_| self.counters.checkpoint_failure())
+        .inspect_err(|_| self.counters.checkpoint_failures.inc())
         .ok()
     }
 
@@ -954,14 +909,10 @@ impl ShardWorker {
 
     /// Refuses an open, telling the tenant (without blocking on its sink).
     fn refuse(&self, sink: &ResultSink, session: u64, message: &str) {
-        let notice = Message::Error {
-            session,
-            message: message.into(),
-        };
-        if sink.try_send(notice).is_err() {
-            self.counters.result_dropped();
-        }
-        self.counters.session_rejected();
+        let message = message.into();
+        self.counters
+            .emit(sink, Message::Error { session, message });
+        self.counters.sessions_rejected.inc();
     }
 
     /// Evicts the least-recently-active session, flushing it first. Its
@@ -980,7 +931,7 @@ impl ShardWorker {
         s.notify_evicted("capacity reclaimed for a new session", &self.counters);
         self.counters.deregister_session(victim);
         self.active.fetch_sub(1, Ordering::Relaxed);
-        self.counters.session_evicted();
+        self.counters.sessions_evicted.inc();
         true
     }
 
@@ -999,7 +950,7 @@ impl ShardWorker {
             s.notify_evicted("idle timeout", &self.counters);
             self.counters.deregister_session(id);
             self.active.fetch_sub(1, Ordering::Relaxed);
-            self.counters.session_evicted();
+            self.counters.sessions_evicted.inc();
         }
     }
 }

@@ -6,12 +6,17 @@
 use avoc::core::ModuleId;
 use avoc::net::{BatchReading, Message, SpecSource};
 use avoc::obs::http;
-use avoc::serve::{ServeClient, ServeConfig, SpecRegistry, TcpServer, VoterService};
+use avoc::serve::{
+    ClientConfig, Persistence, ResilientClient, RetryPolicy, ServeClient, ServeConfig,
+    SpecRegistry, TcpServer, VoterService,
+};
 use avoc::vdx::VdxSpec;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
+use sysio::fault::{self, Kind, Plan, Site};
 
 const SESSIONS: u64 = 4;
 const ROUNDS: u64 = 32;
@@ -21,6 +26,11 @@ const MODULES: u32 = 3;
 /// round traced (`trace_sample: 1`), so a short replay reliably leaves
 /// spans in the ring.
 fn start_daemon() -> (TcpServer, SocketAddr, SocketAddr) {
+    start_daemon_over(None)
+}
+
+/// As [`start_daemon`], persisting sessions under `state_dir` when given.
+fn start_daemon_over(state_dir: Option<&Path>) -> (TcpServer, SocketAddr, SocketAddr) {
     let mut registry = SpecRegistry::new();
     registry.insert("avoc", VdxSpec::avoc());
     let service = Arc::new(VoterService::start(
@@ -29,6 +39,10 @@ fn start_daemon() -> (TcpServer, SocketAddr, SocketAddr) {
             admin_addr: Some("127.0.0.1:0".into()),
             trace_sample: 1,
             trace_capacity: 1024,
+            persistence: Persistence {
+                state_dir: state_dir.map(Path::to_path_buf),
+                ..Persistence::default()
+            },
             ..ServeConfig::default()
         },
         Arc::new(registry),
@@ -144,7 +158,7 @@ fn admin_endpoint_serves_metrics_sessions_and_traces() {
     let admin_snap: serde_json::Value = serde_json::from_str(&admin_stats).expect("valid JSON");
     assert_eq!(admin_snap["rounds_fused"].as_u64().unwrap(), fused);
 
-    // Closing the tenants empties the directory; the metric series stay.
+    // Closing the tenants empties the directory.
     for session in 0..SESSIONS {
         client.close_session(session).expect("close_session");
     }
@@ -164,6 +178,176 @@ fn admin_endpoint_serves_metrics_sessions_and_traces() {
 
     let snapshot = server.shutdown();
     assert_eq!(snapshot.rounds_fused, fused);
+}
+
+/// Parses a JSON body an admin route (or the wire) answered with.
+fn json(body: &str) -> serde_json::Value {
+    serde_json::from_str(body).expect("valid JSON")
+}
+
+/// The injector keeps its own tally; the scrape must not depend on some
+/// other door having been asked first to copy it into the registry.
+#[test]
+fn first_scrape_reads_injected_faults_without_any_other_door_asked() {
+    const FAULTS: u64 = 3;
+    let (server, wire, admin) = start_daemon();
+    let before = fault::injected_total();
+    // EINTR on a socket read is retried in place, so whichever daemon of
+    // this test binary draws one of the three is unharmed; the tally is
+    // process-wide and so is the cell that mirrors it.
+    fault::install(Plan::new(0x0B5).rule(Site::SockRead, Kind::Eintr, 1, FAULTS));
+    let mut client = ServeClient::connect(wire).expect("connect");
+    replay(&mut client);
+    fault::clear();
+    let injected = fault::injected_total();
+    assert_eq!(
+        injected,
+        before + FAULTS,
+        "the replay's reads drew every fault"
+    );
+
+    let (status, text) = http::get(&admin.to_string(), "/metrics").expect("metrics");
+    assert_eq!(status, 200);
+    assert!(
+        text.contains(&format!("avoc_fault_injected_total {injected}\n")),
+        "first scrape must already read {injected} injected faults"
+    );
+    server.shutdown();
+}
+
+/// Segments folded by an earlier process are live from boot, not from this
+/// process's first compaction: the gauge and `/segments` must agree.
+#[test]
+fn segments_live_counts_segments_found_at_boot() {
+    let dir = std::env::temp_dir().join(format!("avoc-obs-segments-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (server_a, wire, _) = start_daemon_over(Some(&dir));
+    let mut client = ResilientClient::new(wire, ClientConfig::default(), RetryPolicy::default());
+    client
+        .open_session(7, 1, SpecSource::Named("avoc".into()), 0x5E6)
+        .expect("open");
+    for round in 0..4 {
+        client
+            .send_reading(7, ModuleId::new(0), round, 20.0)
+            .expect("feed");
+        client.recv().expect("verdict");
+    }
+    server_a.abort(); // the WAL stays, cold
+    let folded = avoc::store::TieredStore::open(&dir)
+        .expect("open tier")
+        .compact()
+        .expect("fold the cold WAL");
+    assert_eq!(folded.wals_retired, 1);
+
+    let (server_b, _, admin) = start_daemon_over(Some(&dir));
+    let admin = admin.to_string();
+    let (_, text) = http::get(&admin, "/metrics").expect("metrics");
+    let (_, segments) = http::get(&admin, "/segments").expect("segments");
+    let listed = json(&segments)["segments"].as_array().expect("rows").len();
+    assert_eq!(listed, 1);
+    assert!(
+        text.contains(&format!("avoc_segments_live {listed}\n")),
+        "/segments lists {listed} live segment(s), the gauge must too"
+    );
+    server_b.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Counters that asking over the wire itself moves (the request is a socket
+/// read and a reactor wakeup): a later door may read these higher.
+const MOVED_BY_ASKING: [&str; 3] = ["bytes_received", "epoll_wakeups", "reactor_events"];
+
+/// Every door reads the same cells: on a quiesced daemon the JSON scrape
+/// (asked first, so nothing else can have refreshed anything for it),
+/// `/stats`, `counters()` and a wire `StatsReply` agree on every scalar
+/// they share.
+#[test]
+fn all_four_doors_agree_on_a_quiesced_daemon() {
+    let (server, wire, admin) = start_daemon();
+    let admin = admin.to_string();
+    let mut client = ServeClient::connect(wire).expect("connect");
+    replay(&mut client);
+
+    // A verdict can reach the client before the threads that shipped it
+    // have counted it: the daemon is quiet once two scrapes read the same.
+    let scrape_now = || {
+        http::get(&admin, "/metrics?format=json")
+            .expect("metrics json")
+            .1
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let mut scrape = scrape_now();
+    loop {
+        std::thread::sleep(Duration::from_millis(20));
+        let again = scrape_now();
+        if again == scrape {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "an idle daemon kept moving:\n{scrape}\n{again}"
+        );
+        scrape = again;
+    }
+    let (_, stats) = http::get(&admin, "/stats").expect("stats");
+    let in_process = server.service().counters().to_json();
+    let on_the_wire = client.stats().expect("wire stats");
+    let (scrape, stats) = (json(&scrape), json(&stats));
+
+    // The cell behind the `/stats` scalar `<key>` is `avoc_[net_]<key>[_total]`,
+    // summed over its series where reactors or shards each have one.
+    let mut cells = std::collections::HashMap::<&str, u64>::new();
+    for kind in ["counters", "gauges"] {
+        for (series, value) in scrape[kind].as_object().expect("scalar map") {
+            let family = series.split('{').next().expect("family name");
+            let stem = family.strip_prefix("avoc_").expect("avoc_ prefix");
+            let stem = stem.strip_prefix("net_").unwrap_or(stem);
+            let stem = stem.strip_suffix("_total").unwrap_or(stem);
+            *cells.entry(stem).or_default() += value.as_u64().expect("non-negative scalar");
+        }
+    }
+    let mut compared = 0;
+    for (key, value) in stats.as_object().expect("stats object") {
+        // The two structured fields are checked below.
+        let Some(value) = value.as_f64() else {
+            continue;
+        };
+        // A total kept in nanoseconds is reported in milliseconds.
+        let (stem, per_unit) = match key.strip_suffix("_ms") {
+            Some(stem) => (format!("{stem}_ns"), 1e6),
+            None => (key.clone(), 1.0),
+        };
+        let cell = cells
+            .get(stem.as_str())
+            .unwrap_or_else(|| panic!("`{key}` has no registry cell"));
+        assert_eq!(
+            *cell as f64,
+            value * per_unit,
+            "/metrics and /stats disagree on `{key}`"
+        );
+        compared += 1;
+    }
+    assert!(compared >= 38, "only {compared} scalars compared");
+    assert_eq!(stats["rounds_fused"].as_u64(), Some(SESSIONS * ROUNDS));
+    assert_eq!(
+        stats["fuse_latency"]["samples"],
+        scrape["histograms"]["avoc_fuse_latency_ns"]["count"]
+    );
+    let marks = stats["shard_queue_high_water"].as_array().expect("marks");
+    let marks: u64 = marks.iter().map(|m| m.as_u64().expect("mark")).sum();
+    assert_eq!(marks, cells["shard_queue_high_water"]);
+
+    for (door, later) in [("counters()", in_process), ("StatsReply", on_the_wire)] {
+        for (key, value) in json(&later).as_object().expect("snapshot object") {
+            let first = &stats[key.as_str()];
+            if MOVED_BY_ASKING.contains(&key.as_str()) {
+                assert!(value.as_u64() >= first.as_u64(), "{door}: `{key}`");
+            } else {
+                assert_eq!(value, first, "{door} and /stats disagree on `{key}`");
+            }
+        }
+    }
+    server.shutdown();
 }
 
 #[test]

@@ -122,9 +122,19 @@ fn thousand_session_churn_leaks_no_fds_or_threads() {
         "census must be exactly shards + reactors = {expected_census}, saw {thread_baseline}"
     );
 
+    let scrape_baseline = scrape_size(&service);
+
     const SESSIONS: u64 = 1000;
     for session in 1..=SESSIONS {
         run_tenant(addr, session);
+        // A round is counted before its verdict leaves, and a closing
+        // session's series moves to the tombstone in one step: whether or
+        // not this tenant's close has landed yet, the per-session counts
+        // sum to the rounds fused (the warmup tenant's included).
+        if session % 100 == 0 {
+            let (_, rounds) = session_series(&service);
+            assert_eq!(rounds, session + 1, "mid-churn, after tenant {session}");
+        }
         // Interleave rude teardowns through the churn so slot reuse is
         // exercised against them, not just after them.
         match session % 250 {
@@ -161,6 +171,23 @@ fn thousand_session_churn_leaks_no_fds_or_threads() {
         (live == 0, live)
     });
     assert!(ok, "no session may linger, saw {live}");
+    // Series census: every closed session's series was folded into the one
+    // tombstone, so the family is live sessions + 1 strong and still sums
+    // to every round fused.
+    assert_eq!(session_series(&service), (live + 1, SESSIONS + 1));
+    // The scrape is as long as before the churn, bucket lines aside. (For
+    // the full text "within 2 KB" does not hold: a series renders one line
+    // per non-empty bucket, and a thousand more latencies fill more of the
+    // same histograms' buckets.) The bucket lines are bounded by the
+    // layout instead — 90 bounds and `+Inf` per histogram, and the churn
+    // left no histogram behind.
+    let scrape = scrape_size(&service);
+    assert_eq!(scrape.histograms, scrape_baseline.histograms);
+    assert!(
+        scrape.rest <= scrape_baseline.rest + 2048
+            && scrape.buckets <= scrape.histograms * 91 * BUCKET_LINE_MAX,
+        "scrape must not grow with tenant churn: {scrape_baseline:?} -> {scrape:?}"
+    );
 
     let snap = server.shutdown();
     // +1 for the warmup tenant; the rude connections never open sessions.
@@ -168,6 +195,48 @@ fn thousand_session_churn_leaks_no_fds_or_threads() {
     assert_eq!(snap.rounds_fused, SESSIONS + 1);
     assert!(snap.connections_accepted > SESSIONS);
     assert_eq!(snap.connections_open, 0);
+}
+
+/// The `avoc_session_fuse_latency_ns` family right now: how many series it
+/// has, and the rounds they count between them.
+fn session_series(service: &VoterService) -> (usize, u64) {
+    let scrape: serde_json::Value =
+        serde_json::from_str(&service.obs_registry().render_json()).expect("valid JSON");
+    let counts: Vec<u64> = scrape["histograms"]
+        .as_object()
+        .expect("histograms object")
+        .iter()
+        .filter(|(key, _)| key.starts_with("avoc_session_fuse_latency_ns{"))
+        .map(|(_, series)| series["count"].as_u64().expect("count"))
+        .collect();
+    (counts.len(), counts.iter().sum())
+}
+
+/// No bucket line is longer: family name, the session label, `le` and
+/// two twenty-digit numbers.
+const BUCKET_LINE_MAX: usize = 128;
+
+/// What the Prometheus scrape weighs right now.
+#[derive(Debug, Clone, Copy)]
+struct ScrapeSize {
+    /// Histogram series (each renders exactly one `+Inf` bucket).
+    histograms: usize,
+    /// Bytes of their bucket lines: which buckets are non-empty depends on
+    /// how latencies spread, not on how many tenants came and went.
+    buckets: usize,
+    /// Bytes of everything else.
+    rest: usize,
+}
+
+fn scrape_size(service: &VoterService) -> ScrapeSize {
+    let text = service.obs_registry().render_prometheus();
+    let bucket_lines = text.lines().filter(|line| line.contains("_bucket{"));
+    let buckets = bucket_lines.map(|line| line.len() + 1).sum();
+    ScrapeSize {
+        histograms: text.matches("le=\"+Inf\"").count(),
+        buckets,
+        rest: text.len() - buckets,
+    }
 }
 
 /// One tenant's full lifecycle over TCP.

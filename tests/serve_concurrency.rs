@@ -149,6 +149,57 @@ fn unknown_spec_is_answered_with_an_error_frame() {
     assert_eq!(snap.sessions_opened, 0);
 }
 
+/// An import a node cannot land is refused with its reason, verbatim — not
+/// dressed up as an unknown spec.
+#[test]
+fn import_refusals_are_answered_with_their_reason() {
+    const SECRET: u64 = 0x5EC2E7;
+    let refusal = |state_dir: Option<std::path::PathBuf>, meta: &[u8]| {
+        let service = Arc::new(VoterService::start(
+            ServeConfig {
+                shards: 1,
+                persistence: avoc::serve::Persistence {
+                    state_dir,
+                    cluster_secret: Some(SECRET),
+                    ..avoc::serve::Persistence::default()
+                },
+                ..ServeConfig::default()
+            },
+            shipped_registry(),
+        ));
+        let server = TcpServer::start("127.0.0.1:0", service).expect("bind");
+        let mut gateway = ServeClient::connect(server.local_addr()).expect("connect");
+        gateway
+            .send(&Message::SessionState {
+                session: 42,
+                epoch: 1,
+                auth: SECRET,
+                meta: meta.to_vec(),
+                wal: Vec::new(),
+            })
+            .expect("send");
+        let reply = gateway.recv().expect("reply");
+        assert_eq!(server.shutdown().sessions_imported, 0);
+        match reply {
+            Message::Error {
+                session: 42,
+                message,
+            } => message,
+            other => panic!("unexpected {other:?}"),
+        }
+    };
+    assert_eq!(
+        refusal(None, b"irrelevant"),
+        "import refused: this node has no state directory"
+    );
+    let dir = std::env::temp_dir().join(format!("avoc-import-refusal-{}", std::process::id()));
+    assert_eq!(
+        refusal(Some(dir.clone()), b"not a meta sidecar"),
+        "import refused: shipped meta is corrupt"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Regression for the cross-tenant wedge: a tenant whose result sink is
 /// full and never read must not stall the shard worker. Other sessions
 /// pinned to the same shard keep fusing, the wedged tenant's overflow is
