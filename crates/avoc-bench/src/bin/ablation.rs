@@ -1,6 +1,5 @@
-//! Quality ablations for the design choices DESIGN.md calls out — the
-//! Criterion `ablation` bench measures their *time* cost; this binary
-//! measures their *output quality* on the UC-1 error-injection workload:
+//! Quality ablations for the design choices DESIGN.md calls out: their
+//! *output quality* on the UC-1 error-injection workload.
 //!
 //! * clustering bootstrap on/off over Hybrid (AVOC's delta);
 //! * collation method (the UC-2-decisive axis) on UC-1;

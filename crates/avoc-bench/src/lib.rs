@@ -9,10 +9,9 @@
 //! | `fig7 a/b/c/groups` | Fig. 7: UC-2 BLE stacks, collation grouping |
 //! | `latency` | §7 implementation notes (history ≈ 1 ms vs stateless ≈ 50 µs, datastore-bound) |
 //! | `compare` | the Fig. 5 algorithm-comparison application |
-//! | `benches/*` | Criterion micro-benchmarks + ablations |
 //!
-//! The library half hosts the shared harness: the algorithm roster, trace
-//! runners and experiment configuration.
+//! The library half hosts the shared harness: the algorithm roster, the trace
+//! runner and experiment configuration.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,12 +21,9 @@ use avoc_core::algorithms::{
     SoftDynamicVoter, StandardVoter, StatelessWeightedVoter,
 };
 use avoc_core::{
-    AgreementParams, Collation, HistoryUpdate, MarginMode, MemoryHistory, RoundResult, Voter,
-    VoterConfig, VotingEngine,
+    AgreementParams, Collation, HistoryUpdate, MarginMode, MemoryHistory, Voter, VoterConfig,
 };
 use avoc_sim::{FaultInjector, FaultKind, LightScenario, RecordedTrace};
-
-pub mod replay;
 
 /// Configuration of the UC-1 (Fig. 6) experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,14 +76,6 @@ impl Default for Fig6Config {
 }
 
 impl Fig6Config {
-    /// A small variant for tests and smoke runs.
-    pub fn smoke() -> Self {
-        Fig6Config {
-            rounds: 300,
-            ..Self::default()
-        }
-    }
-
     /// The shared voter configuration (collation per algorithm).
     pub fn voter_config(&self, rate: f64, collation: Collation) -> VoterConfig {
         VoterConfig::new()
@@ -206,19 +194,6 @@ pub fn run_voter(voter: &mut dyn Voter, trace: &RecordedTrace) -> Vec<Option<f64
         .collect()
 }
 
-/// Runs a [`VotingEngine`] over a trace, returning the per-round outputs
-/// (`None` for skipped rounds or surfaced errors).
-pub fn run_engine(engine: &mut VotingEngine, trace: &RecordedTrace) -> Vec<Option<f64>> {
-    trace
-        .iter_rounds()
-        .map(|round| match engine.submit(&round) {
-            Ok(RoundResult::Voted(v)) => v.number(),
-            Ok(other) => other.number(),
-            Err(_) => None,
-        })
-        .collect()
-}
-
 /// Downsamples a series to at most `n` evenly spaced points (for plotting).
 pub fn downsample(series: &[Option<f64>], n: usize) -> Vec<Option<f64>> {
     if n == 0 || series.len() <= n {
@@ -233,9 +208,16 @@ pub fn downsample(series: &[Option<f64>], n: usize) -> Vec<Option<f64>> {
 mod tests {
     use super::*;
 
+    fn smoke() -> Fig6Config {
+        Fig6Config {
+            rounds: 300,
+            ..Fig6Config::default()
+        }
+    }
+
     #[test]
     fn roster_has_the_fig6_variants() {
-        let cfg = Fig6Config::smoke();
+        let cfg = smoke();
         let names: Vec<&str> = cfg.roster().iter().map(|(n, _)| *n).collect();
         for expected in [
             "avg",
@@ -252,7 +234,7 @@ mod tests {
 
     #[test]
     fn run_voter_produces_one_output_per_round() {
-        let cfg = Fig6Config::smoke();
+        let cfg = smoke();
         let trace = cfg.clean_trace();
         let mut voter = cfg.voter("avoc");
         let out = run_voter(voter.as_mut(), &trace);
@@ -262,7 +244,7 @@ mod tests {
 
     #[test]
     fn faulty_trace_shifts_only_the_fault_module() {
-        let cfg = Fig6Config::smoke();
+        let cfg = smoke();
         let clean = cfg.clean_trace();
         let faulty = cfg.faulty_trace();
         let delta =
@@ -285,6 +267,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown algorithm")]
     fn unknown_voter_panics() {
-        let _ = Fig6Config::smoke().voter("nope");
+        let _ = smoke().voter("nope");
     }
 }

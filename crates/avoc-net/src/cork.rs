@@ -26,8 +26,9 @@ use std::io::{self, Write};
 pub const DEFAULT_CORK_LIMIT: usize = 64 * 1024;
 
 /// Cumulative I/O counters for one [`CorkedWriter`] — the instrumentation
-/// `bench_serve` and the service counters read to report frames per flush
-/// and syscalls per reading.
+/// the service counters (and through them `benchmark/`'s
+/// `net.writer_writes_per_kround`) read to report frames per flush and
+/// syscalls per reading.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WriterStats {
     /// Frames pushed (encoded into the cork buffer).

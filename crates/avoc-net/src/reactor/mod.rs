@@ -258,7 +258,7 @@ fn spawn_core<H: Handler>(
         peers,
         paused_listeners,
     } = setup;
-    let mut poller = Poller::new(config.force_poll);
+    let mut poller = Poller::new(poll_forced(config.force_poll));
     let backend = poller.backend();
     if let Some(listener) = &listener {
         listener.set_nonblocking(true)?;
@@ -350,7 +350,8 @@ impl ReactorPool {
 }
 
 /// Whether the poll backend is pinned — by config or the `AVOC_FORCE_POLL`
-/// environment variable — mirroring [`poller::Poller::new`]'s selection.
+/// environment variable (any value but `0`). The one answer both the
+/// backend choice and the accept-mode choice go by.
 fn poll_forced(config_force_poll: bool) -> bool {
     config_force_poll || std::env::var("AVOC_FORCE_POLL").is_ok_and(|v| !v.is_empty() && v != "0")
 }

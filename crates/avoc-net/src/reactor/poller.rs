@@ -6,10 +6,9 @@ use sysio::{Epoll, Event, Interest, PollSet};
 
 /// The readiness backend driving a reactor: one epoll instance on Linux,
 /// or the portable `poll(2)` set. Chosen once at startup — epoll when
-/// available, unless the `AVOC_FORCE_POLL` environment variable (any value
-/// but `0`) or [`crate::reactor::ReactorConfig::force_poll`] pins the
-/// fallback, which is how the test suite exercises both paths on one
-/// machine.
+/// available, unless the caller pins the fallback (see
+/// `reactor::poll_forced`), which is how the test suite exercises both
+/// paths on one machine.
 #[derive(Debug)]
 pub(crate) enum Poller {
     /// Linux epoll.
@@ -20,9 +19,7 @@ pub(crate) enum Poller {
 
 impl Poller {
     pub(crate) fn new(force_poll: bool) -> Poller {
-        let forced =
-            force_poll || std::env::var("AVOC_FORCE_POLL").is_ok_and(|v| !v.is_empty() && v != "0");
-        if !forced {
+        if !force_poll {
             if let Ok(ep) = Epoll::new() {
                 return Poller::Epoll(ep);
             }

@@ -215,8 +215,8 @@ impl HistogramSnapshot {
         self.max
     }
 
-    /// Renders the snapshot as one JSON object — the schema shared by the
-    /// checked-in `BENCH_*.json` files and the daemon's scrape endpoint:
+    /// Renders the snapshot as one JSON object — the schema of the
+    /// daemon's `/metrics?format=json` scrape:
     /// `count`, `sum`, `min`/`max`/`mean`, `p50`/`p90`/`p99`, and the
     /// non-empty buckets as `{"le": bound, "count": n}` (the overflow
     /// bucket's `le` is the string `"+Inf"`).

@@ -315,7 +315,7 @@ fn serve_admin_connection(
 
 /// A blocking GET against `addr` (e.g. `127.0.0.1:9200`), returning the
 /// status code and body. Five-second timeouts on every phase; used by
-/// tests, `bench_serve`'s live scrape, and the CI smoke probe.
+/// tests, the gateway's member scrapes, and `benchmark/`'s scraper.
 pub fn get(addr: &str, path: &str) -> io::Result<(u16, String)> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;

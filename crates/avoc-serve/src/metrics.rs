@@ -621,8 +621,8 @@ pub struct CountersSnapshot {
     pub accept_pauses: u64,
     /// Channel sends into shard data mailboxes: a `FeedBatch` frame costs
     /// one send, and so do all the `SessionReading` frames of one socket
-    /// read bound for one shard. `shard_handoff_sends` per 1k readings is
-    /// the number `bench_serve` gates on.
+    /// read bound for one shard. `benchmark/` reports it as
+    /// `serve.handoff_sends_per_kround`.
     pub shard_handoff_sends: u64,
     /// Sessions rebuilt from a WAL checkpoint (eager recovery at daemon
     /// start, or lazily when a resume found no live session).

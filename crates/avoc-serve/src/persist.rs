@@ -324,7 +324,8 @@ impl SessionStore {
     /// rows replayed on top (a WAL row is always at least as new as a
     /// folded one). When the WAL has been retired by a complete fold, the
     /// seed comes from the segment tier alone — the cheap path
-    /// [`Loaded::from_segments`] reports and `bench_store` measures.
+    /// [`Loaded::from_segments`] reports and `benchmark/` measures
+    /// (`serve.segment_load_ms`).
     pub(crate) fn load(
         dir: &Path,
         session: u64,

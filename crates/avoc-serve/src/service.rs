@@ -1307,6 +1307,19 @@ mod tests {
             service.counters().shard_handoff_sends,
             shards_hit.len() as u64
         );
+        // A `FeedBatch` frame is one send, however many readings it holds.
+        let frame: Vec<avoc_net::BatchReading> = (0..512u64)
+            .map(|i| avoc_net::BatchReading {
+                module: ModuleId::new((i % 4) as u32),
+                round: 1 + i / 4,
+                value: 1.0,
+            })
+            .collect();
+        service.feed_batch(0, &frame).unwrap();
+        assert_eq!(
+            service.counters().shard_handoff_sends,
+            shards_hit.len() as u64 + 1
+        );
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //!   ([`TieredStore::history_at`]) and fleet-level scans
 //!   ([`TieredStore::outvoted_in`]) over both tiers.
 //!
-//! The `store` bench in `avoc-bench` reproduces the bottleneck comparison;
-//! `bench_store` pits segment cold-resume against WAL replay.
+//! `avoc-bench`'s `latency` binary reproduces the bottleneck comparison;
+//! `benchmark/` prices segment cold-resume against WAL replay
+//! (`store.segment_load_ms_per_kround`, `store.wal_replay_ms_per_kround`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,7 @@
 //! Observability smoke tests: a real daemon with the admin endpoint bound
 //! and pipeline tracing on, driven over loopback TCP and scraped over
-//! plain HTTP — the same surface `BENCH_serve.json` and the CI `obs-smoke`
-//! step exercise.
+//! plain HTTP — the same surface `benchmark/`'s scraper and the CI
+//! `obs-smoke` step exercise.
 
 use avoc::core::ModuleId;
 use avoc::net::{BatchReading, Message, SpecSource};

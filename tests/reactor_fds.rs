@@ -283,33 +283,45 @@ fn hostile_length_prefix(addr: std::net::SocketAddr) {
 }
 
 /// The census itself, pinned: the daemon's data-plane threads are the
-/// shard workers plus the reactor pool (one thread per reactor; default
-/// config here, so `min(cores, 4)` of them) — whether zero or fifty
-/// connections are open. Fifty concurrently-open sockets raise the FD
-/// count but not the thread count; that is the whole point of retiring
-/// thread-per-connection.
+/// shard workers plus the reactor pool, one thread per reactor — whether
+/// zero or fifty connections are open. Fifty concurrently-open sockets
+/// raise the FD count but not the thread count; that is the whole point of
+/// retiring thread-per-connection. Run at one reactor and at four, the
+/// census differs by exactly three: each reactor costs exactly one thread.
 #[test]
 fn thread_census_is_independent_of_open_connections() {
     let _guard = proc_lock();
+    assert_eq!(
+        census_across_fifty_connections(4),
+        census_across_fifty_connections(1) + 3
+    );
+}
+
+/// Boots a 2-shard daemon with `reactors` event loops, holds fifty
+/// connections open and drops them again; the census must be exactly
+/// `shards + reactors` throughout. Returns it.
+fn census_across_fifty_connections(reactors: usize) -> usize {
     let service = Arc::new(VoterService::start(
         ServeConfig {
             shards: 2,
+            reactors,
             ..ServeConfig::default()
         },
         avoc_registry(),
     ));
     let server = TcpServer::start("127.0.0.1:0", Arc::clone(&service)).expect("bind");
     let addr = server.local_addr();
+    assert_eq!(server.reactor_count(), reactors);
     // A thread's name is set from inside the thread itself, so the census
     // only stabilises once every just-spawned worker has run.
-    let expected = 2 + server.reactor_count();
+    let expected = 2 + reactors;
     let (ok, idle_threads) = settle(Duration::from_secs(5), || {
         let n = avoc_threads();
-        (n >= expected, n)
+        (n == expected, n)
     });
     assert!(
         ok,
-        "expected shards + reactors = {expected}, saw {idle_threads}"
+        "expected exactly shards + reactors = {expected}, saw {idle_threads}"
     );
 
     let mut clients = Vec::new();
@@ -340,6 +352,7 @@ fn thread_census_is_independent_of_open_connections() {
     assert_eq!(avoc_threads(), idle_threads);
     let snap = server.shutdown();
     assert_eq!(snap.connections_accepted, 50);
+    idle_threads
 }
 
 /// FD exhaustion on accept pauses a *listener*, not the pool: with four
