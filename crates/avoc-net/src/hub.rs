@@ -5,10 +5,16 @@
 //! expected module has reported — or, when a later round starts arriving,
 //! flushes the stale round with `None` ballots for the silent modules
 //! (UC-2's missing-value fault made visible to the voter).
+//!
+//! The hub only *collects*: an open round is a dense slot (one cell per
+//! expected module), the open rounds are a short list in round order, and
+//! slots and emitted [`Round`] buffers are both recycled — so a caller that
+//! hands its rounds back ([`SensorHub::recycle`]) assembles without
+//! allocating.
 
 use crate::message::Message;
 use avoc_core::{Ballot, ModuleId, Round};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// Liveness of one expected module, as observed by the hub.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,6 +29,17 @@ pub enum Liveness {
         /// The last round the module was heard in.
         last_seen: u64,
     },
+}
+
+/// One open round: a cell per expected module, in `expected` order.
+#[derive(Debug)]
+struct Slot {
+    id: u64,
+    /// `None` until the module reports; then its latest word for the round —
+    /// `Some(None)` is an explicit missing.
+    cells: Vec<Option<Option<f64>>>,
+    /// How many cells are `Some`; the round is complete at `cells.len()`.
+    seen: usize,
 }
 
 /// Round assembler.
@@ -44,15 +61,28 @@ pub enum Liveness {
 #[derive(Debug)]
 pub struct SensorHub {
     expected: Vec<ModuleId>,
-    pending: BTreeMap<u64, BTreeMap<ModuleId, Option<f64>>>,
+    /// Whether `expected` is `0..n` in order, so a module's cell is its
+    /// index (every daemon session's set is); otherwise cells are found by
+    /// scanning `expected`.
+    positional: bool,
+    /// Open rounds, oldest first. Rounds leave from the front only; a
+    /// reading finds its round by scanning from the back, where the one or
+    /// two rounds in flight are.
+    open: VecDeque<Slot>,
+    /// Emptied slots awaiting the next round to open. `open` + `free` is
+    /// every slot ever made: the high-water mark of rounds open at once.
+    free: Vec<Slot>,
+    /// Emitted round buffers handed back through [`SensorHub::recycle`].
+    spare: Vec<Round>,
     /// Rounds at or below this id have been emitted; late readings for them
     /// are counted as stragglers and dropped.
     completed_through: Option<u64>,
     stragglers: u64,
     /// How many newer rounds may open before a stale round is flushed.
     lag_tolerance: u64,
-    /// Last round (or heartbeat-time proxy) each module was heard in.
-    last_seen: BTreeMap<ModuleId, u64>,
+    /// Last round (or heartbeat-time proxy) each module was heard in, in
+    /// `expected` order.
+    last_seen: Vec<Option<u64>>,
     /// Highest round id observed on any message.
     newest_round: u64,
     /// Rounds of silence after which a module counts as dead.
@@ -72,12 +102,18 @@ impl SensorHub {
         dedup.dedup();
         assert_eq!(dedup.len(), expected.len(), "duplicate module ids");
         SensorHub {
+            positional: expected
+                .iter()
+                .enumerate()
+                .all(|(at, m)| m.index() as usize == at),
+            last_seen: vec![None; expected.len()],
             expected,
-            pending: BTreeMap::new(),
+            open: VecDeque::new(),
+            free: Vec::new(),
+            spare: Vec::new(),
             completed_through: None,
             stragglers: 0,
             lag_tolerance: 1,
-            last_seen: BTreeMap::new(),
             newest_round: 0,
             liveness_window: 8,
         }
@@ -91,7 +127,8 @@ impl SensorHub {
     }
 
     /// Sets how many newer rounds may open before an incomplete older round
-    /// is force-flushed with missing ballots (default 1).
+    /// is force-flushed with missing ballots (default 1). `u64::MAX` never
+    /// deadline-flushes.
     pub fn with_lag_tolerance(mut self, rounds: u64) -> Self {
         self.lag_tolerance = rounds;
         self
@@ -116,7 +153,8 @@ impl SensorHub {
         &self.expected
     }
 
-    /// Readings that arrived after their round was already emitted.
+    /// Readings dropped instead of assembled: late for a round already
+    /// emitted, or from a module outside the expected set.
     pub fn straggler_count(&self) -> u64 {
         self.stragglers
     }
@@ -128,10 +166,11 @@ impl SensorHub {
     pub fn liveness(&self) -> Vec<(ModuleId, Liveness)> {
         self.expected
             .iter()
-            .map(|&m| {
-                let state = match self.last_seen.get(&m) {
+            .zip(&self.last_seen)
+            .map(|(&m, seen)| {
+                let state = match *seen {
                     None => Liveness::NeverSeen,
-                    Some(&seen) => {
+                    Some(seen) => {
                         if self.newest_round.saturating_sub(seen) > self.liveness_window {
                             Liveness::Dead { last_seen: seen }
                         } else {
@@ -155,100 +194,171 @@ impl SensorHub {
 
     /// Feeds one message; returns any rounds that became ready (in order).
     pub fn accept(&mut self, msg: Message) -> Vec<Round> {
+        let mut out = Vec::new();
         match msg {
             Message::Reading {
                 module,
                 round,
                 value,
-            } => self.accept_reading(module, round, value),
-            Message::Missing { module, round } => self.record(module, round, None),
+            } => self.record(module, round, Some(value), &mut out),
+            Message::Missing { module, round } => self.record(module, round, None, &mut out),
             Message::Heartbeat { module } => {
-                if self.expected.contains(&module) {
-                    self.last_seen.insert(module, self.newest_round);
+                if let Some(at) = self.position(module) {
+                    self.last_seen[at] = Some(self.newest_round);
                 }
-                Vec::new()
             }
-            Message::Shutdown => self.flush_all(),
+            Message::Shutdown => self.flush_all_into(&mut out),
             // Session-scoped control frames (tags 5–9) are daemon traffic;
             // a single-tenant hub has no session table and ignores them.
-            _ => Vec::new(),
+            _ => {}
         }
+        out
     }
 
     /// Feeds one reading without wrapping it in a [`Message`] first — what
     /// [`SensorHub::accept`] does with a `Reading` frame, for callers that
     /// already hold the fields; returns any rounds that became ready.
     pub fn accept_reading(&mut self, module: ModuleId, round: u64, value: f64) -> Vec<Round> {
-        self.record(module, round, Some(value))
+        let mut out = Vec::new();
+        self.accept_reading_into(module, round, value, &mut out);
+        out
+    }
+
+    /// [`SensorHub::accept_reading`], appending the rounds that became ready
+    /// to `out` instead of returning a fresh vector. The rounds are buffers
+    /// on loan: a caller that passes them to [`SensorHub::recycle`] once it
+    /// has read them feeds a steady stream without allocating.
+    pub fn accept_reading_into(
+        &mut self,
+        module: ModuleId,
+        round: u64,
+        value: f64,
+        out: &mut Vec<Round>,
+    ) {
+        self.record(module, round, Some(value), out);
     }
 
     /// Flushes every pending round regardless of completeness.
     pub fn flush_all(&mut self) -> Vec<Round> {
-        let ids: Vec<u64> = self.pending.keys().copied().collect();
-        ids.into_iter().map(|id| self.emit(id)).collect()
-    }
-
-    fn record(&mut self, module: ModuleId, round: u64, value: Option<f64>) -> Vec<Round> {
-        if !self.expected.contains(&module) {
-            // Unknown sensor: ignore but keep a trace via stragglers.
-            self.stragglers += 1;
-            return Vec::new();
-        }
-        self.newest_round = self.newest_round.max(round);
-        self.last_seen
-            .entry(module)
-            .and_modify(|r| *r = (*r).max(round))
-            .or_insert(round);
-        if let Some(done) = self.completed_through {
-            if round <= done {
-                self.stragglers += 1;
-                return Vec::new();
-            }
-        }
-        self.pending.entry(round).or_default().insert(module, value);
-
         let mut out = Vec::new();
-        // Complete round?
-        if self.pending.get(&round).map(BTreeMap::len) == Some(self.expected.len()) {
-            // Flush everything up to and including this round, oldest first.
-            let stale: Vec<u64> = self
-                .pending
-                .keys()
-                .copied()
-                .take_while(|&id| id <= round)
-                .collect();
-            for id in stale {
-                out.push(self.emit(id));
-            }
-            return out;
-        }
-        // Deadline flush: rounds lagging more than `lag_tolerance` behind
-        // the newest open round go out incomplete.
-        let newest = *self.pending.keys().next_back().expect("just inserted");
-        let stale: Vec<u64> = self
-            .pending
-            .keys()
-            .copied()
-            .take_while(|&id| id + self.lag_tolerance < newest)
-            .collect();
-        for id in stale {
-            out.push(self.emit(id));
-        }
+        self.flush_all_into(&mut out);
         out
     }
 
-    fn emit(&mut self, round_id: u64) -> Round {
-        let collected = self.pending.remove(&round_id).unwrap_or_default();
-        let ballots = self
-            .expected
-            .iter()
-            .map(|&m| match collected.get(&m) {
-                Some(Some(v)) => Ballot::new(m, *v),
+    /// [`SensorHub::flush_all`], appending to `out` (see
+    /// [`SensorHub::accept_reading_into`]).
+    pub fn flush_all_into(&mut self, out: &mut Vec<Round>) {
+        while !self.open.is_empty() {
+            self.emit_oldest(out);
+        }
+    }
+
+    /// Takes back rounds an `_into` call lent out, leaving `rounds` empty;
+    /// later rounds are emitted in these buffers. The hub keeps at most as
+    /// many as rounds have ever been open at once — the most one call can
+    /// emit — and drops the rest.
+    pub fn recycle(&mut self, rounds: &mut Vec<Round>) {
+        let keep = self.open.len() + self.free.len();
+        for round in rounds.drain(..) {
+            if self.spare.len() < keep {
+                self.spare.push(round);
+            }
+        }
+    }
+
+    /// The cell index of `module`, if it is expected.
+    fn position(&self, module: ModuleId) -> Option<usize> {
+        if self.positional {
+            let at = module.index() as usize;
+            (at < self.expected.len()).then_some(at)
+        } else {
+            self.expected.iter().position(|&m| m == module)
+        }
+    }
+
+    /// The one assembler: every reading and explicit missing lands here.
+    fn record(&mut self, module: ModuleId, round: u64, value: Option<f64>, out: &mut Vec<Round>) {
+        let Some(at) = self.position(module) else {
+            // Unknown sensor: ignore but keep a trace via stragglers.
+            self.stragglers += 1;
+            return;
+        };
+        self.newest_round = self.newest_round.max(round);
+        let heard = &mut self.last_seen[at];
+        *heard = Some(heard.map_or(round, |r| r.max(round)));
+        if self.completed_through.is_some_and(|done| round <= done) {
+            self.stragglers += 1;
+            return;
+        }
+        let slot = self.slot_for(round);
+        // A duplicate overwrites: last write wins.
+        if slot.cells[at].replace(value).is_none() {
+            slot.seen += 1;
+        }
+        if slot.seen == slot.cells.len() {
+            // Complete: flush everything up to and including this round,
+            // oldest first.
+            while self.open.front().is_some_and(|s| s.id <= round) {
+                self.emit_oldest(out);
+            }
+            return;
+        }
+        // Deadline flush: rounds lagging more than `lag_tolerance` behind
+        // the newest open round go out incomplete.
+        let newest = self.open.back().expect("just opened").id;
+        while self
+            .open
+            .front()
+            .is_some_and(|s| newest - s.id > self.lag_tolerance)
+        {
+            self.emit_oldest(out);
+        }
+    }
+
+    /// The open slot for `round`, opened (from a recycled slot when there
+    /// is one) in round order if this is its first reading.
+    fn slot_for(&mut self, round: u64) -> &mut Slot {
+        let mut at = self.open.len();
+        while at > 0 && self.open[at - 1].id > round {
+            at -= 1;
+        }
+        if at == 0 || self.open[at - 1].id != round {
+            let mut slot = self.free.pop().unwrap_or_else(|| Slot {
+                id: 0,
+                cells: vec![None; self.expected.len()],
+                seen: 0,
+            });
+            slot.id = round;
+            self.open.insert(at, slot);
+            at += 1;
+        }
+        &mut self.open[at - 1]
+    }
+
+    /// Emits the oldest open round into a spare buffer (or a fresh one) and
+    /// frees its slot.
+    fn emit_oldest(&mut self, out: &mut Vec<Round>) {
+        let Some(mut slot) = self.open.pop_front() else {
+            return;
+        };
+        let mut round = self
+            .spare
+            .pop()
+            .unwrap_or_else(|| Round::new(0, Vec::with_capacity(self.expected.len())));
+        round.round = slot.id;
+        // Refilled whole, so a buffer of any shape can be recycled.
+        round.ballots.clear();
+        let cells = self.expected.iter().zip(&mut slot.cells);
+        round
+            .ballots
+            .extend(cells.map(|(&m, cell)| match cell.take() {
+                Some(Some(v)) => Ballot::new(m, v),
                 _ => Ballot::missing(m),
-            })
-            .collect();
-        self.completed_through = Some(self.completed_through.map_or(round_id, |d| d.max(round_id)));
-        Round::new(round_id, ballots)
+            }));
+        slot.seen = 0;
+        self.completed_through = Some(self.completed_through.map_or(slot.id, |d| d.max(slot.id)));
+        self.free.push(slot);
+        out.push(round);
     }
 }
 
@@ -468,5 +578,58 @@ mod liveness_tests {
         let mut hub = SensorHub::new(vec![m(0)]);
         hub.accept(Message::Heartbeat { module: m(9) });
         assert_eq!(hub.liveness().len(), 1);
+    }
+}
+
+#[cfg(test)]
+mod slot_tests {
+    use super::*;
+
+    fn m(i: u32) -> ModuleId {
+        ModuleId::new(i)
+    }
+
+    #[test]
+    fn unbounded_lag_tolerance_never_deadline_flushes() {
+        let mut hub = SensorHub::new(vec![m(0), m(1)]).with_lag_tolerance(u64::MAX);
+        assert!(hub.accept_reading(m(0), 0, 1.0).is_empty());
+        assert!(hub.accept_reading(m(0), 10, 1.0).is_empty());
+        assert!(hub.accept_reading(m(0), u64::MAX, 1.0).is_empty());
+        // Completion still flushes the older open round first.
+        let done = hub.accept_reading(m(1), 10, 2.0);
+        assert_eq!(done.iter().map(|r| r.round).collect::<Vec<_>>(), [0, 10]);
+        let rest = hub.flush_all();
+        assert_eq!(rest.iter().map(|r| r.round).collect::<Vec<_>>(), [u64::MAX]);
+    }
+
+    #[test]
+    fn recycled_buffers_carry_later_rounds_and_stay_bounded() {
+        // A non-positional set: cells are found by scanning `expected`.
+        let mut hub = SensorHub::new(vec![m(7), m(3)]);
+        let mut out = Vec::new();
+        hub.accept_reading_into(m(3), 0, 3.0, &mut out);
+        hub.accept_reading_into(m(7), 0, 7.0, &mut out);
+        assert_eq!(
+            out,
+            [Round::new(
+                0,
+                vec![Ballot::new(m(7), 7.0), Ballot::new(m(3), 3.0)]
+            )]
+        );
+        // Only one round was ever open, so only the first buffer is kept —
+        // and it need not be one the hub made.
+        out.insert(0, Round::new(99, vec![Ballot::new(m(1), 1.0); 3]));
+        hub.recycle(&mut out);
+        assert!(out.is_empty());
+        assert_eq!(hub.spare.len(), 1);
+        hub.accept_reading_into(m(3), 1, 3.5, &mut out);
+        hub.flush_all_into(&mut out);
+        assert_eq!(
+            out,
+            [Round::new(
+                1,
+                vec![Ballot::missing(m(7)), Ballot::new(m(3), 3.5)]
+            )]
+        );
     }
 }

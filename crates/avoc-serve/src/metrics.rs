@@ -53,6 +53,10 @@ pub struct ServiceCounters {
     /// Counts readings, not commands: a refused or shed data command adds
     /// every reading it carried.
     pub(crate) readings_dropped: Counter,
+    /// Readings a live session's hub dropped: late for a round already
+    /// fused (a slow sensor, a replay after resume) or from a module the
+    /// session does not have. Sessions add their hub's tally as they flush.
+    pub(crate) readings_straggled: Counter,
     /// Counts rounds, not frames. Like `result_batches`, written by `emit`
     /// only.
     results_dropped: Counter,
@@ -173,6 +177,10 @@ impl ServiceCounters {
             readings_dropped: c(
                 "avoc_readings_dropped_total",
                 "Readings dropped by backpressure or unknown-session routing.",
+            ),
+            readings_straggled: c(
+                "avoc_readings_straggled_total",
+                "Readings a session's hub dropped: late for a fused round, or from an unknown module.",
             ),
             results_dropped: c(
                 "avoc_results_dropped_total",
@@ -512,6 +520,7 @@ impl ServiceCounters {
             rounds_fused: self.rounds_fused.get(),
             fallbacks: self.fallbacks.get(),
             readings_dropped: self.readings_dropped.get(),
+            readings_straggled: self.readings_straggled.get(),
             results_dropped: self.results_dropped.get(),
             result_batches: self.result_batches.get(),
             bytes_sent: self.bytes_sent.get(),
@@ -587,6 +596,9 @@ pub struct CountersSnapshot {
     pub fallbacks: u64,
     /// Readings dropped by `DropOldest`/`Reject` backpressure.
     pub readings_dropped: u64,
+    /// Readings a live session's hub dropped instead of assembling: late for
+    /// a round already fused, or from a module outside the session's set.
+    pub readings_straggled: u64,
     /// Result/error frames dropped because a tenant's sink was full or
     /// gone: shards never block on a slow tenant, so its overflow is shed
     /// here and the tenant learns about the loss from this counter.

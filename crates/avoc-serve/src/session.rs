@@ -40,6 +40,13 @@ pub(crate) struct SessionConfig {
 pub(crate) struct Session {
     id: u64,
     hub: SensorHub,
+    /// Rounds the hub just completed, on loan until they are fused: the
+    /// session reads them, then hands the buffers back
+    /// ([`SensorHub::recycle`]), so assembling a round allocates nothing.
+    ready: Vec<Round>,
+    /// The hub's straggler count as last added to
+    /// `avoc_readings_straggled_total`.
+    straggled_reported: u64,
     engine: VotingEngine,
     sink: ResultSink,
     /// Shard tick of the last reading; drives idle eviction.
@@ -77,6 +84,9 @@ pub(crate) struct Session {
     probe_backoff: u64,
     /// Checkpoint opportunities left before the next heal probe.
     probe_in: u64,
+    /// Whether the owning shard has this session queued for its next result
+    /// flush. Set and cleared by the shard worker only.
+    pub(crate) flush_queued: bool,
 }
 
 impl Session {
@@ -93,6 +103,8 @@ impl Session {
         Ok(Session {
             id: cfg.id,
             hub: SensorHub::new(expected).with_lag_tolerance(cfg.lag_tolerance),
+            ready: Vec::new(),
+            straggled_reported: 0,
             engine,
             sink,
             last_active_tick: cfg.tick,
@@ -110,6 +122,7 @@ impl Session {
             degraded: false,
             probe_backoff: 0,
             probe_in: 0,
+            flush_queued: false,
         })
     }
 
@@ -167,18 +180,30 @@ impl Session {
         counters: &ServiceCounters,
     ) {
         self.last_active_tick = tick;
-        for r in self.hub.accept_reading(module, round, value) {
-            self.fuse(&r, sampled, counters);
+        self.hub
+            .accept_reading_into(module, round, value, &mut self.ready);
+        self.fuse_ready(sampled, counters);
+    }
+
+    /// Fuses the rounds the hub lent out, in order, and hands them back.
+    fn fuse_ready(&mut self, sampled: bool, counters: &ServiceCounters) {
+        if self.ready.is_empty() {
+            return;
         }
+        let mut ready = std::mem::take(&mut self.ready);
+        for r in &ready {
+            self.fuse(r, sampled, counters);
+        }
+        self.hub.recycle(&mut ready);
+        self.ready = ready;
     }
 
     /// Flushes partially assembled rounds through the engine (close/evict/
     /// drain path), emits every pending result, then writes a final
     /// checkpoint so the durable state is as warm as the session was.
     pub(crate) fn flush(&mut self, counters: &ServiceCounters) {
-        for r in self.hub.flush_all() {
-            self.fuse(&r, false, counters);
-        }
+        self.hub.flush_all_into(&mut self.ready);
+        self.fuse_ready(false, counters);
         self.flush_results(counters);
         self.checkpoint(counters);
     }
@@ -191,6 +216,16 @@ impl Session {
     /// result goes as a plain [`Message::SessionResult`] (interactive
     /// traffic keeps its shape and latency).
     pub(crate) fn flush_results(&mut self, counters: &ServiceCounters) {
+        // Readings the hub dropped since the last flush (late for a fused
+        // round, or from a module the session does not have) — tallied here,
+        // per burst, not per reading.
+        let straggled = self.hub.straggler_count();
+        if straggled != self.straggled_reported {
+            counters
+                .readings_straggled
+                .add(straggled - self.straggled_reported);
+            self.straggled_reported = straggled;
+        }
         if self.pending.is_empty() {
             return;
         }

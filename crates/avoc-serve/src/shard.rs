@@ -272,8 +272,9 @@ struct ShardState {
     sessions: HashMap<u64, Session>,
     tick: u64,
     deferred: VecDeque<ShardCommand>,
-    /// Sessions that fused results this wakeup; their pending verdicts are
-    /// flushed (batched into one frame each) once per loop iteration.
+    /// Sessions fed this wakeup, in first-fed order; their pending verdicts
+    /// are flushed (batched into one frame each) once per loop iteration.
+    /// `Session::flush_queued` marks the ones already listed.
     touched: Vec<u64>,
     stop: bool,
 }
@@ -426,10 +427,13 @@ impl ShardWorker {
 
     /// Ships every touched session's pending results. Sessions that left
     /// the map since fusing (closed, evicted, swept) already flushed on
-    /// their way out, so a stale id here is simply skipped.
+    /// their way out, so a stale id here is simply skipped — and one that
+    /// came back under the same id since is flushed at its first mention;
+    /// a second finds nothing pending.
     fn flush_touched(&self, st: &mut ShardState) {
         for id in st.touched.drain(..) {
             if let Some(s) = st.sessions.get_mut(&id) {
+                s.flush_queued = false;
                 s.flush_results(&self.counters);
             }
         }
@@ -632,7 +636,7 @@ impl ShardWorker {
                         break;
                     }
                 }
-                if !st.touched.contains(&session) {
+                if !std::mem::replace(&mut s.flush_queued, true) {
                     st.touched.push(session);
                 }
             } else {

@@ -1,11 +1,12 @@
 //! The allocation gates: exact counts through a counting global allocator,
 //! so they hold under plain `cargo test` and `--release` alike (timing is
-//! `benchmark/`'s job). The client feed path and the engine's fuse loop never
-//! allocate in steady state, and neither cold-resume path allocates per record.
+//! `benchmark/`'s job). The client feed path, the hub's round assembly and the
+//! engine's fuse loop never allocate in steady state, and neither cold-resume
+//! path allocates per record.
 
 use avoc::core::history::HistoryStore;
 use avoc::core::{ModuleId, Round};
-use avoc::net::{BatchReading, Message, SpecSource};
+use avoc::net::{BatchReading, Message, SensorHub, SpecSource};
 use avoc::serve::{ServeClient, ServeConfig, SpecRegistry, TcpServer, VoterService};
 use avoc::sim::{FaultInjector, FaultKind, LightScenario};
 use avoc::store::{session_wal_path, Durability, FileHistory, TieredStore, VerdictRecord};
@@ -129,6 +130,45 @@ fn warmed_fuse_loop_allocates_nothing_per_round() {
         let _ = engine.submit_ref(round);
     }
     assert_eq!(tl_allocations() - before, 0, "fuse loop allocated");
+}
+
+/// Feeds `rounds` of five modules through the hub's lending entry point,
+/// handing every round back as soon as it is counted; returns how many came
+/// out. Per 64 rounds, one reading arrives twice, and one sensor skips two
+/// rounds running: the first of those only the deadline flushes (two rounds
+/// on), the second goes out ahead of the round that completes after it.
+fn lend_rounds(hub: &mut SensorHub, lent: &mut Vec<Round>, rounds: std::ops::Range<u64>) -> u64 {
+    let mut emitted = 0;
+    for round in rounds {
+        for module in 0..5u32 {
+            if matches!(round % 64, 7 | 8) && module == 4 {
+                continue;
+            }
+            let copies = if round % 64 == 9 && module == 2 { 2 } else { 1 };
+            for copy in 0..copies {
+                let value = 20.0 + f64::from(module) + f64::from(copy);
+                hub.accept_reading_into(ModuleId::new(module), round, value, lent);
+                emitted += lent.len() as u64;
+                hub.recycle(lent);
+            }
+        }
+    }
+    emitted
+}
+
+/// The hub between mailbox and engine: once its slots and round buffers
+/// exist, assembling a round — complete, duplicated or deadline-flushed —
+/// allocates nothing, as long as the caller hands the rounds back.
+#[test]
+fn warmed_hub_assembles_rounds_without_allocating() {
+    let mut hub = SensorHub::new((0..5).map(ModuleId::new).collect());
+    let mut lent = Vec::new();
+    assert_eq!(lend_rounds(&mut hub, &mut lent, 0..128), 128);
+    let before = tl_allocations();
+    let emitted = lend_rounds(&mut hub, &mut lent, 128..1_128);
+    assert_eq!(tl_allocations() - before, 0, "round assembly allocated");
+    assert_eq!(emitted, 1_000);
+    assert_eq!(hub.straggler_count(), 0);
 }
 
 /// Writes one session's WAL the way a checkpoint-per-round daemon does:

@@ -1,6 +1,7 @@
 //! Property-based invariants for the middleware: the codec never panics on
 //! arbitrary bytes, and the hub's round stream is well-formed under any
-//! interleaving of sensor messages.
+//! interleaving of sensor messages — and the same stream the naive reference
+//! hub (`reference/naive_hub.rs`) assembles.
 
 use avoc::net::{
     BatchReading, BatchResult, Message, SensorHub, SpecSource, MAX_BATCH_READINGS,
@@ -9,6 +10,10 @@ use avoc::net::{
 use avoc::prelude::*;
 use bytes::{BufMut, BytesMut};
 use proptest::prelude::*;
+
+#[path = "reference/naive_hub.rs"]
+mod naive_hub;
+use naive_hub::NaiveHub;
 
 /// One message of every frame tag (1–18), in tag order, built from one set
 /// of generated field values — the strategy the every-tag properties share.
@@ -116,6 +121,20 @@ fn every_tag(
     ]
 }
 
+/// Rounds as comparable bits: one `(round, module, value)` per ballot, in
+/// emission order.
+fn ballot_bits(rounds: &[Round]) -> Vec<(u64, ModuleId, Option<u64>)> {
+    let ballots = rounds
+        .iter()
+        .flat_map(|r| r.ballots.iter().map(|b| (r.round, b)));
+    ballots
+        .map(|(round, b)| {
+            let value = b.value.as_ref().and_then(Value::as_number);
+            (round, b.module, value.map(f64::to_bits))
+        })
+        .collect()
+}
+
 /// Frames `payload` under a truthful length prefix.
 fn framed(payload: &[u8]) -> BytesMut {
     let mut buf = BytesMut::new();
@@ -209,6 +228,64 @@ proptest! {
         }
         prop_assert!(emitted.windows(2).all(|w| w[0] < w[1]),
             "rounds must be strictly increasing: {emitted:?}");
+    }
+
+    /// The slot hub against the tree hub it replaced, message by message:
+    /// the same rounds (ids, and ballots on `to_bits`), the same straggler
+    /// count and the same liveness, whatever arrives — duplicates, unknown
+    /// modules, explicit missings, heartbeats, shutdowns, rounds out of
+    /// order and far apart, a positional or a scattered module set, a resume
+    /// floor — and whether or not the caller hands its rounds back.
+    #[test]
+    fn hub_matches_the_naive_reference(
+        positional in any::<bool>(),
+        lag in 0u64..5,
+        floor in prop::option::of(0u64..4),
+        recycle in any::<bool>(),
+        script in prop::collection::vec(
+            (0u8..16, 0usize..7, 0u64..160, any::<f64>()),
+            0..120,
+        ),
+    ) {
+        let ids: &[u32] = if positional { &[0, 1, 2] } else { &[3, 7, 42] };
+        let expected: Vec<ModuleId> = ids.iter().copied().map(ModuleId::new).collect();
+        let mut hub = SensorHub::new(expected.clone())
+            .with_lag_tolerance(lag)
+            .with_completed_through(floor);
+        let mut naive = NaiveHub::new(expected, lag, floor);
+        let mut lent = Vec::new();
+        for (kind, pick, place, value) in script {
+            // Four of the seven ids are unknown to either set.
+            let module = ModuleId::new([0, 1, 2, 3, 7, 42, 5][pick]);
+            // Mostly a few rounds in flight; one in eight far away.
+            let near = place % 10;
+            let round = match place / 10 {
+                0 => 1_000_000 + near,
+                1 => u64::MAX - near,
+                _ => near,
+            };
+            let msg = match kind {
+                0 | 1 => Message::Missing { module, round },
+                2 => Message::Heartbeat { module },
+                3 => Message::Shutdown,
+                _ => Message::Reading { module, round, value },
+            };
+            let want = naive.accept(msg.clone());
+            match msg {
+                Message::Reading { module, round, value } if recycle => {
+                    hub.accept_reading_into(module, round, value, &mut lent);
+                }
+                msg => lent = hub.accept(msg),
+            }
+            prop_assert_eq!(ballot_bits(&lent), ballot_bits(&want));
+            prop_assert_eq!(hub.straggler_count(), naive.straggler_count());
+            prop_assert_eq!(hub.liveness(), naive.liveness());
+            if recycle {
+                hub.recycle(&mut lent);
+            }
+            lent.clear();
+        }
+        prop_assert_eq!(ballot_bits(&hub.flush_all()), ballot_bits(&naive.flush_all()));
     }
 
     /// Every session-control frame (tags 5–9) survives an encode/decode

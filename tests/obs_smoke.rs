@@ -253,6 +253,57 @@ fn segments_live_counts_segments_found_at_boot() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A reading a live session drops — late for a round it already fused, or
+/// from a module it does not have — fuses nothing and answers nothing; the
+/// straggler count is the only place it shows.
+#[test]
+fn dropped_stragglers_are_counted() {
+    let (server, wire, admin) = start_daemon();
+    let admin = admin.to_string();
+    let mut client = ServeClient::connect(wire).expect("connect");
+    client
+        .open_session(0, MODULES, SpecSource::Named("avoc".into()))
+        .expect("open_session");
+    for m in 0..MODULES {
+        client
+            .send_reading(0, ModuleId::new(m), 0, 20.0)
+            .expect("send_reading");
+    }
+    assert!(matches!(
+        client.recv().expect("recv"),
+        Message::SessionResult { round: 0, .. }
+    ));
+
+    // The shard counts after it feeds: poll until the tally lands.
+    let straggled_reaches = |want: u64| {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        loop {
+            let stats = json(&http::get(&admin, "/stats").expect("stats").1);
+            let straggled = stats["readings_straggled"].as_u64().expect("the key");
+            assert!(straggled <= want, "{straggled} straggled, {want} sent");
+            if straggled == want {
+                assert_eq!(stats["rounds_fused"].as_u64(), Some(1));
+                assert_eq!(stats["readings_dropped"].as_u64(), Some(0));
+                return;
+            }
+            assert!(std::time::Instant::now() < deadline, "never counted");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    straggled_reaches(0);
+    client
+        .send_reading(0, ModuleId::new(1), 0, 99.0)
+        .expect("late for round 0");
+    straggled_reaches(1);
+    client
+        .send_reading(0, ModuleId::new(MODULES), 1, 99.0)
+        .expect("unknown module");
+    straggled_reaches(2);
+    let (_, text) = http::get(&admin, "/metrics").expect("metrics");
+    assert!(text.contains("avoc_readings_straggled_total 2"), "{text}");
+    assert_eq!(server.shutdown().readings_straggled, 2);
+}
+
 /// Counters that asking over the wire itself moves (the request is a socket
 /// read and a reactor wakeup): a later door may read these higher.
 const MOVED_BY_ASKING: [&str; 3] = ["bytes_received", "epoll_wakeups", "reactor_events"];
