@@ -6,9 +6,8 @@
 //! [`agreement`] and is the one the voting core uses.
 //!
 //! For the multi-dimensional generalisation the paper points at unsupervised
-//! algorithms such as Mean-shift and X-means; this crate provides from-scratch
-//! implementations of [`dbscan`], [`kmeans`], [`xmeans`] and [`meanshift`] so
-//! that downstream users can swap the bootstrap strategy.
+//! algorithms such as Mean-shift and X-means; [`meanshift`] is the one the
+//! voting core bootstraps vector rounds with (`avoc_core::multidim`).
 //!
 //! # Example
 //!
@@ -26,18 +25,10 @@
 #![warn(missing_docs)]
 
 pub mod agreement;
-pub mod dbscan;
-pub mod kmeans;
 pub mod meanshift;
 pub mod point;
-pub mod silhouette;
 pub mod stats;
-pub mod xmeans;
 
 pub use agreement::{AgreementClusterer, Cluster, Clustering, MarginMode};
-pub use dbscan::{Dbscan, DbscanLabel};
-pub use kmeans::{KMeans, KMeansResult};
 pub use meanshift::{MeanShift, MeanShiftResult};
 pub use point::{euclidean, euclidean_sq, Point};
-pub use silhouette::silhouette_score;
-pub use xmeans::{XMeans, XMeansResult};

@@ -37,45 +37,6 @@ pub fn median(xs: &[f64]) -> Option<f64> {
     }
 }
 
-/// Bayesian Information Criterion for a set of spherical-Gaussian clusters
-/// in the X-means style (Pelleg & Moore), with a *per-cluster* variance
-/// estimate — the variant used by practical X-means implementations, which is
-/// markedly more robust for greedy centroid splitting than a single shared
-/// variance.
-///
-/// `clusters[i] = (size, rss)` gives, for cluster `i`, its point count and
-/// its residual sum of squared distances to its own centroid. `dim` is the
-/// data dimensionality.
-///
-/// Larger is better. Returns `f64::NEG_INFINITY` for degenerate inputs (no
-/// points). Zero-variance clusters are handled by a variance floor.
-pub fn bic(clusters: &[(usize, f64)], dim: usize) -> f64 {
-    let k = clusters.len();
-    let n: usize = clusters.iter().map(|(s, _)| s).sum();
-    if n == 0 || k == 0 {
-        return f64::NEG_INFINITY;
-    }
-    let n_f = n as f64;
-    let d = dim as f64;
-
-    let mut log_likelihood = 0.0;
-    for &(size, rss) in clusters {
-        if size == 0 {
-            continue;
-        }
-        let r = size as f64;
-        // Maximum-likelihood variance with a floor to dodge log(0) for
-        // perfectly tight clusters.
-        let sigma_sq = (rss / r).max(1e-12);
-        log_likelihood += r * (r.ln() - n_f.ln())
-            - (r * d / 2.0) * (2.0 * std::f64::consts::PI * sigma_sq).ln()
-            - r * d / 2.0;
-    }
-    // Free parameters: k-1 mixture weights, k*d centroid coords, k variances.
-    let params = (k as f64 - 1.0) + k as f64 * d + k as f64;
-    log_likelihood - params / 2.0 * n_f.ln()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,41 +64,5 @@ mod tests {
         assert_eq!(median(&[3.0, 1.0, 2.0]), Some(2.0));
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), Some(2.5));
         assert_eq!(median(&[]), None);
-    }
-
-    #[test]
-    fn bic_prefers_true_structure() {
-        // Two well-separated tight blobs: splitting into 2 clusters must give
-        // a higher BIC than lumping into 1.
-        let lump_rss = 2.0 * (5.0f64.powi(2) + 4.9f64.powi(2));
-        let one = bic(&[(4, lump_rss)], 1);
-        let pair_rss = 2.0 * 0.05f64.powi(2);
-        let two = bic(&[(2, pair_rss), (2, pair_rss)], 1);
-        assert!(two > one, "two={two} one={one}");
-    }
-
-    #[test]
-    fn bic_penalises_needless_split() {
-        // One tight blob: splitting it should NOT raise BIC.
-        // 10 evenly spaced points in [0, 0.9]: rss = sum (x - 0.45)^2.
-        let xs: Vec<f64> = (0..10).map(|i| i as f64 * 0.1).collect();
-        let m = mean(&xs).unwrap();
-        let rss: f64 = xs.iter().map(|x| (x - m) * (x - m)).sum();
-        let one = bic(&[(10, rss)], 1);
-        // Split into halves [0,0.4] and [0.5,0.9].
-        let half_rss: f64 = (0..5)
-            .map(|i| {
-                let x = i as f64 * 0.1;
-                (x - 0.2) * (x - 0.2)
-            })
-            .sum();
-        let two = bic(&[(5, half_rss), (5, half_rss)], 1);
-        assert!(one > two, "one={one} two={two}");
-    }
-
-    #[test]
-    fn bic_degenerate() {
-        assert_eq!(bic(&[], 1), f64::NEG_INFINITY);
-        assert!(bic(&[(3, 0.0)], 1).is_finite());
     }
 }

@@ -217,15 +217,8 @@ impl SensorHub {
 
     /// Feeds one reading without wrapping it in a [`Message`] first — what
     /// [`SensorHub::accept`] does with a `Reading` frame, for callers that
-    /// already hold the fields; returns any rounds that became ready.
-    pub fn accept_reading(&mut self, module: ModuleId, round: u64, value: f64) -> Vec<Round> {
-        let mut out = Vec::new();
-        self.accept_reading_into(module, round, value, &mut out);
-        out
-    }
-
-    /// [`SensorHub::accept_reading`], appending the rounds that became ready
-    /// to `out` instead of returning a fresh vector. The rounds are buffers
+    /// already hold the fields — appending the rounds that became ready to
+    /// `out` instead of returning a fresh vector. The rounds are buffers
     /// on loan: a caller that passes them to [`SensorHub::recycle`] once it
     /// has read them feeds a steady stream without allocating.
     pub fn accept_reading_into(
@@ -592,11 +585,13 @@ mod slot_tests {
     #[test]
     fn unbounded_lag_tolerance_never_deadline_flushes() {
         let mut hub = SensorHub::new(vec![m(0), m(1)]).with_lag_tolerance(u64::MAX);
-        assert!(hub.accept_reading(m(0), 0, 1.0).is_empty());
-        assert!(hub.accept_reading(m(0), 10, 1.0).is_empty());
-        assert!(hub.accept_reading(m(0), u64::MAX, 1.0).is_empty());
+        let mut done = Vec::new();
+        hub.accept_reading_into(m(0), 0, 1.0, &mut done);
+        hub.accept_reading_into(m(0), 10, 1.0, &mut done);
+        hub.accept_reading_into(m(0), u64::MAX, 1.0, &mut done);
+        assert!(done.is_empty());
         // Completion still flushes the older open round first.
-        let done = hub.accept_reading(m(1), 10, 2.0);
+        hub.accept_reading_into(m(1), 10, 2.0, &mut done);
         assert_eq!(done.iter().map(|r| r.round).collect::<Vec<_>>(), [0, 10]);
         let rest = hub.flush_all();
         assert_eq!(rest.iter().map(|r| r.round).collect::<Vec<_>>(), [u64::MAX]);

@@ -2,8 +2,8 @@
 //!
 //! The paper's UC-1 deployment (Fig. 1) wires five light sensors through a
 //! VINT hub that streams to a voting sink node; UC-2 runs an "edge voter"
-//! on a laptop. This crate reproduces that pipeline as an in-process
-//! middleware over `crossbeam` channels:
+//! on a laptop. This crate is the substrate that pipeline is served from —
+//! the voter itself is the `avoc-serve` daemon:
 //!
 //! * [`message`] — the length-prefixed binary wire protocol (built on
 //!   `bytes`) sensors speak to the hub;
@@ -13,11 +13,6 @@
 //! * [`hub`] — the [`hub::SensorHub`]: assembles per-module readings into
 //!   complete voting rounds, deadline-flushing partial rounds so missing
 //!   values surface as `None` ballots;
-//! * [`sink`] — the [`sink::SinkNode`]: a worker thread driving a
-//!   [`avoc_core::VotingEngine`] over incoming rounds;
-//! * [`edge`] — the [`edge::EdgeVoter`]: the full VDX-configured service —
-//!   spawn sensor feeders from a recorded trace, run hub + sink, collect
-//!   fused outputs;
 //! * [`reactor`] — the readiness-based socket core ([`reactor::spawn_pool`])
 //!   the `avoc-serve` daemon and the `avoc-gateway` both serve from: the
 //!   only socket server in the workspace;
@@ -25,15 +20,24 @@
 //!
 //! # Example
 //!
-//! ```
-//! use avoc_net::edge::EdgeVoter;
-//! use avoc_sim::LightScenario;
-//! use avoc_vdx::VdxSpec;
+//! A sensor's frame crosses the wire and completes a round at the hub:
 //!
-//! let trace = LightScenario::new(5, 50, 7).generate();
-//! let outputs = EdgeVoter::new(VdxSpec::avoc())?.run_trace(&trace);
-//! assert_eq!(outputs.len(), 50);
-//! # Ok::<(), Box<dyn std::error::Error>>(())
+//! ```
+//! use avoc_core::ModuleId;
+//! use avoc_net::{Message, SensorHub};
+//!
+//! let mut hub = SensorHub::new(vec![ModuleId::new(0), ModuleId::new(1)]);
+//! let mut wire = bytes::BytesMut::new();
+//! for (module, value) in [(0, 18.0), (1, 18.2)] {
+//!     let module = ModuleId::new(module);
+//!     Message::Reading { module, round: 7, value }.encode_into(&mut wire);
+//! }
+//! let mut rounds = Vec::new();
+//! while let Ok(frame) = Message::decode(&mut wire) {
+//!     rounds.extend(hub.accept(frame));
+//! }
+//! assert_eq!(rounds.len(), 1);
+//! assert_eq!((rounds[0].round, rounds[0].present_count()), (7, 2));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -41,14 +45,11 @@
 
 pub mod chaos;
 pub mod cork;
-pub mod edge;
 pub mod hub;
 pub mod message;
 pub mod reactor;
-pub mod sink;
 
 pub use cork::{CorkMetrics, CorkedWriter, FlushOutcome, WriterStats};
-pub use edge::EdgeVoter;
 pub use hub::{Liveness, SensorHub};
 pub use message::{
     BatchReading, BatchResult, Message, SpecSource, MAX_BATCH_READINGS, MAX_BATCH_RESULTS,
@@ -57,4 +58,3 @@ pub use reactor::{
     spawn_pool, ConnWaker, DecodeStep, FrameVerdict, Handler, ReactorConfig, ReactorMetrics,
     ReactorPool, StreamDecoder,
 };
-pub use sink::SinkNode;

@@ -1,9 +1,8 @@
 //! `avoc-serve`: a sharded, multi-tenant VDX voter service daemon.
 //!
 //! The paper's vision (§8) is a *voter service* on an edge node that any
-//! deployment can hand a VDX document to. [`avoc_net::EdgeVoter`] realises
-//! that for a single tenant and a single recorded trace; this crate turns it
-//! into a long-running daemon that multiplexes many concurrent **voting
+//! deployment can hand a VDX document to. This crate is that service: a
+//! long-running daemon that multiplexes many concurrent **voting
 //! sessions** — each with its own VDX spec, module set, fusion engine and
 //! history — over the `avoc-net` wire substrate.
 //!

@@ -1140,8 +1140,15 @@ mod tests {
         let service = VoterService::start(config(1), registry());
         let (sink, _results) = channel::unbounded();
         assert!(matches!(
-            service.open_session(1, 3, &SpecSource::Named("nope".into()), sink),
+            service.open_session(1, 3, &SpecSource::Named("nope".into()), sink.clone()),
             Err(ServeError::UnknownSpec(_))
+        ));
+        // So does an inline document that parses but does not validate.
+        let mut invalid = VdxSpec::avoc();
+        invalid.params.error = f64::NAN;
+        assert!(matches!(
+            service.open_session(1, 3, &SpecSource::Inline(invalid.to_json()), sink),
+            Err(ServeError::Vdx(_))
         ));
     }
 

@@ -49,7 +49,10 @@ pub enum Durability {
     /// Additionally `fsync` (`File::sync_data`) per write: an OS crash or
     /// power loss loses nothing either. Orders of magnitude slower — the
     /// paper's "datastore writes are the bottleneck" observation, dialled
-    /// to eleven; pair with a write-behind [`crate::CachedHistory`].
+    /// to eleven. The daemon's answer is [`FileHistory::checkpoint`]: one
+    /// `Commit` record per round instead of one write per module update
+    /// (`serve.checkpoint_p50_us`, `store.checkpoint_us_per_round` in
+    /// `BENCHMARK.json`).
     Fsync,
 }
 

@@ -9,11 +9,6 @@
 //!   CRC-framed binary records with explicit compaction, mirroring the
 //!   paper's persistent record keeping. A record's payload is a segment
 //!   block, so the crate has one durable row format and one decoder;
-//! * [`SharedHistory`] — a thread-safe in-memory store for the middleware
-//!   layer, where an edge voter service and a monitoring endpoint share the
-//!   records;
-//! * [`CachedHistory`] — a write-behind cache wrapping any store, showing
-//!   how the datastore bottleneck is engineered away;
 //! * [`TieredStore`] — the cold tier: immutable columnar segments
 //!   ([`SegmentFile`]) that a background compactor folds session WALs into
 //!   (rows move across as they are — the fold decodes blocks and re-chunks
@@ -28,17 +23,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cached;
 pub mod codec;
 mod file;
 pub mod segment;
-mod shared;
 mod tiered;
 
-pub use cached::CachedHistory;
 pub use file::{validate_wal, Durability, FileHistory, VerdictRecord, WalError};
 pub use segment::{SegmentFile, SessionRows};
-pub use shared::SharedHistory;
 pub use tiered::{
     session_wal_path, CompactionReport, CrashPoint, OutvotedRow, SessionSummary, TierStats,
     TieredPin, TieredStore,

@@ -1,57 +1,34 @@
 //! The portable 'shoe-box' demonstrator (Fig. 2 of the paper): a Raspberry
 //! Pi runs the fusion loop while an LCD shows "the voting results and
-//! weight values" live. Here the LCD is a monitor thread polling a
-//! [`avoc::store::SharedHistory`] that it shares with the voting thread —
-//! the same record store observed from two places at once.
+//! weight values" live. Here the LCD is a monitor thread the voting thread
+//! sends a snapshot of its records ([`Voter::histories`]) to over a channel
+//! every few rounds — the display never touches the voter's own store.
 //!
 //! ```text
 //! cargo run --release --example shoebox_monitor
 //! ```
 
-use avoc::core::HistoryStore;
 use avoc::prelude::*;
-use avoc::store::SharedHistory;
-use avoc_core::algorithms::AvocVoter;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 fn main() {
-    // The shared record store: the voter writes, the "LCD" reads.
-    let records = SharedHistory::new();
-    let lcd_view = records.clone();
-    let done = Arc::new(AtomicBool::new(false));
-    let lcd_done = done.clone();
-
-    // The LCD thread: renders a snapshot a few times over the run.
-    let lcd = std::thread::spawn(move || {
-        let mut frames = Vec::new();
-        while !lcd_done.load(Ordering::Relaxed) {
-            let snapshot = lcd_view.snapshot();
-            if !snapshot.is_empty() {
-                frames.push(snapshot);
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-        frames
-    });
+    // The LCD thread: keeps every record snapshot the voter sends it.
+    let (to_lcd, snapshots) = crossbeam::channel::unbounded::<Vec<(ModuleId, f64)>>();
+    let lcd = std::thread::spawn(move || snapshots.iter().collect::<Vec<_>>());
 
     // The fusion loop: 5 sensors, one goes faulty halfway through.
     let clean = LightScenario::new(5, 400, 8).generate();
     let trace = FaultInjector::new(2, FaultKind::Offset(6.0)).apply(&clean, 8);
-    let mut voter = AvocVoter::new(
-        VoterConfig::new().with_collation(Collation::MeanNearestNeighbor),
-        records,
-    );
+    let mut voter = AvocVoter::with_defaults();
     let mut last = 0.0;
     for round in trace.iter_rounds() {
         let verdict = voter.vote(&round).expect("full rounds");
         last = verdict.number().expect("numeric");
-        // Pace the loop a little so the monitor can observe evolution.
         if round.round % 50 == 0 {
-            std::thread::sleep(std::time::Duration::from_millis(5));
+            to_lcd.send(voter.histories()).expect("lcd thread is up");
         }
     }
-    done.store(true, Ordering::Relaxed);
+    to_lcd.send(voter.histories()).expect("lcd thread is up");
+    drop(to_lcd);
     let frames = lcd.join().expect("lcd thread");
 
     println!(
@@ -69,5 +46,5 @@ fn main() {
         }
     }
     println!("\n(the faulty sensor M2 shows a zeroed record — the display sees");
-    println!(" exactly what the voter learned, through the shared store)");
+    println!(" exactly what the voter learned, as of the last snapshot it was sent)");
 }

@@ -201,11 +201,6 @@ impl Bytes {
     pub fn to_vec(&self) -> Vec<u8> {
         self.0.clone()
     }
-
-    /// Builds from a static slice.
-    pub fn from_static(src: &'static [u8]) -> Self {
-        Bytes(src.to_vec())
-    }
 }
 
 impl From<Vec<u8>> for Bytes {

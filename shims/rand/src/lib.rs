@@ -19,22 +19,6 @@ pub trait Rng {
     fn random_range<T: SampleUniform, R: SampleRange<T>>(&mut self, range: R) -> T {
         range.sample(self)
     }
-
-    /// A uniformly random value of a [`Random`] type (`rand::random` analogue).
-    fn random<T: Random>(&mut self) -> T {
-        T::random(self)
-    }
-
-    /// `true` with probability `p`.
-    fn random_bool(&mut self, p: f64) -> bool {
-        unit_f64(self.next_u64()) < p
-    }
-}
-
-impl<R: Rng + ?Sized> Rng for &mut R {
-    fn next_u64(&mut self) -> u64 {
-        (**self).next_u64()
-    }
 }
 
 /// Seedable generators (`rand::SeedableRng` analogue).
@@ -62,12 +46,6 @@ impl SampleUniform for f64 {
     fn sample_in<R: Rng + ?Sized>(lo: Self, hi: Self, _inclusive: bool, rng: &mut R) -> Self {
         assert!(lo < hi || (lo == hi && _inclusive), "empty range");
         lo + unit_f64(rng.next_u64()) * (hi - lo)
-    }
-}
-
-impl SampleUniform for f32 {
-    fn sample_in<R: Rng + ?Sized>(lo: Self, hi: Self, inclusive: bool, rng: &mut R) -> Self {
-        f64::sample_in(f64::from(lo), f64::from(hi), inclusive, rng) as f32
     }
 }
 
@@ -107,30 +85,6 @@ impl<T: SampleUniform> SampleRange<T> for Range<T> {
 impl<T: SampleUniform> SampleRange<T> for RangeInclusive<T> {
     fn sample<R: Rng + ?Sized>(self, rng: &mut R) -> T {
         T::sample_in(*self.start(), *self.end(), true, rng)
-    }
-}
-
-/// Types producible by [`Rng::random`].
-pub trait Random {
-    /// Draws one uniformly random value.
-    fn random<R: Rng + ?Sized>(rng: &mut R) -> Self;
-}
-
-impl Random for f64 {
-    fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        unit_f64(rng.next_u64())
-    }
-}
-
-impl Random for u64 {
-    fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64()
-    }
-}
-
-impl Random for bool {
-    fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() & 1 == 1
     }
 }
 

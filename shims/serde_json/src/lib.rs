@@ -3,7 +3,7 @@
 //! JSON text is parsed into / printed from the shim serde's [`Content`]
 //! model, which this crate re-exports as [`Value`]. Only the API surface the
 //! workspace uses is provided: [`from_str`], [`to_string`],
-//! [`to_string_pretty`], [`to_writer`], [`Value`], and [`Error`].
+//! [`to_string_pretty`], [`Value`], and [`Error`].
 
 #![forbid(unsafe_code)]
 
@@ -19,8 +19,8 @@ pub type Value = serde::content::Content;
 /// The object representation behind [`Value::as_object`].
 pub type Map = serde::content::Map;
 
-/// A JSON error: syntax failures from the parser, shape failures from
-/// deserialization, or I/O failures from [`to_writer`].
+/// A JSON error: syntax failures from the parser or shape failures from
+/// deserialization.
 #[derive(Debug)]
 pub struct Error {
     msg: String,
@@ -76,15 +76,6 @@ impl std::error::Error for Error {
     }
 }
 
-impl From<io::Error> for Error {
-    fn from(e: io::Error) -> Self {
-        Error {
-            msg: e.to_string(),
-            source: Some(Box::new(e)),
-        }
-    }
-}
-
 impl From<Error> for io::Error {
     fn from(e: Error) -> Self {
         io::Error::new(io::ErrorKind::InvalidData, e)
@@ -130,20 +121,6 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
     let mut out = String::new();
     print_pretty(&value.to_content(), 0, &mut out);
     Ok(out)
-}
-
-/// Writes a value as compact JSON.
-///
-/// # Errors
-///
-/// [`Error`] when the writer fails.
-pub fn to_writer<W: io::Write, T: Serialize + ?Sized>(
-    mut writer: W,
-    value: &T,
-) -> Result<(), Error> {
-    let s = to_string(value)?;
-    writer.write_all(s.as_bytes())?;
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------

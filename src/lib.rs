@@ -13,11 +13,11 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`core`] | `avoc-core` | values, rounds, the voter family, the engine |
-//! | [`cluster`] | `avoc-cluster` | agreement clustering, DBSCAN, k-means, X-means, mean-shift |
+//! | [`cluster`] | `avoc-cluster` | agreement clustering (the AVOC bootstrap), mean-shift (its vector form) |
 //! | [`vdx`] | `avoc-vdx` | the VDX JSON spec, validation, voter factory, VDL compatibility |
 //! | [`sim`] | `avoc-sim` | light-sensor and BLE-beacon scenario generators, fault injection |
-//! | [`store`] | `avoc-store` | durable/shared/cached history datastores |
-//! | [`net`] | `avoc-net` | wire protocol, sensor hub, sink node, edge voter service |
+//! | [`store`] | `avoc-store` | durable history datastores: WAL, columnar segments |
+//! | [`net`] | `avoc-net` | wire protocol, corked writer, sensor hub, socket reactor |
 //! | [`serve`] | `avoc-serve` | sharded multi-tenant voter daemon, TCP server + client |
 //! | [`gateway`] | `avoc-gateway` | multi-node routing tier: hash-ring placement, migration |
 //! | [`obs`] | `avoc-obs` | metric registry, latency histograms, trace ring, scrape HTTP |
@@ -68,7 +68,7 @@ pub mod prelude {
         RoundResult, Value, VoteError, VoterConfig, VotingEngine,
     };
     pub use avoc_metrics::{AmbiguityReport, ConvergenceReport};
-    pub use avoc_net::{EdgeVoter, SpecSource};
+    pub use avoc_net::SpecSource;
     pub use avoc_serve::{
         ClientConfig, Persistence, ResilientClient, RetryPolicy, ServeClient, ServeConfig,
         SpecRegistry, TcpServer, VoterService,
@@ -85,8 +85,18 @@ mod tests {
     #[test]
     fn facade_wires_the_whole_stack() {
         let trace = LightScenario::new(5, 10, 1).generate();
-        let spec = VdxSpec::avoc();
-        let outputs = EdgeVoter::new(spec).expect("valid spec").run_trace(&trace);
-        assert_eq!(outputs.len(), 10);
+        let registry = std::sync::Arc::new(SpecRegistry::new());
+        let service = VoterService::start(ServeConfig::default(), registry);
+        let (sink, results) = crossbeam::channel::unbounded();
+        let spec = SpecSource::Inline(VdxSpec::avoc().to_json());
+        service.open_session(1, 5, &spec, sink).expect("valid spec");
+        for round in trace.iter_rounds() {
+            for (module, value) in round.present_numbers() {
+                service.feed(1, module, round.round, value).expect("feed");
+            }
+        }
+        service.close_session(1).expect("close");
+        assert_eq!(service.drain().rounds_fused, 10);
+        assert!(results.try_recv().is_ok());
     }
 }

@@ -48,20 +48,53 @@ fn vdx_json_to_engine_to_metrics() {
 
 #[test]
 fn middleware_pipeline_against_direct_engine() {
-    // The hub/sink pipeline must produce the same outputs as driving the
-    // engine directly with the same spec and trace.
+    use avoc::net::Message;
+    // The daemon's hub → engine path, one feeder thread per sensor, must
+    // fuse the same stream as driving the engine directly with the same
+    // spec and trace. The lag tolerance covers the trace, so no interleaving
+    // of the feeders force-flushes a round short of its five readings.
     let trace = LightScenario::new(5, 60, 5).generate();
     let spec = VdxSpec::avoc();
+    let service = VoterService::start(
+        ServeConfig {
+            lag_tolerance: trace.rounds() as u64,
+            ..ServeConfig::default()
+        },
+        std::sync::Arc::new(SpecRegistry::new()),
+    );
+    let (sink, results) = crossbeam::channel::unbounded();
+    let inline = SpecSource::Inline(spec.to_json());
+    service.open_session(1, 5, &inline, sink).unwrap();
+    std::thread::scope(|feeders| {
+        for sensor in 0..5 {
+            let (service, series) = (&service, trace.series(sensor));
+            feeders.spawn(move || {
+                let module = ModuleId::new(sensor as u32);
+                for (round, value) in series.into_iter().enumerate() {
+                    let value = value.expect("the light scenario drops nothing");
+                    service.feed(1, module, round as u64, value).unwrap();
+                }
+            });
+        }
+    });
+    service.close_session(1).unwrap();
+    service.drain();
+    let bits = |(round, value): (u64, Option<f64>)| (round, value.map(f64::to_bits));
+    let fused: Vec<_> = results
+        .try_iter()
+        .flat_map(|frame| match frame {
+            Message::ResultBatch { results, .. } => {
+                results.into_iter().map(|r| (r.round, r.value)).collect()
+            }
+            Message::SessionResult { round, value, .. } => vec![(round, value)],
+            other => panic!("unexpected frame {other:?}"),
+        })
+        .map(bits)
+        .collect();
 
-    let pipeline_outputs = EdgeVoter::new(spec.clone()).unwrap().run_trace(&trace);
     let mut direct = build_engine(&spec).unwrap();
-    let direct_outputs = run_engine(&mut direct, &trace);
-
-    assert_eq!(pipeline_outputs.len(), direct_outputs.len());
-    for (p, d) in pipeline_outputs.iter().zip(&direct_outputs) {
-        let p_val = p.result.as_ref().expect("pipeline ok").number();
-        assert_eq!(p_val, *d, "round {}", p.round);
-    }
+    let direct_outputs = (0..).zip(run_engine(&mut direct, &trace)).map(bits);
+    assert_eq!(fused, direct_outputs.collect::<Vec<_>>());
 }
 
 #[test]

@@ -884,32 +884,52 @@ proptest! {
         }
     }
 
-    /// A full-pipeline run over randomly gappy traces produces exactly one
-    /// output per round, whatever the gaps.
+    /// A one-session daemon fed a randomly gappy trace by one thread per
+    /// sensor emits, once closed, exactly one verdict per round it heard a
+    /// reading for, in round order. (The daemon never hears an explicit
+    /// `Missing`: a gap surfaces when a later round completes, or at close.)
     #[test]
     fn pipeline_emits_one_output_per_round(
         gaps in prop::collection::vec(prop::collection::vec(any::<bool>(), 4..=4), 5..15),
     ) {
-        let values: Vec<Vec<Option<f64>>> = gaps
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .enumerate()
-                    .map(|(m, &present)| present.then_some(18.0 + m as f64 * 0.01))
-                    .collect()
-            })
-            .collect();
-        let trace = RecordedTrace::new(
-            (0..4).map(|i| format!("S{i}")).collect(),
-            values,
-            8.0,
-        );
         let mut spec = VdxSpec::avoc();
         spec.quorum = avoc::vdx::QuorumKind::Any;
-        let outputs = EdgeVoter::new(spec).unwrap().run_trace(&trace);
-        prop_assert_eq!(outputs.len(), trace.rounds());
-        let rounds: Vec<u64> = outputs.iter().map(|o| o.round).collect();
-        prop_assert!(rounds.windows(2).all(|w| w[0] < w[1]));
+        let service = VoterService::start(
+            ServeConfig {
+                lag_tolerance: gaps.len() as u64,
+                ..ServeConfig::default()
+            },
+            std::sync::Arc::new(SpecRegistry::new()),
+        );
+        let (sink, results) = crossbeam::channel::unbounded();
+        let inline = SpecSource::Inline(spec.to_json());
+        service.open_session(1, 4, &inline, sink).unwrap();
+        std::thread::scope(|feeders| {
+            for sensor in 0..4 {
+                let (service, gaps) = (&service, &gaps);
+                feeders.spawn(move || {
+                    let module = ModuleId::new(sensor as u32);
+                    let value = 18.0 + sensor as f64 * 0.01;
+                    for (round, _) in gaps.iter().enumerate().filter(|(_, row)| row[sensor]) {
+                        service.feed(1, module, round as u64, value).unwrap();
+                    }
+                });
+            }
+        });
+        service.close_session(1).unwrap();
+        service.drain();
+        let mut fused = Vec::new();
+        for frame in results.try_iter() {
+            match frame {
+                Message::ResultBatch { results, .. } => {
+                    fused.extend(results.iter().map(|r| r.round))
+                }
+                Message::SessionResult { round, .. } => fused.push(round),
+                other => prop_assert!(false, "unexpected frame {:?}", other),
+            }
+        }
+        let heard = (0u64..).zip(&gaps).filter(|(_, row)| row.contains(&true));
+        prop_assert_eq!(fused, heard.map(|(round, _)| round).collect::<Vec<_>>());
     }
 }
 

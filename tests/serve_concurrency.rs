@@ -540,12 +540,12 @@ fn staged_readings_precede_whatever_ends_their_read() {
 /// The deployment shape of the paper's Fig. 1 — every sensor on its own
 /// link to the voter — on the daemon, the workspace's only socket server:
 /// five connections, one per module and spread over two reactors, feed one
-/// session, and the stream it fuses is bit-identical to the in-process
-/// channel pipeline's on the same trace. The lag tolerance covers the whole
-/// trace, so however the sensor threads interleave no round is force-flushed
-/// short of its five readings.
+/// session, and the stream it fuses is bit-identical to the engine driven
+/// directly over the same trace, and never follows the sensor reading +6 klm
+/// high. The lag tolerance covers the whole trace, so however the sensor
+/// threads interleave no round is force-flushed short of its five readings.
 #[test]
-fn one_socket_per_sensor_fuses_the_same_stream_as_the_channel_pipeline() {
+fn one_socket_per_sensor_fuses_the_same_stream_as_the_direct_engine() {
     use avoc::sim::{FaultInjector, FaultKind, LightScenario};
     const SENSORS: usize = 5;
     const TRACE_ROUNDS: usize = 60;
@@ -554,10 +554,11 @@ fn one_socket_per_sensor_fuses_the_same_stream_as_the_channel_pipeline() {
     let clean = LightScenario::new(SENSORS, TRACE_ROUNDS, 31).generate();
     let trace = FaultInjector::new(3, FaultKind::Offset(6.0)).apply(&clean, 20);
     let spec = avoc::vdx::VdxSpec::avoc();
-    let expected = avoc::net::EdgeVoter::new(spec.clone())
-        .expect("valid spec")
-        .run_trace(&trace);
-    assert_eq!(expected.len(), TRACE_ROUNDS);
+    let mut direct = avoc::vdx::build_engine(&spec).expect("valid spec");
+    let expected: Vec<_> = trace
+        .iter_rounds()
+        .map(|round| (round.round, direct.submit(&round).expect("round fused")))
+        .collect();
 
     let mut reg = SpecRegistry::new();
     reg.insert("avoc", spec);
@@ -613,8 +614,7 @@ fn one_socket_per_sensor_fuses_the_same_stream_as_the_channel_pipeline() {
     for sensor in sensors {
         sensor.join().expect("sensor thread");
     }
-    for (want, got) in expected.iter().zip(fused) {
-        let result = want.result.as_ref().expect("round fused");
+    for ((want_round, result), got) in expected.iter().zip(fused) {
         let Message::SessionResult {
             session,
             round,
@@ -628,11 +628,12 @@ fn one_socket_per_sensor_fuses_the_same_stream_as_the_channel_pipeline() {
             (session, round, value.map(f64::to_bits), voted),
             (
                 SESSION,
-                want.round,
+                *want_round,
                 result.number().map(f64::to_bits),
                 result.is_voted()
             )
         );
+        assert!(value.is_some_and(|v| v < 20.0), "fault leaked: {value:?}");
     }
 
     collector.close_session(SESSION).expect("close");

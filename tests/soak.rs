@@ -3,10 +3,8 @@
 //! clearing mid-run — verifying long-horizon stability, bounded state and
 //! sane final statistics.
 
-use avoc::core::history::HistoryStore;
+use avoc::core::MemoryHistory;
 use avoc::prelude::*;
-use avoc::store::SharedHistory;
-use avoc_core::algorithms::AvocVoter;
 
 #[test]
 fn paper_scale_soak_with_rolling_faults() {
@@ -23,10 +21,9 @@ fn paper_scale_soak_with_rolling_faults() {
         .during(7_000..9_000)
         .apply(&trace, 3);
 
-    let records = SharedHistory::new();
     let voter = AvocVoter::new(
         VoterConfig::new().with_collation(Collation::WeightedMean),
-        records.clone(),
+        MemoryHistory::new(),
     );
     let mut engine = VotingEngine::new(Box::new(voter))
         .with_quorum(Quorum::Majority)
@@ -66,14 +63,11 @@ fn paper_scale_soak_with_rolling_faults() {
     // 4. The diagnostic log stayed bounded.
     assert_eq!(engine.recent().count(), 64);
 
-    // 5. All sensors rehabilitated after their episodes: by the end every
-    //    record is healthy again.
-    let final_records = records.snapshot();
+    // 5. State stays bounded (exactly the 5 module records) and all sensors
+    //    rehabilitated after their episodes: every record is healthy again.
+    let final_records = engine.histories();
     assert_eq!(final_records.len(), 5);
     for (m, h) in final_records {
         assert!(h > 0.5, "{m} never rehabilitated (h = {h:.2})");
     }
-
-    // 6. State stays bounded: the store holds exactly the 5 module records.
-    assert_eq!(records.snapshot().len(), 5);
 }
