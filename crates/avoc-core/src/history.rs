@@ -9,7 +9,7 @@
 //! benches compare them.
 
 use crate::round::ModuleId;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// The neutral trust value a fresh module starts with.
 pub const INITIAL_HISTORY: f64 = 1.0;
@@ -148,12 +148,13 @@ impl HistoryStore for MemoryHistory {
 
 /// A dense, `Vec`-backed history store for the fusion hot path.
 ///
-/// Module ids are interned to slots on first sight; after that, `get`/`set`
-/// are O(1) slot accesses that never touch the allocator, unlike the
-/// `BTreeMap`-backed [`MemoryHistory`]. A sorted module→slot index is
-/// maintained incrementally (insertion cost is paid once per *new* module,
-/// not per round), keeping [`HistoryStore::snapshot`]'s ascending-order
-/// contract.
+/// The records are one vector sorted by module, so module `i` sits at
+/// index `i` whenever the ids held are `0..n` — as every daemon session's
+/// are. A lookup checks that position first and binary-searches only when
+/// it misses (sparse or out-of-order ids): no hashing, and after a
+/// module's first write nothing touches the allocator, unlike the
+/// `BTreeMap`-backed [`MemoryHistory`]. Snapshots are a copy of the
+/// vector, already in [`HistoryStore::snapshot`]'s ascending order.
 ///
 /// # Example
 ///
@@ -170,12 +171,8 @@ impl HistoryStore for MemoryHistory {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DenseHistory {
-    /// Trust value per slot, indexed by interned slot id.
-    slots: Vec<f64>,
-    /// `(module, slot)` pairs kept sorted ascending by module.
-    by_module: Vec<(ModuleId, usize)>,
-    /// Module → slot interning table.
-    index: HashMap<ModuleId, usize>,
+    /// `(module, trust)` records, ascending by module.
+    records: Vec<(ModuleId, f64)>,
 }
 
 impl DenseHistory {
@@ -195,63 +192,55 @@ impl DenseHistory {
 
     /// Number of records held.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.records.len()
     }
 
     /// Whether the store holds no records.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.records.is_empty()
+    }
+
+    /// Where `module`'s record is (`Ok`) or would be inserted (`Err`):
+    /// its own index when the ids up to it are dense, a binary search
+    /// otherwise.
+    fn find(&self, module: ModuleId) -> Result<usize, usize> {
+        let at = module.index() as usize;
+        match self.records.get(at) {
+            Some(&(m, _)) if m == module => Ok(at),
+            _ => self.records.binary_search_by_key(&module, |&(m, _)| m),
+        }
     }
 }
 
 impl HistoryStore for DenseHistory {
     fn get(&self, module: ModuleId) -> Option<f64> {
-        self.index.get(&module).map(|&slot| self.slots[slot])
+        self.find(module).ok().map(|at| self.records[at].1)
     }
 
     fn set(&mut self, module: ModuleId, value: f64) {
         let value = value.clamp(0.0, 1.0);
-        match self.index.get(&module) {
-            Some(&slot) => self.slots[slot] = value,
-            None => {
-                let slot = self.slots.len();
-                self.slots.push(value);
-                let pos = self
-                    .by_module
-                    .binary_search_by_key(&module, |&(m, _)| m)
-                    .unwrap_err();
-                self.by_module.insert(pos, (module, slot));
-                self.index.insert(module, slot);
-            }
+        match self.find(module) {
+            Ok(at) => self.records[at].1 = value,
+            Err(at) => self.records.insert(at, (module, value)),
         }
     }
 
     fn snapshot(&self) -> Vec<(ModuleId, f64)> {
-        self.by_module
-            .iter()
-            .map(|&(m, slot)| (m, self.slots[slot]))
-            .collect()
+        self.records.clone()
     }
 
     fn snapshot_into(&self, out: &mut Vec<(ModuleId, f64)>) {
-        out.clear();
-        out.extend(
-            self.by_module
-                .iter()
-                .map(|&(m, slot)| (m, self.slots[slot])),
-        );
+        out.clone_from(&self.records);
     }
 
     fn for_each_record(&self, f: &mut dyn FnMut(ModuleId, f64)) {
-        for &(m, slot) in &self.by_module {
-            f(m, self.slots[slot]);
+        for &(m, v) in &self.records {
+            f(m, v);
         }
     }
 
     fn clear(&mut self) {
-        self.slots.clear();
-        self.by_module.clear();
-        self.index.clear();
+        self.records.clear();
     }
 }
 
@@ -308,6 +297,7 @@ pub fn mean_history(records: &[(ModuleId, f64)]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn m(i: u32) -> ModuleId {
         ModuleId::new(i)
@@ -465,5 +455,87 @@ mod tests {
         let mut h: Box<dyn HistoryStore> = Box::new(DenseHistory::new());
         h.set(m(0), 0.7);
         assert_eq!(h.get(m(0)), Some(0.7));
+    }
+
+    /// One step of a random store workload.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Set(ModuleId, f64),
+        Get(ModuleId),
+        GetOrInit(ModuleId),
+        Clear,
+    }
+
+    /// Workloads over one of three id shapes: dense `0..8` (inserted in
+    /// random order), sparse up to `u32::MAX`, or a mix of both. Values
+    /// stray outside `[0, 1]` so clamping is exercised.
+    fn workloads() -> impl Strategy<Value = Vec<Op>> {
+        (0u32..3).prop_flat_map(|shape| {
+            prop::collection::vec((0u8..20, any::<u32>(), -0.5f64..1.5), 1..80).prop_map(
+                move |steps| {
+                    steps
+                        .into_iter()
+                        .map(|(kind, raw, v)| {
+                            let id = m(match shape {
+                                0 => raw % 8,
+                                1 => raw,
+                                _ => [0, 1, 2, 5, 9, 1 << 20, u32::MAX - 1, u32::MAX]
+                                    [raw as usize % 8],
+                            });
+                            match kind {
+                                0..=9 => Op::Set(id, v),
+                                10..=13 => Op::Get(id),
+                                14..=18 => Op::GetOrInit(id),
+                                _ => Op::Clear,
+                            }
+                        })
+                        .collect()
+                },
+            )
+        })
+    }
+
+    proptest! {
+        /// `DenseHistory` against the `BTreeMap` reference, after every
+        /// operation, through every read the trait offers.
+        #[test]
+        fn dense_history_matches_memory_history(ops in workloads()) {
+            let (mut dense, mut mem) = (DenseHistory::new(), MemoryHistory::new());
+            let (mut buf, mut seen) = (vec![(m(3), 0.3)], Vec::new());
+            for op in ops {
+                match op {
+                    Op::Set(id, v) => {
+                        dense.set(id, v);
+                        mem.set(id, v);
+                    }
+                    Op::Get(id) => prop_assert_eq!(dense.get(id), mem.get(id)),
+                    Op::GetOrInit(id) => prop_assert_eq!(
+                        dense.get_or_init(id).to_bits(),
+                        mem.get_or_init(id).to_bits()
+                    ),
+                    Op::Clear => {
+                        dense.clear();
+                        mem.clear();
+                    }
+                }
+                let want = mem.snapshot();
+                prop_assert_eq!(dense.len(), mem.len());
+                prop_assert_eq!(dense.is_empty(), mem.is_empty());
+                prop_assert_eq!(&dense.snapshot(), &want, "after {:?}", op);
+                dense.snapshot_into(&mut buf);
+                prop_assert_eq!(&buf, &want);
+                seen.clear();
+                dense.for_each_record(&mut |id, v| seen.push((id, v)));
+                prop_assert_eq!(&seen, &want);
+                // Every held id, its neighbours (where a positional lookup
+                // would land on the wrong record) and the dense prefix.
+                let near = want
+                    .iter()
+                    .flat_map(|&(id, _)| [id.index().wrapping_sub(1), id.index().wrapping_add(1)]);
+                for id in (0..10).chain(near).map(m) {
+                    prop_assert_eq!(dense.get(id), mem.get(id), "get({}) after {:?}", id, op);
+                }
+            }
+        }
     }
 }

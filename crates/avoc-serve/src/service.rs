@@ -1249,6 +1249,52 @@ mod tests {
     }
 
     #[test]
+    fn idle_sessions_are_evicted_at_the_first_sweep_past_their_deadline() {
+        let service = VoterService::start(
+            ServeConfig {
+                shards: 1,
+                idle_ticks: 100,
+                ..ServeConfig::default()
+            },
+            registry(),
+        );
+        let spec = SpecSource::Named("avoc".into());
+        let (sink_a, results_a) = channel::unbounded();
+        let (sink_b, results_b) = channel::unbounded();
+        service.open_session(1, 1, &spec, sink_a).unwrap();
+        service.open_session(2, 1, &spec, sink_b).unwrap();
+        // One shard tick per reading. B's only reading is tick 1, so it
+        // outstays `idle_ticks` after tick 101; sweeps run on multiples of
+        // 64, so tick 128 reaps it. A reads on every tick after that.
+        service.feed(2, ModuleId::new(0), 0, 1.0).unwrap();
+        let quiesce = |fused: u64| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while service.counters().rounds_fused < fused {
+                assert!(Instant::now() < deadline, "shard never fused {fused}");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        let is_error = |m: &Message| matches!(m, Message::Error { .. });
+        for round in 0..126u64 {
+            service.feed(1, ModuleId::new(0), round, 1.0).unwrap();
+        }
+        quiesce(127);
+        assert_eq!(service.active_sessions(), 2, "B is live at tick 127");
+        assert!(!results_b.try_iter().any(|m| is_error(&m)));
+        service.feed(1, ModuleId::new(0), 126, 1.0).unwrap();
+        let notice = std::iter::from_fn(|| results_b.recv_timeout(Duration::from_secs(10)).ok())
+            .find(is_error)
+            .expect("B is told it was evicted");
+        assert!(matches!(
+            notice,
+            Message::Error { session: 2, ref message } if message == "session evicted: idle timeout"
+        ));
+        let snap = service.drain();
+        assert_eq!(snap.sessions_evicted, 1);
+        assert!(!results_a.try_iter().any(|m| is_error(&m)), "A stays live");
+    }
+
+    #[test]
     fn drain_flushes_inflight_rounds() {
         let service = VoterService::start(config(2), registry());
         let (sink, results) = channel::unbounded();

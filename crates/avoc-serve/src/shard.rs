@@ -248,7 +248,8 @@ pub(crate) struct ShardWorker {
     pub(crate) tiered: Option<Arc<TieredStore>>,
 }
 
-/// How often (in ticks) the worker sweeps for idle sessions.
+/// The tick grid idle sweeps run on, once one could reap something (see
+/// `ShardState::sweep_due`).
 const SWEEP_INTERVAL: u64 = 64;
 
 /// How long the worker blocks on an empty data mailbox before re-checking
@@ -276,7 +277,19 @@ struct ShardState {
     /// are flushed (batched into one frame each) once per loop iteration.
     /// `Session::flush_queued` marks the ones already listed.
     touched: Vec<u64>,
+    /// No session outstays `idle_ticks` until the tick passes this: the
+    /// oldest `last_active_tick` the last sweep kept (its own tick if it
+    /// kept none) plus `idle_ticks`. Activity only moves ticks forward and
+    /// every installed session starts at the current tick, so a sweep
+    /// before then would reap nothing.
+    sweep_due: u64,
     stop: bool,
+}
+
+/// Whether the worker sweeps at `tick`: a sweep interval boundary past the
+/// point where some session could first be idle.
+fn sweeps_at(tick: u64, sweep_due: u64) -> bool {
+    tick.is_multiple_of(SWEEP_INTERVAL) && tick > sweep_due
 }
 
 impl ShardWorker {
@@ -293,6 +306,7 @@ impl ShardWorker {
             tick: 0,
             deferred: VecDeque::new(),
             touched: Vec::new(),
+            sweep_due: 0,
             stop: false,
         };
         let mut ctrl_alive = true;
@@ -632,7 +646,7 @@ impl ShardWorker {
                         &self.counters,
                     );
                     i += 1;
-                    if i.is_multiple_of(DATA_BURST) || st.tick.is_multiple_of(SWEEP_INTERVAL) {
+                    if i.is_multiple_of(DATA_BURST) || sweeps_at(st.tick, st.sweep_due) {
                         break;
                     }
                 }
@@ -647,7 +661,7 @@ impl ShardWorker {
                 self.counters.readings_dropped.inc();
                 i += 1;
             }
-            if st.tick.is_multiple_of(SWEEP_INTERVAL) {
+            if sweeps_at(st.tick, st.sweep_due) {
                 self.sweep(st);
             }
             // Keep the egress cadence of one command per reading: a wakeup
@@ -940,21 +954,23 @@ impl ShardWorker {
     }
 
     /// Reaps sessions that have not seen a reading for `idle_ticks` (their
-    /// checkpoints stay on disk, so resumable sessions remain resumable).
+    /// checkpoints stay on disk, so resumable sessions remain resumable),
+    /// and notes when the next sweep could find one.
     fn sweep(&self, st: &mut ShardState) {
-        let idle: Vec<u64> = st
-            .sessions
-            .iter()
-            .filter(|(_, s)| st.tick.saturating_sub(s.last_active_tick) > self.idle_ticks)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in idle {
-            let mut s = st.sessions.remove(&id).expect("idle key just found");
+        let tick = st.tick;
+        let mut oldest = tick;
+        st.sessions.retain(|&id, s| {
+            if tick.saturating_sub(s.last_active_tick) <= self.idle_ticks {
+                oldest = oldest.min(s.last_active_tick);
+                return true;
+            }
             s.flush(&self.counters);
             s.notify_evicted("idle timeout", &self.counters);
             self.counters.deregister_session(id);
             self.active.fetch_sub(1, Ordering::Relaxed);
             self.counters.sessions_evicted.inc();
-        }
+            false
+        });
+        st.sweep_due = oldest.saturating_add(self.idle_ticks);
     }
 }

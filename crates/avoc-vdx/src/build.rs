@@ -45,9 +45,10 @@ fn numeric_voter(spec: &VdxSpec) -> Box<dyn Voter> {
             WeightingKind::Uniform => Box::new(AverageVoter::new()),
             WeightingKind::Agreement => Box::new(StatelessWeightedVoter::new(cfg)),
         },
-        // Built voters get the dense (slot-interned) store: engine-driven
-        // sessions hit the history on every round, and `DenseHistory` keeps
-        // that lookup O(1) and its snapshots allocation-free.
+        // Built voters get the dense (positional) store: engine-driven
+        // sessions hit the history on every round, and `DenseHistory` finds
+        // module `i` at index `i` with no hashing, its snapshots
+        // allocation-free.
         (HistoryKind::Standard, _) => Box::new(StandardVoter::new(cfg, DenseHistory::new())),
         (HistoryKind::ModuleElimination, _) => {
             Box::new(ModuleEliminationVoter::new(cfg, DenseHistory::new()))

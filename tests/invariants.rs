@@ -2,6 +2,7 @@
 
 use avoc::cluster::{AgreementClusterer, MarginMode};
 use avoc::core::value::levenshtein;
+use avoc::core::{DenseHistory, HistoryStore, MemoryHistory};
 use avoc::prelude::*;
 use proptest::prelude::*;
 
@@ -31,8 +32,88 @@ fn all_voters() -> Vec<Box<dyn Voter>> {
         Box::new(SoftDynamicVoter::with_defaults()),
         Box::new(HybridVoter::with_defaults()),
         Box::new(ClusteringOnlyVoter::new(VoterConfig::new())),
-        Box::new(AvocVoter::new(mnn, avoc::core::MemoryHistory::new())),
+        Box::new(AvocVoter::new(mnn, MemoryHistory::new())),
     ]
+}
+
+/// Strategy: a short trace of rounds (same width) with missing readings:
+/// mostly a tight cluster near 20, one reading in four an outlier.
+fn sparse_trace_values() -> impl Strategy<Value = Vec<Vec<Option<f64>>>> {
+    fn reading() -> impl Strategy<Value = f64> {
+        (0u8..4, -1.0f64..1.0).prop_map(|(k, x)| if k == 0 { 100.0 * x } else { 20.0 + 0.1 * x })
+    }
+    (2usize..=6, 1usize..=30).prop_flat_map(|(width, rounds)| {
+        prop::collection::vec(
+            prop::collection::vec(prop::option::of(reading()), width..=width),
+            rounds..=rounds,
+        )
+    })
+}
+
+/// The five history-aware voters, each over a fresh `store()`.
+fn history_voters<S: HistoryStore + 'static>(store: fn() -> S) -> Vec<Box<dyn Voter>> {
+    let cfg = VoterConfig::new();
+    let mnn = cfg.with_collation(Collation::MeanNearestNeighbor);
+    vec![
+        Box::new(StandardVoter::new(cfg, store())),
+        Box::new(ModuleEliminationVoter::new(cfg, store())),
+        Box::new(SoftDynamicVoter::new(cfg, store())),
+        Box::new(HybridVoter::new(mnn, store())),
+        Box::new(AvocVoter::new(mnn, store())),
+    ]
+}
+
+type VerdictBits = (Option<u64>, Vec<(ModuleId, u64)>, u64, Vec<ModuleId>, bool);
+
+fn verdict_bits(verdict: Result<Verdict, VoteError>) -> Result<VerdictBits, VoteError> {
+    verdict.map(|v| {
+        (
+            v.number().map(f64::to_bits),
+            record_bits(v.weights),
+            v.confidence.to_bits(),
+            v.excluded,
+            v.bootstrapped,
+        )
+    })
+}
+
+fn record_bits(records: Vec<(ModuleId, f64)>) -> Vec<(ModuleId, u64)> {
+    records.into_iter().map(|(m, v)| (m, v.to_bits())).collect()
+}
+
+/// Drives the history-aware voters over `MemoryHistory` (the reference)
+/// and over `DenseHistory` (what `build_engine` hands the daemon) side by
+/// side: every verdict and the records after every round, bit for bit.
+fn stores_agree(rounds: impl IntoIterator<Item = Round>) -> Result<(), TestCaseError> {
+    let mut reference = history_voters(MemoryHistory::new);
+    let mut dense = history_voters(DenseHistory::new);
+    for round in rounds {
+        for (want, got) in reference.iter_mut().zip(&mut dense) {
+            prop_assert_eq!(
+                verdict_bits(got.vote(&round)),
+                verdict_bits(want.vote(&round)),
+                "{}: verdict of round {}",
+                want.name(),
+                round.round
+            );
+            prop_assert_eq!(
+                record_bits(got.histories()),
+                record_bits(want.histories()),
+                "{}: records after round {}",
+                want.name(),
+                round.round
+            );
+        }
+    }
+    Ok(())
+}
+
+/// UC-1 with its +6 klm `Offset` fault, through both stores.
+#[test]
+fn dense_history_voters_match_memory_history_on_uc1() {
+    let clean = LightScenario::new(5, 300, 7).generate();
+    let faulty = FaultInjector::new(3, FaultKind::Offset(6.0)).apply(&clean, 7);
+    stores_agree(faulty.iter_rounds()).unwrap();
 }
 
 proptest! {
@@ -53,6 +134,18 @@ proptest! {
                 prop_assert!((0.0..=1.0).contains(&verdict.confidence));
             }
         }
+    }
+
+    /// The history-aware voters cannot tell `DenseHistory` from
+    /// `MemoryHistory`, missing readings included.
+    #[test]
+    fn dense_history_voters_match_memory_history(rounds in sparse_trace_values()) {
+        stores_agree(
+            rounds
+                .iter()
+                .enumerate()
+                .map(|(i, values)| Round::from_sparse_numbers(i as u64, values)),
+        )?;
     }
 
     /// Histories remain in [0, 1] no matter what data arrives.
