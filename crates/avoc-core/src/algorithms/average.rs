@@ -37,12 +37,6 @@ impl Voter for AverageVoter {
         "average"
     }
 
-    fn vote(&mut self, round: &Round) -> Result<Verdict, VoteError> {
-        let mut out = Verdict::empty();
-        self.vote_into(round, &mut out)?;
-        Ok(out)
-    }
-
     fn vote_into(&mut self, round: &Round, out: &mut Verdict) -> Result<(), VoteError> {
         // Single streaming pass instead of collecting candidate vectors:
         // the plain average needs no per-candidate state at all.

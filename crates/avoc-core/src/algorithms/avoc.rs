@@ -102,12 +102,6 @@ impl<S: HistoryStore + Send> Voter for AvocVoter<S> {
         "avoc"
     }
 
-    fn vote(&mut self, round: &Round) -> Result<Verdict, VoteError> {
-        let mut out = Verdict::empty();
-        self.vote_into(round, &mut out)?;
-        Ok(out)
-    }
-
     fn vote_into(&mut self, round: &Round, out: &mut Verdict) -> Result<(), VoteError> {
         if !self.bootstrap_pending(round) {
             self.inner.vote_inner_into(round, out)?;

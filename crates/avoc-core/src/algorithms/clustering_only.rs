@@ -58,12 +58,12 @@ impl Voter for ClusteringOnlyVoter {
         "clustering-only"
     }
 
-    fn vote(&mut self, round: &Round) -> Result<Verdict, VoteError> {
+    fn vote_into(&mut self, round: &Round, out: &mut Verdict) -> Result<(), VoteError> {
         let cand = common::candidates(round)?;
         let values: Vec<f64> = cand.iter().map(|(_, v)| *v).collect();
-        let verdict = cluster_vote(&self.config, &cand, &values, self.last_output)?;
-        self.last_output = verdict.number();
-        Ok(verdict)
+        *out = cluster_vote(&self.config, &cand, &values, self.last_output)?;
+        self.last_output = out.number();
+        Ok(())
     }
 }
 

@@ -192,12 +192,6 @@ impl<S: HistoryStore + Send> Voter for HybridVoter<S> {
         "hybrid"
     }
 
-    fn vote(&mut self, round: &Round) -> Result<Verdict, VoteError> {
-        let mut out = Verdict::empty();
-        self.vote_inner_into(round, &mut out)?;
-        Ok(out)
-    }
-
     fn vote_into(&mut self, round: &Round, out: &mut Verdict) -> Result<(), VoteError> {
         self.vote_inner_into(round, out)
     }

@@ -131,7 +131,7 @@ impl<S: HistoryStore + Send> Voter for MajorityVoter<S> {
         "weighted-majority"
     }
 
-    fn vote(&mut self, round: &Round) -> Result<Verdict, VoteError> {
+    fn vote_into(&mut self, round: &Round, out: &mut Verdict) -> Result<(), VoteError> {
         let cand: Vec<(ModuleId, String)> = round
             .text_candidates()?
             .into_iter()
@@ -243,7 +243,7 @@ impl<S: HistoryStore + Send> Voter for MajorityVoter<S> {
         } else {
             0.0
         };
-        Ok(Verdict {
+        *out = Verdict {
             value: output.into(),
             excluded: cand
                 .iter()
@@ -258,7 +258,8 @@ impl<S: HistoryStore + Send> Voter for MajorityVoter<S> {
                 .collect(),
             confidence,
             bootstrapped: false,
-        })
+        };
+        Ok(())
     }
 
     fn histories(&self) -> Vec<(ModuleId, f64)> {

@@ -76,7 +76,7 @@ impl<S: HistoryStore + Send> Voter for MlvVoter<S> {
         "maximum-likelihood"
     }
 
-    fn vote(&mut self, round: &Round) -> Result<Verdict, VoteError> {
+    fn vote_into(&mut self, round: &Round, out: &mut Verdict) -> Result<(), VoteError> {
         let cand = common::candidates(round)?;
         let values: Vec<f64> = cand.iter().map(|(_, v)| *v).collect();
         let histories = common::fetch_histories(&mut self.store, &cand);
@@ -142,7 +142,7 @@ impl<S: HistoryStore + Send> Voter for MlvVoter<S> {
 
         let confidence =
             common::weighted_confidence(&self.config.agreement, &cand, &weights, output);
-        Ok(Verdict {
+        *out = Verdict {
             value: output.into(),
             excluded: common::excluded_modules(&cand, &weights),
             weights: cand
@@ -152,7 +152,8 @@ impl<S: HistoryStore + Send> Voter for MlvVoter<S> {
                 .collect(),
             confidence,
             bootstrapped: false,
-        })
+        };
+        Ok(())
     }
 
     fn histories(&self) -> Vec<(ModuleId, f64)> {

@@ -129,7 +129,13 @@ pub trait Voter: Send {
     /// reports and VDX round-trips.
     fn name(&self) -> &'static str;
 
-    /// Fuses one round into a verdict.
+    /// Fuses one round *into* a caller-owned verdict, reusing its buffers.
+    ///
+    /// This is the one method every voter implements, and the hot path:
+    /// voters with per-instance scratch buffers fill `out` in place, so a
+    /// steady-state round performs no heap allocation at all.
+    ///
+    /// On error, `out` is unspecified (it may hold a stale verdict).
     ///
     /// # Errors
     ///
@@ -137,22 +143,18 @@ pub trait Voter: Send {
     /// type errors when ballots don't match the voter's value kind. Quorum
     /// is *not* checked here — that is [`crate::engine::VotingEngine`]'s
     /// job.
-    fn vote(&mut self, round: &Round) -> Result<Verdict, VoteError>;
+    fn vote_into(&mut self, round: &Round, out: &mut Verdict) -> Result<(), VoteError>;
 
-    /// Fuses one round *into* a caller-owned verdict, reusing its buffers.
-    ///
-    /// This is the allocation-free hot path: voters with per-instance
-    /// scratch buffers override it so a steady-state round performs no heap
-    /// allocation at all. The default delegates to [`Voter::vote`].
-    ///
-    /// On error, `out` is unspecified (it may hold a stale verdict).
+    /// Fuses one round into a fresh verdict: [`Voter::vote_into`] on
+    /// [`Verdict::empty`].
     ///
     /// # Errors
     ///
-    /// Exactly as [`Voter::vote`].
-    fn vote_into(&mut self, round: &Round, out: &mut Verdict) -> Result<(), VoteError> {
-        *out = self.vote(round)?;
-        Ok(())
+    /// Exactly as [`Voter::vote_into`].
+    fn vote(&mut self, round: &Round) -> Result<Verdict, VoteError> {
+        let mut out = Verdict::empty();
+        self.vote_into(round, &mut out)?;
+        Ok(out)
     }
 
     /// Current historical records, ascending by module. Empty for stateless
@@ -185,9 +187,6 @@ pub trait Voter: Send {
 impl Voter for Box<dyn Voter> {
     fn name(&self) -> &'static str {
         (**self).name()
-    }
-    fn vote(&mut self, round: &Round) -> Result<Verdict, VoteError> {
-        (**self).vote(round)
     }
     fn vote_into(&mut self, round: &Round, out: &mut Verdict) -> Result<(), VoteError> {
         (**self).vote_into(round, out)

@@ -64,12 +64,6 @@ impl<S: HistoryStore + Send> Voter for ModuleEliminationVoter<S> {
         "module-elimination"
     }
 
-    fn vote(&mut self, round: &Round) -> Result<Verdict, VoteError> {
-        let mut out = Verdict::empty();
-        self.vote_into(round, &mut out)?;
-        Ok(out)
-    }
-
     fn vote_into(&mut self, round: &Round, out: &mut Verdict) -> Result<(), VoteError> {
         common::candidates_into(round, &mut self.scratch.cand)?;
         self.scratch.values.clear();

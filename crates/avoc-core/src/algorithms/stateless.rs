@@ -53,12 +53,6 @@ impl Voter for StatelessWeightedVoter {
         "stateless-weighted"
     }
 
-    fn vote(&mut self, round: &Round) -> Result<Verdict, VoteError> {
-        let mut out = Verdict::empty();
-        self.vote_into(round, &mut out)?;
-        Ok(out)
-    }
-
     fn vote_into(&mut self, round: &Round, out: &mut Verdict) -> Result<(), VoteError> {
         common::candidates_into(round, &mut self.scratch.cand)?;
         self.scratch.values.clear();

@@ -83,7 +83,7 @@ impl Voter for PerDimensionVoter {
         "per-dimension"
     }
 
-    fn vote(&mut self, round: &Round) -> Result<Verdict, VoteError> {
+    fn vote_into(&mut self, round: &Round, out: &mut Verdict) -> Result<(), VoteError> {
         let dim = self.voters.len();
         // Validate dimensions up front.
         for b in &round.ballots {
@@ -142,7 +142,7 @@ impl Voter for PerDimensionVoter {
         }
         excluded.sort_unstable();
 
-        Ok(Verdict {
+        *out = Verdict {
             value: Value::Vector(outputs),
             // Per-module weights differ per dimension; report uniform
             // presence weights at the vector level.
@@ -159,7 +159,8 @@ impl Voter for PerDimensionVoter {
                 0.0
             },
             bootstrapped: any_bootstrap,
-        })
+        };
+        Ok(())
     }
 
     fn reset(&mut self) {
@@ -379,9 +380,10 @@ impl Voter for VectorAvocVoter {
         "vector-avoc"
     }
 
-    fn vote(&mut self, round: &Round) -> Result<Verdict, VoteError> {
+    fn vote_into(&mut self, round: &Round, out: &mut Verdict) -> Result<(), VoteError> {
         if !self.bootstrap_pending() {
-            return self.steady_state_vote(round);
+            *out = self.steady_state_vote(round)?;
+            return Ok(());
         }
 
         // Multi-dimensional clustering bootstrap.
@@ -425,13 +427,14 @@ impl Voter for VectorAvocVoter {
             .filter(|(_, w)| *w <= 0.0)
             .map(|(m, _)| *m)
             .collect();
-        Ok(Verdict {
+        *out = Verdict {
             value: Value::Vector(centroid.into_coords()),
             confidence: members.len() as f64 / points.len() as f64,
             weights,
             excluded,
             bootstrapped: true,
-        })
+        };
+        Ok(())
     }
 
     fn reset(&mut self) {

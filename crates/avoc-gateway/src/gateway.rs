@@ -398,7 +398,7 @@ impl Handler for GatewayHandler {
                 FrameVerdict::Continue
             }
             Message::Shutdown => FrameVerdict::Close,
-            // Everything else — readings, batches, stats — belongs on a
+            // Everything else — readings, batches, closes — belongs on a
             // daemon connection; a confused client learns from silence
             // (its reads time out) rather than a torn-down socket.
             _ => FrameVerdict::Continue,

@@ -87,17 +87,11 @@
 //! payload must be exactly `13 + 17 × count` bytes and `count = 0` is
 //! rejected.
 //!
-//! Tags 14–15 are the in-band observability pair. [`Message::StatsRequest`]
-//! asks the daemon for its live counters; [`Message::StatsReply`] answers
-//! with the `CountersSnapshot` JSON — the same document the daemon dumps at
-//! drain time and serves at `/stats` — so operators can read counters over
-//! an existing session connection without the admin endpoint enabled:
-//!
-//! ```text
-//! tag: u8          14 = StatsRequest (tag only)
-//! tag: u8          15 = StatsReply
-//! json: u32 BE length + UTF-8 bytes
-//! ```
+//! Tags 14–15 are retired, decoded as unknown: a frame carrying either is
+//! consumed whole and fails with [`DecodeError::UnknownTag`], so a reader
+//! resyncs at the next frame. They once carried an in-band counters
+//! request/reply pair; a daemon's counters are read from its admin
+//! `/metrics` endpoint.
 //!
 //! Tags 16–18 are the cluster tier. [`Message::Redirect`] is how a gateway
 //! (or a daemon that just migrated a session away) tells a client which
@@ -304,15 +298,6 @@ pub enum Message {
         /// [`MAX_BATCH_RESULTS`] per frame.
         results: Vec<BatchResult>,
     },
-    /// Asks the daemon for its live service counters (tag 14). Answered
-    /// with a [`Message::StatsReply`]; any client connection may send it.
-    StatsRequest,
-    /// The daemon's live counters as a JSON document (tag 15) — the same
-    /// `CountersSnapshot` schema the daemon dumps at drain time.
-    StatsReply {
-        /// The rendered snapshot JSON.
-        json: String,
-    },
     /// "That session lives elsewhere" (tag 16). A gateway answers
     /// `OpenSession`/`ResumeSession` with this instead of running the
     /// session itself, and a daemon that just migrated a session away sends
@@ -457,8 +442,6 @@ const TAG_FEED_BATCH: u8 = 10;
 const TAG_RESUME_SESSION: u8 = 11;
 const TAG_RESUMED: u8 = 12;
 const TAG_RESULT_BATCH: u8 = 13;
-const TAG_STATS_REQUEST: u8 = 14;
-const TAG_STATS_REPLY: u8 = 15;
 const TAG_REDIRECT: u8 = 16;
 const TAG_EXPORT_SESSION: u8 = 17;
 const TAG_SESSION_STATE: u8 = 18;
@@ -759,11 +742,6 @@ impl Message {
                     frame.put_f64(r.value.unwrap_or(0.0));
                 }
             }
-            Message::StatsRequest => frame.put_u8(TAG_STATS_REQUEST),
-            Message::StatsReply { json } => {
-                frame.put_u8(TAG_STATS_REPLY);
-                put_string(frame, json);
-            }
             Message::Redirect {
                 session,
                 epoch,
@@ -965,8 +943,6 @@ impl Message {
                 }
                 Message::ResultBatch { session, results }
             }
-            TAG_STATS_REQUEST => Message::StatsRequest,
-            TAG_STATS_REPLY => Message::StatsReply { json: r.string()? },
             TAG_REDIRECT => Message::Redirect {
                 session: r.u64()?,
                 epoch: r.u64()?,
@@ -1117,11 +1093,15 @@ mod tests {
 
     #[test]
     fn unknown_tag_consumes_and_errors() {
-        let mut buf = BytesMut::new();
-        buf.put_u32(1);
-        buf.put_u8(99);
-        assert_eq!(Message::decode(&mut buf), Err(DecodeError::UnknownTag(99)));
-        assert!(buf.is_empty(), "bad frame must be consumed for resync");
+        // 14 and 15 are retired tags: unknown, like any never assigned.
+        for (tag, body) in [(99u8, &[][..]), (14, &[]), (15, &[0, 0, 0, 2, b'{', b'}'])] {
+            let mut buf = BytesMut::new();
+            buf.put_u32(1 + body.len() as u32);
+            buf.put_u8(tag);
+            buf.extend_from_slice(body);
+            assert_eq!(Message::decode(&mut buf), Err(DecodeError::UnknownTag(tag)));
+            assert!(buf.is_empty(), "bad frame must be consumed for resync");
+        }
     }
 
     #[test]
@@ -1632,64 +1612,6 @@ mod tests {
         }
         .encode();
         assert_eq!(&via_slice[..], &via_enum[..]);
-    }
-
-    #[test]
-    fn stats_frames_round_trip() {
-        round_trip(Message::StatsRequest);
-        round_trip(Message::StatsReply {
-            json: "{\"rounds_fused\": 42}".into(),
-        });
-        round_trip(Message::StatsReply {
-            json: String::new(),
-        });
-    }
-
-    #[test]
-    fn stats_reply_rejects_truncation_and_trailing_bytes() {
-        let frame = Message::StatsReply {
-            json: "{\"ok\": true}".into(),
-        }
-        .encode();
-        // Length cut mid-string.
-        let cut = frame.len() - 3;
-        let mut buf = BytesMut::from(&frame[..cut]);
-        buf[0..4].copy_from_slice(&((cut - 4) as u32).to_be_bytes());
-        assert!(matches!(
-            Message::decode(&mut buf),
-            Err(DecodeError::BadLength {
-                tag: TAG_STATS_REPLY,
-                ..
-            })
-        ));
-        assert!(buf.is_empty(), "bad frame must be consumed for resync");
-
-        // Stray bytes after the string inside the declared length.
-        let mut buf = BytesMut::new();
-        buf.put_u32((frame.len() - 4 + 1) as u32);
-        buf.extend_from_slice(&frame[4..]);
-        buf.put_u8(0xCC);
-        assert!(matches!(
-            Message::decode(&mut buf),
-            Err(DecodeError::BadLength {
-                tag: TAG_STATS_REPLY,
-                ..
-            })
-        ));
-        assert!(buf.is_empty());
-
-        // StatsRequest carries nothing but its tag.
-        let mut buf = BytesMut::new();
-        buf.put_u32(2);
-        buf.put_u8(TAG_STATS_REQUEST);
-        buf.put_u8(0);
-        assert!(matches!(
-            Message::decode(&mut buf),
-            Err(DecodeError::BadLength {
-                tag: TAG_STATS_REQUEST,
-                ..
-            })
-        ));
     }
 
     #[test]

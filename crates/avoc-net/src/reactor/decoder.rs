@@ -184,7 +184,6 @@ mod tests {
                 session: 9,
                 message: "mailbox full".into(),
             },
-            Message::StatsRequest,
             Message::Shutdown,
         ]
     }
@@ -197,6 +196,29 @@ mod tests {
             let (steps, dec) = streamed(&bytes, &cuts);
             assert_eq!(steps, one_shot(&bytes), "frame {msg:?} split per byte");
             assert_eq!(dec.buffered(), 0, "no carry-over after a whole frame");
+        }
+    }
+
+    #[test]
+    fn a_retired_tag_is_skipped_and_the_next_frame_still_decodes() {
+        let open = Message::OpenSession {
+            session: 5,
+            modules: 4,
+            spec: crate::message::SpecSource::Named("avoc".into()),
+        };
+        // Tag 14 once asked a daemon for its counters; it is unknown now.
+        let mut stream = vec![0, 0, 0, 1, 14];
+        stream.extend_from_slice(&open.encode());
+        for cuts in [&[][..], &[2, 5, 9]] {
+            let (steps, dec) = streamed(&stream, cuts);
+            assert_eq!(
+                steps,
+                vec![
+                    DecodeStep::Skipped(DecodeError::UnknownTag(14)),
+                    DecodeStep::Frame(open.clone()),
+                ]
+            );
+            assert_eq!(dec.buffered(), 0);
         }
     }
 
@@ -224,7 +246,7 @@ mod tests {
         /// decoder produces, with no bytes left behind.
         #[test]
         fn random_splits_match_one_shot(
-            picks in proptest::collection::vec(0usize..10, 1..8),
+            picks in proptest::collection::vec(0usize..9, 1..8),
             cuts in proptest::collection::vec(0usize..4096, 0..12),
             trailing in proptest::collection::vec(any::<u8>(), 0..7),
         ) {

@@ -69,29 +69,6 @@ impl Histogram {
         Arc::clone(&self.core.bounds)
     }
 
-    /// Adds every observation `other` holds to this histogram — counts,
-    /// sum and extrema — as if each had been recorded here.
-    ///
-    /// # Panics
-    ///
-    /// If the two histograms have different bucket layouts.
-    pub(crate) fn absorb(&self, other: &Histogram) {
-        assert_eq!(
-            self.core.bounds, other.core.bounds,
-            "absorbed histogram must share the bucket layout"
-        );
-        let (mine, theirs) = (&self.core, &other.core);
-        for (a, b) in mine.buckets.iter().zip(theirs.buckets.iter()) {
-            a.fetch_add(b.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        mine.sum
-            .fetch_add(theirs.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        mine.min
-            .fetch_min(theirs.min.load(Ordering::Relaxed), Ordering::Relaxed);
-        mine.max
-            .fetch_max(theirs.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// Whether two handles record into the same cells.
     pub fn same_histogram(&self, other: &Histogram) -> bool {
         Arc::ptr_eq(&self.core, &other.core)

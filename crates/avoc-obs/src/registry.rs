@@ -261,41 +261,6 @@ impl Registry {
         cell.histogram().clone()
     }
 
-    /// Ends one histogram series without losing what it counted: every
-    /// observation the child `(name, from)` holds is added to the child
-    /// `(name, into)` — created empty first if the family lacks it — and
-    /// `from` leaves the registry. Both steps happen under the registry
-    /// lock, so no render sees those observations twice or not at all, and
-    /// the family's totals are the same before and after. Handles to the
-    /// dropped child stay valid but are no longer rendered; registering
-    /// `from`'s labels again starts a fresh child at zero. A no-op when
-    /// `name` is not a histogram family or has no `from` child.
-    ///
-    /// # Panics
-    ///
-    /// On an invalid label name in `into`, as [`Registry::counter_with`].
-    pub fn fold_histogram(&self, name: &str, from: &[(&str, &str)], into: &[(&str, &str)]) {
-        for (k, _) in into {
-            assert!(valid_name(k, true), "invalid label name `{k}` on `{name}`");
-        }
-        let mut inner = self.inner.lock();
-        let Some(family) = inner
-            .iter_mut()
-            .find(|f| f.name == name && f.kind == Kind::Histogram)
-        else {
-            return;
-        };
-        let Some(at) = family.children.iter().position(|c| c.has_labels(from)) else {
-            return;
-        };
-        let folded = family.children.remove(at).cell;
-        let scale = folded.histogram().scale();
-        family
-            .child(into, |_| Cell::Histogram(Histogram::on_scale(scale)))
-            .histogram()
-            .absorb(folded.histogram());
-    }
-
     fn register(
         &self,
         name: &str,
@@ -569,59 +534,6 @@ mod tests {
         // canonical layout.
         let b = r.histogram_with("avoc_lat", "", &[7], &[("s", "2")]);
         assert_eq!(a.snapshot().bounds, b.snapshot().bounds);
-    }
-
-    #[test]
-    fn a_folded_child_moves_its_observations_and_leaves_both_renderers() {
-        let r = Registry::new();
-        let a = r.latency_histogram_with("avoc_s", "", &[("session", "1")]);
-        let b = r.latency_histogram_with("avoc_s", "", &[("session", "2")]);
-        for v in [40, 700] {
-            a.record(v);
-        }
-        for v in [5, 90_000, 300] {
-            b.record(v);
-        }
-        let closed: &[(&str, &str)] = &[("session", "closed")];
-        r.fold_histogram("avoc_s", &[("session", "1")], closed);
-        r.fold_histogram("avoc_s", &[("session", "2")], closed);
-        let sum = r.latency_histogram_with("avoc_s", "", closed).snapshot();
-        assert_eq!((sum.count, sum.sum), (5, 40 + 700 + 5 + 90_000 + 300));
-        assert_eq!((sum.min, sum.max), (5, 90_000));
-        assert_eq!(sum.counts.iter().filter(|&&c| c == 1).count(), 5);
-        let (text, json) = (r.render_prometheus(), r.render_json());
-        for gone in ["1", "2"] {
-            assert!(!text.contains(&format!(r#"session="{gone}""#)));
-            assert!(!json.contains(&format!(r#"session=\"{gone}\""#)));
-        }
-        assert!(text.contains(r#"avoc_s_count{session="closed"} 5"#));
-        assert!(json.contains(r#""avoc_s{session=\"closed\"}": {"count": 5"#));
-
-        // The same labels again are a new series, from zero.
-        let again = r.latency_histogram_with("avoc_s", "", &[("session", "1")]);
-        assert!(!again.same_histogram(&a));
-        assert_eq!(again.count(), 0);
-        assert!(r
-            .render_prometheus()
-            .contains(r#"avoc_s_count{session="1"} 0"#));
-    }
-
-    #[test]
-    fn folding_an_unknown_child_changes_nothing() {
-        let r = Registry::new();
-        r.counter("avoc_c_total", "").inc();
-        r.latency_histogram_with("avoc_s", "", &[("session", "1")])
-            .record(9);
-        let before = r.render_prometheus();
-        let closed: &[(&str, &str)] = &[("session", "closed")];
-        r.fold_histogram("avoc_s", &[("session", "7")], closed);
-        r.fold_histogram("avoc_missing", &[("session", "1")], closed);
-        r.fold_histogram("avoc_c_total", &[], closed);
-        assert_eq!(
-            r.render_prometheus(),
-            before,
-            "no tombstone, nothing dropped"
-        );
     }
 
     #[test]

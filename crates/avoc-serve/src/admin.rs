@@ -13,9 +13,9 @@
 //!   with a JSON body naming the degraded domains and reasons otherwise
 //!   (memory-only persistence, paused accept, …).
 //! * `/metrics` — the full registry in Prometheus text exposition;
-//!   `?format=json` renders the same cells as one JSON object.
-//! * `/stats` — the [`crate::CountersSnapshot`] JSON of those same cells
-//!   (same bytes a drain returns and a wire `StatsRequest` frame fetches).
+//!   `?format=json` renders the same cells as one JSON object. It is the
+//!   daemon's one scrape surface; in process, `VoterService::counters()`
+//!   copies the same cells.
 //! * `/sessions` — live sessions: id, shard pin, resumability, rounds fused.
 //! * `/segments` — the segment tier: live segment files (seq, generation,
 //!   bytes, rows) and lifetime compaction statistics.
@@ -55,7 +55,6 @@ pub(crate) fn route(
                 (200, PROM, service.obs_registry().render_prometheus())
             }
         }
-        "/stats" => (200, JSON, service.counters().to_json()),
         // `?scope=durable` lists the ids with durable state this node owns
         // (a flat id array) — what a draining gateway unions with its
         // placement table; the default is the live in-memory view.

@@ -351,39 +351,6 @@ impl ServeClient {
     pub fn recv_n(&mut self, n: usize) -> io::Result<Vec<Message>> {
         (0..n).map(|_| self.recv()).collect()
     }
-
-    /// Fetches the daemon's live counters over the wire (a
-    /// [`Message::StatsRequest`] answered by a [`Message::StatsReply`]) and
-    /// returns the snapshot JSON — the same bytes the admin `/stats` route
-    /// serves. Result frames that interleave with the reply are kept, in
-    /// order, for subsequent [`ServeClient::recv`] calls.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write errors and the [`ServeClient::recv`] error modes.
-    pub fn stats(&mut self) -> io::Result<String> {
-        self.send(&Message::StatsRequest)?;
-        let mut stash: VecDeque<Message> = VecDeque::new();
-        loop {
-            match self.recv() {
-                Ok(Message::StatsReply { json }) => {
-                    // Re-queue what arrived ahead of the reply, preserving
-                    // arrival order in front of anything already inboxed.
-                    while let Some(m) = stash.pop_back() {
-                        self.inbox.push_front(m);
-                    }
-                    return Ok(json);
-                }
-                Ok(other) => stash.push_back(other),
-                Err(e) => {
-                    while let Some(m) = stash.pop_back() {
-                        self.inbox.push_front(m);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-    }
 }
 
 /// What one resilient session remembers between reconnects.

@@ -13,7 +13,7 @@
 //!  TCP clients ──▶│ avoc-net reactor pool: R event-loop threads │
 //!                 │ (SO_REUSEPORT listeners, or accept handoff) │
 //!                 │ each owns its accepted sockets for life;    │
-//!                 │ streaming decode of frames (tags 5–11, 14)  │
+//!                 │ streaming decode of tags 5–13 and 16–18     │
 //!                 └──────────────┬──────────────────────────────┘
 //!                                │ route by hash(session id): ONE command
 //!                                │ per socket read (or FeedBatch) per shard
@@ -38,16 +38,17 @@
 //!   in order without locks around engine state.
 //! * [`ServeConfig`] — mailbox capacity and [`Backpressure`] policy, session
 //!   capacity and [`AdmissionPolicy`], idle-tick eviction.
-//! * [`ServiceCounters`] — sessions opened/evicted/rejected, rounds fused,
-//!   fallbacks, readings/results dropped, per-shard queue-depth high-water
-//!   marks and fuse-latency min/mean/p99, snapshotable while running and
-//!   dumped on drain. Shards never block on a tenant's result sink: a slow
-//!   tenant loses its own overflow (counted) instead of stalling the fleet.
+//! * [`CountersSnapshot`] — sessions opened/evicted/rejected, rounds fused,
+//!   fallbacks, readings/results dropped and per-shard queue-depth
+//!   high-water marks, copied in process by [`VoterService::counters`] and
+//!   returned by a drain. Shards never block on a tenant's result sink: a
+//!   slow tenant loses its own overflow (counted) instead of stalling the
+//!   fleet.
 //! * [`TcpServer`] / [`ServeClient`] — the socket front-end and a small
 //!   blocking client for it.
 //! * the admin endpoint — optional plain-HTTP observability routes
-//!   (`/metrics`, `/healthz`, `/stats`, `/sessions`, `/segments`, `/trace`)
-//!   over [`avoc_obs`]'s registry and span ring, served by the shared
+//!   (`/metrics`, `/healthz`, `/sessions`, `/segments`, `/trace`) over
+//!   [`avoc_obs`]'s registry and span ring, served by the shared
 //!   [`avoc_obs::http::Server`] listener; enabled via
 //!   [`ServeConfig::admin_addr`] (see [`TcpServer::admin_addr`]), off by
 //!   default.
@@ -95,7 +96,7 @@ pub use client::{
     ClientConfig, ClientIoStats, ClientStats, ResilientClient, RetryPolicy, ServeClient,
     MAX_REDIRECT_HOPS,
 };
-pub use metrics::{CountersSnapshot, LatencySummary, ServiceCounters};
+pub use metrics::CountersSnapshot;
 pub use persist::Persistence;
 pub use registry::SpecRegistry;
 pub use server::TcpServer;

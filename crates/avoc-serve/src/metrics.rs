@@ -8,23 +8,18 @@
 //! `sysio` injector's tally, the segment tier's quarantine and segment
 //! counts) are copied in by a refresh that runs before every read: the
 //! registry is private and handed out only by [`ServiceCounters::registry`],
-//! and [`ServiceCounters::snapshot`] starts the same way — so a scrape in
-//! either format, `/stats`, a wire `StatsReply` and the drain dump all read
-//! the same, current cells.
+//! and [`ServiceCounters::snapshot`] starts the same way — so a `/metrics`
+//! scrape in either format and an in-process [`CountersSnapshot`] (from
+//! `counters()`, a drain or a kill) read the same, current cells.
 
 use avoc_net::{CorkMetrics, Message, ReactorMetrics};
 use avoc_obs::{Counter, Gauge, Health, HealthLevel, Histogram, Registry, TraceRing};
 use avoc_store::TieredStore;
 use parking_lot::Mutex;
-use serde::Serialize;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 use crate::sink::ResultSink;
-
-/// The per-session fuse-latency family: one series per live session, plus
-/// the `{session="closed"}` tombstone the ended ones were folded into.
-const SESSION_FUSE: &str = "avoc_session_fuse_latency_ns";
 
 /// Live counters shared by every shard and connection of one daemon.
 ///
@@ -32,7 +27,7 @@ const SESSION_FUSE: &str = "avoc_session_fuse_latency_ns";
 /// directly. The private ones have exactly one writer in this module:
 /// [`ServiceCounters::emit`] or the refresh.
 #[derive(Debug)]
-pub struct ServiceCounters {
+pub(crate) struct ServiceCounters {
     /// Read through [`ServiceCounters::registry`], which refreshes first.
     registry: Registry,
     /// The segment tier the refresh mirrors (`None`: persistence is off).
@@ -123,9 +118,8 @@ pub struct ServiceCounters {
 struct SessionEntry {
     shard: usize,
     resumable: bool,
-    /// The session's registered fuse histogram; its `count()` is the
-    /// session's fused-round total.
-    fuse: Histogram,
+    /// The session's own fused-round count: a plain handle, on no registry.
+    rounds_fused: Counter,
 }
 
 /// Raises a counter that mirrors a lifetime total kept elsewhere (a stale
@@ -136,14 +130,15 @@ fn raise(cell: &Counter, total: u64) {
 
 impl ServiceCounters {
     /// Counters for `shards` workers, one reactor, no tier and no tracing.
-    pub fn new(shards: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(shards: usize) -> Self {
         ServiceCounters::with_observability(shards, 1, 0, 0, None)
     }
 
     /// Counters for `shards` workers and `reactors` event-loop threads,
     /// plus a trace ring holding `trace_capacity` spans, sampling one
     /// round in `trace_every` (`0` disables tracing), mirroring `tier`.
-    pub fn with_observability(
+    pub(crate) fn with_observability(
         shards: usize,
         reactors: usize,
         trace_capacity: usize,
@@ -357,7 +352,7 @@ impl ServiceCounters {
     /// The registry behind these counters, refreshed — the scrape surface,
     /// and the hook for other subsystems (chaos proxies in a test rig) to
     /// register their own metrics alongside the service's.
-    pub fn registry(&self) -> &Registry {
+    pub(crate) fn registry(&self) -> &Registry {
         self.refresh();
         &self.registry
     }
@@ -398,47 +393,36 @@ impl ServiceCounters {
         }
     }
 
-    /// Registers a session in the admin directory and returns its
-    /// per-tenant fuse-latency histogram
-    /// (`avoc_session_fuse_latency_ns{session="<id>"}`), which lives until
+    /// Lists a session in the admin directory, with `rounds_fused` — the
+    /// session's own count — as its `/sessions` round total until
     /// [`ServiceCounters::deregister_session`].
-    pub(crate) fn register_session(&self, id: u64, shard: usize, resumable: bool) -> Histogram {
-        let fuse = self.registry.latency_histogram_with(
-            SESSION_FUSE,
-            "Per-tenant fusion latency, nanoseconds.",
-            &[("session", &id.to_string())],
-        );
-        self.directory.lock().insert(
-            id,
-            SessionEntry {
-                shard,
-                resumable,
-                fuse: fuse.clone(),
-            },
-        );
-        fuse
+    pub(crate) fn register_session(
+        &self,
+        id: u64,
+        shard: usize,
+        resumable: bool,
+        rounds_fused: Counter,
+    ) {
+        let entry = SessionEntry {
+            shard,
+            resumable,
+            rounds_fused,
+        };
+        self.directory.lock().insert(id, entry);
     }
 
-    /// Ends a session's presence here: its directory entry goes, it stops
-    /// pinning the `persistence` health domain if it died degraded (every
-    /// session-drop path funnels through here), and its series is folded
-    /// into the `{session="closed"}` tombstone and dropped — so the family
-    /// is bounded by live sessions + 1 while its counts still sum to the
-    /// rounds the daemon fused. A session restored later (evicted, then
-    /// resumed from its checkpoint) starts a fresh series from 0.
+    /// Ends a session's presence here: its directory entry goes, and it
+    /// stops pinning the `persistence` health domain if it died degraded
+    /// (every session-drop path funnels through here).
     pub(crate) fn deregister_session(&self, id: u64) {
         self.directory.lock().remove(&id);
         self.session_persistence_recovered(id);
-        // A session id is a number, so the tombstone's label cannot collide.
-        let id = id.to_string();
-        self.registry
-            .fold_histogram(SESSION_FUSE, &[("session", &id)], &[("session", "closed")]);
     }
 
     /// The admin `/sessions` view: one JSON object per live session, sorted
     /// by id, with its shard pin, resumability and fused-round count.
-    pub fn sessions_json(&self) -> String {
-        // Count outside the lock the shards take at every open and close.
+    pub(crate) fn sessions_json(&self) -> String {
+        // Format outside the lock the shards take at every open and close.
         let live = self.directory.lock().clone();
         let rows: Vec<String> = live
             .iter()
@@ -448,7 +432,7 @@ impl ServiceCounters {
                      \"rounds_fused\": {}}}",
                     e.shard,
                     e.resumable,
-                    e.fuse.count()
+                    e.rounds_fused.get()
                 )
             })
             .collect();
@@ -504,15 +488,8 @@ impl ServiceCounters {
     /// A consistent-enough copy of every counter, refreshed first
     /// (individual loads are relaxed; the snapshot is for operators, not
     /// invariants).
-    pub fn snapshot(&self) -> CountersSnapshot {
+    pub(crate) fn snapshot(&self) -> CountersSnapshot {
         self.refresh();
-        let fuse = self.fuse_latency_ns.snapshot();
-        let latency = (!fuse.is_empty()).then(|| LatencySummary {
-            samples: fuse.count,
-            min_us: fuse.min as f64 / 1e3,
-            mean_us: fuse.mean() / 1e3,
-            p99_us: fuse.quantile(0.99) as f64 / 1e3,
-        });
         CountersSnapshot {
             sessions_opened: self.sessions_opened.get(),
             sessions_evicted: self.sessions_evicted.get(),
@@ -528,9 +505,8 @@ impl ServiceCounters {
             frames_sent: self.frames_sent.get(),
             writer_flushes: self.writer_flushes.get(),
             writer_writes: self.writer_writes.get(),
-            // Snapshot fields predate the multi-reactor pool; summing the
-            // per-reactor cells keeps the JSON shape (and meaning: totals
-            // for the whole data plane) unchanged.
+            // Snapshot fields predate the multi-reactor pool; they sum the
+            // per-reactor cells into totals for the whole data plane.
             connections_accepted: self.reactors.iter().map(|r| r.accepted.get()).sum(),
             connections_open: self.reactors.iter().map(|r| r.connections_open.get()).sum(),
             epoll_wakeups: self.reactors.iter().map(|r| r.epoll_wakeups.get()).sum(),
@@ -561,28 +537,14 @@ impl ServiceCounters {
                 .iter()
                 .map(|hw| hw.get().max(0) as usize)
                 .collect(),
-            fuse_latency: latency,
         }
     }
 }
 
-/// Fuse-latency statistics over the daemon's lifetime, read off the
-/// `avoc_fuse_latency_ns` histogram.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct LatencySummary {
-    /// Total fuses recorded.
-    pub samples: u64,
-    /// Minimum, microseconds.
-    pub min_us: f64,
-    /// Mean, microseconds.
-    pub mean_us: f64,
-    /// 99th percentile, microseconds (interpolated inside its histogram
-    /// bucket).
-    pub p99_us: f64,
-}
-
-/// A point-in-time copy of [`ServiceCounters`].
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// A point-in-time copy of the daemon's counters. Latency distributions
+/// are not copied: they live in the `/metrics` histograms
+/// (`avoc_fuse_latency_ns` and friends).
+#[derive(Debug, Clone, PartialEq)]
 pub struct CountersSnapshot {
     /// Sessions successfully opened.
     pub sessions_opened: u64,
@@ -677,36 +639,12 @@ pub struct CountersSnapshot {
     pub sessions_skipped_foreign: u64,
     /// Per-shard mailbox depth high-water marks.
     pub shard_queue_high_water: Vec<usize>,
-    /// Fuse-latency summary; `None` before the first fused round.
-    pub fuse_latency: Option<LatencySummary>,
-}
-
-impl CountersSnapshot {
-    /// Renders the snapshot as pretty JSON (the drain-time dump format).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("counters are always serializable")
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use avoc_net::BatchResult;
-
-    #[test]
-    fn latency_summary_tracks_min_mean_p99() {
-        let c = ServiceCounters::new(2);
-        for ns in [1_000u64, 2_000, 3_000, 4_000, 100_000] {
-            c.round_fused(ns);
-        }
-        let snap = c.snapshot();
-        assert_eq!(snap.rounds_fused, 5);
-        let lat = snap.fuse_latency.unwrap();
-        assert_eq!(lat.samples, 5);
-        assert!((lat.min_us - 1.0).abs() < 1e-9);
-        assert!((lat.mean_us - 22.0).abs() < 1e-9);
-        assert!((lat.p99_us - 100.0).abs() < 1e-9);
-    }
 
     #[test]
     fn queue_high_water_is_monotone() {
@@ -716,28 +654,6 @@ mod tests {
         c.note_queue_depth(1, 7);
         c.note_queue_depth(9, 100); // out-of-range shard is ignored
         assert_eq!(c.snapshot().shard_queue_high_water, vec![5, 7]);
-    }
-
-    /// The drain dump, `/stats` and a wire `StatsReply` are this document:
-    /// its keys, in order, against the checked-in list — readers pick
-    /// fields by name, so a key that moves must move that file too.
-    #[test]
-    fn snapshot_serializes_to_json() {
-        let c = ServiceCounters::new(1);
-        c.sessions_opened.inc();
-        c.round_fused(5_000);
-        let json = c.snapshot().to_json();
-        assert!(json.contains("\"sessions_opened\": 1"));
-        assert!(json.contains("\"fuse_latency\""));
-        assert!(json.contains("\"recoveries\""));
-        assert!(json.contains("\"checkpoint_bytes\""));
-        let keys: Vec<&str> = json
-            .lines()
-            .filter_map(|line| line.trim_start().strip_prefix('"')?.split_once("\":"))
-            .map(|(key, _)| key)
-            .collect();
-        let listed: Vec<&str> = include_str!("stats_keys.txt").lines().collect();
-        assert_eq!(keys, listed);
     }
 
     #[test]
@@ -779,11 +695,6 @@ mod tests {
         assert_eq!(snap.writer_flushes, 1);
         assert_eq!(snap.writer_writes, 1);
         assert!(snap.bytes_sent > 0, "flush counted the frame's bytes");
-        let json = snap.to_json();
-        assert!(json.contains("\"result_batches\": 2"));
-        assert!(json.contains("\"writer_flushes\": 1"));
-        assert!(json.contains("\"epoll_wakeups\""));
-        assert!(json.contains("\"connections_open\""));
     }
 
     #[test]
@@ -851,38 +762,37 @@ mod tests {
         assert!(c.health.is_ok());
         assert_eq!(c.snapshot().degraded_sessions, 0);
         assert_eq!(c.snapshot().degraded_entered, 2, "transitions stay counted");
-        let json = c.snapshot().to_json();
-        assert!(json.contains("\"checkpoint_failures\": 0"));
-        assert!(json.contains("\"degraded_entered\": 2"));
-        assert!(json.contains("\"segments_quarantined\""));
-        assert!(json.contains("\"fault_injected\""));
-        assert!(json.contains("\"accept_pauses\""));
     }
 
     #[test]
-    fn a_session_series_lives_as_long_as_its_session() {
+    fn sessions_lists_each_live_session_with_its_own_round_count() {
         let c = ServiceCounters::new(1);
-        let h = c.register_session(7, 0, true);
-        h.record(1_000);
-        h.record(2_000);
-        c.register_session(3, 0, false).record(500);
+        let listed = |c: &ServiceCounters, id: u64, resumable: bool, rounds: u64| {
+            c.sessions_json().contains(&format!(
+                "\"session\": {id}, \"shard\": 0, \"resumable\": {resumable}, \
+                 \"rounds_fused\": {rounds}"
+            ))
+        };
+        let seven = Counter::new();
+        c.register_session(7, 0, true, seven.clone());
+        seven.add(2);
+        let three = Counter::new();
+        c.register_session(3, 0, false, three.clone());
+        three.inc();
+        // Sorted by id, each with the rounds its own counter holds.
         let json = c.sessions_json();
-        // Sorted by id; rounds come from the histogram count.
         let i3 = json.find("\"session\": 3").expect("session 3 listed");
         let i7 = json.find("\"session\": 7").expect("session 7 listed");
         assert!(i3 < i7);
-        assert!(
-            json.contains("\"session\": 7, \"shard\": 0, \"resumable\": true, \"rounds_fused\": 2")
-        );
+        assert!(listed(&c, 7, true, 2));
+        assert!(listed(&c, 3, false, 1));
         c.deregister_session(7);
         assert!(!c.sessions_json().contains("\"session\": 7"));
-        // The closed session's rounds moved to the tombstone; a session
-        // restored under the same id starts a fresh series.
-        let text = c.registry().render_prometheus();
-        assert!(!text.contains("session=\"7\""));
-        assert!(text.contains("avoc_session_fuse_latency_ns_count{session=\"closed\"} 2"));
-        assert!(text.contains("avoc_session_fuse_latency_ns_count{session=\"3\"} 1"));
-        assert_eq!(c.register_session(7, 0, true).count(), 0);
+        // A session restored under the same id brings a fresh count.
+        c.register_session(7, 0, true, Counter::new());
+        assert!(listed(&c, 7, true, 0));
+        // None of this is a metric series.
+        assert!(!c.registry().render_prometheus().contains("session="));
     }
 
     /// Every family the daemon exposes — name, kind, label keys — against
@@ -891,7 +801,6 @@ mod tests {
     #[test]
     fn exposed_families_match_the_checked_in_list() {
         let c = ServiceCounters::with_observability(2, 2, 0, 0, None);
-        c.register_session(1, 0, true);
         let text = c.registry().render_prometheus();
         let mut families = Vec::new();
         let mut lines = text.lines().peekable();

@@ -304,14 +304,6 @@ impl Handler for ServeHandler {
                     return FrameVerdict::Close;
                 }
             }
-            Message::StatsRequest => {
-                // On-demand counters: the same JSON a drain dumps and
-                // the admin `/stats` route serves, answered on this
-                // connection's result stream (shed, like any result, if
-                // the tenant's channel is full).
-                let json = self.service.counters().to_json();
-                self.counters.emit(&conn.sink, Message::StatsReply { json });
-            }
             Message::Shutdown => return FrameVerdict::Close,
             // Inter-node verbs, spoken by the gateway (or an operator tool)
             // over an ordinary tenant connection, gated by the cluster
@@ -377,7 +369,6 @@ impl Handler for ServeHandler {
             | Message::SessionResult { .. }
             | Message::ResultBatch { .. }
             | Message::Resumed { .. }
-            | Message::StatsReply { .. }
             | Message::Redirect { .. }
             | Message::Error { .. } => {}
         }
@@ -496,7 +487,6 @@ mod tests {
                 }],
             },
             Message::CloseSession { session: 1 },
-            Message::StatsRequest,
             Message::ExportSession {
                 session: 1,
                 target_node: 2,

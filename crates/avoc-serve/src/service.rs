@@ -65,7 +65,7 @@ pub struct ServeConfig {
     /// checkpoint cadence. Off by default.
     pub persistence: Persistence,
     /// Bind address for the plain-HTTP admin endpoint (`/metrics`,
-    /// `/healthz`, `/stats`, `/sessions`, `/trace`) — e.g.
+    /// `/healthz`, `/sessions`, `/segments`, `/trace`) — e.g.
     /// `"127.0.0.1:0"`. `None` (the default) serves no admin socket.
     pub admin_addr: Option<String>,
     /// How long a connection's corked writer may sit parked on a full

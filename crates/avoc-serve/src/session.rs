@@ -65,11 +65,9 @@ pub(crate) struct Session {
     persist: Option<SessionStore>,
     checkpoint_every: u64,
     rounds_since_ckpt: u64,
-    /// The session's registered per-tenant fuse-latency histogram
-    /// (`avoc_session_fuse_latency_ns{session="<id>"}`). Installed by the
-    /// shard right after open/restore; absent only for sessions built
-    /// outside a shard (unit tests).
-    fuse_hist: Option<avoc_obs::Histogram>,
+    /// Rounds this session has fused since it was opened or restored: the
+    /// count the admin `/sessions` view lists for it.
+    rounds_fused: avoc_obs::Counter,
     /// Whether any round fused since the last flush was trace-sampled (the
     /// flush then leaves one flush span covering the burst).
     pending_sampled: bool,
@@ -116,7 +114,7 @@ impl Session {
             persist,
             checkpoint_every: cfg.checkpoint_every.max(1),
             rounds_since_ckpt: 0,
-            fuse_hist: None,
+            rounds_fused: avoc_obs::Counter::new(),
             pending_sampled: false,
             ckpt_failures: 0,
             degraded: false,
@@ -124,13 +122,6 @@ impl Session {
             probe_in: 0,
             flush_queued: false,
         })
-    }
-
-    /// Installs the session's per-tenant fuse-latency histogram (a handle
-    /// into the service registry). Every fused round records into it —
-    /// unsampled, so a scrape's per-tenant counts sum to rounds fused.
-    pub(crate) fn set_fuse_histogram(&mut self, hist: avoc_obs::Histogram) {
-        self.fuse_hist = Some(hist);
     }
 
     /// Rebuilds a session from its durable state: the engine is seeded with
@@ -152,6 +143,11 @@ impl Session {
         s.results = loaded.results.into();
         s.persist = Some(loaded.store);
         Ok(s)
+    }
+
+    /// A handle on the session's fused-round count, for the directory.
+    pub(crate) fn rounds_fused(&self) -> avoc_obs::Counter {
+        self.rounds_fused.clone()
     }
 
     pub(crate) fn token(&self) -> u64 {
@@ -488,9 +484,7 @@ impl Session {
         match outcome {
             Ok(result) => {
                 counters.round_fused(latency);
-                if let Some(h) = &self.fuse_hist {
-                    h.record(latency);
-                }
+                self.rounds_fused.inc();
                 if sampled {
                     counters.trace.record(avoc_obs::Span {
                         session: self.id,
@@ -606,6 +600,7 @@ mod tests {
             Message::SessionResult { round: 1, .. }
         ));
         assert_eq!(counters.snapshot().rounds_fused, 2);
+        assert_eq!(s.rounds_fused().get(), 2);
     }
 
     #[test]

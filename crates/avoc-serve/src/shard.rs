@@ -730,11 +730,12 @@ impl ShardWorker {
         let store = self.make_store(&req);
         match Session::open(&cfg, &req.spec, req.sink.clone(), store) {
             Ok(mut s) => {
-                s.set_fuse_histogram(self.counters.register_session(
+                self.counters.register_session(
                     req.session,
                     self.index,
                     req.resumable,
-                ));
+                    s.rounds_fused(),
+                );
                 // A durable session's first checkpoint is its registration:
                 // a crash before the first fused round still recovers it.
                 s.checkpoint(&self.counters);
@@ -824,12 +825,13 @@ impl ShardWorker {
                         checkpoint_every: self.persistence.checkpoint_every,
                     };
                     match Session::restore(&cfg, &req.spec, req.sink.clone(), loaded) {
-                        Ok(mut s) => {
-                            s.set_fuse_histogram(self.counters.register_session(
+                        Ok(s) => {
+                            self.counters.register_session(
                                 req.session,
                                 self.index,
                                 meta.resumable,
-                            ));
+                                s.rounds_fused(),
+                            );
                             s.announce_resumed(true, &self.counters);
                             s.replay_results(last_acked, &self.counters);
                             st.sessions.insert(req.session, s);

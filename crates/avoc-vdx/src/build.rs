@@ -15,7 +15,7 @@ use avoc_core::algorithms::{
 use avoc_core::multidim::PerDimensionVoter;
 use avoc_core::{
     AgreementParams, Collation, DenseHistory, Exclusion, FallbackAction, FaultPolicy,
-    HistoryUpdate, MemoryHistory, Quorum, TieBreak, Voter, VoterConfig, VotingEngine,
+    HistoryUpdate, Quorum, TieBreak, Voter, VoterConfig, VotingEngine,
 };
 
 fn voter_config(spec: &VdxSpec) -> VoterConfig {
@@ -102,7 +102,7 @@ pub fn build_voter(spec: &VdxSpec) -> Result<Box<dyn Voter>, VdxError> {
                 _ => MajorityHistory::Standard,
             };
             Box::new(
-                MajorityVoter::new(history, MemoryHistory::new())
+                MajorityVoter::new(history, DenseHistory::new())
                     .with_update(HistoryUpdate::new(spec.params.learning_rate)),
             )
         }

@@ -80,7 +80,7 @@ fn main() -> std::io::Result<()> {
     let server = TcpServer::start("127.0.0.1:0", Arc::clone(&service))?;
     let addr = server.local_addr();
     let admin = server.admin_addr().expect("admin endpoint configured");
-    println!("scrape me: curl http://{admin}/metrics  (also /healthz /stats /sessions /trace)");
+    println!("scrape me: curl http://{admin}/metrics  (also /healthz /sessions /trace)");
 
     // Tenant 1 — UC-1: five light sensors in the smart building.
     let light = LightScenario::new(5, rounds, 42).generate();
@@ -122,7 +122,17 @@ fn main() -> std::io::Result<()> {
         println!("  {line}");
     }
 
-    let counters = server.shutdown();
-    println!("\nfinal service counters:\n{}", counters.to_json());
+    let c = server.shutdown();
+    println!("\nfinal service counters:");
+    println!("  sessions opened   {}", c.sessions_opened);
+    println!("  rounds fused      {}", c.rounds_fused);
+    println!("  fallbacks         {}", c.fallbacks);
+    println!("  readings dropped  {}", c.readings_dropped);
+    println!("  results dropped   {}", c.results_dropped);
+    println!("  result batches    {}", c.result_batches);
+    println!(
+        "  bytes in / out    {} / {}",
+        c.bytes_received, c.bytes_sent
+    );
     Ok(())
 }

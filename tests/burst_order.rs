@@ -97,8 +97,8 @@ fn fuse_rosters(
 /// interleaved one by one and written in a single `write`, so the
 /// daemon's reactor decodes them in (as good as always) one read and
 /// stages them into one command per shard, tenants mixed. The trailing
-/// `StatsRequest` is answered only after everything ahead of it has been
-/// handed to the shards, so its reply is the cue that delivery is done.
+/// `Shutdown` pushes out what is staged before the daemon closes the
+/// connection, so end of stream is the cue that delivery is done.
 fn deliver_over_one_socket(
     service: &Arc<VoterService>,
     rosters: &[Vec<BatchReading>],
@@ -121,14 +121,15 @@ fn deliver_over_one_socket(
             }
         }
     }
-    wire.extend_from_slice(&Message::StatsRequest.encode());
+    wire.extend_from_slice(&Message::Shutdown.encode());
     let mut tenant = std::net::TcpStream::connect(server.local_addr()).expect("connect");
     tenant
         .set_read_timeout(Some(std::time::Duration::from_secs(10)))
         .expect("timeout");
     tenant.write_all(&wire).expect("one write");
-    let mut byte = [0u8; 1];
-    tenant.read_exact(&mut byte).expect("the stats reply");
+    let mut rest = Vec::new();
+    tenant.read_to_end(&mut rest).expect("the daemon closes");
+    assert!(rest.is_empty(), "nothing is answered: {rest:?}");
     Some(server)
 }
 

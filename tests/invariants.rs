@@ -1,6 +1,7 @@
 //! Property-based invariants over the core data structures, via proptest.
 
 use avoc::cluster::{AgreementClusterer, MarginMode};
+use avoc::core::algorithms::MajorityHistory;
 use avoc::core::value::levenshtein;
 use avoc::core::{DenseHistory, HistoryStore, MemoryHistory};
 use avoc::prelude::*;
@@ -63,12 +64,59 @@ fn history_voters<S: HistoryStore + 'static>(store: fn() -> S) -> Vec<Box<dyn Vo
     ]
 }
 
-type VerdictBits = (Option<u64>, Vec<(ModuleId, u64)>, u64, Vec<ModuleId>, bool);
+/// The categorical voter in both of its history modes, each over a fresh
+/// `store()`.
+fn majority_voters<S: HistoryStore + Send + 'static>(store: fn() -> S) -> Vec<Box<dyn Voter>> {
+    [
+        MajorityHistory::Standard,
+        MajorityHistory::ModuleElimination,
+    ]
+    .into_iter()
+    .map(|mode| Box::new(MajorityVoter::new(mode, store())) as Box<dyn Voter>)
+    .collect()
+}
+
+/// `count` rounds of five door sensors from a fixed seed: most report the
+/// door's state, module 3 is stuck at "ajar", and one reading in six is
+/// missing and another in six random.
+fn seeded_text_rounds(seed: u64, count: u64) -> impl Iterator<Item = Round> {
+    const WORDS: [&str; 3] = ["closed", "open", "ajar"];
+    let mut state = seed;
+    (0..count).map(move |round| {
+        let truth = WORDS[usize::from(round % 8 >= 5)];
+        let ballots = (0..5)
+            .map(|m| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let draw = (state >> 33) as usize;
+                let module = ModuleId::new(m);
+                match (draw % 6, m) {
+                    (0, _) => Ballot::missing(module),
+                    (1, _) => Ballot::new(module, WORDS[draw / 6 % 3]),
+                    (_, 3) => Ballot::new(module, "ajar"),
+                    _ => Ballot::new(module, truth),
+                }
+            })
+            .collect();
+        Round::new(round, ballots)
+    })
+}
+
+type VerdictBits = (
+    Option<u64>,
+    Option<String>,
+    Vec<(ModuleId, u64)>,
+    u64,
+    Vec<ModuleId>,
+    bool,
+);
 
 fn verdict_bits(verdict: Result<Verdict, VoteError>) -> Result<VerdictBits, VoteError> {
     verdict.map(|v| {
         (
             v.number().map(f64::to_bits),
+            v.value.as_text().map(str::to_owned),
             record_bits(v.weights),
             v.confidence.to_bits(),
             v.excluded,
@@ -81,12 +129,19 @@ fn record_bits(records: Vec<(ModuleId, f64)>) -> Vec<(ModuleId, u64)> {
     records.into_iter().map(|(m, v)| (m, v.to_bits())).collect()
 }
 
-/// Drives the history-aware voters over `MemoryHistory` (the reference)
-/// and over `DenseHistory` (what `build_engine` hands the daemon) side by
-/// side: every verdict and the records after every round, bit for bit.
-fn stores_agree(rounds: impl IntoIterator<Item = Round>) -> Result<(), TestCaseError> {
-    let mut reference = history_voters(MemoryHistory::new);
-    let mut dense = history_voters(DenseHistory::new);
+/// Builds a set of voters, each over a fresh store from the given maker.
+type VoterSet<S> = fn(fn() -> S) -> Vec<Box<dyn Voter>>;
+
+/// Drives the same voters over `MemoryHistory` (the reference) and over
+/// `DenseHistory` (what `build_engine` hands the daemon) side by side:
+/// every verdict and the records after every round, bit for bit.
+fn stores_agree(
+    voters: VoterSet<MemoryHistory>,
+    dense_voters: VoterSet<DenseHistory>,
+    rounds: impl IntoIterator<Item = Round>,
+) -> Result<(), TestCaseError> {
+    let mut reference = voters(MemoryHistory::new);
+    let mut dense = dense_voters(DenseHistory::new);
     for round in rounds {
         for (want, got) in reference.iter_mut().zip(&mut dense) {
             prop_assert_eq!(
@@ -113,7 +168,17 @@ fn stores_agree(rounds: impl IntoIterator<Item = Round>) -> Result<(), TestCaseE
 fn dense_history_voters_match_memory_history_on_uc1() {
     let clean = LightScenario::new(5, 300, 7).generate();
     let faulty = FaultInjector::new(3, FaultKind::Offset(6.0)).apply(&clean, 7);
-    stores_agree(faulty.iter_rounds()).unwrap();
+    stores_agree(history_voters, history_voters, faulty.iter_rounds()).unwrap();
+}
+
+/// The categorical majority voter, in both history modes, over seeded door
+/// sensor text.
+#[test]
+fn dense_history_majority_voters_match_memory_history() {
+    for seed in [1, 7, 42] {
+        let rounds = seeded_text_rounds(seed, 200);
+        stores_agree(majority_voters, majority_voters, rounds).unwrap();
+    }
 }
 
 proptest! {
@@ -141,6 +206,8 @@ proptest! {
     #[test]
     fn dense_history_voters_match_memory_history(rounds in sparse_trace_values()) {
         stores_agree(
+            history_voters,
+            history_voters,
             rounds
                 .iter()
                 .enumerate()

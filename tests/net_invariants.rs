@@ -15,8 +15,9 @@ use proptest::prelude::*;
 mod naive_hub;
 use naive_hub::NaiveHub;
 
-/// One message of every frame tag (1–18), in tag order, built from one set
-/// of generated field values — the strategy the every-tag properties share.
+/// One message of every frame tag (1–13 and 16–18; 14–15 are retired), in
+/// tag order, built from one set of generated field values — the strategy
+/// the every-tag properties share.
 #[allow(clippy::too_many_arguments)]
 fn every_tag(
     session: u64,
@@ -94,10 +95,6 @@ fn every_tag(
                 };
                 2
             ],
-        },
-        Message::StatsRequest,
-        Message::StatsReply {
-            json: format!("{{\"rounds_fused\": {round}}}"),
         },
         Message::Redirect {
             session,
@@ -545,7 +542,7 @@ proptest! {
     }
 
     /// The allocation-free encoder is byte-identical to the allocating one
-    /// for EVERY frame tag (1–18), including when frames append to a buffer
+    /// for EVERY frame tag (1–13, 16–18), including when frames append to a buffer
     /// already holding unrelated bytes — the per-connection scratch-reuse
     /// contract the whole wire path now leans on.
     #[test]

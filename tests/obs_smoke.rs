@@ -109,29 +109,26 @@ fn admin_endpoint_serves_metrics_sessions_and_traces() {
     assert!(text.contains(&format!("avoc_fuse_latency_ns_count {fused}")));
     assert!(text.contains("avoc_fuse_latency_ns_bucket{le=\"+Inf\"}"));
 
-    // JSON exposition: one per-tenant histogram per session, and their
-    // counts sum to the rounds fused.
+    // JSON exposition: the same cells as one document.
     let (status, json) = http::get(&admin_str, "/metrics?format=json").expect("metrics json");
     assert_eq!(status, 200);
     let doc: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
-    let hists = doc["histograms"].as_object().expect("histograms object");
-    let tenant_counts: Vec<u64> = hists
-        .iter()
-        .filter(|(k, _)| k.starts_with("avoc_session_fuse_latency_ns{"))
-        .map(|(_, v)| v["count"].as_u64().unwrap())
-        .collect();
-    assert_eq!(tenant_counts.len(), SESSIONS as usize);
-    assert_eq!(tenant_counts.iter().sum::<u64>(), fused);
+    let fuse_count = &doc["histograms"]["avoc_fuse_latency_ns"]["count"];
+    assert_eq!(fuse_count.as_u64(), Some(fused));
 
-    // The live session directory knows every tenant and its shard pin.
+    // The live session directory knows every tenant, its shard pin and its
+    // own rounds, which sum to the rounds fused.
     let (status, sessions) = http::get(&admin_str, "/sessions").expect("sessions");
     assert_eq!(status, 200);
     let dir: serde_json::Value = serde_json::from_str(&sessions).expect("valid JSON");
-    let dir = dir.as_array().expect("sessions array");
-    assert_eq!(dir.len(), SESSIONS as usize);
-    for entry in dir {
-        assert_eq!(entry["rounds_fused"].as_u64().unwrap(), ROUNDS);
-    }
+    let per_session: Vec<u64> = dir
+        .as_array()
+        .expect("sessions array")
+        .iter()
+        .map(|entry| entry["rounds_fused"].as_u64().expect("rounds_fused"))
+        .collect();
+    assert_eq!(per_session, vec![ROUNDS; SESSIONS as usize]);
+    assert_eq!(per_session.iter().sum::<u64>(), fused);
 
     // Every pipeline stage left spans in the trace ring, and the
     // per-session filter narrows to one tenant.
@@ -148,15 +145,14 @@ fn admin_endpoint_serves_metrics_sessions_and_traces() {
     assert!(filtered.contains("\"session\": 1"));
     assert!(!filtered.contains("\"session\": 0,"));
 
-    // The wire protocol serves the same counters without HTTP: a
-    // StatsRequest frame answers with the legacy snapshot JSON.
-    let stats = client.stats().expect("wire stats");
-    let snap: serde_json::Value = serde_json::from_str(&stats).expect("valid JSON");
-    assert_eq!(snap["rounds_fused"].as_u64().unwrap(), fused);
-    let (status, admin_stats) = http::get(&admin_str, "/stats").expect("stats");
-    assert_eq!(status, 200);
-    let admin_snap: serde_json::Value = serde_json::from_str(&admin_stats).expect("valid JSON");
-    assert_eq!(admin_snap["rounds_fused"].as_u64().unwrap(), fused);
+    // `/metrics` is the one scrape surface: the old counters dump is not
+    // routed, and no series is kept per session.
+    assert!(raw_status(admin, b"GET /stats HTTP/1.1\r\n\r\n").contains("404"));
+    for kind in ["counters", "gauges", "histograms"] {
+        for series in doc[kind].as_object().expect("series map").keys() {
+            assert!(!series.contains("session="), "per-session series {series}");
+        }
+    }
 
     // Closing the tenants empties the directory.
     for session in 0..SESSIONS {
@@ -180,7 +176,7 @@ fn admin_endpoint_serves_metrics_sessions_and_traces() {
     assert_eq!(snapshot.rounds_fused, fused);
 }
 
-/// Parses a JSON body an admin route (or the wire) answered with.
+/// Parses a JSON body an admin route answered with.
 fn json(body: &str) -> serde_json::Value {
     serde_json::from_str(body).expect("valid JSON")
 }
@@ -260,6 +256,7 @@ fn segments_live_counts_segments_found_at_boot() {
 fn dropped_stragglers_are_counted() {
     let (server, wire, admin) = start_daemon();
     let admin = admin.to_string();
+    let service = server.service();
     let mut client = ServeClient::connect(wire).expect("connect");
     client
         .open_session(0, MODULES, SpecSource::Named("avoc".into()))
@@ -278,12 +275,12 @@ fn dropped_stragglers_are_counted() {
     let straggled_reaches = |want: u64| {
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         loop {
-            let stats = json(&http::get(&admin, "/stats").expect("stats").1);
-            let straggled = stats["readings_straggled"].as_u64().expect("the key");
+            let c = service.counters();
+            let straggled = c.readings_straggled;
             assert!(straggled <= want, "{straggled} straggled, {want} sent");
             if straggled == want {
-                assert_eq!(stats["rounds_fused"].as_u64(), Some(1));
-                assert_eq!(stats["readings_dropped"].as_u64(), Some(0));
+                assert_eq!(c.rounds_fused, 1);
+                assert_eq!(c.readings_dropped, 0);
                 return;
             }
             assert!(std::time::Instant::now() < deadline, "never counted");
@@ -304,16 +301,11 @@ fn dropped_stragglers_are_counted() {
     assert_eq!(server.shutdown().readings_straggled, 2);
 }
 
-/// Counters that asking over the wire itself moves (the request is a socket
-/// read and a reactor wakeup): a later door may read these higher.
-const MOVED_BY_ASKING: [&str; 3] = ["bytes_received", "epoll_wakeups", "reactor_events"];
-
-/// Every door reads the same cells: on a quiesced daemon the JSON scrape
-/// (asked first, so nothing else can have refreshed anything for it),
-/// `/stats`, `counters()` and a wire `StatsReply` agree on every scalar
-/// they share.
+/// Both doors read the same cells: on a quiesced daemon the JSON scrape
+/// (asked first, so nothing else can have refreshed anything for it) and
+/// `counters()` agree on every scalar the snapshot carries.
 #[test]
-fn all_four_doors_agree_on_a_quiesced_daemon() {
+fn both_doors_agree_on_a_quiesced_daemon() {
     let (server, wire, admin) = start_daemon();
     let admin = admin.to_string();
     let mut client = ServeClient::connect(wire).expect("connect");
@@ -340,13 +332,12 @@ fn all_four_doors_agree_on_a_quiesced_daemon() {
         );
         scrape = again;
     }
-    let (_, stats) = http::get(&admin, "/stats").expect("stats");
-    let in_process = server.service().counters().to_json();
-    let on_the_wire = client.stats().expect("wire stats");
-    let (scrape, stats) = (json(&scrape), json(&stats));
+    let c = server.service().counters();
+    let scrape = json(&scrape);
 
-    // The cell behind the `/stats` scalar `<key>` is `avoc_[net_]<key>[_total]`,
-    // summed over its series where reactors or shards each have one.
+    // The cell behind the snapshot scalar `<key>` is
+    // `avoc_[net_]<key>[_total]`, summed over its series where reactors or
+    // shards each have one.
     let mut cells = std::collections::HashMap::<&str, u64>::new();
     for kind in ["counters", "gauges"] {
         for (series, value) in scrape[kind].as_object().expect("scalar map") {
@@ -357,47 +348,78 @@ fn all_four_doors_agree_on_a_quiesced_daemon() {
             *cells.entry(stem).or_default() += value.as_u64().expect("non-negative scalar");
         }
     }
-    let mut compared = 0;
-    for (key, value) in stats.as_object().expect("stats object") {
-        // The two structured fields are checked below.
-        let Some(value) = value.as_f64() else {
-            continue;
-        };
+    let scalars: [(&str, f64); 39] = [
+        ("sessions_opened", c.sessions_opened as f64),
+        ("sessions_evicted", c.sessions_evicted as f64),
+        ("sessions_rejected", c.sessions_rejected as f64),
+        ("rounds_fused", c.rounds_fused as f64),
+        ("fallbacks", c.fallbacks as f64),
+        ("readings_dropped", c.readings_dropped as f64),
+        ("readings_straggled", c.readings_straggled as f64),
+        ("results_dropped", c.results_dropped as f64),
+        ("result_batches", c.result_batches as f64),
+        ("bytes_sent", c.bytes_sent as f64),
+        ("bytes_received", c.bytes_received as f64),
+        ("frames_sent", c.frames_sent as f64),
+        ("writer_flushes", c.writer_flushes as f64),
+        ("writer_writes", c.writer_writes as f64),
+        ("connections_accepted", c.connections_accepted as f64),
+        ("connections_open", c.connections_open as f64),
+        ("epoll_wakeups", c.epoll_wakeups as f64),
+        ("reactor_events", c.reactor_events as f64),
+        ("wedged_closed", c.wedged_closed as f64),
+        ("accept_pauses", c.accept_pauses as f64),
+        ("shard_handoff_sends", c.shard_handoff_sends as f64),
+        ("recoveries", c.recoveries as f64),
+        ("resumed_sessions", c.resumed_sessions as f64),
+        ("retries", c.retries as f64),
+        ("checkpoint_bytes", c.checkpoint_bytes as f64),
+        ("wal_replay_ms", c.wal_replay_ms),
+        ("segment_load_ms", c.segment_load_ms),
+        ("torn_tail_recoveries", c.torn_tail_recoveries as f64),
+        ("compactions", c.compactions as f64),
+        ("segment_rounds_folded", c.segment_rounds_folded as f64),
+        ("segment_bytes_written", c.segment_bytes_written as f64),
+        ("checkpoint_failures", c.checkpoint_failures as f64),
+        ("degraded_entered", c.degraded_entered as f64),
+        ("degraded_sessions", c.degraded_sessions as f64),
+        ("segments_quarantined", c.segments_quarantined as f64),
+        ("fault_injected", c.fault_injected as f64),
+        ("sessions_exported", c.sessions_exported as f64),
+        ("sessions_imported", c.sessions_imported as f64),
+        (
+            "sessions_skipped_foreign",
+            c.sessions_skipped_foreign as f64,
+        ),
+    ];
+    for (key, value) in scalars {
         // A total kept in nanoseconds is reported in milliseconds.
         let (stem, per_unit) = match key.strip_suffix("_ms") {
             Some(stem) => (format!("{stem}_ns"), 1e6),
-            None => (key.clone(), 1.0),
+            None => (key.to_string(), 1.0),
         };
         let cell = cells
             .get(stem.as_str())
             .unwrap_or_else(|| panic!("`{key}` has no registry cell"));
         assert_eq!(
-            *cell as f64,
-            value * per_unit,
-            "/metrics and /stats disagree on `{key}`"
+            *cell as f64 / per_unit,
+            value,
+            "/metrics and counters() disagree on `{key}`"
         );
-        compared += 1;
     }
-    assert!(compared >= 38, "only {compared} scalars compared");
-    assert_eq!(stats["rounds_fused"].as_u64(), Some(SESSIONS * ROUNDS));
-    assert_eq!(
-        stats["fuse_latency"]["samples"],
-        scrape["histograms"]["avoc_fuse_latency_ns"]["count"]
-    );
-    let marks = stats["shard_queue_high_water"].as_array().expect("marks");
-    let marks: u64 = marks.iter().map(|m| m.as_u64().expect("mark")).sum();
-    assert_eq!(marks, cells["shard_queue_high_water"]);
-
-    for (door, later) in [("counters()", in_process), ("StatsReply", on_the_wire)] {
-        for (key, value) in json(&later).as_object().expect("snapshot object") {
-            let first = &stats[key.as_str()];
-            if MOVED_BY_ASKING.contains(&key.as_str()) {
-                assert!(value.as_u64() >= first.as_u64(), "{door}: `{key}`");
-            } else {
-                assert_eq!(value, first, "{door} and /stats disagree on `{key}`");
-            }
-        }
+    // Every scalar family is read above, bar the per-shard marks (next) and
+    // `avoc_segments_live`, which only `/metrics` reports.
+    assert_eq!(cells.len(), scalars.len() + 2);
+    for (shard, &mark) in c.shard_queue_high_water.iter().enumerate() {
+        let series = format!("avoc_shard_queue_high_water{{shard=\"{shard}\"}}");
+        assert_eq!(
+            scrape["gauges"][series.as_str()].as_u64(),
+            Some(mark as u64)
+        );
     }
+    assert_eq!(c.rounds_fused, SESSIONS * ROUNDS);
+    let fuse_count = &scrape["histograms"]["avoc_fuse_latency_ns"]["count"];
+    assert_eq!(fuse_count.as_u64(), Some(c.rounds_fused));
     server.shutdown();
 }
 

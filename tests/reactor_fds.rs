@@ -123,16 +123,15 @@ fn thousand_session_churn_leaks_no_fds_or_threads() {
     );
 
     let scrape_baseline = scrape_size(&service);
+    let series_baseline = series_count(&service);
 
     const SESSIONS: u64 = 1000;
     for session in 1..=SESSIONS {
         run_tenant(addr, session);
-        // A round is counted before its verdict leaves, and a closing
-        // session's series moves to the tombstone in one step: whether or
-        // not this tenant's close has landed yet, the per-session counts
-        // sum to the rounds fused (the warmup tenant's included).
+        // A round is counted before its verdict leaves, so every tenant
+        // so far (the warmup's included) has its round in the total.
         if session % 100 == 0 {
-            let (_, rounds) = session_series(&service);
+            let rounds = service.counters().rounds_fused;
             assert_eq!(rounds, session + 1, "mid-churn, after tenant {session}");
         }
         // Interleave rude teardowns through the churn so slot reuse is
@@ -171,10 +170,9 @@ fn thousand_session_churn_leaks_no_fds_or_threads() {
         (live == 0, live)
     });
     assert!(ok, "no session may linger, saw {live}");
-    // Series census: every closed session's series was folded into the one
-    // tombstone, so the family is live sessions + 1 strong and still sums
-    // to every round fused.
-    assert_eq!(session_series(&service), (live + 1, SESSIONS + 1));
+    // Series census: no series is kept per session, so a thousand tenants
+    // left exactly the series the daemon had before them.
+    assert_eq!(series_count(&service), series_baseline);
     // The scrape is as long as before the churn, bucket lines aside. (For
     // the full text "within 2 KB" does not hold: a series renders one line
     // per non-empty bucket, and a thousand more latencies fill more of the
@@ -197,23 +195,19 @@ fn thousand_session_churn_leaks_no_fds_or_threads() {
     assert_eq!(snap.connections_open, 0);
 }
 
-/// The `avoc_session_fuse_latency_ns` family right now: how many series it
-/// has, and the rounds they count between them.
-fn session_series(service: &VoterService) -> (usize, u64) {
+/// Series in the JSON scrape right now: one key per counter, gauge or
+/// histogram series.
+fn series_count(service: &VoterService) -> usize {
     let scrape: serde_json::Value =
         serde_json::from_str(&service.obs_registry().render_json()).expect("valid JSON");
-    let counts: Vec<u64> = scrape["histograms"]
-        .as_object()
-        .expect("histograms object")
-        .iter()
-        .filter(|(key, _)| key.starts_with("avoc_session_fuse_latency_ns{"))
-        .map(|(_, series)| series["count"].as_u64().expect("count"))
-        .collect();
-    (counts.len(), counts.iter().sum())
+    ["counters", "gauges", "histograms"]
+        .into_iter()
+        .map(|kind| scrape[kind].as_object().expect("series map").len())
+        .sum()
 }
 
-/// No bucket line is longer: family name, the session label, `le` and
-/// two twenty-digit numbers.
+/// No bucket line is longer: family name, a reactor or shard label, `le`
+/// and two twenty-digit numbers.
 const BUCKET_LINE_MAX: usize = 128;
 
 /// What the Prometheus scrape weighs right now.
