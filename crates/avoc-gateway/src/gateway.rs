@@ -42,7 +42,7 @@ use std::time::Duration;
 use avoc_net::reactor::{self, ConnWaker, FrameVerdict, Handler, ReactorConfig, ReactorPool};
 use avoc_net::Message;
 use avoc_obs::http;
-use avoc_obs::{rollup, Counter, Gauge, Registry};
+use avoc_obs::{rollup, Registry};
 use avoc_serve::{ClientConfig, ServeClient};
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
@@ -123,66 +123,59 @@ struct Placement {
     pinned: bool,
 }
 
+avoc_obs::facts! {
+    /// One member's cells, labelled `{node="N"}`.
+    struct NodeFacts {
+        /// Sessions this gateway currently places on the node.
+        sessions_placed: Gauge = "avoc_gateway_sessions_placed",
+    }
+}
+
+avoc_obs::facts! {
+    /// The gateway's own facts.
+    struct GatewayFacts {
+        ..NodeFacts,
+        /// Open/resume frames answered with a Redirect.
+        redirects_answered: Counter = "avoc_gateway_redirects_answered_total",
+        /// Open/resume frames refused because no healthy node could take the
+        /// session.
+        redirect_errors: Counter = "avoc_gateway_redirect_errors_total",
+        /// Sessions checkpoint-shipped between nodes by this gateway.
+        migrations: Counter = "avoc_gateway_migrations_total",
+        /// Migration drives that failed (source refused, target cold, I/O).
+        migration_failures: Counter = "avoc_gateway_migration_failures_total",
+        /// Member /healthz probes that failed or answered non-200.
+        health_probe_failures: Counter = "avoc_gateway_health_probe_failures_total",
+        /// Member /metrics scrapes that failed during a roll-up.
+        rollup_scrape_failures: Counter = "avoc_gateway_rollup_scrape_failures_total",
+        /// Members currently considered unhealthy or draining.
+        nodes_unhealthy: Gauge = "avoc_gateway_nodes_unhealthy",
+    }
+}
+
 /// The gateway's metric cells.
 #[derive(Debug)]
 struct GatewayMetrics {
     registry: Registry,
-    redirects_answered: Counter,
-    redirect_errors: Counter,
-    migrations: Counter,
-    migration_failures: Counter,
-    health_probe_failures: Counter,
-    rollup_scrape_failures: Counter,
-    nodes_unhealthy: Gauge,
-    /// `avoc_gateway_sessions_placed{node="N"}` — how many distinct
-    /// sessions this gateway currently places on each member.
-    placement: HashMap<u64, Gauge>,
+    facts: GatewayFacts,
+    /// How many distinct sessions this gateway currently places on each
+    /// member.
+    placement: HashMap<u64, NodeFacts>,
 }
 
 impl GatewayMetrics {
     fn new(members: &[Member]) -> GatewayMetrics {
         let registry = Registry::new();
-        let c = |name: &str, help: &str| registry.counter(name, help);
+        let facts = GatewayFacts::register(&registry, &[]);
         let placement = members
             .iter()
             .map(|m| {
-                let gauge = registry.gauge_with(
-                    "avoc_gateway_sessions_placed",
-                    "Sessions this gateway currently places on the node.",
-                    &[("node", &m.node.to_string())],
-                );
-                (m.node, gauge)
+                let cells = NodeFacts::register(&registry, &[("node", &m.node.to_string())]);
+                (m.node, cells)
             })
             .collect();
         GatewayMetrics {
-            redirects_answered: c(
-                "avoc_gateway_redirects_answered_total",
-                "Open/resume frames answered with a Redirect.",
-            ),
-            redirect_errors: c(
-                "avoc_gateway_redirect_errors_total",
-                "Open/resume frames refused because no healthy node could take the session.",
-            ),
-            migrations: c(
-                "avoc_gateway_migrations_total",
-                "Sessions checkpoint-shipped between nodes by this gateway.",
-            ),
-            migration_failures: c(
-                "avoc_gateway_migration_failures_total",
-                "Migration drives that failed (source refused, target cold, I/O).",
-            ),
-            health_probe_failures: c(
-                "avoc_gateway_health_probe_failures_total",
-                "Member /healthz probes that failed or answered non-200.",
-            ),
-            rollup_scrape_failures: c(
-                "avoc_gateway_rollup_scrape_failures_total",
-                "Member /metrics scrapes that failed during a roll-up.",
-            ),
-            nodes_unhealthy: registry.gauge(
-                "avoc_gateway_nodes_unhealthy",
-                "Members currently considered unhealthy or draining.",
-            ),
+            facts,
             placement,
             registry,
         }
@@ -240,15 +233,15 @@ impl ClusterState {
             Some(p) if p.node == node => {}
             prev => {
                 if let Some(p) = prev {
-                    if let Some(g) = self.metrics.placement.get(&p.node) {
-                        g.add(-1);
+                    if let Some(cells) = self.metrics.placement.get(&p.node) {
+                        cells.sessions_placed.add(-1);
                     }
                     // A session that moved (degraded node, expired pin)
                     // is a placement change: new epoch.
                     self.epoch.fetch_add(1, Ordering::SeqCst);
                 }
-                if let Some(g) = self.metrics.placement.get(&node) {
-                    g.add(1);
+                if let Some(cells) = self.metrics.placement.get(&node) {
+                    cells.sessions_placed.add(1);
                 }
             }
         }
@@ -268,16 +261,16 @@ impl ClusterState {
         );
         if prev.map(|p| p.node) != Some(target_node) {
             if let Some(p) = prev {
-                if let Some(g) = self.metrics.placement.get(&p.node) {
-                    g.add(-1);
+                if let Some(cells) = self.metrics.placement.get(&p.node) {
+                    cells.sessions_placed.add(-1);
                 }
             }
-            if let Some(g) = self.metrics.placement.get(&target_node) {
-                g.add(1);
+            if let Some(cells) = self.metrics.placement.get(&target_node) {
+                cells.sessions_placed.add(1);
             }
         }
         self.epoch.fetch_add(1, Ordering::SeqCst);
-        self.metrics.migrations.inc();
+        self.metrics.facts.migrations.inc();
     }
 
     /// Applies one probe verdict; a transition bumps the epoch so clients
@@ -291,7 +284,10 @@ impl ClusterState {
             unhealthy.insert(node)
         };
         if changed {
-            self.metrics.nodes_unhealthy.set(unhealthy.len() as i64);
+            self.metrics
+                .facts
+                .nodes_unhealthy
+                .set(unhealthy.len() as i64);
             self.epoch.fetch_add(1, Ordering::SeqCst);
         }
     }
@@ -339,7 +335,7 @@ impl ClusterState {
             let Some(admin) = &m.admin else { continue };
             match http::get(admin, "/metrics") {
                 Ok((200, body)) => texts.push(body),
-                Ok(_) | Err(_) => self.metrics.rollup_scrape_failures.inc(),
+                Ok(_) | Err(_) => self.metrics.facts.rollup_scrape_failures.inc(),
             }
         }
         let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
@@ -385,14 +381,14 @@ impl Handler for GatewayHandler {
                             epoch,
                             addr,
                         });
-                        self.state.metrics.redirects_answered.inc();
+                        self.state.metrics.facts.redirects_answered.inc();
                     }
                     None => {
                         conn.send(Message::Error {
                             session,
                             message: "no healthy node can take this session".into(),
                         });
-                        self.state.metrics.redirect_errors.inc();
+                        self.state.metrics.facts.redirect_errors.inc();
                     }
                 }
                 FrameVerdict::Continue
@@ -621,7 +617,7 @@ impl Gateway {
                 Ok(())
             }
             Err(e) => {
-                self.state.metrics.migration_failures.inc();
+                self.state.metrics.facts.migration_failures.inc();
                 Err(e)
             }
         }
@@ -658,11 +654,11 @@ impl Gateway {
         if let Some(admin) = self.state.member(node)?.admin.clone() {
             match http::get(&admin, "/sessions") {
                 Ok((200, body)) => sessions.extend(parse_session_rows(&body)),
-                Ok(_) | Err(_) => self.state.metrics.rollup_scrape_failures.inc(),
+                Ok(_) | Err(_) => self.state.metrics.facts.rollup_scrape_failures.inc(),
             }
             match http::get(&admin, "/sessions?scope=durable") {
                 Ok((200, body)) => sessions.extend(parse_id_array(&body)),
-                Ok(_) | Err(_) => self.state.metrics.rollup_scrape_failures.inc(),
+                Ok(_) | Err(_) => self.state.metrics.facts.rollup_scrape_failures.inc(),
             }
         }
         sessions.sort_unstable();
@@ -832,7 +828,7 @@ fn probe_loop(state: &ClusterState, interval: Duration, stop: &AtomicBool) {
                 Some(admin) => match http::get(admin, "/healthz") {
                     Ok((200, _)) => true,
                     Ok(_) | Err(_) => {
-                        state.metrics.health_probe_failures.inc();
+                        state.metrics.facts.health_probe_failures.inc();
                         false
                     }
                 },

@@ -15,7 +15,6 @@
 //! backlog to coalesce. No frame waits on a clock tick.
 
 use crate::message::Message;
-use avoc_obs::{Counter, Registry};
 use bytes::{Buf, BytesMut};
 use std::io::{self, Write};
 
@@ -42,57 +41,26 @@ pub struct WriterStats {
     pub bytes: u64,
 }
 
-/// Live registry handles mirroring [`WriterStats`], so corked-writer I/O
-/// shows up on a scrape while the connection is still alive. Counters are
-/// relaxed atomics: attaching metrics adds no locks or allocations to the
-/// push/flush paths.
-#[derive(Debug, Clone)]
-pub struct CorkMetrics {
-    frames: Counter,
-    flushes: Counter,
-    writes: Counter,
-    bytes: Counter,
-}
-
-impl CorkMetrics {
-    /// Builds the handle set from existing counter cells — for callers (the
-    /// serve daemon) that already own registered counters under their own
-    /// names and want writers to feed those cells directly.
-    pub fn from_parts(frames: Counter, flushes: Counter, writes: Counter, bytes: Counter) -> Self {
-        CorkMetrics {
-            frames,
-            flushes,
-            writes,
-            bytes,
-        }
-    }
-
-    /// Registers (or finds) the four writer counters under the standard
-    /// `avoc_net_*` names with `labels` (idempotent, so every connection of
-    /// one daemon shares the same cells).
-    pub fn register(registry: &Registry, labels: &[(&str, &str)]) -> Self {
-        CorkMetrics {
-            frames: registry.counter_with(
-                "avoc_net_frames_sent_total",
-                "Frames encoded into cork buffers.",
-                labels,
-            ),
-            flushes: registry.counter_with(
-                "avoc_net_writer_flushes_total",
-                "Completed corked-writer flushes.",
-                labels,
-            ),
-            writes: registry.counter_with(
-                "avoc_net_writer_writes_total",
-                "write(2) calls issued by corked writers.",
-                labels,
-            ),
-            bytes: registry.counter_with(
-                "avoc_net_bytes_sent_total",
-                "Payload bytes handed to sockets by corked writers.",
-                labels,
-            ),
-        }
+avoc_obs::facts! {
+    /// Live registry handles for a connection's wire I/O: its corked writer
+    /// records the egress cells, the reactor's read path `bytes_received`.
+    /// Registration is idempotent, so every connection of one daemon shares
+    /// the same cells; recording is relaxed atomics, adding no locks or
+    /// allocations to the push/flush paths.
+    pub struct CorkMetrics => pub struct CorkSnapshot {
+        /// Bytes written to tenant sockets.
+        bytes_sent: Counter = "avoc_bytes_sent_total",
+        /// Bytes read from tenant sockets.
+        pub bytes_received: Counter = "avoc_bytes_received_total",
+        /// Frames encoded into outbound writer buffers.
+        frames_sent: Counter = "avoc_frames_sent_total",
+        // `frames_sent / writer_flushes` is the realized egress batching
+        // factor.
+        /// Coalesced writer flushes.
+        writer_flushes: Counter = "avoc_writer_flushes_total",
+        // Short writes retry, so this can exceed `writer_flushes`.
+        /// write(2) calls issued by connection writers.
+        writer_writes: Counter = "avoc_writer_writes_total",
     }
 }
 
@@ -134,7 +102,7 @@ impl<W: Write> CorkedWriter<W> {
         msg.encode_into(&mut self.buf);
         self.stats.frames += 1;
         if let Some(m) = &self.metrics {
-            m.frames.inc();
+            m.frames_sent.inc();
         }
     }
 
@@ -194,8 +162,8 @@ impl<W: Write> CorkedWriter<W> {
                     self.stats.writes += 1;
                     self.stats.bytes += n as u64;
                     if let Some(m) = &self.metrics {
-                        m.writes.inc();
-                        m.bytes.add(n as u64);
+                        m.writer_writes.inc();
+                        m.bytes_sent.add(n as u64);
                     }
                     self.buf.advance(n);
                 }
@@ -208,7 +176,7 @@ impl<W: Write> CorkedWriter<W> {
         self.buf.clear();
         self.stats.flushes += 1;
         if let Some(m) = &self.metrics {
-            m.flushes.inc();
+            m.writer_flushes.inc();
         }
         Ok(())
     }
@@ -239,8 +207,8 @@ impl<W: Write> CorkedWriter<W> {
                     self.stats.writes += 1;
                     self.stats.bytes += n as u64;
                     if let Some(m) = &self.metrics {
-                        m.writes.inc();
-                        m.bytes.add(n as u64);
+                        m.writer_writes.inc();
+                        m.bytes_sent.add(n as u64);
                     }
                     self.buf.advance(n);
                 }
@@ -254,7 +222,7 @@ impl<W: Write> CorkedWriter<W> {
         self.buf.clear();
         self.stats.flushes += 1;
         if let Some(m) = &self.metrics {
-            m.flushes.inc();
+            m.writer_flushes.inc();
         }
         Ok(FlushOutcome::Drained)
     }
@@ -274,6 +242,7 @@ pub enum FlushOutcome {
 mod tests {
     use super::*;
     use avoc_core::ModuleId;
+    use avoc_obs::Registry;
     use std::net::{TcpListener, TcpStream};
     use std::time::{Duration, Instant};
 
@@ -333,34 +302,24 @@ mod tests {
     fn registry_metrics_mirror_local_stats() {
         let registry = Registry::new();
         let mut w = CorkedWriter::new(Vec::new());
-        w.set_metrics(CorkMetrics::register(&registry, &[("shard", "0")]));
+        w.set_metrics(CorkMetrics::register(&registry, &[]));
         for msg in sample_frames() {
             w.push(&msg);
         }
         w.flush().unwrap();
         let stats = w.stats();
-        let text = registry.render_prometheus();
-        assert!(text.contains(&format!(
-            "avoc_net_frames_sent_total{{shard=\"0\"}} {}",
-            stats.frames
-        )));
-        assert!(text.contains(&format!(
-            "avoc_net_writer_flushes_total{{shard=\"0\"}} {}",
-            stats.flushes
-        )));
-        assert!(text.contains(&format!(
-            "avoc_net_bytes_sent_total{{shard=\"0\"}} {}",
-            stats.bytes
-        )));
-        // A second writer with the same labels lands on the same cells.
+        let cells_now = |r: &Registry| CorkMetrics::register(r, &[]).snapshot();
+        let cells = cells_now(&registry);
+        let writer = (cells.frames_sent, cells.writer_flushes, cells.writer_writes);
+        assert_eq!(writer, (stats.frames, stats.flushes, stats.writes));
+        assert_eq!(cells.bytes_sent, stats.bytes);
+        assert_eq!(cells.bytes_received, 0, "a writer only sends");
+        // A second writer registered the same way lands on the same cells.
         let mut w2 = CorkedWriter::new(Vec::new());
-        w2.set_metrics(CorkMetrics::register(&registry, &[("shard", "0")]));
+        w2.set_metrics(CorkMetrics::register(&registry, &[]));
         w2.push(&Message::Shutdown);
         w2.flush().unwrap();
-        assert!(registry.render_prometheus().contains(&format!(
-            "avoc_net_frames_sent_total{{shard=\"0\"}} {}",
-            stats.frames + 1
-        )));
+        assert_eq!(cells_now(&registry).frames_sent, stats.frames + 1);
     }
 
     /// A writer that accepts at most `cap` bytes per call and fails on the

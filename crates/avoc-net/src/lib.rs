@@ -49,12 +49,12 @@ pub mod hub;
 pub mod message;
 pub mod reactor;
 
-pub use cork::{CorkMetrics, CorkedWriter, FlushOutcome, WriterStats};
+pub use cork::{CorkMetrics, CorkSnapshot, CorkedWriter, FlushOutcome, WriterStats};
 pub use hub::{Liveness, SensorHub};
 pub use message::{
     BatchReading, BatchResult, Message, SpecSource, MAX_BATCH_READINGS, MAX_BATCH_RESULTS,
 };
 pub use reactor::{
     spawn_pool, ConnWaker, DecodeStep, FrameVerdict, Handler, ReactorConfig, ReactorMetrics,
-    ReactorPool, StreamDecoder,
+    ReactorPool, ReactorSnapshot, StreamDecoder,
 };

@@ -1,88 +1,37 @@
 //! Reactor health metrics: how hard the event loop is working.
 
-use avoc_obs::{Counter, Gauge, Histogram, Registry};
-
-/// Live registry handles for one reactor. Registration is idempotent —
-/// re-registering under the same labels lands on the same cells, so the
-/// serve daemon's counters snapshot and the reactor itself can share
-/// them. All cells are relaxed atomics; recording adds no locks to the
-/// event loop.
-#[derive(Debug, Clone)]
-pub struct ReactorMetrics {
-    /// Sockets currently owned by the reactor (listener excluded).
-    pub connections_open: Gauge,
-    /// `epoll_wait`/`poll` returns — every wakeup of the event loop.
-    pub epoll_wakeups: Counter,
-    /// Readiness events dispatched. Divide by
-    /// [`ReactorMetrics::epoll_wakeups`] for events per wakeup — the
-    /// batching factor that makes a reactor cheaper than a thread per
-    /// socket.
-    pub events: Counter,
-    /// Nanoseconds spent dispatching one wakeup's events (reads, frame
-    /// decoding, handler calls, flushes) before the loop sleeps again.
-    pub readiness_dispatch_ns: Histogram,
-    /// Connections accepted since start.
-    pub accepted: Counter,
-    /// Connections closed because a peer stayed unwritable past the
-    /// write deadline (the timer-wheel replacement for `SO_SNDTIMEO`).
-    pub wedged_closed: Counter,
-    /// Times the reactor paused accepting because the process ran out of
-    /// file descriptors (`EMFILE`/`ENFILE`); each pause resumes on a
-    /// timer once the emergency reserve re-arms.
-    pub accept_pauses: Counter,
-    /// Nanoseconds one full event-loop iteration spends working (from
-    /// `epoll_wait` returning to the loop parking again — dispatch, dirty
-    /// pumping, and timer expiry). Compared across `{reactor}` labels this
-    /// exposes a hot or imbalanced reactor in a multi-reactor pool.
-    pub loop_iter_ns: Histogram,
-}
-
-impl ReactorMetrics {
-    /// Registers (or finds) the reactor cells under the standard
-    /// `avoc_net_*` names with `labels`.
-    pub fn register(registry: &Registry, labels: &[(&str, &str)]) -> Self {
-        ReactorMetrics {
-            connections_open: registry.gauge_with(
-                "avoc_net_connections_open",
-                "Sockets currently owned by the reactor.",
-                labels,
-            ),
-            epoll_wakeups: registry.counter_with(
-                "avoc_net_epoll_wakeups_total",
-                "Event-loop wakeups (epoll_wait/poll returns).",
-                labels,
-            ),
-            events: registry.counter_with(
-                "avoc_net_reactor_events_total",
-                "Readiness events dispatched; divide by avoc_net_epoll_wakeups_total \
-                 for events per wakeup.",
-                labels,
-            ),
-            readiness_dispatch_ns: registry.latency_histogram_with(
-                "avoc_net_readiness_dispatch_ns",
-                "Nanoseconds dispatching one wakeup's readiness events.",
-                labels,
-            ),
-            accepted: registry.counter_with(
-                "avoc_net_connections_accepted_total",
-                "Connections accepted by the reactor.",
-                labels,
-            ),
-            wedged_closed: registry.counter_with(
-                "avoc_net_wedged_closed_total",
-                "Connections closed for staying unwritable past the write deadline.",
-                labels,
-            ),
-            accept_pauses: registry.counter_with(
-                "avoc_net_accept_pauses_total",
-                "Times the reactor paused accepting on fd exhaustion.",
-                labels,
-            ),
-            loop_iter_ns: registry.latency_histogram_with(
-                "avoc_net_loop_iter_ns",
-                "Nanoseconds of work per event-loop iteration (wakeup to park).",
-                labels,
-            ),
-        }
+// Registration is idempotent: re-registering under the same labels lands on
+// the same cells, so the serve daemon's counters snapshot and the reactor
+// itself can share them. All cells are relaxed atomics; recording adds no
+// locks to the event loop.
+avoc_obs::facts! {
+    /// Live registry handles for one reactor.
+    pub struct ReactorMetrics => pub struct ReactorSnapshot {
+        /// Sockets currently owned by the reactor.
+        pub connections_open: Gauge = "avoc_net_connections_open",
+        /// Event-loop wakeups (epoll_wait/poll returns).
+        pub epoll_wakeups: Counter = "avoc_net_epoll_wakeups_total",
+        // The events-per-wakeup batching factor is what makes a reactor
+        // cheaper than a thread per socket.
+        /// Readiness events dispatched; divide by avoc_net_epoll_wakeups_total
+        /// for events per wakeup.
+        pub events: Counter = "avoc_net_reactor_events_total",
+        // Reads, frame decoding, handler calls and flushes, before the loop
+        // sleeps again.
+        /// Nanoseconds dispatching one wakeup's readiness events.
+        pub readiness_dispatch_ns: Histogram = "avoc_net_readiness_dispatch_ns",
+        /// Connections accepted by the reactor.
+        pub accepted: Counter = "avoc_net_connections_accepted_total",
+        // The timer-wheel replacement for `SO_SNDTIMEO`.
+        /// Connections closed for staying unwritable past the write deadline.
+        pub wedged_closed: Counter = "avoc_net_wedged_closed_total",
+        // On EMFILE/ENFILE; each pause resumes on a timer once the emergency
+        // reserve re-arms.
+        /// Times the reactor paused accepting on fd exhaustion.
+        pub accept_pauses: Counter = "avoc_net_accept_pauses_total",
+        // Dispatch, dirty pumping and timer expiry. Compared across
+        // `{reactor}` labels this exposes a hot or imbalanced reactor.
+        /// Nanoseconds of work per event-loop iteration (wakeup to park).
+        pub loop_iter_ns: Histogram = "avoc_net_loop_iter_ns",
     }
 }

@@ -50,11 +50,10 @@ mod poller;
 mod timer;
 
 pub use decoder::{DecodeStep, StreamDecoder};
-pub use metrics::ReactorMetrics;
+pub use metrics::{ReactorMetrics, ReactorSnapshot};
 
 use crate::cork::{CorkMetrics, CorkedWriter, FlushOutcome};
 use crate::message::Message;
-use avoc_obs::Counter;
 use crossbeam::channel::Receiver;
 use parking_lot::Mutex;
 use poller::Poller;
@@ -210,10 +209,10 @@ pub struct ReactorConfig {
     pub force_poll: bool,
     /// Reactor health metrics.
     pub metrics: Option<ReactorMetrics>,
-    /// Cells fed by every connection's corked writer.
+    /// Wire I/O cells: every connection's corked writer feeds the egress
+    /// ones, and every byte read off a data-plane socket counts in
+    /// `bytes_received`.
     pub cork_metrics: Option<CorkMetrics>,
-    /// Counts every byte read off data-plane sockets.
-    pub bytes_received: Option<Counter>,
     /// Health plane the reactor reports its `accept` domain into: the
     /// domain goes `degraded` while accepting is paused on fd exhaustion
     /// and returns to `ok` once the emergency reserve re-arms.
@@ -284,7 +283,6 @@ fn spawn_core<H: Handler>(
         write_deadline: config.write_deadline.unwrap_or(DEFAULT_WRITE_DEADLINE),
         metrics: config.metrics,
         cork_metrics: config.cork_metrics,
-        bytes_received: config.bytes_received,
         health: config.health,
         // One fd held in reserve: dropped on EMFILE so teardown paths can
         // still open sockets/files, re-armed before accepting resumes.
@@ -529,7 +527,6 @@ struct Core<H: Handler> {
     write_deadline: Duration,
     metrics: Option<ReactorMetrics>,
     cork_metrics: Option<CorkMetrics>,
-    bytes_received: Option<Counter>,
     health: Option<avoc_obs::Health>,
     /// Emergency fd kept open so that hitting `EMFILE` never leaves the
     /// reactor unable to make progress; surrendered while accept is
@@ -809,7 +806,7 @@ impl<H: Handler> Core<H> {
             let Core {
                 handler,
                 slots,
-                bytes_received,
+                cork_metrics,
                 ..
             } = &mut *self;
             let SlotState::Live(conn) = &mut slots[idx].state else {
@@ -839,8 +836,8 @@ impl<H: Handler> Core<H> {
                         break;
                     }
                 };
-                if let Some(c) = bytes_received {
-                    c.add(n as u64);
+                if let Some(m) = cork_metrics {
+                    m.bytes_received.add(n as u64);
                 }
                 conn.decoder.extend(&chunk[..n]);
                 loop {

@@ -45,7 +45,7 @@ impl Histogram {
 
     /// Fresh cells over an already sorted, deduplicated scale, which the
     /// histogram shares instead of copying.
-    pub(crate) fn on_scale(bounds: Arc<[u64]>) -> Self {
+    fn on_scale(bounds: Arc<[u64]>) -> Self {
         let buckets = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
         Histogram {
             core: Arc::new(Core {
@@ -62,11 +62,6 @@ impl Histogram {
     /// `k = 0..=9`, i.e. 1 ns to 9 s in 90 buckets plus `+Inf`.
     pub fn latency_ns() -> Self {
         Histogram::on_scale(latency_scale())
-    }
-
-    /// The bucket bounds, shared by every histogram built on them.
-    pub(crate) fn scale(&self) -> Arc<[u64]> {
-        Arc::clone(&self.core.bounds)
     }
 
     /// Whether two handles record into the same cells.

@@ -11,6 +11,9 @@
 //!   paths touch only relaxed atomics, so instrumented hot paths stay
 //!   allocation-free. Exposition is Prometheus text format
 //!   ([`Registry::render_prometheus`]) or JSON ([`Registry::render_json`]).
+//! * [`facts!`] — declares a table of metric facts once: the handle
+//!   struct, its registration, a plain-value snapshot and its family list
+//!   all come from one row per fact.
 //! * [`TraceRing`] — a fixed-capacity ring of structured per-round span
 //!   events ([`Span`]: `ingest → queue → fuse → flush`), sampled 1-in-N so
 //!   queue delay, fuse time and flush time are separable per tenant while
@@ -33,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod facts;
 pub mod health;
 pub mod histogram;
 pub mod http;
@@ -40,8 +44,9 @@ pub mod registry;
 pub mod rollup;
 pub mod trace;
 
+pub use facts::Fact;
 pub use health::{Health, HealthLevel};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use http::{reason, write_response};
-pub use registry::{Counter, Gauge, Registry};
+pub use registry::{Counter, Gauge, Kind, Registry};
 pub use trace::{now_ns, Span, Stage, TraceRing};

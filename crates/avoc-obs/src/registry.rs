@@ -77,15 +77,20 @@ impl Gauge {
     }
 }
 
+/// A metric family's kind, as its `# TYPE` line names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
+pub enum Kind {
+    /// Monotonically increasing ([`Counter`]).
     Counter,
+    /// Moves both ways ([`Gauge`]).
     Gauge,
+    /// A distribution ([`crate::Histogram`]).
     Histogram,
 }
 
 impl Kind {
-    fn as_str(self) -> &'static str {
+    /// `counter`, `gauge` or `histogram`.
+    pub fn as_str(self) -> &'static str {
         match self {
             Kind::Counter => "counter",
             Kind::Gauge => "gauge",
@@ -99,15 +104,6 @@ enum Cell {
     Counter(Counter),
     Gauge(Gauge),
     Histogram(Histogram),
-}
-
-impl Cell {
-    fn histogram(&self) -> &Histogram {
-        match self {
-            Cell::Histogram(h) => h,
-            _ => unreachable!("histogram family holds histograms"),
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -137,11 +133,11 @@ struct Family {
 
 impl Family {
     /// The child with `labels`: found, or built by `make` and added.
-    fn child(&mut self, labels: &[(&str, &str)], make: impl FnOnce(&Family) -> Cell) -> Cell {
+    fn child(&mut self, labels: &[(&str, &str)], make: impl FnOnce() -> Cell) -> Cell {
         if let Some(child) = self.children.iter().find(|c| c.has_labels(labels)) {
             return child.cell.clone();
         }
-        let cell = make(self);
+        let cell = make();
         let own = |&(k, v): &(&str, &str)| (k.to_string(), v.to_string());
         self.children.push(Child {
             labels: labels.iter().map(own).collect(),
@@ -169,18 +165,37 @@ fn valid_name(name: &str, label: bool) -> bool {
     head_ok && chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || (!label && c == ':'))
 }
 
+/// The index of family `name`, added if new.
+fn family(inner: &mut Vec<Family>, name: &str, help: &str, kind: Kind) -> usize {
+    assert!(valid_name(name, false), "invalid metric name `{name}`");
+    match inner.iter().position(|f| f.name == name) {
+        Some(i) => {
+            assert!(
+                inner[i].kind == kind,
+                "metric `{name}` already registered as a {}",
+                inner[i].kind.as_str()
+            );
+            i
+        }
+        None => {
+            inner.push(Family {
+                name: name.to_string(),
+                help: help.to_string(),
+                kind,
+                children: Vec::new(),
+            });
+            inner.len() - 1
+        }
+    }
+}
+
 impl Registry {
     /// An empty registry.
     pub fn new() -> Self {
         Registry::default()
     }
 
-    /// Registers (or finds) an unlabeled counter.
-    pub fn counter(&self, name: &str, help: &str) -> Counter {
-        self.counter_with(name, help, &[])
-    }
-
-    /// Registers (or finds) a labeled counter.
+    /// Registers (or finds) a counter; `labels` may be empty.
     ///
     /// # Panics
     ///
@@ -188,7 +203,7 @@ impl Registry {
     /// as a different metric kind — both are programmer errors caught at
     /// registration, never on the record path.
     pub fn counter_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
-        match self.register(name, help, Kind::Counter, labels, |_| {
+        match self.register(name, help, Kind::Counter, labels, || {
             Cell::Counter(Counter::new())
         }) {
             Cell::Counter(c) => c,
@@ -196,69 +211,43 @@ impl Registry {
         }
     }
 
-    /// Registers (or finds) an unlabeled gauge.
-    pub fn gauge(&self, name: &str, help: &str) -> Gauge {
-        self.gauge_with(name, help, &[])
-    }
-
-    /// Registers (or finds) a labeled gauge (panics as
-    /// [`Registry::counter_with`]).
+    /// Registers (or finds) a gauge (panics as [`Registry::counter_with`]).
     pub fn gauge_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-        match self.register(name, help, Kind::Gauge, labels, |_| {
-            Cell::Gauge(Gauge::new())
-        }) {
+        match self.register(
+            name,
+            help,
+            Kind::Gauge,
+            labels,
+            || Cell::Gauge(Gauge::new()),
+        ) {
             Cell::Gauge(g) => g,
             _ => unreachable!("kind checked by register"),
         }
     }
 
-    /// Registers (or finds) an unlabeled histogram over `bounds`.
-    pub fn histogram(&self, name: &str, help: &str, bounds: &[u64]) -> Histogram {
-        self.histogram_with(name, help, bounds, &[])
-    }
-
-    /// Registers (or finds) a labeled histogram (panics as
-    /// [`Registry::counter_with`]). Every child of one family shares the
-    /// *first* registration's bounds, so a family renders with one
-    /// consistent bucket layout whatever later callers pass.
-    pub fn histogram_with(
-        &self,
-        name: &str,
-        help: &str,
-        bounds: &[u64],
-        labels: &[(&str, &str)],
-    ) -> Histogram {
-        self.histogram_child(name, help, labels, || Histogram::with_bounds(bounds))
-    }
-
-    /// Registers (or finds) a labeled histogram on the default
-    /// [`Histogram::latency_ns`] log-linear scale.
+    /// Registers (or finds) a histogram on the [`Histogram::latency_ns`]
+    /// log-linear scale, the one every registered histogram shares (panics
+    /// as [`Registry::counter_with`]).
     pub fn latency_histogram_with(
         &self,
         name: &str,
         help: &str,
         labels: &[(&str, &str)],
     ) -> Histogram {
-        self.histogram_child(name, help, labels, Histogram::latency_ns)
+        match self.register(name, help, Kind::Histogram, labels, || {
+            Cell::Histogram(Histogram::latency_ns())
+        }) {
+            Cell::Histogram(h) => h,
+            _ => unreachable!("kind checked by register"),
+        }
     }
 
-    /// Finds the histogram child, or adds one: on the family's scale (shared,
-    /// not copied) when it has children, built by `make` when it is the
-    /// first — so a registration allocates only the cells it keeps.
-    fn histogram_child(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        make: impl FnOnce() -> Histogram,
-    ) -> Histogram {
-        let cell = self.register(name, help, Kind::Histogram, labels, |family| {
-            Cell::Histogram(match family.children.first() {
-                Some(first) => Histogram::on_scale(first.cell.histogram().scale()),
-                None => make(),
-            })
-        });
-        cell.histogram().clone()
+    /// Declares a family with no series yet, fixing its place in the
+    /// exposition: a family renders where it was first registered or
+    /// declared, and its series arrive with later registrations (panics as
+    /// [`Registry::counter_with`]).
+    pub fn declare(&self, name: &str, help: &str, kind: Kind) {
+        family(&mut self.inner.lock(), name, help, kind);
     }
 
     fn register(
@@ -267,33 +256,14 @@ impl Registry {
         help: &str,
         kind: Kind,
         labels: &[(&str, &str)],
-        make: impl FnOnce(&Family) -> Cell,
+        make: impl FnOnce() -> Cell,
     ) -> Cell {
-        assert!(valid_name(name, false), "invalid metric name `{name}`");
         for (k, _) in labels {
             assert!(valid_name(k, true), "invalid label name `{k}` on `{name}`");
         }
         let mut inner = self.inner.lock();
-        let family_idx = match inner.iter().position(|f| f.name == name) {
-            Some(i) => {
-                assert!(
-                    inner[i].kind == kind,
-                    "metric `{name}` already registered as a {}",
-                    inner[i].kind.as_str()
-                );
-                i
-            }
-            None => {
-                inner.push(Family {
-                    name: name.to_string(),
-                    help: help.to_string(),
-                    kind,
-                    children: Vec::new(),
-                });
-                inner.len() - 1
-            }
-        };
-        inner[family_idx].child(labels, make)
+        let family = family(&mut inner, name, help, kind);
+        inner[family].child(labels, make)
     }
 
     /// Renders every registered metric in the Prometheus text exposition
@@ -490,19 +460,19 @@ mod tests {
     #[should_panic(expected = "already registered")]
     fn kind_mismatch_is_a_registration_error() {
         let r = Registry::new();
-        let _ = r.counter("avoc_mixed", "");
-        let _ = r.gauge("avoc_mixed", "");
+        let _ = r.counter_with("avoc_mixed", "", &[]);
+        let _ = r.gauge_with("avoc_mixed", "", &[]);
     }
 
     #[test]
     #[should_panic(expected = "invalid metric name")]
     fn invalid_names_are_rejected_at_registration() {
-        let _ = Registry::new().counter("bad name", "");
+        let _ = Registry::new().counter_with("bad name", "", &[]);
     }
 
     #[test]
     fn gauge_set_max_is_a_high_water_mark() {
-        let g = Registry::new().gauge("avoc_hw", "");
+        let g = Registry::new().gauge_with("avoc_hw", "", &[]);
         g.set_max(5);
         g.set_max(3);
         assert_eq!(g.get(), 5);
@@ -515,7 +485,7 @@ mod tests {
         let r = Registry::new();
         r.counter_with("avoc_frames_total", "Frames by tag.", &[("tag", "reading")])
             .add(3);
-        r.gauge("avoc_depth", "Queue depth.").set(-2);
+        r.gauge_with("avoc_depth", "Queue depth.", &[]).set(-2);
         let nasty = "a\"b\\c\nd";
         r.counter_with("avoc_esc_total", "", &[("v", nasty)]).inc();
         let text = r.render_prometheus();
@@ -527,25 +497,15 @@ mod tests {
     }
 
     #[test]
-    fn histogram_family_children_share_bounds() {
-        let r = Registry::new();
-        let a = r.histogram_with("avoc_lat", "", &[10, 100], &[("s", "1")]);
-        // A later caller with different bounds still lands on the family's
-        // canonical layout.
-        let b = r.histogram_with("avoc_lat", "", &[7], &[("s", "2")]);
-        assert_eq!(a.snapshot().bounds, b.snapshot().bounds);
-    }
-
-    #[test]
     fn prometheus_histogram_buckets_are_cumulative_with_inf_equal_count() {
         let r = Registry::new();
-        let h = r.histogram("avoc_h", "", &[10, 100]);
+        let h = r.latency_histogram_with("avoc_h", "", &[]);
         for v in [1, 5, 50, 500, 5000] {
             h.record(v);
         }
         let text = r.render_prometheus();
-        assert!(text.contains("avoc_h_bucket{le=\"10\"} 2"));
-        assert!(text.contains("avoc_h_bucket{le=\"100\"} 3"));
+        assert!(text.contains("avoc_h_bucket{le=\"5\"} 2"));
+        assert!(text.contains("avoc_h_bucket{le=\"50\"} 3"));
         assert!(text.contains("avoc_h_bucket{le=\"+Inf\"} 5"));
         assert!(text.contains("avoc_h_count 5"));
         assert!(text.contains("avoc_h_sum 5556"));
@@ -554,9 +514,9 @@ mod tests {
     #[test]
     fn json_exposition_covers_all_kinds() {
         let r = Registry::new();
-        r.counter("avoc_c", "").add(7);
+        r.counter_with("avoc_c", "", &[]).add(7);
         r.gauge_with("avoc_g", "", &[("shard", "0")]).set(4);
-        r.histogram("avoc_hh", "", &[10]).record(3);
+        r.latency_histogram_with("avoc_hh", "", &[]).record(3);
         let json = r.render_json();
         assert!(json.contains("\"avoc_c\": 7"));
         assert!(json.contains("\"avoc_g{shard=\\\"0\\\"}\": 4"));

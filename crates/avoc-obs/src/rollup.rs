@@ -223,8 +223,8 @@ mod tests {
     fn merging_real_registry_renders_matches_cell_sums() {
         let r1 = Registry::new();
         let r2 = Registry::new();
-        r1.counter("demo_total", "Demo.").add(3);
-        r2.counter("demo_total", "Demo.").add(4);
+        r1.counter_with("demo_total", "Demo.", &[]).add(3);
+        r2.counter_with("demo_total", "Demo.", &[]).add(4);
         r1.gauge_with("demo_gauge", "Demo gauge.", &[("node", "1")])
             .set(2);
         r2.gauge_with("demo_gauge", "Demo gauge.", &[("node", "2")])

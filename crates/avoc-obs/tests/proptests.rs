@@ -80,11 +80,7 @@ proptest! {
         values in prop::collection::vec(0u64..5_000_000, 0..64),
     ) {
         let registry = Registry::new();
-        let hist = registry.histogram(
-            "avoc_prop_h",
-            "",
-            &[10, 100, 1_000, 10_000, 100_000, 1_000_000],
-        );
+        let hist = registry.latency_histogram_with("avoc_prop_h", "", &[]);
         for &v in &values {
             hist.record(v);
         }

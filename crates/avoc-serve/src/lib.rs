@@ -96,7 +96,7 @@ pub use client::{
     ClientConfig, ClientIoStats, ClientStats, ResilientClient, RetryPolicy, ServeClient,
     MAX_REDIRECT_HOPS,
 };
-pub use metrics::CountersSnapshot;
+pub use metrics::{CountersSnapshot, ServiceSnapshot};
 pub use persist::Persistence;
 pub use registry::SpecRegistry;
 pub use server::TcpServer;

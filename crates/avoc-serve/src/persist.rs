@@ -185,8 +185,8 @@ pub(crate) struct Loaded {
     /// Verdict rows of the last [`RESULT_RING`] rounds, ascending.
     pub(crate) results: Vec<StoredResult>,
     /// The seed state came from the segment tier alone (the WAL had been
-    /// retired by a fold) — which side of the `wal_replay_ms` /
-    /// `segment_load_ms` split the resume cost lands on.
+    /// retired by a fold) — which side of the `wal_replay_ns` /
+    /// `segment_load_ns` split the resume cost lands on.
     pub(crate) from_segments: bool,
     /// `FileHistory` truncated a torn final frame during replay.
     pub(crate) torn_tail: bool,

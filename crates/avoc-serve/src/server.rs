@@ -92,8 +92,7 @@ impl TcpServer {
                 // Per-reactor metric cells ({reactor="i"}); the snapshot
                 // sums them back into data-plane totals.
                 metrics: Some(counters.reactors[i].clone()),
-                cork_metrics: Some(counters.cork_metrics()),
-                bytes_received: Some(counters.bytes_received.clone()),
+                cork_metrics: Some(counters.wire.clone()),
                 health: Some(counters.health.clone()),
                 ..ReactorConfig::default()
             },

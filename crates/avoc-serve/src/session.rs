@@ -330,6 +330,7 @@ impl Session {
         let bytes = store.checkpoint(&self.engine.histories(), self.high_round, &self.results)?;
         counters.checkpoint_bytes.add(bytes);
         counters
+            .scrape_only
             .checkpoint_latency_ns
             .record(started.elapsed().as_nanos() as u64);
         Ok(())

@@ -794,11 +794,7 @@ impl ShardWorker {
                 // WAL replay and a pure segment load are the two sides of
                 // the bench this store exists to win.
                 let elapsed = started.elapsed().as_nanos() as u64;
-                if loaded.from_segments {
-                    self.counters.segment_load_ns_add(elapsed);
-                } else {
-                    self.counters.wal_replay_ns_add(elapsed);
-                }
+                self.counters.resume_timed(loaded.from_segments, elapsed);
                 if loaded.torn_tail {
                     self.counters.torn_tail_recoveries.inc();
                 }

@@ -214,7 +214,6 @@ fn eager_recovery_rebuilds_sessions_at_boot() {
         counters.resumed_sessions, 0,
         "daemon-internal recovery is not a client resume"
     );
-    assert!(counters.wal_replay_ms >= 0.0);
 
     client.redirect(server_b.local_addr());
     let rest = run_rounds(&mut client, 4..8);
@@ -305,7 +304,7 @@ fn kill_mid_compaction_resumes_bit_identical() {
     let counters = server_c.service().counters();
     assert_eq!(counters.recoveries, 1);
     assert!(
-        counters.segment_load_ms > 0.0,
+        counters.segment_load_ns > 0,
         "the final resume is served from segments"
     );
 

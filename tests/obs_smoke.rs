@@ -26,16 +26,22 @@ const MODULES: u32 = 3;
 /// round traced (`trace_sample: 1`), so a short replay reliably leaves
 /// spans in the ring.
 fn start_daemon() -> (TcpServer, SocketAddr, SocketAddr) {
-    start_daemon_over(None)
+    start_daemon_over(None, 0)
 }
 
-/// As [`start_daemon`], persisting sessions under `state_dir` when given.
-fn start_daemon_over(state_dir: Option<&Path>) -> (TcpServer, SocketAddr, SocketAddr) {
+/// As [`start_daemon`], persisting sessions under `state_dir` when given,
+/// with `threads` shards and as many reactors (`0`: the defaults).
+fn start_daemon_over(
+    state_dir: Option<&Path>,
+    threads: usize,
+) -> (TcpServer, SocketAddr, SocketAddr) {
     let mut registry = SpecRegistry::new();
     registry.insert("avoc", VdxSpec::avoc());
     let service = Arc::new(VoterService::start(
         ServeConfig {
             idle_ticks: u64::MAX,
+            shards: threads,
+            reactors: threads,
             admin_addr: Some("127.0.0.1:0".into()),
             trace_sample: 1,
             trace_capacity: 1024,
@@ -217,7 +223,7 @@ fn first_scrape_reads_injected_faults_without_any_other_door_asked() {
 fn segments_live_counts_segments_found_at_boot() {
     let dir = std::env::temp_dir().join(format!("avoc-obs-segments-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let (server_a, wire, _) = start_daemon_over(Some(&dir));
+    let (server_a, wire, _) = start_daemon_over(Some(&dir), 0);
     let mut client = ResilientClient::new(wire, ClientConfig::default(), RetryPolicy::default());
     client
         .open_session(7, 1, SpecSource::Named("avoc".into()), 0x5E6)
@@ -235,7 +241,7 @@ fn segments_live_counts_segments_found_at_boot() {
         .expect("fold the cold WAL");
     assert_eq!(folded.wals_retired, 1);
 
-    let (server_b, _, admin) = start_daemon_over(Some(&dir));
+    let (server_b, _, admin) = start_daemon_over(Some(&dir), 0);
     let admin = admin.to_string();
     let (_, text) = http::get(&admin, "/metrics").expect("metrics");
     let (_, segments) = http::get(&admin, "/segments").expect("segments");
@@ -306,7 +312,8 @@ fn dropped_stragglers_are_counted() {
 /// `counters()` agree on every scalar the snapshot carries.
 #[test]
 fn both_doors_agree_on_a_quiesced_daemon() {
-    let (server, wire, admin) = start_daemon();
+    // Two of each, so a cell registered under the wrong label shows.
+    let (server, wire, admin) = start_daemon_over(None, 2);
     let admin = admin.to_string();
     let mut client = ServeClient::connect(wire).expect("connect");
     replay(&mut client);
@@ -335,88 +342,71 @@ fn both_doors_agree_on_a_quiesced_daemon() {
     let c = server.service().counters();
     let scrape = json(&scrape);
 
-    // The cell behind the snapshot scalar `<key>` is
-    // `avoc_[net_]<key>[_total]`, summed over its series where reactors or
-    // shards each have one.
-    let mut cells = std::collections::HashMap::<&str, u64>::new();
+    // Every counter and gauge series on `/metrics`, by its exact key.
+    let mut series = std::collections::HashMap::<String, i64>::new();
     for kind in ["counters", "gauges"] {
-        for (series, value) in scrape[kind].as_object().expect("scalar map") {
-            let family = series.split('{').next().expect("family name");
-            let stem = family.strip_prefix("avoc_").expect("avoc_ prefix");
-            let stem = stem.strip_prefix("net_").unwrap_or(stem);
-            let stem = stem.strip_suffix("_total").unwrap_or(stem);
-            *cells.entry(stem).or_default() += value.as_u64().expect("non-negative scalar");
+        for (key, value) in scrape[kind].as_object().expect("series map") {
+            series.insert(key.clone(), value.as_i64().expect("integer sample"));
         }
     }
-    let scalars: [(&str, f64); 39] = [
-        ("sessions_opened", c.sessions_opened as f64),
-        ("sessions_evicted", c.sessions_evicted as f64),
-        ("sessions_rejected", c.sessions_rejected as f64),
-        ("rounds_fused", c.rounds_fused as f64),
-        ("fallbacks", c.fallbacks as f64),
-        ("readings_dropped", c.readings_dropped as f64),
-        ("readings_straggled", c.readings_straggled as f64),
-        ("results_dropped", c.results_dropped as f64),
-        ("result_batches", c.result_batches as f64),
-        ("bytes_sent", c.bytes_sent as f64),
-        ("bytes_received", c.bytes_received as f64),
-        ("frames_sent", c.frames_sent as f64),
-        ("writer_flushes", c.writer_flushes as f64),
-        ("writer_writes", c.writer_writes as f64),
-        ("connections_accepted", c.connections_accepted as f64),
-        ("connections_open", c.connections_open as f64),
-        ("epoll_wakeups", c.epoll_wakeups as f64),
-        ("reactor_events", c.reactor_events as f64),
-        ("wedged_closed", c.wedged_closed as f64),
-        ("accept_pauses", c.accept_pauses as f64),
-        ("shard_handoff_sends", c.shard_handoff_sends as f64),
-        ("recoveries", c.recoveries as f64),
-        ("resumed_sessions", c.resumed_sessions as f64),
-        ("retries", c.retries as f64),
-        ("checkpoint_bytes", c.checkpoint_bytes as f64),
-        ("wal_replay_ms", c.wal_replay_ms),
-        ("segment_load_ms", c.segment_load_ms),
-        ("torn_tail_recoveries", c.torn_tail_recoveries as f64),
-        ("compactions", c.compactions as f64),
-        ("segment_rounds_folded", c.segment_rounds_folded as f64),
-        ("segment_bytes_written", c.segment_bytes_written as f64),
-        ("checkpoint_failures", c.checkpoint_failures as f64),
-        ("degraded_entered", c.degraded_entered as f64),
-        ("degraded_sessions", c.degraded_sessions as f64),
-        ("segments_quarantined", c.segments_quarantined as f64),
-        ("fault_injected", c.fault_injected as f64),
-        ("sessions_exported", c.sessions_exported as f64),
-        ("sessions_imported", c.sessions_imported as f64),
-        (
-            "sessions_skipped_foreign",
-            c.sessions_skipped_foreign as f64,
-        ),
-    ];
-    for (key, value) in scalars {
-        // A total kept in nanoseconds is reported in milliseconds.
-        let (stem, per_unit) = match key.strip_suffix("_ms") {
-            Some(stem) => (format!("{stem}_ns"), 1e6),
-            None => (key.to_string(), 1.0),
-        };
-        let cell = cells
-            .get(stem.as_str())
-            .unwrap_or_else(|| panic!("`{key}` has no registry cell"));
+    let mut checked = std::collections::HashSet::new();
+    let mut agree = |key: String, value: i128| {
+        let cell = series
+            .get(&key)
+            .unwrap_or_else(|| panic!("`{key}` is not on /metrics"));
         assert_eq!(
-            *cell as f64 / per_unit,
-            value,
+            *cell as i128, value,
             "/metrics and counters() disagree on `{key}`"
         );
+        checked.insert(key);
+    };
+    // The unlabelled facts `counters()` copies row by row, then the wire
+    // cells, each shard's own mark, and each reactor's series summed.
+    for (family, value) in c.facts() {
+        agree(family.to_string(), value);
     }
-    // Every scalar family is read above, bar the per-shard marks (next) and
-    // `avoc_segments_live`, which only `/metrics` reports.
-    assert_eq!(cells.len(), scalars.len() + 2);
+    for (family, value) in [
+        ("avoc_bytes_sent_total", c.bytes_sent),
+        ("avoc_bytes_received_total", c.bytes_received),
+        ("avoc_frames_sent_total", c.frames_sent),
+        ("avoc_writer_flushes_total", c.writer_flushes),
+        ("avoc_writer_writes_total", c.writer_writes),
+    ] {
+        agree(family.to_string(), value.into());
+    }
     for (shard, &mark) in c.shard_queue_high_water.iter().enumerate() {
-        let series = format!("avoc_shard_queue_high_water{{shard=\"{shard}\"}}");
-        assert_eq!(
-            scrape["gauges"][series.as_str()].as_u64(),
-            Some(mark as u64)
-        );
+        let key = format!("avoc_shard_queue_high_water{{shard=\"{shard}\"}}");
+        agree(key, mark as i128);
     }
+    assert_eq!(c.shard_queue_high_water.len(), 2);
+    let reactors = server.service().reactors();
+    assert_eq!(reactors, 2);
+    for (family, sum) in [
+        (
+            "avoc_net_connections_accepted_total",
+            c.connections_accepted as i128,
+        ),
+        ("avoc_net_connections_open", c.connections_open.into()),
+        ("avoc_net_epoll_wakeups_total", c.epoll_wakeups.into()),
+        ("avoc_net_reactor_events_total", c.reactor_events.into()),
+        ("avoc_net_wedged_closed_total", c.wedged_closed.into()),
+        ("avoc_net_accept_pauses_total", c.accept_pauses.into()),
+    ] {
+        let keys: Vec<String> = (0..reactors)
+            .map(|i| format!("{family}{{reactor=\"{i}\"}}"))
+            .collect();
+        let on_metrics: i128 = keys.iter().map(|k| series[k] as i128).sum();
+        assert_eq!(
+            on_metrics, sum,
+            "/metrics and counters() disagree on `{family}`"
+        );
+        checked.extend(keys);
+    }
+    // Every counter and gauge series is checked, bar the one gauge only
+    // `/metrics` reports.
+    let mut unchecked: Vec<&String> = series.keys().filter(|k| !checked.contains(*k)).collect();
+    unchecked.sort();
+    assert_eq!(unchecked, ["avoc_segments_live"]);
     assert_eq!(c.rounds_fused, SESSIONS * ROUNDS);
     let fuse_count = &scrape["histograms"]["avoc_fuse_latency_ns"]["count"];
     assert_eq!(fuse_count.as_u64(), Some(c.rounds_fused));

@@ -148,7 +148,7 @@ fn compaction_preserves_every_rounds_history_bit_for_bit() {
 /// The headline resume race: after a fold retires the WAL, a restarted
 /// daemon rebuilds the session from segments alone — same bits on the wire
 /// as an uninterrupted run — and the resume cost lands on the
-/// `segment_load_ms` side of the metric split, not `wal_replay_ms`.
+/// `segment_load_ns` side of the metric split, not `wal_replay_ns`.
 #[test]
 fn segment_cold_resume_is_bit_identical_and_metered() {
     // Uninterrupted reference.
@@ -192,11 +192,11 @@ fn segment_cold_resume_is_bit_identical_and_metered() {
     let counters = server_b.service().counters();
     assert_eq!(counters.recoveries, 1);
     assert!(
-        counters.segment_load_ms > 0.0,
+        counters.segment_load_ns > 0,
         "the resume must be attributed to the segment tier"
     );
     assert_eq!(
-        counters.wal_replay_ms, 0.0,
+        counters.wal_replay_ns, 0,
         "no WAL was replayed for this resume"
     );
     assert_eq!(counters.compactions, 1);
@@ -274,7 +274,7 @@ fn ring_and_round_are_recovered_from_segments_alone() {
     }
     assert_eq!(replayed, expected[last_acked as usize + 1..]);
     let counters = server_b.service().counters();
-    assert!(counters.segment_load_ms > 0.0 && counters.wal_replay_ms == 0.0);
+    assert!(counters.segment_load_ns > 0 && counters.wal_replay_ns == 0);
 
     server_b.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
