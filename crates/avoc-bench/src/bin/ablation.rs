@@ -12,9 +12,7 @@
 //! ```
 
 use avoc_bench::{run_voter, Fig6Config};
-use avoc_core::algorithms::{
-    AvocVoter, HybridVoter, ModuleEliminationVoter, SoftDynamicVoter, StandardVoter,
-};
+use avoc_core::algorithms::{AvocVoter, HistoryAlgorithm, HistoryVoter};
 use avoc_core::{
     AgreementParams, Collation, HistoryUpdate, MarginMode, MemoryHistory, Voter, VoterConfig,
 };
@@ -96,7 +94,13 @@ fn main() {
         &mut t,
         &report(
             "hybrid (no bootstrap)",
-            || Box::new(HybridVoter::new(mnn, MemoryHistory::new())),
+            || {
+                Box::new(HistoryVoter::new(
+                    HistoryAlgorithm::Hybrid,
+                    mnn,
+                    MemoryHistory::new(),
+                ))
+            },
             &clean,
             &faulty,
         ),
@@ -144,7 +148,13 @@ fn main() {
             &mut t,
             &report(
                 &format!("sdt, multiplier {mult}"),
-                || Box::new(SoftDynamicVoter::new(cfg_v, MemoryHistory::new())),
+                || {
+                    Box::new(HistoryVoter::new(
+                        HistoryAlgorithm::SoftDynamicThreshold,
+                        cfg_v,
+                        MemoryHistory::new(),
+                    ))
+                },
                 &clean,
                 &faulty,
             ),
@@ -166,7 +176,13 @@ fn main() {
         &mut t,
         &report(
             "standard (no elimination)",
-            || Box::new(StandardVoter::new(binary_cfg, MemoryHistory::new())),
+            || {
+                Box::new(HistoryVoter::new(
+                    HistoryAlgorithm::Standard,
+                    binary_cfg,
+                    MemoryHistory::new(),
+                ))
+            },
             &clean,
             &faulty,
         ),
@@ -176,7 +192,8 @@ fn main() {
         &report(
             "module elimination",
             || {
-                Box::new(ModuleEliminationVoter::new(
+                Box::new(HistoryVoter::new(
+                    HistoryAlgorithm::ModuleElimination,
                     binary_cfg,
                     MemoryHistory::new(),
                 ))
@@ -202,7 +219,13 @@ fn main() {
             &mut t,
             &report(
                 &format!("me, rate {rate}"),
-                || Box::new(ModuleEliminationVoter::new(cfg_v, MemoryHistory::new())),
+                || {
+                    Box::new(HistoryVoter::new(
+                        HistoryAlgorithm::ModuleElimination,
+                        cfg_v,
+                        MemoryHistory::new(),
+                    ))
+                },
                 &clean,
                 &faulty,
             ),

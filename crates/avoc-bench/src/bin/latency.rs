@@ -11,7 +11,7 @@
 //! ```
 
 use avoc_bench::Fig6Config;
-use avoc_core::algorithms::{HybridVoter, StandardVoter};
+use avoc_core::algorithms::{HistoryAlgorithm, HistoryVoter};
 use avoc_core::{Collation, MemoryHistory, Round, Voter};
 use avoc_metrics::Table;
 use avoc_store::FileHistory;
@@ -67,14 +67,16 @@ fn main() {
         &rounds,
     );
     let history_mem = time_per_round(
-        StandardVoter::new(
+        HistoryVoter::new(
+            HistoryAlgorithm::Standard,
             cfg.voter_config(cfg.fast_rate, Collation::WeightedMean),
             MemoryHistory::new(),
         ),
         &rounds,
     );
     let hybrid_mem = time_per_round(
-        HybridVoter::new(
+        HistoryVoter::new(
+            HistoryAlgorithm::Hybrid,
             cfg.voter_config(cfg.fast_rate, Collation::MeanNearestNeighbor),
             MemoryHistory::new(),
         ),
@@ -84,7 +86,8 @@ fn main() {
     let wal_path = std::env::temp_dir().join(format!("avoc-latency-{}.wal", std::process::id()));
     let _ = std::fs::remove_file(&wal_path);
     let history_file = time_per_round(
-        StandardVoter::new(
+        HistoryVoter::new(
+            HistoryAlgorithm::Standard,
             cfg.voter_config(cfg.fast_rate, Collation::WeightedMean),
             FileHistory::open(&wal_path).expect("temp file"),
         ),

@@ -17,8 +17,8 @@
 #![warn(missing_docs)]
 
 use avoc_core::algorithms::{
-    AverageVoter, AvocVoter, ClusteringOnlyVoter, HybridVoter, ModuleEliminationVoter,
-    SoftDynamicVoter, StandardVoter, StatelessWeightedVoter,
+    AverageVoter, AvocVoter, ClusteringOnlyVoter, HistoryAlgorithm, HistoryVoter,
+    StatelessWeightedVoter,
 };
 use avoc_core::{
     AgreementParams, Collation, HistoryUpdate, MarginMode, MemoryHistory, Voter, VoterConfig,
@@ -115,7 +115,8 @@ impl Fig6Config {
             ),
             (
                 "standard",
-                Box::new(StandardVoter::new(
+                Box::new(HistoryVoter::new(
+                    HistoryAlgorithm::Standard,
                     VoterConfig::new()
                         .with_agreement(AgreementParams::new(
                             self.standard_error,
@@ -129,7 +130,8 @@ impl Fig6Config {
             ),
             (
                 "me",
-                Box::new(ModuleEliminationVoter::new(
+                Box::new(HistoryVoter::new(
+                    HistoryAlgorithm::ModuleElimination,
                     VoterConfig::new()
                         .with_agreement(AgreementParams::new(
                             self.standard_error,
@@ -143,14 +145,16 @@ impl Fig6Config {
             ),
             (
                 "sdt",
-                Box::new(SoftDynamicVoter::new(
+                Box::new(HistoryVoter::new(
+                    HistoryAlgorithm::SoftDynamicThreshold,
                     self.voter_config(fast, Collation::WeightedMean),
                     MemoryHistory::new(),
                 )),
             ),
             (
                 "hybrid",
-                Box::new(HybridVoter::new(
+                Box::new(HistoryVoter::new(
+                    HistoryAlgorithm::Hybrid,
                     self.voter_config(fast, Collation::MeanNearestNeighbor),
                     MemoryHistory::new(),
                 )),

@@ -113,7 +113,7 @@ pub struct AgreementMatrix {
 
 impl AgreementMatrix {
     /// An empty matrix, ready to be filled in place by
-    /// [`AgreementMatrix::soft_in_place`] / [`AgreementMatrix::binary_in_place`].
+    /// [`AgreementMatrix::soft_in_place`].
     pub fn empty() -> Self {
         AgreementMatrix {
             n: 0,
@@ -121,41 +121,17 @@ impl AgreementMatrix {
         }
     }
 
-    /// Computes the soft-score matrix for `values`.
-    pub fn soft(params: &AgreementParams, values: &[f64]) -> Self {
-        let mut m = Self::empty();
-        m.soft_in_place(params, values);
-        m
-    }
-
-    /// Computes the binary-score matrix for `values`.
-    pub fn binary(params: &AgreementParams, values: &[f64]) -> Self {
-        let mut m = Self::empty();
-        m.binary_in_place(params, values);
-        m
-    }
-
     /// Recomputes this matrix as the soft-score matrix for `values`, reusing
-    /// the existing buffer — the hot-path variant of [`AgreementMatrix::soft`]
-    /// that only allocates while the candidate count is still growing.
+    /// the existing buffer: it only allocates while the candidate count is
+    /// still growing. With `soft_multiplier = 1` the scores are binary.
     pub fn soft_in_place(&mut self, params: &AgreementParams, values: &[f64]) {
-        self.fill(values, |a, b| params.soft_score(a, b));
-    }
-
-    /// Recomputes this matrix as the binary-score matrix for `values`,
-    /// reusing the existing buffer.
-    pub fn binary_in_place(&mut self, params: &AgreementParams, values: &[f64]) {
-        self.fill(values, |a, b| params.binary_score(a, b));
-    }
-
-    fn fill(&mut self, values: &[f64], score: impl Fn(f64, f64) -> f64) {
         let n = values.len();
         self.n = n;
         self.scores.clear();
         self.scores.resize(n * n, 1.0);
         for i in 0..n {
             for j in (i + 1)..n {
-                let s = score(values[i], values[j]);
+                let s = params.soft_score(values[i], values[j]);
                 self.scores[i * n + j] = s;
                 self.scores[j * n + i] = s;
             }
@@ -256,10 +232,16 @@ mod tests {
         assert_eq!(p.margin, MarginMode::Relative);
     }
 
+    fn soft(params: &AgreementParams, values: &[f64]) -> AgreementMatrix {
+        let mut m = AgreementMatrix::empty();
+        m.soft_in_place(params, values);
+        m
+    }
+
     #[test]
     fn matrix_diagonal_and_symmetry() {
         let p = AgreementParams::paper_default();
-        let m = AgreementMatrix::soft(&p, &[18.0, 18.2, 25.0]);
+        let m = soft(&p, &[18.0, 18.2, 25.0]);
         assert_eq!(m.len(), 3);
         for i in 0..3 {
             assert_eq!(m.score(i, i), 1.0);
@@ -272,7 +254,7 @@ mod tests {
     #[test]
     fn peer_support_identifies_outlier() {
         let p = AgreementParams::paper_default();
-        let m = AgreementMatrix::soft(&p, &[18.0, 18.1, 18.2, 25.0]);
+        let m = soft(&p, &[18.0, 18.1, 18.2, 25.0]);
         let outlier = m.peer_support(3);
         for i in 0..3 {
             assert!(m.peer_support(i) > outlier);
@@ -283,7 +265,8 @@ mod tests {
     #[test]
     fn peer_support_among_respects_mask() {
         let p = AgreementParams::new(1.0, 1.0, MarginMode::Absolute);
-        let m = AgreementMatrix::binary(&p, &[0.0, 0.5, 0.6]);
+        // soft_multiplier 1: binary agreement.
+        let m = soft(&p, &[0.0, 0.5, 0.6]);
         let full = m.peer_support(0);
         let masked = m.peer_support_among(0, &[true, false, true]);
         assert_eq!(full, 2.0);
@@ -293,7 +276,7 @@ mod tests {
     #[test]
     fn empty_matrix() {
         let p = AgreementParams::paper_default();
-        let m = AgreementMatrix::soft(&p, &[]);
+        let m = soft(&p, &[]);
         assert!(m.is_empty());
     }
 
@@ -308,9 +291,7 @@ mod tests {
             &[18.0, 18.05, 18.1][..],
         ] {
             reused.soft_in_place(&p, values);
-            assert_eq!(reused, AgreementMatrix::soft(&p, values));
-            reused.binary_in_place(&p, values);
-            assert_eq!(reused, AgreementMatrix::binary(&p, values));
+            assert_eq!(reused, soft(&p, values));
         }
     }
 

@@ -13,9 +13,7 @@
 //!    the bootstrap boost behind the paper's 4× convergence claim.
 
 use super::clustering_only::cluster_vote;
-use super::common;
-use super::hybrid::HybridVoter;
-use super::{Verdict, Voter, VoterConfig};
+use super::{HistoryAlgorithm, HistoryVoter, Verdict, Voter, VoterConfig};
 use crate::collation::Collation;
 use crate::error::VoteError;
 use crate::history::{HistoryStore, MemoryHistory, INITIAL_HISTORY};
@@ -39,7 +37,7 @@ use crate::round::{ModuleId, Round};
 /// ```
 #[derive(Debug, Clone)]
 pub struct AvocVoter<S: HistoryStore = MemoryHistory> {
-    inner: HybridVoter<S>,
+    inner: HistoryVoter<S>,
     last_output: Option<f64>,
 }
 
@@ -59,7 +57,7 @@ impl<S: HistoryStore> AvocVoter<S> {
     /// Creates an AVOC voter over the given history store.
     pub fn new(config: VoterConfig, store: S) -> Self {
         AvocVoter {
-            inner: HybridVoter::new(config, store),
+            inner: HistoryVoter::new(HistoryAlgorithm::Hybrid, config, store),
             last_output: None,
         }
     }
@@ -104,33 +102,30 @@ impl<S: HistoryStore + Send> Voter for AvocVoter<S> {
 
     fn vote_into(&mut self, round: &Round, out: &mut Verdict) -> Result<(), VoteError> {
         if !self.bootstrap_pending(round) {
-            self.inner.vote_inner_into(round, out)?;
+            self.inner.vote_into(round, out)?;
             self.last_output = out.number();
             return Ok(());
         }
 
-        // Clustering bootstrap round — fires once per (re)start, so its
-        // allocations are off the steady-state hot path.
-        let cand = common::candidates(round)?;
-        let values: Vec<f64> = cand.iter().map(|(_, v)| *v).collect();
-        let verdict = cluster_vote(self.inner.config(), &cand, &values, self.last_output)?;
+        // Clustering bootstrap round — fires once per (re)start, so the
+        // clusterer's allocations are off the steady-state hot path.
+        let HistoryVoter {
+            config,
+            store,
+            scratch,
+            ..
+        } = &mut self.inner;
+        cluster_vote(config, round, scratch, self.last_output, out)?;
 
         // "Better history adjustment in round 1": cluster membership seeds
         // the records — members of the winning group keep full trust,
         // outliers are zeroed so the ME step of Hybrid excludes them from
         // round 2 onward.
-        let member_score: Vec<f64> = verdict
-            .weights
-            .iter()
-            .map(|(_, w)| if *w > 0.0 { 1.0 } else { 0.0 })
-            .collect();
-        let store = self.inner.store_mut();
-        for ((m, _), &s) in cand.iter().zip(&member_score) {
-            store.set(*m, if s > 0.0 { INITIAL_HISTORY } else { 0.0 });
+        for (&(m, _), &w) in scratch.cand.iter().zip(&scratch.weights) {
+            store.set(m, if w > 0.0 { INITIAL_HISTORY } else { 0.0 });
         }
 
-        self.last_output = verdict.number();
-        *out = verdict;
+        self.last_output = out.number();
         Ok(())
     }
 
@@ -238,7 +233,7 @@ mod tests {
         // clean value after a fault appears at bootstrap time.
         let base = [18.0, 18.1, 17.9, 18.2, 18.05];
         let clean_out = {
-            let mut v = HybridVoter::with_defaults();
+            let mut v = HistoryVoter::with_defaults(HistoryAlgorithm::Hybrid);
             let mut out = 0.0;
             for r in 0..5 {
                 out = v
@@ -267,7 +262,9 @@ mod tests {
         };
 
         let avoc_rounds = rounds_to_converge(Box::new(AvocVoter::with_defaults()));
-        let hybrid_rounds = rounds_to_converge(Box::new(HybridVoter::with_defaults()));
+        let hybrid_rounds = rounds_to_converge(Box::new(HistoryVoter::with_defaults(
+            HistoryAlgorithm::Hybrid,
+        )));
         assert!(
             avoc_rounds <= hybrid_rounds,
             "avoc {avoc_rounds} vs hybrid {hybrid_rounds}"

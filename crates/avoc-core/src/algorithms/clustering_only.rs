@@ -36,6 +36,7 @@ use crate::round::Round;
 pub struct ClusteringOnlyVoter {
     config: VoterConfig,
     last_output: Option<f64>,
+    scratch: common::Scratch,
 }
 
 impl ClusteringOnlyVoter {
@@ -44,6 +45,7 @@ impl ClusteringOnlyVoter {
         ClusteringOnlyVoter {
             config,
             last_output: None,
+            scratch: common::Scratch::default(),
         }
     }
 
@@ -59,25 +61,32 @@ impl Voter for ClusteringOnlyVoter {
     }
 
     fn vote_into(&mut self, round: &Round, out: &mut Verdict) -> Result<(), VoteError> {
-        let cand = common::candidates(round)?;
-        let values: Vec<f64> = cand.iter().map(|(_, v)| *v).collect();
-        *out = cluster_vote(&self.config, &cand, &values, self.last_output)?;
+        cluster_vote(
+            &self.config,
+            round,
+            &mut self.scratch,
+            self.last_output,
+            out,
+        )?;
         self.last_output = out.number();
         Ok(())
     }
 }
 
 /// The clustering round shared by [`ClusteringOnlyVoter`] and
-/// [`super::AvocVoter`]'s bootstrap: cluster, pick the largest group (ties
-/// broken near `reference` when available), collate within it.
+/// [`super::AvocVoter`]'s bootstrap: cluster the round's candidates, pick
+/// the largest group (ties broken near `reference` when available), collate
+/// within it. Leaves the candidates in `scratch.cand` and the members' unit
+/// weights in `scratch.weights`.
 pub(crate) fn cluster_vote(
     config: &VoterConfig,
-    cand: &[(crate::ModuleId, f64)],
-    values: &[f64],
+    round: &Round,
+    scratch: &mut common::Scratch,
     reference: Option<f64>,
-) -> Result<Verdict, VoteError> {
-    let clusterer = config.agreement.clusterer();
-    let clustering = clusterer.cluster(values);
+    out: &mut Verdict,
+) -> Result<(), VoteError> {
+    scratch.load_candidates(round)?;
+    let clustering = config.agreement.clusterer().cluster(&scratch.values);
     let winner = match reference {
         Some(r) => clustering.largest_cluster_near(r),
         None => clustering.largest_cluster(),
@@ -92,28 +101,21 @@ pub(crate) fn cluster_vote(
         Collation::WeightedMean | Collation::Median => winner.mean(),
     };
 
-    let member_set: Vec<bool> = {
-        let mut mask = vec![false; values.len()];
-        for &i in winner.members() {
-            mask[i] = true;
-        }
-        mask
-    };
-    let weights: Vec<f64> = member_set
-        .iter()
-        .map(|&m| if m { 1.0 } else { 0.0 })
-        .collect();
-    Ok(Verdict {
-        value: output.into(),
-        excluded: common::excluded_modules(cand, &weights),
-        weights: cand
-            .iter()
-            .zip(&weights)
-            .map(|((m, _), &w)| (*m, w))
-            .collect(),
-        confidence: clustering.majority_fraction(),
-        bootstrapped: true,
-    })
+    scratch.weights.clear();
+    scratch.weights.resize(scratch.values.len(), 0.0);
+    for &i in winner.members() {
+        scratch.weights[i] = 1.0;
+    }
+    let confidence = clustering.majority_fraction();
+    common::fill_verdict(
+        out,
+        &scratch.cand,
+        &scratch.weights,
+        output,
+        confidence,
+        true,
+    );
+    Ok(())
 }
 
 #[cfg(test)]

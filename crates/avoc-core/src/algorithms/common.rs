@@ -9,7 +9,7 @@ use crate::value::Value;
 
 /// Tolerance used when comparing a history value against the mean: a module
 /// exactly *at* the average is not "below average".
-pub(crate) const ELIMINATION_EPS: f64 = 1e-9;
+const ELIMINATION_EPS: f64 = 1e-9;
 
 /// Reusable per-voter scratch buffers for the fusion hot path.
 ///
@@ -34,36 +34,22 @@ pub(crate) struct Scratch {
     pub matrix: AgreementMatrix,
 }
 
-/// Extracts the numeric candidates of a round, failing on an entirely
-/// missing round.
-pub(crate) fn candidates(round: &Round) -> Result<Vec<(ModuleId, f64)>, VoteError> {
-    let mut cand = Vec::new();
-    candidates_into(round, &mut cand)?;
-    Ok(cand)
-}
-
-/// [`candidates`] into a reusable buffer (cleared first).
-pub(crate) fn candidates_into(
-    round: &Round,
-    out: &mut Vec<(ModuleId, f64)>,
-) -> Result<(), VoteError> {
-    round.numeric_candidates_into(out)?;
-    if out.is_empty() {
-        Err(VoteError::EmptyRound)
-    } else {
+impl Scratch {
+    /// Loads a round's numeric candidates into `cand` and their values into
+    /// `values`, failing on an entirely missing round.
+    pub fn load_candidates(&mut self, round: &Round) -> Result<(), VoteError> {
+        round.numeric_candidates_into(&mut self.cand)?;
+        if self.cand.is_empty() {
+            return Err(VoteError::EmptyRound);
+        }
+        self.values.clear();
+        self.values.extend(self.cand.iter().map(|(_, v)| *v));
         Ok(())
     }
 }
 
-/// Fetches (initialising when absent) the history of each candidate module.
-pub(crate) fn fetch_histories<S: HistoryStore>(
-    store: &mut S,
-    cand: &[(ModuleId, f64)],
-) -> Vec<f64> {
-    cand.iter().map(|(m, _)| store.get_or_init(*m)).collect()
-}
-
-/// [`fetch_histories`] into a reusable buffer (cleared first).
+/// Fetches (initialising when absent) the history of each candidate module
+/// into a reusable buffer (cleared first).
 pub(crate) fn fetch_histories_into<S: HistoryStore>(
     store: &mut S,
     cand: &[(ModuleId, f64)],
@@ -71,15 +57,6 @@ pub(crate) fn fetch_histories_into<S: HistoryStore>(
 ) {
     out.clear();
     out.extend(cand.iter().map(|(m, _)| store.get_or_init(*m)));
-}
-
-/// The Module-Elimination inclusion mask, allocating flavour (test-only —
-/// the voters go through [`elimination_mask_into`]).
-#[cfg(test)]
-pub(crate) fn elimination_mask(histories: &[f64]) -> Vec<bool> {
-    let mut mask = Vec::new();
-    elimination_mask_into(histories, &mut mask);
-    mask
 }
 
 /// The Module-Elimination inclusion mask into a reusable buffer (cleared
@@ -128,15 +105,6 @@ pub(crate) fn weighted_confidence(
     agreeing / total
 }
 
-/// Modules carrying zero weight this round, i.e. the verdict's `excluded`.
-pub(crate) fn excluded_modules(cand: &[(ModuleId, f64)], weights: &[f64]) -> Vec<ModuleId> {
-    cand.iter()
-        .zip(weights)
-        .filter(|(_, &w)| w <= 0.0)
-        .map(|((m, _), _)| *m)
-        .collect()
-}
-
 /// Writes a numeric verdict into `out`, reusing its `weights`/`excluded`
 /// buffers — the common tail of every scratch-based [`super::Voter::vote_into`].
 pub(crate) fn fill_verdict(
@@ -171,32 +139,40 @@ mod tests {
         ModuleId::new(i)
     }
 
+    fn mask(histories: &[f64]) -> Vec<bool> {
+        let mut mask = Vec::new();
+        elimination_mask_into(histories, &mut mask);
+        mask
+    }
+
     #[test]
     fn candidates_rejects_all_missing() {
         let round = Round::from_sparse_numbers(0, &[None, None]);
-        assert!(matches!(candidates(&round), Err(VoteError::EmptyRound)));
+        let mut scratch = Scratch::default();
+        assert!(matches!(
+            scratch.load_candidates(&round),
+            Err(VoteError::EmptyRound)
+        ));
     }
 
     #[test]
     fn elimination_mask_drops_below_average_only() {
         // mean = 0.7; 0.4 is below, 0.7 and 1.0 are not.
-        let mask = elimination_mask(&[1.0, 0.7, 0.4]);
-        assert_eq!(mask, vec![true, true, false]);
+        assert_eq!(mask(&[1.0, 0.7, 0.4]), vec![true, true, false]);
     }
 
     #[test]
     fn elimination_mask_keeps_everyone_when_flat() {
-        let mask = elimination_mask(&[0.8, 0.8, 0.8]);
-        assert_eq!(mask, vec![true, true, true]);
-        let zeros = elimination_mask(&[0.0, 0.0]);
-        assert_eq!(zeros, vec![true, true]);
+        assert_eq!(mask(&[0.8, 0.8, 0.8]), vec![true, true, true]);
+        assert_eq!(mask(&[0.0, 0.0]), vec![true, true]);
     }
 
     #[test]
     fn fetch_initialises_unknown_modules() {
         let mut store = MemoryHistory::new();
         let cand = vec![(m(0), 1.0), (m(5), 2.0)];
-        let hs = fetch_histories(&mut store, &cand);
+        let mut hs = vec![0.5; 4];
+        fetch_histories_into(&mut store, &cand, &mut hs);
         assert_eq!(hs, vec![1.0, 1.0]);
         assert_eq!(store.len(), 2);
     }
@@ -205,7 +181,8 @@ mod tests {
     fn apply_updates_moves_records() {
         let mut store = MemoryHistory::new();
         let cand = vec![(m(0), 10.0), (m(1), 20.0)];
-        let hs = fetch_histories(&mut store, &cand);
+        let mut hs = Vec::new();
+        fetch_histories_into(&mut store, &cand, &mut hs);
         apply_updates(
             &mut store,
             HistoryUpdate::default(),
@@ -234,6 +211,8 @@ mod tests {
     #[test]
     fn excluded_modules_lists_zero_weight() {
         let cand = vec![(m(0), 1.0), (m(1), 2.0), (m(2), 3.0)];
-        assert_eq!(excluded_modules(&cand, &[1.0, 0.0, 0.5]), vec![m(1)]);
+        let mut out = Verdict::empty();
+        fill_verdict(&mut out, &cand, &[1.0, 0.0, 0.5], 1.5, 1.0, false);
+        assert_eq!(out.excluded, vec![m(1)]);
     }
 }

@@ -7,10 +7,10 @@
 //! and 'module-elimination' history algorithms remain available, and a
 //! custom [`TextMetric`] can re-introduce graded agreement.
 
-use super::common::ELIMINATION_EPS;
+use super::common;
 use super::{Verdict, Voter};
 use crate::error::VoteError;
-use crate::history::{mean_history, HistoryStore, HistoryUpdate, MemoryHistory};
+use crate::history::{HistoryStore, HistoryUpdate, MemoryHistory};
 use crate::round::{ModuleId, Round};
 use crate::value::{ExactMatch, TextMetric};
 use std::sync::Arc;
@@ -153,15 +153,12 @@ impl<S: HistoryStore + Send> Voter for MajorityVoter<S> {
         // Module elimination (below-average records), where enabled.
         let weights: Vec<f64> = match self.history {
             MajorityHistory::ModuleElimination => {
-                let records: Vec<(ModuleId, f64)> = cand
-                    .iter()
-                    .zip(&histories)
-                    .map(|((m, _), &h)| (*m, h))
-                    .collect();
-                let mean = mean_history(&records).unwrap_or(1.0);
+                let mut keep = Vec::new();
+                common::elimination_mask_into(&histories, &mut keep);
                 histories
                     .iter()
-                    .map(|&h| if h >= mean - ELIMINATION_EPS { h } else { 0.0 })
+                    .zip(&keep)
+                    .map(|(&h, &keep)| if keep { h } else { 0.0 })
                     .collect()
             }
             _ => histories.clone(),

@@ -45,6 +45,7 @@ use crate::round::{ModuleId, Round};
 pub struct MlvVoter<S: HistoryStore = MemoryHistory> {
     config: VoterConfig,
     store: S,
+    scratch: common::Scratch,
 }
 
 /// Reliability clamp: keeps `log(p)` and `log(1-p)` finite.
@@ -62,7 +63,11 @@ impl MlvVoter<MemoryHistory> {
 impl<S: HistoryStore> MlvVoter<S> {
     /// Creates an MLV voter over the given history store.
     pub fn new(config: VoterConfig, store: S) -> Self {
-        MlvVoter { config, store }
+        MlvVoter {
+            config,
+            store,
+            scratch: common::Scratch::default(),
+        }
     }
 
     /// The voter's configuration.
@@ -77,16 +82,13 @@ impl<S: HistoryStore + Send> Voter for MlvVoter<S> {
     }
 
     fn vote_into(&mut self, round: &Round, out: &mut Verdict) -> Result<(), VoteError> {
-        let cand = common::candidates(round)?;
-        let values: Vec<f64> = cand.iter().map(|(_, v)| *v).collect();
-        let histories = common::fetch_histories(&mut self.store, &cand);
-        let reliabilities: Vec<f64> = histories
-            .iter()
-            .map(|&h| h.clamp(P_FLOOR, P_CEIL))
-            .collect();
+        let s = &mut self.scratch;
+        s.load_candidates(round)?;
+        common::fetch_histories_into(&mut self.store, &s.cand, &mut s.histories);
+        let reliability = |h: f64| h.clamp(P_FLOOR, P_CEIL);
 
         // The round's finite output space: agreement groups.
-        let clustering = self.config.agreement.clusterer().cluster(&values);
+        let clustering = self.config.agreement.clusterer().cluster(&s.values);
         let groups = clustering.clusters();
         let m = groups.len().max(2) as f64; // ≥ 2 so (1-p)/(m-1) is defined
 
@@ -94,7 +96,8 @@ impl<S: HistoryStore + Send> Voter for MlvVoter<S> {
         let mut best: Option<(usize, f64)> = None;
         for (gi, g) in groups.iter().enumerate() {
             let mut ll = 0.0;
-            for (i, &p) in reliabilities.iter().enumerate() {
+            for (i, &h) in s.histories.iter().enumerate() {
+                let p = reliability(h);
                 let in_group = g.members().contains(&i);
                 ll += if in_group {
                     p.ln()
@@ -110,49 +113,28 @@ impl<S: HistoryStore + Send> Voter for MlvVoter<S> {
         let (winner_idx, _) = best.expect("non-empty round has groups");
         let winner = &groups[winner_idx];
 
-        let weights: Vec<f64> = (0..values.len())
-            .map(|i| {
-                if winner.members().contains(&i) {
-                    reliabilities[i]
-                } else {
-                    0.0
-                }
-            })
-            .collect();
+        // Winners vote with their reliability and are rewarded; everyone
+        // else carries no weight and is penalised.
+        s.weights.clear();
+        s.scores.clear();
+        for (i, &h) in s.histories.iter().enumerate() {
+            let won = winner.members().contains(&i);
+            s.weights.push(if won { reliability(h) } else { 0.0 });
+            s.scores.push(if won { 1.0 } else { 0.0 });
+        }
         let output =
-            collate(self.config.collation, &values, &weights).unwrap_or_else(|| winner.mean());
-
-        // Reliability update: winners agreed, everyone else did not.
-        let scores: Vec<f64> = (0..values.len())
-            .map(|i| {
-                if winner.members().contains(&i) {
-                    1.0
-                } else {
-                    0.0
-                }
-            })
-            .collect();
+            collate(self.config.collation, &s.values, &s.weights).unwrap_or_else(|| winner.mean());
         common::apply_updates(
             &mut self.store,
             self.config.update,
-            &cand,
-            &histories,
-            &scores,
+            &s.cand,
+            &s.histories,
+            &s.scores,
         );
 
         let confidence =
-            common::weighted_confidence(&self.config.agreement, &cand, &weights, output);
-        *out = Verdict {
-            value: output.into(),
-            excluded: common::excluded_modules(&cand, &weights),
-            weights: cand
-                .iter()
-                .zip(&weights)
-                .map(|((m, _), &w)| (*m, w))
-                .collect(),
-            confidence,
-            bootstrapped: false,
-        };
+            common::weighted_confidence(&self.config.agreement, &s.cand, &s.weights, output);
+        common::fill_verdict(out, &s.cand, &s.weights, output, confidence, false);
         Ok(())
     }
 

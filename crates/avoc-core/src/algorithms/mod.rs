@@ -4,10 +4,10 @@
 //! |---|---|---|---|---|
 //! | [`AverageVoter`] | — | uniform | weighted mean | — |
 //! | [`StatelessWeightedVoter`] | — | peer agreement | weighted mean | — |
-//! | [`StandardVoter`] | binary agreement | history | weighted mean | — |
-//! | [`ModuleEliminationVoter`] | binary agreement | history, below-average ⇒ 0 | weighted mean | — |
-//! | [`SoftDynamicVoter`] | graded agreement | history | weighted mean | — |
-//! | [`HybridVoter`] | graded agreement | peer agreement + elimination | mean-NN | — |
+//! | [`HistoryVoter`] (`Standard`) | binary agreement | history | weighted mean | — |
+//! | [`HistoryVoter`] (`ModuleElimination`) | binary agreement | history, below-average ⇒ 0 | weighted mean | — |
+//! | [`HistoryVoter`] (`SoftDynamicThreshold`) | graded agreement | history | weighted mean | — |
+//! | [`HistoryVoter`] (`Hybrid`) | graded agreement | peer agreement + elimination | mean-NN | — |
 //! | [`ClusteringOnlyVoter`] | — | cluster membership | per collation | every round |
 //! | [`AvocVoter`] | graded agreement | as Hybrid | mean-NN | clustering when history is flat |
 //! | [`MajorityVoter`] | binary agreement | history | weighted majority | — |
@@ -21,23 +21,17 @@ mod average;
 mod avoc;
 mod clustering_only;
 mod common;
-mod hybrid;
+mod history_voter;
 mod majority;
 mod mlv;
-mod module_elimination;
-mod soft_dynamic;
-mod standard;
 mod stateless;
 
 pub use average::AverageVoter;
 pub use avoc::AvocVoter;
 pub use clustering_only::ClusteringOnlyVoter;
-pub use hybrid::HybridVoter;
+pub use history_voter::{HistoryAlgorithm, HistoryVoter};
 pub use majority::{MajorityHistory, MajorityVoter};
 pub use mlv::MlvVoter;
-pub use module_elimination::ModuleEliminationVoter;
-pub use soft_dynamic::SoftDynamicVoter;
-pub use standard::StandardVoter;
 pub use stateless::StatelessWeightedVoter;
 
 use crate::agreement::AgreementParams;
@@ -233,7 +227,7 @@ mod tests {
     fn voters_are_send() {
         fn assert_send<T: Send>() {}
         assert_send::<AverageVoter>();
-        assert_send::<StandardVoter<MemoryHistory>>();
+        assert_send::<HistoryVoter<MemoryHistory>>();
         assert_send::<AvocVoter<MemoryHistory>>();
         assert_send::<Box<dyn Voter>>();
     }

@@ -54,11 +54,7 @@ impl Voter for StatelessWeightedVoter {
     }
 
     fn vote_into(&mut self, round: &Round, out: &mut Verdict) -> Result<(), VoteError> {
-        common::candidates_into(round, &mut self.scratch.cand)?;
-        self.scratch.values.clear();
-        self.scratch
-            .values
-            .extend(self.scratch.cand.iter().map(|(_, v)| *v));
+        self.scratch.load_candidates(round)?;
         self.scratch
             .matrix
             .soft_in_place(&self.config.agreement, &self.scratch.values);

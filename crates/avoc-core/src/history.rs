@@ -284,16 +284,6 @@ impl Default for HistoryUpdate {
     }
 }
 
-/// Mean of a history snapshot — the Module-Elimination threshold ("modules
-/// with below average historical records"). Returns `None` when empty.
-pub fn mean_history(records: &[(ModuleId, f64)]) -> Option<f64> {
-    if records.is_empty() {
-        None
-    } else {
-        Some(records.iter().map(|(_, v)| v).sum::<f64>() / records.len() as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,12 +352,6 @@ mod tests {
             h = u.apply(h, 0.0);
         }
         assert!(h.abs() < 1e-9, "history should reach 0, got {h}");
-    }
-
-    #[test]
-    fn mean_history_basics() {
-        assert_eq!(mean_history(&[]), None);
-        assert_eq!(mean_history(&[(m(0), 0.2), (m(1), 0.8)]), Some(0.5));
     }
 
     #[test]

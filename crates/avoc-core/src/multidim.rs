@@ -11,8 +11,9 @@
 //! keeps its own history, so a sensor whose *x* channel drifts is distrusted
 //! on *x* while staying trusted on *y*.
 
-use crate::algorithms::{Verdict, Voter};
+use crate::algorithms::{HistoryAlgorithm, HistoryVoter, Verdict, Voter};
 use crate::error::VoteError;
+use crate::history::INITIAL_HISTORY;
 use crate::round::{Ballot, ModuleId, Round};
 use crate::value::Value;
 
@@ -169,6 +170,13 @@ impl Voter for PerDimensionVoter {
         }
     }
 
+    /// Seeds every dimension's voter with the same records.
+    fn seed_history(&mut self, records: &[(ModuleId, f64)]) {
+        for v in &mut self.voters {
+            v.seed_history(records);
+        }
+    }
+
     fn is_stateful(&self) -> bool {
         self.voters.iter().any(|v| v.is_stateful())
     }
@@ -210,7 +218,7 @@ impl Voter for PerDimensionVoter {
 /// # Ok::<(), avoc_core::VoteError>(())
 /// ```
 pub struct VectorAvocVoter {
-    dims: Vec<crate::algorithms::HybridVoter<crate::MemoryHistory>>,
+    dims: PerDimensionVoter,
     bandwidth_factor: f64,
     bootstrapped_once: bool,
 }
@@ -218,7 +226,7 @@ pub struct VectorAvocVoter {
 impl std::fmt::Debug for VectorAvocVoter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VectorAvocVoter")
-            .field("dim", &self.dims.len())
+            .field("dim", &self.dims.dim())
             .field("bandwidth_factor", &self.bandwidth_factor)
             .finish_non_exhaustive()
     }
@@ -232,12 +240,15 @@ impl VectorAvocVoter {
     ///
     /// Panics if `dim == 0`.
     pub fn new(dim: usize, config: crate::VoterConfig) -> Self {
-        use crate::algorithms::HybridVoter;
-        assert!(dim > 0, "dimensionality must be at least 1");
+        let hybrid = move || -> Box<dyn Voter> {
+            Box::new(HistoryVoter::new(
+                HistoryAlgorithm::Hybrid,
+                config,
+                crate::MemoryHistory::new(),
+            ))
+        };
         VectorAvocVoter {
-            dims: (0..dim)
-                .map(|_| HybridVoter::new(config, crate::MemoryHistory::new()))
-                .collect(),
+            dims: PerDimensionVoter::new(dim, hybrid),
             bandwidth_factor: 3.0,
             bootstrapped_once: false,
         }
@@ -260,7 +271,7 @@ impl VectorAvocVoter {
 
     /// The dimensionality this voter expects.
     pub fn dim(&self) -> usize {
-        self.dims.len()
+        self.dims.dim()
     }
 
     fn bootstrap_pending(&self) -> bool {
@@ -269,8 +280,9 @@ impl VectorAvocVoter {
         }
         // Fallback condition: every record of every dimension collapsed.
         self.dims
+            .histories_per_dimension()
             .iter()
-            .flat_map(|v| v.histories())
+            .flatten()
             .all(|(_, h)| h.abs() < 1e-12)
     }
 
@@ -298,7 +310,7 @@ impl VectorAvocVoter {
         &self,
         round: &Round,
     ) -> Result<(Vec<ModuleId>, Vec<avoc_cluster::Point>), VoteError> {
-        let dim = self.dims.len();
+        let dim = self.dims.dim();
         let mut modules = Vec::new();
         let mut points = Vec::new();
         for b in &round.ballots {
@@ -327,52 +339,6 @@ impl VectorAvocVoter {
         }
         Ok((modules, points))
     }
-
-    fn steady_state_vote(&mut self, round: &Round) -> Result<Verdict, VoteError> {
-        // Validate first so errors surface before any dimension votes.
-        let _ = self.vector_candidates(round)?;
-        let mut outputs = Vec::with_capacity(self.dims.len());
-        let mut min_confidence = f64::INFINITY;
-        let mut excluded: Vec<ModuleId> = Vec::new();
-        for (d, voter) in self.dims.iter_mut().enumerate() {
-            let sub_round = Round::new(
-                round.round,
-                round
-                    .ballots
-                    .iter()
-                    .map(|b| match &b.value {
-                        Some(Value::Vector(coords)) => Ballot::new(b.module, coords[d]),
-                        _ => Ballot::missing(b.module),
-                    })
-                    .collect(),
-            );
-            let verdict = voter.vote(&sub_round)?;
-            outputs.push(verdict.number().expect("numeric inner output"));
-            min_confidence = min_confidence.min(verdict.confidence);
-            for m in verdict.excluded {
-                if !excluded.contains(&m) {
-                    excluded.push(m);
-                }
-            }
-        }
-        excluded.sort_unstable();
-        Ok(Verdict {
-            value: Value::Vector(outputs),
-            weights: round
-                .ballots
-                .iter()
-                .filter(|b| b.is_present())
-                .map(|b| (b.module, 1.0))
-                .collect(),
-            excluded,
-            confidence: if min_confidence.is_finite() {
-                min_confidence
-            } else {
-                0.0
-            },
-            bootstrapped: false,
-        })
-    }
 }
 
 impl Voter for VectorAvocVoter {
@@ -382,8 +348,7 @@ impl Voter for VectorAvocVoter {
 
     fn vote_into(&mut self, round: &Round, out: &mut Verdict) -> Result<(), VoteError> {
         if !self.bootstrap_pending() {
-            *out = self.steady_state_vote(round)?;
-            return Ok(());
+            return self.dims.vote_into(round, out);
         }
 
         // Multi-dimensional clustering bootstrap.
@@ -401,27 +366,21 @@ impl Voter for VectorAvocVoter {
         let centroid =
             avoc_cluster::point::centroid(&member_points).expect("non-empty winning mode");
 
-        // Seed every dimension's records from the vector-level membership:
-        // winners keep full trust, outliers start distrusted — the AVOC
-        // record adjustment, generalised.
-        for (i, &m) in modules.iter().enumerate() {
-            let record = if members.contains(&i) {
-                crate::history::INITIAL_HISTORY
-            } else {
-                0.0
-            };
-            for voter in &mut self.dims {
-                use crate::history::HistoryStore;
-                voter.store_mut().set(m, record);
-            }
-        }
-        self.bootstrapped_once = true;
-
         let weights: Vec<(ModuleId, f64)> = modules
             .iter()
             .enumerate()
             .map(|(i, &m)| (m, if members.contains(&i) { 1.0 } else { 0.0 }))
             .collect();
+        // Seed every dimension's records from the vector-level membership:
+        // winners keep full trust, outliers start distrusted — the AVOC
+        // record adjustment, generalised.
+        let records: Vec<(ModuleId, f64)> = weights
+            .iter()
+            .map(|&(m, w)| (m, if w > 0.0 { INITIAL_HISTORY } else { 0.0 }))
+            .collect();
+        self.dims.seed_history(&records);
+        self.bootstrapped_once = true;
+
         let excluded: Vec<ModuleId> = weights
             .iter()
             .filter(|(_, w)| *w <= 0.0)
@@ -438,9 +397,7 @@ impl Voter for VectorAvocVoter {
     }
 
     fn reset(&mut self) {
-        for v in &mut self.dims {
-            v.reset();
-        }
+        self.dims.reset();
         self.bootstrapped_once = false;
     }
 
@@ -452,7 +409,7 @@ impl Voter for VectorAvocVoter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{AverageVoter, AvocVoter, HybridVoter};
+    use crate::algorithms::{AverageVoter, AvocVoter};
 
     fn m(i: u32) -> ModuleId {
         ModuleId::new(i)
@@ -540,7 +497,9 @@ mod tests {
 
     #[test]
     fn history_is_independent_per_dimension() {
-        let mut v = PerDimensionVoter::new(2, || Box::new(HybridVoter::with_defaults()));
+        let mut v = PerDimensionVoter::new(2, || {
+            Box::new(HistoryVoter::with_defaults(HistoryAlgorithm::Hybrid))
+        });
         // Module 2 is faulty on y only, across several rounds.
         for r in 0..3 {
             v.vote(&vec_round(
@@ -557,7 +516,9 @@ mod tests {
 
     #[test]
     fn reset_propagates() {
-        let mut v = PerDimensionVoter::new(1, || Box::new(HybridVoter::with_defaults()));
+        let mut v = PerDimensionVoter::new(1, || {
+            Box::new(HistoryVoter::with_defaults(HistoryAlgorithm::Hybrid))
+        });
         v.vote(&vec_round(0, &[&[1.0], &[2.0]])).unwrap();
         assert!(v.is_stateful());
         v.reset();

@@ -150,7 +150,7 @@ impl Round {
     /// Iterator over `(module, f64)` for the present scalar ballots.
     ///
     /// Ballots holding non-scalar values are skipped; numeric voters call
-    /// [`Round::numeric_candidates`] instead, which reports the mismatch.
+    /// [`Round::numeric_candidates_into`] instead, which reports the mismatch.
     pub fn present_numbers(&self) -> impl Iterator<Item = (ModuleId, f64)> + '_ {
         self.ballots.iter().filter_map(|b| {
             b.value
@@ -160,21 +160,8 @@ impl Round {
         })
     }
 
-    /// Extracts the scalar candidates for a numeric vote, erroring on a
-    /// ballot of the wrong type.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::VoteError::TypeMismatch`] when a present ballot holds a
-    /// non-scalar value.
-    pub fn numeric_candidates(&self) -> Result<Vec<(ModuleId, f64)>, crate::VoteError> {
-        let mut out = Vec::with_capacity(self.ballots.len());
-        self.numeric_candidates_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// Like [`Round::numeric_candidates`], but writes into `out` (cleared
-    /// first) so per-round scratch buffers can be reused without allocating.
+    /// Extracts the scalar candidates for a numeric vote into `out` (cleared
+    /// first), so per-round scratch buffers can be reused without allocating.
     ///
     /// # Errors
     ///
@@ -260,7 +247,9 @@ mod tests {
     #[test]
     fn numeric_candidates_skips_missing_and_errors_on_text() {
         let r = Round::from_sparse_numbers(0, &[Some(1.0), None]);
-        assert_eq!(r.numeric_candidates().unwrap().len(), 1);
+        let mut out = Vec::new();
+        r.numeric_candidates_into(&mut out).unwrap();
+        assert_eq!(out.len(), 1);
 
         let bad = Round::new(
             0,
@@ -269,7 +258,7 @@ mod tests {
                 Ballot::new(ModuleId::new(1), "oops"),
             ],
         );
-        let err = bad.numeric_candidates().unwrap_err();
+        let err = bad.numeric_candidates_into(&mut out).unwrap_err();
         assert!(matches!(
             err,
             crate::VoteError::TypeMismatch { got: "text", .. }

@@ -1147,13 +1147,14 @@ mod tests {
 
     #[test]
     fn works_as_voter_backend() {
-        use avoc_core::algorithms::{StandardVoter, Voter};
+        use avoc_core::algorithms::{HistoryAlgorithm, HistoryVoter, Voter};
         use avoc_core::{Round, VoterConfig};
 
         let path = tmp_path("voter");
         {
             let store = FileHistory::open(&path).unwrap();
-            let mut voter = StandardVoter::new(VoterConfig::default(), store);
+            let mut voter =
+                HistoryVoter::new(HistoryAlgorithm::Standard, VoterConfig::default(), store);
             for r in 0..3 {
                 voter
                     .vote(&Round::from_numbers(r, &[18.0, 18.1, 20.0]))

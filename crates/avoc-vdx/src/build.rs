@@ -9,8 +9,8 @@ use crate::spec::{
     VdxSpec, WeightingKind,
 };
 use avoc_core::algorithms::{
-    AverageVoter, AvocVoter, ClusteringOnlyVoter, HybridVoter, MajorityHistory, MajorityVoter,
-    ModuleEliminationVoter, SoftDynamicVoter, StandardVoter, StatelessWeightedVoter,
+    AverageVoter, AvocVoter, ClusteringOnlyVoter, HistoryAlgorithm, HistoryVoter, MajorityHistory,
+    MajorityVoter, StatelessWeightedVoter,
 };
 use avoc_core::multidim::PerDimensionVoter;
 use avoc_core::{
@@ -39,26 +39,24 @@ fn voter_config(spec: &VdxSpec) -> VoterConfig {
 
 fn numeric_voter(spec: &VdxSpec) -> Box<dyn Voter> {
     let cfg = voter_config(spec);
-    match (spec.history, spec.bootstrapping) {
-        (HistoryKind::None, true) => Box::new(ClusteringOnlyVoter::new(cfg)),
-        (HistoryKind::None, false) => match spec.weighting {
-            WeightingKind::Uniform => Box::new(AverageVoter::new()),
-            WeightingKind::Agreement => Box::new(StatelessWeightedVoter::new(cfg)),
-        },
-        // Built voters get the dense (positional) store: engine-driven
-        // sessions hit the history on every round, and `DenseHistory` finds
-        // module `i` at index `i` with no hashing, its snapshots
-        // allocation-free.
-        (HistoryKind::Standard, _) => Box::new(StandardVoter::new(cfg, DenseHistory::new())),
-        (HistoryKind::ModuleElimination, _) => {
-            Box::new(ModuleEliminationVoter::new(cfg, DenseHistory::new()))
+    let algorithm = match (spec.history, spec.bootstrapping) {
+        (HistoryKind::None, true) => return Box::new(ClusteringOnlyVoter::new(cfg)),
+        (HistoryKind::None, false) => {
+            return match spec.weighting {
+                WeightingKind::Uniform => Box::new(AverageVoter::new()),
+                WeightingKind::Agreement => Box::new(StatelessWeightedVoter::new(cfg)),
+            }
         }
-        (HistoryKind::SoftDynamicThreshold, _) => {
-            Box::new(SoftDynamicVoter::new(cfg, DenseHistory::new()))
-        }
-        (HistoryKind::Hybrid, true) => Box::new(AvocVoter::new(cfg, DenseHistory::new())),
-        (HistoryKind::Hybrid, false) => Box::new(HybridVoter::new(cfg, DenseHistory::new())),
-    }
+        (HistoryKind::Hybrid, true) => return Box::new(AvocVoter::new(cfg, DenseHistory::new())),
+        (HistoryKind::Standard, _) => HistoryAlgorithm::Standard,
+        (HistoryKind::ModuleElimination, _) => HistoryAlgorithm::ModuleElimination,
+        (HistoryKind::SoftDynamicThreshold, _) => HistoryAlgorithm::SoftDynamicThreshold,
+        (HistoryKind::Hybrid, false) => HistoryAlgorithm::Hybrid,
+    };
+    // Built voters get the dense (positional) store: engine-driven sessions
+    // hit the history on every round, and `DenseHistory` finds module `i` at
+    // index `i` with no hashing, its snapshots allocation-free.
+    Box::new(HistoryVoter::new(algorithm, cfg, DenseHistory::new()))
 }
 
 /// Builds a [`Voter`] from a validated spec.

@@ -59,9 +59,8 @@ pub use avoc_vdx as vdx;
 /// The most common imports, for `use avoc::prelude::*`.
 pub mod prelude {
     pub use avoc_core::algorithms::{
-        AverageVoter, AvocVoter, ClusteringOnlyVoter, HybridVoter, MajorityVoter,
-        ModuleEliminationVoter, SoftDynamicVoter, StandardVoter, StatelessWeightedVoter, Verdict,
-        Voter,
+        AverageVoter, AvocVoter, ClusteringOnlyVoter, HistoryAlgorithm, HistoryVoter,
+        MajorityVoter, StatelessWeightedVoter, Verdict, Voter,
     };
     pub use avoc_core::{
         AgreementParams, Ballot, Collation, Exclusion, FaultPolicy, ModuleId, Quorum, Round,

@@ -113,23 +113,28 @@ fn client_feed_path_allocates_nothing_per_reading() {
     assert_eq!(feed_allocations, 0, "send_batch allocated in steady state");
 }
 
-/// One AVOC engine over the UC-1 faulty trace (the Fig. 6 shape: five
-/// sensors, +6 klm on E4): once the bootstrap has fired and the scratch
+/// One engine per history preset — every arm of the history voter, and AVOC
+/// on top of Hybrid — over the UC-1 faulty trace (the Fig. 6 shape: five
+/// sensors, +6 klm on E4): once any bootstrap has fired and the scratch
 /// buffers have grown, `submit_ref` allocates nothing.
 #[test]
 fn warmed_fuse_loop_allocates_nothing_per_round() {
     let clean = LightScenario::new(5, 1_000, 1973).generate();
     let faulty = FaultInjector::new(3, FaultKind::Offset(6.0)).apply(&clean, 1973);
     let rounds: Vec<Round> = faulty.iter_rounds().collect();
-    let mut engine = build_engine(&VdxSpec::avoc()).expect("avoc spec builds");
-    for round in &rounds[..256] {
-        let _ = engine.submit_ref(round);
+    for preset in ["standard", "me", "sdt", "hybrid", "avoc"] {
+        let spec = VdxSpec::preset(preset).expect("shipped preset");
+        let mut engine = build_engine(&spec).expect("preset builds");
+        for round in &rounds[..256] {
+            let _ = engine.submit_ref(round);
+        }
+        let before = tl_allocations();
+        for round in &rounds {
+            let _ = engine.submit_ref(round);
+        }
+        let allocations = tl_allocations() - before;
+        assert_eq!(allocations, 0, "{preset}: fuse loop allocated");
     }
-    let before = tl_allocations();
-    for round in &rounds {
-        let _ = engine.submit_ref(round);
-    }
-    assert_eq!(tl_allocations() - before, 0, "fuse loop allocated");
 }
 
 /// Feeds `rounds` of five modules through the hub's lending entry point,

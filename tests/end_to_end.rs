@@ -99,7 +99,7 @@ fn middleware_pipeline_against_direct_engine() {
 
 #[test]
 fn durable_history_survives_engine_restart() {
-    use avoc::core::algorithms::HybridVoter;
+    use avoc::core::algorithms::{HistoryAlgorithm, HistoryVoter};
     use avoc::core::history::HistoryStore;
     use avoc::store::FileHistory;
 
@@ -111,7 +111,8 @@ fn durable_history_survives_engine_restart() {
     // First "process": learn the faulty module.
     {
         let store = FileHistory::open(&path).unwrap();
-        let mut voter = HybridVoter::new(
+        let mut voter = HistoryVoter::new(
+            HistoryAlgorithm::Hybrid,
             VoterConfig::new().with_collation(Collation::MeanNearestNeighbor),
             store,
         );
@@ -127,7 +128,8 @@ fn durable_history_survives_engine_restart() {
     {
         let store = FileHistory::open(&path).unwrap();
         assert!(store.get(ModuleId::new(2)).unwrap() < 0.5);
-        let mut voter = HybridVoter::new(
+        let mut voter = HistoryVoter::new(
+            HistoryAlgorithm::Hybrid,
             VoterConfig::new().with_collation(Collation::MeanNearestNeighbor),
             store,
         );

@@ -92,7 +92,13 @@ fn avoc_masks_stuck_at_and_recovers() {
 fn hybrid_masks_spikes_and_recovers() {
     assert_masks_and_recovers(
         "hybrid",
-        || Box::new(HybridVoter::new(mnn(), MemoryHistory::new())),
+        || {
+            Box::new(HistoryVoter::new(
+                HistoryAlgorithm::Hybrid,
+                mnn(),
+                MemoryHistory::new(),
+            ))
+        },
         FaultKind::Spike {
             probability: 0.5,
             magnitude: 8.0,

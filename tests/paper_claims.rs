@@ -30,8 +30,16 @@ fn fig6b_all_variants_coincide_on_clean_data() {
     let (clean, _) = light_traces(300, 21);
     let variants: Vec<(&str, Box<dyn Voter>)> = vec![
         ("avg", Box::new(AverageVoter::new())),
-        ("standard", Box::new(StandardVoter::with_defaults())),
-        ("me", Box::new(ModuleEliminationVoter::with_defaults())),
+        (
+            "standard",
+            Box::new(HistoryVoter::with_defaults(HistoryAlgorithm::Standard)),
+        ),
+        (
+            "me",
+            Box::new(HistoryVoter::with_defaults(
+                HistoryAlgorithm::ModuleElimination,
+            )),
+        ),
         (
             "cov",
             Box::new(ClusteringOnlyVoter::new(VoterConfig::new())),
@@ -63,8 +71,8 @@ fn fig6e_standard_mitigates_slowly_without_eliminating() {
             avoc::core::MarginMode::Relative,
         ))
         .with_update(avoc::core::HistoryUpdate::new(8e-5));
-    let mut clean_voter = StandardVoter::new(cfg, MemoryHistory::new());
-    let mut faulty_voter = StandardVoter::new(cfg, MemoryHistory::new());
+    let mut clean_voter = HistoryVoter::new(HistoryAlgorithm::Standard, cfg, MemoryHistory::new());
+    let mut faulty_voter = HistoryVoter::new(HistoryAlgorithm::Standard, cfg, MemoryHistory::new());
     let diff = diff_series(
         &run(&mut faulty_voter, &faulty),
         &run(&mut clean_voter, &clean),
@@ -88,7 +96,11 @@ fn fig6_me_eliminates_faulty_sensor_in_round_two() {
         2.0,
         avoc::core::MarginMode::Relative,
     ));
-    let mut me = ModuleEliminationVoter::new(cfg, MemoryHistory::new());
+    let mut me = HistoryVoter::new(
+        HistoryAlgorithm::ModuleElimination,
+        cfg,
+        MemoryHistory::new(),
+    );
     let rounds: Vec<Round> = faulty.iter_rounds().collect();
     let r1 = me.vote(&rounds[0]).unwrap();
     assert!(r1.excluded.is_empty(), "round 1 has no record to act on");
@@ -145,8 +157,10 @@ fn fig6_cov_beats_stateless_weighted() {
 fn fig6f_avoc_prunes_bootstrap_spike_and_converges_faster() {
     let (clean, faulty) = light_traces(300, 71);
 
-    let mut hybrid_c = HybridVoter::new(mnn_config(), MemoryHistory::new());
-    let mut hybrid_f = HybridVoter::new(mnn_config(), MemoryHistory::new());
+    let mut hybrid_c =
+        HistoryVoter::new(HistoryAlgorithm::Hybrid, mnn_config(), MemoryHistory::new());
+    let mut hybrid_f =
+        HistoryVoter::new(HistoryAlgorithm::Hybrid, mnn_config(), MemoryHistory::new());
     let hybrid = ConvergenceReport::compare_smoothed(
         "hybrid",
         &run(&mut hybrid_c, &clean),
@@ -254,7 +268,11 @@ fn fig7_redundancy_and_collation_findings() {
     // stay near-uniform and the overlap is essentially exact.
     let std_cfg = VoterConfig::new().with_update(avoc::core::HistoryUpdate::new(8e-5));
     let std_out = fuse(
-        Box::new(StandardVoter::new(std_cfg, MemoryHistory::new())),
+        Box::new(HistoryVoter::new(
+            HistoryAlgorithm::Standard,
+            std_cfg,
+            MemoryHistory::new(),
+        )),
         &trace.stack_a,
     );
     let avg_out = fuse(Box::new(AverageVoter::new()), &trace.stack_a);
