@@ -55,11 +55,13 @@ fn sparse_trace_values() -> impl Strategy<Value = Vec<Vec<Option<f64>>>> {
     })
 }
 
-/// The five history-aware voters, each over a fresh `store()`.
+/// The seven numeric voters built from a `history` and a `bootstrapping`
+/// field, each over a fresh `store()`.
 fn history_voters<S: HistoryStore + 'static>(store: fn() -> S) -> Vec<Box<dyn Voter>> {
     let cfg = VoterConfig::new();
     let mnn = cfg.with_collation(Collation::MeanNearestNeighbor);
     vec![
+        Box::new(StatelessWeightedVoter::new(cfg)),
         Box::new(HistoryVoter::new(HistoryAlgorithm::Standard, cfg, store())),
         Box::new(HistoryVoter::new(
             HistoryAlgorithm::ModuleElimination,
@@ -72,6 +74,7 @@ fn history_voters<S: HistoryStore + 'static>(store: fn() -> S) -> Vec<Box<dyn Vo
             store(),
         )),
         Box::new(HistoryVoter::new(HistoryAlgorithm::Hybrid, mnn, store())),
+        Box::new(ClusteringOnlyVoter::new(cfg)),
         Box::new(AvocVoter::new(mnn, store())),
     ]
 }
@@ -248,8 +251,9 @@ fn seeded_sparse_rounds(seed: u64, count: u64) -> Vec<Round> {
 
 /// What `history_family_is_pinned` drives each history voter over, from
 /// fresh records (`None`) or from every module's record seeded to one value:
-/// UC-1 under each fault kind, a sparse trace, and UC-1's opening rounds
-/// from all-`0` and all-`1` records.
+/// UC-1 under each fault kind, a sparse trace, UC-1's opening rounds with a
+/// lone reading every other round, and the opening rounds from all-`0` and
+/// all-`1` records.
 fn pinned_inputs() -> Vec<(Option<f64>, Vec<Round>)> {
     let clean = LightScenario::new(5, 200, 7).generate();
     let faults = [
@@ -272,6 +276,21 @@ fn pinned_inputs() -> Vec<(Option<f64>, Vec<Round>)> {
         .collect();
     inputs.push((None, seeded_sparse_rounds(29, 200)));
     let opening = inputs[0].1[..40].to_vec();
+    let lone = opening
+        .iter()
+        .map(|r| {
+            let keep = (r.round % 5) as u32;
+            let ballots = r.ballots.iter().map(|b| {
+                if r.round % 2 == 0 || b.module.index() == keep {
+                    b.clone()
+                } else {
+                    Ballot::missing(b.module)
+                }
+            });
+            Round::new(r.round, ballots.collect())
+        })
+        .collect();
+    inputs.push((None, lone));
     inputs.push((Some(0.0), opening.clone()));
     inputs.push((Some(1.0), opening));
     inputs
@@ -303,17 +322,20 @@ fn family_hashes<S: HistoryStore + 'static>(
     hashes.into_iter().map(|(name, h)| (name, h.0)).collect()
 }
 
-/// The §4 history family and AVOC, pinned bit for bit over both stores:
-/// any change to a verdict's value, weights, exclusions or confidence, or to
-/// a record after any round, moves its voter's hash.
+/// The stateless baseline, the §4 history family, COV and AVOC, pinned bit
+/// for bit over both stores: any change to a verdict's value, weights,
+/// exclusions, confidence or bootstrap flag, or to a record after any round,
+/// moves its voter's hash.
 #[test]
 fn history_family_is_pinned() {
-    const PINNED: [(&str, u64); 5] = [
-        ("standard", 0x8ff6_fd66_5d87_5f22),
-        ("module-elimination", 0x511b_e45f_955e_b883),
-        ("soft-dynamic-threshold", 0xdb60_de13_1609_13ec),
-        ("hybrid", 0xc003_c014_4339_16fb),
-        ("avoc", 0xbb13_cf21_4fb2_deed),
+    const PINNED: [(&str, u64); 7] = [
+        ("stateless-weighted", 0x9647_4397_46d7_7c01),
+        ("standard", 0x93f2_d886_9bce_92c4),
+        ("module-elimination", 0x2efa_3c78_dcc4_2cb8),
+        ("soft-dynamic-threshold", 0x650d_093b_e803_bb9a),
+        ("hybrid", 0x8071_9845_2583_4297),
+        ("clustering-only", 0xf0e5_3c38_e074_ce9d),
+        ("avoc", 0xd4b2_8bd7_1121_25bc),
     ];
     let inputs = pinned_inputs();
     assert_eq!(family_hashes(MemoryHistory::new, &inputs), PINNED);
