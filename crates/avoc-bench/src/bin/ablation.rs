@@ -12,7 +12,7 @@
 //! ```
 
 use avoc_bench::{run_voter, Fig6Config};
-use avoc_core::algorithms::{AvocVoter, HistoryAlgorithm, HistoryVoter};
+use avoc_core::algorithms::{HistoryAlgorithm, HistoryVoter};
 use avoc_core::{
     AgreementParams, Collation, HistoryUpdate, MarginMode, MemoryHistory, Voter, VoterConfig,
 };
@@ -60,6 +60,11 @@ fn headers() -> Vec<String> {
     ]
 }
 
+/// A voter running `algorithm` over a fresh in-memory store, bootstrap off.
+fn fresh(algorithm: HistoryAlgorithm, config: VoterConfig) -> HistoryVoter {
+    HistoryVoter::new(algorithm, config, MemoryHistory::new())
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = Fig6Config {
@@ -90,30 +95,20 @@ fn main() {
 
     // 1. Bootstrap on/off.
     let mut t = Table::new(headers());
-    row_of(
-        &mut t,
-        &report(
-            "hybrid (no bootstrap)",
-            || {
-                Box::new(HistoryVoter::new(
-                    HistoryAlgorithm::Hybrid,
-                    mnn,
-                    MemoryHistory::new(),
-                ))
-            },
-            &clean,
-            &faulty,
-        ),
-    );
-    row_of(
-        &mut t,
-        &report(
-            "avoc (clustering bootstrap)",
-            || Box::new(AvocVoter::new(mnn, MemoryHistory::new())),
-            &clean,
-            &faulty,
-        ),
-    );
+    for (name, bootstrap) in [
+        ("hybrid (no bootstrap)", false),
+        ("avoc (clustering bootstrap)", true),
+    ] {
+        row_of(
+            &mut t,
+            &report(
+                name,
+                || Box::new(fresh(HistoryAlgorithm::Hybrid, mnn).with_bootstrap(bootstrap)),
+                &clean,
+                &faulty,
+            ),
+        );
+    }
     println!("== ablation 1: clustering bootstrap on/off (AVOC's delta) ==");
     println!("{t}");
 
@@ -129,7 +124,7 @@ fn main() {
             &mut t,
             &report(
                 name,
-                || Box::new(AvocVoter::new(cfg_v, MemoryHistory::new())),
+                || Box::new(fresh(HistoryAlgorithm::Hybrid, cfg_v).with_bootstrap(true)),
                 &clean,
                 &faulty,
             ),
@@ -148,13 +143,7 @@ fn main() {
             &mut t,
             &report(
                 &format!("sdt, multiplier {mult}"),
-                || {
-                    Box::new(HistoryVoter::new(
-                        HistoryAlgorithm::SoftDynamicThreshold,
-                        cfg_v,
-                        MemoryHistory::new(),
-                    ))
-                },
+                || Box::new(fresh(HistoryAlgorithm::SoftDynamicThreshold, cfg_v)),
                 &clean,
                 &faulty,
             ),
@@ -172,36 +161,20 @@ fn main() {
         ))
         .with_update(HistoryUpdate::new(cfg.fast_rate));
     let mut t = Table::new(headers());
-    row_of(
-        &mut t,
-        &report(
-            "standard (no elimination)",
-            || {
-                Box::new(HistoryVoter::new(
-                    HistoryAlgorithm::Standard,
-                    binary_cfg,
-                    MemoryHistory::new(),
-                ))
-            },
-            &clean,
-            &faulty,
-        ),
-    );
-    row_of(
-        &mut t,
-        &report(
-            "module elimination",
-            || {
-                Box::new(HistoryVoter::new(
-                    HistoryAlgorithm::ModuleElimination,
-                    binary_cfg,
-                    MemoryHistory::new(),
-                ))
-            },
-            &clean,
-            &faulty,
-        ),
-    );
+    for (name, algorithm) in [
+        ("standard (no elimination)", HistoryAlgorithm::Standard),
+        ("module elimination", HistoryAlgorithm::ModuleElimination),
+    ] {
+        row_of(
+            &mut t,
+            &report(
+                name,
+                || Box::new(fresh(algorithm, binary_cfg)),
+                &clean,
+                &faulty,
+            ),
+        );
+    }
     println!("== ablation 4: module elimination on/off (same band, same rate) ==");
     println!("{t}");
 
@@ -219,13 +192,7 @@ fn main() {
             &mut t,
             &report(
                 &format!("me, rate {rate}"),
-                || {
-                    Box::new(HistoryVoter::new(
-                        HistoryAlgorithm::ModuleElimination,
-                        cfg_v,
-                        MemoryHistory::new(),
-                    ))
-                },
+                || Box::new(fresh(HistoryAlgorithm::ModuleElimination, cfg_v)),
                 &clean,
                 &faulty,
             ),

@@ -61,8 +61,10 @@ fn main() {
     ]);
 
     let stateless = time_per_round(
-        avoc_core::algorithms::StatelessWeightedVoter::new(
+        HistoryVoter::new(
+            HistoryAlgorithm::Stateless,
             cfg.voter_config(cfg.fast_rate, Collation::WeightedMean),
+            MemoryHistory::new(),
         ),
         &rounds,
     );

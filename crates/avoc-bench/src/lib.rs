@@ -16,10 +16,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use avoc_core::algorithms::{
-    AverageVoter, AvocVoter, ClusteringOnlyVoter, HistoryAlgorithm, HistoryVoter,
-    StatelessWeightedVoter,
-};
+use avoc_core::algorithms::{AverageVoter, HistoryAlgorithm, HistoryVoter};
 use avoc_core::{
     AgreementParams, Collation, HistoryUpdate, MarginMode, MemoryHistory, Voter, VoterConfig,
 };
@@ -109,8 +106,10 @@ impl Fig6Config {
             ("avg", Box::new(AverageVoter::new())),
             (
                 "stateless",
-                Box::new(StatelessWeightedVoter::new(
+                Box::new(HistoryVoter::new(
+                    HistoryAlgorithm::Stateless,
                     self.voter_config(fast, Collation::WeightedMean),
+                    MemoryHistory::new(),
                 )),
             ),
             (
@@ -161,16 +160,25 @@ impl Fig6Config {
             ),
             (
                 "clustering",
-                Box::new(ClusteringOnlyVoter::new(
-                    self.voter_config(fast, Collation::WeightedMean),
-                )),
+                Box::new(
+                    HistoryVoter::new(
+                        HistoryAlgorithm::Stateless,
+                        self.voter_config(fast, Collation::WeightedMean),
+                        MemoryHistory::new(),
+                    )
+                    .with_bootstrap(true),
+                ),
             ),
             (
                 "avoc",
-                Box::new(AvocVoter::new(
-                    self.voter_config(fast, Collation::MeanNearestNeighbor),
-                    MemoryHistory::new(),
-                )),
+                Box::new(
+                    HistoryVoter::new(
+                        HistoryAlgorithm::Hybrid,
+                        self.voter_config(fast, Collation::MeanNearestNeighbor),
+                        MemoryHistory::new(),
+                    )
+                    .with_bootstrap(true),
+                ),
             ),
         ]
     }

@@ -3,13 +3,13 @@
 //! | Voter | History | Weights | Default collation | Bootstrap |
 //! |---|---|---|---|---|
 //! | [`AverageVoter`] | — | uniform | weighted mean | — |
-//! | [`StatelessWeightedVoter`] | — | peer agreement | weighted mean | — |
+//! | [`HistoryVoter`] (`Stateless`) | — | peer agreement | weighted mean | — |
 //! | [`HistoryVoter`] (`Standard`) | binary agreement | history | weighted mean | — |
 //! | [`HistoryVoter`] (`ModuleElimination`) | binary agreement | history, below-average ⇒ 0 | weighted mean | — |
 //! | [`HistoryVoter`] (`SoftDynamicThreshold`) | graded agreement | history | weighted mean | — |
 //! | [`HistoryVoter`] (`Hybrid`) | graded agreement | peer agreement + elimination | mean-NN | — |
-//! | [`ClusteringOnlyVoter`] | — | cluster membership | per collation | every round |
-//! | [`AvocVoter`] | graded agreement | as Hybrid | mean-NN | clustering when history is flat |
+//! | [`HistoryVoter`] (`Stateless`) `.with_bootstrap(true)`: COV | — | cluster membership | per collation | every round |
+//! | [`HistoryVoter`] (`Hybrid`) `.with_bootstrap(true)`: AVOC | graded agreement | as Hybrid | mean-NN | clustering when history is flat |
 //! | [`MajorityVoter`] | binary agreement | history | weighted majority | — |
 //! | [`MlvVoter`] | binary agreement | per-candidate reliability | per collation | — |
 //!
@@ -18,21 +18,15 @@
 //! policies on top.
 
 mod average;
-mod avoc;
-mod clustering_only;
 mod common;
 mod history_voter;
 mod majority;
 mod mlv;
-mod stateless;
 
 pub use average::AverageVoter;
-pub use avoc::AvocVoter;
-pub use clustering_only::ClusteringOnlyVoter;
 pub use history_voter::{HistoryAlgorithm, HistoryVoter};
 pub use majority::{MajorityHistory, MajorityVoter};
 pub use mlv::MlvVoter;
-pub use stateless::StatelessWeightedVoter;
 
 use crate::agreement::AgreementParams;
 use crate::collation::Collation;
@@ -228,7 +222,6 @@ mod tests {
         fn assert_send<T: Send>() {}
         assert_send::<AverageVoter>();
         assert_send::<HistoryVoter<MemoryHistory>>();
-        assert_send::<AvocVoter<MemoryHistory>>();
         assert_send::<Box<dyn Voter>>();
     }
 }

@@ -154,12 +154,12 @@ pub struct EngineStats {
 /// # Example
 ///
 /// ```
-/// use avoc_core::algorithms::AvocVoter;
+/// use avoc_core::algorithms::{HistoryAlgorithm, HistoryVoter};
 /// use avoc_core::engine::VotingEngine;
 /// use avoc_core::{Quorum, Round};
 ///
-/// let mut engine = VotingEngine::new(Box::new(AvocVoter::with_defaults()))
-///     .with_quorum(Quorum::Majority);
+/// let avoc = HistoryVoter::with_defaults(HistoryAlgorithm::Hybrid).with_bootstrap(true);
+/// let mut engine = VotingEngine::new(Box::new(avoc)).with_quorum(Quorum::Majority);
 /// let outcome = engine.submit(&Round::from_numbers(0, &[18.0, 18.1, 17.9]))?;
 /// assert!(outcome.is_voted());
 /// # Ok::<(), avoc_core::VoteError>(())
@@ -514,11 +514,13 @@ impl VotingEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{AvocVoter, MajorityVoter};
+    use crate::algorithms::{HistoryAlgorithm, HistoryVoter, MajorityVoter};
     use crate::round::ModuleId;
 
     fn engine() -> VotingEngine {
-        VotingEngine::new(Box::new(AvocVoter::with_defaults()))
+        VotingEngine::new(Box::new(
+            HistoryVoter::with_defaults(HistoryAlgorithm::Hybrid).with_bootstrap(true),
+        ))
     }
 
     #[test]
@@ -774,15 +776,19 @@ mod tests {
 #[cfg(test)]
 mod log_tests {
     use super::*;
-    use crate::algorithms::AvocVoter;
+    use crate::algorithms::{HistoryAlgorithm, HistoryVoter};
+
+    fn avoc() -> Box<HistoryVoter> {
+        Box::new(HistoryVoter::with_defaults(HistoryAlgorithm::Hybrid).with_bootstrap(true))
+    }
 
     fn engine_with_log(capacity: usize) -> VotingEngine {
-        VotingEngine::new(Box::new(AvocVoter::with_defaults())).with_log_capacity(capacity)
+        VotingEngine::new(avoc()).with_log_capacity(capacity)
     }
 
     #[test]
     fn log_disabled_by_default() {
-        let mut e = VotingEngine::new(Box::new(AvocVoter::with_defaults()));
+        let mut e = VotingEngine::new(avoc());
         e.submit(&Round::from_numbers(0, &[1.0, 1.0, 1.0])).unwrap();
         assert_eq!(e.recent().count(), 0);
     }

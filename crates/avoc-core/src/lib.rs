@@ -20,10 +20,11 @@
 //! # Quickstart
 //!
 //! ```
-//! use avoc_core::algorithms::{AvocVoter, Voter};
+//! use avoc_core::algorithms::{HistoryAlgorithm, HistoryVoter, Voter};
 //! use avoc_core::Round;
 //!
-//! let mut voter = AvocVoter::with_defaults();
+//! // AVOC: the Hybrid history voter with the clustering bootstrap.
+//! let mut voter = HistoryVoter::with_defaults(HistoryAlgorithm::Hybrid).with_bootstrap(true);
 //!
 //! // Five redundant sensors; the fourth is faulty (+6 on ~18).
 //! let round = Round::from_numbers(0, &[18.0, 18.1, 17.9, 24.0, 18.05]);

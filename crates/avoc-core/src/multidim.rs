@@ -22,11 +22,12 @@ use crate::value::Value;
 /// # Example
 ///
 /// ```
-/// use avoc_core::algorithms::{AvocVoter, Voter};
+/// use avoc_core::algorithms::{HistoryAlgorithm, HistoryVoter, Voter};
 /// use avoc_core::multidim::PerDimensionVoter;
 /// use avoc_core::{Ballot, ModuleId, Round};
 ///
-/// let mut voter = PerDimensionVoter::new(2, || Box::new(AvocVoter::with_defaults()));
+/// let avoc = || HistoryVoter::with_defaults(HistoryAlgorithm::Hybrid).with_bootstrap(true);
+/// let mut voter = PerDimensionVoter::new(2, || Box::new(avoc()));
 /// let round = Round::new(0, vec![
 ///     Ballot::new(ModuleId::new(0), vec![1.0, 10.0]),
 ///     Ballot::new(ModuleId::new(1), vec![1.1, 10.2]),
@@ -409,7 +410,11 @@ impl Voter for VectorAvocVoter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{AverageVoter, AvocVoter};
+    use crate::algorithms::AverageVoter;
+
+    fn avoc() -> Box<dyn Voter> {
+        Box::new(HistoryVoter::with_defaults(HistoryAlgorithm::Hybrid).with_bootstrap(true))
+    }
 
     fn m(i: u32) -> ModuleId {
         ModuleId::new(i)
@@ -436,7 +441,7 @@ mod tests {
 
     #[test]
     fn per_dimension_outlier_suppression() {
-        let mut v = PerDimensionVoter::new(2, || Box::new(AvocVoter::with_defaults()));
+        let mut v = PerDimensionVoter::new(2, avoc);
         let verdict = v
             .vote(&vec_round(
                 0,
@@ -606,11 +611,9 @@ mod vector_avoc_tests {
 
         // Per-dimension AVOC accepts it: every coordinate agrees with a
         // neighbour within the 5% band.
-        let mut per_dim =
-            PerDimensionVoter::new(
-                2,
-                || Box::new(crate::algorithms::AvocVoter::with_defaults()),
-            );
+        let mut per_dim = PerDimensionVoter::new(2, || {
+            Box::new(HistoryVoter::with_defaults(HistoryAlgorithm::Hybrid).with_bootstrap(true))
+        });
         let verdict = per_dim.vote(&vec_round(0, rows)).unwrap();
         assert!(
             !verdict.excluded.contains(&m(4)),

@@ -195,12 +195,13 @@ mod tests {
 
     #[test]
     fn voting_suppresses_glitches() {
-        use avoc_core::algorithms::{ClusteringOnlyVoter, Voter};
+        use avoc_core::algorithms::{HistoryAlgorithm, HistoryVoter, Voter};
 
         let t = ShelfScenario::new(33, 300, 5)
             .with_glitch_probability(0.01)
             .generate();
-        let mut voter = ClusteringOnlyVoter::new(Default::default());
+        let mut voter =
+            HistoryVoter::with_defaults(HistoryAlgorithm::Stateless).with_bootstrap(true);
         for round in t.iter_rounds() {
             let out = voter.vote(&round).unwrap().number().unwrap();
             assert!(

@@ -9,8 +9,7 @@ use crate::spec::{
     VdxSpec, WeightingKind,
 };
 use avoc_core::algorithms::{
-    AverageVoter, AvocVoter, ClusteringOnlyVoter, HistoryAlgorithm, HistoryVoter, MajorityHistory,
-    MajorityVoter, StatelessWeightedVoter,
+    AverageVoter, HistoryAlgorithm, HistoryVoter, MajorityHistory, MajorityVoter,
 };
 use avoc_core::multidim::PerDimensionVoter;
 use avoc_core::{
@@ -38,25 +37,23 @@ fn voter_config(spec: &VdxSpec) -> VoterConfig {
 }
 
 fn numeric_voter(spec: &VdxSpec) -> Box<dyn Voter> {
-    let cfg = voter_config(spec);
-    let algorithm = match (spec.history, spec.bootstrapping) {
-        (HistoryKind::None, true) => return Box::new(ClusteringOnlyVoter::new(cfg)),
-        (HistoryKind::None, false) => {
-            return match spec.weighting {
-                WeightingKind::Uniform => Box::new(AverageVoter::new()),
-                WeightingKind::Agreement => Box::new(StatelessWeightedVoter::new(cfg)),
-            }
+    let algorithm = match spec.history {
+        HistoryKind::None if spec.weighting == WeightingKind::Uniform && !spec.bootstrapping => {
+            return Box::new(AverageVoter::new())
         }
-        (HistoryKind::Hybrid, true) => return Box::new(AvocVoter::new(cfg, DenseHistory::new())),
-        (HistoryKind::Standard, _) => HistoryAlgorithm::Standard,
-        (HistoryKind::ModuleElimination, _) => HistoryAlgorithm::ModuleElimination,
-        (HistoryKind::SoftDynamicThreshold, _) => HistoryAlgorithm::SoftDynamicThreshold,
-        (HistoryKind::Hybrid, false) => HistoryAlgorithm::Hybrid,
+        HistoryKind::None => HistoryAlgorithm::Stateless,
+        HistoryKind::Standard => HistoryAlgorithm::Standard,
+        HistoryKind::ModuleElimination => HistoryAlgorithm::ModuleElimination,
+        HistoryKind::SoftDynamicThreshold => HistoryAlgorithm::SoftDynamicThreshold,
+        HistoryKind::Hybrid => HistoryAlgorithm::Hybrid,
     };
     // Built voters get the dense (positional) store: engine-driven sessions
     // hit the history on every round, and `DenseHistory` finds module `i` at
-    // index `i` with no hashing, its snapshots allocation-free.
-    Box::new(HistoryVoter::new(algorithm, cfg, DenseHistory::new()))
+    // index `i` with no hashing.
+    Box::new(
+        HistoryVoter::new(algorithm, voter_config(spec), DenseHistory::new())
+            .with_bootstrap(spec.bootstrapping),
+    )
 }
 
 /// Builds a [`Voter`] from a validated spec.
@@ -81,10 +78,11 @@ pub fn build_voter(spec: &VdxSpec) -> Result<Box<dyn Voter>, VdxError> {
         ValueKind::Vector => {
             let dim = spec.dimensions.expect("validated");
             // §5: per-dimension voting "without incorporating the clustering
-            // itself" — strip the bootstrap for the inner voters.
+            // itself" — strip the bootstrap for inner history voters. With
+            // `history: NONE` it stays: per-dimension COV.
             let mut inner_spec = spec.clone();
             inner_spec.value_kind = ValueKind::Numeric;
-            if inner_spec.history == HistoryKind::Hybrid {
+            if inner_spec.history != HistoryKind::None {
                 inner_spec.bootstrapping = false;
             }
             Box::new(PerDimensionVoter::new(dim, move || {
@@ -207,6 +205,26 @@ mod tests {
             .vote(&Round::from_numbers(0, &[18.0, 18.1, 24.0]))
             .unwrap();
         assert!(verdict.bootstrapped);
+    }
+
+    #[test]
+    fn bootstrapping_applies_to_every_history_algorithm() {
+        for (preset, name) in [
+            ("standard", "standard"),
+            ("me", "module-elimination"),
+            ("sdt", "soft-dynamic-threshold"),
+        ] {
+            let mut spec = VdxSpec::preset(preset).unwrap();
+            spec.bootstrapping = true;
+            let mut voter = build_voter(&spec).unwrap();
+            assert_eq!(voter.name(), name);
+            let round = |r| Round::from_numbers(r, &[18.0, 18.1, 24.0, 17.9]);
+            let first = voter.vote(&round(0)).unwrap();
+            assert!(first.bootstrapped, "{preset}: round 0 clusters");
+            assert_eq!(first.excluded, vec![ModuleId::new(2)], "{preset}");
+            assert_eq!(voter.histories()[2], (ModuleId::new(2), 0.0), "{preset}");
+            assert!(!voter.vote(&round(1)).unwrap().bootstrapped, "{preset}");
+        }
     }
 
     #[test]

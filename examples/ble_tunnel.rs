@@ -54,10 +54,14 @@ fn main() {
         (
             "9-beacon AVOC (mean-NN)",
             Box::new(|| {
-                Box::new(AvocVoter::new(
-                    VoterConfig::new().with_collation(Collation::MeanNearestNeighbor),
-                    MemoryHistory::new(),
-                )) as Box<dyn Voter>
+                Box::new(
+                    HistoryVoter::new(
+                        HistoryAlgorithm::Hybrid,
+                        VoterConfig::new().with_collation(Collation::MeanNearestNeighbor),
+                        MemoryHistory::new(),
+                    )
+                    .with_bootstrap(true),
+                ) as Box<dyn Voter>
             }),
         ),
     ];

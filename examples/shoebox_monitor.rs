@@ -18,7 +18,7 @@ fn main() {
     // The fusion loop: 5 sensors, one goes faulty halfway through.
     let clean = LightScenario::new(5, 400, 8).generate();
     let trace = FaultInjector::new(2, FaultKind::Offset(6.0)).apply(&clean, 8);
-    let mut voter = AvocVoter::with_defaults();
+    let mut voter = HistoryVoter::with_defaults(HistoryAlgorithm::Hybrid).with_bootstrap(true);
     let mut last = 0.0;
     for round in trace.iter_rounds() {
         let verdict = voter.vote(&round).expect("full rounds");

@@ -46,9 +46,15 @@ fn roster() -> Vec<(&'static str, Box<dyn Voter>)> {
         ),
         (
             "clustering-only",
-            Box::new(ClusteringOnlyVoter::new(VoterConfig::new())),
+            Box::new(HistoryVoter::with_defaults(HistoryAlgorithm::Stateless).with_bootstrap(true)),
         ),
-        ("avoc", Box::new(AvocVoter::new(mnn, MemoryHistory::new()))),
+        (
+            "avoc",
+            Box::new(
+                HistoryVoter::new(HistoryAlgorithm::Hybrid, mnn, MemoryHistory::new())
+                    .with_bootstrap(true),
+            ),
+        ),
     ]
 }
 

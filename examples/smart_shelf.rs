@@ -32,7 +32,7 @@ fn main() {
     }
 
     // Fused: clustering-only voting (stateless — ideal for this use case).
-    let mut voter = ClusteringOnlyVoter::new(VoterConfig::new());
+    let mut voter = HistoryVoter::with_defaults(HistoryAlgorithm::Stateless).with_bootstrap(true);
     let mut fused_false_triggers = 0usize;
     let mut fused_presence_rounds = 0usize;
     for round in trace.iter_rounds() {

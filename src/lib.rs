@@ -59,8 +59,7 @@ pub use avoc_vdx as vdx;
 /// The most common imports, for `use avoc::prelude::*`.
 pub mod prelude {
     pub use avoc_core::algorithms::{
-        AverageVoter, AvocVoter, ClusteringOnlyVoter, HistoryAlgorithm, HistoryVoter,
-        MajorityVoter, StatelessWeightedVoter, Verdict, Voter,
+        AverageVoter, HistoryAlgorithm, HistoryVoter, MajorityVoter, Verdict, Voter,
     };
     pub use avoc_core::{
         AgreementParams, Ballot, Collation, Exclusion, FaultPolicy, ModuleId, Quorum, Round,

@@ -74,7 +74,12 @@ fn assert_masks_and_recovers(name: &str, make: impl Fn() -> Box<dyn Voter>, kind
 fn avoc_masks_offset_and_recovers() {
     assert_masks_and_recovers(
         "avoc",
-        || Box::new(AvocVoter::new(mnn(), MemoryHistory::new())),
+        || {
+            Box::new(
+                HistoryVoter::new(HistoryAlgorithm::Hybrid, mnn(), MemoryHistory::new())
+                    .with_bootstrap(true),
+            )
+        },
         FaultKind::Offset(6.0),
     );
 }
@@ -83,7 +88,12 @@ fn avoc_masks_offset_and_recovers() {
 fn avoc_masks_stuck_at_and_recovers() {
     assert_masks_and_recovers(
         "avoc",
-        || Box::new(AvocVoter::new(mnn(), MemoryHistory::new())),
+        || {
+            Box::new(
+                HistoryVoter::new(HistoryAlgorithm::Hybrid, mnn(), MemoryHistory::new())
+                    .with_bootstrap(true),
+            )
+        },
         FaultKind::StuckAt(25.0),
     );
 }
@@ -110,7 +120,7 @@ fn hybrid_masks_spikes_and_recovers() {
 fn clustering_masks_noise_burst() {
     assert_masks_and_recovers(
         "clustering",
-        || Box::new(ClusteringOnlyVoter::new(VoterConfig::new())),
+        || Box::new(HistoryVoter::with_defaults(HistoryAlgorithm::Stateless).with_bootstrap(true)),
         FaultKind::NoiseBurst { sigma: 4.0 },
     );
 }
@@ -149,7 +159,8 @@ fn drift_is_caught_once_it_exceeds_the_band() {
     let faulty = FaultInjector::new(3, FaultKind::Drift { per_round: 0.02 })
         .during(100..ROUNDS)
         .apply(&clean, 7);
-    let mut voter = AvocVoter::new(mnn(), MemoryHistory::new());
+    let mut voter = HistoryVoter::new(HistoryAlgorithm::Hybrid, mnn(), MemoryHistory::new())
+        .with_bootstrap(true);
     let out = run(&mut voter, &faulty);
     // By the end, the drifting module reads +10 klm; the output must not
     // have followed it.

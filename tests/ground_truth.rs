@@ -23,10 +23,12 @@ fn fused_output_beats_the_expected_single_sensor_error() {
     // worse than the worst sensor).
     let (trace, truth) = LightScenario::new(5, 1_000, 77).generate_with_truth();
 
-    let mut voter = AvocVoter::new(
+    let mut voter = HistoryVoter::new(
+        HistoryAlgorithm::Hybrid,
         VoterConfig::new().with_collation(Collation::WeightedMean),
         MemoryHistory::new(),
-    );
+    )
+    .with_bootstrap(true);
     let fused = AccuracyReport::score(&run(&mut voter, &trace), &truth).unwrap();
 
     let singles: Vec<f64> = (0..5)
@@ -58,10 +60,12 @@ fn internal_ground_truth_survives_a_faulty_sensor() {
     // Plain averaging is dragged 1.2 klm off the truth; AVOC is not.
     let mut avg = AverageVoter::new();
     let avg_acc = AccuracyReport::score(&run(&mut avg, &faulty), &truth).unwrap();
-    let mut avoc = AvocVoter::new(
+    let mut avoc = HistoryVoter::new(
+        HistoryAlgorithm::Hybrid,
         VoterConfig::new().with_collation(Collation::WeightedMean),
         MemoryHistory::new(),
-    );
+    )
+    .with_bootstrap(true);
     let avoc_acc = AccuracyReport::score(&run(&mut avoc, &faulty), &truth).unwrap();
 
     assert!(

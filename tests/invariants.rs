@@ -27,7 +27,7 @@ fn all_voters() -> Vec<Box<dyn Voter>> {
     let mnn = VoterConfig::new().with_collation(Collation::MeanNearestNeighbor);
     vec![
         Box::new(AverageVoter::new()),
-        Box::new(StatelessWeightedVoter::new(VoterConfig::new())),
+        Box::new(HistoryVoter::with_defaults(HistoryAlgorithm::Stateless)),
         Box::new(HistoryVoter::with_defaults(HistoryAlgorithm::Standard)),
         Box::new(HistoryVoter::with_defaults(
             HistoryAlgorithm::ModuleElimination,
@@ -36,8 +36,11 @@ fn all_voters() -> Vec<Box<dyn Voter>> {
             HistoryAlgorithm::SoftDynamicThreshold,
         )),
         Box::new(HistoryVoter::with_defaults(HistoryAlgorithm::Hybrid)),
-        Box::new(ClusteringOnlyVoter::new(VoterConfig::new())),
-        Box::new(AvocVoter::new(mnn, MemoryHistory::new())),
+        Box::new(HistoryVoter::with_defaults(HistoryAlgorithm::Stateless).with_bootstrap(true)),
+        Box::new(
+            HistoryVoter::new(HistoryAlgorithm::Hybrid, mnn, MemoryHistory::new())
+                .with_bootstrap(true),
+        ),
     ]
 }
 
@@ -61,7 +64,7 @@ fn history_voters<S: HistoryStore + 'static>(store: fn() -> S) -> Vec<Box<dyn Vo
     let cfg = VoterConfig::new();
     let mnn = cfg.with_collation(Collation::MeanNearestNeighbor);
     vec![
-        Box::new(StatelessWeightedVoter::new(cfg)),
+        Box::new(HistoryVoter::new(HistoryAlgorithm::Stateless, cfg, store())),
         Box::new(HistoryVoter::new(HistoryAlgorithm::Standard, cfg, store())),
         Box::new(HistoryVoter::new(
             HistoryAlgorithm::ModuleElimination,
@@ -74,8 +77,8 @@ fn history_voters<S: HistoryStore + 'static>(store: fn() -> S) -> Vec<Box<dyn Vo
             store(),
         )),
         Box::new(HistoryVoter::new(HistoryAlgorithm::Hybrid, mnn, store())),
-        Box::new(ClusteringOnlyVoter::new(cfg)),
-        Box::new(AvocVoter::new(mnn, store())),
+        Box::new(HistoryVoter::new(HistoryAlgorithm::Stateless, cfg, store()).with_bootstrap(true)),
+        Box::new(HistoryVoter::new(HistoryAlgorithm::Hybrid, mnn, store()).with_bootstrap(true)),
     ]
 }
 

@@ -42,7 +42,7 @@ fn fig6b_all_variants_coincide_on_clean_data() {
         ),
         (
             "cov",
-            Box::new(ClusteringOnlyVoter::new(VoterConfig::new())),
+            Box::new(HistoryVoter::with_defaults(HistoryAlgorithm::Stateless).with_bootstrap(true)),
         ),
     ];
     let reference = {
@@ -117,7 +117,7 @@ fn fig6_me_eliminates_faulty_sensor_in_round_two() {
 #[test]
 fn fig6_cov_excludes_fault_from_round_one() {
     let (_, faulty) = light_traces(5, 51);
-    let mut cov = ClusteringOnlyVoter::new(VoterConfig::new());
+    let mut cov = HistoryVoter::with_defaults(HistoryAlgorithm::Stateless).with_bootstrap(true);
     let verdict = cov.vote(&faulty.iter_rounds().next().unwrap()).unwrap();
     assert!(verdict.excluded.contains(&ModuleId::new(3)));
 }
@@ -129,16 +129,16 @@ fn fig6_cov_beats_stateless_weighted() {
     let (clean, faulty) = light_traces(500, 61);
     let stable = |voter: &mut dyn Voter, t: &RecordedTrace| -> Vec<Option<f64>> { run(voter, t) };
 
-    let mut cov_c = ClusteringOnlyVoter::new(VoterConfig::new());
-    let mut cov_f = ClusteringOnlyVoter::new(VoterConfig::new());
+    let mut cov_c = HistoryVoter::with_defaults(HistoryAlgorithm::Stateless).with_bootstrap(true);
+    let mut cov_f = HistoryVoter::with_defaults(HistoryAlgorithm::Stateless).with_bootstrap(true);
     let cov_dev = max_abs(&diff_series(
         &stable(&mut cov_f, &faulty),
         &stable(&mut cov_c, &clean),
     ))
     .unwrap();
 
-    let mut sw_c = StatelessWeightedVoter::new(VoterConfig::new());
-    let mut sw_f = StatelessWeightedVoter::new(VoterConfig::new());
+    let mut sw_c = HistoryVoter::with_defaults(HistoryAlgorithm::Stateless);
+    let mut sw_f = HistoryVoter::with_defaults(HistoryAlgorithm::Stateless);
     let sw_dev = max_abs(&diff_series(
         &stable(&mut sw_f, &faulty),
         &stable(&mut sw_c, &clean),
@@ -170,8 +170,12 @@ fn fig6f_avoc_prunes_bootstrap_spike_and_converges_faster() {
         8,
     );
 
-    let mut avoc_c = AvocVoter::new(mnn_config(), MemoryHistory::new());
-    let mut avoc_f = AvocVoter::new(mnn_config(), MemoryHistory::new());
+    let mut avoc_c =
+        HistoryVoter::new(HistoryAlgorithm::Hybrid, mnn_config(), MemoryHistory::new())
+            .with_bootstrap(true);
+    let mut avoc_f =
+        HistoryVoter::new(HistoryAlgorithm::Hybrid, mnn_config(), MemoryHistory::new())
+            .with_bootstrap(true);
     let avoc = ConvergenceReport::compare_smoothed(
         "avoc",
         &run(&mut avoc_c, &clean),
@@ -237,11 +241,17 @@ fn fig7_redundancy_and_collation_findings() {
     );
     let avoc = AmbiguityReport::evaluate(
         &fuse(
-            Box::new(AvocVoter::new(mnn_config(), MemoryHistory::new())),
+            Box::new(
+                HistoryVoter::new(HistoryAlgorithm::Hybrid, mnn_config(), MemoryHistory::new())
+                    .with_bootstrap(true),
+            ),
             &trace.stack_a,
         ),
         &fuse(
-            Box::new(AvocVoter::new(mnn_config(), MemoryHistory::new())),
+            Box::new(
+                HistoryVoter::new(HistoryAlgorithm::Hybrid, mnn_config(), MemoryHistory::new())
+                    .with_bootstrap(true),
+            ),
             &trace.stack_b,
         ),
         &truth,

@@ -21,10 +21,12 @@ fn paper_scale_soak_with_rolling_faults() {
         .during(7_000..9_000)
         .apply(&trace, 3);
 
-    let voter = AvocVoter::new(
+    let voter = HistoryVoter::new(
+        HistoryAlgorithm::Hybrid,
         VoterConfig::new().with_collation(Collation::WeightedMean),
         MemoryHistory::new(),
-    );
+    )
+    .with_bootstrap(true);
     let mut engine = VotingEngine::new(Box::new(voter))
         .with_quorum(Quorum::Majority)
         .with_log_capacity(64);
