@@ -212,7 +212,8 @@ pub struct VdxSpec {
     #[serde(default)]
     pub collation: VdxCollation,
     /// Whether the clustering bootstrap/fallback is enabled (Listing 1:
-    /// `true`; with `history: HYBRID` this is AVOC).
+    /// `true`). It clusters every round whose records are flat: with
+    /// `history: HYBRID` this is AVOC, with `history: NONE` it is COV.
     #[serde(default)]
     pub bootstrapping: bool,
     /// Kind of value voted on (extension; default numeric).
@@ -221,7 +222,8 @@ pub struct VdxSpec {
     /// Dimensionality for `VECTOR` values (extension).
     #[serde(default)]
     pub dimensions: Option<usize>,
-    /// Stateless weighting mode for `history: NONE` (extension).
+    /// Stateless weighting mode (extension). `AGREEMENT` needs
+    /// `history: NONE`: the history algorithms choose their own weights.
     #[serde(default)]
     pub weighting: WeightingKind,
     /// Fault-handling policy (extension).
@@ -349,7 +351,8 @@ impl VdxSpec {
     /// [`VdxError::Invalid`] naming the offending field. The categorical
     /// restrictions enforced verbatim from the paper: no value-based
     /// exclusion, no hybrid history, no clustering bootstrap, and weighted
-    /// majority as the only collation.
+    /// majority as the only collation. `AGREEMENT` weighting needs
+    /// `history: NONE`.
     pub fn validate(&self) -> Result<(), VdxError> {
         // Parameter sanity.
         if !(self.params.error.is_finite() && self.params.error >= 0.0) {
@@ -409,6 +412,14 @@ impl VdxSpec {
                 }
             }
             ExclusionKind::None => {}
+        }
+
+        if self.weighting == WeightingKind::Agreement && self.history != HistoryKind::None {
+            return Err(VdxError::invalid(
+                "weighting",
+                "AGREEMENT weighting applies to history NONE only; \
+                 every history algorithm chooses its own weights",
+            ));
         }
 
         // Value-kind restrictions.
@@ -590,6 +601,27 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn agreement_weighting_needs_history_none() {
+        let mut spec = VdxSpec::preset("stateless").unwrap();
+        spec.validate().unwrap();
+        for history in [
+            HistoryKind::Standard,
+            HistoryKind::ModuleElimination,
+            HistoryKind::SoftDynamicThreshold,
+            HistoryKind::Hybrid,
+        ] {
+            spec.history = history;
+            assert!(matches!(
+                spec.validate().unwrap_err(),
+                VdxError::Invalid {
+                    field: "weighting",
+                    ..
+                }
+            ));
+        }
     }
 
     #[test]
