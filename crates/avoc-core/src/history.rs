@@ -39,26 +39,6 @@ pub trait HistoryStore: Send {
     /// All records in ascending module order.
     fn snapshot(&self) -> Vec<(ModuleId, f64)>;
 
-    /// Writes all records, ascending by module, into `out` (cleared first).
-    ///
-    /// The default delegates to [`HistoryStore::snapshot`]; allocation-aware
-    /// stores override this to reuse `out`'s capacity so the voting hot path
-    /// never allocates a fresh snapshot per round.
-    fn snapshot_into(&self, out: &mut Vec<(ModuleId, f64)>) {
-        out.clear();
-        out.extend(self.snapshot());
-    }
-
-    /// Visits every record in ascending module order without allocating.
-    ///
-    /// The default delegates to [`HistoryStore::snapshot`]; in-memory stores
-    /// override it to iterate their records directly.
-    fn for_each_record(&self, f: &mut dyn FnMut(ModuleId, f64)) {
-        for (m, v) in self.snapshot() {
-            f(m, v);
-        }
-    }
-
     /// Removes every record.
     fn clear(&mut self);
 
@@ -128,17 +108,6 @@ impl HistoryStore for MemoryHistory {
 
     fn snapshot(&self) -> Vec<(ModuleId, f64)> {
         self.records.iter().map(|(&m, &v)| (m, v)).collect()
-    }
-
-    fn snapshot_into(&self, out: &mut Vec<(ModuleId, f64)>) {
-        out.clear();
-        out.extend(self.records.iter().map(|(&m, &v)| (m, v)));
-    }
-
-    fn for_each_record(&self, f: &mut dyn FnMut(ModuleId, f64)) {
-        for (&m, &v) in &self.records {
-            f(m, v);
-        }
     }
 
     fn clear(&mut self) {
@@ -227,16 +196,6 @@ impl HistoryStore for DenseHistory {
 
     fn snapshot(&self) -> Vec<(ModuleId, f64)> {
         self.records.clone()
-    }
-
-    fn snapshot_into(&self, out: &mut Vec<(ModuleId, f64)>) {
-        out.clone_from(&self.records);
-    }
-
-    fn for_each_record(&self, f: &mut dyn FnMut(ModuleId, f64)) {
-        for &(m, v) in &self.records {
-            f(m, v);
-        }
     }
 
     fn clear(&mut self) {
@@ -368,29 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_into_reuses_buffer() {
-        let mut h = MemoryHistory::new();
-        h.set(m(2), 0.2);
-        h.set(m(1), 0.1);
-        let mut buf = Vec::with_capacity(8);
-        h.snapshot_into(&mut buf);
-        assert_eq!(buf, vec![(m(1), 0.1), (m(2), 0.2)]);
-        // A second call replaces, not appends.
-        h.snapshot_into(&mut buf);
-        assert_eq!(buf.len(), 2);
-    }
-
-    #[test]
-    fn for_each_record_visits_in_order() {
-        let mut h = MemoryHistory::new();
-        h.set(m(3), 0.3);
-        h.set(m(0), 0.0);
-        let mut seen = Vec::new();
-        h.for_each_record(&mut |module, v| seen.push((module, v)));
-        assert_eq!(seen, vec![(m(0), 0.0), (m(3), 0.3)]);
-    }
-
-    #[test]
     fn dense_history_matches_memory_semantics() {
         let mut dense = DenseHistory::new();
         let mut mem = MemoryHistory::new();
@@ -411,18 +347,6 @@ mod tests {
         for id in 0..10 {
             assert_eq!(dense.get(m(id)), mem.get(m(id)));
         }
-    }
-
-    #[test]
-    fn dense_history_snapshot_into_is_ordered() {
-        let mut h = DenseHistory::with_records([(m(8), 0.8), (m(1), 0.1), (m(4), 0.4)]);
-        let mut buf = Vec::new();
-        h.snapshot_into(&mut buf);
-        assert_eq!(buf, vec![(m(1), 0.1), (m(4), 0.4), (m(8), 0.8)]);
-        h.clear();
-        assert!(h.is_empty());
-        h.snapshot_into(&mut buf);
-        assert!(buf.is_empty());
     }
 
     #[test]
@@ -485,7 +409,6 @@ mod tests {
         #[test]
         fn dense_history_matches_memory_history(ops in workloads()) {
             let (mut dense, mut mem) = (DenseHistory::new(), MemoryHistory::new());
-            let (mut buf, mut seen) = (vec![(m(3), 0.3)], Vec::new());
             for op in ops {
                 match op {
                     Op::Set(id, v) => {
@@ -506,11 +429,6 @@ mod tests {
                 prop_assert_eq!(dense.len(), mem.len());
                 prop_assert_eq!(dense.is_empty(), mem.is_empty());
                 prop_assert_eq!(&dense.snapshot(), &want, "after {:?}", op);
-                dense.snapshot_into(&mut buf);
-                prop_assert_eq!(&buf, &want);
-                seen.clear();
-                dense.for_each_record(&mut |id, v| seen.push((id, v)));
-                prop_assert_eq!(&seen, &want);
                 // Every held id, its neighbours (where a positional lookup
                 // would land on the wrong record) and the dense prefix.
                 let near = want
