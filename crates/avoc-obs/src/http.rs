@@ -12,7 +12,7 @@
 //! the bytes (property-tested in `tests/proptests.rs`).
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -275,42 +275,58 @@ fn serve_admin_connection(
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(HEAD_POLL))?;
     let deadline = Instant::now() + HEAD_DEADLINE;
+    let live = || running.load(Ordering::SeqCst) && Instant::now() < deadline;
     let mut buf = Vec::with_capacity(1024);
     let mut chunk = [0u8; 1024];
-    let (status, content_type, body) = loop {
+    loop {
         // `parse_request` answers `TooLarge`, not `Incomplete`, once the
         // buffer passes the cap, so this loop reads at most one chunk past
         // it.
         match parse_request(&buf) {
-            Ok(req) => break route(&req),
+            Ok(req) => {
+                let (status, content_type, body) = route(&req);
+                return write_response(&mut stream, status, content_type, &body);
+            }
             Err(ParseError::Incomplete) => {}
             Err(e) => {
                 let status = e.status();
-                break (
-                    status,
-                    "text/plain; charset=utf-8",
-                    format!("{}\n", reason(status)),
-                );
+                let body = format!("{}\n", reason(status));
+                write_response(&mut stream, status, "text/plain; charset=utf-8", &body)?;
+                // The peer may still be sending the refused head. Closing
+                // with its bytes unread makes the kernel send a reset, which
+                // can discard this answer before the peer reads it; so send
+                // a FIN instead and read until the peer closes too.
+                stream.shutdown(Shutdown::Write)?;
+                while live() {
+                    match stream.read(&mut chunk) {
+                        Ok(0) => break,
+                        Ok(_) => {}
+                        Err(e) if poll_slice_ran_out(&e) => {}
+                        Err(e) => return Err(e),
+                    }
+                }
+                return Ok(());
             }
         }
-        if !running.load(Ordering::SeqCst) || Instant::now() >= deadline {
+        if !live() {
             return Ok(());
         }
         match stream.read(&mut chunk) {
             Ok(0) => return Ok(()), // peer went away mid-request
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            // A poll slice ran out (or a signal landed): re-check and wait on.
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) => {}
+            Err(e) if poll_slice_ran_out(&e) => {}
             Err(e) => return Err(e),
         }
-    };
-    write_response(&mut stream, status, content_type, &body)
+    }
+}
+
+/// Whether a read failed only because a [`HEAD_POLL`] slice ran out (or a
+/// signal landed): re-check the deadline and wait on.
+fn poll_slice_ran_out(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+    )
 }
 
 /// A blocking GET against `addr` (e.g. `127.0.0.1:9200`), returning the
@@ -458,16 +474,16 @@ mod tests {
         }
     }
 
-    /// Sends raw bytes and returns the response's status line. The peer may
-    /// reset after answering an oversized head (it closes with request
-    /// bytes unread), so the tails of the write and the read are
-    /// best-effort.
+    /// Sends raw bytes and returns the response's status line. After
+    /// refusing a head the server half-closes and reads on until this side
+    /// closes, so even an oversized head is written in full and its answer
+    /// is read up to a clean end of stream, never cut off by a reset.
     fn raw_status(addr: SocketAddr, payload: &[u8]) -> String {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
-        let _ = stream.write_all(payload);
+        stream.write_all(payload).unwrap();
         let mut bytes = Vec::new();
         let mut chunk = [0u8; 1024];
         while let Ok(n @ 1..) = stream.read(&mut chunk) {
