@@ -113,16 +113,17 @@ fn client_feed_path_allocates_nothing_per_reading() {
     assert_eq!(feed_allocations, 0, "send_batch allocated in steady state");
 }
 
-/// One engine per history preset — every arm of the history voter, and AVOC
-/// on top of Hybrid — over the UC-1 faulty trace (the Fig. 6 shape: five
-/// sensors, +6 klm on E4): once any bootstrap has fired and the scratch
-/// buffers have grown, `submit_ref` allocates nothing.
+/// One engine per `HistoryVoter` preset — every algorithm of the history
+/// voter, and AVOC on top of Hybrid — over the UC-1 faulty trace (the Fig. 6
+/// shape: five sensors, +6 klm on E4): once any bootstrap has fired and the
+/// scratch buffers have grown, `submit_ref` allocates nothing. COV clusters
+/// every round, and its `Clustering` still allocates, so it stays out.
 #[test]
 fn warmed_fuse_loop_allocates_nothing_per_round() {
     let clean = LightScenario::new(5, 1_000, 1973).generate();
     let faulty = FaultInjector::new(3, FaultKind::Offset(6.0)).apply(&clean, 1973);
     let rounds: Vec<Round> = faulty.iter_rounds().collect();
-    for preset in ["standard", "me", "sdt", "hybrid", "avoc"] {
+    for preset in ["stateless", "standard", "me", "sdt", "hybrid", "avoc"] {
         let spec = VdxSpec::preset(preset).expect("shipped preset");
         let mut engine = build_engine(&spec).expect("preset builds");
         for round in &rounds[..256] {
