@@ -118,11 +118,6 @@ impl Clustering {
         &self.clusters
     }
 
-    /// Number of values that were clustered.
-    pub fn input_len(&self) -> usize {
-        self.n_input
-    }
-
     /// The largest cluster, or `None` for empty input.
     ///
     /// Size ties are broken towards the tighter (lower-variance) cluster —
@@ -221,7 +216,7 @@ impl AgreementClusterer {
     }
 
     /// Whether two values agree under this clusterer's margin.
-    pub fn agrees(&self, a: f64, b: f64) -> bool {
+    fn agrees(&self, a: f64, b: f64) -> bool {
         (a - b).abs() <= self.tolerance(a, b)
     }
 

@@ -31,4 +31,4 @@ pub mod stats;
 
 pub use agreement::{AgreementClusterer, Cluster, Clustering, MarginMode};
 pub use meanshift::{MeanShift, MeanShiftResult};
-pub use point::{euclidean, euclidean_sq, Point};
+pub use point::Point;

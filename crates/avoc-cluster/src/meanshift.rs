@@ -8,6 +8,12 @@
 
 use crate::point::{centroid, Point};
 
+/// Iteration cap per point.
+const MAX_ITER: usize = 300;
+
+/// A point whose shift falls below this has converged.
+const TOL: f64 = 1e-6;
+
 /// Result of a mean-shift fit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MeanShiftResult {
@@ -24,7 +30,7 @@ impl MeanShiftResult {
     }
 
     /// Sizes of each mode's basin, indexed like `modes`.
-    pub fn cluster_sizes(&self) -> Vec<usize> {
+    fn cluster_sizes(&self) -> Vec<usize> {
         let mut sizes = vec![0usize; self.modes.len()];
         for &a in &self.assignments {
             sizes[a] += 1;
@@ -67,8 +73,6 @@ impl MeanShiftResult {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeanShift {
     bandwidth: f64,
-    max_iter: usize,
-    tol: f64,
 }
 
 impl MeanShift {
@@ -82,22 +86,7 @@ impl MeanShift {
             bandwidth.is_finite() && bandwidth > 0.0,
             "bandwidth must be positive, got {bandwidth}"
         );
-        MeanShift {
-            bandwidth,
-            max_iter: 300,
-            tol: 1e-6,
-        }
-    }
-
-    /// Sets the iteration cap per point (default 300).
-    pub fn with_max_iter(mut self, max_iter: usize) -> Self {
-        self.max_iter = max_iter.max(1);
-        self
-    }
-
-    /// The kernel bandwidth.
-    pub fn bandwidth(&self) -> f64 {
-        self.bandwidth
+        MeanShift { bandwidth }
     }
 
     /// Runs mean-shift: every point ascends to its density mode; modes within
@@ -113,7 +102,7 @@ impl MeanShift {
         let mut converged: Vec<Point> = Vec::with_capacity(points.len());
         for p in points {
             let mut x = p.clone();
-            for _ in 0..self.max_iter {
+            for _ in 0..MAX_ITER {
                 let in_window: Vec<Point> = points
                     .iter()
                     .filter(|q| x.distance_sq(q) <= bw_sq)
@@ -122,7 +111,7 @@ impl MeanShift {
                 let next = centroid(&in_window).expect("window contains x itself");
                 let shift = x.distance(&next);
                 x = next;
-                if shift < self.tol {
+                if shift < TOL {
                     break;
                 }
             }

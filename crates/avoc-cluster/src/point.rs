@@ -44,12 +44,12 @@ impl Point {
     }
 
     /// The dimensionality of the point.
-    pub fn dim(&self) -> usize {
+    fn dim(&self) -> usize {
         self.0.len()
     }
 
     /// Coordinates as a slice.
-    pub fn coords(&self) -> &[f64] {
+    fn coords(&self) -> &[f64] {
         &self.0
     }
 
@@ -120,7 +120,7 @@ impl IndexMut<usize> for Point {
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn euclidean_sq(a: &[f64], b: &[f64]) -> f64 {
+fn euclidean_sq(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(
         a.len(),
         b.len(),
@@ -142,7 +142,7 @@ pub fn euclidean_sq(a: &[f64], b: &[f64]) -> f64 {
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
+fn euclidean(a: &[f64], b: &[f64]) -> f64 {
     euclidean_sq(a, b).sqrt()
 }
 

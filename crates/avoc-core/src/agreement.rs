@@ -158,18 +158,8 @@ impl AgreementMatrix {
         self.scores[i * self.n + j]
     }
 
-    /// Candidate `i`'s total agreement with its peers (diagonal excluded),
-    /// i.e. the Hybrid voter's per-round agreement weight.
-    pub fn peer_support(&self, i: usize) -> f64 {
-        assert!(i < self.n, "index out of bounds");
-        (0..self.n)
-            .filter(|&j| j != i)
-            .map(|j| self.score(i, j))
-            .sum()
-    }
-
-    /// Peer support restricted to non-excluded peers; used when module
-    /// elimination removes candidates from the agreement pool.
+    /// Candidate `i`'s total agreement with its non-excluded peers (diagonal
+    /// excluded), i.e. the Hybrid voter's per-round agreement weight.
     pub fn peer_support_among(&self, i: usize, included: &[bool]) -> f64 {
         assert_eq!(included.len(), self.n, "inclusion mask length mismatch");
         (0..self.n)
@@ -255,9 +245,10 @@ mod tests {
     fn peer_support_identifies_outlier() {
         let p = AgreementParams::paper_default();
         let m = soft(&p, &[18.0, 18.1, 18.2, 25.0]);
-        let outlier = m.peer_support(3);
+        let all = [true; 4];
+        let outlier = m.peer_support_among(3, &all);
         for i in 0..3 {
-            assert!(m.peer_support(i) > outlier);
+            assert!(m.peer_support_among(i, &all) > outlier);
         }
         assert_eq!(outlier, 0.0);
     }
@@ -267,7 +258,7 @@ mod tests {
         let p = AgreementParams::new(1.0, 1.0, MarginMode::Absolute);
         // soft_multiplier 1: binary agreement.
         let m = soft(&p, &[0.0, 0.5, 0.6]);
-        let full = m.peer_support(0);
+        let full = m.peer_support_among(0, &[true; 3]);
         let masked = m.peer_support_among(0, &[true, false, true]);
         assert_eq!(full, 2.0);
         assert_eq!(masked, 1.0);

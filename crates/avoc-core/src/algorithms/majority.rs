@@ -4,16 +4,14 @@
 //! non-numeric values, such as character strings and JSON blobs" (§6), with
 //! restrictions: no value-based exclusion, no hybrid history, no clustering
 //! bootstrap, and weighted-majority as the only collation. The 'standard'
-//! and 'module-elimination' history algorithms remain available, and a
-//! custom [`TextMetric`] can re-introduce graded agreement.
+//! and 'module-elimination' history algorithms remain available. Ballots
+//! agree when their strings are equal.
 
 use super::common;
 use super::{Verdict, Voter};
 use crate::error::VoteError;
 use crate::history::{HistoryStore, HistoryUpdate, MemoryHistory};
 use crate::round::{ModuleId, Round};
-use crate::value::{ExactMatch, TextMetric};
-use std::sync::Arc;
 
 /// Which history algorithm backs the majority vote. The hybrid algorithm
 /// is *not* available for categorical values — "the fine-grained agreement
@@ -31,10 +29,9 @@ pub enum MajorityHistory {
 
 /// History-weighted majority voter over categorical values.
 ///
-/// Ballots are grouped by metric-equality (`distance ≤ tolerance`, default
-/// exact match with tolerance 0); the group with the largest total weight
-/// wins; the verdict value is the group's representative (its first-seen
-/// member). Ties are reported as [`VoteError::Tie`] for the engine's
+/// Ballots are grouped by string equality; the group with the largest total
+/// weight wins; the verdict value is the group's representative (its
+/// first-seen member). Ties are reported as [`VoteError::Tie`] for the engine's
 /// tie-break policy to resolve.
 ///
 /// # Example
@@ -56,20 +53,7 @@ pub enum MajorityHistory {
 pub struct MajorityVoter<S: HistoryStore = MemoryHistory> {
     history: MajorityHistory,
     update: HistoryUpdate,
-    metric: Arc<dyn TextMetric>,
-    tolerance: f64,
     store: S,
-    require_absolute_majority: bool,
-}
-
-impl std::fmt::Debug for MajorityVoter<MemoryHistory> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MajorityVoter")
-            .field("history", &self.history)
-            .field("tolerance", &self.tolerance)
-            .field("require_absolute_majority", &self.require_absolute_majority)
-            .finish_non_exhaustive()
-    }
 }
 
 impl MajorityVoter<MemoryHistory> {
@@ -86,43 +70,14 @@ impl<S: HistoryStore> MajorityVoter<S> {
         MajorityVoter {
             history,
             update: HistoryUpdate::default(),
-            metric: Arc::new(ExactMatch),
-            tolerance: 0.0,
             store,
-            require_absolute_majority: false,
         }
-    }
-
-    /// Installs a custom distance metric and agreement tolerance, enabling
-    /// graded grouping of near-identical strings.
-    pub fn with_metric(mut self, metric: Arc<dyn TextMetric>, tolerance: f64) -> Self {
-        assert!(
-            tolerance.is_finite() && tolerance >= 0.0,
-            "tolerance must be finite and non-negative"
-        );
-        self.metric = metric;
-        self.tolerance = tolerance;
-        self
     }
 
     /// Sets the history update rate.
     pub fn with_update(mut self, update: HistoryUpdate) -> Self {
         self.update = update;
         self
-    }
-
-    /// Requires the winning group to hold an *absolute* majority of the
-    /// voting weight; otherwise the vote fails with
-    /// [`VoteError::NoMajority`] — the paper's "relative majority ... but
-    /// overall minority" conflict scenario.
-    pub fn with_absolute_majority(mut self, required: bool) -> Self {
-        self.require_absolute_majority = required;
-        self
-    }
-
-    /// The configured history mode.
-    pub fn history_mode(&self) -> MajorityHistory {
-        self.history
     }
 }
 
@@ -164,26 +119,23 @@ impl<S: HistoryStore + Send> Voter for MajorityVoter<S> {
             _ => histories.clone(),
         };
 
-        // Group ballots by metric-equality against a group representative.
+        // Group ballots by string equality with a group representative.
         struct Group {
             representative: usize,
-            members: Vec<usize>,
+            members: usize,
             weight: f64,
         }
         let mut groups: Vec<Group> = Vec::new();
         for (i, (_, s)) in cand.iter().enumerate() {
             let w = weights[i];
-            match groups
-                .iter_mut()
-                .find(|g| self.metric.distance(&cand[g.representative].1, s) <= self.tolerance)
-            {
+            match groups.iter_mut().find(|g| cand[g.representative].1 == *s) {
                 Some(g) => {
-                    g.members.push(i);
+                    g.members += 1;
                     g.weight += w;
                 }
                 None => groups.push(Group {
                     representative: i,
-                    members: vec![i],
+                    members: 1,
                     weight: w,
                 }),
             }
@@ -193,7 +145,7 @@ impl<S: HistoryStore + Send> Voter for MajorityVoter<S> {
         if total_weight <= 0.0 {
             // All records collapsed: unweighted plurality fallback.
             for g in &mut groups {
-                g.weight = g.members.len() as f64;
+                g.weight = g.members as f64;
             }
         }
         let effective_total: f64 = groups.iter().map(|g| g.weight).sum();
@@ -215,22 +167,13 @@ impl<S: HistoryStore + Send> Voter for MajorityVoter<S> {
             });
         }
         let winner = winners[0];
-
-        if self.require_absolute_majority && winner.weight * 2.0 <= effective_total {
-            return Err(VoteError::NoMajority {
-                largest_group: winner.members.len(),
-                total: cand.len(),
-            });
-        }
-
         let output = cand[winner.representative].1.clone();
 
-        // Record update: members of the winning group agreed (score from the
-        // metric distance to the representative), everyone else scores 0.
+        // Record update: members of the winning group agreed, everyone else
+        // scores 0.
         if self.history != MajorityHistory::None {
             for (i, (m, s)) in cand.iter().enumerate() {
-                let agreed = self.metric.distance(s, &output) <= self.tolerance;
-                let score = if agreed { 1.0 } else { 0.0 };
+                let score = if *s == output { 1.0 } else { 0.0 };
                 self.store.set(*m, self.update.apply(histories[i], score));
             }
         }
@@ -285,7 +228,6 @@ impl<S: HistoryStore + Send> Voter for MajorityVoter<S> {
 mod tests {
     use super::*;
     use crate::round::Ballot;
-    use crate::value::NormalizedLevenshtein;
 
     fn m(i: u32) -> ModuleId {
         ModuleId::new(i)
@@ -339,42 +281,11 @@ mod tests {
     }
 
     #[test]
-    fn absolute_majority_requirement() {
-        let mut v = MajorityVoter::with_defaults().with_absolute_majority(true);
-        // Relative majority (2 of 5) but overall minority.
-        let err = v
-            .vote(&round_of(0, &["a", "a", "b", "c", "d"]))
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            VoteError::NoMajority {
-                largest_group: 2,
-                total: 5
-            }
-        ));
-        // A genuine absolute majority passes.
-        let verdict = v.vote(&round_of(1, &["a", "a", "a", "b", "c"])).unwrap();
-        assert_eq!(verdict.value.as_text(), Some("a"));
-    }
-
-    #[test]
     fn module_elimination_excludes_bad_module() {
         let mut v = MajorityVoter::new(MajorityHistory::ModuleElimination, MemoryHistory::new());
         v.vote(&round_of(0, &["a", "a", "z"])).unwrap();
         let verdict = v.vote(&round_of(1, &["a", "a", "z"])).unwrap();
         assert_eq!(verdict.excluded, vec![m(2)]);
-    }
-
-    #[test]
-    fn custom_metric_groups_near_strings() {
-        let mut v =
-            MajorityVoter::with_defaults().with_metric(Arc::new(NormalizedLevenshtein), 0.3);
-        let verdict = v
-            .vote(&round_of(0, &["lane-3", "lane-3", "lane-E", "junction"]))
-            .unwrap();
-        // "lane-3", "lane-3" and "lane-E" group together (distance ≤ 0.3).
-        assert_eq!(verdict.value.as_text(), Some("lane-3"));
-        assert!((verdict.confidence - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! | [`HistoryVoter`] (`Stateless`) `.with_bootstrap(true)`: COV | — | cluster membership | per collation | every round |
 //! | [`HistoryVoter`] (`Hybrid`) `.with_bootstrap(true)`: AVOC | graded agreement | as Hybrid | mean-NN | clustering when history is flat |
 //! | [`MajorityVoter`] | binary agreement | history | weighted majority | — |
-//! | [`MlvVoter`] | binary agreement | per-candidate reliability | per collation | — |
 //!
 //! All voters implement [`Voter`] and can be driven directly or through
 //! [`crate::engine::VotingEngine`], which adds quorum, exclusion and fault
@@ -21,12 +20,10 @@ mod average;
 mod common;
 mod history_voter;
 mod majority;
-mod mlv;
 
 pub use average::AverageVoter;
 pub use history_voter::{HistoryAlgorithm, HistoryVoter};
 pub use majority::{MajorityHistory, MajorityVoter};
-pub use mlv::MlvVoter;
 
 use crate::agreement::AgreementParams;
 use crate::collation::Collation;

@@ -15,7 +15,6 @@ use crate::exclusion::Exclusion;
 use crate::quorum::Quorum;
 use crate::round::{Ballot, Round};
 use crate::value::Value;
-use std::collections::VecDeque;
 
 /// What the engine does when a round cannot produce a trustworthy vote.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -51,7 +50,7 @@ pub struct FaultPolicy {
     /// Applied when quorum is not reached (majority-missing scenario).
     pub on_no_quorum: FallbackAction,
     /// Applied when the voter itself fails (empty round after exclusion,
-    /// no majority, type errors).
+    /// type errors).
     pub on_voter_error: FallbackAction,
     /// Applied to categorical ties.
     pub on_tie: TieBreak,
@@ -119,36 +118,6 @@ impl RoundResult {
     }
 }
 
-/// One entry of the engine's diagnostic round log.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoundRecord {
-    /// The round number.
-    pub round: u64,
-    /// The emitted value, if any.
-    pub output: Option<Value>,
-    /// Whether a genuine vote happened (vs. tie-break/fallback/skip).
-    pub voted: bool,
-    /// The verdict's confidence, for voted rounds.
-    pub confidence: Option<f64>,
-}
-
-/// Counters the engine maintains across rounds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Rounds submitted.
-    pub rounds: u64,
-    /// Rounds that produced a genuine vote.
-    pub voted: u64,
-    /// Rounds resolved by tie-break.
-    pub ties_broken: u64,
-    /// Rounds that fell back to the last-good value.
-    pub fallbacks: u64,
-    /// Rounds skipped with no output.
-    pub skipped: u64,
-    /// Rounds surfaced as errors.
-    pub errors: u64,
-}
-
 /// The voting engine.
 ///
 /// # Example
@@ -170,9 +139,6 @@ pub struct VotingEngine {
     exclusion: Exclusion,
     policy: FaultPolicy,
     last_good: Option<Value>,
-    stats: EngineStats,
-    log: VecDeque<RoundRecord>,
-    log_capacity: usize,
     /// Reusable outcome slot: consecutive voted rounds rewrite the same
     /// verdict buffers instead of allocating a fresh `RoundResult`.
     outcome: RoundResult,
@@ -212,7 +178,6 @@ impl std::fmt::Debug for VotingEngine {
             .field("quorum", &self.quorum)
             .field("exclusion", &self.exclusion)
             .field("policy", &self.policy)
-            .field("stats", &self.stats)
             .finish()
     }
 }
@@ -227,29 +192,11 @@ impl VotingEngine {
             exclusion: Exclusion::default(),
             policy: FaultPolicy::default(),
             last_good: None,
-            stats: EngineStats::default(),
-            log: VecDeque::new(),
-            log_capacity: 0,
             outcome: RoundResult::Skipped {
                 reason: FaultReason::Voter(VoteError::EmptyRound),
             },
             scratch: EngineScratch::default(),
         }
-    }
-
-    /// Enables the diagnostic round log, keeping the most recent
-    /// `capacity` outcomes — what the shoe-box demonstrator's display
-    /// renders, and what an operator inspects after an incident.
-    pub fn with_log_capacity(mut self, capacity: usize) -> Self {
-        self.log_capacity = capacity;
-        self.log.truncate(capacity);
-        self
-    }
-
-    /// The most recent outcomes, oldest first (empty unless enabled via
-    /// [`VotingEngine::with_log_capacity`]).
-    pub fn recent(&self) -> impl Iterator<Item = &RoundRecord> {
-        self.log.iter()
     }
 
     /// Sets the quorum policy.
@@ -268,11 +215,6 @@ impl VotingEngine {
     pub fn with_policy(mut self, policy: FaultPolicy) -> Self {
         self.policy = policy;
         self
-    }
-
-    /// The engine's counters.
-    pub fn stats(&self) -> EngineStats {
-        self.stats
     }
 
     /// The wrapped voter's name.
@@ -294,11 +236,6 @@ impl VotingEngine {
         self.voter.seed_history(records);
     }
 
-    /// The last accepted output, if any.
-    pub fn last_good(&self) -> Option<&Value> {
-        self.last_good.as_ref()
-    }
-
     /// Submits one round.
     ///
     /// # Errors
@@ -314,7 +251,7 @@ impl VotingEngine {
     /// outcome slot — the allocation-free flavour of [`VotingEngine::submit`].
     ///
     /// In steady state (consecutive voted numeric rounds, voter scratch
-    /// warmed up, round log disabled) this performs zero heap allocations:
+    /// warmed up) this performs zero heap allocations:
     /// the verdict inside the slot is rewritten in place each round.
     /// The returned reference is valid until the next submission.
     ///
@@ -322,36 +259,10 @@ impl VotingEngine {
     ///
     /// Exactly as [`VotingEngine::submit`].
     pub fn submit_ref(&mut self, round: &Round) -> Result<&RoundResult, VoteError> {
-        let result = self.submit_inner(round);
-        if self.log_capacity > 0 {
-            let record = match &result {
-                Ok(()) => RoundRecord {
-                    round: round.round,
-                    output: self.outcome.value().cloned(),
-                    voted: self.outcome.is_voted(),
-                    confidence: match &self.outcome {
-                        RoundResult::Voted(v) => Some(v.confidence),
-                        _ => None,
-                    },
-                },
-                Err(_) => RoundRecord {
-                    round: round.round,
-                    output: None,
-                    voted: false,
-                    confidence: None,
-                },
-            };
-            if self.log.len() == self.log_capacity {
-                self.log.pop_front();
-            }
-            self.log.push_back(record);
-        }
-        result.map(|()| &self.outcome)
+        self.submit_inner(round).map(|()| &self.outcome)
     }
 
     fn submit_inner(&mut self, round: &Round) -> Result<(), VoteError> {
-        self.stats.rounds += 1;
-
         // 1. Quorum.
         let expected = round.expected_count();
         let present = round.present_count();
@@ -394,7 +305,6 @@ impl VotingEngine {
         };
         match vote_result {
             Ok(()) => {
-                self.stats.voted += 1;
                 if let RoundResult::Voted(v) = &self.outcome {
                     self.last_good = Some(v.value.clone());
                 }
@@ -447,10 +357,7 @@ impl VotingEngine {
 
     fn break_tie(&mut self, candidates: Vec<String>) -> Result<(), VoteError> {
         let chosen = match self.policy.on_tie {
-            TieBreak::Error => {
-                self.stats.errors += 1;
-                return Err(VoteError::Tie { candidates });
-            }
+            TieBreak::Error => return Err(VoteError::Tie { candidates }),
             TieBreak::First => {
                 let mut sorted = candidates.clone();
                 sorted.sort();
@@ -466,16 +373,12 @@ impl VotingEngine {
         };
         match chosen {
             Some(value) => {
-                self.stats.ties_broken += 1;
                 let value = Value::Text(value);
                 self.last_good = Some(value.clone());
                 self.outcome = RoundResult::TieBroken { value, candidates };
                 Ok(())
             }
-            None => {
-                self.stats.errors += 1;
-                Err(VoteError::Tie { candidates })
-            }
+            None => Err(VoteError::Tie { candidates }),
         }
     }
 
@@ -486,28 +389,16 @@ impl VotingEngine {
         err: VoteError,
     ) -> Result<(), VoteError> {
         match action {
-            FallbackAction::Error => {
-                self.stats.errors += 1;
-                Err(err)
-            }
-            FallbackAction::Skip => {
-                self.stats.skipped += 1;
-                self.outcome = RoundResult::Skipped { reason };
-                Ok(())
-            }
-            FallbackAction::LastGood => match self.last_good.clone() {
-                Some(value) => {
-                    self.stats.fallbacks += 1;
-                    self.outcome = RoundResult::Fallback { value, reason };
-                    Ok(())
+            FallbackAction::Error => return Err(err),
+            FallbackAction::Skip => self.outcome = RoundResult::Skipped { reason },
+            FallbackAction::LastGood => {
+                self.outcome = match self.last_good.clone() {
+                    Some(value) => RoundResult::Fallback { value, reason },
+                    None => RoundResult::Skipped { reason },
                 }
-                None => {
-                    self.stats.skipped += 1;
-                    self.outcome = RoundResult::Skipped { reason };
-                    Ok(())
-                }
-            },
+            }
         }
+        Ok(())
     }
 }
 
@@ -529,8 +420,7 @@ mod tests {
         let out = e
             .submit(&Round::from_numbers(0, &[18.0, 18.1, 17.9]))
             .unwrap();
-        assert!(out.is_voted());
-        assert_eq!(e.stats().voted, 1);
+        assert!(matches!(out, RoundResult::Voted(_)));
     }
 
     #[test]
@@ -563,7 +453,6 @@ mod tests {
             }
             other => panic!("expected fallback, got {other:?}"),
         }
-        assert_eq!(e.stats().fallbacks, 1);
     }
 
     #[test]
@@ -571,8 +460,15 @@ mod tests {
         let mut e = engine();
         let starved = Round::from_sparse_numbers(0, &[Some(18.4), None, None]);
         let out = e.submit(&starved).unwrap();
-        assert!(matches!(out, RoundResult::Skipped { .. }));
-        assert_eq!(e.stats().skipped, 1);
+        assert!(matches!(
+            out,
+            RoundResult::Skipped {
+                reason: FaultReason::NoQuorum {
+                    present: 1,
+                    required: 2
+                }
+            }
+        ));
     }
 
     #[test]
@@ -659,7 +555,6 @@ mod tests {
             }
             other => panic!("expected tie-break, got {other:?}"),
         }
-        assert_eq!(e.stats().ties_broken, 1);
     }
 
     #[test]
@@ -677,8 +572,10 @@ mod tests {
                 crate::Ballot::new(ModuleId::new(1), "b"),
             ],
         );
-        assert!(matches!(e.submit(&r), Err(VoteError::Tie { .. })));
-        assert_eq!(e.stats().errors, 1);
+        assert!(matches!(
+            e.submit(&r),
+            Err(VoteError::Tie { candidates }) if candidates.len() == 2
+        ));
     }
 
     #[test]
@@ -701,23 +598,20 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate() {
+    fn fallback_re_emits_the_last_vote() {
         let mut e = engine();
-        e.submit(&Round::from_numbers(0, &[1.0, 1.0, 1.0])).unwrap();
-        e.submit(&Round::from_sparse_numbers(1, &[None, None, Some(1.0)]))
+        let out = e.submit(&Round::from_numbers(0, &[2.0, 2.0, 2.0])).unwrap();
+        assert!(matches!(out, RoundResult::Voted(_)));
+        let out = e
+            .submit(&Round::from_sparse_numbers(1, &[None, None, Some(1.0)]))
             .unwrap();
-        let s = e.stats();
-        assert_eq!(s.rounds, 2);
-        assert_eq!(s.voted, 1);
-        assert_eq!(s.fallbacks, 1);
-    }
-
-    #[test]
-    fn last_good_tracks_votes() {
-        let mut e = engine();
-        assert!(e.last_good().is_none());
-        e.submit(&Round::from_numbers(0, &[2.0, 2.0, 2.0])).unwrap();
-        assert_eq!(e.last_good().and_then(Value::as_number), Some(2.0));
+        assert!(matches!(
+            out,
+            RoundResult::Fallback {
+                value: Value::Number(v),
+                reason: FaultReason::NoQuorum { .. },
+            } if v == 2.0
+        ));
     }
 
     #[test]
@@ -769,62 +663,5 @@ mod tests {
             let borrowed = b.submit_ref(round).unwrap();
             assert_eq!(format!("{owned:?}"), format!("{borrowed:?}"));
         }
-        assert_eq!(a.stats(), b.stats());
-    }
-}
-
-#[cfg(test)]
-mod log_tests {
-    use super::*;
-    use crate::algorithms::{HistoryAlgorithm, HistoryVoter};
-
-    fn avoc() -> Box<HistoryVoter> {
-        Box::new(HistoryVoter::with_defaults(HistoryAlgorithm::Hybrid).with_bootstrap(true))
-    }
-
-    fn engine_with_log(capacity: usize) -> VotingEngine {
-        VotingEngine::new(avoc()).with_log_capacity(capacity)
-    }
-
-    #[test]
-    fn log_disabled_by_default() {
-        let mut e = VotingEngine::new(avoc());
-        e.submit(&Round::from_numbers(0, &[1.0, 1.0, 1.0])).unwrap();
-        assert_eq!(e.recent().count(), 0);
-    }
-
-    #[test]
-    fn log_records_votes_with_confidence() {
-        let mut e = engine_with_log(10);
-        e.submit(&Round::from_numbers(7, &[18.0, 18.1, 17.9]))
-            .unwrap();
-        let records: Vec<&RoundRecord> = e.recent().collect();
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].round, 7);
-        assert!(records[0].voted);
-        assert!(records[0].confidence.unwrap() > 0.5);
-        assert!(records[0].output.is_some());
-    }
-
-    #[test]
-    fn log_is_bounded_and_ordered() {
-        let mut e = engine_with_log(3);
-        for r in 0..10u64 {
-            e.submit(&Round::from_numbers(r, &[1.0, 1.0, 1.0])).unwrap();
-        }
-        let rounds: Vec<u64> = e.recent().map(|r| r.round).collect();
-        assert_eq!(rounds, vec![7, 8, 9]);
-    }
-
-    #[test]
-    fn fallbacks_and_skips_are_logged_without_confidence() {
-        let mut e = engine_with_log(5);
-        let starved = Round::from_sparse_numbers(3, &[Some(1.0), None, None]);
-        e.submit(&starved).unwrap(); // skip: no last-good yet
-        let records: Vec<&RoundRecord> = e.recent().collect();
-        assert_eq!(records.len(), 1);
-        assert!(!records[0].voted);
-        assert!(records[0].confidence.is_none());
-        assert!(records[0].output.is_none());
     }
 }

@@ -7,7 +7,7 @@ use std::fmt;
 ///
 /// The paper's fault scenarios (§7) map onto these variants: *missing values*
 /// beyond quorum become [`VoteError::NoQuorum`], and *conflicting results*
-/// with no absolute majority become [`VoteError::NoMajority`].
+/// the tie-break policy refused to resolve become [`VoteError::Tie`].
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum VoteError {
@@ -19,14 +19,6 @@ pub enum VoteError {
         present: usize,
         /// Number of candidates the quorum policy requires.
         required: usize,
-    },
-    /// No absolute majority exists among conflicting candidate outputs and
-    /// the tie-break policy refused to pick one.
-    NoMajority {
-        /// Size of the largest agreeing group.
-        largest_group: usize,
-        /// Total number of candidates considered.
-        total: usize,
     },
     /// A ballot carried a value of the wrong kind for this voter
     /// (e.g. a categorical string submitted to a numeric voter).
@@ -58,21 +50,21 @@ impl fmt::Display for VoteError {
                 f,
                 "quorum not reached: {present} candidates present, {required} required"
             ),
-            VoteError::NoMajority {
-                largest_group,
-                total,
-            } => write!(
-                f,
-                "no absolute majority: largest agreeing group has {largest_group} of {total} candidates"
-            ),
             VoteError::TypeMismatch { expected, got } => {
                 write!(f, "value type mismatch: expected {expected}, got {got}")
             }
             VoteError::DimensionMismatch { expected, got } => {
-                write!(f, "vector dimension mismatch: expected {expected}, got {got}")
+                write!(
+                    f,
+                    "vector dimension mismatch: expected {expected}, got {got}"
+                )
             }
             VoteError::Tie { candidates } => {
-                write!(f, "unresolvable tie between {} candidates", candidates.len())
+                write!(
+                    f,
+                    "unresolvable tie between {} candidates",
+                    candidates.len()
+                )
             }
         }
     }

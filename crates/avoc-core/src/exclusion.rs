@@ -29,19 +29,12 @@ pub enum Exclusion {
 }
 
 impl Exclusion {
-    /// Returns the indices of candidates to exclude.
+    /// Writes the indices of candidates to exclude into `out` (cleared
+    /// first), so the engine's hot path reuses one buffer across rounds.
     ///
     /// With fewer than three candidates, [`Exclusion::StdDev`] excludes
     /// nothing: a standard deviation over one or two samples cannot single
     /// out an outlier meaningfully.
-    pub fn excluded_indices(&self, values: &[f64]) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.excluded_into(values, &mut out);
-        out
-    }
-
-    /// Like [`Exclusion::excluded_indices`], but writes into `out` (cleared
-    /// first) so the engine's hot path can reuse one buffer across rounds.
     pub fn excluded_into(&self, values: &[f64], out: &mut Vec<usize>) {
         out.clear();
         match *self {
@@ -74,21 +67,6 @@ impl Exclusion {
             ),
         }
     }
-
-    /// Applies the policy, returning `(kept, excluded_indices)`.
-    pub fn apply(&self, values: &[f64]) -> (Vec<f64>, Vec<usize>) {
-        let excluded = self.excluded_indices(values);
-        if excluded.is_empty() {
-            return (values.to_vec(), excluded);
-        }
-        let kept = values
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !excluded.contains(i))
-            .map(|(_, &v)| v)
-            .collect();
-        (kept, excluded)
-    }
 }
 
 impl fmt::Display for Exclusion {
@@ -107,34 +85,37 @@ mod tests {
 
     #[test]
     fn none_excludes_nothing() {
-        assert!(Exclusion::None.excluded_indices(&[1.0, 99.0]).is_empty());
+        let mut out = vec![7];
+        Exclusion::None.excluded_into(&[1.0, 99.0], &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
     fn stddev_excludes_far_outlier() {
-        let values = [18.0, 18.1, 18.2, 17.9, 40.0];
-        let out = Exclusion::StdDev(1.5).excluded_indices(&values);
+        let mut out = Vec::new();
+        Exclusion::StdDev(1.5).excluded_into(&[18.0, 18.1, 18.2, 17.9, 40.0], &mut out);
         assert_eq!(out, vec![4]);
     }
 
     #[test]
     fn stddev_keeps_tight_data() {
-        let values = [18.0, 18.1, 18.2];
-        assert!(Exclusion::StdDev(2.0).excluded_indices(&values).is_empty());
+        let mut out = Vec::new();
+        Exclusion::StdDev(2.0).excluded_into(&[18.0, 18.1, 18.2], &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
     fn stddev_needs_three_candidates() {
-        assert!(Exclusion::StdDev(1.0)
-            .excluded_indices(&[1.0, 100.0])
-            .is_empty());
+        let mut out = Vec::new();
+        Exclusion::StdDev(1.0).excluded_into(&[1.0, 100.0], &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
     fn stddev_identical_values_no_exclusion() {
-        assert!(Exclusion::StdDev(1.0)
-            .excluded_indices(&[5.0, 5.0, 5.0, 5.0])
-            .is_empty());
+        let mut out = Vec::new();
+        Exclusion::StdDev(1.0).excluded_into(&[5.0, 5.0, 5.0, 5.0], &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -143,26 +124,19 @@ mod tests {
             min: -100.0,
             max: 0.0,
         };
-        let out = e.excluded_indices(&[-80.0, -101.0, 3.0, -55.0]);
+        let mut out = Vec::new();
+        e.excluded_into(&[-80.0, -101.0, 3.0, -55.0], &mut out);
         assert_eq!(out, vec![1, 2]);
-    }
-
-    #[test]
-    fn apply_returns_kept_and_excluded() {
-        let e = Exclusion::Range {
-            min: 0.0,
-            max: 10.0,
-        };
-        let (kept, excluded) = e.apply(&[5.0, 50.0, 7.0]);
-        assert_eq!(kept, vec![5.0, 7.0]);
-        assert_eq!(excluded, vec![1]);
+        // The buffer is cleared before each call.
+        e.excluded_into(&[-80.0, 5.0], &mut out);
+        assert_eq!(out, vec![1]);
     }
 
     #[test]
     fn non_positive_k_disables_stddev() {
-        assert!(Exclusion::StdDev(0.0)
-            .excluded_indices(&[1.0, 2.0, 100.0])
-            .is_empty());
+        let mut out = Vec::new();
+        Exclusion::StdDev(0.0).excluded_into(&[1.0, 2.0, 100.0], &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

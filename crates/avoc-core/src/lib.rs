@@ -54,7 +54,7 @@ pub mod value;
 pub use agreement::{AgreementMatrix, AgreementParams};
 pub use algorithms::{Verdict, Voter, VoterConfig};
 pub use collation::Collation;
-pub use engine::{FallbackAction, FaultPolicy, RoundRecord, RoundResult, TieBreak, VotingEngine};
+pub use engine::{FallbackAction, FaultPolicy, RoundResult, TieBreak, VotingEngine};
 pub use error::VoteError;
 pub use exclusion::Exclusion;
 pub use history::{DenseHistory, HistoryStore, HistoryUpdate, MemoryHistory};

@@ -69,13 +69,13 @@ impl PerDimensionVoter {
     }
 
     /// The dimensionality this voter expects.
-    pub fn dim(&self) -> usize {
+    fn dim(&self) -> usize {
         self.voters.len()
     }
 
     /// Per-dimension histories: `histories()[d]` is dimension `d`'s record
     /// snapshot.
-    pub fn histories_per_dimension(&self) -> Vec<Vec<(ModuleId, f64)>> {
+    fn histories_per_dimension(&self) -> Vec<Vec<(ModuleId, f64)>> {
         self.voters.iter().map(|v| v.histories()).collect()
     }
 }
@@ -197,8 +197,8 @@ impl Voter for PerDimensionVoter {
 /// sensor that is only faulty *jointly* (each coordinate plausible on its
 /// own) is still caught.
 ///
-/// The mean-shift bandwidth self-calibrates, in AVOC's spirit: it is a
-/// multiple of the median nearest-neighbour distance among the candidates.
+/// The mean-shift bandwidth self-calibrates, in AVOC's spirit: it is three
+/// times the median nearest-neighbour distance among the candidates.
 ///
 /// # Example
 ///
@@ -220,15 +220,17 @@ impl Voter for PerDimensionVoter {
 /// ```
 pub struct VectorAvocVoter {
     dims: PerDimensionVoter,
-    bandwidth_factor: f64,
     bootstrapped_once: bool,
 }
+
+/// The vector bootstrap's mean-shift bandwidth, as a multiple of the median
+/// nearest-neighbour distance among the candidates.
+const BANDWIDTH_FACTOR: f64 = 3.0;
 
 impl std::fmt::Debug for VectorAvocVoter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VectorAvocVoter")
             .field("dim", &self.dims.dim())
-            .field("bandwidth_factor", &self.bandwidth_factor)
             .finish_non_exhaustive()
     }
 }
@@ -250,29 +252,8 @@ impl VectorAvocVoter {
         };
         VectorAvocVoter {
             dims: PerDimensionVoter::new(dim, hybrid),
-            bandwidth_factor: 3.0,
             bootstrapped_once: false,
         }
-    }
-
-    /// Sets the bandwidth multiple over the median nearest-neighbour
-    /// distance (default 3).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `factor` is finite and positive.
-    pub fn with_bandwidth_factor(mut self, factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "factor must be positive"
-        );
-        self.bandwidth_factor = factor;
-        self
-    }
-
-    /// The dimensionality this voter expects.
-    pub fn dim(&self) -> usize {
-        self.dims.dim()
     }
 
     fn bootstrap_pending(&self) -> bool {
@@ -287,7 +268,7 @@ impl VectorAvocVoter {
             .all(|(_, h)| h.abs() < 1e-12)
     }
 
-    fn self_calibrated_bandwidth(points: &[avoc_cluster::Point], factor: f64) -> f64 {
+    fn self_calibrated_bandwidth(points: &[avoc_cluster::Point]) -> f64 {
         let mut nn: Vec<f64> = points
             .iter()
             .enumerate()
@@ -303,7 +284,7 @@ impl VectorAvocVoter {
         nn.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
         let median = nn[nn.len() / 2];
         // A zero median (identical points) still needs a usable radius.
-        (median * factor).max(1e-9)
+        (median * BANDWIDTH_FACTOR).max(1e-9)
     }
 
     /// Extracts the vector candidates, enforcing kind and dimension.
@@ -357,7 +338,7 @@ impl Voter for VectorAvocVoter {
         let members: Vec<usize> = if points.len() == 1 {
             vec![0]
         } else {
-            let bandwidth = Self::self_calibrated_bandwidth(&points, self.bandwidth_factor);
+            let bandwidth = Self::self_calibrated_bandwidth(&points);
             avoc_cluster::MeanShift::new(bandwidth)
                 .fit(&points)
                 .largest_cluster_members()

@@ -2,8 +2,7 @@
 //!
 //! VDX (§6 of the paper) distinguishes *numeric* values — on which the full
 //! algorithm family operates — from *categorical* values (character strings,
-//! JSON blobs), for which only history-weighted majority voting applies
-//! unless the client supplies a custom distance metric.
+//! JSON blobs), for which only history-weighted majority voting applies.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -53,11 +52,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Whether the value is numeric (scalar or vector).
-    pub fn is_numeric(&self) -> bool {
-        matches!(self, Value::Number(_) | Value::Vector(_))
-    }
 }
 
 impl fmt::Display for Value {
@@ -103,73 +97,6 @@ impl From<&str> for Value {
     }
 }
 
-/// A distance metric over categorical values.
-///
-/// The paper notes that value-based features (exclusion, fine-grained
-/// agreement) are disabled for categorical data, but that "software voting
-/// implementers may re-introduce some of these features by supplying a custom
-/// distance metric for categorical values" — this trait is that hook.
-pub trait TextMetric: Send + Sync {
-    /// Distance between two categorical values; `0.0` means identical.
-    /// Implementations should be symmetric and non-negative.
-    fn distance(&self, a: &str, b: &str) -> f64;
-}
-
-/// The default categorical metric: `0` for equal strings, `1` otherwise.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExactMatch;
-
-impl TextMetric for ExactMatch {
-    fn distance(&self, a: &str, b: &str) -> f64 {
-        if a == b {
-            0.0
-        } else {
-            1.0
-        }
-    }
-}
-
-/// Levenshtein edit distance, normalised by the longer string's length so the
-/// result lies in `[0, 1]`. An example of a custom metric enabling graded
-/// agreement on strings.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NormalizedLevenshtein;
-
-impl TextMetric for NormalizedLevenshtein {
-    fn distance(&self, a: &str, b: &str) -> f64 {
-        let la = a.chars().count();
-        let lb = b.chars().count();
-        if la == 0 && lb == 0 {
-            return 0.0;
-        }
-        levenshtein(a, b) as f64 / la.max(lb) as f64
-    }
-}
-
-/// Plain Levenshtein edit distance between two strings (unicode-aware,
-/// operating on `char`s).
-pub fn levenshtein(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.is_empty() {
-        return b.len();
-    }
-    if b.is_empty() {
-        return a.len();
-    }
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut cur = vec![0usize; b.len() + 1];
-    for (i, ca) in a.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, cb) in b.iter().enumerate() {
-            let cost = usize::from(ca != cb);
-            cur[j + 1] = (prev[j + 1] + 1).min(cur[j] + 1).min(prev[j] + cost);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[b.len()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,17 +107,14 @@ mod tests {
         assert_eq!(n.as_number(), Some(1.5));
         assert_eq!(n.as_vector(), None);
         assert_eq!(n.kind(), "number");
-        assert!(n.is_numeric());
 
         let v = Value::Vector(vec![1.0, 2.0]);
         assert_eq!(v.as_vector(), Some(&[1.0, 2.0][..]));
         assert_eq!(v.kind(), "vector");
-        assert!(v.is_numeric());
 
         let t = Value::from("open");
         assert_eq!(t.as_text(), Some("open"));
         assert_eq!(t.kind(), "text");
-        assert!(!t.is_numeric());
     }
 
     #[test]
@@ -215,41 +139,6 @@ mod tests {
         let vec = Value::Vector(vec![1.0, -2.5]);
         let json = serde_json::to_string(&vec).unwrap();
         assert_eq!(serde_json::from_str::<Value>(&json).unwrap(), vec);
-    }
-
-    #[test]
-    fn exact_match_metric() {
-        let m = ExactMatch;
-        assert_eq!(m.distance("a", "a"), 0.0);
-        assert_eq!(m.distance("a", "b"), 1.0);
-    }
-
-    #[test]
-    fn levenshtein_basics() {
-        assert_eq!(levenshtein("", ""), 0);
-        assert_eq!(levenshtein("abc", ""), 3);
-        assert_eq!(levenshtein("", "ab"), 2);
-        assert_eq!(levenshtein("kitten", "sitting"), 3);
-        assert_eq!(levenshtein("flaw", "lawn"), 2);
-        assert_eq!(levenshtein("same", "same"), 0);
-    }
-
-    #[test]
-    fn normalized_levenshtein_bounds() {
-        let m = NormalizedLevenshtein;
-        assert_eq!(m.distance("", ""), 0.0);
-        assert_eq!(m.distance("abc", "abc"), 0.0);
-        assert_eq!(m.distance("abc", "xyz"), 1.0);
-        let d = m.distance("open", "opened");
-        assert!(d > 0.0 && d < 1.0);
-    }
-
-    #[test]
-    fn metrics_are_symmetric() {
-        let m = NormalizedLevenshtein;
-        for (a, b) in [("door", "dor"), ("x", "yy"), ("", "abc")] {
-            assert_eq!(m.distance(a, b), m.distance(b, a));
-        }
     }
 
     #[test]

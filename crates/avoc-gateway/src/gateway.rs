@@ -17,7 +17,7 @@
 //! redirect that raced a newer placement.
 //!
 //! Migration is a two-hop shipping relay driven from here (see
-//! [`Gateway::migrate_session_to`]): `ExportSession` to the source, which
+//! [`Gateway::migrate_session`]): `ExportSession` to the source, which
 //! quiesces the session at a round boundary and answers with a
 //! [`Message::SessionState`] blob pair; the gateway re-frames those blobs
 //! into its own `SessionState` to the target, which restores warm and
@@ -527,34 +527,24 @@ impl Gateway {
         &self.state.metrics.registry
     }
 
-    /// Marks `node` unhealthy by hand — what an operator does before
-    /// maintenance, and what [`Gateway::drain_node`] does first. The
-    /// health prober will not flip a drained node back.
-    pub fn mark_draining(&self, node: u64) {
+    /// Marks `node` unhealthy for good — what [`Gateway::drain_node`] does
+    /// first. The health prober will not flip a drained node back.
+    fn mark_draining(&self, node: u64) {
         self.state.draining.lock().insert(node);
         self.state.set_health(node, false);
     }
 
-    /// Lifts a drain mark; the node returns to probe-driven health (or to
-    /// healthy immediately when it has no admin endpoint).
-    pub fn lift_drain(&self, node: u64) {
-        self.state.draining.lock().remove(&node);
-        if self
-            .state
-            .member(node)
-            .map(|m| m.admin.is_none())
-            .unwrap_or(false)
-        {
-            self.state.set_health(node, true);
-        }
-    }
-
     /// Migrates `session` off its current node to the next healthy owner
-    /// on the ring, returning the receiving node id.
+    /// on the ring, returning the receiving node id. The source quiesces
+    /// and exports, the state blob is relayed to the target, the target
+    /// restores warm, and the gateway flips its pinned placement. The drive
+    /// is idempotent — if it fails (or the gateway dies) after the source
+    /// already flipped its sidecar, re-driving re-ships the same state from
+    /// disk.
     ///
     /// # Errors
     ///
-    /// Everything [`Gateway::migrate_session_to`] can fail with, plus
+    /// Source refusal, a cold restore on the target, RPC timeouts, and
     /// "no healthy node to receive" when the rest of the cluster is down.
     pub fn migrate_session(&self, session: u64) -> io::Result<u64> {
         let source = self.current_node(session)?;
@@ -576,21 +566,6 @@ impl Gateway {
             .ok_or_else(|| io::Error::other("no healthy node to receive the session"))?;
         self.ship_and_record(session, source, target)?;
         Ok(target)
-    }
-
-    /// Drives one checkpoint-shipping migration: source quiesces and
-    /// exports, the state blob is relayed to `target_node`, the target
-    /// restores warm, and the gateway flips its pinned placement. The
-    /// drive is idempotent — if it fails (or the gateway dies) after the
-    /// source already flipped its sidecar, re-driving re-ships the same
-    /// state from disk.
-    ///
-    /// # Errors
-    ///
-    /// Source refusal, a cold restore on the target, RPC timeouts.
-    pub fn migrate_session_to(&self, session: u64, target_node: u64) -> io::Result<()> {
-        let source_node = self.current_node(session)?;
-        self.ship_and_record(session, source_node, target_node)
     }
 
     /// The shipping half of a migration, with the source given explicitly.

@@ -25,7 +25,7 @@
 //! * [`Gateway`] — the running tier: an `avoc-net` reactor answering
 //!   open/resume frames with `Redirect`, a `/healthz` prober that routes
 //!   around degraded members, checkpoint-shipping migration
-//!   ([`Gateway::migrate_session_to`], [`Gateway::drain_node`]), and a
+//!   ([`Gateway::migrate_session`], [`Gateway::drain_node`]), and a
 //!   cluster admin endpoint whose `/metrics` merges every member's scrape
 //!   into one roll-up ([`avoc_obs::rollup`]).
 //! * [`Member`] / [`GatewayConfig`] — the static membership and tuning.

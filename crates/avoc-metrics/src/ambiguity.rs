@@ -67,7 +67,7 @@ impl AmbiguityReport {
     }
 
     /// Total rounds evaluated.
-    pub fn total(&self) -> usize {
+    fn total(&self) -> usize {
         self.missing + self.ambiguous + self.misclassified + self.correct
     }
 
@@ -78,16 +78,6 @@ impl AmbiguityReport {
             0.0
         } else {
             self.correct as f64 / t as f64
-        }
-    }
-
-    /// Fraction of rounds that were ambiguous.
-    pub fn ambiguity_rate(&self) -> f64 {
-        let t = self.total();
-        if t == 0 {
-            0.0
-        } else {
-            self.ambiguous as f64 / t as f64
         }
     }
 }
@@ -148,7 +138,6 @@ mod tests {
         };
         assert_eq!(r.total(), 10);
         assert!((r.accuracy() - 0.6).abs() < 1e-12);
-        assert!((r.ambiguity_rate() - 0.2).abs() < 1e-12);
     }
 
     #[test]

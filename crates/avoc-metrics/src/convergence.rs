@@ -96,7 +96,7 @@ impl ConvergenceReport {
     /// # Panics
     ///
     /// Panics when the series lengths differ.
-    pub fn compare(
+    fn compare(
         algorithm: impl Into<String>,
         clean: &[Option<f64>],
         faulty: &[Option<f64>],
@@ -121,9 +121,10 @@ impl ConvergenceReport {
         }
     }
 
-    /// Like [`ConvergenceReport::compare`], but thresholds a *moving
-    /// average of the absolute* difference signal instead of the raw
-    /// pointwise values.
+    /// Builds the report from a clean-run output series and a faulty-run
+    /// output series. Convergence is measured on a *moving average of the
+    /// absolute* pointwise difference (the Fig. 6-e signal) returning to the
+    /// ±`epsilon` band and staying there for `sustain` rounds.
     ///
     /// Selection collations (mean-nearest-neighbour) emit genuine sensor
     /// readings, so the faulty-vs-clean difference jitters between real
@@ -155,20 +156,6 @@ impl ConvergenceReport {
             rounds_to_converge: rounds_to_converge(&smoothed, 0.0, epsilon, sustain),
             ..raw
         }
-    }
-
-    /// The convergence boost of `self` over `other`:
-    /// `other.rounds / self.rounds` (the paper reports AVOC at 4× over the
-    /// state of the art). `None` when either never converged;
-    /// `f64::INFINITY` when `self` converged instantly and `other` did not
-    /// do so in round 0.
-    pub fn boost_over(&self, other: &ConvergenceReport) -> Option<f64> {
-        let mine = self.rounds_to_converge? as f64;
-        let theirs = other.rounds_to_converge? as f64;
-        if mine == 0.0 {
-            return Some(if theirs == 0.0 { 1.0 } else { f64::INFINITY });
-        }
-        Some(theirs / mine)
     }
 }
 
@@ -285,37 +272,6 @@ mod tests {
         let faulty = dense(&vals);
         let smooth = ConvergenceReport::compare_smoothed("hybrid", &clean, &faulty, 0.2, 4, 8);
         assert!(smooth.rounds_to_converge.expect("converges") > 0);
-    }
-
-    #[test]
-    fn boost_ratio() {
-        let fast = ConvergenceReport {
-            algorithm: "avoc".into(),
-            rounds_to_converge: Some(1),
-            stable_deviation: 0.0,
-            peak_deviation: 0.1,
-            epsilon: 0.05,
-        };
-        let slow = ConvergenceReport {
-            algorithm: "hybrid".into(),
-            rounds_to_converge: Some(4),
-            ..fast.clone()
-        };
-        assert_eq!(fast.boost_over(&slow), Some(4.0));
-        assert_eq!(slow.boost_over(&fast), Some(0.25));
-
-        let never = ConvergenceReport {
-            rounds_to_converge: None,
-            ..fast.clone()
-        };
-        assert_eq!(fast.boost_over(&never), None);
-
-        let instant = ConvergenceReport {
-            rounds_to_converge: Some(0),
-            ..fast.clone()
-        };
-        assert_eq!(instant.boost_over(&slow), Some(f64::INFINITY));
-        assert_eq!(instant.boost_over(&instant), Some(1.0));
     }
 
     #[test]

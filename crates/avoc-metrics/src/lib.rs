@@ -4,8 +4,7 @@
 //!
 //! * [`convergence`] — "voting rounds required to converge back to the
 //!   baseline" and "how far the new stable value is from the original"
-//!   (UC-1 metrics (a) and (b)), plus the convergence-boost ratio behind
-//!   the 4× headline claim;
+//!   (UC-1 metrics (a) and (b)), the rounds behind the 4× headline claim;
 //! * [`series`] — output differencing for Fig. 6-e ("output difference
 //!   between voting on the raw values and voting on the error-injected
 //!   values");

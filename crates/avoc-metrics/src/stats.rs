@@ -29,7 +29,7 @@ impl Summary {
     }
 
     /// Summarises a dense series. Returns `None` when empty.
-    pub fn of_values(xs: &[f64]) -> Option<Summary> {
+    fn of_values(xs: &[f64]) -> Option<Summary> {
         if xs.is_empty() {
             return None;
         }

@@ -30,7 +30,6 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
-use avoc_obs::{Counter, Registry};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -97,37 +96,6 @@ pub struct ChaosProxy {
     live: Arc<Mutex<Vec<TcpStream>>>,
 }
 
-/// Per-kind counters of faults that actually fired (not merely scheduled):
-/// a `Reset` only counts once it severs, a `Stall` once it sleeps, a
-/// `Corrupt` once a bit flips, a `Chop` once the first dribbled write
-/// happens. Registered as `avoc_chaos_faults_total{kind="..."}`.
-#[derive(Debug, Clone)]
-pub struct ChaosMetrics {
-    reset: Counter,
-    stall: Counter,
-    chop: Counter,
-    corrupt: Counter,
-}
-
-impl ChaosMetrics {
-    /// Registers (or finds) the fault counters on `registry`.
-    pub fn register(registry: &Registry) -> Self {
-        let kind = |k: &str| {
-            registry.counter_with(
-                "avoc_chaos_faults_total",
-                "Network faults injected by the chaos proxy, by kind.",
-                &[("kind", k)],
-            )
-        };
-        ChaosMetrics {
-            reset: kind("reset"),
-            stall: kind("stall"),
-            chop: kind("chop"),
-            corrupt: kind("corrupt"),
-        }
-    }
-}
-
 /// splitmix64 — the deterministic byte-stream generator behind `Chop`.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -145,28 +113,6 @@ impl ChaosProxy {
     ///
     /// Propagates bind errors.
     pub fn start(upstream: SocketAddr, config: ChaosConfig) -> io::Result<ChaosProxy> {
-        ChaosProxy::start_inner(upstream, config, None)
-    }
-
-    /// As [`ChaosProxy::start`], additionally counting every fault that
-    /// fires into `registry` as `avoc_chaos_faults_total{kind="..."}`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind errors.
-    pub fn start_instrumented(
-        upstream: SocketAddr,
-        config: ChaosConfig,
-        registry: &Registry,
-    ) -> io::Result<ChaosProxy> {
-        ChaosProxy::start_inner(upstream, config, Some(ChaosMetrics::register(registry)))
-    }
-
-    fn start_inner(
-        upstream: SocketAddr,
-        config: ChaosConfig,
-        metrics: Option<ChaosMetrics>,
-    ) -> io::Result<ChaosProxy> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let local_addr = listener.local_addr()?;
         let running = Arc::new(AtomicBool::new(true));
@@ -178,9 +124,7 @@ impl ChaosProxy {
             let live = Arc::clone(&live);
             std::thread::Builder::new()
                 .name("avoc-chaos-accept".into())
-                .spawn(move || {
-                    accept_loop(listener, upstream, config, running, accepted, live, metrics)
-                })
+                .spawn(move || accept_loop(listener, upstream, config, running, accepted, live))
                 .expect("spawn chaos accept loop")
         };
         Ok(ChaosProxy {
@@ -215,7 +159,7 @@ impl ChaosProxy {
     }
 }
 
-#[allow(clippy::needless_pass_by_value, clippy::too_many_arguments)]
+#[allow(clippy::needless_pass_by_value)]
 fn accept_loop(
     listener: TcpListener,
     upstream: SocketAddr,
@@ -223,7 +167,6 @@ fn accept_loop(
     running: Arc<AtomicBool>,
     accepted: Arc<AtomicUsize>,
     live: Arc<Mutex<Vec<TcpStream>>>,
-    metrics: Option<ChaosMetrics>,
 ) {
     let mut pumps: Vec<JoinHandle<()>> = Vec::new();
     while running.load(Ordering::SeqCst) {
@@ -255,10 +198,9 @@ fn accept_loop(
         }
         let seed = config.seed ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let (c2s_from, c2s_to) = (client.try_clone(), server.try_clone());
-        let pump_metrics = metrics.clone();
         pumps.push(std::thread::spawn(move || {
             if let (Ok(from), Ok(to)) = (c2s_from, c2s_to) {
-                pump_faulted(from, to, fault, seed, pump_metrics);
+                pump_faulted(from, to, fault, seed);
             }
         }));
         pumps.push(std::thread::spawn(move || pump_clean(server, client)));
@@ -291,17 +233,10 @@ fn pump_clean(mut from: TcpStream, mut to: TcpStream) {
 }
 
 /// Client→server: forwarding with the connection's scheduled fault.
-fn pump_faulted(
-    mut from: TcpStream,
-    mut to: TcpStream,
-    fault: Fault,
-    seed: u64,
-    metrics: Option<ChaosMetrics>,
-) {
+fn pump_faulted(mut from: TcpStream, mut to: TcpStream, fault: Fault, seed: u64) {
     let mut rng = seed;
     let mut forwarded: u64 = 0;
     let mut stalled = false;
-    let mut chopped = false;
     // As in `pump_clean`: one reused buffer per pump thread, and the
     // 1024-byte read granularity is load-bearing for determinism (fault
     // offsets are computed against these read boundaries).
@@ -315,9 +250,6 @@ fn pump_faulted(
         if let Fault::Corrupt { at_byte } = fault {
             if at_byte >= forwarded && at_byte < end {
                 buf[(at_byte - forwarded) as usize] ^= 0x01;
-                if let Some(m) = &metrics {
-                    m.corrupt.inc();
-                }
             }
         }
         if let Fault::Reset { after_bytes } = fault {
@@ -327,9 +259,6 @@ fn pump_faulted(
                 let _ = to.write_all(&buf[..keep]);
                 let _ = to.shutdown(Shutdown::Both);
                 let _ = from.shutdown(Shutdown::Both);
-                if let Some(m) = &metrics {
-                    m.reset.inc();
-                }
                 return;
             }
         }
@@ -340,20 +269,11 @@ fn pump_faulted(
         {
             if !stalled && end > after_bytes {
                 stalled = true;
-                if let Some(m) = &metrics {
-                    m.stall.inc();
-                }
                 std::thread::sleep(Duration::from_millis(millis));
             }
         }
         let ok = match fault {
             Fault::Chop { max_chunk } => {
-                if !chopped {
-                    chopped = true;
-                    if let Some(m) = &metrics {
-                        m.chop.inc();
-                    }
-                }
                 let max_chunk = max_chunk.max(1);
                 let mut rest = &buf[..n];
                 let mut ok = true;
@@ -466,32 +386,6 @@ mod tests {
         }
         assert!(got.len() <= 8, "read {} bytes past the cut", got.len());
         proxy.stop();
-    }
-
-    #[test]
-    fn instrumented_proxy_counts_fired_faults_by_kind() {
-        let (addr, _join) = echo_server();
-        let registry = Registry::new();
-        let proxy = ChaosProxy::start_instrumented(
-            addr,
-            ChaosConfig {
-                seed: 9,
-                faults: vec![Fault::Corrupt { at_byte: 2 }, Fault::Chop { max_chunk: 3 }],
-            },
-            &registry,
-        )
-        .unwrap();
-        let payload = [0u8; 16];
-        let _ = send_recv(proxy.local_addr(), &payload).unwrap();
-        let echoed: Vec<u8> = (0..=255u8).collect();
-        assert_eq!(send_recv(proxy.local_addr(), &echoed).unwrap(), echoed);
-        proxy.stop();
-        let text = registry.render_prometheus();
-        assert!(text.contains("avoc_chaos_faults_total{kind=\"corrupt\"} 1"));
-        assert!(text.contains("avoc_chaos_faults_total{kind=\"chop\"} 1"));
-        // Scheduled-but-never-fired kinds stay at zero.
-        assert!(text.contains("avoc_chaos_faults_total{kind=\"reset\"} 0"));
-        assert!(text.contains("avoc_chaos_faults_total{kind=\"stall\"} 0"));
     }
 
     #[test]

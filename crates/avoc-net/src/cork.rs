@@ -117,11 +117,6 @@ impl<W: Write> CorkedWriter<W> {
         !self.buf.is_empty()
     }
 
-    /// Bytes currently corked.
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Counters so far.
     pub fn stats(&self) -> WriterStats {
         self.stats
@@ -289,7 +284,7 @@ mod tests {
         for msg in sample_frames() {
             w.push(&msg);
         }
-        let pending = w.pending_bytes() as u64;
+        let pending = w.buf.len() as u64;
         w.flush().unwrap();
         let stats = w.stats();
         assert_eq!(stats.frames, 4);

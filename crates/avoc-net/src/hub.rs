@@ -16,6 +16,9 @@ use crate::message::Message;
 use avoc_core::{Ballot, ModuleId, Round};
 use std::collections::VecDeque;
 
+/// Rounds of silence after which a module counts as dead.
+const LIVENESS_WINDOW: u64 = 8;
+
 /// Liveness of one expected module, as observed by the hub.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Liveness {
@@ -85,8 +88,6 @@ pub struct SensorHub {
     last_seen: Vec<Option<u64>>,
     /// Highest round id observed on any message.
     newest_round: u64,
-    /// Rounds of silence after which a module counts as dead.
-    liveness_window: u64,
 }
 
 impl SensorHub {
@@ -115,15 +116,7 @@ impl SensorHub {
             stragglers: 0,
             lag_tolerance: 1,
             newest_round: 0,
-            liveness_window: 8,
         }
-    }
-
-    /// Sets the number of rounds of silence after which a module is
-    /// reported dead (default 8).
-    pub fn with_liveness_window(mut self, rounds: u64) -> Self {
-        self.liveness_window = rounds.max(1);
-        self
     }
 
     /// Sets how many newer rounds may open before an incomplete older round
@@ -171,7 +164,7 @@ impl SensorHub {
                 let state = match *seen {
                     None => Liveness::NeverSeen,
                     Some(seen) => {
-                        if self.newest_round.saturating_sub(seen) > self.liveness_window {
+                        if self.newest_round.saturating_sub(seen) > LIVENESS_WINDOW {
                             Liveness::Dead { last_seen: seen }
                         } else {
                             Liveness::Alive
@@ -180,15 +173,6 @@ impl SensorHub {
                 };
                 (m, state)
             })
-            .collect()
-    }
-
-    /// The modules currently judged dead or never seen.
-    pub fn suspect_modules(&self) -> Vec<ModuleId> {
-        self.liveness()
-            .into_iter()
-            .filter(|(_, l)| *l != Liveness::Alive)
-            .map(|(m, _)| m)
             .collect()
     }
 
@@ -513,7 +497,6 @@ mod liveness_tests {
             .liveness()
             .iter()
             .all(|(_, l)| *l == Liveness::NeverSeen));
-        assert_eq!(hub.suspect_modules(), vec![m(0), m(1)]);
     }
 
     #[test]
@@ -527,25 +510,27 @@ mod liveness_tests {
 
     #[test]
     fn prolonged_silence_marks_a_module_dead() {
-        let mut hub = SensorHub::new(vec![m(0), m(1)]).with_liveness_window(3);
+        let mut hub = SensorHub::new(vec![m(0), m(1)]);
         hub.accept(reading(0, 0));
         hub.accept(reading(1, 0));
-        // Module 1 goes silent while rounds advance.
-        for r in 1..6 {
+        // Module 1 goes silent while rounds advance: alive through the
+        // window, dead one round past it.
+        for r in 1..=LIVENESS_WINDOW {
             hub.accept(reading(0, r));
         }
+        assert_eq!(hub.liveness()[1].1, Liveness::Alive);
+        hub.accept(reading(0, LIVENESS_WINDOW + 1));
         let live = hub.liveness();
         assert_eq!(live[0].1, Liveness::Alive);
         assert_eq!(live[1].1, Liveness::Dead { last_seen: 0 });
-        assert_eq!(hub.suspect_modules(), vec![m(1)]);
     }
 
     #[test]
     fn heartbeat_keeps_a_module_alive() {
-        let mut hub = SensorHub::new(vec![m(0), m(1)]).with_liveness_window(3);
+        let mut hub = SensorHub::new(vec![m(0), m(1)]);
         hub.accept(reading(0, 0));
         hub.accept(reading(1, 0));
-        for r in 1..10 {
+        for r in 1..20 {
             hub.accept(reading(0, r));
             // Module 1 sends no readings but heartbeats each round.
             hub.accept(Message::Heartbeat { module: m(1) });
@@ -555,8 +540,8 @@ mod liveness_tests {
 
     #[test]
     fn explicit_missing_counts_as_contact() {
-        let mut hub = SensorHub::new(vec![m(0), m(1)]).with_liveness_window(3);
-        for r in 0..10 {
+        let mut hub = SensorHub::new(vec![m(0), m(1)]);
+        for r in 0..20 {
             hub.accept(reading(0, r));
             hub.accept(Message::Missing {
                 module: m(1),

@@ -76,16 +76,6 @@ impl StreamDecoder {
             Err(e) => DecodeStep::Skipped(e),
         }
     }
-
-    /// Bytes currently carried between readiness events.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether a hostile frame killed this stream.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -195,7 +185,7 @@ mod tests {
             let cuts: Vec<usize> = (1..bytes.len()).collect();
             let (steps, dec) = streamed(&bytes, &cuts);
             assert_eq!(steps, one_shot(&bytes), "frame {msg:?} split per byte");
-            assert_eq!(dec.buffered(), 0, "no carry-over after a whole frame");
+            assert_eq!(dec.buf.len(), 0, "no carry-over after a whole frame");
         }
     }
 
@@ -218,7 +208,7 @@ mod tests {
                     DecodeStep::Frame(open.clone()),
                 ]
             );
-            assert_eq!(dec.buffered(), 0);
+            assert_eq!(dec.buf.len(), 0);
         }
     }
 
@@ -232,12 +222,12 @@ mod tests {
             step,
             DecodeStep::Dead(DecodeError::FrameTooLarge { .. })
         ));
-        assert_eq!(dec.buffered(), 0, "hostile prefix is not retained");
+        assert_eq!(dec.buf.len(), 0, "hostile prefix is not retained");
         // The poisoning is sticky and feeding more never buffers.
         dec.extend(&vec![0u8; 1 << 16]);
         assert!(matches!(dec.next_frame(), DecodeStep::Dead(_)));
-        assert_eq!(dec.buffered(), 0);
-        assert!(dec.is_poisoned());
+        assert_eq!(dec.buf.len(), 0);
+        assert!(dec.poisoned.is_some());
     }
 
     proptest! {
@@ -261,9 +251,9 @@ mod tests {
             cuts.sort_unstable();
             let (steps, dec) = streamed(&stream, &cuts);
             prop_assert_eq!(&steps, &one_shot(&stream));
-            prop_assert!(dec.buffered() <= stream.len());
-            if !dec.is_poisoned() {
-                prop_assert!(dec.buffered() < 4 + trailing.len().max(4));
+            prop_assert!(dec.buf.len() <= stream.len());
+            if dec.poisoned.is_none() {
+                prop_assert!(dec.buf.len() < 4 + trailing.len().max(4));
             }
         }
 
@@ -287,7 +277,7 @@ mod tests {
             let (steps, dec) = streamed(&stream, &cuts);
             prop_assert_eq!(&steps, &one_shot(&stream));
             prop_assert!(matches!(steps.last(), Some(DecodeStep::Dead(_))));
-            prop_assert_eq!(dec.buffered(), 0, "hostile stream buffers nothing");
+            prop_assert_eq!(dec.buf.len(), 0, "hostile stream buffers nothing");
         }
     }
 }

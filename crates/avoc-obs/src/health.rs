@@ -88,7 +88,7 @@ impl Health {
 
     /// The aggregate level: the worst across all domains (`Ok` when every
     /// domain is healthy).
-    pub fn level(&self) -> HealthLevel {
+    fn level(&self) -> HealthLevel {
         self.domains
             .lock()
             .values()

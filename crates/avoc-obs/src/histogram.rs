@@ -34,15 +34,6 @@ struct Core {
 }
 
 impl Histogram {
-    /// A histogram over explicit upper-inclusive bounds. Bounds are sorted
-    /// and deduplicated; an empty slice yields a single `+Inf` bucket.
-    pub fn with_bounds(bounds: &[u64]) -> Self {
-        let mut sorted: Vec<u64> = bounds.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        Histogram::on_scale(sorted.into())
-    }
-
     /// Fresh cells over an already sorted, deduplicated scale, which the
     /// histogram shares instead of copying.
     fn on_scale(bounds: Arc<[u64]>) -> Self {
@@ -62,11 +53,6 @@ impl Histogram {
     /// `k = 0..=9`, i.e. 1 ns to 9 s in 90 buckets plus `+Inf`.
     pub fn latency_ns() -> Self {
         Histogram::on_scale(latency_scale())
-    }
-
-    /// Whether two handles record into the same cells.
-    pub fn same_histogram(&self, other: &Histogram) -> bool {
-        Arc::ptr_eq(&self.core, &other.core)
     }
 
     /// Records one observation. Lock-free and allocation-free.
@@ -237,7 +223,7 @@ mod tests {
 
     #[test]
     fn records_land_in_upper_inclusive_buckets() {
-        let h = Histogram::with_bounds(&[10, 100]);
+        let h = Histogram::on_scale(vec![10, 100].into());
         for v in [1, 10, 11, 100, 101, 5_000] {
             h.record(v);
         }
@@ -289,7 +275,7 @@ mod tests {
 
     #[test]
     fn json_reports_overflow_bucket_as_inf() {
-        let h = Histogram::with_bounds(&[10]);
+        let h = Histogram::on_scale(vec![10].into());
         h.record(5);
         h.record(50);
         let json = h.snapshot().to_json();
@@ -341,11 +327,10 @@ mod tests {
 
     #[test]
     fn clones_share_cells() {
-        let a = Histogram::with_bounds(&[10]);
+        let a = Histogram::on_scale(vec![10].into());
         let b = a.clone();
         a.record(1);
         b.record(2);
-        assert!(a.same_histogram(&b));
         assert_eq!(a.snapshot().count, 2);
     }
 }

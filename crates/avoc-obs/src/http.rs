@@ -38,7 +38,7 @@ pub enum ParseError {
 impl ParseError {
     /// The HTTP status code this error maps to (`Incomplete` has none and
     /// returns 400 as a terminal fallback).
-    pub fn status(self) -> u16 {
+    fn status(self) -> u16 {
         match self {
             ParseError::Incomplete | ParseError::BadRequest => 400,
             ParseError::TooLarge => 431,
@@ -123,7 +123,7 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
 }
 
 /// The reason phrase for the handful of status codes the admin plane uses.
-pub fn reason(status: u16) -> &'static str {
+fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",
@@ -137,7 +137,7 @@ pub fn reason(status: u16) -> &'static str {
 
 /// Writes one complete HTTP/1.1 response with `Content-Length` and
 /// `Connection: close`, then flushes.
-pub fn write_response(
+fn write_response(
     stream: &mut impl Write,
     status: u16,
     content_type: &str,

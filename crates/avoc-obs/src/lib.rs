@@ -47,6 +47,5 @@ pub mod trace;
 pub use facts::Fact;
 pub use health::{Health, HealthLevel};
 pub use histogram::{Histogram, HistogramSnapshot};
-pub use http::{reason, write_response};
 pub use registry::{Counter, Gauge, Kind, Registry};
 pub use trace::{now_ns, Span, Stage, TraceRing};

@@ -75,17 +75,6 @@ fn render_value(v: f64) -> String {
     }
 }
 
-/// Parses one exposition text into `(key, value)` samples, comment and
-/// blank lines skipped. The gate a roll-up consumer uses to assert that
-/// merged totals equal the sum of member scrapes.
-pub fn parse_samples(text: &str) -> Vec<(String, f64)> {
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .filter_map(|l| split_sample(l).map(|(k, v)| (k.to_string(), v)))
-        .collect()
-}
-
 /// Looks up one sample by exact key (`name` or `name{label="v"}`) in an
 /// exposition text.
 pub fn sample_value(text: &str, key: &str) -> Option<f64> {
@@ -216,7 +205,8 @@ mod tests {
     fn garbage_lines_degrade_instead_of_failing() {
         let merged = merge(&["not a sample\nx_total definitely-not-a-number\nx_total 1\n"]);
         assert_eq!(sample_value(&merged, "x_total"), Some(1.0));
-        assert_eq!(parse_samples(&merged).len(), 1);
+        let samples = merged.lines().filter(|l| !l.starts_with('#'));
+        assert_eq!(samples.count(), 1, "only the parseable sample survives");
     }
 
     #[test]

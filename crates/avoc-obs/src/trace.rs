@@ -107,20 +107,9 @@ impl TraceRing {
         }
     }
 
-    /// A disabled ring: [`TraceRing::sample`] is always `false` and costs
-    /// one branch.
-    pub fn disabled() -> Self {
-        TraceRing::new(0, 0)
-    }
-
     /// Whether this ring ever samples.
-    pub fn is_enabled(&self) -> bool {
+    fn is_enabled(&self) -> bool {
         self.inner.every != 0 && self.inner.capacity != 0
-    }
-
-    /// The configured 1-in-N sampling cadence (0 = disabled).
-    pub fn every(&self) -> u64 {
-        self.inner.every
     }
 
     /// The sampling decision for the next round: `true` once per `every`
@@ -167,7 +156,7 @@ impl TraceRing {
     }
 
     /// Live spans for one session, oldest first.
-    pub fn for_session(&self, session: u64) -> Vec<Span> {
+    fn for_session(&self, session: u64) -> Vec<Span> {
         self.snapshot()
             .into_iter()
             .filter(|s| s.session == session)
@@ -226,7 +215,7 @@ mod tests {
 
     #[test]
     fn disabled_ring_never_samples_or_records() {
-        let ring = TraceRing::disabled();
+        let ring = TraceRing::new(16, 0);
         assert!(!ring.is_enabled());
         assert!((0..100).all(|_| !ring.sample()));
         ring.record(span(1, 1));

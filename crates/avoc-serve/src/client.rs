@@ -73,7 +73,7 @@ impl RetryPolicy {
     /// The delay before retry number `attempt` (1-based): `base · 2^(a-1)`
     /// capped at `max_delay`, minus up to a quarter of deterministic jitter
     /// so a fleet of clients does not re-dial in lockstep.
-    pub fn delay_for(&self, attempt: u32, rng: &mut u64) -> Duration {
+    fn delay_for(&self, attempt: u32, rng: &mut u64) -> Duration {
         let doublings = attempt.saturating_sub(1).min(16);
         let exp = self
             .base_delay

@@ -37,7 +37,7 @@
 //!   N worker threads by session-id hash, so each session's rounds are fused
 //!   in order without locks around engine state.
 //! * [`ServeConfig`] — mailbox capacity and [`Backpressure`] policy, session
-//!   capacity and [`AdmissionPolicy`], idle-tick eviction.
+//!   capacity (opens past it are refused), idle-tick eviction.
 //! * [`CountersSnapshot`] — sessions opened/evicted/rejected, rounds fused,
 //!   fallbacks, readings/results dropped and per-shard queue-depth
 //!   high-water marks, copied in process by [`VoterService::counters`] and
@@ -100,6 +100,6 @@ pub use metrics::{CountersSnapshot, ServiceSnapshot};
 pub use persist::Persistence;
 pub use registry::SpecRegistry;
 pub use server::TcpServer;
-pub use service::{AdmissionPolicy, ServeConfig, ServeError, VoterService};
+pub use service::{ServeConfig, ServeError, VoterService};
 pub use shard::Backpressure;
 pub use sink::ResultSink;

@@ -25,7 +25,7 @@ facts! {
     pub(crate) struct ServiceFacts => pub struct ServiceSnapshot {
         /// Sessions successfully opened.
         pub(crate) sessions_opened: Counter = "avoc_sessions_opened_total",
-        /// Sessions evicted (idle timeout or capacity).
+        /// Sessions evicted by idle timeout.
         pub(crate) sessions_evicted: Counter = "avoc_sessions_evicted_total",
         /// Session opens refused by admission control.
         pub(crate) sessions_rejected: Counter = "avoc_sessions_rejected_total",
@@ -241,8 +241,7 @@ impl ServiceCounters {
         }
     }
 
-    /// The registry behind these counters, refreshed: the scrape surface,
-    /// where other subsystems (a test rig's chaos proxies) may register too.
+    /// The registry behind these counters, refreshed: the scrape surface.
     pub(crate) fn registry(&self) -> &Registry {
         self.refresh();
         &self.registry

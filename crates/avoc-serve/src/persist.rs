@@ -90,11 +90,6 @@ impl Default for Persistence {
 }
 
 impl Persistence {
-    /// Whether sessions should be persisted at all.
-    pub fn enabled(&self) -> bool {
-        self.state_dir.is_some()
-    }
-
     pub(crate) fn durability(&self) -> Durability {
         if self.fsync {
             Durability::Fsync

@@ -116,12 +116,6 @@ impl TcpServer {
         self.admin.as_ref().map(http::Server::local_addr)
     }
 
-    /// Which readiness backend the reactors selected (`"epoll"` on Linux,
-    /// `"poll"` under `AVOC_FORCE_POLL` or where epoll is unavailable).
-    pub fn reactor_backend(&self) -> &'static str {
-        self.pool.backend()
-    }
-
     /// How the pool distributes accepted connections: `"reuseport"`
     /// (per-reactor listeners), `"handoff"` (reactor 0 round-robins
     /// accepted sockets to its peers), or `"single"` (one reactor).

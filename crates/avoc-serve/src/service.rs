@@ -21,19 +21,6 @@ use crate::shard::{
 };
 use crate::sink::ResultSink;
 
-/// What the service does when a session open arrives at capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdmissionPolicy {
-    /// Refuse the open; the tenant receives an [`Message::Error`] frame.
-    #[default]
-    Reject,
-    /// Evict the idlest session on the target shard to make room. Capacity
-    /// is a global count but eviction is shard-local (sessions are pinned),
-    /// so a shard whose sessions are all busy still rejects — the policy
-    /// trades strict global LRU for lock-free session ownership.
-    EvictIdle,
-}
-
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -52,10 +39,9 @@ pub struct ServeConfig {
     pub mailbox_capacity: usize,
     /// What readings do when a data mailbox is full.
     pub backpressure: Backpressure,
-    /// Maximum concurrently open sessions across all shards.
+    /// Maximum concurrently open sessions across all shards; opens past it
+    /// are refused with an error frame.
     pub max_sessions: usize,
-    /// What session opens do at capacity.
-    pub admission: AdmissionPolicy,
     /// Readings a session may go without (in per-shard ticks) before idle
     /// eviction reaps it.
     pub idle_ticks: u64,
@@ -89,7 +75,6 @@ impl Default for ServeConfig {
             mailbox_capacity: 1024,
             backpressure: Backpressure::Block,
             max_sessions: 1024,
-            admission: AdmissionPolicy::Reject,
             idle_ticks: 4096,
             lag_tolerance: 8,
             persistence: Persistence::default(),
@@ -206,7 +191,6 @@ pub struct VoterService {
     /// drain them.
     buffers: Arc<BufferPool>,
     backpressure: Backpressure,
-    admission: AdmissionPolicy,
     persistence: Persistence,
     admin_addr: Option<String>,
     write_deadline: std::time::Duration,
@@ -225,7 +209,6 @@ impl fmt::Debug for VoterService {
             .field("shards", &self.links.len())
             .field("active_sessions", &self.active.load(Ordering::Relaxed))
             .field("backpressure", &self.backpressure)
-            .field("admission", &self.admission)
             .finish_non_exhaustive()
     }
 }
@@ -333,7 +316,6 @@ impl VoterService {
             reactors,
             buffers,
             backpressure: config.backpressure,
-            admission: config.admission,
             persistence: config.persistence,
             admin_addr: config.admin_addr,
             write_deadline: config.write_deadline,
@@ -401,8 +383,7 @@ impl VoterService {
     }
 
     /// Everything a shard needs to install `session`: the one place the
-    /// spec is resolved and the admission policy is turned into the
-    /// request's eviction flag.
+    /// spec is resolved.
     fn open_req(
         &self,
         session: u64,
@@ -420,7 +401,6 @@ impl VoterService {
             token,
             resumable,
             sink,
-            evict_if_full: self.admission == AdmissionPolicy::EvictIdle,
         })
     }
 
@@ -906,9 +886,7 @@ impl VoterService {
     }
 
     /// The metric registry behind this service's counters, brought up to
-    /// date — the admin endpoint's scrape surface. Other subsystems (e.g.
-    /// chaos proxies in a test rig) may register their own metrics on it to
-    /// share one scrape.
+    /// date — the admin endpoint's scrape surface.
     pub fn obs_registry(&self) -> &avoc_obs::Registry {
         self.counters.registry()
     }
@@ -933,13 +911,6 @@ impl VoterService {
             Some(t) => t.segments_json(),
             None => "{\"enabled\": false}\n".to_string(),
         }
-    }
-
-    /// The segment tier behind the state directory, for time-travel reads
-    /// ([`TieredStore::history_at`]) and fleet scans
-    /// ([`TieredStore::outvoted_in`]). `None` when persistence is off.
-    pub fn tiered_store(&self) -> Option<&Arc<TieredStore>> {
-        self.tiered.as_ref()
     }
 
     /// Runs one compaction pass (fold cold WALs, merge small segments) on
@@ -1157,7 +1128,6 @@ mod tests {
         let cfg = ServeConfig {
             shards: 1,
             max_sessions: 1,
-            admission: AdmissionPolicy::Reject,
             ..ServeConfig::default()
         };
         let service = VoterService::start(cfg, registry());
@@ -1212,39 +1182,6 @@ mod tests {
         assert!(matches!(
             results_b.try_recv().unwrap(),
             Message::Error { session, .. } if session == b
-        ));
-    }
-
-    #[test]
-    fn capacity_evict_idle_reaps_and_admits() {
-        let cfg = ServeConfig {
-            shards: 1,
-            max_sessions: 1,
-            admission: AdmissionPolicy::EvictIdle,
-            ..ServeConfig::default()
-        };
-        let service = VoterService::start(cfg, registry());
-        let (sink_a, results_a) = channel::unbounded();
-        let (sink_b, results_b) = channel::unbounded();
-        service
-            .open_session(1, 2, &SpecSource::Named("avoc".into()), sink_a)
-            .unwrap();
-        service
-            .open_session(2, 2, &SpecSource::Named("avoc".into()), sink_b)
-            .unwrap();
-        // Session 2 must be usable after session 1 was evicted.
-        service.feed(2, ModuleId::new(0), 0, 1.0).unwrap();
-        service.feed(2, ModuleId::new(1), 0, 1.2).unwrap();
-        let snap = service.drain();
-        assert_eq!(snap.sessions_opened, 2);
-        assert_eq!(snap.sessions_evicted, 1);
-        assert!(matches!(
-            results_a.try_recv().unwrap(),
-            Message::Error { session: 1, .. }
-        ));
-        assert!(matches!(
-            results_b.try_recv().unwrap(),
-            Message::SessionResult { session: 2, .. }
         ));
     }
 

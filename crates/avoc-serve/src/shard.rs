@@ -53,8 +53,6 @@ pub(crate) struct OpenReq {
     pub(crate) resumable: bool,
     /// Where the session's results go.
     pub(crate) sink: ResultSink,
-    /// Evict this shard's idlest session if the service is at capacity.
-    pub(crate) evict_if_full: bool,
 }
 
 /// What a reading owes the trace ring. Sampling is decided per reading
@@ -714,7 +712,7 @@ impl ShardWorker {
             self.refuse(&req.sink, req.session, "session id already open");
             return false;
         }
-        if !self.reserve_or_evict(st, req.evict_if_full) {
+        if !self.try_reserve_slot() {
             self.refuse(&req.sink, req.session, "service at session capacity");
             return false;
         }
@@ -807,7 +805,7 @@ impl ShardWorker {
                 // A non-resumable checkpoint (legacy open) may still be
                 // recovered by the daemon's own startup scan.
                 if meta.resumable || eager {
-                    if !self.reserve_or_evict(st, req.evict_if_full) {
+                    if !self.try_reserve_slot() {
                         self.refuse(&req.sink, req.session, "service at session capacity");
                         return;
                     }
@@ -885,26 +883,10 @@ impl ShardWorker {
         }
     }
 
-    /// Claims a global session slot, evicting this shard's idlest session
-    /// first when allowed and necessary.
-    fn reserve_or_evict(&self, st: &mut ShardState, evict_if_full: bool) -> bool {
-        // Reserve a slot against the global cap before building the
-        // session: a load-then-add would let concurrent opens on different
-        // shards both pass the check and overshoot `max_sessions`.
-        if self.try_reserve_slot() {
-            return true;
-        }
-        if evict_if_full && self.evict_idlest(&mut st.sessions) {
-            // `EvictIdle` admission: the shard's idlest session was reaped,
-            // but the freed slot is contended globally — a concurrent open
-            // on another shard may still win it. (Capacity is global while
-            // eviction is shard-local; see `AdmissionPolicy::EvictIdle`.)
-            return self.try_reserve_slot();
-        }
-        false
-    }
-
-    /// Atomically claims one of the `max_sessions` global slots.
+    /// Atomically claims one of the `max_sessions` global slots. The slot
+    /// is reserved before the session is built: a load-then-add would let
+    /// concurrent opens on different shards both pass the check and
+    /// overshoot `max_sessions`.
     fn try_reserve_slot(&self) -> bool {
         let mut seen = self.active.load(Ordering::Relaxed);
         loop {
@@ -929,26 +911,6 @@ impl ShardWorker {
         self.counters
             .emit(sink, Message::Error { session, message });
         self.counters.sessions_rejected.inc();
-    }
-
-    /// Evicts the least-recently-active session, flushing it first. Its
-    /// durable checkpoint is *kept*: eviction reclaims memory, and a later
-    /// resume can still restore the session warm from disk.
-    fn evict_idlest(&self, sessions: &mut HashMap<u64, Session>) -> bool {
-        let Some(&victim) = sessions
-            .iter()
-            .min_by_key(|(_, s)| s.last_active_tick)
-            .map(|(id, _)| id)
-        else {
-            return false;
-        };
-        let mut s = sessions.remove(&victim).expect("victim key just found");
-        s.flush(&self.counters);
-        s.notify_evicted("capacity reclaimed for a new session", &self.counters);
-        self.counters.deregister_session(victim);
-        self.active.fetch_sub(1, Ordering::Relaxed);
-        self.counters.sessions_evicted.inc();
-        true
     }
 
     /// Reaps sessions that have not seen a reading for `idle_ticks` (their

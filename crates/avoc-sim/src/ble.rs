@@ -90,23 +90,6 @@ impl BleScenario {
         }
     }
 
-    /// Overrides the fast-fading noise level (dB standard deviation).
-    pub fn with_fading_sigma(mut self, sigma_db: f64) -> Self {
-        self.fading_sigma_db = sigma_db.abs();
-        self
-    }
-
-    /// Overrides the robot path.
-    pub fn with_path(mut self, path: RobotPath) -> Self {
-        self.path = path;
-        self
-    }
-
-    /// Beacons per stack.
-    pub fn beacons_per_stack(&self) -> usize {
-        self.beacons_per_stack
-    }
-
     /// Generates the two-stack trace (deterministic per seed).
     pub fn generate(&self) -> BleTrace {
         let mut rng = StdRng::seed_from_u64(self.seed);

@@ -15,7 +15,7 @@
 //! * [`faults`] — the fault injector (offset, stuck-at, dropout, spike,
 //!   drift, noise burst) used for the Fig. 6-c error-injection experiment;
 //! * [`trace`] — recorded traces: the `(round × module)` matrices every
-//!   experiment replays, with CSV round-tripping for reproducibility.
+//!   experiment replays, with CSV export for reproducibility.
 //!
 //! Everything is deterministic under a caller-supplied seed.
 

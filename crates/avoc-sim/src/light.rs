@@ -64,18 +64,6 @@ impl LightScenario {
         }
     }
 
-    /// Overrides the ambient light level (kilolumen).
-    pub fn with_base_klm(mut self, base: f64) -> Self {
-        self.base_klm = base;
-        self
-    }
-
-    /// Overrides the per-sample sensor noise (standard deviation, klm).
-    pub fn with_noise_sigma(mut self, sigma: f64) -> Self {
-        self.noise_sigma = sigma.abs();
-        self
-    }
-
     /// Number of sensors.
     pub fn sensors(&self) -> usize {
         self.sensors

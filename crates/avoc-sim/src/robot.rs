@@ -12,10 +12,10 @@
 /// use avoc_sim::RobotPath;
 ///
 /// let path = RobotPath::paper_default();
-/// assert_eq!(path.position_at(0.0), 0.0);
-/// // Half-way in time is half-way in space.
-/// let t_half = path.duration_secs() / 2.0;
-/// assert!((path.position_at(t_half) - 7.5).abs() < 1e-9);
+/// let xs = path.sample_positions(297);
+/// assert_eq!(xs[0], 0.0);
+/// // Half-way through the run is half-way along the track.
+/// assert!((xs[148] - 7.5).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RobotPath {
@@ -32,45 +32,14 @@ impl RobotPath {
         }
     }
 
-    /// A custom straight-line run.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both arguments are finite and positive.
-    pub fn new(distance_m: f64, speed_mps: f64) -> Self {
-        assert!(
-            distance_m.is_finite() && distance_m > 0.0,
-            "distance must be positive"
-        );
-        assert!(
-            speed_mps.is_finite() && speed_mps > 0.0,
-            "speed must be positive"
-        );
-        RobotPath {
-            distance_m,
-            speed_mps,
-        }
-    }
-
     /// Track length in metres.
     pub fn distance_m(&self) -> f64 {
         self.distance_m
     }
 
-    /// Speed in metres per second.
-    pub fn speed_mps(&self) -> f64 {
-        self.speed_mps
-    }
-
     /// Total traversal time in seconds.
     pub fn duration_secs(&self) -> f64 {
         self.distance_m / self.speed_mps
-    }
-
-    /// Position (metres from the origin stack) at time `t`, clamped to the
-    /// track.
-    pub fn position_at(&self, t_secs: f64) -> f64 {
-        (self.speed_mps * t_secs).clamp(0.0, self.distance_m)
     }
 
     /// Positions sampled at `n` evenly spaced instants across the run —
@@ -100,13 +69,6 @@ mod tests {
     }
 
     #[test]
-    fn position_clamps_to_track() {
-        let p = RobotPath::paper_default();
-        assert_eq!(p.position_at(-5.0), 0.0);
-        assert_eq!(p.position_at(1e6), 15.0);
-    }
-
-    #[test]
     fn samples_span_the_track() {
         let p = RobotPath::paper_default();
         let xs = p.sample_positions(297);
@@ -121,11 +83,5 @@ mod tests {
         let p = RobotPath::paper_default();
         assert!(p.sample_positions(0).is_empty());
         assert_eq!(p.sample_positions(1), vec![0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "speed must be positive")]
-    fn zero_speed_panics() {
-        let _ = RobotPath::new(10.0, 0.0);
     }
 }

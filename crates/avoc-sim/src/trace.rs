@@ -5,7 +5,7 @@
 
 use avoc_core::Round;
 use std::fmt;
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 
 /// A recorded multi-sensor trace. `values[r][m]` is module `m`'s reading in
 /// round `r`, or `None` when the module produced nothing (the UC-2
@@ -102,65 +102,6 @@ impl RecordedTrace {
             .map(|(r, row)| Round::from_sparse_numbers(r as u64, row))
     }
 
-    /// A sub-trace covering `range` of the rounds (round numbering restarts
-    /// at 0 in the result).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the range is out of bounds or empty.
-    pub fn window(&self, range: std::ops::Range<usize>) -> RecordedTrace {
-        assert!(
-            range.start < range.end && range.end <= self.rounds(),
-            "window {range:?} out of bounds for {} rounds",
-            self.rounds()
-        );
-        RecordedTrace {
-            modules: self.modules.clone(),
-            values: self.values[range].to_vec(),
-            sample_rate_hz: self.sample_rate_hz,
-        }
-    }
-
-    /// Concatenates another trace after this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the module sets or sample rates differ.
-    pub fn concat(&self, other: &RecordedTrace) -> RecordedTrace {
-        assert_eq!(self.modules, other.modules, "module sets differ");
-        assert_eq!(
-            self.sample_rate_hz, other.sample_rate_hz,
-            "sample rates differ"
-        );
-        let mut values = self.values.clone();
-        values.extend(other.values.iter().cloned());
-        RecordedTrace {
-            modules: self.modules.clone(),
-            values,
-            sample_rate_hz: self.sample_rate_hz,
-        }
-    }
-
-    /// Applies a transformation to every present reading (e.g. a unit
-    /// conversion), preserving gaps.
-    pub fn map_values(&self, f: impl Fn(usize, usize, f64) -> f64) -> RecordedTrace {
-        RecordedTrace {
-            modules: self.modules.clone(),
-            values: self
-                .values
-                .iter()
-                .enumerate()
-                .map(|(r, row)| {
-                    row.iter()
-                        .enumerate()
-                        .map(|(m, v)| v.map(|x| f(r, m, x)))
-                        .collect()
-                })
-                .collect(),
-            sample_rate_hz: self.sample_rate_hz,
-        }
-    }
-
     /// Writes the trace as CSV: header `round,<module...>`, empty cells for
     /// missing values.
     ///
@@ -184,57 +125,6 @@ impl RecordedTrace {
             writeln!(w)?;
         }
         Ok(())
-    }
-
-    /// Reads a trace previously written by [`RecordedTrace::write_csv`].
-    ///
-    /// # Errors
-    ///
-    /// [`io::ErrorKind::InvalidData`] on malformed rows or numbers.
-    pub fn read_csv<R: BufRead>(r: R, sample_rate_hz: f64) -> io::Result<Self> {
-        let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-        let mut lines = r.lines();
-        let header = lines.next().ok_or_else(|| bad("empty csv".into()))??;
-        let mut cols = header.split(',');
-        if cols.next() != Some("round") {
-            return Err(bad("first header column must be `round`".into()));
-        }
-        let modules: Vec<String> = cols.map(str::to_owned).collect();
-        if modules.is_empty() {
-            return Err(bad("csv has no module columns".into()));
-        }
-        let mut values = Vec::new();
-        for (i, line) in lines.enumerate() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let mut cells = line.split(',');
-            let _round = cells
-                .next()
-                .ok_or_else(|| bad(format!("row {i}: missing round column")))?;
-            let row: Result<Vec<Option<f64>>, io::Error> = cells
-                .map(|c| {
-                    if c.is_empty() {
-                        Ok(None)
-                    } else {
-                        c.parse::<f64>()
-                            .map(Some)
-                            .map_err(|e| bad(format!("row {i}: bad number `{c}`: {e}")))
-                    }
-                })
-                .collect();
-            let row = row?;
-            if row.len() != modules.len() {
-                return Err(bad(format!(
-                    "row {i}: {} cells for {} modules",
-                    row.len(),
-                    modules.len()
-                )));
-            }
-            values.push(row);
-        }
-        Ok(RecordedTrace::new(modules, values, sample_rate_hz))
     }
 }
 
@@ -294,28 +184,13 @@ mod tests {
     }
 
     #[test]
-    fn csv_round_trip() {
-        let t = small();
+    fn csv_leaves_missing_cells_empty() {
         let mut buf = Vec::new();
-        t.write_csv(&mut buf).unwrap();
-        let back = RecordedTrace::read_csv(io::BufReader::new(&buf[..]), 8.0).unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn csv_rejects_garbage() {
-        let data = "round,E1\n0,abc\n";
-        let err = RecordedTrace::read_csv(io::BufReader::new(data.as_bytes()), 1.0).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-
-        let data = "notround,E1\n";
-        assert!(RecordedTrace::read_csv(io::BufReader::new(data.as_bytes()), 1.0).is_err());
-    }
-
-    #[test]
-    fn csv_rejects_ragged_rows() {
-        let data = "round,E1,E2\n0,1.0\n";
-        assert!(RecordedTrace::read_csv(io::BufReader::new(data.as_bytes()), 1.0).is_err());
+        small().write_csv(&mut buf).unwrap();
+        assert_eq!(
+            String::from_utf8(buf).unwrap(),
+            "round,E1,E2\n0,1,2\n1,,3\n2,4,\n"
+        );
     }
 
     #[test]
@@ -329,62 +204,5 @@ mod tests {
         let s = small().to_string();
         assert!(s.contains("2 modules"));
         assert!(s.contains("3 rounds"));
-    }
-}
-
-#[cfg(test)]
-mod transform_tests {
-    use super::*;
-
-    fn small() -> RecordedTrace {
-        RecordedTrace::new(
-            vec!["a".into(), "b".into()],
-            vec![
-                vec![Some(1.0), Some(2.0)],
-                vec![None, Some(3.0)],
-                vec![Some(4.0), Some(5.0)],
-            ],
-            2.0,
-        )
-    }
-
-    #[test]
-    fn window_selects_rounds() {
-        let w = small().window(1..3);
-        assert_eq!(w.rounds(), 2);
-        assert_eq!(w.row(0), &[None, Some(3.0)]);
-        // Round numbering restarts.
-        assert_eq!(w.iter_rounds().next().unwrap().round, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn bad_window_panics() {
-        let _ = small().window(2..9);
-    }
-
-    #[test]
-    fn concat_appends_rounds() {
-        let t = small();
-        let joined = t.concat(&t.window(0..1));
-        assert_eq!(joined.rounds(), 4);
-        assert_eq!(joined.row(3), &[Some(1.0), Some(2.0)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "module sets differ")]
-    fn concat_rejects_mismatched_modules() {
-        let other = RecordedTrace::new(vec!["x".into()], vec![vec![Some(1.0)]], 2.0);
-        let _ = small().concat(&other);
-    }
-
-    #[test]
-    fn map_values_transforms_and_preserves_gaps() {
-        let doubled = small().map_values(|_, _, v| v * 2.0);
-        assert_eq!(doubled.row(0), &[Some(2.0), Some(4.0)]);
-        assert_eq!(doubled.row(1), &[None, Some(6.0)]);
-        // The closure sees coordinates.
-        let tagged = small().map_values(|r, m, v| v + (r * 10 + m) as f64);
-        assert_eq!(tagged.row(2), &[Some(24.0), Some(26.0)]);
     }
 }

@@ -1,5 +1,5 @@
 //! Bounds-checked binary primitives shared by the segment format: LEB128
-//! varints, zigzag, a hand-rolled CRC-32 (IEEE), XOR-prev float packing, and
+//! varints, a hand-rolled CRC-32 (IEEE), XOR-prev float packing, and
 //! a cursor reader whose every method fails clean on truncated or lying
 //! input — decode errors are values, never panics.
 
@@ -19,16 +19,6 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
         }
         out.push(byte | 0x80);
     }
-}
-
-/// Zigzag-encodes a signed delta so small magnitudes stay small varints.
-pub fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-pub fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
 /// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
@@ -228,16 +218,6 @@ mod tests {
         for cut in 0..buf.len() {
             assert!(Reader::new(&buf[..cut]).varint().is_err());
         }
-    }
-
-    #[test]
-    fn zigzag_round_trips() {
-        for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
-        // Small magnitudes stay small.
-        assert_eq!(zigzag(-1), 1);
-        assert_eq!(zigzag(1), 2);
     }
 
     #[test]

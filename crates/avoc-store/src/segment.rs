@@ -476,7 +476,7 @@ pub fn encode_segment(sessions: &[SessionRows]) -> (Vec<u8>, SegmentMeta, Vec<Bl
 /// byte offset where block data stops (i.e. where the footer starts);
 /// entries must lie within `[header, blocks_end)` and stay non-overlapping
 /// in file order.
-pub fn parse_footer(footer: &[u8], blocks_end: u64) -> Result<Vec<BlockEntry>, DecodeError> {
+fn parse_footer(footer: &[u8], blocks_end: u64) -> Result<Vec<BlockEntry>, DecodeError> {
     let mut r = Reader::new(footer);
     // Seven varints ≥ 7 bytes per entry bounds an honest count.
     let n = r.count(footer.len())?;
@@ -549,7 +549,7 @@ pub fn decode_segment(bytes: &[u8]) -> Result<Vec<DecodedBlock>, DecodeError> {
 
 /// Validates header/tail/footer of a full segment image and returns the
 /// block index.
-pub fn decode_footer_image(bytes: &[u8]) -> Result<Vec<BlockEntry>, DecodeError> {
+fn decode_footer_image(bytes: &[u8]) -> Result<Vec<BlockEntry>, DecodeError> {
     let min = HEADER_MAGIC.len() + TAIL_LEN as usize;
     if bytes.len() < min {
         return Err(DecodeError {

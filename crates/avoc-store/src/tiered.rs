@@ -684,7 +684,7 @@ impl TieredStore {
     ///
     /// Propagates I/O errors; sources are deleted only after the manifest
     /// lists the replacement.
-    pub fn merge_generation(&self) -> io::Result<usize> {
+    fn merge_generation(&self) -> io::Result<usize> {
         let (seq, sources, forget) = {
             let mut st = self.lock_state();
             let mut by_gen: BTreeMap<u32, Vec<LiveSegment>> = BTreeMap::new();

@@ -11,9 +11,7 @@
 //!   categorical-value restrictions of §6;
 //! * [`build_voter`] / [`build_engine`] — the factory turning a spec into a
 //!   runnable [`avoc_core::Voter`] or fully-policied
-//!   [`avoc_core::VotingEngine`];
-//! * [`vdl`] — a compatibility layer for legacy VDL three-step definitions,
-//!   demonstrating the superset claim by lossless conversion into VDX.
+//!   [`avoc_core::VotingEngine`].
 //!
 //! # Example: the paper's Listing 1
 //!
@@ -42,7 +40,6 @@
 mod build;
 mod error;
 mod spec;
-pub mod vdl;
 
 /// The JSON-Schema document describing the VDX format — the "full schema"
 /// the paper's artifact repository ships. Useful for editor tooling and

@@ -14,7 +14,7 @@
 //! |---|---|---|
 //! | [`core`] | `avoc-core` | values, rounds, the voter family, the engine |
 //! | [`cluster`] | `avoc-cluster` | agreement clustering (the AVOC bootstrap), mean-shift (its vector form) |
-//! | [`vdx`] | `avoc-vdx` | the VDX JSON spec, validation, voter factory, VDL compatibility |
+//! | [`vdx`] | `avoc-vdx` | the VDX JSON spec, validation, voter factory |
 //! | [`sim`] | `avoc-sim` | light-sensor and BLE-beacon scenario generators, fault injection |
 //! | [`store`] | `avoc-store` | durable history datastores: WAL, columnar segments |
 //! | [`net`] | `avoc-net` | wire protocol, corked writer, sensor hub, socket reactor |

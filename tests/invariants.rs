@@ -2,7 +2,6 @@
 
 use avoc::cluster::{AgreementClusterer, MarginMode};
 use avoc::core::algorithms::MajorityHistory;
-use avoc::core::value::levenshtein;
 use avoc::core::{DenseHistory, HistoryStore, MemoryHistory};
 use avoc::prelude::*;
 use proptest::prelude::*;
@@ -472,16 +471,6 @@ proptest! {
                 met = now;
             }
         }
-    }
-
-    /// Levenshtein: identity, symmetry and the length lower bound.
-    #[test]
-    fn levenshtein_properties(a in "[a-z]{0,8}", b in "[a-z]{0,8}") {
-        prop_assert_eq!(levenshtein(&a, &a), 0);
-        prop_assert_eq!(levenshtein(&a, &b), levenshtein(&b, &a));
-        let diff = a.chars().count().abs_diff(b.chars().count());
-        prop_assert!(levenshtein(&a, &b) >= diff);
-        prop_assert!(levenshtein(&a, &b) <= a.chars().count().max(b.chars().count()));
     }
 
     /// The wire codec round-trips any finite reading.

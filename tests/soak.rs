@@ -27,13 +27,13 @@ fn paper_scale_soak_with_rolling_faults() {
         MemoryHistory::new(),
     )
     .with_bootstrap(true);
-    let mut engine = VotingEngine::new(Box::new(voter))
-        .with_quorum(Quorum::Majority)
-        .with_log_capacity(64);
+    let mut engine = VotingEngine::new(Box::new(voter)).with_quorum(Quorum::Majority);
 
     let mut outputs = Vec::with_capacity(rounds);
+    let mut voted = 0;
     for round in trace.iter_rounds() {
         let out = engine.submit(&round).expect("policies absorb faults");
+        voted += usize::from(out.is_voted());
         outputs.push(out.number());
     }
 
@@ -49,23 +49,14 @@ fn paper_scale_soak_with_rolling_faults() {
         );
     }
 
-    // 3. Stats add up and nearly every round genuinely voted.
-    let stats = engine.stats();
-    assert_eq!(stats.rounds, rounds as u64);
-    assert_eq!(
-        stats.voted + stats.fallbacks + stats.skipped + stats.ties_broken,
-        rounds as u64
-    );
+    // 3. Every round was answered and nearly every one genuinely voted.
+    assert_eq!(outputs.len(), rounds);
     assert!(
-        stats.voted as f64 > rounds as f64 * 0.99,
-        "voted only {} of {rounds}",
-        stats.voted
+        voted as f64 > rounds as f64 * 0.99,
+        "voted only {voted} of {rounds}"
     );
 
-    // 4. The diagnostic log stayed bounded.
-    assert_eq!(engine.recent().count(), 64);
-
-    // 5. State stays bounded (exactly the 5 module records) and all sensors
+    // 4. State stays bounded (exactly the 5 module records) and all sensors
     //    rehabilitated after their episodes: every record is healthy again.
     let final_records = engine.histories();
     assert_eq!(final_records.len(), 5);
