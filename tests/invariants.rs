@@ -354,6 +354,172 @@ fn dense_history_majority_voters_match_memory_history() {
     }
 }
 
+/// The categorical voter in all three history modes, pinned bit for bit over
+/// both stores: any change to a verdict's text, weights, exclusions or
+/// confidence, to a tie's candidates, or to a record after any round, moves
+/// its mode's hash.
+#[test]
+fn majority_modes_are_pinned() {
+    const PINNED: [(MajorityHistory, u64); 3] = [
+        (MajorityHistory::None, 0xa58f_3b44_ea39_e756),
+        (MajorityHistory::Standard, 0xd9ee_01ba_a8ba_9422),
+        (MajorityHistory::ModuleElimination, 0x7d28_7958_0724_3240),
+    ];
+    fn hash<S: HistoryStore + Send>(mode: MajorityHistory, store: fn() -> S) -> u64 {
+        let mut hash = Fnv1a::new();
+        for seed in [1, 7, 42] {
+            let mut voter = MajorityVoter::new(mode, store());
+            for round in seeded_text_rounds(seed, 200) {
+                let verdict = voter.vote(&round);
+                let texts = match &verdict {
+                    Ok(v) => v.value.as_text().into_iter().collect(),
+                    Err(VoteError::Tie { candidates }) => {
+                        candidates.iter().map(String::as_str).collect()
+                    }
+                    Err(_) => Vec::new(),
+                };
+                for text in texts {
+                    hash.word(text.len() as u64);
+                    text.bytes().for_each(|b| hash.word(u64::from(b)));
+                }
+                hash.verdict(verdict);
+                hash.records(&voter.histories());
+            }
+        }
+        hash.0
+    }
+    for (mode, pinned) in PINNED {
+        assert_eq!(hash(mode, MemoryHistory::new), pinned, "{mode:?}");
+        assert_eq!(
+            hash(mode, DenseHistory::new),
+            pinned,
+            "{mode:?} over DenseHistory"
+        );
+    }
+}
+
+/// `count` rounds of six units reporting a 3-D position near (20, 40, 60)
+/// from a fixed seed: one ballot in six missing, one coordinate in seven far
+/// off, unit 2 drifting along the second axis, and every sixteenth round
+/// empty.
+fn seeded_vector_rounds(seed: u64, count: u64) -> Vec<Round> {
+    let mut state = seed;
+    let mut draw = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        state >> 33
+    };
+    let mut rounds = Vec::new();
+    for round in 0..count {
+        let mut ballots = Vec::new();
+        for m in 0..6u32 {
+            let module = ModuleId::new(m);
+            if round % 16 == 15 || draw() % 6 == 0 {
+                ballots.push(Ballot::missing(module));
+                continue;
+            }
+            let mut coords = Vec::new();
+            for d in 0..3u32 {
+                let r = draw();
+                let x = (r >> 8) as f64 / (1u64 << 23) as f64 - 0.5;
+                let centre = 20.0 * f64::from(d + 1);
+                let drift = if (m, d) == (2, 1) {
+                    0.05 * round as f64
+                } else {
+                    0.0
+                };
+                coords.push(match r % 7 {
+                    0 => centre + 100.0 * x,
+                    _ => centre + drift + 0.4 * x,
+                });
+            }
+            ballots.push(Ballot::new(module, coords));
+        }
+        rounds.push(Round::new(round, ballots));
+    }
+    rounds
+}
+
+/// Dimension `d` of a vector round, as a scalar round.
+fn project(round: &Round, d: usize) -> Round {
+    let ballots = round
+        .ballots
+        .iter()
+        .map(|b| match b.value.as_ref().and_then(Value::as_vector) {
+            Some(coords) => Ballot::new(b.module, coords[d]),
+            None => Ballot::missing(b.module),
+        });
+    Round::new(round.round, ballots.collect())
+}
+
+/// §5's "voting on each dimension separately", bit for bit: for every
+/// `history` value with the bootstrap off, a vector spec's verdict is the
+/// scalar spec's verdicts on each projected round, with the smallest
+/// confidence, the sorted union of the exclusions, any dimension's bootstrap
+/// flag and uniform presence weights.
+#[test]
+fn per_dimension_equals_independent_scalar_voters() {
+    const DIM: usize = 3;
+    let rounds = seeded_vector_rounds(11, 300);
+    for preset in ["average", "stateless", "standard", "me", "sdt", "hybrid"] {
+        let scalar = VdxSpec::preset(preset).expect("shipped preset");
+        assert!(!scalar.bootstrapping, "{preset}");
+        let mut vector_spec = scalar.clone();
+        vector_spec.value_kind = avoc::vdx::ValueKind::Vector;
+        vector_spec.dimensions = Some(DIM);
+        let mut vector = build_voter(&vector_spec).expect("vector spec builds");
+        let mut scalars: Vec<Box<dyn Voter>> = (0..DIM)
+            .map(|_| build_voter(&scalar).expect("scalar spec builds"))
+            .collect();
+        for round in &rounds {
+            let got = vector.vote(round);
+            let want: Result<Vec<Verdict>, VoteError> = scalars
+                .iter_mut()
+                .enumerate()
+                .map(|(d, v)| v.vote(&project(round, d)))
+                .collect();
+            let at = format!("{preset}, round {}", round.round);
+            let (got, want) = match (got, want) {
+                (Ok(got), Ok(want)) => (got, want),
+                (got, want) => {
+                    assert_eq!(got.err(), want.err(), "{at}");
+                    continue;
+                }
+            };
+            let coords = got.value.as_vector().expect("vector output");
+            let want_coords: Vec<f64> = want.iter().map(|v| v.number().expect("scalar")).collect();
+            assert_eq!(
+                coords.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                want_coords.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                "{at}: coordinates"
+            );
+            let confidence = want
+                .iter()
+                .map(|v| v.confidence)
+                .fold(f64::INFINITY, f64::min);
+            assert_eq!(
+                got.confidence.to_bits(),
+                confidence.to_bits(),
+                "{at}: confidence"
+            );
+            let mut excluded: Vec<ModuleId> =
+                want.iter().flat_map(|v| v.excluded.clone()).collect();
+            excluded.sort_unstable();
+            excluded.dedup();
+            assert_eq!(got.excluded, excluded, "{at}: excluded");
+            assert_eq!(
+                got.bootstrapped,
+                want.iter().any(|v| v.bootstrapped),
+                "{at}"
+            );
+            let present = round.ballots.iter().filter(|b| b.is_present());
+            let weights: Vec<(ModuleId, f64)> = present.map(|b| (b.module, 1.0)).collect();
+            assert_eq!(got.weights, weights, "{at}: weights");
+        }
+    }
+}
+
 proptest! {
     /// Every numeric voter's output lies within the candidate hull, its
     /// weights are non-negative, and its confidence is a fraction.
