@@ -78,6 +78,11 @@ impl Voter for AverageVoter {
         out.bootstrapped = false;
         Ok(())
     }
+
+    /// No records, so they are always flat.
+    fn bootstrap_pending(&self, _round: &Round) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -171,7 +171,7 @@ impl<S: HistoryStore> HistoryVoter<S> {
     }
 
     /// Turns the clustering bootstrap on or off (VDX's `bootstrapping`).
-    /// A round whose records are flat ([`HistoryVoter::bootstrap_pending`])
+    /// A round whose records are flat ([`Voter::bootstrap_pending`])
     /// is voted by clustering, and a stateful voter's records are seeded
     /// from it: `1` for the winning group, `0` for outliers. Hybrid with the
     /// bootstrap is AVOC:
@@ -202,24 +202,6 @@ impl<S: HistoryStore> HistoryVoter<S> {
     pub fn with_bootstrap(mut self, bootstrap: bool) -> Self {
         self.bootstrap = bootstrap;
         self
-    }
-
-    /// Whether `round`'s records are flat, so a bootstrapping voter would
-    /// cluster it: always for [`HistoryAlgorithm::Stateless`]; otherwise when
-    /// every record is new (the paper's "all records are 1") or every record
-    /// has collapsed to `0` (a system failure or extreme data spike).
-    pub fn bootstrap_pending(&self, round: &Round) -> bool {
-        if !self.algorithm.stateful() {
-            return true;
-        }
-        let (mut any, mut all_new, mut all_zero) = (false, true, true);
-        for ballot in &round.ballots {
-            let record = self.store.get(ballot.module);
-            any = true;
-            all_new &= record.is_none();
-            all_zero &= record.is_some_and(|h| h.abs() <= 1e-12); // unrecorded ≠ collapsed
-        }
-        any && (all_new || all_zero)
     }
 
     /// Clusters the candidates, collates the largest group (ties broken near
@@ -394,6 +376,23 @@ impl<S: HistoryStore + Send> Voter for HistoryVoter<S> {
 
     fn is_stateful(&self) -> bool {
         self.algorithm.stateful()
+    }
+
+    /// Always for [`HistoryAlgorithm::Stateless`]; otherwise when every
+    /// record is new (the paper's "all records are 1") or every record has
+    /// collapsed to `0` (a system failure or extreme data spike).
+    fn bootstrap_pending(&self, round: &Round) -> bool {
+        if !self.algorithm.stateful() {
+            return true;
+        }
+        let (mut any, mut all_new, mut all_zero) = (false, true, true);
+        for ballot in &round.ballots {
+            let record = self.store.get(ballot.module);
+            any = true;
+            all_new &= record.is_none();
+            all_zero &= record.is_some_and(|h| h.abs() <= 1e-12); // unrecorded ≠ collapsed
+        }
+        any && (all_new || all_zero)
     }
 }
 

@@ -12,6 +12,7 @@ use super::{Verdict, Voter};
 use crate::error::VoteError;
 use crate::history::{HistoryStore, HistoryUpdate, MemoryHistory};
 use crate::round::{ModuleId, Round};
+use crate::value::Value;
 
 /// Which history algorithm backs the majority vote. The hybrid algorithm
 /// is *not* available for categorical values — "the fine-grained agreement
@@ -54,6 +55,27 @@ pub struct MajorityVoter<S: HistoryStore = MemoryHistory> {
     history: MajorityHistory,
     update: HistoryUpdate,
     store: S,
+    scratch: Scratch,
+}
+
+/// Per-round buffers, reused so that only a tie allocates.
+#[derive(Default)]
+struct Scratch {
+    /// Indices of the present ballots: their text stays in the round.
+    cand: Vec<usize>,
+    /// Records, elimination mask and vote weights, aligned with `cand`.
+    histories: Vec<f64>,
+    mask: Vec<bool>,
+    weights: Vec<f64>,
+    groups: Vec<Group>,
+}
+
+/// Ballots with equal text: the first-seen member's ballot index, the
+/// member count and their total weight.
+struct Group {
+    representative: usize,
+    members: usize,
+    weight: f64,
 }
 
 impl MajorityVoter<MemoryHistory> {
@@ -71,6 +93,7 @@ impl<S: HistoryStore> MajorityVoter<S> {
             history,
             update: HistoryUpdate::default(),
             store,
+            scratch: Scratch::default(),
         }
     }
 
@@ -87,53 +110,43 @@ impl<S: HistoryStore + Send> Voter for MajorityVoter<S> {
     }
 
     fn vote_into(&mut self, round: &Round, out: &mut Verdict) -> Result<(), VoteError> {
-        let cand: Vec<(ModuleId, String)> = round
-            .text_candidates()?
-            .into_iter()
-            .map(|(m, s)| (m, s.to_owned()))
-            .collect();
-        if cand.is_empty() {
+        let s = &mut self.scratch;
+        round.text_candidates_into(&mut s.cand)?;
+        if s.cand.is_empty() {
             return Err(VoteError::EmptyRound);
         }
+        let module = |i: usize| round.ballots[i].module;
+        let text = |i: usize| match &round.ballots[i].value {
+            Some(Value::Text(text)) => text,
+            _ => unreachable!("candidates are text ballots"),
+        };
 
         // Fetch/initialise records.
-        let histories: Vec<f64> = match self.history {
-            MajorityHistory::None => vec![1.0; cand.len()],
-            _ => cand
-                .iter()
-                .map(|(m, _)| self.store.get_or_init(*m))
-                .collect(),
-        };
+        let stateless = self.history == MajorityHistory::None;
+        s.histories.clear();
+        for &i in &s.cand {
+            let record = (!stateless).then(|| self.store.get_or_init(module(i)));
+            s.histories.push(record.unwrap_or(1.0));
+        }
 
         // Module elimination (below-average records), where enabled.
-        let weights: Vec<f64> = match self.history {
-            MajorityHistory::ModuleElimination => {
-                let mut keep = Vec::new();
-                common::elimination_mask_into(&histories, &mut keep);
-                histories
-                    .iter()
-                    .zip(&keep)
-                    .map(|(&h, &keep)| if keep { h } else { 0.0 })
-                    .collect()
-            }
-            _ => histories.clone(),
-        };
+        let eliminates = self.history == MajorityHistory::ModuleElimination;
+        common::elimination_mask_into(&s.histories, &mut s.mask);
+        s.weights.clear();
+        let kept = s.histories.iter().zip(&s.mask);
+        s.weights
+            .extend(kept.map(|(&h, &keep)| if keep || !eliminates { h } else { 0.0 }));
 
         // Group ballots by string equality with a group representative.
-        struct Group {
-            representative: usize,
-            members: usize,
-            weight: f64,
-        }
-        let mut groups: Vec<Group> = Vec::new();
-        for (i, (_, s)) in cand.iter().enumerate() {
-            let w = weights[i];
-            match groups.iter_mut().find(|g| cand[g.representative].1 == *s) {
+        s.groups.clear();
+        for (&i, &w) in s.cand.iter().zip(&s.weights) {
+            let t = text(i);
+            match s.groups.iter_mut().find(|g| text(g.representative) == t) {
                 Some(g) => {
                     g.members += 1;
                     g.weight += w;
                 }
-                None => groups.push(Group {
+                None => s.groups.push(Group {
                     representative: i,
                     members: 1,
                     weight: w,
@@ -141,64 +154,48 @@ impl<S: HistoryStore + Send> Voter for MajorityVoter<S> {
             }
         }
 
-        let total_weight: f64 = weights.iter().sum();
-        if total_weight <= 0.0 {
+        if s.weights.iter().sum::<f64>() <= 0.0 {
             // All records collapsed: unweighted plurality fallback.
-            for g in &mut groups {
-                g.weight = g.members as f64;
-            }
+            s.groups
+                .iter_mut()
+                .for_each(|g| g.weight = g.members as f64);
         }
-        let effective_total: f64 = groups.iter().map(|g| g.weight).sum();
-
-        let best_weight = groups
-            .iter()
-            .map(|g| g.weight)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let winners: Vec<&Group> = groups
-            .iter()
-            .filter(|g| (g.weight - best_weight).abs() < 1e-12)
-            .collect();
-        if winners.len() > 1 {
+        let group_weights = s.groups.iter().map(|g| g.weight);
+        let best_weight = group_weights.clone().fold(f64::NEG_INFINITY, f64::max);
+        // Never 0: with every weight 0 the fallback counts members instead.
+        let effective_total: f64 = group_weights.sum();
+        let is_best = |g: &&Group| (g.weight - best_weight).abs() < 1e-12;
+        let mut winners = s.groups.iter().filter(is_best);
+        let winner = winners.next().expect("a non-empty round has a group");
+        if winners.next().is_some() {
+            let tied = s.groups.iter().filter(is_best);
             return Err(VoteError::Tie {
-                candidates: winners
-                    .iter()
-                    .map(|g| cand[g.representative].1.clone())
-                    .collect(),
+                candidates: tied.map(|g| text(g.representative).clone()).collect(),
             });
         }
-        let winner = winners[0];
-        let output = cand[winner.representative].1.clone();
+        let output = text(winner.representative);
 
         // Record update: members of the winning group agreed, everyone else
         // scores 0.
-        if self.history != MajorityHistory::None {
-            for (i, (m, s)) in cand.iter().enumerate() {
-                let score = if *s == output { 1.0 } else { 0.0 };
-                self.store.set(*m, self.update.apply(histories[i], score));
+        if !stateless {
+            for (&i, &h) in s.cand.iter().zip(&s.histories) {
+                let score = if text(i) == output { 1.0 } else { 0.0 };
+                self.store.set(module(i), self.update.apply(h, score));
             }
         }
 
-        let confidence = if effective_total > 0.0 {
-            winner.weight / effective_total
-        } else {
-            0.0
-        };
-        *out = Verdict {
-            value: output.into(),
-            excluded: cand
-                .iter()
-                .zip(&weights)
-                .filter(|(_, &w)| w <= 0.0)
-                .map(|((m, _), _)| *m)
-                .collect(),
-            weights: cand
-                .iter()
-                .zip(&weights)
-                .map(|((m, _), &w)| (*m, w))
-                .collect(),
-            confidence,
-            bootstrapped: false,
-        };
+        match &mut out.value {
+            Value::Text(text) => text.clone_from(output),
+            value => *value = Value::Text(output.clone()),
+        }
+        out.weights.clear();
+        let weights = s.cand.iter().zip(&s.weights);
+        out.weights.extend(weights.map(|(&i, &w)| (module(i), w)));
+        out.excluded.clear();
+        let eliminated = out.weights.iter().filter(|(_, w)| *w <= 0.0);
+        out.excluded.extend(eliminated.map(|(m, _)| *m));
+        out.confidence = winner.weight / effective_total;
+        out.bootstrapped = false;
         Ok(())
     }
 

@@ -165,6 +165,14 @@ pub trait Voter: Send {
     fn is_stateful(&self) -> bool {
         false
     }
+
+    /// Whether `round`'s records are flat, so a bootstrapping voter would
+    /// cluster it. Reads only the modules on the ballots, never their
+    /// values. `false` for voters without a bootstrap (the default).
+    fn bootstrap_pending(&self, round: &Round) -> bool {
+        let _ = round;
+        false
+    }
 }
 
 /// Blanket impl so `Box<dyn Voter>` is itself a `Voter`, letting engines and
@@ -187,6 +195,9 @@ impl Voter for Box<dyn Voter> {
     }
     fn is_stateful(&self) -> bool {
         (**self).is_stateful()
+    }
+    fn bootstrap_pending(&self, round: &Round) -> bool {
+        (**self).bootstrap_pending(round)
     }
 }
 

@@ -306,7 +306,13 @@ impl VotingEngine {
         match vote_result {
             Ok(()) => {
                 if let RoundResult::Voted(v) = &self.outcome {
-                    self.last_good = Some(v.value.clone());
+                    // In place when the kind matches: a vector or text
+                    // verdict reuses the previous one's buffer.
+                    match (&mut self.last_good, &v.value) {
+                        (Some(Value::Vector(last)), Value::Vector(new)) => last.clone_from(new),
+                        (Some(Value::Text(last)), Value::Text(new)) => last.clone_from(new),
+                        (last, new) => *last = Some(new.clone()),
+                    }
                 }
                 Ok(())
             }

@@ -9,13 +9,21 @@
 //! [`PerDimensionVoter`] wraps one independent inner voter per dimension and
 //! fuses [`Value::Vector`] ballots dimension-by-dimension. Each dimension
 //! keeps its own history, so a sensor whose *x* channel drifts is distrusted
-//! on *x* while staying trusted on *y*.
+//! on *x* while staying trusted on *y*. With the bootstrap on, a round whose
+//! records are flat in every dimension is voted over the whole vectors
+//! instead, by the "unsupervised clustering algorithm ... such as Meanshift"
+//! §5 names for multi-dimensional data.
 
-use crate::algorithms::{HistoryAlgorithm, HistoryVoter, Verdict, Voter};
+use crate::algorithms::{Verdict, Voter};
 use crate::error::VoteError;
 use crate::history::INITIAL_HISTORY;
 use crate::round::{Ballot, ModuleId, Round};
 use crate::value::Value;
+use avoc_cluster::{point::centroid, MeanShift, Point};
+
+/// The vector bootstrap's mean-shift bandwidth, as a multiple of the median
+/// nearest-neighbour distance among the candidates.
+const BANDWIDTH_FACTOR: f64 = 3.0;
 
 /// Votes on vector values by running an independent voter per dimension.
 ///
@@ -40,6 +48,11 @@ use crate::value::Value;
 /// ```
 pub struct PerDimensionVoter {
     voters: Vec<Box<dyn Voter>>,
+    bootstrap: bool,
+    /// One dimension's projection of the round, rewritten in place.
+    sub_round: Round,
+    /// One dimension's verdict, rewritten in place.
+    sub_verdict: Verdict,
 }
 
 impl std::fmt::Debug for PerDimensionVoter {
@@ -50,13 +63,15 @@ impl std::fmt::Debug for PerDimensionVoter {
                 "inner",
                 &self.voters.first().map(|v| v.name()).unwrap_or("-"),
             )
+            .field("bootstrap", &self.bootstrap)
             .finish()
     }
 }
 
 impl PerDimensionVoter {
     /// Creates a per-dimension voter for `dim` dimensions, instantiating an
-    /// independent inner voter per dimension via `factory`.
+    /// independent inner voter per dimension via `factory`, with the
+    /// bootstrap off.
     ///
     /// # Panics
     ///
@@ -65,19 +80,112 @@ impl PerDimensionVoter {
         assert!(dim > 0, "dimensionality must be at least 1");
         PerDimensionVoter {
             voters: (0..dim).map(|_| factory()).collect(),
+            bootstrap: false,
+            sub_round: Round::new(0, Vec::new()),
+            sub_verdict: Verdict::empty(),
         }
     }
 
-    /// The dimensionality this voter expects.
-    fn dim(&self) -> usize {
-        self.voters.len()
+    /// Turns the vector bootstrap on or off (VDX's `bootstrapping`).
+    ///
+    /// A round whose records are flat in every dimension
+    /// ([`Voter::bootstrap_pending`]) is voted over the whole candidate
+    /// *vectors*: mean-shift takes the largest mode's basin, outputs its
+    /// centroid, and seeds every dimension's records from that membership
+    /// (`1` for members, `0` for outliers). So a sensor that is only faulty
+    /// *jointly*, each coordinate plausible on its own, is still caught. The
+    /// bandwidth self-calibrates: three times the median nearest-neighbour
+    /// distance among the candidates. Over Hybrid this is vector AVOC:
+    ///
+    /// ```
+    /// use avoc_core::algorithms::{HistoryAlgorithm, HistoryVoter};
+    /// use avoc_core::multidim::PerDimensionVoter;
+    /// use avoc_core::{Ballot, ModuleId, Round, Voter};
+    ///
+    /// let hybrid = || HistoryVoter::with_defaults(HistoryAlgorithm::Hybrid);
+    /// let mut voter = PerDimensionVoter::new(2, || Box::new(hybrid())).with_bootstrap(true);
+    /// let round = Round::new(0, vec![
+    ///     Ballot::new(ModuleId::new(0), vec![1.0, 10.0]),
+    ///     Ballot::new(ModuleId::new(1), vec![1.1, 10.1]),
+    ///     Ballot::new(ModuleId::new(2), vec![0.95, 9.9]),
+    ///     Ballot::new(ModuleId::new(3), vec![5.0, 30.0]), // joint outlier
+    /// ]);
+    /// let verdict = voter.vote(&round)?;
+    /// assert!(verdict.bootstrapped);
+    /// assert!(verdict.excluded.contains(&ModuleId::new(3)));
+    /// # Ok::<(), avoc_core::VoteError>(())
+    /// ```
+    pub fn with_bootstrap(mut self, bootstrap: bool) -> Self {
+        self.bootstrap = bootstrap;
+        self
     }
 
-    /// Per-dimension histories: `histories()[d]` is dimension `d`'s record
-    /// snapshot.
-    fn histories_per_dimension(&self) -> Vec<Vec<(ModuleId, f64)>> {
-        self.voters.iter().map(|v| v.histories()).collect()
+    /// The bootstrap round over a validated, non-empty vector round. A
+    /// stateful voter runs it once per (re)start, so its allocations stay
+    /// off the steady-state path.
+    fn mean_shift_vote(&mut self, round: &Round, out: &mut Verdict) {
+        let (modules, points): (Vec<ModuleId>, Vec<Point>) = round
+            .ballots
+            .iter()
+            .filter_map(|b| {
+                let coords = b.value.as_ref().and_then(Value::as_vector)?;
+                Some((b.module, Point::new(coords.to_vec())))
+            })
+            .unzip();
+        let members: Vec<usize> = if points.len() == 1 {
+            vec![0]
+        } else {
+            MeanShift::new(self_calibrated_bandwidth(&points))
+                .fit(&points)
+                .largest_cluster_members()
+        };
+        let member_points: Vec<Point> = members.iter().map(|&i| points[i].clone()).collect();
+        let centroid = centroid(&member_points).expect("non-empty winning mode");
+
+        out.weights.clear();
+        out.weights.extend(
+            modules
+                .iter()
+                .enumerate()
+                .map(|(i, &m)| (m, if members.contains(&i) { 1.0 } else { 0.0 })),
+        );
+        // Seed every dimension's records from the vector-level membership:
+        // winners keep full trust, outliers start distrusted — the AVOC
+        // record adjustment, generalised.
+        let records: Vec<(ModuleId, f64)> = out
+            .weights
+            .iter()
+            .map(|&(m, w)| (m, if w > 0.0 { INITIAL_HISTORY } else { 0.0 }))
+            .collect();
+        self.seed_history(&records);
+
+        out.excluded.clear();
+        let outliers = out.weights.iter().filter(|(_, w)| *w <= 0.0);
+        out.excluded.extend(outliers.map(|(m, _)| *m));
+        out.value = Value::Vector(centroid.into_coords());
+        out.confidence = members.len() as f64 / points.len() as f64;
+        out.bootstrapped = true;
     }
+}
+
+/// Three times the median nearest-neighbour distance among `points`.
+fn self_calibrated_bandwidth(points: &[Point]) -> f64 {
+    let mut nn: Vec<f64> = points
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            points
+                .iter()
+                .enumerate()
+                .filter(|(j, _)| *j != i)
+                .map(|(_, q)| p.distance(q))
+                .fold(f64::INFINITY, f64::min)
+        })
+        .collect();
+    nn.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
+    let median = nn[nn.len() / 2];
+    // A zero median (identical points) still needs a usable radius.
+    (median * BANDWIDTH_FACTOR).max(1e-9)
 }
 
 impl Voter for PerDimensionVoter {
@@ -88,80 +196,78 @@ impl Voter for PerDimensionVoter {
     fn vote_into(&mut self, round: &Round, out: &mut Verdict) -> Result<(), VoteError> {
         let dim = self.voters.len();
         // Validate dimensions up front.
-        for b in &round.ballots {
-            if let Some(v) = &b.value {
-                match v {
-                    Value::Vector(coords) => {
-                        if coords.len() != dim {
-                            return Err(VoteError::DimensionMismatch {
-                                expected: dim,
-                                got: coords.len(),
-                            });
-                        }
-                    }
-                    other => {
-                        return Err(VoteError::TypeMismatch {
-                            expected: "vector",
-                            got: other.kind(),
-                        })
-                    }
+        for value in round.ballots.iter().filter_map(|b| b.value.as_ref()) {
+            match value {
+                Value::Vector(coords) if coords.len() != dim => {
+                    return Err(VoteError::DimensionMismatch {
+                        expected: dim,
+                        got: coords.len(),
+                    })
+                }
+                Value::Vector(_) => {}
+                other => {
+                    return Err(VoteError::TypeMismatch {
+                        expected: "vector",
+                        got: other.kind(),
+                    })
                 }
             }
         }
         if round.present_count() == 0 {
             return Err(VoteError::EmptyRound);
         }
+        if self.bootstrap && self.bootstrap_pending(round) {
+            self.mean_shift_vote(round, out);
+            return Ok(());
+        }
 
-        let mut outputs = Vec::with_capacity(dim);
+        // Steady state: every buffer below is reused, so no allocation.
+        let mut outputs = match std::mem::replace(&mut out.value, Value::Number(f64::NAN)) {
+            Value::Vector(mut coords) => {
+                coords.clear();
+                coords
+            }
+            _ => Vec::with_capacity(dim),
+        };
         let mut min_confidence = f64::INFINITY;
-        let mut excluded: Vec<ModuleId> = Vec::new();
         let mut any_bootstrap = false;
+        out.excluded.clear();
+        let (sub_round, sub) = (&mut self.sub_round, &mut self.sub_verdict);
+        sub_round.round = round.round;
         for (d, voter) in self.voters.iter_mut().enumerate() {
-            let sub_round = Round::new(
-                round.round,
-                round
-                    .ballots
-                    .iter()
-                    .map(|b| match &b.value {
-                        Some(Value::Vector(coords)) => Ballot::new(b.module, coords[d]),
-                        _ => Ballot::missing(b.module),
-                    })
-                    .collect(),
-            );
-            let verdict = voter.vote(&sub_round)?;
+            sub_round.ballots.clear();
+            sub_round
+                .ballots
+                .extend(round.ballots.iter().map(|b| match &b.value {
+                    Some(Value::Vector(coords)) => Ballot::new(b.module, coords[d]),
+                    _ => Ballot::missing(b.module),
+                }));
+            voter.vote_into(sub_round, sub)?;
             outputs.push(
-                verdict
-                    .number()
+                sub.number()
                     .expect("numeric inner voter yields scalar output"),
             );
-            min_confidence = min_confidence.min(verdict.confidence);
-            any_bootstrap |= verdict.bootstrapped;
-            for m in verdict.excluded {
-                if !excluded.contains(&m) {
-                    excluded.push(m);
+            min_confidence = min_confidence.min(sub.confidence);
+            any_bootstrap |= sub.bootstrapped;
+            for &m in &sub.excluded {
+                if !out.excluded.contains(&m) {
+                    out.excluded.push(m);
                 }
             }
         }
-        excluded.sort_unstable();
-
-        *out = Verdict {
-            value: Value::Vector(outputs),
-            // Per-module weights differ per dimension; report uniform
-            // presence weights at the vector level.
-            weights: round
-                .ballots
-                .iter()
-                .filter(|b| b.is_present())
-                .map(|b| (b.module, 1.0))
-                .collect(),
-            excluded,
-            confidence: if min_confidence.is_finite() {
-                min_confidence
-            } else {
-                0.0
-            },
-            bootstrapped: any_bootstrap,
+        out.excluded.sort_unstable();
+        out.value = Value::Vector(outputs);
+        // Per-module weights differ per dimension; report uniform presence
+        // weights at the vector level.
+        out.weights.clear();
+        let present = round.ballots.iter().filter(|b| b.is_present());
+        out.weights.extend(present.map(|b| (b.module, 1.0)));
+        out.confidence = if min_confidence.is_finite() {
+            min_confidence
+        } else {
+            0.0
         };
+        out.bootstrapped = any_bootstrap;
         Ok(())
     }
 
@@ -181,217 +287,25 @@ impl Voter for PerDimensionVoter {
     fn is_stateful(&self) -> bool {
         self.voters.iter().any(|v| v.is_stateful())
     }
-}
 
-/// Vector AVOC with a *multi-dimensional* clustering bootstrap — the step
-/// beyond the paper.
-///
-/// §5 notes that for multi-dimensional data "an unsupervised clustering
-/// algorithm can be used such as Meanshift or X-Means", but the paper's own
-/// AVOC votes each dimension separately "without incorporating the
-/// clustering itself". This voter incorporates it: steady-state rounds are
-/// per-dimension Hybrid votes, while the bootstrap round (no records yet,
-/// or all records collapsed) runs mean-shift over the full candidate
-/// *vectors*, takes the largest mode's basin, outputs its centroid, and
-/// seeds every dimension's records from the vector-level membership — so a
-/// sensor that is only faulty *jointly* (each coordinate plausible on its
-/// own) is still caught.
-///
-/// The mean-shift bandwidth self-calibrates, in AVOC's spirit: it is three
-/// times the median nearest-neighbour distance among the candidates.
-///
-/// # Example
-///
-/// ```
-/// use avoc_core::multidim::VectorAvocVoter;
-/// use avoc_core::{Ballot, ModuleId, Round, Voter};
-///
-/// let mut voter = VectorAvocVoter::new(2, Default::default());
-/// let round = Round::new(0, vec![
-///     Ballot::new(ModuleId::new(0), vec![1.0, 10.0]),
-///     Ballot::new(ModuleId::new(1), vec![1.1, 10.1]),
-///     Ballot::new(ModuleId::new(2), vec![0.95, 9.9]),
-///     Ballot::new(ModuleId::new(3), vec![5.0, 30.0]), // joint outlier
-/// ]);
-/// let verdict = voter.vote(&round)?;
-/// assert!(verdict.bootstrapped);
-/// assert!(verdict.excluded.contains(&ModuleId::new(3)));
-/// # Ok::<(), avoc_core::VoteError>(())
-/// ```
-pub struct VectorAvocVoter {
-    dims: PerDimensionVoter,
-    bootstrapped_once: bool,
-}
-
-/// The vector bootstrap's mean-shift bandwidth, as a multiple of the median
-/// nearest-neighbour distance among the candidates.
-const BANDWIDTH_FACTOR: f64 = 3.0;
-
-impl std::fmt::Debug for VectorAvocVoter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("VectorAvocVoter")
-            .field("dim", &self.dims.dim())
-            .finish_non_exhaustive()
-    }
-}
-
-impl VectorAvocVoter {
-    /// Creates a vector-AVOC voter for `dim` dimensions with the given
-    /// per-dimension configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim == 0`.
-    pub fn new(dim: usize, config: crate::VoterConfig) -> Self {
-        let hybrid = move || -> Box<dyn Voter> {
-            Box::new(HistoryVoter::new(
-                HistoryAlgorithm::Hybrid,
-                config,
-                crate::MemoryHistory::new(),
-            ))
-        };
-        VectorAvocVoter {
-            dims: PerDimensionVoter::new(dim, hybrid),
-            bootstrapped_once: false,
-        }
-    }
-
-    fn bootstrap_pending(&self) -> bool {
-        if !self.bootstrapped_once {
-            return true;
-        }
-        // Fallback condition: every record of every dimension collapsed.
-        self.dims
-            .histories_per_dimension()
-            .iter()
-            .flatten()
-            .all(|(_, h)| h.abs() < 1e-12)
-    }
-
-    fn self_calibrated_bandwidth(points: &[avoc_cluster::Point]) -> f64 {
-        let mut nn: Vec<f64> = points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                points
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| *j != i)
-                    .map(|(_, q)| p.distance(q))
-                    .fold(f64::INFINITY, f64::min)
-            })
-            .collect();
-        nn.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
-        let median = nn[nn.len() / 2];
-        // A zero median (identical points) still needs a usable radius.
-        (median * BANDWIDTH_FACTOR).max(1e-9)
-    }
-
-    /// Extracts the vector candidates, enforcing kind and dimension.
-    fn vector_candidates(
-        &self,
-        round: &Round,
-    ) -> Result<(Vec<ModuleId>, Vec<avoc_cluster::Point>), VoteError> {
-        let dim = self.dims.dim();
-        let mut modules = Vec::new();
-        let mut points = Vec::new();
-        for b in &round.ballots {
-            match &b.value {
-                Some(Value::Vector(coords)) => {
-                    if coords.len() != dim {
-                        return Err(VoteError::DimensionMismatch {
-                            expected: dim,
-                            got: coords.len(),
-                        });
-                    }
-                    modules.push(b.module);
-                    points.push(avoc_cluster::Point::new(coords.clone()));
-                }
-                Some(other) => {
-                    return Err(VoteError::TypeMismatch {
-                        expected: "vector",
-                        got: other.kind(),
-                    })
-                }
-                None => {}
-            }
-        }
-        if points.is_empty() {
-            return Err(VoteError::EmptyRound);
-        }
-        Ok((modules, points))
-    }
-}
-
-impl Voter for VectorAvocVoter {
-    fn name(&self) -> &'static str {
-        "vector-avoc"
-    }
-
-    fn vote_into(&mut self, round: &Round, out: &mut Verdict) -> Result<(), VoteError> {
-        if !self.bootstrap_pending() {
-            return self.dims.vote_into(round, out);
-        }
-
-        // Multi-dimensional clustering bootstrap.
-        let (modules, points) = self.vector_candidates(round)?;
-        let members: Vec<usize> = if points.len() == 1 {
-            vec![0]
-        } else {
-            let bandwidth = Self::self_calibrated_bandwidth(&points);
-            avoc_cluster::MeanShift::new(bandwidth)
-                .fit(&points)
-                .largest_cluster_members()
-        };
-        let member_points: Vec<avoc_cluster::Point> =
-            members.iter().map(|&i| points[i].clone()).collect();
-        let centroid =
-            avoc_cluster::point::centroid(&member_points).expect("non-empty winning mode");
-
-        let weights: Vec<(ModuleId, f64)> = modules
-            .iter()
-            .enumerate()
-            .map(|(i, &m)| (m, if members.contains(&i) { 1.0 } else { 0.0 }))
-            .collect();
-        // Seed every dimension's records from the vector-level membership:
-        // winners keep full trust, outliers start distrusted — the AVOC
-        // record adjustment, generalised.
-        let records: Vec<(ModuleId, f64)> = weights
-            .iter()
-            .map(|&(m, w)| (m, if w > 0.0 { INITIAL_HISTORY } else { 0.0 }))
-            .collect();
-        self.dims.seed_history(&records);
-        self.bootstrapped_once = true;
-
-        let excluded: Vec<ModuleId> = weights
-            .iter()
-            .filter(|(_, w)| *w <= 0.0)
-            .map(|(m, _)| *m)
-            .collect();
-        *out = Verdict {
-            value: Value::Vector(centroid.into_coords()),
-            confidence: members.len() as f64 / points.len() as f64,
-            weights,
-            excluded,
-            bootstrapped: true,
-        };
-        Ok(())
-    }
-
-    fn reset(&mut self) {
-        self.dims.reset();
-        self.bootstrapped_once = false;
-    }
-
-    fn is_stateful(&self) -> bool {
-        true
+    /// Flat when every dimension's records are.
+    fn bootstrap_pending(&self, round: &Round) -> bool {
+        self.voters.iter().all(|v| v.bootstrap_pending(round))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::AverageVoter;
+    use crate::algorithms::{AverageVoter, HistoryAlgorithm, HistoryVoter};
+
+    impl PerDimensionVoter {
+        /// Per-dimension histories: `histories_per_dimension()[d]` is
+        /// dimension `d`'s record snapshot.
+        fn histories_per_dimension(&self) -> Vec<Vec<(ModuleId, f64)>> {
+            self.voters.iter().map(|v| v.histories()).collect()
+        }
+    }
 
     fn avoc() -> Box<dyn Voter> {
         Box::new(HistoryVoter::with_defaults(HistoryAlgorithm::Hybrid).with_bootstrap(true))
@@ -521,7 +435,20 @@ mod tests {
 #[cfg(test)]
 mod vector_avoc_tests {
     use super::*;
-    use crate::VoterConfig;
+    use crate::algorithms::{HistoryAlgorithm, HistoryVoter};
+    use crate::{MemoryHistory, VoterConfig};
+
+    /// Vector AVOC: per-dimension Hybrid with the vector bootstrap.
+    fn vector_avoc(dim: usize, config: VoterConfig) -> PerDimensionVoter {
+        let hybrid = move || -> Box<dyn Voter> {
+            Box::new(HistoryVoter::new(
+                HistoryAlgorithm::Hybrid,
+                config,
+                MemoryHistory::new(),
+            ))
+        };
+        PerDimensionVoter::new(dim, hybrid).with_bootstrap(true)
+    }
 
     fn m(i: u32) -> ModuleId {
         ModuleId::new(i)
@@ -539,7 +466,7 @@ mod vector_avoc_tests {
 
     #[test]
     fn bootstrap_excludes_joint_outlier() {
-        let mut v = VectorAvocVoter::new(2, VoterConfig::default());
+        let mut v = vector_avoc(2, VoterConfig::default());
         let verdict = v
             .vote(&vec_round(
                 0,
@@ -555,7 +482,7 @@ mod vector_avoc_tests {
 
     #[test]
     fn seeded_records_exclude_outlier_from_round_two() {
-        let mut v = VectorAvocVoter::new(2, VoterConfig::default());
+        let mut v = vector_avoc(2, VoterConfig::default());
         let rows: &[&[f64]] = &[&[1.0, 10.0], &[1.1, 10.1], &[0.95, 9.9], &[5.0, 30.0]];
         v.vote(&vec_round(0, rows)).unwrap();
         let r2 = v.vote(&vec_round(1, rows)).unwrap();
@@ -581,7 +508,7 @@ mod vector_avoc_tests {
             &[10.02, 10.03],
             &[10.40, 9.60], // joint outlier: each coordinate plausible alone
         ];
-        let mut vector = VectorAvocVoter::new(2, VoterConfig::default());
+        let mut vector = vector_avoc(2, VoterConfig::default());
         let verdict = vector.vote(&vec_round(0, rows)).unwrap();
         // The vector bootstrap flags the mismatched combination.
         assert!(
@@ -604,7 +531,7 @@ mod vector_avoc_tests {
 
     #[test]
     fn single_candidate_bootstrap() {
-        let mut v = VectorAvocVoter::new(2, VoterConfig::default());
+        let mut v = vector_avoc(2, VoterConfig::default());
         let verdict = v.vote(&vec_round(0, &[&[2.0, 3.0]])).unwrap();
         assert_eq!(verdict.value.as_vector(), Some(&[2.0, 3.0][..]));
         assert_eq!(verdict.confidence, 1.0);
@@ -612,7 +539,7 @@ mod vector_avoc_tests {
 
     #[test]
     fn dimension_and_type_errors() {
-        let mut v = VectorAvocVoter::new(2, VoterConfig::default());
+        let mut v = vector_avoc(2, VoterConfig::default());
         let bad_dim = Round::new(0, vec![Ballot::new(m(0), vec![1.0])]);
         assert!(matches!(
             v.vote(&bad_dim),
@@ -633,7 +560,7 @@ mod vector_avoc_tests {
 
     #[test]
     fn reset_restores_bootstrap() {
-        let mut v = VectorAvocVoter::new(1, VoterConfig::default());
+        let mut v = vector_avoc(1, VoterConfig::default());
         v.vote(&vec_round(0, &[&[1.0], &[1.1]])).unwrap();
         let r2 = v.vote(&vec_round(1, &[&[1.0], &[1.1]])).unwrap();
         assert!(!r2.bootstrapped);
@@ -644,7 +571,7 @@ mod vector_avoc_tests {
 
     #[test]
     fn identical_points_do_not_panic() {
-        let mut v = VectorAvocVoter::new(2, VoterConfig::default());
+        let mut v = vector_avoc(2, VoterConfig::default());
         let verdict = v
             .vote(&vec_round(0, &[&[3.0, 4.0], &[3.0, 4.0], &[3.0, 4.0]]))
             .unwrap();

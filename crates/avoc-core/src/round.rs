@@ -188,29 +188,29 @@ impl Round {
         Ok(())
     }
 
-    /// Extracts the categorical candidates for a majority vote, erroring on
-    /// a ballot of the wrong type.
+    /// Extracts the categorical candidates for a majority vote into `out`
+    /// (cleared first): the indices of the present ballots, so their text is
+    /// borrowed from the round rather than copied.
     ///
     /// # Errors
     ///
     /// [`crate::VoteError::TypeMismatch`] when a present ballot holds a
     /// non-text value.
-    pub fn text_candidates(&self) -> Result<Vec<(ModuleId, &str)>, crate::VoteError> {
-        let mut out = Vec::with_capacity(self.ballots.len());
-        for b in &self.ballots {
-            if let Some(v) = &b.value {
-                match v.as_text() {
-                    Some(s) => out.push((b.module, s)),
-                    None => {
-                        return Err(crate::VoteError::TypeMismatch {
-                            expected: "text",
-                            got: v.kind(),
-                        })
-                    }
+    pub fn text_candidates_into(&self, out: &mut Vec<usize>) -> Result<(), crate::VoteError> {
+        out.clear();
+        for (i, b) in self.ballots.iter().enumerate() {
+            match &b.value {
+                Some(Value::Text(_)) => out.push(i),
+                Some(v) => {
+                    return Err(crate::VoteError::TypeMismatch {
+                        expected: "text",
+                        got: v.kind(),
+                    })
                 }
+                None => {}
             }
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -274,7 +274,7 @@ mod tests {
                 Ballot::new(ModuleId::new(1), 2.0),
             ],
         );
-        let err = bad.text_candidates().unwrap_err();
+        let err = bad.text_candidates_into(&mut Vec::new()).unwrap_err();
         assert!(matches!(
             err,
             crate::VoteError::TypeMismatch { got: "number", .. }

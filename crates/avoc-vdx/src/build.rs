@@ -77,17 +77,18 @@ pub fn build_voter(spec: &VdxSpec) -> Result<Box<dyn Voter>, VdxError> {
         ValueKind::Numeric => numeric_voter(spec),
         ValueKind::Vector => {
             let dim = spec.dimensions.expect("validated");
-            // §5: per-dimension voting "without incorporating the clustering
-            // itself" — strip the bootstrap for inner history voters. With
-            // `history: NONE` it stays: per-dimension COV.
-            let mut inner_spec = spec.clone();
-            inner_spec.value_kind = ValueKind::Numeric;
-            if inner_spec.history != HistoryKind::None {
-                inner_spec.bootstrapping = false;
-            }
-            Box::new(PerDimensionVoter::new(dim, move || {
-                numeric_voter(&inner_spec)
-            }))
+            // §5: vote "each dimension separately". The bootstrap clusters
+            // the whole vectors (mean-shift), never one dimension, so the
+            // inner voters go without it.
+            let inner_spec = VdxSpec {
+                value_kind: ValueKind::Numeric,
+                bootstrapping: false,
+                ..spec.clone()
+            };
+            Box::new(
+                PerDimensionVoter::new(dim, move || numeric_voter(&inner_spec))
+                    .with_bootstrap(spec.bootstrapping),
+            )
         }
         ValueKind::Categorical => {
             let history = match spec.history {
@@ -266,6 +267,38 @@ mod tests {
         );
         let verdict = voter.vote(&round).unwrap();
         assert_eq!(verdict.value.as_vector().map(|v| v.len()), Some(2));
+    }
+
+    #[test]
+    fn vector_cov_spec_clusters_whole_vectors_every_round() {
+        // `history: NONE` keeps no records, so every round is flat and the
+        // vector bootstrap votes each one, whatever the weighting.
+        let rows = [
+            [10.00, 10.00],
+            [10.05, 9.95],
+            [9.95, 10.05],
+            [10.02, 10.03],
+            [10.40, 9.60], // each coordinate inside the 5% band, the pair is not
+        ];
+        for weighting in [WeightingKind::Uniform, WeightingKind::Agreement] {
+            let mut spec = VdxSpec::preset("cov").unwrap();
+            spec.weighting = weighting;
+            spec.value_kind = ValueKind::Vector;
+            spec.dimensions = Some(2);
+            let mut voter = build_voter(&spec).unwrap();
+            for r in 0..2 {
+                let ballots = rows.iter().enumerate();
+                let ballots =
+                    ballots.map(|(m, row)| Ballot::new(ModuleId::new(m as u32), row.to_vec()));
+                let verdict = voter.vote(&Round::new(r, ballots.collect())).unwrap();
+                assert!(verdict.bootstrapped, "{weighting:?}, round {r}");
+                assert_eq!(
+                    verdict.excluded,
+                    vec![ModuleId::new(4)],
+                    "{weighting:?}, round {r}"
+                );
+            }
+        }
     }
 
     #[test]

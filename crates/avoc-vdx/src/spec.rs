@@ -214,6 +214,8 @@ pub struct VdxSpec {
     /// Whether the clustering bootstrap/fallback is enabled (Listing 1:
     /// `true`). It clusters every round whose records are flat: with
     /// `history: HYBRID` this is AVOC, with `history: NONE` it is COV.
+    /// `VECTOR` values are clustered as whole vectors (mean-shift) when
+    /// every dimension's records are flat.
     #[serde(default)]
     pub bootstrapping: bool,
     /// Kind of value voted on (extension; default numeric).

@@ -7,7 +7,8 @@
 //! cargo run --release --example vector_fusion
 //! ```
 
-use avoc::core::multidim::VectorAvocVoter;
+use avoc::core::multidim::PerDimensionVoter;
+use avoc::core::MemoryHistory;
 use avoc::prelude::*;
 
 fn position_round(round: u64, estimates: &[[f64; 2]]) -> Round {
@@ -25,7 +26,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Five positioning units estimate the robot's (x, y). Unit 4 has its
     // antennas crossed: each coordinate is individually plausible, but the
     // combination places it off the cluster diagonally.
-    let mut voter = VectorAvocVoter::new(2, VoterConfig::new());
+    let hybrid = || -> Box<dyn Voter> {
+        Box::new(HistoryVoter::new(
+            HistoryAlgorithm::Hybrid,
+            VoterConfig::new(),
+            MemoryHistory::new(),
+        ))
+    };
+    let mut voter = PerDimensionVoter::new(2, hybrid).with_bootstrap(true);
 
     println!("round | fused (x, y)        | excluded");
     for round in 0..6u64 {

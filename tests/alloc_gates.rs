@@ -5,12 +5,12 @@
 //! path allocates per record.
 
 use avoc::core::history::HistoryStore;
-use avoc::core::{ModuleId, Round};
+use avoc::core::{Ballot, ModuleId, Round};
 use avoc::net::{BatchReading, Message, SensorHub, SpecSource};
 use avoc::serve::{ServeClient, ServeConfig, SpecRegistry, TcpServer, VoterService};
 use avoc::sim::{FaultInjector, FaultKind, LightScenario};
 use avoc::store::{session_wal_path, Durability, FileHistory, TieredStore, VerdictRecord};
-use avoc::vdx::{build_engine, VdxSpec};
+use avoc::vdx::{build_engine, ValueKind, VdxSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::Path;
@@ -113,29 +113,115 @@ fn client_feed_path_allocates_nothing_per_reading() {
     assert_eq!(feed_allocations, 0, "send_batch allocated in steady state");
 }
 
-/// One engine per `HistoryVoter` preset — every algorithm of the history
-/// voter, and AVOC on top of Hybrid — over the UC-1 faulty trace (the Fig. 6
-/// shape: five sensors, +6 klm on E4): once any bootstrap has fired and the
-/// scratch buffers have grown, `submit_ref` allocates nothing. COV clusters
-/// every round, and its `Clustering` still allocates, so it stays out.
+/// `count` rounds of five units tracking a 2-D position that drifts along
+/// the diagonal. Unit 4 is jointly faulty: each coordinate is plausible on
+/// its own, but the pair sits off the cluster.
+fn drifting_vector_rounds(count: u64) -> Vec<Round> {
+    const OFFSETS: [[f64; 2]; 5] = [
+        [0.00, 0.00],
+        [0.04, -0.03],
+        [-0.03, 0.03],
+        [0.02, 0.01],
+        [0.38, -0.38],
+    ];
+    let rounds = (0..count).map(|round| {
+        let drift = 0.01 * round as f64;
+        let ballots = OFFSETS.iter().enumerate().map(|(m, [dx, dy])| {
+            let position = vec![10.0 + drift + dx, 20.0 + drift + dy];
+            Ballot::new(ModuleId::new(m as u32), position)
+        });
+        Round::new(round, ballots.collect())
+    });
+    rounds.collect()
+}
+
+/// `count` rounds of five door sensors: the door swaps between closed and
+/// open every eight rounds, and each round one sensor, in turn, reads ajar.
+fn door_text_rounds(count: u64) -> Vec<Round> {
+    let rounds = (0..count).map(|round| {
+        let truth = if round % 16 < 8 { "closed" } else { "open" };
+        let ballots = (0..5u32).map(|m| {
+            let text = if round % 5 == u64::from(m) {
+                "ajar"
+            } else {
+                truth
+            };
+            Ballot::new(ModuleId::new(m), text)
+        });
+        Round::new(round, ballots.collect())
+    });
+    rounds.collect()
+}
+
+/// One engine per shipped spec file (read from disk, so a new file is gated
+/// without editing this test), per preset and for `vector-position.json`
+/// with its bootstrap off, each over a trace of its value kind: UC-1 with
+/// +6 klm on E4 (the Fig. 6 shape) for numbers, `drifting_vector_rounds`
+/// for vectors and `door_text_rounds` for text. Once any bootstrap has fired
+/// and the scratch buffers have grown, `submit_ref` allocates nothing. COV
+/// clusters every round, and its `Clustering` still allocates, so the `cov`
+/// preset stays out.
 #[test]
 fn warmed_fuse_loop_allocates_nothing_per_round() {
+    let presets = [
+        "average",
+        "stateless",
+        "standard",
+        "me",
+        "sdt",
+        "hybrid",
+        "avoc",
+    ];
+    let mut specs: Vec<(String, VdxSpec)> = presets
+        .iter()
+        .map(|p| (format!("preset {p}"), VdxSpec::preset(p).expect("preset")))
+        .collect();
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("specs");
+    for entry in std::fs::read_dir(&dir).expect("specs/ exists") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().is_some_and(|e| e == "json") {
+            let spec = VdxSpec::from_file(&path).expect("shipped spec parses");
+            let name = path.file_name().expect("file name").to_string_lossy();
+            specs.push((name.into_owned(), spec));
+        }
+    }
+    let mut per_dimension = VdxSpec::from_file(dir.join("vector-position.json")).expect("spec");
+    per_dimension.bootstrapping = false;
+    specs.push((
+        "vector-position.json without bootstrap".into(),
+        per_dimension,
+    ));
+    assert!(specs.len() >= 13, "expected the shipped spec set");
+
     let clean = LightScenario::new(5, 1_000, 1973).generate();
     let faulty = FaultInjector::new(3, FaultKind::Offset(6.0)).apply(&clean, 1973);
-    let rounds: Vec<Round> = faulty.iter_rounds().collect();
-    for preset in ["stateless", "standard", "me", "sdt", "hybrid", "avoc"] {
-        let spec = VdxSpec::preset(preset).expect("shipped preset");
-        let mut engine = build_engine(&spec).expect("preset builds");
+    let numeric: Vec<Round> = faulty.iter_rounds().collect();
+    let vector = drifting_vector_rounds(1_000);
+    let text = door_text_rounds(1_000);
+    let mut allocating = Vec::new();
+    for (name, spec) in &specs {
+        let rounds = match spec.value_kind {
+            ValueKind::Numeric => &numeric,
+            ValueKind::Vector => &vector,
+            ValueKind::Categorical => &text,
+        };
+        let mut engine = build_engine(spec).expect("spec builds");
         for round in &rounds[..256] {
-            let _ = engine.submit_ref(round);
+            engine.submit_ref(round).expect("warm-up round");
         }
         let before = tl_allocations();
-        for round in &rounds {
+        for round in rounds {
             let _ = engine.submit_ref(round);
         }
         let allocations = tl_allocations() - before;
-        assert_eq!(allocations, 0, "{preset}: fuse loop allocated");
+        if allocations > 0 {
+            allocating.push((name.clone(), allocations, rounds.len()));
+        }
     }
+    assert!(
+        allocating.is_empty(),
+        "fuse loop allocated (spec, allocations, rounds): {allocating:?}"
+    );
 }
 
 /// Feeds `rounds` of five modules through the hub's lending entry point,

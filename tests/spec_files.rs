@@ -90,6 +90,40 @@ fn shipped_specs_run_their_scenarios() {
     );
 }
 
+/// vector-position.json asks for the bootstrap, and gets the vector one: a
+/// unit whose coordinates are each plausible but jointly off the cluster is
+/// excluded from round 0, and the records seeded from that round keep it out
+/// in round 1.
+#[test]
+fn vector_spec_bootstrap_catches_a_jointly_faulty_unit() {
+    let spec = VdxSpec::from_file(specs_dir().join("vector-position.json")).unwrap();
+    assert!(spec.bootstrapping);
+    let mut engine = build_engine(&spec).unwrap();
+    let rows = [
+        [10.00, 10.00],
+        [10.05, 9.95],
+        [9.95, 10.05],
+        [10.02, 10.03],
+        [10.40, 9.60], // each coordinate inside the 5% band, the pair is not
+    ];
+    for round in 0..2 {
+        let ballots = rows.iter().enumerate();
+        let ballots = ballots.map(|(m, row)| Ballot::new(ModuleId::new(m as u32), row.to_vec()));
+        let out = engine
+            .submit(&Round::new(round, ballots.collect()))
+            .unwrap();
+        let RoundResult::Voted(verdict) = out else {
+            panic!("round {round}: {out:?}");
+        };
+        assert!(
+            verdict.excluded.contains(&ModuleId::new(4)),
+            "round {round}: excluded {:?}",
+            verdict.excluded
+        );
+        assert_eq!(verdict.bootstrapped, round == 0, "round {round}");
+    }
+}
+
 #[test]
 fn from_file_reports_missing_files_cleanly() {
     let err = VdxSpec::from_file(specs_dir().join("no-such-spec.json")).unwrap_err();
