@@ -77,6 +77,11 @@ pub struct SensorHub {
     free: Vec<Slot>,
     /// Emitted round buffers handed back through [`SensorHub::recycle`].
     spare: Vec<Round>,
+    /// Rounds emitted since the last [`SensorHub::recycle`].
+    lent: usize,
+    /// The most rounds ever emitted between two recycles: how many buffers
+    /// a caller that reads a whole run before handing them back needs.
+    lent_high: usize,
     /// Rounds at or below this id have been emitted; late readings for them
     /// are counted as stragglers and dropped.
     completed_through: Option<u64>,
@@ -112,6 +117,8 @@ impl SensorHub {
             open: VecDeque::new(),
             free: Vec::new(),
             spare: Vec::new(),
+            lent: 0,
+            lent_high: 0,
             completed_through: None,
             stragglers: 0,
             lag_tolerance: 1,
@@ -233,9 +240,12 @@ impl SensorHub {
     /// Takes back rounds an `_into` call lent out, leaving `rounds` empty;
     /// later rounds are emitted in these buffers. The hub keeps at most as
     /// many as rounds have ever been open at once — the most one call can
-    /// emit — and drops the rest.
+    /// emit — or, if more, as many as it ever emitted between two recycles
+    /// (a caller that reads a run of calls' rounds before handing them
+    /// back), and drops the rest.
     pub fn recycle(&mut self, rounds: &mut Vec<Round>) {
-        let keep = self.open.len() + self.free.len();
+        self.lent_high = self.lent_high.max(std::mem::take(&mut self.lent));
+        let keep = (self.open.len() + self.free.len()).max(self.lent_high);
         for round in rounds.drain(..) {
             if self.spare.len() < keep {
                 self.spare.push(round);
@@ -335,6 +345,7 @@ impl SensorHub {
         slot.seen = 0;
         self.completed_through = Some(self.completed_through.map_or(slot.id, |d| d.max(slot.id)));
         self.free.push(slot);
+        self.lent += 1;
         out.push(round);
     }
 }

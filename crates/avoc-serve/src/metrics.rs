@@ -112,7 +112,8 @@ facts! {
         /// Segment files currently live in the tier.
         segments_live: Gauge = "avoc_segments_live",
         ..ShardFacts,
-        /// Per-round fusion latency, nanoseconds.
+        /// Per-round fuse latency, recorded once per batch at the batch mean,
+        /// nanoseconds.
         fuse_latency_ns: Histogram = "avoc_fuse_latency_ns",
         /// Session checkpoint (one WAL record) latency, nanoseconds.
         pub(crate) checkpoint_latency_ns: Histogram = "avoc_checkpoint_latency_ns",
@@ -349,10 +350,11 @@ impl ServiceCounters {
         self.scrape_only.compaction_latency_ns.record(ns);
     }
 
-    /// Records one fused round and its latency.
-    pub(crate) fn round_fused(&self, latency_ns: u64) {
-        self.rounds_fused.inc();
-        self.scrape_only.fuse_latency_ns.record(latency_ns);
+    /// Records a batch of `n` fused rounds that took `total_ns` between
+    /// them, at their mean.
+    pub(crate) fn batch_fused(&self, total_ns: u64, n: u64) {
+        self.rounds_fused.add(n);
+        self.scrape_only.fuse_latency_ns.record_n(total_ns, n);
     }
 
     /// Raises a shard's queue-depth high-water mark to `depth` if higher.
@@ -496,7 +498,7 @@ mod tests {
     fn counters_surface_on_the_registry_scrape() {
         let c = ServiceCounters::new(1);
         c.sessions_opened.inc();
-        c.round_fused(2_000);
+        c.batch_fused(2_000, 1);
         c.note_queue_depth(0, 9);
         let text = c.registry().render_prometheus();
         assert!(text.contains("avoc_sessions_opened_total 1"));

@@ -1,7 +1,7 @@
 //! One tenant's voting session: round assembly + fusion + result emission,
 //! with optional durable checkpoints and resume support.
 
-use avoc_core::{ModuleId, Round, RoundResult, VotingEngine};
+use avoc_core::{ModuleId, Round, RoundResult, VoteError, VotingEngine};
 use avoc_net::{BatchResult, Message, SensorHub, MAX_BATCH_RESULTS};
 use avoc_vdx::{build_engine, VdxSpec};
 use std::collections::VecDeque;
@@ -175,20 +175,77 @@ impl Session {
         sampled: bool,
         counters: &ServiceCounters,
     ) {
-        self.last_active_tick = tick;
-        self.hub
-            .accept_reading_into(module, round, value, &mut self.ready);
+        self.assemble(module, round, value, tick);
         self.fuse_ready(sampled, counters);
     }
 
+    /// Assembles one reading without fusing: the rounds it completes wait,
+    /// on loan from the hub, for the next [`Session::fuse_ready`].
+    pub(crate) fn assemble(&mut self, module: ModuleId, round: u64, value: f64, tick: u64) {
+        self.last_active_tick = tick;
+        self.hub
+            .accept_reading_into(module, round, value, &mut self.ready);
+    }
+
     /// Fuses the rounds the hub lent out, in order, and hands them back.
-    fn fuse_ready(&mut self, sampled: bool, counters: &ServiceCounters) {
+    ///
+    /// One clock pair times the whole batch, and the batch is recorded once:
+    /// its round count on the service and session counters, its time in
+    /// `avoc_fuse_latency_ns` at the batch mean. The clock stops around each
+    /// checkpoint, so store I/O stays out of the fuse time. With `sampled`,
+    /// every round is timed on its own instead, for its fuse span. A round
+    /// that fails to fuse is timed with the batch but not counted in it.
+    pub(crate) fn fuse_ready(&mut self, sampled: bool, counters: &ServiceCounters) {
         if self.ready.is_empty() {
             return;
         }
         let mut ready = std::mem::take(&mut self.ready);
+        let (mut fused, mut fuse_ns) = (0, 0);
+        let mut started = Instant::now();
         for r in &ready {
-            self.fuse(r, sampled, counters);
+            let outcome = self.fuse(r, counters);
+            let checkpoint_due = outcome.is_ok()
+                && self.persist.is_some()
+                && self.rounds_since_ckpt >= self.checkpoint_every;
+            fused += u64::from(outcome.is_ok());
+            if !(sampled || checkpoint_due || outcome.is_err()) {
+                continue;
+            }
+            let latency = started.elapsed().as_nanos() as u64;
+            fuse_ns += latency;
+            match outcome {
+                Ok(()) => {
+                    if sampled {
+                        counters.trace.record(avoc_obs::Span {
+                            session: self.id,
+                            round: r.round,
+                            stage: avoc_obs::Stage::Fuse,
+                            start_ns: avoc_obs::now_ns().saturating_sub(latency),
+                            dur_ns: latency,
+                        });
+                        self.pending_sampled = true;
+                    }
+                    if checkpoint_due {
+                        self.checkpoint(counters);
+                    }
+                }
+                Err(e) => {
+                    // Ship everything fused before the failure first, so
+                    // the tenant sees emissions in fuse order.
+                    self.flush_results(counters);
+                    let reply = Message::Error {
+                        session: self.id,
+                        message: format!("round {}: {e}", r.round),
+                    };
+                    counters.emit(&self.sink, reply);
+                }
+            }
+            started = Instant::now();
+        }
+        fuse_ns += started.elapsed().as_nanos() as u64;
+        if fused > 0 {
+            counters.batch_fused(fuse_ns, fused);
+            self.rounds_fused.add(fused);
         }
         self.hub.recycle(&mut ready);
         self.ready = ready;
@@ -212,6 +269,9 @@ impl Session {
     /// result goes as a plain [`Message::SessionResult`] (interactive
     /// traffic keeps its shape and latency).
     pub(crate) fn flush_results(&mut self, counters: &ServiceCounters) {
+        // The shard fuses a session's run before anything else touches it,
+        // so no round waits assembled but unfused past this point.
+        debug_assert!(self.ready.is_empty(), "flush with rounds left unfused");
         // Readings the hub dropped since the last flush (late for a fused
         // round, or from a module the session does not have) — tallied here,
         // per burst, not per reading.
@@ -476,64 +536,33 @@ impl Session {
         self.emit_results(&unacked, counters);
     }
 
-    fn fuse(&mut self, round: &Round, sampled: bool, counters: &ServiceCounters) {
-        let started = Instant::now();
+    /// Fuses one round and books its verdict for the next flush.
+    fn fuse(&mut self, round: &Round, counters: &ServiceCounters) -> Result<(), VoteError> {
         // `submit_ref` keeps the verdict in the engine's reusable slot: the
         // serve hot path copies only the scalar it puts on the wire.
-        let outcome = self.engine.submit_ref(round);
-        let latency = started.elapsed().as_nanos() as u64;
-        match outcome {
-            Ok(result) => {
-                counters.round_fused(latency);
-                self.rounds_fused.inc();
-                if sampled {
-                    counters.trace.record(avoc_obs::Span {
-                        session: self.id,
-                        round: round.round,
-                        stage: avoc_obs::Stage::Fuse,
-                        start_ns: avoc_obs::now_ns().saturating_sub(latency),
-                        dur_ns: latency,
-                    });
-                    self.pending_sampled = true;
-                }
-                if matches!(result, RoundResult::Fallback { .. }) {
-                    counters.fallbacks.inc();
-                }
-                // Numeric sessions carry the fused value on the wire;
-                // vector/text verdicts are reported as voted-but-opaque
-                // (the result frame is fixed-width by design).
-                let value = result.number();
-                let voted = result.is_voted();
-                self.high_round = Some(self.high_round.map_or(round.round, |h| h.max(round.round)));
-                if self.results.len() == RESULT_RING {
-                    self.results.pop_front();
-                }
-                self.results.push_back((round.round, value, voted));
-                // Accumulated, not sent: the shard flushes pending results
-                // once per wakeup, so a burst leaves as one frame. The
-                // emission itself stays `try_send` (never block the shard
-                // on a tenant's sink — a full sink means the tenant reads
-                // too slowly, a disconnected one that it went away; either
-                // would wedge every session pinned to this shard and hang
-                // graceful drain), with losses counted in
-                // `results_dropped`.
-                self.pending.push((round.round, value, voted));
-                self.rounds_since_ckpt += 1;
-                if self.persist.is_some() && self.rounds_since_ckpt >= self.checkpoint_every {
-                    self.checkpoint(counters);
-                }
-            }
-            Err(e) => {
-                // Ship everything fused before the failure first, so the
-                // tenant sees emissions in fuse order.
-                self.flush_results(counters);
-                let reply = Message::Error {
-                    session: self.id,
-                    message: format!("round {}: {e}", round.round),
-                };
-                counters.emit(&self.sink, reply);
-            }
+        let result = self.engine.submit_ref(round)?;
+        if matches!(result, RoundResult::Fallback { .. }) {
+            counters.fallbacks.inc();
         }
+        // Numeric sessions carry the fused value on the wire; vector/text
+        // verdicts are reported as voted-but-opaque (the result frame is
+        // fixed-width by design).
+        let value = result.number();
+        let voted = result.is_voted();
+        self.high_round = Some(self.high_round.map_or(round.round, |h| h.max(round.round)));
+        if self.results.len() == RESULT_RING {
+            self.results.pop_front();
+        }
+        self.results.push_back((round.round, value, voted));
+        // Accumulated, not sent: the shard flushes pending results once per
+        // wakeup, so a burst leaves as one frame. The emission itself stays
+        // `try_send` (never block the shard on a tenant's sink — a full sink
+        // means the tenant reads too slowly, a disconnected one that it went
+        // away; either would wedge every session pinned to this shard and
+        // hang graceful drain), with losses counted in `results_dropped`.
+        self.pending.push((round.round, value, voted));
+        self.rounds_since_ckpt += 1;
+        Ok(())
     }
 
     /// Notifies the tenant that the service evicted this session.

@@ -596,10 +596,12 @@ impl ShardWorker {
     }
 
     /// Feeds one data-mailbox command, reading by reading in submission
-    /// order — the shard tick, the engine feed, the idle sweep and the
-    /// egress cadence all advance per reading, however many share the
-    /// command — so the fused stream is bit-identical to one command per
-    /// reading.
+    /// order — the shard tick, the hub, the idle sweep and the egress
+    /// cadence all advance per reading, however many share the command —
+    /// so the fused stream is bit-identical to one command per reading.
+    /// A session's run of consecutive readings is assembled first and
+    /// fused as one batch when the run ends; the engine sees the same
+    /// rounds in the same order either way.
     fn readings(&self, cmd: Readings, st: &mut ShardState) {
         let Readings {
             readings,
@@ -635,19 +637,23 @@ impl ShardWorker {
                             dur_ns: picked_ns.saturating_sub(queued_ns),
                         });
                     }
-                    s.feed(
-                        r.module,
-                        r.round,
-                        r.value,
-                        st.tick,
-                        r.mark != TraceMark::None,
-                        &self.counters,
-                    );
+                    if r.mark == TraceMark::None {
+                        s.assemble(r.module, r.round, r.value, st.tick);
+                    } else {
+                        // A traced reading's rounds get a fuse span each:
+                        // the rounds deferred so far fuse first, untraced.
+                        s.fuse_ready(false, &self.counters);
+                        s.feed(r.module, r.round, r.value, st.tick, true, &self.counters);
+                    }
                     i += 1;
                     if i.is_multiple_of(DATA_BURST) || sweeps_at(st.tick, st.sweep_due) {
                         break;
                     }
                 }
+                // The run ends here (a burst boundary, a sweep point, the
+                // next session or the end of the command): fuse it as one
+                // batch before the sweep or the flush can see the session.
+                s.fuse_ready(false, &self.counters);
                 if !std::mem::replace(&mut s.flush_queued, true) {
                     st.touched.push(session);
                 }

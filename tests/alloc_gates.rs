@@ -225,12 +225,19 @@ fn warmed_fuse_loop_allocates_nothing_per_round() {
 }
 
 /// Feeds `rounds` of five modules through the hub's lending entry point,
-/// handing every round back as soon as it is counted; returns how many came
-/// out. Per 64 rounds, one reading arrives twice, and one sensor skips two
-/// rounds running: the first of those only the deadline flushes (two rounds
-/// on), the second goes out ahead of the round that completes after it.
-fn lend_rounds(hub: &mut SensorHub, lent: &mut Vec<Round>, rounds: std::ops::Range<u64>) -> u64 {
+/// handing the lent rounds back after every `run` readings (and at the
+/// end); returns how many came out. Per 64 rounds, one reading arrives
+/// twice, and one sensor skips two rounds running: the first of those only
+/// the deadline flushes (two rounds on), the second goes out ahead of the
+/// round that completes after it.
+fn lend_rounds(
+    hub: &mut SensorHub,
+    lent: &mut Vec<Round>,
+    rounds: std::ops::Range<u64>,
+    run: usize,
+) -> u64 {
     let mut emitted = 0;
+    let mut fed = 0;
     for round in rounds {
         for module in 0..5u32 {
             if matches!(round % 64, 7 | 8) && module == 4 {
@@ -240,11 +247,16 @@ fn lend_rounds(hub: &mut SensorHub, lent: &mut Vec<Round>, rounds: std::ops::Ran
             for copy in 0..copies {
                 let value = 20.0 + f64::from(module) + f64::from(copy);
                 hub.accept_reading_into(ModuleId::new(module), round, value, lent);
-                emitted += lent.len() as u64;
-                hub.recycle(lent);
+                fed += 1;
+                if fed % run == 0 {
+                    emitted += lent.len() as u64;
+                    hub.recycle(lent);
+                }
             }
         }
     }
+    emitted += lent.len() as u64;
+    hub.recycle(lent);
     emitted
 }
 
@@ -255,10 +267,29 @@ fn lend_rounds(hub: &mut SensorHub, lent: &mut Vec<Round>, rounds: std::ops::Ran
 fn warmed_hub_assembles_rounds_without_allocating() {
     let mut hub = SensorHub::new((0..5).map(ModuleId::new).collect());
     let mut lent = Vec::new();
-    assert_eq!(lend_rounds(&mut hub, &mut lent, 0..128), 128);
+    assert_eq!(lend_rounds(&mut hub, &mut lent, 0..128, 1), 128);
     let before = tl_allocations();
-    let emitted = lend_rounds(&mut hub, &mut lent, 128..1_128);
+    let emitted = lend_rounds(&mut hub, &mut lent, 128..1_128, 1);
     assert_eq!(tl_allocations() - before, 0, "round assembly allocated");
+    assert_eq!(emitted, 1_000);
+    assert_eq!(hub.straggler_count(), 0);
+}
+
+/// How many readings a daemon shard assembles for one session before it
+/// fuses them and hands the rounds back: its `DATA_BURST`.
+const SHARD_RUN: usize = 64;
+
+/// The same hub, lending a shard's whole run — about thirteen five-module
+/// rounds — before the caller hands any back: the hub keeps enough spare
+/// buffers for the run, so a warmed run allocates nothing either.
+#[test]
+fn warmed_hub_lends_a_whole_run_without_allocating() {
+    let mut hub = SensorHub::new((0..5).map(ModuleId::new).collect());
+    let mut lent = Vec::new();
+    assert_eq!(lend_rounds(&mut hub, &mut lent, 0..128, SHARD_RUN), 128);
+    let before = tl_allocations();
+    let emitted = lend_rounds(&mut hub, &mut lent, 128..1_128, SHARD_RUN);
+    assert_eq!(tl_allocations() - before, 0, "a lent run allocated");
     assert_eq!(emitted, 1_000);
     assert_eq!(hub.straggler_count(), 0);
 }

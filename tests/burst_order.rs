@@ -9,6 +9,7 @@
 
 use avoc::core::ModuleId;
 use avoc::net::{BatchReading, Message, SpecSource};
+use avoc::obs::{Span, Stage};
 use avoc::serve::{Backpressure, ServeConfig, SpecRegistry, TcpServer, VoterService};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -24,25 +25,30 @@ fn registry() -> Arc<SpecRegistry> {
     Arc::new(reg)
 }
 
+/// The daemon every burst-order run starts: two shards, blocking
+/// backpressure, everything else at its default.
+fn two_shards() -> ServeConfig {
+    ServeConfig {
+        shards: 2,
+        backpressure: Backpressure::Block,
+        ..ServeConfig::default()
+    }
+}
+
 /// Runs `rosters` (one ordered reading list per session) through a fresh
-/// service and returns each session's result stream in emission order.
-/// `deliver` decides how the rosters reach the service — per-reading
-/// `feed`, chunked `feed_batch`, or frames over a socket, in which case it
-/// hands back the front-end it started so the harness can shut it down.
-/// The sessions emit to an in-process sink whichever way their readings
-/// arrive.
+/// service started with `config` and returns each session's result stream
+/// in emission order. `deliver` decides how the rosters reach the service —
+/// per-reading `feed`, chunked `feed_batch`, or frames over a socket, in
+/// which case it hands back the front-end it started so the harness can
+/// shut it down. The sessions emit to an in-process sink whichever way
+/// their readings arrive. Once the service has quiesced, every fused round
+/// must be in the fuse-latency histogram exactly once.
 fn fuse_rosters(
+    config: ServeConfig,
     rosters: &[Vec<BatchReading>],
     deliver: impl FnOnce(&Arc<VoterService>) -> Option<TcpServer>,
 ) -> BTreeMap<u64, Vec<Verdict>> {
-    let service = Arc::new(VoterService::start(
-        ServeConfig {
-            shards: 2,
-            backpressure: Backpressure::Block,
-            ..ServeConfig::default()
-        },
-        registry(),
-    ));
+    let service = Arc::new(VoterService::start(config, registry()));
     let (sink, results) = crossbeam::channel::unbounded();
     let modules = rosters
         .iter()
@@ -63,10 +69,17 @@ fn fuse_rosters(
     for (i, _) in rosters.iter().enumerate() {
         service.close_session(i as u64).expect("close session");
     }
-    match front_end {
-        Some(server) => drop(server.shutdown()),
-        None => drop(service.drain()),
-    }
+    let quiesced = match front_end {
+        Some(server) => server.shutdown(),
+        None => service.drain(),
+    };
+    let scrape = service.obs_registry().render_prometheus();
+    let fuse_count = avoc::obs::rollup::sample_value(&scrape, "avoc_fuse_latency_ns_count");
+    assert_eq!(
+        fuse_count,
+        Some(quiesced.rounds_fused as f64),
+        "fused rounds vs fuse-latency records"
+    );
     drop(sink);
 
     let mut streams: BTreeMap<u64, Vec<Verdict>> = BTreeMap::new();
@@ -170,7 +183,7 @@ proptest! {
             .collect();
 
         // Reference: one `feed` call (one shard command) per reading.
-        let per_reading = fuse_rosters(&rosters, |service| {
+        let per_reading = fuse_rosters(two_shards(), &rosters, |service| {
             for (session, roster) in rosters.iter().enumerate() {
                 for b in roster {
                     service
@@ -183,7 +196,7 @@ proptest! {
 
         // Burst path: the same roster sliced into arbitrary chunks, each
         // travelling as one `feed_batch` → one data command.
-        let bursts = fuse_rosters(&rosters, |service| {
+        let bursts = fuse_rosters(two_shards(), &rosters, |service| {
             let mut cycle = 0usize;
             for (session, roster) in rosters.iter().enumerate() {
                 let mut rest = &roster[..];
@@ -200,7 +213,7 @@ proptest! {
 
         // Staged path: every session's frames interleaved in one socket
         // write → one data command per shard, tenants mixed.
-        let staged = fuse_rosters(&rosters, |service| {
+        let staged = fuse_rosters(two_shards(), &rosters, |service| {
             deliver_over_one_socket(service, &rosters)
         });
 
@@ -217,4 +230,157 @@ proptest! {
         prop_assert_eq!(&per_reading, &staged);
         prop_assert_eq!(per_reading, bursts);
     }
+}
+
+/// One session's roster of five modules over `rounds` rounds: module 3
+/// reads 2.5 high from round 100 on, and module 4 skips four rounds running
+/// in every sixteen, so under a lag tolerance of 2 the oldest of those
+/// rounds goes out on the deadline, before any newer round completes.
+fn long_roster(rounds: u64) -> Vec<BatchReading> {
+    (0..rounds)
+        .flat_map(|r| {
+            (0..5u32)
+                .filter(move |&m| !(m == 4 && (5..=8).contains(&(r % 16))))
+                .map(move |m| BatchReading {
+                    module: ModuleId::new(m),
+                    round: r,
+                    value: 18.0
+                        + ((r * 31 + u64::from(m) * 17) % 13) as f64 * 0.01
+                        + if m == 3 && r >= 100 { 2.5 } else { 0.0 },
+                })
+        })
+        .collect()
+}
+
+/// A session's run of readings is assembled first and fused when the run
+/// ends. This roster makes runs end at every kind of boundary at once:
+/// 64-round frames cross the shard's 64-reading bursts mid-round, deadline
+/// flushes fire mid-run, a one-tick idle allowance puts a sweep point every
+/// 64 ticks, and one frame in three is traced. The stream must be
+/// bit-identical to one command per reading.
+#[test]
+fn long_roster_frames_fuse_bit_identically_to_per_reading_feed() {
+    const ROUNDS: u64 = 200;
+    const FRAME_ROUNDS: u64 = 64;
+    let config = || ServeConfig {
+        idle_ticks: 1,
+        lag_tolerance: 2,
+        trace_sample: 3,
+        ..two_shards()
+    };
+    let roster = long_roster(ROUNDS);
+    let rosters = [roster];
+    let per_reading = fuse_rosters(config(), &rosters, |service| {
+        for b in &rosters[0] {
+            service.feed(0, b.module, b.round, b.value).expect("feed");
+        }
+        None
+    });
+    let frames = fuse_rosters(config(), &rosters, |service| {
+        for frame in rosters[0].chunk_by(|a, b| a.round / FRAME_ROUNDS == b.round / FRAME_ROUNDS) {
+            service.feed_batch(0, frame).expect("feed_batch");
+        }
+        None
+    });
+    let stream = &per_reading[&0];
+    assert_eq!(stream.len() as u64, ROUNDS, "every round fuses once");
+    assert!(stream.windows(2).all(|w| w[0].0 < w[1].0));
+    assert_eq!(per_reading, frames);
+}
+
+/// Runs one five-module session's `roster` through a one-shard service that
+/// traces one frame in `every`, delivered by `deliver`, and returns the
+/// trace ring's spans once the service has quiesced. Every round must fuse.
+fn traced_spans(
+    every: u64,
+    roster: &[BatchReading],
+    deliver: impl FnOnce(&Arc<VoterService>) -> Option<TcpServer>,
+) -> Vec<Span> {
+    let service = Arc::new(VoterService::start(
+        ServeConfig {
+            shards: 1,
+            trace_sample: every,
+            trace_capacity: 4096,
+            ..two_shards()
+        },
+        registry(),
+    ));
+    let (sink, results) = crossbeam::channel::unbounded();
+    service
+        .open_session(0, 5, &SpecSource::Named("avoc".into()), sink)
+        .expect("open session");
+    let front_end = deliver(&service);
+    service.close_session(0).expect("close session");
+    let quiesced = match front_end {
+        Some(server) => server.shutdown(),
+        None => service.drain(),
+    };
+    let rounds = roster.iter().map(|b| b.round + 1).max().unwrap_or(0);
+    assert_eq!(quiesced.rounds_fused, rounds);
+    drop(results);
+    let spans = service.trace().snapshot();
+    for stage in [Stage::Ingest, Stage::Queue, Stage::Fuse, Stage::Flush] {
+        assert!(
+            spans.iter().any(|s| s.stage == stage),
+            "no {} span in {spans:?}",
+            stage.as_str()
+        );
+    }
+    spans
+}
+
+/// The rounds the fuse spans among `spans` name, in order.
+fn fuse_span_rounds(spans: &[Span]) -> Vec<u64> {
+    let mut rounds: Vec<u64> = spans
+        .iter()
+        .filter(|s| s.stage == Stage::Fuse)
+        .map(|s| s.round)
+        .collect();
+    rounds.sort_unstable();
+    rounds
+}
+
+/// Rounds fused in a batch share one clock pair, but a traced reading's
+/// rounds are still timed one by one: the trace ring holds exactly one fuse
+/// span for each round a sampled reading completed, and none for the rest,
+/// next to the ingest, queue and flush spans. Every reading of a sampled
+/// `FeedBatch` is traced; over a socket, one `SessionReading` frame in
+/// `every` is, so a traced reading lands in a run whose earlier readings
+/// completed rounds that were not.
+#[test]
+fn sampled_readings_leave_one_fuse_span_per_round_they_complete() {
+    const ROUNDS: u64 = 60;
+    const FRAME: usize = 7;
+    let roster: Vec<BatchReading> = (0..ROUNDS)
+        .flat_map(|r| {
+            (0..5u32).map(move |m| BatchReading {
+                module: ModuleId::new(m),
+                round: r,
+                value: 18.0 + f64::from(m) * 0.01,
+            })
+        })
+        .collect();
+    // Round r completes on reading 5r + 4.
+    let completes = |r: u64| 5 * r + 4;
+
+    // One sampling decision per frame: the first, third, fifth … frame.
+    let batched = traced_spans(2, &roster, |service| {
+        for frame in roster.chunks(FRAME) {
+            service.feed_batch(0, frame).expect("feed_batch");
+        }
+        None
+    });
+    let sampled: Vec<u64> = (0..ROUNDS)
+        .filter(|&r| (completes(r) / FRAME as u64).is_multiple_of(2))
+        .collect();
+    assert_eq!(fuse_span_rounds(&batched), sampled);
+
+    // One sampling decision per reading: every third.
+    let staged = traced_spans(3, &roster, |service| {
+        deliver_over_one_socket(service, std::slice::from_ref(&roster))
+    });
+    let sampled: Vec<u64> = (0..ROUNDS)
+        .filter(|&r| completes(r).is_multiple_of(3))
+        .collect();
+    assert_eq!(fuse_span_rounds(&staged), sampled);
 }
