@@ -49,6 +49,9 @@ use parking_lot::Mutex;
 
 use crate::ring::HashRing;
 
+/// Virtual nodes each member contributes to the hash ring.
+const VNODES: usize = 64;
+
 /// Outbound frame budget per gateway connection. Redirect answers are
 /// tiny and one-per-request; this never fills in practice.
 const OUT_CHANNEL_CAPACITY: usize = 64;
@@ -81,17 +84,12 @@ pub struct GatewayConfig {
     /// node ids: any gateway configured with the same set computes the
     /// same ring.
     pub members: Vec<Member>,
-    /// Virtual nodes per member on the hash ring (default 64).
-    pub vnodes: usize,
     /// Health-probe cadence (default 500 ms). Probing only runs when at
     /// least one member has an admin address.
     pub health_interval: Duration,
     /// Bind the cluster admin endpoint (`/healthz`, `/members`,
     /// `/metrics` roll-up) here; `None` (default) disables it.
     pub admin_addr: Option<String>,
-    /// Event-loop threads answering redirects (default 1 — redirect
-    /// answering is trivially cheap).
-    pub reactors: usize,
     /// Shared inter-node secret stamped into the cluster verbs
     /// (`ExportSession` / `SessionState`) this gateway drives. Must match
     /// every member's [`avoc_serve::Persistence::cluster_secret`]; a
@@ -105,10 +103,8 @@ impl Default for GatewayConfig {
     fn default() -> Self {
         GatewayConfig {
             members: Vec::new(),
-            vnodes: 64,
             health_interval: Duration::from_millis(500),
             admin_addr: None,
-            reactors: 1,
             cluster_secret: None,
         }
     }
@@ -442,7 +438,7 @@ impl Gateway {
         }
         let metrics = GatewayMetrics::new(&config.members);
         let state = Arc::new(ClusterState {
-            ring: HashRing::new(&node_ids, config.vnodes),
+            ring: HashRing::new(&node_ids, VNODES),
             members,
             unhealthy: Mutex::new(HashSet::new()),
             draining: Mutex::new(HashSet::new()),
@@ -454,9 +450,10 @@ impl Gateway {
 
         let pool = {
             let state = Arc::clone(&state);
+            // One event loop: answering a redirect is trivially cheap.
             reactor::spawn_pool(
                 addr,
-                config.reactors.max(1),
+                1,
                 move |_| GatewayHandler {
                     state: Arc::clone(&state),
                 },
@@ -901,7 +898,6 @@ mod tests {
             health_interval: Duration::from_millis(50),
             admin_addr: admin.then(|| "127.0.0.1:0".to_string()),
             cluster_secret: Some(CLUSTER_SECRET),
-            ..GatewayConfig::default()
         };
         Gateway::start("127.0.0.1:0", config).expect("bind gateway")
     }

@@ -20,7 +20,7 @@
 //! ```
 //!
 //! * [`HashRing`] — consistent hashing with virtual nodes: session ids
-//!   hash onto a `u64` ring, each member contributes `vnodes` points, and
+//!   hash onto a `u64` ring, each member contributes 64 points, and
 //!   excluding a degraded node moves only that node's sessions.
 //! * [`Gateway`] — the running tier: an `avoc-net` reactor answering
 //!   open/resume frames with `Redirect`, a `/healthz` prober that routes

@@ -246,8 +246,8 @@ pub enum Message {
         message: String,
     },
     /// Many readings for one session in a single frame (tag 10). Batches
-    /// amortise framing and dispatch; each reading still counts
-    /// individually against the receiver's backpressure budget.
+    /// amortise framing and dispatch; the daemon hands a batch to its
+    /// shard as one mailbox command.
     FeedBatch {
         /// Target session.
         session: u64,

@@ -37,9 +37,9 @@
 //!   [`ConnWaker::wake`] — the reactor drains the channel into the cork
 //!   buffer and flushes on its next dispatch.
 //!
-//! Backpressure composes with the shard mailboxes unchanged: inbound
+//! The shard mailboxes' backpressure composes with the reactor: inbound
 //! readings are routed synchronously from the dispatch loop, so a full
-//! `Block`-mode mailbox pushes back on the reactor, which stops reading
+//! mailbox pushes back on the reactor, which stops reading
 //! sockets, which fills TCP windows — the kernel applies backpressure to
 //! every peer at once. Outbound, a slow tenant fills its bounded channel
 //! and its overflow is dropped and counted, exactly as before.
@@ -84,9 +84,9 @@ const READ_CHUNK: usize = 16 * 1024;
 /// triggering re-reports it immediately if more is pending.
 const MAX_READS_PER_EVENT: usize = 16;
 
-/// Default wedged-peer deadline: how long a connection may stay
-/// unwritable with output pending before the reactor closes it.
-pub const DEFAULT_WRITE_DEADLINE: Duration = Duration::from_secs(5);
+/// Wedged-peer deadline: how long a connection may stay unwritable with
+/// output pending before the reactor closes it.
+const WRITE_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Accept-queue depth the reactor re-arms on its listener (clamped by the
 /// kernel to `net.core.somaxconn`). `std`'s bind hardwires 128, which a
@@ -202,8 +202,6 @@ impl ConnWaker {
 /// Tuning and instrumentation for one reactor of a [`spawn_pool`].
 #[derive(Debug, Default)]
 pub struct ReactorConfig {
-    /// Wedged-peer deadline ([`DEFAULT_WRITE_DEADLINE`] when `None`).
-    pub write_deadline: Option<Duration>,
     /// Pin the `poll(2)` backend even where epoll exists (the
     /// `AVOC_FORCE_POLL` environment variable does the same).
     pub force_poll: bool,
@@ -280,7 +278,6 @@ fn spawn_core<H: Handler>(
         free: Vec::new(),
         timers: TimerWheel::new(Instant::now()),
         expired: Vec::new(),
-        write_deadline: config.write_deadline.unwrap_or(DEFAULT_WRITE_DEADLINE),
         metrics: config.metrics,
         cork_metrics: config.cork_metrics,
         health: config.health,
@@ -524,7 +521,6 @@ struct Core<H: Handler> {
     free: Vec<usize>,
     timers: TimerWheel,
     expired: Vec<TimerEntry>,
-    write_deadline: Duration,
     metrics: Option<ReactorMetrics>,
     cork_metrics: Option<CorkMetrics>,
     health: Option<avoc_obs::Health>,
@@ -884,7 +880,6 @@ impl<H: Handler> Core<H> {
                 slots,
                 poller,
                 timers,
-                write_deadline,
                 ..
             } = &mut *self;
             let Some(slot) = slots.get_mut(idx) else {
@@ -951,7 +946,7 @@ impl<H: Handler> Core<H> {
                         conn.deadline_gen += 1;
                         timers.schedule(
                             Instant::now(),
-                            *write_deadline,
+                            WRITE_DEADLINE,
                             TimerEntry {
                                 token,
                                 generation: conn.deadline_gen,
@@ -1103,7 +1098,7 @@ impl<H: Handler> Core<H> {
             match state {
                 SlotState::Free => {}
                 SlotState::Draining { out_rx, .. } => {
-                    while out_rx.recv_timeout(self.write_deadline).is_ok() {}
+                    while out_rx.recv_timeout(WRITE_DEADLINE).is_ok() {}
                 }
                 SlotState::Live(conn) => {
                     let Conn {
@@ -1118,13 +1113,11 @@ impl<H: Handler> Core<H> {
                     }
                     self.handler.on_close(state);
                     let _ = writer.get_ref().set_nonblocking(false);
-                    let _ = writer
-                        .get_ref()
-                        .set_write_timeout(Some(self.write_deadline));
+                    let _ = writer.get_ref().set_write_timeout(Some(WRITE_DEADLINE));
                     let mut sock_ok = true;
                     // Loop ends when all senders are done (or stuck past
                     // the deadline).
-                    while let Ok(msg) = out_rx.recv_timeout(self.write_deadline) {
+                    while let Ok(msg) = out_rx.recv_timeout(WRITE_DEADLINE) {
                         if sock_ok {
                             writer.push(&msg);
                             if writer.is_corked_full() {
@@ -1698,6 +1691,96 @@ mod tests {
                 "close",
             ]
         );
+    }
+
+    #[test]
+    fn a_peer_that_never_reads_is_closed_at_the_write_deadline() {
+        let _gate = serial();
+        let registry = avoc_obs::Registry::new();
+        let metrics = ReactorMetrics::register(&registry, &[]);
+        let wire = CorkMetrics::register(&registry, &[]);
+        let closes = Arc::new(AtomicU64::new(0));
+        let handle = spawn_one(
+            Echo {
+                closes: Arc::clone(&closes),
+            },
+            ReactorConfig {
+                metrics: Some(metrics.clone()),
+                cork_metrics: Some(wire.clone()),
+                ..ReactorConfig::default()
+            },
+        );
+        let reading = |round| {
+            Message::SessionReading {
+                session: 1,
+                module: ModuleId::new(0),
+                round,
+                value: 1.0,
+            }
+            .encode()
+        };
+        // 256 readings at a time, each batch read before the next is sent,
+        // so every echo fits the handler's 256-frame channel. The peer
+        // never reads: once loopback buffers are full in both directions
+        // the corked writer parks, and the socket takes no more bytes.
+        let batch: Vec<u8> = (0..256).flat_map(|round| reading(round).to_vec()).collect();
+        let started = Instant::now();
+        let mut wedged = TcpStream::connect(handle.local_addr()).unwrap();
+        let (mut fed, mut sent, mut stalled) = (0u64, 0u64, 0);
+        while stalled < 4 {
+            wedged.write_all(&batch).unwrap();
+            fed += batch.len() as u64;
+            while wire.bytes_received.get() < fed {
+                assert!(
+                    started.elapsed() < WRITE_DEADLINE,
+                    "the reactor stopped reading"
+                );
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            let now_sent = wire.snapshot().bytes_sent;
+            stalled = if now_sent == sent { stalled + 1 } else { 0 };
+            sent = now_sent;
+        }
+        let parked = Instant::now();
+        while closes.load(Ordering::SeqCst) == 0 {
+            assert!(
+                parked.elapsed() < WRITE_DEADLINE + Duration::from_secs(5),
+                "the wedged peer was never closed"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // The deadline is armed no earlier than the first reading and
+        // pushed back no later than the socket's last progress.
+        assert!(started.elapsed() >= WRITE_DEADLINE);
+        assert!(
+            parked.elapsed() < WRITE_DEADLINE + Duration::from_secs(1),
+            "closed {:?} after the writer parked",
+            parked.elapsed()
+        );
+        assert_eq!(metrics.wedged_closed.get(), 1);
+
+        // The reactor that closed it still serves everyone else.
+        let mut client = TcpStream::connect(handle.local_addr()).unwrap();
+        client.write_all(&reading(7)).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut buf = bytes::BytesMut::new();
+        let mut chunk = [0u8; 4096];
+        let echoed = loop {
+            let n = client.read(&mut chunk).expect("the echo arrives");
+            assert!(n > 0, "server hung up");
+            buf.extend_from_slice(&chunk[..n]);
+            if let Ok(msg) = Message::decode(&mut buf) {
+                break msg;
+            }
+        };
+        assert!(
+            matches!(echoed, Message::SessionResult { round: 7, .. }),
+            "unexpected echo {echoed:?}"
+        );
+        drop((wedged, client));
+        handle.shutdown();
     }
 
     #[test]

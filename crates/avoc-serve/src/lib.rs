@@ -19,9 +19,9 @@
 //!                                │ per socket read (or FeedBatch) per shard
 //!                 ┌──────────────▼──────────────┐
 //!                 │ shard 0 .. shard N-1        │  bounded mailboxes: a
-//!                 │  each: HashMap<id, Session> │  control lane (never shed)
-//!                 │  Session = SensorHub        │  + a data lane (Block |
-//!                 │          + VotingEngine     │  DropOldest | Reject)
+//!                 │  each: HashMap<id, Session> │  control lane + a data
+//!                 │  Session = SensorHub        │  lane; a full lane makes
+//!                 │          + VotingEngine     │  the producer wait
 //!                 └──────────────┬──────────────┘
 //!                                │ ResultSink: bounded channel + ConnWaker
 //!                 ┌──────────────▼──────────────┐
@@ -36,8 +36,9 @@
 //! * [`VoterService`] — the sharded executor: sessions are pinned to one of
 //!   N worker threads by session-id hash, so each session's rounds are fused
 //!   in order without locks around engine state.
-//! * [`ServeConfig`] — mailbox capacity and [`Backpressure`] policy, session
-//!   capacity (opens past it are refused), idle-tick eviction.
+//! * [`ServeConfig`] — shard and reactor counts, session capacity (opens
+//!   past it are refused), idle-tick eviction, round-assembly lag, crash
+//!   safety, the admin address and trace sampling.
 //! * [`CountersSnapshot`] — sessions opened/evicted/rejected, rounds fused,
 //!   fallbacks, readings/results dropped and per-shard queue-depth
 //!   high-water marks, copied in process by [`VoterService::counters`] and
@@ -101,5 +102,4 @@ pub use persist::Persistence;
 pub use registry::SpecRegistry;
 pub use server::TcpServer;
 pub use service::{ServeConfig, ServeError, VoterService};
-pub use shard::Backpressure;
 pub use sink::ResultSink;

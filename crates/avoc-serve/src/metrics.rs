@@ -19,6 +19,9 @@ use std::sync::Arc;
 
 use crate::sink::ResultSink;
 
+/// Spans the trace ring holds.
+const TRACE_CAPACITY: usize = 4096;
+
 facts! {
     /// The daemon's unlabelled facts, with the other tables' families
     /// spliced in where the exposition lists them.
@@ -33,8 +36,8 @@ facts! {
         rounds_fused: Counter = "avoc_rounds_fused_total",
         /// Fused rounds resolved by falling back to a last-good value.
         pub(crate) fallbacks: Counter = "avoc_fallbacks_total",
-        // A refused or shed data command adds every reading it carried.
-        /// Readings dropped by backpressure or unknown-session routing.
+        /// Readings dropped for want of a live session (evicted, closed, or
+        /// never opened).
         pub(crate) readings_dropped: Counter = "avoc_readings_dropped_total",
         // Sessions add their hub's tally as they flush.
         /// Readings a session's hub dropped: late for a fused round, or from
@@ -178,15 +181,14 @@ impl ServiceCounters {
     /// Counters for `shards` workers, one reactor, no tier and no tracing.
     #[cfg(test)]
     pub(crate) fn new(shards: usize) -> Self {
-        ServiceCounters::with_observability(shards, 1, 0, 0, None)
+        ServiceCounters::with_observability(shards, 1, 0, None)
     }
 
     /// Counters for `shards` workers, `reactors` event loops and `tier`, with
-    /// a ring of `trace_capacity` spans sampling 1 round in `trace_every`.
+    /// a ring of [`TRACE_CAPACITY`] spans sampling 1 round in `trace_every`.
     pub(crate) fn with_observability(
         shards: usize,
         reactors: usize,
-        trace_capacity: usize,
         trace_every: u64,
         tier: Option<Arc<TieredStore>>,
     ) -> Self {
@@ -204,7 +206,7 @@ impl ServiceCounters {
             directory: Mutex::new(BTreeMap::new()),
             health: Health::new(),
             degraded_ids: Mutex::new(HashSet::new()),
-            trace: TraceRing::new(trace_capacity, trace_every),
+            trace: TraceRing::new(TRACE_CAPACITY, trace_every),
             refreshing: Mutex::new(()),
             tier,
             registry,
@@ -526,7 +528,7 @@ mod tests {
     /// its own: every cell holds a different value here.
     #[test]
     fn data_plane_fields_read_their_own_cells() {
-        let c = ServiceCounters::with_observability(1, 2, 0, 0, None);
+        let c = ServiceCounters::with_observability(1, 2, 0, None);
         // Short writes part the egress cells: three frames, two flushes,
         // a write per three bytes.
         let mut w = avoc_net::CorkedWriter::new(Trickle(Vec::new()));
@@ -642,7 +644,7 @@ mod tests {
     /// name, so a family that moves must move this file too.
     #[test]
     fn exposed_families_match_the_checked_in_list() {
-        let c = ServiceCounters::with_observability(2, 2, 0, 0, None);
+        let c = ServiceCounters::with_observability(2, 2, 0, None);
         let text = c.registry().render_prometheus();
         let mut families = Vec::new();
         let mut lines = text.lines().peekable();

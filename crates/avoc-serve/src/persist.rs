@@ -41,7 +41,12 @@ use sysio::fault::Site;
 use sysio::fio;
 
 /// Crash-safety configuration for [`crate::VoterService`].
-#[derive(Debug, Clone)]
+///
+/// A durable session checkpoints after every fused round, so a hard kill is
+/// bit-identically recoverable. The segment tier opens with the state
+/// directory, so folded segments stay readable; folding runs on demand
+/// ([`crate::VoterService::compact_now`], [`TieredStore::compact`]).
+#[derive(Debug, Clone, Default)]
 pub struct Persistence {
     /// Where session WALs and metadata live. `None` disables persistence
     /// entirely (the default): sessions are memory-only and a restart
@@ -52,16 +57,6 @@ pub struct Persistence {
     /// crash loses nothing, a machine crash may lose the tail (which
     /// recovery then truncates).
     pub fsync: bool,
-    /// Checkpoint cadence in fused rounds. `1` (the default) checkpoints
-    /// after every round, making a hard kill bit-identically recoverable;
-    /// larger values amortise the log append and accept losing up to
-    /// `checkpoint_every - 1` rounds of history on a crash.
-    pub checkpoint_every: u64,
-    /// Background compaction interval in milliseconds. `0` (the default)
-    /// disables the compactor thread; the segment tier still opens, so
-    /// previously folded segments remain readable and
-    /// `VoterService::compact_now` works on demand.
-    pub compact_interval_ms: u64,
     /// This daemon's cluster node id, stamped into every meta sidecar it
     /// writes. After a migration the source's leftover sidecar names the
     /// *target* node, so boot recovery skips it instead of double-owning
@@ -74,19 +69,6 @@ pub struct Persistence {
     /// `None` (the default) disables the cluster verbs entirely — a
     /// standalone daemon exposes no migration surface.
     pub cluster_secret: Option<u64>,
-}
-
-impl Default for Persistence {
-    fn default() -> Self {
-        Persistence {
-            state_dir: None,
-            fsync: false,
-            checkpoint_every: 1,
-            compact_interval_ms: 0,
-            node_id: 0,
-            cluster_secret: None,
-        }
-    }
 }
 
 impl Persistence {

@@ -88,7 +88,6 @@ impl TcpServer {
                 staged: service.staging(),
             },
             |i| ReactorConfig {
-                write_deadline: Some(service.write_deadline_config()),
                 // Per-reactor metric cells ({reactor="i"}); the snapshot
                 // sums them back into data-plane totals.
                 metrics: Some(counters.reactors[i].clone()),
@@ -278,16 +277,9 @@ impl Handler for ServeHandler {
                 .service
                 .stage(&mut self.staged, session, module, round, value),
             Message::FeedBatch { session, readings } => {
-                match self.service.feed_batch(session, &readings) {
-                    Ok(()) | Err(ServeError::MailboxFull) => {
-                        // `Reject` drops are counted per reading by the
-                        // service; the tenant learns about systematic
-                        // loss from the counters, not per-frame errors.
-                    }
-                    Err(e) => {
-                        self.send_error(&conn.sink, session, &e);
-                        return FrameVerdict::Close;
-                    }
+                if let Err(e) = self.service.feed_batch(session, &readings) {
+                    self.send_error(&conn.sink, session, &e);
+                    return FrameVerdict::Close;
                 }
             }
             Message::CloseSession { session } => {
@@ -397,13 +389,20 @@ impl Handler for ServeHandler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::Readings;
     use crate::{ServeConfig, SpecRegistry};
     use avoc_core::ModuleId;
     use avoc_net::{BatchReading, SpecSource};
 
     /// A handler over a one-shard service whose worker has stopped: what
-    /// the handler hands off stays in the mailbox to be counted.
-    fn handler() -> (ServeHandler, ConnState, Receiver<Message>) {
+    /// the handler hands off stays in the mailbox to be counted, for as
+    /// long as the returned mailbox receivers live.
+    fn handler() -> (
+        ServeHandler,
+        ConnState,
+        Receiver<Message>,
+        Vec<Receiver<Readings>>,
+    ) {
         let mut reg = SpecRegistry::new();
         reg.insert("avoc", avoc_vdx::VdxSpec::avoc());
         let service = Arc::new(VoterService::start(
@@ -413,7 +412,7 @@ mod tests {
             },
             Arc::new(reg),
         ));
-        service.stop_workers();
+        let mailboxes = service.stop_workers();
         let (out_tx, out_rx) = channel::unbounded::<Message>();
         let conn = ConnState {
             sink: out_tx.into(),
@@ -425,7 +424,7 @@ mod tests {
             staged: service.staging(),
             service,
         };
-        (handler, conn, out_rx)
+        (handler, conn, out_rx, mailboxes)
     }
 
     fn reading(round: u64) -> Message {
@@ -439,7 +438,7 @@ mod tests {
 
     #[test]
     fn readings_cross_at_the_end_of_their_read_or_ahead_of_any_other_frame() {
-        let (mut h, mut conn, _out) = handler();
+        let (mut h, mut conn, _out, _mailboxes) = handler();
         // A read of readings only: nothing crosses until the read ends,
         // then everything does, in one command.
         for round in 0..5 {
@@ -504,7 +503,8 @@ mod tests {
 
     #[test]
     fn a_deferred_send_into_a_drained_service_closes_with_an_error_frame() {
-        let (mut h, mut conn, out) = handler();
+        let (mut h, mut conn, out, mailboxes) = handler();
+        drop(mailboxes);
         h.service.drain();
         assert_eq!(h.on_frame(&mut conn, reading(0)), FrameVerdict::Continue);
         assert_eq!(h.on_read_end(&mut conn), FrameVerdict::Close);

@@ -4,22 +4,28 @@ use avoc_core::ModuleId;
 use avoc_net::SpecSource;
 use avoc_store::{CompactionReport, TieredStore};
 use avoc_vdx::VdxError;
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
+use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::metrics::{CountersSnapshot, ServiceCounters};
 use crate::persist::{self, Persistence};
 use crate::registry::SpecRegistry;
 use crate::shard::{
-    Backpressure, BufferPool, OpenReq, Readings, ShardCommand, ShardWorker, TaggedReading,
-    TraceMark,
+    BufferPool, OpenReq, Readings, ShardCommand, ShardWorker, TaggedReading, TraceMark,
 };
 use crate::sink::ResultSink;
+
+/// Bounded capacity of each shard's mailboxes, in commands: the data
+/// mailbox (a command carries the readings of one `feed`/`feed_batch` call
+/// or of one socket read) and the control mailbox carrying session
+/// lifecycle commands. A producer that finds the data mailbox full waits
+/// for a slot.
+const MAILBOX_CAPACITY: usize = 1024;
 
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
@@ -32,13 +38,6 @@ pub struct ServeConfig {
     /// lower than the shard count. Ignored by in-process callers that
     /// never start a [`crate::TcpServer`].
     pub reactors: usize,
-    /// Bounded capacity of each shard's mailboxes, in commands: the data
-    /// mailbox (a command carries the readings of one `feed`/`feed_batch`
-    /// call or of one socket read), and the control mailbox carrying
-    /// session lifecycle commands.
-    pub mailbox_capacity: usize,
-    /// What readings do when a data mailbox is full.
-    pub backpressure: Backpressure,
     /// Maximum concurrently open sessions across all shards; opens past it
     /// are refused with an error frame.
     pub max_sessions: usize,
@@ -47,24 +46,16 @@ pub struct ServeConfig {
     pub idle_ticks: u64,
     /// Round-assembly lag tolerance handed to each session's hub.
     pub lag_tolerance: u64,
-    /// Crash-safety configuration: state directory, fsync mode and
-    /// checkpoint cadence. Off by default.
+    /// Crash-safety configuration: state directory, fsync mode and cluster
+    /// identity. Off by default.
     pub persistence: Persistence,
     /// Bind address for the plain-HTTP admin endpoint (`/metrics`,
     /// `/healthz`, `/sessions`, `/segments`, `/trace`) — e.g.
     /// `"127.0.0.1:0"`. `None` (the default) serves no admin socket.
     pub admin_addr: Option<String>,
-    /// How long a connection's corked writer may sit parked on a full
-    /// socket before the reactor declares the peer wedged and closes it.
-    /// The default (5 s) suits interactive tenants; raise it for peers
-    /// that legitimately go long between reads — e.g. batch clients on a
-    /// heavily oversubscribed host.
-    pub write_deadline: std::time::Duration,
     /// Per-round trace sampling cadence: one round in `trace_sample` leaves
     /// spans in the trace ring. `0` (the default) disables tracing.
     pub trace_sample: u64,
-    /// Capacity of the span trace ring (ignored while tracing is off).
-    pub trace_capacity: usize,
 }
 
 impl Default for ServeConfig {
@@ -72,16 +63,12 @@ impl Default for ServeConfig {
         ServeConfig {
             shards: 0,
             reactors: 0,
-            mailbox_capacity: 1024,
-            backpressure: Backpressure::Block,
             max_sessions: 1024,
             idle_ticks: 4096,
             lag_tolerance: 8,
             persistence: Persistence::default(),
             admin_addr: None,
-            write_deadline: avoc_net::reactor::DEFAULT_WRITE_DEADLINE,
             trace_sample: 0,
-            trace_capacity: 4096,
         }
     }
 }
@@ -93,8 +80,6 @@ pub enum ServeError {
     UnknownSpec(String),
     /// An inline spec failed to parse or validate.
     Vdx(VdxError),
-    /// `Reject` backpressure refused a reading (mailbox full).
-    MailboxFull,
     /// A cluster verb (`ExportSession` / `SessionState` import) arrived
     /// without the configured inter-node secret — or on a daemon with none
     /// configured, where the cluster verbs are disabled outright.
@@ -112,7 +97,6 @@ impl fmt::Display for ServeError {
         match self {
             ServeError::UnknownSpec(name) => write!(f, "unknown spec `{name}`"),
             ServeError::Vdx(e) => write!(f, "invalid VDX document: {e}"),
-            ServeError::MailboxFull => write!(f, "shard mailbox full: reading rejected"),
             ServeError::Unauthorized => {
                 write!(
                     f,
@@ -173,14 +157,10 @@ impl Staging {
 /// is its socket front-end and benchmarks drive it in-process).
 pub struct VoterService {
     links: Vec<ShardLink>,
-    /// Shed-side clones of each shard's data receiver: `DropOldest` pops
-    /// the oldest queued command here when a mailbox is full (readings
-    /// only — control has its own channel). Cleared on drain, which also
-    /// disconnects the data channels so late `feed`s fail fast instead of
-    /// queueing into (or blocking on) a mailbox nobody reads.
-    sheds: Mutex<Vec<Receiver<Readings>>>,
     // (manual Debug below: mailboxes and queued commands aren't printable)
-    joins: Mutex<Vec<JoinHandle<()>>>,
+    /// Each worker hands its data receiver back when it exits, so the
+    /// mailbox stays connected until the join (see [`VoterService::stop`]).
+    joins: Mutex<Vec<JoinHandle<Receiver<Readings>>>>,
     counters: Arc<ServiceCounters>,
     active: Arc<AtomicUsize>,
     registry: Arc<SpecRegistry>,
@@ -190,17 +170,12 @@ pub struct VoterService {
     /// Free-list of recycled reading buffers, shared with the shards that
     /// drain them.
     buffers: Arc<BufferPool>,
-    backpressure: Backpressure,
     persistence: Persistence,
     admin_addr: Option<String>,
-    write_deadline: std::time::Duration,
-    /// The segment tier behind the state directory (shared with every shard
-    /// and the compactor thread). `None` when persistence is off or the
-    /// tier failed to open — sessions then run WAL-only, exactly as before.
+    /// The segment tier behind the state directory (shared with every
+    /// shard). `None` when persistence is off or the tier failed to open —
+    /// sessions then run WAL-only, exactly as before.
     tiered: Option<Arc<TieredStore>>,
-    /// Tells the compactor thread to exit.
-    compactor_stop: Arc<AtomicBool>,
-    compactor: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl fmt::Debug for VoterService {
@@ -208,7 +183,6 @@ impl fmt::Debug for VoterService {
         f.debug_struct("VoterService")
             .field("shards", &self.links.len())
             .field("active_sessions", &self.active.load(Ordering::Relaxed))
-            .field("backpressure", &self.backpressure)
             .finish_non_exhaustive()
     }
 }
@@ -238,22 +212,20 @@ impl VoterService {
         let counters = Arc::new(ServiceCounters::with_observability(
             shards,
             reactors,
-            config.trace_capacity,
             config.trace_sample,
             tiered.clone(),
         ));
         let active = Arc::new(AtomicUsize::new(0));
         let buffers = Arc::new(BufferPool::default());
         let mut links = Vec::with_capacity(shards);
-        let mut sheds = Vec::with_capacity(shards);
         let mut joins = Vec::with_capacity(shards);
         for index in 0..shards {
-            let (ctrl_tx, ctrl_rx) = channel::bounded(config.mailbox_capacity);
-            let (data_tx, data_rx) = channel::bounded(config.mailbox_capacity);
+            let (ctrl_tx, ctrl_rx) = channel::bounded(MAILBOX_CAPACITY);
+            let (data_tx, data_rx) = channel::bounded(MAILBOX_CAPACITY);
             let worker = ShardWorker {
                 index,
                 ctrl_rx,
-                data_rx: data_rx.clone(),
+                data_rx,
                 buffers: Arc::clone(&buffers),
                 counters: Arc::clone(&counters),
                 active: Arc::clone(&active),
@@ -273,55 +245,18 @@ impl VoterService {
                 ctrl: ctrl_tx,
                 data: data_tx,
             });
-            sheds.push(data_rx);
         }
-        let compactor_stop = Arc::new(AtomicBool::new(false));
-        let compactor = match (&tiered, config.persistence.compact_interval_ms) {
-            (Some(t), interval_ms) if interval_ms > 0 => {
-                let tier = Arc::clone(t);
-                let stop = Arc::clone(&compactor_stop);
-                let counters = Arc::clone(&counters);
-                let interval = Duration::from_millis(interval_ms);
-                Some(
-                    std::thread::Builder::new()
-                        .name("avoc-serve-compactor".into())
-                        .spawn(move || {
-                            while !stop.load(Ordering::Relaxed) {
-                                // Sleep in short slices so shutdown never
-                                // waits out a long interval.
-                                let mut slept = Duration::ZERO;
-                                while slept < interval && !stop.load(Ordering::Relaxed) {
-                                    let step = (interval - slept).min(Duration::from_millis(20));
-                                    std::thread::sleep(step);
-                                    slept += step;
-                                }
-                                if stop.load(Ordering::Relaxed) {
-                                    break;
-                                }
-                                compaction_pass(&tier, &counters);
-                            }
-                        })
-                        .expect("spawn compactor"),
-                )
-            }
-            _ => None,
-        };
         VoterService {
             links,
-            sheds: Mutex::new(sheds),
             joins: Mutex::new(joins),
             counters,
             active,
             registry,
             reactors,
             buffers,
-            backpressure: config.backpressure,
             persistence: config.persistence,
             admin_addr: config.admin_addr,
-            write_deadline: config.write_deadline,
             tiered,
-            compactor_stop,
-            compactor: Mutex::new(compactor),
         }
     }
 
@@ -642,12 +577,11 @@ impl VoterService {
         format!("[{}]", ids.join(","))
     }
 
-    /// Routes one reading to its session's shard under the configured
-    /// backpressure policy — a [`VoterService::feed_batch`] of one.
+    /// Routes one reading to its session's shard — a
+    /// [`VoterService::feed_batch`] of one.
     ///
     /// # Errors
     ///
-    /// [`ServeError::MailboxFull`] under `Reject` when the mailbox is full;
     /// [`ServeError::ShuttingDown`] after [`VoterService::drain`].
     pub fn feed(
         &self,
@@ -671,17 +605,12 @@ impl VoterService {
     /// readings the frame carried, with the buffer drawn from (and returned
     /// to) a bounded free-list so the steady state allocates nothing. The
     /// worker feeds the batch in submission order, so the fused stream is
-    /// bit-identical to per-reading feeding.
-    ///
-    /// The backpressure budget is spent per command: under `Reject` a full
-    /// mailbox refuses the whole batch (every reading counted dropped);
-    /// under `DropOldest` each shed mailbox entry counts the readings it
-    /// carried; under `Block` the producer waits for one slot.
+    /// bit-identical to per-reading feeding. A full mailbox makes the
+    /// producer wait for one slot.
     ///
     /// # Errors
     ///
-    /// [`ServeError::MailboxFull`] under `Reject` when the batch was
-    /// refused; [`ServeError::ShuttingDown`] after [`VoterService::drain`].
+    /// [`ServeError::ShuttingDown`] after [`VoterService::drain`].
     pub fn feed_batch(
         &self,
         session: u64,
@@ -753,9 +682,7 @@ impl VoterService {
     }
 
     /// Ships everything staged: one data command per shard that has
-    /// readings waiting, under the configured backpressure policy (a
-    /// `Reject` refusal is counted per reading and is not an error here —
-    /// the tenant learns about systematic loss from the counters).
+    /// readings waiting.
     ///
     /// # Errors
     ///
@@ -770,21 +697,20 @@ impl VoterService {
             };
             let session = first.session;
             let readings = std::mem::take(&mut staged.readings);
-            match self.send_readings(shard, readings, &staged.ingest) {
-                Ok(()) | Err(ServeError::MailboxFull) => {}
-                Err(e) => outcome = Err((session, e)),
+            if let Err(e) = self.send_readings(shard, readings, &staged.ingest) {
+                outcome = Err((session, e));
             }
             staged.ingest.clear();
         }
         outcome
     }
 
-    /// One data command → one shard mailbox slot under the backpressure
-    /// policy. Successful sends are counted (`shard_handoff_sends`) and the
-    /// queue depth is sampled once per command, so the amortisation that
-    /// grouping readings buys is observable. `ingest` holds the open ingest
-    /// spans of the command's sampled frames; they close when the send
-    /// returns (so they include any backpressure wait).
+    /// One data command → one shard mailbox slot, waiting for one while the
+    /// mailbox is full. Successful sends are counted (`shard_handoff_sends`)
+    /// and the queue depth is sampled once per command, so the amortisation
+    /// that grouping readings buys is observable. `ingest` holds the open
+    /// ingest spans of the command's sampled frames; they close when the
+    /// send returns (so they include any backpressure wait).
     fn send_readings(
         &self,
         shard: usize,
@@ -796,19 +722,10 @@ impl VoterService {
             readings,
             queued_ns: if traced { avoc_obs::now_ns() } else { 0 },
         };
-        let tx = &self.links[shard].data;
-        let routed = match self.backpressure {
-            Backpressure::Block => tx.send(cmd).map_err(|_| ServeError::ShuttingDown),
-            Backpressure::DropOldest => self.send_drop_oldest(shard, cmd),
-            Backpressure::Reject => match tx.try_send(cmd) {
-                Ok(()) => Ok(()),
-                Err(TrySendError::Full(cmd)) => {
-                    self.count_shed(cmd);
-                    Err(ServeError::MailboxFull)
-                }
-                Err(TrySendError::Disconnected(_)) => Err(ServeError::ShuttingDown),
-            },
-        };
+        let routed = self.links[shard]
+            .data
+            .send(cmd)
+            .map_err(|_| ServeError::ShuttingDown);
         if routed.is_ok() {
             self.counters.shard_handoff_sends.inc();
         }
@@ -823,45 +740,6 @@ impl VoterService {
         }
         self.note_depth(shard);
         routed
-    }
-
-    /// Counts a refused or shed data command against `readings_dropped` —
-    /// per *reading*, its whole payload — and recycles its buffer back into
-    /// the pool.
-    fn count_shed(&self, cmd: Readings) {
-        self.counters
-            .readings_dropped
-            .add(cmd.readings.len() as u64);
-        self.buffers.give(cmd.readings);
-    }
-
-    /// `DropOldest` with stock channel primitives: on `Full`, pop the
-    /// oldest queued command from the shed-side receiver clone and retry.
-    /// The data mailbox carries only readings, so shedding can never
-    /// displace a control command.
-    fn send_drop_oldest(&self, shard: usize, mut cmd: Readings) -> Result<(), ServeError> {
-        loop {
-            match self.links[shard].data.try_send(cmd) {
-                Ok(()) => return Ok(()),
-                Err(TrySendError::Disconnected(_)) => return Err(ServeError::ShuttingDown),
-                Err(TrySendError::Full(back)) => {
-                    cmd = back;
-                    let shed = {
-                        let sheds = self.sheds.lock();
-                        let Some(rx) = sheds.get(shard) else {
-                            return Err(ServeError::ShuttingDown); // drained
-                        };
-                        // The worker may empty the queue between the failed
-                        // send and this pop; an empty pop just means space
-                        // opened up, so only an actual eviction is counted.
-                        rx.try_recv().ok()
-                    };
-                    if let Some(old) = shed {
-                        self.count_shed(old);
-                    }
-                }
-            }
-        }
     }
 
     /// Closes a session, flushing partially assembled rounds to its sink.
@@ -914,23 +792,35 @@ impl VoterService {
     }
 
     /// Runs one compaction pass (fold cold WALs, merge small segments) on
-    /// the caller's thread, regardless of the background interval. Returns
-    /// `None` when the tier is off or the pass failed mid-way (a failed
-    /// pass never loses data — unfolded WALs are simply retried next time).
+    /// the caller's thread, timed and counted. Returns `None` when the tier
+    /// is off or the pass failed mid-way. A failed pass never loses data
+    /// (unfolded WALs are retried next time), but it is not silent: the
+    /// error is logged, and any segments the pass quarantined are in the
+    /// tier's own total, which every read of the counters mirrors.
     pub fn compact_now(&self) -> Option<CompactionReport> {
-        compaction_pass(self.tiered.as_ref()?, &self.counters)
+        let started = Instant::now();
+        let report = self
+            .tiered
+            .as_ref()?
+            .compact()
+            .inspect_err(|e| {
+                eprintln!(
+                    "avoc-serve: compaction pass failed (data stays in WALs, will retry): {e}"
+                );
+            })
+            .ok()?;
+        self.counters.compaction_recorded(
+            report.history_rows + report.verdict_rows,
+            report.bytes_written,
+            started.elapsed().as_nanos() as u64,
+        );
+        Some(report)
     }
 
     /// The admin bind address configured at start (`None` = no admin
     /// endpoint).
     pub(crate) fn admin_addr_config(&self) -> Option<&str> {
         self.admin_addr.as_deref()
-    }
-
-    /// The wedged-peer write deadline configured at start, handed to the
-    /// reactor by the TCP front-end.
-    pub(crate) fn write_deadline_config(&self) -> std::time::Duration {
-        self.write_deadline
     }
 
     /// The live counter registry itself — connection I/O threads record
@@ -958,43 +848,31 @@ impl VoterService {
 
     /// Ends every worker with `last` and returns the final counters.
     fn stop(&self, last: impl Fn() -> ShardCommand) -> CountersSnapshot {
-        self.stop_compactor();
         for link in &self.links {
             let _ = link.ctrl.send(last());
         }
-        let joins: Vec<JoinHandle<()>> = std::mem::take(&mut *self.joins.lock());
+        let joins: Vec<_> = std::mem::take(&mut *self.joins.lock());
         for j in joins {
+            // Dropping the returned receiver disconnects the data channel,
+            // so a `feed` racing this stop (or arriving after it) errors
+            // instead of waiting forever on a mailbox nobody reads.
             let _ = j.join();
         }
-        // The workers' data receivers are gone; dropping the shed clones
-        // disconnects the data channels so a `feed` racing this stop (or
-        // arriving after it) errors instead of queueing — or, under
-        // `Block`, sleeping — forever on a mailbox nobody reads.
-        self.sheds.lock().clear();
         self.counters.snapshot()
     }
 
-    /// Joins the background compactor (idempotent; a no-op when none runs).
-    /// An in-flight pass finishes — folds are short and crash-safe anyway.
-    fn stop_compactor(&self) {
-        self.compactor_stop.store(true, Ordering::Relaxed);
-        if let Some(j) = self.compactor.lock().take() {
-            let _ = j.join();
-        }
-    }
-
-    /// Stops every worker but leaves the data mailboxes connected (the
-    /// shed-side receiver clones keep them so): nothing drains them any
-    /// more, so what a test sends stays put and a mailbox fills
-    /// deterministically.
+    /// Stops every worker but returns their data receivers, keeping the
+    /// mailboxes connected: nothing drains them any more, so what a test
+    /// sends stays put for it to read.
     #[cfg(test)]
-    pub(crate) fn stop_workers(&self) {
+    pub(crate) fn stop_workers(&self) -> Vec<Receiver<Readings>> {
         for link in &self.links {
             assert!(link.ctrl.send(ShardCommand::Drain).is_ok());
         }
-        for j in std::mem::take(&mut *self.joins.lock()) {
-            j.join().expect("worker exits cleanly");
-        }
+        std::mem::take(&mut *self.joins.lock())
+            .into_iter()
+            .map(|j| j.join().expect("worker exits cleanly"))
+            .collect()
     }
 
     /// Commands waiting in a shard's data mailbox.
@@ -1021,27 +899,6 @@ fn open_ingest_span(session: u64, round: u64) -> avoc_obs::Span {
     }
 }
 
-/// One compaction pass with its metrics: fold + merge, timed, counted.
-/// A failed pass never loses data (unfolded WALs are retried next time),
-/// but it is not silent: the error is logged, and any segments the pass
-/// quarantined are in the tier's own total, which every read of the
-/// counters mirrors.
-fn compaction_pass(tier: &TieredStore, counters: &ServiceCounters) -> Option<CompactionReport> {
-    let started = Instant::now();
-    let report = tier
-        .compact()
-        .inspect_err(|e| {
-            eprintln!("avoc-serve: compaction pass failed (data stays in WALs, will retry): {e}");
-        })
-        .ok()?;
-    counters.compaction_recorded(
-        report.history_rows + report.verdict_rows,
-        report.bytes_written,
-        started.elapsed().as_nanos() as u64,
-    );
-    Some(report)
-}
-
 impl Drop for VoterService {
     fn drop(&mut self) {
         // Idempotent: drain() already emptied `joins` if it ran.
@@ -1057,6 +914,7 @@ mod tests {
     use avoc_net::Message;
     use avoc_vdx::VdxSpec;
     use crossbeam::channel;
+    use std::time::Duration;
 
     fn registry() -> Arc<SpecRegistry> {
         let mut r = SpecRegistry::new();
@@ -1260,7 +1118,7 @@ mod tests {
     #[test]
     fn a_flush_ships_one_command_per_shard_in_arrival_order() {
         let service = VoterService::start(config(2), registry());
-        service.stop_workers();
+        let mailboxes = service.stop_workers();
         let mut staging = service.staging();
         // Three sessions, interleaved reading by reading, as one socket
         // read of a multi-tenant connection would decode them.
@@ -1278,7 +1136,7 @@ mod tests {
             service.counters().shard_handoff_sends,
             shards_hit.len() as u64
         );
-        for (shard, rx) in service.sheds.lock().iter().enumerate() {
+        for (shard, rx) in mailboxes.iter().enumerate() {
             let want: Vec<(u64, u32)> = arrivals
                 .iter()
                 .copied()
@@ -1310,37 +1168,6 @@ mod tests {
             service.counters().shard_handoff_sends,
             shards_hit.len() as u64 + 1
         );
-    }
-
-    #[test]
-    fn a_refused_staged_command_counts_its_readings_and_returns_its_buffer() {
-        let service = VoterService::start(
-            ServeConfig {
-                shards: 1,
-                mailbox_capacity: 1,
-                backpressure: Backpressure::Reject,
-                ..ServeConfig::default()
-            },
-            registry(),
-        );
-        service.stop_workers();
-        let mut staging = service.staging();
-        for m in 0..3u32 {
-            service.stage(&mut staging, 1, ModuleId::new(m), 0, 1.0);
-        }
-        service.flush_staged(&mut staging).unwrap();
-        assert_eq!(service.buffers.len(), 0, "the buffer sits in the mailbox");
-        // The one slot is taken: the next command is refused whole — which
-        // `flush_staged` counts rather than reports.
-        for m in 0..5u32 {
-            service.stage(&mut staging, 1, ModuleId::new(m), 1, 1.0);
-        }
-        service.flush_staged(&mut staging).unwrap();
-        assert!(staging.is_empty());
-        let snap = service.counters();
-        assert_eq!(snap.readings_dropped, 5);
-        assert_eq!(snap.shard_handoff_sends, 1);
-        assert_eq!(service.buffers.len(), 1, "the refused buffer is pooled");
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::service::ServeError;
 use crate::sink::ResultSink;
 
 /// Consecutive checkpoint failures before a session gives up retrying
-/// every cadence tick and enters degraded (memory-only) mode.
+/// every fused round and enters degraded (memory-only) mode.
 const DEGRADE_AFTER: u64 = 3;
 
 /// Cap on the degraded re-probe backoff, in checkpoint attempts skipped
@@ -31,8 +31,6 @@ pub(crate) struct SessionConfig {
     pub(crate) token: u64,
     /// Whether a live `ResumeSession` may re-attach to this session.
     pub(crate) resumable: bool,
-    /// Checkpoint cadence in fused rounds (clamped to at least 1).
-    pub(crate) checkpoint_every: u64,
 }
 
 /// A live session owned by exactly one shard worker (so the engine's
@@ -63,8 +61,6 @@ pub(crate) struct Session {
     /// result path pays one frame per burst instead of one per round.
     pending: Vec<StoredResult>,
     persist: Option<SessionStore>,
-    checkpoint_every: u64,
-    rounds_since_ckpt: u64,
     /// Rounds this session has fused since it was opened or restored: the
     /// count the admin `/sessions` view lists for it.
     rounds_fused: avoc_obs::Counter,
@@ -112,8 +108,6 @@ impl Session {
             results: VecDeque::new(),
             pending: Vec::new(),
             persist,
-            checkpoint_every: cfg.checkpoint_every.max(1),
-            rounds_since_ckpt: 0,
             rounds_fused: avoc_obs::Counter::new(),
             pending_sampled: false,
             ckpt_failures: 0,
@@ -204,9 +198,7 @@ impl Session {
         let mut started = Instant::now();
         for r in &ready {
             let outcome = self.fuse(r, counters);
-            let checkpoint_due = outcome.is_ok()
-                && self.persist.is_some()
-                && self.rounds_since_ckpt >= self.checkpoint_every;
+            let checkpoint_due = outcome.is_ok() && self.persist.is_some();
             fused += u64::from(outcome.is_ok());
             if !(sampled || checkpoint_due || outcome.is_err()) {
                 continue;
@@ -343,7 +335,7 @@ impl Session {
     ///
     /// Failures drive a per-session degradation state machine: after
     /// [`DEGRADE_AFTER`] consecutive failures the session stops paying a
-    /// doomed disk write per cadence tick and goes memory-only (serving
+    /// doomed disk write per fused round and goes memory-only (serving
     /// continues from the in-memory engine and result ring, the health
     /// plane reports `persistence: degraded`). While degraded, it probes
     /// the disk with capped exponential backoff; the first healed probe
@@ -353,7 +345,6 @@ impl Session {
         if self.persist.is_none() {
             return;
         }
-        self.rounds_since_ckpt = 0;
         if self.degraded {
             if self.probe_in > 1 {
                 self.probe_in -= 1;
@@ -561,7 +552,6 @@ impl Session {
         // away; either would wedge every session pinned to this shard and
         // hang graceful drain), with losses counted in `results_dropped`.
         self.pending.push((round.round, value, voted));
-        self.rounds_since_ckpt += 1;
         Ok(())
     }
 
@@ -588,7 +578,6 @@ mod tests {
             tick: 0,
             token: 0,
             resumable: false,
-            checkpoint_every: 1,
         }
     }
 

@@ -18,23 +18,6 @@ use crate::persist::{MetaState, Persistence, SessionStore};
 use crate::session::{Session, SessionConfig};
 use crate::sink::ResultSink;
 
-/// What a shard does when its bounded data mailbox is full. The mailbox
-/// holds *commands* — one per `feed`/`feed_batch` call, one per socket read
-/// on the TCP path — and each policy spends its budget a command at a time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backpressure {
-    /// The producer blocks until the shard catches up. Nothing is lost;
-    /// latency propagates upstream (through TCP flow control, to sensors).
-    #[default]
-    Block,
-    /// The oldest queued command is dropped to admit the new one: freshest
-    /// data wins, bounded staleness. Every reading it carried is counted.
-    DropOldest,
-    /// The new command is refused and the producer told; queued work is
-    /// never discarded. Every reading it carried is counted.
-    Reject,
-}
-
 /// Everything a shard needs to install a session (shared by `Open` and
 /// `Resume`, which differ only in how they treat pre-existing state).
 pub(crate) struct OpenReq {
@@ -131,12 +114,6 @@ impl BufferPool {
             pooled.push(buf);
         }
     }
-
-    /// Buffers currently pooled.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.0.lock().len()
-    }
 }
 
 /// Lifecycle work routed to a shard. Sessions are pinned: every command for
@@ -144,8 +121,8 @@ impl BufferPool {
 /// synchronisation.
 ///
 /// A shard has two mailboxes: these commands travel on a control mailbox
-/// the worker always drains first, [`Readings`] on the backpressured data
-/// mailbox — so a flood of data can never displace, reorder, or shed a
+/// the worker always drains first, [`Readings`] on the data mailbox a
+/// producer waits on when it is full — so a flood of data can never displace, reorder, or shed a
 /// control command.
 pub(crate) enum ShardCommand {
     /// Install a session (spec already resolved and validated).
@@ -225,7 +202,7 @@ pub(crate) struct ShardWorker {
     pub(crate) index: usize,
     /// Control mailbox: lifecycle commands, drained before data.
     pub(crate) ctrl_rx: Receiver<ShardCommand>,
-    /// Data mailbox: readings under the configured backpressure policy.
+    /// Data mailbox: readings, in arrival order.
     pub(crate) data_rx: Receiver<Readings>,
     /// Where drained reading buffers go back to.
     pub(crate) buffers: Arc<BufferPool>,
@@ -239,10 +216,10 @@ pub(crate) struct ShardWorker {
     pub(crate) idle_ticks: u64,
     /// Hub lag tolerance for each session's round assembly.
     pub(crate) lag_tolerance: u64,
-    /// Crash-safety configuration (state dir, fsync, checkpoint cadence).
+    /// Crash-safety configuration (state dir, fsync, cluster identity).
     pub(crate) persistence: Persistence,
-    /// The segment tier behind the state dir, shared with the compactor
-    /// thread. `None` when persistence is off or the tier failed to open.
+    /// The segment tier behind the state dir, shared with the service.
+    /// `None` when persistence is off or the tier failed to open.
     pub(crate) tiered: Option<Arc<TieredStore>>,
 }
 
@@ -293,12 +270,13 @@ fn sweeps_at(tick: u64, sweep_due: u64) -> bool {
 impl ShardWorker {
     /// The worker loop: control commands first, then readings, until `Drain`
     /// (flushing all sessions) or `Abort` (flushing none), or until every
-    /// sender disconnects.
+    /// sender disconnects. Returns the data receiver, so the mailbox stays
+    /// connected until the service joins the worker.
     ///
     /// The loop never blocks on anything a tenant controls — session sinks
     /// are fed with `try_send` — so one stalled tenant cannot wedge the
     /// other sessions pinned here, and `Drain` is always reachable.
-    pub(crate) fn run(self) {
+    pub(crate) fn run(self) -> Receiver<Readings> {
         let mut st = ShardState {
             sessions: HashMap::new(),
             tick: 0,
@@ -376,6 +354,7 @@ impl ShardWorker {
             s.flush(&self.counters);
             self.counters.deregister_session(id);
         }
+        self.data_rx
     }
 
     fn control(&self, cmd: ShardCommand, st: &mut ShardState) {
@@ -729,7 +708,6 @@ impl ShardWorker {
             tick: st.tick,
             token: req.token,
             resumable: req.resumable,
-            checkpoint_every: self.persistence.checkpoint_every,
         };
         let store = self.make_store(&req);
         match Session::open(&cfg, &req.spec, req.sink.clone(), store) {
@@ -822,7 +800,6 @@ impl ShardWorker {
                         tick: st.tick,
                         token: meta.token,
                         resumable: meta.resumable,
-                        checkpoint_every: self.persistence.checkpoint_every,
                     };
                     match Session::restore(&cfg, &req.spec, req.sink.clone(), loaded) {
                         Ok(s) => {

@@ -10,7 +10,7 @@
 //!   paper's persistent record keeping. A record's payload is a segment
 //!   block, so the crate has one durable row format and one decoder;
 //! * [`TieredStore`] — the cold tier: immutable columnar segments
-//!   ([`SegmentFile`]) that a background compactor folds session WALs into
+//!   ([`SegmentFile`]) that a compaction pass folds session WALs into
 //!   (rows move across as they are — the fold decodes blocks and re-chunks
 //!   them, it does not translate formats), with time-travel reads
 //!   ([`TieredStore::history_at`]) and fleet-level scans

@@ -1,5 +1,5 @@
 //! The tiered history store: session WALs (hot) folded into immutable
-//! columnar segments (cold) by a background compactor, with time-travel
+//! columnar segments (cold) by on-demand compaction, with time-travel
 //! reads over both tiers.
 //!
 //! ## Commit protocol
@@ -176,7 +176,7 @@ struct State {
 
 /// The segment tier of the history store. See the module docs for the
 /// commit protocol; one instance guards one state directory and is shared
-/// (`Arc`) between the serve layer and the background compactor.
+/// (`Arc`) between the serve layer's shards and its compaction passes.
 #[derive(Debug)]
 pub struct TieredStore {
     dir: PathBuf,
@@ -529,7 +529,6 @@ impl TieredStore {
     }
 
     /// Folds every cold (unpinned) session WAL, then merges generations.
-    /// The background compactor's unit of work; also callable on demand.
     ///
     /// # Errors
     ///

@@ -56,6 +56,11 @@ pub use avoc_sim as sim;
 pub use avoc_store as store;
 pub use avoc_vdx as vdx;
 
+/// Compiles the Rust blocks of `README.md` as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 /// The most common imports, for `use avoc::prelude::*`.
 pub mod prelude {
     pub use avoc_core::algorithms::{

@@ -10,7 +10,7 @@
 use avoc::core::ModuleId;
 use avoc::net::{BatchReading, Message, SpecSource};
 use avoc::obs::{Span, Stage};
-use avoc::serve::{Backpressure, ServeConfig, SpecRegistry, TcpServer, VoterService};
+use avoc::serve::{ServeConfig, SpecRegistry, TcpServer, VoterService};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::io::{Read as _, Write as _};
@@ -25,12 +25,11 @@ fn registry() -> Arc<SpecRegistry> {
     Arc::new(reg)
 }
 
-/// The daemon every burst-order run starts: two shards, blocking
-/// backpressure, everything else at its default.
+/// The daemon every burst-order run starts: two shards, everything else at
+/// its default.
 fn two_shards() -> ServeConfig {
     ServeConfig {
         shards: 2,
-        backpressure: Backpressure::Block,
         ..ServeConfig::default()
     }
 }
@@ -300,7 +299,6 @@ fn traced_spans(
         ServeConfig {
             shards: 1,
             trace_sample: every,
-            trace_capacity: 4096,
             ..two_shards()
         },
         registry(),

@@ -44,7 +44,6 @@ fn start_daemon_over(
             reactors: threads,
             admin_addr: Some("127.0.0.1:0".into()),
             trace_sample: 1,
-            trace_capacity: 1024,
             persistence: Persistence {
                 state_dir: state_dir.map(Path::to_path_buf),
                 ..Persistence::default()
