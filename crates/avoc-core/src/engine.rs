@@ -160,6 +160,16 @@ struct EngineScratch {
     round: Round,
 }
 
+/// Whether a present value can be voted on: numbers and every vector
+/// coordinate finite (text always can).
+fn is_finite(value: &Value) -> bool {
+    match value {
+        Value::Number(x) => x.is_finite(),
+        Value::Vector(coords) => coords.iter().all(|x| x.is_finite()),
+        Value::Text(_) => true,
+    }
+}
+
 impl Default for EngineScratch {
     fn default() -> Self {
         EngineScratch {
@@ -236,7 +246,9 @@ impl VotingEngine {
         self.voter.seed_history(records);
     }
 
-    /// Submits one round.
+    /// Submits one round. A ballot whose value is not finite (a NaN or
+    /// infinite number, or a vector with such a coordinate) counts as
+    /// missing, for quorum and for the voter alike.
     ///
     /// # Errors
     ///
@@ -263,9 +275,17 @@ impl VotingEngine {
     }
 
     fn submit_inner(&mut self, round: &Round) -> Result<(), VoteError> {
+        // 0. A ballot that is not finite is missing: when the round holds
+        //    one, the voted round is the scratch copy with it blanked.
+        let mut pruned = self.blank_non_finite(round);
+
         // 1. Quorum.
         let expected = round.expected_count();
-        let present = round.present_count();
+        let present = if pruned {
+            self.scratch.round.present_count()
+        } else {
+            round.present_count()
+        };
         if !self.quorum.is_met(present, expected) {
             let reason = FaultReason::NoQuorum {
                 present,
@@ -282,9 +302,9 @@ impl VotingEngine {
         }
 
         // 2. Exclusion: prune implausible numeric values before the vote.
-        //    When anything was excluded, the pruned round lives in
-        //    `self.scratch.round` (rebuilt in place, not cloned).
-        let pruned = self.apply_exclusion(round);
+        //    When anything was blanked or excluded, the pruned round lives
+        //    in `self.scratch.round` (rebuilt in place, not cloned).
+        pruned |= self.apply_exclusion(round, pruned);
 
         // 3. Vote, rewriting the verdict kept inside the outcome slot. When
         //    the previous round also voted, its buffers are recycled.
@@ -324,19 +344,42 @@ impl VotingEngine {
         }
     }
 
+    /// Copies `round` into `self.scratch.round` with every ballot that is
+    /// not finite — a NaN or infinite number, or a vector with such a
+    /// coordinate — made missing, so quorum counts it absent and the voter
+    /// never sees it. `false`, copying nothing, when every ballot is finite.
+    fn blank_non_finite(&mut self, round: &Round) -> bool {
+        let finite = |b: &Ballot| b.value.as_ref().is_none_or(is_finite);
+        if round.ballots.iter().all(finite) {
+            return false;
+        }
+        let s = &mut self.scratch.round;
+        s.round = round.round;
+        s.ballots.clone_from(&round.ballots);
+        for b in &mut s.ballots {
+            if !finite(b) {
+                *b = Ballot::missing(b.module);
+            }
+        }
+        true
+    }
+
     /// Turns excluded ballots into missing ones inside `self.scratch.round`;
     /// `false` when nothing was excluded (the caller votes on the original
-    /// round). Early-outs without touching the allocator when exclusion is
+    /// round). With `in_place`, the scratch round already holds the round
+    /// to prune (non-finite ballots blanked) and is pruned where it stands.
+    /// Early-outs without touching the allocator when exclusion is
     /// disabled, when the round carries no numeric ballots, or when the
     /// policy excludes nothing.
-    fn apply_exclusion(&mut self, round: &Round) -> bool {
+    fn apply_exclusion(&mut self, round: &Round, in_place: bool) -> bool {
         if self.exclusion == Exclusion::None {
             return false;
         }
         let s = &mut self.scratch;
         s.numeric.clear();
         s.values.clear();
-        for (i, b) in round.ballots.iter().enumerate() {
+        let source = if in_place { &s.round } else { round };
+        for (i, b) in source.ballots.iter().enumerate() {
             if let Some(v) = b.value.as_ref().and_then(Value::as_number) {
                 s.numeric.push((i, v));
                 s.values.push(v);
@@ -351,8 +394,10 @@ impl VotingEngine {
         if s.excluded.is_empty() {
             return false;
         }
-        s.round.round = round.round;
-        s.round.ballots.clone_from(&round.ballots);
+        if !in_place {
+            s.round.round = round.round;
+            s.round.ballots.clone_from(&round.ballots);
+        }
         for &ei in &s.excluded {
             let (ballot_idx, _) = s.numeric[ei];
             let module = s.round.ballots[ballot_idx].module;
@@ -466,6 +511,22 @@ mod tests {
         let mut e = engine();
         let starved = Round::from_sparse_numbers(0, &[Some(18.4), None, None]);
         let out = e.submit(&starved).unwrap();
+        assert!(matches!(
+            out,
+            RoundResult::Skipped {
+                reason: FaultReason::NoQuorum {
+                    present: 1,
+                    required: 2
+                }
+            }
+        ));
+    }
+
+    #[test]
+    fn non_finite_ballots_count_as_missing() {
+        let mut e = engine();
+        let poisoned = Round::from_numbers(0, &[18.4, f64::NAN, f64::INFINITY]);
+        let out = e.submit(&poisoned).unwrap();
         assert!(matches!(
             out,
             RoundResult::Skipped {

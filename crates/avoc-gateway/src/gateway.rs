@@ -37,7 +37,7 @@ use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use avoc_net::reactor::{self, ConnWaker, FrameVerdict, Handler, ReactorConfig, ReactorPool};
 use avoc_net::Message;
@@ -663,6 +663,8 @@ impl Gateway {
     pub fn shutdown(self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(prober) = self.prober {
+            // Cut its wait for the next probe short.
+            prober.thread().unpark();
             let _ = prober.join();
         }
         self.pool.shutdown();
@@ -789,7 +791,9 @@ fn ship_session(
 
 /// The health prober: round-robins member `/healthz` endpoints, feeding
 /// verdicts into the shared state. Members without an admin address are
-/// assumed healthy (drain marks still apply).
+/// assumed healthy (drain marks still apply). Between rounds it parks until
+/// the next one is due; `Gateway::shutdown` sets `stop` and unparks it, so
+/// an idle prober wakes once per `interval` and shutdown is still prompt.
 fn probe_loop(state: &ClusterState, interval: Duration, stop: &AtomicBool) {
     while !stop.load(Ordering::SeqCst) {
         for member in state.members.values() {
@@ -808,12 +812,16 @@ fn probe_loop(state: &ClusterState, interval: Duration, stop: &AtomicBool) {
             };
             state.set_health(member.node, healthy);
         }
-        // Sleep in small slices so shutdown is prompt.
-        let mut slept = Duration::ZERO;
-        while slept < interval && !stop.load(Ordering::SeqCst) {
-            let chunk = (interval - slept).min(Duration::from_millis(25));
-            std::thread::sleep(chunk);
-            slept += chunk;
+        // A spurious or early return just parks again for what is left;
+        // `stop` is set before the unpark, so it is seen either here or by
+        // the loop condition.
+        let due = Instant::now() + interval;
+        while !stop.load(Ordering::SeqCst) {
+            let left = due.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            std::thread::park_timeout(left);
         }
     }
 }

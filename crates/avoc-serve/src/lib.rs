@@ -21,7 +21,9 @@
 //!                 │ shard 0 .. shard N-1        │  bounded mailboxes: a
 //!                 │  each: HashMap<id, Session> │  control lane + a data
 //!                 │  Session = SensorHub        │  lane; a full lane makes
-//!                 │          + VotingEngine     │  the producer wait
+//!                 │          + VotingEngine     │  the producer wait; an
+//!                 │                             │  idle shard parks until
+//!                 │                             │  a send wakes it
 //!                 └──────────────┬──────────────┘
 //!                                │ ResultSink: bounded channel + ConnWaker
 //!                 ┌──────────────▼──────────────┐

@@ -9,7 +9,7 @@ use parking_lot::Mutex;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::Instant;
 
 use crate::metrics::{CountersSnapshot, ServiceCounters};
@@ -124,6 +124,9 @@ impl std::error::Error for ServeError {
 struct ShardLink {
     ctrl: Sender<ShardCommand>,
     data: Sender<Readings>,
+    /// The worker thread: every successful send unparks it, which is how
+    /// an idle (parked) shard learns it has work.
+    worker: Thread,
 }
 
 /// Readings a producer has accepted but not yet handed to their shards:
@@ -235,16 +238,16 @@ impl VoterService {
                 persistence: config.persistence.clone(),
                 tiered: tiered.clone(),
             };
-            joins.push(
-                std::thread::Builder::new()
-                    .name(format!("avoc-serve-shard-{index}"))
-                    .spawn(move || worker.run())
-                    .expect("spawn shard worker"),
-            );
+            let join = std::thread::Builder::new()
+                .name(format!("avoc-serve-shard-{index}"))
+                .spawn(move || worker.run())
+                .expect("spawn shard worker");
             links.push(ShardLink {
                 ctrl: ctrl_tx,
                 data: data_tx,
+                worker: join.thread().clone(),
             });
+            joins.push(join);
         }
         VoterService {
             links,
@@ -341,10 +344,10 @@ impl VoterService {
 
     /// Sends a lifecycle command to the shard `session` is pinned to.
     fn control(&self, session: u64, cmd: ShardCommand) -> Result<(), ServeError> {
-        self.links[self.shard_for(session)]
-            .ctrl
-            .send(cmd)
-            .map_err(|_| ServeError::ShuttingDown)
+        let link = &self.links[self.shard_for(session)];
+        link.ctrl.send(cmd).map_err(|_| ServeError::ShuttingDown)?;
+        link.worker.unpark();
+        Ok(())
     }
 
     /// Idempotent session open/re-attach — the crash-recovery entry point.
@@ -727,6 +730,7 @@ impl VoterService {
             .send(cmd)
             .map_err(|_| ServeError::ShuttingDown);
         if routed.is_ok() {
+            self.links[shard].worker.unpark();
             self.counters.shard_handoff_sends.inc();
         }
         if traced {
@@ -849,7 +853,9 @@ impl VoterService {
     /// Ends every worker with `last` and returns the final counters.
     fn stop(&self, last: impl Fn() -> ShardCommand) -> CountersSnapshot {
         for link in &self.links {
-            let _ = link.ctrl.send(last());
+            if link.ctrl.send(last()).is_ok() {
+                link.worker.unpark();
+            }
         }
         let joins: Vec<_> = std::mem::take(&mut *self.joins.lock());
         for j in joins {
@@ -868,6 +874,7 @@ impl VoterService {
     pub(crate) fn stop_workers(&self) -> Vec<Receiver<Readings>> {
         for link in &self.links {
             assert!(link.ctrl.send(ShardCommand::Drain).is_ok());
+            link.worker.unpark();
         }
         std::mem::take(&mut *self.joins.lock())
             .into_iter()

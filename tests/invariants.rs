@@ -520,6 +520,136 @@ fn per_dimension_equals_independent_scalar_voters() {
     }
 }
 
+/// Every preset, and every numeric or vector spec shipped in `specs/`.
+fn numeric_and_vector_specs() -> Vec<(String, VdxSpec)> {
+    let presets = [
+        "average",
+        "stateless",
+        "standard",
+        "me",
+        "sdt",
+        "hybrid",
+        "cov",
+        "avoc",
+    ];
+    let mut specs: Vec<(String, VdxSpec)> = presets
+        .iter()
+        .map(|p| (p.to_string(), VdxSpec::preset(p).expect("shipped preset")))
+        .collect();
+    let mut files: Vec<_> = std::fs::read_dir("specs")
+        .expect("specs/ readable")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    files.sort();
+    for path in files {
+        let spec = VdxSpec::from_file(&path).expect("shipped spec parses");
+        if spec.value_kind != avoc::vdx::ValueKind::Categorical {
+            specs.push((path.display().to_string(), spec));
+        }
+    }
+    specs
+}
+
+/// A stream the spec can vote on: for a vector spec, the seeded 3-D
+/// positions cut to its dimensions; otherwise UC-1 with its +6 klm fault,
+/// moved into the spec's `RANGE` exclusion window when it has one.
+fn plausible_rounds(spec: &VdxSpec, count: u64) -> Vec<Round> {
+    if let Some(dims) = spec.dimensions {
+        let cut = |b: &Ballot| match b.value.as_ref().and_then(Value::as_vector) {
+            Some(coords) => Ballot::new(b.module, coords[..dims].to_vec()),
+            None => Ballot::missing(b.module),
+        };
+        return seeded_vector_rounds(5, count)
+            .iter()
+            .map(|r| Round::new(r.round, r.ballots.iter().map(cut).collect()))
+            .collect();
+    }
+    let shift = match (spec.exclusion_min, spec.exclusion_max) {
+        (Some(lo), Some(hi)) => (lo + hi) / 2.0 - 18.0,
+        _ => 0.0,
+    };
+    let clean = LightScenario::new(5, count as usize, 7).generate();
+    let faulty = FaultInjector::new(3, FaultKind::Offset(6.0)).apply(&clean, 7);
+    faulty
+        .iter_rounds()
+        .map(|r| {
+            let ballots = r.ballots.iter().map(|b| match b.value.as_ref() {
+                Some(Value::Number(x)) => Ballot::new(b.module, x + shift),
+                _ => b.clone(),
+            });
+            Round::new(r.round, ballots.collect())
+        })
+        .collect()
+}
+
+/// A round outcome, floats as bits.
+fn outcome_bits(
+    outcome: Result<RoundResult, VoteError>,
+) -> Result<(Vec<u64>, Option<VerdictBits>, String), VoteError> {
+    outcome.map(|r| {
+        let value = match r.value() {
+            Some(Value::Number(x)) => vec![x.to_bits()],
+            Some(Value::Vector(coords)) => coords.iter().map(|x| x.to_bits()).collect(),
+            _ => Vec::new(),
+        };
+        match r {
+            RoundResult::Voted(v) => (value, verdict_bits(Ok(v)).ok(), String::new()),
+            other => (value, None, format!("{other:?}")),
+        }
+    })
+}
+
+/// A NaN or infinite reading is a missing ballot: for every preset and
+/// every numeric or vector shipped spec, one module reporting NaN, `+inf`
+/// or `-inf` — in the bootstrap round and again in a warm round, as a
+/// number or as one vector coordinate — leaves every verdict and every
+/// record bit-identical to the same stream with that ballot missing, and
+/// every record finite in [0, 1]. None of it may panic.
+#[test]
+fn non_finite_readings_vote_as_missing_ballots() {
+    const ROUNDS: u64 = 40;
+    const POISONED: [u64; 2] = [0, 20];
+    let module = ModuleId::new(1);
+    for (name, spec) in numeric_and_vector_specs() {
+        let rounds = plausible_rounds(&spec, ROUNDS);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut poisoned = build_engine(&spec).expect("spec builds");
+            let mut reference = build_engine(&spec).expect("spec builds");
+            for round in &rounds {
+                let (mut sent, mut missing) = (round.clone(), round.clone());
+                if POISONED.contains(&round.round) {
+                    let value = match spec.dimensions {
+                        Some(dims) => {
+                            let mut coords = vec![20.0; dims];
+                            coords[dims - 1] = bad;
+                            Value::Vector(coords)
+                        }
+                        None => Value::Number(bad),
+                    };
+                    let slot = module.index() as usize;
+                    sent.ballots[slot] = Ballot::new(module, value);
+                    missing.ballots[slot] = Ballot::missing(module);
+                }
+                let at = format!("{name}, {bad} at round {}", round.round);
+                assert_eq!(
+                    outcome_bits(poisoned.submit(&sent)),
+                    outcome_bits(reference.submit(&missing)),
+                    "{at}: outcome"
+                );
+                let records = poisoned.histories();
+                assert_eq!(
+                    record_bits(records.clone()),
+                    record_bits(reference.histories()),
+                    "{at}: records"
+                );
+                for (m, h) in records {
+                    assert!((0.0..=1.0).contains(&h), "{at}: record of {m} is {h}");
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     /// Every numeric voter's output lies within the candidate hull, its
     /// weights are non-negative, and its confidence is a fraction.

@@ -55,6 +55,36 @@ fn avoc_threads() -> usize {
         .count()
 }
 
+/// This process's shard workers, by tid. The kernel keeps the first 15
+/// bytes of a thread name, so `avoc-serve-shard-N` reads back as
+/// `avoc-serve-shar`.
+fn shard_tids() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task readable")
+        .filter_map(|entry| {
+            let path = entry.ok()?.path();
+            let comm = std::fs::read_to_string(path.join("comm")).ok()?;
+            comm.starts_with("avoc-serve-shar")
+                .then(|| path.file_name()?.to_str().map(str::to_owned))?
+        })
+        .collect()
+}
+
+/// Voluntary context switches the threads `tids` have made so far.
+fn voluntary_switches(tids: &[String]) -> u64 {
+    tids.iter()
+        .map(|tid| {
+            let status = std::fs::read_to_string(format!("/proc/self/task/{tid}/status"))
+                .expect("thread status readable");
+            status
+                .lines()
+                .find_map(|line| line.strip_prefix("voluntary_ctxt_switches:"))
+                .and_then(|n| n.trim().parse::<u64>().ok())
+                .expect("voluntary_ctxt_switches line")
+        })
+        .sum()
+}
+
 /// Polls until `probe` succeeds or the deadline passes; returns the last
 /// observation either way. Teardown is asynchronous (the reactor frees a
 /// slot when it sees the EOF, shards drop sink clones when the close
@@ -402,4 +432,51 @@ fn emfile_pauses_one_reactor_not_the_pool() {
     assert_eq!(snap.rounds_fused, TENANTS);
     assert_eq!(snap.connections_accepted, TENANTS);
     assert_eq!(snap.accept_pauses, 1);
+}
+
+/// An idle shard sleeps until a send wakes it: a settled 2-shard service
+/// with no sessions makes at most one voluntary context switch across both
+/// workers in half a second (a timed control poll would wake each of them
+/// every few milliseconds), and still answers a `resume_session` at once.
+#[test]
+fn idle_shards_sleep_until_a_send_wakes_them() {
+    let _guard = proc_lock();
+    let before = shard_tids();
+    let service = VoterService::start(
+        ServeConfig {
+            shards: 2,
+            ..ServeConfig::default()
+        },
+        avoc_registry(),
+    );
+    let spawned = || -> Vec<String> {
+        let mut tids = shard_tids();
+        tids.retain(|tid| !before.contains(tid));
+        tids
+    };
+    // A thread's name is set from inside the thread: wait for both.
+    let (ok, seen) = settle(Duration::from_secs(5), || {
+        let n = spawned().len();
+        (n == 2, n)
+    });
+    assert!(ok, "expected 2 new shard workers, saw {seen}");
+    let tids = spawned();
+    std::thread::sleep(Duration::from_millis(50));
+    let settled = voluntary_switches(&tids);
+    std::thread::sleep(Duration::from_millis(500));
+    let switches = voluntary_switches(&tids) - settled;
+    assert!(
+        switches <= 1,
+        "idle shards made {switches} voluntary context switches in 500 ms"
+    );
+
+    let (sink, answers) = crossbeam::channel::unbounded::<Message>();
+    service
+        .resume_session(1, 1, &SpecSource::Named("avoc".into()), 7, None, sink)
+        .expect("resume");
+    match answers.recv_timeout(Duration::from_secs(5)) {
+        Ok(Message::Resumed { session: 1, .. }) => {}
+        other => panic!("the idle service answered {other:?}"),
+    }
+    service.drain();
 }

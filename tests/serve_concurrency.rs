@@ -605,3 +605,136 @@ fn one_socket_per_sensor_fuses_the_same_stream_as_the_direct_engine() {
     assert_eq!(snap.readings_dropped, 0);
     assert_eq!(snap.results_dropped, 0);
 }
+
+/// Waits for the next frame on an in-process sink, failing the test once
+/// `deadline` passes: a command an idle shard never woke up for shows up
+/// here as a timeout instead of a hang.
+fn next_frame(rx: &channel::Receiver<Message>, deadline: Instant, what: &str) -> Message {
+    rx.recv_timeout(deadline.saturating_duration_since(Instant::now()))
+        .unwrap_or_else(|_| panic!("{what}: no answer before the deadline (a lost wake-up?)"))
+}
+
+/// One tenant sending `+inf` cannot take its shard down: the reading is a
+/// missing ballot, so both tenants pinned to the one shard keep fusing
+/// every round and receiving their frames, in their own bands.
+#[test]
+fn an_infinite_reading_does_not_stop_its_shard() {
+    const ROUNDS: u64 = 20;
+    let mut reg = SpecRegistry::new();
+    reg.insert("avoc", avoc::vdx::VdxSpec::avoc());
+    let service = VoterService::start(
+        ServeConfig {
+            shards: 1,
+            ..ServeConfig::default()
+        },
+        Arc::new(reg),
+    );
+    let spec = SpecSource::Named("avoc".into());
+    let tenants = [(1u64, 20.0), (2u64, 30.0)];
+    let sinks: Vec<_> = tenants
+        .iter()
+        .map(|&(session, _)| {
+            let (sink, results) = channel::unbounded::<Message>();
+            service
+                .open_session(session, MODULES, &spec, sink)
+                .expect("open");
+            results
+        })
+        .collect();
+    for round in 0..ROUNDS {
+        for &(session, base) in &tenants {
+            for m in 0..MODULES {
+                // Tenant 1's module 0 reads +inf in a warm round.
+                let value = if (session, round, m) == (1, 10, 0) {
+                    f64::INFINITY
+                } else {
+                    base + 0.1 * f64::from(m)
+                };
+                service
+                    .feed(session, ModuleId::new(m), round, value)
+                    .expect("the shard is still running");
+            }
+        }
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    for (&(session, base), results) in tenants.iter().zip(&sinks) {
+        let mut values = Vec::new();
+        while (values.len() as u64) < ROUNDS {
+            match next_frame(results, deadline, &format!("session {session}")) {
+                Message::SessionResult { value, .. } => values.push(value),
+                Message::ResultBatch { results, .. } => {
+                    values.extend(results.iter().map(|r| r.value));
+                }
+                other => panic!("session {session} got unexpected frame {other:?}"),
+            }
+        }
+        for v in values {
+            let v = v.expect("every round has a value");
+            assert!((v - base).abs() < 0.5, "session {session} fused {v}");
+        }
+    }
+    let snap = service.drain();
+    assert_eq!(snap.rounds_fused, 2 * ROUNDS);
+    assert_eq!(snap.readings_dropped, 0);
+}
+
+/// The wake path under churn: one shard, one thread alternating
+/// `resume_session` and `close_session` on fresh ids, another feeding a
+/// one-module session one reading at a time. Each waits for its answer
+/// frame before its next send, so the shard goes idle between almost every
+/// pair of commands — and an unpark lost between its emptiness check and
+/// its park would hang one of them past the deadline.
+#[test]
+fn idle_shard_wakes_for_every_send_under_control_and_data_churn() {
+    const ITERATIONS: u64 = 10_000;
+    const FED: u64 = 0;
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut reg = SpecRegistry::new();
+    reg.insert("avoc", avoc::vdx::VdxSpec::avoc());
+    let service = Arc::new(VoterService::start(
+        ServeConfig {
+            shards: 1,
+            ..ServeConfig::default()
+        },
+        Arc::new(reg),
+    ));
+    let spec = SpecSource::Named("avoc".into());
+    let (sink, results) = channel::unbounded::<Message>();
+    service
+        .open_session(FED, 1, &spec, sink)
+        .expect("open the fed session");
+
+    let churn = {
+        let service = Arc::clone(&service);
+        let spec = spec.clone();
+        std::thread::spawn(move || {
+            let (sink, answers) = channel::unbounded::<Message>();
+            for session in FED + 1..=ITERATIONS {
+                service
+                    .resume_session(session, 1, &spec, 7, None, sink.clone())
+                    .expect("resume");
+                match next_frame(&answers, deadline, &format!("resume {session}")) {
+                    Message::Resumed { session: s, .. } => assert_eq!(s, session),
+                    other => panic!("resume {session} answered {other:?}"),
+                }
+                service.close_session(session).expect("close");
+            }
+        })
+    };
+    for round in 0..ITERATIONS {
+        service
+            .feed(FED, ModuleId::new(0), round, 20.0)
+            .expect("feed");
+        match next_frame(&results, deadline, &format!("round {round}")) {
+            Message::SessionResult { round: r, .. } => assert_eq!(r, round),
+            Message::ResultBatch { results, .. } => {
+                assert_eq!(results.iter().map(|r| r.round).collect::<Vec<_>>(), [round]);
+            }
+            other => panic!("round {round} answered {other:?}"),
+        }
+    }
+    churn.join().expect("churn thread");
+    let snap = service.drain();
+    assert_eq!(snap.rounds_fused, ITERATIONS);
+    assert_eq!(snap.sessions_opened, ITERATIONS + 1);
+}
