@@ -2,26 +2,23 @@
 //! across cores.
 //!
 //! Each reactor thread owns a share of the data-plane sockets — its own
-//! listener (or a handoff inbox), a self-wake pipe, and every connection
-//! pinned to it — and multiplexes them through level-triggered readiness
-//! (epoll on Linux, `poll(2)` fallback; see [`poller`]). This retires the
-//! daemon's thread-per-connection model: connection counts no longer add
-//! threads, wakeups batch many sockets per syscall, and an idle daemon
-//! makes *zero* syscalls (each loop parks in `epoll_wait` with no timeout
-//! unless a deadline is armed).
+//! listener, a self-wake pipe, and every connection it accepted — and
+//! multiplexes them through one level-triggered epoll instance. This
+//! retires the daemon's thread-per-connection model: connection counts no
+//! longer add threads, wakeups batch many sockets per syscall, and an idle
+//! daemon makes *zero* syscalls (each loop parks in `epoll_wait` with no
+//! timeout unless a deadline is armed). The reactor is Linux-only, as is
+//! the `sysio` shim under it.
 //!
 //! [`spawn_pool`] runs R reactors ([`ReactorPool`]; R = 1 is the classic
-//! single reactor), each with its own epoll instance, slab, timer wheel,
-//! and wake pipe; nothing readiness-related is shared between them.
-//! Listener distribution prefers `SO_REUSEPORT` (one listener per
-//! reactor, the kernel load-balances handshakes); where that is
-//! unavailable — non-Linux, `AVOC_FORCE_POLL` poll mode, or a failed
-//! reuseport bind — reactor 0 owns the single listener and hands accepted
-//! sockets round-robin to its peers through their wake pipes. Either way
-//! a connection is **pinned to its reactor for life**: all of its
-//! transport state stays thread-local and its [`ConnWaker`] routes to the
-//! owning reactor's pipe, so producers never need to know the pool
-//! exists.
+//! single reactor on one plain listener), each with its own epoll
+//! instance, slab, timer wheel, and wake pipe; nothing readiness-related
+//! is shared between them. With R > 1 every reactor owns one listener of
+//! a `SO_REUSEPORT` group on the pool's port and the kernel spreads
+//! handshakes across them — or the pool fails to start. Either way a
+//! connection is **pinned to its reactor for life**: all of its transport
+//! state stays thread-local and its [`ConnWaker`] routes to the owning
+//! reactor's pipe, so producers never need to know the pool exists.
 //!
 //! The division of labour:
 //!
@@ -46,7 +43,6 @@
 
 pub mod decoder;
 mod metrics;
-mod poller;
 mod timer;
 
 pub use decoder::{DecodeStep, StreamDecoder};
@@ -56,7 +52,6 @@ use crate::cork::{CorkMetrics, CorkedWriter, FlushOutcome};
 use crate::message::Message;
 use crossbeam::channel::Receiver;
 use parking_lot::Mutex;
-use poller::Poller;
 use std::io::{self, Read as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -64,7 +59,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use sysio::{Interest, WakePipe};
+use sysio::{Epoll, Interest, WakePipe};
 use timer::{TimerEntry, TimerWheel};
 
 /// Registration token of the accept socket.
@@ -143,10 +138,6 @@ struct WakeShared {
     /// Whether a wake byte is already in flight — collapses any number of
     /// producer wakes into one pipe write per dispatch cycle.
     armed: AtomicBool,
-    /// Accepted sockets handed off by the pool's distributor reactor
-    /// (single-listener fallback mode only); the owning reactor adopts
-    /// them under the same disarm-then-take protocol as `pending`.
-    inbox: Mutex<Vec<TcpStream>>,
     pipe: WakePipe,
 }
 
@@ -155,7 +146,6 @@ impl WakeShared {
         Ok(Arc::new(WakeShared {
             pending: Mutex::new(Vec::new()),
             armed: AtomicBool::new(false),
-            inbox: Mutex::new(Vec::new()),
             pipe: WakePipe::new()?,
         }))
     }
@@ -199,12 +189,9 @@ impl ConnWaker {
     }
 }
 
-/// Tuning and instrumentation for one reactor of a [`spawn_pool`].
+/// Instrumentation for one reactor of a [`spawn_pool`].
 #[derive(Debug, Default)]
 pub struct ReactorConfig {
-    /// Pin the `poll(2)` backend even where epoll exists (the
-    /// `AVOC_FORCE_POLL` environment variable does the same).
-    pub force_poll: bool,
     /// Reactor health metrics.
     pub metrics: Option<ReactorMetrics>,
     /// Wire I/O cells: every connection's corked writer feeds the egress
@@ -223,7 +210,6 @@ struct ReactorHandle {
     stop: Arc<AtomicBool>,
     shared: Arc<WakeShared>,
     join: JoinHandle<()>,
-    backend: &'static str,
 }
 
 impl ReactorHandle {
@@ -234,45 +220,28 @@ impl ReactorHandle {
     }
 }
 
-/// Everything one reactor thread needs beyond handler + config: its
-/// listener (when it owns one), its wake-shared block, and — for the
-/// handoff distributor — its peers' wake-shared blocks.
-struct CoreSetup {
-    listener: Option<TcpListener>,
-    shared: Arc<WakeShared>,
-    peers: Vec<Arc<WakeShared>>,
-    paused_listeners: Arc<AtomicUsize>,
-}
-
+/// Starts one reactor thread on `listener`, with its own epoll instance
+/// and wake pipe.
 fn spawn_core<H: Handler>(
     handler: H,
     config: ReactorConfig,
-    setup: CoreSetup,
+    listener: TcpListener,
+    paused_listeners: Arc<AtomicUsize>,
 ) -> io::Result<ReactorHandle> {
-    let CoreSetup {
-        listener,
-        shared,
-        peers,
-        paused_listeners,
-    } = setup;
-    let mut poller = Poller::new(poll_forced(config.force_poll));
-    let backend = poller.backend();
-    if let Some(listener) = &listener {
-        listener.set_nonblocking(true)?;
-        // Best-effort: where re-listen fails the listener keeps the
-        // backlog it was bound with.
-        let _ = sysio::widen_backlog(listener.as_raw_fd(), ACCEPT_BACKLOG);
-        poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
-    }
-    poller.add(shared.pipe.read_fd(), TOKEN_WAKE, Interest::READ)?;
+    let shared = WakeShared::new()?;
+    let mut epoll = Epoll::new()?;
+    listener.set_nonblocking(true)?;
+    // Best-effort: where re-listen fails the listener keeps the backlog it
+    // was bound with.
+    let _ = sysio::widen_backlog(listener.as_raw_fd(), ACCEPT_BACKLOG);
+    epoll.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
+    epoll.add(shared.pipe.read_fd(), TOKEN_WAKE, Interest::READ)?;
     let stop = Arc::new(AtomicBool::new(false));
     let core = Core {
         handler,
-        poller,
+        epoll,
         listener,
         shared: Arc::clone(&shared),
-        peers,
-        next_peer: 0,
         stop: Arc::clone(&stop),
         slots: Vec::new(),
         free: Vec::new(),
@@ -290,41 +259,21 @@ fn spawn_core<H: Handler>(
     let join = std::thread::Builder::new()
         .name("avoc-net-reactor".into())
         .spawn(move || core.run())?;
-    Ok(ReactorHandle {
-        stop,
-        shared,
-        join,
-        backend,
-    })
+    Ok(ReactorHandle { stop, shared, join })
 }
 
-/// A sharded data plane: R reactors behind one address. See the module
-/// docs for the accept-distribution modes.
+/// A sharded data plane: R reactors behind one address, each accepting on
+/// its own listener.
 #[derive(Debug)]
 pub struct ReactorPool {
     reactors: Vec<ReactorHandle>,
     local_addr: SocketAddr,
-    backend: &'static str,
-    accept_mode: &'static str,
 }
 
 impl ReactorPool {
     /// The address tenants connect to (every reactor serves it).
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
-    }
-
-    /// The readiness backend the reactors selected (`"epoll"`/`"poll"`).
-    pub fn backend(&self) -> &'static str {
-        self.backend
-    }
-
-    /// How accepted connections reach their reactor: `"reuseport"` (one
-    /// `SO_REUSEPORT` listener per reactor), `"handoff"` (reactor 0 owns
-    /// the only listener and round-robins accepted sockets to peers), or
-    /// `"single"` (one reactor, one listener).
-    pub fn accept_mode(&self) -> &'static str {
-        self.accept_mode
     }
 
     /// How many reactor threads the pool runs.
@@ -344,28 +293,23 @@ impl ReactorPool {
     }
 }
 
-/// Whether the poll backend is pinned — by config or the `AVOC_FORCE_POLL`
-/// environment variable (any value but `0`). The one answer both the
-/// backend choice and the accept-mode choice go by.
-fn poll_forced(config_force_poll: bool) -> bool {
-    config_force_poll || std::env::var("AVOC_FORCE_POLL").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
 /// Binds `addr` and spawns `reactors` event-loop threads serving it
 /// (clamped to at least 1).
 ///
-/// On Linux with epoll, every reactor gets its own `SO_REUSEPORT`
-/// listener and the kernel spreads handshakes across them. In poll mode,
-/// off Linux, or when the reuseport bind fails, the pool falls back to a
-/// single listener on reactor 0 that hands accepted sockets round-robin
-/// to its peers. `handler_for(i)`/`config_for(i)` build each reactor's
-/// protocol handler and tuning — handlers typically share state through
-/// `Arc`s, configs typically differ only in per-reactor metric labels.
+/// One reactor serves a plain listener. Several each get their own
+/// `SO_REUSEPORT` listener on the same port and the kernel spreads
+/// handshakes across them. `handler_for(i)`/`config_for(i)` build each
+/// reactor's protocol handler and instrumentation — handlers typically
+/// share state through `Arc`s, configs typically differ only in
+/// per-reactor metric labels.
 ///
 /// # Errors
 ///
-/// Propagates bind, wake-pipe, and registration failures (any reactors
-/// already spawned are shut down first).
+/// Propagates bind, wake-pipe, and registration failures: a port some
+/// other socket holds — another pool's reuseport group included — is
+/// `AddrInUse`, and a group that cannot be completed fails the start
+/// before any reactor is spawned (reactors already spawned when a later
+/// one fails are shut down first).
 pub fn spawn_pool<H, MkH, MkC>(
     addr: &str,
     reactors: usize,
@@ -377,71 +321,35 @@ where
     MkH: FnMut(usize) -> H,
     MkC: FnMut(usize) -> ReactorConfig,
 {
-    use std::net::ToSocketAddrs;
     let r = reactors.max(1);
-    let configs: Vec<ReactorConfig> = (0..r).map(&mut config_for).collect();
-    let bind_addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidInput, "address resolves to nothing")
-    })?;
+    // A plain bind refuses any held port, reuseport groups included, so a
+    // second pool can never join a live one's group; it also resolves
+    // port 0.
+    let plain = TcpListener::bind(addr)?;
+    let local_addr = plain.local_addr()?;
+    let listeners = if r == 1 {
+        vec![plain]
+    } else {
+        // The group takes the port over. Between this drop and the first
+        // group bind another reuseport socket could still slip in, and a
+        // handshake that landed on the dropped listener is reset (its
+        // client retries).
+        drop(plain);
+        (0..r)
+            .map(|_| sysio::reuseport_listener(local_addr, ACCEPT_BACKLOG))
+            .collect::<io::Result<Vec<_>>>()?
+    };
 
-    // Listener strategy. `poll(2)` has no per-fd ownership advantage and
-    // is the portability fallback, so poll mode keeps the conservative
-    // single-listener path — exactly as `AVOC_FORCE_POLL` pins the
-    // backend itself.
-    let mut accept_mode = "single";
-    let mut listeners: Vec<Option<TcpListener>> = Vec::with_capacity(r);
-    if r > 1 && !poll_forced(configs[0].force_poll) {
-        if let Ok(first) = sysio::reuseport_listener(bind_addr, ACCEPT_BACKLOG) {
-            // Port 0 resolved to a concrete port on the first bind; the
-            // siblings must join that exact port's reuseport group.
-            let concrete = first.local_addr()?;
-            let mut group = vec![Some(first)];
-            while group.len() < r {
-                match sysio::reuseport_listener(concrete, ACCEPT_BACKLOG) {
-                    Ok(l) => group.push(Some(l)),
-                    Err(_) => break,
-                }
-            }
-            if group.len() == r {
-                accept_mode = "reuseport";
-                listeners = group;
-            }
-            // A partial group is dropped whole (closing its fds) and the
-            // pool falls back to handoff below.
-        }
-    }
-    if listeners.is_empty() {
-        listeners.push(Some(TcpListener::bind(bind_addr)?));
-        listeners.resize_with(r, || None);
-        if r > 1 {
-            accept_mode = "handoff";
-        }
-    }
-    let local_addr = listeners[0]
-        .as_ref()
-        .expect("reactor 0 listens")
-        .local_addr()?;
-
-    let shareds: Vec<Arc<WakeShared>> = (0..r)
-        .map(|_| WakeShared::new())
-        .collect::<io::Result<_>>()?;
     let paused_listeners = Arc::new(AtomicUsize::new(0));
     let mut handles = Vec::with_capacity(r);
-    for (i, (listener, config)) in listeners.into_iter().zip(configs).enumerate() {
-        // Only the handoff distributor fans out; reuseport reactors (and
-        // every non-distributor) keep their accepted sockets local.
-        let peers = if accept_mode == "handoff" && i == 0 {
-            shareds[1..].to_vec()
-        } else {
-            Vec::new()
-        };
-        let setup = CoreSetup {
+    for (i, listener) in listeners.into_iter().enumerate() {
+        let spawned = spawn_core(
+            handler_for(i),
+            config_for(i),
             listener,
-            shared: Arc::clone(&shareds[i]),
-            peers,
-            paused_listeners: Arc::clone(&paused_listeners),
-        };
-        match spawn_core(handler_for(i), config, setup) {
+            Arc::clone(&paused_listeners),
+        );
+        match spawned {
             Ok(h) => handles.push(h),
             Err(e) => {
                 for h in handles {
@@ -451,12 +359,9 @@ where
             }
         }
     }
-    let backend = handles[0].backend;
     Ok(ReactorPool {
         reactors: handles,
         local_addr,
-        backend,
-        accept_mode,
     })
 }
 
@@ -505,17 +410,10 @@ fn token_parts(token: u64) -> (u32, usize) {
 
 struct Core<H: Handler> {
     handler: H,
-    poller: Poller,
-    /// This reactor's accept socket. `None` for pool peers in handoff
-    /// mode — they receive accepted sockets through their wake inbox.
-    listener: Option<TcpListener>,
+    epoll: Epoll,
+    /// This reactor's accept socket.
+    listener: TcpListener,
     shared: Arc<WakeShared>,
-    /// Handoff-mode distributor only: the other reactors' wake-shared
-    /// blocks, fed round-robin with accepted sockets. Empty everywhere
-    /// else.
-    peers: Vec<Arc<WakeShared>>,
-    /// Round-robin cursor over `self` + `peers` for accept distribution.
-    next_peer: usize,
     stop: Arc<AtomicBool>,
     slots: Vec<Slot<H::Conn>>,
     free: Vec<usize>,
@@ -546,9 +444,9 @@ impl<H: Handler> Core<H> {
             } else {
                 self.timers.next_timeout_ms(Instant::now()).unwrap_or(-1)
             };
-            let n = match self.poller.wait(&mut events, timeout) {
+            let n = match self.epoll.wait(&mut events, timeout) {
                 Ok(n) => n,
-                Err(_) => break, // poller broke: nothing sane left to do
+                Err(_) => break, // epoll broke: nothing sane left to do
             };
             if let Some(m) = &self.metrics {
                 m.epoll_wakeups.inc();
@@ -596,10 +494,7 @@ impl<H: Handler> Core<H> {
                 }
                 Some(_) => break,
             }
-            let Some(listener) = &self.listener else {
-                return; // handoff peer: nothing to accept on
-            };
-            let stream = match listener.accept() {
+            let stream = match self.listener.accept() {
                 Ok((stream, _)) => stream,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -619,35 +514,12 @@ impl<H: Handler> Core<H> {
                 continue;
             }
             let _ = stream.set_nodelay(true);
-            self.dispatch_accepted(stream);
+            self.register_stream(stream);
         }
     }
 
-    /// Routes one accepted socket to its reactor-for-life. With no peers
-    /// (reuseport or single mode) that is always this reactor; the
-    /// handoff distributor round-robins across itself and its peers,
-    /// notifying the peer's wake pipe exactly like a producer does.
-    fn dispatch_accepted(&mut self, stream: TcpStream) {
-        if self.peers.is_empty() {
-            self.register_stream(stream);
-            return;
-        }
-        let slot = self.next_peer % (self.peers.len() + 1);
-        self.next_peer = self.next_peer.wrapping_add(1);
-        if slot == 0 {
-            self.register_stream(stream);
-            return;
-        }
-        let peer = &self.peers[slot - 1];
-        peer.inbox.lock().push(stream);
-        if !peer.armed.swap(true, Ordering::AcqRel) {
-            let _ = peer.pipe.notify();
-        }
-    }
-
-    /// Installs one prepared (non-blocking, nodelay) socket into a slot:
-    /// the point where a connection becomes this reactor's, whether it
-    /// came off the local listener or a handoff inbox.
+    /// Installs one accepted (non-blocking, nodelay) socket into a slot:
+    /// the point where a connection becomes this reactor's for life.
     fn register_stream(&mut self, stream: TcpStream) {
         let idx = match self.free.pop() {
             Some(idx) => idx,
@@ -673,7 +545,7 @@ impl<H: Handler> Core<H> {
             writer.set_metrics(cm.clone());
         }
         if self
-            .poller
+            .epoll
             .add(writer.get_ref().as_raw_fd(), token, Interest::READ)
             .is_err()
         {
@@ -707,11 +579,8 @@ impl<H: Handler> Core<H> {
         if self.accept_paused {
             return;
         }
-        let Some(listener) = &self.listener else {
-            return; // handoff peer: no listener to pause
-        };
         self.accept_paused = true;
-        let _ = self.poller.remove(listener.as_raw_fd());
+        let _ = self.epoll.remove(self.listener.as_raw_fd());
         self.fd_reserve = None;
         self.paused_listeners.fetch_add(1, Ordering::SeqCst);
         if let Some(m) = &self.metrics {
@@ -745,16 +614,13 @@ impl<H: Handler> Core<H> {
         if !self.accept_paused {
             return;
         }
-        let Some(listener) = &self.listener else {
-            return;
-        };
         let Ok(reserve) = std::fs::File::open("/dev/null") else {
             self.schedule_accept_probe();
             return;
         };
         if self
-            .poller
-            .add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)
+            .epoll
+            .add(self.listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)
             .is_err()
         {
             self.schedule_accept_probe();
@@ -878,7 +744,7 @@ impl<H: Handler> Core<H> {
         {
             let Core {
                 slots,
-                poller,
+                epoll,
                 timers,
                 ..
             } = &mut *self;
@@ -937,7 +803,7 @@ impl<H: Handler> Core<H> {
                     let newly_armed = !conn.write_armed;
                     if newly_armed {
                         conn.write_armed = true;
-                        let _ = poller.modify(fd, token, Interest::READ_WRITE);
+                        let _ = epoll.modify(fd, token, Interest::READ_WRITE);
                     }
                     if newly_armed || progressed {
                         // Arm (or push back) the wedged-peer deadline: any
@@ -956,7 +822,7 @@ impl<H: Handler> Core<H> {
                 } else if conn.write_armed {
                     conn.write_armed = false;
                     conn.deadline_gen += 1; // lazy-cancel the armed deadline
-                    let _ = poller.modify(fd, token, Interest::READ);
+                    let _ = epoll.modify(fd, token, Interest::READ);
                 }
             }
         }
@@ -967,16 +833,9 @@ impl<H: Handler> Core<H> {
 
     /// Services every token producers marked dirty since the last
     /// dispatch: live connections get a pump, draining slots shed
-    /// residual frames and free once their last sender drops. Handoff
-    /// inbox sockets are adopted here too — after the disarm in
-    /// `take_pending`, so a distributor pushing concurrently re-arms the
-    /// pipe and the next iteration picks its socket up.
+    /// residual frames and free once their last sender drops.
     fn process_dirty(&mut self) {
         let pending = self.shared.take_pending();
-        let adopted = std::mem::take(&mut *self.shared.inbox.lock());
-        for stream in adopted {
-            self.register_stream(stream);
-        }
         for token in pending {
             let (gen, idx) = token_parts(token);
             let is_live = match self.slots.get(idx) {
@@ -1063,7 +922,7 @@ impl<H: Handler> Core<H> {
             waker,
             ..
         } = conn;
-        let _ = self.poller.remove(writer.get_ref().as_raw_fd());
+        let _ = self.epoll.remove(writer.get_ref().as_raw_fd());
         drop(writer); // closes the fd
         if let Some(m) = &self.metrics {
             m.connections_open.add(-1);
@@ -1107,7 +966,7 @@ impl<H: Handler> Core<H> {
                         state,
                         ..
                     } = conn;
-                    let _ = self.poller.remove(writer.get_ref().as_raw_fd());
+                    let _ = self.epoll.remove(writer.get_ref().as_raw_fd());
                     if let Some(m) = &self.metrics {
                         m.connections_open.add(-1);
                     }
@@ -1208,22 +1067,15 @@ mod tests {
         .unwrap()
     }
 
-    fn run_echo_roundtrip(force_poll: bool) {
+    #[test]
+    fn echo_roundtrip() {
         let _gate = serial();
         let closes = Arc::new(AtomicU64::new(0));
         let handle = spawn_one(
             Echo {
                 closes: Arc::clone(&closes),
             },
-            ReactorConfig {
-                force_poll,
-                ..ReactorConfig::default()
-            },
-        );
-        assert_eq!(
-            handle.backend(),
-            if force_poll { "poll" } else { "epoll" },
-            "backend selection"
+            ReactorConfig::default(),
         );
 
         let mut client = TcpStream::connect(handle.local_addr()).unwrap();
@@ -1287,16 +1139,6 @@ mod tests {
             2,
             "every accepted connection got exactly one on_close"
         );
-    }
-
-    #[test]
-    fn echo_roundtrip_on_epoll() {
-        run_echo_roundtrip(false);
-    }
-
-    #[test]
-    fn echo_roundtrip_on_poll_fallback() {
-        run_echo_roundtrip(true);
     }
 
     #[test]
@@ -1382,11 +1224,18 @@ mod tests {
     #[test]
     fn injected_eintr_on_every_socket_site_is_invisible() {
         let _gate = serial();
-        // EINTR on accept, reads and writes must be retried/absorbed with
-        // no observable effect: the full echo roundtrip still passes.
+        // EINTR on accept, reads, writes and `epoll_wait` must be
+        // retried/absorbed with no observable effect: the full echo
+        // roundtrip still passes.
         sysio::fault::install(
             sysio::fault::Plan::new(11)
                 .rule(sysio::fault::Site::Accept, sysio::fault::Kind::Eintr, 1, 4)
+                .rule(
+                    sysio::fault::Site::EpollWait,
+                    sysio::fault::Kind::Eintr,
+                    1,
+                    4,
+                )
                 .rule(
                     sysio::fault::Site::SockRead,
                     sysio::fault::Kind::Eintr,
@@ -1514,56 +1363,67 @@ mod tests {
         );
     }
 
-    #[test]
-    #[cfg(target_os = "linux")]
-    fn pool_serves_on_reuseport_listeners() {
-        let _gate = serial();
-        let closes = Arc::new(AtomicU64::new(0));
-        let mk_closes = Arc::clone(&closes);
-        let pool = spawn_pool(
-            "127.0.0.1:0",
-            4,
+    /// A pool of `reactors` echo reactors on `addr`, counting closes.
+    fn spawn_echo_pool(
+        addr: &str,
+        reactors: usize,
+        closes: &Arc<AtomicU64>,
+    ) -> io::Result<ReactorPool> {
+        let closes = Arc::clone(closes);
+        spawn_pool(
+            addr,
+            reactors,
             move |_| Echo {
-                closes: Arc::clone(&mk_closes),
+                closes: Arc::clone(&closes),
             },
             |_| ReactorConfig::default(),
         )
-        .unwrap();
+    }
+
+    /// One reading out and its echo back on a fresh connection to `addr`.
+    fn echo_once(addr: SocketAddr) -> io::Result<()> {
+        let mut sock = TcpStream::connect(addr)?;
+        sock.set_read_timeout(Some(Duration::from_secs(5)))?;
+        sock.write_all(
+            &Message::SessionReading {
+                session: 1,
+                module: ModuleId::new(0),
+                round: 0,
+                value: 2.5,
+            }
+            .encode(),
+        )?;
+        let mut buf = bytes::BytesMut::new();
+        let mut chunk = [0u8; 256];
+        loop {
+            let n = sock.read(&mut chunk)?;
+            assert!(n > 0, "server hung up before echoing");
+            buf.extend_from_slice(&chunk[..n]);
+            if let Ok(msg) = Message::decode(&mut buf) {
+                assert!(
+                    matches!(msg, Message::SessionResult { value: Some(v), .. } if v == 2.5),
+                    "unexpected echo {msg:?}"
+                );
+                return Ok(());
+            }
+        }
+    }
+
+    #[test]
+    fn pool_serves_on_reuseport_listeners() {
+        let _gate = serial();
+        let closes = Arc::new(AtomicU64::new(0));
+        let pool = spawn_echo_pool("127.0.0.1:0", 4, &closes).unwrap();
         assert_eq!(pool.reactor_count(), 4);
-        assert_eq!(pool.accept_mode(), "reuseport");
-        assert_eq!(pool.backend(), "epoll");
         run_pool_echo(pool, 8, &closes);
     }
 
     #[test]
-    fn pool_falls_back_to_accept_handoff_in_poll_mode() {
+    fn pool_start_fails_when_reuseport_bind_faults() {
         let _gate = serial();
-        let closes = Arc::new(AtomicU64::new(0));
-        let mk_closes = Arc::clone(&closes);
-        let pool = spawn_pool(
-            "127.0.0.1:0",
-            3,
-            move |_| Echo {
-                closes: Arc::clone(&mk_closes),
-            },
-            |_| ReactorConfig {
-                force_poll: true,
-                ..ReactorConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(pool.reactor_count(), 3);
-        assert_eq!(pool.accept_mode(), "handoff");
-        assert_eq!(pool.backend(), "poll");
-        run_pool_echo(pool, 9, &closes);
-    }
-
-    #[test]
-    #[cfg(target_os = "linux")]
-    fn pool_falls_back_to_handoff_when_reuseport_bind_faults() {
-        let _gate = serial();
-        // The injected fault kills the very first reuseport bind; the pool
-        // must degrade to the single-listener handoff path, not fail.
+        // The injected fault kills the first reuseport bind: a pool of
+        // several reactors is one reuseport group or nothing, so the start
+        // fails with that error.
         sysio::fault::install(sysio::fault::Plan::new(31).rule(
             sysio::fault::Site::ListenerSetup,
             sysio::fault::Kind::Emfile,
@@ -1571,38 +1431,57 @@ mod tests {
             1,
         ));
         let closes = Arc::new(AtomicU64::new(0));
-        let mk_closes = Arc::clone(&closes);
-        let pool = spawn_pool(
-            "127.0.0.1:0",
-            2,
-            move |_| Echo {
-                closes: Arc::clone(&mk_closes),
-            },
-            |_| ReactorConfig::default(),
-        )
-        .unwrap();
+        let started = spawn_echo_pool("127.0.0.1:0", 2, &closes);
         sysio::fault::clear();
-        assert_eq!(pool.accept_mode(), "handoff");
-        run_pool_echo(pool, 4, &closes);
+        let err = started.expect_err("a broken group fails the start");
+        assert_eq!(err.raw_os_error(), Some(24));
     }
 
     #[test]
     fn single_reactor_pool_reports_single_mode() {
         let _gate = serial();
         let closes = Arc::new(AtomicU64::new(0));
-        let mk_closes = Arc::clone(&closes);
-        let pool = spawn_pool(
-            "127.0.0.1:0",
-            1,
-            move |_| Echo {
-                closes: Arc::clone(&mk_closes),
-            },
-            |_| ReactorConfig::default(),
-        )
-        .unwrap();
+        let pool = spawn_echo_pool("127.0.0.1:0", 1, &closes).unwrap();
         assert_eq!(pool.reactor_count(), 1);
-        assert_eq!(pool.accept_mode(), "single");
         run_pool_echo(pool, 3, &closes);
+    }
+
+    #[test]
+    fn a_second_pool_cannot_share_a_pools_port() {
+        let _gate = serial();
+        let closes = Arc::new(AtomicU64::new(0));
+        let first = spawn_echo_pool("127.0.0.1:0", 2, &closes).unwrap();
+        let taken = first.local_addr().to_string();
+        for reactors in [1, 2] {
+            let second = spawn_echo_pool(&taken, reactors, &closes);
+            let err = second.expect_err("a live pool's port is refused");
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::AddrInUse,
+                "{reactors} reactor(s)"
+            );
+        }
+        // Every handshake still reaches the first pool, whichever of its
+        // listeners the kernel picks.
+        for _ in 0..8 {
+            echo_once(first.local_addr()).unwrap();
+        }
+        first.shutdown();
+    }
+
+    #[test]
+    fn a_pool_on_the_ipv6_wildcard_serves_ipv4_clients() {
+        let _gate = serial();
+        let closes = Arc::new(AtomicU64::new(0));
+        for reactors in [1, 2] {
+            let pool = spawn_echo_pool("[::]:0", reactors, &closes).unwrap();
+            let port = pool.local_addr().port();
+            for client in ["127.0.0.1", "[::1]"] {
+                let addr = format!("{client}:{port}").parse().unwrap();
+                echo_once(addr).unwrap_or_else(|e| panic!("{reactors} reactor(s), {client}: {e}"));
+            }
+            pool.shutdown();
+        }
     }
 
     /// Logs every callback; answers each read from `on_read_end` with a

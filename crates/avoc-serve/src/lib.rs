@@ -11,7 +11,7 @@
 //! ```text
 //!                 ┌─────────────────────────────────────────────┐
 //!  TCP clients ──▶│ avoc-net reactor pool: R event-loop threads │
-//!                 │ (SO_REUSEPORT listeners, or accept handoff) │
+//!                 │ (one SO_REUSEPORT listener per reactor)     │
 //!                 │ each owns its accepted sockets for life;    │
 //!                 │ streaming decode of tags 5–13 and 16–18     │
 //!                 └──────────────┬──────────────────────────────┘

@@ -2,11 +2,10 @@
 //!
 //! Served by the `avoc-net` reactor pool: R event-loop threads
 //! ([`crate::ServeConfig::reactors`], default `min(cores, 4)`) share the
-//! accept load — via per-reactor `SO_REUSEPORT` listeners where the
-//! kernel supports them, or a round-robin accept handoff from reactor 0
-//! otherwise — and each connection is pinned to one reactor for life, so
-//! the daemon's data-plane thread count is `shards + R` regardless of how
-//! many connections are open. Inbound bytes stream through the re-entrant
+//! accept load — one `SO_REUSEPORT` listener per reactor, the kernel
+//! spreading handshakes across them — and each connection is pinned to
+//! one reactor for life, so the daemon's data-plane thread count is
+//! `shards + R` regardless of how many connections are open. Inbound bytes stream through the re-entrant
 //! [`avoc_net::StreamDecoder`]; the `SessionReading` frames one socket read
 //! completes are staged per shard and cross to the shards as one mailbox
 //! command each when that read has been decoded. Outbound results ride each
@@ -59,7 +58,8 @@ impl TcpServer {
     ///
     /// # Errors
     ///
-    /// Propagates bind errors.
+    /// Propagates bind errors: a port another socket holds is refused,
+    /// and a reuseport group that cannot be bound fails the start.
     pub fn start(addr: &str, service: Arc<VoterService>) -> io::Result<TcpServer> {
         // The observability plane rides along when configured: a bind
         // failure there fails the whole start rather than silently serving
@@ -93,7 +93,6 @@ impl TcpServer {
                 metrics: Some(counters.reactors[i].clone()),
                 cork_metrics: Some(counters.wire.clone()),
                 health: Some(counters.health.clone()),
-                ..ReactorConfig::default()
             },
         )?;
         Ok(TcpServer {
@@ -113,13 +112,6 @@ impl TcpServer {
     /// [`crate::ServeConfig::admin_addr`].
     pub fn admin_addr(&self) -> Option<SocketAddr> {
         self.admin.as_ref().map(http::Server::local_addr)
-    }
-
-    /// How the pool distributes accepted connections: `"reuseport"`
-    /// (per-reactor listeners), `"handoff"` (reactor 0 round-robins
-    /// accepted sockets to its peers), or `"single"` (one reactor).
-    pub fn accept_mode(&self) -> &'static str {
-        self.pool.accept_mode()
     }
 
     /// Event-loop threads in the pool.

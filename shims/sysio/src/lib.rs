@@ -1,32 +1,32 @@
-//! Offline raw-syscall shim for readiness-based I/O.
+//! Offline raw-syscall shim for readiness-based I/O on Linux.
 //!
 //! The workspace builds fully offline, so the usual `libc`/`mio` stack is
 //! unavailable; this crate declares the handful of symbols the
-//! `avoc-net` reactor needs — `epoll_create1`/`epoll_ctl`/`epoll_wait` on
-//! Linux, portable `poll(2)` as the fallback, and a self-wake `pipe(2)` —
-//! against the C library `std` already links, and wraps them in a safe
-//! API. All `unsafe` in the workspace lives here; `avoc-net` itself stays
-//! `#![forbid(unsafe_code)]`.
+//! `avoc-net` reactor needs — `epoll_create1`/`epoll_ctl`/`epoll_wait`,
+//! a self-wake `pipe(2)`, and the `socket`/`setsockopt`/`bind` sequence
+//! of a `SO_REUSEPORT` listener — against the C library `std` already
+//! links, and wraps them in a safe API. All `unsafe` in the workspace
+//! lives here; `avoc-net` itself stays `#![forbid(unsafe_code)]`.
 //!
 //! The surface mirrors the sliver of `mio`/`polling` the reactor uses:
 //!
-//! * [`Epoll`] — level-triggered epoll instance ([`Epoll::new`] fails
-//!   with `Unsupported` off Linux, letting callers fall back);
-//! * [`PollSet`] — the same add/modify/remove/wait contract over
-//!   `poll(2)`, for non-Linux unix and for forcing the fallback in tests;
+//! * [`Epoll`] — a level-triggered epoll instance;
 //! * [`WakePipe`] — a non-blocking self-pipe: any thread calls
 //!   [`WakePipe::notify`], the event loop observes readability on
-//!   [`WakePipe::read_fd`] and [`WakePipe::drain`]s it.
+//!   [`WakePipe::read_fd`] and [`WakePipe::drain`]s it;
+//! * [`reuseport_listener`] and [`widen_backlog`] — the listener setup
+//!   `std::net::TcpListener::bind` cannot express.
+//!
+//! Linux is the only target: the daemon's reactor is epoll with
+//! `SO_REUSEPORT`, and there is no second backend to fall back to.
 
 #![warn(missing_docs)]
 
-use std::io;
+#[cfg(not(target_os = "linux"))]
+compile_error!("sysio is Linux-only: the reactor needs epoll and SO_REUSEPORT");
 
-#[cfg(unix)]
+use std::io;
 use std::os::unix::io::RawFd;
-#[cfg(not(unix))]
-/// Stand-in fd type so the API compiles on non-unix targets.
-pub type RawFd = i32;
 
 /// What a registered fd should be watched for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,7 +50,7 @@ impl Interest {
     };
 }
 
-/// One readiness notification out of [`Epoll::wait`] / [`PollSet::wait`].
+/// One readiness notification out of [`Epoll::wait`].
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
     /// The token the fd was registered with.
@@ -59,9 +59,9 @@ pub struct Event {
     pub readable: bool,
     /// The fd accepts writes again.
     pub writable: bool,
-    /// The fd is in an error state (`EPOLLERR`/`POLLERR`).
+    /// The fd is in an error state (`EPOLLERR`).
     pub is_error: bool,
-    /// The peer hung up (`EPOLLHUP`/`EPOLLRDHUP`/`POLLHUP`).
+    /// The peer hung up (`EPOLLHUP`/`EPOLLRDHUP`).
     pub is_hangup: bool,
 }
 
@@ -108,8 +108,6 @@ pub mod fault {
         Accept,
         /// `epoll_wait(2)` in [`crate::Epoll::wait`].
         EpollWait,
-        /// `poll(2)` in [`crate::PollSet::wait`].
-        PollWait,
         /// Self-pipe wake write in [`crate::WakePipe::notify`].
         WakeNotify,
         /// Self-pipe drain read in [`crate::WakePipe::drain`].
@@ -120,13 +118,12 @@ pub mod fault {
         SockWrite,
         /// `socket(2)`/`setsockopt(2)`/`bind(2)` while building a
         /// `SO_REUSEPORT` listener in [`crate::reuseport_listener`]. A
-        /// fault here makes the multi-reactor pool fall back to
-        /// single-listener accept handoff.
+        /// fault here fails the start of a multi-reactor pool.
         ListenerSetup,
     }
 
     /// Number of distinct [`Site`]s (size of the per-site call counters).
-    const SITE_COUNT: usize = 14;
+    const SITE_COUNT: usize = 13;
 
     impl Site {
         fn index(self) -> usize {
@@ -415,11 +412,9 @@ pub mod fio {
     }
 }
 
-#[cfg(unix)]
 mod sys {
-    use super::{Event, Interest};
     use std::io;
-    use std::os::raw::{c_int, c_short, c_void};
+    use std::os::raw::{c_int, c_void};
     use std::os::unix::io::RawFd;
 
     // ---- C library declarations -----------------------------------------
@@ -427,22 +422,8 @@ mod sys {
     // `std` links the platform C library, so these resolve without any
     // crate dependency. Only what the reactor needs is declared.
 
-    #[cfg(target_os = "linux")]
-    type NfdsT = std::os::raw::c_ulong;
-    #[cfg(not(target_os = "linux"))]
-    type NfdsT = std::os::raw::c_uint;
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub(super) struct Pollfd {
-        pub fd: c_int,
-        pub events: c_short,
-        pub revents: c_short,
-    }
-
     // The kernel packs `epoll_event` on x86-64 only; mirror that exactly
     // or `epoll_wait` scribbles over misaligned memory.
-    #[cfg(target_os = "linux")]
     #[repr(C)]
     #[cfg_attr(target_arch = "x86_64", repr(packed))]
     #[derive(Clone, Copy)]
@@ -452,17 +433,13 @@ mod sys {
     }
 
     extern "C" {
-        fn poll(fds: *mut Pollfd, nfds: NfdsT, timeout: c_int) -> c_int;
         fn pipe(fds: *mut c_int) -> c_int;
         fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
         fn close(fd: c_int) -> c_int;
         fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
         fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
         fn listen(fd: c_int, backlog: c_int) -> c_int;
-
-        #[cfg(target_os = "linux")]
         fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
-        #[cfg(target_os = "linux")]
         fn setsockopt(
             fd: c_int,
             level: c_int,
@@ -470,15 +447,12 @@ mod sys {
             optval: *const c_void,
             optlen: u32,
         ) -> c_int;
-        #[cfg(target_os = "linux")]
         fn bind(fd: c_int, addr: *const c_void, addrlen: u32) -> c_int;
 
-        #[cfg(target_os = "linux")]
-        fn epoll_create1(flags: c_int) -> c_int;
-        #[cfg(target_os = "linux")]
-        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        #[cfg(target_os = "linux")]
-        fn epoll_wait(
+        pub(super) fn epoll_create1(flags: c_int) -> c_int;
+        pub(super) fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent)
+            -> c_int;
+        pub(super) fn epoll_wait(
             epfd: c_int,
             events: *mut EpollEvent,
             maxevents: c_int,
@@ -491,38 +465,27 @@ mod sys {
     const F_GETFL: c_int = 3;
     const F_SETFL: c_int = 4;
     const FD_CLOEXEC: c_int = 1;
-    #[cfg(target_os = "linux")]
     const O_NONBLOCK: c_int = 0o4000;
-    #[cfg(not(target_os = "linux"))]
-    const O_NONBLOCK: c_int = 0x4;
 
-    const POLLIN: c_short = 0x001;
-    const POLLOUT: c_short = 0x004;
-    const POLLERR: c_short = 0x008;
-    const POLLHUP: c_short = 0x010;
-    const POLLNVAL: c_short = 0x020;
-
-    #[cfg(target_os = "linux")]
     const AF_INET: c_int = 2;
-    #[cfg(target_os = "linux")]
     const AF_INET6: c_int = 10;
-    #[cfg(target_os = "linux")]
     const SOCK_STREAM: c_int = 1;
-    #[cfg(target_os = "linux")]
     const SOCK_CLOEXEC: c_int = 0o2000000;
-    #[cfg(target_os = "linux")]
     const SOL_SOCKET: c_int = 1;
-    #[cfg(target_os = "linux")]
     const SO_REUSEADDR: c_int = 2;
-    #[cfg(target_os = "linux")]
     const SO_REUSEPORT: c_int = 15;
-    #[cfg(target_os = "linux")]
-    const IPV6_V6ONLY_LEVEL: c_int = 41; // IPPROTO_IPV6
-    #[cfg(target_os = "linux")]
-    const IPV6_V6ONLY: c_int = 26;
+
+    pub(super) const EPOLL_CLOEXEC: c_int = 0o2000000;
+    pub(super) const EPOLL_CTL_ADD: c_int = 1;
+    pub(super) const EPOLL_CTL_DEL: c_int = 2;
+    pub(super) const EPOLL_CTL_MOD: c_int = 3;
+    pub(super) const EPOLLIN: u32 = 0x001;
+    pub(super) const EPOLLOUT: u32 = 0x004;
+    pub(super) const EPOLLERR: u32 = 0x008;
+    pub(super) const EPOLLHUP: u32 = 0x010;
+    pub(super) const EPOLLRDHUP: u32 = 0x2000;
 
     /// `struct sockaddr_in` as Linux lays it out (16 bytes).
-    #[cfg(target_os = "linux")]
     #[repr(C)]
     struct SockaddrIn {
         family: u16,
@@ -532,7 +495,6 @@ mod sys {
     }
 
     /// `struct sockaddr_in6` as Linux lays it out (28 bytes).
-    #[cfg(target_os = "linux")]
     #[repr(C)]
     struct SockaddrIn6 {
         family: u16,
@@ -545,8 +507,10 @@ mod sys {
     /// Builds a listening TCP socket with `SO_REUSEPORT` set *before*
     /// `bind(2)` — the ordering `std::net::TcpListener::bind` cannot
     /// express — and returns the raw fd (close-on-exec, still blocking;
-    /// the caller flips non-blocking mode via std once wrapped).
-    #[cfg(target_os = "linux")]
+    /// the caller flips non-blocking mode via std once wrapped). An IPv6
+    /// socket keeps the kernel's `IPV6_V6ONLY` default, as std's bind
+    /// does, so a wildcard group serves the same clients a plain listener
+    /// would.
     pub(super) fn reuseport_bind(addr: std::net::SocketAddr, backlog: c_int) -> io::Result<RawFd> {
         let domain = if addr.is_ipv4() { AF_INET } else { AF_INET6 };
         let fd = unsafe { cvt(socket(domain, SOCK_STREAM | SOCK_CLOEXEC, 0))? };
@@ -582,15 +546,6 @@ mod sys {
                         ))?;
                     }
                     std::net::SocketAddr::V6(v6) => {
-                        // Match std's dual-stack default (v6-only on) so a
-                        // reuseport listener behaves like a bound one.
-                        cvt(setsockopt(
-                            fd,
-                            IPV6_V6ONLY_LEVEL,
-                            IPV6_V6ONLY,
-                            (&one as *const c_int).cast(),
-                            std::mem::size_of::<c_int>() as u32,
-                        ))?;
                         let sa = SockaddrIn6 {
                             family: AF_INET6 as u16,
                             port: v6.port().to_be(),
@@ -616,26 +571,7 @@ mod sys {
         Ok(fd)
     }
 
-    #[cfg(target_os = "linux")]
-    const EPOLL_CLOEXEC: c_int = 0o2000000;
-    #[cfg(target_os = "linux")]
-    const EPOLL_CTL_ADD: c_int = 1;
-    #[cfg(target_os = "linux")]
-    const EPOLL_CTL_DEL: c_int = 2;
-    #[cfg(target_os = "linux")]
-    const EPOLL_CTL_MOD: c_int = 3;
-    #[cfg(target_os = "linux")]
-    const EPOLLIN: u32 = 0x001;
-    #[cfg(target_os = "linux")]
-    const EPOLLOUT: u32 = 0x004;
-    #[cfg(target_os = "linux")]
-    const EPOLLERR: u32 = 0x008;
-    #[cfg(target_os = "linux")]
-    const EPOLLHUP: u32 = 0x010;
-    #[cfg(target_os = "linux")]
-    const EPOLLRDHUP: u32 = 0x2000;
-
-    fn cvt(ret: c_int) -> io::Result<c_int> {
+    pub(super) fn cvt(ret: c_int) -> io::Result<c_int> {
         if ret < 0 {
             Err(io::Error::last_os_error())
         } else {
@@ -713,198 +649,11 @@ mod sys {
                 continue;
             }
             // EINTR mid-drain would leave wake bytes behind and the
-            // level-triggered poller spinning on a readable pipe: retry.
+            // level-triggered epoll spinning on a readable pipe: retry.
             if n < 0 && io::Error::last_os_error().kind() == io::ErrorKind::Interrupted {
                 continue;
             }
             return;
-        }
-    }
-
-    // ---- epoll backend ---------------------------------------------------
-
-    #[cfg(target_os = "linux")]
-    pub(super) struct EpollImp {
-        epfd: RawFd,
-        buf: Vec<EpollEvent>,
-    }
-
-    #[cfg(target_os = "linux")]
-    impl EpollImp {
-        pub fn new() -> io::Result<Self> {
-            let epfd = unsafe { cvt(epoll_create1(EPOLL_CLOEXEC))? };
-            Ok(EpollImp {
-                epfd,
-                buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
-            })
-        }
-
-        fn mask(interest: Interest) -> u32 {
-            let mut m = 0;
-            if interest.readable {
-                m |= EPOLLIN | EPOLLRDHUP;
-            }
-            if interest.writable {
-                m |= EPOLLOUT;
-            }
-            m
-        }
-
-        fn ctl(&self, op: c_int, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut ev = EpollEvent {
-                events: Self::mask(interest),
-                data: token,
-            };
-            unsafe {
-                cvt(epoll_ctl(self.epfd, op, fd, &mut ev))?;
-            }
-            Ok(())
-        }
-
-        pub fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, interest)
-        }
-
-        pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, interest)
-        }
-
-        pub fn remove(&self, fd: RawFd) -> io::Result<()> {
-            let mut ev = EpollEvent { events: 0, data: 0 };
-            unsafe {
-                cvt(epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev))?;
-            }
-            Ok(())
-        }
-
-        pub fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<usize> {
-            out.clear();
-            let n = unsafe {
-                epoll_wait(
-                    self.epfd,
-                    self.buf.as_mut_ptr(),
-                    self.buf.len() as c_int,
-                    timeout_ms,
-                )
-            };
-            if n < 0 {
-                let e = io::Error::last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    return Ok(0);
-                }
-                return Err(e);
-            }
-            for ev in &self.buf[..n as usize] {
-                // Copy out of the (possibly packed) struct before reading.
-                let bits = ev.events;
-                let token = ev.data;
-                out.push(Event {
-                    token,
-                    readable: bits & (EPOLLIN | EPOLLRDHUP) != 0,
-                    writable: bits & EPOLLOUT != 0,
-                    is_error: bits & EPOLLERR != 0,
-                    is_hangup: bits & (EPOLLHUP | EPOLLRDHUP) != 0,
-                });
-            }
-            Ok(n as usize)
-        }
-    }
-
-    #[cfg(target_os = "linux")]
-    impl Drop for EpollImp {
-        fn drop(&mut self) {
-            close_fd(self.epfd);
-        }
-    }
-
-    // ---- poll(2) backend -------------------------------------------------
-
-    pub(super) struct PollImp {
-        fds: Vec<Pollfd>,
-        tokens: Vec<u64>,
-    }
-
-    impl PollImp {
-        pub fn new() -> Self {
-            PollImp {
-                fds: Vec::new(),
-                tokens: Vec::new(),
-            }
-        }
-
-        fn mask(interest: Interest) -> c_short {
-            let mut m = 0;
-            if interest.readable {
-                m |= POLLIN;
-            }
-            if interest.writable {
-                m |= POLLOUT;
-            }
-            m
-        }
-
-        fn position(&self, fd: RawFd) -> Option<usize> {
-            self.fds.iter().position(|p| p.fd == fd)
-        }
-
-        pub fn add(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            if self.position(fd).is_some() {
-                return Err(io::Error::new(
-                    io::ErrorKind::AlreadyExists,
-                    "fd already registered",
-                ));
-            }
-            self.fds.push(Pollfd {
-                fd,
-                events: Self::mask(interest),
-                revents: 0,
-            });
-            self.tokens.push(token);
-            Ok(())
-        }
-
-        pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let i = self
-                .position(fd)
-                .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))?;
-            self.fds[i].events = Self::mask(interest);
-            self.tokens[i] = token;
-            Ok(())
-        }
-
-        pub fn remove(&mut self, fd: RawFd) -> io::Result<()> {
-            let i = self
-                .position(fd)
-                .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))?;
-            self.fds.swap_remove(i);
-            self.tokens.swap_remove(i);
-            Ok(())
-        }
-
-        pub fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<usize> {
-            out.clear();
-            let n = unsafe { poll(self.fds.as_mut_ptr(), self.fds.len() as NfdsT, timeout_ms) };
-            if n < 0 {
-                let e = io::Error::last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    return Ok(0);
-                }
-                return Err(e);
-            }
-            for (p, &token) in self.fds.iter().zip(&self.tokens) {
-                let r = p.revents;
-                if r == 0 {
-                    continue;
-                }
-                out.push(Event {
-                    token,
-                    readable: r & (POLLIN | POLLHUP) != 0,
-                    writable: r & POLLOUT != 0,
-                    is_error: r & (POLLERR | POLLNVAL) != 0,
-                    is_hangup: r & POLLHUP != 0,
-                });
-            }
-            Ok(out.len())
         }
     }
 }
@@ -921,19 +670,8 @@ mod sys {
 /// # Errors
 ///
 /// Propagates `listen` failures (e.g. the fd is not a listening socket).
-#[cfg(unix)]
 pub fn widen_backlog(fd: RawFd, backlog: i32) -> io::Result<()> {
     sys::relisten(fd, backlog)
-}
-
-/// Unsupported off unix.
-///
-/// # Errors
-///
-/// Always `Unsupported`.
-#[cfg(not(unix))]
-pub fn widen_backlog(_fd: RawFd, _backlog: i32) -> io::Result<()> {
-    Err(io::Error::from(io::ErrorKind::Unsupported))
 }
 
 /// Binds a listening `TcpListener` with `SO_REUSEPORT` set before
@@ -944,14 +682,13 @@ pub fn widen_backlog(_fd: RawFd, _backlog: i32) -> io::Result<()> {
 /// listener is a plain `std` listener (close-on-exec, blocking — callers
 /// flip non-blocking mode as usual).
 ///
-/// Consults [`fault::Site::ListenerSetup`] so tests can force the
-/// reuseport path to fail and exercise the accept-handoff fallback.
+/// Consults [`fault::Site::ListenerSetup`] so tests can make the
+/// reuseport path fail.
 ///
 /// # Errors
 ///
 /// Propagates `socket`/`setsockopt`/`bind`/`listen` failures; injected
 /// `EINTR` is retried.
-#[cfg(target_os = "linux")]
 pub fn reuseport_listener(
     addr: std::net::SocketAddr,
     backlog: i32,
@@ -964,27 +701,10 @@ pub fn reuseport_listener(
     Ok(unsafe { std::net::TcpListener::from_raw_fd(fd) })
 }
 
-/// Unsupported off Linux — callers fall back to a single bound listener
-/// with round-robin accept handoff.
-///
-/// # Errors
-///
-/// Always `Unsupported`.
-#[cfg(not(target_os = "linux"))]
-pub fn reuseport_listener(
-    _addr: std::net::SocketAddr,
-    _backlog: i32,
-) -> io::Result<std::net::TcpListener> {
-    Err(io::Error::from(io::ErrorKind::Unsupported))
-}
-
 /// A level-triggered `epoll(7)` instance.
-///
-/// [`Epoll::new`] returns `Unsupported` on every platform but Linux, so
-/// callers can fall back to [`PollSet`] without conditional compilation.
 pub struct Epoll {
-    #[cfg(all(unix, target_os = "linux"))]
-    imp: sys::EpollImp,
+    epfd: RawFd,
+    buf: Vec<sys::EpollEvent>,
 }
 
 impl std::fmt::Debug for Epoll {
@@ -993,7 +713,6 @@ impl std::fmt::Debug for Epoll {
     }
 }
 
-#[cfg(all(unix, target_os = "linux"))]
 impl Epoll {
     /// Creates an epoll instance (`EPOLL_CLOEXEC`).
     ///
@@ -1001,9 +720,33 @@ impl Epoll {
     ///
     /// Propagates `epoll_create1` failures.
     pub fn new() -> io::Result<Epoll> {
+        // SAFETY: `epoll_create1` takes no pointers; a failure is a
+        // negative return, which `cvt` turns into the error.
+        let epfd = unsafe { sys::cvt(sys::epoll_create1(sys::EPOLL_CLOEXEC))? };
         Ok(Epoll {
-            imp: sys::EpollImp::new()?,
+            epfd,
+            buf: vec![sys::EpollEvent { events: 0, data: 0 }; 1024],
         })
+    }
+
+    fn ctl(&self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        let mut events = 0;
+        if interest.readable {
+            events |= sys::EPOLLIN | sys::EPOLLRDHUP;
+        }
+        if interest.writable {
+            events |= sys::EPOLLOUT;
+        }
+        let mut ev = sys::EpollEvent {
+            events,
+            data: token,
+        };
+        // SAFETY: `ev` is a live, correctly laid out `epoll_event` for the
+        // length of the call, and the kernel only reads it.
+        unsafe {
+            sys::cvt(sys::epoll_ctl(self.epfd, op, fd, &mut ev))?;
+        }
+        Ok(())
     }
 
     /// Registers `fd` under `token` with `interest`.
@@ -1012,7 +755,7 @@ impl Epoll {
     ///
     /// Propagates `epoll_ctl` failures.
     pub fn add(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.imp.add(fd, token, interest)
+        self.ctl(sys::EPOLL_CTL_ADD, fd, token, interest)
     }
 
     /// Re-arms `fd` with a new `token`/`interest`.
@@ -1021,7 +764,7 @@ impl Epoll {
     ///
     /// Propagates `epoll_ctl` failures.
     pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.imp.modify(fd, token, interest)
+        self.ctl(sys::EPOLL_CTL_MOD, fd, token, interest)
     }
 
     /// Deregisters `fd`.
@@ -1030,7 +773,13 @@ impl Epoll {
     ///
     /// Propagates `epoll_ctl` failures.
     pub fn remove(&mut self, fd: RawFd) -> io::Result<()> {
-        self.imp.remove(fd)
+        let mut ev = sys::EpollEvent { events: 0, data: 0 };
+        // SAFETY: as in `ctl`; `EPOLL_CTL_DEL` ignores the event, which
+        // old kernels still require to be non-null.
+        unsafe {
+            sys::cvt(sys::epoll_ctl(self.epfd, sys::EPOLL_CTL_DEL, fd, &mut ev))?;
+        }
+        Ok(())
     }
 
     /// Blocks up to `timeout_ms` (`-1` = forever) and fills `out` with
@@ -1040,188 +789,56 @@ impl Epoll {
     ///
     /// Propagates `epoll_wait` failures.
     pub fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<usize> {
+        out.clear();
         if let Some(k) = fault::check(fault::Site::EpollWait) {
-            out.clear();
             return match k {
                 // The real contract maps EINTR to a spurious empty wakeup.
                 fault::Kind::Eintr | fault::Kind::Eagain => Ok(0),
                 other => Err(other.to_error()),
             };
         }
-        self.imp.wait(out, timeout_ms)
-    }
-}
-
-#[cfg(not(all(unix, target_os = "linux")))]
-impl Epoll {
-    /// Unavailable off Linux.
-    ///
-    /// # Errors
-    ///
-    /// Always `Unsupported`.
-    pub fn new() -> io::Result<Epoll> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "epoll is Linux-only; use PollSet",
-        ))
-    }
-
-    /// Unreachable off Linux ([`Epoll::new`] never succeeds there).
-    ///
-    /// # Errors
-    ///
-    /// Always `Unsupported`.
-    pub fn add(&mut self, _fd: RawFd, _token: u64, _interest: Interest) -> io::Result<()> {
-        Err(io::Error::from(io::ErrorKind::Unsupported))
-    }
-
-    /// Unreachable off Linux.
-    ///
-    /// # Errors
-    ///
-    /// Always `Unsupported`.
-    pub fn modify(&mut self, _fd: RawFd, _token: u64, _interest: Interest) -> io::Result<()> {
-        Err(io::Error::from(io::ErrorKind::Unsupported))
-    }
-
-    /// Unreachable off Linux.
-    ///
-    /// # Errors
-    ///
-    /// Always `Unsupported`.
-    pub fn remove(&mut self, _fd: RawFd) -> io::Result<()> {
-        Err(io::Error::from(io::ErrorKind::Unsupported))
-    }
-
-    /// Unreachable off Linux.
-    ///
-    /// # Errors
-    ///
-    /// Always `Unsupported`.
-    pub fn wait(&mut self, _out: &mut Vec<Event>, _timeout_ms: i32) -> io::Result<usize> {
-        Err(io::Error::from(io::ErrorKind::Unsupported))
-    }
-}
-
-/// The portable `poll(2)` fallback with the same contract as [`Epoll`].
-pub struct PollSet {
-    #[cfg(unix)]
-    imp: sys::PollImp,
-}
-
-impl std::fmt::Debug for PollSet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PollSet").finish_non_exhaustive()
-    }
-}
-
-impl Default for PollSet {
-    fn default() -> Self {
-        PollSet::new()
-    }
-}
-
-#[cfg(unix)]
-impl PollSet {
-    /// An empty poll set.
-    pub fn new() -> PollSet {
-        PollSet {
-            imp: sys::PollImp::new(),
+        // SAFETY: the kernel writes at most `buf.len()` events into `buf`,
+        // which this instance owns exclusively for the call (`&mut self`).
+        let n = unsafe {
+            sys::epoll_wait(
+                self.epfd,
+                self.buf.as_mut_ptr(),
+                self.buf.len() as i32,
+                timeout_ms,
+            )
+        };
+        if n < 0 {
+            let e = io::Error::last_os_error();
+            if e.kind() == io::ErrorKind::Interrupted {
+                return Ok(0);
+            }
+            return Err(e);
         }
-    }
-
-    /// Registers `fd` under `token` with `interest`.
-    ///
-    /// # Errors
-    ///
-    /// `AlreadyExists` if `fd` is registered.
-    pub fn add(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.imp.add(fd, token, interest)
-    }
-
-    /// Re-arms `fd` with a new `token`/`interest`.
-    ///
-    /// # Errors
-    ///
-    /// `NotFound` if `fd` is not registered.
-    pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.imp.modify(fd, token, interest)
-    }
-
-    /// Deregisters `fd`.
-    ///
-    /// # Errors
-    ///
-    /// `NotFound` if `fd` is not registered.
-    pub fn remove(&mut self, fd: RawFd) -> io::Result<()> {
-        self.imp.remove(fd)
-    }
-
-    /// Blocks up to `timeout_ms` (`-1` = forever) and fills `out` with
-    /// ready events. `EINTR` surfaces as `Ok(0)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `poll` failures.
-    pub fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<usize> {
-        if let Some(k) = fault::check(fault::Site::PollWait) {
-            out.clear();
-            return match k {
-                fault::Kind::Eintr | fault::Kind::Eagain => Ok(0),
-                other => Err(other.to_error()),
-            };
+        for ev in &self.buf[..n as usize] {
+            // Copy out of the (possibly packed) struct before reading.
+            let bits = ev.events;
+            let token = ev.data;
+            out.push(Event {
+                token,
+                readable: bits & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0,
+                writable: bits & sys::EPOLLOUT != 0,
+                is_error: bits & sys::EPOLLERR != 0,
+                is_hangup: bits & (sys::EPOLLHUP | sys::EPOLLRDHUP) != 0,
+            });
         }
-        self.imp.wait(out, timeout_ms)
+        Ok(n as usize)
     }
 }
 
-#[cfg(not(unix))]
-impl PollSet {
-    /// An empty poll set (inert off unix).
-    pub fn new() -> PollSet {
-        PollSet {}
-    }
-
-    /// Unsupported off unix.
-    ///
-    /// # Errors
-    ///
-    /// Always `Unsupported`.
-    pub fn add(&mut self, _fd: RawFd, _token: u64, _interest: Interest) -> io::Result<()> {
-        Err(io::Error::from(io::ErrorKind::Unsupported))
-    }
-
-    /// Unsupported off unix.
-    ///
-    /// # Errors
-    ///
-    /// Always `Unsupported`.
-    pub fn modify(&mut self, _fd: RawFd, _token: u64, _interest: Interest) -> io::Result<()> {
-        Err(io::Error::from(io::ErrorKind::Unsupported))
-    }
-
-    /// Unsupported off unix.
-    ///
-    /// # Errors
-    ///
-    /// Always `Unsupported`.
-    pub fn remove(&mut self, _fd: RawFd) -> io::Result<()> {
-        Err(io::Error::from(io::ErrorKind::Unsupported))
-    }
-
-    /// Unsupported off unix.
-    ///
-    /// # Errors
-    ///
-    /// Always `Unsupported`.
-    pub fn wait(&mut self, _out: &mut Vec<Event>, _timeout_ms: i32) -> io::Result<usize> {
-        Err(io::Error::from(io::ErrorKind::Unsupported))
+impl Drop for Epoll {
+    fn drop(&mut self) {
+        sys::close_fd(self.epfd);
     }
 }
 
 /// A non-blocking self-pipe for waking a blocked `wait` from other threads.
 ///
-/// Register [`WakePipe::read_fd`] in the poller; any thread calls
+/// Register [`WakePipe::read_fd`] with an [`Epoll`]; any thread calls
 /// [`WakePipe::notify`]; the event loop calls [`WakePipe::drain`] when the
 /// read end turns readable. Writes to a full pipe are treated as success —
 /// a wake-up is already pending.
@@ -1239,7 +856,6 @@ impl std::fmt::Debug for WakePipe {
     }
 }
 
-#[cfg(unix)]
 impl WakePipe {
     /// Creates the pipe pair, both ends non-blocking and close-on-exec.
     ///
@@ -1251,7 +867,7 @@ impl WakePipe {
         Ok(WakePipe { read_fd, write_fd })
     }
 
-    /// The fd to register for read interest in the poller.
+    /// The fd to register for read interest with an [`Epoll`].
     pub fn read_fd(&self) -> RawFd {
         self.read_fd
     }
@@ -1276,7 +892,7 @@ impl WakePipe {
     }
 
     /// Consumes every pending wake-up byte (real and injected `EINTR` are
-    /// retried — a partial drain would leave the level-triggered poller
+    /// retried — a partial drain would leave the level-triggered epoll
     /// spinning).
     pub fn drain(&self) {
         while matches!(
@@ -1287,7 +903,6 @@ impl WakePipe {
     }
 }
 
-#[cfg(unix)]
 impl Drop for WakePipe {
     fn drop(&mut self) {
         sys::close_fd(self.read_fd);
@@ -1295,36 +910,7 @@ impl Drop for WakePipe {
     }
 }
 
-#[cfg(not(unix))]
-impl WakePipe {
-    /// Unsupported off unix.
-    ///
-    /// # Errors
-    ///
-    /// Always `Unsupported`.
-    pub fn new() -> io::Result<WakePipe> {
-        Err(io::Error::from(io::ErrorKind::Unsupported))
-    }
-
-    /// Stand-in fd accessor.
-    pub fn read_fd(&self) -> RawFd {
-        self.read_fd
-    }
-
-    /// No-op off unix.
-    ///
-    /// # Errors
-    ///
-    /// Never fails.
-    pub fn notify(&self) -> io::Result<()> {
-        Ok(())
-    }
-
-    /// No-op off unix.
-    pub fn drain(&self) {}
-}
-
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read as _, Write as _};
@@ -1343,22 +929,22 @@ mod tests {
     fn wake_pipe_wakes_and_drains() {
         let _g = fault_gate();
         let wp = WakePipe::new().unwrap();
-        let mut ps = PollSet::new();
-        ps.add(wp.read_fd(), 7, Interest::READ).unwrap();
+        let mut ep = Epoll::new().unwrap();
+        ep.add(wp.read_fd(), 7, Interest::READ).unwrap();
 
         let mut events = Vec::new();
         // Nothing pending: times out with no events.
-        assert_eq!(ps.wait(&mut events, 0).unwrap(), 0);
+        assert_eq!(ep.wait(&mut events, 0).unwrap(), 0);
 
         wp.notify().unwrap();
         wp.notify().unwrap(); // coalesces
-        let n = ps.wait(&mut events, 1000).unwrap();
+        let n = ep.wait(&mut events, 1000).unwrap();
         assert_eq!(n, 1);
         assert_eq!(events[0].token, 7);
         assert!(events[0].readable);
 
         wp.drain();
-        assert_eq!(ps.wait(&mut events, 0).unwrap(), 0, "drained");
+        assert_eq!(ep.wait(&mut events, 0).unwrap(), 0, "drained");
     }
 
     #[test]
@@ -1370,31 +956,28 @@ mod tests {
             wp.notify().unwrap();
         }
         wp.drain();
-        let mut ps = PollSet::new();
-        ps.add(wp.read_fd(), 1, Interest::READ).unwrap();
+        let mut ep = Epoll::new().unwrap();
+        ep.add(wp.read_fd(), 1, Interest::READ).unwrap();
         let mut events = Vec::new();
-        assert_eq!(ps.wait(&mut events, 0).unwrap(), 0);
+        assert_eq!(ep.wait(&mut events, 0).unwrap(), 0);
     }
 
-    fn exercise_backend<A, M, R, W>(mut add: A, mut modify: M, mut remove: R, mut wait: W)
-    where
-        A: FnMut(RawFd, u64, Interest) -> io::Result<()>,
-        M: FnMut(RawFd, u64, Interest) -> io::Result<()>,
-        R: FnMut(RawFd) -> io::Result<()>,
-        W: FnMut(&mut Vec<Event>, i32) -> io::Result<usize>,
-    {
+    #[test]
+    fn epoll_backend_readiness_contract() {
+        let _g = fault_gate();
         use std::os::unix::io::AsRawFd;
+        let mut ep = Epoll::new().unwrap();
         let (mut a, b) = pair();
         b.set_nonblocking(true).unwrap();
         let fd = b.as_raw_fd();
-        add(fd, 42, Interest::READ).unwrap();
+        ep.add(fd, 42, Interest::READ).unwrap();
 
         let mut events = Vec::new();
-        assert_eq!(wait(&mut events, 0).unwrap(), 0, "idle socket");
+        assert_eq!(ep.wait(&mut events, 0).unwrap(), 0, "idle socket");
 
         a.write_all(b"hi").unwrap();
         let start = Instant::now();
-        let n = wait(&mut events, 2000).unwrap();
+        let n = ep.wait(&mut events, 2000).unwrap();
         assert_eq!(n, 1, "readable after peer write");
         assert_eq!(events[0].token, 42);
         assert!(events[0].readable);
@@ -1404,56 +987,30 @@ mod tests {
         );
 
         // Level-triggered: stays readable until drained.
-        assert_eq!(wait(&mut events, 0).unwrap(), 1);
+        assert_eq!(ep.wait(&mut events, 0).unwrap(), 1);
         let mut buf = [0u8; 8];
         let mut sock = &b;
         let _ = std::io::Read::read(&mut sock, &mut buf);
 
         // Write interest: a fresh socket is immediately writable.
-        modify(fd, 43, Interest::READ_WRITE).unwrap();
-        assert_eq!(wait(&mut events, 1000).unwrap(), 1);
+        ep.modify(fd, 43, Interest::READ_WRITE).unwrap();
+        assert_eq!(ep.wait(&mut events, 1000).unwrap(), 1);
         assert_eq!(events[0].token, 43);
         assert!(events[0].writable);
 
         // Peer hangup surfaces as readable (read returns 0) or hangup.
         drop(a);
-        let n = wait(&mut events, 2000).unwrap();
+        let n = ep.wait(&mut events, 2000).unwrap();
         assert_eq!(n, 1);
         assert!(events[0].readable || events[0].is_hangup);
         let mut sock = &b;
         assert_eq!(std::io::Read::read(&mut sock, &mut buf).unwrap(), 0, "EOF");
 
-        remove(fd).unwrap();
-        assert_eq!(wait(&mut events, 0).unwrap(), 0, "deregistered");
+        ep.remove(fd).unwrap();
+        assert_eq!(ep.wait(&mut events, 0).unwrap(), 0, "deregistered");
     }
 
     #[test]
-    fn poll_backend_readiness_contract() {
-        let _g = fault_gate();
-        let ps = std::cell::RefCell::new(PollSet::new());
-        exercise_backend(
-            |fd, t, i| ps.borrow_mut().add(fd, t, i),
-            |fd, t, i| ps.borrow_mut().modify(fd, t, i),
-            |fd| ps.borrow_mut().remove(fd),
-            |out, ms| ps.borrow_mut().wait(out, ms),
-        );
-    }
-
-    #[test]
-    #[cfg(target_os = "linux")]
-    fn epoll_backend_readiness_contract() {
-        let _g = fault_gate();
-        let ep = std::cell::RefCell::new(Epoll::new().expect("linux has epoll"));
-        exercise_backend(
-            |fd, t, i| ep.borrow_mut().add(fd, t, i),
-            |fd, t, i| ep.borrow_mut().modify(fd, t, i),
-            |fd| ep.borrow_mut().remove(fd),
-            |out, ms| ep.borrow_mut().wait(out, ms),
-        );
-    }
-
-    #[test]
-    #[cfg(target_os = "linux")]
     fn reuseport_listeners_share_one_address() {
         let _g = fault_gate();
         let first = reuseport_listener("127.0.0.1:0".parse().unwrap(), 128).unwrap();
@@ -1487,15 +1044,14 @@ mod tests {
     }
 
     #[test]
-    #[cfg(target_os = "linux")]
     fn reuseport_listener_honours_injected_setup_faults() {
         let _g = fault_gate();
         let plan = fault::Plan::new(23)
             .rule(fault::Site::ListenerSetup, fault::Kind::Emfile, 1, 1)
             .rule(fault::Site::ListenerSetup, fault::Kind::Eintr, 2, 1);
         fault::install(plan);
-        // First call observes EMFILE (the caller would fall back to the
-        // single-listener handoff path)...
+        // First call observes EMFILE (a pool's start would fail with
+        // it)...
         let err = reuseport_listener("127.0.0.1:0".parse().unwrap(), 64).unwrap_err();
         assert_eq!(err.raw_os_error(), Some(24));
         // ...and EINTR is invisible: retried inside, bind succeeds.
@@ -1586,8 +1142,8 @@ mod tests {
     fn wake_pipe_absorbs_injected_eintr() {
         let _g = fault_gate();
         let wp = WakePipe::new().unwrap();
-        let mut ps = PollSet::new();
-        ps.add(wp.read_fd(), 3, Interest::READ).unwrap();
+        let mut ep = Epoll::new().unwrap();
+        ep.add(wp.read_fd(), 3, Interest::READ).unwrap();
         fault::install(
             fault::Plan::new(11)
                 .rule(fault::Site::WakeNotify, fault::Kind::Eintr, 1, 4)
@@ -1595,26 +1151,26 @@ mod tests {
         );
         wp.notify().unwrap();
         let mut events = Vec::new();
-        // The poller sees the wake despite EINTR on the notify path...
-        assert_eq!(ps.wait(&mut events, 1000).unwrap(), 1);
+        // Epoll sees the wake despite EINTR on the notify path...
+        assert_eq!(ep.wait(&mut events, 1000).unwrap(), 1);
         // ...and the drain empties the pipe despite EINTR on its path.
         wp.drain();
-        assert_eq!(ps.wait(&mut events, 0).unwrap(), 0, "drained");
+        assert_eq!(ep.wait(&mut events, 0).unwrap(), 0, "drained");
         fault::clear();
     }
 
     #[test]
-    fn pollers_map_injected_eintr_to_empty_wakeups() {
+    fn epoll_maps_injected_eintr_to_empty_wakeups() {
         let _g = fault_gate();
         let wp = WakePipe::new().unwrap();
-        let mut ps = PollSet::new();
-        ps.add(wp.read_fd(), 5, Interest::READ).unwrap();
+        let mut ep = Epoll::new().unwrap();
+        ep.add(wp.read_fd(), 5, Interest::READ).unwrap();
         wp.notify().unwrap();
-        fault::install(fault::Plan::new(13).rule(fault::Site::PollWait, fault::Kind::Eintr, 1, 1));
+        fault::install(fault::Plan::new(13).rule(fault::Site::EpollWait, fault::Kind::Eintr, 1, 1));
         let mut events = Vec::new();
-        assert_eq!(ps.wait(&mut events, 0).unwrap(), 0, "EINTR wakeup is empty");
+        assert_eq!(ep.wait(&mut events, 0).unwrap(), 0, "EINTR wakeup is empty");
         assert_eq!(
-            ps.wait(&mut events, 1000).unwrap(),
+            ep.wait(&mut events, 1000).unwrap(),
             1,
             "retry sees the byte"
         );
@@ -1622,7 +1178,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(target_os = "linux")]
     fn epoll_reports_write_unblocking() {
         let _g = fault_gate();
         use std::os::unix::io::AsRawFd;

@@ -168,7 +168,6 @@ fn eintr_on_every_site_has_no_observable_effect() {
         Site::ManifestWrite,
         Site::Accept,
         Site::EpollWait,
-        Site::PollWait,
         Site::WakeNotify,
         Site::WakeDrain,
         Site::SockRead,
@@ -417,7 +416,6 @@ fn spurious_poller_wakeups_are_absorbed() {
         plan: Plan::new(0x90)
             .rule(Site::EpollWait, Kind::Eintr, 1, 10)
             .rule(Site::EpollWait, Kind::Eagain, 20, 10)
-            .rule(Site::PollWait, Kind::Eintr, 1, 10)
             .rule(Site::WakeNotify, Kind::Eintr, 1, 8)
             .rule(Site::WakeDrain, Kind::Eintr, 1, 8),
         before_open: true,

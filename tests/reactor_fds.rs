@@ -6,9 +6,8 @@
 //! close (no leaked sockets, no leaked connection slots holding them), and
 //! the daemon's data-plane thread count is exactly `shards + reactors`,
 //! never moving with the connection count. Both are measured against
-//! `/proc/self`, which makes these tests Linux-only in the same way the
-//! epoll backend is — the poll fallback still runs them, the inspection
-//! path does not change.
+//! `/proc/self`, which makes these tests Linux-only — as the daemon's
+//! epoll reactor is.
 //!
 //! The churn below deliberately mixes clean teardowns with the rude ones a
 //! public port sees: clients that vanish mid-frame, and clients that open
@@ -113,8 +112,8 @@ fn avoc_registry() -> Arc<SpecRegistry> {
 /// FD count at baseline, zero open connections, zero live sessions, and a
 /// data-plane census of exactly `shards + reactors` threads before, during
 /// and after. The churn lands on all four reactors (`SO_REUSEPORT`
-/// hashing, or the round-robin handoff under poll mode), so slot reuse and
-/// teardown are exercised per reactor, not just on one.
+/// hashing), so slot reuse and teardown are exercised per reactor, not
+/// just on one.
 #[test]
 fn thousand_session_churn_leaks_no_fds_or_threads() {
     let _guard = proc_lock();
