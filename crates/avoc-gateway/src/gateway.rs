@@ -18,13 +18,13 @@
 //!
 //! Migration is a two-hop shipping relay driven from here (see
 //! [`Gateway::migrate_session`]): `ExportSession` to the source, which
-//! quiesces the session at a round boundary and answers with a
-//! [`Message::SessionState`] blob pair; the gateway re-frames those blobs
-//! into its own `SessionState` to the target, which restores warm and
-//! acknowledges with `Resumed { warm: true }`. Only then does the gateway
-//! flip its pinned placement — a crash anywhere earlier leaves ownership
-//! where the meta sidecars say it is, and re-driving the migration is
-//! idempotent.
+//! quiesces the session at a round boundary, rewrites its log with a head
+//! naming the target, and answers with a [`Message::SessionState`] carrying
+//! that log; the gateway re-frames it into its own `SessionState` to the
+//! target, which restores warm and acknowledges with `Resumed { warm: true
+//! }`. Only then does the gateway flip its pinned placement — a crash
+//! anywhere earlier leaves ownership where the session logs' heads say it
+//! is, and re-driving the migration is idempotent.
 //!
 //! Both cluster verbs carry the shared **cluster secret**
 //! ([`GatewayConfig::cluster_secret`]): exports ship a session's resume
@@ -65,8 +65,8 @@ const MIGRATION_READ_TIMEOUT: Duration = Duration::from_secs(10);
 #[derive(Debug, Clone)]
 pub struct Member {
     /// Cluster node id — must match the daemon's
-    /// [`avoc_serve::Persistence::node_id`], which is what its meta
-    /// sidecars are stamped with.
+    /// [`avoc_serve::Persistence::node_id`], which is what the heads of its
+    /// session logs are stamped with.
     pub node: u64,
     /// Data-plane `host:port` clients are redirected to.
     pub addr: String,
@@ -536,8 +536,8 @@ impl Gateway {
     /// and exports, the state blob is relayed to the target, the target
     /// restores warm, and the gateway flips its pinned placement. The drive
     /// is idempotent — if it fails (or the gateway dies) after the source
-    /// already flipped its sidecar, re-driving re-ships the same state from
-    /// disk.
+    /// already flipped its log's head, re-driving re-ships the same log
+    /// from disk.
     ///
     /// # Errors
     ///
@@ -1049,7 +1049,7 @@ mod tests {
             other => panic!("expected Resumed, got {other:?}"),
         }
 
-        // The source's boot recovery would now skip the sidecar; its live
+        // The source's boot recovery would now skip the log; its live
         // table already dropped the session — resuming there gets refused
         // (by the foreign-meta guard), not double-owned.
         match resume_at(source_addr, session, Some(4)) {

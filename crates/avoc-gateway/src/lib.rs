@@ -14,7 +14,7 @@
 //!             the gateway is off the data path)
 //!
 //!   gateway ── ExportSession ──▶ daemon A      (drain / rebalance)
-//!   gateway ◀── SessionState ─── daemon A      (quiesced checkpoint + WAL)
+//!   gateway ◀── SessionState ─── daemon A      (the log, its head naming B)
 //!   gateway ── SessionState ───▶ daemon B
 //!   gateway ◀── Resumed{warm} ── daemon B      (placement flips, epoch++)
 //! ```

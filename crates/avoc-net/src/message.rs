@@ -97,12 +97,12 @@
 //! (or a daemon that just migrated a session away) tells a client which
 //! node owns a session now; [`Message::ExportSession`] asks a daemon to
 //! quiesce a session at a round boundary and ship it; [`Message::SessionState`]
-//! carries the shipped state — the meta sidecar and compacted WAL, as raw
-//! byte blobs — from source to gateway and gateway to target. An import is
+//! carries the shipped state — the session's compacted log, whose head
+//! names the target — from source to gateway and gateway to target. An import is
 //! acknowledged by the existing tag-12 `Resumed { warm: true }`.
 //!
 //! Tags 17 and 18 are *cluster verbs*, not tenant verbs: they move whole
-//! sessions — including the resume token inside the meta sidecar — so they
+//! sessions — including the resume token inside the log's head — so they
 //! carry a cluster credential (`auth`) that a daemon checks against its
 //! configured inter-node secret before acting. A daemon with no secret
 //! configured refuses them outright, so a standalone deployment exposes no
@@ -125,8 +125,9 @@
 //! session: u64 BE
 //! epoch: u64 BE
 //! auth: u64 BE     cluster credential (the shared inter-node secret)
-//! meta: u32 BE length + bytes (avoc-session-meta v1 sidecar)
-//! wal: u32 BE length + bytes (compacted history log)
+//! meta: u32 BE length + bytes (reserved: always empty, a non-empty
+//!       meta is refused on import)
+//! wal: u32 BE length + bytes (compacted history log, head included)
 //! ```
 //!
 //! Both blob lengths must exactly consume the payload (lying lengths,
@@ -320,8 +321,8 @@ pub enum Message {
     ExportSession {
         /// The session to export.
         session: u64,
-        /// Node id the session is moving to (stamped into the shipped meta
-        /// sidecar so the source's boot recovery skips it).
+        /// Node id the session is moving to (stamped into the head of the
+        /// shipped log, so the source's boot recovery skips it).
         target_node: u64,
         /// The ownership epoch this placement change installs, echoed in
         /// the [`Message::SessionState`] reply and the in-band
@@ -335,8 +336,8 @@ pub enum Message {
         /// migration [`Message::Redirect`].
         target_addr: String,
     },
-    /// A migrating session's durable state in flight (tag 18): the meta
-    /// sidecar and compacted WAL as raw byte blobs. Sent source → gateway
+    /// A migrating session's durable state in flight (tag 18): its
+    /// compacted log, head included, as a raw byte blob. Sent source → gateway
     /// as the [`Message::ExportSession`] reply, then gateway → target as
     /// the import request; the target restores warm and acknowledges with
     /// [`Message::Resumed`]`{ warm: true }`.
@@ -349,9 +350,10 @@ pub enum Message {
         /// inter-node secret or the import is refused — a forged import
         /// would overwrite durable state with an attacker-chosen token.
         auth: u64,
-        /// `avoc-session-meta v1` sidecar bytes.
+        /// Reserved and always empty: the session's meta travels as the
+        /// head of `wal`. An import whose `meta` is not empty is refused.
         meta: Vec<u8>,
-        /// Compacted history-log bytes.
+        /// Compacted history-log bytes, head included.
         wal: Vec<u8>,
     },
 }
@@ -1652,7 +1654,7 @@ mod tests {
             session: 9,
             epoch: 4,
             auth: u64::MAX,
-            meta: b"avoc-session-meta v1\n".to_vec(),
+            meta: b"opaque to the codec".to_vec(),
             wal: vec![0u8, 0xFF, 0x13, 0x37],
         });
         round_trip(Message::SessionState {

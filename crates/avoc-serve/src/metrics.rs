@@ -77,8 +77,8 @@ facts! {
         /// Bytes of segment files written by compaction.
         segment_bytes_written: Counter = "avoc_segment_bytes_written_total",
         ..ScrapeOnly,
-        /// Checkpoint attempts that failed (WAL append or sidecar creation
-        /// error).
+        /// Checkpoint attempts that failed (a log append, or landing a new
+        /// session's log).
         pub(crate) checkpoint_failures: Counter = "avoc_checkpoint_failures_total",
         /// Times a session entered degraded (memory-only) persistence.
         degraded_entered: Counter = "avoc_degraded_entered_total",

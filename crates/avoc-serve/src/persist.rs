@@ -1,44 +1,44 @@
-//! Durable session state: a per-session log plus a write-once sidecar.
+//! Durable session state: one log per session, headed by its meta.
 //!
-//! With persistence enabled, every session owns two files in the state
-//! directory:
+//! With persistence enabled, every session owns one file in the state
+//! directory, `session-<id:016x>.wal` — an [`avoc_store::FileHistory`] log:
 //!
-//! * `session-<id:016x>.wal` — an [`avoc_store::FileHistory`] append-only
-//!   log. A checkpoint is **one record** in it: the trust rows that changed,
-//!   the verdict rows not yet logged, and the round they are as of, in one
-//!   write + flush (+ fsync). That record is the only commit point.
-//! * `session-<id:016x>.meta` — a small sidecar carrying what the log does
-//!   not: resume token, module count, governing spec and owning node. It is
-//!   written when the session is created and again only when ownership
-//!   changes (export stamps the target, import adopts) — never per round.
+//! * its **head**, the first record, carries what the rows do not: resume
+//!   token, module count, governing spec and owning node ([`MetaState`]).
+//!   It is never appended, only landed inside a whole log image by rename —
+//!   at create, heal, export, import and a fold's retirement — so a crash
+//!   leaves the old image or the new one, and an export's ownership flip
+//!   is that one rename.
+//! * a **checkpoint** is one record appended after the head: the trust
+//!   rows that changed, the verdict rows not yet logged, and the round they
+//!   are as of, in one write + flush (+ fsync). That record is the only
+//!   commit point for rounds.
 //!
 //! Recovery derives the rest from the rows themselves: `high_round` is the
 //! highest stamped round in the log or the segment tier, and the result
 //! ring is the verdict rows of the last [`RESULT_RING`] rounds across both.
 //! So the rewrite that heals a sick log or slims one for shipping carries
-//! the ring's verdict rows with it. The sidecar is hand-rolled `key=value`
-//! lines (not JSON) so `u64` resume tokens survive byte-exact — the
-//! vendored JSON shim may route integers through `f64`.
+//! the ring's verdict rows with it. Recovery and the durable listing read
+//! the head alone ([`read_meta`]), never a whole log.
 //!
-//! Corruption anywhere — unreadable sidecar, mid-file log damage, a log in
-//! another format — makes [`SessionStore::load`] return `None`, and the
-//! caller falls back to a fresh session whose AVOC engine re-bootstraps
-//! from live data, exactly as if persistence were off. A torn log *tail*
-//! (the expected artefact of a crash mid-append) is tolerated and truncated
-//! by `FileHistory` itself.
+//! Corruption anywhere — a log with no readable head (one of an older
+//! format included), mid-file damage — makes [`SessionStore::load`] return
+//! `None`, and the caller falls back to a fresh session whose AVOC engine
+//! re-bootstraps from live data, exactly as if persistence were off. A torn
+//! log *tail* (the expected artefact of a crash mid-append) is tolerated
+//! and truncated by `FileHistory` itself.
 
 use avoc_core::history::HistoryStore;
 use avoc_core::ModuleId;
 use avoc_net::SpecSource;
 use avoc_store::{
-    session_wal_path, Durability, FileHistory, TieredPin, TieredStore, VerdictRecord,
+    land_log, meta_image, read_log_meta, session_wal_path, Durability, FileHistory, TieredPin,
+    TieredStore, VerdictRecord,
 };
 use std::collections::VecDeque;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use sysio::fault::Site;
-use sysio::fio;
 
 /// Crash-safety configuration for [`crate::VoterService`].
 ///
@@ -48,20 +48,20 @@ use sysio::fio;
 /// ([`crate::VoterService::compact_now`], [`TieredStore::compact`]).
 #[derive(Debug, Clone, Default)]
 pub struct Persistence {
-    /// Where session WALs and metadata live. `None` disables persistence
-    /// entirely (the default): sessions are memory-only and a restart
-    /// re-bootstraps from live data.
+    /// Where session logs and the segment tier live. `None` disables
+    /// persistence entirely (the default): sessions are memory-only and a
+    /// restart re-bootstraps from live data.
     pub state_dir: Option<PathBuf>,
-    /// `true` fsyncs every WAL append ([`Durability::Fsync`]); the default
-    /// flushes to the OS and lets the kernel schedule the write — a daemon
-    /// crash loses nothing, a machine crash may lose the tail (which
-    /// recovery then truncates).
+    /// `true` fsyncs every log append and every landed log image
+    /// ([`Durability::Fsync`]); the default flushes to the OS and lets the
+    /// kernel schedule the write — a daemon crash loses nothing, a machine
+    /// crash may lose the tail (which recovery then truncates).
     pub fsync: bool,
-    /// This daemon's cluster node id, stamped into every meta sidecar it
-    /// writes. After a migration the source's leftover sidecar names the
-    /// *target* node, so boot recovery skips it instead of double-owning
-    /// the session. `0` (the default) is a valid id for single-node
-    /// deployments.
+    /// This daemon's cluster node id, stamped into the head of every
+    /// session log it writes. After a migration the source's leftover log
+    /// names the *target* node, so boot recovery skips it instead of
+    /// double-owning the session. `0` (the default) is a valid id for
+    /// single-node deployments.
     pub node_id: u64,
     /// Shared inter-node secret gating the cluster verbs (`ExportSession` /
     /// `SessionState` import). Exports ship the session's resume token, so
@@ -98,7 +98,7 @@ fn verdict_rows(results: &VecDeque<StoredResult>) -> impl Iterator<Item = Verdic
     })
 }
 
-/// The decoded contents of a session's sidecar.
+/// What a session log's head carries.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct MetaState {
     pub(crate) token: u64,
@@ -110,46 +110,43 @@ pub(crate) struct MetaState {
 }
 
 impl MetaState {
-    /// Decodes a sidecar; `None` when it is not UTF-8 or fails to parse.
-    pub(crate) fn parse(bytes: &[u8]) -> Option<MetaState> {
-        let mut lines = std::str::from_utf8(bytes).ok()?.lines();
-        if lines.next()? != "avoc-session-meta v2" {
+    /// Decodes a head: `token` u64, `modules` u32 and `node` u64 (all
+    /// little-endian), `resumable` u8, the spec kind u8 (0 named, 1
+    /// inline), then the spec text. `None` when it does not decode.
+    pub(crate) fn decode(bytes: &[u8]) -> Option<MetaState> {
+        let (token, rest) = bytes.split_first_chunk::<8>()?;
+        let (modules, rest) = rest.split_first_chunk::<4>()?;
+        let (node, rest) = rest.split_first_chunk::<8>()?;
+        let (&[resumable @ 0..=1, kind], text) = rest.split_first_chunk::<2>()? else {
             return None;
-        }
-        let token = lines.next()?.strip_prefix("token=")?.parse().ok()?;
-        let modules = lines.next()?.strip_prefix("modules=")?.parse().ok()?;
-        let resumable = match lines.next()?.strip_prefix("resumable=")? {
-            "0" => false,
-            "1" => true,
-            _ => return None,
         };
-        let node = lines.next()?.strip_prefix("node=")?.parse().ok()?;
-        let spec = match lines.next()? {
-            "spec=named" => SpecSource::Named(lines.collect::<Vec<_>>().join("\n")),
-            "spec=inline" => SpecSource::Inline(lines.collect::<Vec<_>>().join("\n")),
+        let text = std::str::from_utf8(text).ok()?.to_owned();
+        let spec = match kind {
+            0 => SpecSource::Named(text),
+            1 => SpecSource::Inline(text),
             _ => return None,
         };
         Some(MetaState {
-            token,
-            modules,
-            resumable,
+            token: u64::from_le_bytes(*token),
+            modules: u32::from_le_bytes(*modules),
+            resumable: resumable == 1,
             spec,
-            node,
+            node: u64::from_le_bytes(*node),
         })
     }
 
-    fn render(&self) -> String {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let (kind, text) = match &self.spec {
-            SpecSource::Named(n) => ("named", n.as_str()),
-            SpecSource::Inline(v) => ("inline", v.as_str()),
+            SpecSource::Named(n) => (0, n),
+            SpecSource::Inline(v) => (1, v),
         };
-        format!(
-            "avoc-session-meta v2\ntoken={}\nmodules={}\nresumable={}\nnode={}\nspec={kind}\n{text}",
-            self.token,
-            self.modules,
-            u8::from(self.resumable),
-            self.node,
-        )
+        let mut out = Vec::with_capacity(22 + text.len());
+        out.extend_from_slice(&self.token.to_le_bytes());
+        out.extend_from_slice(&self.modules.to_le_bytes());
+        out.extend_from_slice(&self.node.to_le_bytes());
+        out.extend_from_slice(&[u8::from(self.resumable), kind]);
+        out.extend_from_slice(text.as_bytes());
+        out
     }
 }
 
@@ -161,20 +158,19 @@ pub(crate) struct Loaded {
     pub(crate) high_round: Option<u64>,
     /// Verdict rows of the last [`RESULT_RING`] rounds, ascending.
     pub(crate) results: Vec<StoredResult>,
-    /// The seed state came from the segment tier alone (the WAL had been
-    /// retired by a fold) — which side of the `wal_replay_ns` /
+    /// The seed state came from the segment tier alone (a fold had cut the
+    /// log to its head) — which side of the `wal_replay_ns` /
     /// `segment_load_ns` split the resume cost lands on.
     pub(crate) from_segments: bool,
     /// `FileHistory` truncated a torn final frame during replay.
     pub(crate) torn_tail: bool,
 }
 
-/// A session's durable state: its history log and the contents of its
-/// sidecar, pinned into the segment tier while alive.
+/// A session's durable state: its log and what the log's head says,
+/// pinned into the segment tier while alive.
 pub(crate) struct SessionStore {
     wal: FileHistory,
     session: u64,
-    meta_path: PathBuf,
     meta: MetaState,
     /// Highest verdict round an earlier fold moved to the segment tier;
     /// with the log's own, the floor below which verdicts are not re-logged.
@@ -189,79 +185,44 @@ impl std::fmt::Debug for SessionStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SessionStore")
             .field("wal", &self.wal.path())
-            .field("meta", &self.meta_path)
             .finish_non_exhaustive()
     }
 }
 
-fn meta_path(dir: &Path, session: u64) -> PathBuf {
-    dir.join(format!("session-{session:016x}.meta"))
-}
-
-/// Session ids that have a sidecar in `dir` (the recovery scan).
-pub(crate) fn list_sessions(dir: &Path) -> Vec<u64> {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return Vec::new();
-    };
-    let mut ids: Vec<u64> = entries
-        .flatten()
-        .filter_map(|e| {
-            let name = e.file_name();
-            let name = name.to_str()?;
-            let hex = name.strip_prefix("session-")?.strip_suffix(".meta")?;
-            u64::from_str_radix(hex, 16).ok()
-        })
-        .collect();
-    ids.sort_unstable();
-    ids
-}
-
-/// Reads and decodes a session's sidecar; `None` if missing or corrupt.
+/// Reads and decodes a session log's head — the header and one frame, not
+/// the log. `None` if the log is missing or has no readable head.
 pub(crate) fn read_meta(dir: &Path, session: u64) -> Option<MetaState> {
-    MetaState::parse(&std::fs::read(meta_path(dir, session)).ok()?)
+    MetaState::decode(&read_log_meta(&session_wal_path(dir, session))?)
 }
 
-/// Re-reads a migrated-away session's shipped state from disk — the
-/// idempotent transfer-retry path. A completed export leaves the sidecar
+/// Re-reads a migrated-away session's shipped log from disk — the
+/// idempotent transfer-retry path. A completed export leaves the log's head
 /// naming `target_node` even if the shipped bytes were lost in flight, so
-/// re-asking re-ships the same state. `None` when the sidecar is missing,
-/// corrupt, or names any other owner (nothing to re-ship).
-pub(crate) fn read_exported_blobs(
+/// re-asking re-ships the same log. `None` when the log is missing, has no
+/// readable head, names any other owner, or was cut to its head by a fold
+/// (its rows now sit in this node's segments, not in what would ship).
+pub(crate) fn read_exported_log(
     dir: &Path,
     session: u64,
     target_node: u64,
-) -> Option<(Vec<u8>, Vec<u8>)> {
-    let meta = read_meta(dir, session)?;
-    if meta.node != target_node {
+    tiered: Option<&Arc<TieredStore>>,
+) -> Option<Vec<u8>> {
+    let path = session_wal_path(dir, session);
+    let head = read_log_meta(&path)?;
+    if MetaState::decode(&head)?.node != target_node {
         return None;
     }
-    let wal_bytes = std::fs::read(session_wal_path(dir, session)).ok()?;
-    Some((meta.render().into_bytes(), wal_bytes))
-}
-
-/// Lands `bytes` at `path` through a temporary file + rename, every leg on
-/// the fault-injectable `sysio` facade (EINTR retried, short writes
-/// resumed).
-fn write_file(site: Site, path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    {
-        fio::check_op(site)?;
-        let mut f = std::fs::File::create(&tmp)?;
-        fio::write_all(site, &mut f, bytes)?;
-        fio::flush(site, &mut f)?;
-    }
-    fio::check_op(site)?;
-    std::fs::rename(&tmp, path)
+    let wal = std::fs::read(path).ok()?;
+    let folded = tiered.is_some_and(|t| matches!(t.session_summary(session), Ok(Some(_))));
+    (wal.len() > meta_image(&head).len() || !folded).then_some(wal)
 }
 
 impl SessionStore {
-    /// Creates fresh durable state for a new session, removing any stale
-    /// files a previous occupant of this id left behind and *forgetting*
-    /// its folded segment rows so the old life cannot bleed into the new.
-    /// The sidecar lands first: if it cannot be written nothing else is
-    /// created, and a sidecar without a log is simply a session that has
-    /// not fused yet.
+    /// Creates fresh durable state for a new session: *forgets* the folded
+    /// segment rows a previous occupant of this id left, so the old life
+    /// cannot bleed into the new, then lands a head-only log in place of
+    /// any old one. If that landing fails, no log is opened and the old
+    /// file, if any, stays as it was.
     pub(crate) fn create(
         dir: &Path,
         session: u64,
@@ -276,15 +237,11 @@ impl SessionStore {
         if let Some(t) = tiered {
             t.forget_session(session)?;
         }
-        let wal = session_wal_path(dir, session);
-        let meta_path = meta_path(dir, session);
-        let _ = std::fs::remove_file(&wal);
-        let _ = std::fs::remove_file(&meta_path);
-        write_file(Site::MetaWrite, &meta_path, meta.render().as_bytes())?;
+        let path = session_wal_path(dir, session);
+        land_log(&path, &meta_image(&meta.encode()), durability)?;
         Ok(SessionStore {
-            wal: FileHistory::open_with(&wal, durability)?,
+            wal: FileHistory::open_with(&path, durability)?,
             session,
-            meta_path,
             meta,
             folded_verdict_round: None,
             tiered: tiered.map(Arc::clone),
@@ -292,15 +249,15 @@ impl SessionStore {
         })
     }
 
-    /// Loads a session's durable state. `None` when the checkpoint is
-    /// missing or corrupt — the caller falls back to a fresh session (AVOC
-    /// re-bootstraps). A torn WAL tail is repaired by `FileHistory` and does
-    /// not fail the load.
+    /// Loads a session's durable state. `None` when the log is missing, has
+    /// no readable head, or is corrupt — the caller falls back to a fresh
+    /// session (AVOC re-bootstraps). A torn log tail is repaired by
+    /// `FileHistory` and does not fail the load.
     ///
-    /// The history seed is the segment tier's latest state with the WAL's
-    /// rows replayed on top (a WAL row is always at least as new as a
-    /// folded one). When the WAL has been retired by a complete fold, the
-    /// seed comes from the segment tier alone — the cheap path
+    /// The history seed is the segment tier's latest state with the log's
+    /// rows replayed on top (a logged row is always at least as new as a
+    /// folded one). When a complete fold cut the log to its head, the seed
+    /// comes from the segment tier alone — the cheap path
     /// [`Loaded::from_segments`] reports and `benchmark/` measures
     /// (`serve.segment_load_ms`).
     pub(crate) fn load(
@@ -316,9 +273,10 @@ impl SessionStore {
         let folded = tiered
             .and_then(|t| t.session_summary(session).ok().flatten())
             .unwrap_or_default();
+        let blocks = folded.blocks;
         let wal_path = session_wal_path(dir, session);
-        let from_segments = folded.blocks > 0 && !wal_path.exists();
         let mut wal = FileHistory::open_over(&wal_path, durability, folded.latest).ok()?;
+        let from_segments = blocks > 0 && wal.committed_round().is_none();
         let high_round = wal
             .committed_round()
             .max(folded.folded_through)
@@ -327,7 +285,7 @@ impl SessionStore {
         let replayed = wal.take_replayed_verdicts();
         // Only a session with folded rounds needs the merged two-tier read.
         let verdicts = match (tiered, &window) {
-            (Some(t), Some(w)) if folded.blocks > 0 => {
+            (Some(t), Some(w)) if blocks > 0 => {
                 t.verdicts_in(session, w.clone()).unwrap_or(replayed)
             }
             _ => replayed,
@@ -342,7 +300,6 @@ impl SessionStore {
             store: SessionStore {
                 wal,
                 session,
-                meta_path: meta_path(dir, session),
                 meta,
                 folded_verdict_round: folded.max_verdict_round,
                 tiered: tiered.map(Arc::clone),
@@ -354,7 +311,7 @@ impl SessionStore {
         })
     }
 
-    /// What the sidecar says about the session.
+    /// What the log's head says about the session.
     pub(crate) fn meta(&self) -> &MetaState {
         &self.meta
     }
@@ -402,11 +359,10 @@ impl SessionStore {
         Ok(self.wal.bytes_logged() - before)
     }
 
-    /// Rewrites the log wholesale as one record — the session's full
-    /// current state, its round stamp and the ring's verdict rows. This is
-    /// the re-probe a degraded session runs against a possibly-healed disk
-    /// (success clears the WAL's sick flag) and the slimming an export does
-    /// before it ships the log.
+    /// Rewrites the log wholesale as its head and one record — the
+    /// session's full current state, its round stamp and the ring's verdict
+    /// rows. This is the re-probe a degraded session runs against a
+    /// possibly-healed disk (success clears the WAL's sick flag).
     ///
     /// # Errors
     ///
@@ -418,62 +374,78 @@ impl SessionStore {
         high_round: Option<u64>,
         results: &VecDeque<StoredResult>,
     ) -> io::Result<()> {
+        let meta = self.meta.encode();
+        self.rewrite_headed(&meta, records, high_round, results)
+    }
+
+    /// [`SessionStore::rewrite`] under the head `meta`.
+    fn rewrite_headed(
+        &mut self,
+        meta: &[u8],
+        records: &[(ModuleId, f64)],
+        high_round: Option<u64>,
+        results: &VecDeque<StoredResult>,
+    ) -> io::Result<()> {
         // Memory first: whether this append reaches the old log does not
         // matter, the rewrite below replaces it from the mirror.
         let _ = self.checkpoint(records, high_round, results);
-        self.wal.compact(&verdict_rows(results).collect::<Vec<_>>())
+        self.wal
+            .compact(Some(meta), &verdict_rows(results).collect::<Vec<_>>())
     }
 
     /// Quiesces this session's durable state for shipping to `target_node`:
-    /// rewrites the log to one record, flips the sidecar's ownership to the
-    /// target, and returns `(meta_bytes, wal_bytes)`.
+    /// rewrites the log to its head and one record, the head naming the
+    /// target, and returns the log.
     ///
-    /// Ordering is the migration protocol's crash story: the sidecar names
-    /// the target *before* any bytes leave this node, so if the transfer
-    /// dies mid-flight this node's boot recovery skips the session (it is
-    /// the gateway's job to retry or re-place) rather than resurrecting a
-    /// copy that may also be running elsewhere.
+    /// That rewrite's rename is the migration's one commit point: from it
+    /// on this node's boot recovery skips the session rather than
+    /// resurrecting a copy that may also be running elsewhere. Until it
+    /// lands the session is still this node's, on disk and in memory.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors, and refuses (`InvalidData`) when the state
     /// would not fit a single transfer frame under
     /// [`avoc_net::message::MAX_FRAME_LEN`] — better an explicit failure
-    /// than an undecodable frame on the wire.
-    pub(crate) fn export_blobs(
+    /// than an undecodable frame on the wire. The log is handed back to
+    /// this node first.
+    pub(crate) fn export(
         &mut self,
         target_node: u64,
         records: &[(ModuleId, f64)],
         high_round: Option<u64>,
         results: &VecDeque<StoredResult>,
-    ) -> io::Result<(Vec<u8>, Vec<u8>)> {
-        self.rewrite(records, high_round, results)?;
-        self.meta.node = target_node;
-        let meta = self.meta.render().into_bytes();
-        write_file(Site::MetaWrite, &self.meta_path, &meta)?;
+    ) -> io::Result<Vec<u8>> {
+        let target = MetaState {
+            node: target_node,
+            ..self.meta.clone()
+        };
+        self.rewrite_headed(&target.encode(), records, high_round, results)?;
         let wal = std::fs::read(self.wal.path())?;
         // Frame budget: session + epoch + auth + two length prefixes + header.
         const TRANSFER_OVERHEAD: usize = 1 + 8 + 8 + 8 + 4 + 4;
-        if meta.len() + wal.len() + TRANSFER_OVERHEAD > avoc_net::message::MAX_FRAME_LEN {
+        if wal.len() + TRANSFER_OVERHEAD > avoc_net::message::MAX_FRAME_LEN {
+            self.rewrite(records, high_round, results)?;
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "session state exceeds the transfer frame cap even after compaction",
             ));
         }
-        Ok((meta, wal))
+        self.meta = target;
+        Ok(wal)
     }
 
-    /// Lands a shipped session in `dir` — log first, then the sidecar, so a
-    /// crash between the two leaves no sidecar pointing at a missing log.
-    /// The shipped log is scanned before anything local is touched: a blob
-    /// that does not read clean end to end is refused (`InvalidData`). Any
-    /// prior occupant of the id (files and folded segment rows) is cleared
-    /// only after that.
+    /// Lands a shipped session log in `dir`, unchanged: its head already
+    /// names this node (the export stamped it). The image is scanned end
+    /// to end before anything local is touched: one that does not read
+    /// clean is refused (`InvalidData`). The prior occupant's folded
+    /// segment rows are forgotten only after that, and the landing's one
+    /// rename replaces its log.
     pub(crate) fn write_imported(
         dir: &Path,
         session: u64,
-        meta: &MetaState,
         wal: &[u8],
+        durability: Durability,
         tiered: Option<&Arc<TieredStore>>,
     ) -> io::Result<()> {
         avoc_store::validate_wal(wal)?;
@@ -482,17 +454,13 @@ impl SessionStore {
         if let Some(t) = tiered {
             t.forget_session(session)?;
         }
-        let meta_dst = meta_path(dir, session);
-        let _ = std::fs::remove_file(&meta_dst);
-        write_file(Site::WalAppend, &session_wal_path(dir, session), wal)?;
-        write_file(Site::MetaWrite, &meta_dst, meta.render().as_bytes())
+        land_log(&session_wal_path(dir, session), wal, durability)
     }
 
     /// Deletes the session's durable state (explicit close: the tenant is
     /// done, nothing to resume), including its folded segment rows.
     pub(crate) fn remove(self) {
         let _ = std::fs::remove_file(self.wal.path());
-        let _ = std::fs::remove_file(&self.meta_path);
         if let Some(t) = &self.tiered {
             let _ = t.forget_session(self.session);
         }
@@ -502,6 +470,7 @@ impl SessionStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use avoc_store::list_session_wals;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("avoc-persist-{tag}-{}", std::process::id()));
@@ -545,22 +514,22 @@ mod tests {
             vec![(4, Some(19.700000000000003), true), (5, None, false)]
         );
         assert_eq!(loaded.store.seed_records(), records);
-        assert_eq!(list_sessions(&dir), vec![0x2a]);
+        assert_eq!(list_session_wals(&dir).unwrap(), vec![0x2a]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[cfg(unix)]
     #[test]
-    fn the_sidecar_is_written_once() {
+    fn a_session_is_one_file_and_checkpoints_land_none() {
         use std::os::unix::fs::MetadataExt;
 
-        let dir = tmpdir("write-once");
+        let dir = tmpdir("one-file");
         let spec = SpecSource::Named("avoc".into());
         let mut store =
             SessionStore::create(&dir, 5, meta(1, 2, true, spec, 0), Durability::Flush, None)
                 .unwrap();
-        let sidecar = meta_path(&dir, 5);
-        let before = std::fs::metadata(&sidecar).unwrap();
+        let log = session_wal_path(&dir, 5);
+        let before = std::fs::metadata(&log).unwrap();
         let mut ring = VecDeque::new();
         for round in 0..100u64 {
             let trust = 1.0 - round as f64 / 200.0;
@@ -569,18 +538,14 @@ mod tests {
                 .checkpoint(&[(ModuleId::new(0), trust)], Some(round), &ring)
                 .unwrap();
         }
-        let after = std::fs::metadata(&sidecar).unwrap();
-        // A steady-state checkpoint creates no file and renames none.
-        assert_eq!(after.ino(), before.ino());
-        assert_eq!(
-            (after.mtime(), after.mtime_nsec()),
-            (before.mtime(), before.mtime_nsec())
-        );
+        // A steady-state checkpoint appends: it creates no file and
+        // renames none.
+        assert_eq!(std::fs::metadata(&log).unwrap().ino(), before.ino());
         let names: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
-        assert_eq!(names.len(), 2, "the log and the sidecar only: {names:?}");
+        assert_eq!(names, ["session-0000000000000005.wal"]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -602,9 +567,16 @@ mod tests {
         let good = std::fs::read(&wal).unwrap();
         std::fs::write(&wal, "{\"op\":\"set\",\"module\":0,\"value\":0.5}\n").unwrap();
         assert!(SessionStore::load(&dir, 7, Durability::Flush, None).is_none());
-        std::fs::write(&wal, good).unwrap();
-        // Scribble over the meta: the load must degrade to None, not error.
-        std::fs::write(meta_path(&dir, 7), "garbage").unwrap();
+        // Scribble over the head: the load must degrade to None, not error.
+        let mut scribbled = good.clone();
+        scribbled[20] ^= 0xff;
+        std::fs::write(&wal, &scribbled).unwrap();
+        assert!(read_meta(&dir, 7).is_none());
+        assert!(SessionStore::load(&dir, 7, Durability::Flush, None).is_none());
+        // A log of the previous version has no head at all.
+        let mut v1 = good;
+        v1[7] = 1;
+        std::fs::write(&wal, &v1).unwrap();
         assert!(SessionStore::load(&dir, 7, Durability::Flush, None).is_none());
         // Missing entirely behaves the same.
         assert!(SessionStore::load(&dir, 99, Durability::Flush, None).is_none());
@@ -626,13 +598,13 @@ mod tests {
         assert!(!loaded.store.meta().resumable);
         assert_eq!(loaded.store.seed_records(), vec![(ModuleId::new(0), 0.4)]);
         loaded.store.remove();
-        assert!(list_sessions(&dir).is_empty());
+        assert!(list_session_wals(&dir).unwrap().is_empty());
         assert!(SessionStore::load(&dir, 3, Durability::Flush, None).is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn export_blobs_flip_ownership_and_restore_elsewhere() {
+    fn export_flips_ownership_and_restores_elsewhere() {
         let src = tmpdir("export-src");
         let dst = tmpdir("export-dst");
         let spec = SpecSource::Named("avoc".into());
@@ -649,35 +621,112 @@ mod tests {
         ring.push_back((9u64, Some(18.150000000000002f64), true));
         store.checkpoint(&records, Some(9), &ring).unwrap();
 
-        let (meta_bytes, wal_bytes) = store.export_blobs(2, &records, Some(9), &ring).unwrap();
+        let wal = store.export(2, &records, Some(9), &ring).unwrap();
+        assert_eq!(store.meta().node, 2);
         drop(store);
 
-        // The source's leftover sidecar now names the target: node 1 no
-        // longer owns it, node 2 does — and asking again re-ships the same.
-        assert_eq!(read_meta(&src, 0x5e).unwrap().node, 2);
-        assert_eq!(
-            read_exported_blobs(&src, 0x5e, 2),
-            Some((meta_bytes.clone(), wal_bytes.clone()))
-        );
-        assert_eq!(read_exported_blobs(&src, 0x5e, 3), None);
+        // The source's leftover log now names the target: node 1 no longer
+        // owns it, node 2 does — and asking again re-ships the same.
+        let shipped = meta(77, 3, true, spec, 2);
+        let head = avoc_store::image_meta(&wal).and_then(MetaState::decode);
+        assert_eq!(head.as_ref(), Some(&shipped));
+        assert_eq!(read_meta(&src, 0x5e).as_ref(), Some(&shipped));
+        assert_eq!(read_exported_log(&src, 0x5e, 2, None), Some(wal.clone()));
+        assert_eq!(read_exported_log(&src, 0x5e, 3, None), None);
 
         // A shipped log that does not scan clean is refused before the
         // target's disk is touched.
-        let shipped = MetaState::parse(&meta_bytes).unwrap();
-        let torn = &wal_bytes[..wal_bytes.len() - 1];
-        let err = SessionStore::write_imported(&dst, 0x5e, &shipped, torn, None).unwrap_err();
+        let torn = &wal[..wal.len() - 1];
+        let err =
+            SessionStore::write_imported(&dst, 0x5e, torn, Durability::Flush, None).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert_eq!(std::fs::read_dir(&dst).unwrap().count(), 0);
 
-        // Landing the blobs on the target restores byte-exact state: the
-        // round and the ring travel in the one-record log.
-        SessionStore::write_imported(&dst, 0x5e, &shipped, &wal_bytes, None).unwrap();
+        // Landing the log on the target restores byte-exact state: the
+        // owner, the round and the ring travel in the one file, unchanged.
+        SessionStore::write_imported(&dst, 0x5e, &wal, Durability::Flush, None).unwrap();
+        assert_eq!(std::fs::read(session_wal_path(&dst, 0x5e)).unwrap(), wal);
         let loaded = SessionStore::load(&dst, 0x5e, Durability::Flush, None).unwrap();
-        assert_eq!(loaded.store.meta(), &meta(77, 3, true, spec, 2));
+        assert_eq!(loaded.store.meta(), &shipped);
         assert_eq!(loaded.high_round, Some(9));
         assert_eq!(loaded.results, vec![(9, Some(18.150000000000002), true)]);
         assert_eq!(loaded.store.seed_records(), records);
         std::fs::remove_dir_all(&src).unwrap();
         std::fs::remove_dir_all(&dst).unwrap();
+    }
+
+    #[test]
+    fn a_log_cut_by_a_fold_is_not_reshipped() {
+        let dir = tmpdir("export-fold");
+        let tier = Arc::new(TieredStore::open(&dir).unwrap());
+        let spec = SpecSource::Named("avoc".into());
+        let export = |session: u64, rounds: u64| {
+            let owner = meta(3, 1, true, spec.clone(), 1);
+            let mut store =
+                SessionStore::create(&dir, session, owner, Durability::Flush, Some(&tier)).unwrap();
+            let mut ring = VecDeque::new();
+            let records = [(ModuleId::new(0), 0.5)];
+            for round in 0..rounds {
+                ring.push_back((round, Some(1.0), true));
+                store.checkpoint(&records, Some(round), &ring).unwrap();
+            }
+            let high = rounds.checked_sub(1);
+            store.export(2, &records, high, &ring).unwrap()
+        };
+        let (fused, fresh) = (export(1, 4), export(2, 0));
+        assert_eq!(read_exported_log(&dir, 1, 2, Some(&tier)), Some(fused));
+        assert_eq!(tier.compact().unwrap().wals_retired, 1);
+        // The fold moved session 1's rows into this node's segments: its
+        // head-only log is not the state that shipped, so it is not re-shipped.
+        assert_eq!(read_exported_log(&dir, 1, 2, Some(&tier)), None);
+        // A session exported before its first round had nothing to fold.
+        assert_eq!(read_exported_log(&dir, 2, 2, Some(&tier)), Some(fresh));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_crash_at_any_byte_keeps_the_old_owner_or_starts_cold() {
+        let dir = tmpdir("crash-any-byte");
+        let spec = SpecSource::Named("avoc".into());
+        let owner = meta(5, 2, true, spec, 1);
+        let mut store =
+            SessionStore::create(&dir, 9, owner.clone(), Durability::Flush, None).unwrap();
+        let records = [(ModuleId::new(0), 0.5), (ModuleId::new(1), 0.25)];
+        let mut ring = VecDeque::new();
+        for round in 0..4u64 {
+            ring.push_back((round, Some(round as f64), true));
+            store.checkpoint(&records, Some(round), &ring).unwrap();
+        }
+        let log = session_wal_path(&dir, 9);
+        let old = std::fs::read(&log).unwrap();
+        let image = store.export(2, &records, Some(3), &ring).unwrap();
+        drop(store);
+        let mut tmp = log.clone().into_os_string();
+        tmp.push(".tmp");
+
+        // A kill mid-landing leaves some prefix of the export image as the
+        // log's `.tmp`, the old log untouched beside it.
+        for cut in 0..=image.len() {
+            std::fs::write(&log, &old).unwrap();
+            std::fs::write(&tmp, &image[..cut]).unwrap();
+            let tier = Arc::new(TieredStore::open(&dir).unwrap());
+            assert!(!Path::new(&tmp).exists(), "cut {cut}: the .tmp is swept");
+            let loaded = SessionStore::load(&dir, 9, Durability::Flush, Some(&tier));
+            let loaded = loaded.unwrap_or_else(|| panic!("cut {cut}: the old log loads"));
+            assert_eq!(loaded.store.meta(), &owner, "cut {cut}");
+            assert_eq!(loaded.high_round, Some(3), "cut {cut}");
+        }
+
+        // A log cut short inside its head has no owner: a cold start.
+        let head_end = 8 + 8 + 1 + owner.encode().len();
+        for cut in 0..head_end {
+            std::fs::write(&log, &old[..cut]).unwrap();
+            assert!(read_meta(&dir, 9).is_none(), "cut {cut}");
+            assert!(
+                SessionStore::load(&dir, 9, Durability::Flush, None).is_none(),
+                "cut {cut}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

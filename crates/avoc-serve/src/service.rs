@@ -2,7 +2,7 @@
 
 use avoc_core::ModuleId;
 use avoc_net::SpecSource;
-use avoc_store::{CompactionReport, TieredStore};
+use avoc_store::{list_session_wals, CompactionReport, TieredStore};
 use avoc_vdx::VdxError;
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
@@ -399,12 +399,13 @@ impl VoterService {
     /// Eagerly rebuilds every session checkpointed in the state directory —
     /// the daemon-restart path: the `SpecRegistry` re-resolves each
     /// session's persisted spec and the shards restore warm history from
-    /// the WALs. Sessions whose spec no longer resolves (or whose meta is
-    /// corrupt) are skipped; a later client resume gets the fresh-fallback
-    /// bootstrap for those instead of an error. Checkpoints whose meta
-    /// names a *different* node are skipped too — those sessions migrated
-    /// away and their durable state belongs to the target now; recovering
-    /// them here would fork the fused stream.
+    /// the logs. Only each log's head is read here. Sessions whose spec no
+    /// longer resolves, or whose log has no readable head (an older format
+    /// included), are skipped; a later client resume gets the
+    /// fresh-fallback bootstrap for those instead of an error. Logs whose
+    /// head names a *different* node are skipped too — those sessions
+    /// migrated away and their durable state belongs to the target now;
+    /// recovering them here would fork the fused stream.
     ///
     /// Returns how many recovery commands were dispatched. Until a client
     /// re-attaches, recovered sessions emit to `sink`.
@@ -414,9 +415,10 @@ impl VoterService {
             return 0;
         };
         let mut dispatched = 0;
-        let mut foreign = 0u64;
-        for id in persist::list_sessions(&dir) {
+        let (mut foreign, mut headless) = (0u64, 0u64);
+        for id in list_session_wals(&dir).unwrap_or_default() {
             let Some(meta) = persist::read_meta(&dir, id) else {
+                headless += 1;
                 continue;
             };
             if meta.node != self.persistence.node_id {
@@ -452,6 +454,9 @@ impl VoterService {
                 self.persistence.node_id
             );
         }
+        if headless > 0 {
+            eprintln!("avoc-serve: {headless} session log(s) have no readable head: cold start");
+        }
         dispatched
     }
 
@@ -464,12 +469,13 @@ impl VoterService {
     /// Exports a session for migration: the owning shard quiesces it at a
     /// round boundary (pending partial rounds are *not* force-fused — the
     /// client's unacked replay reconstructs them bit-identically at the
-    /// target), compacts and checkpoints its durable state stamped with
-    /// `target_node`, and answers on `sink` with a
-    /// [`avoc_net::Message::SessionState`] carrying the meta + WAL blobs
-    /// (or an [`avoc_net::Message::Error`] if the session is unknown).
-    /// The session's live state is dropped here; its files stay on disk —
-    /// stamped foreign, so this node's own recovery skips them.
+    /// target), rewrites its log whole with a head naming `target_node`
+    /// (one rename, the migration's commit point), and answers on `sink`
+    /// with a [`avoc_net::Message::SessionState`] carrying that log (its
+    /// `meta` field empty), or an [`avoc_net::Message::Error`] if the
+    /// session is unknown or the rewrite failed. The session's live state
+    /// is dropped here; its log stays on disk — naming the target, so this
+    /// node's own recovery skips it.
     ///
     /// # Errors
     ///
@@ -492,24 +498,26 @@ impl VoterService {
         self.control(session, cmd)
     }
 
-    /// Imports a migrated session from its shipped meta + WAL blobs. The
-    /// owning shard lands the files (re-stamped with this node's id) and
-    /// eagerly resumes the session warm so the client's next reconnect
-    /// re-attaches to live state; it answers on `sink` with a
-    /// [`avoc_net::Message::Resumed`] frame (`warm: true`). A shipped WAL
-    /// that does not scan clean end to end is refused there with an
-    /// [`avoc_net::Message::Error`] frame before any local state is
+    /// Imports a migrated session from its shipped log, whose head must
+    /// already name this node (the export stamped it). The owning shard
+    /// lands the log unchanged and eagerly resumes the session warm so the
+    /// client's next reconnect re-attaches to live state; it answers on
+    /// `sink` with a [`avoc_net::Message::Resumed`] frame (`warm: true`). A
+    /// shipped log that does not scan clean end to end is refused there
+    /// with an [`avoc_net::Message::Error`] frame before any local state is
     /// touched. When the session is *already live* on this node with the
     /// same token — an idempotent re-drive of a completed migration — the
     /// shard answers `Resumed { warm: true }` without touching the durable
-    /// files, which the live session holds open.
+    /// file, which the live session holds open.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Refused`] when this node has no state directory or the
-    /// shipped meta is corrupt; [`ServeError::UnknownSpec`]/[`ServeError::Vdx`]
-    /// when the meta's spec does not resolve here;
-    /// [`ServeError::ShuttingDown`] after [`VoterService::drain`].
+    /// [`ServeError::Refused`] when this node has no state directory, when
+    /// `meta` is not empty or the log has no readable head ("shipped meta
+    /// is corrupt"), or when the head names another node;
+    /// [`ServeError::UnknownSpec`]/[`ServeError::Vdx`] when the head's spec
+    /// does not resolve here; [`ServeError::ShuttingDown`] after
+    /// [`VoterService::drain`].
     pub fn import_session(
         &self,
         session: u64,
@@ -522,9 +530,17 @@ impl VoterService {
                 "import refused: this node has no state directory",
             ));
         }
-        let parsed = persist::MetaState::parse(meta).ok_or(ServeError::Refused(
-            "import refused: shipped meta is corrupt",
-        ))?;
+        let parsed = avoc_store::image_meta(wal)
+            .filter(|_| meta.is_empty())
+            .and_then(persist::MetaState::decode)
+            .ok_or(ServeError::Refused(
+                "import refused: shipped meta is corrupt",
+            ))?;
+        if parsed.node != self.persistence.node_id {
+            return Err(ServeError::Refused(
+                "import refused: the shipped log names another node",
+            ));
+        }
         // The file writes happen *inside the shard thread* so they are
         // serialized with any live instance of the same session: an
         // idempotent re-drive must not truncate the WAL the live
@@ -561,8 +577,8 @@ impl VoterService {
     }
 
     /// Lists the session ids with durable state in this node's state
-    /// directory that are stamped as owned by (or unclaimed for) this
-    /// node, as a flat JSON array (`[7,21]`). This is the drain-time
+    /// directory whose log's head names this node, as a flat JSON array
+    /// (`[7,21]`); only the heads are read. This is the drain-time
     /// complement to the live view: a gateway enumerating a member's
     /// migratable sessions must also see sessions recovered at daemon boot
     /// or idled out of memory, which never appear in its placement table.
@@ -570,7 +586,8 @@ impl VoterService {
         let Some(dir) = self.persistence.state_dir.as_deref() else {
             return "[]".to_string();
         };
-        let ids: Vec<String> = persist::list_sessions(dir)
+        let ids: Vec<String> = list_session_wals(dir)
+            .unwrap_or_default()
             .into_iter()
             .filter(|&id| {
                 persist::read_meta(dir, id).is_some_and(|m| m.node == self.persistence.node_id)
@@ -1187,5 +1204,110 @@ mod tests {
         let hits: std::collections::HashSet<usize> =
             (0..64u64).map(|id| service.shard_for(id)).collect();
         assert!(hits.len() > 1);
+    }
+
+    fn durable(dir: &std::path::Path, node_id: u64) -> VoterService {
+        let persistence = Persistence {
+            state_dir: Some(dir.to_path_buf()),
+            node_id,
+            ..Persistence::default()
+        };
+        let config = ServeConfig {
+            shards: 1,
+            persistence,
+            ..ServeConfig::default()
+        };
+        VoterService::start(config, registry())
+    }
+
+    fn state_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("avoc-service-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn an_import_of_a_log_that_names_another_node_is_refused() {
+        let (src, dst) = (state_dir("import-src"), state_dir("import-dst"));
+        let source = durable(&src, 1);
+        let spec = SpecSource::Named("avoc".into());
+        let (sink, _results) = channel::unbounded();
+        source.open_session(7, 3, &spec, sink).unwrap();
+        for round in 0..4u64 {
+            for m in 0..3u32 {
+                source.feed(7, ModuleId::new(m), round, 20.0).unwrap();
+            }
+        }
+        let (tx, rx) = channel::unbounded();
+        source.export_session(7, 5, 1, "127.0.0.1:1", tx).unwrap();
+        let wal = loop {
+            match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
+                Message::SessionState { meta, wal, .. } => {
+                    assert!(meta.is_empty(), "the meta travels in the log");
+                    break wal;
+                }
+                Message::Error { message, .. } => panic!("export refused: {message}"),
+                _ => {}
+            }
+        };
+        source.drain();
+
+        let target = durable(&dst, 0);
+        let refusal = |meta: &[u8], wal: &[u8]| {
+            let (tx, _rx) = channel::unbounded();
+            match target.import_session(7, meta, wal, tx) {
+                Err(ServeError::Refused(reason)) => reason,
+                other => panic!("expected a refusal, got {other:?}"),
+            }
+        };
+        assert_eq!(
+            refusal(&[], &wal),
+            "import refused: the shipped log names another node"
+        );
+        assert_eq!(
+            refusal(b"a sidecar", &wal),
+            "import refused: shipped meta is corrupt"
+        );
+        assert_eq!(
+            refusal(&[], &wal[..20]),
+            "import refused: shipped meta is corrupt"
+        );
+        target.drain();
+        let files = std::fs::read_dir(&dst).unwrap().flatten();
+        let sessions = files.filter(|e| e.file_name().to_string_lossy().starts_with("session-"));
+        assert_eq!(sessions.count(), 0, "a refused import writes nothing");
+        let _ = std::fs::remove_dir_all(&src);
+        let _ = std::fs::remove_dir_all(&dst);
+    }
+
+    #[test]
+    fn a_log_of_the_previous_version_is_a_cold_start() {
+        let dir = state_dir("v1-log");
+        let log = avoc_store::session_wal_path(&dir, 3);
+        {
+            let mut wal = avoc_store::FileHistory::open(&log).unwrap();
+            wal.checkpoint(&[(ModuleId::new(0), 0.5)], &[], Some(4))
+                .unwrap();
+        }
+        // The same records under the version-1 header, which had no head.
+        let mut bytes = std::fs::read(&log).unwrap();
+        bytes[7] = 1;
+        std::fs::write(&log, bytes).unwrap();
+
+        let service = durable(&dir, 0);
+        let (sink, replies) = channel::unbounded();
+        assert_eq!(service.recover_sessions(sink.clone()), 0);
+        let spec = SpecSource::Named("avoc".into());
+        service
+            .resume_session(3, 2, &spec, 9, Some(4), sink)
+            .unwrap();
+        let reply = replies.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert!(
+            matches!(reply, Message::Resumed { warm: false, .. }),
+            "got {reply:?}"
+        );
+        assert_eq!(service.drain().recoveries, 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -418,13 +418,13 @@ impl Session {
     }
 
     /// Quiesces this session at its current round boundary and returns its
-    /// shippable state: `(meta_bytes, wal_bytes)` for a
-    /// [`Message::SessionState`] transfer frame. Pending results flush to
-    /// the tenant first (the stream up to the boundary completes on this
-    /// node); partially assembled rounds are deliberately *not* force-fused
-    /// — the client replays its unacked readings at the target, so the
-    /// migrated stream fuses them exactly as an uninterrupted run would.
-    /// After this returns the on-disk sidecar names `target_node`.
+    /// shippable log for a [`Message::SessionState`] transfer frame.
+    /// Pending results flush to the tenant first (the stream up to the
+    /// boundary completes on this node); partially assembled rounds are
+    /// deliberately *not* force-fused — the client replays its unacked
+    /// readings at the target, so the migrated stream fuses them exactly as
+    /// an uninterrupted run would. After this returns the on-disk log's
+    /// head names `target_node`.
     ///
     /// # Errors
     ///
@@ -435,7 +435,7 @@ impl Session {
         &mut self,
         target_node: u64,
         counters: &ServiceCounters,
-    ) -> std::io::Result<(Vec<u8>, Vec<u8>)> {
+    ) -> std::io::Result<Vec<u8>> {
         self.flush_results(counters);
         let Some(store) = self.persist.as_mut() else {
             return Err(std::io::Error::new(
@@ -444,7 +444,7 @@ impl Session {
             ));
         };
         let records = self.engine.histories();
-        store.export_blobs(target_node, &records, self.high_round, &self.results)
+        store.export(target_node, &records, self.high_round, &self.results)
     }
 
     /// Tells the tenant its session now lives at `addr` (sent in-band on

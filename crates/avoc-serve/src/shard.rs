@@ -161,8 +161,8 @@ pub(crate) enum ShardCommand {
     /// to a migration target: reply with [`Message::SessionState`] on
     /// `sink` (or [`Message::Error`] on failure), tell the tenant where it
     /// moved via an in-band [`Message::Redirect`], and release the session
-    /// here. Its files stay behind, re-stamped with the target's ownership,
-    /// so a transfer lost in flight can be re-asked for idempotently.
+    /// here. Its log stays behind, its head naming the target, so a
+    /// transfer lost in flight can be re-asked for idempotently.
     Export {
         /// The session to ship.
         session: u64,
@@ -175,18 +175,18 @@ pub(crate) enum ShardCommand {
         /// The requester's (gateway's) connection, for the reply.
         sink: ResultSink,
     },
-    /// Land a migrated session's shipped blobs and eagerly resume it warm.
+    /// Land a migrated session's shipped log and eagerly resume it warm.
     /// The file writes happen here — on the shard that owns the session id —
     /// so they are serialized with any live instance of the same session: an
     /// idempotent re-drive of a completed migration (gateway crash after the
     /// target acked, operator retry) must answer `Resumed { warm: true }`
     /// without truncating the WAL the live session holds open.
     Import {
-        /// The session to install, as the shipped sidecar describes it
+        /// The session to install, as the shipped log's head describes it
         /// (spec already resolved; `req.sink` gets the `Resumed`/`Error`
         /// answer).
         req: OpenReq,
-        /// The shipped WAL bytes.
+        /// The shipped log, head included.
         wal: Vec<u8>,
     },
     /// Flush every session (final checkpoints included) and exit the worker
@@ -455,8 +455,8 @@ impl ShardWorker {
             Some(s) => s.export(target_node, &self.counters),
             None => self.export_stored(session, target_node),
         };
-        let (meta, wal) = match shipped {
-            Ok(blobs) => blobs,
+        let wal = match shipped {
+            Ok(wal) => wal,
             Err(e) => {
                 let message = format!("export failed: {e}");
                 self.counters
@@ -468,7 +468,7 @@ impl ShardWorker {
             session,
             epoch,
             auth: self.persistence.cluster_secret.unwrap_or(0),
-            meta,
+            meta: Vec::new(),
             wal,
         };
         self.counters.emit(sink, reply);
@@ -477,10 +477,9 @@ impl ShardWorker {
             return;
         }
         // Release the session: it no longer runs here, and the tenant
-        // re-homes without waiting for a failure. Its files stay behind
-        // (stamped with the target's id) so a lost transfer can be re-asked
-        // for; the target's import — not this node — now owns the live
-        // state.
+        // re-homes without waiting for a failure. Its log stays behind (its
+        // head naming the target) so a lost transfer can be re-asked for;
+        // the target's import — not this node — now owns the live state.
         if let Some(s) = st.sessions.remove(&session) {
             s.announce_redirect(epoch, target_addr, &self.counters);
         }
@@ -488,22 +487,23 @@ impl ShardWorker {
         self.active.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// The shippable state of a session that is not live here, from disk.
-    /// If a prior export to this same target completed, its state is still
-    /// there under the target's name and is shipped again (idempotent
+    /// The shippable log of a session that is not live here, from disk.
+    /// If a prior export to this same target completed, its log is still
+    /// there, its head naming the target, and is shipped again (idempotent
     /// retry). Otherwise a session with durable state this node owns is
     /// loaded cold — recovered at a boot this gateway never saw, or idled
     /// out of memory: a drain must still be able to ship it, or fused
     /// history is stranded on the drained node.
-    fn export_stored(&self, session: u64, target_node: u64) -> io::Result<(Vec<u8>, Vec<u8>)> {
+    fn export_stored(&self, session: u64, target_node: u64) -> io::Result<Vec<u8>> {
         let not_found = || io::Error::other("session not found on this node");
         let dir = self
             .persistence
             .state_dir
             .as_deref()
             .ok_or_else(not_found)?;
-        if let Some(blobs) = crate::persist::read_exported_blobs(dir, session, target_node) {
-            return Ok(blobs);
+        let tiered = self.tiered.as_ref();
+        if let Some(wal) = crate::persist::read_exported_log(dir, session, target_node, tiered) {
+            return Ok(wal);
         }
         let mut loaded = SessionStore::load(
             dir,
@@ -517,15 +517,15 @@ impl ShardWorker {
         let ring: VecDeque<_> = loaded.results.into();
         loaded
             .store
-            .export_blobs(target_node, &records, loaded.high_round, &ring)
+            .export(target_node, &records, loaded.high_round, &ring)
     }
 
     /// Lands a shipped session (see [`ShardCommand::Import`]). A session
     /// already live here with the same token is the idempotent re-drive of
     /// a completed migration: acknowledge `Resumed { warm: true }` without
-    /// touching the durable files the live session holds open. Only when
-    /// the session is not resident are the blobs written and the session
-    /// eagerly resumed from them.
+    /// touching the durable file the live session holds open. Only when
+    /// the session is not resident is the shipped log landed and the
+    /// session eagerly resumed from it.
     fn import(&self, st: &mut ShardState, req: OpenReq, wal: &[u8]) {
         if let Some(s) = st.sessions.get(&req.session) {
             if s.resumable() && s.token() == req.token {
@@ -549,11 +549,9 @@ impl ShardWorker {
         }
         let dir = self.persistence.state_dir.as_deref();
         let dir = dir.expect("the service refuses imports without a state directory");
-        // The landed sidecar is the shipped one with ownership adopted.
-        let meta = self.meta_for(&req);
-        if let Err(e) =
-            SessionStore::write_imported(dir, req.session, &meta, wal, self.tiered.as_ref())
-        {
+        let durability = self.persistence.durability();
+        let tiered = self.tiered.as_ref();
+        if let Err(e) = SessionStore::write_imported(dir, req.session, wal, durability, tiered) {
             self.refuse(
                 &req.sink,
                 req.session,
@@ -770,7 +768,7 @@ impl ShardWorker {
             if let Some(loaded) = loaded {
                 let meta = loaded.store.meta().clone();
                 if meta.node != self.persistence.node_id {
-                    // The sidecar names another node: this session migrated
+                    // The log's head names another node: this session migrated
                     // away. Refuse rather than resurrect a second copy —
                     // the client falls back to the gateway, which knows the
                     // owner.
@@ -860,7 +858,7 @@ impl ShardWorker {
         .ok()
     }
 
-    /// The sidecar contents for a session this node opens or adopts.
+    /// The log head for a session this node opens.
     fn meta_for(&self, req: &OpenReq) -> MetaState {
         MetaState {
             token: req.token,

@@ -2,9 +2,14 @@
 //! records are segment blocks.
 //!
 //! ```text
-//! file   := "AVOCWAL" │ version u8 │ record*
+//! file   := "AVOCWAL" │ version u8 │ head? │ record*
+//! head   := len u32 │ crc32 u32 │ 3 u8 │ meta
 //! record := len u32 │ crc32 u32 │ kind u8 │ block
 //! ```
+//!
+//! The head's payload is opaque here. It is never appended, only landed
+//! inside a whole image by rename ([`land_log`], [`FileHistory::compact`]);
+//! a head anywhere but first fails the scan.
 //!
 //! `len` counts `kind │ block` and `crc32` covers the same bytes; `block` is
 //! the column encoding of [`crate::segment`] minus its own CRC (the frame
@@ -27,17 +32,19 @@ use avoc_core::history::HistoryStore;
 use avoc_core::ModuleId;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter};
+use std::io::{self, BufWriter, Read};
 use std::path::{Path, PathBuf};
 use sysio::fault::Site;
 use sysio::fio;
 
 /// The file header: seven magic bytes, then the one format version this
 /// build reads and writes.
-const WAL_HEADER: &[u8; 8] = b"AVOCWAL\x01";
+const WAL_HEADER: &[u8; 8] = b"AVOCWAL\x02";
 const HEADER_LEN: usize = WAL_HEADER.len();
 /// Record frame prefix length: `len` + `crc32`.
 const FRAME_LEN: usize = 8;
+/// Where a head's meta payload starts.
+const HEAD_BODY: usize = HEADER_LEN + FRAME_LEN + 1;
 
 /// How hard [`FileHistory`] pushes each append toward the platter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -79,6 +86,8 @@ pub(crate) enum RecordKind {
     /// One checkpoint. Its rows, and every unstamped row before it,
     /// describe state as of the block's `last_round`.
     Commit = 2,
+    /// The log's head: the owner's opaque meta, only ever the first record.
+    Meta = 3,
 }
 
 impl TryFrom<u8> for RecordKind {
@@ -88,6 +97,7 @@ impl TryFrom<u8> for RecordKind {
         match value {
             1 => Ok(RecordKind::Rows),
             2 => Ok(RecordKind::Commit),
+            3 => Ok(RecordKind::Meta),
             other => Err(WalError::UnknownKind(other)),
         }
     }
@@ -116,6 +126,8 @@ pub enum WalError {
         /// Byte offset of the frame in the file.
         offset: usize,
     },
+    /// An intact head frame at this byte offset, which is not the first.
+    MisplacedMeta(usize),
     /// The frame at `offset` is intact but its block does not decode.
     Block {
         /// Byte offset of the frame in the file.
@@ -140,6 +152,7 @@ impl std::fmt::Display for WalError {
                     "history log truncated inside the record at byte {offset}"
                 )
             }
+            WalError::MisplacedMeta(at) => write!(f, "history log head at byte {at}, not first"),
             WalError::Block { offset, error } => {
                 write!(f, "history log record at byte {offset}: {error}")
             }
@@ -176,21 +189,103 @@ fn encode_record(
         Some(_) => RecordKind::Commit,
         None => RecordKind::Rows,
     };
+    // The log's file name carries the session id; the block's stays 0.
+    frame(out, kind, |out| {
+        encode_block_body(out, 0, range, rows, verdicts)
+    });
+    rows.clear();
+    stamp
+}
+
+/// Appends one `len │ crc32 │ kind │ body` frame to `out`, `body` writing
+/// the body in place.
+fn frame(out: &mut Vec<u8>, kind: RecordKind, body: impl FnOnce(&mut Vec<u8>)) {
     let start = out.len();
     out.extend_from_slice(&[0; FRAME_LEN]);
     out.push(kind as u8);
-    // The log's file name carries the session id; the block's stays 0.
-    encode_block_body(out, 0, range, rows, verdicts);
-    rows.clear();
+    body(out);
     let payload = &out[start + FRAME_LEN..];
     let (len, crc) = (payload.len() as u32, crc32(payload));
     out[start..start + 4].copy_from_slice(&len.to_le_bytes());
     out[start + 4..start + FRAME_LEN].copy_from_slice(&crc.to_le_bytes());
-    stamp
 }
 
-/// Decodes the record framed at `offset` into `block`; returns its kind,
-/// its block's `last_round` and the offset of the next frame.
+/// A log image holding the header and a head carrying `meta`, and no
+/// records: what a session's log starts as.
+pub fn meta_image(meta: &[u8]) -> Vec<u8> {
+    let mut image = WAL_HEADER.to_vec();
+    frame(&mut image, RecordKind::Meta, |out| {
+        out.extend_from_slice(meta)
+    });
+    image
+}
+
+/// The head of a log image: its meta payload, or `None` when the image has
+/// no intact head (another version, a torn or missing first frame).
+pub fn image_meta(image: &[u8]) -> Option<&[u8]> {
+    if image.get(..HEADER_LEN)? != WAL_HEADER {
+        return None;
+    }
+    match read_record(image, HEADER_LEN, &mut DecodedBlock::default()).ok()? {
+        (RecordKind::Meta, _, next) => Some(&image[HEAD_BODY..next]),
+        _ => None,
+    }
+}
+
+/// Reads the head of the log at `path` — the header and the first frame,
+/// never the records after them. `None` as for [`image_meta`], or when the
+/// file does not open.
+pub fn read_log_meta(path: &Path) -> Option<Vec<u8>> {
+    let mut file = File::open(path).ok()?;
+    let mut image = vec![0; HEADER_LEN + FRAME_LEN];
+    file.read_exact(&mut image).ok()?;
+    let len = u32::from_le_bytes(image[HEADER_LEN..HEADER_LEN + 4].try_into().ok()?);
+    file.take(u64::from(len)).read_to_end(&mut image).ok()?;
+    image_meta(&image).map(<[u8]>::to_vec)
+}
+
+/// Lands `bytes` at `path` whole — the one way every durable file here
+/// reaches the disk: write the sibling `<name>.tmp` (fsynced at `sync` when
+/// given), rename it into place, fsync the directory (best-effort). A crash
+/// leaves the old file or the new one, plus at most a `.tmp` that
+/// [`crate::TieredStore::open`] sweeps.
+pub(crate) fn land(site: Site, path: &Path, bytes: &[u8], sync: Option<Site>) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let written = (|| {
+        fio::check_op(site)?;
+        let mut f = File::create(&tmp)?;
+        fio::write_all(site, &mut f, bytes)?;
+        if let Some(sync) = sync {
+            fio::sync_all(sync, &f)?;
+        }
+        fio::check_op(site)?;
+        std::fs::rename(&tmp, path)
+    })();
+    written.inspect_err(|_| drop(std::fs::remove_file(&tmp)))?;
+    if let Some(d) = path.parent().and_then(|p| File::open(p).ok()) {
+        let _ = d.sync_all();
+    }
+    Ok(())
+}
+
+/// Checks `image` end to end ([`validate_wal`]), then lands it at `path`
+/// in place of whatever log was there, fsynced under
+/// [`Durability::Fsync`].
+///
+/// # Errors
+///
+/// The image's first defect as [`io::ErrorKind::InvalidData`] (nothing is
+/// written then), or the landing's I/O error (the old log stays).
+pub fn land_log(path: &Path, image: &[u8], durability: Durability) -> io::Result<()> {
+    validate_wal(image)?;
+    let sync = (durability == Durability::Fsync).then_some(Site::WalSync);
+    land(Site::WalAppend, path, image, sync)
+}
+
+/// Decodes the record framed at `offset` into `block` (a head leaves it
+/// untouched); returns its kind, its block's `last_round` and the offset of
+/// the next frame.
 fn read_record(
     bytes: &[u8],
     offset: usize,
@@ -213,6 +308,9 @@ fn read_record(
         return Err(WalError::CrcMismatch { offset });
     }
     let kind = RecordKind::try_from(kind)?;
+    if kind == RecordKind::Meta {
+        return Ok((kind, 0, start + len));
+    }
     let (_, last_round) =
         decode_block_body(body, block).map_err(|error| WalError::Block { offset, error })?;
     Ok((kind, last_round, start + len))
@@ -237,6 +335,8 @@ pub(crate) struct WalScan {
     pub(crate) good_bytes: usize,
     /// Why the final frame did not read, when a torn tail was found.
     pub(crate) torn: Option<WalError>,
+    /// The head's meta payload, when the log has one.
+    pub(crate) meta: Option<Vec<u8>>,
 }
 
 impl WalScan {
@@ -280,6 +380,11 @@ pub(crate) fn scan_bytes(bytes: &[u8]) -> Result<WalScan, WalError> {
     let mut offset = HEADER_LEN;
     while offset < bytes.len() {
         match read_record(bytes, offset, &mut block) {
+            Ok((RecordKind::Meta, _, next)) if offset == HEADER_LEN => {
+                scan.meta = Some(bytes[HEAD_BODY..next].to_vec());
+                offset = next;
+            }
+            Ok((RecordKind::Meta, ..)) => return Err(WalError::MisplacedMeta(offset)),
             Ok((kind, last_round, next)) => {
                 scan.history.extend_from_slice(&block.history);
                 scan.verdicts.extend_from_slice(&block.verdicts);
@@ -340,10 +445,10 @@ pub fn validate_wal(bytes: &[u8]) -> Result<(), WalError> {
 /// module docs for the format).
 ///
 /// Every [`HistoryStore::set`] appends a record and flushes; reopening the
-/// file replays the log. [`FileHistory::compact`] rewrites the log to one
-/// record. This deliberately mirrors the paper's "datastore reads and
-/// writes being the bottleneck" observation: the per-write flush is what a
-/// benchmark run measures against the in-memory store.
+/// file replays the log. [`FileHistory::compact`] rewrites the log whole.
+/// This deliberately mirrors the paper's "datastore reads and writes being
+/// the bottleneck" observation: the per-write flush is what a benchmark run
+/// measures against the in-memory store.
 ///
 /// # Example
 ///
@@ -585,19 +690,19 @@ impl FileHistory {
         &self.path
     }
 
-    /// Rewrites the log to one record: a row per live record (as
-    /// [`Direction::New`] — a rewrite has no prior value to compare with),
-    /// the commit round watermark, and those of `verdicts` at or below it
-    /// (later ones belong to rounds the rewritten state does not reflect).
-    /// The segment fold is what preserves per-round history; this rewrite
-    /// is for standalone stores and for rebuilding or shipping a session's
-    /// log.
+    /// Rewrites the log to a head carrying `meta` (none when `None`) and
+    /// one record: a row per live record (as [`Direction::New`] — a rewrite
+    /// has no prior value to compare with), the commit round watermark, and
+    /// those of `verdicts` at or below it (later ones belong to rounds the
+    /// rewritten state does not reflect). The segment fold is what
+    /// preserves per-round history; this rewrite is for standalone stores
+    /// and for rebuilding, re-owning or shipping a session's log.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors; on error the original log remains valid (the
-    /// rewrite goes through a temporary file + rename).
-    pub fn compact(&mut self, verdicts: &[VerdictRecord]) -> io::Result<()> {
+    /// rewrite lands whole by rename, fsynced under [`Durability::Fsync`]).
+    pub fn compact(&mut self, meta: Option<&[u8]>, verdicts: &[VerdictRecord]) -> io::Result<()> {
         let stamp = self.max_commit_round;
         self.rows
             .extend(self.records.iter().map(|(&m, &trust)| HistoryRow {
@@ -612,18 +717,11 @@ impl FileHistory {
             .filter(|v| stamp.is_some_and(|s| v.round <= s))
             .collect();
         kept.sort_by_key(|v| v.round);
-        let mut image = WAL_HEADER.to_vec();
+        let mut image = meta.map_or_else(|| WAL_HEADER.to_vec(), meta_image);
         if !self.rows.is_empty() || stamp.is_some() {
             encode_record(&mut image, &mut self.rows, &kept, stamp);
         }
-        let tmp = self.path.with_extension("compact-tmp");
-        {
-            fio::check_op(Site::WalAppend)?;
-            let mut w = File::create(&tmp)?;
-            fio::write_all(Site::WalAppend, &mut w, &image)?;
-            fio::flush(Site::WalFlush, &mut w)?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
+        land_log(&self.path, &image, self.durability)?;
         self.writer = BufWriter::new(OpenOptions::new().append(true).open(&self.path)?);
         self.max_verdict_round = kept.last().map(|v| v.round);
         // The log is whole again — a full rewrite from in-memory state is
@@ -761,7 +859,7 @@ mod tests {
             s.set(m(0), (i as f64) / 100.0);
         }
         let before = std::fs::metadata(&path).unwrap().len();
-        s.compact(&[]).unwrap();
+        s.compact(None, &[]).unwrap();
         assert!(std::fs::metadata(&path).unwrap().len() * 20 < before);
         // Data still correct after compaction and reopen.
         s.set(m(1), 0.5);
@@ -1027,7 +1125,7 @@ mod tests {
             let mut s = FileHistory::open(&path).unwrap();
             s.set(m(0), 0.5);
             s.append_markers(&[verdict(8, 1.0), verdict(9, 2.0)], Some(9));
-            s.compact(&[verdict(9, 2.0), verdict(8, 1.0), verdict(10, 3.0)])
+            s.compact(None, &[verdict(9, 2.0), verdict(8, 1.0), verdict(10, 3.0)])
                 .unwrap();
             assert_eq!(s.committed_round(), Some(9));
             assert_eq!(s.max_verdict_round(), Some(9));
@@ -1084,7 +1182,7 @@ mod tests {
 
         // Heal: a compact rewrites the whole log from memory and clears
         // the flag...
-        s.compact(&[]).unwrap();
+        s.compact(None, &[]).unwrap();
         assert!(!s.write_failed());
         drop(s);
         // ...so a reopen sees the record the failed append dropped.
@@ -1109,13 +1207,82 @@ mod tests {
                 .rule(Site::WalAppend, Kind::Enospc, 1, 1)
                 .thread_only(),
         );
-        assert!(s.compact(&[]).is_err());
+        assert!(s.compact(None, &[]).is_err());
         fault::clear();
         // ...and a later probe against a healed disk succeeds.
-        s.compact(&[]).unwrap();
+        s.compact(None, &[]).unwrap();
         drop(s);
         let s = FileHistory::open(&path).unwrap();
         assert_eq!(s.get(m(0)), Some(0.5));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn an_fsync_log_syncs_its_rewrites() {
+        use sysio::fault::{self, Kind, Plan};
+
+        let _g = crate::fault_gate();
+        let path = tmp_path("fsync-rewrite");
+        let mut s = FileHistory::open_with(&path, Durability::Fsync).unwrap();
+        s.checkpoint(&[(m(0), 0.5)], &[verdict(0, 1.0)], Some(0))
+            .unwrap();
+        fault::install(
+            Plan::new(27)
+                .rule(Site::WalSync, Kind::Enospc, 1, 1)
+                .thread_only(),
+        );
+        let rewrite = s.compact(Some(b"owner"), &[verdict(0, 1.0)]);
+        fault::clear();
+        assert!(rewrite.is_err(), "the rewrite reached its fsync");
+        drop(s);
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(".tmp");
+        assert!(!Path::new(&tmp).exists(), "the failed landing cleaned up");
+        assert_eq!(read_log_meta(&path), None, "the old image stands");
+        let s = FileHistory::open(&path).unwrap();
+        assert_eq!(s.get(m(0)), Some(0.5));
+        assert_eq!(s.committed_round(), Some(0));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn the_head_is_read_alone_and_only_as_the_first_record() {
+        let mut image = meta_image(b"owner");
+        assert_eq!(image_meta(&image), Some(&b"owner"[..]));
+        encode_record(&mut image, &mut Vec::new(), &[verdict(3, 1.5)], Some(3));
+        assert_eq!(validate_wal(&image), Ok(()));
+        let scan = scan_bytes(&image).unwrap();
+        assert_eq!(scan.meta.as_deref(), Some(&b"owner"[..]));
+        assert_eq!((scan.round, scan.verdicts.len()), (Some(3), 1));
+
+        // A head behind a record is damage, not a head.
+        let mut late = WAL_HEADER.to_vec();
+        encode_record(&mut late, &mut Vec::new(), &[verdict(3, 1.5)], Some(3));
+        let offset = late.len();
+        frame(&mut late, RecordKind::Meta, |out| {
+            out.extend_from_slice(b"x")
+        });
+        assert_eq!(validate_wal(&late), Err(WalError::MisplacedMeta(offset)));
+        assert_eq!(image_meta(&late), None);
+        // A log of the previous version has no head to read.
+        let mut v1 = image.clone();
+        v1[7] = 1;
+        assert_eq!(image_meta(&v1), None);
+
+        // Appends go after the head, and a rewrite replaces it.
+        let path = tmp_path("head");
+        land_log(&path, &image, Durability::Flush).unwrap();
+        let mut s = FileHistory::open(&path).unwrap();
+        s.checkpoint(&[(m(0), 0.5)], &[verdict(4, 2.5)], Some(4))
+            .unwrap();
+        assert_eq!(read_log_meta(&path).as_deref(), Some(&b"owner"[..]));
+        s.compact(Some(b"next"), &[verdict(3, 1.5), verdict(4, 2.5)])
+            .unwrap();
+        drop(s);
+        assert_eq!(read_log_meta(&path).as_deref(), Some(&b"next"[..]));
+        let mut s = FileHistory::open(&path).unwrap();
+        assert_eq!((s.get(m(0)), s.committed_round()), (Some(0.5), Some(4)));
+        assert_eq!(s.take_replayed_verdicts().len(), 2);
         std::fs::remove_file(&path).unwrap();
     }
 

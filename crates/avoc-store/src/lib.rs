@@ -28,11 +28,14 @@ mod file;
 pub mod segment;
 mod tiered;
 
-pub use file::{validate_wal, Durability, FileHistory, VerdictRecord, WalError};
+pub use file::{
+    image_meta, land_log, meta_image, read_log_meta, validate_wal, Durability, FileHistory,
+    VerdictRecord, WalError,
+};
 pub use segment::{SegmentFile, SessionRows};
 pub use tiered::{
-    session_wal_path, CompactionReport, CrashPoint, OutvotedRow, SessionSummary, TierStats,
-    TieredPin, TieredStore,
+    list_session_wals, session_wal_path, CompactionReport, CrashPoint, OutvotedRow, SessionSummary,
+    TierStats, TieredPin, TieredStore,
 };
 
 /// Serializes unit tests that arm the process-global `sysio` fault

@@ -38,7 +38,6 @@ use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
 use sysio::fault::Site;
-use sysio::fio;
 
 /// Leading file magic (8 bytes).
 pub const HEADER_MAGIC: &[u8; 8] = b"AVSEG1\n\0";
@@ -591,30 +590,15 @@ fn decode_footer_image(bytes: &[u8]) -> Result<Vec<BlockEntry>, DecodeError> {
     parse_footer(footer, footer_start as u64)
 }
 
-/// Writes `sessions` to `path` durably: encode, write to a sibling
-/// temporary, fsync, rename into place, fsync the directory.
+/// Writes `sessions` to `path` durably: encoded, then landed whole by
+/// the one landing routine (temporary, fsync, rename, directory fsync).
 ///
 /// # Errors
 ///
 /// Propagates I/O errors; on error `path` is never left half-written.
 pub fn write_segment(path: &Path, sessions: &[SessionRows]) -> io::Result<SegmentMeta> {
     let (bytes, meta, _) = encode_segment(sessions);
-    let tmp = path.with_extension("avseg-tmp");
-    {
-        fio::check_op(Site::SegmentWrite)?;
-        let mut f = File::create(&tmp)?;
-        fio::write_all(Site::SegmentWrite, &mut f, &bytes)?;
-        fio::sync_all(Site::SegmentWrite, &f)?;
-    }
-    fio::check_op(Site::SegmentWrite)?;
-    std::fs::rename(&tmp, path)?;
-    if let Some(parent) = path.parent() {
-        // Make the rename itself durable; best-effort on filesystems that
-        // refuse directory fsync.
-        if let Ok(d) = File::open(parent) {
-            let _ = d.sync_all();
-        }
-    }
+    crate::file::land(Site::SegmentWrite, path, &bytes, Some(Site::SegmentWrite))?;
     Ok(meta)
 }
 

@@ -6,15 +6,15 @@
 //!
 //! A fold is WAL-first, manifest-second:
 //!
-//! 1. the new segment is written to a temporary file, fsynced and renamed
-//!    into place — a crash here leaves an *orphan* the next open deletes
-//!    (the WAL still holds every round);
-//! 2. the `MANIFEST` is atomically replaced to list the new segment — the
-//!    publish point;
+//! 1. the new segment is landed (`.tmp`, fsync, rename) — a crash here
+//!    leaves an *orphan* the next open deletes (the WAL still holds every
+//!    round);
+//! 2. the `MANIFEST` is landed to list the new segment — the publish point;
 //! 3. only a WAL whose every record is now round-stamped *and* folded is
-//!    deleted — a crash between 2 and 3 leaves WAL and segment overlapping,
-//!    which is harmless: rows carry absolute values and verdicts
-//!    deduplicate by round, so replaying both tiers is idempotent.
+//!    retired: cut to its head if it has one, deleted if not. A crash
+//!    between 2 and 3 leaves WAL and segment overlapping, which is
+//!    harmless: rows carry absolute values and verdicts deduplicate by
+//!    round, so replaying both tiers is idempotent.
 //!
 //! WAL records are segment blocks (see [`crate::FileHistory`]), so a fold
 //! moves rows across as they are — trust directions included, which the
@@ -33,18 +33,16 @@
 //! id is *forgotten* first: segments older than the forget floor become
 //! invisible for that session and are physically dropped at the next merge.
 
-use crate::file::{scan_wal, VerdictRecord};
+use crate::file::{land, land_log, meta_image, scan_wal, Durability, VerdictRecord, WalScan};
 use crate::segment::{
     write_segment, BlockEntry, DecodedBlock, Direction, HistoryRow, SegmentFile, SessionRows,
 };
 use avoc_core::{DenseHistory, ModuleId};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use sysio::fault::Site;
-use sysio::fio;
 
 /// How many same-generation segments trigger a merge into the next
 /// generation.
@@ -95,7 +93,7 @@ pub struct CompactionReport {
     pub segments_written: usize,
     /// Generation merges performed.
     pub merges: usize,
-    /// Fully folded WALs deleted.
+    /// Fully folded WALs retired (deleted, or cut to their head).
     pub wals_retired: usize,
 }
 
@@ -222,7 +220,8 @@ impl Drop for BusyGuard<'_> {
 impl TieredStore {
     /// Opens (or initialises) the segment tier in `dir`.
     ///
-    /// Recovery rules: a readable manifest is authoritative — segment files
+    /// Recovery rules: every `*.tmp` is a landing that never renamed and is
+    /// deleted. A readable manifest is authoritative — segment files
     /// it does not list are orphans from a crashed fold (their rounds still
     /// live in the un-retired WAL) and are deleted. A missing or corrupt
     /// manifest falls back to adopting every parseable `*.avseg` in the
@@ -240,8 +239,8 @@ impl TieredStore {
         for entry in std::fs::read_dir(&dir)? {
             let entry = entry?;
             let name = entry.file_name().to_string_lossy().into_owned();
-            if name.ends_with(".avseg-tmp") {
-                // A fold died mid-write; the rename never happened.
+            if name.ends_with(".tmp") {
+                // A landing died mid-write; the rename never happened.
                 let _ = std::fs::remove_file(entry.path());
             } else if name.ends_with(".avseg") {
                 on_disk.insert(name);
@@ -617,10 +616,7 @@ impl TieredStore {
             // Everything already folded. Retire the WAL if it holds nothing
             // beyond its last commit.
             if fully_committed && scan.round.is_some() {
-                std::fs::remove_file(&wal_path)?;
-                report.wals_retired = 1;
-                let mut st = self.lock_state();
-                st.stats.wals_retired += 1;
+                self.retire(&wal_path, &scan, &mut report)?;
                 return Ok(Some(report));
             }
             return Ok(None);
@@ -668,11 +664,21 @@ impl TieredStore {
         // folded; an uncommitted tail keeps the WAL (the overlap with the
         // new segment is idempotent).
         if fully_committed {
-            std::fs::remove_file(&wal_path)?;
-            report.wals_retired = 1;
-            self.lock_state().stats.wals_retired += 1;
+            self.retire(&wal_path, &scan, &mut report)?;
         }
         Ok(Some(report))
+    }
+
+    /// Retires a fully folded WAL: cut to its head when it has one (the
+    /// owner's meta outlives the rows), deleted otherwise.
+    fn retire(&self, path: &Path, scan: &WalScan, report: &mut CompactionReport) -> io::Result<()> {
+        match &scan.meta {
+            Some(meta) => land_log(path, &meta_image(meta), Durability::Fsync)?,
+            None => std::fs::remove_file(path)?,
+        }
+        report.wals_retired = 1;
+        self.lock_state().stats.wals_retired += 1;
+        Ok(())
     }
 
     /// Merges [`MERGE_FANIN`] same-generation segments into one of the next
@@ -816,7 +822,12 @@ impl TieredStore {
     }
 }
 
-fn list_session_wals(dir: &Path) -> io::Result<Vec<u64>> {
+/// The ids of every `session-<id>.wal` in `dir`, ascending.
+///
+/// # Errors
+///
+/// Propagates the directory read's I/O errors.
+pub fn list_session_wals(dir: &Path) -> io::Result<Vec<u64>> {
     let mut out = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
@@ -848,19 +859,12 @@ fn write_manifest(dir: &Path, state: &State) -> io::Result<()> {
             segment_file_name(s.seq, s.gen)
         ));
     }
-    let tmp = dir.join("MANIFEST.tmp");
-    {
-        fio::check_op(Site::ManifestWrite)?;
-        let mut f = File::create(&tmp)?;
-        fio::write_all(Site::ManifestWrite, &mut f, text.as_bytes())?;
-        fio::sync_all(Site::ManifestWrite, &f)?;
-    }
-    fio::check_op(Site::ManifestWrite)?;
-    std::fs::rename(&tmp, dir.join("MANIFEST"))?;
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
+    land(
+        Site::ManifestWrite,
+        &dir.join("MANIFEST"),
+        text.as_bytes(),
+        Some(Site::ManifestWrite),
+    )
 }
 
 fn parse_manifest(text: &str, state: &mut State, dir: &Path) -> io::Result<()> {
@@ -1215,6 +1219,44 @@ mod tests {
         assert!(session_wal_path(&dir, 41).exists());
         store.compact().unwrap();
         assert_eq!(store.verdicts_in(41, 0..=7).unwrap().len(), 8);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_sweeps_every_unrenamed_landing() {
+        let dir = tmp_dir("sweep");
+        let planted = [
+            dir.join("session-0000000000000001.wal.tmp"),
+            dir.join("MANIFEST.tmp"),
+            dir.join("seg-00000001-g0.avseg.tmp"),
+        ];
+        for path in &planted {
+            std::fs::write(path, b"half a landing").unwrap();
+        }
+        TieredStore::open(&dir).unwrap();
+        for path in &planted {
+            assert!(!path.exists(), "{} survived the open", path.display());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn retiring_a_log_with_a_head_keeps_the_head() {
+        let dir = tmp_dir("retire-head");
+        let path = session_wal_path(&dir, 6);
+        land_log(&path, &meta_image(b"owner"), Durability::Flush).unwrap();
+        let expect = drive_session(&dir, 6, 10, 3);
+        let store = Arc::new(TieredStore::open(&dir).unwrap());
+        assert_eq!(store.compact().unwrap().wals_retired, 1);
+        assert_eq!(crate::read_log_meta(&path).as_deref(), Some(&b"owner"[..]));
+        let wal = FileHistory::open(&path).unwrap();
+        assert_eq!(wal.committed_round(), None, "the rows left with the fold");
+        assert!(wal.snapshot().is_empty());
+        // A head-only log is settled: the next pass has nothing to do.
+        assert!(store.compact().unwrap().is_empty());
+        let summary = store.session_summary(6).unwrap().unwrap();
+        assert_eq!(summary.latest, expect);
+        assert_eq!(store.verdicts_in(6, 0..=9).unwrap().len(), 10);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -92,17 +92,17 @@ pub mod fault {
     /// plan written against the matrix survives refactors.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum Site {
-        /// WAL record append (`write` into the session's log).
+        /// WAL record append (`write` into the session's log), and every
+        /// leg of landing a whole log image (create, write, rename).
         WalAppend,
         /// WAL `BufWriter` flush.
         WalFlush,
-        /// WAL `fsync` under `Durability::Fsync`.
+        /// WAL `fsync` under `Durability::Fsync`, appends and landed
+        /// images alike.
         WalSync,
-        /// Checkpoint meta sidecar write/rename.
-        MetaWrite,
-        /// Segment file write during compaction.
+        /// Segment file landing during compaction.
         SegmentWrite,
-        /// Segment-tier manifest write/rename.
+        /// Segment-tier manifest landing.
         ManifestWrite,
         /// `accept(2)` on the reactor's listener.
         Accept,
@@ -123,7 +123,7 @@ pub mod fault {
     }
 
     /// Number of distinct [`Site`]s (size of the per-site call counters).
-    const SITE_COUNT: usize = 13;
+    const SITE_COUNT: usize = 12;
 
     impl Site {
         fn index(self) -> usize {
@@ -1089,7 +1089,7 @@ mod tests {
             .collect();
         assert_eq!(hits, [false, false, true, true, false, false]);
         // A different site never trips the rule.
-        assert_eq!(fault::check(fault::Site::MetaWrite), None);
+        assert_eq!(fault::check(fault::Site::WalSync), None);
         fault::clear();
     }
 

@@ -163,7 +163,6 @@ fn eintr_on_every_site_has_no_observable_effect() {
         Site::WalAppend,
         Site::WalFlush,
         Site::WalSync,
-        Site::MetaWrite,
         Site::SegmentWrite,
         Site::ManifestWrite,
         Site::Accept,
@@ -227,13 +226,13 @@ fn persistent_disk_faults_degrade_but_never_diverge() {
         );
         assert!(snap.fault_injected > 0, "{tag}: injector fired");
     }
-    // The sidecar is written once, when the session is created — no
-    // steady-state checkpoint touches it. If that one write fails the
-    // session never becomes durable: it serves memory-only from its first
-    // round, and the stream must not notice that either.
+    // A session's log lands whole, head first, when the session is created.
+    // If that landing fails the session never becomes durable: it serves
+    // memory-only from its first round, and the stream must not notice
+    // that either.
     let (got, snap) = run_scenario(Scenario {
         tag: "meta-enospc",
-        plan: Plan::new(0xD15C).rule(Site::MetaWrite, Kind::Enospc, 1, u64::MAX),
+        plan: Plan::new(0xD15C).rule(Site::WalAppend, Kind::Enospc, 1, u64::MAX),
         before_open: true,
         persistent: true,
         fsync: false,
@@ -342,8 +341,7 @@ fn import_write_faults_are_refused_cleanly_or_absorbed() {
     fault::install(
         Plan::new(0x1AA)
             .rule(Site::WalAppend, Kind::Eintr, 1, 3)
-            .rule(Site::WalAppend, Kind::ShortWrite, 5, 4)
-            .rule(Site::MetaWrite, Kind::Eintr, 1, 2),
+            .rule(Site::WalAppend, Kind::ShortWrite, 5, 4),
     );
     let injected_before = fault::injected_total();
     let landed = import(&wal);
@@ -351,7 +349,7 @@ fn import_write_faults_are_refused_cleanly_or_absorbed() {
     assert_eq!(landed, Ok(Some(5)), "retryable faults never fail a landing");
     assert_eq!(
         fault::injected_total() - injected_before,
-        9,
+        7,
         "all of them fired"
     );
     assert_eq!(node2.service().counters().sessions_imported, 1);

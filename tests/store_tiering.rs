@@ -178,7 +178,9 @@ fn segment_cold_resume_is_bit_identical_and_metered() {
         .compact_now()
         .expect("tier is on when persistence is on");
     assert_eq!(report.wals_retired, 1, "the cold WAL must fold completely");
-    assert!(!avoc::store::session_wal_path(&dir, SESSION).exists());
+    let log = avoc::store::FileHistory::open(avoc::store::session_wal_path(&dir, SESSION));
+    let committed = log.expect("the head-only log opens").committed_round();
+    assert_eq!(committed, None, "the log holds no commit");
 
     client.redirect(server_b.local_addr());
     got.extend(run_rounds(&mut client, 6..12));
@@ -239,7 +241,9 @@ fn ring_and_round_are_recovered_from_segments_alone() {
     let server_b = start_daemon(Some(&dir));
     let report = server_b.service().compact_now().expect("tier is on");
     assert_eq!(report.wals_retired, 1, "the cold WAL must fold completely");
-    assert!(!avoc::store::session_wal_path(&dir, SESSION).exists());
+    let log = avoc::store::FileHistory::open(avoc::store::session_wal_path(&dir, SESSION));
+    let committed = log.expect("the head-only log opens").committed_round();
+    assert_eq!(committed, None, "the log holds no commit");
 
     let mut behind = ServeClient::connect(server_b.local_addr()).expect("dial");
     let last_acked = ROUNDS - 1 - BEHIND;
