@@ -18,10 +18,11 @@
 //!                                │ route by hash(session id): ONE command
 //!                                │ per socket read (or FeedBatch) per shard
 //!                 ┌──────────────▼──────────────┐
-//!                 │ shard 0 .. shard N-1        │  bounded mailboxes: a
-//!                 │  each: HashMap<id, Session> │  control lane + a data
-//!                 │  Session = SensorHub        │  lane; a full lane makes
-//!                 │          + VotingEngine     │  the producer wait; an
+//!                 │ shard 0 .. shard N-1        │  one bounded mailbox
+//!                 │  each: HashMap<id, Session> │  each: readings and
+//!                 │  Session = SensorHub        │  lifecycle in arrival
+//!                 │          + VotingEngine     │  order; a full one makes
+//!                 │                             │  the producer wait; an
 //!                 │                             │  idle shard parks until
 //!                 │                             │  a send wakes it
 //!                 └──────────────┬──────────────┘

@@ -50,7 +50,7 @@ facts! {
         ..CorkMetrics,
         ..ReactorMetrics,
         // Per reading: `benchmark/`'s `serve.handoff_sends_per_kround`.
-        /// Channel sends into shard data mailboxes (a command counts once,
+        /// `Readings` commands sent to shard mailboxes (a command counts once,
         /// however many readings it carries).
         pub(crate) shard_handoff_sends: Counter = "avoc_shard_handoff_sends_total",
         // At daemon start, or when a resume found no live session.

@@ -381,19 +381,19 @@ impl Handler for ServeHandler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::Readings;
+    use crate::shard::ShardCommand;
     use crate::{ServeConfig, SpecRegistry};
     use avoc_core::ModuleId;
     use avoc_net::{BatchReading, SpecSource};
 
     /// A handler over a one-shard service whose worker has stopped: what
-    /// the handler hands off stays in the mailbox to be counted, for as
+    /// the handler hands off stays in the mailbox to be read back, for as
     /// long as the returned mailbox receivers live.
     fn handler() -> (
         ServeHandler,
         ConnState,
         Receiver<Message>,
-        Vec<Receiver<Readings>>,
+        Vec<Receiver<ShardCommand>>,
     ) {
         let mut reg = SpecRegistry::new();
         reg.insert("avoc", avoc_vdx::VdxSpec::avoc());
@@ -428,9 +428,29 @@ mod tests {
         }
     }
 
+    /// What a queued command is, for asserting mailbox order.
+    fn describe(cmd: &ShardCommand) -> String {
+        match cmd {
+            ShardCommand::Readings(cmd) => {
+                let rounds: Vec<u64> = cmd.readings.iter().map(|r| r.round).collect();
+                format!("readings {rounds:?}")
+            }
+            ShardCommand::Open(req) => format!("open {}", req.session),
+            ShardCommand::Resume { req, .. } => format!("resume {}", req.session),
+            ShardCommand::Close { session } => format!("close {session}"),
+            _ => "another command".into(),
+        }
+    }
+
     #[test]
     fn readings_cross_at_the_end_of_their_read_or_ahead_of_any_other_frame() {
-        let (mut h, mut conn, _out, _mailboxes) = handler();
+        let (mut h, mut conn, _out, mailboxes) = handler();
+        let queued = || {
+            mailboxes[0]
+                .try_iter()
+                .map(|c| describe(&c))
+                .collect::<Vec<_>>()
+        };
         // A read of readings only: nothing crosses until the read ends,
         // then everything does, in one command.
         for round in 0..5 {
@@ -439,56 +459,68 @@ mod tests {
                 FrameVerdict::Continue
             );
         }
-        assert_eq!(h.service.queued_commands(0), 0);
+        assert!(queued().is_empty());
         assert_eq!(h.on_read_end(&mut conn), FrameVerdict::Continue);
-        assert_eq!(h.service.queued_commands(0), 1);
+        assert_eq!(queued(), ["readings [0, 1, 2, 3, 4]"]);
         // A read that decoded no reading sends nothing.
         assert_eq!(h.on_read_end(&mut conn), FrameVerdict::Continue);
-        assert_eq!(h.service.queued_commands(0), 1);
+        assert!(queued().is_empty());
 
         // Every other kind of frame first pushes out what is staged, so a
-        // session's readings stay ahead of whatever the frame does to it.
+        // session's readings reach the mailbox just ahead of whatever
+        // command the frame sends. The export (no cluster secret here) and
+        // the shutdown send none.
         let spec = SpecSource::Named("avoc".into());
         let others = [
-            Message::OpenSession {
-                session: 2,
-                modules: 1,
-                spec: spec.clone(),
-            },
-            Message::ResumeSession {
-                session: 3,
-                modules: 1,
-                spec,
-                token: 9,
-                last_acked: None,
-            },
-            Message::FeedBatch {
-                session: 1,
-                readings: vec![BatchReading {
-                    module: ModuleId::new(0),
-                    round: 9,
-                    value: 1.0,
-                }],
-            },
-            Message::CloseSession { session: 1 },
-            Message::ExportSession {
-                session: 1,
-                target_node: 2,
-                epoch: 1,
-                auth: 0,
-                target_addr: "127.0.0.1:1".into(),
-            },
-            Message::Shutdown,
+            (
+                Message::OpenSession {
+                    session: 2,
+                    modules: 1,
+                    spec: spec.clone(),
+                },
+                Some("open 2"),
+            ),
+            (
+                Message::ResumeSession {
+                    session: 3,
+                    modules: 1,
+                    spec,
+                    token: 9,
+                    last_acked: None,
+                },
+                Some("resume 3"),
+            ),
+            (
+                Message::FeedBatch {
+                    session: 1,
+                    readings: vec![BatchReading {
+                        module: ModuleId::new(0),
+                        round: 9,
+                        value: 1.0,
+                    }],
+                },
+                Some("readings [9]"),
+            ),
+            (Message::CloseSession { session: 1 }, Some("close 1")),
+            (
+                Message::ExportSession {
+                    session: 1,
+                    target_node: 2,
+                    epoch: 1,
+                    auth: 0,
+                    target_addr: "127.0.0.1:1".into(),
+                },
+                None,
+            ),
+            (Message::Shutdown, None),
         ];
-        for frame in others {
-            let before = h.service.queued_commands(0);
-            // A `FeedBatch` then crosses as a command of its own.
-            let own = usize::from(matches!(frame, Message::FeedBatch { .. }));
+        for (frame, own) in others {
             h.on_frame(&mut conn, reading(10));
-            assert_eq!(h.service.queued_commands(0), before);
+            assert!(queued().is_empty());
             let label = format!("{frame:?}");
             h.on_frame(&mut conn, frame);
-            assert_eq!(h.service.queued_commands(0), before + 1 + own, "{label}");
+            let want: Vec<&str> = std::iter::once("readings [10]").chain(own).collect();
+            assert_eq!(queued(), want, "{label}");
             assert!(h.staged.is_empty(), "{label}");
         }
     }

@@ -20,11 +20,10 @@ use crate::shard::{
 };
 use crate::sink::ResultSink;
 
-/// Bounded capacity of each shard's mailboxes, in commands: the data
-/// mailbox (a command carries the readings of one `feed`/`feed_batch` call
-/// or of one socket read) and the control mailbox carrying session
-/// lifecycle commands. A producer that finds the data mailbox full waits
-/// for a slot.
+/// Bounded capacity of each shard's mailbox, in commands: a `Readings`
+/// command carries the readings of one `feed`/`feed_batch` call or of one
+/// socket read, any other command one session lifecycle step. A producer
+/// that finds the mailbox full waits for a slot.
 const MAILBOX_CAPACITY: usize = 1024;
 
 /// Daemon tuning knobs.
@@ -118,12 +117,10 @@ impl std::error::Error for ServeError {
     }
 }
 
-/// One shard's producer endpoints. Lifecycle commands and readings travel
-/// on separate bounded channels so a full data mailbox can never displace,
-/// reorder, or shed an `Open`/`Close`/`Drain`.
+/// One shard's producer endpoint: its mailbox, which carries readings and
+/// lifecycle commands in one arrival order (see [`ShardCommand`]).
 struct ShardLink {
-    ctrl: Sender<ShardCommand>,
-    data: Sender<Readings>,
+    tx: Sender<ShardCommand>,
     /// The worker thread: every successful send unparks it, which is how
     /// an idle (parked) shard learns it has work.
     worker: Thread,
@@ -161,9 +158,9 @@ impl Staging {
 pub struct VoterService {
     links: Vec<ShardLink>,
     // (manual Debug below: mailboxes and queued commands aren't printable)
-    /// Each worker hands its data receiver back when it exits, so the
-    /// mailbox stays connected until the join (see [`VoterService::stop`]).
-    joins: Mutex<Vec<JoinHandle<Receiver<Readings>>>>,
+    /// Each worker hands its receiver back when it exits, so the mailbox
+    /// stays connected until the join (see [`VoterService::stop`]).
+    joins: Mutex<Vec<JoinHandle<Receiver<ShardCommand>>>>,
     counters: Arc<ServiceCounters>,
     active: Arc<AtomicUsize>,
     registry: Arc<SpecRegistry>,
@@ -223,12 +220,10 @@ impl VoterService {
         let mut links = Vec::with_capacity(shards);
         let mut joins = Vec::with_capacity(shards);
         for index in 0..shards {
-            let (ctrl_tx, ctrl_rx) = channel::bounded(MAILBOX_CAPACITY);
-            let (data_tx, data_rx) = channel::bounded(MAILBOX_CAPACITY);
+            let (tx, rx) = channel::bounded(MAILBOX_CAPACITY);
             let worker = ShardWorker {
                 index,
-                ctrl_rx,
-                data_rx,
+                rx,
                 buffers: Arc::clone(&buffers),
                 counters: Arc::clone(&counters),
                 active: Arc::clone(&active),
@@ -243,8 +238,7 @@ impl VoterService {
                 .spawn(move || worker.run())
                 .expect("spawn shard worker");
             links.push(ShardLink {
-                ctrl: ctrl_tx,
-                data: data_tx,
+                tx,
                 worker: join.thread().clone(),
             });
             joins.push(join);
@@ -312,9 +306,9 @@ impl VoterService {
         sink: impl Into<ResultSink>,
     ) -> Result<(), ServeError> {
         let req = self.open_req(session, modules, spec, 0, false, sink.into())?;
-        // Control frames always block: admission must not be load-shed, and
-        // the worker drains control with priority (and never blocks on a
-        // tenant sink), so the send cannot wedge behind a data flood.
+        // The Open queues behind whatever the shard already holds and ahead
+        // of every reading sent after it. A full mailbox makes this wait for
+        // a slot; the worker never blocks on a tenant sink, so one frees.
         self.control(session, ShardCommand::Open(req))?;
         self.note_depth(self.shard_for(session));
         Ok(())
@@ -344,8 +338,14 @@ impl VoterService {
 
     /// Sends a lifecycle command to the shard `session` is pinned to.
     fn control(&self, session: u64, cmd: ShardCommand) -> Result<(), ServeError> {
-        let link = &self.links[self.shard_for(session)];
-        link.ctrl.send(cmd).map_err(|_| ServeError::ShuttingDown)?;
+        self.send(self.shard_for(session), cmd)
+    }
+
+    /// Puts `cmd` in `shard`'s mailbox, waiting for a slot while it is
+    /// full, and wakes the worker.
+    fn send(&self, shard: usize, cmd: ShardCommand) -> Result<(), ServeError> {
+        let link = &self.links[shard];
+        link.tx.send(cmd).map_err(|_| ServeError::ShuttingDown)?;
         link.worker.unpark();
         Ok(())
     }
@@ -621,7 +621,7 @@ impl VoterService {
     }
 
     /// Routes a whole batch of readings to one session's shard as a single
-    /// data command: one mailbox slot and one channel send however many
+    /// `Readings` command: one mailbox slot and one channel send however many
     /// readings the frame carried, with the buffer drawn from (and returned
     /// to) a bounded free-list so the steady state allocates nothing. The
     /// worker feeds the batch in submission order, so the fused stream is
@@ -701,7 +701,7 @@ impl VoterService {
         });
     }
 
-    /// Ships everything staged: one data command per shard that has
+    /// Ships everything staged: one `Readings` command per shard that has
     /// readings waiting.
     ///
     /// # Errors
@@ -725,7 +725,7 @@ impl VoterService {
         outcome
     }
 
-    /// One data command → one shard mailbox slot, waiting for one while the
+    /// One `Readings` command → one shard mailbox slot, waiting for one while the
     /// mailbox is full. Successful sends are counted (`shard_handoff_sends`)
     /// and the queue depth is sampled once per command, so the amortisation
     /// that grouping readings buys is observable. `ingest` holds the open
@@ -742,12 +742,8 @@ impl VoterService {
             readings,
             queued_ns: if traced { avoc_obs::now_ns() } else { 0 },
         };
-        let routed = self.links[shard]
-            .data
-            .send(cmd)
-            .map_err(|_| ServeError::ShuttingDown);
+        let routed = self.send(shard, ShardCommand::Readings(cmd));
         if routed.is_ok() {
-            self.links[shard].worker.unpark();
             self.counters.shard_handoff_sends.inc();
         }
         if traced {
@@ -867,16 +863,15 @@ impl VoterService {
         self.stop(|| ShardCommand::Abort)
     }
 
-    /// Ends every worker with `last` and returns the final counters.
+    /// Ends every worker with `last`, queued behind whatever its mailbox
+    /// already holds, and returns the final counters.
     fn stop(&self, last: impl Fn() -> ShardCommand) -> CountersSnapshot {
-        for link in &self.links {
-            if link.ctrl.send(last()).is_ok() {
-                link.worker.unpark();
-            }
+        for shard in 0..self.links.len() {
+            let _ = self.send(shard, last());
         }
         let joins: Vec<_> = std::mem::take(&mut *self.joins.lock());
         for j in joins {
-            // Dropping the returned receiver disconnects the data channel,
+            // Dropping the returned receiver disconnects the mailbox,
             // so a `feed` racing this stop (or arriving after it) errors
             // instead of waiting forever on a mailbox nobody reads.
             let _ = j.join();
@@ -884,14 +879,13 @@ impl VoterService {
         self.counters.snapshot()
     }
 
-    /// Stops every worker but returns their data receivers, keeping the
+    /// Stops every worker but returns their receivers, keeping the
     /// mailboxes connected: nothing drains them any more, so what a test
     /// sends stays put for it to read.
     #[cfg(test)]
-    pub(crate) fn stop_workers(&self) -> Vec<Receiver<Readings>> {
-        for link in &self.links {
-            assert!(link.ctrl.send(ShardCommand::Drain).is_ok());
-            link.worker.unpark();
+    pub(crate) fn stop_workers(&self) -> Vec<Receiver<ShardCommand>> {
+        for shard in 0..self.links.len() {
+            assert!(self.send(shard, ShardCommand::Drain).is_ok());
         }
         std::mem::take(&mut *self.joins.lock())
             .into_iter()
@@ -899,15 +893,9 @@ impl VoterService {
             .collect()
     }
 
-    /// Commands waiting in a shard's data mailbox.
-    #[cfg(test)]
-    pub(crate) fn queued_commands(&self, shard: usize) -> usize {
-        self.links[shard].data.len()
-    }
-
     fn note_depth(&self, shard: usize) {
         self.counters
-            .note_queue_depth(shard, self.links[shard].data.len());
+            .note_queue_depth(shard, self.links[shard].tx.len());
     }
 }
 
@@ -1168,7 +1156,10 @@ mod tests {
                 .collect();
             let got: Vec<(u64, u32)> = rx
                 .try_iter()
-                .flat_map(|cmd| cmd.readings)
+                .flat_map(|cmd| match cmd {
+                    ShardCommand::Readings(cmd) => cmd.readings,
+                    _ => panic!("shard {shard} queued a lifecycle command"),
+                })
                 .map(|r| (r.session, r.module.index()))
                 .collect();
             assert_eq!(got, want, "shard {shard}");

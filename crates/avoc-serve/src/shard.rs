@@ -68,13 +68,13 @@ pub(crate) struct TaggedReading {
     pub(crate) mark: TraceMark,
 }
 
-/// The data-plane command — the only thing a shard's data mailbox carries:
-/// readings for any of the shard's sessions, in arrival order, in one
-/// mailbox slot and one channel send however many there are. A socket
-/// read's `SessionReading` frames, a whole `FeedBatch` frame and an
-/// in-process [`crate::VoterService::feed`] (a batch of one) all travel as
-/// this. The worker feeds the readings in order, then returns the buffer to
-/// the service's [`BufferPool`], so the steady state allocates nothing.
+/// The data-plane command ([`ShardCommand::Readings`]): readings for any of
+/// the shard's sessions, in arrival order, in one mailbox slot and one
+/// channel send however many there are. A socket read's `SessionReading`
+/// frames, a whole `FeedBatch` frame and an in-process
+/// [`crate::VoterService::feed`] (a batch of one) all travel as this. The
+/// worker feeds the readings in order, then returns the buffer to the
+/// service's [`BufferPool`], so the steady state allocates nothing.
 pub(crate) struct Readings {
     /// The readings, in submission order (never empty).
     pub(crate) readings: Vec<TaggedReading>,
@@ -116,16 +116,20 @@ impl BufferPool {
     }
 }
 
-/// Lifecycle work routed to a shard. Sessions are pinned: every command for
-/// a session id lands on the same shard, so session state needs no
-/// synchronisation.
+/// Work routed to a shard: readings and session lifecycle. Sessions are
+/// pinned: every command for a session id lands on the same shard, so
+/// session state needs no synchronisation.
 ///
-/// A shard has two mailboxes: these commands travel on a control mailbox
-/// the worker always drains first, [`Readings`] on the data mailbox a
-/// producer waits on when it is full — so a flood of data can never
-/// displace, reorder, or shed a control command. The sender unparks the
-/// worker after every send, so a command reaches an idle shard at once.
+/// A shard has one bounded mailbox, and the worker takes its commands in
+/// arrival order. A session's `Open` therefore runs before any reading sent
+/// after it, and its `Close`, `Export` or the `Drain` after every reading
+/// sent before it; a close-then-reopen gives each life exactly its own
+/// readings. A producer that finds the mailbox full waits for a slot, so
+/// nothing is shed. The sender unparks the worker after every send, so a
+/// command reaches an idle shard at once.
 pub(crate) enum ShardCommand {
+    /// Readings for any of the shard's sessions (see [`Readings`]).
+    Readings(Readings),
     /// Install a session (spec already resolved and validated).
     Open(OpenReq),
     /// Idempotent re-open: re-attach to a live session whose token matches,
@@ -201,10 +205,8 @@ pub(crate) enum ShardCommand {
 /// Per-shard worker state.
 pub(crate) struct ShardWorker {
     pub(crate) index: usize,
-    /// Control mailbox: lifecycle commands, drained before data.
-    pub(crate) ctrl_rx: Receiver<ShardCommand>,
-    /// Data mailbox: readings, in arrival order.
-    pub(crate) data_rx: Receiver<Readings>,
+    /// The mailbox: readings and lifecycle commands, in arrival order.
+    pub(crate) rx: Receiver<ShardCommand>,
     /// Where drained reading buffers go back to.
     pub(crate) buffers: Arc<BufferPool>,
     pub(crate) counters: Arc<ServiceCounters>,
@@ -228,22 +230,19 @@ pub(crate) struct ShardWorker {
 /// `ShardState::sweep_due`).
 const SWEEP_INTERVAL: u64 = 64;
 
-/// How many queued commands one wakeup may process before control is
-/// re-checked, and how many readings the worker feeds — across commands or
-/// inside one — before it ships the verdicts they fused. Draining a burst
-/// keeps control responsive when the mailbox runs deep, while verdicts
-/// leave in bounded frames at a steady cadence however the readings were
-/// grouped on the way in.
+/// How many `Readings` commands one wakeup feeds before it ships what they
+/// fused (lifecycle commands do not count), and how many readings the
+/// worker feeds inside one command before it ships the verdicts they fused.
+/// Verdicts leave in bounded frames at a steady cadence however the
+/// readings were grouped on the way in.
 const DATA_BURST: usize = 64;
 
-/// The mutable state one worker owns: its sessions, its logical clock,
-/// control commands put aside while hunting for a pending `Open` (see
-/// [`ShardWorker::hunt_for_open`]), and whether a `Drain`/`Abort` has told
-/// it to stop.
+/// The mutable state one worker owns: its sessions, its logical clock, and
+/// whether a `Drain`/`Abort` (or the last sender leaving) has told it to
+/// stop.
 struct ShardState {
     sessions: HashMap<u64, Session>,
     tick: u64,
-    deferred: VecDeque<ShardCommand>,
     /// Sessions fed this wakeup, in first-fed order; their pending verdicts
     /// are flushed (batched into one frame each) once per loop iteration.
     /// `Session::flush_queued` marks the ones already listed.
@@ -264,88 +263,60 @@ fn sweeps_at(tick: u64, sweep_due: u64) -> bool {
 }
 
 impl ShardWorker {
-    /// The worker loop: control commands first, then readings, until `Drain`
-    /// (flushing all sessions) or `Abort` (flushing none), or until every
-    /// sender disconnects. Returns the data receiver, so the mailbox stays
-    /// connected until the service joins the worker.
+    /// The worker loop: commands in arrival order until `Drain` (flushing
+    /// all sessions) or `Abort` (flushing none), or until every sender
+    /// disconnects. Returns the receiver, so the mailbox stays connected
+    /// until the service joins the worker.
     ///
-    /// Each wakeup runs the commands the Open hunt deferred, then the
-    /// control mailbox, then a burst of up to `DATA_BURST` data commands,
-    /// and ships what they fused. When both mailboxes are empty the worker
-    /// parks; every send to either mailbox unparks it, so an idle shard
-    /// answers a command as soon as it lands and costs nothing meanwhile —
-    /// there is no timer.
+    /// Each wakeup takes commands until it has fed `DATA_BURST` `Readings`
+    /// commands or the mailbox is empty, and ships what they fused. When the
+    /// mailbox is empty the worker parks; every send unparks it, so an idle
+    /// shard answers a command as soon as it lands and costs nothing
+    /// meanwhile — there is no timer.
     ///
     /// The loop never blocks on anything a tenant controls — session sinks
     /// are fed with `try_send` — so one stalled tenant cannot wedge the
     /// other sessions pinned here, and `Drain` is always reachable.
-    pub(crate) fn run(self) -> Receiver<Readings> {
+    pub(crate) fn run(self) -> Receiver<ShardCommand> {
         let mut st = ShardState {
             sessions: HashMap::new(),
             tick: 0,
-            deferred: VecDeque::new(),
             touched: Vec::new(),
             sweep_due: 0,
             stop: false,
         };
-        let (mut ctrl_alive, mut data_alive) = (true, true);
         while !st.stop {
-            // Control first: commands deferred by the Open hunt,
-            // then the control mailbox — a deep data backlog must never
-            // delay or reorder Open/Close/Drain.
-            while !st.stop {
-                let Some(cmd) = st.deferred.pop_front() else {
-                    break;
-                };
-                self.control(cmd, &mut st);
-            }
-            while ctrl_alive && !st.stop {
-                match self.ctrl_rx.try_recv() {
-                    Ok(cmd) => self.control(cmd, &mut st),
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => ctrl_alive = false,
-                }
-            }
-            if st.stop {
-                break;
-            }
-            // Then up to a burst of data commands, keeping control
-            // responsive under sustained data load.
             let mut fed = 0;
-            while fed < DATA_BURST {
-                match self.data_rx.try_recv() {
+            while fed < DATA_BURST && !st.stop {
+                match self.rx.try_recv() {
                     Ok(cmd) => {
-                        if fed == 0 {
+                        let data = matches!(cmd, ShardCommand::Readings(_));
+                        if data && fed == 0 {
                             // Consumer-side depth sample: catches backlog
                             // the producer-side samples miss when senders
                             // go quiet while the queue is deep.
-                            self.counters
-                                .note_queue_depth(self.index, self.data_rx.len());
+                            self.counters.note_queue_depth(self.index, self.rx.len());
                         }
-                        self.readings(cmd, &mut st);
-                        fed += 1;
+                        self.handle(cmd, &mut st);
+                        fed += usize::from(data);
                     }
                     Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        data_alive = false;
-                        break;
-                    }
+                    // Every producer is gone.
+                    Err(TryRecvError::Disconnected) => st.stop = true,
                 }
             }
             // End of wakeup: everything this iteration fused leaves now, so
             // a burst's verdicts coalesce into one frame per session while
             // an interactive round still ships before the worker sleeps.
             self.flush_touched(&mut st);
-            if !ctrl_alive && !data_alive {
-                break; // every producer is gone
-            }
-            // Idle: sleep until a send wakes the worker. Nothing runs
-            // between this emptiness check and `park()`: a send that lands
-            // after the check leaves its unpark token, and `park()` then
-            // returns at once (nothing else on this thread parks, so
+            // Idle: sleep until a send wakes the worker — unless it was
+            // told to stop, when nothing may be left to wake it. Nothing
+            // runs between this emptiness check and `park()`: a send that
+            // lands after the check leaves its unpark token, and `park()`
+            // then returns at once (nothing else on this thread parks, so
             // nothing else takes the token). A spurious return only costs
             // one more loop.
-            if st.deferred.is_empty() && self.ctrl_rx.is_empty() && self.data_rx.is_empty() {
+            if !st.stop && self.rx.is_empty() {
                 std::thread::park();
             }
         }
@@ -359,11 +330,13 @@ impl ShardWorker {
             s.flush(&self.counters);
             self.counters.deregister_session(id);
         }
-        self.data_rx
+        self.rx
     }
 
-    fn control(&self, cmd: ShardCommand, st: &mut ShardState) {
+    /// Runs one command from the mailbox.
+    fn handle(&self, cmd: ShardCommand, st: &mut ShardState) {
         match cmd {
+            ShardCommand::Readings(cmd) => self.readings(cmd, st),
             ShardCommand::Open(req) => {
                 self.admit(st, req, false);
             }
@@ -373,10 +346,6 @@ impl ShardWorker {
                 eager,
             } => self.resume(st, req, last_acked, eager),
             ShardCommand::Close { session } => {
-                // Readings the tenant sent before this Close are still in
-                // the data mailbox; process them first so prioritising
-                // control does not orphan them.
-                self.drain_data_backlog(st);
                 if let Some(mut s) = st.sessions.remove(&session) {
                     s.flush(&self.counters);
                     s.remove_store();
@@ -397,22 +366,13 @@ impl ShardWorker {
                 epoch,
                 target_addr,
                 sink,
-            } => {
-                // Readings queued before the export are part of the stream
-                // this node owes; feed them so the shipped checkpoint sits
-                // at the latest round boundary.
-                self.drain_data_backlog(st);
-                self.export(st, session, target_node, epoch, &target_addr, &sink);
-            }
+            } => self.export(st, session, target_node, epoch, &target_addr, &sink),
             ShardCommand::Import { req, wal } => self.import(st, req, &wal),
-            ShardCommand::Drain => {
-                self.drain_data_backlog(st);
-                st.stop = true;
-            }
+            ShardCommand::Drain => st.stop = true,
             ShardCommand::Abort => {
-                // Crash semantics: no backlog drain, no flush, no final
-                // checkpoint — sessions die mid-thought and durable state
-                // stays at the last completed checkpoint.
+                // Crash semantics: no flush, no final checkpoint — sessions
+                // die mid-thought and durable state stays at the last
+                // completed checkpoint.
                 for (id, _) in st.sessions.drain() {
                     self.counters.deregister_session(id);
                 }
@@ -565,19 +525,7 @@ impl ShardWorker {
         self.resume(st, req, Some(u64::MAX), true);
     }
 
-    /// Processes the readings already queued when a `Close`/`Drain`
-    /// arrived, bounded by the queue length at entry (items enqueued while
-    /// draining wait their turn).
-    fn drain_data_backlog(&self, st: &mut ShardState) {
-        for _ in 0..self.data_rx.len() {
-            match self.data_rx.try_recv() {
-                Ok(cmd) => self.readings(cmd, st),
-                Err(_) => break,
-            }
-        }
-    }
-
-    /// Feeds one data-mailbox command, reading by reading in submission
+    /// Feeds one `Readings` command, reading by reading in submission
     /// order — the shard tick, the hub, the idle sweep and the egress
     /// cadence all advance per reading, however many share the command —
     /// so the fused stream is bit-identical to one command per reading.
@@ -600,12 +548,7 @@ impl ShardWorker {
             // One lookup serves the run of consecutive readings for this
             // session (a tick's frames arrive back to back), up to the next
             // point where the worker needs the whole map again.
-            let mut live = st.sessions.get_mut(&session);
-            if live.is_none() {
-                self.hunt_for_open(st, session);
-                live = st.sessions.get_mut(&session);
-            }
-            if let Some(s) = live {
+            if let Some(s) = st.sessions.get_mut(&session) {
                 while let Some(r) = readings.get(i).filter(|r| r.session == session) {
                     st.tick += 1;
                     if r.mark == TraceMark::FrameHead {
@@ -640,9 +583,10 @@ impl ShardWorker {
                     st.touched.push(session);
                 }
             } else {
-                // Genuinely unknown session: late (evicted, or sent after
-                // Close) or misrouted. Counted as a drop, but no error
-                // frame — per-reading errors would amplify a flood.
+                // Unknown session: late (evicted, or sent after Close or
+                // Export), sent before its Open, or misrouted. Counted as a
+                // drop, but no error frame — per-reading errors would
+                // amplify a flood.
                 st.tick += 1;
                 self.counters.readings_dropped.inc();
                 i += 1;
@@ -660,36 +604,6 @@ impl ShardWorker {
             }
         }
         self.buffers.give(readings);
-    }
-
-    /// A reading arrived for a session the map does not hold. Its
-    /// Open/Resume is always enqueued before its readings, but on the
-    /// control channel — it may not have been processed yet. Hunt for it:
-    /// install Opens on the way, but *defer* anything else until after the
-    /// reading in hand — executing a Close here would drain the data
-    /// backlog past it, reordering that tenant's rounds. An Open whose id
-    /// has a deferred Close ahead of it (close-then-reopen) is deferred
-    /// too, preserving their relative order.
-    fn hunt_for_open(&self, st: &mut ShardState, session: u64) {
-        while !st.sessions.contains_key(&session) {
-            let Ok(cmd) = self.ctrl_rx.try_recv() else {
-                break;
-            };
-            let open_id = match &cmd {
-                ShardCommand::Open(req) | ShardCommand::Resume { req, .. } => Some(req.session),
-                _ => None,
-            };
-            let install_now = open_id.is_some_and(|id| {
-                !st.deferred
-                    .iter()
-                    .any(|d| matches!(d, ShardCommand::Close { session: s } if *s == id))
-            });
-            if install_now {
-                self.control(cmd, st);
-            } else {
-                st.deferred.push_back(cmd);
-            }
-        }
     }
 
     /// Installs a fresh session. With `announce`, acknowledges with a cold

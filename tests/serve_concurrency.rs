@@ -738,3 +738,67 @@ fn idle_shard_wakes_for_every_send_under_control_and_data_churn() {
     assert_eq!(snap.rounds_fused, ITERATIONS);
     assert_eq!(snap.sessions_opened, ITERATIONS + 1);
 }
+
+/// A session closed and reopened under the same id while its shard is busy
+/// with another tenant's backlog: each life fuses exactly its own readings,
+/// and none is dropped. The second life's readings must never reach the
+/// first life, whose hub would discard them as late rounds.
+#[test]
+fn a_reopened_session_keeps_its_own_readings() {
+    const BACKLOG: u64 = 300_000;
+    const REOPENED: u64 = 7;
+    let mut reg = SpecRegistry::new();
+    reg.insert("avoc", avoc::vdx::VdxSpec::avoc());
+    let service = VoterService::start(
+        ServeConfig {
+            shards: 1,
+            ..ServeConfig::default()
+        },
+        Arc::new(reg),
+    );
+    let spec = SpecSource::Named("avoc".into());
+    let (busy_sink, _busy) = channel::unbounded::<Message>();
+    service.open_session(1, 1, &spec, busy_sink).expect("open");
+    let backlog: Vec<BatchReading> = (0..BACKLOG)
+        .map(|round| BatchReading {
+            module: ModuleId::new(0),
+            round,
+            value: 20.0,
+        })
+        .collect();
+    service.feed_batch(1, &backlog).expect("feed the backlog");
+    // Let the shard pick the backlog up, so the lives below queue behind it.
+    std::thread::sleep(Duration::from_millis(5));
+
+    let lives: Vec<_> = [10.0, 50.0]
+        .into_iter()
+        .map(|value| {
+            let (sink, results) = channel::unbounded::<Message>();
+            service
+                .open_session(REOPENED, 1, &spec, sink)
+                .expect("open");
+            for round in 0..4 {
+                service
+                    .feed(REOPENED, ModuleId::new(0), round, value)
+                    .expect("feed");
+            }
+            service.close_session(REOPENED).expect("close");
+            (value, results)
+        })
+        .collect();
+    let snap = service.drain();
+    for (want, results) in lives {
+        let mut values = Vec::new();
+        for msg in results.try_iter() {
+            match msg {
+                Message::SessionResult { value, .. } => values.push(value),
+                Message::ResultBatch { results, .. } => {
+                    values.extend(results.iter().map(|r| r.value));
+                }
+                other => panic!("life fusing {want} got unexpected frame {other:?}"),
+            }
+        }
+        assert_eq!(values, [Some(want); 4], "the life fed {want}");
+    }
+    assert_eq!(snap.readings_dropped, 0);
+}
