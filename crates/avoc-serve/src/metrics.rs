@@ -260,9 +260,7 @@ impl ServiceCounters {
             self.health.set(
                 "persistence",
                 HealthLevel::Degraded,
-                &format!(
-                    "{degraded} session(s) running memory-only after repeated checkpoint failures"
-                ),
+                &format!("{degraded} session(s) running memory-only after a failed checkpoint"),
             );
         }
     }

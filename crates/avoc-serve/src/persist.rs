@@ -50,7 +50,10 @@ use std::sync::Arc;
 pub struct Persistence {
     /// Where session logs and the segment tier live. `None` disables
     /// persistence entirely (the default): sessions are memory-only and a
-    /// restart re-bootstraps from live data.
+    /// restart re-bootstraps from live data. A directory whose tier will
+    /// not open is treated the same way, with the `persistence` health
+    /// domain degraded: a log read without its folded history would resume
+    /// a session warm from part of it.
     pub state_dir: Option<PathBuf>,
     /// `true` fsyncs every log append and every landed log image
     /// ([`Durability::Fsync`]); the default flushes to the OS and lets the
@@ -175,10 +178,10 @@ pub(crate) struct SessionStore {
     /// Highest verdict round an earlier fold moved to the segment tier;
     /// with the log's own, the floor below which verdicts are not re-logged.
     folded_verdict_round: Option<u64>,
-    /// The segment tier, for forget-on-remove. `None` when tiering is off.
-    tiered: Option<Arc<TieredStore>>,
+    /// The segment tier the log lives beside, for forget-on-remove.
+    tier: Arc<TieredStore>,
     /// Holds the compactor off this session while it is live.
-    _pin: Option<TieredPin>,
+    _pin: TieredPin,
 }
 
 impl std::fmt::Debug for SessionStore {
@@ -202,18 +205,17 @@ pub(crate) fn read_meta(dir: &Path, session: u64) -> Option<MetaState> {
 /// readable head, names any other owner, or was cut to its head by a fold
 /// (its rows now sit in this node's segments, not in what would ship).
 pub(crate) fn read_exported_log(
-    dir: &Path,
+    tier: &TieredStore,
     session: u64,
     target_node: u64,
-    tiered: Option<&Arc<TieredStore>>,
 ) -> Option<Vec<u8>> {
-    let path = session_wal_path(dir, session);
+    let path = session_wal_path(tier.dir(), session);
     let head = read_log_meta(&path)?;
     if MetaState::decode(&head)?.node != target_node {
         return None;
     }
     let wal = std::fs::read(path).ok()?;
-    let folded = tiered.is_some_and(|t| matches!(t.session_summary(session), Ok(Some(_))));
+    let folded = matches!(tier.session_summary(session), Ok(Some(_)));
     (wal.len() > meta_image(&head).len() || !folded).then_some(wal)
 }
 
@@ -224,27 +226,23 @@ impl SessionStore {
     /// any old one. If that landing fails, no log is opened and the old
     /// file, if any, stays as it was.
     pub(crate) fn create(
-        dir: &Path,
+        tier: &Arc<TieredStore>,
         session: u64,
         meta: MetaState,
         durability: Durability,
-        tiered: Option<&Arc<TieredStore>>,
     ) -> io::Result<SessionStore> {
-        std::fs::create_dir_all(dir)?;
         // Pin first: a fold in flight for this id finishes before we touch
         // its files, and none can start while the session lives.
-        let pin = tiered.map(|t| t.pin(session));
-        if let Some(t) = tiered {
-            t.forget_session(session)?;
-        }
-        let path = session_wal_path(dir, session);
+        let pin = tier.pin(session);
+        tier.forget_session(session)?;
+        let path = session_wal_path(tier.dir(), session);
         land_log(&path, &meta_image(&meta.encode()), durability)?;
         Ok(SessionStore {
             wal: FileHistory::open_with(&path, durability)?,
             session,
             meta,
             folded_verdict_round: None,
-            tiered: tiered.map(Arc::clone),
+            tier: Arc::clone(tier),
             _pin: pin,
         })
     }
@@ -261,20 +259,21 @@ impl SessionStore {
     /// [`Loaded::from_segments`] reports and `benchmark/` measures
     /// (`serve.segment_load_ms`).
     pub(crate) fn load(
-        dir: &Path,
+        tier: &Arc<TieredStore>,
         session: u64,
         durability: Durability,
-        tiered: Option<&Arc<TieredStore>>,
     ) -> Option<Loaded> {
         // Pin before reading anything: an in-flight fold of this session
         // completes (or is skipped) before we open its files.
-        let pin = tiered.map(|t| t.pin(session));
-        let meta = read_meta(dir, session)?;
-        let folded = tiered
-            .and_then(|t| t.session_summary(session).ok().flatten())
+        let pin = tier.pin(session);
+        let meta = read_meta(tier.dir(), session)?;
+        let folded = tier
+            .session_summary(session)
+            .ok()
+            .flatten()
             .unwrap_or_default();
         let blocks = folded.blocks;
-        let wal_path = session_wal_path(dir, session);
+        let wal_path = session_wal_path(tier.dir(), session);
         let mut wal = FileHistory::open_over(&wal_path, durability, folded.latest).ok()?;
         let from_segments = blocks > 0 && wal.committed_round().is_none();
         let high_round = wal
@@ -284,10 +283,8 @@ impl SessionStore {
         let window = high_round.map(|hi| hi.saturating_sub(RESULT_RING as u64 - 1)..=hi);
         let replayed = wal.take_replayed_verdicts();
         // Only a session with folded rounds needs the merged two-tier read.
-        let verdicts = match (tiered, &window) {
-            (Some(t), Some(w)) if blocks > 0 => {
-                t.verdicts_in(session, w.clone()).unwrap_or(replayed)
-            }
+        let verdicts = match &window {
+            Some(w) if blocks > 0 => tier.verdicts_in(session, w.clone()).unwrap_or(replayed),
             _ => replayed,
         };
         let results = verdicts
@@ -302,7 +299,7 @@ impl SessionStore {
                 session,
                 meta,
                 folded_verdict_round: folded.max_verdict_round,
-                tiered: tiered.map(Arc::clone),
+                tier: Arc::clone(tier),
                 _pin: pin,
             },
             high_round,
@@ -328,10 +325,9 @@ impl SessionStore {
     ///
     /// # Errors
     ///
-    /// Reports a sick WAL (any append since the last healthy rewrite failed
-    /// — e.g. `ENOSPC`) as [`io::ErrorKind::Other`] so the caller's
-    /// degradation state machine can react; the in-memory mirror of the
-    /// records stays current either way.
+    /// The append's failure (e.g. `ENOSPC`), after which the log is
+    /// [`SessionStore::sick`], or the refusal of a log already sick. The
+    /// in-memory mirror of the records stays current either way.
     pub(crate) fn checkpoint(
         &mut self,
         records: &[(ModuleId, f64)],
@@ -349,20 +345,22 @@ impl SessionStore {
             .collect();
         let before = self.wal.bytes_logged();
         if !changed.is_empty() || !fresh.is_empty() || self.wal.committed_round() != high_round {
-            let _ = self.wal.checkpoint(&changed, &fresh, high_round);
-        }
-        if self.wal.write_failed() {
-            return Err(io::Error::other(
-                "session WAL is sick: an append failed since the last healthy checkpoint",
-            ));
+            self.wal.checkpoint(&changed, &fresh, high_round)?;
         }
         Ok(self.wal.bytes_logged() - before)
     }
 
+    /// Whether an append failed since the log was last landed whole: the
+    /// log may be missing a record, so it takes no more appends until
+    /// [`SessionStore::rewrite`] replaces it.
+    pub(crate) fn sick(&self) -> bool {
+        self.wal.write_failed()
+    }
+
     /// Rewrites the log wholesale as its head and one record — the
     /// session's full current state, its round stamp and the ring's verdict
-    /// rows. This is the re-probe a degraded session runs against a
-    /// possibly-healed disk (success clears the WAL's sick flag).
+    /// rows. This is the probe a degraded session runs against a
+    /// possibly-healed disk (success clears [`SessionStore::sick`]).
     ///
     /// # Errors
     ///
@@ -386,8 +384,9 @@ impl SessionStore {
         high_round: Option<u64>,
         results: &VecDeque<StoredResult>,
     ) -> io::Result<()> {
-        // Memory first: whether this append reaches the old log does not
-        // matter, the rewrite below replaces it from the mirror.
+        // Memory first: whether this append reaches the old log (a sick one
+        // refuses it) does not matter, the rewrite below replaces it from
+        // the mirror.
         let _ = self.checkpoint(records, high_round, results);
         self.wal
             .compact(Some(meta), &verdict_rows(results).collect::<Vec<_>>())
@@ -435,35 +434,29 @@ impl SessionStore {
         Ok(wal)
     }
 
-    /// Lands a shipped session log in `dir`, unchanged: its head already
+    /// Lands a shipped session log beside `tier`, unchanged: its head already
     /// names this node (the export stamped it). The image is scanned end
     /// to end before anything local is touched: one that does not read
     /// clean is refused (`InvalidData`). The prior occupant's folded
     /// segment rows are forgotten only after that, and the landing's one
     /// rename replaces its log.
     pub(crate) fn write_imported(
-        dir: &Path,
+        tier: &Arc<TieredStore>,
         session: u64,
         wal: &[u8],
         durability: Durability,
-        tiered: Option<&Arc<TieredStore>>,
     ) -> io::Result<()> {
         avoc_store::validate_wal(wal)?;
-        std::fs::create_dir_all(dir)?;
-        let _pin = tiered.map(|t| t.pin(session));
-        if let Some(t) = tiered {
-            t.forget_session(session)?;
-        }
-        land_log(&session_wal_path(dir, session), wal, durability)
+        let _pin = tier.pin(session);
+        tier.forget_session(session)?;
+        land_log(&session_wal_path(tier.dir(), session), wal, durability)
     }
 
     /// Deletes the session's durable state (explicit close: the tenant is
     /// done, nothing to resume), including its folded segment rows.
     pub(crate) fn remove(self) {
         let _ = std::fs::remove_file(self.wal.path());
-        if let Some(t) = &self.tiered {
-            let _ = t.forget_session(self.session);
-        }
+        let _ = self.tier.forget_session(self.session);
     }
 }
 
@@ -477,6 +470,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// The segment tier of `dir`: every session log lives beside one.
+    fn tier(dir: &Path) -> Arc<TieredStore> {
+        Arc::new(TieredStore::open(dir).unwrap())
     }
 
     fn meta(token: u64, modules: u32, resumable: bool, spec: SpecSource, node: u64) -> MetaState {
@@ -494,8 +492,9 @@ mod tests {
         let dir = tmpdir("roundtrip");
         let spec = SpecSource::Inline("{\"algorithm_name\": \"AVOC\"}".into());
         let written = meta(u64::MAX, 3, true, spec, 0);
+        let tier = tier(&dir);
         let mut store =
-            SessionStore::create(&dir, 0x2a, written.clone(), Durability::Flush, None).unwrap();
+            SessionStore::create(&tier, 0x2a, written.clone(), Durability::Flush).unwrap();
         let records = [(ModuleId::new(0), 0.75), (ModuleId::new(1), 1.0)];
         let mut ring = VecDeque::new();
         ring.push_back((4u64, Some(19.700000000000003f64), true));
@@ -505,7 +504,7 @@ mod tests {
         assert_eq!(store.checkpoint(&records, Some(5), &ring).unwrap(), 0);
         drop(store);
 
-        let loaded = SessionStore::load(&dir, 0x2a, Durability::Flush, None).unwrap();
+        let loaded = SessionStore::load(&tier, 0x2a, Durability::Flush).unwrap();
         assert_eq!(loaded.store.meta(), &written, "token survives byte-exact");
         assert_eq!(loaded.high_round, Some(5), "the round comes from the log");
         // The awkward float round-trips exactly (bit-identity requirement).
@@ -526,7 +525,7 @@ mod tests {
         let dir = tmpdir("one-file");
         let spec = SpecSource::Named("avoc".into());
         let mut store =
-            SessionStore::create(&dir, 5, meta(1, 2, true, spec, 0), Durability::Flush, None)
+            SessionStore::create(&tier(&dir), 5, meta(1, 2, true, spec, 0), Durability::Flush)
                 .unwrap();
         let log = session_wal_path(&dir, 5);
         let before = std::fs::metadata(&log).unwrap();
@@ -544,6 +543,7 @@ mod tests {
         let names: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name != "MANIFEST")
             .collect();
         assert_eq!(names, ["session-0000000000000005.wal"]);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -553,33 +553,33 @@ mod tests {
     fn corrupt_meta_or_wal_loads_as_none() {
         let dir = tmpdir("corrupt");
         let spec = SpecSource::Named("avoc".into());
+        let tier = tier(&dir);
         let mut store =
-            SessionStore::create(&dir, 7, meta(1, 2, true, spec, 0), Durability::Flush, None)
-                .unwrap();
+            SessionStore::create(&tier, 7, meta(1, 2, true, spec, 0), Durability::Flush).unwrap();
         store
             .checkpoint(&[(ModuleId::new(0), 0.5)], Some(0), &VecDeque::new())
             .unwrap();
         drop(store);
-        assert!(SessionStore::load(&dir, 7, Durability::Flush, None).is_some());
+        assert!(SessionStore::load(&tier, 7, Durability::Flush).is_some());
 
         // A log in the old text format fails the magic check.
         let wal = session_wal_path(&dir, 7);
         let good = std::fs::read(&wal).unwrap();
         std::fs::write(&wal, "{\"op\":\"set\",\"module\":0,\"value\":0.5}\n").unwrap();
-        assert!(SessionStore::load(&dir, 7, Durability::Flush, None).is_none());
+        assert!(SessionStore::load(&tier, 7, Durability::Flush).is_none());
         // Scribble over the head: the load must degrade to None, not error.
         let mut scribbled = good.clone();
         scribbled[20] ^= 0xff;
         std::fs::write(&wal, &scribbled).unwrap();
         assert!(read_meta(&dir, 7).is_none());
-        assert!(SessionStore::load(&dir, 7, Durability::Flush, None).is_none());
+        assert!(SessionStore::load(&tier, 7, Durability::Flush).is_none());
         // A log of the previous version has no head at all.
         let mut v1 = good;
         v1[7] = 1;
         std::fs::write(&wal, &v1).unwrap();
-        assert!(SessionStore::load(&dir, 7, Durability::Flush, None).is_none());
+        assert!(SessionStore::load(&tier, 7, Durability::Flush).is_none());
         // Missing entirely behaves the same.
-        assert!(SessionStore::load(&dir, 99, Durability::Flush, None).is_none());
+        assert!(SessionStore::load(&tier, 99, Durability::Flush).is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -587,19 +587,19 @@ mod tests {
     fn remove_deletes_files() {
         let dir = tmpdir("remove");
         let spec = SpecSource::Named("avoc".into());
+        let tier = tier(&dir);
         let mut store =
-            SessionStore::create(&dir, 3, meta(9, 1, false, spec, 0), Durability::Fsync, None)
-                .unwrap();
+            SessionStore::create(&tier, 3, meta(9, 1, false, spec, 0), Durability::Fsync).unwrap();
         store
             .checkpoint(&[(ModuleId::new(0), 0.4)], Some(0), &VecDeque::new())
             .unwrap();
         drop(store);
-        let loaded = SessionStore::load(&dir, 3, Durability::Flush, None).unwrap();
+        let loaded = SessionStore::load(&tier, 3, Durability::Flush).unwrap();
         assert!(!loaded.store.meta().resumable);
         assert_eq!(loaded.store.seed_records(), vec![(ModuleId::new(0), 0.4)]);
         loaded.store.remove();
         assert!(list_session_wals(&dir).unwrap().is_empty());
-        assert!(SessionStore::load(&dir, 3, Durability::Flush, None).is_none());
+        assert!(SessionStore::load(&tier, 3, Durability::Flush).is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -608,14 +608,9 @@ mod tests {
         let src = tmpdir("export-src");
         let dst = tmpdir("export-dst");
         let spec = SpecSource::Named("avoc".into());
-        let mut store = SessionStore::create(
-            &src,
-            0x5e,
-            meta(77, 3, true, spec.clone(), 1),
-            Durability::Flush,
-            None,
-        )
-        .unwrap();
+        let (src_tier, dst_tier) = (tier(&src), tier(&dst));
+        let owner = meta(77, 3, true, spec.clone(), 1);
+        let mut store = SessionStore::create(&src_tier, 0x5e, owner, Durability::Flush).unwrap();
         let records = [(ModuleId::new(0), 0.75), (ModuleId::new(2), 0.25)];
         let mut ring = VecDeque::new();
         ring.push_back((9u64, Some(18.150000000000002f64), true));
@@ -631,22 +626,22 @@ mod tests {
         let head = avoc_store::image_meta(&wal).and_then(MetaState::decode);
         assert_eq!(head.as_ref(), Some(&shipped));
         assert_eq!(read_meta(&src, 0x5e).as_ref(), Some(&shipped));
-        assert_eq!(read_exported_log(&src, 0x5e, 2, None), Some(wal.clone()));
-        assert_eq!(read_exported_log(&src, 0x5e, 3, None), None);
+        assert_eq!(read_exported_log(&src_tier, 0x5e, 2), Some(wal.clone()));
+        assert_eq!(read_exported_log(&src_tier, 0x5e, 3), None);
 
         // A shipped log that does not scan clean is refused before the
         // target's disk is touched.
         let torn = &wal[..wal.len() - 1];
         let err =
-            SessionStore::write_imported(&dst, 0x5e, torn, Durability::Flush, None).unwrap_err();
+            SessionStore::write_imported(&dst_tier, 0x5e, torn, Durability::Flush).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert_eq!(std::fs::read_dir(&dst).unwrap().count(), 0);
+        assert!(list_session_wals(&dst).unwrap().is_empty());
 
         // Landing the log on the target restores byte-exact state: the
         // owner, the round and the ring travel in the one file, unchanged.
-        SessionStore::write_imported(&dst, 0x5e, &wal, Durability::Flush, None).unwrap();
+        SessionStore::write_imported(&dst_tier, 0x5e, &wal, Durability::Flush).unwrap();
         assert_eq!(std::fs::read(session_wal_path(&dst, 0x5e)).unwrap(), wal);
-        let loaded = SessionStore::load(&dst, 0x5e, Durability::Flush, None).unwrap();
+        let loaded = SessionStore::load(&dst_tier, 0x5e, Durability::Flush).unwrap();
         assert_eq!(loaded.store.meta(), &shipped);
         assert_eq!(loaded.high_round, Some(9));
         assert_eq!(loaded.results, vec![(9, Some(18.150000000000002), true)]);
@@ -658,12 +653,11 @@ mod tests {
     #[test]
     fn a_log_cut_by_a_fold_is_not_reshipped() {
         let dir = tmpdir("export-fold");
-        let tier = Arc::new(TieredStore::open(&dir).unwrap());
+        let tier = tier(&dir);
         let spec = SpecSource::Named("avoc".into());
         let export = |session: u64, rounds: u64| {
             let owner = meta(3, 1, true, spec.clone(), 1);
-            let mut store =
-                SessionStore::create(&dir, session, owner, Durability::Flush, Some(&tier)).unwrap();
+            let mut store = SessionStore::create(&tier, session, owner, Durability::Flush).unwrap();
             let mut ring = VecDeque::new();
             let records = [(ModuleId::new(0), 0.5)];
             for round in 0..rounds {
@@ -674,13 +668,13 @@ mod tests {
             store.export(2, &records, high, &ring).unwrap()
         };
         let (fused, fresh) = (export(1, 4), export(2, 0));
-        assert_eq!(read_exported_log(&dir, 1, 2, Some(&tier)), Some(fused));
+        assert_eq!(read_exported_log(&tier, 1, 2), Some(fused));
         assert_eq!(tier.compact().unwrap().wals_retired, 1);
         // The fold moved session 1's rows into this node's segments: its
         // head-only log is not the state that shipped, so it is not re-shipped.
-        assert_eq!(read_exported_log(&dir, 1, 2, Some(&tier)), None);
+        assert_eq!(read_exported_log(&tier, 1, 2), None);
         // A session exported before its first round had nothing to fold.
-        assert_eq!(read_exported_log(&dir, 2, 2, Some(&tier)), Some(fresh));
+        assert_eq!(read_exported_log(&tier, 2, 2), Some(fresh));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -690,7 +684,7 @@ mod tests {
         let spec = SpecSource::Named("avoc".into());
         let owner = meta(5, 2, true, spec, 1);
         let mut store =
-            SessionStore::create(&dir, 9, owner.clone(), Durability::Flush, None).unwrap();
+            SessionStore::create(&tier(&dir), 9, owner.clone(), Durability::Flush).unwrap();
         let records = [(ModuleId::new(0), 0.5), (ModuleId::new(1), 0.25)];
         let mut ring = VecDeque::new();
         for round in 0..4u64 {
@@ -709,9 +703,9 @@ mod tests {
         for cut in 0..=image.len() {
             std::fs::write(&log, &old).unwrap();
             std::fs::write(&tmp, &image[..cut]).unwrap();
-            let tier = Arc::new(TieredStore::open(&dir).unwrap());
+            let tier = tier(&dir);
             assert!(!Path::new(&tmp).exists(), "cut {cut}: the .tmp is swept");
-            let loaded = SessionStore::load(&dir, 9, Durability::Flush, Some(&tier));
+            let loaded = SessionStore::load(&tier, 9, Durability::Flush);
             let loaded = loaded.unwrap_or_else(|| panic!("cut {cut}: the old log loads"));
             assert_eq!(loaded.store.meta(), &owner, "cut {cut}");
             assert_eq!(loaded.high_round, Some(3), "cut {cut}");
@@ -723,7 +717,7 @@ mod tests {
             std::fs::write(&log, &old[..cut]).unwrap();
             assert!(read_meta(&dir, 9).is_none(), "cut {cut}");
             assert!(
-                SessionStore::load(&dir, 9, Durability::Flush, None).is_none(),
+                SessionStore::load(&tier(&dir), 9, Durability::Flush).is_none(),
                 "cut {cut}"
             );
         }

@@ -2,6 +2,7 @@
 
 use avoc_core::ModuleId;
 use avoc_net::SpecSource;
+use avoc_obs::HealthLevel;
 use avoc_store::{list_session_wals, CompactionReport, TieredStore};
 use avoc_vdx::VdxError;
 use crossbeam::channel::{self, Receiver, Sender};
@@ -172,9 +173,9 @@ pub struct VoterService {
     buffers: Arc<BufferPool>,
     persistence: Persistence,
     admin_addr: Option<String>,
-    /// The segment tier behind the state directory (shared with every
-    /// shard). `None` when persistence is off or the tier failed to open —
-    /// sessions then run WAL-only, exactly as before.
+    /// The state directory's segment tier (shared with every shard): the
+    /// one test for "durable?". `None` when persistence is off or the tier
+    /// failed to open; sessions are then memory-only.
     tiered: Option<Arc<TieredStore>>,
 }
 
@@ -203,18 +204,24 @@ impl VoterService {
             config.reactors
         };
         // Open the segment tier before the shards: workers pin sessions
-        // into it at open/resume. A tier that fails to open degrades the
-        // daemon to WAL-only persistence instead of refusing to start.
-        let tiered = config.persistence.state_dir.as_deref().and_then(|dir| {
-            std::fs::create_dir_all(dir).ok()?;
-            TieredStore::open(dir).ok().map(Arc::new)
-        });
+        // into it at open/resume. A directory whose tier fails to open
+        // leaves every session memory-only instead of refusing to start.
+        let opened = (config.persistence.state_dir.as_deref())
+            .map(|dir| TieredStore::open(dir).map(Arc::new));
+        let tiered = opened.as_ref().and_then(|t| t.as_ref().ok()).cloned();
         let counters = Arc::new(ServiceCounters::with_observability(
             shards,
             reactors,
             config.trace_sample,
             tiered.clone(),
         ));
+        if let Some(Err(e)) = opened {
+            let reason = format!("state directory will not open ({e}): sessions are memory-only");
+            eprintln!("avoc-serve: {reason}");
+            counters
+                .health
+                .set("persistence", HealthLevel::Degraded, &reason);
+        }
         let active = Arc::new(AtomicUsize::new(0));
         let buffers = Arc::new(BufferPool::default());
         let mut links = Vec::with_capacity(shards);
@@ -411,13 +418,13 @@ impl VoterService {
     /// re-attaches, recovered sessions emit to `sink`.
     pub fn recover_sessions(&self, sink: impl Into<ResultSink>) -> usize {
         let sink = sink.into();
-        let Some(dir) = self.persistence.state_dir.clone() else {
+        let Some(dir) = self.tiered.as_ref().map(|t| t.dir()) else {
             return 0;
         };
         let mut dispatched = 0;
         let (mut foreign, mut headless) = (0u64, 0u64);
-        for id in list_session_wals(&dir).unwrap_or_default() {
-            let Some(meta) = persist::read_meta(&dir, id) else {
+        for id in list_session_wals(dir).unwrap_or_default() {
+            let Some(meta) = persist::read_meta(dir, id) else {
                 headless += 1;
                 continue;
             };
@@ -525,7 +532,7 @@ impl VoterService {
         wal: &[u8],
         sink: impl Into<ResultSink>,
     ) -> Result<(), ServeError> {
-        if self.persistence.state_dir.is_none() {
+        if self.tiered.is_none() {
             return Err(ServeError::Refused(
                 "import refused: this node has no state directory",
             ));
@@ -583,7 +590,7 @@ impl VoterService {
     /// migratable sessions must also see sessions recovered at daemon boot
     /// or idled out of memory, which never appear in its placement table.
     pub fn durable_sessions_json(&self) -> String {
-        let Some(dir) = self.persistence.state_dir.as_deref() else {
+        let Some(dir) = self.tiered.as_ref().map(|t| t.dir()) else {
             return "[]".to_string();
         };
         let ids: Vec<String> = list_session_wals(dir)

@@ -12,10 +12,6 @@ use crate::persist::{Loaded, SessionStore, StoredResult, RESULT_RING};
 use crate::service::ServeError;
 use crate::sink::ResultSink;
 
-/// Consecutive checkpoint failures before a session gives up retrying
-/// every fused round and enters degraded (memory-only) mode.
-const DEGRADE_AFTER: u64 = 3;
-
 /// Cap on the degraded re-probe backoff, in checkpoint attempts skipped
 /// between heal probes.
 const PROBE_BACKOFF_CAP: u64 = 64;
@@ -67,14 +63,9 @@ pub(crate) struct Session {
     /// Whether any round fused since the last flush was trace-sampled (the
     /// flush then leaves one flush span covering the burst).
     pending_sampled: bool,
-    /// Consecutive checkpoint failures since the last success (reset on
-    /// success; at [`DEGRADE_AFTER`] the session enters degraded mode).
-    ckpt_failures: u64,
-    /// Memory-only mode: durable writes are failing, the session keeps
-    /// serving from memory and probes the disk with capped backoff.
-    degraded: bool,
-    /// Current backoff (checkpoint opportunities skipped between probes),
-    /// doubled per failed probe up to [`PROBE_BACKOFF_CAP`].
+    /// Current backoff while the store is sick (checkpoint opportunities
+    /// skipped between probes), doubled per failed probe up to
+    /// [`PROBE_BACKOFF_CAP`]; `0` while the session is not degraded.
     probe_backoff: u64,
     /// Checkpoint opportunities left before the next heal probe.
     probe_in: u64,
@@ -110,8 +101,6 @@ impl Session {
             persist,
             rounds_fused: avoc_obs::Counter::new(),
             pending_sampled: false,
-            ckpt_failures: 0,
-            degraded: false,
             probe_backoff: 0,
             probe_in: 0,
             flush_queued: false,
@@ -333,88 +322,58 @@ impl Session {
     /// Errors leave the previous checkpoint in place — recovery degrades,
     /// never corrupts.
     ///
-    /// Failures drive a per-session degradation state machine: after
-    /// [`DEGRADE_AFTER`] consecutive failures the session stops paying a
-    /// doomed disk write per fused round and goes memory-only (serving
-    /// continues from the in-memory engine and result ring, the health
-    /// plane reports `persistence: degraded`). While degraded, it probes
-    /// the disk with capped exponential backoff; the first healed probe
-    /// rewrites a fresh one-record WAL and the session silently returns to
-    /// durable operation.
+    /// The first failed append degrades the session to memory-only: a log
+    /// that lost a record takes no more appends, since the deltas after it
+    /// would never repeat what it carried. Serving continues from the
+    /// in-memory engine and result ring, and the health plane reports
+    /// `persistence: degraded`. While the store is sick, each checkpoint
+    /// opportunity counts down a capped exponential backoff, and at zero
+    /// the session probes the disk by rewriting its log whole; the first
+    /// rewrite that lands returns it to durable operation.
     pub(crate) fn checkpoint(&mut self, counters: &ServiceCounters) {
-        if self.persist.is_none() {
+        let Some(store) = self.persist.as_mut() else {
             return;
-        }
-        if self.degraded {
-            if self.probe_in > 1 {
-                self.probe_in -= 1;
-                return;
-            }
-            self.probe_heal(counters);
-            return;
-        }
-        match self.try_checkpoint(counters) {
-            Ok(()) => self.ckpt_failures = 0,
-            Err(e) => {
-                counters.checkpoint_failures.inc();
-                self.ckpt_failures += 1;
-                if self.ckpt_failures >= DEGRADE_AFTER {
-                    self.degraded = true;
-                    self.probe_backoff = 1;
-                    self.probe_in = 1;
-                    counters.session_degraded(self.id);
-                    eprintln!(
-                        "avoc-serve: session {} entering degraded (memory-only) \
-                         persistence after {} checkpoint failures: {e}",
-                        self.id, self.ckpt_failures
-                    );
-                }
-            }
-        }
-    }
-
-    /// One checkpoint attempt against the store, recording size/latency on
-    /// success.
-    fn try_checkpoint(&mut self, counters: &ServiceCounters) -> std::io::Result<()> {
-        let store = self.persist.as_mut().expect("caller checked persist");
-        let started = Instant::now();
-        let bytes = store.checkpoint(&self.engine.histories(), self.high_round, &self.results)?;
-        counters.checkpoint_bytes.add(bytes);
-        counters
-            .scrape_only
-            .checkpoint_latency_ns
-            .record(started.elapsed().as_nanos() as u64);
-        Ok(())
-    }
-
-    /// A degraded session's heal probe: rewrite the WAL from live state
-    /// (`SessionStore::rewrite`), then take a full checkpoint. Success exits
-    /// degraded mode; failure doubles the backoff (capped).
-    fn probe_heal(&mut self, counters: &ServiceCounters) {
-        let healed = {
-            let store = self.persist.as_mut().expect("caller checked persist");
-            store.rewrite(&self.engine.histories(), self.high_round, &self.results)
         };
-        let outcome = healed.and_then(|()| self.try_checkpoint(counters));
-        match outcome {
-            Ok(()) => {
-                self.degraded = false;
-                self.ckpt_failures = 0;
-                self.probe_backoff = 0;
-                self.probe_in = 0;
-                counters.session_persistence_recovered(self.id);
-                eprintln!(
-                    "avoc-serve: session {} persistence healed; durable \
-                     checkpoints resumed from a fresh WAL",
-                    self.id
-                );
+        let failed = if !store.sick() {
+            let started = Instant::now();
+            match store.checkpoint(&self.engine.histories(), self.high_round, &self.results) {
+                Ok(bytes) => {
+                    counters.checkpoint_bytes.add(bytes);
+                    let latency = started.elapsed().as_nanos() as u64;
+                    counters.scrape_only.checkpoint_latency_ns.record(latency);
+                    return;
+                }
+                Err(e) => e,
             }
-            Err(_) => {
-                counters.checkpoint_failures.inc();
-                self.probe_backoff = (self.probe_backoff * 2).min(PROBE_BACKOFF_CAP);
-                self.probe_in = self.probe_backoff;
+        } else if self.probe_in > 1 {
+            self.probe_in -= 1;
+            return;
+        } else {
+            match store.rewrite(&self.engine.histories(), self.high_round, &self.results) {
+                Ok(()) => {
+                    self.probe_backoff = 0;
+                    counters.session_persistence_recovered(self.id);
+                    eprintln!(
+                        "avoc-serve: session {} persistence healed; durable \
+                         checkpoints resumed from a rewritten log",
+                        self.id
+                    );
+                    return;
+                }
+                Err(e) => e,
             }
+        };
+        counters.checkpoint_failures.inc();
+        if self.probe_backoff == 0 {
+            counters.session_degraded(self.id);
+            eprintln!(
+                "avoc-serve: session {} entering degraded (memory-only) \
+                 persistence: {failed}",
+                self.id
+            );
         }
+        self.probe_backoff = (self.probe_backoff * 2).clamp(1, PROBE_BACKOFF_CAP);
+        self.probe_in = self.probe_backoff;
     }
 
     /// Quiesces this session at its current round boundary and returns its

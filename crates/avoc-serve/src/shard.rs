@@ -219,10 +219,11 @@ pub(crate) struct ShardWorker {
     pub(crate) idle_ticks: u64,
     /// Hub lag tolerance for each session's round assembly.
     pub(crate) lag_tolerance: u64,
-    /// Crash-safety configuration (state dir, fsync, cluster identity).
+    /// Crash-safety configuration (fsync, cluster identity).
     pub(crate) persistence: Persistence,
-    /// The segment tier behind the state dir, shared with the service.
-    /// `None` when persistence is off or the tier failed to open.
+    /// The state directory's segment tier, shared with the service: the
+    /// one test for "durable?". `None` when persistence is off or the tier
+    /// failed to open; sessions are then memory-only.
     pub(crate) tiered: Option<Arc<TieredStore>>,
 }
 
@@ -456,23 +457,13 @@ impl ShardWorker {
     /// history is stranded on the drained node.
     fn export_stored(&self, session: u64, target_node: u64) -> io::Result<Vec<u8>> {
         let not_found = || io::Error::other("session not found on this node");
-        let dir = self
-            .persistence
-            .state_dir
-            .as_deref()
-            .ok_or_else(not_found)?;
-        let tiered = self.tiered.as_ref();
-        if let Some(wal) = crate::persist::read_exported_log(dir, session, target_node, tiered) {
+        let tier = self.tiered.as_ref().ok_or_else(not_found)?;
+        if let Some(wal) = crate::persist::read_exported_log(tier, session, target_node) {
             return Ok(wal);
         }
-        let mut loaded = SessionStore::load(
-            dir,
-            session,
-            self.persistence.durability(),
-            self.tiered.as_ref(),
-        )
-        .filter(|loaded| loaded.store.meta().node == self.persistence.node_id)
-        .ok_or_else(not_found)?;
+        let mut loaded = SessionStore::load(tier, session, self.persistence.durability())
+            .filter(|loaded| loaded.store.meta().node == self.persistence.node_id)
+            .ok_or_else(not_found)?;
         let records = loaded.store.seed_records();
         let ring: VecDeque<_> = loaded.results.into();
         loaded
@@ -507,11 +498,10 @@ impl ShardWorker {
             }
             return;
         }
-        let dir = self.persistence.state_dir.as_deref();
-        let dir = dir.expect("the service refuses imports without a state directory");
+        let tier = self.tiered.as_ref();
+        let tier = tier.expect("the service refuses imports without a state directory");
         let durability = self.persistence.durability();
-        let tiered = self.tiered.as_ref();
-        if let Err(e) = SessionStore::write_imported(dir, req.session, wal, durability, tiered) {
+        if let Err(e) = SessionStore::write_imported(tier, req.session, wal, durability) {
             self.refuse(
                 &req.sink,
                 req.session,
@@ -671,14 +661,9 @@ impl ShardWorker {
             return;
         }
         // 2. Durable checkpoint: rebuild the session warm.
-        if let Some(dir) = self.persistence.state_dir.clone() {
+        if let Some(tier) = &self.tiered {
             let started = Instant::now();
-            let loaded = SessionStore::load(
-                &dir,
-                req.session,
-                self.persistence.durability(),
-                self.tiered.as_ref(),
-            );
+            let loaded = SessionStore::load(tier, req.session, self.persistence.durability());
             if let Some(loaded) = loaded {
                 let meta = loaded.store.meta().clone();
                 if meta.node != self.persistence.node_id {
@@ -756,20 +741,15 @@ impl ShardWorker {
         );
     }
 
-    /// Creates the session's durable store, or `None` when persistence is
-    /// off — or when creation fails, in which case the session degrades to
-    /// memory-only rather than being refused.
+    /// Creates the session's durable store, or `None` when the service has
+    /// no tier — or when creation fails, in which case the session degrades
+    /// to memory-only rather than being refused.
     fn make_store(&self, req: &OpenReq) -> Option<SessionStore> {
-        let dir = self.persistence.state_dir.as_deref()?;
-        SessionStore::create(
-            dir,
-            req.session,
-            self.meta_for(req),
-            self.persistence.durability(),
-            self.tiered.as_ref(),
-        )
-        .inspect_err(|_| self.counters.checkpoint_failures.inc())
-        .ok()
+        let tier = self.tiered.as_ref()?;
+        let durability = self.persistence.durability();
+        SessionStore::create(tier, req.session, self.meta_for(req), durability)
+            .inspect_err(|_| self.counters.checkpoint_failures.inc())
+            .ok()
     }
 
     /// The log head for a session this node opens.

@@ -480,9 +480,10 @@ pub struct FileHistory {
     /// Highest verdict round seen or appended.
     max_verdict_round: Option<u64>,
     /// An append/flush/fsync since open (or the last successful
-    /// [`FileHistory::compact`]) failed: the on-disk log may be missing
-    /// records, so checkpoints built on it must not be trusted until a
-    /// rewrite succeeds. In-memory records stay correct throughout.
+    /// [`FileHistory::compact`]) failed: the on-disk log may be missing a
+    /// record, and the records after it would be deltas that never repeat
+    /// it, so appends are refused until a rewrite succeeds. In-memory
+    /// records stay correct throughout.
     write_failed: bool,
     /// The stamped verdict rows replay found, until
     /// [`FileHistory::take_replayed_verdicts`] claims them.
@@ -567,8 +568,8 @@ impl FileHistory {
     /// Whether any append since open (or the last successful
     /// [`FileHistory::compact`]) failed to reach the log. A sick log is the
     /// persistence layer's degradation signal: the in-memory store keeps
-    /// serving, but the WAL has gaps and must be rebuilt before checkpoints
-    /// count again.
+    /// serving, but the log may have a gap, so it takes no more appends
+    /// until [`FileHistory::compact`] rewrites it whole.
     pub fn write_failed(&self) -> bool {
         self.write_failed
     }
@@ -619,7 +620,10 @@ impl FileHistory {
 
     /// Appends the staged rows and `verdicts` as one record — a commit
     /// stamped `round`, or plain rows when `round` is `None` — in one
-    /// write, one flush and (under [`Durability::Fsync`]) one fsync.
+    /// write, one flush and (under [`Durability::Fsync`]) one fsync. A sick
+    /// handle encodes the record (draining the staged rows and advancing
+    /// its round marks, so the healing rewrite is as of the newest round)
+    /// but refuses to write it.
     fn append(&mut self, verdicts: &[VerdictRecord], round: Option<u64>) -> io::Result<()> {
         if self.rows.is_empty() && verdicts.is_empty() && round.is_none() {
             return Ok(());
@@ -636,6 +640,11 @@ impl FileHistory {
         let stamp = encode_record(&mut self.buf, &mut self.rows, verdicts, round);
         self.max_commit_round = self.max_commit_round.max(stamp);
         self.max_verdict_round = self.max_verdict_round.max(verdicts.last().map(|v| v.round));
+        if self.write_failed {
+            return Err(io::Error::other(
+                "history log is sick: appends are refused until a rewrite",
+            ));
+        }
         self.log_write()
     }
 
@@ -645,8 +654,10 @@ impl FileHistory {
     ///
     /// # Errors
     ///
-    /// The append's I/O error; the handle is then sick (see
-    /// [`FileHistory::write_failed`]) while in-memory records stay correct.
+    /// The append's I/O error, after which the handle is sick (see
+    /// [`FileHistory::write_failed`]), or the refusal of a handle already
+    /// sick: nothing is appended to a log that lost a record until
+    /// [`FileHistory::compact`]. In-memory records stay correct either way.
     pub fn checkpoint(
         &mut self,
         records: &[(ModuleId, f64)],
@@ -675,7 +686,8 @@ impl FileHistory {
 
     /// Appends verdict rows and an optional commit round as one record.
     /// Best-effort like every [`HistoryStore`] write: errors surface through
-    /// [`FileHistory::write_failed`].
+    /// [`FileHistory::write_failed`], and a sick handle appends nothing
+    /// until [`FileHistory::compact`].
     pub fn append_markers(&mut self, verdicts: &[VerdictRecord], commit: Option<u64>) {
         let _ = self.append(verdicts, commit);
     }
@@ -744,7 +756,8 @@ impl HistoryStore for FileHistory {
         // One buffered write + one flush (+ one fsync) for the whole batch.
         // With per-write `Fsync` durability this is the difference between
         // N platter waits and one. Best-effort: log write errors raise
-        // `write_failed` for the next explicit call site to act on.
+        // `write_failed` for the next explicit call site to act on, and a
+        // sick handle appends nothing until `compact`.
         let _ = self.checkpoint(records, &[], None);
     }
 
@@ -1180,15 +1193,24 @@ mod tests {
         assert!(s.write_failed(), "the lost append marks the handle sick");
         assert_eq!(s.get(m(1)), Some(0.75), "memory keeps serving");
 
+        // The disk has room again, but a record after the lost one would
+        // hide the gap: a sick handle appends nothing.
+        let len = std::fs::metadata(&path).unwrap().len();
+        s.set(m(2), 0.25);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
+        assert_eq!(s.get(m(2)), Some(0.25));
+
         // Heal: a compact rewrites the whole log from memory and clears
         // the flag...
         s.compact(None, &[]).unwrap();
         assert!(!s.write_failed());
         drop(s);
-        // ...so a reopen sees the record the failed append dropped.
+        // ...so a reopen sees the record the failed append dropped and the
+        // one the sick handle refused.
         let s = FileHistory::open(&path).unwrap();
         assert_eq!(s.get(m(0)), Some(0.5));
         assert_eq!(s.get(m(1)), Some(0.75));
+        assert_eq!(s.get(m(2)), Some(0.25));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -433,6 +433,83 @@ fn disk_full_heals_and_resumes_warm() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One failed append is one lost record, and the records after it are
+/// deltas that never repeat what it carried — so nothing more may be
+/// appended to that log. The session goes memory-only at the first failure
+/// and its next durable write is a whole rewrite. A hard kill after that
+/// rewrite resumes a client behind on its acks with every round it missed,
+/// the one whose append failed included.
+#[test]
+fn a_transient_append_failure_leaves_no_gap_in_the_log() {
+    let _g = gate();
+    use sysio::fault::{self, Kind, Plan, Site};
+
+    let baseline_server = start_daemon(None);
+    let mut baseline = client_for(&baseline_server);
+    baseline
+        .open_session(SESSION, MODULES, SpecSource::Named("avoc".into()), TOKEN)
+        .expect("open");
+    let expected = run_rounds(&mut baseline, 0..8);
+    baseline.close_session(SESSION).expect("close");
+    baseline_server.shutdown();
+
+    let dir = state_dir("transient");
+    let server_a = start_daemon(Some(&dir));
+    let mut client = client_for(&server_a);
+    client
+        .open_session(SESSION, MODULES, SpecSource::Named("avoc".into()), TOKEN)
+        .expect("open");
+    run_rounds(&mut client, 0..4);
+    // Round 4's append fails; the disk is fine again for round 5.
+    fault::install(Plan::new(0x7A4).rule(Site::WalAppend, Kind::Enospc, 1, 1));
+    run_rounds(&mut client, 4..6);
+    fault::clear();
+    server_a.abort();
+
+    let server_b = start_daemon(Some(&dir));
+    let config = ClientConfig {
+        read_timeout: std::time::Duration::from_secs(3),
+        ..ClientConfig::default()
+    };
+    let mut behind = ServeClient::connect_with(server_b.local_addr(), &config).expect("dial");
+    behind
+        .resume_session(
+            SESSION,
+            MODULES,
+            SpecSource::Named("avoc".into()),
+            TOKEN,
+            Some(1),
+        )
+        .expect("resume");
+    let (mut resumed, mut replayed) = (None, Vec::new());
+    // A replay short of round 5 ends at the read deadline, not in a hang.
+    while replayed.len() < 4 {
+        match behind.recv() {
+            Ok(Message::Resumed {
+                high_round, warm, ..
+            }) => resumed = Some((high_round, warm)),
+            Ok(Message::SessionResult {
+                round,
+                value,
+                voted,
+                ..
+            }) => replayed.push((round, value.map(f64::to_bits), voted)),
+            Ok(Message::ResultBatch { results, .. }) => replayed.extend(
+                results
+                    .iter()
+                    .map(|r| (r.round, r.value.map(f64::to_bits), r.voted)),
+            ),
+            Ok(other) => panic!("expected the resume ack or a result, got {other:?}"),
+            Err(_) => break,
+        }
+    }
+    assert_eq!(resumed, Some((Some(5), true)));
+    let rounds: Vec<u64> = replayed.iter().map(|r| r.0).collect();
+    assert_eq!(replayed, expected[2..6], "replayed rounds {rounds:?}");
+    server_b.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The rewrite that heals a sick log carries the result ring with it — no
 /// sidecar holds a copy. Kill the daemon right after the heal, before any
 /// later checkpoint could re-log anything, and a client far behind on its

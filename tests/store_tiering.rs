@@ -284,6 +284,63 @@ fn ring_and_round_are_recovered_from_segments_alone() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A state directory whose tier will not open may hold folded history the
+/// daemon cannot read, so it must not claim a warm resume it cannot back:
+/// every session runs memory-only, `/healthz` fails, and a returning client
+/// is resumed cold (or, were its history readable, at its true round).
+#[test]
+fn an_unopenable_tier_never_resumes_a_folded_session_warm() {
+    let dir = state_dir("unopenable");
+    let server_a = start_daemon(Some(&dir));
+    let mut client = client_for(&server_a);
+    client
+        .open_session(SESSION, MODULES, SpecSource::Named("avoc".into()), TOKEN)
+        .expect("open");
+    run_rounds(&mut client, 0..6);
+    server_a.abort();
+    let server_b = start_daemon(Some(&dir));
+    let report = server_b.service().compact_now().expect("tier is on");
+    assert_eq!(report.wals_retired, 1, "the session folds completely");
+    server_b.shutdown();
+
+    let manifest = dir.join("MANIFEST");
+    std::fs::remove_file(&manifest).expect("the fold landed a manifest");
+    std::fs::create_dir(&manifest).expect("a directory in its place");
+    assert!(TieredStore::open(&dir).is_err(), "the tier will not open");
+
+    let server_c = start_daemon(Some(&dir));
+    assert_eq!(
+        server_c.service().health().status_code(),
+        503,
+        "/healthz must fail while the state directory will not open"
+    );
+    let config = ClientConfig {
+        read_timeout: std::time::Duration::from_secs(3),
+        ..ClientConfig::default()
+    };
+    let mut resumer = ServeClient::connect_with(server_c.local_addr(), &config).expect("dial");
+    resumer
+        .resume_session(
+            SESSION,
+            MODULES,
+            SpecSource::Named("avoc".into()),
+            TOKEN,
+            Some(5),
+        )
+        .expect("resume");
+    match resumer.recv().expect("resume ack") {
+        Message::Resumed {
+            high_round, warm, ..
+        } => assert!(
+            !warm || high_round == Some(5),
+            "a warm resume must carry the folded round, got ({high_round:?}, {warm})"
+        ),
+        other => panic!("expected the resume ack, got {other:?}"),
+    }
+    server_c.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The new fleet-level query: scanning the segment direction column for a
 /// round range names the module whose trust the votes pushed down — the
 /// persistent deviant — without replaying anyone's history.
