@@ -398,6 +398,85 @@ fn majority_modes_are_pinned() {
     }
 }
 
+/// The daemon's batch path at the benchmark's input shape, pinned bit for
+/// bit: eight `avoc` sessions fuse 4 096 rounds of UC-1 each (module 3
+/// reading +6 klm, session `s` shifted by `0.25 × s`), fed through
+/// [`VoterService::feed_batch`] in 64-round frames into a `crossbeam`
+/// sink. One FNV-1a runs over `(session, round, value bits, voted)` in
+/// session-then-round order, so any change to a fused value, a verdict
+/// flag, a lost or doubled round moves it.
+#[test]
+fn daemon_batch_path_is_pinned() {
+    const PINNED: u64 = 0xe80b_d0e8_8263_9037;
+    const SESSIONS: u64 = 8;
+    const MODULES: u32 = 5;
+    const ROUNDS: u64 = 4096;
+    const FRAME_ROUNDS: u64 = 64;
+    let clean = LightScenario::new(MODULES as usize, ROUNDS as usize, 1).generate();
+    let faulty = FaultInjector::new(3, FaultKind::Offset(6.0)).apply(&clean, 1);
+
+    let mut registry = SpecRegistry::new();
+    registry.insert("avoc", VdxSpec::avoc());
+    let config = ServeConfig {
+        shards: 2,
+        ..ServeConfig::default()
+    };
+    let service = VoterService::start(config, std::sync::Arc::new(registry));
+    let (sink, results) = crossbeam::channel::unbounded();
+    for s in 0..SESSIONS {
+        service
+            .open_session(s, MODULES, &SpecSource::Named("avoc".into()), sink.clone())
+            .expect("open session");
+    }
+    let mut frame = Vec::new();
+    for start in (0..ROUNDS).step_by(FRAME_ROUNDS as usize) {
+        for s in 0..SESSIONS {
+            frame.clear();
+            for round in start..start + FRAME_ROUNDS {
+                let row = faulty.row(round as usize);
+                frame.extend((0..MODULES).map(|m| avoc::net::BatchReading {
+                    module: ModuleId::new(m),
+                    round,
+                    value: row[m as usize].expect("the light trace has no gaps") + s as f64 * 0.25,
+                }));
+            }
+            service.feed_batch(s, &frame).expect("feed_batch");
+        }
+    }
+    for s in 0..SESSIONS {
+        service.close_session(s).expect("close session");
+    }
+    let quiesced = service.drain();
+    assert_eq!(quiesced.rounds_fused, SESSIONS * ROUNDS);
+    drop(sink);
+
+    let mut streams = vec![Vec::new(); SESSIONS as usize];
+    while let Ok(msg) = results.try_recv() {
+        match msg {
+            avoc::net::Message::SessionResult {
+                session,
+                round,
+                value,
+                voted,
+            } => streams[session as usize].push((round, value, voted)),
+            avoc::net::Message::ResultBatch { session, results } => streams[session as usize]
+                .extend(results.iter().map(|r| (r.round, r.value, r.voted))),
+            other => panic!("unexpected sink frame {other:?}"),
+        }
+    }
+    let mut hash = Fnv1a::new();
+    for (session, stream) in streams.iter().enumerate() {
+        assert_eq!(stream.len() as u64, ROUNDS, "session {session}");
+        for &(round, value, voted) in stream {
+            hash.word(session as u64);
+            hash.word(round);
+            hash.word(value.map_or(u64::MAX, f64::to_bits));
+            hash.word(u64::from(voted));
+        }
+    }
+    assert_eq!(hash.0, PINNED, "{:#x}", hash.0);
+}
+
 /// `count` rounds of six units reporting a 3-D position near (20, 40, 60)
 /// from a fixed seed: one ballot in six missing, one coordinate in seven far
 /// off, unit 2 drifting along the second axis, and every sixteenth round
