@@ -105,17 +105,42 @@ impl fmt::Display for Cluster {
 }
 
 /// The result of clustering one round of candidate values.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// [`AgreementClusterer::cluster_into`] regroups a `Clustering` in place:
+/// clusters that a round no longer needs keep their buffers for the next
+/// one, so a warmed `Clustering` regroups without allocating.
+#[derive(Clone, Default)]
 pub struct Clustering {
+    /// The live clusters first (`..live`), then spare ones.
     clusters: Vec<Cluster>,
+    live: usize,
     n_input: usize,
+    /// Union-find parents; after grouping, each input's root.
+    parent: Vec<usize>,
+    /// Each root's index into `clusters`.
+    slot: Vec<usize>,
+}
+
+impl PartialEq for Clustering {
+    fn eq(&self, other: &Self) -> bool {
+        self.clusters() == other.clusters() && self.n_input == other.n_input
+    }
+}
+
+impl fmt::Debug for Clustering {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Clustering")
+            .field("clusters", &self.clusters())
+            .field("n_input", &self.n_input)
+            .finish()
+    }
 }
 
 impl Clustering {
     /// All clusters, ordered by descending size (ties: ascending variance,
     /// then first member index — deterministic).
     pub fn clusters(&self) -> &[Cluster] {
-        &self.clusters
+        &self.clusters[..self.live]
     }
 
     /// The largest cluster, or `None` for empty input.
@@ -124,15 +149,15 @@ impl Clustering {
     /// with equal evidence, the more self-consistent group is the more
     /// trustworthy internal ground truth.
     pub fn largest_cluster(&self) -> Option<&Cluster> {
-        self.clusters.first()
+        self.clusters().first()
     }
 
     /// The largest cluster, breaking *size* ties by proximity of the cluster
     /// mean to `reference` (the paper's tie-breaking mechanism: "proximity to
     /// the previous output").
     pub fn largest_cluster_near(&self, reference: f64) -> Option<&Cluster> {
-        let best_len = self.clusters.first()?.len();
-        self.clusters
+        let best_len = self.largest_cluster()?.len();
+        self.clusters()
             .iter()
             .take_while(|c| c.len() == best_len)
             .min_by(|a, b| {
@@ -150,7 +175,7 @@ impl Clustering {
             None => Vec::new(),
             Some(top) => {
                 let mut out: Vec<usize> = self
-                    .clusters
+                    .clusters()
                     .iter()
                     .skip(1)
                     .flat_map(|c| c.members().iter().copied())
@@ -233,9 +258,19 @@ impl AgreementClusterer {
     /// Non-finite values are treated as their own singleton outlier clusters
     /// so a stray NaN cannot poison the grouping.
     pub fn cluster(&self, values: &[f64]) -> Clustering {
+        let mut clustering = Clustering::default();
+        self.cluster_into(values, &mut clustering);
+        clustering
+    }
+
+    /// [`AgreementClusterer::cluster`] into `out`, reusing its buffers: once
+    /// they have grown to a round's shape, regrouping allocates nothing.
+    pub fn cluster_into(&self, values: &[f64], out: &mut Clustering) {
         let n = values.len();
         // Union-find over indices.
-        let mut parent: Vec<usize> = (0..n).collect();
+        let parent = &mut out.parent;
+        parent.clear();
+        parent.extend(0..n);
         fn find(parent: &mut [usize], i: usize) -> usize {
             let mut root = i;
             while parent[root] != root {
@@ -259,28 +294,43 @@ impl AgreementClusterer {
                     continue;
                 }
                 if self.agrees(values[i], values[j]) {
-                    let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
+                    let (ri, rj) = (find(parent, i), find(parent, j));
                     if ri != rj {
                         parent[rj] = ri;
                     }
                 }
             }
         }
-
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n];
         for i in 0..n {
-            let r = find(&mut parent, i);
-            groups[r].push(i);
+            find(parent, i);
         }
-        let mut clusters: Vec<Cluster> = groups
-            .into_iter()
-            .filter(|g| !g.is_empty())
-            .map(|indices| {
-                let values: Vec<f64> = indices.iter().map(|&i| values[i]).collect();
-                Cluster { indices, values }
-            })
-            .collect();
-        clusters.sort_by(|a, b| {
+
+        // One cluster per root, in root order, members in input order.
+        out.slot.clear();
+        out.slot.resize(n, 0);
+        out.live = 0;
+        for r in 0..n {
+            if out.parent[r] != r {
+                continue;
+            }
+            if out.live == out.clusters.len() {
+                out.clusters.push(Cluster {
+                    indices: Vec::new(),
+                    values: Vec::new(),
+                });
+            }
+            let cluster = &mut out.clusters[out.live];
+            cluster.indices.clear();
+            cluster.values.clear();
+            out.slot[r] = out.live;
+            out.live += 1;
+        }
+        for (i, &v) in values.iter().enumerate() {
+            let cluster = &mut out.clusters[out.slot[out.parent[i]]];
+            cluster.indices.push(i);
+            cluster.values.push(v);
+        }
+        out.clusters[..out.live].sort_by(|a, b| {
             b.len()
                 .cmp(&a.len())
                 .then_with(|| {
@@ -290,10 +340,7 @@ impl AgreementClusterer {
                 })
                 .then_with(|| a.indices[0].cmp(&b.indices[0]))
         });
-        Clustering {
-            clusters,
-            n_input: n,
-        }
+        out.n_input = n;
     }
 }
 
@@ -406,6 +453,26 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_threshold_panics() {
         let _ = AgreementClusterer::new(-0.1, MarginMode::Relative);
+    }
+
+    #[test]
+    fn cluster_into_regroups_in_place_like_a_fresh_clustering() {
+        let c = rel(0.05);
+        let mut reused = Clustering::default();
+        // Shrinking, growing and reshaping must leave nothing stale behind.
+        for values in [
+            &[18.0, 18.2, 18.1, 24.0, 17.9][..],
+            &[7.0][..],
+            &[100.0, 104.0, 200.0, 200.1, 300.0, 18.0][..],
+            &[][..],
+            &[18.0, f64::NAN, 18.1][..],
+        ] {
+            c.cluster_into(values, &mut reused);
+            let fresh = c.cluster(values);
+            // Debug, not `==`: a NaN member never equals itself.
+            assert_eq!(format!("{reused:?}"), format!("{fresh:?}"));
+            assert_eq!(reused.outliers(), fresh.outliers());
+        }
     }
 
     #[test]

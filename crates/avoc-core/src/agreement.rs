@@ -4,8 +4,8 @@
 //! values agree when they lie within an accepted error threshold. The
 //! *Soft-Dynamic-Threshold* variant (Das & Bhattacharya) grades agreement: a
 //! score of `1` within the threshold, decaying linearly to `0` at a
-//! configurable multiple of it. The *Hybrid* voter and AVOC's clustering
-//! bootstrap both reuse this soft score.
+//! configurable multiple of it. The *Hybrid* voter's peer-agreement weights
+//! reuse this soft score.
 
 use avoc_cluster::MarginMode;
 use serde::{Deserialize, Serialize};
@@ -53,6 +53,7 @@ impl AgreementParams {
     }
 
     /// The tolerance for comparing `a` and `b`.
+    #[inline]
     pub fn tolerance(&self, a: f64, b: f64) -> f64 {
         match self.margin {
             MarginMode::Relative => self.error * a.abs().max(b.abs()),
@@ -74,17 +75,26 @@ impl AgreementParams {
     /// * `1.0` within the accepted threshold,
     /// * linear decay between the threshold and `soft_multiplier ×` it,
     /// * `0.0` beyond.
+    #[inline]
     pub fn soft_score(&self, a: f64, b: f64) -> f64 {
+        self.scores(a, b).1
+    }
+
+    /// Both scores of `a` against `b` from one tolerance: whether they agree
+    /// (a [`AgreementParams::binary_score`] of `1`) and the
+    /// [`AgreementParams::soft_score`].
+    #[inline]
+    pub(crate) fn scores(&self, a: f64, b: f64) -> (bool, f64) {
         let d = (a - b).abs();
         let tol = self.tolerance(a, b);
         if d <= tol {
-            return 1.0;
+            return (true, 1.0);
         }
         let soft_edge = tol * self.soft_multiplier;
         if d >= soft_edge || soft_edge <= tol {
-            return 0.0;
+            return (false, 0.0);
         }
-        1.0 - (d - tol) / (soft_edge - tol)
+        (false, 1.0 - (d - tol) / (soft_edge - tol))
     }
 
     /// Builds an [`avoc_cluster::AgreementClusterer`] mirroring these
@@ -98,74 +108,6 @@ impl AgreementParams {
 impl Default for AgreementParams {
     fn default() -> Self {
         AgreementParams::paper_default()
-    }
-}
-
-/// Pairwise agreement scores among one round's candidates.
-///
-/// Row `i`, column `j` holds the score between candidates `i` and `j`; the
-/// diagonal is `1.0`. Used by the Hybrid voter's agreement-based weights.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct AgreementMatrix {
-    n: usize,
-    scores: Vec<f64>,
-}
-
-impl AgreementMatrix {
-    /// An empty matrix, ready to be filled in place by
-    /// [`AgreementMatrix::soft_in_place`].
-    pub fn empty() -> Self {
-        AgreementMatrix {
-            n: 0,
-            scores: Vec::new(),
-        }
-    }
-
-    /// Recomputes this matrix as the soft-score matrix for `values`, reusing
-    /// the existing buffer: it only allocates while the candidate count is
-    /// still growing. With `soft_multiplier = 1` the scores are binary.
-    pub fn soft_in_place(&mut self, params: &AgreementParams, values: &[f64]) {
-        let n = values.len();
-        self.n = n;
-        self.scores.clear();
-        self.scores.resize(n * n, 1.0);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let s = params.soft_score(values[i], values[j]);
-                self.scores[i * n + j] = s;
-                self.scores[j * n + i] = s;
-            }
-        }
-    }
-
-    /// Number of candidates.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the matrix is empty.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// The score between candidates `i` and `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of bounds.
-    pub fn score(&self, i: usize, j: usize) -> f64 {
-        assert!(i < self.n && j < self.n, "index out of bounds");
-        self.scores[i * self.n + j]
-    }
-
-    /// Candidate `i`'s total agreement with its non-excluded peers (diagonal
-    /// excluded), i.e. the Hybrid voter's per-round agreement weight.
-    pub fn peer_support_among(&self, i: usize, included: &[bool]) -> f64 {
-        assert_eq!(included.len(), self.n, "inclusion mask length mismatch");
-        (0..self.n)
-            .filter(|&j| j != i && included[j])
-            .map(|j| self.score(i, j))
-            .sum()
     }
 }
 
@@ -222,67 +164,14 @@ mod tests {
         assert_eq!(p.margin, MarginMode::Relative);
     }
 
-    fn soft(params: &AgreementParams, values: &[f64]) -> AgreementMatrix {
-        let mut m = AgreementMatrix::empty();
-        m.soft_in_place(params, values);
-        m
-    }
-
     #[test]
-    fn matrix_diagonal_and_symmetry() {
-        let p = AgreementParams::paper_default();
-        let m = soft(&p, &[18.0, 18.2, 25.0]);
-        assert_eq!(m.len(), 3);
-        for i in 0..3 {
-            assert_eq!(m.score(i, i), 1.0);
-            for j in 0..3 {
-                assert_eq!(m.score(i, j), m.score(j, i));
-            }
-        }
-    }
-
-    #[test]
-    fn peer_support_identifies_outlier() {
-        let p = AgreementParams::paper_default();
-        let m = soft(&p, &[18.0, 18.1, 18.2, 25.0]);
-        let all = [true; 4];
-        let outlier = m.peer_support_among(3, &all);
-        for i in 0..3 {
-            assert!(m.peer_support_among(i, &all) > outlier);
-        }
-        assert_eq!(outlier, 0.0);
-    }
-
-    #[test]
-    fn peer_support_among_respects_mask() {
-        let p = AgreementParams::new(1.0, 1.0, MarginMode::Absolute);
-        // soft_multiplier 1: binary agreement.
-        let m = soft(&p, &[0.0, 0.5, 0.6]);
-        let full = m.peer_support_among(0, &[true; 3]);
-        let masked = m.peer_support_among(0, &[true, false, true]);
-        assert_eq!(full, 2.0);
-        assert_eq!(masked, 1.0);
-    }
-
-    #[test]
-    fn empty_matrix() {
-        let p = AgreementParams::paper_default();
-        let m = soft(&p, &[]);
-        assert!(m.is_empty());
-    }
-
-    #[test]
-    fn in_place_rebuild_matches_fresh_build() {
-        let p = AgreementParams::paper_default();
-        let mut reused = AgreementMatrix::empty();
-        // Shrinking then growing must fully overwrite stale scores.
-        for values in [
-            &[18.0, 18.1, 25.0, 18.2][..],
-            &[1.0, 2.0][..],
-            &[18.0, 18.05, 18.1][..],
-        ] {
-            reused.soft_in_place(&p, values);
-            assert_eq!(reused, soft(&p, values));
+    fn scores_agree_with_the_binary_score() {
+        let p = AgreementParams::new(0.05, 2.0, MarginMode::Relative);
+        for b in [100.0, 104.0, 105.25, 107.5, 110.0, 112.0, -100.0] {
+            let (agrees, soft) = p.scores(100.0, b);
+            assert_eq!(agrees, p.binary_score(100.0, b) == 1.0, "b = {b}");
+            assert_eq!(soft.to_bits(), p.soft_score(100.0, b).to_bits());
+            assert!(!agrees || soft == 1.0);
         }
     }
 

@@ -7,6 +7,7 @@
 //! (VDX `collation` field).
 
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Numeric collation technique (VDX `collation`).
@@ -63,61 +64,76 @@ pub fn collate(method: Collation, values: &[f64], weights: &[f64]) -> Option<f64
         weights.len(),
         "values/weights length mismatch"
     );
-    let total: f64 = weights.iter().filter(|w| **w > 0.0).sum();
+    let candidates = values.iter().copied().zip(weights.iter().copied());
+    collate_into(method, candidates, &mut Vec::new()).map(|(output, _)| output)
+}
+
+/// [`collate`] over `(value, weight)` candidates: the output, and the total
+/// positive weight it was collated from (what a verdict's confidence is a
+/// fraction of); `None` when no weight is positive. `Median` sorts into
+/// `sorted` instead of a fresh vector.
+pub(crate) fn collate_into<I>(
+    method: Collation,
+    candidates: I,
+    sorted: &mut Vec<(f64, f64)>,
+) -> Option<(f64, f64)>
+where
+    I: Iterator<Item = (f64, f64)> + Clone,
+{
+    let weighted = candidates.filter(|&(_, w)| w > 0.0);
+    // One pass sums the weights and the weighted values, each in candidate
+    // order from `-0.0`, as `Iterator::sum` does.
+    let (mut total, mut sum) = (-0.0, -0.0);
+    for (v, w) in weighted.clone() {
+        total += w;
+        sum += v * w;
+    }
     if total <= 0.0 {
         return None;
     }
-    match method {
-        Collation::WeightedMean => {
-            let sum: f64 = values
-                .iter()
-                .zip(weights)
-                .filter(|(_, &w)| w > 0.0)
-                .map(|(&v, &w)| v * w)
-                .sum();
-            Some(sum / total)
-        }
+    let output = match method {
+        Collation::WeightedMean => sum / total,
         Collation::MeanNearestNeighbor => {
-            let mean = collate(Collation::WeightedMean, values, weights)?;
-            values
-                .iter()
-                .zip(weights)
-                .filter(|(_, &w)| w > 0.0)
-                .min_by(|(a, _), (b, _)| {
-                    (*a - mean)
-                        .abs()
-                        .partial_cmp(&(*b - mean).abs())
-                        .expect("finite candidates")
-                })
-                .map(|(&v, _)| v)
+            let mean = sum / total;
+            // The first of equally near candidates wins.
+            let mut nearest: Option<(f64, f64)> = None;
+            for (v, _) in weighted {
+                let d = (v - mean).abs();
+                let nearer = nearest.is_none_or(|(_, best)| {
+                    d.partial_cmp(&best).expect("finite candidates") == Ordering::Less
+                });
+                if nearer {
+                    nearest = Some((v, d));
+                }
+            }
+            nearest.expect("a positive weight").0
         }
-        Collation::Median => weighted_median(values, weights),
-    }
+        Collation::Median => weighted_median(weighted, sorted),
+    };
+    Some((output, total))
 }
 
 /// Weighted median: the smallest value `v` such that the cumulative weight of
-/// candidates `≤ v` reaches half the total weight.
-fn weighted_median(values: &[f64], weights: &[f64]) -> Option<f64> {
-    let mut pairs: Vec<(f64, f64)> = values
-        .iter()
-        .zip(weights)
-        .filter(|(_, &w)| w > 0.0)
-        .map(|(&v, &w)| (v, w))
-        .collect();
-    if pairs.is_empty() {
-        return None;
-    }
-    pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite candidates"));
-    let total: f64 = pairs.iter().map(|(_, w)| w).sum();
+/// candidates `≤ v` reaches half the total weight. The candidates are sorted
+/// into `sorted` (stable, so equal values keep their order) and their total
+/// is re-summed in that order.
+fn weighted_median(
+    weighted: impl Iterator<Item = (f64, f64)>,
+    sorted: &mut Vec<(f64, f64)>,
+) -> f64 {
+    sorted.clear();
+    sorted.extend(weighted);
+    sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite candidates"));
+    let total: f64 = sorted.iter().map(|(_, w)| w).sum();
     let half = total / 2.0;
     let mut acc = 0.0;
-    for (v, w) in &pairs {
+    for &(v, w) in sorted.iter() {
         acc += w;
         if acc >= half {
-            return Some(*v);
+            return v;
         }
     }
-    Some(pairs[pairs.len() - 1].0)
+    sorted[sorted.len() - 1].0
 }
 
 #[cfg(test)]

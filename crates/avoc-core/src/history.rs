@@ -172,6 +172,7 @@ impl DenseHistory {
     /// Where `module`'s record is (`Ok`) or would be inserted (`Err`):
     /// its own index when the ids up to it are dense, a binary search
     /// otherwise.
+    #[inline]
     fn find(&self, module: ModuleId) -> Result<usize, usize> {
         let at = module.index() as usize;
         match self.records.get(at) {
@@ -182,10 +183,12 @@ impl DenseHistory {
 }
 
 impl HistoryStore for DenseHistory {
+    #[inline]
     fn get(&self, module: ModuleId) -> Option<f64> {
         self.find(module).ok().map(|at| self.records[at].1)
     }
 
+    #[inline]
     fn set(&mut self, module: ModuleId, value: f64) {
         let value = value.clamp(0.0, 1.0);
         match self.find(module) {
@@ -231,6 +234,7 @@ impl HistoryUpdate {
 
     /// Applies the rule: `score = 1` rewards fully, `score = 0` penalises
     /// fully, graded scores interpolate.
+    #[inline]
     pub fn apply(&self, history: f64, score: f64) -> f64 {
         debug_assert!((0.0..=1.0).contains(&score), "score out of range: {score}");
         (history + self.rate * (2.0 * score - 1.0)).clamp(0.0, 1.0)

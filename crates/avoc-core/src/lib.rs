@@ -51,7 +51,7 @@ pub mod quorum;
 pub mod round;
 pub mod value;
 
-pub use agreement::{AgreementMatrix, AgreementParams};
+pub use agreement::AgreementParams;
 pub use algorithms::{Verdict, Voter, VoterConfig};
 pub use collation::Collation;
 pub use engine::{FallbackAction, FaultPolicy, RoundResult, TieBreak, VotingEngine};

@@ -149,8 +149,9 @@ impl Round {
 
     /// Iterator over `(module, f64)` for the present scalar ballots.
     ///
-    /// Ballots holding non-scalar values are skipped; numeric voters call
-    /// [`Round::numeric_candidates_into`] instead, which reports the mismatch.
+    /// Ballots holding non-scalar values are skipped; the numeric voters
+    /// report such a ballot as a [`crate::VoteError::TypeMismatch`]
+    /// instead.
     pub fn present_numbers(&self) -> impl Iterator<Item = (ModuleId, f64)> + '_ {
         self.ballots.iter().filter_map(|b| {
             b.value
@@ -158,34 +159,6 @@ impl Round {
                 .and_then(Value::as_number)
                 .map(|v| (b.module, v))
         })
-    }
-
-    /// Extracts the scalar candidates for a numeric vote into `out` (cleared
-    /// first), so per-round scratch buffers can be reused without allocating.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::VoteError::TypeMismatch`] when a present ballot holds a
-    /// non-scalar value; `out` is left holding the candidates seen so far.
-    pub fn numeric_candidates_into(
-        &self,
-        out: &mut Vec<(ModuleId, f64)>,
-    ) -> Result<(), crate::VoteError> {
-        out.clear();
-        for b in &self.ballots {
-            if let Some(v) = &b.value {
-                match v.as_number() {
-                    Some(x) => out.push((b.module, x)),
-                    None => {
-                        return Err(crate::VoteError::TypeMismatch {
-                            expected: "number",
-                            got: v.kind(),
-                        })
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Extracts the categorical candidates for a majority vote into `out`
@@ -242,27 +215,6 @@ mod tests {
         assert_eq!(r.expected_count(), 3);
         assert_eq!(r.present_count(), 2);
         assert!(!r.ballots[1].is_present());
-    }
-
-    #[test]
-    fn numeric_candidates_skips_missing_and_errors_on_text() {
-        let r = Round::from_sparse_numbers(0, &[Some(1.0), None]);
-        let mut out = Vec::new();
-        r.numeric_candidates_into(&mut out).unwrap();
-        assert_eq!(out.len(), 1);
-
-        let bad = Round::new(
-            0,
-            vec![
-                Ballot::new(ModuleId::new(0), 1.0),
-                Ballot::new(ModuleId::new(1), "oops"),
-            ],
-        );
-        let err = bad.numeric_candidates_into(&mut out).unwrap_err();
-        assert!(matches!(
-            err,
-            crate::VoteError::TypeMismatch { got: "text", .. }
-        ));
     }
 
     #[test]

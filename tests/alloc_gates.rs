@@ -10,7 +10,7 @@ use avoc::net::{BatchReading, Message, SensorHub, SpecSource};
 use avoc::serve::{ServeClient, ServeConfig, SpecRegistry, TcpServer, VoterService};
 use avoc::sim::{FaultInjector, FaultKind, LightScenario};
 use avoc::store::{session_wal_path, Durability, FileHistory, TieredStore, VerdictRecord};
-use avoc::vdx::{build_engine, ValueKind, VdxSpec};
+use avoc::vdx::{build_engine, ValueKind, VdxCollation, VdxSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::Path;
@@ -154,13 +154,13 @@ fn door_text_rounds(count: u64) -> Vec<Round> {
 }
 
 /// One engine per shipped spec file (read from disk, so a new file is gated
-/// without editing this test), per preset and for `vector-position.json`
-/// with its bootstrap off, each over a trace of its value kind: UC-1 with
-/// +6 klm on E4 (the Fig. 6 shape) for numbers, `drifting_vector_rounds`
-/// for vectors and `door_text_rounds` for text. Once any bootstrap has fired
-/// and the scratch buffers have grown, `submit_ref` allocates nothing. COV
-/// clusters every round, and its `Clustering` still allocates, so the `cov`
-/// preset stays out.
+/// without editing this test), per preset, for the `standard` preset
+/// collating by MEDIAN (no shipped spec does) and for
+/// `vector-position.json` with its bootstrap off, each over a trace of its
+/// value kind: UC-1 with +6 klm on E4 (the Fig. 6 shape) for numbers,
+/// `drifting_vector_rounds` for vectors and `door_text_rounds` for text.
+/// Once any bootstrap has fired and the scratch buffers have grown,
+/// `submit_ref` allocates nothing — COV's clustering every round included.
 #[test]
 fn warmed_fuse_loop_allocates_nothing_per_round() {
     let presets = [
@@ -170,12 +170,16 @@ fn warmed_fuse_loop_allocates_nothing_per_round() {
         "me",
         "sdt",
         "hybrid",
+        "cov",
         "avoc",
     ];
     let mut specs: Vec<(String, VdxSpec)> = presets
         .iter()
         .map(|p| (format!("preset {p}"), VdxSpec::preset(p).expect("preset")))
         .collect();
+    let mut median = VdxSpec::preset("standard").expect("preset");
+    median.collation = VdxCollation::Median;
+    specs.push(("preset standard collating by MEDIAN".into(), median));
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("specs");
     for entry in std::fs::read_dir(&dir).expect("specs/ exists") {
         let path = entry.expect("dir entry").path();
@@ -191,7 +195,7 @@ fn warmed_fuse_loop_allocates_nothing_per_round() {
         "vector-position.json without bootstrap".into(),
         per_dimension,
     ));
-    assert!(specs.len() >= 13, "expected the shipped spec set");
+    assert!(specs.len() >= 15, "expected the shipped spec set");
 
     let clean = LightScenario::new(5, 1_000, 1973).generate();
     let faulty = FaultInjector::new(3, FaultKind::Offset(6.0)).apply(&clean, 1973);
