@@ -247,6 +247,7 @@ fn spawn_core<H: Handler>(
         free: Vec::new(),
         timers: TimerWheel::new(Instant::now()),
         expired: Vec::new(),
+        read_buf: vec![0; READ_CHUNK].into_boxed_slice(),
         metrics: config.metrics,
         cork_metrics: config.cork_metrics,
         health: config.health,
@@ -419,6 +420,9 @@ struct Core<H: Handler> {
     free: Vec<usize>,
     timers: TimerWheel,
     expired: Vec<TimerEntry>,
+    /// The buffer every `read(2)` lands in, zero-filled once: a connection's
+    /// decoder copies out what it needs before the next read.
+    read_buf: Box<[u8]>,
     metrics: Option<ReactorMetrics>,
     cork_metrics: Option<CorkMetrics>,
     health: Option<avoc_obs::Health>,
@@ -669,12 +673,12 @@ impl<H: Handler> Core<H> {
                 handler,
                 slots,
                 cork_metrics,
+                read_buf: chunk,
                 ..
             } = &mut *self;
             let SlotState::Live(conn) = &mut slots[idx].state else {
                 return false;
             };
-            let mut chunk = [0u8; READ_CHUNK];
             for _ in 0..MAX_READS_PER_EVENT {
                 match sysio::fault::check(sysio::fault::Site::SockRead) {
                     None => {}
@@ -685,7 +689,7 @@ impl<H: Handler> Core<H> {
                         break;
                     }
                 }
-                let n = match conn.writer.get_mut().read(&mut chunk) {
+                let n = match conn.writer.get_mut().read(chunk) {
                     Ok(0) => {
                         close = true;
                         break;
