@@ -39,22 +39,17 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use avoc_net::reactor::{self, ConnWaker, FrameVerdict, Handler, ReactorConfig, ReactorPool};
-use avoc_net::Message;
+use avoc_net::reactor::{self, FrameVerdict, Handler, ReactorConfig, ReactorPool};
+use avoc_net::{Message, Outbox};
 use avoc_obs::http;
 use avoc_obs::{rollup, Registry};
 use avoc_serve::{ClientConfig, ServeClient};
-use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::ring::HashRing;
 
 /// Virtual nodes each member contributes to the hash ring.
 const VNODES: usize = 64;
-
-/// Outbound frame budget per gateway connection. Redirect answers are
-/// tiny and one-per-request; this never fills in practice.
-const OUT_CHANNEL_CAPACITY: usize = 64;
 
 /// Migration RPC deadlines: a source that cannot quiesce and ship within
 /// this is treated as failed (the drive is idempotent — retry later).
@@ -131,7 +126,8 @@ avoc_obs::facts! {
     /// The gateway's own facts.
     struct GatewayFacts {
         ..NodeFacts,
-        /// Open/resume frames answered with a Redirect.
+        /// Open/resume frames answered with a Redirect (counted once the
+        /// answer is in the connection's outbound bytes).
         redirects_answered: Counter = "avoc_gateway_redirects_answered_total",
         /// Open/resume frames refused because no healthy node could take the
         /// session.
@@ -344,47 +340,38 @@ struct GatewayHandler {
     state: Arc<ClusterState>,
 }
 
-/// Per-connection state: the outbound channel plus its reactor waker.
-struct GatewayConn {
-    tx: Sender<Message>,
-    waker: ConnWaker,
-}
-
-impl GatewayConn {
-    fn send(&self, msg: Message) {
-        if self.tx.try_send(msg).is_ok() {
-            self.waker.wake();
-        }
-    }
-}
-
 impl Handler for GatewayHandler {
-    type Conn = GatewayConn;
+    /// The connection's outbox: answers are encoded straight into it.
+    type Conn = Arc<Outbox>;
 
-    fn on_open(&mut self, waker: ConnWaker) -> (GatewayConn, Receiver<Message>) {
-        let (tx, rx) = channel::bounded::<Message>(OUT_CHANNEL_CAPACITY);
-        (GatewayConn { tx, waker }, rx)
+    fn on_open(&mut self, outbox: Arc<Outbox>) -> Arc<Outbox> {
+        outbox
     }
 
-    fn on_frame(&mut self, conn: &mut GatewayConn, msg: Message) -> FrameVerdict {
+    fn on_frame(&mut self, outbox: &mut Arc<Outbox>, msg: Message) -> FrameVerdict {
         match msg {
             Message::OpenSession { session, .. } | Message::ResumeSession { session, .. } => {
+                let facts = &self.state.metrics.facts;
                 match self.state.place(session) {
                     Some((_, addr)) => {
                         let epoch = self.state.epoch.load(Ordering::SeqCst);
-                        conn.send(Message::Redirect {
+                        let redirect = Message::Redirect {
                             session,
                             epoch,
                             addr,
-                        });
-                        self.state.metrics.facts.redirects_answered.inc();
+                        };
+                        if outbox.push(&redirect) {
+                            facts.redirects_answered.inc();
+                        }
                     }
                     None => {
-                        conn.send(Message::Error {
+                        let refusal = Message::Error {
                             session,
                             message: "no healthy node can take this session".into(),
-                        });
-                        self.state.metrics.facts.redirect_errors.inc();
+                        };
+                        if outbox.push(&refusal) {
+                            facts.redirect_errors.inc();
+                        }
                     }
                 }
                 FrameVerdict::Continue
@@ -397,7 +384,7 @@ impl Handler for GatewayHandler {
         }
     }
 
-    fn on_close(&mut self, _conn: GatewayConn) {}
+    fn on_close(&mut self, _outbox: Arc<Outbox>) {}
 }
 
 /// A running gateway: reactor pool, health prober, optional admin plane.

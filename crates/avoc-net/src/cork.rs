@@ -7,21 +7,19 @@
 //! [`Message::encode_into`]) into one reusable buffer and the whole
 //! backlog is flushed with as few `write` calls as the socket accepts.
 //!
-//! The policy is adaptive, chosen by the *caller's* queue state rather
-//! than a timer: when the outbound queue is empty the sender flushes
-//! immediately (an interactive single frame keeps its latency), and under
-//! load it corks frames until [`CorkedWriter::is_corked_full`] trips or
-//! the queue drains — so coalescing only ever happens when there is a
-//! backlog to coalesce. No frame waits on a clock tick.
+//! The policy is chosen by the *caller's* work rather than a timer: a
+//! reactor connection's frames are encoded straight into its outbox while
+//! a read is handled, then [`CorkedWriter::append`]ed here and flushed in
+//! one go before the next read — so coalescing only ever happens when
+//! there is a backlog to coalesce. No frame waits on a clock tick.
 
 use crate::message::Message;
 use bytes::{Buf, BytesMut};
 use std::io::{self, Write};
 
-/// The cork threshold: flush once this many bytes are pending even if
-/// the outbound queue still has frames. 64 KiB comfortably exceeds a
-/// loopback send buffer slice while bounding sender-side memory per
-/// connection.
+/// The cork threshold a blocking sender flushes at even if it still has
+/// frames to push. 64 KiB comfortably exceeds a loopback send buffer slice
+/// while bounding sender-side memory per connection.
 pub const DEFAULT_CORK_LIMIT: usize = 64 * 1024;
 
 /// Cumulative I/O counters for one [`CorkedWriter`] — the instrumentation
@@ -106,10 +104,21 @@ impl<W: Write> CorkedWriter<W> {
         }
     }
 
-    /// Whether the pending bytes have reached the cork threshold — the
-    /// sender should flush before pushing more.
-    pub fn is_corked_full(&self) -> bool {
-        self.buf.len() >= DEFAULT_CORK_LIMIT
+    /// Moves `frames` frames someone else already encoded out of `bytes`,
+    /// which is left empty with an allocation kept for reuse, to the end
+    /// of the cork buffer. No I/O happens here. An empty cork trades
+    /// buffers with `bytes` instead of copying.
+    pub fn append(&mut self, bytes: &mut BytesMut, frames: u64) {
+        if self.buf.is_empty() {
+            std::mem::swap(&mut self.buf, bytes);
+        } else {
+            self.buf.extend_from_slice(bytes);
+        }
+        bytes.clear();
+        self.stats.frames += frames;
+        if let Some(m) = &self.metrics {
+            m.frames_sent.add(frames);
+        }
     }
 
     /// Whether any encoded bytes await a flush.
@@ -274,6 +283,34 @@ mod tests {
         w.flush().unwrap();
         assert!(!w.has_pending());
         assert_eq!(w.get_ref().as_slice(), expected.as_slice());
+    }
+
+    #[test]
+    fn appended_bytes_follow_pushed_ones_and_count_their_frames() {
+        let mut w = CorkedWriter::new(Vec::new());
+        let mut expected = Vec::new();
+        let mut outside = BytesMut::new();
+        for (i, msg) in sample_frames().iter().enumerate() {
+            expected.extend_from_slice(&msg.encode());
+            if i == 0 {
+                w.push(msg);
+            } else {
+                msg.encode_into(&mut outside);
+            }
+        }
+        // Onto a non-empty cork: copied behind what is there.
+        w.append(&mut outside, 3);
+        assert!(outside.is_empty());
+        w.flush().unwrap();
+        assert_eq!(w.get_ref().as_slice(), expected.as_slice());
+        // Onto an empty cork: the buffers trade places.
+        Message::Shutdown.encode_into(&mut outside);
+        w.append(&mut outside, 1);
+        assert!(outside.is_empty());
+        w.flush().unwrap();
+        expected.extend_from_slice(&Message::Shutdown.encode());
+        assert_eq!(w.get_ref().as_slice(), expected.as_slice());
+        assert_eq!(w.stats().frames, 5);
     }
 
     #[test]

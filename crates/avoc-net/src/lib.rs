@@ -15,7 +15,9 @@
 //!   values surface as `None` ballots;
 //! * [`reactor`] — the readiness-based socket core ([`reactor::spawn_pool`])
 //!   the `avoc-serve` daemon and the `avoc-gateway` both serve from: the
-//!   only socket server in the workspace;
+//!   only socket server in the workspace. Handlers run each frame to
+//!   completion on the reactor and encode answers into the connection's
+//!   [`reactor::Outbox`], which the reactor flushes after every read;
 //! * [`chaos`] — a seeded fault-injecting TCP proxy for tests.
 //!
 //! # Example
@@ -55,6 +57,6 @@ pub use message::{
     BatchReading, BatchResult, Message, SpecSource, MAX_BATCH_READINGS, MAX_BATCH_RESULTS,
 };
 pub use reactor::{
-    spawn_pool, ConnWaker, DecodeStep, FrameVerdict, Handler, ReactorConfig, ReactorMetrics,
+    spawn_pool, DecodeStep, FrameVerdict, Handler, Outbox, ReactorConfig, ReactorMetrics,
     ReactorPool, ReactorSnapshot, StreamDecoder,
 };

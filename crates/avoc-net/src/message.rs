@@ -247,8 +247,8 @@ pub enum Message {
         message: String,
     },
     /// Many readings for one session in a single frame (tag 10). Batches
-    /// amortise framing and dispatch; the daemon hands a batch to its
-    /// shard as one mailbox command.
+    /// amortise framing and dispatch; the daemon feeds a batch to its
+    /// shard as one step.
     FeedBatch {
         /// Target session.
         session: u64,
@@ -289,8 +289,8 @@ pub enum Message {
         warm: bool,
     },
     /// Many fused rounds for one session in a single frame (tag 13) — the
-    /// egress mirror of [`Message::FeedBatch`]. Shard workers accumulate a
-    /// burst's verdicts and ship them together, amortising framing and the
+    /// egress mirror of [`Message::FeedBatch`]. Shards accumulate a burst's
+    /// verdicts and ship them together, amortising framing and the
     /// per-result write on the result path.
     ResultBatch {
         /// Originating session.
@@ -722,27 +722,7 @@ impl Message {
                 put_flag(frame, *warm);
             }
             Message::ResultBatch { session, results } => {
-                debug_assert!(
-                    !results.is_empty() && results.len() <= MAX_BATCH_RESULTS,
-                    "ResultBatch must carry 1..=MAX_BATCH_RESULTS results"
-                );
-                frame.put_u8(TAG_RESULT_BATCH);
-                frame.put_u64(*session);
-                frame.put_u32(results.len() as u32);
-                for r in results {
-                    frame.put_u64(r.round);
-                    let mut flags = 0u8;
-                    if r.value.is_some() {
-                        flags |= 1;
-                    }
-                    if r.voted {
-                        flags |= 2;
-                    }
-                    frame.put_u8(flags);
-                    // Skipped rounds carry +0.0 (all-zero bits) so the
-                    // encoding stays canonical: decode rejects anything else.
-                    frame.put_f64(r.value.unwrap_or(0.0));
-                }
+                Message::put_result_batch(*session, results, frame);
             }
             Message::Redirect {
                 session,
@@ -812,6 +792,44 @@ impl Message {
             frame.put_u32(r.module.index());
             frame.put_u64(r.round);
             frame.put_f64(r.value);
+        }
+    }
+
+    /// Appends a [`Message::ResultBatch`] frame built from a borrowed slice —
+    /// byte-identical to `Message::ResultBatch { session, results:
+    /// results.to_vec() }.encode_into(frame)` without materialising the
+    /// `Vec`. The daemon encodes its verdict bursts through this, straight
+    /// into a connection's outbound bytes.
+    pub fn encode_result_batch_into(session: u64, results: &[BatchResult], frame: &mut BytesMut) {
+        let pos = frame.len();
+        frame.put_u32(0); // length placeholder, patched below
+        Message::put_result_batch(session, results, frame);
+        Message::patch_len(frame, pos);
+    }
+
+    /// Writes a ResultBatch payload (no length prefix) — shared by the enum
+    /// arm and the slice-based encoder so the two stay byte-identical.
+    fn put_result_batch(session: u64, results: &[BatchResult], frame: &mut BytesMut) {
+        debug_assert!(
+            !results.is_empty() && results.len() <= MAX_BATCH_RESULTS,
+            "ResultBatch must carry 1..=MAX_BATCH_RESULTS results"
+        );
+        frame.put_u8(TAG_RESULT_BATCH);
+        frame.put_u64(session);
+        frame.put_u32(results.len() as u32);
+        for r in results {
+            frame.put_u64(r.round);
+            let mut flags = 0u8;
+            if r.value.is_some() {
+                flags |= 1;
+            }
+            if r.voted {
+                flags |= 2;
+            }
+            frame.put_u8(flags);
+            // Skipped rounds carry +0.0 (all-zero bits) so the encoding
+            // stays canonical: decode rejects anything else.
+            frame.put_f64(r.value.unwrap_or(0.0));
         }
     }
 
@@ -1611,6 +1629,30 @@ mod tests {
         let via_enum = Message::FeedBatch {
             session: 5,
             readings,
+        }
+        .encode();
+        assert_eq!(&via_slice[..], &via_enum[..]);
+    }
+
+    #[test]
+    fn encode_result_batch_into_matches_the_enum_arm() {
+        let results = vec![
+            BatchResult {
+                round: 7,
+                value: Some(18.5),
+                voted: true,
+            },
+            BatchResult {
+                round: 8,
+                value: None,
+                voted: false,
+            },
+        ];
+        let mut via_slice = BytesMut::new();
+        Message::encode_result_batch_into(5, &results, &mut via_slice);
+        let via_enum = Message::ResultBatch {
+            session: 5,
+            results,
         }
         .encode();
         assert_eq!(&via_slice[..], &via_enum[..]);

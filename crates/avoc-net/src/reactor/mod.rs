@@ -17,7 +17,7 @@
 //! a `SO_REUSEPORT` group on the pool's port and the kernel spreads
 //! handshakes across them — or the pool fails to start. Either way a
 //! connection is **pinned to its reactor for life**: all of its transport
-//! state stays thread-local and its [`ConnWaker`] routes to the owning
+//! state stays thread-local and its [`Outbox`] wakes the owning
 //! reactor's pipe, so producers never need to know the pool exists.
 //!
 //! The division of labour:
@@ -28,18 +28,21 @@
 //!   `EPOLLOUT` re-arming, and wedged-peer deadlines on a
 //!   [timer wheel](timer);
 //! * the [`Handler`] does protocol: it is handed each decoded
-//!   [`Message`] and decides what to open, feed, and close;
-//! * result producers (shard workers) stay on their own threads and
-//!   enqueue outbound frames on a per-connection channel, then call
-//!   [`ConnWaker::wake`] — the reactor drains the channel into the cork
-//!   buffer and flushes on its next dispatch.
+//!   [`Message`] and runs what the frame asks for to completion on the
+//!   reactor thread — in the daemon, fusing the readings it carries;
+//! * every connection owns an [`Outbox`] of encoded bytes. Whoever has a
+//!   frame for the peer — the handler, or a step another thread ran —
+//!   encodes it there. After each read the reactor moves the outbox into
+//!   the connection's cork and flushes it, so a read's answers leave
+//!   before the next read; bytes pushed from any other thread wake the
+//!   owning reactor through the outbox.
 //!
-//! The shard mailboxes' backpressure composes with the reactor: inbound
-//! readings are routed synchronously from the dispatch loop, so a full
-//! mailbox pushes back on the reactor, which stops reading
-//! sockets, which fills TCP windows — the kernel applies backpressure to
-//! every peer at once. Outbound, a slow tenant fills its bounded channel
-//! and its overflow is dropped and counted, exactly as before.
+//! Backpressure composes with the reactor: inbound work runs on the
+//! dispatch loop, so slow work slows the reading of sockets, which fills
+//! TCP windows — the kernel applies backpressure to every peer at once.
+//! Outbound, a peer that stops reading parks its connection on
+//! `EPOLLOUT`; its outbox fills to its byte bound, then refuses frames
+//! (the producer counts them), until the write deadline closes it.
 
 pub mod decoder;
 mod metrics;
@@ -49,8 +52,8 @@ pub use decoder::{DecodeStep, StreamDecoder};
 pub use metrics::{ReactorMetrics, ReactorSnapshot};
 
 use crate::cork::{CorkMetrics, CorkedWriter, FlushOutcome};
-use crate::message::Message;
-use crossbeam::channel::Receiver;
+use crate::message::{Message, MAX_FRAME_LEN};
+use bytes::BytesMut;
 use parking_lot::Mutex;
 use std::io::{self, Read as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -83,6 +86,14 @@ const MAX_READS_PER_EVENT: usize = 16;
 /// output pending before the reactor closes it.
 const WRITE_DEADLINE: Duration = Duration::from_secs(5);
 
+/// Bytes an [`Outbox`] may hold before it refuses further frames: twice
+/// the largest frame, so the verdicts one maximum-size `FeedBatch` fuses
+/// (one `ResultBatch` per 64 readings, about a frame's worth of bytes)
+/// fit whole, and a frame of any legal size fits below the bound. Only a
+/// peer that stops reading can reach it: the outbox empties into the cork
+/// after every read and every wake.
+const OUTBOX_LIMIT: usize = 2 * MAX_FRAME_LEN;
+
 /// Accept-queue depth the reactor re-arms on its listener (clamped by the
 /// kernel to `net.core.somaxconn`). `std`'s bind hardwires 128, which a
 /// many-hundred-connection storm overflows — the kernel then resets
@@ -104,10 +115,9 @@ pub trait Handler: Send + 'static {
     /// Per-connection protocol state (open session lists, reply sink, …).
     type Conn: Send;
 
-    /// A connection was accepted. Returns its state and the outbound
-    /// frame channel the reactor will drain; producers must call
-    /// [`ConnWaker::wake`] after sending on it.
-    fn on_open(&mut self, waker: ConnWaker) -> (Self::Conn, Receiver<Message>);
+    /// A connection was accepted. Returns its state; `outbox` is where
+    /// every frame for this peer is encoded, from any thread.
+    fn on_open(&mut self, outbox: Arc<Outbox>) -> Self::Conn;
 
     /// One decoded inbound frame.
     fn on_frame(&mut self, conn: &mut Self::Conn, msg: Message) -> FrameVerdict;
@@ -124,8 +134,9 @@ pub trait Handler: Send + 'static {
 
     /// The connection is going away (EOF, error, hostile frame, wedged
     /// write deadline, or reactor shutdown). Called exactly once per
-    /// connection, before its socket closes; outbound frames already
-    /// queued are still flushed on a best-effort basis afterwards.
+    /// connection. At reactor shutdown what the outbox holds afterwards
+    /// is still flushed, best effort; otherwise the socket is already
+    /// closed and the outbox refuses frames from then on.
     fn on_close(&mut self, conn: Self::Conn);
 }
 
@@ -159,21 +170,20 @@ impl WakeShared {
     }
 }
 
-/// Wakes the reactor for one connection's outbound queue. Cloneable and
-/// cheap: a wake is one atomic swap when already pending, one list push
-/// plus at most one pipe write otherwise.
-#[derive(Debug, Clone)]
-pub struct ConnWaker {
+/// Wakes the reactor for one connection's outbox. Cheap: a wake is one
+/// atomic swap when already pending, one list push plus at most one pipe
+/// write otherwise.
+#[derive(Debug)]
+struct ConnWaker {
     token: u64,
     dirty: Arc<AtomicBool>,
     shared: Arc<WakeShared>,
 }
 
 impl ConnWaker {
-    /// Tells the reactor this connection's outbound channel has work (or
-    /// that a sender dropped — disconnection is also an event worth
-    /// dispatching). Safe from any thread, never blocks.
-    pub fn wake(&self) {
+    /// Tells the reactor this connection's outbox has bytes. Safe from
+    /// any thread, never blocks.
+    fn wake(&self) {
         if !self.dirty.swap(true, Ordering::AcqRel) {
             self.shared.pending.lock().push(self.token);
             if !self.shared.armed.swap(true, Ordering::AcqRel) {
@@ -182,10 +192,77 @@ impl ConnWaker {
         }
     }
 
-    /// Reactor-side: re-enable wakes before draining, so a send racing
+    /// Reactor-side: re-enable wakes before draining, so a push racing
     /// the drain re-marks the connection.
     fn clear_dirty(&self) {
         self.dirty.store(false, Ordering::Release);
+    }
+
+    /// Reactor-side, before handling a read: marks the connection as if
+    /// woken, so frames the read's own handling pushes cost no wake. The
+    /// pump after the read clears the mark again.
+    fn hold(&self) {
+        self.dirty.store(true, Ordering::Release);
+    }
+}
+
+/// A connection's outbound bytes: frames encoded by whichever thread has
+/// something for the peer, waiting for the owning reactor to move them
+/// into the connection's corked writer. The bound is in bytes — twice the
+/// wire's maximum frame length — and an outbox at it, or one whose
+/// connection has closed, refuses frames; their producer counts them as
+/// shed.
+#[derive(Debug)]
+pub struct Outbox {
+    pending: Mutex<Pending>,
+    waker: ConnWaker,
+}
+
+/// What an [`Outbox`] holds.
+#[derive(Debug, Default)]
+struct Pending {
+    bytes: BytesMut,
+    /// Whole frames in `bytes`, for the writer's frame count.
+    frames: u64,
+    closed: bool,
+}
+
+impl Outbox {
+    /// Appends the `frames` whole frames `encode` writes and wakes the
+    /// owning reactor. Returns `false`, without calling `encode`, when the
+    /// outbox is full or its connection gone. Never blocks on the peer.
+    pub fn push_with(&self, frames: u64, encode: impl FnOnce(&mut BytesMut)) -> bool {
+        {
+            let mut pending = self.pending.lock();
+            if pending.closed || pending.bytes.len() >= OUTBOX_LIMIT {
+                return false;
+            }
+            encode(&mut pending.bytes);
+            pending.frames += frames;
+        }
+        self.waker.wake();
+        true
+    }
+
+    /// [`Outbox::push_with`] for one message.
+    pub fn push(&self, msg: &Message) -> bool {
+        self.push_with(1, |bytes| msg.encode_into(bytes))
+    }
+
+    /// Moves everything pending to the end of `writer`'s cork.
+    fn drain_into(&self, writer: &mut CorkedWriter<TcpStream>) {
+        let mut pending = self.pending.lock();
+        let frames = std::mem::take(&mut pending.frames);
+        writer.append(&mut pending.bytes, frames);
+    }
+
+    /// The connection is gone: refuse every later frame and free the
+    /// bytes nobody will read.
+    fn close(&self) {
+        let mut pending = self.pending.lock();
+        pending.closed = true;
+        pending.bytes = BytesMut::new();
+        pending.frames = 0;
     }
 }
 
@@ -284,8 +361,8 @@ impl ReactorPool {
 
     /// Stops every reactor and joins its thread. Every live connection
     /// gets [`Handler::on_close`] and a best-effort bounded flush of its
-    /// queued results (sockets are flipped back to blocking with the write
-    /// deadline as timeout). Dropping the pool without calling this leaves
+    /// outbox (sockets are flipped back to blocking with the write deadline
+    /// as timeout). Dropping the pool without calling this leaves
     /// the threads running (detached).
     pub fn shutdown(self) {
         for handle in self.reactors {
@@ -371,9 +448,8 @@ struct Conn<C> {
     /// Owns the socket; reads go through [`CorkedWriter::get_mut`].
     writer: CorkedWriter<TcpStream>,
     decoder: StreamDecoder,
-    out_rx: Receiver<Message>,
+    outbox: Arc<Outbox>,
     state: C,
-    waker: ConnWaker,
     /// Whether `EPOLLOUT` is currently armed (flush parked on a full
     /// socket).
     write_armed: bool,
@@ -382,23 +458,73 @@ struct Conn<C> {
     deadline_gen: u64,
 }
 
-enum SlotState<C> {
-    Free,
-    Live(Conn<C>),
-    /// Socket closed, but shard-side senders may still hold the channel:
-    /// keep draining (and discarding) until every sender drops, then
-    /// free the slot. Holds no fd — FD hygiene does not wait on tenants.
-    Draining {
-        out_rx: Receiver<Message>,
-        waker: ConnWaker,
-    },
+impl<C> Conn<C> {
+    /// Moves the outbox into the cork and flushes what the socket accepts,
+    /// managing `EPOLLOUT` interest and the wedged-peer deadline. The cork
+    /// takes the outbox only once it is empty, so a parked connection
+    /// holds at most one outbox's worth there and the rest waits, bounded,
+    /// in the outbox. Returns `false` when the socket failed.
+    fn pump(&mut self, token: u64, epoll: &mut Epoll, timers: &mut TimerWheel) -> bool {
+        self.outbox.waker.clear_dirty();
+        let before = self.writer.stats().bytes;
+        let blocked = loop {
+            if !self.writer.has_pending() {
+                self.outbox.drain_into(&mut self.writer);
+                if !self.writer.has_pending() {
+                    break false;
+                }
+            }
+            // An injected EINTR is transparent here — the corked writer's
+            // inner `write` already retries it; only EAGAIN (park on
+            // EPOLLOUT) and hard errors change the outcome.
+            let flushed = match sysio::fault::check(sysio::fault::Site::SockWrite) {
+                None | Some(sysio::fault::Kind::Eintr) => self.writer.flush_nonblocking(),
+                Some(sysio::fault::Kind::Eagain) => Ok(FlushOutcome::Blocked),
+                Some(k) => Err(k.to_error()),
+            };
+            match flushed {
+                Ok(FlushOutcome::Drained) => {}
+                Ok(FlushOutcome::Blocked) => break true,
+                Err(_) => return false,
+            }
+        };
+        let fd = self.writer.get_ref().as_raw_fd();
+        if blocked {
+            let progressed = self.writer.stats().bytes > before;
+            let newly_armed = !self.write_armed;
+            if newly_armed {
+                self.write_armed = true;
+                let _ = epoll.modify(fd, token, Interest::READ_WRITE);
+            }
+            if newly_armed || progressed {
+                // Arm (or push back) the wedged-peer deadline: any byte of
+                // progress restarts the clock, mirroring the old per-write
+                // socket deadline.
+                self.deadline_gen += 1;
+                timers.schedule(
+                    Instant::now(),
+                    WRITE_DEADLINE,
+                    TimerEntry {
+                        token,
+                        generation: self.deadline_gen,
+                    },
+                );
+            }
+        } else if self.write_armed {
+            self.write_armed = false;
+            self.deadline_gen += 1; // lazy-cancel the armed deadline
+            let _ = epoll.modify(fd, token, Interest::READ);
+        }
+        true
+    }
 }
 
 struct Slot<C> {
     /// Bumped on every reuse so stale events and timers can't touch a
     /// successor connection.
     gen: u32,
-    state: SlotState<C>,
+    /// `None` while the slot is free.
+    conn: Option<Conn<C>>,
 }
 
 fn make_token(gen: u32, idx: usize) -> u64 {
@@ -528,22 +654,22 @@ impl<H: Handler> Core<H> {
         let idx = match self.free.pop() {
             Some(idx) => idx,
             None => {
-                self.slots.push(Slot {
-                    gen: 0,
-                    state: SlotState::Free,
-                });
+                self.slots.push(Slot { gen: 0, conn: None });
                 self.slots.len() - 1
             }
         };
         let slot = &mut self.slots[idx];
         slot.gen = slot.gen.wrapping_add(1);
         let token = make_token(slot.gen, idx);
-        let waker = ConnWaker {
-            token,
-            dirty: Arc::new(AtomicBool::new(false)),
-            shared: Arc::clone(&self.shared),
-        };
-        let (state, out_rx) = self.handler.on_open(waker.clone());
+        let outbox = Arc::new(Outbox {
+            pending: Mutex::new(Pending::default()),
+            waker: ConnWaker {
+                token,
+                dirty: Arc::new(AtomicBool::new(false)),
+                shared: Arc::clone(&self.shared),
+            },
+        });
+        let state = self.handler.on_open(Arc::clone(&outbox));
         let mut writer = CorkedWriter::new(stream);
         if let Some(cm) = &self.cork_metrics {
             writer.set_metrics(cm.clone());
@@ -556,15 +682,15 @@ impl<H: Handler> Core<H> {
             // Registration failed: give the handler its close and drop
             // the socket; the slot stays free for the next accept.
             self.handler.on_close(state);
+            outbox.close();
             self.free.push(idx);
             return;
         }
-        self.slots[idx].state = SlotState::Live(Conn {
+        self.slots[idx].conn = Some(Conn {
             writer,
             decoder: StreamDecoder::new(),
-            out_rx,
+            outbox,
             state,
-            waker,
             write_armed: false,
             deadline_gen: 0,
         });
@@ -652,7 +778,7 @@ impl<H: Handler> Core<H> {
         let Some(slot) = self.slots.get(idx) else {
             return;
         };
-        if slot.gen != gen || !matches!(slot.state, SlotState::Live(_)) {
+        if slot.gen != gen || slot.conn.is_none() {
             return;
         }
         if readable && !self.read_ready(idx) {
@@ -664,19 +790,25 @@ impl<H: Handler> Core<H> {
     }
 
     /// Reads until the socket runs dry (or the burst cap), feeding the
-    /// streaming decoder and the handler. Returns `false` when the
-    /// connection was closed.
+    /// streaming decoder and the handler; after each read the connection's
+    /// outbox is moved into its cork and flushed, unless the connection is
+    /// parked on `EPOLLOUT`. Returns `false` when the connection was
+    /// closed.
     fn read_ready(&mut self, idx: usize) -> bool {
         let mut close = false;
         {
             let Core {
                 handler,
                 slots,
+                epoll,
+                timers,
                 cork_metrics,
                 read_buf: chunk,
                 ..
             } = &mut *self;
-            let SlotState::Live(conn) = &mut slots[idx].state else {
+            let slot = &mut slots[idx];
+            let token = make_token(slot.gen, idx);
+            let Some(conn) = &mut slot.conn else {
                 return false;
             };
             for _ in 0..MAX_READS_PER_EVENT {
@@ -705,6 +837,9 @@ impl<H: Handler> Core<H> {
                 if let Some(m) = cork_metrics {
                     m.bytes_received.add(n as u64);
                 }
+                if !conn.write_armed {
+                    conn.outbox.waker.hold();
+                }
                 conn.decoder.extend(&chunk[..n]);
                 loop {
                     match conn.decoder.next_frame() {
@@ -728,6 +863,11 @@ impl<H: Handler> Core<H> {
                 if close {
                     break;
                 }
+                // This read's answers leave before the next read.
+                if !conn.write_armed && !conn.pump(token, epoll, timers) {
+                    close = true;
+                    break;
+                }
                 if n < chunk.len() {
                     break; // short read: the socket is drained
                 }
@@ -740,138 +880,39 @@ impl<H: Handler> Core<H> {
         true
     }
 
-    /// Drains a connection's outbound channel into its cork buffer and
-    /// flushes what the socket accepts, managing `EPOLLOUT` interest and
-    /// the wedged-peer deadline.
+    /// Pumps the live connection in slot `idx` (see [`Conn::pump`]),
+    /// closing it when its socket failed.
     fn pump(&mut self, idx: usize) {
-        let mut dead = false;
-        {
-            let Core {
-                slots,
-                epoll,
-                timers,
-                ..
-            } = &mut *self;
-            let Some(slot) = slots.get_mut(idx) else {
-                return;
-            };
-            let token = make_token(slot.gen, idx);
-            let SlotState::Live(conn) = &mut slot.state else {
-                return;
-            };
-            conn.waker.clear_dirty();
-            let before = conn.writer.stats().bytes;
-            let mut blocked = false;
-            loop {
-                let mut pulled = false;
-                while !conn.writer.is_corked_full() {
-                    match conn.out_rx.try_recv() {
-                        Ok(msg) => {
-                            conn.writer.push(&msg);
-                            pulled = true;
-                        }
-                        Err(_) => break,
-                    }
-                }
-                if !conn.writer.has_pending() {
-                    break;
-                }
-                // An injected EINTR is transparent here — the corked
-                // writer's inner `write` already retries it; only EAGAIN
-                // (park on EPOLLOUT) and hard errors change the outcome.
-                let flushed = match sysio::fault::check(sysio::fault::Site::SockWrite) {
-                    None | Some(sysio::fault::Kind::Eintr) => conn.writer.flush_nonblocking(),
-                    Some(sysio::fault::Kind::Eagain) => Ok(FlushOutcome::Blocked),
-                    Some(k) => Err(k.to_error()),
-                };
-                match flushed {
-                    Ok(FlushOutcome::Drained) => {
-                        if !pulled {
-                            break;
-                        }
-                    }
-                    Ok(FlushOutcome::Blocked) => {
-                        blocked = true;
-                        break;
-                    }
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-            if !dead {
-                let fd = conn.writer.get_ref().as_raw_fd();
-                if blocked {
-                    let progressed = conn.writer.stats().bytes > before;
-                    let newly_armed = !conn.write_armed;
-                    if newly_armed {
-                        conn.write_armed = true;
-                        let _ = epoll.modify(fd, token, Interest::READ_WRITE);
-                    }
-                    if newly_armed || progressed {
-                        // Arm (or push back) the wedged-peer deadline: any
-                        // byte of progress restarts the clock, mirroring
-                        // the old per-write socket deadline.
-                        conn.deadline_gen += 1;
-                        timers.schedule(
-                            Instant::now(),
-                            WRITE_DEADLINE,
-                            TimerEntry {
-                                token,
-                                generation: conn.deadline_gen,
-                            },
-                        );
-                    }
-                } else if conn.write_armed {
-                    conn.write_armed = false;
-                    conn.deadline_gen += 1; // lazy-cancel the armed deadline
-                    let _ = epoll.modify(fd, token, Interest::READ);
-                }
-            }
-        }
-        if dead {
+        let Core {
+            slots,
+            epoll,
+            timers,
+            ..
+        } = &mut *self;
+        let slot = &mut slots[idx];
+        let token = make_token(slot.gen, idx);
+        let alive = match &mut slot.conn {
+            Some(conn) => conn.pump(token, epoll, timers),
+            None => true,
+        };
+        if !alive {
             self.close_live(idx);
         }
     }
 
-    /// Services every token producers marked dirty since the last
-    /// dispatch: live connections get a pump, draining slots shed
-    /// residual frames and free once their last sender drops.
+    /// Services every token producers woke since the last dispatch. A
+    /// connection parked on `EPOLLOUT` keeps its wake mark and waits for
+    /// writability, which pumps it anyway.
     fn process_dirty(&mut self) {
         let pending = self.shared.take_pending();
         for token in pending {
             let (gen, idx) = token_parts(token);
-            let is_live = match self.slots.get(idx) {
-                Some(slot) if slot.gen == gen => matches!(slot.state, SlotState::Live(_)),
-                _ => continue,
-            };
-            if is_live {
+            let due = self.slots.get(idx).is_some_and(|slot| {
+                slot.gen == gen && slot.conn.as_ref().is_some_and(|c| !c.write_armed)
+            });
+            if due {
                 self.pump(idx);
-            } else {
-                self.drain_slot(idx);
             }
-        }
-    }
-
-    /// Sheds residual frames on a draining slot; frees it once the last
-    /// shard-side sender has dropped its sink clone.
-    fn drain_slot(&mut self, idx: usize) {
-        let slot = &mut self.slots[idx];
-        let SlotState::Draining { out_rx, waker } = &mut slot.state else {
-            return;
-        };
-        waker.clear_dirty();
-        let freed = loop {
-            match out_rx.try_recv() {
-                Ok(_) => {} // tenant is gone; discard
-                Err(crossbeam::channel::TryRecvError::Empty) => break false,
-                Err(crossbeam::channel::TryRecvError::Disconnected) => break true,
-            }
-        };
-        if freed {
-            slot.state = SlotState::Free;
-            self.free.push(idx);
         }
     }
 
@@ -890,7 +931,7 @@ impl<H: Handler> Core<H> {
             if slot.gen != gen {
                 continue;
             }
-            let SlotState::Live(conn) = &slot.state else {
+            let Some(conn) = &slot.conn else {
                 continue;
             };
             // Only the *latest* armed deadline counts; anything older was
@@ -906,93 +947,55 @@ impl<H: Handler> Core<H> {
         self.expired = expired;
     }
 
-    /// Tears one live connection down: deregisters and closes the socket
-    /// *now* (FD hygiene never waits on tenants), gives the handler its
-    /// `on_close`, then parks the slot in `Draining` until shard-side
-    /// senders finish dropping their sink clones.
+    /// Tears one live connection down: deregisters and closes the socket,
+    /// gives the handler its `on_close`, closes the outbox and frees the
+    /// slot — all at once, waiting on no one.
     fn close_live(&mut self, idx: usize) {
-        let slot = &mut self.slots[idx];
-        let conn = match std::mem::replace(&mut slot.state, SlotState::Free) {
-            SlotState::Live(conn) => conn,
-            other => {
-                slot.state = other;
-                return;
-            }
-        };
-        let Conn {
+        let Some(Conn {
             writer,
-            out_rx,
+            outbox,
             state,
-            waker,
             ..
-        } = conn;
+        }) = self.slots[idx].conn.take()
+        else {
+            return;
+        };
         let _ = self.epoll.remove(writer.get_ref().as_raw_fd());
         drop(writer); // closes the fd
         if let Some(m) = &self.metrics {
             m.connections_open.add(-1);
         }
         self.handler.on_close(state);
-        // `on_close` sends Close/Detach to shards asynchronously — their
-        // sink clones drop once processed. Drain whatever is already
-        // queued; if every sender is gone, free the slot immediately.
-        let freed = loop {
-            match out_rx.try_recv() {
-                Ok(_) => {}
-                Err(crossbeam::channel::TryRecvError::Empty) => break false,
-                Err(crossbeam::channel::TryRecvError::Disconnected) => break true,
-            }
-        };
-        if freed {
-            self.free.push(idx);
-        } else {
-            self.slots[idx].state = SlotState::Draining { out_rx, waker };
-        }
+        outbox.close();
+        self.free.push(idx);
     }
 
     /// Graceful exit: every live connection gets `on_close` (closing or
-    /// detaching its sessions flushes their in-flight rounds), its socket
-    /// flips back to blocking with the write deadline as timeout, and the
-    /// outbound channel is drained through the cork until every producer
-    /// is done — so results of rounds already fed still reach tenants, as
-    /// they did with per-connection writer threads.
+    /// detaching its sessions flushes their in-flight rounds into the
+    /// outbox), then its socket flips back to blocking with the write
+    /// deadline as timeout and the cork and outbox are flushed — so
+    /// results of rounds already fed still reach tenants.
     fn teardown(mut self) {
-        for idx in 0..self.slots.len() {
-            let state = std::mem::replace(&mut self.slots[idx].state, SlotState::Free);
-            match state {
-                SlotState::Free => {}
-                SlotState::Draining { out_rx, .. } => {
-                    while out_rx.recv_timeout(WRITE_DEADLINE).is_ok() {}
-                }
-                SlotState::Live(conn) => {
-                    let Conn {
-                        mut writer,
-                        out_rx,
-                        state,
-                        ..
-                    } = conn;
-                    let _ = self.epoll.remove(writer.get_ref().as_raw_fd());
-                    if let Some(m) = &self.metrics {
-                        m.connections_open.add(-1);
-                    }
-                    self.handler.on_close(state);
-                    let _ = writer.get_ref().set_nonblocking(false);
-                    let _ = writer.get_ref().set_write_timeout(Some(WRITE_DEADLINE));
-                    let mut sock_ok = true;
-                    // Loop ends when all senders are done (or stuck past
-                    // the deadline).
-                    while let Ok(msg) = out_rx.recv_timeout(WRITE_DEADLINE) {
-                        if sock_ok {
-                            writer.push(&msg);
-                            if writer.is_corked_full() {
-                                sock_ok = writer.flush().is_ok();
-                            }
-                        }
-                    }
-                    if sock_ok {
-                        let _ = writer.flush();
-                    }
-                }
+        for slot in &mut self.slots {
+            let Some(Conn {
+                mut writer,
+                outbox,
+                state,
+                ..
+            }) = slot.conn.take()
+            else {
+                continue;
+            };
+            let _ = self.epoll.remove(writer.get_ref().as_raw_fd());
+            if let Some(m) = &self.metrics {
+                m.connections_open.add(-1);
             }
+            self.handler.on_close(state);
+            outbox.drain_into(&mut writer);
+            outbox.close();
+            let _ = writer.get_ref().set_nonblocking(false);
+            let _ = writer.get_ref().set_write_timeout(Some(WRITE_DEADLINE));
+            let _ = writer.flush();
         }
     }
 }
@@ -1001,7 +1004,6 @@ impl<H: Handler> Core<H> {
 mod tests {
     use super::*;
     use avoc_core::ModuleId;
-    use crossbeam::channel::{bounded, Sender};
     use std::io::Write as _;
     use std::sync::atomic::AtomicU64;
 
@@ -1020,16 +1022,14 @@ mod tests {
     }
 
     struct EchoConn {
-        tx: Sender<Message>,
-        waker: ConnWaker,
+        outbox: Arc<Outbox>,
     }
 
     impl Handler for Echo {
         type Conn = EchoConn;
 
-        fn on_open(&mut self, waker: ConnWaker) -> (EchoConn, Receiver<Message>) {
-            let (tx, rx) = bounded(256);
-            (EchoConn { tx, waker }, rx)
+        fn on_open(&mut self, outbox: Arc<Outbox>) -> EchoConn {
+            EchoConn { outbox }
         }
 
         fn on_frame(&mut self, conn: &mut EchoConn, msg: Message) -> FrameVerdict {
@@ -1040,13 +1040,12 @@ mod tests {
                     value,
                     ..
                 } => {
-                    let _ = conn.tx.try_send(Message::SessionResult {
+                    conn.outbox.push(&Message::SessionResult {
                         session,
                         round,
                         value: Some(value),
                         voted: true,
                     });
-                    conn.waker.wake();
                     FrameVerdict::Continue
                 }
                 Message::Shutdown => FrameVerdict::Close,
@@ -1497,9 +1496,8 @@ mod tests {
     impl Handler for Journal {
         type Conn = EchoConn;
 
-        fn on_open(&mut self, waker: ConnWaker) -> (EchoConn, Receiver<Message>) {
-            let (tx, rx) = bounded(16);
-            (EchoConn { tx, waker }, rx)
+        fn on_open(&mut self, outbox: Arc<Outbox>) -> EchoConn {
+            EchoConn { outbox }
         }
 
         fn on_frame(&mut self, _conn: &mut EchoConn, msg: Message) -> FrameVerdict {
@@ -1512,10 +1510,9 @@ mod tests {
 
         fn on_read_end(&mut self, conn: &mut EchoConn) -> FrameVerdict {
             self.log.lock().push("read_end");
-            let _ = conn.tx.try_send(Message::Heartbeat {
+            conn.outbox.push(&Message::Heartbeat {
                 module: ModuleId::new(0),
             });
-            conn.waker.wake();
             FrameVerdict::Continue
         }
 
@@ -1664,6 +1661,33 @@ mod tests {
         );
         drop((wedged, client));
         handle.shutdown();
+    }
+
+    #[test]
+    fn an_outbox_refuses_frames_past_its_byte_bound_and_once_closed() {
+        let outbox = Outbox {
+            pending: Mutex::new(Pending::default()),
+            waker: ConnWaker {
+                token: 1,
+                dirty: Arc::new(AtomicBool::new(false)),
+                shared: WakeShared::new().unwrap(),
+            },
+        };
+        // Frames of almost the maximum length: each fits while the outbox
+        // is below its bound, and the third takes it past.
+        let big = Message::Error {
+            session: 1,
+            message: "x".repeat(MAX_FRAME_LEN - 64),
+        };
+        let taken = (0..5).take_while(|_| outbox.push(&big)).count();
+        assert_eq!(taken, 3);
+        assert!(!outbox.push(&Message::Shutdown), "a full outbox sheds");
+        assert_eq!(outbox.pending.lock().frames, 3);
+        // The pushes woke the reactor once: one token, one armed pipe.
+        assert_eq!(outbox.waker.shared.take_pending(), [1]);
+        outbox.close();
+        assert!(outbox.pending.lock().bytes.is_empty());
+        assert!(!outbox.push(&Message::Shutdown), "a closed outbox sheds");
     }
 
     #[test]

@@ -43,8 +43,7 @@ impl Counter {
     }
 }
 
-/// A gauge: a value that can move both ways (or ratchet up via
-/// [`Gauge::set_max`], the high-water-mark idiom). Clones share the cell.
+/// A gauge: a value that can move both ways. Clones share the cell.
 #[derive(Debug, Clone, Default)]
 pub struct Gauge {
     cell: Arc<AtomicI64>,
@@ -64,11 +63,6 @@ impl Gauge {
     /// Adds `n` (may be negative).
     pub fn add(&self, n: i64) {
         self.cell.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Raises the gauge to `v` if `v` is higher (high-water mark).
-    pub fn set_max(&self, v: i64) {
-        self.cell.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -468,16 +462,6 @@ mod tests {
     #[should_panic(expected = "invalid metric name")]
     fn invalid_names_are_rejected_at_registration() {
         let _ = Registry::new().counter_with("bad name", "", &[]);
-    }
-
-    #[test]
-    fn gauge_set_max_is_a_high_water_mark() {
-        let g = Registry::new().gauge_with("avoc_hw", "", &[]);
-        g.set_max(5);
-        g.set_max(3);
-        assert_eq!(g.get(), 5);
-        g.set_max(9);
-        assert_eq!(g.get(), 9);
     }
 
     #[test]

@@ -15,21 +15,21 @@
 //!                 │ each owns its accepted sockets for life;    │
 //!                 │ streaming decode of tags 5–13 and 16–18     │
 //!                 └──────────────┬──────────────────────────────┘
-//!                                │ route by hash(session id): ONE command
-//!                                │ per socket read (or FeedBatch) per shard
+//!                                │ route by hash(session id): ONE step
+//!                                │ per socket read (or FeedBatch) per
+//!                                │ shard, run on the reactor thread
 //!                 ┌──────────────▼──────────────┐
-//!                 │ shard 0 .. shard N-1        │  one bounded mailbox
-//!                 │  each: HashMap<id, Session> │  each: readings and
-//!                 │  Session = SensorHub        │  lifecycle in arrival
-//!                 │          + VotingEngine     │  order; a full one makes
-//!                 │                             │  the producer wait; an
-//!                 │                             │  idle shard parks until
-//!                 │                             │  a send wakes it
+//!                 │ shard 0 .. shard N-1        │  one lock each: the
+//!                 │  each: HashMap<id, Session> │  shard's steps run in
+//!                 │  Session = SensorHub        │  lock order, each to
+//!                 │          + VotingEngine     │  completion, on the
+//!                 │                             │  thread that asked
 //!                 └──────────────┬──────────────┘
-//!                                │ ResultSink: bounded channel + ConnWaker
+//!                                │ ResultSink: verdicts encoded straight
+//!                                │ into the connection's Outbox bytes
 //!                 ┌──────────────▼──────────────┐
-//!                 │ owning reactor drains each  │──▶ back to the client
-//!                 │ conn's corked writer on wake│
+//!                 │ owning reactor flushes the  │──▶ back to the client
+//!                 │ outbox after each read      │
 //!                 └─────────────────────────────┘
 //! ```
 //!
@@ -37,17 +37,17 @@
 //!   directory, plus inline VDX accepted at session open
 //!   ([`avoc_net::SpecSource`]).
 //! * [`VoterService`] — the sharded executor: sessions are pinned to one of
-//!   N worker threads by session-id hash, so each session's rounds are fused
-//!   in order without locks around engine state.
+//!   N shards by session-id hash, each shard's sessions behind one lock, so
+//!   each session's rounds are fused in order on whichever thread fed
+//!   them, and a call's effects are complete when it returns.
 //! * [`ServeConfig`] — shard and reactor counts, session capacity (opens
 //!   past it are refused), idle-tick eviction, round-assembly lag, crash
 //!   safety, the admin address and trace sampling.
 //! * [`CountersSnapshot`] — sessions opened/evicted/rejected, rounds fused,
-//!   fallbacks, readings/results dropped and per-shard queue-depth
-//!   high-water marks, copied in process by [`VoterService::counters`] and
-//!   returned by a drain. Shards never block on a tenant's result sink: a
-//!   slow tenant loses its own overflow (counted) instead of stalling the
-//!   fleet.
+//!   fallbacks, readings/results dropped and the wire and reactor cells,
+//!   copied in process by [`VoterService::counters`] and returned by a
+//!   drain. Shards never block on a tenant's result sink: a slow tenant
+//!   loses its own overflow (counted) instead of stalling the fleet.
 //! * [`TcpServer`] / [`ServeClient`] — the socket front-end and a small
 //!   blocking client for it.
 //! * the admin endpoint — optional plain-HTTP observability routes

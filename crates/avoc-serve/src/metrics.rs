@@ -9,7 +9,7 @@
 //! or [`ServiceCounters::snapshot`], so a `/metrics` scrape and an
 //! in-process [`CountersSnapshot`] read the same, current cells.
 
-use avoc_net::{CorkMetrics, Message, ReactorMetrics, ReactorSnapshot};
+use avoc_net::{BatchResult, CorkMetrics, Message, ReactorMetrics, ReactorSnapshot};
 use avoc_obs::{facts, Counter, Health, HealthLevel, Registry, TraceRing};
 use avoc_store::TieredStore;
 use parking_lot::Mutex;
@@ -50,8 +50,9 @@ facts! {
         ..CorkMetrics,
         ..ReactorMetrics,
         // Per reading: `benchmark/`'s `serve.handoff_sends_per_kround`.
-        /// `Readings` commands sent to shard mailboxes (a command counts once,
-        /// however many readings it carries).
+        /// Reading hand-offs to a shard: one per shard lock taken for a
+        /// socket read's staged readings or one `FeedBatch`, however many
+        /// readings it carries.
         pub(crate) shard_handoff_sends: Counter = "avoc_shard_handoff_sends_total",
         // At daemon start, or when a resume found no live session.
         /// Sessions rebuilt from a WAL checkpoint.
@@ -101,20 +102,11 @@ facts! {
 }
 
 facts! {
-    /// One shard's cells, labelled `{shard="i"}`.
-    pub(crate) struct ShardFacts {
-        /// Per-shard data-mailbox depth high-water mark.
-        queue_high_water: Gauge = "avoc_shard_queue_high_water",
-    }
-}
-
-facts! {
     /// On `/metrics` but not in a [`CountersSnapshot`]: the segment tier's
-    /// size, the shards' marks and the latency distributions.
+    /// size and the latency distributions.
     pub(crate) struct ScrapeOnly {
         /// Segment files currently live in the tier.
         segments_live: Gauge = "avoc_segments_live",
-        ..ShardFacts,
         /// Per-round fuse latency, recorded once per batch at the batch mean,
         /// nanoseconds.
         fuse_latency_ns: Histogram = "avoc_fuse_latency_ns",
@@ -140,7 +132,6 @@ pub(crate) struct ServiceCounters {
     pub(crate) wire: CorkMetrics,
     /// Each event-loop thread's cells, `{reactor="i"}`; the snapshot sums.
     pub(crate) reactors: Vec<ReactorMetrics>,
-    shards: Vec<ShardFacts>,
     pub(crate) scrape_only: ScrapeOnly,
     /// The segment tier the refresh mirrors (`None`: persistence is off).
     tier: Option<Arc<TieredStore>>,
@@ -178,16 +169,15 @@ fn raise(cell: &Counter, total: u64) {
 }
 
 impl ServiceCounters {
-    /// Counters for `shards` workers, one reactor, no tier and no tracing.
+    /// Counters for one reactor, no tier and no tracing.
     #[cfg(test)]
-    pub(crate) fn new(shards: usize) -> Self {
-        ServiceCounters::with_observability(shards, 1, 0, None)
+    pub(crate) fn new() -> Self {
+        ServiceCounters::with_observability(1, 0, None)
     }
 
-    /// Counters for `shards` workers, `reactors` event loops and `tier`, with
-    /// a ring of [`TRACE_CAPACITY`] spans sampling 1 round in `trace_every`.
+    /// Counters for `reactors` event loops and `tier`, with a ring of
+    /// [`TRACE_CAPACITY`] spans sampling 1 round in `trace_every`.
     pub(crate) fn with_observability(
-        shards: usize,
         reactors: usize,
         trace_every: u64,
         tier: Option<Arc<TieredStore>>,
@@ -198,9 +188,6 @@ impl ServiceCounters {
             wire: CorkMetrics::register(&registry, &[]),
             reactors: (0..reactors.max(1))
                 .map(|i| ReactorMetrics::register(&registry, &[("reactor", &i.to_string())]))
-                .collect(),
-            shards: (0..shards)
-                .map(|i| ShardFacts::register(&registry, &[("shard", &i.to_string())]))
                 .collect(),
             scrape_only: ScrapeOnly::register(&registry, &[]),
             directory: Mutex::new(BTreeMap::new()),
@@ -214,17 +201,21 @@ impl ServiceCounters {
     }
 
     /// Sends `msg` to a tenant's sink without ever blocking: a full or gone
-    /// sink sheds it, counting every round a `ResultBatch` carries in
-    /// `results_dropped`; a shipped one counts once in `result_batches`.
-    /// The single writer of both cells.
+    /// sink sheds it, counted once in `results_dropped`.
     pub(crate) fn emit(&self, sink: &ResultSink, msg: Message) {
-        let batched = match &msg {
-            Message::ResultBatch { results, .. } => Some(results.len() as u64),
-            _ => None,
-        };
-        if sink.try_send(msg).is_err() {
-            self.results_dropped.add(batched.unwrap_or(1));
-        } else if batched.is_some() {
+        if !sink.send(msg) {
+            self.results_dropped.inc();
+        }
+    }
+
+    /// Sends one frame of `session`'s verdicts (see
+    /// [`ResultSink::send_results`]) without ever blocking. A shed frame
+    /// counts every verdict it carried in `results_dropped`; a shipped
+    /// `ResultBatch` counts once in `result_batches`.
+    pub(crate) fn emit_results(&self, sink: &ResultSink, session: u64, results: &[BatchResult]) {
+        if !sink.send_results(session, results) {
+            self.results_dropped.add(results.len() as u64);
+        } else if results.len() > 1 {
             self.result_batches.inc();
         }
     }
@@ -357,13 +348,6 @@ impl ServiceCounters {
         self.scrape_only.fuse_latency_ns.record_n(total_ns, n);
     }
 
-    /// Raises a shard's queue-depth high-water mark to `depth` if higher.
-    pub(crate) fn note_queue_depth(&self, shard: usize, depth: usize) {
-        if let Some(cells) = self.shards.get(shard) {
-            cells.queue_high_water.set_max(depth as i64);
-        }
-    }
-
     /// A copy of every counter, refreshed first; loads are relaxed, so it
     /// is for operators, not invariants.
     pub(crate) fn snapshot(&self) -> CountersSnapshot {
@@ -385,17 +369,12 @@ impl ServiceCounters {
             reactor_events: sum(|r| r.events),
             wedged_closed: sum(|r| r.wedged_closed),
             accept_pauses: sum(|r| r.accept_pauses),
-            shard_queue_high_water: self
-                .shards
-                .iter()
-                .map(|s| s.queue_high_water.get().max(0) as usize)
-                .collect(),
         }
     }
 }
 
 /// A copy of the daemon's counters: the [`ServiceSnapshot`] it derefs to,
-/// plus the wire cells, the reactors' cells summed and each shard's mark.
+/// plus the wire cells and the reactors' cells summed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CountersSnapshot {
     service: ServiceSnapshot,
@@ -421,8 +400,6 @@ pub struct CountersSnapshot {
     pub wedged_closed: u64,
     /// Times a reactor paused accepting on fd exhaustion.
     pub accept_pauses: u64,
-    /// Per-shard mailbox depth high-water marks, indexed by shard.
-    pub shard_queue_high_water: Vec<usize>,
 }
 
 impl Deref for CountersSnapshot {
@@ -439,45 +416,34 @@ mod tests {
     use avoc_net::BatchResult;
 
     #[test]
-    fn queue_high_water_is_monotone() {
-        let c = ServiceCounters::new(2);
-        c.note_queue_depth(0, 5);
-        c.note_queue_depth(0, 3);
-        c.note_queue_depth(1, 7);
-        c.note_queue_depth(9, 100); // out-of-range shard is ignored
-        assert_eq!(c.snapshot().shard_queue_high_water, vec![5, 7]);
-    }
-
-    #[test]
     fn wire_counters_accumulate() {
-        let c = ServiceCounters::new(1);
-        let batch = |n: u64| Message::ResultBatch {
-            session: 1,
-            results: (0..n)
-                .map(|round| BatchResult {
-                    round,
-                    value: None,
-                    voted: false,
-                })
-                .collect(),
-        };
-        let (tx, rx) = crossbeam::channel::bounded(3);
+        let c = ServiceCounters::new();
+        let batch: Vec<BatchResult> = (0..7)
+            .map(|round| BatchResult {
+                round,
+                value: None,
+                voted: false,
+            })
+            .collect();
+        let (tx, rx) = crossbeam::channel::bounded(4);
         let sink: ResultSink = tx.into();
-        c.emit(&sink, batch(3));
-        c.emit(&sink, batch(2));
-        // The third frame ships but is not a batch; the sink is full after
-        // it: a batch sheds every round it carries, any other frame once.
+        c.emit_results(&sink, 1, &batch[..3]);
+        c.emit_results(&sink, 1, &batch[..2]);
+        // A lone verdict ships as a plain frame, not a batch; so does a
+        // control frame, and the sink is full after it: a batch sheds
+        // every round it carries, any other frame once.
+        c.emit_results(&sink, 1, &batch[..1]);
         c.emit(&sink, Message::Shutdown);
-        c.emit(&sink, batch(7));
+        c.emit_results(&sink, 1, &batch);
         c.emit(&sink, Message::Shutdown);
-        assert_eq!(rx.len(), 3);
+        assert_eq!(rx.len(), 4);
         let snap = c.snapshot();
         assert_eq!((snap.result_batches, snap.results_dropped), (2, 8));
     }
 
     #[test]
     fn recovery_and_compaction_costs_land_on_counter_and_histogram() {
-        let c = ServiceCounters::new(1);
+        let c = ServiceCounters::new();
         c.resume_timed(false, 2_500_000);
         c.resume_timed(true, 1_500_000);
         c.compaction_recorded(120, 4096, 3_000_000);
@@ -496,14 +462,12 @@ mod tests {
 
     #[test]
     fn counters_surface_on_the_registry_scrape() {
-        let c = ServiceCounters::new(1);
+        let c = ServiceCounters::new();
         c.sessions_opened.inc();
         c.batch_fused(2_000, 1);
-        c.note_queue_depth(0, 9);
         let text = c.registry().render_prometheus();
         assert!(text.contains("avoc_sessions_opened_total 1"));
         assert!(text.contains("avoc_rounds_fused_total 1"));
-        assert!(text.contains("avoc_shard_queue_high_water{shard=\"0\"} 9"));
         assert!(text.contains("avoc_fuse_latency_ns_count 1"));
     }
 
@@ -526,7 +490,7 @@ mod tests {
     /// its own: every cell holds a different value here.
     #[test]
     fn data_plane_fields_read_their_own_cells() {
-        let c = ServiceCounters::with_observability(1, 2, 0, None);
+        let c = ServiceCounters::with_observability(2, 0, None);
         // Short writes part the egress cells: three frames, two flushes,
         // a write per three bytes.
         let mut w = avoc_net::CorkedWriter::new(Trickle(Vec::new()));
@@ -573,7 +537,7 @@ mod tests {
 
     #[test]
     fn a_mirrored_total_never_goes_backwards() {
-        let c = ServiceCounters::new(1);
+        let c = ServiceCounters::new();
         raise(&c.segments_quarantined, 3);
         raise(&c.segments_quarantined, 2); // stale report
         raise(&c.segments_quarantined, 5);
@@ -582,7 +546,7 @@ mod tests {
 
     #[test]
     fn degraded_sessions_drive_the_persistence_health_domain() {
-        let c = ServiceCounters::new(1);
+        let c = ServiceCounters::new();
         assert!(c.health.is_ok());
         c.session_degraded(7);
         c.session_degraded(7); // idempotent: one transition counted
@@ -608,7 +572,7 @@ mod tests {
 
     #[test]
     fn sessions_lists_each_live_session_with_its_own_round_count() {
-        let c = ServiceCounters::new(1);
+        let c = ServiceCounters::new();
         let listed = |c: &ServiceCounters, id: u64, resumable: bool, rounds: u64| {
             c.sessions_json().contains(&format!(
                 "\"session\": {id}, \"shard\": 0, \"resumable\": {resumable}, \
@@ -642,7 +606,7 @@ mod tests {
     /// name, so a family that moves must move this file too.
     #[test]
     fn exposed_families_match_the_checked_in_list() {
-        let c = ServiceCounters::with_observability(2, 2, 0, None);
+        let c = ServiceCounters::with_observability(2, 0, None);
         let text = c.registry().render_prometheus();
         let mut families = Vec::new();
         let mut lines = text.lines().peekable();

@@ -1,21 +1,21 @@
 //! TCP front-end: control frames in, session results out.
 //!
 //! Served by the `avoc-net` reactor pool: R event-loop threads
-//! ([`crate::ServeConfig::reactors`], default `min(cores, 4)`) share the
+//! ([`crate::ServeConfig::reactors`], default one per core) share the
 //! accept load — one `SO_REUSEPORT` listener per reactor, the kernel
 //! spreading handshakes across them — and each connection is pinned to
-//! one reactor for life, so the daemon's data-plane thread count is
-//! `shards + R` regardless of how many connections are open. Inbound bytes stream through the re-entrant
-//! [`avoc_net::StreamDecoder`]; the `SessionReading` frames one socket read
-//! completes are staged per shard and cross to the shards as one mailbox
-//! command each when that read has been decoded. Outbound results ride each
-//! connection's bounded channel, which the owning reactor drains into a
-//! corked writer when the shard-side [`ResultSink`] wakes it.
+//! one reactor for life, so the daemon's data-plane thread count is R
+//! regardless of how many connections are open. Inbound bytes stream
+//! through the re-entrant [`avoc_net::StreamDecoder`]; the
+//! `SessionReading` frames one socket read completes are staged per shard
+//! and fused on the reactor, one shard step each, when that read has been
+//! decoded. Verdicts are encoded straight into the [`avoc_net::Outbox`] of
+//! the connection that opened the session, and the owning reactor flushes
+//! it before the next read.
 
-use avoc_net::reactor::{self, ConnWaker, FrameVerdict, Handler, ReactorConfig, ReactorPool};
-use avoc_net::Message;
+use avoc_net::reactor::{self, FrameVerdict, Handler, ReactorConfig, ReactorPool};
+use avoc_net::{Message, Outbox};
 use avoc_obs::http;
-use crossbeam::channel::{self, Receiver};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -24,12 +24,6 @@ use crate::admin;
 use crate::metrics::{CountersSnapshot, ServiceCounters};
 use crate::service::{ServeError, Staging, VoterService};
 use crate::sink::ResultSink;
-
-/// Capacity of each connection's outbound result channel. Bounded so a
-/// tenant reading results slowly cannot grow daemon memory; shards never
-/// block on it — once it fills, the tenant's overflow is dropped and
-/// counted (`results_dropped`), so its slowness stays its own problem.
-const OUT_CHANNEL_CAPACITY: usize = 256;
 
 /// The daemon's socket front-end: accepts tenant connections and speaks the
 /// session control frames (tags 5–9, plus the tag-11 resume handshake) of
@@ -126,7 +120,7 @@ impl TcpServer {
     }
 
     /// Graceful shutdown: stops the reactor (closing every connection
-    /// after a best-effort flush of its queued results), drains every
+    /// after a best-effort flush of its outbox), drains every
     /// session (flushing in-flight rounds to whichever sinks still listen)
     /// and returns the final counters.
     pub fn shutdown(self) -> CountersSnapshot {
@@ -156,7 +150,7 @@ struct ServeHandler {
     service: Arc<VoterService>,
     counters: Arc<ServiceCounters>,
     /// `SessionReading` frames of the socket read being decoded, waiting
-    /// to cross to their shards in one command each. It belongs to the
+    /// to be fed to their shards in one step each. It belongs to the
     /// handler, not to a connection: a reactor finishes one connection's
     /// read — and [`Handler::on_read_end`] empties this — before it
     /// touches the next. It is also emptied before any other frame is
@@ -167,8 +161,8 @@ struct ServeHandler {
 
 /// What the handler tracks per connection.
 struct ConnState {
-    /// The connection's result channel, bundled with its reactor waker —
-    /// the sink every session this connection opens emits through.
+    /// The connection's outbox — the sink every session this connection
+    /// opens emits through.
     sink: ResultSink,
     /// Sessions opened with the legacy `OpenSession`: closed (flushing
     /// in-flight rounds) when the connection goes away.
@@ -180,15 +174,15 @@ struct ConnState {
 
 impl ServeHandler {
     /// Tells the tenant about a service error, without ever blocking the
-    /// reactor on the tenant's own result channel: a full channel sheds
-    /// the notice (counted), exactly like shard-side emissions.
+    /// reactor on the tenant: a full outbox sheds the notice (counted),
+    /// exactly like a session's emissions.
     fn send_error(&self, sink: &ResultSink, session: u64, e: &ServeError) {
         let message = e.to_string();
         self.counters
             .emit(sink, Message::Error { session, message });
     }
 
-    /// Hands the staged readings to their shards. Only a drained service
+    /// Feeds the staged readings to their shards. Only a drained service
     /// fails this; the tenant is told and the connection closed, as for
     /// any frame that arrives after shutdown.
     fn flush_staged(&mut self, conn: &ConnState) -> FrameVerdict {
@@ -205,14 +199,12 @@ impl ServeHandler {
 impl Handler for ServeHandler {
     type Conn = ConnState;
 
-    fn on_open(&mut self, waker: ConnWaker) -> (ConnState, Receiver<Message>) {
-        let (out_tx, out_rx) = channel::bounded::<Message>(OUT_CHANNEL_CAPACITY);
-        let conn = ConnState {
-            sink: ResultSink::with_waker(out_tx, waker),
+    fn on_open(&mut self, outbox: Arc<Outbox>) -> ConnState {
+        ConnState {
+            sink: outbox.into(),
             opened: Vec::new(),
             resumed: Vec::new(),
-        };
-        (conn, out_rx)
+        }
     }
 
     fn on_frame(&mut self, conn: &mut ConnState, msg: Message) -> FrameVerdict {
@@ -362,39 +354,32 @@ impl Handler for ServeHandler {
             "every read ends in on_read_end before its connection can close"
         );
         // Close sessions the tenant left open so their in-flight rounds
-        // flush and the shards drop their sink clones.
+        // flush and the shards drop their sinks.
         for session in conn.opened {
             let _ = self.service.close_session(session);
         }
         // Resumed sessions linger for a re-attach instead — but they must
-        // stop holding this connection's result channel, or the reactor's
-        // slot (and the channel's memory) would stay pinned for as long as
-        // the session lives.
+        // stop emitting into this connection's outbox, which nobody will
+        // read again.
         for session in conn.resumed {
             let _ = self.service.detach_session(session, &conn.sink);
         }
-        // `conn.sink` drops here; when the shards release their clones the
-        // channel disconnects and the reactor frees the connection slot.
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::ShardCommand;
     use crate::{ServeConfig, SpecRegistry};
     use avoc_core::ModuleId;
     use avoc_net::{BatchReading, SpecSource};
+    use crossbeam::channel::{self, Receiver};
 
-    /// A handler over a one-shard service whose worker has stopped: what
-    /// the handler hands off stays in the mailbox to be read back, for as
-    /// long as the returned mailbox receivers live.
-    fn handler() -> (
-        ServeHandler,
-        ConnState,
-        Receiver<Message>,
-        Vec<Receiver<ShardCommand>>,
-    ) {
+    /// A handler over a one-shard service, its connection emitting to an
+    /// in-process channel, and a one-module session 1 opened on that
+    /// channel too, so every reading that reaches the shard fuses a verdict
+    /// there.
+    fn handler() -> (ServeHandler, ConnState, Receiver<Message>) {
         let mut reg = SpecRegistry::new();
         reg.insert("avoc", avoc_vdx::VdxSpec::avoc());
         let service = Arc::new(VoterService::start(
@@ -404,19 +389,22 @@ mod tests {
             },
             Arc::new(reg),
         ));
-        let mailboxes = service.stop_workers();
         let (out_tx, out_rx) = channel::unbounded::<Message>();
         let conn = ConnState {
             sink: out_tx.into(),
             opened: Vec::new(),
             resumed: Vec::new(),
         };
+        let spec = SpecSource::Named("avoc".into());
+        service
+            .open_session(1, 1, &spec, conn.sink.clone())
+            .expect("open");
         let handler = ServeHandler {
             counters: service.counters_arc(),
             staged: service.staging(),
             service,
         };
-        (handler, conn, out_rx, mailboxes)
+        (handler, conn, out_rx)
     }
 
     fn reading(round: u64) -> Message {
@@ -428,48 +416,47 @@ mod tests {
         }
     }
 
-    /// What a queued command is, for asserting mailbox order.
-    fn describe(cmd: &ShardCommand) -> String {
-        match cmd {
-            ShardCommand::Readings(cmd) => {
-                let rounds: Vec<u64> = cmd.readings.iter().map(|r| r.round).collect();
-                format!("readings {rounds:?}")
-            }
-            ShardCommand::Open(req) => format!("open {}", req.session),
-            ShardCommand::Resume { req, .. } => format!("resume {}", req.session),
-            ShardCommand::Close { session } => format!("close {session}"),
-            _ => "another command".into(),
-        }
+    /// What the connection's sink has received since last asked, one word
+    /// per frame: the rounds a verdict frame carries, or the frame's kind.
+    fn received(out: &Receiver<Message>) -> Vec<String> {
+        out.try_iter()
+            .map(|m| match m {
+                Message::SessionResult { round, .. } => format!("fused {round}"),
+                Message::ResultBatch { results, .. } => {
+                    let rounds: Vec<u64> = results.iter().map(|r| r.round).collect();
+                    format!("fused {rounds:?}")
+                }
+                Message::Resumed { session, .. } => format!("resumed {session}"),
+                Message::Error { session, .. } => format!("error {session}"),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect()
     }
 
     #[test]
-    fn readings_cross_at_the_end_of_their_read_or_ahead_of_any_other_frame() {
-        let (mut h, mut conn, _out, mailboxes) = handler();
-        let queued = || {
-            mailboxes[0]
-                .try_iter()
-                .map(|c| describe(&c))
-                .collect::<Vec<_>>()
-        };
-        // A read of readings only: nothing crosses until the read ends,
-        // then everything does, in one command.
+    fn readings_are_fed_at_the_end_of_their_read_or_ahead_of_any_other_frame() {
+        let (mut h, mut conn, out) = handler();
+        // A read of readings only: nothing is fed until the read ends, then
+        // everything is, in one step.
         for round in 0..5 {
             assert_eq!(
                 h.on_frame(&mut conn, reading(round)),
                 FrameVerdict::Continue
             );
         }
-        assert!(queued().is_empty());
+        assert!(received(&out).is_empty());
         assert_eq!(h.on_read_end(&mut conn), FrameVerdict::Continue);
-        assert_eq!(queued(), ["readings [0, 1, 2, 3, 4]"]);
-        // A read that decoded no reading sends nothing.
+        assert_eq!(received(&out), ["fused [0, 1, 2, 3, 4]"]);
+        assert_eq!(h.service.counters().shard_handoff_sends, 1);
+        // A read that decoded no reading feeds nothing.
         assert_eq!(h.on_read_end(&mut conn), FrameVerdict::Continue);
-        assert!(queued().is_empty());
+        assert!(received(&out).is_empty());
+        assert_eq!(h.service.counters().shard_handoff_sends, 1);
 
-        // Every other kind of frame first pushes out what is staged, so a
-        // session's readings reach the mailbox just ahead of whatever
-        // command the frame sends. The export (no cluster secret here) and
-        // the shutdown send none.
+        // Every other kind of frame first feeds what is staged, so a
+        // session's readings take effect just ahead of whatever the frame
+        // does. The export (no cluster secret here) is refused, and the
+        // shutdown does nothing but close.
         let spec = SpecSource::Named("avoc".into());
         let others = [
             (
@@ -478,7 +465,7 @@ mod tests {
                     modules: 1,
                     spec: spec.clone(),
                 },
-                Some("open 2"),
+                None,
             ),
             (
                 Message::ResumeSession {
@@ -488,20 +475,19 @@ mod tests {
                     token: 9,
                     last_acked: None,
                 },
-                Some("resume 3"),
+                Some("resumed 3"),
             ),
             (
                 Message::FeedBatch {
                     session: 1,
                     readings: vec![BatchReading {
                         module: ModuleId::new(0),
-                        round: 9,
+                        round: 31,
                         value: 1.0,
                     }],
                 },
-                Some("readings [9]"),
+                Some("fused 31"),
             ),
-            (Message::CloseSession { session: 1 }, Some("close 1")),
             (
                 Message::ExportSession {
                     session: 1,
@@ -510,25 +496,33 @@ mod tests {
                     auth: 0,
                     target_addr: "127.0.0.1:1".into(),
                 },
-                None,
+                Some("error 1"),
             ),
             (Message::Shutdown, None),
         ];
-        for (frame, own) in others {
-            h.on_frame(&mut conn, reading(10));
-            assert!(queued().is_empty());
+        for (round, (frame, own)) in (10..).step_by(10).zip(others) {
+            h.on_frame(&mut conn, reading(round));
+            assert!(received(&out).is_empty());
             let label = format!("{frame:?}");
             h.on_frame(&mut conn, frame);
-            let want: Vec<&str> = std::iter::once("readings [10]").chain(own).collect();
-            assert_eq!(queued(), want, "{label}");
+            let fused = format!("fused {round}");
+            let want: Vec<&str> = std::iter::once(fused.as_str()).chain(own).collect();
+            assert_eq!(received(&out), want, "{label}");
             assert!(h.staged.is_empty(), "{label}");
         }
+        // A close behind staged readings: the readings fuse, then the
+        // session goes, so a later reading for it is a drop.
+        h.on_frame(&mut conn, reading(60));
+        h.on_frame(&mut conn, Message::CloseSession { session: 1 });
+        assert_eq!(received(&out), ["fused 60"]);
+        h.on_frame(&mut conn, reading(61));
+        h.on_read_end(&mut conn);
+        assert_eq!(h.service.counters().readings_dropped, 1);
     }
 
     #[test]
-    fn a_deferred_send_into_a_drained_service_closes_with_an_error_frame() {
-        let (mut h, mut conn, out, mailboxes) = handler();
-        drop(mailboxes);
+    fn a_deferred_feed_into_a_drained_service_closes_with_an_error_frame() {
+        let (mut h, mut conn, out) = handler();
         h.service.drain();
         assert_eq!(h.on_frame(&mut conn, reading(0)), FrameVerdict::Continue);
         assert_eq!(h.on_read_end(&mut conn), FrameVerdict::Close);

@@ -5,38 +5,26 @@ use avoc_net::SpecSource;
 use avoc_obs::HealthLevel;
 use avoc_store::{list_session_wals, CompactionReport, TieredStore};
 use avoc_vdx::VdxError;
-use crossbeam::channel::{self, Receiver, Sender};
-use parking_lot::Mutex;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::{JoinHandle, Thread};
 use std::time::Instant;
 
 use crate::metrics::{CountersSnapshot, ServiceCounters};
 use crate::persist::{self, Persistence};
 use crate::registry::SpecRegistry;
-use crate::shard::{
-    BufferPool, OpenReq, Readings, ShardCommand, ShardWorker, TaggedReading, TraceMark,
-};
+use crate::shard::{OpenReq, ShardState, Shards, TaggedReading};
 use crate::sink::ResultSink;
-
-/// Bounded capacity of each shard's mailbox, in commands: a `Readings`
-/// command carries the readings of one `feed`/`feed_batch` call or of one
-/// socket read, any other command one session lifecycle step. A producer
-/// that finds the mailbox full waits for a slot.
-const MAILBOX_CAPACITY: usize = 1024;
 
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads. `0` means `std::thread::available_parallelism()`.
+    /// Shards: independent session maps, each behind its own lock. `0`
+    /// means `std::thread::available_parallelism()`.
     pub shards: usize,
-    /// Reactor (event-loop) threads in the TCP front-end's data plane.
-    /// `0` (the default) means `min(available_parallelism, 4)` — I/O
-    /// saturates well before fusion does, so the reactor pool is capped
-    /// lower than the shard count. Ignored by in-process callers that
-    /// never start a [`crate::TcpServer`].
+    /// Reactor (event-loop) threads in the TCP front-end's data plane,
+    /// which decode frames and run the fusion they ask for. `0` (the
+    /// default) means `available_parallelism`. Ignored by in-process
+    /// callers that never start a [`crate::TcpServer`].
     pub reactors: usize,
     /// Maximum concurrently open sessions across all shards; opens past it
     /// are refused with an error frame.
@@ -118,22 +106,12 @@ impl std::error::Error for ServeError {
     }
 }
 
-/// One shard's producer endpoint: its mailbox, which carries readings and
-/// lifecycle commands in one arrival order (see [`ShardCommand`]).
-struct ShardLink {
-    tx: Sender<ShardCommand>,
-    /// The worker thread: every successful send unparks it, which is how
-    /// an idle (parked) shard learns it has work.
-    worker: Thread,
-}
-
 /// Readings a producer has accepted but not yet handed to their shards:
-/// one pooled buffer per shard, filled by [`VoterService::stage`] and
-/// shipped — one command per non-empty buffer — by
-/// [`VoterService::flush_staged`]. The TCP front-end keeps one per reactor
-/// and flushes it at the end of every socket read, so a read's
-/// `SessionReading` frames cost one mailbox send per shard instead of one
-/// per frame.
+/// one buffer per shard, filled by [`VoterService::stage`] and shipped —
+/// one hand-off per non-empty buffer — by [`VoterService::flush_staged`].
+/// The TCP front-end keeps one per reactor and flushes it at the end of
+/// every socket read, so a read's `SessionReading` frames take each shard's
+/// lock once instead of once per frame.
 pub(crate) struct Staging {
     shards: Vec<Staged>,
 }
@@ -143,7 +121,8 @@ pub(crate) struct Staging {
 struct Staged {
     readings: Vec<TaggedReading>,
     /// The ingest span of each trace-sampled reading staged here, open
-    /// (`dur_ns` still 0) until the send that ships it returns.
+    /// (`dur_ns` still 0) until the hand-off that ships it requests the
+    /// shard's lock.
     ingest: Vec<avoc_obs::Span>,
 }
 
@@ -155,25 +134,20 @@ impl Staging {
 }
 
 /// The sharded, multi-tenant voter service (the daemon core; [`crate::TcpServer`]
-/// is its socket front-end and benchmarks drive it in-process).
+/// is its socket front-end and benchmarks drive it in-process). Every call
+/// runs its step on the caller's thread under the session's shard lock, so
+/// its effects — sessions installed, rounds fused, verdicts handed to
+/// their sinks — are complete when it returns.
 pub struct VoterService {
-    links: Vec<ShardLink>,
-    // (manual Debug below: mailboxes and queued commands aren't printable)
-    /// Each worker hands its receiver back when it exits, so the mailbox
-    /// stays connected until the join (see [`VoterService::stop`]).
-    joins: Mutex<Vec<JoinHandle<Receiver<ShardCommand>>>>,
+    shards: Shards,
     counters: Arc<ServiceCounters>,
-    active: Arc<AtomicUsize>,
     registry: Arc<SpecRegistry>,
     /// Resolved reactor-thread count for the TCP front-end (the
     /// `ServeConfig::reactors` knob with `0` already expanded).
     reactors: usize,
-    /// Free-list of recycled reading buffers, shared with the shards that
-    /// drain them.
-    buffers: Arc<BufferPool>,
     persistence: Persistence,
     admin_addr: Option<String>,
-    /// The state directory's segment tier (shared with every shard): the
+    /// The state directory's segment tier (shared with the shards): the
     /// one test for "durable?". `None` when persistence is off or the tier
     /// failed to open; sessions are then memory-only.
     tiered: Option<Arc<TieredStore>>,
@@ -182,35 +156,34 @@ pub struct VoterService {
 impl fmt::Debug for VoterService {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("VoterService")
-            .field("shards", &self.links.len())
-            .field("active_sessions", &self.active.load(Ordering::Relaxed))
+            .field("shards", &self.shards.len())
+            .field("active_sessions", &self.shards.active())
             .finish_non_exhaustive()
     }
 }
 
 impl VoterService {
-    /// Spawns the shard workers and returns the running service.
+    /// Builds the shards and returns the running service. It starts no
+    /// thread: every step runs on the thread that asks for it.
     pub fn start(config: ServeConfig, registry: Arc<SpecRegistry>) -> Self {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let shards = if config.shards == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
+            cores
         } else {
             config.shards
         };
         let reactors = if config.reactors == 0 {
-            std::thread::available_parallelism()
-                .map_or(1, |n| n.get())
-                .min(4)
+            cores
         } else {
             config.reactors
         };
-        // Open the segment tier before the shards: workers pin sessions
-        // into it at open/resume. A directory whose tier fails to open
-        // leaves every session memory-only instead of refusing to start.
+        // Open the segment tier before the shards: steps pin sessions into
+        // it at open/resume. A directory whose tier fails to open leaves
+        // every session memory-only instead of refusing to start.
         let opened = (config.persistence.state_dir.as_deref())
             .map(|dir| TieredStore::open(dir).map(Arc::new));
         let tiered = opened.as_ref().and_then(|t| t.as_ref().ok()).cloned();
         let counters = Arc::new(ServiceCounters::with_observability(
-            shards,
             reactors,
             config.trace_sample,
             tiered.clone(),
@@ -222,63 +195,32 @@ impl VoterService {
                 .health
                 .set("persistence", HealthLevel::Degraded, &reason);
         }
-        let active = Arc::new(AtomicUsize::new(0));
-        let buffers = Arc::new(BufferPool::default());
-        let mut links = Vec::with_capacity(shards);
-        let mut joins = Vec::with_capacity(shards);
-        for index in 0..shards {
-            let (tx, rx) = channel::bounded(MAILBOX_CAPACITY);
-            let worker = ShardWorker {
-                index,
-                rx,
-                buffers: Arc::clone(&buffers),
-                counters: Arc::clone(&counters),
-                active: Arc::clone(&active),
-                max_sessions: config.max_sessions,
-                idle_ticks: config.idle_ticks,
-                lag_tolerance: config.lag_tolerance,
-                persistence: config.persistence.clone(),
-                tiered: tiered.clone(),
-            };
-            let join = std::thread::Builder::new()
-                .name(format!("avoc-serve-shard-{index}"))
-                .spawn(move || worker.run())
-                .expect("spawn shard worker");
-            links.push(ShardLink {
-                tx,
-                worker: join.thread().clone(),
-            });
-            joins.push(join);
-        }
         VoterService {
-            links,
-            joins: Mutex::new(joins),
+            shards: Shards::new(shards, &config, Arc::clone(&counters), tiered.clone()),
             counters,
-            active,
             registry,
             reactors,
-            buffers,
             persistence: config.persistence,
             admin_addr: config.admin_addr,
             tiered,
         }
     }
 
-    /// Number of shard workers.
+    /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.links.len()
+        self.shards.len()
     }
 
     /// Number of reactor (event-loop) threads the TCP front-end will run
     /// ([`ServeConfig::reactors`] with `0` resolved to
-    /// `min(available_parallelism, 4)`).
+    /// `available_parallelism`).
     pub fn reactors(&self) -> usize {
         self.reactors
     }
 
     /// Sessions currently open.
     pub fn active_sessions(&self) -> usize {
-        self.active.load(Ordering::Relaxed)
+        self.shards.active()
     }
 
     /// The registry sessions resolve named specs against.
@@ -292,7 +234,7 @@ impl VoterService {
         let mut z = session.wrapping_add(0x9e37_79b9_7f4a_7c15);
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        (z ^ (z >> 31)) as usize % self.links.len()
+        (z ^ (z >> 31)) as usize % self.shards.len()
     }
 
     /// Opens a session: resolves the spec (named or inline), then installs
@@ -302,9 +244,10 @@ impl VoterService {
     ///
     /// # Errors
     ///
-    /// Spec resolution errors synchronously ([`ServeError::UnknownSpec`],
-    /// [`ServeError::Vdx`]); admission failures arrive on `sink` as
-    /// [`Message::Error`] frames (the decision belongs to the shard).
+    /// Spec resolution errors ([`ServeError::UnknownSpec`],
+    /// [`ServeError::Vdx`]) and [`ServeError::ShuttingDown`]; admission
+    /// failures arrive on `sink` as [`Message::Error`] frames, like every
+    /// other answer to the tenant.
     pub fn open_session(
         &self,
         session: u64,
@@ -313,12 +256,9 @@ impl VoterService {
         sink: impl Into<ResultSink>,
     ) -> Result<(), ServeError> {
         let req = self.open_req(session, modules, spec, 0, false, sink.into())?;
-        // The Open queues behind whatever the shard already holds and ahead
-        // of every reading sent after it. A full mailbox makes this wait for
-        // a slot; the worker never blocks on a tenant sink, so one frees.
-        self.control(session, ShardCommand::Open(req))?;
-        self.note_depth(self.shard_for(session));
-        Ok(())
+        self.on_shard(session, |shards, st| {
+            shards.admit(st, req, false);
+        })
     }
 
     /// Everything a shard needs to install `session`: the one place the
@@ -335,7 +275,7 @@ impl VoterService {
         Ok(OpenReq {
             session,
             modules,
-            spec: Box::new(self.registry.resolve(spec)?),
+            spec: self.registry.resolve(spec)?,
             spec_source: spec.clone(),
             token,
             resumable,
@@ -343,18 +283,13 @@ impl VoterService {
         })
     }
 
-    /// Sends a lifecycle command to the shard `session` is pinned to.
-    fn control(&self, session: u64, cmd: ShardCommand) -> Result<(), ServeError> {
-        self.send(self.shard_for(session), cmd)
-    }
-
-    /// Puts `cmd` in `shard`'s mailbox, waiting for a slot while it is
-    /// full, and wakes the worker.
-    fn send(&self, shard: usize, cmd: ShardCommand) -> Result<(), ServeError> {
-        let link = &self.links[shard];
-        link.tx.send(cmd).map_err(|_| ServeError::ShuttingDown)?;
-        link.worker.unpark();
-        Ok(())
+    /// Runs `step` under the lock of the shard `session` is pinned to.
+    fn on_shard(
+        &self,
+        session: u64,
+        step: impl FnOnce(&Shards, &mut ShardState),
+    ) -> Result<(), ServeError> {
+        self.shards.step(self.shard_for(session), step)
     }
 
     /// Idempotent session open/re-attach — the crash-recovery entry point.
@@ -369,8 +304,8 @@ impl VoterService {
     ///
     /// # Errors
     ///
-    /// Spec resolution errors synchronously; everything else arrives on
-    /// `sink`.
+    /// Spec resolution errors and [`ServeError::ShuttingDown`]; everything
+    /// else arrives on `sink`.
     pub fn resume_session(
         &self,
         session: u64,
@@ -380,27 +315,22 @@ impl VoterService {
         last_acked: Option<u64>,
         sink: impl Into<ResultSink>,
     ) -> Result<(), ServeError> {
-        let cmd = ShardCommand::Resume {
-            req: self.open_req(session, modules, spec, token, true, sink.into())?,
-            last_acked,
-            eager: false,
-        };
-        self.control(session, cmd)?;
-        self.note_depth(self.shard_for(session));
-        Ok(())
+        let req = self.open_req(session, modules, spec, token, true, sink.into())?;
+        self.on_shard(session, |shards, st| {
+            shards.resume(st, req, last_acked, false);
+        })
     }
 
-    /// Releases a lingering session's hold on a dead connection's result
-    /// channel (see [`ShardCommand::Detach`]): the session stays alive for
-    /// a future `ResumeSession`, but stops pinning the connection's writer.
-    /// A no-op if the session has already re-attached to a different sink.
+    /// Releases a lingering session's hold on a dead connection's sink: the
+    /// session stays alive for a future `ResumeSession`, but no longer
+    /// emits where nobody reads. A no-op if the session has already
+    /// re-attached to a different sink.
     ///
     /// # Errors
     ///
     /// [`ServeError::ShuttingDown`] after [`VoterService::drain`].
     pub fn detach_session(&self, session: u64, sink: &ResultSink) -> Result<(), ServeError> {
-        let sink = sink.clone();
-        self.control(session, ShardCommand::Detach { session, sink })
+        self.on_shard(session, |shards, st| shards.detach(st, session, sink))
     }
 
     /// Eagerly rebuilds every session checkpointed in the state directory —
@@ -414,7 +344,7 @@ impl VoterService {
     /// migrated away and their durable state belongs to the target now;
     /// recovering them here would fork the fused stream.
     ///
-    /// Returns how many recovery commands were dispatched. Until a client
+    /// Returns how many sessions it tried to recover. Until a client
     /// re-attaches, recovered sessions emit to `sink`.
     pub fn recover_sessions(&self, sink: impl Into<ResultSink>) -> usize {
         let sink = sink.into();
@@ -443,14 +373,12 @@ impl VoterService {
             ) else {
                 continue;
             };
-            let cmd = ShardCommand::Resume {
-                req,
-                // Nothing to re-emit to the daemon's own sink; the client's
-                // eventual resume replays against its real ack floor.
-                last_acked: Some(u64::MAX),
-                eager: true,
-            };
-            if self.control(id, cmd).is_ok() {
+            // Nothing to re-emit to the daemon's own sink; the client's
+            // eventual resume replays against its real ack floor.
+            let recovered = self.on_shard(id, |shards, st| {
+                shards.resume(st, req, Some(u64::MAX), true);
+            });
+            if recovered.is_ok() {
                 dispatched += 1;
             }
         }
@@ -495,14 +423,10 @@ impl VoterService {
         target_addr: &str,
         sink: impl Into<ResultSink>,
     ) -> Result<(), ServeError> {
-        let cmd = ShardCommand::Export {
-            session,
-            target_node,
-            epoch,
-            target_addr: target_addr.to_string(),
-            sink: sink.into(),
-        };
-        self.control(session, cmd)
+        let sink = sink.into();
+        self.on_shard(session, |shards, st| {
+            shards.export(st, session, target_node, epoch, target_addr, &sink);
+        })
     }
 
     /// Imports a migrated session from its shipped log, whose head must
@@ -548,22 +472,19 @@ impl VoterService {
                 "import refused: the shipped log names another node",
             ));
         }
-        // The file writes happen *inside the shard thread* so they are
+        let req = self.open_req(
+            session,
+            parsed.modules,
+            &parsed.spec,
+            parsed.token,
+            parsed.resumable,
+            sink.into(),
+        )?;
+        // The file writes happen under the shard's lock, so they are
         // serialized with any live instance of the same session: an
         // idempotent re-drive must not truncate the WAL the live
         // SessionStore holds open.
-        let cmd = ShardCommand::Import {
-            req: self.open_req(
-                session,
-                parsed.modules,
-                &parsed.spec,
-                parsed.token,
-                parsed.resumable,
-                sink.into(),
-            )?,
-            wal: wal.to_vec(),
-        };
-        self.control(session, cmd)
+        self.on_shard(session, |shards, st| shards.import(st, req, wal))
     }
 
     /// Checks a cluster verb's credential against this daemon's configured
@@ -627,13 +548,11 @@ impl VoterService {
         )
     }
 
-    /// Routes a whole batch of readings to one session's shard as a single
-    /// `Readings` command: one mailbox slot and one channel send however many
-    /// readings the frame carried, with the buffer drawn from (and returned
-    /// to) a bounded free-list so the steady state allocates nothing. The
-    /// worker feeds the batch in submission order, so the fused stream is
-    /// bit-identical to per-reading feeding. A full mailbox makes the
-    /// producer wait for one slot.
+    /// Feeds a whole batch of readings to one session's shard as a single
+    /// step: one lock and one hand-off however many readings the frame
+    /// carried, with nothing allocated on the way. The shard feeds the
+    /// batch in submission order, so the fused stream is bit-identical to
+    /// per-reading feeding.
     ///
     /// # Errors
     ///
@@ -646,41 +565,33 @@ impl VoterService {
         let Some(first) = readings.first() else {
             return Ok(());
         };
-        // One sampling decision for the frame; its first reading carries
-        // the queue span.
+        // One sampling decision for the frame.
         let ingest = self
             .counters
             .trace
             .sample()
             .then(|| open_ingest_span(session, first.round));
-        let mark = if ingest.is_some() {
-            TraceMark::Sampled
-        } else {
-            TraceMark::None
-        };
-        let mut buf = self.buffers.take();
-        buf.extend(readings.iter().map(|r| TaggedReading {
+        let sampled = ingest.is_some();
+        let tagged = readings.iter().map(|r| TaggedReading {
             session,
             round: r.round,
             value: r.value,
             module: r.module,
-            mark,
-        }));
-        if ingest.is_some() {
-            buf[0].mark = TraceMark::FrameHead;
-        }
-        self.send_readings(self.shard_for(session), buf, ingest.as_slice())
+            sampled,
+        });
+        self.shards
+            .feed(self.shard_for(session), tagged, ingest.as_slice())
     }
 
     /// A fresh [`Staging`] area sized for this service's shards.
     pub(crate) fn staging(&self) -> Staging {
         Staging {
-            shards: self.links.iter().map(|_| Staged::default()).collect(),
+            shards: (0..self.shards.len()).map(|_| Staged::default()).collect(),
         }
     }
 
-    /// Puts one reading frame aside for its shard; nothing crosses a
-    /// mailbox until [`VoterService::flush_staged`].
+    /// Puts one reading frame aside for its shard; nothing is fed until
+    /// [`VoterService::flush_staged`].
     pub(crate) fn stage(
         &self,
         staging: &mut Staging,
@@ -690,26 +601,21 @@ impl VoterService {
         value: f64,
     ) {
         let staged = &mut staging.shards[self.shard_for(session)];
-        if staged.readings.capacity() == 0 {
-            staged.readings = self.buffers.take();
-        }
-        let mark = if self.counters.trace.sample() {
+        let sampled = self.counters.trace.sample();
+        if sampled {
             staged.ingest.push(open_ingest_span(session, round));
-            TraceMark::FrameHead
-        } else {
-            TraceMark::None
-        };
+        }
         staged.readings.push(TaggedReading {
             session,
             round,
             value,
             module,
-            mark,
+            sampled,
         });
     }
 
-    /// Ships everything staged: one `Readings` command per shard that has
-    /// readings waiting.
+    /// Feeds everything staged: one step per shard that has readings
+    /// waiting.
     ///
     /// # Errors
     ///
@@ -723,47 +629,15 @@ impl VoterService {
                 continue;
             };
             let session = first.session;
-            let readings = std::mem::take(&mut staged.readings);
-            if let Err(e) = self.send_readings(shard, readings, &staged.ingest) {
+            let fed = self
+                .shards
+                .feed(shard, staged.readings.drain(..), &staged.ingest);
+            if let Err(e) = fed {
                 outcome = Err((session, e));
             }
             staged.ingest.clear();
         }
         outcome
-    }
-
-    /// One `Readings` command → one shard mailbox slot, waiting for one while the
-    /// mailbox is full. Successful sends are counted (`shard_handoff_sends`)
-    /// and the queue depth is sampled once per command, so the amortisation
-    /// that grouping readings buys is observable. `ingest` holds the open
-    /// ingest spans of the command's sampled frames; they close when the
-    /// send returns (so they include any backpressure wait).
-    fn send_readings(
-        &self,
-        shard: usize,
-        readings: Vec<TaggedReading>,
-        ingest: &[avoc_obs::Span],
-    ) -> Result<(), ServeError> {
-        let traced = !ingest.is_empty();
-        let cmd = Readings {
-            readings,
-            queued_ns: if traced { avoc_obs::now_ns() } else { 0 },
-        };
-        let routed = self.send(shard, ShardCommand::Readings(cmd));
-        if routed.is_ok() {
-            self.counters.shard_handoff_sends.inc();
-        }
-        if traced {
-            let sent_ns = avoc_obs::now_ns();
-            for span in ingest {
-                self.counters.trace.record(avoc_obs::Span {
-                    dur_ns: sent_ns.saturating_sub(span.start_ns),
-                    ..*span
-                });
-            }
-        }
-        self.note_depth(shard);
-        routed
     }
 
     /// Closes a session, flushing partially assembled rounds to its sink.
@@ -772,7 +646,7 @@ impl VoterService {
     ///
     /// [`ServeError::ShuttingDown`] after [`VoterService::drain`].
     pub fn close_session(&self, session: u64) -> Result<(), ServeError> {
-        self.control(session, ShardCommand::Close { session })
+        self.on_shard(session, |shards, st| shards.close(st, session))
     }
 
     /// A live counters snapshot — the same cells a scrape renders, brought
@@ -854,11 +728,11 @@ impl VoterService {
     }
 
     /// Graceful drain: every shard flushes every session's in-flight rounds
-    /// to its sink, workers exit, and the final counters are returned.
-    /// Subsequent `open`/`feed`/`close` calls fail with
-    /// [`ServeError::ShuttingDown`].
+    /// to its sink, and the final counters are returned. Subsequent
+    /// `open`/`feed`/`close` calls fail with [`ServeError::ShuttingDown`].
     pub fn drain(&self) -> CountersSnapshot {
-        self.stop(|| ShardCommand::Drain)
+        self.shards.stop(true);
+        self.counters.snapshot()
     }
 
     /// Hard kill — the crash-simulation counterpart of
@@ -867,47 +741,13 @@ impl VoterService {
     /// state is left exactly as the last completed checkpoint wrote it.
     /// Integration tests restart daemons through this to prove recovery.
     pub fn kill(&self) -> CountersSnapshot {
-        self.stop(|| ShardCommand::Abort)
-    }
-
-    /// Ends every worker with `last`, queued behind whatever its mailbox
-    /// already holds, and returns the final counters.
-    fn stop(&self, last: impl Fn() -> ShardCommand) -> CountersSnapshot {
-        for shard in 0..self.links.len() {
-            let _ = self.send(shard, last());
-        }
-        let joins: Vec<_> = std::mem::take(&mut *self.joins.lock());
-        for j in joins {
-            // Dropping the returned receiver disconnects the mailbox,
-            // so a `feed` racing this stop (or arriving after it) errors
-            // instead of waiting forever on a mailbox nobody reads.
-            let _ = j.join();
-        }
+        self.shards.stop(false);
         self.counters.snapshot()
-    }
-
-    /// Stops every worker but returns their receivers, keeping the
-    /// mailboxes connected: nothing drains them any more, so what a test
-    /// sends stays put for it to read.
-    #[cfg(test)]
-    pub(crate) fn stop_workers(&self) -> Vec<Receiver<ShardCommand>> {
-        for shard in 0..self.links.len() {
-            assert!(self.send(shard, ShardCommand::Drain).is_ok());
-        }
-        std::mem::take(&mut *self.joins.lock())
-            .into_iter()
-            .map(|j| j.join().expect("worker exits cleanly"))
-            .collect()
-    }
-
-    fn note_depth(&self, shard: usize) {
-        self.counters
-            .note_queue_depth(shard, self.links[shard].tx.len());
     }
 }
 
-/// The ingest span of a trace-sampled frame, opened now; the send that
-/// ships the frame closes it.
+/// The ingest span of a trace-sampled frame, opened now; the hand-off that
+/// feeds the frame closes it when it requests the shard's lock.
 fn open_ingest_span(session: u64, round: u64) -> avoc_obs::Span {
     avoc_obs::Span {
         session,
@@ -920,10 +760,8 @@ fn open_ingest_span(session: u64, round: u64) -> avoc_obs::Span {
 
 impl Drop for VoterService {
     fn drop(&mut self) {
-        // Idempotent: drain() already emptied `joins` if it ran.
-        if !self.joins.lock().is_empty() {
-            self.drain();
-        }
+        // A no-op after drain() or kill(): a stopped shard stays as it is.
+        self.shards.stop(true);
     }
 }
 
@@ -1042,9 +880,9 @@ mod tests {
         service
             .open_session(a, 1, &SpecSource::Named("avoc".into()), sink_a)
             .unwrap();
-        // Fuse one round and wait for its result, proving shard A has
+        // Fuse one round and take its result, proving shard A has
         // installed the session (and claimed the only slot) before B's
-        // open races for it on the other worker.
+        // open asks for one on the other shard.
         service.feed(a, ModuleId::new(0), 0, 1.0).unwrap();
         assert!(matches!(
             results_a.recv().unwrap(),
@@ -1135,18 +973,25 @@ mod tests {
     }
 
     #[test]
-    fn a_flush_ships_one_command_per_shard_in_arrival_order() {
+    fn a_flush_feeds_each_shard_once_in_arrival_order() {
         let service = VoterService::start(config(2), registry());
-        let mailboxes = service.stop_workers();
+        let spec = SpecSource::Named("avoc".into());
+        let (sink, results) = channel::unbounded();
+        for session in 0..3u64 {
+            service
+                .open_session(session, 4, &spec, sink.clone())
+                .unwrap();
+        }
         let mut staging = service.staging();
         // Three sessions, interleaved reading by reading, as one socket
-        // read of a multi-tenant connection would decode them.
-        let arrivals: Vec<(u64, u32)> = (0..4u32)
-            .flat_map(|m| (0..3u64).map(move |s| (s, m)))
-            .collect();
-        for &(session, module) in &arrivals {
-            service.stage(&mut staging, session, ModuleId::new(module), 0, 1.0);
+        // read of a multi-tenant connection would decode them: each
+        // session's round 0 completes on its fourth module.
+        for module in 0..4u32 {
+            for session in 0..3u64 {
+                service.stage(&mut staging, session, ModuleId::new(module), 0, 1.0);
+            }
         }
+        assert_eq!(service.counters().rounds_fused, 0, "staged is not fed");
         service.flush_staged(&mut staging).unwrap();
         assert!(staging.is_empty());
         let shards_hit: std::collections::BTreeSet<usize> =
@@ -1155,29 +1000,24 @@ mod tests {
             service.counters().shard_handoff_sends,
             shards_hit.len() as u64
         );
-        for (shard, rx) in mailboxes.iter().enumerate() {
-            let want: Vec<(u64, u32)> = arrivals
-                .iter()
-                .copied()
-                .filter(|&(s, _)| service.shard_for(s) == shard)
-                .collect();
-            let got: Vec<(u64, u32)> = rx
-                .try_iter()
-                .flat_map(|cmd| match cmd {
-                    ShardCommand::Readings(cmd) => cmd.readings,
-                    _ => panic!("shard {shard} queued a lifecycle command"),
-                })
-                .map(|r| (r.session, r.module.index()))
-                .collect();
-            assert_eq!(got, want, "shard {shard}");
-        }
-        // A second flush with nothing staged sends nothing.
+        let mut fused: Vec<u64> = results
+            .try_iter()
+            .map(|m| match m {
+                Message::SessionResult {
+                    session, round: 0, ..
+                } => session,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        fused.sort_unstable();
+        assert_eq!(fused, [0, 1, 2], "each round fused once the flush returned");
+        // A second flush with nothing staged feeds nothing.
         service.flush_staged(&mut staging).unwrap();
         assert_eq!(
             service.counters().shard_handoff_sends,
             shards_hit.len() as u64
         );
-        // A `FeedBatch` frame is one send, however many readings it holds.
+        // A `FeedBatch` frame is one hand-off, however many readings it holds.
         let frame: Vec<avoc_net::BatchReading> = (0..512u64)
             .map(|i| avoc_net::BatchReading {
                 module: ModuleId::new((i % 4) as u32),
@@ -1186,10 +1026,9 @@ mod tests {
             })
             .collect();
         service.feed_batch(0, &frame).unwrap();
-        assert_eq!(
-            service.counters().shard_handoff_sends,
-            shards_hit.len() as u64 + 1
-        );
+        let snap = service.counters();
+        assert_eq!(snap.shard_handoff_sends, shards_hit.len() as u64 + 1);
+        assert_eq!(snap.rounds_fused, 3 + 128);
     }
 
     #[test]

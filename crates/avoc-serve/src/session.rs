@@ -29,8 +29,9 @@ pub(crate) struct SessionConfig {
     pub(crate) resumable: bool,
 }
 
-/// A live session owned by exactly one shard worker (so the engine's
-/// history mutates without locks, and rounds fuse in submission order).
+/// A live session owned by exactly one shard (so the engine's history
+/// mutates under that shard's one lock, and rounds fuse in submission
+/// order).
 pub(crate) struct Session {
     id: u64,
     hub: SensorHub,
@@ -55,7 +56,7 @@ pub(crate) struct Session {
     /// one [`Message::ResultBatch`] per burst (or a plain
     /// [`Message::SessionResult`] when only one round fused), so the
     /// result path pays one frame per burst instead of one per round.
-    pending: Vec<StoredResult>,
+    pending: Vec<BatchResult>,
     persist: Option<SessionStore>,
     /// Rounds this session has fused since it was opened or restored: the
     /// count the admin `/sessions` view lists for it.
@@ -69,8 +70,8 @@ pub(crate) struct Session {
     probe_backoff: u64,
     /// Checkpoint opportunities left before the next heal probe.
     probe_in: u64,
-    /// Whether the owning shard has this session queued for its next result
-    /// flush. Set and cleared by the shard worker only.
+    /// Whether the owning shard has this session listed for its next
+    /// result flush. Set and cleared under the shard's lock only.
     pub(crate) flush_queued: bool,
 }
 
@@ -242,13 +243,13 @@ impl Session {
         self.checkpoint(counters);
     }
 
-    /// Ships everything fused since the last flush. The shard worker calls
-    /// this after every `DATA_BURST` readings it feeds — between queued
-    /// commands and at the same cadence *inside* one — so a burst's
-    /// verdicts leave as bounded [`Message::ResultBatch`] frames
-    /// regardless of how the readings were framed on the wire; a lone
-    /// result goes as a plain [`Message::SessionResult`] (interactive
-    /// traffic keeps its shape and latency).
+    /// Ships everything fused since the last flush. The shard calls this
+    /// at the end of every step and, inside one, after every `DATA_BURST`
+    /// readings it feeds — so a burst's verdicts leave as bounded
+    /// [`Message::ResultBatch`] frames regardless of how the readings were
+    /// framed on the wire; a lone result goes as a plain
+    /// [`Message::SessionResult`] (interactive traffic keeps its shape and
+    /// latency).
     pub(crate) fn flush_results(&mut self, counters: &ServiceCounters) {
         // The shard fuses a session's run before anything else touches it,
         // so no round waits assembled but unfused past this point.
@@ -275,7 +276,7 @@ impl Session {
         if self.pending_sampled {
             // One flush span covers the whole burst; its round is the last
             // one flushed.
-            let round = self.pending.last().map_or(0, |&(r, _, _)| r);
+            let round = self.pending.last().map_or(0, |r| r.round);
             counters.trace.record(avoc_obs::Span {
                 session: self.id,
                 round,
@@ -290,31 +291,9 @@ impl Session {
 
     /// Ships `items` to the sink in fuse order, batching everything beyond
     /// a single result into [`Message::ResultBatch`] chunks.
-    fn emit_results(&self, items: &[StoredResult], counters: &ServiceCounters) {
-        if let &[(round, value, voted)] = items {
-            let msg = Message::SessionResult {
-                session: self.id,
-                round,
-                value,
-                voted,
-            };
-            counters.emit(&self.sink, msg);
-            return;
-        }
+    fn emit_results(&self, items: &[BatchResult], counters: &ServiceCounters) {
         for chunk in items.chunks(MAX_BATCH_RESULTS) {
-            let results = chunk
-                .iter()
-                .map(|&(round, value, voted)| BatchResult {
-                    round,
-                    value,
-                    voted,
-                })
-                .collect();
-            let msg = Message::ResultBatch {
-                session: self.id,
-                results,
-            };
-            counters.emit(&self.sink, msg);
+            counters.emit_results(&self.sink, self.id, chunk);
         }
     }
 
@@ -425,17 +404,15 @@ impl Session {
         }
     }
 
-    /// Whether `sink` is the channel this session currently emits to.
+    /// Whether `sink` is where this session currently emits.
     pub(crate) fn sink_is(&self, sink: &ResultSink) -> bool {
-        self.sink.same_channel(sink)
+        self.sink.same_route(sink)
     }
 
-    /// Drops the session's hold on a disconnected client's result channel,
+    /// Drops the session's hold on a disconnected client's outbox,
     /// replacing it with a dead sink. The session lingers for a future
     /// re-attach (its ring retains the results a resume will replay); until
-    /// then, emissions are counted as dropped. Without this, a lingering
-    /// session would pin its dead connection's writer thread (and socket)
-    /// for as long as it lives.
+    /// then, emissions are counted as dropped.
     pub(crate) fn detach(&mut self, counters: &ServiceCounters) {
         // Complete the dying connection's stream first: pending results
         // belong to the old sink (shed-and-counted if it is already gone).
@@ -477,11 +454,15 @@ impl Session {
     /// replay ships through the same batched path as live results, so a
     /// resumed stream is framed like an uninterrupted one.
     pub(crate) fn replay_results(&self, last_acked: Option<u64>, counters: &ServiceCounters) {
-        let unacked: Vec<StoredResult> = self
+        let unacked: Vec<BatchResult> = self
             .results
             .iter()
-            .copied()
-            .filter(|&(round, _, _)| last_acked.is_none_or(|a| round > a))
+            .filter(|&&(round, _, _)| last_acked.is_none_or(|a| round > a))
+            .map(|&(round, value, voted)| BatchResult {
+                round,
+                value,
+                voted,
+            })
             .collect();
         self.emit_results(&unacked, counters);
     }
@@ -505,12 +486,17 @@ impl Session {
         }
         self.results.push_back((round.round, value, voted));
         // Accumulated, not sent: the shard flushes pending results once per
-        // wakeup, so a burst leaves as one frame. The emission itself stays
-        // `try_send` (never block the shard on a tenant's sink — a full sink
-        // means the tenant reads too slowly, a disconnected one that it went
-        // away; either would wedge every session pinned to this shard and
-        // hang graceful drain), with losses counted in `results_dropped`.
-        self.pending.push((round.round, value, voted));
+        // step (and per burst inside one), so a burst leaves as one frame.
+        // The emission itself never blocks the shard on a tenant's sink — a
+        // full sink means the tenant reads too slowly, a gone one that it
+        // went away; either would wedge every session pinned to this shard
+        // and hang graceful drain — with losses counted in
+        // `results_dropped`.
+        self.pending.push(BatchResult {
+            round: round.round,
+            value,
+            voted,
+        });
         Ok(())
     }
 
@@ -542,14 +528,14 @@ mod tests {
 
     #[test]
     fn session_fuses_complete_rounds_and_flushes_partials() {
-        let counters = ServiceCounters::new(1);
+        let counters = ServiceCounters::new();
         let (tx, rx) = channel::unbounded();
         let mut s = Session::open(&cfg(5, 3), &VdxSpec::avoc(), tx, None).unwrap();
 
         for (m, v) in [(0, 20.0), (1, 20.2), (2, 19.9)] {
             s.feed(ModuleId::new(m), 0, v, 1, false, &counters);
         }
-        // Results accumulate until the shard's per-wakeup flush; a lone
+        // Results accumulate until the shard's end-of-step flush; a lone
         // fused round then leaves as a plain SessionResult frame.
         assert!(rx.try_recv().is_err());
         s.flush_results(&counters);
@@ -583,7 +569,7 @@ mod tests {
 
     #[test]
     fn wedged_sink_sheds_results_instead_of_blocking() {
-        let counters = ServiceCounters::new(1);
+        let counters = ServiceCounters::new();
         // Capacity-1 sink that nobody reads: wedged after the first flush.
         let (tx, rx) = channel::bounded(1);
         let mut s = Session::open(&cfg(1, 1), &VdxSpec::avoc(), tx, None).unwrap();
@@ -615,7 +601,7 @@ mod tests {
 
     #[test]
     fn reattach_replays_only_unacked_results() {
-        let counters = ServiceCounters::new(1);
+        let counters = ServiceCounters::new();
         let (tx, _rx) = channel::unbounded();
         let mut s = Session::open(
             &SessionConfig {

@@ -1,9 +1,9 @@
-//! Shard workers: session-pinned executors behind bounded mailboxes.
+//! Shards: session-pinned state, each shard behind one lock, stepped to
+//! completion on the caller's thread.
 
 use avoc_core::ModuleId;
 use avoc_net::{Message, SpecSource};
 use avoc_vdx::VdxSpec;
-use crossbeam::channel::{Receiver, TryRecvError};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -15,18 +15,19 @@ use avoc_store::TieredStore;
 
 use crate::metrics::ServiceCounters;
 use crate::persist::{MetaState, Persistence, SessionStore};
+use crate::service::{ServeConfig, ServeError};
 use crate::session::{Session, SessionConfig};
 use crate::sink::ResultSink;
 
-/// Everything a shard needs to install a session (shared by `Open` and
-/// `Resume`, which differ only in how they treat pre-existing state).
+/// Everything a shard needs to install a session (shared by open and
+/// resume, which differ only in how they treat pre-existing state).
 pub(crate) struct OpenReq {
     /// Session identifier.
     pub(crate) session: u64,
     /// Modules feeding each round.
     pub(crate) modules: u32,
-    /// The governing spec (boxed: specs are large, commands are queued).
-    pub(crate) spec: Box<VdxSpec>,
+    /// The governing spec, resolved and validated.
+    pub(crate) spec: VdxSpec,
     /// How the tenant named the spec — persisted so recovery can re-resolve
     /// it without the tenant.
     pub(crate) spec_source: SpecSource,
@@ -38,22 +39,8 @@ pub(crate) struct OpenReq {
     pub(crate) sink: ResultSink,
 }
 
-/// What a reading owes the trace ring. Sampling is decided per reading
-/// *frame* (a `SessionReading`, or a whole `FeedBatch`), one in
-/// `trace_sample`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TraceMark {
-    /// Unsampled — the overwhelmingly common case.
-    None,
-    /// Part of a sampled frame: rounds it completes leave fuse and flush
-    /// spans.
-    Sampled,
-    /// First reading of a sampled frame: as [`TraceMark::Sampled`], and
-    /// the frame's queue span is recorded against it.
-    FrameHead,
-}
-
-/// One measurement for one session's round, as it crosses to a shard.
+/// One measurement for one session's round, as a producer hands it to a
+/// shard.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TaggedReading {
     /// Target session.
@@ -64,188 +51,63 @@ pub(crate) struct TaggedReading {
     pub(crate) value: f64,
     /// Submitting module.
     pub(crate) module: ModuleId,
-    /// Trace sampling outcome for the frame this reading arrived in.
-    pub(crate) mark: TraceMark,
+    /// Whether the frame this reading arrived in was trace-sampled (one
+    /// decision per `SessionReading`, or per whole `FeedBatch`): rounds it
+    /// completes leave fuse and flush spans.
+    pub(crate) sampled: bool,
 }
 
-/// The data-plane command ([`ShardCommand::Readings`]): readings for any of
-/// the shard's sessions, in arrival order, in one mailbox slot and one
-/// channel send however many there are. A socket read's `SessionReading`
-/// frames, a whole `FeedBatch` frame and an in-process
-/// [`crate::VoterService::feed`] (a batch of one) all travel as this. The
-/// worker feeds the readings in order, then returns the buffer to the
-/// service's [`BufferPool`], so the steady state allocates nothing.
-pub(crate) struct Readings {
-    /// The readings, in submission order (never empty).
-    pub(crate) readings: Vec<TaggedReading>,
-    /// [`avoc_obs::now_ns`] just before the send when any reading is
-    /// trace-sampled, `0` (the overwhelmingly common case) when none is.
-    /// The worker turns a non-zero stamp into one queue span per
-    /// [`TraceMark::FrameHead`].
-    pub(crate) queued_ns: u64,
-}
-
-/// How many drained reading buffers the free-list retains. In-flight
-/// commands are bounded by the shard mailboxes, so a modest pool covers the
-/// steady state; a miss just allocates a fresh buffer that joins the pool
-/// when it drains.
-const BUFFER_POOL_CAPACITY: usize = 1024;
-
-/// The bounded free-list reading buffers cycle through: a producer takes
-/// one (or allocates on a miss), the shard that drained it gives it back.
-/// Last in, first out: the buffer that just drained is the next one
-/// filled, so the few buffers the steady state needs grow to its command
-/// size and stay warm — a queue would walk every pooled buffer up to the
-/// largest command it ever carried.
-#[derive(Default)]
-pub(crate) struct BufferPool(Mutex<Vec<Vec<TaggedReading>>>);
-
-impl BufferPool {
-    /// An empty buffer: recycled if one is pooled, fresh otherwise.
-    pub(crate) fn take(&self) -> Vec<TaggedReading> {
-        self.0.lock().pop().unwrap_or_default()
-    }
-
-    /// Clears `buf` and pools it; a full pool just drops it.
-    pub(crate) fn give(&self, mut buf: Vec<TaggedReading>) {
-        buf.clear();
-        let mut pooled = self.0.lock();
-        if pooled.len() < BUFFER_POOL_CAPACITY {
-            pooled.push(buf);
-        }
-    }
-}
-
-/// Work routed to a shard: readings and session lifecycle. Sessions are
-/// pinned: every command for a session id lands on the same shard, so
-/// session state needs no synchronisation.
+/// The service's shards and everything their steps share. Each shard is
+/// its sessions behind one lock. Sessions are pinned: every step for a
+/// session id runs on the same shard, so the shard's lock orders them —
+/// a producer's own steps in its call order — and a session's `Open` runs
+/// before any reading fed after it returns, its `Close`, `Export` or the
+/// drain after every reading fed before. A close-then-reopen gives each
+/// life exactly its own readings.
 ///
-/// A shard has one bounded mailbox, and the worker takes its commands in
-/// arrival order. A session's `Open` therefore runs before any reading sent
-/// after it, and its `Close`, `Export` or the `Drain` after every reading
-/// sent before it; a close-then-reopen gives each life exactly its own
-/// readings. A producer that finds the mailbox full waits for a slot, so
-/// nothing is shed. The sender unparks the worker after every send, so a
-/// command reaches an idle shard at once.
-pub(crate) enum ShardCommand {
-    /// Readings for any of the shard's sessions (see [`Readings`]).
-    Readings(Readings),
-    /// Install a session (spec already resolved and validated).
-    Open(OpenReq),
-    /// Idempotent re-open: re-attach to a live session whose token matches,
-    /// restore from a durable checkpoint, or fall back to a fresh session.
-    Resume {
-        /// The session to install or re-attach.
-        req: OpenReq,
-        /// Highest round the client has acknowledged; results past it are
-        /// re-emitted from the session's ring.
-        last_acked: Option<u64>,
-        /// Daemon-internal recovery scan (not a client retry): counted as a
-        /// recovery only, and never as a resume or retry.
-        eager: bool,
-    },
-    /// Flush and remove a session (its durable state is deleted: an
-    /// explicit close means the tenant is done for good).
-    Close {
-        /// Session to close.
-        session: u64,
-    },
-    /// A connection died without closing this resumable session: release
-    /// its sink (so the connection's writer can exit) but keep the session
-    /// lingering for a re-attach. Ignored unless the session still emits to
-    /// `sink` — a client that already re-attached elsewhere must not have
-    /// its fresh sink torn away by its old connection's teardown.
-    Detach {
-        /// The lingering session.
-        session: u64,
-        /// The dead connection's outbound channel.
-        sink: ResultSink,
-    },
-    /// Quiesce a session at its round boundary and ship its durable state
-    /// to a migration target: reply with [`Message::SessionState`] on
-    /// `sink` (or [`Message::Error`] on failure), tell the tenant where it
-    /// moved via an in-band [`Message::Redirect`], and release the session
-    /// here. Its log stays behind, its head naming the target, so a
-    /// transfer lost in flight can be re-asked for idempotently.
-    Export {
-        /// The session to ship.
-        session: u64,
-        /// Node id the session is moving to.
-        target_node: u64,
-        /// Ownership epoch the gateway is installing with this move.
-        epoch: u64,
-        /// `host:port` of the target daemon, for the tenant's redirect.
-        target_addr: String,
-        /// The requester's (gateway's) connection, for the reply.
-        sink: ResultSink,
-    },
-    /// Land a migrated session's shipped log and eagerly resume it warm.
-    /// The file writes happen here — on the shard that owns the session id —
-    /// so they are serialized with any live instance of the same session: an
-    /// idempotent re-drive of a completed migration (gateway crash after the
-    /// target acked, operator retry) must answer `Resumed { warm: true }`
-    /// without truncating the WAL the live session holds open.
-    Import {
-        /// The session to install, as the shipped log's head describes it
-        /// (spec already resolved; `req.sink` gets the `Resumed`/`Error`
-        /// answer).
-        req: OpenReq,
-        /// The shipped log, head included.
-        wal: Vec<u8>,
-    },
-    /// Flush every session (final checkpoints included) and exit the worker
-    /// loop.
-    Drain,
-    /// Hard kill: drop every session *without* flushing, leaving durable
-    /// state exactly as the last completed checkpoint wrote it — the
-    /// crash-simulation path integration tests restart daemons through.
-    Abort,
-}
-
-/// Per-shard worker state.
-pub(crate) struct ShardWorker {
-    pub(crate) index: usize,
-    /// The mailbox: readings and lifecycle commands, in arrival order.
-    pub(crate) rx: Receiver<ShardCommand>,
-    /// Where drained reading buffers go back to.
-    pub(crate) buffers: Arc<BufferPool>,
-    pub(crate) counters: Arc<ServiceCounters>,
+/// A step runs to completion on the caller's thread — a reactor that just
+/// decoded the frame, or an in-process caller — and ships what it fused
+/// before it returns. It never blocks on anything a tenant controls
+/// (sinks refuse rather than wait), so one stalled tenant cannot wedge
+/// the other sessions pinned to its shard, and the drain always gets the
+/// lock.
+pub(crate) struct Shards {
+    states: Vec<Mutex<ShardState>>,
+    counters: Arc<ServiceCounters>,
     /// Global live-session count (shared across shards for admission).
-    pub(crate) active: Arc<AtomicUsize>,
+    active: AtomicUsize,
     /// Global capacity the `active` count is checked against.
-    pub(crate) max_sessions: usize,
+    max_sessions: usize,
     /// Readings a session may go without before an eviction sweep reaps it,
     /// measured in shard ticks (one tick per processed reading).
-    pub(crate) idle_ticks: u64,
+    idle_ticks: u64,
     /// Hub lag tolerance for each session's round assembly.
-    pub(crate) lag_tolerance: u64,
+    lag_tolerance: u64,
     /// Crash-safety configuration (fsync, cluster identity).
-    pub(crate) persistence: Persistence,
+    persistence: Persistence,
     /// The state directory's segment tier, shared with the service: the
     /// one test for "durable?". `None` when persistence is off or the tier
     /// failed to open; sessions are then memory-only.
-    pub(crate) tiered: Option<Arc<TieredStore>>,
+    tiered: Option<Arc<TieredStore>>,
 }
 
 /// The tick grid idle sweeps run on, once one could reap something (see
 /// `ShardState::sweep_due`).
 const SWEEP_INTERVAL: u64 = 64;
 
-/// How many `Readings` commands one wakeup feeds before it ships what they
-/// fused (lifecycle commands do not count), and how many readings the
-/// worker feeds inside one command before it ships the verdicts they fused.
+/// How many readings a step feeds before it ships the verdicts they fused.
 /// Verdicts leave in bounded frames at a steady cadence however the
 /// readings were grouped on the way in.
 const DATA_BURST: usize = 64;
 
-/// The mutable state one worker owns: its sessions, its logical clock, and
-/// whether a `Drain`/`Abort` (or the last sender leaving) has told it to
-/// stop.
-struct ShardState {
+/// One shard's mutable state, behind its lock: its sessions, its logical
+/// clock, and whether the service has stopped.
+pub(crate) struct ShardState {
+    index: usize,
     sessions: HashMap<u64, Session>,
     tick: u64,
-    /// Sessions fed this wakeup, in first-fed order; their pending verdicts
-    /// are flushed (batched into one frame each) once per loop iteration.
+    /// Sessions fed this step, in first-fed order; their pending verdicts
+    /// are flushed (batched into one frame each) before the step returns.
     /// `Session::flush_queued` marks the ones already listed.
     touched: Vec<u64>,
     /// No session outstays `idle_ticks` until the tick passes this: the
@@ -254,130 +116,168 @@ struct ShardState {
     /// every installed session starts at the current tick, so a sweep
     /// before then would reap nothing.
     sweep_due: u64,
-    stop: bool,
+    /// Set by a drain or a kill: every later step is refused.
+    stopped: bool,
 }
 
-/// Whether the worker sweeps at `tick`: a sweep interval boundary past the
+/// Whether the shard sweeps at `tick`: a sweep interval boundary past the
 /// point where some session could first be idle.
 fn sweeps_at(tick: u64, sweep_due: u64) -> bool {
     tick.is_multiple_of(SWEEP_INTERVAL) && tick > sweep_due
 }
 
-impl ShardWorker {
-    /// The worker loop: commands in arrival order until `Drain` (flushing
-    /// all sessions) or `Abort` (flushing none), or until every sender
-    /// disconnects. Returns the receiver, so the mailbox stays connected
-    /// until the service joins the worker.
-    ///
-    /// Each wakeup takes commands until it has fed `DATA_BURST` `Readings`
-    /// commands or the mailbox is empty, and ships what they fused. When the
-    /// mailbox is empty the worker parks; every send unparks it, so an idle
-    /// shard answers a command as soon as it lands and costs nothing
-    /// meanwhile — there is no timer.
-    ///
-    /// The loop never blocks on anything a tenant controls — session sinks
-    /// are fed with `try_send` — so one stalled tenant cannot wedge the
-    /// other sessions pinned here, and `Drain` is always reachable.
-    pub(crate) fn run(self) -> Receiver<ShardCommand> {
-        let mut st = ShardState {
-            sessions: HashMap::new(),
-            tick: 0,
-            touched: Vec::new(),
-            sweep_due: 0,
-            stop: false,
-        };
-        while !st.stop {
-            let mut fed = 0;
-            while fed < DATA_BURST && !st.stop {
-                match self.rx.try_recv() {
-                    Ok(cmd) => {
-                        let data = matches!(cmd, ShardCommand::Readings(_));
-                        if data && fed == 0 {
-                            // Consumer-side depth sample: catches backlog
-                            // the producer-side samples miss when senders
-                            // go quiet while the queue is deep.
-                            self.counters.note_queue_depth(self.index, self.rx.len());
-                        }
-                        self.handle(cmd, &mut st);
-                        fed += usize::from(data);
-                    }
-                    Err(TryRecvError::Empty) => break,
-                    // Every producer is gone.
-                    Err(TryRecvError::Disconnected) => st.stop = true,
-                }
-            }
-            // End of wakeup: everything this iteration fused leaves now, so
-            // a burst's verdicts coalesce into one frame per session while
-            // an interactive round still ships before the worker sleeps.
-            self.flush_touched(&mut st);
-            // Idle: sleep until a send wakes the worker — unless it was
-            // told to stop, when nothing may be left to wake it. Nothing
-            // runs between this emptiness check and `park()`: a send that
-            // lands after the check leaves its unpark token, and `park()`
-            // then returns at once (nothing else on this thread parks, so
-            // nothing else takes the token). A spurious return only costs
-            // one more loop.
-            if !st.stop && self.rx.is_empty() {
-                std::thread::park();
-            }
+impl Shards {
+    /// `count` empty shards sharing `counters`, admitting at most
+    /// `config.max_sessions` sessions between them.
+    pub(crate) fn new(
+        count: usize,
+        config: &ServeConfig,
+        counters: Arc<ServiceCounters>,
+        tiered: Option<Arc<TieredStore>>,
+    ) -> Self {
+        let states = (0..count)
+            .map(|index| {
+                Mutex::new(ShardState {
+                    index,
+                    sessions: HashMap::new(),
+                    tick: 0,
+                    touched: Vec::new(),
+                    sweep_due: 0,
+                    stopped: false,
+                })
+            })
+            .collect();
+        Shards {
+            states,
+            counters,
+            active: AtomicUsize::new(0),
+            max_sessions: config.max_sessions,
+            idle_ticks: config.idle_ticks,
+            lag_tolerance: config.lag_tolerance,
+            persistence: config.persistence.clone(),
+            tiered,
         }
-        // Graceful drain: every in-flight round is fused and reported
-        // before the worker exits (an `Abort` already emptied the map, so
-        // nothing flushes there). The global slots stay claimed: releasing
-        // them here would let an `Open` still queued on a slower shard win a
-        // slot freed by shutdown and be admitted past `max_sessions` — the
-        // count dies with the service, so leaking it is harmless.
-        for (id, mut s) in st.sessions.drain() {
-            s.flush(&self.counters);
-            self.counters.deregister_session(id);
-        }
-        self.rx
     }
 
-    /// Runs one command from the mailbox.
-    fn handle(&self, cmd: ShardCommand, st: &mut ShardState) {
-        match cmd {
-            ShardCommand::Readings(cmd) => self.readings(cmd, st),
-            ShardCommand::Open(req) => {
-                self.admit(st, req, false);
+    /// Number of shards.
+    pub(crate) fn len(&self) -> usize {
+        self.states.len()
+    }
+
+    /// Sessions currently open, across every shard.
+    pub(crate) fn active(&self) -> usize {
+        self.active.load(Ordering::Relaxed)
+    }
+
+    /// Runs `step` on `shard` under its lock, then ships the results of
+    /// every session the step fed.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::ShuttingDown`] once the service has stopped.
+    pub(crate) fn step(
+        &self,
+        shard: usize,
+        step: impl FnOnce(&Self, &mut ShardState),
+    ) -> Result<(), ServeError> {
+        let mut st = self.states[shard].lock();
+        if st.stopped {
+            return Err(ServeError::ShuttingDown);
+        }
+        step(self, &mut st);
+        self.flush_touched(&mut st);
+        Ok(())
+    }
+
+    /// Feeds `readings` (any of `shard`'s sessions, in submission order)
+    /// as one step — one hand-off, however many readings — and ships what
+    /// they fused. `ingest` holds the open ingest spans of the sampled
+    /// frames among them: each closes when the shard's lock is requested,
+    /// and a queue span then times the wait for it.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::ShuttingDown`] once the service has stopped.
+    pub(crate) fn feed(
+        &self,
+        shard: usize,
+        readings: impl IntoIterator<Item = TaggedReading>,
+        ingest: &[avoc_obs::Span],
+    ) -> Result<(), ServeError> {
+        let requested = if ingest.is_empty() {
+            0
+        } else {
+            avoc_obs::now_ns()
+        };
+        let trace = &self.counters.trace;
+        for span in ingest {
+            trace.record(avoc_obs::Span {
+                dur_ns: requested.saturating_sub(span.start_ns),
+                ..*span
+            });
+        }
+        self.step(shard, |shards, st| {
+            if !ingest.is_empty() {
+                let acquired = avoc_obs::now_ns();
+                for span in ingest {
+                    trace.record(avoc_obs::Span {
+                        stage: avoc_obs::Stage::Queue,
+                        start_ns: requested,
+                        dur_ns: acquired.saturating_sub(requested),
+                        ..*span
+                    });
+                }
             }
-            ShardCommand::Resume {
-                req,
-                last_acked,
-                eager,
-            } => self.resume(st, req, last_acked, eager),
-            ShardCommand::Close { session } => {
-                if let Some(mut s) = st.sessions.remove(&session) {
+            shards.counters.shard_handoff_sends.inc();
+            shards.readings(st, readings);
+        })
+    }
+
+    /// Stops every shard: a graceful drain (`flush`) fuses and reports
+    /// every in-flight round, a kill drops the sessions *without* flushing,
+    /// leaving durable state exactly as the last completed checkpoint wrote
+    /// it. Either way the shard refuses every later step. A shard already
+    /// stopped is left as it is.
+    ///
+    /// The global slots stay claimed: releasing them here would let an
+    /// open racing the stop on a shard not stopped yet be admitted past
+    /// `max_sessions` — the count dies with the service, so leaking it is
+    /// harmless.
+    pub(crate) fn stop(&self, flush: bool) {
+        for state in &self.states {
+            let mut st = state.lock();
+            if std::mem::replace(&mut st.stopped, true) {
+                continue;
+            }
+            for (id, mut s) in st.sessions.drain() {
+                if flush {
                     s.flush(&self.counters);
-                    s.remove_store();
-                    self.counters.deregister_session(session);
-                    self.active.fetch_sub(1, Ordering::Relaxed);
                 }
+                self.counters.deregister_session(id);
             }
-            ShardCommand::Detach { session, sink } => {
-                if let Some(s) = st.sessions.get_mut(&session) {
-                    if s.sink_is(&sink) {
-                        s.detach(&self.counters);
-                    }
-                }
-            }
-            ShardCommand::Export {
-                session,
-                target_node,
-                epoch,
-                target_addr,
-                sink,
-            } => self.export(st, session, target_node, epoch, &target_addr, &sink),
-            ShardCommand::Import { req, wal } => self.import(st, req, &wal),
-            ShardCommand::Drain => st.stop = true,
-            ShardCommand::Abort => {
-                // Crash semantics: no flush, no final checkpoint — sessions
-                // die mid-thought and durable state stays at the last
-                // completed checkpoint.
-                for (id, _) in st.sessions.drain() {
-                    self.counters.deregister_session(id);
-                }
-                st.stop = true;
+        }
+    }
+
+    /// Flushes and removes a session; its durable state is deleted (an
+    /// explicit close means the tenant is done for good).
+    pub(crate) fn close(&self, st: &mut ShardState, session: u64) {
+        if let Some(mut s) = st.sessions.remove(&session) {
+            s.flush(&self.counters);
+            s.remove_store();
+            self.counters.deregister_session(session);
+            self.active.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
+    /// A connection died without closing this resumable session: release
+    /// its sink but keep the session lingering for a re-attach. Ignored
+    /// unless the session still emits to `sink` — a client that already
+    /// re-attached elsewhere must not have its fresh sink torn away by its
+    /// old connection's teardown.
+    pub(crate) fn detach(&self, st: &mut ShardState, session: u64, sink: &ResultSink) {
+        if let Some(s) = st.sessions.get_mut(&session) {
+            if s.sink_is(sink) {
+                s.detach(&self.counters);
             }
         }
     }
@@ -396,12 +296,17 @@ impl ShardWorker {
         }
     }
 
-    /// Ships a session to a migration target (see [`ShardCommand::Export`]).
-    /// Live sessions quiesce and leave; anything else is looked for on disk
-    /// ([`ShardWorker::export_stored`]). Whichever way the state was found,
-    /// the requester gets the one `SessionState` reply — or the one
+    /// Quiesces a session at its round boundary and ships its durable
+    /// state to a migration target: replies with [`Message::SessionState`]
+    /// on `sink` (or [`Message::Error`] on failure), tells the tenant where
+    /// it moved via an in-band [`Message::Redirect`], and releases the
+    /// session here. Its log stays behind, its head naming the target, so
+    /// a transfer lost in flight can be re-asked for idempotently. Live
+    /// sessions quiesce and leave; anything else is looked for on disk
+    /// ([`Shards::export_stored`]). Whichever way the state was found, the
+    /// requester gets the one `SessionState` reply — or the one
     /// `export failed: …` notice.
-    fn export(
+    pub(crate) fn export(
         &self,
         st: &mut ShardState,
         session: u64,
@@ -471,13 +376,17 @@ impl ShardWorker {
             .export(target_node, &records, loaded.high_round, &ring)
     }
 
-    /// Lands a shipped session (see [`ShardCommand::Import`]). A session
-    /// already live here with the same token is the idempotent re-drive of
-    /// a completed migration: acknowledge `Resumed { warm: true }` without
-    /// touching the durable file the live session holds open. Only when
-    /// the session is not resident is the shipped log landed and the
-    /// session eagerly resumed from it.
-    fn import(&self, st: &mut ShardState, req: OpenReq, wal: &[u8]) {
+    /// Lands a migrated session's shipped log (head included) and eagerly
+    /// resumes it warm; `req.sink` gets the `Resumed`/`Error` answer. The
+    /// file writes happen under the lock of the shard that owns the session
+    /// id, so they are serialized with any live instance of the same
+    /// session: a session already live here with the same token is the
+    /// idempotent re-drive of a completed migration (gateway crash after
+    /// the target acked, operator retry), acknowledged `Resumed { warm:
+    /// true }` without truncating the log the live session holds open.
+    /// Only when the session is not resident is the shipped log landed and
+    /// the session eagerly resumed from it.
+    pub(crate) fn import(&self, st: &mut ShardState, req: OpenReq, wal: &[u8]) {
         if let Some(s) = st.sessions.get(&req.session) {
             if s.resumable() && s.token() == req.token {
                 // Re-drive of a migration that already landed: confirm on
@@ -515,58 +424,38 @@ impl ShardWorker {
         self.resume(st, req, Some(u64::MAX), true);
     }
 
-    /// Feeds one `Readings` command, reading by reading in submission
-    /// order — the shard tick, the hub, the idle sweep and the egress
-    /// cadence all advance per reading, however many share the command —
-    /// so the fused stream is bit-identical to one command per reading.
-    /// A session's run of consecutive readings is assembled first and
-    /// fused as one batch when the run ends; the engine sees the same
-    /// rounds in the same order either way.
-    fn readings(&self, cmd: Readings, st: &mut ShardState) {
-        let Readings {
-            readings,
-            queued_ns,
-        } = cmd;
-        let picked_ns = if queued_ns != 0 {
-            avoc_obs::now_ns()
-        } else {
-            0
-        };
-        let mut i = 0;
-        while i < readings.len() {
-            let session = readings[i].session;
+    /// Feeds readings reading by reading in submission order — the shard
+    /// tick, the hub, the idle sweep and the egress cadence all advance per
+    /// reading, however many share the step — so the fused stream is
+    /// bit-identical to one step per reading. A session's run of
+    /// consecutive readings is assembled first and fused as one batch when
+    /// the run ends; the engine sees the same rounds in the same order
+    /// either way.
+    fn readings(&self, st: &mut ShardState, readings: impl IntoIterator<Item = TaggedReading>) {
+        let mut readings = readings.into_iter().peekable();
+        let mut fed = 0usize;
+        while let Some(&TaggedReading { session, .. }) = readings.peek() {
             // One lookup serves the run of consecutive readings for this
             // session (a tick's frames arrive back to back), up to the next
-            // point where the worker needs the whole map again.
+            // point where the shard needs the whole map again.
             if let Some(s) = st.sessions.get_mut(&session) {
-                while let Some(r) = readings.get(i).filter(|r| r.session == session) {
+                while let Some(r) = readings.next_if(|r| r.session == session) {
                     st.tick += 1;
-                    if r.mark == TraceMark::FrameHead {
-                        // A sampled frame's mailbox wait: from the send to
-                        // the worker picking its command up.
-                        self.counters.trace.record(avoc_obs::Span {
-                            session,
-                            round: r.round,
-                            stage: avoc_obs::Stage::Queue,
-                            start_ns: queued_ns,
-                            dur_ns: picked_ns.saturating_sub(queued_ns),
-                        });
-                    }
-                    if r.mark == TraceMark::None {
-                        s.assemble(r.module, r.round, r.value, st.tick);
-                    } else {
+                    if r.sampled {
                         // A traced reading's rounds get a fuse span each:
                         // the rounds deferred so far fuse first, untraced.
                         s.fuse_ready(false, &self.counters);
                         s.feed(r.module, r.round, r.value, st.tick, true, &self.counters);
+                    } else {
+                        s.assemble(r.module, r.round, r.value, st.tick);
                     }
-                    i += 1;
-                    if i.is_multiple_of(DATA_BURST) || sweeps_at(st.tick, st.sweep_due) {
+                    fed += 1;
+                    if fed.is_multiple_of(DATA_BURST) || sweeps_at(st.tick, st.sweep_due) {
                         break;
                     }
                 }
                 // The run ends here (a burst boundary, a sweep point, the
-                // next session or the end of the command): fuse it as one
+                // next session or the end of the step): fuse it as one
                 // batch before the sweep or the flush can see the session.
                 s.fuse_ready(false, &self.counters);
                 if !std::mem::replace(&mut s.flush_queued, true) {
@@ -577,29 +466,29 @@ impl ShardWorker {
                 // Export), sent before its Open, or misrouted. Counted as a
                 // drop, but no error frame — per-reading errors would
                 // amplify a flood.
+                readings.next();
                 st.tick += 1;
                 self.counters.readings_dropped.inc();
-                i += 1;
+                fed += 1;
             }
             if sweeps_at(st.tick, st.sweep_due) {
                 self.sweep(st);
             }
-            // Keep the egress cadence of one command per reading: a wakeup
-            // fuses at most DATA_BURST of those before shipping results, so
-            // a large command must not coalesce its whole verdict stream
-            // into a handful of maximum-size frames (the trailing partial
-            // chunk flushes at end of wakeup).
-            if i.is_multiple_of(DATA_BURST) {
+            // Keep the egress cadence of one step per reading: verdicts
+            // ship every DATA_BURST readings, so a large step must not
+            // coalesce its whole verdict stream into a handful of
+            // maximum-size frames (the trailing partial chunk flushes at
+            // the end of the step).
+            if fed.is_multiple_of(DATA_BURST) {
                 self.flush_touched(st);
             }
         }
-        self.buffers.give(readings);
     }
 
     /// Installs a fresh session. With `announce`, acknowledges with a cold
     /// [`Message::Resumed`] (the resume-fallback path). Returns whether the
     /// session was admitted.
-    fn admit(&self, st: &mut ShardState, req: OpenReq, announce: bool) -> bool {
+    pub(crate) fn admit(&self, st: &mut ShardState, req: OpenReq, announce: bool) -> bool {
         if st.sessions.contains_key(&req.session) {
             self.refuse(&req.sink, req.session, "session id already open");
             return false;
@@ -621,7 +510,7 @@ impl ShardWorker {
             Ok(mut s) => {
                 self.counters.register_session(
                     req.session,
-                    self.index,
+                    st.index,
                     req.resumable,
                     s.rounds_fused(),
                 );
@@ -644,9 +533,19 @@ impl ShardWorker {
         }
     }
 
-    /// The resume path: live re-attach, checkpoint restore, or fresh
-    /// fallback — in that order.
-    fn resume(&self, st: &mut ShardState, req: OpenReq, last_acked: Option<u64>, eager: bool) {
+    /// Idempotent re-open — the resume path: live re-attach, checkpoint
+    /// restore, or fresh fallback, in that order. `last_acked` is the
+    /// highest round the client has acknowledged (results past it are
+    /// re-emitted from the session's ring); `eager` marks the daemon's own
+    /// recovery scan, counted as a recovery only, never as a resume or
+    /// retry.
+    pub(crate) fn resume(
+        &self,
+        st: &mut ShardState,
+        req: OpenReq,
+        last_acked: Option<u64>,
+        eager: bool,
+    ) {
         if !eager {
             self.counters.retries.inc();
         }
@@ -707,7 +606,7 @@ impl ShardWorker {
                         Ok(s) => {
                             self.counters.register_session(
                                 req.session,
-                                self.index,
+                                st.index,
                                 meta.resumable,
                                 s.rounds_fused(),
                             );

@@ -1,82 +1,101 @@
-//! The connection-aware result sender shards emit through.
+//! Where a session's frames go.
 //!
-//! Under the thread-per-connection server a shard could simply `try_send`
-//! on a connection's result channel: the writer thread was parked in a
-//! blocking `recv` and woke by itself. The reactor front-end has no such
-//! thread — each event loop in the pool owns its accepted sockets and
-//! sleeps in `epoll_wait` — so every enqueue must also *tell the owning
-//! reactor which connection became ready*. [`ResultSink`] bundles the
-//! channel sender with that connection's [`ConnWaker`], which carries the
-//! wake pipe of the specific reactor the connection is pinned to, so a
-//! shard's emission lands on the right event loop without the sink ever
-//! knowing the pool exists. In-process callers (benchmarks, tests, the
-//! drain path) convert a bare `Sender` into a wakerless sink and nothing
-//! else changes for them.
+//! A reactor-owned connection's sink is its [`Outbox`]: the shard step
+//! that fused a verdict encodes it straight into the connection's
+//! outbound bytes, under the outbox lock, on whatever thread ran the step.
+//! The owning reactor flushes those bytes after the read it is handling,
+//! or when the outbox's wake reaches it. In-process callers (benchmarks,
+//! tests, the drain path) convert a bare `Sender<Message>` into a sink
+//! and receive decoded frames, batched exactly as the wire would carry
+//! them.
 
-use avoc_net::{ConnWaker, Message};
-use crossbeam::channel::{Sender, TrySendError};
+use avoc_net::{BatchResult, Message, Outbox};
+use crossbeam::channel::Sender;
+use std::sync::Arc;
 
 /// Where a session's results, errors and resume acknowledgements go: a
-/// bounded channel, plus (for reactor-owned connections) the waker that
-/// tells the event loop to drain it.
+/// connection's outbox, or an in-process channel.
 #[derive(Debug, Clone)]
-pub struct ResultSink {
-    tx: Sender<Message>,
-    waker: Option<ConnWaker>,
+pub struct ResultSink(Route);
+
+#[derive(Debug, Clone)]
+enum Route {
+    Outbox(Arc<Outbox>),
+    Channel(Sender<Message>),
 }
 
 impl ResultSink {
-    /// A sink the reactor drains: sends wake the event loop, and dropping
-    /// the last clone wakes it once more so it notices the disconnect.
-    pub(crate) fn with_waker(tx: Sender<Message>, waker: ConnWaker) -> Self {
-        ResultSink {
-            tx,
-            waker: Some(waker),
-        }
-    }
-
     /// A sink nobody will ever read — what a lingering session holds after
     /// its connection died (see `Session::detach`).
     pub(crate) fn dead() -> Self {
         let (tx, _) = crossbeam::channel::bounded(1);
-        ResultSink { tx, waker: None }
+        tx.into()
     }
 
-    /// Enqueues without blocking, then wakes the reactor. A full or
-    /// disconnected channel reports the failure exactly like the bare
-    /// sender did — shards shed and count, never wait on a tenant.
-    pub(crate) fn try_send(&self, msg: Message) -> Result<(), TrySendError<Message>> {
-        self.tx.try_send(msg)?;
-        if let Some(w) = &self.waker {
-            w.wake();
+    /// Sends one frame without blocking. `false` means it was shed: the
+    /// outbox is full or closed, or the channel full or disconnected —
+    /// shard steps never wait on a tenant.
+    pub(crate) fn send(&self, msg: Message) -> bool {
+        match &self.0 {
+            Route::Outbox(outbox) => outbox.push(&msg),
+            Route::Channel(tx) => tx.try_send(msg).is_ok(),
         }
-        Ok(())
     }
 
-    /// Whether this sink feeds the same channel as `other` — the detach
-    /// path's identity check, so an old connection's teardown cannot tear
-    /// a re-attached session off its *new* sink.
-    pub(crate) fn same_channel(&self, other: &ResultSink) -> bool {
-        self.tx.same_channel(&other.tx)
+    /// Sends `results` (1 ..= `MAX_BATCH_RESULTS` of one session's
+    /// verdicts, in fuse order) as one frame: a plain
+    /// [`Message::SessionResult`] for one, a [`Message::ResultBatch`]
+    /// otherwise. An outbox gets the frame encoded in place, with no
+    /// `Vec` built on the way. Sheds like [`ResultSink::send`].
+    pub(crate) fn send_results(&self, session: u64, results: &[BatchResult]) -> bool {
+        if let &[BatchResult {
+            round,
+            value,
+            voted,
+        }] = results
+        {
+            let msg = Message::SessionResult {
+                session,
+                round,
+                value,
+                voted,
+            };
+            return self.send(msg);
+        }
+        match &self.0 {
+            Route::Outbox(outbox) => outbox.push_with(1, |bytes| {
+                Message::encode_result_batch_into(session, results, bytes)
+            }),
+            Route::Channel(tx) => tx
+                .try_send(Message::ResultBatch {
+                    session,
+                    results: results.to_vec(),
+                })
+                .is_ok(),
+        }
+    }
+
+    /// Whether this sink delivers where `other` does — the detach path's
+    /// identity check, so an old connection's teardown cannot tear a
+    /// re-attached session off its *new* sink.
+    pub(crate) fn same_route(&self, other: &ResultSink) -> bool {
+        match (&self.0, &other.0) {
+            (Route::Outbox(a), Route::Outbox(b)) => Arc::ptr_eq(a, b),
+            (Route::Channel(a), Route::Channel(b)) => a.same_channel(b),
+            _ => false,
+        }
     }
 }
 
 impl From<Sender<Message>> for ResultSink {
     fn from(tx: Sender<Message>) -> Self {
-        ResultSink { tx, waker: None }
+        ResultSink(Route::Channel(tx))
     }
 }
 
-impl Drop for ResultSink {
-    /// Disconnection is an event too: when a shard drops its last sink
-    /// clone (session closed, drained or detached), the reactor must
-    /// notice the channel died to free the connection's slot. Waking on
-    /// every clone's drop over-notifies, but a spurious wake is one
-    /// atomic swap and the reactor re-checks state anyway.
-    fn drop(&mut self) {
-        if let Some(w) = &self.waker {
-            w.wake();
-        }
+impl From<Arc<Outbox>> for ResultSink {
+    fn from(outbox: Arc<Outbox>) -> Self {
+        ResultSink(Route::Outbox(outbox))
     }
 }
 
@@ -89,20 +108,50 @@ mod tests {
     fn bare_senders_convert_and_deliver() {
         let (tx, rx) = channel::unbounded();
         let sink: ResultSink = tx.into();
-        sink.try_send(Message::Shutdown).unwrap();
+        assert!(sink.send(Message::Shutdown));
         assert!(matches!(rx.try_recv(), Ok(Message::Shutdown)));
     }
 
     #[test]
-    fn same_channel_tracks_the_inner_sender() {
+    fn results_travel_as_one_frame_each_call() {
+        let (tx, rx) = channel::unbounded();
+        let sink: ResultSink = tx.into();
+        let result = |round| BatchResult {
+            round,
+            value: Some(1.5),
+            voted: true,
+        };
+        assert!(sink.send_results(3, &[result(0)]));
+        assert!(sink.send_results(3, &[result(1), result(2)]));
+        assert!(matches!(
+            rx.try_recv(),
+            Ok(Message::SessionResult {
+                session: 3,
+                round: 0,
+                ..
+            })
+        ));
+        match rx.try_recv() {
+            Ok(Message::ResultBatch {
+                session: 3,
+                results,
+            }) => {
+                assert_eq!(results, [result(1), result(2)]);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn same_route_tracks_the_inner_sender() {
         let (tx, _rx) = channel::unbounded::<Message>();
         let a: ResultSink = tx.clone().into();
         let b: ResultSink = tx.into();
         let (other, _rx2) = channel::unbounded::<Message>();
         let c: ResultSink = other.into();
-        assert!(a.same_channel(&b));
-        assert!(a.same_channel(&a.clone()));
-        assert!(!a.same_channel(&c));
+        assert!(a.same_route(&b));
+        assert!(a.same_route(&a.clone()));
+        assert!(!a.same_route(&c));
     }
 
     #[test]
@@ -111,7 +160,7 @@ mod tests {
         // fast — emissions to a detached session are shed and counted,
         // never queued or waited on.
         let sink = ResultSink::dead();
-        assert!(sink.try_send(Message::Shutdown).is_err());
-        assert!(sink.try_send(Message::Shutdown).is_err());
+        assert!(!sink.send(Message::Shutdown));
+        assert!(!sink.send(Message::Shutdown));
     }
 }

@@ -448,6 +448,7 @@ mod sys {
             optlen: u32,
         ) -> c_int;
         fn bind(fd: c_int, addr: *const c_void, addrlen: u32) -> c_int;
+        fn sched_setaffinity(pid: c_int, cpusetsize: usize, mask: *const u64) -> c_int;
 
         pub(super) fn epoll_create1(flags: c_int) -> c_int;
         pub(super) fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent)
@@ -571,6 +572,26 @@ mod sys {
         Ok(fd)
     }
 
+    /// Confines the calling thread to `cpu` (one of the first 1024).
+    pub(super) fn pin_to(cpu: usize) -> io::Result<()> {
+        if cpu >= 1024 {
+            return Err(io::Error::from(io::ErrorKind::InvalidInput));
+        }
+        // The kernel's `cpu_set_t`: 1024 bits.
+        let mut mask = [0u64; 16];
+        mask[cpu / 64] |= 1 << (cpu % 64);
+        // SAFETY: `mask` is readable for the 128 bytes passed as its
+        // length; pid 0 names the calling thread.
+        unsafe {
+            cvt(sched_setaffinity(
+                0,
+                std::mem::size_of_val(&mask),
+                mask.as_ptr(),
+            ))?
+        };
+        Ok(())
+    }
+
     pub(super) fn cvt(ret: c_int) -> io::Result<c_int> {
         if ret < 0 {
             Err(io::Error::last_os_error())
@@ -672,6 +693,19 @@ mod sys {
 /// Propagates `listen` failures (e.g. the fd is not a listening socket).
 pub fn widen_backlog(fd: RawFd, backlog: i32) -> io::Result<()> {
     sys::relisten(fd, backlog)
+}
+
+/// Confines the calling thread to CPU `cpu`. Threads it starts afterwards
+/// inherit the mask, so a test that pins itself before starting a service
+/// runs every thread of that service on the one CPU, where they can only
+/// take turns.
+///
+/// # Errors
+///
+/// Propagates `sched_setaffinity` failures (a CPU outside the thread's
+/// allowed set is `EINVAL`); a CPU past the first 1024 is `InvalidInput`.
+pub fn pin_current_thread(cpu: usize) -> io::Result<()> {
+    sys::pin_to(cpu)
 }
 
 /// Binds a listening `TcpListener` with `SO_REUSEPORT` set before

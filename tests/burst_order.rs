@@ -1,7 +1,7 @@
-//! Property tests for the batched shard handoff: readings that share a
-//! data command — a `FeedBatch`, or the `SessionReading` frames of several
+//! Property tests for the batched shard hand-off: readings that share a
+//! shard step — a `FeedBatch`, or the `SessionReading` frames of several
 //! sessions decoded by one socket read — must be observationally identical
-//! to the same readings fed one command at a time. "Identical" means
+//! to the same readings fed one step at a time, on any number of reactors. "Identical" means
 //! identical — per-session result streams are compared bit-for-bit
 //! (`f64::to_bits`), because every path feeds the very same fusion engines
 //! and any reordering or dropped reading would move a fused value or a
@@ -108,7 +108,7 @@ fn fuse_rosters(
 /// Delivers every roster over one TCP connection, the sessions' readings
 /// interleaved one by one and written in a single `write`, so the
 /// daemon's reactor decodes them in (as good as always) one read and
-/// stages them into one command per shard, tenants mixed. The trailing
+/// stages them into one step per shard, tenants mixed. The trailing
 /// `Shutdown` pushes out what is staged before the daemon closes the
 /// connection, so end of stream is the cue that delivery is done.
 fn deliver_over_one_socket(
@@ -381,4 +381,94 @@ fn sampled_readings_leave_one_fuse_span_per_round_they_complete() {
         .filter(|&r| completes(r).is_multiple_of(3))
         .collect();
     assert_eq!(fuse_span_rounds(&staged), sampled);
+}
+
+/// Delivers the rosters over two connections at once, each written from
+/// its own thread in 4 KiB pieces: connection `c` carries the sessions
+/// whose index is `c` modulo 2, their readings interleaved one by one and
+/// closed by a `Shutdown`. Sessions of both connections share both shards,
+/// so with several reactors the shards' locks are taken from several
+/// threads at once.
+fn deliver_over_two_sockets(
+    service: &Arc<VoterService>,
+    rosters: &[Vec<BatchReading>],
+) -> Option<TcpServer> {
+    let server = TcpServer::start("127.0.0.1:0", Arc::clone(service)).expect("bind");
+    let addr = server.local_addr();
+    std::thread::scope(|scope| {
+        for conn in 0..2 {
+            scope.spawn(move || {
+                let mine: Vec<(u64, &Vec<BatchReading>)> = (0u64..)
+                    .zip(rosters)
+                    .filter(|(session, _)| session % 2 == conn)
+                    .collect();
+                let longest = mine.iter().map(|(_, r)| r.len()).max().unwrap_or(0);
+                let mut wire = Vec::new();
+                for k in 0..longest {
+                    for (session, roster) in &mine {
+                        if let Some(b) = roster.get(k) {
+                            let reading = Message::SessionReading {
+                                session: *session,
+                                module: b.module,
+                                round: b.round,
+                                value: b.value,
+                            };
+                            wire.extend_from_slice(&reading.encode());
+                        }
+                    }
+                }
+                wire.extend_from_slice(&Message::Shutdown.encode());
+                let mut tenant = std::net::TcpStream::connect(addr).expect("connect");
+                tenant
+                    .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+                    .expect("timeout");
+                for piece in wire.chunks(4096) {
+                    tenant.write_all(piece).expect("write");
+                }
+                let mut rest = Vec::new();
+                tenant.read_to_end(&mut rest).expect("the daemon closes");
+                assert!(rest.is_empty(), "nothing is answered: {rest:?}");
+            });
+        }
+    });
+    Some(server)
+}
+
+/// Readings fuse on whichever reactor decoded them: six sessions fed over
+/// two concurrent connections, on one, two and four reactors, fuse streams
+/// bit-identical to feeding every reading in process, one step each.
+#[test]
+fn two_connections_fuse_bit_identically_on_any_reactor_count() {
+    let rosters: Vec<Vec<BatchReading>> = (0..6u32)
+        .map(|s| {
+            long_roster(120)
+                .into_iter()
+                .map(|b| BatchReading {
+                    value: b.value + f64::from(s) * 0.25,
+                    ..b
+                })
+                .collect()
+        })
+        .collect();
+    let config = |reactors| ServeConfig {
+        reactors,
+        ..two_shards()
+    };
+    let per_reading = fuse_rosters(config(1), &rosters, |service| {
+        for (session, roster) in (0u64..).zip(&rosters) {
+            for b in roster {
+                service
+                    .feed(session, b.module, b.round, b.value)
+                    .expect("feed");
+            }
+        }
+        None
+    });
+    assert_eq!(per_reading.len(), rosters.len(), "every session fused");
+    for reactors in [1, 2, 4] {
+        let sockets = fuse_rosters(config(reactors), &rosters, |service| {
+            deliver_over_two_sockets(service, &rosters)
+        });
+        assert_eq!(per_reading, sockets, "{reactors} reactor(s)");
+    }
 }

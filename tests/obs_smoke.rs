@@ -360,7 +360,7 @@ fn both_doors_agree_on_a_quiesced_daemon() {
         checked.insert(key);
     };
     // The unlabelled facts `counters()` copies row by row, then the wire
-    // cells, each shard's own mark, and each reactor's series summed.
+    // cells, and each reactor's series summed.
     for (family, value) in c.facts() {
         agree(family.to_string(), value);
     }
@@ -373,11 +373,6 @@ fn both_doors_agree_on_a_quiesced_daemon() {
     ] {
         agree(family.to_string(), value.into());
     }
-    for (shard, &mark) in c.shard_queue_high_water.iter().enumerate() {
-        let key = format!("avoc_shard_queue_high_water{{shard=\"{shard}\"}}");
-        agree(key, mark as i128);
-    }
-    assert_eq!(c.shard_queue_high_water.len(), 2);
     let reactors = server.service().reactors();
     assert_eq!(reactors, 2);
     for (family, sum) in [

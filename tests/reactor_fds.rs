@@ -4,8 +4,8 @@
 //! resource invariants must hold no matter how many tenants come and go:
 //! the process's open-FD count returns to its baseline once connections
 //! close (no leaked sockets, no leaked connection slots holding them), and
-//! the daemon's data-plane thread count is exactly `shards + reactors`,
-//! never moving with the connection count. Both are measured against
+//! the daemon's data-plane thread count is exactly `reactors` — shards are
+//! locks, not threads — never moving with the connection count. Both are measured against
 //! `/proc/self`, which makes these tests Linux-only — as the daemon's
 //! epoll reactor is.
 //!
@@ -39,9 +39,9 @@ fn open_fds() -> usize {
         .count()
 }
 
-/// Live daemon threads, recognised by the `avoc-` prefix every worker
-/// spawned by this workspace carries in its name (reactor, shards,
-/// compactor, admin). Test-harness threads don't match and can't skew it.
+/// Live daemon threads, recognised by the `avoc-` prefix every thread
+/// spawned by this workspace carries in its name (reactor, admin).
+/// Test-harness threads don't match and can't skew it.
 fn avoc_threads() -> usize {
     std::fs::read_dir("/proc/self/task")
         .expect("/proc/self/task readable")
@@ -54,16 +54,16 @@ fn avoc_threads() -> usize {
         .count()
 }
 
-/// This process's shard workers, by tid. The kernel keeps the first 15
-/// bytes of a thread name, so `avoc-serve-shard-N` reads back as
-/// `avoc-serve-shar`.
-fn shard_tids() -> Vec<String> {
+/// This process's reactor threads, by tid. The kernel keeps the first 15
+/// bytes of a thread name, so `avoc-net-reactor` reads back as
+/// `avoc-net-reacto`.
+fn reactor_tids() -> Vec<String> {
     std::fs::read_dir("/proc/self/task")
         .expect("/proc/self/task readable")
         .filter_map(|entry| {
             let path = entry.ok()?.path();
             let comm = std::fs::read_to_string(path.join("comm")).ok()?;
-            comm.starts_with("avoc-serve-shar")
+            comm.starts_with("avoc-net-reacto")
                 .then(|| path.file_name()?.to_str().map(str::to_owned))?
         })
         .collect()
@@ -86,9 +86,8 @@ fn voluntary_switches(tids: &[String]) -> u64 {
 
 /// Polls until `probe` succeeds or the deadline passes; returns the last
 /// observation either way. Teardown is asynchronous (the reactor frees a
-/// slot when it sees the EOF, shards drop sink clones when the close
-/// command lands), so every "back to baseline" assertion needs a grace
-/// window rather than an instant.
+/// slot, and closes its sessions, when it sees the EOF), so every "back to
+/// baseline" assertion needs a grace window rather than an instant.
 fn settle<T: Copy>(deadline: Duration, mut probe: impl FnMut() -> (bool, T)) -> (bool, T) {
     let until = Instant::now() + deadline;
     loop {
@@ -110,7 +109,7 @@ fn avoc_registry() -> Arc<SpecRegistry> {
 /// connects, opens a single-module session, fuses one round, reads its
 /// result and closes — must leave the process exactly where it started:
 /// FD count at baseline, zero open connections, zero live sessions, and a
-/// data-plane census of exactly `shards + reactors` threads before, during
+/// data-plane census of exactly `reactors` threads before, during
 /// and after. The churn lands on all four reactors (`SO_REUSEPORT`
 /// hashing), so slot reuse and teardown are exercised per reactor, not
 /// just on one.
@@ -141,14 +140,14 @@ fn thousand_session_churn_leaks_no_fds_or_threads() {
     let fd_baseline = open_fds();
     // A thread's name is set from inside the thread, so wait for every
     // just-spawned worker to have run before pinning the census.
-    let expected_census = 2 + server.reactor_count();
+    let expected_census = server.reactor_count();
     let (ok, thread_baseline) = settle(Duration::from_secs(5), || {
         let n = avoc_threads();
         (n == expected_census, n)
     });
     assert!(
         ok,
-        "census must be exactly shards + reactors = {expected_census}, saw {thread_baseline}"
+        "census must be exactly reactors = {expected_census}, saw {thread_baseline}"
     );
 
     let scrape_baseline = scrape_size(&service);
@@ -192,8 +191,8 @@ fn thousand_session_churn_leaks_no_fds_or_threads() {
         (open == 0, open)
     });
     assert!(ok, "connections_open gauge must drain to zero, saw {open}");
-    // Session close is processed by the shard after the socket drops, so
-    // give the final Close a moment to drain on a loaded box.
+    // Sessions close when the reactor sees the socket drop, so give the
+    // final one a moment on a loaded box.
     let (ok, live) = settle(Duration::from_secs(5), || {
         let live = service.active_sessions();
         (live == 0, live)
@@ -306,7 +305,7 @@ fn hostile_length_prefix(addr: std::net::SocketAddr) {
 }
 
 /// The census itself, pinned: the daemon's data-plane threads are the
-/// shard workers plus the reactor pool, one thread per reactor — whether
+/// reactor pool, one thread per reactor, however many shards — whether
 /// zero or fifty connections are open. Fifty concurrently-open sockets
 /// raise the FD count but not the thread count; that is the whole point of
 /// retiring thread-per-connection. Run at one reactor and at four, the
@@ -322,7 +321,7 @@ fn thread_census_is_independent_of_open_connections() {
 
 /// Boots a 2-shard daemon with `reactors` event loops, holds fifty
 /// connections open and drops them again; the census must be exactly
-/// `shards + reactors` throughout. Returns it.
+/// `reactors` throughout. Returns it.
 fn census_across_fifty_connections(reactors: usize) -> usize {
     let service = Arc::new(VoterService::start(
         ServeConfig {
@@ -337,14 +336,14 @@ fn census_across_fifty_connections(reactors: usize) -> usize {
     assert_eq!(server.reactor_count(), reactors);
     // A thread's name is set from inside the thread itself, so the census
     // only stabilises once every just-spawned worker has run.
-    let expected = 2 + reactors;
+    let expected = reactors;
     let (ok, idle_threads) = settle(Duration::from_secs(5), || {
         let n = avoc_threads();
         (n == expected, n)
     });
     assert!(
         ok,
-        "expected exactly shards + reactors = {expected}, saw {idle_threads}"
+        "expected exactly reactors = {expected}, saw {idle_threads}"
     );
 
     let mut clients = Vec::new();
@@ -433,23 +432,26 @@ fn emfile_pauses_one_reactor_not_the_pool() {
     assert_eq!(snap.accept_pauses, 1);
 }
 
-/// An idle shard sleeps until a send wakes it: a settled 2-shard service
-/// with no sessions makes at most one voluntary context switch across both
-/// workers in half a second (a timed control poll would wake each of them
-/// every few milliseconds), and still answers a `resume_session` at once.
+/// An idle reactor sleeps until a frame wakes it: a settled daemon with
+/// two reactors and no connections makes at most one voluntary context
+/// switch across both in half a second (a timed poll would wake each of
+/// them every few milliseconds), and still answers a `ResumeSession` at
+/// once.
 #[test]
-fn idle_shards_sleep_until_a_send_wakes_them() {
+fn idle_reactors_sleep_until_a_frame_wakes_them() {
     let _guard = proc_lock();
-    let before = shard_tids();
-    let service = VoterService::start(
+    let before = reactor_tids();
+    let service = Arc::new(VoterService::start(
         ServeConfig {
             shards: 2,
+            reactors: 2,
             ..ServeConfig::default()
         },
         avoc_registry(),
-    );
+    ));
+    let server = TcpServer::start("127.0.0.1:0", Arc::clone(&service)).expect("bind");
     let spawned = || -> Vec<String> {
-        let mut tids = shard_tids();
+        let mut tids = reactor_tids();
         tids.retain(|tid| !before.contains(tid));
         tids
     };
@@ -458,7 +460,7 @@ fn idle_shards_sleep_until_a_send_wakes_them() {
         let n = spawned().len();
         (n == 2, n)
     });
-    assert!(ok, "expected 2 new shard workers, saw {seen}");
+    assert!(ok, "expected 2 new reactors, saw {seen}");
     let tids = spawned();
     std::thread::sleep(Duration::from_millis(50));
     let settled = voluntary_switches(&tids);
@@ -466,16 +468,17 @@ fn idle_shards_sleep_until_a_send_wakes_them() {
     let switches = voluntary_switches(&tids) - settled;
     assert!(
         switches <= 1,
-        "idle shards made {switches} voluntary context switches in 500 ms"
+        "idle reactors made {switches} voluntary context switches in 500 ms"
     );
 
-    let (sink, answers) = crossbeam::channel::unbounded::<Message>();
-    service
-        .resume_session(1, 1, &SpecSource::Named("avoc".into()), 7, None, sink)
+    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+    client
+        .resume_session(1, 1, SpecSource::Named("avoc".into()), 7, None)
         .expect("resume");
-    match answers.recv_timeout(Duration::from_secs(5)) {
+    match client.recv() {
         Ok(Message::Resumed { session: 1, .. }) => {}
-        other => panic!("the idle service answered {other:?}"),
+        other => panic!("the idle daemon answered {other:?}"),
     }
-    service.drain();
+    drop(client);
+    server.shutdown();
 }

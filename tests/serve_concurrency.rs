@@ -1,6 +1,6 @@
 //! Integration tests for the `avoc-serve` daemon: many concurrent tenants
-//! with distinct VDX specs over real TCP, session isolation, and bounded
-//! mailbox backpressure.
+//! with distinct VDX specs over real TCP, session isolation, and
+//! backpressure that sheds at a wedged tenant, never at the producer.
 
 use avoc::net::{BatchReading, SpecSource};
 use avoc::serve::{ServeClient, ServeConfig, SpecRegistry, TcpServer, VoterService};
@@ -127,7 +127,6 @@ fn sixteen_tenants_with_distinct_specs_stay_isolated_over_tcp() {
     assert_eq!(snap.rounds_fused, SESSIONS * ROUNDS);
     assert_eq!(snap.readings_dropped, 0);
     assert_eq!(snap.results_dropped, 0, "every tenant read all its results");
-    assert_eq!(snap.shard_queue_high_water.len(), 4);
 }
 
 #[test]
@@ -279,10 +278,9 @@ fn wedged_tenant_sink_does_not_stall_other_sessions_on_its_shard() {
 /// The TCP edition of the wedged-tenant regression, now with egress
 /// coalescing in the path: a tenant that feeds a flood of rounds but never
 /// reads a result wedges its connection's *corked* writer mid-flush. The
-/// per-write socket deadline must still fire on the coalesced buffer (the
-/// writer exits instead of pinning its thread), the tenant's overflow must
-/// be shed and counted once the bounded out channel fills behind the dead
-/// writer, and graceful shutdown must complete.
+/// write deadline must still fire on the coalesced buffer, the tenant's
+/// overflow must be shed and counted once its outbox fills behind the
+/// parked writer, and graceful shutdown must complete.
 #[test]
 fn wedged_tcp_tenant_respects_the_write_deadline_and_shed_accounting() {
     let mut reg = SpecRegistry::new();
@@ -345,9 +343,8 @@ fn wedged_tcp_tenant_respects_the_write_deadline_and_shed_accounting() {
     drop(client);
 }
 
-/// A full data mailbox makes the producer wait for a slot: a tight feed
-/// loop into one shard loses nothing, and the mailbox really ran into its
-/// 1024-command bound on the way.
+/// A tight feed loop into one shard loses nothing: every feed runs its
+/// step before it returns, so the producer is held to the shard's pace.
 #[test]
 fn a_full_mailbox_makes_the_producer_wait_and_loses_nothing() {
     const READINGS: u64 = 20_000;
@@ -364,23 +361,16 @@ fn a_full_mailbox_makes_the_producer_wait_and_loses_nothing() {
     service
         .open_session(1, 1, &SpecSource::Named("avoc".into()), sink)
         .expect("open");
-    // Enqueueing a reading is far cheaper than fusing one, so a tight feed
-    // loop fills the mailbox and then waits on it.
     for round in 0..READINGS {
         service
             .feed(1, ModuleId::new(0), round, 20.0)
-            .expect("a full mailbox waits, it never refuses");
+            .expect("a busy shard makes the feed wait, it never refuses");
     }
     let snap = service.drain();
     assert_eq!(snap.readings_dropped, 0);
     assert_eq!(snap.rounds_fused, READINGS);
     let got: Vec<Message> = results.try_iter().collect();
     assert_eq!(delivered_results(&got) as u64, READINGS);
-    assert!(
-        (1023..=1024).contains(&snap.shard_queue_high_water[0]),
-        "the mailbox filled to its bound: high water {}",
-        snap.shard_queue_high_water[0]
-    );
 }
 
 /// What ends the one socket write that carried a session's readings.
@@ -395,8 +385,8 @@ enum Ending {
     SocketClose,
 }
 
-/// The reactor stages a read's `SessionReading` frames and hands them to
-/// the shard in one command; whatever follows them in that read — a close,
+/// The reactor stages a read's `SessionReading` frames and feeds them to
+/// the shard in one step; whatever follows them in that read — a close,
 /// a shutdown, the end of the connection — must still find them delivered
 /// first. One `write` carries two complete rounds and a partial third; the
 /// session emits to an in-process sink, so its stream stays observable
@@ -451,8 +441,8 @@ fn staged_readings_precede_whatever_ends_their_read() {
             // The frame closes the session itself, behind its readings.
             Ending::CloseFrame => {}
             // Once the daemon has dropped the connection the readings must
-            // already sit in the shard's mailbox: a close issued now drains
-            // them first.
+            // already have been fed: a close issued now flushes the partial
+            // round behind them.
             Ending::ShutdownFrame => {
                 tenant
                     .set_read_timeout(Some(Duration::from_secs(10)))
@@ -678,12 +668,12 @@ fn an_infinite_reading_does_not_stop_its_shard() {
     assert_eq!(snap.readings_dropped, 0);
 }
 
-/// The wake path under churn: one shard, one thread alternating
+/// The shard lock under churn: one shard, one thread alternating
 /// `resume_session` and `close_session` on fresh ids, another feeding a
 /// one-module session one reading at a time. Each waits for its answer
-/// frame before its next send, so the shard goes idle between almost every
-/// pair of commands — and an unpark lost between its emptiness check and
-/// its park would hang one of them past the deadline.
+/// frame before its next call, so the two threads take the shard's lock in
+/// turns thousands of times — and an answer lost or shipped to the wrong
+/// sink would hang one of them past the deadline.
 #[test]
 fn idle_shard_wakes_for_every_send_under_control_and_data_churn() {
     const ITERATIONS: u64 = 10_000;
@@ -739,10 +729,10 @@ fn idle_shard_wakes_for_every_send_under_control_and_data_churn() {
     assert_eq!(snap.sessions_opened, ITERATIONS + 1);
 }
 
-/// A session closed and reopened under the same id while its shard is busy
-/// with another tenant's backlog: each life fuses exactly its own readings,
-/// and none is dropped. The second life's readings must never reach the
-/// first life, whose hub would discard them as late rounds.
+/// A session closed and reopened under the same id behind another tenant's
+/// backlog on its shard: each life fuses exactly its own readings, and
+/// none is dropped. The second life's readings must never reach the first
+/// life, whose hub would discard them as late rounds.
 #[test]
 fn a_reopened_session_keeps_its_own_readings() {
     const BACKLOG: u64 = 300_000;
@@ -767,8 +757,6 @@ fn a_reopened_session_keeps_its_own_readings() {
         })
         .collect();
     service.feed_batch(1, &backlog).expect("feed the backlog");
-    // Let the shard pick the backlog up, so the lives below queue behind it.
-    std::thread::sleep(Duration::from_millis(5));
 
     let lives: Vec<_> = [10.0, 50.0]
         .into_iter()
