@@ -29,7 +29,8 @@
 //!   [timer wheel](timer);
 //! * the [`Handler`] does protocol: it is handed each decoded
 //!   [`Message`] and runs what the frame asks for to completion on the
-//!   reactor thread — in the daemon, fusing the readings it carries;
+//!   reactor thread — in the daemon, fusing the readings it carries, or
+//!   handing them to one of the service's helper threads;
 //! * every connection owns an [`Outbox`] of encoded bytes. Whoever has a
 //!   frame for the peer — the handler, or a step another thread ran —
 //!   encodes it there. After each read the reactor moves the outbox into
@@ -228,17 +229,17 @@ struct Pending {
 }
 
 impl Outbox {
-    /// Appends the `frames` whole frames `encode` writes and wakes the
-    /// owning reactor. Returns `false`, without calling `encode`, when the
-    /// outbox is full or its connection gone. Never blocks on the peer.
-    pub fn push_with(&self, frames: u64, encode: impl FnOnce(&mut BytesMut)) -> bool {
+    /// Appends the one whole frame `encode` writes and wakes the owning
+    /// reactor. Returns `false`, without calling `encode`, when the outbox
+    /// is full or its connection gone. Never blocks on the peer.
+    pub fn push_with(&self, encode: impl FnOnce(&mut BytesMut)) -> bool {
         {
             let mut pending = self.pending.lock();
             if pending.closed || pending.bytes.len() >= OUTBOX_LIMIT {
                 return false;
             }
             encode(&mut pending.bytes);
-            pending.frames += frames;
+            pending.frames += 1;
         }
         self.waker.wake();
         true
@@ -246,7 +247,7 @@ impl Outbox {
 
     /// [`Outbox::push_with`] for one message.
     pub fn push(&self, msg: &Message) -> bool {
-        self.push_with(1, |bytes| msg.encode_into(bytes))
+        self.push_with(|bytes| msg.encode_into(bytes))
     }
 
     /// Moves everything pending to the end of `writer`'s cork.

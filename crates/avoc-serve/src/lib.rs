@@ -17,13 +17,15 @@
 //!                 └──────────────┬──────────────────────────────┘
 //!                                │ route by hash(session id): ONE step
 //!                                │ per socket read (or FeedBatch) per
-//!                                │ shard, run on the reactor thread
+//!                                │ shard, run on the reactor thread —
+//!                                │ or handed to a helper thread while a
+//!                                │ core is spare for it
 //!                 ┌──────────────▼──────────────┐
 //!                 │ shard 0 .. shard N-1        │  one lock each: the
 //!                 │  each: HashMap<id, Session> │  shard's steps run in
-//!                 │  Session = SensorHub        │  lock order, each to
-//!                 │          + VotingEngine     │  completion, on the
-//!                 │                             │  thread that asked
+//!                 │  + its queue of handed feeds│  lock order, queued
+//!                 │  Session = SensorHub        │  feeds first, each to
+//!                 │          + VotingEngine     │  completion
 //!                 └──────────────┬──────────────┘
 //!                                │ ResultSink: verdicts encoded straight
 //!                                │ into the connection's Outbox bytes
@@ -39,7 +41,8 @@
 //! * [`VoterService`] — the sharded executor: sessions are pinned to one of
 //!   N shards by session-id hash, each shard's sessions behind one lock, so
 //!   each session's rounds are fused in order on whichever thread fed
-//!   them, and a call's effects are complete when it returns.
+//!   them, and a call's effects are complete when it returns. Only the
+//!   TCP front-end's reactors hand feeds to the service's helper threads.
 //! * [`ServeConfig`] — shard and reactor counts, session capacity (opens
 //!   past it are refused), idle-tick eviction, round-assembly lag, crash
 //!   safety, the admin address and trace sampling.

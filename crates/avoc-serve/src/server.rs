@@ -9,7 +9,7 @@
 //! through the re-entrant [`avoc_net::StreamDecoder`]; the
 //! `SessionReading` frames one socket read completes are staged per shard
 //! and fused on the reactor, one shard step each, when that read has been
-//! decoded. Verdicts are encoded straight into the [`avoc_net::Outbox`] of
+//! decoded (or handed to one of the service's helper threads). Verdicts are encoded straight into the [`avoc_net::Outbox`] of
 //! the connection that opened the session, and the owning reactor flushes
 //! it before the next read.
 
@@ -80,6 +80,7 @@ impl TcpServer {
                 service: Arc::clone(&service),
                 counters: Arc::clone(&counters),
                 staged: service.staging(),
+                in_read: false,
             },
             |i| ReactorConfig {
                 // Per-reactor metric cells ({reactor="i"}); the snapshot
@@ -157,6 +158,9 @@ struct ServeHandler {
     /// acted on, so a session's readings still reach its shard ahead of
     /// its `Close`, `Detach` or `Export`, in arrival order.
     staged: Staging,
+    /// Whether the reactor is inside a read: it counts as busy for the
+    /// service's hand-off budget until the read's end.
+    in_read: bool,
 }
 
 /// What the handler tracks per connection.
@@ -182,11 +186,14 @@ impl ServeHandler {
             .emit(sink, Message::Error { session, message });
     }
 
-    /// Feeds the staged readings to their shards. Only a drained service
+    /// Feeds the staged readings to their shards: at the end of a read
+    /// (`hand`) possibly on helper threads, ahead of another frame on this
+    /// one, so that whatever the frame does — a reply the handler sends
+    /// itself included — follows their verdicts. Only a drained service
     /// fails this; the tenant is told and the connection closed, as for
     /// any frame that arrives after shutdown.
-    fn flush_staged(&mut self, conn: &ConnState) -> FrameVerdict {
-        match self.service.flush_staged(&mut self.staged) {
+    fn flush_staged(&mut self, conn: &ConnState, hand: bool) -> FrameVerdict {
+        match self.service.flush_staged(&mut self.staged, hand) {
             Ok(()) => FrameVerdict::Continue,
             Err((session, e)) => {
                 self.send_error(&conn.sink, session, &e);
@@ -208,8 +215,11 @@ impl Handler for ServeHandler {
     }
 
     fn on_frame(&mut self, conn: &mut ConnState, msg: Message) -> FrameVerdict {
+        if !std::mem::replace(&mut self.in_read, true) {
+            self.service.reading(true);
+        }
         if !matches!(msg, Message::SessionReading { .. })
-            && self.flush_staged(conn) == FrameVerdict::Close
+            && self.flush_staged(conn, false) == FrameVerdict::Close
         {
             return FrameVerdict::Close;
         }
@@ -261,7 +271,7 @@ impl Handler for ServeHandler {
                 .service
                 .stage(&mut self.staged, session, module, round, value),
             Message::FeedBatch { session, readings } => {
-                if let Err(e) = self.service.feed_batch(session, &readings) {
+                if let Err(e) = self.service.feed_frame(session, &readings, true) {
                     self.send_error(&conn.sink, session, &e);
                     return FrameVerdict::Close;
                 }
@@ -345,7 +355,11 @@ impl Handler for ServeHandler {
     }
 
     fn on_read_end(&mut self, conn: &mut ConnState) -> FrameVerdict {
-        self.flush_staged(conn)
+        let verdict = self.flush_staged(conn, true);
+        if std::mem::take(&mut self.in_read) {
+            self.service.reading(false);
+        }
+        verdict
     }
 
     fn on_close(&mut self, conn: ConnState) {
@@ -402,6 +416,7 @@ mod tests {
         let handler = ServeHandler {
             counters: service.counters_arc(),
             staged: service.staging(),
+            in_read: false,
             service,
         };
         (handler, conn, out_rx)
@@ -416,21 +431,46 @@ mod tests {
         }
     }
 
-    /// What the connection's sink has received since last asked, one word
-    /// per frame: the rounds a verdict frame carries, or the frame's kind.
+    /// One word per frame the connection's sink received: the rounds a
+    /// verdict frame carries, or the frame's kind.
+    fn word(m: Message) -> String {
+        match m {
+            Message::SessionResult { round, .. } => format!("fused {round}"),
+            Message::ResultBatch { results, .. } => {
+                let rounds: Vec<u64> = results.iter().map(|r| r.round).collect();
+                format!("fused {rounds:?}")
+            }
+            Message::Resumed { session, .. } => format!("resumed {session}"),
+            Message::Error { session, .. } => format!("error {session}"),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// What the connection's sink has received since last asked.
     fn received(out: &Receiver<Message>) -> Vec<String> {
-        out.try_iter()
-            .map(|m| match m {
-                Message::SessionResult { round, .. } => format!("fused {round}"),
-                Message::ResultBatch { results, .. } => {
-                    let rounds: Vec<u64> = results.iter().map(|r| r.round).collect();
-                    format!("fused {rounds:?}")
-                }
-                Message::Resumed { session, .. } => format!("resumed {session}"),
-                Message::Error { session, .. } => format!("error {session}"),
-                other => panic!("unexpected {other:?}"),
+        out.try_iter().map(word).collect()
+    }
+
+    /// The next `n` frames the connection's sink receives: a reactor's
+    /// feed may run on a helper thread, after the handler returned.
+    fn next(out: &Receiver<Message>, n: usize) -> Vec<String> {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        (0..n)
+            .map_while(|_| {
+                let left = deadline.saturating_duration_since(std::time::Instant::now());
+                out.recv_timeout(left).ok()
             })
+            .map(word)
             .collect()
+    }
+
+    /// Waits until `done` holds for the service's counters.
+    fn settle(service: &VoterService, done: impl Fn(&crate::CountersSnapshot) -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !done(&service.counters()) {
+            assert!(std::time::Instant::now() < deadline, "the feed never ran");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
     }
 
     #[test]
@@ -446,7 +486,7 @@ mod tests {
         }
         assert!(received(&out).is_empty());
         assert_eq!(h.on_read_end(&mut conn), FrameVerdict::Continue);
-        assert_eq!(received(&out), ["fused [0, 1, 2, 3, 4]"]);
+        assert_eq!(next(&out, 1), ["fused [0, 1, 2, 3, 4]"]);
         assert_eq!(h.service.counters().shard_handoff_sends, 1);
         // A read that decoded no reading feeds nothing.
         assert_eq!(h.on_read_end(&mut conn), FrameVerdict::Continue);
@@ -507,7 +547,7 @@ mod tests {
             h.on_frame(&mut conn, frame);
             let fused = format!("fused {round}");
             let want: Vec<&str> = std::iter::once(fused.as_str()).chain(own).collect();
-            assert_eq!(received(&out), want, "{label}");
+            assert_eq!(next(&out, want.len()), want, "{label}");
             assert!(h.staged.is_empty(), "{label}");
         }
         // A close behind staged readings: the readings fuse, then the
@@ -517,7 +557,7 @@ mod tests {
         assert_eq!(received(&out), ["fused 60"]);
         h.on_frame(&mut conn, reading(61));
         h.on_read_end(&mut conn);
-        assert_eq!(h.service.counters().readings_dropped, 1);
+        settle(&h.service, |c| c.readings_dropped == 1);
     }
 
     #[test]

@@ -23,8 +23,8 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Reactor (event-loop) threads in the TCP front-end's data plane,
     /// which decode frames and run the fusion they ask for. `0` (the
-    /// default) means `available_parallelism`. Ignored by in-process
-    /// callers that never start a [`crate::TcpServer`].
+    /// default) means `min(available_parallelism, 4)`. Ignored by
+    /// in-process callers that never start a [`crate::TcpServer`].
     pub reactors: usize,
     /// Maximum concurrently open sessions across all shards; opens past it
     /// are refused with an error frame.
@@ -137,9 +137,10 @@ impl Staging {
 /// is its socket front-end and benchmarks drive it in-process). Every call
 /// runs its step on the caller's thread under the session's shard lock, so
 /// its effects — sessions installed, rounds fused, verdicts handed to
-/// their sinks — are complete when it returns.
+/// their sinks — are complete when it returns. Only the TCP front-end's
+/// reactors hand feeds to the service's helper threads.
 pub struct VoterService {
-    shards: Shards,
+    shards: Arc<Shards>,
     counters: Arc<ServiceCounters>,
     registry: Arc<SpecRegistry>,
     /// Resolved reactor-thread count for the TCP front-end (the
@@ -163,8 +164,12 @@ impl fmt::Debug for VoterService {
 }
 
 impl VoterService {
-    /// Builds the shards and returns the running service. It starts no
-    /// thread: every step runs on the thread that asks for it.
+    /// Builds the shards, starts the helper threads and returns the running
+    /// service. There is one helper per core past the first, at most
+    /// three, so that a few busy connections fuse on more than one core,
+    /// and one more when every checkpoint waits for `fsync`, a wait that
+    /// needs no core. On one CPU without `fsync` there is none, and every
+    /// step runs on the thread that asks for it.
     pub fn start(config: ServeConfig, registry: Arc<SpecRegistry>) -> Self {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let shards = if config.shards == 0 {
@@ -173,7 +178,7 @@ impl VoterService {
             config.shards
         };
         let reactors = if config.reactors == 0 {
-            cores
+            cores.min(4)
         } else {
             config.reactors
         };
@@ -195,8 +200,16 @@ impl VoterService {
                 .health
                 .set("persistence", HealthLevel::Degraded, &reason);
         }
+        let waits_for_disk = config.persistence.fsync && tiered.is_some();
+        let helpers = cores.min(4) - 1 + usize::from(waits_for_disk);
         VoterService {
-            shards: Shards::new(shards, &config, Arc::clone(&counters), tiered.clone()),
+            shards: Shards::start(
+                shards,
+                helpers,
+                &config,
+                Arc::clone(&counters),
+                tiered.clone(),
+            ),
             counters,
             registry,
             reactors,
@@ -213,9 +226,15 @@ impl VoterService {
 
     /// Number of reactor (event-loop) threads the TCP front-end will run
     /// ([`ServeConfig::reactors`] with `0` resolved to
-    /// `available_parallelism`).
+    /// `min(available_parallelism, 4)`).
     pub fn reactors(&self) -> usize {
         self.reactors
+    }
+
+    /// Number of helper threads running the feeds reactors hand off (see
+    /// [`VoterService::start`]); 0 once the service has stopped.
+    pub fn helpers(&self) -> usize {
+        self.shards.helpers()
     }
 
     /// Sessions currently open.
@@ -562,6 +581,17 @@ impl VoterService {
         session: u64,
         readings: &[avoc_net::BatchReading],
     ) -> Result<(), ServeError> {
+        self.feed_frame(session, readings, false)
+    }
+
+    /// [`VoterService::feed_batch`], which with `hand` (a reactor's frame)
+    /// may hand the step to a helper thread, to run after this returns.
+    pub(crate) fn feed_frame(
+        &self,
+        session: u64,
+        readings: &[avoc_net::BatchReading],
+        hand: bool,
+    ) -> Result<(), ServeError> {
         let Some(first) = readings.first() else {
             return Ok(());
         };
@@ -579,8 +609,14 @@ impl VoterService {
             module: r.module,
             sampled,
         });
-        self.shards
-            .feed(self.shard_for(session), tagged, ingest.as_slice())
+        let shard = self.shard_for(session);
+        self.shards.feed(shard, tagged, ingest.as_slice(), hand)
+    }
+
+    /// A reactor starts (`true`) or ends (`false`) handling a socket read;
+    /// in between it counts against the cores helpers may use.
+    pub(crate) fn reading(&self, started: bool) {
+        self.shards.reading(started);
     }
 
     /// A fresh [`Staging`] area sized for this service's shards.
@@ -615,14 +651,19 @@ impl VoterService {
     }
 
     /// Feeds everything staged: one step per shard that has readings
-    /// waiting.
+    /// waiting. With `hand` (the end of a read) each step may be handed to
+    /// a helper thread; without, all have run when this returns.
     ///
     /// # Errors
     ///
     /// After [`VoterService::drain`]: [`ServeError::ShuttingDown`], with
     /// the session of a reading that could no longer be delivered.
     /// Whatever the outcome, nothing stays staged.
-    pub(crate) fn flush_staged(&self, staging: &mut Staging) -> Result<(), (u64, ServeError)> {
+    pub(crate) fn flush_staged(
+        &self,
+        staging: &mut Staging,
+        hand: bool,
+    ) -> Result<(), (u64, ServeError)> {
         let mut outcome = Ok(());
         for (shard, staged) in staging.shards.iter_mut().enumerate() {
             let Some(first) = staged.readings.first() else {
@@ -631,7 +672,7 @@ impl VoterService {
             let session = first.session;
             let fed = self
                 .shards
-                .feed(shard, staged.readings.drain(..), &staged.ingest);
+                .feed(shard, staged.readings.drain(..), &staged.ingest, hand);
             if let Err(e) = fed {
                 outcome = Err((session, e));
             }
@@ -992,27 +1033,27 @@ mod tests {
             }
         }
         assert_eq!(service.counters().rounds_fused, 0, "staged is not fed");
-        service.flush_staged(&mut staging).unwrap();
+        service.flush_staged(&mut staging, true).unwrap();
         assert!(staging.is_empty());
+        // A flush is a reactor's: its steps may run on helper threads.
+        let mut fused: Vec<u64> = (0..3)
+            .map(|_| match results.recv_timeout(Duration::from_secs(10)) {
+                Ok(Message::SessionResult {
+                    session, round: 0, ..
+                }) => session,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        fused.sort_unstable();
+        assert_eq!(fused, [0, 1, 2], "each round fused once");
         let shards_hit: std::collections::BTreeSet<usize> =
             (0..3u64).map(|s| service.shard_for(s)).collect();
         assert_eq!(
             service.counters().shard_handoff_sends,
             shards_hit.len() as u64
         );
-        let mut fused: Vec<u64> = results
-            .try_iter()
-            .map(|m| match m {
-                Message::SessionResult {
-                    session, round: 0, ..
-                } => session,
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        fused.sort_unstable();
-        assert_eq!(fused, [0, 1, 2], "each round fused once the flush returned");
         // A second flush with nothing staged feeds nothing.
-        service.flush_staged(&mut staging).unwrap();
+        service.flush_staged(&mut staging, true).unwrap();
         assert_eq!(
             service.counters().shard_handoff_sends,
             shards_hit.len() as u64

@@ -1,14 +1,17 @@
 //! Shards: session-pinned state, each shard behind one lock, stepped to
-//! completion on the caller's thread.
+//! completion on the caller's thread — or, for a reactor's feed when a
+//! helper is free or the lock busy, on a helper thread.
 
 use avoc_core::ModuleId;
 use avoc_net::{Message, SpecSource};
 use avoc_vdx::VdxSpec;
+use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 use avoc_store::TieredStore;
@@ -71,8 +74,13 @@ pub(crate) struct TaggedReading {
 /// (sinks refuse rather than wait), so one stalled tenant cannot wedge
 /// the other sessions pinned to its shard, and the drain always gets the
 /// lock.
+///
+/// A reactor may hand a feed to the helper threads instead, while a core
+/// is spare for them ([`Shards::feed`] with `hand`). Every step first runs
+/// the feeds handed to its shard, in the order they were handed, so
+/// handing never reorders a shard's steps.
 pub(crate) struct Shards {
-    states: Vec<Mutex<ShardState>>,
+    shards: Vec<Shard>,
     counters: Arc<ServiceCounters>,
     /// Global live-session count (shared across shards for admission).
     active: AtomicUsize,
@@ -89,7 +97,55 @@ pub(crate) struct Shards {
     /// one test for "durable?". `None` when persistence is off or the tier
     /// failed to open; sessions are then memory-only.
     tiered: Option<Arc<TieredStore>>,
+    /// Reactors inside a read. Helpers are handed work only while this
+    /// leaves them a core.
+    busy: AtomicUsize,
+    /// The helper threads' shared end, `None` when the service runs none.
+    helpers: Option<Helpers>,
+    /// Run feeds, emptied, whose buffers the next hand-off reuses.
+    spares: Mutex<Vec<Feed>>,
 }
+
+/// One shard: its state behind the lock every step takes, and the feeds
+/// handed to the helpers that wait for that lock.
+struct Shard {
+    state: Mutex<ShardState>,
+    queue: Mutex<Queue>,
+}
+
+/// The feeds handed to a shard, oldest first.
+#[derive(Default)]
+struct Queue {
+    feeds: VecDeque<Feed>,
+    /// Set by a drain or a kill: no step runs and nothing is handed from
+    /// then on.
+    stopped: bool,
+}
+
+/// Readings handed off as one step.
+#[derive(Default)]
+struct Feed {
+    readings: Vec<TaggedReading>,
+    /// The ingest spans of the sampled frames among them, closed at the
+    /// hand-off; the queue span runs from `handed_ns` to the lock.
+    ingest: Vec<avoc_obs::Span>,
+    handed_ns: u64,
+}
+
+/// Threads that run the feeds reactors hand off, so that a few busy
+/// connections fuse on more than one core and a reactor goes on reading
+/// while a step waits for the disk.
+struct Helpers {
+    /// Helper threads started.
+    count: usize,
+    /// The shard a feed was just handed to, or `None` to stop a helper.
+    wake: Sender<Option<usize>>,
+    joins: Mutex<Vec<JoinHandle<()>>>,
+}
+
+/// Feeds that may wait for one shard before a reactor runs its next feed
+/// for that shard itself rather than hand it over.
+const HANDED_LIMIT: usize = 64;
 
 /// The tick grid idle sweeps run on, once one could reap something (see
 /// `ShardState::sweep_due`).
@@ -100,8 +156,8 @@ const SWEEP_INTERVAL: u64 = 64;
 /// readings were grouped on the way in.
 const DATA_BURST: usize = 64;
 
-/// One shard's mutable state, behind its lock: its sessions, its logical
-/// clock, and whether the service has stopped.
+/// One shard's mutable state, behind its lock: its sessions and its
+/// logical clock.
 pub(crate) struct ShardState {
     index: usize,
     sessions: HashMap<u64, Session>,
@@ -116,8 +172,6 @@ pub(crate) struct ShardState {
     /// every installed session starts at the current tick, so a sweep
     /// before then would reap nothing.
     sweep_due: u64,
-    /// Set by a drain or a kill: every later step is refused.
-    stopped: bool,
 }
 
 /// Whether the shard sweeps at `tick`: a sweep interval boundary past the
@@ -128,27 +182,30 @@ fn sweeps_at(tick: u64, sweep_due: u64) -> bool {
 
 impl Shards {
     /// `count` empty shards sharing `counters`, admitting at most
-    /// `config.max_sessions` sessions between them.
-    pub(crate) fn new(
+    /// `config.max_sessions` sessions between them, with `helpers` helper
+    /// threads running the feeds reactors hand off.
+    pub(crate) fn start(
         count: usize,
+        helpers: usize,
         config: &ServeConfig,
         counters: Arc<ServiceCounters>,
         tiered: Option<Arc<TieredStore>>,
-    ) -> Self {
-        let states = (0..count)
-            .map(|index| {
-                Mutex::new(ShardState {
+    ) -> Arc<Self> {
+        let shards = (0..count)
+            .map(|index| Shard {
+                state: Mutex::new(ShardState {
                     index,
                     sessions: HashMap::new(),
                     tick: 0,
                     touched: Vec::new(),
                     sweep_due: 0,
-                    stopped: false,
-                })
+                }),
+                queue: Mutex::default(),
             })
             .collect();
-        Shards {
-            states,
+        let (wake, waiting) = channel::unbounded();
+        let shards = Arc::new(Shards {
+            shards,
             counters,
             active: AtomicUsize::new(0),
             max_sessions: config.max_sessions,
@@ -156,12 +213,59 @@ impl Shards {
             lag_tolerance: config.lag_tolerance,
             persistence: config.persistence.clone(),
             tiered,
+            busy: AtomicUsize::new(0),
+            helpers: (helpers > 0).then(|| Helpers {
+                count: helpers,
+                wake,
+                joins: Mutex::default(),
+            }),
+            spares: Mutex::default(),
+        });
+        let joins = (0..helpers).map(|i| {
+            let (shards, waiting) = (Arc::clone(&shards), waiting.clone());
+            std::thread::Builder::new()
+                .name(format!("avoc-helper-{i}"))
+                .spawn(move || shards.help(&waiting))
+                .expect("a helper thread starts")
+        });
+        if let Some(h) = &shards.helpers {
+            h.joins.lock().extend(joins);
         }
+        shards
     }
 
     /// Number of shards.
     pub(crate) fn len(&self) -> usize {
-        self.states.len()
+        self.shards.len()
+    }
+
+    /// Helper threads running.
+    pub(crate) fn helpers(&self) -> usize {
+        self.helpers.as_ref().map_or(0, |h| h.joins.lock().len())
+    }
+
+    /// A reactor starts (`true`) or ends (`false`) handling a read: it
+    /// counts as busy in between.
+    pub(crate) fn reading(&self, started: bool) {
+        if started {
+            self.busy.fetch_add(1, Ordering::AcqRel);
+        } else {
+            self.busy.fetch_sub(1, Ordering::AcqRel);
+        }
+    }
+
+    /// A helper thread's loop: run what was handed to each shard it is
+    /// woken for, until the service stops.
+    fn help(&self, waiting: &Receiver<Option<usize>>) {
+        while let Ok(Some(shard)) = waiting.recv() {
+            let _ = self.step(shard, |_, _| {});
+        }
+    }
+
+    /// Whether the helpers have a core to themselves: no more reactors are
+    /// inside a read than there are helpers.
+    fn helpers_spare(&self) -> bool {
+        (self.helpers.as_ref()).is_some_and(|h| self.busy.load(Ordering::Acquire) <= h.count)
     }
 
     /// Sessions currently open, across every shard.
@@ -169,8 +273,8 @@ impl Shards {
         self.active.load(Ordering::Relaxed)
     }
 
-    /// Runs `step` on `shard` under its lock, then ships the results of
-    /// every session the step fed.
+    /// Runs `step` on `shard` under its lock, after the feeds handed to the
+    /// shard, then ships the results of every session the step fed.
     ///
     /// # Errors
     ///
@@ -180,20 +284,75 @@ impl Shards {
         shard: usize,
         step: impl FnOnce(&Self, &mut ShardState),
     ) -> Result<(), ServeError> {
-        let mut st = self.states[shard].lock();
-        if st.stopped {
-            return Err(ServeError::ShuttingDown);
-        }
+        let mut st = self.shards[shard].state.lock();
+        self.run_handed(shard, &mut st)?;
         step(self, &mut st);
         self.flush_touched(&mut st);
         Ok(())
     }
 
+    /// Runs the feeds handed to `shard`, oldest first, each as its own
+    /// step — its verdicts shipped before the next one runs, as if it had
+    /// run where it was handed — and keeps their buffers for the next
+    /// hand-off.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::ShuttingDown`] once the shard has stopped.
+    fn run_handed(&self, shard: usize, st: &mut ShardState) -> Result<(), ServeError> {
+        loop {
+            let mut feed = {
+                let mut queue = self.shards[shard].queue.lock();
+                if queue.stopped {
+                    return Err(ServeError::ShuttingDown);
+                }
+                match queue.feeds.pop_front() {
+                    Some(feed) => feed,
+                    None => return Ok(()),
+                }
+            };
+            self.run_feed(st, &mut feed);
+            self.flush_touched(st);
+            self.spares.lock().push(feed);
+        }
+    }
+
+    /// Feeds a handed-off step, leaving its buffers empty.
+    fn run_feed(&self, st: &mut ShardState, feed: &mut Feed) {
+        self.record_queue(&feed.ingest, feed.handed_ns);
+        self.counters.shard_handoff_sends.inc();
+        self.readings(st, feed.readings.drain(..));
+        feed.ingest.clear();
+    }
+
+    /// Queue spans for sampled frames whose step waited from `since` for
+    /// the shard's lock.
+    fn record_queue(&self, ingest: &[avoc_obs::Span], since: u64) {
+        if ingest.is_empty() {
+            return;
+        }
+        let acquired = avoc_obs::now_ns();
+        for span in ingest {
+            self.counters.trace.record(avoc_obs::Span {
+                stage: avoc_obs::Stage::Queue,
+                start_ns: since,
+                dur_ns: acquired.saturating_sub(since),
+                ..*span
+            });
+        }
+    }
+
     /// Feeds `readings` (any of `shard`'s sessions, in submission order)
     /// as one step — one hand-off, however many readings — and ships what
     /// they fused. `ingest` holds the open ingest spans of the sampled
-    /// frames among them: each closes when the shard's lock is requested,
-    /// and a queue span then times the wait for it.
+    /// frames among them: each closes when the shard's lock is requested
+    /// (or the feed handed off), and a queue span then times the wait for
+    /// the lock.
+    ///
+    /// With `hand` (a reactor's feed, whose effects nobody waits for), the
+    /// step goes to the helpers when [`Shards::helpers_spare`] and fewer
+    /// than [`HANDED_LIMIT`] feeds wait for the shard, and the caller
+    /// returns at once. Otherwise it runs here.
     ///
     /// # Errors
     ///
@@ -203,57 +362,96 @@ impl Shards {
         shard: usize,
         readings: impl IntoIterator<Item = TaggedReading>,
         ingest: &[avoc_obs::Span],
+        hand: bool,
     ) -> Result<(), ServeError> {
         let requested = if ingest.is_empty() {
             0
         } else {
             avoc_obs::now_ns()
         };
-        let trace = &self.counters.trace;
         for span in ingest {
-            trace.record(avoc_obs::Span {
+            self.counters.trace.record(avoc_obs::Span {
                 dur_ns: requested.saturating_sub(span.start_ns),
                 ..*span
             });
         }
+        if hand
+            && self.helpers_spare()
+            && self.shards[shard].queue.lock().feeds.len() < HANDED_LIMIT
+        {
+            return self.hand(shard, readings, ingest, requested);
+        }
         self.step(shard, |shards, st| {
-            if !ingest.is_empty() {
-                let acquired = avoc_obs::now_ns();
-                for span in ingest {
-                    trace.record(avoc_obs::Span {
-                        stage: avoc_obs::Stage::Queue,
-                        start_ns: requested,
-                        dur_ns: acquired.saturating_sub(requested),
-                        ..*span
-                    });
-                }
-            }
+            shards.record_queue(ingest, requested);
             shards.counters.shard_handoff_sends.inc();
             shards.readings(st, readings);
         })
     }
 
-    /// Stops every shard: a graceful drain (`flush`) fuses and reports
-    /// every in-flight round, a kill drops the sessions *without* flushing,
-    /// leaving durable state exactly as the last completed checkpoint wrote
-    /// it. Either way the shard refuses every later step. A shard already
-    /// stopped is left as it is.
+    /// Queues a feed on `shard` and wakes a helper for it.
+    fn hand(
+        &self,
+        shard: usize,
+        readings: impl IntoIterator<Item = TaggedReading>,
+        ingest: &[avoc_obs::Span],
+        handed_ns: u64,
+    ) -> Result<(), ServeError> {
+        let mut feed = self.spares.lock().pop().unwrap_or_default();
+        feed.readings.extend(readings);
+        feed.ingest.extend_from_slice(ingest);
+        feed.handed_ns = handed_ns;
+        {
+            let mut queue = self.shards[shard].queue.lock();
+            if queue.stopped {
+                return Err(ServeError::ShuttingDown);
+            }
+            queue.feeds.push_back(feed);
+        }
+        if let Some(helpers) = &self.helpers {
+            let _ = helpers.wake.send(Some(shard));
+        }
+        Ok(())
+    }
+
+    /// Stops every shard: a graceful drain (`flush`) runs the feeds handed
+    /// to it and fuses and reports every in-flight round, a kill drops
+    /// both *without* flushing, leaving durable state exactly as the last
+    /// completed checkpoint wrote it. Either way the shard refuses every
+    /// later step and hand-off. A shard already stopped is left as it is.
+    /// Then the helper threads stop.
     ///
     /// The global slots stay claimed: releasing them here would let an
     /// open racing the stop on a shard not stopped yet be admitted past
     /// `max_sessions` — the count dies with the service, so leaking it is
     /// harmless.
     pub(crate) fn stop(&self, flush: bool) {
-        for state in &self.states {
-            let mut st = state.lock();
-            if std::mem::replace(&mut st.stopped, true) {
-                continue;
+        for shard in &self.shards {
+            let mut st = shard.state.lock();
+            let feeds = {
+                let mut queue = shard.queue.lock();
+                if std::mem::replace(&mut queue.stopped, true) {
+                    continue;
+                }
+                std::mem::take(&mut queue.feeds)
+            };
+            for mut feed in feeds.into_iter().filter(|_| flush) {
+                self.run_feed(&mut st, &mut feed);
             }
+            self.flush_touched(&mut st);
             for (id, mut s) in st.sessions.drain() {
                 if flush {
                     s.flush(&self.counters);
                 }
                 self.counters.deregister_session(id);
+            }
+        }
+        if let Some(helpers) = &self.helpers {
+            let joins = std::mem::take(&mut *helpers.joins.lock());
+            for _ in &joins {
+                let _ = helpers.wake.send(None);
+            }
+            for join in joins {
+                let _ = join.join();
             }
         }
     }

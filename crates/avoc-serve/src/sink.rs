@@ -63,9 +63,9 @@ impl ResultSink {
             return self.send(msg);
         }
         match &self.0 {
-            Route::Outbox(outbox) => outbox.push_with(1, |bytes| {
-                Message::encode_result_batch_into(session, results, bytes)
-            }),
+            Route::Outbox(outbox) => {
+                outbox.push_with(|bytes| Message::encode_result_batch_into(session, results, bytes))
+            }
             Route::Channel(tx) => tx
                 .try_send(Message::ResultBatch {
                     session,

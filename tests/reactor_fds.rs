@@ -4,8 +4,9 @@
 //! resource invariants must hold no matter how many tenants come and go:
 //! the process's open-FD count returns to its baseline once connections
 //! close (no leaked sockets, no leaked connection slots holding them), and
-//! the daemon's data-plane thread count is exactly `reactors` — shards are
-//! locks, not threads — never moving with the connection count. Both are measured against
+//! the daemon's data-plane thread count is exactly `reactors` plus the
+//! service's helpers — shards are locks, not threads — never moving with
+//! the connection count. Both are measured against
 //! `/proc/self`, which makes these tests Linux-only — as the daemon's
 //! epoll reactor is.
 //!
@@ -109,8 +110,8 @@ fn avoc_registry() -> Arc<SpecRegistry> {
 /// connects, opens a single-module session, fuses one round, reads its
 /// result and closes — must leave the process exactly where it started:
 /// FD count at baseline, zero open connections, zero live sessions, and a
-/// data-plane census of exactly `reactors` threads before, during
-/// and after. The churn lands on all four reactors (`SO_REUSEPORT`
+/// data-plane census of exactly `reactors` plus helpers threads before,
+/// during and after. The churn lands on all four reactors (`SO_REUSEPORT`
 /// hashing), so slot reuse and teardown are exercised per reactor, not
 /// just on one.
 #[test]
@@ -140,14 +141,14 @@ fn thousand_session_churn_leaks_no_fds_or_threads() {
     let fd_baseline = open_fds();
     // A thread's name is set from inside the thread, so wait for every
     // just-spawned worker to have run before pinning the census.
-    let expected_census = server.reactor_count();
+    let expected_census = server.reactor_count() + service.helpers();
     let (ok, thread_baseline) = settle(Duration::from_secs(5), || {
         let n = avoc_threads();
         (n == expected_census, n)
     });
     assert!(
         ok,
-        "census must be exactly reactors = {expected_census}, saw {thread_baseline}"
+        "census must be exactly reactors + helpers = {expected_census}, saw {thread_baseline}"
     );
 
     let scrape_baseline = scrape_size(&service);
@@ -305,8 +306,9 @@ fn hostile_length_prefix(addr: std::net::SocketAddr) {
 }
 
 /// The census itself, pinned: the daemon's data-plane threads are the
-/// reactor pool, one thread per reactor, however many shards — whether
-/// zero or fifty connections are open. Fifty concurrently-open sockets
+/// reactor pool, one thread per reactor, plus the service's helpers (a
+/// count set by the cores, not the reactors), however many shards —
+/// whether zero or fifty connections are open. Fifty concurrently-open sockets
 /// raise the FD count but not the thread count; that is the whole point of
 /// retiring thread-per-connection. Run at one reactor and at four, the
 /// census differs by exactly three: each reactor costs exactly one thread.
@@ -321,7 +323,7 @@ fn thread_census_is_independent_of_open_connections() {
 
 /// Boots a 2-shard daemon with `reactors` event loops, holds fifty
 /// connections open and drops them again; the census must be exactly
-/// `reactors` throughout. Returns it.
+/// `reactors` plus helpers throughout. Returns it.
 fn census_across_fifty_connections(reactors: usize) -> usize {
     let service = Arc::new(VoterService::start(
         ServeConfig {
@@ -336,14 +338,14 @@ fn census_across_fifty_connections(reactors: usize) -> usize {
     assert_eq!(server.reactor_count(), reactors);
     // A thread's name is set from inside the thread itself, so the census
     // only stabilises once every just-spawned worker has run.
-    let expected = reactors;
+    let expected = reactors + service.helpers();
     let (ok, idle_threads) = settle(Duration::from_secs(5), || {
         let n = avoc_threads();
         (n == expected, n)
     });
     assert!(
         ok,
-        "expected exactly reactors = {expected}, saw {idle_threads}"
+        "expected exactly reactors + helpers = {expected}, saw {idle_threads}"
     );
 
     let mut clients = Vec::new();
