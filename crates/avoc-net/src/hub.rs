@@ -235,6 +235,47 @@ impl SensorHub {
         self.record(module, round, Some(value), out);
     }
 
+    /// Assembles a whole round in one step: `values` are the readings of
+    /// modules `0..n`, in order, for `round` — what `n` calls of
+    /// [`SensorHub::accept_reading_into`] would feed, and the round they
+    /// would complete is appended to `out` the same way. It takes the round
+    /// only when the hub is positional, no round is open (so no other round
+    /// can complete or go out on a deadline), the round is past the
+    /// completed floor and `values` has one value per module. Otherwise it
+    /// changes nothing and returns `false`, and the caller feeds the
+    /// readings one by one.
+    pub fn accept_round_into(
+        &mut self,
+        round: u64,
+        values: impl ExactSizeIterator<Item = f64>,
+        out: &mut Vec<Round>,
+    ) -> bool {
+        if !self.positional
+            || !self.open.is_empty()
+            || values.len() != self.expected.len()
+            || self.completed_through.is_some_and(|done| round <= done)
+        {
+            return false;
+        }
+        self.newest_round = self.newest_round.max(round);
+        for heard in &mut self.last_seen {
+            *heard = Some(heard.map_or(round, |r| r.max(round)));
+        }
+        let mut built = self
+            .spare
+            .pop()
+            .unwrap_or_else(|| Round::new(0, Vec::new()));
+        shape(&mut built.ballots, &self.expected);
+        built.round = round;
+        for (ballot, x) in built.ballots.iter_mut().zip(values) {
+            set_number(&mut ballot.value, Some(x));
+        }
+        self.completed_through = Some(round);
+        self.lent += 1;
+        out.push(built);
+        true
+    }
+
     /// Flushes every pending round regardless of completeness.
     pub fn flush_all(&mut self) -> Vec<Round> {
         let mut out = Vec::new();
@@ -292,13 +333,8 @@ impl SensorHub {
         }
         let (open, index, opened) = self.slot_for(round);
         let slot = &mut self.slots[index];
-        // A duplicate overwrites: last write wins. A number already in the
-        // cell (a recycled round's) is overwritten in place.
-        let cell = &mut slot.round.ballots[at].value;
-        match (cell.as_mut(), value) {
-            (Some(Value::Number(old)), Some(x)) => *old = x,
-            (_, value) => *cell = value.map(Value::Number),
-        }
+        // A duplicate overwrites: last write wins.
+        set_number(&mut slot.round.ballots[at].value, value);
         if !std::mem::replace(&mut slot.heard[at], true) {
             slot.seen += 1;
         }
@@ -350,22 +386,11 @@ impl SensorHub {
             self.slots.len() - 1
         });
         let slot = &mut self.slots[index];
-        // An opening slot assembles in a spare buffer, or a fresh one. One
-        // this hub emitted comes back with its ballots in `expected` order;
-        // one of any other shape is refilled whole.
+        // An opening slot assembles in a spare buffer, or a fresh one.
         if let Some(spare) = self.spare.pop() {
             slot.round = spare;
         }
-        let ballots = &mut slot.round.ballots;
-        let shaped = ballots.len() == self.expected.len()
-            && ballots
-                .iter()
-                .zip(&self.expected)
-                .all(|(b, &m)| b.module == m);
-        if !shaped {
-            ballots.clear();
-            ballots.extend(self.expected.iter().map(|&m| Ballot::missing(m)));
-        }
+        shape(&mut slot.round.ballots, &self.expected);
         slot.round.round = round;
         slot.heard.clear();
         slot.heard.resize(self.expected.len(), false);
@@ -399,6 +424,27 @@ impl SensorHub {
         self.free.push(index);
         self.lent += 1;
         out.push(round);
+    }
+}
+
+/// Gives a round buffer one ballot per `expected` module, in order. One
+/// this hub emitted comes back in that shape and is kept as it is; one of
+/// any other shape is refilled whole.
+fn shape(ballots: &mut Vec<Ballot>, expected: &[ModuleId]) {
+    let shaped = ballots.len() == expected.len()
+        && ballots.iter().zip(expected).all(|(b, &m)| b.module == m);
+    if !shaped {
+        ballots.clear();
+        ballots.extend(expected.iter().map(|&m| Ballot::missing(m)));
+    }
+}
+
+/// Writes a reading into a ballot's cell; a number already there (a
+/// recycled round's) is overwritten in place.
+fn set_number(cell: &mut Option<Value>, value: Option<f64>) {
+    match (cell.as_mut(), value) {
+        (Some(Value::Number(old)), Some(x)) => *old = x,
+        (_, value) => *cell = value.map(Value::Number),
     }
 }
 
@@ -528,6 +574,28 @@ mod tests {
     fn heartbeat_is_inert() {
         let mut hub = hub3();
         assert!(hub.accept(Message::Heartbeat { module: m(0) }).is_empty());
+    }
+
+    #[test]
+    fn a_whole_round_is_taken_only_where_nothing_else_can_move() {
+        let mut hub = hub3();
+        let mut out = Vec::new();
+        assert!(hub.accept_round_into(4, [1.0, 2.0, 3.0].into_iter(), &mut out));
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].round, 4);
+        assert_eq!(out[0].present_count(), 3);
+        // At or below the floor it just emitted: refused, nothing counted.
+        assert!(!hub.accept_round_into(4, [1.0, 2.0, 3.0].into_iter(), &mut out));
+        assert_eq!(hub.straggler_count(), 0);
+        // A round is open: the next round could flush it on a deadline.
+        assert!(hub.accept(reading(0, 5, 1.0)).is_empty());
+        assert!(!hub.accept_round_into(6, [1.0, 2.0, 3.0].into_iter(), &mut out));
+        // One value per module, and only over a positional module set.
+        let mut other = hub3();
+        assert!(!other.accept_round_into(0, [1.0, 2.0].into_iter(), &mut out));
+        let mut scattered = SensorHub::new(vec![m(3), m(7)]);
+        assert!(!scattered.accept_round_into(0, [1.0, 2.0].into_iter(), &mut out));
+        assert_eq!(out.len(), 1);
     }
 
     #[test]

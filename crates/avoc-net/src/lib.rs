@@ -54,7 +54,8 @@ pub mod reactor;
 pub use cork::{CorkMetrics, CorkSnapshot, CorkedWriter, FlushOutcome, WriterStats};
 pub use hub::{Liveness, SensorHub};
 pub use message::{
-    BatchReading, BatchResult, Message, SpecSource, MAX_BATCH_READINGS, MAX_BATCH_RESULTS,
+    BatchReading, BatchResult, BatchView, Message, SpecSource, MAX_BATCH_READINGS,
+    MAX_BATCH_RESULTS,
 };
 pub use reactor::{
     spawn_pool, DecodeStep, FrameVerdict, Handler, Outbox, ReactorConfig, ReactorMetrics,

@@ -161,6 +161,83 @@ pub struct BatchReading {
     pub value: f64,
 }
 
+/// The readings of a [`Message::FeedBatch`] frame, borrowed in place from
+/// the bytes they were decoded from: the frame was validated whole (its
+/// count accounts for every byte), and each [`BatchReading`] is read out
+/// of its 20 bytes on demand. What a reactor hands
+/// [`Handler::on_batch`](crate::Handler::on_batch), so a batch reaches its
+/// shard without being copied into a `Vec` first.
+#[derive(Debug, Clone, Copy)]
+pub struct BatchView<'a> {
+    /// `len() * BATCH_READING_LEN` bytes, never empty.
+    entries: &'a [u8],
+}
+
+impl<'a> BatchView<'a> {
+    /// How many readings the frame carries (at least one).
+    pub fn len(&self) -> usize {
+        self.entries.len() / BATCH_READING_LEN
+    }
+
+    /// Always `false`: a decoded batch carries at least one reading.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The `i`-th reading, in submission order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    pub fn get(&self, i: usize) -> BatchReading {
+        let entry = &self.entries[i * BATCH_READING_LEN..][..BATCH_READING_LEN];
+        let u64_at = |at: usize| u64::from_be_bytes(entry[at..at + 8].try_into().expect("8 bytes"));
+        BatchReading {
+            module: ModuleId::new(u32::from_be_bytes(entry[..4].try_into().expect("4 bytes"))),
+            round: u64_at(4),
+            value: f64::from_bits(u64_at(12)),
+        }
+    }
+
+    /// Every reading, in submission order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = BatchReading> + 'a {
+        let view = *self;
+        (0..view.len()).map(move |i| view.get(i))
+    }
+
+    /// The readings copied into a fresh vector, as [`Message::FeedBatch`]
+    /// carries them.
+    pub fn to_vec(&self) -> Vec<BatchReading> {
+        self.iter().collect()
+    }
+}
+
+/// One frame parsed in place: a [`Message::FeedBatch`] stays a borrowed
+/// [`BatchView`], every other frame is its owned [`Message`].
+#[derive(Debug)]
+pub(crate) enum Decoded<'a> {
+    /// Any frame but a batch.
+    Message(Message),
+    /// A `FeedBatch` frame's session and readings.
+    Batch {
+        session: u64,
+        readings: BatchView<'a>,
+    },
+}
+
+impl Decoded<'_> {
+    /// The owned message: a batch's readings are copied out.
+    pub(crate) fn into_message(self) -> Message {
+        match self {
+            Decoded::Message(msg) => msg,
+            Decoded::Batch { session, readings } => Message::FeedBatch {
+                session,
+                readings: readings.to_vec(),
+            },
+        }
+    }
+}
+
 /// One fused round inside a [`Message::ResultBatch`] frame (17 bytes on
 /// the wire: round `u64`, flags `u8`, value `f64` bits — zeroed when the
 /// round was skipped so the encoding stays canonical).
@@ -857,30 +934,54 @@ impl Message {
     /// the stream: the caller must stop reading rather than buffer toward a
     /// hostile multi-GiB frame.
     pub fn decode(buf: &mut BytesMut) -> Result<Message, DecodeError> {
-        if buf.len() < 4 {
+        let used = Message::frame_len(buf)?;
+        let decoded = Message::decode_payload(&buf[4..used]).map(Decoded::into_message);
+        buf.advance(used);
+        decoded
+    }
+
+    /// How many bytes the frame at the front of `buf` spans, length prefix
+    /// included, once all of them are there.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::Incomplete`] while bytes are missing, and
+    /// [`DecodeError::FrameTooLarge`] for a prefix past [`MAX_FRAME_LEN`].
+    pub(crate) fn frame_len(buf: &[u8]) -> Result<usize, DecodeError> {
+        let Some(&prefix) = buf.first_chunk::<4>() else {
             return Err(DecodeError::Incomplete);
-        }
-        let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
+        };
+        let len = u32::from_be_bytes(prefix) as usize;
         if len > MAX_FRAME_LEN {
             return Err(DecodeError::FrameTooLarge { len });
         }
         if buf.len() < 4 + len {
             return Err(DecodeError::Incomplete);
         }
-        let decoded = Message::decode_payload(&buf[4..4 + len]);
-        buf.advance(4 + len);
-        decoded
+        Ok(4 + len)
     }
 
-    /// Decodes one complete payload (tag byte + fields). Each arm reads its
-    /// fields in wire order through the [`Reader`]; the arms hold no length
-    /// arithmetic of their own.
-    fn decode_payload(payload: &[u8]) -> Result<Message, DecodeError> {
+    /// Decodes one complete payload (tag byte + fields), the one frame
+    /// parser: a `FeedBatch` stays in place as a [`BatchView`] over
+    /// `payload`, every other frame is parsed into its [`Message`]. Each
+    /// arm reads its fields in wire order through the [`Reader`]; the arms
+    /// hold no length arithmetic of their own.
+    pub(crate) fn decode_payload(payload: &[u8]) -> Result<Decoded<'_>, DecodeError> {
         let len = payload.len();
         let Some((&tag, rest)) = payload.split_first() else {
             return Err(DecodeError::BadLength { tag: 0, len });
         };
         let mut r = Reader { rest, tag, len };
+        if tag == TAG_FEED_BATCH {
+            // Validated whole before any reading is looked at: the count
+            // accounts for every byte left, so the view is exactly its
+            // entries.
+            let session = r.u64()?;
+            let count = r.count(BATCH_READING_LEN)?;
+            let entries = r.take(count * BATCH_READING_LEN)?;
+            let readings = BatchView { entries };
+            return Ok(Decoded::Batch { session, readings });
+        }
         let msg = match tag {
             TAG_READING => Message::Reading {
                 module: r.module()?,
@@ -917,19 +1018,6 @@ impl Message {
                 session: r.u64()?,
                 message: r.string()?,
             },
-            TAG_FEED_BATCH => {
-                let session = r.u64()?;
-                let count = r.count(BATCH_READING_LEN)?;
-                let mut readings = Vec::with_capacity(count);
-                for _ in 0..count {
-                    readings.push(BatchReading {
-                        module: r.module()?,
-                        round: r.u64()?,
-                        value: r.f64()?,
-                    });
-                }
-                Message::FeedBatch { session, readings }
-            }
             TAG_RESUME_SESSION => Message::ResumeSession {
                 session: r.u64()?,
                 modules: r.u32()?,
@@ -985,7 +1073,7 @@ impl Message {
             other => return Err(DecodeError::UnknownTag(other)),
         };
         r.finish()?;
-        Ok(msg)
+        Ok(Decoded::Message(msg))
     }
 }
 

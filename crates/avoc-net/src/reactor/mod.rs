@@ -49,11 +49,12 @@ pub mod decoder;
 mod metrics;
 mod timer;
 
+use decoder::InPlaceStep;
 pub use decoder::{DecodeStep, StreamDecoder};
 pub use metrics::{ReactorMetrics, ReactorSnapshot};
 
 use crate::cork::{CorkMetrics, CorkedWriter, FlushOutcome};
-use crate::message::{Message, MAX_FRAME_LEN};
+use crate::message::{BatchView, Message, MAX_FRAME_LEN};
 use bytes::BytesMut;
 use parking_lot::Mutex;
 use std::io::{self, Read as _};
@@ -76,12 +77,17 @@ const TOKEN_ACCEPT_RESUME: u64 = u64::MAX - 2;
 /// How long a paused accept loop waits before probing for free fds.
 const ACCEPT_RESUME_PROBE: Duration = Duration::from_millis(50);
 
-/// Read chunk size per `read(2)`.
+/// The size of a connection's first `read(2)`, and of every read after a
+/// short one.
 const READ_CHUNK: usize = 16 * 1024;
-/// Reads per readiness event before yielding to other connections. A
+/// The largest `read(2)`: a connection's read size doubles after each read
+/// that filled it, up to this, so a socket that stays full is read (and its
+/// answers pumped) once per 64 KiB instead of once per 16 KiB.
+const MAX_READ: usize = 64 * 1024;
+/// Bytes read per readiness event before yielding to other connections. A
 /// firehose peer gets at most this much attention per dispatch; level
 /// triggering re-reports it immediately if more is pending.
-const MAX_READS_PER_EVENT: usize = 16;
+const READ_BUDGET: usize = 256 * 1024;
 
 /// Wedged-peer deadline: how long a connection may stay unwritable with
 /// output pending before the reactor closes it.
@@ -122,6 +128,19 @@ pub trait Handler: Send + 'static {
 
     /// One decoded inbound frame.
     fn on_frame(&mut self, conn: &mut Self::Conn, msg: Message) -> FrameVerdict;
+
+    /// One decoded `FeedBatch` frame, its readings still in the decoder's
+    /// buffer. The default copies them into the owned
+    /// [`Message::FeedBatch`] and calls [`Handler::on_frame`].
+    fn on_batch(
+        &mut self,
+        conn: &mut Self::Conn,
+        session: u64,
+        readings: BatchView<'_>,
+    ) -> FrameVerdict {
+        let readings = readings.to_vec();
+        self.on_frame(conn, Message::FeedBatch { session, readings })
+    }
 
     /// One socket read has been decoded: every frame it completed has been
     /// through [`Handler::on_frame`]. Called once per `read(2)` that
@@ -164,10 +183,12 @@ impl WakeShared {
 
     /// Disarm-then-take: a producer that pushes after the take must have
     /// swapped `armed` after our disarm, so it notifies the pipe and the
-    /// next dispatch sees it.
-    fn take_pending(&self) -> Vec<u64> {
+    /// next dispatch sees it. The pending tokens are swapped into `into`,
+    /// which must be empty, so both lists keep their allocations.
+    fn take_pending(&self, into: &mut Vec<u64>) {
+        debug_assert!(into.is_empty());
         self.armed.store(false, Ordering::SeqCst);
-        std::mem::take(&mut *self.pending.lock())
+        std::mem::swap(&mut *self.pending.lock(), into);
     }
 }
 
@@ -325,7 +346,8 @@ fn spawn_core<H: Handler>(
         free: Vec::new(),
         timers: TimerWheel::new(Instant::now()),
         expired: Vec::new(),
-        read_buf: vec![0; READ_CHUNK].into_boxed_slice(),
+        woken: Vec::new(),
+        read_buf: vec![0; READ_CHUNK],
         metrics: config.metrics,
         cork_metrics: config.cork_metrics,
         health: config.health,
@@ -361,10 +383,10 @@ impl ReactorPool {
     }
 
     /// Stops every reactor and joins its thread. Every live connection
-    /// gets [`Handler::on_close`] and a best-effort bounded flush of its
-    /// outbox (sockets are flipped back to blocking with the write deadline
-    /// as timeout). Dropping the pool without calling this leaves
-    /// the threads running (detached).
+    /// gets [`Handler::on_close`] and a best-effort flush of its outbox;
+    /// a reactor flushes all of its connections together, without
+    /// blocking, for at most one write deadline. Dropping the pool without
+    /// calling this leaves the threads running (detached).
     pub fn shutdown(self) {
         for handle in self.reactors {
             handle.shutdown();
@@ -457,6 +479,9 @@ struct Conn<C> {
     /// Live deadline generation; wheel entries with an older generation
     /// are cancelled timers.
     deadline_gen: u64,
+    /// How many bytes the next `read(2)` asks for: [`READ_CHUNK`], doubled
+    /// after each read that filled it, up to [`MAX_READ`].
+    read_size: usize,
 }
 
 impl<C> Conn<C> {
@@ -547,9 +572,14 @@ struct Core<H: Handler> {
     free: Vec<usize>,
     timers: TimerWheel,
     expired: Vec<TimerEntry>,
-    /// The buffer every `read(2)` lands in, zero-filled once: a connection's
-    /// decoder copies out what it needs before the next read.
-    read_buf: Box<[u8]>,
+    /// The tokens producers woke, taken from [`WakeShared`] each dispatch.
+    woken: Vec<u64>,
+    /// The buffer every `read(2)` lands in: its whole frames are parsed
+    /// where they lie, and a connection's decoder copies out only a frame
+    /// the read cut off. It grows, zero-filled, to the largest read asked
+    /// for, so a reactor whose reads never grow past [`READ_CHUNK`] holds
+    /// no more.
+    read_buf: Vec<u8>,
     metrics: Option<ReactorMetrics>,
     cork_metrics: Option<CorkMetrics>,
     health: Option<avoc_obs::Health>,
@@ -694,6 +724,7 @@ impl<H: Handler> Core<H> {
             state,
             write_armed: false,
             deadline_gen: 0,
+            read_size: READ_CHUNK,
         });
         if let Some(m) = &self.metrics {
             m.accepted.inc();
@@ -790,11 +821,13 @@ impl<H: Handler> Core<H> {
         }
     }
 
-    /// Reads until the socket runs dry (or the burst cap), feeding the
-    /// streaming decoder and the handler; after each read the connection's
-    /// outbox is moved into its cork and flushed, unless the connection is
-    /// parked on `EPOLLOUT`. Returns `false` when the connection was
-    /// closed.
+    /// Reads until the socket runs dry (or the byte budget is spent),
+    /// decoding each read where it lies and feeding the handler; after each read the
+    /// connection's outbox is moved into its cork and flushed, unless the
+    /// connection is parked on `EPOLLOUT`. A read that fills its size
+    /// doubles the next one, up to [`MAX_READ`]; a short read means the
+    /// socket is drained, and the next read starts at [`READ_CHUNK`] again.
+    /// Returns `false` when the connection was closed.
     fn read_ready(&mut self, idx: usize) -> bool {
         let mut close = false;
         {
@@ -804,7 +837,7 @@ impl<H: Handler> Core<H> {
                 epoll,
                 timers,
                 cork_metrics,
-                read_buf: chunk,
+                read_buf,
                 ..
             } = &mut *self;
             let slot = &mut slots[idx];
@@ -812,7 +845,8 @@ impl<H: Handler> Core<H> {
             let Some(conn) = &mut slot.conn else {
                 return false;
             };
-            for _ in 0..MAX_READS_PER_EVENT {
+            let mut budget = READ_BUDGET;
+            while budget > 0 {
                 match sysio::fault::check(sysio::fault::Site::SockRead) {
                     None => {}
                     Some(sysio::fault::Kind::Eintr) => continue,
@@ -822,6 +856,11 @@ impl<H: Handler> Core<H> {
                         break;
                     }
                 }
+                let want = conn.read_size.min(budget);
+                if read_buf.len() < want {
+                    read_buf.resize(want, 0);
+                }
+                let chunk = &mut read_buf[..want];
                 let n = match conn.writer.get_mut().read(chunk) {
                     Ok(0) => {
                         close = true;
@@ -835,29 +874,35 @@ impl<H: Handler> Core<H> {
                         break;
                     }
                 };
+                budget -= n;
+                let filled = n == chunk.len();
+                conn.read_size = if filled {
+                    (conn.read_size * 2).min(MAX_READ)
+                } else {
+                    READ_CHUNK
+                };
                 if let Some(m) = cork_metrics {
                     m.bytes_received.add(n as u64);
                 }
                 if !conn.write_armed {
                     conn.outbox.waker.hold();
                 }
-                conn.decoder.extend(&chunk[..n]);
+                let mut input = &chunk[..n];
                 loop {
-                    match conn.decoder.next_frame() {
-                        DecodeStep::Frame(msg) => {
-                            if handler.on_frame(&mut conn.state, msg) == FrameVerdict::Close {
-                                close = true;
-                                break;
-                            }
+                    let verdict = match conn.decoder.next_from(&mut input) {
+                        InPlaceStep::Frame(msg) => handler.on_frame(&mut conn.state, msg),
+                        InPlaceStep::Batch { session, readings } => {
+                            handler.on_batch(&mut conn.state, session, readings)
                         }
-                        DecodeStep::Skipped(_) => {}
-                        DecodeStep::Incomplete => break,
+                        InPlaceStep::Skipped(_) => FrameVerdict::Continue,
+                        InPlaceStep::Incomplete => break,
                         // Hostile length prefix: the decoder has already
                         // shed its buffer; drop the connection.
-                        DecodeStep::Dead(_) => {
-                            close = true;
-                            break;
-                        }
+                        InPlaceStep::Dead(_) => FrameVerdict::Close,
+                    };
+                    if verdict == FrameVerdict::Close {
+                        close = true;
+                        break;
                     }
                 }
                 close |= handler.on_read_end(&mut conn.state) == FrameVerdict::Close;
@@ -869,7 +914,7 @@ impl<H: Handler> Core<H> {
                     close = true;
                     break;
                 }
-                if n < chunk.len() {
+                if !filled {
                     break; // short read: the socket is drained
                 }
             }
@@ -905,8 +950,9 @@ impl<H: Handler> Core<H> {
     /// connection parked on `EPOLLOUT` keeps its wake mark and waits for
     /// writability, which pumps it anyway.
     fn process_dirty(&mut self) {
-        let pending = self.shared.take_pending();
-        for token in pending {
+        let mut woken = std::mem::take(&mut self.woken);
+        self.shared.take_pending(&mut woken);
+        for token in woken.drain(..) {
             let (gen, idx) = token_parts(token);
             let due = self.slots.get(idx).is_some_and(|slot| {
                 slot.gen == gen && slot.conn.as_ref().is_some_and(|c| !c.write_armed)
@@ -915,6 +961,7 @@ impl<H: Handler> Core<H> {
                 self.pump(idx);
             }
         }
+        self.woken = woken;
     }
 
     fn expire_deadlines(&mut self, now: Instant) {
@@ -973,10 +1020,13 @@ impl<H: Handler> Core<H> {
 
     /// Graceful exit: every live connection gets `on_close` (closing or
     /// detaching its sessions flushes their in-flight rounds into the
-    /// outbox), then its socket flips back to blocking with the write
-    /// deadline as timeout and the cork and outbox are flushed — so
-    /// results of rounds already fed still reach tenants.
+    /// outbox), then the corks and outboxes of all of them are flushed
+    /// together, without blocking, for at most one write deadline in all —
+    /// so results of rounds already fed still reach tenants, and peers that
+    /// stopped reading hold shutdown up no longer than one of them would.
     fn teardown(mut self) {
+        let _ = self.epoll.remove(self.listener.as_raw_fd());
+        let mut flushing = Vec::new();
         for slot in &mut self.slots {
             let Some(Conn {
                 mut writer,
@@ -987,16 +1037,37 @@ impl<H: Handler> Core<H> {
             else {
                 continue;
             };
-            let _ = self.epoll.remove(writer.get_ref().as_raw_fd());
             if let Some(m) = &self.metrics {
                 m.connections_open.add(-1);
             }
             self.handler.on_close(state);
             outbox.drain_into(&mut writer);
             outbox.close();
-            let _ = writer.get_ref().set_nonblocking(false);
-            let _ = writer.get_ref().set_write_timeout(Some(WRITE_DEADLINE));
-            let _ = writer.flush();
+            // Woken by writability alone from here on: a peer that keeps
+            // sending while it never reads must not spin the loop below.
+            let fd = writer.get_ref().as_raw_fd();
+            let writable = Interest {
+                readable: false,
+                writable: true,
+            };
+            let _ = self.epoll.modify(fd, fd as u64, writable);
+            flushing.push(writer);
+        }
+        let deadline = Instant::now() + WRITE_DEADLINE;
+        let mut events = Vec::new();
+        loop {
+            // Dropping a writer closes its socket: a drained one, and one
+            // whose peer is gone.
+            flushing.retain_mut(|w| matches!(w.flush_nonblocking(), Ok(FlushOutcome::Blocked)));
+            let left = deadline.saturating_duration_since(Instant::now());
+            if flushing.is_empty() || left.is_zero() {
+                break;
+            }
+            let wait_ms = left.as_millis().clamp(1, i32::MAX as u128) as i32;
+            if self.epoll.wait(&mut events, wait_ms).is_err() {
+                break;
+            }
+            self.shared.pipe.drain();
         }
     }
 }
@@ -1574,6 +1645,79 @@ mod tests {
         );
     }
 
+    fn echo_reading(round: u64) -> bytes::Bytes {
+        Message::SessionReading {
+            session: 1,
+            module: ModuleId::new(0),
+            round,
+            value: 1.0,
+        }
+        .encode()
+    }
+
+    /// Connects a peer that never reads and feeds it readings until the
+    /// reactor's writer parks on it: 256 readings at a time, each batch read
+    /// before the next is sent. Once loopback buffers are full in both
+    /// directions the corked writer parks, and `wire` stops counting sent
+    /// bytes.
+    fn wedge(addr: SocketAddr, wire: &CorkMetrics) -> TcpStream {
+        let batch: Vec<u8> = (0..256)
+            .flat_map(|round| echo_reading(round).to_vec())
+            .collect();
+        let started = Instant::now();
+        let mut wedged = TcpStream::connect(addr).unwrap();
+        let mut fed = wire.bytes_received.get();
+        let (mut sent, mut stalled) = (wire.snapshot().bytes_sent, 0);
+        while stalled < 4 {
+            wedged.write_all(&batch).unwrap();
+            fed += batch.len() as u64;
+            while wire.bytes_received.get() < fed {
+                assert!(
+                    started.elapsed() < WRITE_DEADLINE,
+                    "the reactor stopped reading"
+                );
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            let now_sent = wire.snapshot().bytes_sent;
+            stalled = if now_sent == sent { stalled + 1 } else { 0 };
+            sent = now_sent;
+        }
+        wedged
+    }
+
+    #[test]
+    fn peers_that_never_read_hold_shutdown_for_one_write_deadline_in_all() {
+        let _gate = serial();
+        let registry = avoc_obs::Registry::new();
+        let metrics = ReactorMetrics::register(&registry, &[]);
+        let wire = CorkMetrics::register(&registry, &[]);
+        let closes = Arc::new(AtomicU64::new(0));
+        let handle = spawn_one(
+            Echo {
+                closes: Arc::clone(&closes),
+            },
+            ReactorConfig {
+                metrics: Some(metrics.clone()),
+                cork_metrics: Some(wire.clone()),
+                ..ReactorConfig::default()
+            },
+        );
+        let wedged = [
+            wedge(handle.local_addr(), &wire),
+            wedge(handle.local_addr(), &wire),
+        ];
+        assert_eq!(metrics.wedged_closed.get(), 0, "both peers are still open");
+        let stopping = Instant::now();
+        handle.shutdown();
+        assert!(
+            stopping.elapsed() < WRITE_DEADLINE + Duration::from_secs(1),
+            "shutdown took {:?} behind two wedged peers",
+            stopping.elapsed()
+        );
+        assert_eq!(closes.load(Ordering::SeqCst), 2);
+        drop(wedged);
+    }
+
     #[test]
     fn a_peer_that_never_reads_is_closed_at_the_write_deadline() {
         let _gate = serial();
@@ -1591,37 +1735,8 @@ mod tests {
                 ..ReactorConfig::default()
             },
         );
-        let reading = |round| {
-            Message::SessionReading {
-                session: 1,
-                module: ModuleId::new(0),
-                round,
-                value: 1.0,
-            }
-            .encode()
-        };
-        // 256 readings at a time, each batch read before the next is sent,
-        // so every echo fits the handler's 256-frame channel. The peer
-        // never reads: once loopback buffers are full in both directions
-        // the corked writer parks, and the socket takes no more bytes.
-        let batch: Vec<u8> = (0..256).flat_map(|round| reading(round).to_vec()).collect();
         let started = Instant::now();
-        let mut wedged = TcpStream::connect(handle.local_addr()).unwrap();
-        let (mut fed, mut sent, mut stalled) = (0u64, 0u64, 0);
-        while stalled < 4 {
-            wedged.write_all(&batch).unwrap();
-            fed += batch.len() as u64;
-            while wire.bytes_received.get() < fed {
-                assert!(
-                    started.elapsed() < WRITE_DEADLINE,
-                    "the reactor stopped reading"
-                );
-                std::thread::sleep(Duration::from_micros(100));
-            }
-            let now_sent = wire.snapshot().bytes_sent;
-            stalled = if now_sent == sent { stalled + 1 } else { 0 };
-            sent = now_sent;
-        }
+        let wedged = wedge(handle.local_addr(), &wire);
         let parked = Instant::now();
         while closes.load(Ordering::SeqCst) == 0 {
             assert!(
@@ -1642,7 +1757,7 @@ mod tests {
 
         // The reactor that closed it still serves everyone else.
         let mut client = TcpStream::connect(handle.local_addr()).unwrap();
-        client.write_all(&reading(7)).unwrap();
+        client.write_all(&echo_reading(7)).unwrap();
         client
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
@@ -1685,7 +1800,9 @@ mod tests {
         assert!(!outbox.push(&Message::Shutdown), "a full outbox sheds");
         assert_eq!(outbox.pending.lock().frames, 3);
         // The pushes woke the reactor once: one token, one armed pipe.
-        assert_eq!(outbox.waker.shared.take_pending(), [1]);
+        let mut woken = Vec::new();
+        outbox.waker.shared.take_pending(&mut woken);
+        assert_eq!(woken, [1]);
         outbox.close();
         assert!(outbox.pending.lock().bytes.is_empty());
         assert!(!outbox.push(&Message::Shutdown), "a closed outbox sheds");

@@ -9,12 +9,14 @@
 //! through the re-entrant [`avoc_net::StreamDecoder`]; the
 //! `SessionReading` frames one socket read completes are staged per shard
 //! and fused on the reactor, one shard step each, when that read has been
-//! decoded (or handed to one of the service's helper threads). Verdicts are encoded straight into the [`avoc_net::Outbox`] of
-//! the connection that opened the session, and the owning reactor flushes
-//! it before the next read.
+//! decoded (or handed to one of the service's helper threads). A
+//! `FeedBatch` frame is one step of its own, its readings read where the
+//! decoder holds them ([`avoc_net::BatchView`]). Verdicts are encoded
+//! straight into the [`avoc_net::Outbox`] of the connection that opened
+//! the session, and the owning reactor flushes it before the next read.
 
 use avoc_net::reactor::{self, FrameVerdict, Handler, ReactorConfig, ReactorPool};
-use avoc_net::{Message, Outbox};
+use avoc_net::{BatchReading, BatchView, Message, Outbox};
 use avoc_obs::http;
 use std::io;
 use std::net::SocketAddr;
@@ -186,6 +188,33 @@ impl ServeHandler {
             .emit(sink, Message::Error { session, message });
     }
 
+    /// The first frame of a read marks the reactor busy for the service's
+    /// hand-off budget, until the read's end.
+    fn enter_read(&mut self) {
+        if !std::mem::replace(&mut self.in_read, true) {
+            self.service.reading(true);
+        }
+    }
+
+    /// Feeds one `FeedBatch` frame — the `len` readings `get` yields — to
+    /// its session's shard, possibly on a helper thread. Only a drained
+    /// service fails this; the tenant is told and the connection closed.
+    fn feed_batch(
+        &self,
+        conn: &ConnState,
+        session: u64,
+        len: usize,
+        get: impl Fn(usize) -> BatchReading,
+    ) -> FrameVerdict {
+        match self.service.feed_frame(session, len, get, true) {
+            Ok(()) => FrameVerdict::Continue,
+            Err(e) => {
+                self.send_error(&conn.sink, session, &e);
+                FrameVerdict::Close
+            }
+        }
+    }
+
     /// Feeds the staged readings to their shards: at the end of a read
     /// (`hand`) possibly on helper threads, ahead of another frame on this
     /// one, so that whatever the frame does — a reply the handler sends
@@ -215,9 +244,7 @@ impl Handler for ServeHandler {
     }
 
     fn on_frame(&mut self, conn: &mut ConnState, msg: Message) -> FrameVerdict {
-        if !std::mem::replace(&mut self.in_read, true) {
-            self.service.reading(true);
-        }
+        self.enter_read();
         if !matches!(msg, Message::SessionReading { .. })
             && self.flush_staged(conn, false) == FrameVerdict::Close
         {
@@ -271,10 +298,7 @@ impl Handler for ServeHandler {
                 .service
                 .stage(&mut self.staged, session, module, round, value),
             Message::FeedBatch { session, readings } => {
-                if let Err(e) = self.service.feed_frame(session, &readings, true) {
-                    self.send_error(&conn.sink, session, &e);
-                    return FrameVerdict::Close;
-                }
+                return self.feed_batch(conn, session, readings.len(), |i| readings[i]);
             }
             Message::CloseSession { session } => {
                 conn.opened.retain(|&s| s != session);
@@ -354,6 +378,19 @@ impl Handler for ServeHandler {
         FrameVerdict::Continue
     }
 
+    fn on_batch(
+        &mut self,
+        conn: &mut ConnState,
+        session: u64,
+        readings: BatchView<'_>,
+    ) -> FrameVerdict {
+        self.enter_read();
+        if self.flush_staged(conn, false) == FrameVerdict::Close {
+            return FrameVerdict::Close;
+        }
+        self.feed_batch(conn, session, readings.len(), |i| readings.get(i))
+    }
+
     fn on_read_end(&mut self, conn: &mut ConnState) -> FrameVerdict {
         let verdict = self.flush_staged(conn, true);
         if std::mem::take(&mut self.in_read) {
@@ -386,7 +423,7 @@ mod tests {
     use super::*;
     use crate::{ServeConfig, SpecRegistry};
     use avoc_core::ModuleId;
-    use avoc_net::{BatchReading, SpecSource};
+    use avoc_net::SpecSource;
     use crossbeam::channel::{self, Receiver};
 
     /// A handler over a one-shard service, its connection emitting to an

@@ -12,7 +12,7 @@ use std::time::Instant;
 use crate::metrics::{CountersSnapshot, ServiceCounters};
 use crate::persist::{self, Persistence};
 use crate::registry::SpecRegistry;
-use crate::shard::{OpenReq, ShardState, Shards, TaggedReading};
+use crate::shard::{Frame, OpenReq, ShardState, Shards, TaggedReading};
 use crate::sink::ResultSink;
 
 /// Daemon tuning knobs.
@@ -573,6 +573,12 @@ impl VoterService {
     /// batch in submission order, so the fused stream is bit-identical to
     /// per-reading feeding.
     ///
+    /// The step runs on the calling thread, which fuses every round the
+    /// batch completes before this returns. In-process callers therefore
+    /// get parallelism from one feeding thread per shard: sessions on
+    /// different shards fuse in parallel only when different threads feed
+    /// them.
+    ///
     /// # Errors
     ///
     /// [`ServeError::ShuttingDown`] after [`VoterService::drain`].
@@ -581,36 +587,36 @@ impl VoterService {
         session: u64,
         readings: &[avoc_net::BatchReading],
     ) -> Result<(), ServeError> {
-        self.feed_frame(session, readings, false)
+        self.feed_frame(session, readings.len(), |i| readings[i], false)
     }
 
-    /// [`VoterService::feed_batch`], which with `hand` (a reactor's frame)
-    /// may hand the step to a helper thread, to run after this returns.
+    /// Feeds the `len` readings `get` yields as one frame of `session`'s:
+    /// one sampling decision for the frame, and one step, which with `hand`
+    /// (a reactor's frame, a slice or a batch still in its decoder) may go
+    /// to a helper thread, to run after this returns.
     pub(crate) fn feed_frame(
         &self,
         session: u64,
-        readings: &[avoc_net::BatchReading],
+        len: usize,
+        get: impl Fn(usize) -> avoc_net::BatchReading,
         hand: bool,
     ) -> Result<(), ServeError> {
-        let Some(first) = readings.first() else {
+        if len == 0 {
             return Ok(());
-        };
-        // One sampling decision for the frame.
+        }
         let ingest = self
             .counters
             .trace
             .sample()
-            .then(|| open_ingest_span(session, first.round));
-        let sampled = ingest.is_some();
-        let tagged = readings.iter().map(|r| TaggedReading {
+            .then(|| open_ingest_span(session, get(0).round));
+        let frame = Frame {
             session,
-            round: r.round,
-            value: r.value,
-            module: r.module,
-            sampled,
-        });
+            sampled: ingest.is_some(),
+            len,
+            get,
+        };
         let shard = self.shard_for(session);
-        self.shards.feed(shard, tagged, ingest.as_slice(), hand)
+        self.shards.feed(shard, &frame, ingest.as_slice(), hand)
     }
 
     /// A reactor starts (`true`) or ends (`false`) handling a socket read;
@@ -672,10 +678,11 @@ impl VoterService {
             let session = first.session;
             let fed = self
                 .shards
-                .feed(shard, staged.readings.drain(..), &staged.ingest, hand);
+                .feed(shard, &staged.readings[..], &staged.ingest, hand);
             if let Err(e) = fed {
                 outcome = Err((session, e));
             }
+            staged.readings.clear();
             staged.ingest.clear();
         }
         outcome

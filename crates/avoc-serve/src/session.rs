@@ -171,6 +171,28 @@ impl Session {
             .accept_reading_into(module, round, value, &mut self.ready);
     }
 
+    /// Assembles one whole round — `values` are modules `0..n` in order —
+    /// without fusing, as `n` calls of [`Session::assemble`] would, the last
+    /// at `tick`. Returns `false`, having changed nothing, where the hub
+    /// refuses the round whole ([`SensorHub::accept_round_into`]).
+    pub(crate) fn assemble_round(
+        &mut self,
+        round: u64,
+        values: impl ExactSizeIterator<Item = f64>,
+        tick: u64,
+    ) -> bool {
+        let taken = self.hub.accept_round_into(round, values, &mut self.ready);
+        if taken {
+            self.last_active_tick = tick;
+        }
+        taken
+    }
+
+    /// How many modules feed each round.
+    pub(crate) fn modules(&self) -> usize {
+        self.hub.expected().len()
+    }
+
     /// Fuses the rounds the hub lent out, in order, and hands them back.
     ///
     /// One clock pair times the whole batch, and the batch is recorded once:

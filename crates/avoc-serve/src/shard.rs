@@ -3,7 +3,7 @@
 //! helper is free or the lock busy, on a helper thread.
 
 use avoc_core::ModuleId;
-use avoc_net::{Message, SpecSource};
+use avoc_net::{BatchReading, Message, SpecSource};
 use avoc_vdx::VdxSpec;
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
@@ -58,6 +58,56 @@ pub(crate) struct TaggedReading {
     /// decision per `SessionReading`, or per whole `FeedBatch`): rounds it
     /// completes leave fuse and flush spans.
     pub(crate) sampled: bool,
+}
+
+/// Readings a step feeds, read by index, so the shard can look a whole
+/// round ahead before it assembles one.
+pub(crate) trait Readings {
+    /// How many readings there are.
+    fn count(&self) -> usize;
+    /// The `i`-th reading, in submission order.
+    fn at(&self, i: usize) -> TaggedReading;
+}
+
+impl Readings for [TaggedReading] {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn at(&self, i: usize) -> TaggedReading {
+        self[i]
+    }
+}
+
+/// One frame's readings for one session — a slice, or a batch still in
+/// the decoder's bytes — read through `get`, with the frame's one sampling
+/// decision.
+pub(crate) struct Frame<F> {
+    pub(crate) session: u64,
+    pub(crate) sampled: bool,
+    pub(crate) len: usize,
+    pub(crate) get: F,
+}
+
+impl<F: Fn(usize) -> BatchReading> Readings for Frame<F> {
+    fn count(&self) -> usize {
+        self.len
+    }
+
+    fn at(&self, i: usize) -> TaggedReading {
+        let BatchReading {
+            module,
+            round,
+            value,
+        } = (self.get)(i);
+        TaggedReading {
+            session: self.session,
+            round,
+            value,
+            module,
+            sampled: self.sampled,
+        }
+    }
 }
 
 /// The service's shards and everything their steps share. Each shard is
@@ -166,6 +216,8 @@ pub(crate) struct ShardState {
     /// are flushed (batched into one frame each) before the step returns.
     /// `Session::flush_queued` marks the ones already listed.
     touched: Vec<u64>,
+    /// The values of the whole round a step is looking at.
+    values: Vec<f64>,
     /// No session outstays `idle_ticks` until the tick passes this: the
     /// oldest `last_active_tick` the last sweep kept (its own tick if it
     /// kept none) plus `idle_ticks`. Activity only moves ticks forward and
@@ -178,6 +230,43 @@ pub(crate) struct ShardState {
 /// point where some session could first be idle.
 fn sweeps_at(tick: u64, sweep_due: u64) -> bool {
     tick.is_multiple_of(SWEEP_INTERVAL) && tick > sweep_due
+}
+
+/// Whether a round of `modules` readings, fed one by one after `fed`
+/// readings of the step at shard tick `tick`, would be cut: a reading
+/// before its last would end a burst or reach a sweep point.
+fn cut(modules: usize, fed: usize, tick: u64, sweep_due: u64) -> bool {
+    // The tick of the round's last reading but one, and the latest sweep
+    // grid point up to it.
+    let inner = tick + modules as u64 - 1;
+    let grid = inner - inner % SWEEP_INTERVAL;
+    (fed + modules - 1) / DATA_BURST != fed / DATA_BURST
+        || (grid > tick && sweeps_at(grid, sweep_due))
+}
+
+/// Whether the `modules` readings from `at`, of which `first` is the one
+/// at `at`, are one whole round of one session: modules `0..modules` in
+/// order, one round id, none traced. Their values are left in `values`.
+fn whole_round(
+    readings: &(impl Readings + ?Sized),
+    at: usize,
+    first: TaggedReading,
+    modules: usize,
+    values: &mut Vec<f64>,
+) -> bool {
+    if first.sampled || at + modules > readings.count() {
+        return false;
+    }
+    values.clear();
+    values.push(first.value);
+    (1..modules).all(|k| {
+        let r = readings.at(at + k);
+        values.push(r.value);
+        r.session == first.session
+            && r.module.index() as usize == k
+            && r.round == first.round
+            && !r.sampled
+    })
 }
 
 impl Shards {
@@ -198,6 +287,7 @@ impl Shards {
                     sessions: HashMap::new(),
                     tick: 0,
                     touched: Vec::new(),
+                    values: Vec::new(),
                     sweep_due: 0,
                 }),
                 queue: Mutex::default(),
@@ -312,8 +402,10 @@ impl Shards {
                 }
             };
             self.run_feed(st, &mut feed);
-            self.flush_touched(st);
+            // Spare before the verdicts leave: the next feed they prompt
+            // finds this buffer instead of making one.
             self.spares.lock().push(feed);
+            self.flush_touched(st);
         }
     }
 
@@ -321,7 +413,8 @@ impl Shards {
     fn run_feed(&self, st: &mut ShardState, feed: &mut Feed) {
         self.record_queue(&feed.ingest, feed.handed_ns);
         self.counters.shard_handoff_sends.inc();
-        self.readings(st, feed.readings.drain(..));
+        self.readings(st, &feed.readings[..]);
+        feed.readings.clear();
         feed.ingest.clear();
     }
 
@@ -360,7 +453,7 @@ impl Shards {
     pub(crate) fn feed(
         &self,
         shard: usize,
-        readings: impl IntoIterator<Item = TaggedReading>,
+        readings: &(impl Readings + ?Sized),
         ingest: &[avoc_obs::Span],
         hand: bool,
     ) -> Result<(), ServeError> {
@@ -392,12 +485,13 @@ impl Shards {
     fn hand(
         &self,
         shard: usize,
-        readings: impl IntoIterator<Item = TaggedReading>,
+        readings: &(impl Readings + ?Sized),
         ingest: &[avoc_obs::Span],
         handed_ns: u64,
     ) -> Result<(), ServeError> {
         let mut feed = self.spares.lock().pop().unwrap_or_default();
-        feed.readings.extend(readings);
+        feed.readings
+            .extend((0..readings.count()).map(|i| readings.at(i)));
         feed.ingest.extend_from_slice(ingest);
         feed.handed_ns = handed_ns;
         {
@@ -628,26 +722,46 @@ impl Shards {
     /// bit-identical to one step per reading. A session's run of
     /// consecutive readings is assembled first and fused as one batch when
     /// the run ends; the engine sees the same rounds in the same order
-    /// either way.
-    fn readings(&self, st: &mut ShardState, readings: impl IntoIterator<Item = TaggedReading>) {
-        let mut readings = readings.into_iter().peekable();
-        let mut fed = 0usize;
-        while let Some(&TaggedReading { session, .. }) = readings.peek() {
+    /// either way. Where the readings ahead are one whole untraced round
+    /// that no burst boundary or sweep point cuts, the hub assembles it in
+    /// one step ([`Session::assemble_round`]), and the tick advances by one
+    /// per reading all the same.
+    fn readings(&self, st: &mut ShardState, readings: &(impl Readings + ?Sized)) {
+        let (len, mut i, mut fed) = (readings.count(), 0, 0usize);
+        while i < len {
+            let session = readings.at(i).session;
             // One lookup serves the run of consecutive readings for this
             // session (a tick's frames arrive back to back), up to the next
             // point where the shard needs the whole map again.
             if let Some(s) = st.sessions.get_mut(&session) {
-                while let Some(r) = readings.next_if(|r| r.session == session) {
-                    st.tick += 1;
-                    if r.sampled {
-                        // A traced reading's rounds get a fuse span each:
-                        // the rounds deferred so far fuse first, untraced.
-                        s.fuse_ready(false, &self.counters);
-                        s.feed(r.module, r.round, r.value, st.tick, true, &self.counters);
-                    } else {
-                        s.assemble(r.module, r.round, r.value, st.tick);
+                while i < len {
+                    let r = readings.at(i);
+                    if r.session != session {
+                        break;
                     }
-                    fed += 1;
+                    let n = s.modules();
+                    let whole = r.module.index() == 0
+                        && !cut(n, fed, st.tick, st.sweep_due)
+                        && whole_round(readings, i, r, n, &mut st.values)
+                        && s.assemble_round(r.round, st.values.iter().copied(), st.tick + n as u64);
+                    if whole {
+                        i += n;
+                        st.tick += n as u64;
+                        fed += n;
+                    } else {
+                        i += 1;
+                        st.tick += 1;
+                        if r.sampled {
+                            // A traced reading's rounds get a fuse span
+                            // each: the rounds deferred so far fuse first,
+                            // untraced.
+                            s.fuse_ready(false, &self.counters);
+                            s.feed(r.module, r.round, r.value, st.tick, true, &self.counters);
+                        } else {
+                            s.assemble(r.module, r.round, r.value, st.tick);
+                        }
+                        fed += 1;
+                    }
                     if fed.is_multiple_of(DATA_BURST) || sweeps_at(st.tick, st.sweep_due) {
                         break;
                     }
@@ -664,7 +778,7 @@ impl Shards {
                 // Export), sent before its Open, or misrouted. Counted as a
                 // drop, but no error frame — per-reading errors would
                 // amplify a flood.
-                readings.next();
+                i += 1;
                 st.tick += 1;
                 self.counters.readings_dropped.inc();
                 fed += 1;

@@ -1,20 +1,25 @@
 //! The allocation gates: exact counts through a counting global allocator,
 //! so they hold under plain `cargo test` and `--release` alike (timing is
-//! `benchmark/`'s job). The client feed path, the hub's round assembly and the
-//! engine's fuse loop never allocate in steady state, and neither cold-resume
-//! path allocates per record.
+//! `benchmark/`'s job). The client feed path, the daemon's feed path, the
+//! hub's round assembly and the engine's fuse loop never allocate in steady
+//! state, and neither cold-resume path allocates per record.
 
 use avoc::core::history::HistoryStore;
 use avoc::core::{Ballot, ModuleId, Round};
+use avoc::net::reactor::{DecodeStep, StreamDecoder};
 use avoc::net::{BatchReading, Message, SensorHub, SpecSource};
 use avoc::serve::{ServeClient, ServeConfig, SpecRegistry, TcpServer, VoterService};
 use avoc::sim::{FaultInjector, FaultKind, LightScenario};
 use avoc::store::{session_wal_path, Durability, FileHistory, TieredStore, VerdictRecord};
 use avoc::vdx::{build_engine, ValueKind, VdxCollation, VdxSpec};
+use bytes::BytesMut;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::io::{Read as _, Write as _};
+use std::net::TcpStream;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Counts every heap allocation into a per-thread ledger, so each test
 /// meters its own thread and sees neither the daemon's threads nor the
@@ -24,11 +29,57 @@ struct CountingAlloc;
 
 thread_local! {
     static TL_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Whether this thread is one of a daemon's data-plane threads: 0 not
+    /// yet looked up, 1 yes, 2 no.
+    static TL_DAEMON: Cell<u8> = const { Cell::new(0) };
 }
+
+/// While set, allocations on a daemon's data-plane threads count into
+/// [`DAEMON_ALLOCS`].
+static DAEMON_METER: AtomicBool = AtomicBool::new(false);
+static DAEMON_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 fn count_one() {
     // try_with: allocations during TLS teardown must not panic the hook.
     let _ = TL_ALLOCS.try_with(|c| c.set(c.get() + 1));
+    if DAEMON_METER.load(Ordering::Relaxed) && on_daemon_thread() {
+        DAEMON_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+extern "C" {
+    fn pthread_self() -> usize;
+    fn pthread_getname_np(thread: usize, name: *mut std::ffi::c_char, len: usize) -> i32;
+}
+
+/// Whether the calling thread is a reactor (`avoc-net-reactor`, which the
+/// kernel keeps as its first 15 bytes) or a helper (`avoc-helper-i`). The
+/// name is read once per thread with `pthread_getname_np`, which for the
+/// calling thread is one `prctl` and never allocates, so the allocator hook
+/// may call it.
+fn on_daemon_thread() -> bool {
+    let looked_up = TL_DAEMON.try_with(|state| {
+        if state.get() == 0 {
+            let mut name = [0u8; 16];
+            // SAFETY: `name` is a writable buffer of the 16 bytes a thread
+            // name takes, terminator included, and `pthread_self` names the
+            // calling thread.
+            let read =
+                unsafe { pthread_getname_np(pthread_self(), name.as_mut_ptr().cast(), name.len()) };
+            let daemon = read == 0
+                && (name.starts_with(b"avoc-net-reacto") || name.starts_with(b"avoc-helper-"));
+            state.set(if daemon { 1 } else { 2 });
+        }
+        state.get() == 1
+    });
+    looked_up.unwrap_or(false)
+}
+
+/// Serializes the tests that start a daemon, so one test's metered window
+/// never sees another's daemon threads.
+fn daemon_gate() -> MutexGuard<'static, ()> {
+    static GATE: Mutex<()> = Mutex::new(());
+    GATE.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Allocations (alloc, alloc_zeroed, realloc) this thread has made so far.
@@ -69,6 +120,7 @@ fn client_feed_path_allocates_nothing_per_reading() {
     const CHUNK_ROUNDS: u64 = 128;
     const WARMUP_CHUNKS: u64 = 2;
     const CHUNKS: u64 = WARMUP_CHUNKS + 8;
+    let _gate = daemon_gate();
     let mut registry = SpecRegistry::new();
     registry.insert("avoc", VdxSpec::avoc());
     let service = Arc::new(VoterService::start(
@@ -111,6 +163,107 @@ fn client_feed_path_allocates_nothing_per_reading() {
     let fused = server.shutdown().rounds_fused;
     assert_eq!(fused, CHUNKS * CHUNK_ROUNDS);
     assert_eq!(feed_allocations, 0, "send_batch allocated in steady state");
+}
+
+/// A warmed `FeedBatch` stream over loopback into a real `TcpServer` on
+/// one CPU, as the benchmark runs its daemon: the reactor, which parses
+/// each frame where the read left it and fuses it, allocates nothing per
+/// frame. The warm-up runs past the session's result ring (256 rounds),
+/// and its first frame arrives in two reads, so the decoder's carry, which
+/// holds only a frame a read cut off, is warm too: every buffer on the
+/// path has reached its steady size before the meter is armed. (With a
+/// helper fusing beside the reactor, how a frame's verdicts split across
+/// pumps varies from run to run, and so does when the outbox and the cork,
+/// which trade buffers, each first hold a whole frame's verdicts.)
+#[test]
+fn daemon_feed_path_allocates_nothing_per_frame() {
+    const MODULES: u32 = 5;
+    const FRAME_ROUNDS: u64 = 64;
+    const WARMUP_FRAMES: u64 = 16;
+    const FRAMES: u64 = WARMUP_FRAMES + 32;
+    let _gate = daemon_gate();
+    // Every thread the service starts inherits this thread's one CPU, so
+    // it starts no helper.
+    let pinned = (0..1024).any(|cpu| sysio::pin_current_thread(cpu).is_ok());
+    assert!(pinned, "no CPU would take this thread");
+    let mut registry = SpecRegistry::new();
+    registry.insert("avoc", VdxSpec::avoc());
+    let service = Arc::new(VoterService::start(
+        ServeConfig {
+            shards: 1,
+            reactors: 1,
+            ..ServeConfig::default()
+        },
+        Arc::new(registry),
+    ));
+    assert_eq!(service.helpers(), 0, "one CPU runs no helper");
+    let server = TcpServer::start("127.0.0.1:0", Arc::clone(&service)).expect("bind");
+    let mut tenant = TcpStream::connect(server.local_addr()).expect("connect");
+    tenant
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("timeout");
+    let open = Message::OpenSession {
+        session: 7,
+        modules: MODULES,
+        spec: SpecSource::Named("avoc".into()),
+    };
+    tenant.write_all(&open.encode()).expect("open");
+    let (mut decoder, mut chunk) = (StreamDecoder::new(), vec![0; 64 * 1024]);
+
+    let mut readings = Vec::with_capacity((FRAME_ROUNDS * u64::from(MODULES)) as usize);
+    let mut wire = BytesMut::new();
+    DAEMON_ALLOCS.store(0, Ordering::SeqCst);
+    for n in 0..FRAMES {
+        readings.clear();
+        for round in n * FRAME_ROUNDS..(n + 1) * FRAME_ROUNDS {
+            readings.extend((0..MODULES).map(|module| BatchReading {
+                module: ModuleId::new(module),
+                round,
+                value: 20.0 + 0.05 * f64::from(module) + 0.001 * (round % 64) as f64,
+            }));
+        }
+        wire.clear();
+        Message::encode_feed_batch_into(7, &readings, &mut wire);
+        DAEMON_METER.store(n >= WARMUP_FRAMES, Ordering::SeqCst);
+        if n == 0 {
+            // Half the frame, read by the daemon, then the rest.
+            let (head, tail) = wire.split_at(wire.len() / 2);
+            let read = service.counters().bytes_received;
+            tenant.write_all(head).expect("head");
+            while service.counters().bytes_received < read + head.len() as u64 {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            tenant.write_all(tail).expect("tail");
+        } else {
+            tenant.write_all(&wire).expect("frame");
+        }
+        // Every verdict of the frame is back before the next is sent.
+        let mut answered = 0;
+        while answered < FRAME_ROUNDS {
+            answered += match decoder.next_frame() {
+                DecodeStep::Frame(Message::ResultBatch { results, .. }) => results.len() as u64,
+                DecodeStep::Frame(Message::SessionResult { .. }) => 1,
+                DecodeStep::Incomplete => {
+                    let got = tenant.read(&mut chunk).expect("verdicts arrive");
+                    assert!(got > 0, "the daemon hung up");
+                    decoder.extend(&chunk[..got]);
+                    0
+                }
+                other => panic!("unexpected {other:?}"),
+            };
+        }
+    }
+    DAEMON_METER.store(false, Ordering::SeqCst);
+    let allocations = DAEMON_ALLOCS.load(Ordering::SeqCst);
+    drop(tenant);
+    let fused = server.shutdown().rounds_fused;
+    assert_eq!(fused, FRAMES * FRAME_ROUNDS);
+    assert_eq!(
+        allocations,
+        0,
+        "the daemon allocated over {} warmed frames",
+        FRAMES - WARMUP_FRAMES
+    );
 }
 
 /// `count` rounds of five units tracking a 2-D position that drifts along

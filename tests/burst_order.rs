@@ -472,3 +472,177 @@ fn two_connections_fuse_bit_identically_on_any_reactor_count() {
         assert_eq!(per_reading, sockets, "{reactors} reactor(s)");
     }
 }
+
+/// Every module reports every round, modules in order: each round is a
+/// whole round the shard may assemble in one step.
+fn whole_rounds(rounds: u64) -> Vec<BatchReading> {
+    (0..rounds)
+        .flat_map(|r| {
+            (0..5u32).map(move |m| BatchReading {
+                module: ModuleId::new(m),
+                round: r,
+                value: 18.0
+                    + ((r * 29 + u64::from(m) * 13) % 11) as f64 * 0.01
+                    + if m == 2 && r >= 40 { 1.5 } else { 0.0 },
+            })
+        })
+        .collect()
+}
+
+/// Delivers `strays` readings for a session nobody opened, then the
+/// roster as `FeedBatch` frames of `frame_rounds` rounds, over one
+/// connection closed by a `Shutdown`.
+fn deliver_frames_over_one_socket(
+    service: &Arc<VoterService>,
+    strays: &[BatchReading],
+    roster: &[BatchReading],
+    frame_rounds: u64,
+) -> Option<TcpServer> {
+    let server = TcpServer::start("127.0.0.1:0", Arc::clone(service)).expect("bind");
+    let mut wire = bytes::BytesMut::new();
+    if !strays.is_empty() {
+        Message::encode_feed_batch_into(STRAY, strays, &mut wire);
+    }
+    for frame in roster.chunk_by(|a, b| a.round / frame_rounds == b.round / frame_rounds) {
+        Message::encode_feed_batch_into(0, frame, &mut wire);
+    }
+    Message::Shutdown.encode_into(&mut wire);
+    let mut tenant = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    tenant
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("timeout");
+    tenant.write_all(&wire).expect("one write");
+    let mut rest = Vec::new();
+    tenant.read_to_end(&mut rest).expect("the daemon closes");
+    assert!(rest.is_empty(), "nothing is answered: {rest:?}");
+    Some(server)
+}
+
+/// A session id no test opens: its readings are dropped, and each still
+/// advances the shard's tick.
+const STRAY: u64 = 99;
+
+/// Whole rounds cut by a burst boundary or a sweep point. A step ships
+/// verdicts every 64 readings it feeds and the shard sweeps on every 64th
+/// tick; a round of five readings that either falls inside must be fed
+/// reading by reading, and one that neither cuts may be assembled in one
+/// step. `strays` dropped readings ahead of the frames move the ticks
+/// against the step's reading count, so the sweep points land on every
+/// position inside a round while the burst boundaries stay put: with
+/// `strays` = 3, round 12 (the step's readings 60–64) has a sweep point
+/// after its first reading and a burst boundary after its fourth. Over
+/// every offset and frame size, in process and over a socket, the fused
+/// stream is bit-identical to one step per reading.
+#[test]
+fn whole_rounds_cut_by_bursts_and_sweeps_fuse_bit_identically() {
+    const ROUNDS: u64 = 150;
+    let config = || ServeConfig {
+        shards: 1,
+        idle_ticks: 8,
+        lag_tolerance: 2,
+        ..ServeConfig::default()
+    };
+    let rosters = [whole_rounds(ROUNDS)];
+    for strays in 0..5u64 {
+        let strays: Vec<BatchReading> = rosters[0][..strays as usize].to_vec();
+        let per_reading = fuse_rosters(config(), &rosters, |service| {
+            let fed = strays.iter().map(|b| (STRAY, b));
+            for (session, b) in fed.chain(rosters[0].iter().map(|b| (0, b))) {
+                service
+                    .feed(session, b.module, b.round, b.value)
+                    .expect("feed");
+            }
+            None
+        });
+        let stream = &per_reading[&0];
+        assert_eq!(stream.len() as u64, ROUNDS, "every round fuses once");
+        for frame_rounds in [1, 13, 64, ROUNDS] {
+            let frames = fuse_rosters(config(), &rosters, |service| {
+                service.feed_batch(STRAY, &strays).expect("strays");
+                for frame in
+                    rosters[0].chunk_by(|a, b| a.round / frame_rounds == b.round / frame_rounds)
+                {
+                    service.feed_batch(0, frame).expect("feed_batch");
+                }
+                None
+            });
+            assert_eq!(
+                per_reading,
+                frames,
+                "{} strays, {frame_rounds}-round frames",
+                strays.len()
+            );
+            let socket = fuse_rosters(config(), &rosters, |service| {
+                deliver_frames_over_one_socket(service, &strays, &rosters[0], frame_rounds)
+            });
+            assert_eq!(
+                per_reading,
+                socket,
+                "{} strays, {frame_rounds}-round frames over a socket",
+                strays.len()
+            );
+        }
+    }
+}
+
+/// Every frame one sink received, in order, when session 0's whole rounds
+/// are fed as `FeedBatch` frames of `frame_rounds` rounds behind `strays`
+/// dropped readings, through a one-shard service that traces one frame in
+/// `trace_every`. Session 1 reports twice at the start and then stays
+/// silent, so the first sweep point evicts it.
+fn sink_frames(trace_every: u64, strays: usize, frame_rounds: u64) -> Vec<Message> {
+    let service = VoterService::start(
+        ServeConfig {
+            shards: 1,
+            idle_ticks: 8,
+            trace_sample: trace_every,
+            ..ServeConfig::default()
+        },
+        registry(),
+    );
+    let (sink, frames) = crossbeam::channel::unbounded();
+    for session in 0..2 {
+        let spec = SpecSource::Named("avoc".into());
+        service
+            .open_session(session, 5, &spec, sink.clone())
+            .expect("open session");
+    }
+    let roster = whole_rounds(150);
+    service.feed_batch(1, &roster[..2]).expect("session 1");
+    service
+        .feed_batch(STRAY, &roster[..strays])
+        .expect("strays");
+    for frame in roster.chunk_by(|a, b| a.round / frame_rounds == b.round / frame_rounds) {
+        service.feed_batch(0, frame).expect("feed_batch");
+    }
+    service.drain();
+    drop(sink);
+    frames.try_iter().collect()
+}
+
+/// Assembling whole rounds in one step leaves the egress exactly as it
+/// was: with no frame traced the shard takes the whole rounds nothing
+/// cuts, with every frame traced it feeds each reading on its own, and
+/// the sink receives the same frames in the same order — each verdict
+/// batch cut where it was, and session 1's eviction notice at the same
+/// sweep point — for every offset of the sweep points against the bursts
+/// and every frame size.
+#[test]
+fn whole_rounds_keep_the_egress_of_one_reading_at_a_time() {
+    for strays in 0..5 {
+        for frame_rounds in [1, 13, 64, 150] {
+            let whole = sink_frames(0, strays, frame_rounds);
+            let one_by_one = sink_frames(1, strays, frame_rounds);
+            assert!(
+                whole
+                    .iter()
+                    .any(|m| matches!(m, Message::Error { session: 1, .. })),
+                "session 1 is evicted"
+            );
+            assert_eq!(
+                whole, one_by_one,
+                "{strays} strays, {frame_rounds}-round frames"
+            );
+        }
+    }
+}

@@ -285,6 +285,76 @@ proptest! {
         prop_assert_eq!(ballot_bits(&hub.flush_all()), ballot_bits(&naive.flush_all()));
     }
 
+    /// Whole rounds assembled in one step against the tree hub fed the
+    /// same readings one by one: where `accept_round_into` takes a round
+    /// and where it refuses one (a round open, a round at or below the
+    /// floor, a scattered module set) and the caller falls back to one
+    /// `accept_reading_into` per module, the rounds emitted (ids, and
+    /// ballots on `to_bits`), the straggler count and the liveness are the
+    /// same after every step, and so is everything the hubs do after it —
+    /// single readings, missings, heartbeats and shutdowns between the
+    /// whole rounds, and the final flush.
+    #[test]
+    fn whole_rounds_match_the_naive_reference(
+        positional in any::<bool>(),
+        lag in 0u64..5,
+        floor in prop::option::of(0u64..6),
+        script in prop::collection::vec(
+            (0u8..12, 0usize..4, 0u64..12, prop::collection::vec(any::<f64>(), 3)),
+            0..80,
+        ),
+    ) {
+        let ids: &[u32] = if positional { &[0, 1, 2] } else { &[3, 7, 42] };
+        let expected: Vec<ModuleId> = ids.iter().copied().map(ModuleId::new).collect();
+        let mut hub = SensorHub::new(expected.clone())
+            .with_lag_tolerance(lag)
+            .with_completed_through(floor);
+        let mut naive = NaiveHub::new(expected.clone(), lag, floor);
+        let mut lent = Vec::new();
+        let mut taken = 0;
+        for (kind, pick, round, values) in script {
+            let mut want = Vec::new();
+            match kind {
+                // Mostly whole rounds, a few rounds apart or repeated.
+                0..=6 => {
+                    for (&module, &value) in expected.iter().zip(&values) {
+                        want.extend(naive.accept(Message::Reading { module, round, value }));
+                    }
+                    if hub.accept_round_into(round, values.iter().copied(), &mut lent) {
+                        taken += 1;
+                    } else {
+                        for (&module, &value) in expected.iter().zip(&values) {
+                            hub.accept_reading_into(module, round, value, &mut lent);
+                        }
+                    }
+                }
+                // Between them, single messages that leave rounds open.
+                kind => {
+                    let module = ModuleId::new([0, 1, 2, 7][pick]);
+                    let msg = match kind {
+                        7 => Message::Missing { module, round },
+                        8 => Message::Heartbeat { module },
+                        9 => Message::Shutdown,
+                        _ => Message::Reading { module, round, value: values[0] },
+                    };
+                    want = naive.accept(msg.clone());
+                    match msg {
+                        Message::Reading { module, round, value } => {
+                            hub.accept_reading_into(module, round, value, &mut lent);
+                        }
+                        msg => lent.extend(hub.accept(msg)),
+                    }
+                }
+            }
+            prop_assert_eq!(ballot_bits(&lent), ballot_bits(&want));
+            prop_assert_eq!(hub.straggler_count(), naive.straggler_count());
+            prop_assert_eq!(hub.liveness(), naive.liveness());
+            hub.recycle(&mut lent);
+        }
+        prop_assert!(positional || taken == 0, "a scattered module set is never taken whole");
+        prop_assert_eq!(ballot_bits(&hub.flush_all()), ballot_bits(&naive.flush_all()));
+    }
+
     /// Every session-control frame (tags 5–9) survives an encode/decode
     /// round trip byte-exactly, including empty and non-trivial strings.
     #[test]
