@@ -3,41 +3,10 @@
 use super::Verdict;
 use crate::round::ModuleId;
 use crate::value::Value;
-use avoc_cluster::Clustering;
 
 /// Tolerance used when comparing a history value against the mean: a module
 /// exactly *at* the average is not "below average".
 const ELIMINATION_EPS: f64 = 1e-9;
-
-/// Reusable per-voter scratch buffers for the fusion hot path.
-///
-/// A round loads its candidates, each with its record, in one pass over the
-/// ballots; every buffer is cleared and refilled each round. Once the
-/// candidate count stops growing, no call that writes only into a `Scratch`
-/// touches the allocator again.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Scratch {
-    /// The current round's numeric candidates, in ballot order.
-    pub cands: Vec<Candidate>,
-    /// Their values alone, for the clustering bootstrap.
-    pub values: Vec<f64>,
-    /// `Median` collation's sort buffer.
-    pub sorted: Vec<(f64, f64)>,
-    /// The clustering bootstrap's groups, regrouped in place each round.
-    pub clustering: Clustering,
-}
-
-/// One numeric candidate of the current round.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Candidate {
-    pub module: ModuleId,
-    pub value: f64,
-    /// Its module's record as the round found it
-    /// ([`crate::history::INITIAL_HISTORY`] when it had none).
-    pub record: f64,
-    /// Its vote weight.
-    pub weight: f64,
-}
 
 /// The Module-Elimination inclusion mask into a reusable buffer (cleared
 /// first): a candidate participates when its history is not strictly below
@@ -60,10 +29,12 @@ pub(crate) fn elimination_threshold(sum: f64, count: usize) -> f64 {
 
 /// Writes a numeric verdict into `out`, reusing its `weights`/`excluded`
 /// buffers — the common tail of every scratch-based [`super::Voter::vote_into`].
+/// Candidate `i` is `modules[i]`, weighing `weights[i]`.
 #[inline]
 pub(crate) fn fill_verdict(
     out: &mut Verdict,
-    cands: &[Candidate],
+    modules: &[ModuleId],
+    weights: &[f64],
     output: f64,
     confidence: f64,
     bootstrapped: bool,
@@ -71,10 +42,15 @@ pub(crate) fn fill_verdict(
     out.value = Value::Number(output);
     out.weights.clear();
     out.weights
-        .extend(cands.iter().map(|c| (c.module, c.weight)));
+        .extend(modules.iter().copied().zip(weights.iter().copied()));
     out.excluded.clear();
-    out.excluded
-        .extend(cands.iter().filter(|c| c.weight <= 0.0).map(|c| c.module));
+    out.excluded.extend(
+        modules
+            .iter()
+            .zip(weights)
+            .filter(|&(_, &w)| w <= 0.0)
+            .map(|(&m, _)| m),
+    );
     out.confidence = confidence;
     out.bootstrapped = bootstrapped;
 }
@@ -107,18 +83,15 @@ mod tests {
 
     #[test]
     fn excluded_modules_lists_zero_weight() {
-        let cands: Vec<Candidate> = [1.0, 0.0, 0.5]
-            .into_iter()
-            .enumerate()
-            .map(|(i, weight)| Candidate {
-                module: m(i as u32),
-                value: 1.0,
-                record: 1.0,
-                weight,
-            })
-            .collect();
         let mut out = Verdict::empty();
-        fill_verdict(&mut out, &cands, 1.5, 1.0, false);
+        fill_verdict(
+            &mut out,
+            &[m(0), m(1), m(2)],
+            &[1.0, 0.0, 0.5],
+            1.5,
+            1.0,
+            false,
+        );
         assert_eq!(out.weights, vec![(m(0), 1.0), (m(1), 0.0), (m(2), 0.5)]);
         assert_eq!(out.excluded, vec![m(1)]);
     }

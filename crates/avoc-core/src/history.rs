@@ -36,6 +36,19 @@ pub trait HistoryStore: Send {
         }
     }
 
+    /// The records of modules `0..n` as one slice a voter reads and
+    /// rewrites in place, module `i`'s at `i`: `Some` only when the store
+    /// holds every one of them, side by side. Whoever writes through it
+    /// writes values already in `[0, 1]`, as [`HistoryStore::set`] would
+    /// clamp them. The default, `None`, sends the voter through
+    /// [`HistoryStore::get`] and [`HistoryStore::set`], record by record —
+    /// what a store whose writes must go through `set` (a logged one)
+    /// keeps.
+    fn dense_mut(&mut self, n: usize) -> Option<&mut [f64]> {
+        let _ = n;
+        None
+    }
+
     /// All records in ascending module order.
     fn snapshot(&self) -> Vec<(ModuleId, f64)>;
 
@@ -117,13 +130,14 @@ impl HistoryStore for MemoryHistory {
 
 /// A dense, `Vec`-backed history store for the fusion hot path.
 ///
-/// The records are one vector sorted by module, so module `i` sits at
-/// index `i` whenever the ids held are `0..n` — as every daemon session's
-/// are. A lookup checks that position first and binary-searches only when
-/// it misses (sparse or out-of-order ids): no hashing, and after a
-/// module's first write nothing touches the allocator, unlike the
-/// `BTreeMap`-backed [`MemoryHistory`]. Snapshots are a copy of the
-/// vector, already in [`HistoryStore::snapshot`]'s ascending order.
+/// The module ids are one vector, sorted, and their records another in the
+/// same order, so module `i` sits at index `i` whenever the ids held are
+/// `0..n` — as every daemon session's are — and the records of `0..n` are
+/// one slice ([`HistoryStore::dense_mut`]). A lookup checks that position
+/// first and binary-searches only when it misses (sparse or out-of-order
+/// ids): no hashing, and after a module's first write nothing touches the
+/// allocator, unlike the `BTreeMap`-backed [`MemoryHistory`]. Snapshots
+/// come out in [`HistoryStore::snapshot`]'s ascending order as they lie.
 ///
 /// # Example
 ///
@@ -140,8 +154,10 @@ impl HistoryStore for MemoryHistory {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DenseHistory {
-    /// `(module, trust)` records, ascending by module.
-    records: Vec<(ModuleId, f64)>,
+    /// The modules held, ascending.
+    ids: Vec<ModuleId>,
+    /// Their trust values, in the same order.
+    records: Vec<f64>,
 }
 
 impl DenseHistory {
@@ -161,12 +177,12 @@ impl DenseHistory {
 
     /// Number of records held.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.ids.len()
     }
 
     /// Whether the store holds no records.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.ids.is_empty()
     }
 
     /// Where `module`'s record is (`Ok`) or would be inserted (`Err`):
@@ -175,33 +191,61 @@ impl DenseHistory {
     #[inline]
     fn find(&self, module: ModuleId) -> Result<usize, usize> {
         let at = module.index() as usize;
-        match self.records.get(at) {
-            Some(&(m, _)) if m == module => Ok(at),
-            _ => self.records.binary_search_by_key(&module, |&(m, _)| m),
+        match self.ids.get(at) {
+            Some(&m) if m == module => Ok(at),
+            _ => self.search(module),
         }
+    }
+
+    /// [`DenseHistory::find`] off the dense path, kept out of line so the
+    /// positional lookup inlines into its callers.
+    #[cold]
+    fn search(&self, module: ModuleId) -> Result<usize, usize> {
+        self.ids.binary_search(&module)
+    }
+
+    /// A module's first record, at `at`.
+    #[cold]
+    fn insert(&mut self, at: usize, module: ModuleId, value: f64) {
+        self.ids.insert(at, module);
+        self.records.insert(at, value);
     }
 }
 
 impl HistoryStore for DenseHistory {
     #[inline]
     fn get(&self, module: ModuleId) -> Option<f64> {
-        self.find(module).ok().map(|at| self.records[at].1)
+        self.find(module).ok().map(|at| self.records[at])
     }
 
     #[inline]
     fn set(&mut self, module: ModuleId, value: f64) {
         let value = value.clamp(0.0, 1.0);
         match self.find(module) {
-            Ok(at) => self.records[at].1 = value,
-            Err(at) => self.records.insert(at, (module, value)),
+            Ok(at) => self.records[at] = value,
+            Err(at) => self.insert(at, module, value),
         }
     }
 
+    /// The first `n` records, when their ids are `0..n`: ids are held
+    /// sorted and unique, so that is when the `n`-th is module `n - 1`.
+    #[inline]
+    fn dense_mut(&mut self, n: usize) -> Option<&mut [f64]> {
+        let last = n.checked_sub(1)?;
+        let dense = self.ids.get(last)?.index() as usize == last;
+        dense.then(|| &mut self.records[..n])
+    }
+
     fn snapshot(&self) -> Vec<(ModuleId, f64)> {
-        self.records.clone()
+        self.ids
+            .iter()
+            .copied()
+            .zip(self.records.iter().copied())
+            .collect()
     }
 
     fn clear(&mut self) {
+        self.ids.clear();
         self.records.clear();
     }
 }
@@ -354,6 +398,21 @@ mod tests {
     }
 
     #[test]
+    fn dense_history_lends_the_records_of_a_dense_prefix() {
+        let mut h = DenseHistory::with_records([(m(0), 0.5), (m(1), 0.25), (m(3), 1.0)]);
+        assert_eq!(h.dense_mut(0), None);
+        assert_eq!(h.dense_mut(2).map(|r| r.to_vec()), Some(vec![0.5, 0.25]));
+        assert_eq!(h.dense_mut(3), None, "module 2 is missing");
+        h.dense_mut(1).expect("module 0 is held")[0] = 0.75;
+        assert_eq!(h.get(m(0)), Some(0.75));
+        // The reference store keeps the get/set default.
+        assert_eq!(
+            MemoryHistory::with_records([(m(0), 0.5)]).dense_mut(1),
+            None
+        );
+    }
+
+    #[test]
     fn dense_history_get_or_init_defaults() {
         let mut h = DenseHistory::new();
         assert_eq!(h.get_or_init(m(3)), INITIAL_HISTORY);
@@ -440,6 +499,13 @@ mod tests {
                     .flat_map(|&(id, _)| [id.index().wrapping_sub(1), id.index().wrapping_add(1)]);
                 for id in (0..10).chain(near).map(m) {
                     prop_assert_eq!(dense.get(id), mem.get(id), "get({}) after {:?}", id, op);
+                }
+                // The records of 0..n in place exactly when every one is held.
+                for n in 0..10u32 {
+                    let held: Option<Vec<f64>> = (0..n).map(|i| mem.get(m(i))).collect();
+                    let want = held.filter(|_| n > 0);
+                    let got = dense.dense_mut(n as usize).map(|r| r.to_vec());
+                    prop_assert_eq!(got, want, "dense_mut({}) after {:?}", n, op);
                 }
             }
         }

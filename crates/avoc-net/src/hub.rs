@@ -235,44 +235,31 @@ impl SensorHub {
         self.record(module, round, Some(value), out);
     }
 
-    /// Assembles a whole round in one step: `values` are the readings of
-    /// modules `0..n`, in order, for `round` — what `n` calls of
-    /// [`SensorHub::accept_reading_into`] would feed, and the round they
-    /// would complete is appended to `out` the same way. It takes the round
-    /// only when the hub is positional, no round is open (so no other round
-    /// can complete or go out on a deadline), the round is past the
-    /// completed floor and `values` has one value per module. Otherwise it
-    /// changes nothing and returns `false`, and the caller feeds the
-    /// readings one by one.
-    pub fn accept_round_into(
-        &mut self,
-        round: u64,
-        values: impl ExactSizeIterator<Item = f64>,
-        out: &mut Vec<Round>,
-    ) -> bool {
+    /// Books a whole round in one step: the readings of modules `0..len`,
+    /// in order, for `round`, which the caller fuses itself — the hub's
+    /// state after it is what `len` calls of
+    /// [`SensorHub::accept_reading_into`] would leave, and the round they
+    /// would complete is the one the caller holds. It takes the round only
+    /// when the hub is positional, no round is open (so no other round can
+    /// complete or go out on a deadline), the round is past the completed
+    /// floor and `len` is the module count. Otherwise it changes nothing
+    /// and returns `false`, and the caller feeds the readings one by one.
+    #[inline]
+    pub fn accept_round(&mut self, round: u64, len: usize) -> bool {
         if !self.positional
             || !self.open.is_empty()
-            || values.len() != self.expected.len()
+            || len != self.expected.len()
             || self.completed_through.is_some_and(|done| round <= done)
         {
             return false;
         }
-        self.newest_round = self.newest_round.max(round);
-        for heard in &mut self.last_seen {
-            *heard = Some(heard.map_or(round, |r| r.max(round)));
-        }
-        let mut built = self
-            .spare
-            .pop()
-            .unwrap_or_else(|| Round::new(0, Vec::new()));
-        shape(&mut built.ballots, &self.expected);
-        built.round = round;
-        for (ballot, x) in built.ballots.iter_mut().zip(values) {
-            set_number(&mut ballot.value, Some(x));
-        }
+        // With no round open, every round heard of is at or below the
+        // floor (round 0 before there is one), so `round` is the newest.
+        debug_assert!(self.newest_round <= round);
+        debug_assert!(self.last_seen.iter().flatten().all(|&seen| seen <= round));
+        self.newest_round = round;
+        self.last_seen.fill(Some(round));
         self.completed_through = Some(round);
-        self.lent += 1;
-        out.push(built);
         true
     }
 
@@ -579,23 +566,18 @@ mod tests {
     #[test]
     fn a_whole_round_is_taken_only_where_nothing_else_can_move() {
         let mut hub = hub3();
-        let mut out = Vec::new();
-        assert!(hub.accept_round_into(4, [1.0, 2.0, 3.0].into_iter(), &mut out));
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].round, 4);
-        assert_eq!(out[0].present_count(), 3);
-        // At or below the floor it just emitted: refused, nothing counted.
-        assert!(!hub.accept_round_into(4, [1.0, 2.0, 3.0].into_iter(), &mut out));
+        assert!(hub.accept_round(4, 3));
+        // At or below the floor it just booked: refused, nothing counted.
+        assert!(!hub.accept_round(4, 3));
         assert_eq!(hub.straggler_count(), 0);
+        assert!(hub.accept(reading(0, 4, 1.0)).is_empty());
+        assert_eq!(hub.straggler_count(), 1);
         // A round is open: the next round could flush it on a deadline.
         assert!(hub.accept(reading(0, 5, 1.0)).is_empty());
-        assert!(!hub.accept_round_into(6, [1.0, 2.0, 3.0].into_iter(), &mut out));
+        assert!(!hub.accept_round(6, 3));
         // One value per module, and only over a positional module set.
-        let mut other = hub3();
-        assert!(!other.accept_round_into(0, [1.0, 2.0].into_iter(), &mut out));
-        let mut scattered = SensorHub::new(vec![m(3), m(7)]);
-        assert!(!scattered.accept_round_into(0, [1.0, 2.0].into_iter(), &mut out));
-        assert_eq!(out.len(), 1);
+        assert!(!hub3().accept_round(0, 2));
+        assert!(!SensorHub::new(vec![m(3), m(7)]).accept_round(0, 2));
     }
 
     #[test]

@@ -189,6 +189,7 @@ impl<'a> BatchView<'a> {
     /// # Panics
     ///
     /// Panics if `i >= self.len()`.
+    #[inline]
     pub fn get(&self, i: usize) -> BatchReading {
         let entry = &self.entries[i * BATCH_READING_LEN..][..BATCH_READING_LEN];
         let u64_at = |at: usize| u64::from_be_bytes(entry[at..at + 8].try_into().expect("8 bytes"));

@@ -286,7 +286,7 @@ proptest! {
     }
 
     /// Whole rounds assembled in one step against the tree hub fed the
-    /// same readings one by one: where `accept_round_into` takes a round
+    /// same readings one by one: where `accept_round` takes a round
     /// and where it refuses one (a round open, a round at or below the
     /// floor, a scattered module set) and the caller falls back to one
     /// `accept_reading_into` per module, the rounds emitted (ids, and
@@ -320,7 +320,9 @@ proptest! {
                     for (&module, &value) in expected.iter().zip(&values) {
                         want.extend(naive.accept(Message::Reading { module, round, value }));
                     }
-                    if hub.accept_round_into(round, values.iter().copied(), &mut lent) {
+                    if hub.accept_round(round, values.len()) {
+                        // The hub books the round; its caller holds it.
+                        lent.push(Round::from_numbers(round, &values));
                         taken += 1;
                     } else {
                         for (&module, &value) in expected.iter().zip(&values) {
