@@ -14,12 +14,11 @@
 //! data whose magnitude carries no meaning (e.g. RSSI in dBm).
 
 use crate::stats;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// How the agreement margin between two values is computed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-#[serde(rename_all = "SCREAMING_SNAKE_CASE")]
+/// How the agreement margin between two values is computed. VDX spells it
+/// `RELATIVE` or `ABSOLUTE` (`params.margin`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MarginMode {
     /// `tolerance = threshold × max(|a|, |b|)` — the paper's soft-dynamic
     /// margin, which self-calibrates to the magnitude of the data.
@@ -28,6 +27,44 @@ pub enum MarginMode {
     /// `tolerance = threshold` — a fixed margin in data units.
     Absolute,
 }
+
+impl From<MarginMode> for &'static str {
+    fn from(mode: MarginMode) -> Self {
+        match mode {
+            MarginMode::Relative => "RELATIVE",
+            MarginMode::Absolute => "ABSOLUTE",
+        }
+    }
+}
+
+impl TryFrom<&str> for MarginMode {
+    type Error = MarginModeError;
+
+    fn try_from(name: &str) -> Result<Self, MarginModeError> {
+        match name {
+            "RELATIVE" => Ok(MarginMode::Relative),
+            "ABSOLUTE" => Ok(MarginMode::Absolute),
+            _ => Err(MarginModeError::InvalidName(name.to_owned())),
+        }
+    }
+}
+
+/// The error of `MarginMode::try_from`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MarginModeError {
+    /// The spelling names no [`MarginMode`].
+    InvalidName(String),
+}
+
+impl fmt::Display for MarginModeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MarginModeError::InvalidName(name) => write!(f, "invalid MarginMode name `{name}`"),
+        }
+    }
+}
+
+impl std::error::Error for MarginModeError {}
 
 /// A group of mutually agreeing values produced by [`AgreementClusterer`].
 #[derive(Debug, Clone, PartialEq)]

@@ -29,6 +29,6 @@ pub mod meanshift;
 pub mod point;
 pub mod stats;
 
-pub use agreement::{AgreementClusterer, Cluster, Clustering, MarginMode};
+pub use agreement::{AgreementClusterer, Cluster, Clustering, MarginMode, MarginModeError};
 pub use meanshift::{MeanShift, MeanShiftResult};
 pub use point::Point;

@@ -8,10 +8,9 @@
 //! reuse this soft score.
 
 use avoc_cluster::MarginMode;
-use serde::{Deserialize, Serialize};
 
 /// Parameters governing how two scalar values are compared for agreement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgreementParams {
     /// The accepted error threshold (relative fraction or absolute units
     /// depending on `margin`). Paper UC-1 uses `0.05` relative.

@@ -6,13 +6,11 @@
 //! irrelevant. Collation is therefore a first-class, swappable parameter
 //! (VDX `collation` field).
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// Numeric collation technique (VDX `collation`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-#[serde(rename_all = "SCREAMING_SNAKE_CASE")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Collation {
     /// Weighted arithmetic mean of the candidates — an *amalgamation*
     /// technique: the output need not equal any submitted value.
@@ -212,16 +210,6 @@ mod tests {
         ] {
             assert_eq!(collate(m, &[7.0], &[0.5]), Some(7.0), "method {m}");
         }
-    }
-
-    #[test]
-    fn serde_names_match_vdx_convention() {
-        assert_eq!(
-            serde_json::to_string(&Collation::MeanNearestNeighbor).unwrap(),
-            "\"MEAN_NEAREST_NEIGHBOR\""
-        );
-        let c: Collation = serde_json::from_str("\"WEIGHTED_MEAN\"").unwrap();
-        assert_eq!(c, Collation::WeightedMean);
     }
 
     #[test]

@@ -5,12 +5,11 @@
 //! categorical values, "as there can be no mean or standard deviation
 //! calculation" — exclusion therefore only exists on the numeric path.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Exclusion policy applied to each round's numeric candidates before the
 /// voter sees them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Exclusion {
     /// No exclusion (Listing 1: `"exclusion": "NONE"`).
     #[default]
@@ -137,18 +136,5 @@ mod tests {
         let mut out = Vec::new();
         Exclusion::StdDev(0.0).excluded_into(&[1.0, 2.0, 100.0], &mut out);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        for e in [
-            Exclusion::None,
-            Exclusion::StdDev(2.0),
-            Exclusion::Range { min: 0.0, max: 1.0 },
-        ] {
-            let json = serde_json::to_string(&e).unwrap();
-            let back: Exclusion = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, e);
-        }
     }
 }

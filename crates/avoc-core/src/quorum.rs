@@ -4,11 +4,10 @@
 //! `"UNTIL"` with `100`, i.e. the vote waits until all expected candidates
 //! report.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// When a round has enough ballots to vote.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Quorum {
     /// Vote on whatever arrived (at least one value).
     Any,

@@ -1,7 +1,6 @@
 //! Voting rounds: module identities, ballots and round construction.
 
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identity of a redundant module (a sensor, a beacon, a software replica).
@@ -18,9 +17,7 @@ use std::fmt;
 /// assert_eq!(e4.index(), 3);
 /// assert_eq!(e4.to_string(), "M3");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ModuleId(u32);
 
 impl ModuleId {
@@ -50,7 +47,7 @@ impl From<u32> for ModuleId {
 /// One module's submission in one round. A missing measurement (the paper's
 /// UC-2 fault scenario) is a ballot whose `value` is `None` — the module is
 /// *expected* but silent, which matters for quorum.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ballot {
     /// The submitting module.
     pub module: ModuleId,
@@ -82,7 +79,7 @@ impl Ballot {
 }
 
 /// One complete round of concurrent measurements presented to a voter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Round {
     /// Monotonic round number.
     pub round: u64,
@@ -231,14 +228,6 @@ mod tests {
             err,
             crate::VoteError::TypeMismatch { got: "number", .. }
         ));
-    }
-
-    #[test]
-    fn round_serde_round_trip() {
-        let r = Round::from_sparse_numbers(5, &[Some(1.5), None]);
-        let json = serde_json::to_string(&r).unwrap();
-        let back: Round = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
     }
 
     #[test]

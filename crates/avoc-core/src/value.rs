@@ -4,12 +4,10 @@
 //! algorithm family operates — from *categorical* values (character strings,
 //! JSON blobs), for which only history-weighted majority voting applies.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single candidate value submitted to a voting round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(untagged)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// A scalar numeric measurement (e.g. lumen, dBm).
     Number(f64),
@@ -122,23 +120,6 @@ mod tests {
         assert_eq!(Value::Number(2.5).to_string(), "2.5");
         assert_eq!(Value::Vector(vec![1.0, 2.0]).to_string(), "[1, 2]");
         assert_eq!(Value::from("on").to_string(), "\"on\"");
-    }
-
-    #[test]
-    fn serde_untagged_round_trip() {
-        let v = Value::Number(18.25);
-        let json = serde_json::to_string(&v).unwrap();
-        assert_eq!(json, "18.25");
-        assert_eq!(serde_json::from_str::<Value>(&json).unwrap(), v);
-
-        let t = Value::from("lane-3");
-        let json = serde_json::to_string(&t).unwrap();
-        assert_eq!(json, "\"lane-3\"");
-        assert_eq!(serde_json::from_str::<Value>(&json).unwrap(), t);
-
-        let vec = Value::Vector(vec![1.0, -2.5]);
-        let json = serde_json::to_string(&vec).unwrap();
-        assert_eq!(serde_json::from_str::<Value>(&json).unwrap(), vec);
     }
 
     #[test]

@@ -7,11 +7,10 @@
 //! scored absolutely: this module provides the error measures used to show
 //! that the internal ground truth genuinely tracks the external one.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error statistics of an output series against a known truth series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccuracyReport {
     /// Rounds where the output was present and scored.
     pub scored: usize,

@@ -7,11 +7,10 @@
 //! of each other (no confident winner), and *misclassified* when the
 //! confident winner contradicts the ground truth.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Per-run ambiguity metrics for a two-stack discrimination task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AmbiguityReport {
     /// Rounds where either output was missing.
     pub missing: usize,

@@ -7,7 +7,6 @@
 //! 4×".
 
 use crate::series::diff_series;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// First round index from which the series stays within `epsilon` of
@@ -70,7 +69,7 @@ pub fn stable_value(series: &[Option<f64>], tail_fraction: f64) -> Option<f64> {
 
 /// A complete UC-1-style convergence comparison of one algorithm's faulty
 /// run against its clean run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConvergenceReport {
     /// Algorithm label.
     pub algorithm: String,

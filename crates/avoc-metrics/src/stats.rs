@@ -1,10 +1,9 @@
 //! Summary statistics over output series.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Summary of a numeric series (gaps skipped).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of non-missing samples.
     pub count: usize,

@@ -44,6 +44,24 @@ impl From<serde_json::Error> for VdxError {
     }
 }
 
+/// The error of a VDX enum's `TryFrom<&str>`: a spelling that names none
+/// of its variants.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InvalidName {
+    /// The enum read, e.g. `HistoryKind`.
+    pub kind: &'static str,
+    /// The spelling given.
+    pub name: String,
+}
+
+impl fmt::Display for InvalidName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "invalid {} name `{}`", self.kind, self.name)
+    }
+}
+
+impl Error for InvalidName {}
+
 impl VdxError {
     pub(crate) fn invalid(field: &'static str, reason: impl Into<String>) -> Self {
         VdxError::Invalid {
@@ -67,7 +85,7 @@ mod tests {
 
     #[test]
     fn parse_error_has_source() {
-        let parse_err = serde_json::from_str::<serde_json::Value>("{").unwrap_err();
+        let parse_err = serde_json::from_str("{").unwrap_err();
         let e = VdxError::from(parse_err);
         assert!(e.source().is_some());
     }

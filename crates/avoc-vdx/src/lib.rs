@@ -5,8 +5,8 @@
 //! parameters for software voters", describing a superset of VDL-scoped
 //! algorithms. This crate provides:
 //!
-//! * [`VdxSpec`] — the serde model of the format (Listing 1 of the paper
-//!   parses verbatim);
+//! * [`VdxSpec`] — the format's document model, read from and written to
+//!   JSON by hand (Listing 1 of the paper parses verbatim);
 //! * [`validate`](VdxSpec::validate) — the semantic rules, including the
 //!   categorical-value restrictions of §6;
 //! * [`build_voter`] / [`build_engine`] — the factory turning a spec into a
@@ -39,6 +39,7 @@
 
 mod build;
 mod error;
+mod json;
 mod spec;
 
 /// The JSON-Schema document describing the VDX format — the "full schema"
@@ -48,7 +49,7 @@ mod spec;
 pub const VDX_SCHEMA: &str = include_str!("../schema/vdx.schema.json");
 
 pub use build::{build_engine, build_voter};
-pub use error::VdxError;
+pub use error::{InvalidName, VdxError};
 pub use spec::{
     ExclusionKind, FaultPolicySpec, HistoryKind, QuorumKind, ValueKind, VdxCollation, VdxParams,
     VdxSpec, WeightingKind,
