@@ -28,11 +28,16 @@ pub fn now_ns() -> u64 {
 pub enum Stage {
     /// Frame decoded off the wire and handed to the service.
     Ingest,
-    /// Time spent in a shard mailbox before the worker picked it up.
+    /// The wait for the shard's lock: from the step's request for it (or
+    /// the hand-off to a helper thread) until the step holds it.
     Queue,
-    /// The fusion round itself (`VotingEngine::submit`).
+    /// Fusion: the run of `VotingEngine::submit_ref`/`submit_row` calls
+    /// timed under one clock pair, from where the batch's clock last
+    /// started to the end of this round.
     Fuse,
-    /// Results flushed to the tenant's sink.
+    /// The burst's verdicts encoded into the connection's `Outbox` (or
+    /// handed to an in-process sink). The pump and the `write(2)` that
+    /// carry them are not in it.
     Flush,
 }
 
