@@ -552,6 +552,131 @@ fn daemon_batch_path_is_pinned() {
     assert_eq!(hash.0, PINNED, "{:#x}", hash.0);
 }
 
+/// The rounds of [`daemon_hole_path_is_pinned`]: five modules over UC-1
+/// (module 3 reading +6 klm), where module 4 skips rounds 5–8 of every 16
+/// (the last three rounds among them), module 1 reads NaN every seventh
+/// round and module 2 reads 150 klm, out of `smart-building.json`'s range,
+/// every eleventh.
+fn hole_roster(rounds: u64) -> Vec<avoc::net::BatchReading> {
+    let clean = LightScenario::new(5, rounds as usize, 3).generate();
+    let faulty = FaultInjector::new(3, FaultKind::Offset(6.0)).apply(&clean, 3);
+    (0..rounds)
+        .flat_map(|r| {
+            let row = faulty.row(r as usize);
+            (0..5u32)
+                .filter(move |&m| !(m == 4 && (5..=8).contains(&(r % 16))))
+                .map(move |m| avoc::net::BatchReading {
+                    module: ModuleId::new(m),
+                    round: r,
+                    value: match m {
+                        1 if r % 7 == 3 => f64::NAN,
+                        2 if r % 11 == 6 => 150.0,
+                        _ => row[m as usize].expect("the light trace has no gaps"),
+                    },
+                })
+        })
+        .collect()
+}
+
+/// Runs `roster` through a fresh two-shard service — deadline flushes two
+/// rounds on, a sweep point every 64 ticks, one frame in three traced —
+/// as session `session` under `spec`, in 64-round `FeedBatch` frames or,
+/// without `frames`, one `feed` per reading. The session is closed with
+/// rounds still open. Returns its results in emission order.
+fn hole_stream(
+    spec: &VdxSpec,
+    roster: &[avoc::net::BatchReading],
+    session: u64,
+    frames: bool,
+) -> Vec<(u64, Option<f64>, bool)> {
+    let mut registry = SpecRegistry::new();
+    registry.insert("spec", spec.clone());
+    let config = ServeConfig {
+        shards: 2,
+        idle_ticks: 1,
+        lag_tolerance: 2,
+        trace_sample: 3,
+        ..ServeConfig::default()
+    };
+    let service = VoterService::start(config, std::sync::Arc::new(registry));
+    let (sink, results) = crossbeam::channel::unbounded();
+    service
+        .open_session(session, 5, &SpecSource::Named("spec".into()), sink)
+        .expect("open session");
+    if frames {
+        for frame in roster.chunk_by(|a, b| a.round / 64 == b.round / 64) {
+            service.feed_batch(session, frame).expect("feed_batch");
+        }
+    } else {
+        for b in roster {
+            service
+                .feed(session, b.module, b.round, b.value)
+                .expect("feed");
+        }
+    }
+    service.close_session(session).expect("close session");
+    service.drain();
+    let mut stream = Vec::new();
+    while let Ok(msg) = results.try_recv() {
+        match msg {
+            avoc::net::Message::SessionResult {
+                round,
+                value,
+                voted,
+                ..
+            } => stream.push((round, value, voted)),
+            avoc::net::Message::ResultBatch { results, .. } => {
+                stream.extend(results.iter().map(|r| (r.round, r.value, r.voted)));
+            }
+            other => panic!("unexpected sink frame {other:?}"),
+        }
+    }
+    stream
+}
+
+/// The daemon's rounds with holes, pinned bit for bit: rounds that go out
+/// on the deadline, close incomplete or carry a NaN reading, next to whole
+/// rounds straddling burst boundaries and sweep points, traced and not,
+/// for `avoc`, `standard`, `average` (a voter with no row entry) and
+/// `smart-building.json` (an exclusion policy). Each spec's roster is fed
+/// in 64-round `FeedBatch` frames (session 0) and one reading at a time
+/// (session 1); both streams must be the same, and one FNV-1a runs over
+/// `(session, round, value bits, voted)` of all of them.
+#[test]
+fn daemon_hole_path_is_pinned() {
+    const PINNED: u64 = 0x96bf_651b_efda_85bd;
+    const ROUNDS: u64 = 200;
+    let building = concat!(env!("CARGO_MANIFEST_DIR"), "/specs/smart-building.json");
+    let specs = [
+        VdxSpec::avoc(),
+        VdxSpec::preset("standard").expect("preset"),
+        VdxSpec::preset("average").expect("preset"),
+        VdxSpec::from_file(building).expect("shipped spec parses"),
+    ];
+    let roster = hole_roster(ROUNDS);
+    let mut hash = Fnv1a::new();
+    for spec in &specs {
+        let frames = hole_stream(spec, &roster, 0, true);
+        let one_by_one = hole_stream(spec, &roster, 1, false);
+        assert_eq!(frames.len() as u64, ROUNDS, "{}", spec.algorithm_name);
+        let bits = |s: &[(u64, Option<f64>, bool)]| -> Vec<_> {
+            s.iter()
+                .map(|&(round, value, voted)| (round, value.map(f64::to_bits), voted))
+                .collect()
+        };
+        assert_eq!(bits(&frames), bits(&one_by_one), "{}", spec.algorithm_name);
+        for (session, stream) in [(0u64, &frames), (1, &one_by_one)] {
+            for &(round, value, voted) in stream {
+                hash.word(session);
+                hash.word(round);
+                hash.word(value.map_or(u64::MAX, f64::to_bits));
+                hash.word(u64::from(voted));
+            }
+        }
+    }
+    assert_eq!(hash.0, PINNED, "{:#x}", hash.0);
+}
+
 /// `count` rounds of six units reporting a 3-D position near (20, 40, 60)
 /// from a fixed seed: one ballot in six missing, one coordinate in seven far
 /// off, unit 2 drifting along the second axis, and every sixteenth round
