@@ -41,7 +41,6 @@ use crate::collation::{collate_into, Collation};
 use crate::error::VoteError;
 use crate::history::{HistoryStore, MemoryHistory, INITIAL_HISTORY};
 use crate::round::{ModuleId, Round};
-use crate::value::Value;
 use avoc_cluster::Clustering;
 
 /// Which algorithm a [`HistoryVoter`] runs.
@@ -266,27 +265,6 @@ impl Gather {
             fresh,
         };
         Ok((loaded, len))
-    }
-
-    /// Gathers a whole numeric round — ballot `i` is module `i`'s,
-    /// present, a number — without its records, which the row kernel
-    /// reads where they lie ([`vote_row`]); returns whether the round was
-    /// one. It shares the arrays, and their lengths, with
-    /// [`Gather::round`].
-    fn whole(&mut self, round: &Round) -> bool {
-        let n = round.ballots.len();
-        sized(&mut self.modules, n, ModuleId::new(0));
-        sized(&mut self.values, n, 0.0);
-        for (i, ballot) in round.ballots.iter().enumerate() {
-            match ballot.value {
-                Some(Value::Number(x)) if ballot.module.index() as usize == i => {
-                    self.modules[i] = ballot.module;
-                    self.values[i] = x;
-                }
-                _ => return false,
-            }
-        }
-        true
     }
 }
 
@@ -678,15 +656,6 @@ impl<S: HistoryStore + Send> Voter for HistoryVoter<S> {
             ..
         } = self;
         let (stateful, bootstrap) = (kernel.algorithm.stateful(), kernel.bootstrap);
-        // A whole numeric round whose records need no gathering is the row
-        // it stands for.
-        let n = round.ballots.len();
-        if (!stateful || store.dense_mut(n).is_some()) && gather.whole(round) {
-            let (modules, values) = (&gather.modules[..n], &gather.values[..n]);
-            if let Some(voted) = vote_row(kernel, store, modules, values, out) {
-                return voted;
-            }
-        }
         let (loaded, len) = gather.round(round, store, stateful, bootstrap)?;
         let modules = &gather.modules[..len];
         let mut records = Gathered {

@@ -11,8 +11,9 @@
 //!   encoding into a reusable buffer, flushed with one `write` per
 //!   wakeup instead of one per frame;
 //! * [`hub`] — the [`hub::SensorHub`]: assembles per-module readings into
-//!   complete voting rounds, deadline-flushing partial rounds so missing
-//!   values surface as `None` ballots;
+//!   complete voting rounds, emitted as rows ([`hub::Rows`]) or as
+//!   rounds, deadline-flushing partial rounds so missing values surface as
+//!   NaN cells or `None` ballots;
 //! * [`reactor`] — the readiness-based socket core ([`reactor::spawn_pool`])
 //!   the `avoc-serve` daemon and the `avoc-gateway` both serve from: the
 //!   only socket server in the workspace. Handlers run each frame to
@@ -52,7 +53,7 @@ pub mod message;
 pub mod reactor;
 
 pub use cork::{CorkMetrics, CorkSnapshot, CorkedWriter, FlushOutcome, WriterStats};
-pub use hub::{Liveness, SensorHub};
+pub use hub::{Rows, SensorHub};
 pub use message::{
     BatchReading, BatchResult, BatchView, Message, SpecSource, MAX_BATCH_READINGS,
     MAX_BATCH_RESULTS,

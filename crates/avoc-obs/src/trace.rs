@@ -31,7 +31,7 @@ pub enum Stage {
     /// The wait for the shard's lock: from the step's request for it (or
     /// the hand-off to a helper thread) until the step holds it.
     Queue,
-    /// Fusion: the run of `VotingEngine::submit_ref`/`submit_row` calls
+    /// Fusion: the run of `VotingEngine::submit_row` calls
     /// timed under one clock pair, from where the batch's clock last
     /// started to the end of this round.
     Fuse,

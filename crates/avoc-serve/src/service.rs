@@ -32,7 +32,8 @@ pub struct ServeConfig {
     /// Readings a session may go without (in per-shard ticks) before idle
     /// eviction reaps it.
     pub idle_ticks: u64,
-    /// Round-assembly lag tolerance handed to each session's hub.
+    /// The lag tolerance handed to each session's hub, which assembles
+    /// its rounds.
     pub lag_tolerance: u64,
     /// Crash-safety configuration: state directory, fsync mode and cluster
     /// identity. Off by default.

@@ -1,8 +1,8 @@
 //! One tenant's voting session: round assembly + fusion + result emission,
 //! with optional durable checkpoints and resume support.
 
-use avoc_core::{ModuleId, Round, RoundResult, VoteError, VotingEngine};
-use avoc_net::{BatchResult, Message, SensorHub, MAX_BATCH_RESULTS};
+use avoc_core::{ModuleId, RoundResult, VoteError, VotingEngine};
+use avoc_net::{BatchResult, Message, Rows, SensorHub, MAX_BATCH_RESULTS};
 use avoc_vdx::{build_engine, VdxSpec};
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -15,22 +15,6 @@ use crate::sink::ResultSink;
 /// Cap on the degraded re-probe backoff, in checkpoint attempts skipped
 /// between heal probes.
 const PROBE_BACKOFF_CAP: u64 = 64;
-
-/// A round due to fuse: one the hub assembled and lent, or a whole round
-/// taken as a row, value `i` module `i`'s.
-enum Due<'a> {
-    Round(&'a Round),
-    Row(u64, &'a [f64]),
-}
-
-impl Due<'_> {
-    fn round(&self) -> u64 {
-        match *self {
-            Due::Round(r) => r.round,
-            Due::Row(round, _) => round,
-        }
-    }
-}
 
 /// A batch's clock ([`Session::fuse_ready`]): when it last started, the
 /// time booked so far and the rounds fused.
@@ -59,16 +43,11 @@ pub(crate) struct SessionConfig {
 pub(crate) struct Session {
     id: u64,
     hub: SensorHub,
-    /// Rounds the hub just completed, on loan until they are fused: the
-    /// session reads them, then hands the buffers back
-    /// ([`SensorHub::recycle`]), so assembling a round allocates nothing.
-    ready: Vec<Round>,
-    /// Whole rounds taken as rows ([`Session::take_round`]), waiting with
-    /// `ready` for the run's end: each row's round and how many of the
-    /// rounds in `ready` fuse before it. Their values lie back to back in
-    /// `row_values`, one per module each.
-    rows: Vec<(u64, usize)>,
-    row_values: Vec<f64>,
+    /// Rounds the hub emitted, in hub order, waiting as rows for the run's
+    /// end: those it assembled reading by reading and those it booked whole
+    /// ([`Session::take_round`]). The buffer is cleared and reused, so
+    /// assembling a round allocates nothing.
+    rows: Rows,
     /// The hub's straggler count as last added to
     /// `avoc_readings_straggled_total`.
     straggled_reported: u64,
@@ -119,9 +98,7 @@ impl Session {
         Ok(Session {
             id: cfg.id,
             hub: SensorHub::new(expected).with_lag_tolerance(cfg.lag_tolerance),
-            ready: Vec::new(),
-            rows: Vec::new(),
-            row_values: Vec::new(),
+            rows: Rows::default(),
             straggled_reported: 0,
             engine,
             sink,
@@ -196,11 +173,11 @@ impl Session {
     }
 
     /// Assembles one reading without fusing: the rounds it completes wait,
-    /// on loan from the hub, for the next [`Session::fuse_ready`].
+    /// as rows, for the next [`Session::fuse_ready`].
     pub(crate) fn assemble(&mut self, module: ModuleId, round: u64, value: f64, tick: u64) {
         self.last_active_tick = tick;
         self.hub
-            .accept_reading_into(module, round, value, &mut self.ready);
+            .accept_reading_into(module, round, value, &mut self.rows);
     }
 
     /// Takes one whole round — `values` are modules `0..n` in order —
@@ -209,12 +186,10 @@ impl Session {
     /// [`Session::fuse_ready`]. Returns `false`, having changed nothing,
     /// where the hub refuses the round whole ([`SensorHub::accept_round`]).
     pub(crate) fn take_round(&mut self, round: u64, values: &[f64], tick: u64) -> bool {
-        if !self.hub.accept_round(round, values.len()) {
+        if !self.hub.accept_round(round, values, &mut self.rows) {
             return false;
         }
         self.last_active_tick = tick;
-        self.rows.push((round, self.ready.len()));
-        self.row_values.extend_from_slice(values);
         true
     }
 
@@ -223,9 +198,8 @@ impl Session {
         self.hub.expected().len()
     }
 
-    /// Fuses the rounds waiting since the last call — those the hub lent
-    /// out and those taken as rows — in the order the hub completed them,
-    /// and hands the lent ones back.
+    /// Fuses the rows waiting since the last call, in the order the hub
+    /// emitted them.
     ///
     /// One clock pair times the whole batch, and the batch is recorded once:
     /// its round count on the service and session counters, its time in
@@ -234,41 +208,25 @@ impl Session {
     /// every round is timed on its own instead, for its fuse span. A round
     /// that fails to fuse is timed with the batch but not counted in it.
     pub(crate) fn fuse_ready(&mut self, sampled: bool, counters: &ServiceCounters) {
-        if self.ready.is_empty() && self.rows.is_empty() {
+        if self.rows.is_empty() {
             return;
         }
-        let mut ready = std::mem::take(&mut self.ready);
         let mut rows = std::mem::take(&mut self.rows);
-        let mut row_values = std::mem::take(&mut self.row_values);
-        let n = self.modules();
         let mut run = Run {
             started: Instant::now(),
             ns: 0,
             fused: 0,
         };
-        let mut lent = 0;
-        for (k, &(round, before)) in rows.iter().enumerate() {
-            for r in &ready[lent..before] {
-                self.fuse_timed(Due::Round(r), sampled, counters, &mut run);
-            }
-            lent = before;
-            let values = &row_values[k * n..(k + 1) * n];
-            self.fuse_timed(Due::Row(round, values), sampled, counters, &mut run);
-        }
-        for r in &ready[lent..] {
-            self.fuse_timed(Due::Round(r), sampled, counters, &mut run);
+        for (round, values) in rows.iter() {
+            self.fuse_timed(round, values, sampled, counters, &mut run);
         }
         run.ns += run.started.elapsed().as_nanos() as u64;
         if run.fused > 0 {
             counters.batch_fused(run.ns, run.fused);
             self.rounds_fused.add(run.fused);
         }
-        self.hub.recycle(&mut ready);
-        self.ready = ready;
         rows.clear();
-        row_values.clear();
         self.rows = rows;
-        self.row_values = row_values;
     }
 
     /// Fuses one round of a batch: a sampled round, a checkpoint or a
@@ -276,13 +234,13 @@ impl Session {
     /// restarts it afterwards.
     fn fuse_timed(
         &mut self,
-        due: Due<'_>,
+        round: u64,
+        values: &[f64],
         sampled: bool,
         counters: &ServiceCounters,
         run: &mut Run,
     ) {
-        let round = due.round();
-        let outcome = self.fuse(due, counters);
+        let outcome = self.fuse(round, values, counters);
         let checkpoint_due = outcome.is_ok() && self.persist.is_some();
         run.fused += u64::from(outcome.is_ok());
         if !(sampled || checkpoint_due || outcome.is_err()) {
@@ -324,7 +282,7 @@ impl Session {
     /// drain path), emits every pending result, then writes a final
     /// checkpoint so the durable state is as warm as the session was.
     pub(crate) fn flush(&mut self, counters: &ServiceCounters) {
-        self.hub.flush_all_into(&mut self.ready);
+        self.hub.flush_all_into(&mut self.rows);
         self.fuse_ready(false, counters);
         self.flush_results(counters);
         self.checkpoint(counters);
@@ -340,10 +298,7 @@ impl Session {
     pub(crate) fn flush_results(&mut self, counters: &ServiceCounters) {
         // The shard fuses a session's run before anything else touches it,
         // so no round waits assembled but unfused past this point.
-        debug_assert!(
-            self.ready.is_empty() && self.rows.is_empty(),
-            "flush with rounds left unfused"
-        );
+        debug_assert!(self.rows.is_empty(), "flush with rounds left unfused");
         // Readings the hub dropped since the last flush (late for a fused
         // round, or from a module the session does not have) — tallied here,
         // per burst, not per reading.
@@ -557,14 +512,17 @@ impl Session {
         self.emit_results(&unacked, counters);
     }
 
-    /// Fuses one round and books its verdict for the next flush.
-    fn fuse(&mut self, due: Due<'_>, counters: &ServiceCounters) -> Result<(), VoteError> {
+    /// Fuses one round, value `i` module `i`'s (NaN where it sent none),
+    /// and books its verdict for the next flush.
+    fn fuse(
+        &mut self,
+        round: u64,
+        values: &[f64],
+        counters: &ServiceCounters,
+    ) -> Result<(), VoteError> {
         // The engine keeps the verdict in its reusable slot: the serve hot
         // path copies only the scalar it puts on the wire.
-        let (round, result) = match due {
-            Due::Round(r) => (r.round, self.engine.submit_ref(r)?),
-            Due::Row(round, values) => (round, self.engine.submit_row(round, values)?),
-        };
+        let result = self.engine.submit_row(round, values)?;
         if matches!(result, RoundResult::Fallback { .. }) {
             counters.fallbacks.inc();
         }

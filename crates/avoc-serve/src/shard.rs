@@ -48,7 +48,7 @@ pub(crate) struct OpenReq {
 pub(crate) struct TaggedReading {
     /// Target session.
     pub(crate) session: u64,
-    /// Round number.
+    /// The round id.
     pub(crate) round: u64,
     /// Measured value.
     pub(crate) value: f64,

@@ -51,6 +51,6 @@ pub const VDX_SCHEMA: &str = include_str!("../schema/vdx.schema.json");
 pub use build::{build_engine, build_voter};
 pub use error::{InvalidName, VdxError};
 pub use spec::{
-    ExclusionKind, FaultPolicySpec, HistoryKind, QuorumKind, ValueKind, VdxCollation, VdxParams,
-    VdxSpec, WeightingKind,
+    ExclusionKind, FallbackKind, FaultPolicySpec, HistoryKind, QuorumKind, TieBreakKind, ValueKind,
+    VdxCollation, VdxParams, VdxSpec, WeightingKind,
 };

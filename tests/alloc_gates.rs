@@ -7,7 +7,7 @@
 use avoc::core::history::HistoryStore;
 use avoc::core::{Ballot, ModuleId, Round};
 use avoc::net::reactor::{DecodeStep, StreamDecoder};
-use avoc::net::{BatchReading, Message, SensorHub, SpecSource};
+use avoc::net::{BatchReading, Message, Rows, SensorHub, SpecSource};
 use avoc::serve::{ServeClient, ServeConfig, SpecRegistry, TcpServer, VoterService};
 use avoc::sim::{FaultInjector, FaultKind, LightScenario};
 use avoc::store::{session_wal_path, Durability, FileHistory, TieredStore, VerdictRecord};
@@ -430,15 +430,15 @@ fn fused_rounds_after_the_bootstrap_allocate_nothing() {
     );
 }
 
-/// Feeds `rounds` of five modules through the hub's lending entry point,
-/// handing the lent rounds back after every `run` readings (and at the
-/// end); returns how many came out. Per 64 rounds, one reading arrives
-/// twice, and one sensor skips two rounds running: the first of those only
-/// the deadline flushes (two rounds on), the second goes out ahead of the
-/// round that completes after it.
-fn lend_rounds(
+/// Feeds `rounds` of five modules through the hub's row entry point,
+/// reading the rows and clearing the buffer after every `run` readings
+/// (and at the end); returns how many rows came out. Per 64 rounds, one
+/// reading arrives twice, and one sensor skips two rounds running: the
+/// first of those only the deadline flushes (two rounds on), the second
+/// goes out ahead of the round that completes after it.
+fn emit_rows(
     hub: &mut SensorHub,
-    lent: &mut Vec<Round>,
+    rows: &mut Rows,
     rounds: std::ops::Range<u64>,
     run: usize,
 ) -> u64 {
@@ -452,50 +452,50 @@ fn lend_rounds(
             let copies = if round % 64 == 9 && module == 2 { 2 } else { 1 };
             for copy in 0..copies {
                 let value = 20.0 + f64::from(module) + f64::from(copy);
-                hub.accept_reading_into(ModuleId::new(module), round, value, lent);
+                hub.accept_reading_into(ModuleId::new(module), round, value, rows);
                 fed += 1;
                 if fed % run == 0 {
-                    emitted += lent.len() as u64;
-                    hub.recycle(lent);
+                    emitted += rows.len() as u64;
+                    rows.clear();
                 }
             }
         }
     }
-    emitted += lent.len() as u64;
-    hub.recycle(lent);
+    emitted += rows.len() as u64;
+    rows.clear();
     emitted
 }
 
-/// The hub between mailbox and engine: once its slots and round buffers
-/// exist, assembling a round — complete, duplicated or deadline-flushed —
-/// allocates nothing, as long as the caller hands the rounds back.
+/// The hub between mailbox and engine: once its slots and the caller's
+/// row buffer exist, assembling a round — complete, duplicated or
+/// deadline-flushed — allocates nothing.
 #[test]
 fn warmed_hub_assembles_rounds_without_allocating() {
     let mut hub = SensorHub::new((0..5).map(ModuleId::new).collect());
-    let mut lent = Vec::new();
-    assert_eq!(lend_rounds(&mut hub, &mut lent, 0..128, 1), 128);
+    let mut rows = Rows::default();
+    assert_eq!(emit_rows(&mut hub, &mut rows, 0..128, 1), 128);
     let before = tl_allocations();
-    let emitted = lend_rounds(&mut hub, &mut lent, 128..1_128, 1);
+    let emitted = emit_rows(&mut hub, &mut rows, 128..1_128, 1);
     assert_eq!(tl_allocations() - before, 0, "round assembly allocated");
     assert_eq!(emitted, 1_000);
     assert_eq!(hub.straggler_count(), 0);
 }
 
 /// How many readings a daemon shard assembles for one session before it
-/// fuses them and hands the rounds back: its `DATA_BURST`.
+/// fuses the rows they completed: its `DATA_BURST`.
 const SHARD_RUN: usize = 64;
 
-/// The same hub, lending a shard's whole run — about thirteen five-module
-/// rounds — before the caller hands any back: the hub keeps enough spare
-/// buffers for the run, so a warmed run allocates nothing either.
+/// The same hub, emitting a shard's whole run — about thirteen five-module
+/// rounds — into one row buffer before the caller reads it: once the
+/// buffer has held a run, a warmed run allocates nothing either.
 #[test]
-fn warmed_hub_lends_a_whole_run_without_allocating() {
+fn warmed_hub_emits_a_whole_run_as_rows_without_allocating() {
     let mut hub = SensorHub::new((0..5).map(ModuleId::new).collect());
-    let mut lent = Vec::new();
-    assert_eq!(lend_rounds(&mut hub, &mut lent, 0..128, SHARD_RUN), 128);
+    let mut rows = Rows::default();
+    assert_eq!(emit_rows(&mut hub, &mut rows, 0..128, SHARD_RUN), 128);
     let before = tl_allocations();
-    let emitted = lend_rounds(&mut hub, &mut lent, 128..1_128, SHARD_RUN);
-    assert_eq!(tl_allocations() - before, 0, "a lent run allocated");
+    let emitted = emit_rows(&mut hub, &mut rows, 128..1_128, SHARD_RUN);
+    assert_eq!(tl_allocations() - before, 0, "a run of rows allocated");
     assert_eq!(emitted, 1_000);
     assert_eq!(hub.straggler_count(), 0);
 }

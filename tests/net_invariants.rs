@@ -4,7 +4,7 @@
 //! hub (`reference/naive_hub.rs`) assembles.
 
 use avoc::net::{
-    BatchReading, BatchResult, Message, SensorHub, SpecSource, MAX_BATCH_READINGS,
+    BatchReading, BatchResult, Message, Rows, SensorHub, SpecSource, MAX_BATCH_READINGS,
     MAX_BATCH_RESULTS,
 };
 use avoc::prelude::*;
@@ -132,6 +132,22 @@ fn ballot_bits(rounds: &[Round]) -> Vec<(u64, ModuleId, Option<u64>)> {
         .collect()
 }
 
+/// Emitted rows on `to_bits`: each row's round id and values.
+fn row_bits(rows: &Rows) -> Vec<(u64, Vec<u64>)> {
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect();
+    rows.iter().map(|(round, xs)| (round, bits(xs))).collect()
+}
+
+/// The rows `rounds` stand for, on `to_bits`: a missing ballot is NaN.
+fn rounds_as_row_bits(rounds: &[Round]) -> Vec<(u64, Vec<u64>)> {
+    let bits = |b: &Ballot| {
+        let value = b.value.as_ref().and_then(Value::as_number);
+        value.unwrap_or(f64::NAN).to_bits()
+    };
+    let row = |r: &Round| r.ballots.iter().map(bits).collect();
+    rounds.iter().map(|r| (r.round, row(r))).collect()
+}
+
 /// Frames `payload` under a truthful length prefix.
 fn framed(payload: &[u8]) -> BytesMut {
     let mut buf = BytesMut::new();
@@ -228,17 +244,17 @@ proptest! {
     }
 
     /// The slot hub against the tree hub it replaced, message by message:
-    /// the same rounds (ids, and ballots on `to_bits`), the same straggler
-    /// count and the same liveness, whatever arrives — duplicates, unknown
-    /// modules, explicit missings, heartbeats, shutdowns, rounds out of
-    /// order and far apart, a positional or a scattered module set, a resume
-    /// floor — and whether or not the caller hands its rounds back.
+    /// the same rounds (ids, and ballots on `to_bits`) and the same
+    /// straggler count, whatever arrives — duplicates, unknown modules,
+    /// explicit missings, heartbeats, shutdowns, rounds out of order and
+    /// far apart, a positional or a scattered module set, a resume floor —
+    /// and the same rows, NaN for a missing ballot, where a reading goes in
+    /// through the row entry point.
     #[test]
     fn hub_matches_the_naive_reference(
         positional in any::<bool>(),
         lag in 0u64..5,
         floor in prop::option::of(0u64..4),
-        recycle in any::<bool>(),
         script in prop::collection::vec(
             (0u8..16, 0usize..7, 0u64..160, any::<f64>()),
             0..120,
@@ -250,7 +266,7 @@ proptest! {
             .with_lag_tolerance(lag)
             .with_completed_through(floor);
         let mut naive = NaiveHub::new(expected, lag, floor);
-        let mut lent = Vec::new();
+        let mut rows = Rows::default();
         for (kind, pick, place, value) in script {
             // Four of the seven ids are unknown to either set.
             let module = ModuleId::new([0, 1, 2, 3, 7, 42, 5][pick]);
@@ -269,18 +285,15 @@ proptest! {
             };
             let want = naive.accept(msg.clone());
             match msg {
-                Message::Reading { module, round, value } if recycle => {
-                    hub.accept_reading_into(module, round, value, &mut lent);
+                // Half the readings leave as rows, half as rounds.
+                Message::Reading { module, round, value } if kind % 2 == 1 => {
+                    hub.accept_reading_into(module, round, value, &mut rows);
+                    prop_assert_eq!(row_bits(&rows), rounds_as_row_bits(&want));
+                    rows.clear();
                 }
-                msg => lent = hub.accept(msg),
+                msg => prop_assert_eq!(ballot_bits(&hub.accept(msg)), ballot_bits(&want)),
             }
-            prop_assert_eq!(ballot_bits(&lent), ballot_bits(&want));
             prop_assert_eq!(hub.straggler_count(), naive.straggler_count());
-            prop_assert_eq!(hub.liveness(), naive.liveness());
-            if recycle {
-                hub.recycle(&mut lent);
-            }
-            lent.clear();
         }
         prop_assert_eq!(ballot_bits(&hub.flush_all()), ballot_bits(&naive.flush_all()));
     }
@@ -289,10 +302,10 @@ proptest! {
     /// same readings one by one: where `accept_round` takes a round
     /// and where it refuses one (a round open, a round at or below the
     /// floor, a scattered module set) and the caller falls back to one
-    /// `accept_reading_into` per module, the rounds emitted (ids, and
-    /// ballots on `to_bits`), the straggler count and the liveness are the
-    /// same after every step, and so is everything the hubs do after it —
-    /// single readings, missings, heartbeats and shutdowns between the
+    /// `accept_reading_into` per module, the rows emitted (ids, and values
+    /// on `to_bits`, NaN for a missing ballot) and the straggler count are
+    /// the same after every step, and so is everything the hubs do after
+    /// it — single readings, missings, heartbeats and shutdowns between the
     /// whole rounds, and the final flush.
     #[test]
     fn whole_rounds_match_the_naive_reference(
@@ -310,7 +323,7 @@ proptest! {
             .with_lag_tolerance(lag)
             .with_completed_through(floor);
         let mut naive = NaiveHub::new(expected.clone(), lag, floor);
-        let mut lent = Vec::new();
+        let mut rows = Rows::default();
         let mut taken = 0;
         for (kind, pick, round, values) in script {
             let mut want = Vec::new();
@@ -320,13 +333,11 @@ proptest! {
                     for (&module, &value) in expected.iter().zip(&values) {
                         want.extend(naive.accept(Message::Reading { module, round, value }));
                     }
-                    if hub.accept_round(round, values.len()) {
-                        // The hub books the round; its caller holds it.
-                        lent.push(Round::from_numbers(round, &values));
+                    if hub.accept_round(round, &values, &mut rows) {
                         taken += 1;
                     } else {
                         for (&module, &value) in expected.iter().zip(&values) {
-                            hub.accept_reading_into(module, round, value, &mut lent);
+                            hub.accept_reading_into(module, round, value, &mut rows);
                         }
                     }
                 }
@@ -342,19 +353,22 @@ proptest! {
                     want = naive.accept(msg.clone());
                     match msg {
                         Message::Reading { module, round, value } => {
-                            hub.accept_reading_into(module, round, value, &mut lent);
+                            hub.accept_reading_into(module, round, value, &mut rows);
                         }
-                        msg => lent.extend(hub.accept(msg)),
+                        msg => {
+                            prop_assert_eq!(ballot_bits(&hub.accept(msg)), ballot_bits(&want));
+                            want.clear();
+                        }
                     }
                 }
             }
-            prop_assert_eq!(ballot_bits(&lent), ballot_bits(&want));
+            prop_assert_eq!(row_bits(&rows), rounds_as_row_bits(&want));
             prop_assert_eq!(hub.straggler_count(), naive.straggler_count());
-            prop_assert_eq!(hub.liveness(), naive.liveness());
-            hub.recycle(&mut lent);
+            rows.clear();
         }
         prop_assert!(positional || taken == 0, "a scattered module set is never taken whole");
-        prop_assert_eq!(ballot_bits(&hub.flush_all()), ballot_bits(&naive.flush_all()));
+        hub.flush_all_into(&mut rows);
+        prop_assert_eq!(row_bits(&rows), rounds_as_row_bits(&naive.flush_all()));
     }
 
     /// Every session-control frame (tags 5–9) survives an encode/decode

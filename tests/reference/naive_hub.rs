@@ -1,10 +1,10 @@
-//! The round assembler as it was before `SensorHub` moved to recycled
-//! slots: a tree of rounds, each a tree of modules, a fresh vector for
-//! everything. Kept as the naive reference `net_invariants.rs` compares the
-//! real hub against — it shares only value types with `avoc-net`, and its
-//! logic is the old `hub.rs`, verbatim.
+//! The round assembler as it was before `SensorHub` moved to slots: a tree
+//! of rounds, each a tree of modules, a fresh vector for everything. Kept
+//! as the naive reference `net_invariants.rs` compares the real hub against
+//! — it shares only value types with `avoc-net`, and its logic is the old
+//! `hub.rs`, verbatim, less the liveness tracking the hub no longer keeps.
 
-use avoc::net::{Liveness, Message};
+use avoc::net::Message;
 use avoc::prelude::*;
 use std::collections::BTreeMap;
 
@@ -15,9 +15,6 @@ pub struct NaiveHub {
     completed_through: Option<u64>,
     stragglers: u64,
     lag_tolerance: u64,
-    last_seen: BTreeMap<ModuleId, u64>,
-    newest_round: u64,
-    liveness_window: u64,
 }
 
 impl NaiveHub {
@@ -32,33 +29,11 @@ impl NaiveHub {
             completed_through,
             stragglers: 0,
             lag_tolerance,
-            last_seen: BTreeMap::new(),
-            newest_round: 0,
-            liveness_window: 8,
         }
     }
 
     pub fn straggler_count(&self) -> u64 {
         self.stragglers
-    }
-
-    pub fn liveness(&self) -> Vec<(ModuleId, Liveness)> {
-        self.expected
-            .iter()
-            .map(|&m| {
-                let state = match self.last_seen.get(&m) {
-                    None => Liveness::NeverSeen,
-                    Some(&seen) => {
-                        if self.newest_round.saturating_sub(seen) > self.liveness_window {
-                            Liveness::Dead { last_seen: seen }
-                        } else {
-                            Liveness::Alive
-                        }
-                    }
-                };
-                (m, state)
-            })
-            .collect()
     }
 
     pub fn accept(&mut self, msg: Message) -> Vec<Round> {
@@ -69,12 +44,6 @@ impl NaiveHub {
                 value,
             } => self.record(module, round, Some(value)),
             Message::Missing { module, round } => self.record(module, round, None),
-            Message::Heartbeat { module } => {
-                if self.expected.contains(&module) {
-                    self.last_seen.insert(module, self.newest_round);
-                }
-                Vec::new()
-            }
             Message::Shutdown => self.flush_all(),
             _ => Vec::new(),
         }
@@ -90,11 +59,6 @@ impl NaiveHub {
             self.stragglers += 1;
             return Vec::new();
         }
-        self.newest_round = self.newest_round.max(round);
-        self.last_seen
-            .entry(module)
-            .and_modify(|r| *r = (*r).max(round))
-            .or_insert(round);
         if let Some(done) = self.completed_through {
             if round <= done {
                 self.stragglers += 1;

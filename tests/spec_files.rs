@@ -36,6 +36,31 @@ fn shipped_avoc_spec_is_the_paper_listing() {
     assert_eq!(spec, VdxSpec::avoc());
 }
 
+/// A fault policy set from outside the crate: `avoc` with
+/// `on_no_quorum: Skip` and `on_tie: First` votes a whole round and skips
+/// one that misses its full quorum, with no output.
+#[test]
+fn a_fault_policy_set_from_outside_skips_a_round_without_quorum() {
+    let spec = VdxSpec {
+        fault_policy: avoc::vdx::FaultPolicySpec {
+            on_no_quorum: avoc::vdx::FallbackKind::Skip,
+            on_tie: avoc::vdx::TieBreakKind::First,
+            ..Default::default()
+        },
+        ..VdxSpec::avoc()
+    };
+    let mut engine = build_engine(&spec).expect("spec builds");
+    let whole = engine.submit_row(0, &[18.0, 18.1, 17.9]).expect("round 0");
+    assert!(whole.is_voted(), "{whole:?}");
+    let holed = engine
+        .submit_row(1, &[18.0, f64::NAN, 17.9])
+        .expect("round 1");
+    assert!(
+        matches!(holed, RoundResult::Skipped { .. }) && holed.number().is_none(),
+        "{holed:?}"
+    );
+}
+
 #[test]
 fn shipped_specs_run_their_scenarios() {
     // smart-building.json fuses the light testbed.
