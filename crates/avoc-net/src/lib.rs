@@ -55,7 +55,7 @@ pub mod reactor;
 pub use cork::{CorkMetrics, CorkSnapshot, CorkedWriter, FlushOutcome, WriterStats};
 pub use hub::{Rows, SensorHub};
 pub use message::{
-    BatchReading, BatchResult, BatchView, Message, SpecSource, MAX_BATCH_READINGS,
+    BatchReading, BatchResult, BatchView, Message, PackedResult, SpecSource, MAX_BATCH_READINGS,
     MAX_BATCH_RESULTS,
 };
 pub use reactor::{

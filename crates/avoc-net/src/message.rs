@@ -253,6 +253,55 @@ pub struct BatchResult {
     pub voted: bool,
 }
 
+/// One [`BatchResult`] as the 17 bytes a [`Message::ResultBatch`] frame
+/// carries it in: round `u64` BE, flags `u8`, value bits `u64` BE. Packing
+/// canonicalises — a skipped round's value bits are zero — so a batch of
+/// these is copied onto the wire as it stands
+/// ([`Message::encode_result_batch_into`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PackedResult([u8; RESULT_ENTRY_LEN]);
+
+const _: () = assert!(std::mem::size_of::<PackedResult>() == RESULT_ENTRY_LEN);
+
+impl PackedResult {
+    /// The round this verdict is for.
+    pub fn round(&self) -> u64 {
+        let (round, _) = self.0.split_first_chunk::<8>().expect("17 bytes");
+        u64::from_be_bytes(*round)
+    }
+}
+
+impl From<BatchResult> for PackedResult {
+    fn from(r: BatchResult) -> Self {
+        let mut flags = 0u8;
+        if r.value.is_some() {
+            flags |= 1;
+        }
+        if r.voted {
+            flags |= 2;
+        }
+        let mut bytes = [0u8; RESULT_ENTRY_LEN];
+        bytes[..8].copy_from_slice(&r.round.to_be_bytes());
+        bytes[8] = flags;
+        // Skipped rounds carry +0.0 (all-zero bits) so the encoding
+        // stays canonical: decode rejects anything else.
+        bytes[9..].copy_from_slice(&r.value.unwrap_or(0.0).to_bits().to_be_bytes());
+        PackedResult(bytes)
+    }
+}
+
+impl From<PackedResult> for BatchResult {
+    fn from(p: PackedResult) -> Self {
+        let (_, bits) = p.0.split_last_chunk::<8>().expect("17 bytes");
+        let flags = p.0[8];
+        BatchResult {
+            round: p.round(),
+            value: (flags & 1 != 0).then(|| f64::from_bits(u64::from_be_bytes(*bits))),
+            voted: flags & 2 != 0,
+        }
+    }
+}
+
 /// A protocol message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
@@ -873,42 +922,41 @@ impl Message {
         }
     }
 
-    /// Appends a [`Message::ResultBatch`] frame built from a borrowed slice —
-    /// byte-identical to `Message::ResultBatch { session, results:
-    /// results.to_vec() }.encode_into(frame)` without materialising the
-    /// `Vec`. The daemon encodes its verdict bursts through this, straight
-    /// into a connection's outbound bytes.
-    pub fn encode_result_batch_into(session: u64, results: &[BatchResult], frame: &mut BytesMut) {
+    /// Appends one [`Message::ResultBatch`] frame carrying the entries of
+    /// `parts` in order — byte-identical to the enum arm over the same
+    /// results unpacked, without materialising them. The daemon encodes
+    /// its verdict bursts through this, straight from a session's ring
+    /// (which wraps, hence the parts) into a connection's outbound bytes.
+    pub fn encode_result_batch_into(session: u64, parts: &[&[PackedResult]], frame: &mut BytesMut) {
+        let count = parts.iter().map(|part| part.len()).sum();
         let pos = frame.len();
         frame.put_u32(0); // length placeholder, patched below
-        Message::put_result_batch(session, results, frame);
+        Message::put_result_header(session, count, frame);
+        for entry in parts.iter().copied().flatten() {
+            frame.put_slice(&entry.0);
+        }
         Message::patch_len(frame, pos);
     }
 
-    /// Writes a ResultBatch payload (no length prefix) — shared by the enum
-    /// arm and the slice-based encoder so the two stay byte-identical.
+    /// Writes a ResultBatch payload (no length prefix) for the enum arm;
+    /// each entry is packed as [`Message::encode_result_batch_into`] copies
+    /// it, so the two stay byte-identical.
     fn put_result_batch(session: u64, results: &[BatchResult], frame: &mut BytesMut) {
+        Message::put_result_header(session, results.len(), frame);
+        for &r in results {
+            frame.put_slice(&PackedResult::from(r).0);
+        }
+    }
+
+    /// Writes a ResultBatch payload's fixed header: tag, session, count.
+    fn put_result_header(session: u64, count: usize, frame: &mut BytesMut) {
         debug_assert!(
-            !results.is_empty() && results.len() <= MAX_BATCH_RESULTS,
+            count > 0 && count <= MAX_BATCH_RESULTS,
             "ResultBatch must carry 1..=MAX_BATCH_RESULTS results"
         );
         frame.put_u8(TAG_RESULT_BATCH);
         frame.put_u64(session);
-        frame.put_u32(results.len() as u32);
-        for r in results {
-            frame.put_u64(r.round);
-            let mut flags = 0u8;
-            if r.value.is_some() {
-                flags |= 1;
-            }
-            if r.voted {
-                flags |= 2;
-            }
-            frame.put_u8(flags);
-            // Skipped rounds carry +0.0 (all-zero bits) so the encoding
-            // stays canonical: decode rejects anything else.
-            frame.put_f64(r.value.unwrap_or(0.0));
-        }
+        frame.put_u32(count as u32);
     }
 
     /// Patches the four-byte length placeholder written at `pos` (an offset
@@ -1737,14 +1785,34 @@ mod tests {
                 voted: false,
             },
         ];
+        // A ring that wrapped hands its entries over in two parts.
+        let packed: Vec<PackedResult> = results.iter().map(|&r| r.into()).collect();
         let mut via_slice = BytesMut::new();
-        Message::encode_result_batch_into(5, &results, &mut via_slice);
+        Message::encode_result_batch_into(5, &[&packed[..1], &packed[1..]], &mut via_slice);
         let via_enum = Message::ResultBatch {
             session: 5,
             results,
         }
         .encode();
         assert_eq!(&via_slice[..], &via_enum[..]);
+    }
+
+    #[test]
+    fn packed_results_unpack_to_what_was_packed() {
+        for value in [Some(19.700000000000003), Some(-0.0), Some(f64::NAN), None] {
+            for voted in [true, false] {
+                let r = BatchResult {
+                    round: u64::MAX - 3,
+                    value,
+                    voted,
+                };
+                let packed = PackedResult::from(r);
+                assert_eq!(packed.round(), r.round);
+                let back = BatchResult::from(packed);
+                assert_eq!((back.round, back.voted), (r.round, r.voted));
+                assert_eq!(back.value.map(f64::to_bits), value.map(f64::to_bits));
+            }
+        }
     }
 
     #[test]

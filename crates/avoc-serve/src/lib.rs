@@ -93,6 +93,7 @@ mod client;
 mod metrics;
 mod persist;
 mod registry;
+mod ring;
 mod server;
 mod service;
 mod session;

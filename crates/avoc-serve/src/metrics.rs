@@ -9,7 +9,7 @@
 //! or [`ServiceCounters::snapshot`], so a `/metrics` scrape and an
 //! in-process [`CountersSnapshot`] read the same, current cells.
 
-use avoc_net::{BatchResult, CorkMetrics, Message, ReactorMetrics, ReactorSnapshot};
+use avoc_net::{CorkMetrics, Message, PackedResult, ReactorMetrics, ReactorSnapshot};
 use avoc_obs::{facts, Counter, Health, HealthLevel, Registry, TraceRing};
 use avoc_store::TieredStore;
 use parking_lot::Mutex;
@@ -212,10 +212,11 @@ impl ServiceCounters {
     /// [`ResultSink::send_results`]) without ever blocking. A shed frame
     /// counts every verdict it carried in `results_dropped`; a shipped
     /// `ResultBatch` counts once in `result_batches`.
-    pub(crate) fn emit_results(&self, sink: &ResultSink, session: u64, results: &[BatchResult]) {
-        if !sink.send_results(session, results) {
-            self.results_dropped.add(results.len() as u64);
-        } else if results.len() > 1 {
+    pub(crate) fn emit_results(&self, sink: &ResultSink, session: u64, parts: &[&[PackedResult]]) {
+        let count: usize = parts.iter().map(|part| part.len()).sum();
+        if !sink.send_results(session, parts) {
+            self.results_dropped.add(count as u64);
+        } else if count > 1 {
             self.result_batches.inc();
         }
     }
@@ -418,23 +419,26 @@ mod tests {
     #[test]
     fn wire_counters_accumulate() {
         let c = ServiceCounters::new();
-        let batch: Vec<BatchResult> = (0..7)
-            .map(|round| BatchResult {
-                round,
-                value: None,
-                voted: false,
+        let batch: Vec<PackedResult> = (0..7)
+            .map(|round| {
+                BatchResult {
+                    round,
+                    value: None,
+                    voted: false,
+                }
+                .into()
             })
             .collect();
         let (tx, rx) = crossbeam::channel::bounded(4);
         let sink: ResultSink = tx.into();
-        c.emit_results(&sink, 1, &batch[..3]);
-        c.emit_results(&sink, 1, &batch[..2]);
+        c.emit_results(&sink, 1, &[&batch[..3]]);
+        c.emit_results(&sink, 1, &[&batch[..2]]);
         // A lone verdict ships as a plain frame, not a batch; so does a
         // control frame, and the sink is full after it: a batch sheds
         // every round it carries, any other frame once.
-        c.emit_results(&sink, 1, &batch[..1]);
+        c.emit_results(&sink, 1, &[&batch[..1]]);
         c.emit(&sink, Message::Shutdown);
-        c.emit_results(&sink, 1, &batch);
+        c.emit_results(&sink, 1, &[&batch[..4], &batch[4..]]);
         c.emit(&sink, Message::Shutdown);
         assert_eq!(rx.len(), 4);
         let snap = c.snapshot();

@@ -30,15 +30,18 @@
 
 use avoc_core::history::HistoryStore;
 use avoc_core::ModuleId;
-use avoc_net::SpecSource;
+use avoc_net::{BatchResult, SpecSource};
 use avoc_store::{
     land_log, meta_image, read_log_meta, session_wal_path, Durability, FileHistory, TieredPin,
     TieredStore, VerdictRecord,
 };
+#[cfg(test)]
 use std::collections::VecDeque;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+use crate::ring::{VerdictRing, RESULT_RING};
 
 /// Crash-safety configuration for [`crate::VoterService`].
 ///
@@ -87,18 +90,39 @@ impl Persistence {
 /// One re-emittable session result: `(round, value, voted)`.
 pub(crate) type StoredResult = (u64, Option<f64>, bool);
 
-/// How many recent rounds' results a session retains for re-emission on
-/// resume. A client more than this many rounds behind its own acks loses
-/// the overwritten tail (counted via `results_dropped` at emission time, as
-/// any slow tenant's overflow is).
-pub(crate) const RESULT_RING: usize = 256;
+/// The verdict rows a checkpoint logs and a rewrite carries: a session's
+/// result ring, oldest first, read where it lies.
+pub(crate) trait VerdictRows {
+    fn verdict_rows(&self) -> impl Iterator<Item = VerdictRecord> + '_;
+}
 
-fn verdict_rows(results: &VecDeque<StoredResult>) -> impl Iterator<Item = VerdictRecord> + '_ {
-    results.iter().map(|&(round, value, voted)| VerdictRecord {
-        round,
-        value,
-        voted,
-    })
+impl VerdictRows for VerdictRing {
+    fn verdict_rows(&self) -> impl Iterator<Item = VerdictRecord> + '_ {
+        self.iter().map(|&packed| {
+            let BatchResult {
+                round,
+                value,
+                voted,
+            } = packed.into();
+            VerdictRecord {
+                round,
+                value,
+                voted,
+            }
+        })
+    }
+}
+
+/// The tests below hand in their rings as plain tuples.
+#[cfg(test)]
+impl VerdictRows for VecDeque<StoredResult> {
+    fn verdict_rows(&self) -> impl Iterator<Item = VerdictRecord> + '_ {
+        self.iter().map(|&(round, value, voted)| VerdictRecord {
+            round,
+            value,
+            voted,
+        })
+    }
 }
 
 /// What a session log's head carries.
@@ -332,7 +356,7 @@ impl SessionStore {
         &mut self,
         records: &[(ModuleId, f64)],
         high_round: Option<u64>,
-        results: &VecDeque<StoredResult>,
+        results: &impl VerdictRows,
     ) -> io::Result<u64> {
         let changed: Vec<(ModuleId, f64)> = records
             .iter()
@@ -340,7 +364,8 @@ impl SessionStore {
             .filter(|&(m, v)| self.wal.get(m) != Some(v))
             .collect();
         let floor = self.wal.max_verdict_round().max(self.folded_verdict_round);
-        let fresh: Vec<VerdictRecord> = verdict_rows(results)
+        let fresh: Vec<VerdictRecord> = results
+            .verdict_rows()
             .filter(|v| floor.is_none_or(|f| v.round > f))
             .collect();
         let before = self.wal.bytes_logged();
@@ -370,7 +395,7 @@ impl SessionStore {
         &mut self,
         records: &[(ModuleId, f64)],
         high_round: Option<u64>,
-        results: &VecDeque<StoredResult>,
+        results: &impl VerdictRows,
     ) -> io::Result<()> {
         let meta = self.meta.encode();
         self.rewrite_headed(&meta, records, high_round, results)
@@ -382,14 +407,14 @@ impl SessionStore {
         meta: &[u8],
         records: &[(ModuleId, f64)],
         high_round: Option<u64>,
-        results: &VecDeque<StoredResult>,
+        results: &impl VerdictRows,
     ) -> io::Result<()> {
         // Memory first: whether this append reaches the old log (a sick one
         // refuses it) does not matter, the rewrite below replaces it from
         // the mirror.
         let _ = self.checkpoint(records, high_round, results);
         self.wal
-            .compact(Some(meta), &verdict_rows(results).collect::<Vec<_>>())
+            .compact(Some(meta), &results.verdict_rows().collect::<Vec<_>>())
     }
 
     /// Quiesces this session's durable state for shipping to `target_node`:
@@ -413,7 +438,7 @@ impl SessionStore {
         target_node: u64,
         records: &[(ModuleId, f64)],
         high_round: Option<u64>,
-        results: &VecDeque<StoredResult>,
+        results: &impl VerdictRows,
     ) -> io::Result<Vec<u8>> {
         let target = MetaState {
             node: target_node,

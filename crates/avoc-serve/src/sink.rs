@@ -9,7 +9,7 @@
 //! and receive decoded frames, batched exactly as the wire would carry
 //! them.
 
-use avoc_net::{BatchResult, Message, Outbox};
+use avoc_net::{BatchResult, Message, Outbox, PackedResult};
 use crossbeam::channel::Sender;
 use std::sync::Arc;
 
@@ -42,18 +42,20 @@ impl ResultSink {
         }
     }
 
-    /// Sends `results` (1 ..= `MAX_BATCH_RESULTS` of one session's
-    /// verdicts, in fuse order) as one frame: a plain
-    /// [`Message::SessionResult`] for one, a [`Message::ResultBatch`]
-    /// otherwise. An outbox gets the frame encoded in place, with no
-    /// `Vec` built on the way. Sheds like [`ResultSink::send`].
-    pub(crate) fn send_results(&self, session: u64, results: &[BatchResult]) -> bool {
-        if let &[BatchResult {
-            round,
-            value,
-            voted,
-        }] = results
-        {
+    /// Sends the entries of `parts` (1 ..= `MAX_BATCH_RESULTS` of one
+    /// session's verdicts between them, in fuse order) as one frame: a
+    /// plain [`Message::SessionResult`] for one, a [`Message::ResultBatch`]
+    /// otherwise. An outbox gets the entries copied into the frame as they
+    /// stand, with nothing unpacked on the way. Sheds like
+    /// [`ResultSink::send`].
+    pub(crate) fn send_results(&self, session: u64, parts: &[&[PackedResult]]) -> bool {
+        let mut entries = parts.iter().copied().flatten();
+        if let (Some(&only), None) = (entries.next(), entries.next()) {
+            let BatchResult {
+                round,
+                value,
+                voted,
+            } = only.into();
             let msg = Message::SessionResult {
                 session,
                 round,
@@ -64,12 +66,12 @@ impl ResultSink {
         }
         match &self.0 {
             Route::Outbox(outbox) => {
-                outbox.push_with(|bytes| Message::encode_result_batch_into(session, results, bytes))
+                outbox.push_with(|bytes| Message::encode_result_batch_into(session, parts, bytes))
             }
             Route::Channel(tx) => tx
                 .try_send(Message::ResultBatch {
                     session,
-                    results: results.to_vec(),
+                    results: parts.iter().copied().flatten().map(|&p| p.into()).collect(),
                 })
                 .is_ok(),
         }
@@ -121,8 +123,9 @@ mod tests {
             value: Some(1.5),
             voted: true,
         };
-        assert!(sink.send_results(3, &[result(0)]));
-        assert!(sink.send_results(3, &[result(1), result(2)]));
+        let packed: Vec<PackedResult> = (0..3).map(|round| result(round).into()).collect();
+        assert!(sink.send_results(3, &[&packed[..1]]));
+        assert!(sink.send_results(3, &[&packed[1..2], &packed[2..]]));
         assert!(matches!(
             rx.try_recv(),
             Ok(Message::SessionResult {
