@@ -107,10 +107,15 @@ impl<W: Write> CorkedWriter<W> {
     /// Moves `frames` frames someone else already encoded out of `bytes`,
     /// which is left empty with an allocation kept for reuse, to the end
     /// of the cork buffer. No I/O happens here. An empty cork trades
-    /// buffers with `bytes` instead of copying.
+    /// buffers with `bytes` instead of copying, and what it hands back is
+    /// at least as large as what it took: neither side of the trade then
+    /// has to grow again to a size the other already reached.
     pub fn append(&mut self, bytes: &mut BytesMut, frames: u64) {
         if self.buf.is_empty() {
             std::mem::swap(&mut self.buf, bytes);
+            if bytes.capacity() < self.buf.capacity() {
+                *bytes = BytesMut::with_capacity(self.buf.capacity());
+            }
         } else {
             self.buf.extend_from_slice(bytes);
         }
@@ -303,10 +308,13 @@ mod tests {
         assert!(outside.is_empty());
         w.flush().unwrap();
         assert_eq!(w.get_ref().as_slice(), expected.as_slice());
-        // Onto an empty cork: the buffers trade places.
+        // Onto an empty cork: the buffers trade places, and the one handed
+        // back is at least as large as the one taken.
         Message::Shutdown.encode_into(&mut outside);
+        let taken = outside.capacity();
         w.append(&mut outside, 1);
         assert!(outside.is_empty());
+        assert!(outside.capacity() >= taken.max(DEFAULT_CORK_LIMIT));
         w.flush().unwrap();
         expected.extend_from_slice(&Message::Shutdown.encode());
         assert_eq!(w.get_ref().as_slice(), expected.as_slice());

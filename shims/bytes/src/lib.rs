@@ -87,6 +87,12 @@ impl BytesMut {
         self.len() == 0
     }
 
+    /// How many bytes the buffer holds, readable or not, before it must
+    /// grow.
+    pub fn capacity(&self) -> usize {
+        self.data.capacity() - self.start
+    }
+
     fn compact(&mut self) {
         if self.start > 0 {
             self.data.drain(..self.start);

@@ -171,21 +171,37 @@ fn client_feed_path_allocates_nothing_per_reading() {
 /// frame. The warm-up runs past the session's result ring (256 rounds),
 /// and its first frame arrives in two reads, so the decoder's carry, which
 /// holds only a frame a read cut off, is warm too: every buffer on the
-/// path has reached its steady size before the meter is armed. (With a
-/// helper fusing beside the reactor, how a frame's verdicts split across
-/// pumps varies from run to run, and so does when the outbox and the cork,
-/// which trade buffers, each first hold a whole frame's verdicts.)
+/// path has reached its steady size before the meter is armed.
 #[test]
 fn daemon_feed_path_allocates_nothing_per_frame() {
-    const MODULES: u32 = 5;
-    const FRAME_ROUNDS: u64 = 64;
-    const WARMUP_FRAMES: u64 = 16;
-    const FRAMES: u64 = WARMUP_FRAMES + 32;
     let _gate = daemon_gate();
     // Every thread the service starts inherits this thread's one CPU, so
     // it starts no helper.
     let pinned = (0..1024).any(|cpu| sysio::pin_current_thread(cpu).is_ok());
     assert!(pinned, "no CPU would take this thread");
+    daemon_feed_path(true);
+}
+
+/// [`daemon_feed_path_allocates_nothing_per_frame`] with the daemon free to
+/// use every CPU: on a host with more than one, a helper fuses beside the
+/// reactor, so how a frame's verdicts split across pumps varies from run
+/// to run. The outbox and the cork trade buffers at every pump, and the
+/// cork hands back one at least as large as it takes, so neither grows
+/// again to a size the other already reached: this path allocates nothing
+/// per frame either.
+#[test]
+fn daemon_feed_path_allocates_nothing_per_frame_unpinned() {
+    let _gate = daemon_gate();
+    daemon_feed_path(false);
+}
+
+/// The daemon feed gate's body; `pinned` says the calling thread is
+/// confined to one CPU, so the service must have started no helper.
+fn daemon_feed_path(pinned: bool) {
+    const MODULES: u32 = 5;
+    const FRAME_ROUNDS: u64 = 64;
+    const WARMUP_FRAMES: u64 = 16;
+    const FRAMES: u64 = WARMUP_FRAMES + 32;
     let mut registry = SpecRegistry::new();
     registry.insert("avoc", VdxSpec::avoc());
     let service = Arc::new(VoterService::start(
@@ -196,7 +212,9 @@ fn daemon_feed_path_allocates_nothing_per_frame() {
         },
         Arc::new(registry),
     ));
-    assert_eq!(service.helpers(), 0, "one CPU runs no helper");
+    if pinned {
+        assert_eq!(service.helpers(), 0, "one CPU runs no helper");
+    }
     let server = TcpServer::start("127.0.0.1:0", Arc::clone(&service)).expect("bind");
     let mut tenant = TcpStream::connect(server.local_addr()).expect("connect");
     tenant
