@@ -199,11 +199,17 @@ impl WakeShared {
     /// Disarm-then-take: a producer that pushes after the take must have
     /// swapped `armed` after our disarm, so it notifies the pipe and the
     /// next dispatch sees it. The pending tokens are swapped into `into`,
-    /// which must be empty, so both lists keep their allocations.
+    /// which must be empty, so both lists keep their allocations; the one
+    /// left pending is at least as large as the one taken, so neither
+    /// grows again to a size the other already reached.
     fn take_pending(&self, into: &mut Vec<u64>) {
         debug_assert!(into.is_empty());
         self.armed.store(false, Ordering::SeqCst);
-        std::mem::swap(&mut *self.pending.lock(), into);
+        let mut pending = self.pending.lock();
+        std::mem::swap(&mut *pending, into);
+        if pending.capacity() < into.capacity() {
+            pending.reserve_exact(into.capacity());
+        }
     }
 }
 
@@ -1842,6 +1848,8 @@ mod tests {
         let mut woken = Vec::new();
         outbox.waker.shared.take_pending(&mut woken);
         assert_eq!(woken, [1]);
+        // The lists traded: the one left pending is as large as the one taken.
+        assert!(outbox.waker.shared.pending.lock().capacity() >= woken.capacity());
         outbox.close();
         assert!(outbox.pending.lock().bytes.is_empty());
         assert!(!outbox.push(&Message::Shutdown), "a closed outbox sheds");
