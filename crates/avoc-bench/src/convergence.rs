@@ -1,64 +1,35 @@
 //! The headline claim: "this method boosts the convergence of the
 //! measurements by 4×" — AVOC's clustering bootstrap versus the
 //! state-of-the-art history voters, across seeds.
-//!
-//! ```text
-//! cargo run -p avoc-bench --release --bin convergence -- [--seeds N] [--rounds R]
-//! ```
 
-use avoc_bench::{run_voter, Fig6Config};
-use avoc_metrics::{ConvergenceReport, Table};
+use crate::metrics::Table;
+use crate::{converge, run_voter, Fig6Config, EPSILON_KLM};
+use std::io::{self, Write};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seeds = 5usize;
-    let mut rounds = 2_000usize;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seeds" => {
-                i += 1;
-                seeds = args[i].parse().expect("--seeds takes a number");
-            }
-            "--rounds" => {
-                i += 1;
-                rounds = args[i].parse().expect("--rounds takes a number");
-            }
-            other => {
-                eprintln!("unknown flag `{other}`");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+/// Seeds 1000.. of the UC-1 trace, each this many rounds long.
+const SEEDS: usize = 10;
+const ROUNDS: usize = 3_000;
 
-    let epsilon = 0.15;
-    let sustain = 8;
-    let window = 8;
+/// Prints the median rounds-to-converge of each history voter and AVOC's
+/// boost over it.
+pub(crate) fn print(out: &mut impl Write) -> io::Result<()> {
     let algorithms = ["standard", "me", "sdt", "hybrid", "avoc"];
 
     // rounds-to-converge per algorithm per seed (cost = index + 1).
     let mut costs: Vec<Vec<Option<usize>>> = vec![Vec::new(); algorithms.len()];
-    for seed in 0..seeds as u64 {
+    for seed in 0..SEEDS as u64 {
         let cfg = Fig6Config {
             seed: 1000 + seed,
-            rounds,
+            rounds: ROUNDS,
             ..Fig6Config::default()
         };
         let clean = cfg.clean_trace();
         let faulty = cfg.faulty_trace();
         for (ai, algo) in algorithms.iter().enumerate() {
-            let mut vc = cfg.voter(algo);
-            let mut vf = cfg.voter(algo);
-            let clean_out = run_voter(vc.as_mut(), &clean);
-            let faulty_out = run_voter(vf.as_mut(), &faulty);
-            let rep = ConvergenceReport::compare_smoothed(
-                *algo,
-                &clean_out,
-                &faulty_out,
-                epsilon,
-                sustain,
-                window,
+            let rep = converge(
+                algo,
+                &run_voter(cfg.voter(algo).as_mut(), &clean),
+                &run_voter(cfg.voter(algo).as_mut(), &faulty),
             );
             costs[ai].push(rep.rounds_to_converge.map(|r| r + 1));
         }
@@ -101,15 +72,17 @@ fn main() {
             } else {
                 "never".into()
             },
-            format!("{converged}/{seeds}"),
+            format!("{converged}/{SEEDS}"),
             boost,
         ]);
     }
-    println!(
-        "== AVOC convergence boost over {seeds} seeds × {rounds} rounds (ε = {epsilon} klm) =="
-    );
-    println!("{t}");
-    println!(
+    writeln!(
+        out,
+        "== AVOC convergence boost over {SEEDS} seeds × {ROUNDS} rounds (ε = {EPSILON_KLM} klm) =="
+    )?;
+    writeln!(out, "{t}")?;
+    writeln!(
+        out,
         "(the paper reports AVOC boosting convergence by 4×; the boost column\n reports median rounds-to-converge relative to AVOC's)"
-    );
+    )
 }

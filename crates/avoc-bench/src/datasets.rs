@@ -2,44 +2,23 @@
 //! paper promises to release ("the resulting data, which we plan to
 //! publicly release").
 //!
-//! ```text
-//! cargo run -p avoc-bench --release --bin datasets -- [out_dir] [--seed S]
-//! ```
-//!
 //! Produces:
 //! * `light_reference.csv` — UC-1, 5 sensors × 10 000 rounds (Fig. 6-a)
 //! * `light_faulty_e4.csv` — UC-1 with the +6 klm injection (Fig. 6-c)
 //! * `ble_stack_a.csv` / `ble_stack_b.csv` — UC-2, 9 beacons × 297 rounds
 //! * `ble_positions.csv` — the robot's ground-truth position per round
 
-use avoc_bench::Fig6Config;
+use crate::Fig6Config;
 use avoc_sim::BleScenario;
 use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::PathBuf;
+use std::io::{self, BufWriter, Write};
+use std::path::Path;
 
-fn main() -> std::io::Result<()> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_dir = PathBuf::from("datasets");
-    let mut seed: Option<u64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => {
-                i += 1;
-                seed = Some(args[i].parse().expect("--seed takes a number"));
-            }
-            other => out_dir = PathBuf::from(other),
-        }
-        i += 1;
-    }
-    std::fs::create_dir_all(&out_dir)?;
-
-    let mut cfg = Fig6Config::default();
-    if let Some(s) = seed {
-        cfg.seed = s;
-    }
-
+/// Writes the five CSV files into `out_dir`, creating it, and names each
+/// in `out`.
+pub(crate) fn write(out: &mut impl Write, out_dir: &Path) -> io::Result<()> {
+    std::fs::create_dir_all(out_dir)?;
+    let cfg = Fig6Config::default();
     let clean = cfg.clean_trace();
     let faulty = cfg.faulty_trace();
     clean.write_csv(BufWriter::new(File::create(
@@ -48,16 +27,18 @@ fn main() -> std::io::Result<()> {
     faulty.write_csv(BufWriter::new(File::create(
         out_dir.join("light_faulty_e4.csv"),
     )?))?;
-    println!(
+    writeln!(
+        out,
         "wrote {} ({clean})",
         out_dir.join("light_reference.csv").display()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "wrote {} ({faulty})",
         out_dir.join("light_faulty_e4.csv").display()
-    );
+    )?;
 
-    let ble = BleScenario::paper_default(seed.unwrap_or(2022)).generate();
+    let ble = BleScenario::paper_default(2022).generate();
     ble.stack_a.write_csv(BufWriter::new(File::create(
         out_dir.join("ble_stack_a.csv"),
     )?))?;
@@ -74,10 +55,10 @@ fn main() -> std::io::Result<()> {
         )?;
     }
     pos.flush()?;
-    println!(
+    writeln!(
+        out,
         "wrote {} and stack B + positions ({})",
         out_dir.join("ble_stack_a.csv").display(),
         ble.stack_a
-    );
-    Ok(())
+    )
 }

@@ -1,71 +1,42 @@
-//! Reproduces Figure 7 of the paper (UC-2: BLE beacon stacks).
-//!
-//! ```text
-//! cargo run -p avoc-bench --release --bin fig7 -- [a|b|c|groups|all] [--seed S] [--margin DB]
-//! ```
+//! Figure 7 of the paper (UC-2: BLE beacon stacks), seed 2022.
 //!
 //! * `a` — single beacon per stack: closest stack mostly ambiguous
 //! * `b` — 9-beacon plain average per stack: visibly less ambiguous
 //! * `c` — 9-beacon AVOC (mean-NN) per stack
-//! * `groups` — all algorithms: history method has no effect, the collation
-//!   method splits them into two behavioural groups
+//! * `groups` — every algorithm's discrimination, and the output distance
+//!   between pairs of them
 
-use avoc_bench::{downsample, run_voter, Fig6Config};
-use avoc_metrics::series::max_abs;
-use avoc_metrics::{diff_series, AmbiguityReport, AsciiPlot, Table};
+use crate::metrics::series::max_abs;
+use crate::metrics::{diff_series, AmbiguityReport, AsciiPlot, Table};
+use crate::{downsample, run_voter, Error, Fig6Config};
 use avoc_sim::{BleScenario, BleTrace};
+use std::io::{self, Write};
 
 const PLOT_W: usize = 100;
 const PLOT_H: usize = 14;
+/// The RSSI gap below which the closer stack counts as ambiguous.
+const MARGIN_DB: f64 = 2.0;
+/// The algorithm and title of Fig. 7-b and of Fig. 7-c.
+const FIG_B: (&str, &str) = ("avg", "Fig 7-b: 9-beacon average per stack");
+const FIG_C: (&str, &str) = ("avoc", "Fig 7-c: 9-beacon AVOC voting per stack");
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut which = "all".to_owned();
-    let mut seed = 2022u64;
-    let mut margin = 2.0f64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => {
-                i += 1;
-                seed = args[i].parse().expect("--seed takes a number");
-            }
-            "--margin" => {
-                i += 1;
-                margin = args[i].parse().expect("--margin takes dB");
-            }
-            other => which = other.to_owned(),
-        }
-        i += 1;
-    }
-
-    let trace = BleScenario::paper_default(seed).generate();
-    match which.as_str() {
-        "a" => fig_a(&trace, margin),
-        "b" => fig_bc(&trace, margin, "avg", "Fig 7-b: 9-beacon average per stack"),
-        "c" => fig_bc(
-            &trace,
-            margin,
-            "avoc",
-            "Fig 7-c: 9-beacon AVOC voting per stack",
-        ),
-        "groups" => groups(&trace, margin),
+/// Prints one part of Fig. 7 (`a`, `b`, `c`, `groups`) or `all` of them.
+pub(crate) fn print(out: &mut impl Write, part: &str) -> Result<(), Error> {
+    let trace = BleScenario::paper_default(2022).generate();
+    match part {
+        "a" => fig_a(out, &trace)?,
+        "b" => fig_bc(out, &trace, FIG_B)?,
+        "c" => fig_bc(out, &trace, FIG_C)?,
+        "groups" => groups(out, &trace)?,
         "all" => {
-            fig_a(&trace, margin);
-            fig_bc(&trace, margin, "avg", "Fig 7-b: 9-beacon average per stack");
-            fig_bc(
-                &trace,
-                margin,
-                "avoc",
-                "Fig 7-c: 9-beacon AVOC voting per stack",
-            );
-            groups(&trace, margin);
+            fig_a(out, &trace)?;
+            fig_bc(out, &trace, FIG_B)?;
+            fig_bc(out, &trace, FIG_C)?;
+            groups(out, &trace)?;
         }
-        other => {
-            eprintln!("unknown figure `{other}`; use a|b|c|groups|all");
-            std::process::exit(2);
-        }
+        other => return Err(Error::Usage(format!("unknown figure `fig7 {other}`"))),
     }
+    Ok(())
 }
 
 fn truth(trace: &BleTrace) -> Vec<bool> {
@@ -74,19 +45,24 @@ fn truth(trace: &BleTrace) -> Vec<bool> {
         .collect()
 }
 
-fn plot_pair(title: &str, a: &[Option<f64>], b: &[Option<f64>]) {
+fn plot_pair(
+    out: &mut impl Write,
+    title: &str,
+    a: &[Option<f64>],
+    b: &[Option<f64>],
+) -> io::Result<()> {
     let mut plot = AsciiPlot::new(title, PLOT_W, PLOT_H);
     plot.series('A', downsample(a, PLOT_W));
     plot.series('B', downsample(b, PLOT_W));
-    print!("{}", plot.render());
+    write!(out, "{}", plot.render())
 }
 
-fn fig_a(trace: &BleTrace, margin: f64) {
+fn fig_a(out: &mut impl Write, trace: &BleTrace) -> io::Result<()> {
     let a = trace.stack_a.series(0);
     let b = trace.stack_b.series(0);
-    plot_pair("Fig 7-a: single beacon per stack (RSSI dBm)", &a, &b);
-    let report = AmbiguityReport::evaluate(&a, &b, &truth(trace), margin);
-    println!("  single-beacon: {report}\n");
+    plot_pair(out, "Fig 7-a: single beacon per stack (RSSI dBm)", &a, &b)?;
+    let report = AmbiguityReport::evaluate(&a, &b, &truth(trace), MARGIN_DB);
+    writeln!(out, "  single-beacon: {report}\n")
 }
 
 /// Runs one roster algorithm over both stacks and reports ambiguity.
@@ -100,14 +76,14 @@ fn fused_outputs(trace: &BleTrace, algo: &str) -> (Vec<Option<f64>>, Vec<Option<
     )
 }
 
-fn fig_bc(trace: &BleTrace, margin: f64, algo: &str, title: &str) {
+fn fig_bc(out: &mut impl Write, trace: &BleTrace, (algo, title): (&str, &str)) -> io::Result<()> {
     let (a, b) = fused_outputs(trace, algo);
-    plot_pair(title, &a, &b);
-    let report = AmbiguityReport::evaluate(&a, &b, &truth(trace), margin);
-    println!("  {algo}: {report}\n");
+    plot_pair(out, title, &a, &b)?;
+    let report = AmbiguityReport::evaluate(&a, &b, &truth(trace), MARGIN_DB);
+    writeln!(out, "  {algo}: {report}\n")
 }
 
-fn groups(trace: &BleTrace, margin: f64) {
+fn groups(out: &mut impl Write, trace: &BleTrace) -> io::Result<()> {
     let cfg = Fig6Config::default();
     let names: Vec<&str> = cfg.roster().iter().map(|(n, _)| *n).collect();
     let truth = truth(trace);
@@ -123,7 +99,7 @@ fn groups(trace: &BleTrace, margin: f64) {
     ]);
     for name in &names {
         let (a, b) = fused_outputs(trace, name);
-        let report = AmbiguityReport::evaluate(&a, &b, &truth, margin);
+        let report = AmbiguityReport::evaluate(&a, &b, &truth, MARGIN_DB);
         let collation = match *name {
             "hybrid" | "avoc" => "mean-NN",
             _ => "averaging",
@@ -138,8 +114,11 @@ fn groups(trace: &BleTrace, margin: f64) {
         ]);
         outputs.push((*name, a, b));
     }
-    println!("== §7 UC-2: stack discrimination per algorithm (margin {margin} dB) ==");
-    println!("{t}");
+    writeln!(
+        out,
+        "== §7 UC-2: stack discrimination per algorithm (margin {MARGIN_DB} dB) =="
+    )?;
+    writeln!(out, "{t}")?;
 
     // The paper's grouping claim: within a collation group the history
     // method has (almost) no effect; across groups the outputs differ.
@@ -175,6 +154,9 @@ fn groups(trace: &BleTrace, margin: f64) {
             if same { "yes".into() } else { "no".into() },
         ]);
     }
-    println!("== collation grouping (paper: history method has no effect; two groups) ==");
-    println!("{g}");
+    writeln!(
+        out,
+        "== collation grouping (paper: history method has no effect; two groups) =="
+    )?;
+    writeln!(out, "{g}")
 }

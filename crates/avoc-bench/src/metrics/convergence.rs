@@ -6,7 +6,7 @@
 //! and headlines AVOC "boost\[ing\] the convergence of the measurements by
 //! 4×".
 
-use crate::series::diff_series;
+use super::series::diff_series;
 use std::fmt;
 
 /// First round index from which the series stays within `epsilon` of
@@ -18,7 +18,7 @@ use std::fmt;
 /// # Example
 ///
 /// ```
-/// use avoc_metrics::rounds_to_converge;
+/// use avoc_bench::metrics::rounds_to_converge;
 ///
 /// let series = [Some(5.0), Some(3.0), Some(1.1), Some(0.9), Some(1.0)];
 /// assert_eq!(rounds_to_converge(&series, 1.0, 0.2, 2), Some(2));
@@ -150,7 +150,7 @@ impl ConvergenceReport {
             .into_iter()
             .map(|v| v.map(f64::abs))
             .collect();
-        let smoothed = crate::series::moving_average(&abs_diff, window);
+        let smoothed = super::series::moving_average(&abs_diff, window);
         ConvergenceReport {
             rounds_to_converge: rounds_to_converge(&smoothed, 0.0, epsilon, sustain),
             ..raw

@@ -1,4 +1,4 @@
-//! # avoc-metrics — evaluation metrics for the AVOC experiments
+//! Evaluation metrics for the AVOC experiments.
 //!
 //! The quantities the paper's evaluation reports:
 //!
@@ -13,10 +13,7 @@
 //! * [`accuracy`] — RMSE/MAE/bias against the simulators' known ground
 //!   truth (the external truth real deployments lack);
 //! * [`stats`] — summary statistics;
-//! * [`report`] — ASCII tables and line plots for the bench binaries.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+//! * [`report`] — ASCII tables and line plots for the figures.
 
 pub mod accuracy;
 pub mod ambiguity;
@@ -28,6 +25,7 @@ pub mod stats;
 pub use accuracy::AccuracyReport;
 pub use ambiguity::AmbiguityReport;
 pub use convergence::{rounds_to_converge, stable_value, ConvergenceReport};
-pub use report::{AsciiPlot, Table};
-pub use series::{diff_series, moving_average};
-pub use stats::Summary;
+pub(crate) use report::AsciiPlot;
+pub use report::Table;
+pub use series::diff_series;
+pub(crate) use stats::Summary;

@@ -8,7 +8,7 @@ use std::fmt;
 /// # Example
 ///
 /// ```
-/// use avoc_metrics::Table;
+/// use avoc_bench::metrics::Table;
 ///
 /// let mut t = Table::new(vec!["algorithm".into(), "rounds".into()]);
 /// t.row(vec!["avoc".into(), "1".into()]);
@@ -90,7 +90,7 @@ impl fmt::Display for Table {
 /// A terminal line plot for one or more (gappy) series — the textual
 /// stand-in for the paper's figures.
 #[derive(Debug, Clone)]
-pub struct AsciiPlot {
+pub(crate) struct AsciiPlot {
     title: String,
     width: usize,
     height: usize,
@@ -103,7 +103,7 @@ impl AsciiPlot {
     /// # Panics
     ///
     /// Panics when `width` or `height` is zero.
-    pub fn new(title: impl Into<String>, width: usize, height: usize) -> Self {
+    pub(crate) fn new(title: impl Into<String>, width: usize, height: usize) -> Self {
         assert!(width > 0 && height > 0, "plot dimensions must be positive");
         AsciiPlot {
             title: title.into(),
@@ -114,13 +114,13 @@ impl AsciiPlot {
     }
 
     /// Adds a series drawn with the given glyph.
-    pub fn series(&mut self, glyph: char, data: Vec<Option<f64>>) -> &mut Self {
+    pub(crate) fn series(&mut self, glyph: char, data: Vec<Option<f64>>) -> &mut Self {
         self.series.push((glyph, data));
         self
     }
 
     /// Renders the plot.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let values: Vec<f64> = self
             .series
             .iter()

@@ -26,7 +26,7 @@ pub fn diff_series(a: &[Option<f64>], b: &[Option<f64>]) -> Vec<Option<f64>> {
 /// # Panics
 ///
 /// Panics when `window == 0`.
-pub fn moving_average(series: &[Option<f64>], window: usize) -> Vec<Option<f64>> {
+pub(crate) fn moving_average(series: &[Option<f64>], window: usize) -> Vec<Option<f64>> {
     assert!(window > 0, "window must be positive");
     let half = window / 2;
     (0..series.len())

@@ -4,7 +4,7 @@ use std::fmt;
 
 /// Summary of a numeric series (gaps skipped).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
+pub(crate) struct Summary {
     /// Number of non-missing samples.
     pub count: usize,
     /// Arithmetic mean.
@@ -22,7 +22,7 @@ pub struct Summary {
 impl Summary {
     /// Summarises a series, skipping `None` gaps. Returns `None` when no
     /// samples remain.
-    pub fn of(series: &[Option<f64>]) -> Option<Summary> {
+    pub(crate) fn of(series: &[Option<f64>]) -> Option<Summary> {
         let xs: Vec<f64> = series.iter().flatten().copied().collect();
         Self::of_values(&xs)
     }
@@ -50,20 +50,6 @@ impl Summary {
             max: sorted[sorted.len() - 1],
             median,
         })
-    }
-
-    /// The `p`-th percentile (0–100) of a series via nearest-rank.
-    ///
-    /// Returns `None` for an empty series.
-    pub fn percentile(series: &[f64], p: f64) -> Option<f64> {
-        if series.is_empty() {
-            return None;
-        }
-        let mut sorted = series.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-        let p = p.clamp(0.0, 100.0);
-        let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
-        Some(sorted[rank])
     }
 }
 
@@ -108,15 +94,6 @@ mod tests {
     fn std_dev_of_constant_is_zero() {
         let s = Summary::of_values(&[5.0; 10]).unwrap();
         assert_eq!(s.std_dev, 0.0);
-    }
-
-    #[test]
-    fn percentiles() {
-        let xs: Vec<f64> = (0..=100).map(|i| i as f64).collect();
-        assert_eq!(Summary::percentile(&xs, 0.0), Some(0.0));
-        assert_eq!(Summary::percentile(&xs, 50.0), Some(50.0));
-        assert_eq!(Summary::percentile(&xs, 100.0), Some(100.0));
-        assert_eq!(Summary::percentile(&[], 50.0), None);
     }
 
     #[test]

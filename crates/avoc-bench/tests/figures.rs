@@ -4,29 +4,13 @@
 //! seeds × 3 000 rounds, the ablations and the comparison app's default run.
 //! The `latency` table (wall time) and `datasets` (files) are left out.
 
-use std::process::Command;
-
 const GOLDEN: &str = include_str!("figures.txt");
-
-fn stdout_of(bin: &str, args: &[&str]) -> String {
-    let out = Command::new(bin).args(args).output().expect("spawn");
-    assert!(out.status.success(), "{bin} {args:?} failed");
-    String::from_utf8(out.stdout).expect("utf-8")
-}
 
 #[test]
 fn every_figure_matches_the_golden_file() {
-    let got = [
-        stdout_of(env!("CARGO_BIN_EXE_fig6"), &["all"]),
-        stdout_of(env!("CARGO_BIN_EXE_fig7"), &["all"]),
-        stdout_of(
-            env!("CARGO_BIN_EXE_convergence"),
-            &["--seeds", "10", "--rounds", "3000"],
-        ),
-        stdout_of(env!("CARGO_BIN_EXE_ablation"), &[]),
-        stdout_of(env!("CARGO_BIN_EXE_compare"), &[]),
-    ]
-    .concat();
+    let mut out = Vec::new();
+    avoc_bench::run(&["figures"], &mut out).expect("figures print");
+    let got = String::from_utf8(out).expect("utf-8");
     if got != GOLDEN {
         let want: Vec<&str> = GOLDEN.split_inclusive('\n').collect();
         let have: Vec<&str> = got.split_inclusive('\n').collect();

@@ -7,7 +7,58 @@
 //! configurable multiple of it. The *Hybrid* voter's peer-agreement weights
 //! reuse this soft score.
 
-use avoc_cluster::MarginMode;
+use crate::cluster::AgreementClusterer;
+use std::fmt;
+
+/// How the agreement margin between two values is computed. VDX spells it
+/// `RELATIVE` or `ABSOLUTE` (`params.margin`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum MarginMode {
+    /// `tolerance = threshold × max(|a|, |b|)` — the paper's soft-dynamic
+    /// margin, which self-calibrates to the magnitude of the data.
+    #[default]
+    Relative,
+    /// `tolerance = threshold` — a fixed margin in data units.
+    Absolute,
+}
+
+impl From<MarginMode> for &'static str {
+    fn from(mode: MarginMode) -> Self {
+        match mode {
+            MarginMode::Relative => "RELATIVE",
+            MarginMode::Absolute => "ABSOLUTE",
+        }
+    }
+}
+
+impl TryFrom<&str> for MarginMode {
+    type Error = MarginModeError;
+
+    fn try_from(name: &str) -> Result<Self, MarginModeError> {
+        match name {
+            "RELATIVE" => Ok(MarginMode::Relative),
+            "ABSOLUTE" => Ok(MarginMode::Absolute),
+            _ => Err(MarginModeError::InvalidName(name.to_owned())),
+        }
+    }
+}
+
+/// The error of `MarginMode::try_from`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MarginModeError {
+    /// The spelling names no [`MarginMode`].
+    InvalidName(String),
+}
+
+impl fmt::Display for MarginModeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MarginModeError::InvalidName(name) => write!(f, "invalid MarginMode name `{name}`"),
+        }
+    }
+}
+
+impl std::error::Error for MarginModeError {}
 
 /// Parameters governing how two scalar values are compared for agreement.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,11 +147,12 @@ impl AgreementParams {
         (false, 1.0 - (d - tol) / (soft_edge - tol))
     }
 
-    /// Builds an [`avoc_cluster::AgreementClusterer`] mirroring these
-    /// parameters — "the clustering step ... is selected to mirror the
-    /// parameters of the given algorithm" (§5).
-    pub fn clusterer(&self) -> avoc_cluster::AgreementClusterer {
-        avoc_cluster::AgreementClusterer::new(self.error, self.margin)
+    /// Builds an [`AgreementClusterer`] mirroring these parameters — "the
+    /// clustering step ... is selected to mirror the parameters of the given
+    /// algorithm" (§5). Two values share a cluster edge exactly when their
+    /// [`AgreementParams::binary_score`] is `1`.
+    pub fn clusterer(&self) -> AgreementClusterer {
+        AgreementClusterer::new(self.error, self.margin)
     }
 }
 
@@ -113,6 +165,7 @@ impl Default for AgreementParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn binary_score_thresholds() {
@@ -180,11 +233,31 @@ mod tests {
         let _ = AgreementParams::new(0.05, 0.5, MarginMode::Relative);
     }
 
-    #[test]
-    fn clusterer_mirrors_params() {
-        let p = AgreementParams::new(0.07, 2.0, MarginMode::Relative);
-        let c = p.clusterer();
-        assert_eq!(c.threshold(), 0.07);
-        assert_eq!(c.mode(), MarginMode::Relative);
+    proptest! {
+        /// §5: the clustering step mirrors the agreement calculation. Two
+        /// values share a cluster exactly when the voters score them as
+        /// agreeing, under either margin.
+        #[test]
+        fn clusterer_mirrors_the_binary_score(
+            a in -1e3f64..1e3,
+            spread in -3.0f64..3.0,
+            error in 0.0f64..0.5,
+            relative in any::<bool>(),
+            snap in any::<bool>(),
+        ) {
+            // Snapped to quarters, `b` lands exactly on the margin's edge
+            // now and then; unsnapped, it falls anywhere within three margins.
+            let q = |x: f64| if snap { (x * 4.0).round() / 4.0 } else { x };
+            let (a, error) = (q(a), q(error));
+            let (margin, scale) = if relative {
+                (MarginMode::Relative, a.abs())
+            } else {
+                (MarginMode::Absolute, 1.0)
+            };
+            let b = q(a + spread * error * scale);
+            let params = AgreementParams::new(error, 2.0, margin);
+            let together = params.clusterer().cluster(&[a, b]).clusters().len() == 1;
+            prop_assert_eq!(together, params.binary_score(a, b) == 1.0);
+        }
     }
 }

@@ -37,11 +37,11 @@
 use super::common;
 use super::{Verdict, Voter, VoterConfig};
 use crate::agreement::AgreementParams;
+use crate::cluster::Clustering;
 use crate::collation::{collate_into, Collation};
 use crate::error::VoteError;
 use crate::history::{HistoryStore, MemoryHistory, INITIAL_HISTORY};
 use crate::round::{ModuleId, Round};
-use avoc_cluster::Clustering;
 
 /// Which algorithm a [`HistoryVoter`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

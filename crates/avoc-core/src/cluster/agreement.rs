@@ -13,58 +13,9 @@
 //! value ([`MarginMode::Relative`]). An absolute margin is also provided for
 //! data whose magnitude carries no meaning (e.g. RSSI in dBm).
 
-use crate::stats;
+pub use crate::agreement::{MarginMode, MarginModeError};
+use crate::AgreementParams;
 use std::fmt;
-
-/// How the agreement margin between two values is computed. VDX spells it
-/// `RELATIVE` or `ABSOLUTE` (`params.margin`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum MarginMode {
-    /// `tolerance = threshold × max(|a|, |b|)` — the paper's soft-dynamic
-    /// margin, which self-calibrates to the magnitude of the data.
-    #[default]
-    Relative,
-    /// `tolerance = threshold` — a fixed margin in data units.
-    Absolute,
-}
-
-impl From<MarginMode> for &'static str {
-    fn from(mode: MarginMode) -> Self {
-        match mode {
-            MarginMode::Relative => "RELATIVE",
-            MarginMode::Absolute => "ABSOLUTE",
-        }
-    }
-}
-
-impl TryFrom<&str> for MarginMode {
-    type Error = MarginModeError;
-
-    fn try_from(name: &str) -> Result<Self, MarginModeError> {
-        match name {
-            "RELATIVE" => Ok(MarginMode::Relative),
-            "ABSOLUTE" => Ok(MarginMode::Absolute),
-            _ => Err(MarginModeError::InvalidName(name.to_owned())),
-        }
-    }
-}
-
-/// The error of `MarginMode::try_from`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MarginModeError {
-    /// The spelling names no [`MarginMode`].
-    InvalidName(String),
-}
-
-impl fmt::Display for MarginModeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MarginModeError::InvalidName(name) => write!(f, "invalid MarginMode name `{name}`"),
-        }
-    }
-}
-
-impl std::error::Error for MarginModeError {}
 
 /// A group of mutually agreeing values produced by [`AgreementClusterer`].
 #[derive(Debug, Clone, PartialEq)]
@@ -101,7 +52,8 @@ impl Cluster {
     ///
     /// Panics if the cluster is empty.
     pub fn mean(&self) -> f64 {
-        stats::mean(&self.values).expect("cluster is never empty")
+        assert!(!self.values.is_empty(), "cluster is never empty");
+        self.values.iter().sum::<f64>() / self.values.len() as f64
     }
 
     /// The member value closest to the cluster mean — the "closest real
@@ -126,7 +78,11 @@ impl Cluster {
 
     /// Population variance of the member values.
     pub fn variance(&self) -> f64 {
-        stats::variance(&self.values).unwrap_or(0.0)
+        if self.values.is_empty() {
+            return 0.0;
+        }
+        let m = self.mean();
+        self.values.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / self.values.len() as f64
     }
 }
 
@@ -239,7 +195,7 @@ impl Clustering {
 /// # Example
 ///
 /// ```
-/// use avoc_cluster::{AgreementClusterer, MarginMode};
+/// use avoc_core::cluster::{AgreementClusterer, MarginMode};
 ///
 /// // 5% soft-dynamic margin, as in the paper's UC-1 configuration.
 /// let c = AgreementClusterer::new(0.05, MarginMode::Relative);
@@ -249,8 +205,8 @@ impl Clustering {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgreementClusterer {
-    threshold: f64,
-    mode: MarginMode,
+    /// Binary agreement only: the soft multiplier stays at 1.
+    params: AgreementParams,
 }
 
 impl AgreementClusterer {
@@ -260,33 +216,14 @@ impl AgreementClusterer {
     ///
     /// Panics if `threshold` is not finite and non-negative.
     pub fn new(threshold: f64, mode: MarginMode) -> Self {
-        assert!(
-            threshold.is_finite() && threshold >= 0.0,
-            "threshold must be finite and non-negative, got {threshold}"
-        );
-        AgreementClusterer { threshold, mode }
-    }
-
-    /// The configured threshold.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// The configured margin mode.
-    pub fn mode(&self) -> MarginMode {
-        self.mode
+        AgreementClusterer {
+            params: AgreementParams::new(threshold, 1.0, mode),
+        }
     }
 
     /// Whether two values agree under this clusterer's margin.
     fn agrees(&self, a: f64, b: f64) -> bool {
-        (a - b).abs() <= self.tolerance(a, b)
-    }
-
-    fn tolerance(&self, a: f64, b: f64) -> f64 {
-        match self.mode {
-            MarginMode::Relative => self.threshold * a.abs().max(b.abs()),
-            MarginMode::Absolute => self.threshold,
-        }
+        (a - b).abs() <= self.params.tolerance(a, b)
     }
 
     /// Groups `values` into agreement clusters (transitive closure of the

@@ -6,7 +6,7 @@
 //! cluster-count parameter — only a bandwidth — which fits AVOC's
 //! self-calibration goal.
 
-use crate::point::{centroid, Point};
+use super::point::{centroid, Point};
 
 /// Iteration cap per point.
 const MAX_ITER: usize = 300;
@@ -61,7 +61,7 @@ impl MeanShiftResult {
 /// # Example
 ///
 /// ```
-/// use avoc_cluster::{MeanShift, Point};
+/// use avoc_core::cluster::{MeanShift, Point};
 ///
 /// let points: Vec<Point> = [1.0, 1.1, 0.9, 9.0, 9.2]
 ///     .iter().map(|&v| Point::scalar(v)).collect();

@@ -1,18 +1,19 @@
-//! Clustering substrate for the AVOC voting system.
+//! Clustering for the AVOC bootstrap.
 //!
 //! The AVOC paper (§5) bootstraps history-based voting with a *simplified
 //! clustering algorithm*: values within a (soft-dynamic) scaling threshold of
 //! each other are grouped, and the largest group wins. That algorithm lives in
-//! [`agreement`] and is the one the voting core uses.
+//! [`agreement`], and its margin is [`AgreementParams::tolerance`], the one
+//! the voters score agreement with.
 //!
 //! For the multi-dimensional generalisation the paper points at unsupervised
 //! algorithms such as Mean-shift and X-means; [`meanshift`] is the one the
-//! voting core bootstraps vector rounds with (`avoc_core::multidim`).
+//! voting core bootstraps vector rounds with ([`crate::multidim`]).
 //!
 //! # Example
 //!
 //! ```
-//! use avoc_cluster::agreement::{AgreementClusterer, MarginMode};
+//! use avoc_core::cluster::agreement::{AgreementClusterer, MarginMode};
 //!
 //! let clusterer = AgreementClusterer::new(0.05, MarginMode::Relative);
 //! let values = [18.0, 18.1, 18.05, 25.0, 17.95];
@@ -20,14 +21,12 @@
 //! let largest = clustering.largest_cluster().expect("non-empty input");
 //! assert_eq!(largest.members().len(), 4); // the 18-ish group; 25.0 is an outlier
 //! ```
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+//!
+//! [`AgreementParams::tolerance`]: crate::AgreementParams::tolerance
 
 pub mod agreement;
 pub mod meanshift;
 pub mod point;
-pub mod stats;
 
 pub use agreement::{AgreementClusterer, Cluster, Clustering, MarginMode, MarginModeError};
 pub use meanshift::{MeanShift, MeanShiftResult};

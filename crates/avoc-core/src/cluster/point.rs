@@ -12,7 +12,7 @@ use std::ops::{Index, IndexMut};
 /// # Example
 ///
 /// ```
-/// use avoc_cluster::Point;
+/// use avoc_core::cluster::Point;
 ///
 /// let a = Point::new(vec![0.0, 0.0]);
 /// let b = Point::new(vec![3.0, 4.0]);

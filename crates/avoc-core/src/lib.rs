@@ -41,6 +41,7 @@
 
 pub mod agreement;
 pub mod algorithms;
+pub mod cluster;
 pub mod collation;
 pub mod engine;
 pub mod error;
@@ -51,7 +52,7 @@ pub mod quorum;
 pub mod round;
 pub mod value;
 
-pub use agreement::AgreementParams;
+pub use agreement::{AgreementParams, MarginMode};
 pub use algorithms::{Verdict, Voter, VoterConfig};
 pub use collation::Collation;
 pub use engine::{FallbackAction, FaultPolicy, RoundResult, TieBreak, VotingEngine};
@@ -61,7 +62,3 @@ pub use history::{DenseHistory, HistoryStore, HistoryUpdate, MemoryHistory};
 pub use quorum::Quorum;
 pub use round::{Ballot, ModuleId, Round};
 pub use value::Value;
-
-// Re-exported so downstream crates configure margin modes without a direct
-// avoc-cluster dependency.
-pub use avoc_cluster::MarginMode;

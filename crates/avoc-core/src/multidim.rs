@@ -15,11 +15,11 @@
 //! §5 names for multi-dimensional data.
 
 use crate::algorithms::{Verdict, Voter};
+use crate::cluster::{point::centroid, MeanShift, Point};
 use crate::error::VoteError;
 use crate::history::INITIAL_HISTORY;
 use crate::round::{Ballot, ModuleId, Round};
 use crate::value::Value;
-use avoc_cluster::{point::centroid, MeanShift, Point};
 
 /// The vector bootstrap's mean-shift bandwidth, as a multiple of the median
 /// nearest-neighbour distance among the candidates.

@@ -16,7 +16,7 @@
 //!   ([`TieredStore::history_at`]) and fleet-level scans
 //!   ([`TieredStore::outvoted_in`]) over both tiers.
 //!
-//! `avoc-bench`'s `latency` binary reproduces the bottleneck comparison;
+//! `avoc-bench latency` reproduces the bottleneck comparison;
 //! `benchmark/` prices segment cold-resume against WAL replay
 //! (`store.segment_load_ms_per_kround`, `store.wal_replay_ms_per_kround`).
 

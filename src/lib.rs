@@ -13,7 +13,7 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`core`] | `avoc-core` | values, rounds, the voter family, the engine |
-//! | [`cluster`] | `avoc-cluster` | agreement clustering (the AVOC bootstrap), mean-shift (its vector form) |
+//! | [`cluster`] | `avoc-core` | agreement clustering (the AVOC bootstrap), mean-shift (its vector form) |
 //! | [`vdx`] | `avoc-vdx` | the VDX JSON spec, validation, voter factory |
 //! | [`sim`] | `avoc-sim` | light-sensor and BLE-beacon scenario generators, fault injection |
 //! | [`store`] | `avoc-store` | durable history datastores: WAL, columnar segments |
@@ -21,7 +21,7 @@
 //! | [`serve`] | `avoc-serve` | sharded multi-tenant voter daemon, TCP server + client |
 //! | [`gateway`] | `avoc-gateway` | multi-node routing tier: hash-ring placement, migration |
 //! | [`obs`] | `avoc-obs` | metric registry, latency histograms, trace ring, scrape HTTP |
-//! | [`metrics`] | `avoc-metrics` | convergence, ambiguity, series ops, reports |
+//! | [`metrics`] | `avoc-bench` | convergence, ambiguity, series ops, reports |
 //!
 //! # Quickstart
 //!
@@ -40,15 +40,15 @@
 //! ```
 //!
 //! See the `examples/` directory for the paper's two case studies end to
-//! end, and the `avoc-bench` crate for every figure/table reproduction.
+//! end, and the `avoc-bench` binary for every figure/table reproduction.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use avoc_cluster as cluster;
+pub use avoc_bench::metrics;
 pub use avoc_core as core;
+pub use avoc_core::cluster;
 pub use avoc_gateway as gateway;
-pub use avoc_metrics as metrics;
 pub use avoc_net as net;
 pub use avoc_obs as obs;
 pub use avoc_serve as serve;
@@ -63,6 +63,7 @@ pub struct ReadmeDoctests;
 
 /// The most common imports, for `use avoc::prelude::*`.
 pub mod prelude {
+    pub use avoc_bench::metrics::{AmbiguityReport, ConvergenceReport};
     pub use avoc_core::algorithms::{
         AverageVoter, HistoryAlgorithm, HistoryVoter, MajorityVoter, Verdict, Voter,
     };
@@ -70,7 +71,6 @@ pub mod prelude {
         AgreementParams, Ballot, Collation, Exclusion, FaultPolicy, ModuleId, Quorum, Round,
         RoundResult, Value, VoteError, VoterConfig, VotingEngine,
     };
-    pub use avoc_metrics::{AmbiguityReport, ConvergenceReport};
     pub use avoc_net::SpecSource;
     pub use avoc_serve::{
         ClientConfig, Persistence, ResilientClient, RetryPolicy, ServeClient, ServeConfig,
