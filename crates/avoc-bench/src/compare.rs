@@ -35,6 +35,14 @@ pub(crate) fn print(out: &mut impl Write, scenario: &str, algos: &[&str]) -> Res
         }
     };
 
+    let roster: Vec<&str> = cfg.roster().into_iter().map(|(name, _)| name).collect();
+    if let Some(unknown) = algos.iter().find(|a| !roster.contains(a)) {
+        return Err(Error::Usage(format!(
+            "unknown algorithm `{unknown}`; use {}",
+            roster.join("|")
+        )));
+    }
+
     let runs: Vec<(&str, Vec<Option<f64>>)> = algos
         .iter()
         .map(|&name| {

@@ -9,7 +9,7 @@
 //! * `ble_positions.csv` — the robot's ground-truth position per round
 
 use crate::Fig6Config;
-use avoc_sim::BleScenario;
+use avoc_sim::{BleScenario, RecordedTrace};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -18,15 +18,21 @@ use std::path::Path;
 /// in `out`.
 pub(crate) fn write(out: &mut impl Write, out_dir: &Path) -> io::Result<()> {
     std::fs::create_dir_all(out_dir)?;
+    let create = |name: &str| -> io::Result<BufWriter<File>> {
+        Ok(BufWriter::new(File::create(out_dir.join(name))?))
+    };
+    // Flushed by hand: dropping a `BufWriter` discards its write errors.
+    let csv = |trace: &RecordedTrace, name: &str| -> io::Result<()> {
+        let mut w = create(name)?;
+        trace.write_csv(&mut w)?;
+        w.flush()
+    };
+
     let cfg = Fig6Config::default();
     let clean = cfg.clean_trace();
     let faulty = cfg.faulty_trace();
-    clean.write_csv(BufWriter::new(File::create(
-        out_dir.join("light_reference.csv"),
-    )?))?;
-    faulty.write_csv(BufWriter::new(File::create(
-        out_dir.join("light_faulty_e4.csv"),
-    )?))?;
+    csv(&clean, "light_reference.csv")?;
+    csv(&faulty, "light_faulty_e4.csv")?;
     writeln!(
         out,
         "wrote {} ({clean})",
@@ -39,13 +45,9 @@ pub(crate) fn write(out: &mut impl Write, out_dir: &Path) -> io::Result<()> {
     )?;
 
     let ble = BleScenario::paper_default(2022).generate();
-    ble.stack_a.write_csv(BufWriter::new(File::create(
-        out_dir.join("ble_stack_a.csv"),
-    )?))?;
-    ble.stack_b.write_csv(BufWriter::new(File::create(
-        out_dir.join("ble_stack_b.csv"),
-    )?))?;
-    let mut pos = BufWriter::new(File::create(out_dir.join("ble_positions.csv"))?);
+    csv(&ble.stack_a, "ble_stack_a.csv")?;
+    csv(&ble.stack_b, "ble_stack_b.csv")?;
+    let mut pos = create("ble_positions.csv")?;
     writeln!(pos, "round,position_m,closest_stack")?;
     for (r, p) in ble.positions.iter().enumerate() {
         writeln!(
